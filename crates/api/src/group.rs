@@ -194,10 +194,12 @@ impl GroupBuilder {
         self
     }
 
-    /// Reliable-broadcast relay policy of the new-architecture stack
-    /// (ignored by the baselines): [`RelayFanout::All`](gcs_core::RelayFanout)
-    /// re-sends every first copy to the whole view,
-    /// [`RelayFanout::Bounded`](gcs_core::RelayFanout) to `k` ring
+    /// Relay fan-out of the new-architecture stack (ignored by the
+    /// baselines): when a process relays a message —
+    /// generic broadcast on every first copy, atomic broadcast and consensus
+    /// only while its origin is suspected —
+    /// [`RelayFanout::All`](gcs_core::RelayFanout) re-sends it to the whole
+    /// view, [`RelayFanout::Bounded`](gcs_core::RelayFanout) to `k` ring
     /// successors. When not set, the builder picks all-relay up to
     /// [`SCALE_THRESHOLD`](gcs_core::SCALE_THRESHOLD) members and a bounded
     /// ≈ log₂ n fan-out above it.

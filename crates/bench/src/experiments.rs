@@ -420,14 +420,14 @@ pub fn e4_view_change_blocking() {
 // A1 — consensus ablation: Chandra-Toueg vs Paxos
 // ---------------------------------------------------------------------------
 
-/// A1: message cost per decision, failure-free and with a crashed
-/// first coordinator/proposer.
+/// A1: wire messages per decision (a process's messages to itself are
+/// not counted), failure-free and with a crashed first coordinator/proposer.
 pub fn a1_consensus_ablation() {
     use gcs_consensus::paxos::{PaxosConsensus, PaxosMsg, PaxosOut};
     use gcs_consensus::{CtConsensus, CtMsg, CtOut};
     use std::collections::{HashSet, VecDeque};
 
-    println!("## A1 — consensus ablation: messages per decision\n");
+    println!("## A1 — consensus ablation: wire messages per decision\n");
     println!("| n | scenario | Chandra-Toueg | Paxos |");
     println!("|---|---|---|---|");
 
@@ -453,7 +453,7 @@ pub fn a1_consensus_ablation() {
                              sent: &mut u64| {
                     for o in outs {
                         if let CtOut::Send { to, msg } = o {
-                            *sent += 1;
+                            *sent += u64::from(to != from);
                             queue.push_back((from, to, msg));
                         }
                     }
@@ -500,7 +500,7 @@ pub fn a1_consensus_ablation() {
                              sent: &mut u64| {
                     for o in outs {
                         if let PaxosOut::Send { to, msg } = o {
-                            *sent += 1;
+                            *sent += u64::from(to != from);
                             queue.push_back((from, to, msg));
                         }
                     }

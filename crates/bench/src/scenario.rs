@@ -64,6 +64,8 @@ pub struct ScenarioReport {
     pub msgs: u64,
     /// Total wire bytes handed to the network.
     pub bytes: u64,
+    /// `(kind, messages, bytes)` per message kind, in first-use order.
+    pub by_kind: Vec<(&'static str, u64, u64)>,
     /// Mean injection → delivery latency over (op, replica) pairs, in
     /// virtual milliseconds (NaN when the trace mode records no entries).
     pub mean_latency_ms: f64,
@@ -233,6 +235,7 @@ impl Scenario {
             events: g.events_executed(),
             msgs: g.metrics().total_sent(),
             bytes: g.metrics().total_bytes(),
+            by_kind: g.metrics().by_kind().collect(),
             mean_latency_ms: mean,
             p99_latency_ms: p99,
             fingerprint,

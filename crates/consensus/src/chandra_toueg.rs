@@ -1,35 +1,57 @@
 //! One instance of Chandra-Toueg ◇S consensus.
 //!
 //! The algorithm proceeds in asynchronous rounds; round `r` is coordinated
-//! by `participants[r mod n]`:
+//! by `participants[r mod n]`. A failure-free instance costs one proposal,
+//! one ack and one decision per non-coordinator, and nothing else:
 //!
-//! 1. every process sends its `(estimate, ts)` to the coordinator;
-//! 2. the coordinator gathers a majority of estimates, selects one with the
-//!    greatest timestamp and proposes it;
-//! 3. each process waits for the proposal *or* for its failure detector to
-//!    suspect the coordinator; it then acks (adopting the proposal and
-//!    stamping it with the round number) or nacks, and moves to round `r+1`;
-//! 4. the coordinator decides once a majority acks, and spreads the decision
-//!    with an echo broadcast (each process forwards the first `Decide` it
-//!    sees), which makes the decision reliable among correct processes.
+//! * **Round 0 has no estimate phase.** Every timestamp is 0 before the
+//!   first proposal, so any initial value is a legal pick: the round-0
+//!   coordinator proposes its *own* value the moment it starts the instance
+//!   and the other participants send nothing until that proposal arrives.
+//! * **Round `r ≥ 1`** runs all phases: (1) every process sends its
+//!   `(estimate, ts)` to the coordinator; (2) the coordinator gathers a
+//!   majority of estimates, selects one with the greatest timestamp and
+//!   proposes it; (3) each process acks the proposal (adopting it, stamped
+//!   `r + 1`); (4) the coordinator decides on a majority of acks and sends
+//!   the decision to every participant.
+//! * **A process that acked round `r` stays in `r`** until it decides. It
+//!   leaves for a later round only when it *suspects* `coord(r)` — whether or
+//!   not it already answered `r` — or when it *learns that somebody left*
+//!   `r`: a `Nack` for a round `≥ r`, or any message of a round `> r`.
+//! * **`Nack { round }` means "I abandoned `round`"** and goes to every
+//!   participant, from whoever leaves a round on a suspicion and from the
+//!   coordinator of the round it enters on a jump. That keeps rounds moving
+//!   when the nackers alone are fewer than the majority of estimates the
+//!   next coordinator needs: the ackers still waiting in `round` follow.
+//! * **Decisions are relayed on suspicion only.** The deciding coordinator
+//!   addresses every participant itself. A process that learns the decision
+//!   from a `Decide` re-sends it only if the sender is suspected — on
+//!   receipt, or when the suspicion comes later — following the configured
+//!   fan-out. A participant the decision never reached is undecided and, on
+//!   leaving its round, is answered with the decision by any process that
+//!   has it (everything but an ack is; an ack is answered unless the
+//!   receiver addressed everyone itself).
 //!
 //! Safety (uniform agreement, validity) holds with an arbitrary failure
 //! detector; termination needs ◇S and `f < n/2`. Messages must travel on
-//! reliable FIFO links.
+//! reliable links (FIFO is not required).
 
 use std::collections::BTreeMap;
 
-use gcs_kernel::{FxHashMap, FxHashSet};
-
-use gcs_kernel::ProcessId;
+use gcs_kernel::{FxHashSet, ProcessId};
 
 use crate::Value;
 
 /// A message of the Chandra-Toueg protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CtMsg<V> {
-    /// Phase 1: a participant's current estimate, stamped with the round in
-    /// which it was last adopted (0 = initial value).
+    /// Phase 1 (rounds `≥ 1`): a participant's current estimate, stamped
+    /// with the round in which it was last adopted (0 = initial value).
+    ///
+    /// Round 0 has no estimate phase; a round-0 estimate is a *pull* from a
+    /// participant that has reason to think it is behind (see
+    /// [`CtConsensus::pull_into`]): an undecided instance ignores it, a
+    /// decided one answers with the decision.
     Estimate {
         /// Round this estimate is sent for.
         round: u64,
@@ -43,20 +65,22 @@ pub enum CtMsg<V> {
     Propose {
         /// Round being coordinated.
         round: u64,
-        /// The proposed value (a majority-supported, max-timestamp estimate).
+        /// The proposed value (round 0: the coordinator's own; later rounds:
+        /// a majority-supported, max-timestamp estimate).
         est: V,
     },
-    /// Phase 3 positive reply: the sender adopted the round's proposal.
+    /// Phase 3 reply: the sender adopted the round's proposal.
     Ack {
         /// The acknowledged round.
         round: u64,
     },
-    /// Phase 3 negative reply: the sender suspected the coordinator.
+    /// The sender abandoned `round` without deciding (sent to every
+    /// participant, not only the coordinator).
     Nack {
-        /// The refused round.
+        /// The abandoned round.
         round: u64,
     },
-    /// Phase 4: the decision, spread by echo.
+    /// Phase 4: the decision.
     Decide {
         /// The decided value.
         est: V,
@@ -79,15 +103,43 @@ impl<V> CtMsg<V> {
 /// An instruction produced by a consensus instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CtOut<V> {
-    /// Send `msg` to `to` over the reliable channel.
+    /// Send `msg` to `to` (never `self`) over the reliable channel.
     Send {
-        /// Destination participant (may be `self`; loop it back).
+        /// Destination participant.
         to: ProcessId,
         /// The protocol message.
         msg: CtMsg<V>,
     },
     /// This instance decided `V` (emitted exactly once).
     Decided(V),
+}
+
+/// The processes a learned decision is re-sent to when its sender `origin`
+/// is suspected: every other participant, or with a bounded fan-out the `k`
+/// ring successors of `me` in the (sorted) participant order. `origin`
+/// already has the decision and is skipped.
+pub(crate) fn relay_targets(
+    participants: &[ProcessId],
+    me: ProcessId,
+    origin: ProcessId,
+    fanout: Option<usize>,
+) -> impl Iterator<Item = ProcessId> + '_ {
+    let m = participants.len();
+    // `me` is a participant, so its partition point is its own index;
+    // successors start one past it.
+    let start = participants.partition_point(|&p| p < me);
+    let reach = fanout.unwrap_or(m).min(m.saturating_sub(1));
+    (1..=reach)
+        .map(move |j| participants[(start + j) % m])
+        .filter(move |&p| p != origin)
+}
+
+/// A round this process coordinated: what it proposed and who acked.
+#[derive(Debug)]
+struct Coordinated<V> {
+    round: u64,
+    value: V,
+    ackers: FxHashSet<ProcessId>,
 }
 
 /// One instance of Chandra-Toueg consensus.
@@ -100,32 +152,37 @@ pub struct CtConsensus<V> {
     started: bool,
     estimate: Option<V>,
     ts: u64,
+    /// The round this process is in. Only ever grows; before `propose` it
+    /// tracks the rounds other processes were seen to abandon.
     round: u64,
     decided: bool,
 
-    /// Rounds for which this process already sent its phase-3 reply.
-    answered: FxHashSet<u64>,
-    /// Buffered proposals by round (may arrive before we enter the round).
-    proposals: FxHashMap<u64, V>,
-    /// Coordinator side: estimates gathered per round (ordered by sender for
-    /// deterministic tie-breaking).
-    estimates: FxHashMap<u64, BTreeMap<ProcessId, (V, u64)>>,
-    /// Coordinator side: value proposed per round.
-    proposed: FxHashMap<u64, V>,
-    /// Coordinator side: ack senders per round.
-    acks: FxHashMap<u64, FxHashSet<ProcessId>>,
+    /// Whether this process acked `round` (and now waits in it).
+    acked: bool,
+    /// A proposal for a round `≥ round` not answered yet: it arrived before
+    /// `propose`, or it is what this process is jumping to.
+    held: Option<(u64, V)>,
+    /// Coordinator side: estimates gathered for `round` (ordered by sender
+    /// for deterministic tie-breaking).
+    estimates: BTreeMap<ProcessId, (V, u64)>,
+    /// Coordinator side: the rounds this process proposed in. Acks keep
+    /// counting after it moved on — a majority of adoptions decides.
+    coordinated: Vec<Coordinated<V>>,
     /// Current failure-detector suspicion set.
     suspected: FxHashSet<ProcessId>,
-    /// Decide-echo policy: `None` echoes a received decision to every
-    /// participant (classic diffusion, O(n²) messages per instance);
-    /// `Some(k)` echoes to only the `k` ring successors in participant
-    /// order. The *deciding coordinator* always sends to everyone, so
-    /// bounded echo keeps the two-hop spread of diffusion at O(n·k) cost;
-    /// coverage survives coordinator crash by contiguous segment extension
-    /// (as in bounded reliable-broadcast relay), and any process the echo
-    /// chain misses still learns the decision through the round protocol's
-    /// decided-instance catch-up replies.
+    /// Fan-out of a relayed decision: `None` re-sends to every participant,
+    /// `Some(k)` to the `k` ring successors in participant order. The
+    /// *deciding coordinator* always sends to everyone; relays happen only
+    /// while the sender of a learned decision is suspected, so the fan-out
+    /// bounds that burst. Whoever a bounded relay misses is undecided and
+    /// is answered with the decision when it leaves its round.
     echo_fanout: Option<usize>,
+    /// After the decision: whether this process addressed it to every
+    /// participant itself (it decided as coordinator).
+    sent_to_all: bool,
+    /// After the decision: who it was learned from, until somebody here
+    /// relays it.
+    learned_from: Option<ProcessId>,
 }
 
 impl<V: Value> CtConsensus<V> {
@@ -138,7 +195,7 @@ impl<V: Value> CtConsensus<V> {
         Self::with_echo_fanout(me, participants, None)
     }
 
-    /// Creates an instance with an explicit decide-echo fan-out (see the
+    /// Creates an instance with an explicit decision-relay fan-out (see the
     /// `echo_fanout` field).
     ///
     /// # Panics
@@ -162,19 +219,25 @@ impl<V: Value> CtConsensus<V> {
             ts: 0,
             round: 0,
             decided: false,
-            answered: FxHashSet::default(),
-            proposals: FxHashMap::default(),
-            estimates: FxHashMap::default(),
-            proposed: FxHashMap::default(),
-            acks: FxHashMap::default(),
+            acked: false,
+            held: None,
+            estimates: BTreeMap::new(),
+            coordinated: Vec::new(),
             suspected: FxHashSet::default(),
             echo_fanout,
+            sent_to_all: false,
+            learned_from: None,
         }
     }
 
-    /// The participants of this instance.
+    /// The participants of this instance (sorted).
     pub fn participants(&self) -> &[ProcessId] {
         &self.participants
+    }
+
+    /// Consumes the instance, keeping its (sorted) participant list.
+    pub fn into_participants(self) -> Vec<ProcessId> {
+        self.participants
     }
 
     /// Whether this instance has decided.
@@ -187,13 +250,25 @@ impl<V: Value> CtConsensus<V> {
         self.round
     }
 
+    /// After the decision: whether this process sent it to every participant
+    /// itself. Late acks then need no answer.
+    pub fn sent_decision_to_all(&self) -> bool {
+        self.sent_to_all
+    }
+
+    /// After the decision: the process it was learned from, if nobody here
+    /// relayed it. It is relayed should that process become suspected.
+    pub fn learned_from(&self) -> Option<ProcessId> {
+        self.learned_from
+    }
+
     fn coordinator(&self, round: u64) -> ProcessId {
         self.participants[(round % self.participants.len() as u64) as usize]
     }
 
-    /// Proposes an initial value and starts round 0. Idempotent: only the
-    /// first proposal takes effect, and proposing after the decision was
-    /// already learned (by echo) is a no-op.
+    /// Proposes an initial value and starts the instance. Idempotent: only
+    /// the first proposal takes effect, and proposing after the decision
+    /// was already learned is a no-op.
     pub fn propose(&mut self, v: V) -> Vec<CtOut<V>> {
         let mut out = Vec::new();
         self.propose_into(v, &mut out);
@@ -209,7 +284,33 @@ impl<V: Value> CtConsensus<V> {
         self.started = true;
         self.estimate = Some(v);
         self.ts = 0;
-        self.enter_round(0, out);
+        if let Some(r) = self.held.as_ref().map(|(r, _)| *r) {
+            if r > self.round {
+                self.set_round(r);
+            }
+        }
+        self.begin_round(false, out);
+    }
+
+    /// Pulls the outcome of an instance this process may be late for: if it
+    /// still waits in round 0 without a proposal, it sends its estimate to
+    /// the round-0 coordinator. A coordinator that decided answers with the
+    /// decision, one that has not started the instance starts it, and one
+    /// that proposed already addressed this process (reliable links). A
+    /// suspected coordinator needs no pull: leaving its round asks everyone.
+    pub fn pull_into(&mut self, out: &mut Vec<CtOut<V>>) {
+        let coord = self.coordinator(0);
+        if !self.started || self.decided || self.round != 0 || self.acked || coord == self.me {
+            return;
+        }
+        out.push(CtOut::Send {
+            to: coord,
+            msg: CtMsg::Estimate {
+                round: 0,
+                est: self.own_estimate(),
+                ts: self.ts,
+            },
+        });
     }
 
     /// Updates the suspicion set with a new suspicion.
@@ -221,10 +322,25 @@ impl<V: Value> CtConsensus<V> {
 
     /// [`suspect`](Self::suspect), appending into a caller-owned buffer.
     pub fn suspect_into(&mut self, p: ProcessId, out: &mut Vec<CtOut<V>>) {
-        self.suspected.insert(p);
-        if self.started && !self.decided {
-            self.try_answer_current_round(out);
+        if p == self.me || !self.suspected.insert(p) {
+            return;
         }
+        if self.decided {
+            if self.learned_from == Some(p) {
+                self.relay_decision(p, out);
+            }
+        } else if self.started && self.coordinator(self.round) == p {
+            // Leave the round whether or not it was acked already.
+            self.set_round(self.round + 1);
+            self.begin_round(true, out);
+        }
+    }
+
+    /// Seeds the suspicion set of an instance that has not started yet.
+    pub fn seed_suspicions(&mut self, suspected: &FxHashSet<ProcessId>) {
+        debug_assert!(!self.started);
+        self.suspected.clone_from(suspected);
+        self.suspected.remove(&self.me);
     }
 
     /// Removes a suspicion.
@@ -243,217 +359,284 @@ impl<V: Value> CtConsensus<V> {
     /// hot-path entry point).
     pub fn on_msg_into(&mut self, from: ProcessId, msg: CtMsg<V>, out: &mut Vec<CtOut<V>>) {
         if self.decided {
-            // Help laggards: everything after a decision is answered with it.
-            if !matches!(msg, CtMsg::Decide { .. }) {
-                if let Some(est) = self.estimate.clone() {
-                    out.push(CtOut::Send {
-                        to: from,
-                        msg: CtMsg::Decide { est },
-                    });
-                }
+            if answers_with_decision(&msg, self.sent_to_all) {
+                out.push(CtOut::Send {
+                    to: from,
+                    msg: CtMsg::Decide {
+                        est: self.own_estimate(),
+                    },
+                });
             }
             return;
         }
         match msg {
             CtMsg::Estimate { round, est, ts } => {
-                if self.coordinator(round) == self.me {
-                    self.estimates
-                        .entry(round)
-                        .or_default()
-                        .entry(from)
-                        .or_insert((est, ts));
-                    self.maybe_propose(round, out);
+                // Round 0 has no estimate phase, and a round this process
+                // left is dead: nobody waits for its proposal.
+                if round == 0 || round < self.round || self.coordinator(round) != self.me {
+                    return;
                 }
-            }
-            CtMsg::Propose { round, est } => {
-                self.proposals.entry(round).or_insert(est);
-                if self.started {
-                    self.try_answer_current_round(out);
-                }
-            }
-            CtMsg::Ack { round } => {
-                if self.coordinator(round) == self.me && self.proposed.contains_key(&round) {
-                    let acks = self.acks.entry(round).or_default();
-                    acks.insert(from);
-                    if acks.len() >= self.majority {
-                        let est = self.proposed[&round].clone();
-                        self.decide(est, true, out);
+                self.jump_to(round, out);
+                if self.round == round && !self.decided {
+                    self.estimates.entry(from).or_insert((est, ts));
+                    if self.started {
+                        self.maybe_propose(out);
                     }
                 }
             }
-            CtMsg::Nack { .. } => {
-                // Nacks only mean the round will not decide; the coordinator
-                // moves on through the normal round progression.
+            CtMsg::Propose { round, est } => {
+                if round < self.round || (round == self.round && self.acked) {
+                    return;
+                }
+                if self.held.as_ref().is_none_or(|(r, _)| *r < round) {
+                    self.held = Some((round, est));
+                }
+                if round > self.round {
+                    self.jump_to(round, out);
+                } else if self.started {
+                    self.answer_held(out);
+                    if self.suspected.contains(&self.coordinator(round)) {
+                        self.set_round(round + 1);
+                        self.begin_round(true, out);
+                    }
+                }
+            }
+            CtMsg::Ack { round } => {
+                let majority = self.majority;
+                let Some(c) = self.coordinated.iter_mut().find(|c| c.round == round) else {
+                    return;
+                };
+                c.ackers.insert(from);
+                if c.ackers.len() >= majority {
+                    let value = c.value.clone();
+                    self.decide(value, None, out);
+                }
+            }
+            CtMsg::Nack { round } => {
+                // Somebody left `round`: the round will not decide through
+                // this process waiting in it.
+                self.jump_to(round + 1, out);
             }
             CtMsg::Decide { est } => {
-                self.decide(est, false, out);
+                self.decide(est, Some(from), out);
             }
         }
     }
 
-    /// Enters `round` and keeps advancing while the phase-3 answer is
-    /// already determined (proposal buffered, or coordinator suspected).
-    fn enter_round(&mut self, round: u64, out: &mut Vec<CtOut<V>>) {
+    fn own_estimate(&self) -> V {
+        self.estimate
+            .clone()
+            .expect("started or decided instance has an estimate")
+    }
+
+    fn send_to_others(&self, msg: CtMsg<V>, out: &mut Vec<CtOut<V>>) {
+        for &to in &self.participants {
+            if to != self.me {
+                out.push(CtOut::Send {
+                    to,
+                    msg: msg.clone(),
+                });
+            }
+        }
+    }
+
+    /// Switches to `round`, forgetting what only concerned earlier rounds.
+    fn set_round(&mut self, round: u64) {
         self.round = round;
+        self.acked = false;
+        self.estimates.clear();
+        if self.held.as_ref().is_some_and(|(r, _)| *r < round) {
+            self.held = None;
+        }
+    }
+
+    /// Moves to `round` because a message showed that somebody is there
+    /// (no-op when already there or past it).
+    fn jump_to(&mut self, round: u64, out: &mut Vec<CtOut<V>>) {
+        if round <= self.round {
+            return;
+        }
+        self.set_round(round);
+        if self.started {
+            self.begin_round(false, out);
+        }
+    }
+
+    /// Enters `self.round`, and keeps advancing while its coordinator is
+    /// suspected. `by_suspicion` says this process left the previous round
+    /// on its own suspicion rather than on somebody else's word.
+    fn begin_round(&mut self, mut by_suspicion: bool, out: &mut Vec<CtOut<V>>) {
         loop {
             let r = self.round;
             let coord = self.coordinator(r);
-            let est = self
-                .estimate
-                .clone()
-                .expect("started instance has an estimate");
-            out.push(CtOut::Send {
-                to: coord,
-                msg: CtMsg::Estimate {
-                    round: r,
-                    est,
-                    ts: self.ts,
-                },
-            });
-            if !self.answer_round(r, out) {
-                break; // phase 3: wait for proposal or suspicion
+            // Tell everyone the previous round is abandoned: whoever leaves
+            // on a suspicion does, and so does the coordinator of the round
+            // entered — it needs a majority to follow, and if *it* is faulty
+            // those who followed will suspect it and tell everyone then.
+            if r > 0 && (by_suspicion || coord == self.me) {
+                self.send_to_others(CtMsg::Nack { round: r - 1 }, out);
             }
-            self.round = r + 1;
+            if coord == self.me {
+                if r == 0 {
+                    // All timestamps are 0: the own value is a legal pick.
+                    self.coordinate(self.own_estimate(), out);
+                } else {
+                    self.estimates
+                        .insert(self.me, (self.own_estimate(), self.ts));
+                    self.maybe_propose(out);
+                }
+                return;
+            }
+            if self.held.is_some() {
+                // The coordinator of `r` already proposed: no estimate.
+                self.answer_held(out);
+            } else if r > 0 {
+                out.push(CtOut::Send {
+                    to: coord,
+                    msg: CtMsg::Estimate {
+                        round: r,
+                        est: self.own_estimate(),
+                        ts: self.ts,
+                    },
+                });
+            }
+            if !self.suspected.contains(&coord) {
+                return; // wait for the proposal, the decision, a suspicion or a jump
+            }
+            self.set_round(r + 1);
+            by_suspicion = true;
         }
     }
 
-    /// Attempts the phase-3 answer for the *current* round, advancing rounds
-    /// as long as answers are determined.
-    fn try_answer_current_round(&mut self, out: &mut Vec<CtOut<V>>) {
-        while !self.decided && self.answer_round(self.round, out) {
-            let next = self.round + 1;
-            self.round = next;
-            let coord = self.coordinator(next);
-            let est = self
-                .estimate
-                .clone()
-                .expect("started instance has an estimate");
-            out.push(CtOut::Send {
-                to: coord,
-                msg: CtMsg::Estimate {
-                    round: next,
-                    est,
-                    ts: self.ts,
-                },
-            });
-        }
-    }
-
-    /// If the phase-3 answer for `round` is determined, sends it and returns
-    /// `true`.
-    fn answer_round(&mut self, round: u64, out: &mut Vec<CtOut<V>>) -> bool {
-        if self.answered.contains(&round) {
-            return false;
-        }
-        let coord = self.coordinator(round);
-        if let Some(est) = self.proposals.get(&round).cloned() {
-            self.estimate = Some(est);
-            self.ts = round + 1;
-            self.answered.insert(round);
-            out.push(CtOut::Send {
-                to: coord,
-                msg: CtMsg::Ack { round },
-            });
-            true
-        } else if self.suspected.contains(&coord) {
-            self.answered.insert(round);
-            out.push(CtOut::Send {
-                to: coord,
-                msg: CtMsg::Nack { round },
-            });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Coordinator phase 2: propose once a majority of estimates arrived.
-    fn maybe_propose(&mut self, round: u64, out: &mut Vec<CtOut<V>>) {
-        if self.proposed.contains_key(&round) {
+    /// Adopts the held proposal if it is for the current round, and acks.
+    fn answer_held(&mut self, out: &mut Vec<CtOut<V>>) {
+        if !matches!(self.held, Some((r, _)) if r == self.round) {
             return;
         }
-        let Some(ests) = self.estimates.get(&round) else {
-            return;
-        };
-        if ests.len() < self.majority {
+        let (round, est) = self.held.take().expect("checked above");
+        self.estimate = Some(est);
+        self.ts = round + 1;
+        self.acked = true;
+        out.push(CtOut::Send {
+            to: self.coordinator(round),
+            msg: CtMsg::Ack { round },
+        });
+    }
+
+    /// Coordinator phase 2 of a round `≥ 1`: propose once a majority of
+    /// estimates arrived.
+    fn maybe_propose(&mut self, out: &mut Vec<CtOut<V>>) {
+        if self.acked || self.estimates.len() < self.majority {
             return;
         }
         // Greatest timestamp wins; ties break toward the smallest sender id
         // (the BTreeMap makes this deterministic).
-        let (est, _) = ests
+        let (est, _) = self
+            .estimates
             .iter()
             .max_by(|(pa, (_, ta)), (pb, (_, tb))| ta.cmp(tb).then(pb.cmp(pa)))
             .map(|(_, v)| v.clone())
             .expect("majority reached, set non-empty");
-        self.proposed.insert(round, est.clone());
-        for &p in &self.participants {
-            out.push(CtOut::Send {
-                to: p,
-                msg: CtMsg::Propose {
-                    round,
-                    est: est.clone(),
-                },
-            });
+        self.coordinate(est, out);
+    }
+
+    /// Proposes `value` for the current round and adopts it locally.
+    fn coordinate(&mut self, value: V, out: &mut Vec<CtOut<V>>) {
+        let round = self.round;
+        self.send_to_others(
+            CtMsg::Propose {
+                round,
+                est: value.clone(),
+            },
+            out,
+        );
+        self.estimate = Some(value.clone());
+        self.ts = round + 1;
+        self.acked = true;
+        let mut ackers = FxHashSet::default();
+        ackers.insert(self.me);
+        self.coordinated.push(Coordinated {
+            round,
+            value: value.clone(),
+            ackers,
+        });
+        if self.majority == 1 {
+            self.decide(value, None, out);
         }
     }
 
-    fn decide(&mut self, est: V, origin: bool, out: &mut Vec<CtOut<V>>) {
+    /// Decides `est`, learned from `from` (`None`: decided here, as
+    /// coordinator).
+    fn decide(&mut self, est: V, from: Option<ProcessId>, out: &mut Vec<CtOut<V>>) {
         if self.decided {
             return;
         }
         self.decided = true;
         self.estimate = Some(est.clone());
-        // Echo the decision so it reaches every correct participant even if
-        // we crash right after deciding (reliable broadcast by diffusion).
-        // The deciding coordinator (`origin`) always addresses everyone;
-        // echoers follow the configured fan-out (participants are sorted,
-        // so they double as the echo ring).
-        match self.echo_fanout {
-            Some(k) if !origin => {
-                let m = self.participants.len();
-                // `me` is a participant, so its partition point is its own
-                // index; successors start one past it.
-                let start = self.participants.partition_point(|&p| p < self.me);
-                for j in 1..=k.min(m.saturating_sub(1)) {
-                    let p = self.participants[(start + j) % m];
-                    out.push(CtOut::Send {
-                        to: p,
-                        msg: CtMsg::Decide { est: est.clone() },
-                    });
-                }
+        self.held = None;
+        self.estimates.clear();
+        self.coordinated.clear();
+        match from {
+            None => {
+                self.sent_to_all = true;
+                self.send_to_others(CtMsg::Decide { est: est.clone() }, out);
             }
-            _ => {
-                for &p in &self.participants {
-                    if p != self.me {
-                        out.push(CtOut::Send {
-                            to: p,
-                            msg: CtMsg::Decide { est: est.clone() },
-                        });
-                    }
+            Some(origin) => {
+                self.learned_from = Some(origin);
+                if self.suspected.contains(&origin) {
+                    self.relay_decision(origin, out);
                 }
             }
         }
         out.push(CtOut::Decided(est));
+    }
+
+    /// Re-sends the decision learned from the (suspected) `origin`.
+    fn relay_decision(&mut self, origin: ProcessId, out: &mut Vec<CtOut<V>>) {
+        self.learned_from = None;
+        let est = self.own_estimate();
+        for to in relay_targets(&self.participants, self.me, origin, self.echo_fanout) {
+            out.push(CtOut::Send {
+                to,
+                msg: CtMsg::Decide { est: est.clone() },
+            });
+        }
+    }
+}
+
+/// Whether a process that decided answers `msg` with the decision. A
+/// `Decide` needs none. An ack comes from a process waiting for this one's
+/// decision: it is owed one unless the decision was sent to everyone
+/// already. Everything else comes from a process that left a round
+/// undecided.
+pub(crate) fn answers_with_decision<V>(msg: &CtMsg<V>, sent_to_all: bool) -> bool {
+    match msg {
+        CtMsg::Decide { .. } => false,
+        CtMsg::Ack { .. } => !sent_to_all,
+        _ => true,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
     }
 
+    type Wire = (ProcessId, ProcessId, CtMsg<u32>);
+
     /// A lock-step network for driving instances directly in tests: messages
-    /// are delivered in FIFO order; crashed processes drop in and out-bound
-    /// traffic.
+    /// are delivered in FIFO order; crashed processes drop in- and out-bound
+    /// traffic. Every message handed to the network is counted by kind.
     struct Net {
         instances: Vec<CtConsensus<u32>>,
-        queue: std::collections::VecDeque<(ProcessId, ProcessId, CtMsg<u32>)>,
+        queue: VecDeque<Wire>,
         crashed: HashSet<ProcessId>,
         decisions: HashMap<ProcessId, u32>,
+        sent: BTreeMap<&'static str, usize>,
     }
 
     impl Net {
@@ -467,13 +650,18 @@ mod tests {
                 queue: Default::default(),
                 crashed: HashSet::new(),
                 decisions: HashMap::new(),
+                sent: BTreeMap::new(),
             }
         }
 
         fn apply(&mut self, from: ProcessId, outs: Vec<CtOut<u32>>) {
             for o in outs {
                 match o {
-                    CtOut::Send { to, msg } => self.queue.push_back((from, to, msg)),
+                    CtOut::Send { to, msg } => {
+                        assert_ne!(to, from, "no self-addressed messages");
+                        *self.sent.entry(msg.kind()).or_default() += 1;
+                        self.queue.push_back((from, to, msg));
+                    }
                     CtOut::Decided(v) => {
                         let prev = self.decisions.insert(from, v);
                         assert!(prev.is_none(), "{from:?} decided twice");
@@ -487,14 +675,16 @@ mod tests {
             self.apply(p, outs);
         }
 
+        fn suspect(&mut self, observer: ProcessId, q: ProcessId) {
+            let outs = self.instances[observer.index()].suspect(q);
+            self.apply(observer, outs);
+        }
+
         fn suspect_everywhere(&mut self, q: ProcessId) {
-            for i in 0..self.instances.len() {
-                let p = pid(i as u32);
-                if self.crashed.contains(&p) {
-                    continue;
+            for i in 0..self.instances.len() as u32 {
+                if !self.crashed.contains(&pid(i)) && pid(i) != q {
+                    self.suspect(pid(i), q);
                 }
-                let outs = self.instances[i].suspect(q);
-                self.apply(p, outs);
             }
         }
 
@@ -502,9 +692,18 @@ mod tests {
             self.crashed.insert(p);
         }
 
-        fn run(&mut self) {
+        /// Loses every queued message matching `lost` (a sender that crashed
+        /// part-way through a broadcast).
+        fn lose(&mut self, lost: impl Fn(&Wire) -> bool) {
+            self.queue.retain(|w| !lost(w));
+        }
+
+        /// Delivers, in FIFO order, the messages matching `pick` (and what
+        /// they cause, as far as it matches too); the rest stay queued.
+        fn run_where(&mut self, pick: impl Fn(&Wire) -> bool) {
             let mut steps = 0;
-            while let Some((from, to, msg)) = self.queue.pop_front() {
+            while let Some(i) = self.queue.iter().position(&pick) {
+                let (from, to, msg) = self.queue.remove(i).expect("index from position");
                 steps += 1;
                 assert!(steps < 100_000, "no quiescence");
                 if self.crashed.contains(&from) || self.crashed.contains(&to) {
@@ -515,11 +714,22 @@ mod tests {
             }
         }
 
+        fn run(&mut self) {
+            self.run_where(|_| true);
+        }
+
         fn check_agreement(&self) -> u32 {
-            let mut vals: Vec<u32> = self.decisions.values().copied().collect();
-            vals.dedup();
+            let vals: HashSet<u32> = self.decisions.values().copied().collect();
             assert_eq!(vals.len(), 1, "disagreement: {:?}", self.decisions);
-            vals[0]
+            *vals.iter().next().expect("one value")
+        }
+
+        fn assert_survivors_decided(&self) {
+            for i in 0..self.instances.len() as u32 {
+                if !self.crashed.contains(&pid(i)) {
+                    assert!(self.decisions.contains_key(&pid(i)), "p{i} undecided");
+                }
+            }
         }
     }
 
@@ -531,32 +741,42 @@ mod tests {
         }
         net.run();
         assert_eq!(net.decisions.len(), 3);
-        let v = net.check_agreement();
-        assert!((10..13).contains(&v), "validity: decided {v}");
+        // Round 0 has no estimate phase: the coordinator's own value wins.
+        assert_eq!(net.check_agreement(), 10);
     }
 
+    /// Obligation (d): a failure-free instance is n−1 proposals, n−1 acks,
+    /// n−1 decisions on the wire and nothing else — in particular no
+    /// estimate, no nack, no relayed decision and no answer to a late ack.
+    /// (CI counts on this test: a re-introduced eager message fails it.)
     #[test]
-    fn decision_is_coordinators_round0_pick() {
-        // With everyone proposing and no failures, round 0's coordinator
-        // (p0) picks a majority estimate — all have ts 0, so any proposed
-        // value is valid; agreement is the key property.
-        let mut net = Net::new(5);
-        for i in 0..5 {
-            net.propose(pid(i), i);
+    fn failure_free_message_pattern_is_exact() {
+        for n in [3u32, 5] {
+            let mut net = Net::new(n);
+            for i in 0..n {
+                net.propose(pid(i), i);
+            }
+            net.run();
+            assert_eq!(net.decisions.len(), n as usize);
+            assert_eq!(net.check_agreement(), 0);
+            let each = n as usize - 1;
+            let expect: BTreeMap<&'static str, usize> =
+                [("ct/propose", each), ("ct/ack", each), ("ct/decide", each)].into();
+            assert_eq!(net.sent, expect, "n={n}");
+            assert!(net.instances.iter().all(|i| i.round() == 0), "n={n}");
         }
-        net.run();
-        assert_eq!(net.decisions.len(), 5);
-        net.check_agreement();
     }
 
     #[test]
     fn coordinator_crash_before_propose_next_round_decides() {
+        // Obligation (c), first case.
         let mut net = Net::new(3);
         net.crash(pid(0)); // round-0 coordinator dead from the start
         net.propose(pid(1), 7);
         net.propose(pid(2), 9);
-        net.run(); // blocks in phase 3 (no suspicion yet)
+        net.run(); // nothing to do: round 0 waits for p0's proposal
         assert!(net.decisions.is_empty());
+        assert!(net.sent.is_empty(), "round 0 is silent without a proposal");
         net.suspect_everywhere(pid(0));
         net.run();
         assert_eq!(net.decisions.len(), 2);
@@ -565,21 +785,136 @@ mod tests {
     }
 
     #[test]
-    fn partial_propose_crash_locks_value() {
-        // p0 proposes to p1 only, then crashes: if anyone decided/adopted,
-        // the locked estimate must survive into later rounds.
+    fn acker_leaves_an_answered_round_on_suspicion() {
+        // Obligations (a) and (c), second case: the coordinator crashes
+        // between `Propose` and `Decide`. Both survivors already acked round
+        // 0 and wait in it; the suspicion must still move them on, and the
+        // value a majority adopted stays locked.
         let mut net = Net::new(3);
-        net.propose(pid(0), 1);
-        net.propose(pid(1), 2);
-        net.propose(pid(2), 3);
-        // Deliver only messages to/from p1 and p0 first; emulate by running
-        // a few steps then crashing p0. Simplest adversary: crash p0 after
-        // its proposal is queued, deliver everything else.
-        // (Full adversarial interleavings are exercised by the proptest.)
+        for i in 0..3 {
+            net.propose(pid(i), 20 + i);
+        }
+        net.run_where(|(_, _, m)| matches!(m, CtMsg::Propose { .. }));
         net.crash(pid(0));
+        net.run();
+        assert!(net.decisions.is_empty(), "acks died with the coordinator");
+        assert!(net.instances[1..].iter().all(|i| i.round() == 0));
         net.suspect_everywhere(pid(0));
         net.run();
-        assert_eq!(net.decisions.len(), 2);
+        net.assert_survivors_decided();
+        assert_eq!(net.check_agreement(), 20, "p0's adopted proposal is locked");
+    }
+
+    #[test]
+    fn coordinator_crash_after_decide_reached_one_process() {
+        // Obligation (c), third case: p0 decides, its `Decide` reaches p1
+        // only. p1 relays it once it suspects p0; p2 also leaves round 0 and
+        // is answered by p1.
+        let mut net = Net::new(3);
+        for i in 0..3 {
+            net.propose(pid(i), 30 + i);
+        }
+        net.run_where(|(_, to, m)| !(matches!(m, CtMsg::Decide { .. }) && *to == pid(2)));
+        assert_eq!(net.decisions.len(), 2, "p0 and p1 decided");
+        net.crash(pid(0));
+        net.run();
+        assert!(!net.decisions.contains_key(&pid(2)));
+        net.suspect_everywhere(pid(0));
+        net.run();
+        assert_eq!(net.decisions[&pid(2)], 30);
+        net.check_agreement();
+    }
+
+    #[test]
+    fn decision_from_a_suspected_sender_is_relayed_on_receipt() {
+        let mut net = Net::new(4);
+        for i in 0..4 {
+            net.propose(pid(i), i);
+        }
+        net.run_where(|(_, _, m)| !matches!(m, CtMsg::Decide { .. }));
+        assert_eq!(net.decisions.len(), 1, "only p0 decided so far");
+        // p1 suspects p0 *before* the decision arrives; p0's `Decide` to p2
+        // and p3 is lost.
+        net.instances[1].suspected.insert(pid(0));
+        net.lose(|(_, to, m)| matches!(m, CtMsg::Decide { .. }) && *to != pid(1));
+        let before = net.sent["ct/decide"];
+        net.run();
+        assert_eq!(net.sent["ct/decide"] - before, 2, "p1 relayed to p2 and p3");
+        assert_eq!(net.decisions.len(), 4);
+        net.check_agreement();
+        // p2 learned it from p1, not from p0: suspecting p0 relays nothing.
+        assert!(net.instances[2].suspect(pid(0)).is_empty());
+    }
+
+    #[test]
+    fn bounded_fanout_bounds_the_relay_burst() {
+        let ids: Vec<ProcessId> = (0..6).map(pid).collect();
+        let mut inst = CtConsensus::with_echo_fanout(pid(2), ids, Some(2));
+        let _ = inst.propose(1u32);
+        let outs = inst.on_msg(pid(0), CtMsg::Decide { est: 9 });
+        assert_eq!(
+            outs,
+            vec![CtOut::Decided(9)],
+            "sender not suspected: silence"
+        );
+        let relayed: Vec<ProcessId> = inst
+            .suspect(pid(0))
+            .into_iter()
+            .map(|o| match o {
+                CtOut::Send {
+                    to,
+                    msg: CtMsg::Decide { est: 9 },
+                } => to,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(relayed, vec![pid(3), pid(4)], "two ring successors");
+        assert!(inst.suspect(pid(0)).is_empty(), "relayed once");
+    }
+
+    #[test]
+    fn false_suspicion_by_a_minority_terminates() {
+        // Obligation (b): with f crashed besides, the lone nacker p1 is
+        // fewer than the majority of estimates it needs as coordinator of
+        // round 1, and p0 without p1's ack is short of a majority of acks.
+        // The waiting ackers must follow the broadcast nack.
+        for (n, dead) in [(4u32, vec![3u32]), (5, vec![3, 4])] {
+            let mut net = Net::new(n);
+            for &d in &dead {
+                net.crash(pid(d));
+            }
+            net.suspect(pid(1), pid(0));
+            for i in 0..n {
+                if !dead.contains(&i) {
+                    net.propose(pid(i), 40 + i);
+                }
+            }
+            net.run();
+            net.assert_survivors_decided();
+            let v = net.check_agreement();
+            assert!((40..40 + n).contains(&v), "n={n}: validity");
+            assert!(net.sent["ct/nack"] > 0 && net.sent["ct/estimate"] > 0);
+        }
+    }
+
+    #[test]
+    fn nack_lost_in_a_crash_still_moves_everyone() {
+        // p3 abandons round 0 and crashes while telling the others: only p2
+        // hears. p2 follows p3 to round 1, so p0 (acks from p0 and p1 only)
+        // can no longer decide round 0; the coordinator of round 1 must
+        // fetch p0 and p1 out of it.
+        let mut net = Net::new(4);
+        net.suspect(pid(3), pid(0));
+        for i in 0..4 {
+            net.propose(pid(i), 50 + i);
+        }
+        net.lose(|(from, to, _)| *from == pid(3) && *to != pid(2));
+        net.run_where(|(from, _, _)| *from == pid(3));
+        net.crash(pid(3));
+        net.run();
+        net.suspect_everywhere(pid(3));
+        net.run();
+        net.assert_survivors_decided();
         net.check_agreement();
     }
 
@@ -603,18 +938,88 @@ mod tests {
     }
 
     #[test]
-    fn late_participant_learns_decision_via_echo() {
+    fn late_participant_learns_decision() {
         let mut net = Net::new(3);
         net.propose(pid(0), 5);
         net.propose(pid(1), 5);
         net.run();
-        // p2 never proposed, but the decision echo still reaches it: every
-        // participant learns the outcome.
+        // p2 never proposed, but the coordinator addresses every
+        // participant: p2 learns the outcome all the same.
         assert_eq!(net.decisions.len(), 3);
         assert_eq!(net.check_agreement(), 5);
         // Proposing after having learned the decision is a no-op.
         let outs = net.instances[2].propose(6);
         assert!(outs.is_empty());
+    }
+
+    #[test]
+    fn proposal_that_arrives_before_propose_is_answered_at_start() {
+        let mut net = Net::new(3);
+        net.propose(pid(0), 8);
+        net.run_where(|(_, to, _)| *to == pid(2));
+        assert!(net.decisions.is_empty());
+        net.propose(pid(2), 9); // acks the held proposal
+        net.run_where(|(_, to, _)| *to != pid(1));
+        assert_eq!(net.decisions.len(), 2, "p0 and p2 are a majority");
+        assert_eq!(net.check_agreement(), 8);
+    }
+
+    #[test]
+    fn pull_is_sent_only_while_waiting_for_the_first_proposal() {
+        let mut net = Net::new(3);
+        net.propose(pid(0), 1);
+        net.propose(pid(1), 2);
+        net.run();
+        // p2 opens the instance late with nothing held: one estimate to p0,
+        // answered with the decision.
+        let mut outs = net.instances[2].propose(3);
+        assert!(outs.is_empty(), "round 0 is silent for a non-coordinator");
+        net.decisions.remove(&pid(2));
+        net.instances[2] = CtConsensus::new(pid(2), (0..3).map(pid).collect());
+        let _ = net.instances[2].propose(3);
+        net.instances[2].pull_into(&mut outs);
+        assert!(matches!(
+            outs.as_slice(),
+            [CtOut::Send { to, msg: CtMsg::Estimate { round: 0, est: 3, ts: 0 } }] if *to == pid(0)
+        ));
+        net.apply(pid(2), outs);
+        net.run();
+        assert_eq!(net.decisions[&pid(2)], 1);
+        // Decided, or coordinator: no pull.
+        let mut none = Vec::new();
+        net.instances[2].pull_into(&mut none);
+        net.instances[0].pull_into(&mut none);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn late_ack_is_answered_unless_the_decision_went_to_everyone() {
+        let mut net = Net::new(3);
+        for i in 0..3 {
+            net.propose(pid(i), i);
+        }
+        net.run();
+        // p0 decided as coordinator and told everyone: silence.
+        assert!(net.instances[0]
+            .on_msg(pid(2), CtMsg::Ack { round: 0 })
+            .is_empty());
+        // p1 learned the decision: whoever acks to it waits for it.
+        let outs = net.instances[1].on_msg(pid(2), CtMsg::Ack { round: 1 });
+        assert!(matches!(
+            outs.as_slice(),
+            [CtOut::Send { to, msg: CtMsg::Decide { est: 0 } }] if *to == pid(2)
+        ));
+        // An estimate or a nack comes from an undecided process: answered.
+        for msg in [
+            CtMsg::Nack { round: 0 },
+            CtMsg::Estimate {
+                round: 3,
+                est: 7,
+                ts: 0,
+            },
+        ] {
+            assert_eq!(net.instances[0].on_msg(pid(1), msg).len(), 1);
+        }
     }
 
     #[test]
@@ -649,10 +1054,12 @@ mod proptests {
         ProcessId::new(i)
     }
 
-    /// Adversarial scheduler: random interleavings of message deliveries,
-    /// crashes (up to a minority) and suspicions. Checks uniform agreement
-    /// and validity on every schedule; checks termination when every
-    /// crashed process is eventually suspected by all.
+    /// Adversarial scheduler: random interleavings of message deliveries
+    /// (any order — the protocol does not lean on FIFO links), crashes (up
+    /// to a minority), and false suspicions raised and withdrawn at random
+    /// observers. Checks uniform agreement and validity on every schedule;
+    /// checks termination once the failure detector stabilizes (every
+    /// crashed process suspected by all, every correct one trusted).
     fn run_adversarial(n: u32, crashes: Vec<u32>, schedule: Vec<u16>) -> Result<(), TestCaseError> {
         let ids: Vec<ProcessId> = (0..n).map(pid).collect();
         let mut insts: Vec<CtConsensus<u32>> = ids
@@ -687,9 +1094,11 @@ mod proptests {
         // Phase A: adversarial interleaving driven by the schedule.
         let mut crash_iter = crashes.into_iter();
         for step in schedule {
-            match step % 4 {
+            let observer = pid(u32::from(step >> 3) % n);
+            let target = pid(u32::from(step >> 8) % n);
+            match step % 8 {
                 // Deliver a pseudo-randomly chosen queued message.
-                0..=2 => {
+                0..=4 => {
                     if queue.is_empty() {
                         continue;
                     }
@@ -702,23 +1111,37 @@ mod proptests {
                     apply(to, outs, &mut queue, &mut decisions)?;
                 }
                 // Crash the next scheduled victim (minority only).
-                _ => {
+                5 => {
                     if let Some(v) = crash_iter.next() {
                         crashed.insert(pid(v));
                     }
                 }
+                // A suspicion, right or wrong, at one observer.
+                6 => {
+                    if observer != target && !crashed.contains(&observer) {
+                        let outs = insts[observer.index()].suspect(target);
+                        apply(observer, outs, &mut queue, &mut decisions)?;
+                    }
+                }
+                // A suspicion withdrawn.
+                _ => insts[observer.index()].restore(target),
             }
         }
 
-        // Phase B: stabilize — suspect all crashed everywhere, drain queue.
-        for i in 0..insts.len() {
-            let p = pid(i as u32);
+        // Phase B: stabilize — every correct process suspects exactly the
+        // crashed ones; then drain the queue.
+        for i in 0..n {
+            let p = pid(i);
             if crashed.contains(&p) {
                 continue;
             }
-            for &q in crashed.clone().iter() {
-                let outs = insts[i].suspect(q);
-                apply(p, outs, &mut queue, &mut decisions)?;
+            for q in (0..n).map(pid) {
+                if crashed.contains(&q) {
+                    let outs = insts[p.index()].suspect(q);
+                    apply(p, outs, &mut queue, &mut decisions)?;
+                } else {
+                    insts[p.index()].restore(q);
+                }
             }
         }
         // Fair (FIFO) drain: liveness of ◇S consensus assumes fair message
@@ -748,8 +1171,9 @@ mod proptests {
             if !crashed.contains(&pid(i)) {
                 prop_assert!(
                     decisions.contains_key(&pid(i)),
-                    "correct {:?} did not decide",
-                    pid(i)
+                    "correct {:?} did not decide (rounds {:?})",
+                    pid(i),
+                    insts.iter().map(|c| c.round()).collect::<Vec<_>>()
                 );
             }
         }
@@ -757,7 +1181,7 @@ mod proptests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn ct_safe_and_live_n3(schedule in proptest::collection::vec(any::<u16>(), 0..400),
@@ -766,9 +1190,16 @@ mod proptests {
         }
 
         #[test]
+        fn ct_safe_and_live_n4(schedule in proptest::collection::vec(any::<u16>(), 0..500),
+                               crash in proptest::option::of(0u32..4)) {
+            run_adversarial(4, crash.into_iter().collect(), schedule)?;
+        }
+
+        #[test]
         fn ct_safe_and_live_n5(schedule in proptest::collection::vec(any::<u16>(), 0..600),
-                               crashes in proptest::collection::vec(0u32..5, 0..2)) {
+                               crashes in proptest::collection::vec(0u32..5, 0..3)) {
             let mut cs = crashes;
+            cs.sort_unstable();
             cs.dedup();
             run_adversarial(5, cs, schedule)?;
         }

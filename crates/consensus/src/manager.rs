@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use gcs_kernel::{FxHashSet, ProcessId};
+use gcs_kernel::{FxHashMap, FxHashSet, ProcessId};
 
-use crate::chandra_toueg::{CtConsensus, CtMsg, CtOut};
+use crate::chandra_toueg::{answers_with_decision, relay_targets, CtConsensus, CtMsg, CtOut};
 use crate::Value;
 
 /// Identifies one consensus instance (atomic broadcast runs instance
@@ -32,6 +32,15 @@ pub enum ManagerOut<V> {
     },
 }
 
+/// A cached decision.
+#[derive(Debug)]
+struct Cached<V> {
+    value: V,
+    /// Whether this process sent the decision to every participant itself
+    /// (it decided as coordinator): late acks then need no answer.
+    sent_to_all: bool,
+}
+
 /// Manages a sequence of consensus instances: creation on proposal,
 /// decision caching, catch-up replies for lagging peers, and propagation of
 /// the failure-detector suspicion set to every live instance.
@@ -39,8 +48,15 @@ pub enum ManagerOut<V> {
 pub struct ConsensusManager<V> {
     me: ProcessId,
     instances: BTreeMap<InstanceId, CtConsensus<V>>,
-    decisions: BTreeMap<InstanceId, V>,
+    decisions: BTreeMap<InstanceId, Cached<V>>,
     suspected: FxHashSet<ProcessId>,
+    /// Per peer, the newest decision learned from a `Decide` of that peer
+    /// which nobody here relayed, with its instance's participants. Should
+    /// the peer become suspected it may have crashed part-way through that
+    /// broadcast, so the decision is relayed then. One entry per peer is
+    /// enough: whoever also missed an older decision sees the relayed one
+    /// as traffic ahead of its cursor and pulls what lies between.
+    unrelayed: FxHashMap<ProcessId, (InstanceId, Vec<ProcessId>)>,
     /// Decisions below this instance were pruned: messages for them are
     /// dropped (not buffered) — a peer that far behind recovers via state
     /// transfer, not per-instance catch-up.
@@ -67,6 +83,7 @@ impl<V: Value> ConsensusManager<V> {
             instances: BTreeMap::new(),
             decisions: BTreeMap::new(),
             suspected: FxHashSet::default(),
+            unrelayed: FxHashMap::default(),
             pruned_below: 0,
             ct_scratch: Vec::new(),
             echo_fanout,
@@ -80,7 +97,7 @@ impl<V: Value> ConsensusManager<V> {
 
     /// The cached decision of `instance`, if it decided locally.
     pub fn decision(&self, instance: InstanceId) -> Option<&V> {
-        self.decisions.get(&instance)
+        self.decisions.get(&instance).map(|c| &c.value)
     }
 
     /// Proposes `value` for `instance` among `participants`.
@@ -111,15 +128,10 @@ impl<V: Value> ConsensusManager<V> {
         if self.decisions.contains_key(&instance) {
             return;
         }
-        let me = self.me;
-        let mut suspected: Vec<ProcessId> = self.suspected.iter().copied().collect();
-        suspected.sort_unstable(); // deterministic seeding order
-        let echo_fanout = self.echo_fanout;
+        let (me, echo_fanout, suspected) = (self.me, self.echo_fanout, &self.suspected);
         let inst = self.instances.entry(instance).or_insert_with(|| {
             let mut c = CtConsensus::with_echo_fanout(me, participants.to_vec(), echo_fanout);
-            for &s in &suspected {
-                let _ = c.suspect(s);
-            }
+            c.seed_suspicions(suspected);
             c
         });
         let mut scratch = std::mem::take(&mut self.ct_scratch);
@@ -128,10 +140,26 @@ impl<V: Value> ConsensusManager<V> {
         self.ct_scratch = scratch;
     }
 
+    /// Pulls the outcome of `instance` from its round-0 coordinator if this
+    /// process still waits there without a proposal (see
+    /// [`CtConsensus::pull_into`]) — for a caller that has reason to think
+    /// it is behind. No-op for an unknown or decided instance.
+    pub fn pull_into(&mut self, instance: InstanceId, out: &mut Vec<ManagerOut<V>>) {
+        let Some(inst) = self.instances.get_mut(&instance) else {
+            return;
+        };
+        let mut scratch = std::mem::take(&mut self.ct_scratch);
+        inst.pull_into(&mut scratch);
+        self.collect(instance, &mut scratch, out);
+        self.ct_scratch = scratch;
+    }
+
     /// Handles an instance-tagged message.
     ///
-    /// Messages for unknown instances are answered with the cached decision
-    /// when available; otherwise they must be buffered by the caller until
+    /// Messages for decided instances are answered with the cached decision
+    /// (all but a `Decide`, and an `Ack` for a decision this process already
+    /// sent to everyone); messages for unknown instances must be buffered by
+    /// the caller until
     /// it proposes for that instance (the caller — atomic broadcast — knows
     /// the participant set, the manager does not). In that buffering case
     /// the message is handed back, so the caller does not have to clone
@@ -157,12 +185,14 @@ impl<V: Value> ConsensusManager<V> {
         msg: CtMsg<V>,
         out: &mut Vec<ManagerOut<V>>,
     ) -> Option<CtMsg<V>> {
-        if let Some(v) = self.decisions.get(&instance) {
-            if !matches!(msg, CtMsg::Decide { .. }) {
+        if let Some(c) = self.decisions.get(&instance) {
+            if answers_with_decision(&msg, c.sent_to_all) {
                 out.push(ManagerOut::Send {
                     to: from,
                     instance,
-                    msg: CtMsg::Decide { est: v.clone() },
+                    msg: CtMsg::Decide {
+                        est: c.value.clone(),
+                    },
                 });
             }
             return None;
@@ -184,7 +214,9 @@ impl<V: Value> ConsensusManager<V> {
         None
     }
 
-    /// Records a suspicion and forwards it to every running instance.
+    /// Records a suspicion, forwards it to every running instance, and
+    /// relays the newest decision learned from `p` (it may have crashed
+    /// while sending it).
     pub fn suspect(&mut self, p: ProcessId) -> Vec<ManagerOut<V>> {
         let mut out = Vec::new();
         self.suspect_into(p, &mut out);
@@ -204,6 +236,19 @@ impl<V: Value> ConsensusManager<V> {
             self.collect(id, &mut scratch, out);
         }
         self.ct_scratch = scratch;
+        if let Some((instance, participants)) = self.unrelayed.remove(&p) {
+            if let Some(c) = self.decisions.get(&instance) {
+                for to in relay_targets(&participants, self.me, p, self.echo_fanout) {
+                    out.push(ManagerOut::Send {
+                        to,
+                        instance,
+                        msg: CtMsg::Decide {
+                            est: c.value.clone(),
+                        },
+                    });
+                }
+            }
+        }
     }
 
     /// Clears a suspicion (future instances start without it; running
@@ -245,8 +290,24 @@ impl<V: Value> ConsensusManager<V> {
             match o {
                 CtOut::Send { to, msg } => res.push(ManagerOut::Send { to, instance, msg }),
                 CtOut::Decided(v) => {
-                    self.decisions.insert(instance, v.clone());
-                    self.instances.remove(&instance);
+                    let inst = self.instances.remove(&instance).expect("it just decided");
+                    self.decisions.insert(
+                        instance,
+                        Cached {
+                            value: v.clone(),
+                            sent_to_all: inst.sent_decision_to_all(),
+                        },
+                    );
+                    if let Some(origin) = inst.learned_from() {
+                        let newest = self
+                            .unrelayed
+                            .get(&origin)
+                            .is_none_or(|(k, _)| *k < instance);
+                        if newest {
+                            self.unrelayed
+                                .insert(origin, (instance, inst.into_participants()));
+                        }
+                    }
                     res.push(ManagerOut::Decided { instance, value: v });
                 }
             }
@@ -360,6 +421,84 @@ mod tests {
     }
 
     #[test]
+    fn late_ack_is_not_answered_by_the_coordinator_that_told_everyone() {
+        let mut managers: Vec<ConsensusManager<u32>> =
+            (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
+        drive(&mut managers);
+        // p0 decided both instances as coordinator and sent the decision to
+        // every participant: the ack that arrives after the majority is
+        // not owed another copy.
+        let (outs, rejected) = managers[0].on_msg(0, pid(2), CtMsg::Ack { round: 0 });
+        assert!(outs.is_empty() && rejected.is_none());
+        // p1 only learned it: an ack addressed to p1 comes from a process
+        // that waits for p1's decision.
+        let (outs, _) = managers[1].on_msg(0, pid(2), CtMsg::Ack { round: 1 });
+        assert_eq!(outs.len(), 1);
+    }
+
+    #[test]
+    fn pull_for_a_decided_instance_is_answered_from_the_cache() {
+        let ids: Vec<ProcessId> = (0..3).map(pid).collect();
+        let mut managers: Vec<ConsensusManager<u32>> =
+            (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
+        drive(&mut managers);
+        // A process that never saw instance 1 (a joiner, say) opens it and
+        // pulls: one estimate to the round-0 coordinator.
+        let mut late: ConsensusManager<u32> = ConsensusManager::new(pid(2));
+        let mut outs = late.propose(1, 99, &ids);
+        assert!(outs.is_empty(), "round 0 is silent for a non-coordinator");
+        late.pull_into(1, &mut outs);
+        let [ManagerOut::Send {
+            to,
+            instance: 1,
+            msg,
+        }] = outs.as_slice()
+        else {
+            panic!("expected one pull: {outs:?}");
+        };
+        assert_eq!(*to, pid(0));
+        assert!(matches!(msg, CtMsg::Estimate { round: 0, .. }));
+        let (reply, _) = managers[0].on_msg(1, pid(2), msg.clone());
+        let [ManagerOut::Send {
+            msg: decide @ CtMsg::Decide { .. },
+            ..
+        }] = reply.as_slice()
+        else {
+            panic!("expected the cached decision: {reply:?}");
+        };
+        let (outs, _) = late.on_msg(1, pid(0), decide.clone());
+        assert!(matches!(
+            outs.as_slice(),
+            [ManagerOut::Decided { instance: 1, value }] if Some(value) == managers[0].decision(1)
+        ));
+        // Pulling an unknown or a decided instance is a no-op.
+        let mut none = Vec::new();
+        late.pull_into(1, &mut none);
+        late.pull_into(7, &mut none);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn newest_decision_learned_from_a_peer_is_relayed_once_it_is_suspected() {
+        let mut managers: Vec<ConsensusManager<u32>> = (0..3)
+            .map(|i| ConsensusManager::with_echo_fanout(pid(i), Some(1)))
+            .collect();
+        drive(&mut managers);
+        // p1 learned instances 0 and 1 from p0's `Decide`s. p0 may have
+        // crashed while sending the last one: relay that one — to one ring
+        // successor, the configured fan-out — and only once.
+        let outs = managers[1].suspect(pid(0));
+        assert!(matches!(
+            outs.as_slice(),
+            [ManagerOut::Send { to, instance: 1, msg: CtMsg::Decide { .. } }] if *to == pid(2)
+        ));
+        managers[1].restore(pid(0));
+        assert!(managers[1].suspect(pid(0)).is_empty());
+        // p0 learned nothing from anybody.
+        assert!(managers[0].suspect(pid(1)).is_empty());
+    }
+
+    #[test]
     fn prune_drops_old_decisions() {
         let mut managers: Vec<ConsensusManager<u32>> =
             (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
@@ -398,15 +537,21 @@ mod tests {
         let mut m: ConsensusManager<u32> = ConsensusManager::new(pid(1));
         let _ = m.suspect(pid(0));
         // New instance: round 0's coordinator (p0) is pre-suspected, so the
-        // propose immediately nacks round 0 and sends the round-1 estimate
-        // to p1 (itself).
+        // propose immediately abandons round 0 — telling everyone — and
+        // enters round 1, which p1 coordinates itself (no estimate on the
+        // wire for its own value).
         let outs = m.propose(0, 42, &ids);
-        let sends_to_self_round1 = outs.iter().any(|o| {
-            matches!(o, ManagerOut::Send { to, msg: CtMsg::Estimate { round: 1, .. }, .. } if *to == pid(1))
-        });
-        assert!(
-            sends_to_self_round1,
-            "expected immediate round advance: {outs:?}"
-        );
+        let told: Vec<ProcessId> = outs
+            .iter()
+            .map(|o| match o {
+                ManagerOut::Send {
+                    to,
+                    instance: 0,
+                    msg: CtMsg::Nack { round: 0 },
+                } => *to,
+                other => panic!("expected only the nack broadcast: {other:?}"),
+            })
+            .collect();
+        assert_eq!(told, vec![pid(0), pid(2)]);
     }
 }

@@ -1,8 +1,8 @@
 //! Atomic broadcast as a sequence of consensus instances (Chandra-Toueg
 //! reduction) — the basic component of the new architecture (§3.1.1).
 //!
-//! To a-broadcast, a process disseminates its message by reliable broadcast
-//! and keeps proposing its set of *unordered* messages to consensus instance
+//! To a-broadcast, a process sends its message to every member and keeps
+//! proposing its set of *unordered* messages to consensus instance
 //! `k = 0, 1, 2, …`; the decision of instance `k` is the `k`-th delivered
 //! batch, flushed in deterministic [`MsgId`] order. Unlike the traditional
 //! architectures of §2, this algorithm never blocks on failures as long as
@@ -11,13 +11,30 @@
 //! progress past a crash** (the paper's first key feature).
 //!
 //! Batches carry full messages, so a decided message is always deliverable
-//! even if its sender crashed before its diffusion completed.
+//! even if its sender crashed before its diffusion completed — which is why
+//! nothing is relayed while nobody is suspected: a failure-free a-broadcast
+//! is n−1 `ab/data` and one consensus instance (whose round-0 coordinator
+//! proposes what *it* received; the others send it nothing). Two things
+//! cover for a crash. **Diffusion:** the unordered pool (`pending`) is the
+//! buffer of unstable messages; when the failure detector suspects a process
+//! — this component hears the consensus-class suspicions too — every pooled
+//! message of that origin is relayed, and so is one that arrives while the
+//! suspicion lasts ([`RelayWhen::OriginSuspected`], bounded by
+//! [`RelayFanout`]). **Catch-up:** a process that opens an instance while it
+//! has evidence of being behind — it was just activated from a snapshot at
+//! that instance, or consensus traffic or a decision for a *later* instance
+//! is already here — flags the proposal, and the consensus component pulls
+//! the outcome from the round-0 coordinator instead of waiting for a
+//! proposal that may have been sent before it could receive it.
 //!
 //! Dynamic membership: a view change is itself an ordered (control) message;
 //! instance `k` is always run among the members of the view obtained after
 //! flushing batches `0..k`, which is agreed state — so all processes use the
 //! same participant set for every instance (the Dynamic Group Communication
-//! construction the paper cites as its ref. 32).
+//! construction the paper cites as its ref. 32). The core therefore applies
+//! an ordered join or removal to its own view the moment it flushes it; the
+//! membership component, which hears of it an event later, owns everything
+//! else about the change (announcement, state transfer, exclusion).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -25,7 +42,7 @@ use std::sync::Arc;
 use gcs_consensus::InstanceId;
 use gcs_kernel::{FxHashSet, ProcessId, TimeDelta};
 
-use crate::rbcast::{Rbcast, RelayFanout};
+use crate::rbcast::{Rbcast, RelayFanout, RelayWhen};
 use crate::types::{
     AbMsg, Batch, Body, Delivery, DeliveryKind, Message, MessageClass, MsgId, SnapshotData, View,
     WireMsg,
@@ -76,6 +93,9 @@ pub enum AbOut {
         /// same set is proposed for every instance of a view, so it is
         /// cached per view change instead of cloned per proposal).
         participants: Arc<[ProcessId]>,
+        /// This process has evidence of being behind on this instance (see
+        /// the module docs): pull its outcome rather than only wait for it.
+        catch_up: bool,
     },
     /// Deliver an ordered application message (`adeliver`).
     App(Delivery),
@@ -127,6 +147,9 @@ pub struct AbcastCore {
     policy: BatchPolicy,
     /// Whether a batch-deadline timer is currently armed.
     hold_armed: bool,
+    /// The instance a state-transfer snapshot activated this process at:
+    /// whatever the members sent for it may predate the activation.
+    activated_at: Option<InstanceId>,
     /// Reusable proposal-assembly buffer (clone-free gather: `Message`
     /// clones are shallow arena handles, and the batch allocation is the
     /// only per-proposal allocation).
@@ -141,9 +164,9 @@ impl AbcastCore {
         Self::with_relay(me, initial_view, RelayFanout::All)
     }
 
-    /// Creates the core with an explicit reliable-broadcast relay policy.
-    /// Bounded relay turns diffusion's O(n²) per-broadcast message cost into
-    /// O(n·k) at large n (see [`RelayFanout`]).
+    /// Creates the core with an explicit relay fan-out: how far a message
+    /// is re-forwarded once its origin is suspected (see [`RelayFanout`];
+    /// bounded relay keeps that burst at O(n·k) instead of O(n²)).
     pub fn with_relay(me: ProcessId, initial_view: Option<View>, relay: RelayFanout) -> Self {
         Self::with_policy(me, initial_view, relay, 1, BatchPolicy::default())
     }
@@ -158,7 +181,7 @@ impl AbcastCore {
         depth: usize,
         policy: BatchPolicy,
     ) -> Self {
-        let mut rb = Rbcast::with_relay(me, relay);
+        let mut rb = Rbcast::with_policy(me, relay, RelayWhen::OriginSuspected);
         let (view, active) = match initial_view {
             Some(v) => {
                 rb.set_peers(&v.members);
@@ -190,6 +213,7 @@ impl AbcastCore {
             depth: depth.max(1),
             policy,
             hold_armed: false,
+            activated_at: None,
             scratch: Vec::new(),
         }
     }
@@ -250,18 +274,47 @@ impl AbcastCore {
         out
     }
 
-    /// Handles a diffused message from the network.
+    /// Handles a diffused message from the network: a first copy joins the
+    /// proposal pool, and is relayed if its origin is suspected right now.
     pub fn on_data_into(&mut self, from: ProcessId, message: Message, out: &mut Vec<AbOut>) {
         let receipt = self.rb.on_data(from, message);
-        if let Some(message) = receipt.deliver {
-            for to in receipt.relay_to {
+        let Some(message) = receipt.deliver else {
+            return;
+        };
+        for &to in receipt.relay_to {
+            out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
+        }
+        if !self.adelivered.contains(&message.id) && !self.committed.contains(&message.id) {
+            self.pending.insert(message.id, message);
+        }
+        self.maybe_propose(out);
+    }
+
+    /// The failure detector suspects `origin`: it may have crashed part-way
+    /// through a broadcast, so relay every message of it still unordered
+    /// here (ordered ones travel in decisions).
+    pub fn on_suspect_into(&mut self, origin: ProcessId, out: &mut Vec<AbOut>) {
+        let targets = self.rb.suspect(origin);
+        if targets.is_empty() || !self.active {
+            return;
+        }
+        let of_origin = MsgId {
+            sender: origin,
+            seq: 0,
+        }..=MsgId {
+            sender: origin,
+            seq: u64::MAX,
+        };
+        for (_, message) in self.pending.range(of_origin) {
+            for &to in targets {
                 out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
             }
-            if !self.adelivered.contains(&message.id) && !self.committed.contains(&message.id) {
-                self.pending.insert(message.id, message);
-            }
-            self.maybe_propose(out);
         }
+    }
+
+    /// The suspicion of `origin` was withdrawn: stop relaying its messages.
+    pub fn on_restore(&mut self, origin: ProcessId) {
+        self.rb.restore(origin);
     }
 
     /// [`on_data_into`](Self::on_data_into) returning a fresh buffer.
@@ -319,9 +372,18 @@ impl AbcastCore {
         out
     }
 
-    /// Installs a new view (called by the membership component when a view
-    /// change is a-delivered). Applies to subsequent instances.
+    /// Installs a view announced by the membership component. The core
+    /// already applies ordered joins and removals itself while it flushes
+    /// (an ordered join or removal takes effect there), so in a running group this
+    /// only ever confirms the view it is in; an announcement older than
+    /// that is ignored.
     pub fn set_view(&mut self, view: View) {
+        if view.id > self.view.id {
+            self.apply_view(view);
+        }
+    }
+
+    fn apply_view(&mut self, view: View) {
         self.rb.set_peers(&view.members);
         if !view.contains(self.me) {
             self.active = false;
@@ -332,9 +394,7 @@ impl AbcastCore {
 
     /// Activates a joining process from a state-transfer snapshot.
     pub fn install_snapshot_into(&mut self, snap: &SnapshotData, out: &mut Vec<AbOut>) {
-        self.view = snap.view.clone();
-        self.participants = snap.view.members.as_slice().into();
-        self.rb.set_peers(&snap.view.members);
+        self.apply_view(snap.view.clone());
         self.active = true;
         self.cursor = snap.next_instance;
         self.adelivered = snap.adelivered.iter().copied().collect();
@@ -343,6 +403,7 @@ impl AbcastCore {
         self.proposed.clear();
         self.assigned.clear();
         self.by_instance.clear();
+        self.activated_at = Some(self.cursor);
         self.maybe_propose(out);
     }
 
@@ -410,7 +471,12 @@ impl AbcastCore {
                 || self.scratch.len() >= self.policy.max_msgs
                 || bytes >= self.policy.max_bytes;
             let requested = self.requested.contains(&k);
-            if self.scratch.is_empty() && !requested {
+            // Evidence of being behind on `k`: activated here from a
+            // snapshot, or somebody is already past it.
+            let behind = self.activated_at == Some(k)
+                || self.requested.last().is_some_and(|&r| r > k)
+                || self.batches.last_key_value().is_some_and(|(&b, _)| b > k);
+            if self.scratch.is_empty() && !requested && !behind {
                 continue;
             }
             // Deadline batching: hold a non-full batch open for more
@@ -419,6 +485,7 @@ impl AbcastCore {
             if !force
                 && !full
                 && !requested
+                && !behind
                 && self.policy.max_delay > TimeDelta::ZERO
                 && !self.scratch.is_empty()
             {
@@ -434,10 +501,14 @@ impl AbcastCore {
                 self.assigned.extend(self.scratch.iter().map(|m| m.id));
             }
             self.proposed.insert(k);
+            if self.activated_at == Some(k) {
+                self.activated_at = None;
+            }
             out.push(AbOut::Propose {
                 instance: k,
                 batch: Batch::from(&self.scratch[..]),
                 participants: self.participants.clone(),
+                catch_up: behind,
             });
         }
     }
@@ -481,7 +552,24 @@ impl AbcastCore {
                 payload: *payload,
                 view: self.view.id,
             })),
-            Body::Join(_) | Body::Remove(_) | Body::GbEnd(_) => out.push(AbOut::Ctrl(m.clone())),
+            Body::Join(p) | Body::Remove(p) => {
+                // A view change takes effect at its place in the order, not
+                // when the membership component gets round to announcing it:
+                // whatever this flush delivers next is delivered in — and
+                // the next instance runs among — the successor view. (Same
+                // arithmetic as the membership core, on the same sequence.)
+                let joins = matches!(m.body, Body::Join(_));
+                if joins != self.view.contains(*p) {
+                    let next = if joins {
+                        self.view.with_join(*p)
+                    } else {
+                        self.view.with_remove(*p)
+                    };
+                    self.apply_view(next);
+                }
+                out.push(AbOut::Ctrl(m.clone()));
+            }
+            Body::GbEnd(_) => out.push(AbOut::Ctrl(m.clone())),
         }
     }
 }
@@ -648,6 +736,52 @@ mod tests {
     }
 
     #[test]
+    fn ordered_view_change_takes_effect_within_the_flush() {
+        // Instance 0 orders a join followed by an application message, and
+        // this process has something of its own to propose next: the
+        // message after the join is delivered in the successor view, and
+        // instance 1 already runs among the successor view's members.
+        let mut c = core(0, 3);
+        let _ = c.on_data(pid(1), from_p(1, 5));
+        let join = Message {
+            id: MsgId {
+                sender: pid(1),
+                seq: 0,
+            },
+            class: MessageClass::ABCAST,
+            body: Body::Join(pid(3)),
+        };
+        let out = c.on_decide(0, vec![from_p(0, 0), join, from_p(2, 0)].into());
+        let views: Vec<u64> = out
+            .iter()
+            .filter_map(|o| match o {
+                AbOut::App(d) => Some(d.view),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(views, vec![0, 1], "p0's before the join, p2's after");
+        assert!(out.iter().any(|o| matches!(
+            o,
+            AbOut::Propose { instance: 1, participants, .. } if participants.len() == 4
+        )));
+        // The membership component's announcement is a confirmation, and a
+        // stale one cannot take the core back.
+        c.set_view(View::initial((0..3).map(pid).collect()));
+        assert_eq!(c.view().members.len(), 4);
+        // A duplicate join changes nothing.
+        let again = Message {
+            id: MsgId {
+                sender: pid(2),
+                seq: 9,
+            },
+            class: MessageClass::ABCAST,
+            body: Body::Join(pid(3)),
+        };
+        let _ = c.on_decide(1, vec![again].into());
+        assert_eq!(c.view().id, 1);
+    }
+
+    #[test]
     fn removed_member_deactivates_on_view_change() {
         let mut c = core(0, 3);
         c.set_view(View {
@@ -655,6 +789,141 @@ mod tests {
             members: vec![pid(1), pid(2)],
         });
         assert!(!c.is_active());
+    }
+
+    fn data_wires(out: &[AbOut]) -> Vec<(ProcessId, MsgId)> {
+        out.iter()
+            .filter_map(|o| match o {
+                AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(m))) => Some((*to, m.id)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn from_p(sender: u32, seq: u64) -> Message {
+        app(MsgId {
+            sender: pid(sender),
+            seq,
+        })
+    }
+
+    #[test]
+    fn first_copy_is_not_relayed_while_its_origin_is_trusted() {
+        let mut c = core(2, 4);
+        let out = c.on_data(pid(1), from_p(1, 0));
+        assert!(
+            data_wires(&out).is_empty(),
+            "failure-free: n-1 ab/data, no relay"
+        );
+    }
+
+    #[test]
+    fn suspicion_relays_the_unordered_messages_of_that_origin_only() {
+        let mut c = core(2, 4);
+        let (a, b, other) = (from_p(1, 0), from_p(1, 1), from_p(3, 0));
+        for m in [&a, &b, &other] {
+            let _ = c.on_data(m.id.sender, m.clone());
+        }
+        // `a` gets ordered: it travels in the decision from now on.
+        let _ = c.on_decide(0, vec![a.clone()].into());
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(1), &mut out);
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(0), b.id), (pid(3), b.id)],
+            "only p1's still-pending message, to everyone but p1 and self"
+        );
+    }
+
+    #[test]
+    fn data_of_a_suspected_origin_is_relayed_on_receipt_until_restored() {
+        let mut c = core(2, 4);
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(1), &mut out);
+        assert!(out.is_empty(), "nothing of p1 held yet");
+        let out = c.on_data(pid(0), from_p(1, 0));
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(3), from_p(1, 0).id)],
+            "not back to the relayer p0, not to the origin"
+        );
+        c.on_restore(pid(1));
+        let out = c.on_data(pid(1), from_p(1, 1));
+        assert!(data_wires(&out).is_empty(), "restore stops further relays");
+    }
+
+    #[test]
+    fn bounded_fanout_bounds_the_on_suspicion_relay() {
+        let members: Vec<ProcessId> = (0..8).map(pid).collect();
+        let mut c = AbcastCore::with_relay(
+            pid(2),
+            Some(View::initial(members)),
+            RelayFanout::Bounded(2),
+        );
+        let _ = c.on_data(pid(6), from_p(6, 0));
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(6), &mut out);
+        let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, _)| to).collect();
+        assert_eq!(to, vec![pid(3), pid(4)], "two ring successors");
+    }
+
+    fn catch_up_flags(out: &[AbOut]) -> Vec<(InstanceId, bool)> {
+        out.iter()
+            .filter_map(|o| match o {
+                AbOut::Propose {
+                    instance, catch_up, ..
+                } => Some((*instance, *catch_up)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ordinary_proposals_do_not_ask_for_catch_up() {
+        let mut c = core(1, 3);
+        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        assert_eq!(catch_up_flags(&out), vec![(0, false)]);
+        let out = c.need_instance(0);
+        assert!(catch_up_flags(&out).is_empty(), "already proposed");
+        let out = c.on_decide(0, vec![from_p(1, 0)].into());
+        assert!(catch_up_flags(&out).is_empty());
+        let out = c.need_instance(1);
+        assert_eq!(catch_up_flags(&out), vec![(1, false)]);
+    }
+
+    #[test]
+    fn traffic_for_a_later_instance_opens_the_cursor_instance_to_catch_up() {
+        // Nothing pending, nothing requested for instance 0 — yet somebody
+        // is already working on instance 1: this process missed instance 0.
+        let mut c = core(1, 3);
+        let out = c.need_instance(1);
+        assert_eq!(catch_up_flags(&out), vec![(0, true)]);
+        // Same when the later instance's decision is what arrived.
+        let mut c = core(1, 3);
+        let out = c.on_decide(1, vec![from_p(0, 1)].into());
+        assert_eq!(catch_up_flags(&out), vec![(0, true)]);
+    }
+
+    #[test]
+    fn snapshot_activation_catches_up_on_its_first_instance_only() {
+        let mut c = AbcastCore::new(pid(3), None);
+        let snap = SnapshotData {
+            view: View {
+                id: 2,
+                members: vec![pid(0), pid(1), pid(3)],
+            },
+            next_instance: 5,
+            adelivered: vec![],
+            gdelivered: vec![],
+            gb_epoch: 0,
+            app_state: Bytes::new(),
+        };
+        let out = c.install_snapshot(&snap);
+        assert_eq!(catch_up_flags(&out), vec![(5, true)]);
+        let out = c.on_decide(5, vec![from_p(0, 9)].into());
+        assert!(catch_up_flags(&out).is_empty());
+        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        assert_eq!(catch_up_flags(&out), vec![(6, false)]);
     }
 
     fn core_with(i: u32, n: u32, depth: usize, policy: BatchPolicy) -> AbcastCore {

@@ -14,6 +14,7 @@
 //!               │                ┌─▼───────┴──┐         ┌───┴───────────┐
 //!               │                │ consensus  │◀───────┐│ monitoring    │
 //!               │                └─┬──────────┘ suspect└┴───▲───────▲───┘
+//!               │                  │          (abcast too)    │       │
 //!               │                  │                  Suspect│  Stuck│
 //!   ┌───────────▼──────────────────▼──────────┐   ┌──────────┴──┐    │
 //!   │ rc (reliable channel, §3.3.1)           │   │ fd (◇S)     │────┘
@@ -203,6 +204,21 @@ impl FdComponent {
         }
     }
 
+    /// Consensus-class transitions drive round changes in consensus and the
+    /// on-suspicion relay in atomic broadcast; monitoring-class ones feed
+    /// the exclusion policy.
+    fn route_suspicion(&self, class: MonitorClass, event: Ev, ctx: &mut Context<'_, Ev>) {
+        if class == MonitorClass::CONSENSUS {
+            ctx.emit(names::CONSENSUS, event.clone());
+            if self.trace_suspicions {
+                ctx.output(event.clone());
+            }
+            ctx.emit(names::ABCAST, event);
+        } else {
+            ctx.emit(names::MONITORING, event);
+        }
+    }
+
     fn apply(&mut self, outs: impl IntoIterator<Item = FdOut>, ctx: &mut Context<'_, Ev>) {
         // Heartbeats fan out to every peer each interval: batch them into a
         // single broadcast envelope instead of one send (and one per-peer
@@ -213,26 +229,10 @@ impl FdComponent {
             match o {
                 FdOut::SendHeartbeat { to } => heartbeat_to.push(to),
                 FdOut::Suspect { class, peer } => {
-                    let target = if class == MonitorClass::CONSENSUS {
-                        names::CONSENSUS
-                    } else {
-                        names::MONITORING
-                    };
-                    ctx.emit(target, Ev::Suspect(class, peer));
-                    if self.trace_suspicions && class == MonitorClass::CONSENSUS {
-                        ctx.output(Ev::Suspect(class, peer));
-                    }
+                    self.route_suspicion(class, Ev::Suspect(class, peer), ctx);
                 }
                 FdOut::Restore { class, peer } => {
-                    let target = if class == MonitorClass::CONSENSUS {
-                        names::CONSENSUS
-                    } else {
-                        names::MONITORING
-                    };
-                    ctx.emit(target, Ev::Restore(class, peer));
-                    if self.trace_suspicions && class == MonitorClass::CONSENSUS {
-                        ctx.output(Ev::Restore(class, peer));
-                    }
+                    self.route_suspicion(class, Ev::Restore(class, peer), ctx);
                 }
             }
         }
@@ -331,8 +331,8 @@ impl ConsensusComponent {
         Self::with_echo_fanout(me, None)
     }
 
-    /// Creates the component with a bounded decide-echo fan-out (`None` =
-    /// echo decisions to every participant).
+    /// Creates the component with a bounded fan-out for decisions relayed
+    /// on suspicion of their sender (`None` = relay to every participant).
     pub fn with_echo_fanout(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusComponent {
             mgr: ConsensusManager::with_echo_fanout(me, echo_fanout),
@@ -368,7 +368,7 @@ impl Component<Ev> for ConsensusComponent {
         let mut outs = std::mem::take(&mut self.scratch);
         debug_assert!(outs.is_empty());
         match event {
-            Ev::Propose(instance, batch, participants) => {
+            Ev::Propose(instance, batch, participants, catch_up) => {
                 self.mgr
                     .propose_into(instance, batch, &participants, &mut outs);
                 self.apply(outs.drain(..), ctx);
@@ -377,6 +377,12 @@ impl Component<Ev> for ConsensusComponent {
                         let _ = self.mgr.on_msg_into(instance, from, msg, &mut outs);
                         self.apply(outs.drain(..), ctx);
                     }
+                }
+                if catch_up {
+                    // Whatever was buffered is in; if the instance still
+                    // waits for its first proposal, ask for the outcome.
+                    self.mgr.pull_into(instance, &mut outs);
+                    self.apply(outs.drain(..), ctx);
                 }
                 // The proposal window only moves forward: decisions (and
                 // buffered foreign traffic) more than DECISION_KEEP
@@ -424,8 +430,8 @@ impl AbcastComponent {
         Self::with_relay(me, initial_view, RelayFanout::All)
     }
 
-    /// Creates the component with an explicit reliable-broadcast relay
-    /// policy (see [`RelayFanout`]).
+    /// Creates the component with an explicit on-suspicion relay fan-out
+    /// (see [`RelayFanout`]).
     pub fn with_relay(me: ProcessId, initial_view: Option<View>, relay: RelayFanout) -> Self {
         Self::with_policy(me, initial_view, relay, 1, BatchPolicy::default())
     }
@@ -453,8 +459,12 @@ impl AbcastComponent {
                     instance,
                     batch,
                     participants,
+                    catch_up,
                 } => {
-                    ctx.emit(names::CONSENSUS, Ev::Propose(instance, batch, participants));
+                    ctx.emit(
+                        names::CONSENSUS,
+                        Ev::Propose(instance, batch, participants, catch_up),
+                    );
                 }
                 AbOut::App(d) => ctx.output(Ev::Deliver(d)),
                 AbOut::Ctrl(m) => {
@@ -497,13 +507,24 @@ impl Component<Ev> for AbcastComponent {
             Ev::NeedInstance(instance) => {
                 self.core.need_instance_into(instance, &mut outs);
             }
+            Ev::Suspect(MonitorClass::CONSENSUS, p) => {
+                self.core.on_suspect_into(p, &mut outs);
+            }
+            Ev::Restore(MonitorClass::CONSENSUS, p) => self.core.on_restore(p),
             Ev::ViewChanged(v) => self.core.set_view(v),
             Ev::InstallSnapshot(snap) => {
                 self.core.install_snapshot_into(&snap, &mut outs);
             }
             Ev::SnapFill { joiner, mut snap } => {
+                // One consistent cut of the ordered stream: the instance to
+                // resume at, what was delivered before it, and the view in
+                // force there (later than the sponsor's announcement if
+                // this flush already ordered another change).
                 snap.next_instance = self.core.cursor();
                 snap.adelivered = self.core.adelivered();
+                if self.core.view().id > snap.view.id {
+                    snap.view = self.core.view().clone();
+                }
                 ctx.emit(names::GENERIC, Ev::SnapFill { joiner, snap });
             }
             _ => {}

@@ -222,7 +222,7 @@ impl GenericCore {
     pub fn on_data_into(&mut self, from: ProcessId, message: Message, out: &mut Vec<GbOut>) {
         let receipt = self.rb.on_data(from, message);
         if let Some(message) = receipt.deliver {
-            for to in receipt.relay_to {
+            for &to in receipt.relay_to {
                 out.push(GbOut::Wire(to, WireMsg::Gb(GbMsg::Data(message.clone()))));
             }
             self.admit(message, out);

@@ -46,11 +46,13 @@ pub struct StackConfig {
     /// to the pre-gossip stack), gossip with an auto fanout (≈ log₂ n)
     /// above it.
     pub fd_mode: Option<gcs_fd::FdMode>,
-    /// Reliable-broadcast relay fan-out: how many ring successors each
-    /// first-copy receiver re-forwards a diffused message to. `None`
-    /// derives from the group size: relay-to-all below
-    /// [`SCALE_THRESHOLD`], ≈ log₂ n above (bounding diffusion cost at
-    /// O(n·k) messages instead of O(n²)).
+    /// Relay fan-out: how many ring successors a process re-forwards a
+    /// message to when it relays one. Generic broadcast relays every first
+    /// copy; atomic broadcast and consensus relay only while the message's
+    /// origin (the decision's sender) is suspected, so there the fan-out
+    /// bounds the on-suspicion burst. `None` derives from the group size:
+    /// relay-to-all below [`SCALE_THRESHOLD`], ≈ log₂ n above (O(n·k)
+    /// messages instead of O(n²)).
     pub relay_fanout: Option<RelayFanout>,
     /// Emit consensus-class `Suspect`/`Restore` transitions as trace
     /// outputs (crash-detection latency measurement; off by default so
@@ -582,6 +584,120 @@ mod tests {
         assert_eq!(seqs[1], seqs[2]);
         // No view change happened (no membership involvement).
         assert!(g.views().iter().all(|v| v.is_empty()));
+    }
+
+    fn sent(g: &GroupSim, kind: &str) -> u64 {
+        g.metrics().sent_of_kind(kind)
+    }
+
+    /// The failure-free cost of an abcast, by count: n−1 `ab/data`, and per
+    /// consensus instance n−1 each of `ct/propose`, `ct/ack`, `ct/decide` —
+    /// no estimate, no nack, no relayed copy of anything. (CI counts on this
+    /// test: a re-introduced eager relay or echo fails it, not a benchmark.)
+    #[test]
+    fn failure_free_abcast_costs_one_diffusion_one_proposal_one_ack_one_decision() {
+        for n in [3usize, 5] {
+            let mut g = GroupSim::new(n, StackConfig::default(), 17);
+            let ops = 10u64;
+            for i in 0..ops {
+                // Far enough apart that every abcast is its own instance.
+                g.abcast_at(
+                    Time::from_millis(5 + 20 * i),
+                    p((i % n as u64) as u32),
+                    vec![i as u8],
+                );
+            }
+            g.run_until(Time::from_millis(400));
+            let seqs = g.adelivered_payloads();
+            assert!(seqs.iter().all(|s| s.len() == ops as usize), "n={n}");
+            let each = (n as u64 - 1) * ops;
+            for kind in ["ab/data", "ct/propose", "ct/ack", "ct/decide"] {
+                assert_eq!(sent(&g, kind), each, "n={n}: {kind}");
+            }
+            assert_eq!(sent(&g, "ct/estimate") + sent(&g, "ct/nack"), 0, "n={n}");
+        }
+    }
+
+    /// Cuts `from`'s outgoing links to every process in `to` (a crash that
+    /// catches `from` part-way through a broadcast, seen from the wire).
+    fn cut(schedule: Schedule, t: Time, from: ProcessId, to: &[ProcessId]) -> Schedule {
+        let dead = gcs_sim::LinkModel {
+            drop_prob: 1.0,
+            ..gcs_sim::LinkModel::lan()
+        };
+        to.iter()
+            .fold(schedule, |s, &q| s.set_link(t, from, q, dead))
+    }
+
+    #[test]
+    fn message_of_a_crashed_origin_is_relayed_on_suspicion_and_ordered_everywhere() {
+        // p3's data reaches exactly one member — p2, not the coordinator p0 —
+        // then p3 is gone. Nothing moves until the failure detector speaks:
+        // p2 then relays what it holds of p3, p0 proposes it, all deliver.
+        let mut cfg = StackConfig::default();
+        cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+        let mut g = GroupSim::new(4, cfg, 23);
+        let schedule = cut(Schedule::new(), Time::from_millis(49), p(3), &[p(0), p(1)])
+            .crash(Time::from_millis(53), p(3));
+        g.apply_schedule(&schedule);
+        g.abcast_at(Time::from_millis(50), p(3), b"orphan".to_vec());
+        g.run_until(Time::from_millis(60));
+        assert_eq!(
+            sent(&g, "ab/data"),
+            3,
+            "the origin's own sends, no relay yet"
+        );
+        assert!(g.adelivered_payloads().iter().all(|s| s.is_empty()));
+        g.run_until(Time::from_millis(400));
+        let seqs = g.adelivered_payloads();
+        for i in 0..3 {
+            assert_eq!(seqs[i], vec![b"orphan".to_vec()], "p{i}");
+        }
+        // p2 relays to p0 and p1; each of them may pass it on once more if
+        // it suspects p3 by the time the copy arrives.
+        assert!(
+            (5..=7).contains(&sent(&g, "ab/data")),
+            "{}",
+            sent(&g, "ab/data")
+        );
+        assert!(g.views().iter().all(|v| v.is_empty()), "no view change");
+    }
+
+    #[test]
+    fn member_cut_off_mid_stream_converges_after_the_heal() {
+        // p2 misses the decision of one instance and the proposals and
+        // decisions of the next ones; after the heal it must converge on the
+        // same sequence (what was sent to it is retransmitted, what it asks
+        // for is answered from the decision cache).
+        let mut cfg = StackConfig::default();
+        cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+        let mut g = GroupSim::new(3, cfg, 29);
+        g.apply_schedule(
+            &Schedule::new()
+                .partition(Time::from_millis(30), vec![vec![p(0), p(1)], vec![p(2)]])
+                .heal(Time::from_millis(130)),
+        );
+        for i in 0..40u64 {
+            g.abcast_at(
+                Time::from_millis(5 + 4 * i),
+                p((i % 2) as u32),
+                vec![i as u8],
+            );
+        }
+        g.abcast_at(Time::from_millis(60), p(2), b"from the minority".to_vec());
+        g.run_until(Time::from_millis(120));
+        let before = g.adelivered_payloads();
+        assert!(
+            before[2].len() < before[0].len(),
+            "p2 is behind while cut off"
+        );
+        assert!(before[0].len() >= 25, "the majority keeps delivering");
+        g.run_until(Time::from_secs(2));
+        let seqs = g.adelivered_payloads();
+        assert_eq!(seqs[0].len(), 41);
+        assert_eq!(seqs[0], seqs[1]);
+        assert_eq!(seqs[0], seqs[2], "p2 converged");
+        assert!(g.views().iter().all(|v| v.is_empty()), "no view change");
     }
 
     #[test]

@@ -446,13 +446,16 @@ pub enum Ev {
     RcStuck(ProcessId, Time),
     /// Reliable channel → monitoring: the peer acked again.
     RcUnstuck(ProcessId),
-    /// Failure detector → consensus/monitoring: `suspect` (Fig 9).
+    /// Failure detector → consensus + atomic broadcast (consensus class) or
+    /// monitoring (monitoring class): `suspect` (Fig 9).
     Suspect(gcs_fd::MonitorClass, ProcessId),
-    /// Failure detector → consensus/monitoring: suspicion withdrawn.
+    /// Failure detector → the same components: suspicion withdrawn.
     Restore(gcs_fd::MonitorClass, ProcessId),
     /// Atomic broadcast → consensus: `propose`/`run` for an instance. The
-    /// participant set is shared (cached per view by the abcast core).
-    Propose(InstanceId, Batch, Arc<[ProcessId]>),
+    /// participant set is shared (cached per view by the abcast core). The
+    /// flag says the proposer has evidence of being behind on the instance:
+    /// pull its outcome instead of only waiting for it.
+    Propose(InstanceId, Batch, Arc<[ProcessId]>, bool),
     /// Consensus → atomic broadcast: `decide` for an instance.
     Decide(InstanceId, Batch),
     /// Consensus → atomic broadcast: a message for an instance that does not

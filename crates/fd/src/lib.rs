@@ -341,6 +341,9 @@ impl HeartbeatFd {
                 if *flag {
                     *flag = false;
                     self.suspect_count -= 1;
+                    // The last sweep recorded no deadline for a pair it
+                    // found suspected: the horizon no longer covers it.
+                    self.next_scan = None;
                     out.push(FdOut::Restore {
                         class: *class,
                         peer: from,
@@ -413,6 +416,7 @@ impl HeartbeatFd {
                 if *flag {
                     *flag = false;
                     self.suspect_count -= 1;
+                    self.next_scan = None; // as in `on_heartbeat_into`
                     out.push(FdOut::Restore { class, peer: p });
                 }
             }
@@ -582,6 +586,31 @@ mod tests {
             }]
         );
         assert!(!fd.is_suspected(MonitorClass::CONSENSUS, P1));
+    }
+
+    #[test]
+    fn peer_restored_by_a_heartbeat_is_suspected_again_when_it_goes_silent() {
+        // Regression: the sweep that finds *every* consensus-class pair
+        // suspected records only the monitoring deadlines as its horizon;
+        // once heartbeats restored the peers (suspect count back to zero)
+        // the skip-until-horizon shortcut slept through their next silence.
+        let mut fd = fd();
+        fd.on_tick(Time::from_millis(100));
+        assert_eq!(fd.suspected_by(MonitorClass::CONSENSUS), vec![P1, P2]);
+        fd.on_heartbeat(P1, Time::from_millis(101));
+        fd.on_heartbeat(P2, Time::from_millis(101));
+        assert!(fd.suspected_by(MonitorClass::CONSENSUS).is_empty());
+        // P2 keeps talking, P1 crashed right after that heartbeat.
+        fd.on_heartbeat(P2, Time::from_millis(150));
+        let out = fd.on_tick(Time::from_millis(160));
+        assert!(
+            out.contains(&FdOut::Suspect {
+                class: MonitorClass::CONSENSUS,
+                peer: P1
+            }),
+            "{out:?}"
+        );
+        assert_eq!(fd.suspected_by(MonitorClass::CONSENSUS), vec![P1]);
     }
 
     #[test]
