@@ -21,7 +21,7 @@ use gcs_bench::scenario::Scenario;
 use gcs_bench::workload::{UniformWorkload, Workload};
 use gcs_core::StackConfig;
 use gcs_kernel::{ProcessId, Time, TimeDelta};
-use gcs_sim::{Schedule, Topology, TraceMode};
+use gcs_sim::{LinkModel, Schedule, Topology, TraceMode};
 use proptest::prelude::*;
 
 fn p(i: u32) -> ProcessId {
@@ -243,7 +243,10 @@ proptest! {
     /// abcast's data, proposal and decision along single links from and to
     /// p0 and relays nothing until somebody is suspected, so crash p0 (or
     /// its round-1 successor, or a bystander) at any point of the stream,
-    /// cut any one member off for a while, lose packets, pipeline or not —
+    /// cut any one member off for a while, cut a single link between two
+    /// members (one then suspects the other while everybody else trusts
+    /// both, and whatever the crash victim had sent down that link is lost
+    /// with it), lose packets, pipeline or not —
     /// the oracle stays clean, and the survivors agree on one sequence that
     /// holds every message of every sender that survived. A join may ride
     /// along (the oracle checks the joiner's suffix; the liveness claim is
@@ -253,6 +256,7 @@ proptest! {
         seed in any::<u64>(),
         crash in proptest::option::of((0u32..3, 5u64..230)),
         cut in proptest::option::of((0u32..4, 20u64..260, 40u64..300)),
+        link in proptest::option::of((0u32..4, 1u32..4, 1u64..260, 40u64..300)),
         join_ms in proptest::option::of(10u64..200),
         lossy in any::<bool>(),
         pipelined in any::<bool>(),
@@ -276,6 +280,15 @@ proptest! {
                 .heal(Time::from_millis(start + dur));
         }
         let topology = if lossy { Topology::lossy() } else { Topology::lan() };
+        if let Some((a, hop, start, dur)) = link {
+            let (a, b) = (p(a), p((a + hop) % 4));
+            let dead = LinkModel { drop_prob: 1.0, ..LinkModel::lan() };
+            for (from, to) in [(a, b), (b, a)] {
+                schedule = schedule
+                    .set_link(Time::from_millis(start), from, to, dead)
+                    .set_link(Time::from_millis(start + dur), from, to, topology.link(from, to));
+            }
+        }
         let depth = if pipelined { Some(4) } else { None };
         let (delivered, violations) =
             run_on(topology, 1, StackKind::NewArch, depth, pipelined, &schedule, seed);

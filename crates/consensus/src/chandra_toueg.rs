@@ -13,24 +13,32 @@
 //!   majority of estimates, selects one with the greatest timestamp and
 //!   proposes it; (3) each process acks the proposal (adopting it, stamped
 //!   `r + 1`); (4) the coordinator decides on a majority of acks and sends
-//!   the decision to every participant.
+//!   the decision to every participant. A coordinator that itself adopted
+//!   the proposal of round `r − 1` skips the gathering, for round 0's
+//!   reason: its own estimate is stamped `r`, no estimate can be stamped
+//!   higher, and all stamped `r` carry the same value.
 //! * **A process that acked round `r` stays in `r`** until it decides. It
 //!   leaves for a later round only when it *suspects* `coord(r)` — whether or
 //!   not it already answered `r` — or when it *learns that somebody left*
 //!   `r`: a `Nack` for a round `≥ r`, or any message of a round `> r`.
-//! * **`Nack { round }` means "I abandoned `round`"** and goes to every
-//!   participant, from whoever leaves a round on a suspicion and from the
-//!   coordinator of the round it enters on a jump. That keeps rounds moving
-//!   when the nackers alone are fewer than the majority of estimates the
-//!   next coordinator needs: the ackers still waiting in `round` follow.
-//! * **Decisions are relayed on suspicion only.** The deciding coordinator
-//!   addresses every participant itself. A process that learns the decision
-//!   from a `Decide` re-sends it only if the sender is suspected — on
-//!   receipt, or when the suspicion comes later — following the configured
-//!   fan-out. A participant the decision never reached is undecided and, on
-//!   leaving its round, is answered with the decision by any process that
-//!   has it (everything but an ack is; an ack is answered unless the
-//!   receiver addressed everyone itself).
+//! * **`Nack { round }` means "I abandoned `round`"** and goes from whoever
+//!   leaves a round to every participant. That keeps rounds moving when the
+//!   nackers alone are fewer than the majority of estimates the next
+//!   coordinator needs — the ackers still waiting in `round` follow — and it
+//!   means that once one correct process has left a round, every correct
+//!   process hears of it, whoever crashed part-way through saying so.
+//! * **Nobody echoes a decision.** The deciding coordinator addresses every
+//!   participant itself. A process that *learns* the decision passes it on
+//!   to exactly those that wait on it: whoever acked, or sent an estimate
+//!   for, a round it coordinates — it will never decide that round now (none
+//!   in a failure-free run). A participant the decision never reached is
+//!   undecided and, on leaving its round, is answered with the decision by
+//!   any process that has it (everything but an ack is; an ack is answered
+//!   unless the receiver addressed everyone itself). That makes every
+//!   participant that *started* the instance decide; one that has no reason
+//!   to start it is the [`ConsensusManager`](crate::ConsensusManager)'s
+//!   business, which relays a learned decision while its sender is
+//!   suspected.
 //!
 //! Safety (uniform agreement, validity) holds with an arbitrary failure
 //! detector; termination needs ◇S and `f < n/2`. Messages must travel on
@@ -114,26 +122,6 @@ pub enum CtOut<V> {
     Decided(V),
 }
 
-/// The processes a learned decision is re-sent to when its sender `origin`
-/// is suspected: every other participant, or with a bounded fan-out the `k`
-/// ring successors of `me` in the (sorted) participant order. `origin`
-/// already has the decision and is skipped.
-pub(crate) fn relay_targets(
-    participants: &[ProcessId],
-    me: ProcessId,
-    origin: ProcessId,
-    fanout: Option<usize>,
-) -> impl Iterator<Item = ProcessId> + '_ {
-    let m = participants.len();
-    // `me` is a participant, so its partition point is its own index;
-    // successors start one past it.
-    let start = participants.partition_point(|&p| p < me);
-    let reach = fanout.unwrap_or(m).min(m.saturating_sub(1));
-    (1..=reach)
-        .map(move |j| participants[(start + j) % m])
-        .filter(move |&p| p != origin)
-}
-
 /// A round this process coordinated: what it proposed and who acked.
 #[derive(Debug)]
 struct Coordinated<V> {
@@ -170,18 +158,8 @@ pub struct CtConsensus<V> {
     coordinated: Vec<Coordinated<V>>,
     /// Current failure-detector suspicion set.
     suspected: FxHashSet<ProcessId>,
-    /// Fan-out of a relayed decision: `None` re-sends to every participant,
-    /// `Some(k)` to the `k` ring successors in participant order. The
-    /// *deciding coordinator* always sends to everyone; relays happen only
-    /// while the sender of a learned decision is suspected, so the fan-out
-    /// bounds that burst. Whoever a bounded relay misses is undecided and
-    /// is answered with the decision when it leaves its round.
-    echo_fanout: Option<usize>,
-    /// After the decision: whether this process addressed it to every
-    /// participant itself (it decided as coordinator).
-    sent_to_all: bool,
-    /// After the decision: who it was learned from, until somebody here
-    /// relays it.
+    /// After the decision: who it was learned from (`None`: decided here,
+    /// as coordinator, and sent to every participant).
     learned_from: Option<ProcessId>,
 }
 
@@ -191,21 +169,7 @@ impl<V: Value> CtConsensus<V> {
     /// # Panics
     ///
     /// Panics if `participants` does not contain `me` or is empty.
-    pub fn new(me: ProcessId, participants: Vec<ProcessId>) -> Self {
-        Self::with_echo_fanout(me, participants, None)
-    }
-
-    /// Creates an instance with an explicit decision-relay fan-out (see the
-    /// `echo_fanout` field).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `participants` does not contain `me` or is empty.
-    pub fn with_echo_fanout(
-        me: ProcessId,
-        mut participants: Vec<ProcessId>,
-        echo_fanout: Option<usize>,
-    ) -> Self {
+    pub fn new(me: ProcessId, mut participants: Vec<ProcessId>) -> Self {
         participants.sort_unstable();
         participants.dedup();
         assert!(participants.contains(&me), "{me:?} not among participants");
@@ -224,8 +188,6 @@ impl<V: Value> CtConsensus<V> {
             estimates: BTreeMap::new(),
             coordinated: Vec::new(),
             suspected: FxHashSet::default(),
-            echo_fanout,
-            sent_to_all: false,
             learned_from: None,
         }
     }
@@ -250,14 +212,9 @@ impl<V: Value> CtConsensus<V> {
         self.round
     }
 
-    /// After the decision: whether this process sent it to every participant
-    /// itself. Late acks then need no answer.
-    pub fn sent_decision_to_all(&self) -> bool {
-        self.sent_to_all
-    }
-
-    /// After the decision: the process it was learned from, if nobody here
-    /// relayed it. It is relayed should that process become suspected.
+    /// After the decision: the process it was learned from, or `None` if
+    /// this process decided as coordinator and sent the decision to every
+    /// participant itself (late acks then need no answer).
     pub fn learned_from(&self) -> Option<ProcessId> {
         self.learned_from
     }
@@ -289,7 +246,7 @@ impl<V: Value> CtConsensus<V> {
                 self.set_round(r);
             }
         }
-        self.begin_round(false, out);
+        self.begin_round(out);
     }
 
     /// Pulls the outcome of an instance this process may be late for: if it
@@ -325,14 +282,10 @@ impl<V: Value> CtConsensus<V> {
         if p == self.me || !self.suspected.insert(p) {
             return;
         }
-        if self.decided {
-            if self.learned_from == Some(p) {
-                self.relay_decision(p, out);
-            }
-        } else if self.started && self.coordinator(self.round) == p {
+        if !self.decided && self.started && self.coordinator(self.round) == p {
             // Leave the round whether or not it was acked already.
             self.set_round(self.round + 1);
-            self.begin_round(true, out);
+            self.begin_round(out);
         }
     }
 
@@ -359,7 +312,7 @@ impl<V: Value> CtConsensus<V> {
     /// hot-path entry point).
     pub fn on_msg_into(&mut self, from: ProcessId, msg: CtMsg<V>, out: &mut Vec<CtOut<V>>) {
         if self.decided {
-            if answers_with_decision(&msg, self.sent_to_all) {
+            if answers_with_decision(&msg, self.learned_from.is_none()) {
                 out.push(CtOut::Send {
                     to: from,
                     msg: CtMsg::Decide {
@@ -377,7 +330,8 @@ impl<V: Value> CtConsensus<V> {
                     return;
                 }
                 self.jump_to(round, out);
-                if self.round == round && !self.decided {
+                // Once the round's proposal is out, estimates are moot.
+                if self.round == round && !self.decided && !self.acked {
                     self.estimates.entry(from).or_insert((est, ts));
                     if self.started {
                         self.maybe_propose(out);
@@ -397,7 +351,7 @@ impl<V: Value> CtConsensus<V> {
                     self.answer_held(out);
                     if self.suspected.contains(&self.coordinator(round)) {
                         self.set_round(round + 1);
-                        self.begin_round(true, out);
+                        self.begin_round(out);
                     }
                 }
             }
@@ -458,27 +412,28 @@ impl<V: Value> CtConsensus<V> {
         }
         self.set_round(round);
         if self.started {
-            self.begin_round(false, out);
+            self.begin_round(out);
         }
     }
 
     /// Enters `self.round`, and keeps advancing while its coordinator is
-    /// suspected. `by_suspicion` says this process left the previous round
-    /// on its own suspicion rather than on somebody else's word.
-    fn begin_round(&mut self, mut by_suspicion: bool, out: &mut Vec<CtOut<V>>) {
+    /// suspected.
+    fn begin_round(&mut self, out: &mut Vec<CtOut<V>>) {
         loop {
             let r = self.round;
             let coord = self.coordinator(r);
-            // Tell everyone the previous round is abandoned: whoever leaves
-            // on a suspicion does, and so does the coordinator of the round
-            // entered — it needs a majority to follow, and if *it* is faulty
-            // those who followed will suspect it and tell everyone then.
-            if r > 0 && (by_suspicion || coord == self.me) {
+            // Tell everyone the previous round is abandoned — also when only
+            // following somebody else's word: whoever said it may have
+            // crashed before it had told everyone.
+            if r > 0 {
                 self.send_to_others(CtMsg::Nack { round: r - 1 }, out);
             }
             if coord == self.me {
-                if r == 0 {
-                    // All timestamps are 0: the own value is a legal pick.
+                if self.ts == r {
+                    // No estimate can carry a greater stamp than the own
+                    // one — in round 0 all are 0, later this process holds
+                    // the proposal of round `r − 1` — so the own value is
+                    // what a majority of estimates would make it pick.
                     self.coordinate(self.own_estimate(), out);
                 } else {
                     self.estimates
@@ -504,7 +459,6 @@ impl<V: Value> CtConsensus<V> {
                 return; // wait for the proposal, the decision, a suspicion or a jump
             }
             self.set_round(r + 1);
-            by_suspicion = true;
         }
     }
 
@@ -526,7 +480,7 @@ impl<V: Value> CtConsensus<V> {
     /// Coordinator phase 2 of a round `≥ 1`: propose once a majority of
     /// estimates arrived.
     fn maybe_propose(&mut self, out: &mut Vec<CtOut<V>>) {
-        if self.acked || self.estimates.len() < self.majority {
+        if self.estimates.len() < self.majority {
             return;
         }
         // Greatest timestamp wins; ties break toward the smallest sender id
@@ -550,6 +504,7 @@ impl<V: Value> CtConsensus<V> {
             },
             out,
         );
+        self.estimates.clear();
         self.estimate = Some(value.clone());
         self.ts = round + 1;
         self.acked = true;
@@ -573,34 +528,36 @@ impl<V: Value> CtConsensus<V> {
         }
         self.decided = true;
         self.estimate = Some(est.clone());
+        self.learned_from = from;
         self.held = None;
-        self.estimates.clear();
-        self.coordinated.clear();
         match from {
-            None => {
-                self.sent_to_all = true;
-                self.send_to_others(CtMsg::Decide { est: est.clone() }, out);
-            }
+            None => self.send_to_others(CtMsg::Decide { est: est.clone() }, out),
             Some(origin) => {
-                self.learned_from = Some(origin);
-                if self.suspected.contains(&origin) {
-                    self.relay_decision(origin, out);
+                // Whoever acked a round coordinated here, or sent an
+                // estimate for one not proposed in yet, waits for *this*
+                // process, which stops coordinating now. Under a correct,
+                // trusted coordinator nothing else would ever move them.
+                let mut waiting: Vec<ProcessId> = self
+                    .coordinated
+                    .iter()
+                    .flat_map(|c| c.ackers.iter())
+                    .chain(self.estimates.keys())
+                    .copied()
+                    .filter(|&p| p != self.me && p != origin)
+                    .collect();
+                waiting.sort_unstable();
+                waiting.dedup();
+                for to in waiting {
+                    out.push(CtOut::Send {
+                        to,
+                        msg: CtMsg::Decide { est: est.clone() },
+                    });
                 }
             }
         }
+        self.estimates.clear();
+        self.coordinated.clear();
         out.push(CtOut::Decided(est));
-    }
-
-    /// Re-sends the decision learned from the (suspected) `origin`.
-    fn relay_decision(&mut self, origin: ProcessId, out: &mut Vec<CtOut<V>>) {
-        self.learned_from = None;
-        let est = self.own_estimate();
-        for to in relay_targets(&self.participants, self.me, origin, self.echo_fanout) {
-            out.push(CtOut::Send {
-                to,
-                msg: CtMsg::Decide { est: est.clone() },
-            });
-        }
     }
 }
 
@@ -808,8 +765,8 @@ mod tests {
     #[test]
     fn coordinator_crash_after_decide_reached_one_process() {
         // Obligation (c), third case: p0 decides, its `Decide` reaches p1
-        // only. p1 relays it once it suspects p0; p2 also leaves round 0 and
-        // is answered by p1.
+        // only. p2 leaves round 0 once it suspects p0, says so to everyone
+        // and is answered by p1.
         let mut net = Net::new(3);
         for i in 0..3 {
             net.propose(pid(i), 30 + i);
@@ -826,50 +783,101 @@ mod tests {
     }
 
     #[test]
-    fn decision_from_a_suspected_sender_is_relayed_on_receipt() {
-        let mut net = Net::new(4);
-        for i in 0..4 {
-            net.propose(pid(i), i);
+    fn coordinator_that_learns_the_decision_tells_those_waiting_on_it() {
+        // p4 cannot talk to p0, suspects it, abandons round 0 and acks p1's
+        // round-1 proposal. p0 then decides on round-0 acks; its `Decide`
+        // reaches p1..p3 but not p4. p1 stops coordinating round 1 with p4's
+        // ack in hand: p4 waits on a correct, trusted coordinator, so only
+        // p1 can — and must — tell it.
+        let cut = |(from, to, _): &Wire| {
+            (*from == pid(0) && *to == pid(4)) || (*from == pid(4) && *to == pid(0))
+        };
+        let mut net = Net::new(5);
+        net.suspect(pid(4), pid(0));
+        for i in 0..5 {
+            net.propose(pid(i), 60 + i);
         }
-        net.run_where(|(_, _, m)| !matches!(m, CtMsg::Decide { .. }));
-        assert_eq!(net.decisions.len(), 1, "only p0 decided so far");
-        // p1 suspects p0 *before* the decision arrives; p0's `Decide` to p2
-        // and p3 is lost.
-        net.instances[1].suspected.insert(pid(0));
-        net.lose(|(_, to, m)| matches!(m, CtMsg::Decide { .. }) && *to != pid(1));
+        net.run_where(|w| !cut(w) && matches!(w.2, CtMsg::Propose { round: 0, .. }));
+        net.run_where(|w| !cut(w) && !matches!(w.2, CtMsg::Ack { .. }));
+        assert!(net.instances[1..].iter().all(|i| i.round() == 1));
+        net.run_where(|w| w.0 == pid(4) && matches!(w.2, CtMsg::Ack { round: 1 }));
+        net.run_where(|w| matches!(w.2, CtMsg::Ack { round: 0 }));
+        assert_eq!(net.decisions.len(), 1, "p0 decided on round-0 acks");
         let before = net.sent["ct/decide"];
+        net.run_where(|w| !cut(w) && matches!(w.2, CtMsg::Decide { .. }));
+        assert_eq!(net.sent["ct/decide"] - before, 1, "p1 told p4, nobody else");
+        assert_eq!(net.decisions.get(&pid(4)), Some(&60));
+        net.crash(pid(0));
         net.run();
-        assert_eq!(net.sent["ct/decide"] - before, 2, "p1 relayed to p2 and p3");
-        assert_eq!(net.decisions.len(), 4);
-        net.check_agreement();
-        // p2 learned it from p1, not from p0: suspecting p0 relays nothing.
-        assert!(net.instances[2].suspect(pid(0)).is_empty());
+        net.assert_survivors_decided();
+        assert_eq!(net.check_agreement(), 60);
     }
 
     #[test]
-    fn bounded_fanout_bounds_the_relay_burst() {
-        let ids: Vec<ProcessId> = (0..6).map(pid).collect();
-        let mut inst = CtConsensus::with_echo_fanout(pid(2), ids, Some(2));
-        let _ = inst.propose(1u32);
-        let outs = inst.on_msg(pid(0), CtMsg::Decide { est: 9 });
-        assert_eq!(
-            outs,
-            vec![CtOut::Decided(9)],
-            "sender not suspected: silence"
+    fn follower_repeats_the_nack_of_a_leaver_that_crashed_saying_it() {
+        // p1 wrongly suspects p0 and leaves round 0; only p2 hears of it.
+        // Round 1 decides between p1 and p2, the `Decide` reaches p2 only,
+        // and p1 crashes. p0 coordinates a round nobody will ack any more:
+        // it learns that from p2, which followed p1 out and says so too.
+        let withheld = |(from, to, _): &Wire| *from == pid(1) && *to == pid(0);
+        let mut net = Net::new(3);
+        net.suspect(pid(1), pid(0));
+        for i in 0..3 {
+            net.propose(pid(i), 80 + i);
+        }
+        net.run_where(|w| !withheld(w) && w.0 == pid(1));
+        assert_eq!(net.instances[2].round(), 1, "p2 followed before acking");
+        net.run_where(|w| !withheld(w));
+        assert!(net.decisions.contains_key(&pid(1)) && net.decisions.contains_key(&pid(2)));
+        assert!(!net.decisions.contains_key(&pid(0)));
+        assert_eq!(net.instances[0].round(), 1, "p0 heard of it from p2");
+        net.crash(pid(1));
+        net.suspect_everywhere(pid(1));
+        net.run();
+        assert!(net.decisions.contains_key(&pid(0)));
+        net.check_agreement();
+    }
+
+    #[test]
+    fn coordinator_holding_the_previous_proposal_proposes_without_estimates() {
+        // p1 and p2 adopted p0's round-0 proposal, p0 crashes before it
+        // decides. p1's estimate is stamped 1 — nothing in round 1 can be
+        // stamped higher, and whatever else is stamped 1 is the same value —
+        // so it proposes the moment it enters round 1.
+        let mut net = Net::new(3);
+        for i in 0..3 {
+            net.propose(pid(i), 90 + i);
+        }
+        net.run_where(|w| matches!(w.2, CtMsg::Propose { .. }));
+        net.crash(pid(0));
+        let outs = net.instances[1].suspect(pid(0));
+        assert!(
+            outs.contains(&CtOut::Send {
+                to: pid(2),
+                msg: CtMsg::Propose { round: 1, est: 90 }
+            }),
+            "{outs:?}"
         );
-        let relayed: Vec<ProcessId> = inst
-            .suspect(pid(0))
-            .into_iter()
-            .map(|o| match o {
+        net.apply(pid(1), outs);
+        net.run();
+        net.assert_survivors_decided();
+        assert_eq!(net.check_agreement(), 90);
+        // A coordinator that adopted nothing gathers a majority first.
+        let mut net = Net::new(3);
+        net.crash(pid(0));
+        net.propose(pid(1), 7);
+        net.propose(pid(2), 9);
+        let outs = net.instances[1].suspect(pid(0));
+        assert!(
+            !outs.iter().any(|o| matches!(
+                o,
                 CtOut::Send {
-                    to,
-                    msg: CtMsg::Decide { est: 9 },
-                } => to,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(relayed, vec![pid(3), pid(4)], "two ring successors");
-        assert!(inst.suspect(pid(0)).is_empty(), "relayed once");
+                    msg: CtMsg::Propose { .. },
+                    ..
+                }
+            )),
+            "{outs:?}"
+        );
     }
 
     #[test]

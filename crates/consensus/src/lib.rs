@@ -9,8 +9,9 @@
 //! * [`CtConsensus`] — one instance of the Chandra-Toueg algorithm,
 //!   tolerating `f < n/2` crashes, sans-I/O;
 //! * [`ConsensusManager`] — the repeated-consensus service used by atomic
-//!   broadcast: instance creation, decision caching, and catch-up replies
-//!   for processes that lag behind;
+//!   broadcast: instance creation, decision caching, catch-up replies for
+//!   processes that lag behind, and the relay of a learned decision while
+//!   its sender is suspected;
 //! * [`paxos::PaxosConsensus`] — a single-decree Paxos with the same
 //!   interface, used by the ablation experiment A1 to show the architecture
 //!   is agnostic to the consensus algorithm beneath it.

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use gcs_kernel::{FxHashMap, FxHashSet, ProcessId};
 
-use crate::chandra_toueg::{answers_with_decision, relay_targets, CtConsensus, CtMsg, CtOut};
+use crate::chandra_toueg::{answers_with_decision, CtConsensus, CtMsg, CtOut};
 use crate::Value;
 
 /// Identifies one consensus instance (atomic broadcast runs instance
@@ -42,8 +42,14 @@ struct Cached<V> {
 }
 
 /// Manages a sequence of consensus instances: creation on proposal,
-/// decision caching, catch-up replies for lagging peers, and propagation of
-/// the failure-detector suspicion set to every live instance.
+/// decision caching, catch-up replies for lagging peers, propagation of the
+/// failure-detector suspicion set to every live instance, and the relay of
+/// learned decisions while their sender is suspected.
+///
+/// An instance on its own makes every participant that started it decide
+/// (see [`CtConsensus`]). The relay is for the participant that has no
+/// reason to start one: the coordinator crashed while sending a decision —
+/// or everything about the instance — and the message never reached it.
 #[derive(Debug)]
 pub struct ConsensusManager<V> {
     me: ProcessId,
@@ -51,11 +57,12 @@ pub struct ConsensusManager<V> {
     decisions: BTreeMap<InstanceId, Cached<V>>,
     suspected: FxHashSet<ProcessId>,
     /// Per peer, the newest decision learned from a `Decide` of that peer
-    /// which nobody here relayed, with its instance's participants. Should
-    /// the peer become suspected it may have crashed part-way through that
+    /// while it was trusted, with its instance's participants. Should the
+    /// peer become suspected it may have crashed part-way through that
     /// broadcast, so the decision is relayed then. One entry per peer is
-    /// enough: whoever also missed an older decision sees the relayed one
-    /// as traffic ahead of its cursor and pulls what lies between.
+    /// enough: the relayed decision tells whoever also missed older ones
+    /// that it is behind; it then opens the instance at its cursor, where
+    /// the instance's own rules get it the outcome.
     unrelayed: FxHashMap<ProcessId, (InstanceId, Vec<ProcessId>)>,
     /// Decisions below this instance were pruned: messages for them are
     /// dropped (not buffered) — a peer that far behind recovers via state
@@ -64,8 +71,9 @@ pub struct ConsensusManager<V> {
     /// Reused buffer for instance outputs: steady-state message handling
     /// allocates no per-call `Vec`.
     ct_scratch: Vec<CtOut<V>>,
-    /// Decide-echo fan-out handed to every created instance (see
-    /// [`CtConsensus::with_echo_fanout`]).
+    /// Fan-out of a relayed decision: `None` re-sends to every participant,
+    /// `Some(k)` to the `k` ring successors in participant order. Whoever a
+    /// bounded relay misses is no worse off than before it.
     echo_fanout: Option<usize>,
 }
 
@@ -75,8 +83,8 @@ impl<V: Value> ConsensusManager<V> {
         Self::with_echo_fanout(me, None)
     }
 
-    /// Creates a manager whose instances echo decisions with the given
-    /// bounded fan-out (`None` = echo to every participant).
+    /// Creates a manager that relays a learned decision, while its sender
+    /// is suspected, with the given fan-out (`None` = to every participant).
     pub fn with_echo_fanout(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusManager {
             me,
@@ -128,9 +136,9 @@ impl<V: Value> ConsensusManager<V> {
         if self.decisions.contains_key(&instance) {
             return;
         }
-        let (me, echo_fanout, suspected) = (self.me, self.echo_fanout, &self.suspected);
+        let (me, suspected) = (self.me, &self.suspected);
         let inst = self.instances.entry(instance).or_insert_with(|| {
-            let mut c = CtConsensus::with_echo_fanout(me, participants.to_vec(), echo_fanout);
+            let mut c = CtConsensus::new(me, participants.to_vec());
             c.seed_suspicions(suspected);
             c
         });
@@ -238,15 +246,35 @@ impl<V: Value> ConsensusManager<V> {
         self.ct_scratch = scratch;
         if let Some((instance, participants)) = self.unrelayed.remove(&p) {
             if let Some(c) = self.decisions.get(&instance) {
-                for to in relay_targets(&participants, self.me, p, self.echo_fanout) {
-                    out.push(ManagerOut::Send {
-                        to,
-                        instance,
-                        msg: CtMsg::Decide {
-                            est: c.value.clone(),
-                        },
-                    });
-                }
+                self.relay(instance, &c.value, &participants, p, out);
+            }
+        }
+    }
+
+    /// Re-sends the decision of `instance`, learned from the suspected
+    /// `origin` (which has it and is skipped): to every other participant,
+    /// or with a bounded fan-out to the `k` ring successors of this process
+    /// in the (sorted) participant order.
+    fn relay(
+        &self,
+        instance: InstanceId,
+        value: &V,
+        participants: &[ProcessId],
+        origin: ProcessId,
+        out: &mut Vec<ManagerOut<V>>,
+    ) {
+        let m = participants.len();
+        // This process is a participant, so its partition point is its own
+        // index; successors start one past it.
+        let start = participants.partition_point(|&p| p < self.me);
+        let reach = self.echo_fanout.unwrap_or(m).min(m.saturating_sub(1));
+        for to in (1..=reach).map(|j| participants[(start + j) % m]) {
+            if to != origin {
+                out.push(ManagerOut::Send {
+                    to,
+                    instance,
+                    msg: CtMsg::Decide { est: value.clone() },
+                });
             }
         }
     }
@@ -291,23 +319,26 @@ impl<V: Value> ConsensusManager<V> {
                 CtOut::Send { to, msg } => res.push(ManagerOut::Send { to, instance, msg }),
                 CtOut::Decided(v) => {
                     let inst = self.instances.remove(&instance).expect("it just decided");
-                    self.decisions.insert(
-                        instance,
-                        Cached {
-                            value: v.clone(),
-                            sent_to_all: inst.sent_decision_to_all(),
-                        },
-                    );
-                    if let Some(origin) = inst.learned_from() {
-                        let newest = self
+                    let learned_from = inst.learned_from();
+                    if let Some(origin) = learned_from {
+                        if self.suspected.contains(&origin) {
+                            self.relay(instance, &v, inst.participants(), origin, res);
+                        } else if self
                             .unrelayed
                             .get(&origin)
-                            .is_none_or(|(k, _)| *k < instance);
-                        if newest {
+                            .is_none_or(|(k, _)| *k < instance)
+                        {
                             self.unrelayed
                                 .insert(origin, (instance, inst.into_participants()));
                         }
                     }
+                    self.decisions.insert(
+                        instance,
+                        Cached {
+                            value: v.clone(),
+                            sent_to_all: learned_from.is_none(),
+                        },
+                    );
                     res.push(ManagerOut::Decided { instance, value: v });
                 }
             }
@@ -318,51 +349,99 @@ impl<V: Value> ConsensusManager<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashSet, VecDeque};
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
     }
 
-    fn drive(managers: &mut [ConsensusManager<u32>]) -> BTreeMap<(usize, InstanceId), u32> {
-        let mut queue: std::collections::VecDeque<(ProcessId, ProcessId, InstanceId, CtMsg<u32>)> =
-            Default::default();
-        let mut decided = BTreeMap::new();
-        // Kick off: everyone proposes for instance 0 and 1.
-        let ids: Vec<ProcessId> = (0..managers.len() as u32).map(pid).collect();
-        for (i, m) in managers.iter_mut().enumerate() {
-            for inst in 0..2 {
-                for o in m.propose(inst, (10 * (inst + 1)) as u32 + i as u32, &ids) {
-                    match o {
-                        ManagerOut::Send { to, instance, msg } => {
-                            queue.push_back((pid(i as u32), to, instance, msg))
-                        }
-                        ManagerOut::Decided { instance, value } => {
-                            decided.insert((i, instance), value);
-                        }
-                    }
-                }
+    type Wire = (ProcessId, ProcessId, InstanceId, CtMsg<u32>);
+
+    /// A lock-step network of managers: messages are delivered in FIFO
+    /// order, crashed processes drop in- and out-bound traffic, and a
+    /// process that receives traffic for an instance it has not opened
+    /// opens it (as atomic broadcast does) and takes the message then.
+    struct Net {
+        managers: Vec<ConsensusManager<u32>>,
+        ids: Vec<ProcessId>,
+        queue: VecDeque<Wire>,
+        crashed: HashSet<ProcessId>,
+        decided: BTreeMap<(usize, InstanceId), u32>,
+    }
+
+    impl Net {
+        fn new(managers: Vec<ConsensusManager<u32>>) -> Self {
+            Net {
+                ids: (0..managers.len() as u32).map(pid).collect(),
+                managers,
+                queue: VecDeque::new(),
+                crashed: HashSet::new(),
+                decided: BTreeMap::new(),
             }
         }
-        let mut steps = 0;
-        while let Some((from, to, instance, msg)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 100_000);
-            let (outs, rejected) = managers[to.index()].on_msg(instance, from, msg);
-            assert!(rejected.is_none(), "nothing should need buffering here");
+
+        fn apply(&mut self, from: ProcessId, outs: Vec<ManagerOut<u32>>) {
             for o in outs {
                 match o {
-                    ManagerOut::Send {
-                        to: t,
-                        instance,
-                        msg,
-                    } => queue.push_back((to, t, instance, msg)),
+                    ManagerOut::Send { to, instance, msg } => {
+                        self.queue.push_back((from, to, instance, msg))
+                    }
                     ManagerOut::Decided { instance, value } => {
-                        decided.insert((to.index(), instance), value);
+                        let prev = self.decided.insert((from.index(), instance), value);
+                        assert!(prev.is_none(), "{from:?} decided {instance} twice");
                     }
                 }
             }
         }
-        decided
+
+        fn propose(&mut self, p: ProcessId, instance: InstanceId, v: u32) {
+            let outs = self.managers[p.index()].propose(instance, v, &self.ids);
+            self.apply(p, outs);
+        }
+
+        fn suspect(&mut self, observer: ProcessId, q: ProcessId) {
+            let outs = self.managers[observer.index()].suspect(q);
+            self.apply(observer, outs);
+        }
+
+        /// Delivers, in FIFO order, the messages matching `pick` (and what
+        /// they cause, as far as it matches too); the rest stay queued.
+        fn run_where(&mut self, pick: impl Fn(&Wire) -> bool) {
+            let mut steps = 0;
+            while let Some(i) = self.queue.iter().position(&pick) {
+                let (from, to, instance, msg) = self.queue.remove(i).expect("index from position");
+                steps += 1;
+                assert!(steps < 100_000, "no quiescence");
+                if self.crashed.contains(&from) || self.crashed.contains(&to) {
+                    continue;
+                }
+                let (outs, rejected) = self.managers[to.index()].on_msg(instance, from, msg);
+                self.apply(to, outs);
+                if let Some(msg) = rejected {
+                    self.propose(to, instance, 900 + to.index() as u32);
+                    let (outs, rejected) = self.managers[to.index()].on_msg(instance, from, msg);
+                    assert!(rejected.is_none(), "the instance is open now");
+                    self.apply(to, outs);
+                }
+            }
+        }
+
+        fn run(&mut self) {
+            self.run_where(|_| true);
+        }
+    }
+
+    /// Everyone proposes for instances 0 and 1; runs to quiescence.
+    fn drive(managers: &mut Vec<ConsensusManager<u32>>) -> BTreeMap<(usize, InstanceId), u32> {
+        let mut net = Net::new(std::mem::take(managers));
+        for inst in 0..2 {
+            for i in 0..net.ids.len() {
+                net.propose(pid(i as u32), inst, (10 * (inst + 1)) as u32 + i as u32);
+            }
+        }
+        net.run();
+        *managers = net.managers;
+        net.decided
     }
 
     #[test]
@@ -496,6 +575,65 @@ mod tests {
         assert!(managers[1].suspect(pid(0)).is_empty());
         // p0 learned nothing from anybody.
         assert!(managers[0].suspect(pid(1)).is_empty());
+    }
+
+    #[test]
+    fn decision_learned_from_a_suspected_peer_is_relayed_on_receipt() {
+        let mut net = Net::new((0..4).map(|i| ConsensusManager::new(pid(i))).collect());
+        for i in 0..4 {
+            net.propose(pid(i), 0, i);
+        }
+        net.run_where(|w| !matches!(w.3, CtMsg::Decide { .. }));
+        assert_eq!(net.decided.len(), 1, "only p0 decided so far");
+        // p1 suspects p0 before the decision arrives; p0's `Decide` reaches
+        // nobody else.
+        net.suspect(pid(1), pid(0));
+        net.queue
+            .retain(|w| !(matches!(w.3, CtMsg::Decide { .. }) && w.1 != pid(1)));
+        net.run();
+        assert_eq!(net.decided.len(), 4, "p1 relayed to p2 and p3");
+        // p2 learned it from p1, not from p0; p1 relayed already.
+        for i in 1..4 {
+            assert!(net.managers[i].suspect(pid(0)).is_empty());
+        }
+    }
+
+    #[test]
+    fn member_cut_off_from_a_deciding_coordinator_is_not_stranded() {
+        // p4 and p0 cannot talk. p4 suspects p0, abandons round 0 of
+        // instance 0 and acks p1's round-1 proposal; p0 then decides on
+        // round-0 acks and p1 learns that with p4's ack in hand. p0 goes on
+        // to decide instance 1 the same way, and crashes: the relay on
+        // suspicion carries only the newest decision learned from p0, so
+        // instance 0 must have reached p4 by the instance's own rules.
+        let cut = |w: &Wire| (w.0 == pid(0) && w.1 == pid(4)) || (w.0 == pid(4) && w.1 == pid(0));
+        let mut net = Net::new((0..5).map(|i| ConsensusManager::new(pid(i))).collect());
+        net.suspect(pid(4), pid(0));
+        for i in 0..5 {
+            net.propose(pid(i), 0, 60 + i);
+        }
+        net.run_where(|w| !cut(w) && matches!(w.3, CtMsg::Propose { round: 0, .. }));
+        net.run_where(|w| !cut(w) && !matches!(w.3, CtMsg::Ack { .. }));
+        net.run_where(|w| w.0 == pid(4) && matches!(w.3, CtMsg::Ack { round: 1 }));
+        net.run_where(|w| matches!(w.3, CtMsg::Ack { round: 0 }));
+        assert_eq!(net.decided.len(), 1, "p0 decided on round-0 acks");
+        net.run_where(|w| !cut(w) && matches!(w.3, CtMsg::Decide { .. }));
+        assert_eq!(net.decided.get(&(4, 0)), Some(&60), "p1 told p4");
+        net.run_where(|w| !cut(w));
+        // Instance 1 among p0..p3 (p4 has nothing to propose): p0 decides.
+        for i in 0..4 {
+            net.propose(pid(i), 1, 70 + i);
+        }
+        net.run_where(|w| !cut(w));
+        assert_eq!(net.decided.get(&(3, 1)), Some(&70));
+        assert!(!net.decided.contains_key(&(4, 1)));
+        net.crashed.insert(pid(0));
+        for i in 1..5 {
+            net.suspect(pid(i), pid(0));
+        }
+        net.run();
+        assert_eq!(net.decided.get(&(4, 1)), Some(&70), "relayed on suspicion");
+        assert_eq!(net.decided.len(), 10);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! buffer of unstable messages; when the failure detector suspects a process
 //! — this component hears the consensus-class suspicions too — every pooled
 //! message of that origin is relayed, and so is one that arrives while the
-//! suspicion lasts ([`RelayWhen::OriginSuspected`], bounded by
-//! [`RelayFanout`]). **Catch-up:** a process that opens an instance while it
+//! suspicion lasts (to the [`RelayFanout`]'s targets). **Catch-up:** a process that opens an instance while it
 //! has evidence of being behind — it was just activated from a snapshot at
 //! that instance, or consensus traffic or a decision for a *later* instance
 //! is already here — flags the proposal, and the consensus component pulls
@@ -42,7 +41,7 @@ use std::sync::Arc;
 use gcs_consensus::InstanceId;
 use gcs_kernel::{FxHashSet, ProcessId, TimeDelta};
 
-use crate::rbcast::{Rbcast, RelayFanout, RelayWhen};
+use crate::rbcast::{Rbcast, RelayFanout};
 use crate::types::{
     AbMsg, Batch, Body, Delivery, DeliveryKind, Message, MessageClass, MsgId, SnapshotData, View,
     WireMsg,
@@ -119,6 +118,9 @@ pub struct AbcastCore {
     participants: Arc<[ProcessId]>,
     active: bool,
     rb: Rbcast,
+    /// Processes the failure detector currently suspects: a message of such
+    /// an origin is relayed.
+    suspected: FxHashSet<ProcessId>,
     /// R-delivered messages not yet a-delivered (the proposal pool).
     pending: BTreeMap<MsgId, Message>,
     /// Ids in decided batches (never re-proposed).
@@ -181,7 +183,7 @@ impl AbcastCore {
         depth: usize,
         policy: BatchPolicy,
     ) -> Self {
-        let mut rb = Rbcast::with_policy(me, relay, RelayWhen::OriginSuspected);
+        let mut rb = Rbcast::with_relay(me, relay);
         let (view, active) = match initial_view {
             Some(v) => {
                 rb.set_peers(&v.members);
@@ -201,6 +203,7 @@ impl AbcastCore {
             view,
             active,
             rb,
+            suspected: FxHashSet::default(),
             pending: BTreeMap::new(),
             committed: FxHashSet::default(),
             adelivered: FxHashSet::default(),
@@ -277,12 +280,14 @@ impl AbcastCore {
     /// Handles a diffused message from the network: a first copy joins the
     /// proposal pool, and is relayed if its origin is suspected right now.
     pub fn on_data_into(&mut self, from: ProcessId, message: Message, out: &mut Vec<AbOut>) {
-        let receipt = self.rb.on_data(from, message);
-        let Some(message) = receipt.deliver else {
+        if !self.rb.first_copy(message.id) {
             return;
-        };
-        for &to in receipt.relay_to {
-            out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
+        }
+        let origin = message.id.sender;
+        if self.suspected.contains(&origin) {
+            for &to in self.rb.relay_targets(origin, from) {
+                out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
+            }
         }
         if !self.adelivered.contains(&message.id) && !self.committed.contains(&message.id) {
             self.pending.insert(message.id, message);
@@ -294,10 +299,14 @@ impl AbcastCore {
     /// through a broadcast, so relay every message of it still unordered
     /// here (ordered ones travel in decisions).
     pub fn on_suspect_into(&mut self, origin: ProcessId, out: &mut Vec<AbOut>) {
-        let targets = self.rb.suspect(origin);
-        if targets.is_empty() || !self.active {
+        if origin == self.me {
             return;
         }
+        self.suspected.insert(origin);
+        if !self.active {
+            return;
+        }
+        let targets = self.rb.relay_targets(origin, origin);
         let of_origin = MsgId {
             sender: origin,
             seq: 0,
@@ -314,7 +323,7 @@ impl AbcastCore {
 
     /// The suspicion of `origin` was withdrawn: stop relaying its messages.
     pub fn on_restore(&mut self, origin: ProcessId) {
-        self.rb.restore(origin);
+        self.suspected.remove(&origin);
     }
 
     /// [`on_data_into`](Self::on_data_into) returning a fresh buffer.

@@ -52,7 +52,7 @@ mod types;
 pub use abcast::BatchPolicy;
 pub use gcs_fd::FdMode;
 pub use monitoring::MonitoringPolicy;
-pub use rbcast::{RbReceipt, Rbcast, RelayFanout, RelayWhen};
+pub use rbcast::{RbReceipt, Rbcast, RelayFanout};
 pub use stack::{auto_fanout, build_process, GroupSim, StackConfig, SCALE_THRESHOLD};
 pub use types::{
     AbMsg, Batch, Body, ConflictRelation, Delivery, DeliveryKind, Ev, GbMsg, MbMsg, Message,

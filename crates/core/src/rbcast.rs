@@ -4,22 +4,23 @@
 //! The origin sends its message to every other group member over reliable
 //! channels; receivers relay first copies so that a crash of the origin
 //! part-way through its sends cannot leave some correct processes without
-//! the message. *When* a receiver relays is the [`RelayWhen`] policy:
+//! the message. This module is the mechanism — duplicate suppression and the
+//! relay fan-out; *when* to relay is the caller's protocol:
 //!
-//! * [`RelayWhen::Always`] — every process relays the first copy it receives
-//!   at once. This is *uniform* reliable broadcast in the crash-stop model:
-//!   if any process delivers `m` — even one that crashes immediately after —
-//!   every correct process eventually delivers `m`. Generic broadcast uses
-//!   it: its fast path delivers on acks alone.
-//! * [`RelayWhen::OriginSuspected`] — a process relays a message only while
-//!   it suspects the message's origin: on receipt if the origin is suspected
-//!   already, and — the caller's part — everything of that origin it still
-//!   holds unstable when the suspicion is raised later. A failure-free
-//!   broadcast then costs exactly n−1 messages. This is (non-uniform)
-//!   reliable broadcast with a ◇S-complete detector: a correct process that
-//!   has `m` from a crashed origin eventually suspects it and relays. Atomic
-//!   broadcast uses it: it delivers nothing on receipt — only what
-//!   consensus decides, and decisions carry full messages.
+//! * **Generic broadcast** relays every first copy at once
+//!   ([`Rbcast::on_data`]). That is *uniform* reliable broadcast in the
+//!   crash-stop model: if any process delivers `m` — even one that crashes
+//!   immediately after — every correct process eventually delivers `m`. Its
+//!   fast path delivers on acks alone, so it needs that.
+//! * **Atomic broadcast** relays a message only while it suspects the
+//!   message's origin ([`Rbcast::first_copy`] + [`Rbcast::relay_targets`];
+//!   the suspicion set and the buffer of unordered messages live in the
+//!   abcast core). A failure-free broadcast then costs exactly n−1 messages.
+//!   This is (non-uniform) reliable broadcast with a ◇S-complete detector: a
+//!   correct process that has `m` from a crashed origin eventually suspects
+//!   it and relays. It is enough there because atomic broadcast delivers
+//!   nothing on receipt — only what consensus decides, and decisions carry
+//!   full messages.
 
 use gcs_kernel::{FxHashSet, ProcessId};
 
@@ -45,23 +46,13 @@ pub enum RelayFanout {
     Bounded(usize),
 }
 
-/// When a first-copy receiver re-forwards a diffused message (see the
-/// module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RelayWhen {
-    /// On every first copy.
-    Always,
-    /// Only while the message's origin is suspected.
-    OriginSuspected,
-}
-
 /// Outcome of feeding one received message to [`Rbcast::on_data`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RbReceipt<'a> {
     /// `Some` when this is the first copy (deliver it); `None` on duplicates.
     pub deliver: Option<Message>,
     /// Relay targets for the first copy — a borrow of the module's reused
-    /// buffer; empty on duplicates and whenever the policy asks for no relay.
+    /// buffer; empty on duplicates.
     pub relay_to: &'a [ProcessId],
 }
 
@@ -71,10 +62,6 @@ pub struct Rbcast {
     me: ProcessId,
     peers: Vec<ProcessId>,
     relay: RelayFanout,
-    when: RelayWhen,
-    /// Origins currently suspected (only kept under
-    /// [`RelayWhen::OriginSuspected`]).
-    suspected: FxHashSet<ProcessId>,
     /// Reused relay-target buffer: relaying allocates nothing.
     targets: Vec<ProcessId>,
     /// The peers in sorted order — the ring bounded relay walks. (View
@@ -95,21 +82,12 @@ impl Rbcast {
         Self::with_relay(me, RelayFanout::All)
     }
 
-    /// Creates a broadcast module that relays every first copy with the
-    /// given fan-out.
+    /// Creates a broadcast module with an explicit relay fan-out.
     pub fn with_relay(me: ProcessId, relay: RelayFanout) -> Self {
-        Self::with_policy(me, relay, RelayWhen::Always)
-    }
-
-    /// Creates a broadcast module with an explicit fan-out and relay
-    /// trigger.
-    pub fn with_policy(me: ProcessId, relay: RelayFanout, when: RelayWhen) -> Self {
         Rbcast {
             me,
             peers: Vec::new(),
             relay,
-            when,
-            suspected: FxHashSet::default(),
             targets: Vec::new(),
             ring: Vec::new(),
             ring_start: 0,
@@ -150,48 +128,17 @@ impl Rbcast {
         &self.peers
     }
 
-    /// Handles a received copy of `message`: first copies are delivered,
-    /// and relayed when the [`RelayWhen`] policy says so — per the
-    /// configured [`RelayFanout`], always excluding the transport-level
-    /// sender and the origin (both already have the message).
-    pub fn on_data(&mut self, from: ProcessId, message: Message) -> RbReceipt<'_> {
+    /// Records `id` as seen and says whether this was its first copy.
+    pub fn first_copy(&mut self, id: MsgId) -> bool {
+        self.seen.insert(id)
+    }
+
+    /// Whom to relay a message of `origin` received from `from` to: the
+    /// configured [`RelayFanout`] minus the transport-level sender and the
+    /// origin (both already have the message). A borrow of the module's
+    /// reused buffer: relaying allocates nothing.
+    pub fn relay_targets(&mut self, origin: ProcessId, from: ProcessId) -> &[ProcessId] {
         self.targets.clear();
-        if !self.seen.insert(message.id) {
-            return RbReceipt {
-                deliver: None,
-                relay_to: &[],
-            };
-        }
-        let origin = message.id.sender;
-        if self.when == RelayWhen::Always || self.suspected.contains(&origin) {
-            self.fill_targets(origin, from);
-        }
-        RbReceipt {
-            deliver: Some(message),
-            relay_to: &self.targets,
-        }
-    }
-
-    /// Records that `origin` is suspected and returns whom to relay its
-    /// still-unstable messages to (the caller holds them). Empty under
-    /// [`RelayWhen::Always`]: everything was relayed on receipt.
-    pub fn suspect(&mut self, origin: ProcessId) -> &[ProcessId] {
-        self.targets.clear();
-        if self.when == RelayWhen::OriginSuspected && origin != self.me {
-            self.suspected.insert(origin);
-            self.fill_targets(origin, origin);
-        }
-        &self.targets
-    }
-
-    /// Withdraws the suspicion of `origin`: its messages are no longer
-    /// relayed.
-    pub fn restore(&mut self, origin: ProcessId) {
-        self.suspected.remove(&origin);
-    }
-
-    /// Fills `targets` with the relay fan-out minus `origin` and `from`.
-    fn fill_targets(&mut self, origin: ProcessId, from: ProcessId) {
         let wanted = |p: &ProcessId| *p != from && *p != origin;
         match self.relay {
             RelayFanout::All => self
@@ -203,6 +150,23 @@ impl Rbcast {
                 self.targets
                     .extend((0..k.min(m)).map(|j| ring[(start + j) % m]).filter(wanted));
             }
+        }
+        &self.targets
+    }
+
+    /// Handles a received copy of `message` for a caller that relays every
+    /// first copy: a first copy is delivered with its
+    /// [`relay_targets`](Self::relay_targets), a duplicate is dropped.
+    pub fn on_data(&mut self, from: ProcessId, message: Message) -> RbReceipt<'_> {
+        if !self.first_copy(message.id) {
+            return RbReceipt {
+                deliver: None,
+                relay_to: &[],
+            };
+        }
+        RbReceipt {
+            relay_to: self.relay_targets(message.id.sender, from),
+            deliver: Some(message),
         }
     }
 
@@ -264,66 +228,21 @@ mod tests {
         assert!(r2.relay_to.is_empty());
     }
 
-    fn origin0(seq: u64) -> Message {
-        msg(MsgId {
-            sender: pid(0),
-            seq,
-        })
-    }
-
     #[test]
-    fn on_suspicion_policy_relays_only_while_the_origin_is_suspected() {
-        let mut rb = Rbcast::with_policy(pid(2), RelayFanout::All, RelayWhen::OriginSuspected);
-        rb.set_peers(&[pid(0), pid(1), pid(2), pid(3)]);
-        // Origin trusted: the first copy is delivered, nothing is relayed.
-        let r = rb.on_data(pid(0), origin0(0));
-        assert!(r.deliver.is_some() && r.relay_to.is_empty());
-        // Suspicion raised later: the caller relays what it holds to these.
-        assert_eq!(rb.suspect(pid(0)), &[pid(1), pid(3)]);
-        // Data arriving after the suspicion is relayed on receipt.
-        let r = rb.on_data(pid(1), origin0(1));
-        assert_eq!(r.relay_to, &[pid(3)]);
-        // Other origins are unaffected; duplicates stay silent.
-        let r = rb.on_data(
-            pid(1),
-            msg(MsgId {
-                sender: pid(1),
-                seq: 0,
-            }),
-        );
-        assert!(r.relay_to.is_empty());
-        assert!(rb.on_data(pid(3), origin0(1)).deliver.is_none());
-        // Restored: no further relays.
-        rb.restore(pid(0));
-        assert!(rb.on_data(pid(0), origin0(2)).relay_to.is_empty());
-    }
-
-    #[test]
-    fn bounded_fanout_bounds_the_on_suspicion_relay() {
-        let mut rb =
-            Rbcast::with_policy(pid(1), RelayFanout::Bounded(2), RelayWhen::OriginSuspected);
+    fn first_copy_and_relay_targets_serve_a_caller_that_relays_selectively() {
+        let mut rb = Rbcast::with_relay(pid(1), RelayFanout::Bounded(2));
         rb.set_peers(&(0..8).map(pid).collect::<Vec<_>>());
-        assert_eq!(
-            rb.suspect(pid(3)),
-            &[pid(2)],
-            "successors p2, p3 minus origin"
-        );
-        assert_eq!(rb.suspect(pid(6)), &[pid(2), pid(3)]);
-        let r = rb.on_data(
-            pid(2),
-            msg(MsgId {
-                sender: pid(6),
-                seq: 0,
-            }),
-        );
-        assert_eq!(r.relay_to, &[pid(3)], "minus the transport-level sender");
-    }
-
-    #[test]
-    fn always_policy_has_nothing_left_to_relay_on_suspicion() {
-        let mut rb = Rbcast::new(pid(2));
-        rb.set_peers(&[pid(0), pid(1), pid(2)]);
-        assert!(rb.suspect(pid(0)).is_empty());
+        let id = MsgId {
+            sender: pid(6),
+            seq: 0,
+        };
+        assert!(rb.first_copy(id));
+        assert!(!rb.first_copy(id), "second copy");
+        assert!(rb.seen(id));
+        // Ring successors p2, p3 — minus origin and transport-level sender.
+        assert_eq!(rb.relay_targets(pid(6), pid(6)), &[pid(2), pid(3)]);
+        assert_eq!(rb.relay_targets(pid(3), pid(3)), &[pid(2)]);
+        assert_eq!(rb.relay_targets(pid(6), pid(2)), &[pid(3)]);
     }
 
     #[test]

@@ -18,12 +18,8 @@
 //! order, no duplication, invariant cleanliness) are asserted identically
 //! on both backends; only *when* things happen is left open.
 
-use std::ops::{Deref, DerefMut};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use gcs::kernel::{ProcessId, Time, TimeDelta};
-use gcs::sim::{check_no_duplicates, check_prefix_consistency, Topology};
-use gcs::traditional::TokenConfig;
+use gcs::sim::{check_no_duplicates, check_prefix_consistency};
 use gcs::{Backend, Group, GroupTransport, InvariantChecker, StackKind};
 
 fn p(i: u32) -> ProcessId {
@@ -32,60 +28,14 @@ fn p(i: u32) -> ProcessId {
 
 const BACKENDS: [Backend; 2] = [Backend::Sim, Backend::Live];
 
-/// One live group at a time. `cargo test` runs this binary's tests on
-/// parallel threads; a dozen live groups of four to six OS threads each on
-/// a two-core box delay one another by tens of milliseconds, which the
-/// baselines' LAN-tuned timeouts (Isis failure suspicion, token loss) take
-/// for faults: between one run in twenty (release) and one in four (debug)
-/// of the battery then failed somewhere in a baseline's live leg; taking
-/// turns brings that to about one in seventeen (debug). Simulated groups
-/// still run in parallel.
-static LIVE_GROUPS: Mutex<()> = Mutex::new(());
-
-/// A group, and for a live one its turn on the machine (released after the
-/// group's threads are joined: fields drop in declaration order).
-struct Built {
-    group: Group,
-    _turn: Option<MutexGuard<'static, ()>>,
-}
-
-impl Deref for Built {
-    type Target = Group;
-    fn deref(&self) -> &Group {
-        &self.group
-    }
-}
-
-impl DerefMut for Built {
-    fn deref_mut(&mut self) -> &mut Group {
-        &mut self.group
-    }
-}
-
-fn build_on(backend: Backend, kind: StackKind, members: usize, joiners: usize, seed: u64) -> Built {
-    // A test that failed while it held the turn has poisoned nothing the
-    // next one relies on.
-    let turn = (backend == Backend::Live)
-        .then(|| LIVE_GROUPS.lock().unwrap_or_else(PoisonError::into_inner));
-    let mut builder = Group::builder()
+fn build_on(backend: Backend, kind: StackKind, members: usize, joiners: usize, seed: u64) -> Group {
+    Group::builder()
         .members(members)
         .joiners(joiners)
         .stack(kind)
         .backend(backend)
-        .seed(seed);
-    if backend == Backend::Live {
-        // The ring's 50 ms LAN token-loss timeout also fires on scheduling
-        // delay: the ring then reforms with nobody dead and loses the ops
-        // in flight (a known token-baseline finding, benchmark/README.md,
-        // where the live workloads use the same 500 ms). Real faults are
-        // still detected well inside every deadline below.
-        builder = builder.token_config(TokenConfig {
-            token_timeout: TimeDelta::from_millis(500),
-            ..TokenConfig::for_topology(&Topology::lan(), members + joiners)
-        });
-    }
-    let group = builder.build();
-    Built { group, _turn: turn }
+        .seed(seed)
+        .build()
 }
 
 /// Drives a group forward in 5 ms slices until `done` holds or the cursor
@@ -397,7 +347,7 @@ fn removal_mid_stream_on_every_stack() {
                     "{tag}: removed member's last view excludes it"
                 );
             }
-            let report = InvariantChecker::check(&*g, 4);
+            let report = InvariantChecker::check(&g, 4);
             assert!(report.is_clean(), "{tag}: {:#?}", report.violations);
         }
     }
@@ -441,7 +391,7 @@ fn partition_heal_on_every_stack() {
             check_prefix_consistency(&seqs[..3])
                 .unwrap_or_else(|e| panic!("{tag}: order violation {e:?}"));
             check_no_duplicates(&seqs).unwrap_or_else(|e| panic!("{tag}: duplicate {e:?}"));
-            let report = InvariantChecker::check(&*g, 5);
+            let report = InvariantChecker::check(&g, 5);
             assert!(report.is_clean(), "{tag}: {:#?}", report.violations);
         }
     }
