@@ -1,15 +1,17 @@
 //! The [`Group`] façade and its [`GroupBuilder`]: one coherent entry point
-//! composing stack choice × topology × schedule × seed, replacing the three
-//! positional-constructor surfaces the stacks used to expose.
+//! composing stack choice × backend × topology × schedule × seed into one
+//! [`Harness`] behind a type-erased handle.
 
-use bytes::Bytes;
-use gcs_core::{BatchPolicy, GroupSim, MessageClass, StackConfig, View};
+use std::any::Any;
+
+use gcs_core::{BatchPolicy, GroupSim, MessageClass, NewArchDriver, StackConfig};
 use gcs_kernel::{PayloadRef, ProcessId, SharedArena, Time};
-use gcs_live::{LiveConfig, LiveGroup, WireMode};
-use gcs_sim::{Metrics, Schedule, SimConfig, Topology, TraceMode};
-use gcs_traditional::{IsisConfig, IsisSim, TokenConfig, TokenSim};
-
-use crate::transport::{GroupTransport, StackKind, TransportDelivery};
+use gcs_live::{LiveConfig, WireMode};
+use gcs_sim::{
+    Capabilities, GroupTransport, Harness, Metrics, Observation, Schedule, SimConfig, SimWorld,
+    StackDriver, StackKind, Topology, TraceMode,
+};
+use gcs_traditional::{IsisConfig, IsisDriver, IsisSim, TokenConfig, TokenDriver, TokenSim};
 
 /// Which execution backend hosts a group.
 ///
@@ -29,8 +31,8 @@ pub enum Backend {
     Live,
 }
 
-/// A simulated group running one of the three stacks behind the unified
-/// [`GroupTransport`] surface.
+/// A group running one of the three stacks on one of the two backends
+/// behind the unified [`GroupTransport`] surface.
 ///
 /// Build one with [`Group::builder`]:
 ///
@@ -50,22 +52,23 @@ pub enum Backend {
 /// assert_eq!(seqs[0], seqs[1]);
 /// ```
 ///
-/// Stack-specific observation (Isis blocking windows, token rings, the raw
-/// typed trace) stays available through the [`as_new_arch`](Self::as_new_arch)
-/// / [`as_isis`](Self::as_isis) / [`as_token`](Self::as_token) accessors.
-pub enum Group {
-    /// The paper's new architecture (Fig 9).
-    NewArch(GroupSim),
-    /// The Isis-style GM-VS baseline.
-    Isis(IsisSim),
-    /// The token-ring baseline.
-    Token(TokenSim),
-    /// Any stack on the live backend ([`Backend::Live`]): member threads,
-    /// wall-clock timers, a real frame path.
-    Live(LiveGroup),
+/// A `Group` is a thin handle over one [`Harness`] with the stack and
+/// backend types erased. The typed harness — and through its
+/// [`trace`](Harness::trace) the stack-specific observers
+/// (`gcs_traditional::isis::blocked_windows`, `gcs_core::gdelivered_ids`,
+/// …) — stays reachable for simulated groups through
+/// [`as_new_arch`](Self::as_new_arch) / [`as_isis`](Self::as_isis) /
+/// [`as_token`](Self::as_token).
+pub struct Group {
+    inner: Box<dyn Erased>,
+    backend: Backend,
 }
 
-/// Composes one simulated group: member/joiner counts, stack choice,
+/// A harness of any stack on any backend, downcastable to its type.
+trait Erased: GroupTransport + Any {}
+impl<T: GroupTransport + Any> Erased for T {}
+
+/// Composes one group: member/joiner counts, stack and backend choice,
 /// topology, scripted schedule, trace sink, per-stack configuration, seed.
 ///
 /// Every knob has a sensible default (3 members, no joiners, the new
@@ -258,40 +261,48 @@ impl GroupBuilder {
         self
     }
 
-    /// Builds the group: constructs the world for the selected stack on the
+    /// Builds the group: starts the harness of the selected stack on the
     /// selected backend (deriving baseline timeout profiles from the
-    /// topology where not explicitly configured) and applies the scripted
-    /// schedule.
+    /// topology where not explicitly configured), installs the queue bound
+    /// and applies the scripted schedule — in that order, before any
+    /// workload call can reach the group.
     ///
     /// On [`Backend::Live`] the clock starts running at this call — a
     /// schedule step at 20 ms fires 20 ms of wall time after `build`
     /// returns the group.
-    pub fn build(self) -> Group {
-        let isis = self
-            .isis
-            .unwrap_or_else(|| IsisConfig::for_topology(&self.topology));
-        let token = self.token.unwrap_or_else(|| {
-            TokenConfig::for_topology(&self.topology, self.members + self.joiners)
-        });
-        let mut group = match self.backend {
+    pub fn build(mut self) -> Group {
+        match self.stack {
+            StackKind::NewArch => {
+                let config = std::mem::take(&mut self.config);
+                self.build_with::<NewArchDriver>(config)
+            }
+            StackKind::Isis => {
+                let config = self
+                    .isis
+                    .unwrap_or_else(|| IsisConfig::for_topology(&self.topology));
+                self.build_with::<IsisDriver>(config)
+            }
+            StackKind::Token => {
+                let config = self.token.unwrap_or_else(|| {
+                    TokenConfig::for_topology(&self.topology, self.members + self.joiners)
+                });
+                self.build_with::<TokenDriver>(config)
+            }
+        }
+    }
+
+    fn build_with<S: StackDriver>(self, config: S::Config) -> Group {
+        let inner: Box<dyn Erased> = match self.backend {
             Backend::Sim => {
                 let sim = SimConfig::lan(self.seed)
                     .with_topology(self.topology)
                     .with_trace(self.trace);
-                match self.stack {
-                    StackKind::NewArch => Group::NewArch(GroupSim::with_sim(
-                        self.members,
-                        self.joiners,
-                        self.config,
-                        sim,
-                    )),
-                    StackKind::Isis => {
-                        Group::Isis(IsisSim::with_sim(self.members, self.joiners, isis, sim))
-                    }
-                    StackKind::Token => {
-                        Group::Token(TokenSim::with_sim(self.members, self.joiners, token, sim))
-                    }
-                }
+                Box::new(Harness::<S, SimWorld<S::Event>>::start(
+                    self.members,
+                    self.joiners,
+                    config,
+                    sim,
+                ))
             }
             Backend::Live => {
                 let live = LiveConfig::new(self.members)
@@ -300,12 +311,12 @@ impl GroupBuilder {
                     .with_topology(self.topology)
                     .with_trace(self.trace)
                     .with_wire(self.wire);
-                Group::Live(match self.stack {
-                    StackKind::NewArch => LiveGroup::new_arch(self.config, live),
-                    StackKind::Isis => LiveGroup::isis(isis, live),
-                    StackKind::Token => LiveGroup::token(token, live),
-                })
+                Box::new(gcs_live::start::<S>(config, live))
             }
+        };
+        let mut group = Group {
+            inner,
+            backend: self.backend,
         };
         if self.capacity.is_some() {
             group.set_abcast_capacity(self.capacity);
@@ -323,214 +334,115 @@ impl Group {
         GroupBuilder::default()
     }
 
-    /// The new-architecture harness, when this group runs it.
+    fn downcast<T: Any>(&self) -> Option<&T> {
+        let any: &dyn Any = &*self.inner;
+        any.downcast_ref()
+    }
+
+    /// The simulated new-architecture harness, when this group is one.
     pub fn as_new_arch(&self) -> Option<&GroupSim> {
-        match self {
-            Group::NewArch(g) => Some(g),
-            _ => None,
-        }
+        self.downcast()
     }
 
-    /// Mutable access to the new-architecture harness.
-    pub fn as_new_arch_mut(&mut self) -> Option<&mut GroupSim> {
-        match self {
-            Group::NewArch(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The Isis harness, when this group runs it.
+    /// The simulated Isis harness, when this group is one.
     pub fn as_isis(&self) -> Option<&IsisSim> {
-        match self {
-            Group::Isis(g) => Some(g),
-            _ => None,
-        }
+        self.downcast()
     }
 
-    /// Mutable access to the Isis harness.
-    pub fn as_isis_mut(&mut self) -> Option<&mut IsisSim> {
-        match self {
-            Group::Isis(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The token-ring harness, when this group runs it.
+    /// The simulated token-ring harness, when this group is one.
     pub fn as_token(&self) -> Option<&TokenSim> {
-        match self {
-            Group::Token(g) => Some(g),
-            _ => None,
-        }
+        self.downcast()
     }
 
-    /// Mutable access to the token-ring harness.
-    pub fn as_token_mut(&mut self) -> Option<&mut TokenSim> {
-        match self {
-            Group::Token(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The live harness, when this group runs on [`Backend::Live`].
-    pub fn as_live(&self) -> Option<&LiveGroup> {
-        match self {
-            Group::Live(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the live harness.
-    pub fn as_live_mut(&mut self) -> Option<&mut LiveGroup> {
-        match self {
-            Group::Live(g) => Some(g),
-            _ => None,
-        }
+    /// The group itself, when it runs on [`Backend::Live`] (whatever its
+    /// stack): a marker for code that must only run against real threads
+    /// and a wall clock.
+    pub fn as_live(&self) -> Option<&dyn GroupTransport> {
+        (self.backend == Backend::Live).then_some(&*self.inner as &dyn GroupTransport)
     }
 }
 
-/// Delegates one `GroupTransport` call to whichever stack the group runs.
-macro_rules! delegate {
-    ($self:ident, $g:ident => $e:expr) => {
-        match $self {
-            Group::NewArch($g) => $e,
-            Group::Isis($g) => $e,
-            Group::Token($g) => $e,
-            Group::Live($g) => $e,
-        }
-    };
-}
-
+/// The required core, forwarded to the erased harness; every provided
+/// method of the trait then works on a `Group` unchanged.
 impl GroupTransport for Group {
     fn stack(&self) -> StackKind {
-        delegate!(self, g => GroupTransport::stack(g))
+        self.inner.stack()
     }
 
     fn process_count(&self) -> usize {
-        delegate!(self, g => g.process_count())
+        self.inner.process_count()
     }
 
-    fn supports_gbcast(&self) -> bool {
-        delegate!(self, g => g.supports_gbcast())
-    }
-
-    fn supports_rbcast(&self) -> bool {
-        delegate!(self, g => g.supports_rbcast())
-    }
-
-    fn supports_removal(&self) -> bool {
-        delegate!(self, g => g.supports_removal())
-    }
-
-    fn abcast_bytes_at(&mut self, t: Time, p: ProcessId, payload: Bytes) {
-        delegate!(self, g => g.abcast_bytes_at(t, p, payload))
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
     }
 
     fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        delegate!(self, g => g.abcast_ref_at(t, p, payload))
-    }
-
-    fn set_abcast_capacity(&mut self, cap: Option<usize>) {
-        delegate!(self, g => GroupTransport::set_abcast_capacity(g, cap))
-    }
-
-    fn abcast_capacity(&self) -> Option<usize> {
-        delegate!(self, g => GroupTransport::abcast_capacity(g))
-    }
-
-    fn queue_depth(&self, p: ProcessId) -> usize {
-        delegate!(self, g => GroupTransport::queue_depth(g, p))
-    }
-
-    fn queue_high_water(&self) -> usize {
-        delegate!(self, g => GroupTransport::queue_high_water(g))
-    }
-
-    fn gbcast_bytes_at(&mut self, t: Time, p: ProcessId, class: MessageClass, payload: Bytes) {
-        delegate!(self, g => g.gbcast_bytes_at(t, p, class, payload))
+        self.inner.abcast_ref_at(t, p, payload)
     }
 
     fn gbcast_ref_at(&mut self, t: Time, p: ProcessId, class: MessageClass, payload: PayloadRef) {
-        delegate!(self, g => GroupTransport::gbcast_ref_at(g, t, p, class, payload))
-    }
-
-    fn rbcast_bytes_at(&mut self, t: Time, p: ProcessId, payload: Bytes) {
-        delegate!(self, g => g.rbcast_bytes_at(t, p, payload))
+        self.inner.gbcast_ref_at(t, p, class, payload)
     }
 
     fn rbcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        delegate!(self, g => GroupTransport::rbcast_ref_at(g, t, p, payload))
+        self.inner.rbcast_ref_at(t, p, payload)
     }
 
-    fn join_at(&mut self, t: Time, joiner: ProcessId, contact: ProcessId) {
-        delegate!(self, g => GroupTransport::join_at(g, t, joiner, contact))
+    fn set_abcast_capacity(&mut self, cap: Option<usize>) {
+        self.inner.set_abcast_capacity(cap)
     }
 
-    fn remove_at(&mut self, t: Time, by: ProcessId, target: ProcessId) {
-        delegate!(self, g => g.remove_at(t, by, target))
+    fn abcast_capacity(&self) -> Option<usize> {
+        self.inner.abcast_capacity()
     }
 
-    fn crash_at(&mut self, t: Time, p: ProcessId) {
-        delegate!(self, g => g.crash_at(t, p))
+    fn queue_depth(&self, p: ProcessId) -> usize {
+        self.inner.queue_depth(p)
     }
 
-    fn partition_at(&mut self, t: Time, groups: Vec<Vec<ProcessId>>) {
-        delegate!(self, g => g.partition_at(t, groups))
-    }
-
-    fn heal_at(&mut self, t: Time) {
-        delegate!(self, g => g.heal_at(t))
+    fn queue_high_water(&self) -> usize {
+        self.inner.queue_high_water()
     }
 
     fn apply_schedule(&mut self, schedule: &Schedule) {
-        delegate!(self, g => GroupTransport::apply_schedule(g, schedule))
+        self.inner.apply_schedule(schedule)
+    }
+
+    fn now(&self) -> Time {
+        self.inner.now()
     }
 
     fn run_until(&mut self, t: Time) {
-        delegate!(self, g => g.run_until(t))
+        self.inner.run_until(t)
     }
 
     fn run_to_quiescence(&mut self, limit: Time) -> bool {
-        delegate!(self, g => g.run_to_quiescence(limit))
+        self.inner.run_to_quiescence(limit)
     }
 
     fn arena(&self) -> &SharedArena {
-        delegate!(self, g => GroupTransport::arena(g))
+        self.inner.arena()
     }
 
     fn metrics(&self) -> &Metrics {
-        delegate!(self, g => GroupTransport::metrics(g))
+        self.inner.metrics()
     }
 
     fn events_executed(&self) -> u64 {
-        delegate!(self, g => g.events_executed())
+        self.inner.events_executed()
     }
 
     fn alive_flags(&self) -> Vec<bool> {
-        delegate!(self, g => g.alive_flags())
+        self.inner.alive_flags()
     }
 
     fn delivery_count(&self) -> u64 {
-        delegate!(self, g => g.delivery_count())
+        self.inner.delivery_count()
     }
 
-    fn delivery_trace(&self) -> Vec<TransportDelivery> {
-        delegate!(self, g => GroupTransport::delivery_trace(g))
-    }
-
-    fn views(&self) -> Vec<Vec<View>> {
-        delegate!(self, g => GroupTransport::views(g))
-    }
-
-    fn suspicion_trace(&self) -> Vec<(Time, ProcessId, ProcessId)> {
-        match self {
-            Group::NewArch(g) => g.suspicion_trace(),
-            Group::Live(g) => g.suspicion_trace(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn resets(&self) -> Vec<Vec<Time>> {
-        delegate!(self, g => GroupTransport::resets(g))
+    fn observe(&self, f: &mut dyn FnMut(Time, ProcessId, Observation<'_>)) {
+        self.inner.observe(f)
     }
 }
 
@@ -566,7 +478,7 @@ mod tests {
         direct.run_until(Time::from_secs(1));
         built.run_until(Time::from_secs(1));
         assert_eq!(direct.adelivered_payloads(), built.adelivered_payloads());
-        assert_eq!(direct.world().events_executed(), built.events_executed());
+        assert_eq!(direct.events_executed(), built.events_executed());
         assert_eq!(direct.metrics().total_sent(), built.metrics().total_sent());
     }
 
@@ -686,29 +598,139 @@ mod tests {
         assert_eq!(g.adelivered_payloads()[0].len(), 3, "refused op was shed");
     }
 
-    #[test]
-    fn refused_build_offer_interns_no_payload() {
-        // try_abcast_build_at's contract: the capacity check runs before
-        // the payload is built, so a refusal leaves no arena slot behind.
-        let mut g = Group::builder()
-            .members(3)
-            .seed(11)
-            .abcast_capacity(1)
-            .build();
-        g.try_abcast_build_at(Time::from_millis(1), p(0), &mut |buf| {
-            buf.extend_from_slice(b"accepted")
-        })
-        .expect("first offer fits");
+    /// The `StackDriver` side of the harness contract (`gcs_sim::harness`
+    /// module docs), checked the same way for every stack on the simulator.
+    /// `keeps_pre_join_ops` is the one thing the contract leaves to the
+    /// stack: whether an operation injected at a process that has not
+    /// joined yet is broadcast once it has.
+    fn driver_conformance<S: StackDriver>(
+        config: impl Fn() -> S::Config,
+        keeps_pre_join_ops: bool,
+    ) {
+        use gcs_kernel::Event;
+        type Sim<S> = Harness<S, SimWorld<<S as StackDriver>::Event>>;
+        let tag = S::KIND.name();
+        let ms = Time::from_millis;
+
+        // An absent encoder *is* the capability marker reading false.
+        let g = Sim::<S>::new(3, config(), 1);
+        assert_eq!(g.stack(), S::KIND);
+        let probe = PayloadRef::EMPTY;
+        assert_eq!(
+            g.supports_gbcast(),
+            S::gbcast(MessageClass(0), probe).is_some(),
+            "{tag}"
+        );
+        assert_eq!(g.supports_rbcast(), S::rbcast(probe).is_some(), "{tag}");
+        assert_eq!(g.supports_removal(), S::remove(p(0)).is_some(), "{tag}");
+
+        // Every delivery-shaped output of a 3-member 10-op run projects to
+        // exactly one `Observation::Deliver`.
+        let mut g = Sim::<S>::new(3, config(), 2);
+        for i in 0..10u32 {
+            g.abcast_at(ms(1 + i as u64), p(i % 3), vec![i as u8]);
+        }
+        g.run_until(Time::from_secs(2));
+        let shaped = g.trace().entries().iter();
+        let shaped = shaped.filter(|e| e.event.kind() == "out/deliver").count();
+        let mut projected = 0;
+        g.observe(&mut |_, _, o| {
+            projected += usize::from(matches!(o, Observation::Deliver { .. }))
+        });
+        assert_eq!((shaped, projected), (30, 30), "{tag}");
+        assert_eq!(g.delivery_trace().len(), 30, "{tag}");
+
+        // Refuse-before-intern: the capacity check runs before the payload
+        // is built, so a refusal leaves no arena slot behind.
+        let mut g = Sim::<S>::new(3, config(), 11);
+        g.set_abcast_capacity(Some(1));
+        g.try_abcast_build_at(ms(1), p(0), &mut |buf| buf.extend_from_slice(b"accepted"))
+            .expect("first offer fits");
         let live_before = g.arena().live();
-        g.try_abcast_build_at(Time::from_millis(1), p(0), &mut |buf| {
-            buf.extend_from_slice(b"refused")
-        })
-        .expect_err("queue at capacity");
+        g.try_abcast_build_at(ms(1), p(0), &mut |buf| buf.extend_from_slice(b"refused"))
+            .expect_err("queue at capacity");
         assert_eq!(
             g.arena().live(),
             live_before,
-            "a refused build offer must not leak an arena slot"
+            "{tag}: refusal leaked a slot"
         );
+
+        // Join-before-inject is the caller's business: an operation at a
+        // process outside the group is accepted (and counted), and nobody
+        // delivers it while its sender is outside.
+        let mut g = Sim::<S>::with_joiners(3, 1, config(), 5);
+        g.abcast_at(ms(5), p(3), b"early".to_vec());
+        g.abcast_at(ms(6), p(0), b"m".to_vec());
+        g.run_until(ms(300));
+        let mut expected = vec![vec![b"m".to_vec()]; 3];
+        expected.push(Vec::new());
+        assert_eq!(g.adelivered_payloads(), expected, "{tag}: before the join");
+        g.join_at(ms(310), p(3), p(0));
+        g.run_until(ms(1500));
+        assert!(
+            g.views()[3].last().is_some_and(|v| v.contains(p(3))),
+            "{tag}"
+        );
+        for (i, seq) in g.adelivered_payloads().iter().enumerate() {
+            let kept = seq.contains(&b"early".to_vec());
+            assert_eq!(kept, keeps_pre_join_ops, "{tag}: p{i} after the join");
+        }
+    }
+
+    #[test]
+    fn every_driver_honours_the_stack_driver_contract() {
+        // The new architecture's abcast drops what a non-member hands it;
+        // the monolithic baselines queue it behind their own join.
+        driver_conformance::<NewArchDriver>(StackConfig::default, false);
+        driver_conformance::<IsisDriver>(IsisConfig::default, true);
+        driver_conformance::<TokenDriver>(TokenConfig::default, true);
+    }
+
+    /// The ledger balances per primitive: deliveries of generic broadcasts
+    /// drain generic offers, not room for atomic ones. (Before the ledger
+    /// was unified it counted abcast offers only but every output as
+    /// drained, so after K generic deliveries a capacity-c group accepted
+    /// K + c undrained abcasts.)
+    #[test]
+    fn generic_deliveries_do_not_open_the_abcast_queue() {
+        const CAPACITY: usize = 4;
+        for backend in [Backend::Sim, Backend::Live] {
+            let mut g = Group::builder()
+                .members(3)
+                .backend(backend)
+                .abcast_capacity(CAPACITY)
+                .seed(21)
+                .build();
+            for i in 0..50u32 {
+                let class = MessageClass::RBCAST;
+                g.gbcast_at(
+                    Time::from_millis(1 + i as u64),
+                    p(i % 3),
+                    class,
+                    vec![i as u8],
+                );
+            }
+            let deadline = Time::from_secs(20);
+            while g.delivery_trace().len() < 150 && g.now() < deadline {
+                let next = g.now() + gcs_kernel::TimeDelta::from_millis(5);
+                g.run_until(next);
+            }
+            assert_eq!(
+                g.delivery_trace().len(),
+                150,
+                "{backend:?}: gbcasts delivered"
+            );
+            // One instant, far enough ahead that no offer is delivered
+            // (live) before the last one is made.
+            let at = g.now() + gcs_kernel::TimeDelta::from_millis(200);
+            for i in 0..CAPACITY {
+                g.try_abcast_at(at, p(0), vec![i as u8])
+                    .unwrap_or_else(|e| panic!("{backend:?}: offer {i} fits: {e}"));
+            }
+            let refused = g.try_abcast_at(at, p(0), b"one too many".to_vec());
+            let err = refused.expect_err("the queue is at capacity");
+            assert_eq!((err.depth, err.limit), (CAPACITY, CAPACITY), "{backend:?}");
+        }
     }
 
     #[test]

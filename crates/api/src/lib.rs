@@ -1,11 +1,24 @@
-//! # gcs-api — one façade, three stacks
+//! # gcs-api — one façade over one harness
 //!
-//! The unified public API of the group-communication workspace: a single
-//! [`GroupTransport`] trait capturing the full harness surface shared by the
-//! paper's new architecture (`gcs_core::GroupSim`) and the two traditional
-//! baselines (`gcs_traditional::{IsisSim, TokenSim}`), plus the
-//! [`Group`]/[`GroupBuilder`] façade that composes stack choice × topology ×
-//! schedule × seed in one place:
+//! The public entry point of the group-communication workspace. Three
+//! protocol stacks (the paper's new architecture and the Isis and
+//! token-ring GM-VS baselines) on two backends (deterministic simulator,
+//! threaded live runtime) are **one** generic harness underneath —
+//! `gcs_sim::Harness<S, R>` over a `StackDriver` (what differs per stack:
+//! build a process, encode an operation, project a traced event) and a
+//! `Runtime` (what differs per backend: scheduling and faults); the
+//! contract between the three is written down in the `gcs_sim::harness`
+//! module docs. This crate adds what an application touches:
+//!
+//! * [`GroupTransport`] (re-exported from `gcs-sim`, where its single
+//!   implementation lives) — the workload, membership, control and
+//!   observation surface, a required core of 20 methods with everything
+//!   else provided over it;
+//! * [`Group`] / [`GroupBuilder`] — compose stack choice × backend ×
+//!   topology × schedule × seed in one place and get back a handle with the
+//!   stack and backend types erased;
+//! * [`InvariantChecker`] — the protocol-invariant oracle, fed from one
+//!   [observation pass](GroupTransport::observe).
 //!
 //! ```
 //! use gcs_api::{Group, GroupTransport, StackKind};
@@ -32,8 +45,14 @@
 //!
 //! Services a stack does not provide are visible through the trait's
 //! `supports_*` capability markers — the paper's pick-your-services
-//! modularity reflected in the API instead of three incompatible harness
-//! types.
+//! modularity reflected in the API. A marker reads `false` exactly when the
+//! stack's driver has no encoder for the operation, so marker and behaviour
+//! cannot disagree.
+//!
+//! Stack-specific observation (Isis blocking windows, generic-delivery ids,
+//! the raw typed trace) is a set of plain functions over the typed trace of
+//! a simulated harness, reached through [`Group::as_isis`] and friends:
+//! `gcs_traditional::isis::blocked_windows(group.as_isis()?.trace(), p)`.
 //!
 //! ## Backends: simulated and live
 //!
@@ -57,8 +76,8 @@
 //!     .build();
 //! group.abcast_at(Time::ZERO, ProcessId::new(0), b"m1".to_vec());
 //! let deadline = Time::from_secs(20);
-//! while group.delivery_count() < 3 && group.as_live().unwrap().now() < deadline {
-//!     let next = group.as_live().unwrap().now() + TimeDelta::from_millis(5);
+//! while group.delivery_count() < 3 && group.now() < deadline {
+//!     let next = group.now() + TimeDelta::from_millis(5);
 //!     group.run_until(next);
 //! }
 //! assert_eq!(group.delivery_count(), 3); // every member delivered m1
@@ -119,13 +138,12 @@
 #![warn(missing_docs)]
 
 mod group;
-mod live;
 mod oracle;
-mod sims;
-mod transport;
 
 pub use gcs_core::BatchPolicy;
 pub use gcs_live::{LiveGroup, WireMode};
+pub use gcs_sim::{
+    Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,
+};
 pub use group::{Backend, Group, GroupBuilder};
 pub use oracle::{InvariantChecker, InvariantKind, OracleReport, Violation, MAX_VIOLATIONS};
-pub use transport::{Backpressure, GroupTransport, StackKind, TransportDelivery};

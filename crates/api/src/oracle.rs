@@ -42,10 +42,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
-use gcs_core::{DeliveryKind, MessageClass, View};
-use gcs_kernel::{ProcessId, Time};
-
-use crate::transport::{GroupTransport, TransportDelivery};
+use gcs_kernel::{DeliveryKind, MessageClass, ProcessId, Time, View};
+use gcs_sim::{GroupTransport, Observation, TransportDelivery};
 
 /// Which protocol property a [`Violation`] breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -172,25 +170,23 @@ impl InvariantChecker {
         }
     }
 
-    /// Runs the whole pipeline against a transport: replay its delivery
-    /// trace, views and resets, and finalize with its liveness flags.
-    /// `founding` is the number of founding members (process ids
-    /// `0..founding`).
+    /// Runs the whole pipeline against a transport: feed the checker from
+    /// one [observation pass](GroupTransport::observe) over its trace, and
+    /// finalize with its liveness flags. `founding` is the number of
+    /// founding members (process ids `0..founding`).
     pub fn check(transport: &dyn GroupTransport, founding: usize) -> OracleReport {
         let mut c = InvariantChecker::new(founding, transport.process_count());
-        for d in transport.delivery_trace() {
-            c.observe_delivery(d);
-        }
-        for (i, vs) in transport.views().into_iter().enumerate() {
-            for v in vs {
-                c.observe_view(ProcessId::new(i as u32), v);
-            }
-        }
-        for (i, rs) in transport.resets().into_iter().enumerate() {
-            for t in rs {
-                c.observe_reset(ProcessId::new(i as u32), t);
-            }
-        }
+        transport.observe(&mut |time, proc, o| match o {
+            Observation::View { id, members } => c.observe_view(
+                proc,
+                View {
+                    id,
+                    members: members.to_vec(),
+                },
+            ),
+            Observation::Reset => c.observe_reset(proc, time),
+            o => c.deliveries.extend(o.delivery(time, proc)),
+        });
         c.finalize(&transport.alive_flags())
     }
 

@@ -20,6 +20,7 @@
 //!   skewed senders, churn) from the `gcs_bench::scenario` catalog.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gcs_api::GroupTransport;
 use gcs_core::{ConflictRelation, GroupSim, MessageClass, StackConfig};
 use gcs_kernel::{ProcessId, Time, TimeDelta};
 use gcs_traditional::{IsisConfig, IsisSim, TokenConfig, TokenSim};
@@ -59,7 +60,7 @@ fn traditional_steady(c: &mut Criterion) {
                 sim.abcast_at(Time::from_millis(1 + i as u64 * 2), p(i % 5), vec![i as u8]);
             }
             sim.run_until(Time::from_millis(300));
-            assert_eq!(sim.delivered_payloads()[0].len(), 20);
+            assert_eq!(sim.adelivered_payloads()[0].len(), 20);
         });
     });
     c.bench_function("token_steady/5", |b| {
@@ -69,7 +70,7 @@ fn traditional_steady(c: &mut Criterion) {
                 sim.abcast_at(Time::from_millis(1 + i as u64 * 2), p(i % 5), vec![i as u8]);
             }
             sim.run_until(Time::from_millis(300));
-            assert_eq!(sim.delivered_payloads()[0].len(), 20);
+            assert_eq!(sim.adelivered_payloads()[0].len(), 20);
         });
     });
 }

@@ -722,19 +722,7 @@ fn sweep() {
     println!("| scenario | seed | injected | deliveries | mean lat (ms) | p99 (ms) | msgs | events | viol | fingerprint |");
     println!("|---|---|---|---|---|---|---|---|---|---|");
     for r in &results {
-        println!(
-            "| {} | {} | {} | {} | {:.2} | {:.2} | {} | {} | {} | {:016x} |",
-            r.name,
-            r.seed,
-            r.injected,
-            r.deliveries,
-            r.mean_latency_ms,
-            r.p99_latency_ms,
-            r.msgs,
-            r.events,
-            r.violations.len(),
-            r.fingerprint
-        );
+        println!("{}", r.sweep_row());
     }
     let total_violations: usize = results.iter().map(|r| r.violations.len()).sum();
     if total_violations > 0 {

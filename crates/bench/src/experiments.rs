@@ -6,6 +6,7 @@ use gcs_core::{ConflictRelation, StackConfig};
 use gcs_kernel::{Component, Context, Event, Process, ProcessId, Time, TimeDelta, TimerId};
 use gcs_replication::bank::{bank_conflicts, BankOp, CLASS_DEPOSIT, CLASS_WITHDRAW};
 use gcs_sim::{LinkModel, SimConfig, SimWorld};
+use gcs_traditional::isis::{blocked_windows, kill_and_rejoin_times};
 use gcs_traditional::IsisConfig;
 
 use crate::workload::{Senders, UniformWorkload, Workload};
@@ -314,10 +315,8 @@ pub fn e3_false_suspicion_cost() {
             sim.partition_at(Time::from_millis(50), vec![vec![p(0), p(1)], vec![p(2)]]);
             sim.heal_at(Time::from_millis(350));
             sim.run_until(Time::from_secs(3));
-            let (_killed, rejoined) = sim
-                .as_isis()
-                .expect("isis stack")
-                .kill_and_rejoin_times(p(2));
+            let isis = sim.as_isis().expect("isis stack");
+            let (_killed, rejoined) = kill_and_rejoin_times(isis.trace(), p(2));
             let disrupted =
                 rejoined.map_or(f64::NAN, |t| t.since(Time::from_millis(50)).as_millis_f64());
             let delta = sim.metrics().delta_since(&before);
@@ -391,10 +390,8 @@ pub fn e4_view_change_blocking() {
         let before = sim.metrics().clone();
         sim.join_at(Time::from_millis(100), p(3), p(0));
         sim.run_until(Time::from_secs(3));
-        let blocked: f64 = sim
-            .as_isis()
-            .expect("isis stack")
-            .blocked_windows(p(0))
+        let isis = sim.as_isis().expect("isis stack");
+        let blocked: f64 = blocked_windows(isis.trace(), p(0))
             .iter()
             .map(|(s, e)| e.since(*s).as_millis_f64())
             .sum();

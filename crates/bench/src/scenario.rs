@@ -102,6 +102,26 @@ pub struct ScenarioReport {
     pub arena_high_water: usize,
 }
 
+impl ScenarioReport {
+    /// The report as one row of `repro sweep`'s table — also the format of
+    /// the golden table in `tests/determinism.rs`.
+    pub fn sweep_row(&self) -> String {
+        format!(
+            "| {} | {} | {} | {} | {:.2} | {:.2} | {} | {} | {} | {:016x} |",
+            self.name,
+            self.seed,
+            self.injected,
+            self.deliveries,
+            self.mean_latency_ms,
+            self.p99_latency_ms,
+            self.msgs,
+            self.events,
+            self.violations.len(),
+            self.fingerprint
+        )
+    }
+}
+
 /// Summary of one directed region pair's link-latency histogram.
 #[derive(Clone, Debug)]
 pub struct RegionPairLatency {

@@ -373,60 +373,78 @@ impl Workload for ChurnWorkload {
 mod tests {
     use super::*;
 
-    use gcs_api::{StackKind, TransportDelivery};
-    use gcs_kernel::{PayloadRef, SharedArena};
+    use gcs_api::{Capabilities, Observation, StackKind};
+    use gcs_kernel::{MessageClass, PayloadRef, SharedArena};
 
     /// A transport stub that records the abcast stream instead of running a
     /// simulation — the only surface workloads touch is the injection path.
     #[derive(Default)]
     struct Recorder {
         arena: SharedArena,
-        metrics: gcs_sim::Metrics,
         ops: Vec<(Time, ProcessId, Vec<u8>)>,
     }
     impl GroupTransport for Recorder {
         fn stack(&self) -> StackKind {
             StackKind::NewArch
         }
-        fn process_count(&self) -> usize {
-            unimplemented!("Recorder stubs only the injection path")
-        }
-        fn abcast_bytes_at(&mut self, t: Time, p: ProcessId, payload: bytes::Bytes) {
-            self.ops.push((t, p, payload.to_vec()));
-        }
         fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
             let bytes = self.arena.get(payload).to_vec();
             self.ops.push((t, p, bytes));
         }
-        fn join_at(&mut self, _t: Time, _joiner: ProcessId, _contact: ProcessId) {}
-        fn crash_at(&mut self, _t: Time, _p: ProcessId) {}
-        fn partition_at(&mut self, _t: Time, _groups: Vec<Vec<ProcessId>>) {}
-        fn heal_at(&mut self, _t: Time) {}
-        fn apply_schedule(&mut self, _schedule: &gcs_sim::Schedule) {}
-        fn run_until(&mut self, _t: Time) {}
-        fn run_to_quiescence(&mut self, _limit: Time) -> bool {
-            true
-        }
         fn arena(&self) -> &SharedArena {
             &self.arena
         }
+        // Workloads touch nothing below: whatever does is a bug in the test.
+        fn process_count(&self) -> usize {
+            unimplemented!()
+        }
+        fn capabilities(&self) -> Capabilities {
+            unimplemented!()
+        }
+        fn gbcast_ref_at(&mut self, _: Time, _: ProcessId, _: MessageClass, _: PayloadRef) {
+            unimplemented!()
+        }
+        fn rbcast_ref_at(&mut self, _: Time, _: ProcessId, _: PayloadRef) {
+            unimplemented!()
+        }
+        fn set_abcast_capacity(&mut self, _: Option<usize>) {
+            unimplemented!()
+        }
+        fn abcast_capacity(&self) -> Option<usize> {
+            unimplemented!()
+        }
+        fn queue_depth(&self, _: ProcessId) -> usize {
+            unimplemented!()
+        }
+        fn queue_high_water(&self) -> usize {
+            unimplemented!()
+        }
+        fn apply_schedule(&mut self, _: &Schedule) {
+            unimplemented!()
+        }
+        fn now(&self) -> Time {
+            unimplemented!()
+        }
+        fn run_until(&mut self, _: Time) {
+            unimplemented!()
+        }
+        fn run_to_quiescence(&mut self, _: Time) -> bool {
+            unimplemented!()
+        }
         fn metrics(&self) -> &gcs_sim::Metrics {
-            &self.metrics
+            unimplemented!()
         }
         fn events_executed(&self) -> u64 {
-            0
+            unimplemented!()
         }
         fn alive_flags(&self) -> Vec<bool> {
-            Vec::new()
+            unimplemented!()
         }
         fn delivery_count(&self) -> u64 {
-            0
+            unimplemented!()
         }
-        fn delivery_trace(&self) -> Vec<TransportDelivery> {
-            Vec::new()
-        }
-        fn views(&self) -> Vec<Vec<gcs_core::View>> {
-            Vec::new()
+        fn observe(&self, _: &mut dyn FnMut(Time, ProcessId, Observation<'_>)) {
+            unimplemented!()
         }
     }
 

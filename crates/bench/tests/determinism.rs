@@ -102,3 +102,49 @@ fn catalog_scenarios_reproduce_at_fixed_seed() {
         assert_eq!(a.bytes, b.bytes, "{}", s.name);
     }
 }
+
+/// `repro sweep 1 7` at the commit the table was last recorded at, one row
+/// per catalog scenario with n ≤ 64 (`TraceMode::Full`), each followed by
+/// the run's wire-byte total (which the sweep does not print). A refactor
+/// that claims to change no protocol byte holds this table unchanged; a PR
+/// that changes behaviour re-records it by pasting the rows the failing
+/// test prints.
+const GOLDEN_SEED_7: &str = "\
+| uniform-lan | 7 | 200 | 1600 | 2.71 | 3.74 | 17748 | 20292 | 0 | 4345eefc6e3c547c | 579952
+| skewed-lan | 7 | 200 | 1600 | 2.62 | 3.75 | 17534 | 20078 | 0 | a1800466e861dd18 | 574816
+| large-payload-lan | 7 | 60 | 480 | 4.06 | 5.26 | 24498 | 29302 | 0 | f1feacbccf0b22fe | 83054672
+| uniform-wan2dc | 7 | 150 | 1200 | 92.11 | 143.56 | 37221 | 44356 | 0 | f2ce5b1f17061c5f | 869190
+| uniform-wan3 | 7 | 150 | 1350 | 150.52 | 271.94 | 77852 | 90793 | 0 | 9d33b6cf48d5e83f | 1968700
+| lossy-lan | 7 | 150 | 1200 | 11.07 | 46.74 | 38010 | 44552 | 0 | 3c99bb82f48180f3 | 821238
+| churn-lan | 7 | 150 | 661 | 2.57 | 4.38 | 9215 | 12348 | 0 | f0e9069c937e4f1f | 283498
+| churn-wan2dc | 7 | 100 | 438 | 84.98 | 211.89 | 15775 | 21802 | 0 | fcf130dd1cfe30e4 | 662064
+| flaky-churn | 7 | 120 | 538 | 9.33 | 39.43 | 15671 | 21314 | 0 | fd25d123ce1adc01 | 448444
+| rolling-restart-wan3 | 7 | 90 | 810 | 272.28 | 481.45 | 151160 | 168620 | 0 | cf0887492742ce28 | 4247022
+| partition-heal-wan3 | 7 | 100 | 900 | 429.79 | 672.32 | 123051 | 136208 | 0 | 64aeb41da3471d0b | 4754194
+| uniform-lan-isis | 7 | 200 | 1600 | 1.23 | 2.21 | 14000 | 15744 | 0 | cfec7a3ba7dc5608 | 271600
+| uniform-lan-token | 7 | 200 | 1608 | 3.43 | 7.00 | 2850 | 29713 | 0 | 788fc30113c58936 | 93600
+| churn-lan-isis | 7 | 150 | 679 | 1.46 | 19.32 | 6022 | 8162 | 0 | 01e4a989b54d1267 | 114296
+| churn-lan-token | 7 | 150 | 664 | 2.09 | 4.59 | 3402 | 36883 | 0 | 559f8e24adb171c4 | 101364
+| uniform-wan3-isis | 7 | 150 | 1350 | 144.31 | 869.69 | 16360 | 18089 | 0 | ec6ecc6fd2cbb621 | 307252
+| uniform-wan3-token | 7 | 150 | 1359 | 342.73 | 1044.41 | 1545 | 241685 | 0 | aea2d30305dcbe71 | 61932
+| partition-heal-wan3-isis | 7 | 90 | 604 | 67.04 | 414.94 | 27382 | 28041 | 0 | 2daf1deff06dd816 | 466540";
+
+/// Bit-identical behaviour, as a committed value instead of a by-hand
+/// comparison against a scratch checkout of the parent commit.
+#[test]
+fn catalog_matches_the_golden_table_at_seed_7() {
+    let actual: Vec<String> = catalog()
+        .iter()
+        .filter(|s| s.n <= 64)
+        .map(|s| {
+            let r = s.run(7, TraceMode::Full);
+            format!("{} {}", r.sweep_row(), r.bytes)
+        })
+        .collect();
+    let golden: Vec<&str> = GOLDEN_SEED_7.lines().collect();
+    assert!(
+        actual == golden,
+        "runs differ from the golden table; if the change is intended, re-record it as:\n{}",
+        actual.join("\n")
+    );
+}

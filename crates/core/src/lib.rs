@@ -21,11 +21,14 @@
 //!   FD suspicions and the reliable channel's output-triggered suspicions
 //!   (§3.3.2).
 //!
-//! The quickest way in is [`GroupSim`]:
+//! The quickest way in is [`GroupSim`] — the generic
+//! [`Harness`](gcs_sim::Harness) running this crate's [`NewArchDriver`] on
+//! the simulator:
 //!
 //! ```
 //! use gcs_core::{GroupSim, StackConfig};
 //! use gcs_kernel::{ProcessId, Time};
+//! use gcs_sim::GroupTransport;
 //!
 //! let mut group = GroupSim::new(3, StackConfig::default(), 7);
 //! group.abcast_at(Time::from_millis(1), ProcessId::new(1), b"m1".to_vec());
@@ -53,7 +56,10 @@ pub use abcast::BatchPolicy;
 pub use gcs_fd::FdMode;
 pub use monitoring::MonitoringPolicy;
 pub use rbcast::{RbReceipt, Rbcast, RelayFanout};
-pub use stack::{auto_fanout, build_process, GroupSim, StackConfig, SCALE_THRESHOLD};
+pub use stack::{
+    auto_fanout, build_process, gdelivered_ids, GroupSim, NewArchDriver, StackConfig,
+    SCALE_THRESHOLD,
+};
 pub use types::{
     AbMsg, Batch, Body, ConflictRelation, Delivery, DeliveryKind, Ev, GbMsg, MbMsg, Message,
     MessageClass, MonMsg, MsgId, SnapshotData, View, WireMsg,

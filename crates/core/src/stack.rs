@@ -1,10 +1,9 @@
 //! Assembling the full new-architecture stack (Fig 9) and a simulation
 //! harness for driving groups of them.
 
-use bytes::Bytes;
-use gcs_kernel::{PayloadRef, Process, ProcessId, SharedArena, Time, TimeDelta};
+use gcs_kernel::{PayloadRef, Process, ProcessId, TimeDelta};
 use gcs_net::RcConfig;
-use gcs_sim::{Metrics, Schedule, ScheduleAction, SimConfig, SimWorld, Trace};
+use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Trace};
 
 use crate::abcast::BatchPolicy;
 use crate::components::{
@@ -15,7 +14,7 @@ use crate::generic::GenericCore;
 use crate::membership::MembershipCore;
 use crate::monitoring::MonitoringPolicy;
 use crate::rbcast::RelayFanout;
-use crate::types::{ConflictRelation, Delivery, Ev, MessageClass, View};
+use crate::types::{ConflictRelation, DeliveryKind, Ev, MessageClass, MsgId, View};
 
 /// Configuration of one new-architecture process stack.
 #[derive(Clone, Debug)]
@@ -137,7 +136,7 @@ impl Default for StackConfig {
 /// Builds the full Fig 9 component graph for one process.
 ///
 /// `initial_view` is `Some` for founding members, `None` for processes that
-/// will join later via [`GroupSim::join_at`]. `scale_n` is the founding
+/// will join later (a schedule `Join` step). `scale_n` is the founding
 /// group size the scale-dependent defaults (failure-detection mode, relay
 /// fan-out) resolve against — joiners pass it too, so every process of one
 /// group runs the same policies.
@@ -198,12 +197,75 @@ pub fn build_process(
         .build()
 }
 
+/// The new architecture as a [`StackDriver`]: what [`Harness`] needs to
+/// know about this stack and nothing more.
+pub struct NewArchDriver;
+
+impl StackDriver for NewArchDriver {
+    type Event = Ev;
+    type Config = StackConfig;
+    const KIND: StackKind = StackKind::NewArch;
+
+    fn build(id: ProcessId, config: &StackConfig, founders: usize) -> Process<Ev> {
+        let view = (id.index() < founders)
+            .then(|| View::initial((0..founders as u32).map(ProcessId::new).collect()));
+        build_process(id, config, view, founders)
+    }
+
+    fn abcast(payload: PayloadRef) -> Op<Ev> {
+        (names::ABCAST, Ev::Abcast(payload))
+    }
+
+    fn gbcast(class: MessageClass, payload: PayloadRef) -> Option<Op<Ev>> {
+        Some((names::GENERIC, Ev::Gbcast(class, payload)))
+    }
+
+    /// Reliable broadcast rides generic broadcast, class
+    /// [`MessageClass::RBCAST`].
+    fn rbcast(payload: PayloadRef) -> Option<Op<Ev>> {
+        Some((names::GENERIC, Ev::Rbcast(payload)))
+    }
+
+    fn join(contact: ProcessId) -> Op<Ev> {
+        (names::MEMBERSHIP, Ev::JoinVia(contact))
+    }
+
+    fn remove(target: ProcessId) -> Option<Op<Ev>> {
+        Some((names::MEMBERSHIP, Ev::RemoveMember(target)))
+    }
+
+    fn project(event: &Ev) -> Observation<'_> {
+        match event {
+            Ev::Deliver(d) => Observation::Deliver {
+                sender: d.id.sender,
+                seq: d.id.seq,
+                kind: d.kind,
+                class: d.class,
+                view: d.view,
+                payload: d.payload,
+            },
+            Ev::ViewInstalled(v) => Observation::View {
+                id: v.id,
+                members: &v.members,
+            },
+            // Traced only under `StackConfig::trace_suspicions`; the raw
+            // material of crash-detection-latency measurements.
+            Ev::Suspect(class, p) if *class == gcs_fd::MonitorClass::CONSENSUS => {
+                Observation::Suspect(*p)
+            }
+            _ => Observation::Other,
+        }
+    }
+}
+
 /// A simulated group running the new architecture — the harness used by the
-/// examples, integration tests and benchmarks.
+/// examples, integration tests and benchmarks. Its surface is
+/// [`GroupTransport`](gcs_sim::GroupTransport).
 ///
 /// ```
 /// use gcs_core::{GroupSim, StackConfig};
 /// use gcs_kernel::{ProcessId, Time};
+/// use gcs_sim::GroupTransport;
 ///
 /// let mut group = GroupSim::new(3, StackConfig::default(), 42);
 /// group.abcast_at(Time::from_millis(1), ProcessId::new(0), b"hello".to_vec());
@@ -213,327 +275,24 @@ pub fn build_process(
 /// assert_eq!(seqs[0], seqs[1]);
 /// assert_eq!(seqs[0], seqs[2]);
 /// ```
-pub struct GroupSim {
-    world: SimWorld<Ev>,
-    /// The zero-copy message plane: payloads are interned here at injection
-    /// and every layer below moves [`PayloadRef`] handles; observers resolve
-    /// them back to bytes through [`resolve`](Self::resolve).
-    arena: SharedArena,
-    n_members: usize,
-    n_total: usize,
-    /// Abcast operations accepted for injection (the backpressure ledger).
-    offered: u64,
-    /// Optional bound on the injection-time abcast backlog (see
-    /// [`queue_depth`](Self::queue_depth)); `None` = unbounded.
-    queue_capacity: Option<usize>,
-    /// Highest backlog observed at an accepted injection.
-    queue_high_water: usize,
-}
+pub type GroupSim = Harness<NewArchDriver, SimWorld<Ev>>;
 
-impl GroupSim {
-    /// Creates a group of `n` founding members with the given per-process
-    /// configuration and simulation seed.
-    pub fn new(n: usize, config: StackConfig, seed: u64) -> Self {
-        Self::with_sim(n, 0, config, SimConfig::lan(seed))
-    }
-
-    /// Creates a group of `n` founding members plus `joiners` processes that
-    /// start outside the group (activate them with
-    /// [`join_at`](Self::join_at)).
-    pub fn with_joiners(n: usize, joiners: usize, config: StackConfig, seed: u64) -> Self {
-        Self::with_sim(n, joiners, config, SimConfig::lan(seed))
-    }
-
-    /// Full control over the simulation configuration (link model, seed).
-    pub fn with_sim(n: usize, joiners: usize, config: StackConfig, sim: SimConfig) -> Self {
-        let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let view = View::initial(members);
-        let mut world = SimWorld::new(sim);
-        for _ in 0..n {
-            let v = view.clone();
-            let c = &config;
-            world.add_node(|id| build_process(id, c, Some(v), n));
-        }
-        for _ in 0..joiners {
-            let c = &config;
-            world.add_node(|id| build_process(id, c, None, n));
-        }
-        GroupSim {
-            world,
-            arena: SharedArena::new(),
-            n_members: n,
-            n_total: n + joiners,
-            offered: 0,
-            queue_capacity: None,
-            queue_high_water: 0,
-        }
-    }
-
-    // -- backpressure ------------------------------------------------------
-
-    /// Bounds the injection-time abcast backlog: once
-    /// [`queue_depth`](Self::queue_depth) reaches `cap`, `try_abcast`-style
-    /// facade calls reject instead of queueing. `None` removes the bound.
-    pub fn set_queue_capacity(&mut self, cap: Option<usize>) {
-        self.queue_capacity = cap;
-    }
-
-    /// The configured abcast backlog bound, if any.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
-    /// Abcast operations accepted for injection so far.
-    pub fn abcast_offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// The abcast backlog as seen from `p`: operations accepted minus trace
-    /// outputs observed at `p`. Meaningful for interleaved drivers (run to
-    /// `t`, then inject at `t`); a driver that pre-schedules its whole
-    /// workload reads the full offered count here. Approximate by design —
-    /// occasional non-delivery trace outputs (view installs) are counted as
-    /// drained work.
-    pub fn queue_depth(&self, p: ProcessId) -> usize {
-        self.offered
-            .saturating_sub(self.world.trace().deliveries_of(p)) as usize
-    }
-
-    /// The highest [`queue_depth`](Self::queue_depth) observed at the moment
-    /// an injection was accepted.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// Number of processes (members + joiners).
-    pub fn len(&self) -> usize {
-        self.n_total
-    }
-
-    /// True if the group has no processes.
-    pub fn is_empty(&self) -> bool {
-        self.n_total == 0
-    }
-
-    /// The founding member count.
-    pub fn founding_members(&self) -> usize {
-        self.n_members
-    }
-
-    /// Direct access to the underlying simulation world.
-    pub fn world(&self) -> &SimWorld<Ev> {
-        &self.world
-    }
-
-    /// Mutable access to the underlying simulation world (fault injection).
-    pub fn world_mut(&mut self) -> &mut SimWorld<Ev> {
-        &mut self.world
-    }
-
-    /// The payload arena backing this group's message plane.
-    pub fn arena(&self) -> &SharedArena {
-        &self.arena
-    }
-
-    /// Resolves a delivered payload handle to its bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle not issued by this group's arena.
-    pub fn resolve(&self, payload: PayloadRef) -> Bytes {
-        self.arena.get(payload)
-    }
-
-    // -- workload ----------------------------------------------------------
-
-    /// Schedules an atomic broadcast by `p` at time `t`. The payload is
-    /// interned in the group's arena; everything below moves the handle.
-    pub fn abcast_at(&mut self, t: Time, p: ProcessId, payload: impl Into<Bytes>) {
-        let payload = self.arena.intern(payload.into());
-        self.abcast_ref_at(t, p, payload);
-    }
-
-    /// Schedules an atomic broadcast of an already-interned payload handle
-    /// (the zero-copy injection path: workloads build payloads straight in
-    /// the arena's scratch pool and hand over the handle).
-    pub fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        self.offered += 1;
-        let backlog = self
-            .offered
-            .saturating_sub(self.world.trace().deliveries_of(p)) as usize;
-        if backlog > self.queue_high_water {
-            self.queue_high_water = backlog;
-        }
-        self.world
-            .inject_at(t, p, names::ABCAST, Ev::Abcast(payload));
-    }
-
-    /// Schedules a generic broadcast of `class` by `p` at time `t`.
-    pub fn gbcast_at(
-        &mut self,
-        t: Time,
-        p: ProcessId,
-        class: MessageClass,
-        payload: impl Into<Bytes>,
-    ) {
-        let payload = self.arena.intern(payload.into());
-        self.gbcast_ref_at(t, p, class, payload);
-    }
-
-    /// Schedules a generic broadcast of an already-interned payload handle.
-    pub fn gbcast_ref_at(
-        &mut self,
-        t: Time,
-        p: ProcessId,
-        class: MessageClass,
-        payload: PayloadRef,
-    ) {
-        self.world
-            .inject_at(t, p, names::GENERIC, Ev::Gbcast(class, payload));
-    }
-
-    /// Schedules a reliable broadcast (through generic broadcast, class
-    /// [`MessageClass::RBCAST`]) by `p` at time `t`.
-    pub fn rbcast_at(&mut self, t: Time, p: ProcessId, payload: impl Into<Bytes>) {
-        let payload = self.arena.intern(payload.into());
-        self.rbcast_ref_at(t, p, payload);
-    }
-
-    /// Schedules a reliable broadcast of an already-interned payload handle.
-    pub fn rbcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        self.world
-            .inject_at(t, p, names::GENERIC, Ev::Rbcast(payload));
-    }
-
-    /// Schedules non-member `joiner` to request membership via `contact`.
-    pub fn join_at(&mut self, t: Time, joiner: ProcessId, contact: ProcessId) {
-        self.world
-            .inject_at(t, joiner, names::MEMBERSHIP, Ev::JoinVia(contact));
-    }
-
-    /// Schedules member `by` to ask for the removal of `target`.
-    pub fn remove_at(&mut self, t: Time, by: ProcessId, target: ProcessId) {
-        self.world
-            .inject_at(t, by, names::MEMBERSHIP, Ev::RemoveMember(target));
-    }
-
-    /// Crashes `p` at `t` (crash-stop).
-    pub fn crash_at(&mut self, t: Time, p: ProcessId) {
-        self.world.crash_at(t, p);
-    }
-
-    /// Applies a scripted [`Schedule`]: simulator-level steps (crashes,
-    /// partitions, link changes, spikes, bursts) go to the world, and the
-    /// membership steps ([`ScheduleAction::Join`] /
-    /// [`ScheduleAction::Remove`]) are routed through this group's
-    /// membership component — the join-under-load path of the scenario
-    /// engine.
-    pub fn apply_schedule(&mut self, schedule: &Schedule) {
-        for (t, action) in self.world.apply_schedule(schedule) {
-            match action {
-                ScheduleAction::Join { joiner, contact } => self.join_at(t, joiner, contact),
-                ScheduleAction::Remove { by, target } => self.remove_at(t, by, target),
-                _ => unreachable!("apply_schedule only returns membership actions"),
-            }
-        }
-    }
-
-    // -- execution ---------------------------------------------------------
-
-    /// Runs the simulation up to virtual time `t`.
-    pub fn run_until(&mut self, t: Time) {
-        self.world.run_until(t);
-    }
-
-    /// Runs until the event queue drains or virtual time would exceed
-    /// `limit`; returns `true` only if the system actually quiesced (no
-    /// event remained scheduled at or before `limit`).
-    ///
-    /// A group with at least one live member **never** quiesces: heartbeat
-    /// timers re-arm forever, so the return value is `false` and the call is
-    /// equivalent to [`run_until`](Self::run_until)`(limit)`. `true` is only
-    /// reachable once every process has crashed or halted and the already
-    /// scheduled events have drained — callers asserting on the flag should
-    /// assert the outcome they expect, not ignore it.
-    pub fn run_to_quiescence(&mut self, limit: Time) -> bool {
-        self.world.run_to_quiescence(limit)
-    }
-
-    // -- observation -------------------------------------------------------
-
-    /// The raw delivery trace.
-    pub fn trace(&self) -> &Trace<Ev> {
-        self.world.trace()
-    }
-
-    /// Simulation metrics (message counts per protocol).
-    pub fn metrics(&self) -> &Metrics {
-        self.world.metrics()
-    }
-
-    /// Per-process sequences of all payload deliveries (any kind), in
-    /// delivery order.
-    pub fn delivered(&self) -> Vec<Vec<Delivery>> {
-        self.world.trace().per_proc(self.n_total, |e| match e {
-            Ev::Deliver(d) => Some(d.clone()),
-            _ => None,
-        })
-    }
-
-    /// Per-process sequences of atomically delivered payloads (resolved
-    /// through the arena).
-    pub fn adelivered_payloads(&self) -> Vec<Vec<Vec<u8>>> {
-        self.world.trace().per_proc(self.n_total, |e| match e {
-            Ev::Deliver(d) if d.kind == crate::types::DeliveryKind::Atomic => {
-                Some(self.arena.get(d.payload).to_vec())
-            }
-            _ => None,
-        })
-    }
-
-    /// Per-process sequences of generically delivered message ids.
-    pub fn gdelivered_ids(&self) -> Vec<Vec<crate::types::MsgId>> {
-        self.world.trace().per_proc(self.n_total, |e| match e {
-            Ev::Deliver(d) if d.kind != crate::types::DeliveryKind::Atomic => Some(d.id),
-            _ => None,
-        })
-    }
-
-    /// Per-process sequences of installed views.
-    pub fn views(&self) -> Vec<Vec<View>> {
-        self.world.trace().per_proc(self.n_total, |e| match e {
-            Ev::ViewInstalled(v) => Some(v.clone()),
-            _ => None,
-        })
-    }
-
-    /// Liveness flags per process.
-    pub fn alive_flags(&self) -> Vec<bool> {
-        self.world.alive_flags()
-    }
-
-    /// Consensus-class suspicion transitions recorded in the trace, as
-    /// `(time, observer, suspect)` — requires
-    /// [`StackConfig::trace_suspicions`] and a recording trace mode. The raw
-    /// material for crash-detection-latency measurements: a crash at `t` is
-    /// detected once every correct process has an entry for the crashed
-    /// peer at some `t' > t`.
-    pub fn suspicion_trace(&self) -> Vec<(Time, ProcessId, ProcessId)> {
-        self.world
-            .trace()
-            .project(|e| match e {
-                Ev::Suspect(class, p) if *class == gcs_fd::MonitorClass::CONSENSUS => Some(*p),
-                _ => None,
-            })
-            .into_iter()
-            .collect()
-    }
+/// Per-process sequences of generically delivered message ids, over a
+/// group of `n` processes.
+pub fn gdelivered_ids(trace: &Trace<Ev>, n: usize) -> Vec<Vec<MsgId>> {
+    trace.per_proc(n, |e| match e {
+        Ev::Deliver(d) if d.kind != DeliveryKind::Atomic => Some(d.id),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_sim::{check_no_duplicates, check_prefix_consistency, check_total_order};
+    use gcs_kernel::Time;
+    use gcs_sim::{
+        check_no_duplicates, check_prefix_consistency, check_total_order, GroupTransport, Schedule,
+    };
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -714,7 +473,7 @@ mod tests {
             );
         }
         g.run_until(Time::from_secs(2));
-        let ids = g.gdelivered_ids();
+        let ids = gdelivered_ids(g.trace(), g.len());
         for s in &ids {
             assert_eq!(s.len(), 10);
         }
@@ -736,7 +495,7 @@ mod tests {
             );
         }
         g.run_until(Time::from_secs(3));
-        let ids = g.gdelivered_ids();
+        let ids = gdelivered_ids(g.trace(), g.len());
         for s in &ids {
             assert_eq!(s.len(), 6, "everything delivered: {ids:?}");
         }

@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 use gcs_consensus::{CtMsg, InstanceId};
+pub use gcs_kernel::{DeliveryKind, MessageClass, View};
 use gcs_kernel::{Event, PayloadRef, ProcessId, Time};
 use gcs_net::Packet;
 use std::fmt;
@@ -25,21 +26,6 @@ impl fmt::Debug for MsgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}#{}", self.sender, self.seq)
     }
-}
-
-/// Conflict class of a message (the "message semantics" of generic
-/// broadcast, paper §3.2.1).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct MessageClass(pub u16);
-
-impl MessageClass {
-    /// Reliable-broadcast class in the paper's §3.3 conflict relation:
-    /// conflicts with [`ABCAST`](Self::ABCAST) but not with itself.
-    pub const RBCAST: MessageClass = MessageClass(0);
-    /// Atomic-broadcast class: conflicts with everything.
-    pub const ABCAST: MessageClass = MessageClass(1);
-    /// First class id free for applications.
-    pub const USER_BASE: u16 = 8;
 }
 
 /// A symmetric conflict relation over [`MessageClass`]es (paper §3.2.1).
@@ -107,81 +93,6 @@ impl ConflictRelation {
     }
 }
 
-/// A group view: a totally ordered **list** of members (paper footnote 10 —
-/// the head of the list is the primary in passive replication).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct View {
-    /// Monotonically increasing view number.
-    pub id: u64,
-    /// The member list; order is agreed (head = primary).
-    pub members: Vec<ProcessId>,
-}
-
-impl View {
-    /// The initial view (id 0) over the given members.
-    pub fn initial(members: Vec<ProcessId>) -> Self {
-        View { id: 0, members }
-    }
-
-    /// Whether `p` is a member.
-    pub fn contains(&self, p: ProcessId) -> bool {
-        self.members.contains(&p)
-    }
-
-    /// The primary (head of the list), if the view is non-empty.
-    pub fn primary(&self) -> Option<ProcessId> {
-        self.members.first().copied()
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the view has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The successor view after adding `p` (appended at the tail).
-    pub fn with_join(&self, p: ProcessId) -> View {
-        let mut members = self.members.clone();
-        if !members.contains(&p) {
-            members.push(p);
-        }
-        View {
-            id: self.id + 1,
-            members,
-        }
-    }
-
-    /// The successor view after removing `p`.
-    pub fn with_remove(&self, p: ProcessId) -> View {
-        View {
-            id: self.id + 1,
-            members: self.members.iter().copied().filter(|&m| m != p).collect(),
-        }
-    }
-
-    /// The successor view that rotates `old_primary` to the tail
-    /// (primary-change, paper Fig 8 footnote 10).
-    pub fn with_rotation(&self, old_primary: ProcessId) -> View {
-        let mut members: Vec<ProcessId> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| m != old_primary)
-            .collect();
-        if self.members.contains(&old_primary) {
-            members.push(old_primary);
-        }
-        View {
-            id: self.id + 1,
-            members,
-        }
-    }
-}
-
 /// The body of a broadcast message.
 ///
 /// Application payloads are **arena handles** ([`PayloadRef`]), not owned
@@ -245,19 +156,6 @@ pub struct Message {
     pub body: Body,
 }
 
-/// How a message reached the application (which primitive delivered it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeliveryKind {
-    /// Delivered by atomic broadcast (`adeliver`).
-    Atomic,
-    /// Delivered by generic broadcast (`gdeliver`) on the conflict-free fast
-    /// path.
-    GenericFast,
-    /// Delivered by generic broadcast at an epoch closure (conflict forced
-    /// an atomic-broadcast escalation).
-    GenericOrdered,
-}
-
 /// An application-visible delivery.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Delivery {
@@ -268,7 +166,7 @@ pub struct Delivery {
     /// Conflict class.
     pub class: MessageClass,
     /// Application payload handle; resolve it against the simulation's
-    /// arena (e.g. [`GroupSim::resolve`](crate::GroupSim::resolve)).
+    /// arena (e.g. [`GroupTransport::resolve`](gcs_sim::GroupTransport::resolve)).
     pub payload: PayloadRef,
     /// The view id current at delivery (same view delivery, §4.4).
     pub view: u64,

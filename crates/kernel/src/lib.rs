@@ -12,6 +12,9 @@
 //!   (used for the paper's new architecture, Fig 9),
 //! * [`Layer`] / [`StackComponent`] — Ensemble-style *linear stacks* where
 //!   events travel up and down through ordered layers (Fig 5),
+//! * [`View`], [`MessageClass`], [`DeliveryKind`] — the plain vocabulary in
+//!   which any stack talks to an application, shared here because the
+//!   stacks do not see each other,
 //! * [`Effects`] — the externally visible actions of a dispatch step
 //!   (network sends, timer requests, application outputs), which makes every
 //!   protocol sans-I/O and lets the same code run under the deterministic
@@ -51,6 +54,7 @@
 
 mod component;
 mod event;
+mod group;
 mod hash;
 mod ids;
 mod payload;
@@ -59,8 +63,12 @@ mod smallvec;
 mod stack;
 mod time;
 
+// Payloads enter the arena as `Bytes`; crates that only pass them through
+// name the type from here instead of depending on `bytes` themselves.
+pub use bytes::Bytes;
 pub use component::{Action, Component, Context};
 pub use event::Event;
+pub use group::{DeliveryKind, MessageClass, View};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ProcessId, TimerId};
 pub use payload::{PayloadArena, PayloadRef, SharedArena};

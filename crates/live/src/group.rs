@@ -1,10 +1,11 @@
-//! [`LiveGroup`]: the three protocol stacks hosted on the live runtime.
+//! [`LiveGroup`]: the generic harness hosted on the live runtime.
 //!
-//! A `LiveGroup` is the live-backend counterpart of `gcs_core::GroupSim` /
-//! `gcs_traditional::{IsisSim, TokenSim}` — one type covering all three
-//! stacks, because the runtime underneath is stack-agnostic: it moves
-//! frames and fires timers; only injection entry points and trace
-//! projections differ per stack.
+//! A `LiveGroup<S>` is the live-backend counterpart of `gcs_core::GroupSim`
+//! / `gcs_traditional::{IsisSim, TokenSim}` — the same
+//! [`Harness`](gcs_sim::Harness), the same [`StackDriver`], with
+//! [`LiveRuntime`] in the place of the simulator: the runtime underneath is
+//! stack-agnostic (it moves frames and fires timers), and everything that
+//! differs per stack is the driver's.
 //!
 //! Time is real: `Time::ZERO` is the instant the group started and
 //! `run_until(t)` sleeps the *caller* while member threads keep working.
@@ -12,32 +13,10 @@
 //! runs unchanged — the stacks' millisecond-scale timeouts make live runs
 //! take wall milliseconds, not minutes.
 
-use bytes::Bytes;
-use gcs_core::components::names;
-use gcs_core::{build_process, DeliveryKind, Ev, MessageClass, StackConfig, View};
-use gcs_fd::MonitorClass;
-use gcs_kernel::{PayloadRef, ProcessId, SharedArena, Time};
-use gcs_sim::{LinkModel, Metrics, Schedule, ScheduleAction, Topology, TraceMode};
-use gcs_traditional::isis::IsisStack;
-use gcs_traditional::token::TokenStack;
-use gcs_traditional::{IsisConfig, IsisEvent, TokenConfig, TokenEvent};
+use gcs_sim::{Harness, StackDriver, Topology, TraceMode};
 
-use crate::fabric::Control;
-use crate::runtime::{BuildFn, LiveRuntime, RuntimeOptions};
+use crate::runtime::LiveRuntime;
 use crate::WireMode;
-
-/// Which protocol stack a [`LiveGroup`] runs (the live twin of the API
-/// crate's `StackKind`, kept separate so `gcs-live` does not depend on the
-/// facade above it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LiveStackKind {
-    /// The paper's new architecture (consensus-based abcast + gbcast).
-    NewArch,
-    /// The Isis-style sequencer baseline.
-    Isis,
-    /// The token-ring (Totem/RMP-style) baseline.
-    Token,
-}
 
 /// Group-level options independent of the protocol stack.
 #[derive(Clone, Debug)]
@@ -102,53 +81,18 @@ impl LiveConfig {
     }
 }
 
-/// One delivery observed in a live group's trace, in the neutral
-/// vocabulary shared by all three stacks.
-#[derive(Clone, Copy, Debug)]
-pub struct LiveDelivery {
-    /// Delivery instant.
-    pub time: Time,
-    /// The delivering process.
-    pub proc: ProcessId,
-    /// The original sender.
-    pub sender: ProcessId,
-    /// Sender-local sequence number of the message.
-    pub seq: u64,
-    /// Which primitive delivered it.
-    pub kind: DeliveryKind,
-    /// Conflict class.
-    pub class: MessageClass,
-    /// View (or ring generation) current at delivery.
-    pub view: u64,
-    /// Payload handle (resolve via [`LiveGroup::resolve`]).
-    pub payload: PayloadRef,
-}
-
-enum Inner {
-    NewArch(LiveRuntime<Ev>),
-    Isis(LiveRuntime<IsisEvent>),
-    Token(LiveRuntime<TokenEvent>),
-}
-
-macro_rules! on_inner {
-    ($self:expr, $rt:ident => $body:expr) => {
-        match &$self.inner {
-            Inner::NewArch($rt) => $body,
-            Inner::Isis($rt) => $body,
-            Inner::Token($rt) => $body,
-        }
-    };
-}
-
-/// A group of real processes: every member is an OS thread, timers are
-/// wall-clock deadlines, frames cross channels or loopback TCP.
+/// A group of real processes running stack `S`: every member is an OS
+/// thread, timers are wall-clock deadlines, frames cross channels or
+/// loopback TCP. Its surface is [`GroupTransport`](gcs_sim::GroupTransport);
+/// dropping it stops and joins every thread.
 ///
 /// ```
-/// use gcs_live::{LiveConfig, LiveGroup};
-/// use gcs_core::StackConfig;
+/// use gcs_core::{NewArchDriver, StackConfig};
 /// use gcs_kernel::{ProcessId, Time, TimeDelta};
+/// use gcs_live::LiveConfig;
+/// use gcs_sim::GroupTransport;
 ///
-/// let mut group = LiveGroup::new_arch(StackConfig::default(), LiveConfig::new(3));
+/// let mut group = gcs_live::start::<NewArchDriver>(StackConfig::default(), LiveConfig::new(3));
 /// group.abcast_at(group.now(), ProcessId::new(0), b"hello".to_vec());
 /// // Real time: poll until the group delivered everywhere (bounded).
 /// let deadline = group.now() + TimeDelta::from_secs(10);
@@ -157,548 +101,22 @@ macro_rules! on_inner {
 /// }
 /// assert_eq!(group.delivery_count(), 3);
 /// ```
-pub struct LiveGroup {
-    inner: Inner,
-    stack: LiveStackKind,
-    arena: SharedArena,
-    topology: Topology,
-    n_members: usize,
-    n_total: usize,
-    /// Abcast operations accepted for injection (backpressure ledger).
-    offered: u64,
-    /// Optional bound on the injection-time backlog (`None` = unbounded).
-    queue_capacity: Option<usize>,
-    /// Highest backlog observed at an accepted injection.
-    queue_high_water: usize,
-    /// Snapshot of the runtime's metrics, refreshed by the run methods so
-    /// `metrics()` can hand out a reference like the simulator harnesses.
-    metrics_cache: Metrics,
-}
+pub type LiveGroup<S> = Harness<S, LiveRuntime<<S as StackDriver>::Event>>;
 
-impl LiveGroup {
-    // -- construction ------------------------------------------------------
-
-    /// Starts a live group running the paper's new architecture.
-    pub fn new_arch(config: StackConfig, live: LiveConfig) -> LiveGroup {
-        let n = live.members;
-        let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let view = View::initial(members);
-        let mut builders: Vec<BuildFn<Ev>> = Vec::with_capacity(n + live.joiners);
-        for i in 0..n + live.joiners {
-            let id = ProcessId::new(i as u32);
-            let config = config.clone();
-            let view = (i < n).then(|| view.clone());
-            builders.push(Box::new(move || build_process(id, &config, view, n)));
-        }
-        Self::start(LiveStackKind::NewArch, live, |opts| {
-            Inner::NewArch(LiveRuntime::start(builders, opts))
-        })
-    }
-
-    /// Starts a live group running the Isis-style sequencer baseline.
-    pub fn isis(config: IsisConfig, live: LiveConfig) -> LiveGroup {
-        let n = live.members;
-        let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let mut builders: Vec<BuildFn<IsisEvent>> = Vec::with_capacity(n + live.joiners);
-        for i in 0..n + live.joiners {
-            let id = ProcessId::new(i as u32);
-            let initial = (i < n).then(|| members.clone());
-            builders.push(Box::new(move || {
-                gcs_kernel::Process::builder(id)
-                    .with(IsisStack::new(id, initial, config))
-                    .build()
-            }));
-        }
-        Self::start(LiveStackKind::Isis, live, |opts| {
-            Inner::Isis(LiveRuntime::start(builders, opts))
-        })
-    }
-
-    /// Starts a live group running the token-ring baseline.
-    pub fn token(config: TokenConfig, live: LiveConfig) -> LiveGroup {
-        let n = live.members;
-        let ring: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let mut builders: Vec<BuildFn<TokenEvent>> = Vec::with_capacity(n + live.joiners);
-        for i in 0..n + live.joiners {
-            let id = ProcessId::new(i as u32);
-            let initial = (i < n).then(|| ring.clone());
-            builders.push(Box::new(move || {
-                gcs_kernel::Process::builder(id)
-                    .with(TokenStack::new(id, initial, config))
-                    .build()
-            }));
-        }
-        Self::start(LiveStackKind::Token, live, |opts| {
-            Inner::Token(LiveRuntime::start(builders, opts))
-        })
-    }
-
-    fn start(
-        stack: LiveStackKind,
-        live: LiveConfig,
-        boot: impl FnOnce(RuntimeOptions) -> Inner,
-    ) -> LiveGroup {
-        let topology = live.topology.clone();
-        let inner = boot(RuntimeOptions {
-            seed: live.seed,
-            topology: live.topology,
-            trace: live.trace,
-            wire: live.wire,
-        });
-        LiveGroup {
-            inner,
-            stack,
-            arena: SharedArena::new(),
-            topology,
-            n_members: live.members,
-            n_total: live.members + live.joiners,
-            offered: 0,
-            queue_capacity: None,
-            queue_high_water: 0,
-            metrics_cache: Metrics::default(),
-        }
-    }
-
-    // -- identity ----------------------------------------------------------
-
-    /// Which protocol stack this group runs.
-    pub fn stack(&self) -> LiveStackKind {
-        self.stack
-    }
-
-    /// Total process count (members + joiners).
-    pub fn len(&self) -> usize {
-        self.n_total
-    }
-
-    /// Whether the group hosts no processes at all.
-    pub fn is_empty(&self) -> bool {
-        self.n_total == 0
-    }
-
-    /// Founding-member count.
-    pub fn founding_members(&self) -> usize {
-        self.n_members
-    }
-
-    /// The current instant of the group's clock (nanoseconds since start).
-    pub fn now(&self) -> Time {
-        on_inner!(self, rt => rt.now())
-    }
-
-    // -- payloads ----------------------------------------------------------
-
-    /// The payload arena backing this group's message plane.
-    pub fn arena(&self) -> &SharedArena {
-        &self.arena
-    }
-
-    /// Resolves a delivered payload handle to its bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle not issued by this group's arena.
-    pub fn resolve(&self, payload: PayloadRef) -> Bytes {
-        self.arena.get(payload)
-    }
-
-    // -- backpressure ------------------------------------------------------
-
-    /// Bounds the injection-time abcast backlog; `None` removes the bound.
-    pub fn set_queue_capacity(&mut self, cap: Option<usize>) {
-        self.queue_capacity = cap;
-    }
-
-    /// The configured abcast backlog bound, if any.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
-    /// Abcast operations accepted for injection so far.
-    pub fn abcast_offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// The abcast backlog as seen from `p`: operations accepted minus trace
-    /// outputs observed at `p` — the same approximation the simulator
-    /// harnesses use.
-    pub fn queue_depth(&self, p: ProcessId) -> usize {
-        let drained = on_inner!(self, rt => rt.delivered_of(p));
-        self.offered.saturating_sub(drained) as usize
-    }
-
-    /// Highest backlog observed at an accepted injection.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    // -- workload ----------------------------------------------------------
-
-    /// Atomically broadcasts `payload` from `p` at `t` (immediately when
-    /// `t` has passed). The payload is interned in the group's arena.
-    pub fn abcast_at(&mut self, t: Time, p: ProcessId, payload: impl Into<Bytes>) {
-        let payload = self.arena.intern(payload.into());
-        self.abcast_ref_at(t, p, payload);
-    }
-
-    /// Atomically broadcasts an already-interned payload handle.
-    pub fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        self.offered += 1;
-        let drained = on_inner!(self, rt => rt.delivered_of(p));
-        let backlog = self.offered.saturating_sub(drained) as usize;
-        if backlog > self.queue_high_water {
-            self.queue_high_water = backlog;
-        }
-        match &self.inner {
-            Inner::NewArch(rt) => rt.inject(t, p, names::ABCAST, Ev::Abcast(payload)),
-            Inner::Isis(rt) => rt.inject(t, p, "isis", IsisEvent::Abcast(payload)),
-            Inner::Token(rt) => rt.inject(t, p, "token", TokenEvent::Abcast(payload)),
-        }
-    }
-
-    /// Generic-broadcasts `payload` of `class` from `p` at `t` (new
-    /// architecture only).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the baseline stacks, which have no generic broadcast.
-    pub fn gbcast_at(
-        &mut self,
-        t: Time,
-        p: ProcessId,
-        class: MessageClass,
-        payload: impl Into<Bytes>,
-    ) {
-        let payload = self.arena.intern(payload.into());
-        self.gbcast_ref_at(t, p, class, payload);
-    }
-
-    /// Generic-broadcasts an already-interned payload handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the baseline stacks, which have no generic broadcast.
-    pub fn gbcast_ref_at(
-        &mut self,
-        t: Time,
-        p: ProcessId,
-        class: MessageClass,
-        payload: PayloadRef,
-    ) {
-        match &self.inner {
-            Inner::NewArch(rt) => rt.inject(t, p, names::GENERIC, Ev::Gbcast(class, payload)),
-            _ => panic!("{:?} stack does not expose generic broadcast", self.stack),
-        }
-    }
-
-    /// Reliably broadcasts `payload` from `p` at `t` (new architecture
-    /// only; see [`gbcast_at`](Self::gbcast_at) for the baseline caveat).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the baseline stacks, which have no reliable broadcast.
-    pub fn rbcast_at(&mut self, t: Time, p: ProcessId, payload: impl Into<Bytes>) {
-        let payload = self.arena.intern(payload.into());
-        self.rbcast_ref_at(t, p, payload);
-    }
-
-    /// Reliably broadcasts an already-interned payload handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the baseline stacks, which have no reliable broadcast.
-    pub fn rbcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        match &self.inner {
-            Inner::NewArch(rt) => rt.inject(t, p, names::GENERIC, Ev::Rbcast(payload)),
-            _ => panic!("{:?} stack does not expose reliable broadcast", self.stack),
-        }
-    }
-
-    // -- membership --------------------------------------------------------
-
-    /// Schedules non-member `joiner` to request membership (via `contact`
-    /// on the new architecture; the baselines route the request through
-    /// their own coordinator/ring and ignore `contact`).
-    pub fn join_at(&mut self, t: Time, joiner: ProcessId, contact: ProcessId) {
-        match &self.inner {
-            Inner::NewArch(rt) => rt.inject(t, joiner, names::MEMBERSHIP, Ev::JoinVia(contact)),
-            Inner::Isis(rt) => rt.inject(t, joiner, "isis", IsisEvent::Join),
-            Inner::Token(rt) => rt.inject(t, joiner, "token", TokenEvent::Join),
-        }
-    }
-
-    /// Schedules member `by` to ask for the removal of `target`.
-    pub fn remove_at(&mut self, t: Time, by: ProcessId, target: ProcessId) {
-        match &self.inner {
-            Inner::NewArch(rt) => rt.inject(t, by, names::MEMBERSHIP, Ev::RemoveMember(target)),
-            Inner::Isis(rt) => rt.inject(t, by, "isis", IsisEvent::Remove(target)),
-            Inner::Token(rt) => rt.inject(t, by, "token", TokenEvent::Remove(target)),
-        }
-    }
-
-    // -- faults ------------------------------------------------------------
-
-    /// Crash-stops `p` at `t`: its thread exits and every frame addressed
-    /// to it from then on is dropped.
-    pub fn crash_at(&mut self, t: Time, p: ProcessId) {
-        on_inner!(self, rt => rt.control_at(t, Control::Crash(p)));
-    }
-
-    /// Installs a partition at `t` (frames pass only within a group).
-    pub fn partition_at(&mut self, t: Time, groups: Vec<Vec<ProcessId>>) {
-        on_inner!(self, rt => rt.control_at(t, Control::Partition(groups.clone())));
-    }
-
-    /// Heals any partition at `t`.
-    pub fn heal_at(&mut self, t: Time) {
-        on_inner!(self, rt => rt.control_at(t, Control::Heal));
-    }
-
-    /// Replaces the directed link `from → to` at `t`.
-    pub fn set_link_at(&mut self, t: Time, from: ProcessId, to: ProcessId, link: LinkModel) {
-        on_inner!(self, rt => rt.control_at(t, Control::SetLink { from, to, link }));
-    }
-
-    /// Adds `extra` one-way delay to every frame from `t` for `duration`.
-    pub fn spike_at(
-        &mut self,
-        t: Time,
-        duration: gcs_kernel::TimeDelta,
-        extra: gcs_kernel::TimeDelta,
-    ) {
-        let until = t.saturating_add(duration);
-        on_inner!(self, rt => rt.control_at(t, Control::Spike { until, extra }));
-    }
-
-    /// Adds `prob` drop probability to every frame from `t` for `duration`.
-    pub fn burst_at(&mut self, t: Time, duration: gcs_kernel::TimeDelta, prob: f64) {
-        let until = t.saturating_add(duration);
-        on_inner!(self, rt => rt.control_at(t, Control::Burst { until, prob }));
-    }
-
-    /// Applies a scripted scenario: fault actions become scheduled network
-    /// controls, membership actions route through
-    /// [`join_at`](Self::join_at) / [`remove_at`](Self::remove_at).
-    pub fn apply_schedule(&mut self, schedule: &Schedule) {
-        for (t, action) in schedule.steps().to_vec() {
-            match action {
-                ScheduleAction::Crash(p) => self.crash_at(t, p),
-                ScheduleAction::Partition(groups) => self.partition_at(t, groups),
-                ScheduleAction::PartitionRegions => {
-                    let groups = self.topology.region_groups(self.n_total);
-                    self.partition_at(t, groups);
-                }
-                ScheduleAction::Heal => self.heal_at(t),
-                ScheduleAction::DelaySpike { duration, extra } => self.spike_at(t, duration, extra),
-                ScheduleAction::LossBurst { duration, prob } => self.burst_at(t, duration, prob),
-                ScheduleAction::SetLink { from, to, link } => self.set_link_at(t, from, to, link),
-                ScheduleAction::Join { joiner, contact } => self.join_at(t, joiner, contact),
-                ScheduleAction::Remove { by, target } => self.remove_at(t, by, target),
-            }
-        }
-    }
-
-    // -- running -----------------------------------------------------------
-
-    /// Sleeps the caller until the group clock reaches `t`; member threads
-    /// keep working the whole time.
-    pub fn run_until(&mut self, t: Time) {
-        on_inner!(self, rt => rt.run_until(t));
-        self.refresh_metrics();
-    }
-
-    /// Waits until every member has crashed (`true`) or the clock passes
-    /// `limit` (`false`). A live group with running members never
-    /// quiesces — its failure detectors exchange heartbeats forever.
-    pub fn run_to_quiescence(&mut self, limit: Time) -> bool {
-        let quiet = on_inner!(self, rt => rt.run_to_quiescence(limit));
-        self.refresh_metrics();
-        quiet
-    }
-
-    // -- observation -------------------------------------------------------
-
-    /// Traffic metrics, as of the last run call.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics_cache
-    }
-
-    /// Re-snapshots the runtime metrics into [`metrics`](Self::metrics).
-    pub fn refresh_metrics(&mut self) {
-        self.metrics_cache = on_inner!(self, rt => rt.metrics_snapshot());
-    }
-
-    /// Inbox messages dispatched across the group so far.
-    pub fn events_executed(&self) -> u64 {
-        on_inner!(self, rt => rt.events_executed())
-    }
-
-    /// Liveness flags per process.
-    pub fn alive_flags(&self) -> Vec<bool> {
-        on_inner!(self, rt => rt.alive_flags())
-    }
-
-    /// Total protocol outputs observed (the live analogue of the
-    /// simulator's trace total — view installs included).
-    pub fn delivery_count(&self) -> u64 {
-        on_inner!(self, rt => rt.delivered_total())
-    }
-
-    /// All deliveries recorded so far, in global observation order
-    /// (requires [`TraceMode::Full`]).
-    pub fn delivery_trace(&self) -> Vec<LiveDelivery> {
-        match &self.inner {
-            Inner::NewArch(rt) => rt
-                .trace_snapshot()
-                .into_iter()
-                .filter_map(|(time, proc, e)| match e {
-                    Ev::Deliver(d) => Some(LiveDelivery {
-                        time,
-                        proc,
-                        sender: d.id.sender,
-                        seq: d.id.seq,
-                        kind: d.kind,
-                        class: d.class,
-                        view: d.view,
-                        payload: d.payload,
-                    }),
-                    _ => None,
-                })
-                .collect(),
-            Inner::Isis(rt) => rt
-                .trace_snapshot()
-                .into_iter()
-                .filter_map(|(time, proc, e)| match e {
-                    IsisEvent::Deliver { id, payload, vid } => Some(LiveDelivery {
-                        time,
-                        proc,
-                        sender: id.0,
-                        seq: id.1,
-                        kind: DeliveryKind::Atomic,
-                        class: MessageClass::ABCAST,
-                        view: vid,
-                        payload,
-                    }),
-                    _ => None,
-                })
-                .collect(),
-            Inner::Token(rt) => rt
-                .trace_snapshot()
-                .into_iter()
-                .filter_map(|(time, proc, e)| match e {
-                    TokenEvent::Deliver {
-                        seq,
-                        origin,
-                        payload,
-                        vid,
-                    } => Some(LiveDelivery {
-                        time,
-                        proc,
-                        sender: origin,
-                        seq,
-                        kind: DeliveryKind::Atomic,
-                        class: MessageClass::ABCAST,
-                        view: vid,
-                        payload,
-                    }),
-                    _ => None,
-                })
-                .collect(),
-        }
-    }
-
-    /// Views (ring generations for the token stack) installed per process,
-    /// in installation order.
-    pub fn views(&self) -> Vec<Vec<View>> {
-        let mut out = vec![Vec::new(); self.n_total];
-        match &self.inner {
-            Inner::NewArch(rt) => {
-                for (_, proc, e) in rt.trace_snapshot() {
-                    if let Ev::ViewInstalled(v) = e {
-                        out[proc.index()].push(v);
-                    }
-                }
-            }
-            Inner::Isis(rt) => {
-                for (_, proc, e) in rt.trace_snapshot() {
-                    if let IsisEvent::ViewInstalled { vid, members } = e {
-                        out[proc.index()].push(View { id: vid, members });
-                    }
-                }
-            }
-            Inner::Token(rt) => {
-                for (_, proc, e) in rt.trace_snapshot() {
-                    if let TokenEvent::RingInstalled { vid, ring } = e {
-                        out[proc.index()].push(View {
-                            id: vid,
-                            members: ring,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Consensus-class suspicion transitions `(time, observer, suspect)` —
-    /// new architecture only (requires `StackConfig::trace_suspicions`);
-    /// the baselines report none.
-    pub fn suspicion_trace(&self) -> Vec<(Time, ProcessId, ProcessId)> {
-        match &self.inner {
-            Inner::NewArch(rt) => rt
-                .trace_snapshot()
-                .into_iter()
-                .filter_map(|(time, proc, e)| match e {
-                    Ev::Suspect(class, p) if class == MonitorClass::CONSENSUS => {
-                        Some((time, proc, p))
-                    }
-                    _ => None,
-                })
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Per-process incarnation-reset instants (Isis kills, token-ring
-    /// exclusions); empty for the new architecture, whose members never
-    /// restart with wiped state.
-    pub fn resets(&self) -> Vec<Vec<Time>> {
-        let mut out = vec![Vec::new(); self.n_total];
-        match &self.inner {
-            Inner::NewArch(_) => {}
-            Inner::Isis(rt) => {
-                for (time, proc, e) in rt.trace_snapshot() {
-                    if matches!(e, IsisEvent::Killed) {
-                        out[proc.index()].push(time);
-                    }
-                }
-            }
-            Inner::Token(rt) => {
-                for (time, proc, e) in rt.trace_snapshot() {
-                    if matches!(e, TokenEvent::Excluded) {
-                        out[proc.index()].push(time);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Shuts the group down: stops every member, pump, and timer thread
-    /// and joins them. Also runs on drop.
-    pub fn shutdown(&mut self) {
-        match &mut self.inner {
-            Inner::NewArch(rt) => rt.shutdown(),
-            Inner::Isis(rt) => rt.shutdown(),
-            Inner::Token(rt) => rt.shutdown(),
-        }
-    }
+/// Starts a live group of `live.members` founding members and
+/// `live.joiners` outside processes running stack `S`. The clock starts
+/// running at this call.
+pub fn start<S: StackDriver>(config: S::Config, live: LiveConfig) -> LiveGroup<S> {
+    Harness::start(live.members, live.joiners, config, live)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_kernel::TimeDelta;
+    use gcs_core::{NewArchDriver, StackConfig};
+    use gcs_kernel::{ProcessId, Time, TimeDelta};
+    use gcs_sim::GroupTransport;
+    use gcs_traditional::{IsisConfig, IsisDriver, TokenConfig, TokenDriver};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -706,7 +124,11 @@ mod tests {
 
     /// Polls `pred` every 2 ms until it holds or `bound` elapses. Live
     /// assertions are bound-based: fast when healthy, slow only when broken.
-    fn eventually(group: &LiveGroup, bound: TimeDelta, mut pred: impl FnMut() -> bool) -> bool {
+    fn eventually(
+        group: &dyn GroupTransport,
+        bound: TimeDelta,
+        mut pred: impl FnMut() -> bool,
+    ) -> bool {
         let deadline = group.now().saturating_add(bound);
         loop {
             if pred() {
@@ -719,17 +141,13 @@ mod tests {
         }
     }
 
-    fn payload_seqs(group: &LiveGroup) -> Vec<Vec<Vec<u8>>> {
-        let mut out = vec![Vec::new(); group.len()];
-        for d in group.delivery_trace() {
-            out[d.proc.index()].push(group.resolve(d.payload).to_vec());
-        }
-        out
+    fn payload_seqs(group: &dyn GroupTransport) -> Vec<Vec<Vec<u8>>> {
+        group.adelivered_payloads()
     }
 
     #[test]
     fn new_arch_agrees_on_live_threads() {
-        let mut g = LiveGroup::new_arch(StackConfig::default(), LiveConfig::new(3).with_seed(7));
+        let mut g = start::<NewArchDriver>(StackConfig::default(), LiveConfig::new(3).with_seed(7));
         let t0 = g.now();
         g.abcast_at(t0, p(0), b"a".to_vec());
         g.abcast_at(t0, p(1), b"b".to_vec());
@@ -744,12 +162,11 @@ mod tests {
         let seqs = payload_seqs(&g);
         assert_eq!(seqs[0], seqs[1], "total order");
         assert_eq!(seqs[1], seqs[2], "total order");
-        g.shutdown();
     }
 
     #[test]
     fn isis_sequencer_delivers_live() {
-        let mut g = LiveGroup::isis(IsisConfig::default(), LiveConfig::new(3).with_seed(8));
+        let mut g = start::<IsisDriver>(IsisConfig::default(), LiveConfig::new(3).with_seed(8));
         let t0 = g.now();
         g.abcast_at(t0, p(1), b"x".to_vec());
         assert!(
@@ -758,12 +175,11 @@ mod tests {
             }),
             "sequencer orders and diffuses to all members"
         );
-        g.shutdown();
     }
 
     #[test]
     fn token_ring_delivers_live() {
-        let mut g = LiveGroup::token(TokenConfig::default(), LiveConfig::new(3).with_seed(9));
+        let mut g = start::<TokenDriver>(TokenConfig::default(), LiveConfig::new(3).with_seed(9));
         let t0 = g.now();
         g.abcast_at(t0, p(2), b"y".to_vec());
         assert!(
@@ -772,12 +188,12 @@ mod tests {
             }),
             "token carries the message around the ring"
         );
-        g.shutdown();
     }
 
     #[test]
     fn crash_kills_the_thread_and_survivors_continue() {
-        let mut g = LiveGroup::new_arch(StackConfig::default(), LiveConfig::new(3).with_seed(10));
+        let mut g =
+            start::<NewArchDriver>(StackConfig::default(), LiveConfig::new(3).with_seed(10));
         let t0 = g.now();
         g.crash_at(t0, p(2));
         assert!(
@@ -793,12 +209,11 @@ mod tests {
             "survivors agree without the crashed member"
         );
         assert!(payload_seqs(&g)[2].is_empty(), "the dead deliver nothing");
-        g.shutdown();
     }
 
     #[test]
     fn tcp_wire_carries_the_same_protocol() {
-        let mut g = LiveGroup::new_arch(
+        let mut g = start::<NewArchDriver>(
             StackConfig::default(),
             LiveConfig::new(3).with_seed(11).with_wire(WireMode::Tcp),
         );
@@ -810,18 +225,16 @@ mod tests {
             }),
             "frames over loopback TCP still reach agreement"
         );
-        g.refresh_metrics();
+        g.run_until(Time::ZERO); // refreshes the metrics snapshot
         assert!(g.metrics().total_sent() > 0, "wire traffic was accounted");
-        g.shutdown();
     }
 
     #[test]
     fn partition_blocks_and_heal_recovers() {
-        let mut g = LiveGroup::isis(IsisConfig::default(), LiveConfig::new(3).with_seed(12));
+        let mut g = start::<IsisDriver>(IsisConfig::default(), LiveConfig::new(3).with_seed(12));
         let t0 = g.now();
         g.partition_at(t0, vec![vec![p(0)], vec![p(1), p(2)]]);
         g.run_until(g.now() + TimeDelta::from_millis(30));
-        g.refresh_metrics();
         let dropped = g.metrics().dropped_partition();
         assert!(dropped > 0, "heartbeats died at the partition: {dropped}");
         g.heal_at(g.now());
@@ -832,6 +245,5 @@ mod tests {
             }),
             "after heal the group delivers again"
         );
-        g.shutdown();
     }
 }

@@ -18,10 +18,11 @@
 //!
 //! Nothing above the kernel changes: the protocol components cannot tell
 //! whether a virtual scheduler or a thread is calling them — that is the
-//! sans-I/O contract, and this crate is its proof. [`LiveGroup`] mirrors
-//! the simulator harnesses' surface (injection, membership, faults, trace
-//! projections), so the facade crate can put both backends behind one
-//! `GroupTransport`.
+//! sans-I/O contract, and this crate is its proof. [`LiveRuntime`] is the
+//! second implementation of `gcs_sim::Runtime` (the simulator's world is
+//! the first), so [`LiveGroup`] is the same generic `gcs_sim::Harness` the
+//! simulated groups are, and both backends sit behind one
+//! `GroupTransport` implementation.
 //!
 //! Determinism is **not** promised here — thread interleavings and real
 //! clocks vary between runs. Live assertions should be bound-based
@@ -37,5 +38,5 @@ mod group;
 mod runtime;
 
 pub use clock::WallClock;
-pub use group::{LiveConfig, LiveDelivery, LiveGroup, LiveStackKind};
-pub use runtime::WireMode;
+pub use group::{start, LiveConfig, LiveGroup};
+pub use runtime::{LiveRuntime, WireMode};

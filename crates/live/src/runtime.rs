@@ -3,11 +3,12 @@
 //!
 //! Each member thread owns its [`Process`] outright (the kernel process is
 //! deliberately not `Send`-shareable — it is built *inside* the thread from
-//! a `Send` constructor closure) and drains an `mpsc` inbox: protocol
-//! frames, harness injections, timer fires, crash and stop signals. Effects
-//! flow back out through the [`Router`], which applies the emulated network
-//! before the frame reaches the destination inbox — directly in channel
-//! mode, or over a loopback TCP stream per member in TCP mode.
+//! a shared `Send + Sync` constructor closure) and drains an `mpsc` inbox:
+//! protocol frames, harness injections, timer fires, crash and stop
+//! signals. Effects flow back out through the [`Router`], which applies the
+//! emulated network before the frame reaches the destination inbox —
+//! directly in channel mode, or over a loopback TCP stream per member in
+//! TCP mode.
 //!
 //! The timer thread services the group's [`TimerWheel`]: protocol timers,
 //! frames parked by emulated link delay, and scheduled fault actions all
@@ -23,10 +24,10 @@ use std::thread::JoinHandle;
 
 use gcs_kernel::{Effects, Event, Process, ProcessId, Time};
 use gcs_net::{Link, TcpLink};
-use gcs_sim::{Metrics, Topology, TraceMode};
+use gcs_sim::{Metrics, Runtime, Schedule, ScheduleAction};
 
 use crate::fabric::{Control, Due, Msg, NetState, Router, Shared, TcpFabric, TimerWheel};
-use crate::WallClock;
+use crate::{LiveConfig, WallClock};
 
 /// How frames physically move between member threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,31 +42,30 @@ pub enum WireMode {
     Tcp,
 }
 
-/// A `Send` constructor for a member's process, run inside its thread.
-pub(crate) type BuildFn<E> = Box<dyn FnOnce() -> Process<E> + Send + 'static>;
-
-/// Options shared by every live group, independent of the protocol stack.
-pub(crate) struct RuntimeOptions {
-    pub seed: u64,
-    pub topology: Topology,
-    pub trace: TraceMode,
-    pub wire: WireMode,
-}
-
-/// A running group of member threads plus their timer thread.
-pub(crate) struct LiveRuntime<E: Event + Send> {
+/// A running group of member threads plus their timer thread: the live
+/// [`Runtime`]. Dropping it stops and joins every thread.
+pub struct LiveRuntime<E: Event + Send> {
     shared: Arc<Shared<E>>,
     router: Router<E>,
     handles: Vec<JoinHandle<()>>,
-    stopped: bool,
+    /// Snapshot of the shared metrics, refreshed by the run methods so
+    /// `metrics()` can hand out a reference like the simulator does.
+    metrics_cache: Metrics,
 }
 
-impl<E: Event + Send + 'static> LiveRuntime<E> {
-    /// Spawns one thread per builder (process ids are dense from zero) and
-    /// the timer thread, starting every process at its thread's first
-    /// instant.
-    pub(crate) fn start(builders: Vec<BuildFn<E>>, opts: RuntimeOptions) -> LiveRuntime<E> {
-        let n = builders.len();
+impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
+    type Config = LiveConfig;
+
+    /// Spawns one thread per process (ids dense from zero) and the timer
+    /// thread, starting every process at its thread's first instant. The
+    /// clock starts here. `config.members`/`joiners` are the caller's
+    /// business (see [`start`](crate::start)); the runtime hosts `n`.
+    fn start(
+        config: LiveConfig,
+        n: usize,
+        build: impl Fn(ProcessId) -> Process<E> + Send + Sync + 'static,
+    ) -> Self {
+        let build = Arc::new(build);
         let clock = WallClock::new();
         let mut senders: Vec<Sender<Msg<E>>> = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<Msg<E>>> = Vec::with_capacity(n);
@@ -79,7 +79,7 @@ impl<E: Event + Send + 'static> LiveRuntime<E> {
         // half is shared by all senders, the read half is pumped into the
         // member's inbox by a dedicated reader thread.
         let mut reader_links: Vec<TcpLink> = Vec::new();
-        let tcp = match opts.wire {
+        let tcp = match config.wire {
             WireMode::Channel => None,
             WireMode::Tcp => {
                 let mut writers = Vec::with_capacity(n);
@@ -101,13 +101,13 @@ impl<E: Event + Send + 'static> LiveRuntime<E> {
 
         let shared = Arc::new(Shared {
             clock,
-            net: Mutex::new(NetState::new(opts.seed)),
-            topology: opts.topology,
+            net: Mutex::new(NetState::new(config.seed)),
+            topology: config.topology,
             dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
             delivered_total: AtomicU64::new(0),
             delivered_per: (0..n).map(|_| AtomicU64::new(0)).collect(),
             events: AtomicU64::new(0),
-            trace_mode: opts.trace,
+            trace_mode: config.trace,
             trace: Mutex::new(Vec::new()),
             metrics: Mutex::new(Metrics::default()),
             wheel: TimerWheel::new(),
@@ -135,13 +135,21 @@ impl<E: Event + Send + 'static> LiveRuntime<E> {
         }
 
         // Member threads.
-        for ((i, builder), rx) in builders.into_iter().enumerate().zip(receivers) {
+        for (i, rx) in receivers.into_iter().enumerate() {
             let me = ProcessId::new(i as u32);
             let router = router.clone();
+            let build = build.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("live-member-{i}"))
-                    .spawn(move || member_loop(me, builder, rx, router))
+                    .spawn(move || {
+                        // Built here, on the thread that will own it; the
+                        // shared builder (and the config it captured) is
+                        // released once the last member exists.
+                        let process = build(me);
+                        drop(build);
+                        member_loop(me, process, rx, router)
+                    })
                     .expect("spawn member thread"),
             );
         }
@@ -161,18 +169,15 @@ impl<E: Event + Send + 'static> LiveRuntime<E> {
             shared,
             router,
             handles,
-            stopped: false,
+            metrics_cache: Metrics::default(),
         }
     }
 
-    /// The runtime's clock.
-    pub(crate) fn now(&self) -> Time {
+    fn now(&self) -> Time {
         self.shared.clock.now()
     }
 
-    /// Enqueues `event` on `p`'s `component` at `t` (immediately when `t`
-    /// has already passed).
-    pub(crate) fn inject(&self, t: Time, p: ProcessId, component: &'static str, event: E) {
+    fn inject(&mut self, t: Time, p: ProcessId, component: &'static str, event: E) {
         let msg = Msg::Inject { component, event };
         if t <= self.now() {
             // Direct inbox send — injections bypass the emulated network.
@@ -182,98 +187,115 @@ impl<E: Event + Send + 'static> LiveRuntime<E> {
         }
     }
 
-    /// Applies (or schedules) a control action.
-    pub(crate) fn control_at(&self, t: Time, action: Control) {
-        if t <= self.now() {
-            apply_control(&self.router, action);
-        } else {
-            self.shared.wheel.schedule(t, Due::Control(action));
+    /// Fault steps become network controls, applied at once when already
+    /// due and parked on the timer wheel otherwise.
+    fn apply_schedule(&mut self, schedule: &Schedule) -> Vec<(Time, ScheduleAction)> {
+        let mut membership = Vec::new();
+        for (t, action) in schedule.steps() {
+            let t = *t;
+            let control = match action.clone() {
+                ScheduleAction::Crash(p) => Control::Crash(p),
+                ScheduleAction::Partition(groups) => Control::Partition(groups),
+                ScheduleAction::PartitionRegions => {
+                    let n = self.shared.dead.len();
+                    Control::Partition(self.shared.topology.region_groups(n))
+                }
+                ScheduleAction::Heal => Control::Heal,
+                ScheduleAction::DelaySpike { duration, extra } => Control::Spike {
+                    until: t.saturating_add(duration),
+                    extra,
+                },
+                ScheduleAction::LossBurst { duration, prob } => Control::Burst {
+                    until: t.saturating_add(duration),
+                    prob,
+                },
+                ScheduleAction::SetLink { from, to, link } => Control::SetLink { from, to, link },
+                step @ (ScheduleAction::Join { .. } | ScheduleAction::Remove { .. }) => {
+                    membership.push((t, step));
+                    continue;
+                }
+            };
+            if t <= self.now() {
+                apply_control(&self.router, control);
+            } else {
+                self.shared.wheel.schedule(t, Due::Control(control));
+            }
         }
+        membership
     }
 
     /// Sleeps the caller until the clock reaches `t`; member threads keep
     /// running the whole time.
-    pub(crate) fn run_until(&self, t: Time) {
+    fn run_until(&mut self, t: Time) {
         self.shared.clock.sleep_until(t);
+        self.refresh_metrics();
     }
 
     /// Waits until every member has crashed (true) or the clock passes
     /// `limit` (false). A live group with running members never quiesces —
     /// its failure detectors keep exchanging heartbeats forever.
-    pub(crate) fn run_to_quiescence(&self, limit: Time) -> bool {
-        loop {
+    fn run_to_quiescence(&mut self, limit: Time) -> bool {
+        let quiet = loop {
             if self.shared.dead.iter().all(|d| d.load(Ordering::Acquire)) {
                 // Grace for in-flight wheel entries to drain to nowhere.
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                return true;
+                break true;
             }
             if self.now() >= limit {
-                return false;
+                break false;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
+        };
+        self.refresh_metrics();
+        quiet
+    }
+
+    fn outputs_of(&self, p: ProcessId) -> u64 {
+        self.shared.delivered_per[p.index()].load(Ordering::Relaxed)
+    }
+
+    fn outputs_total(&self) -> u64 {
+        self.shared.delivered_total.load(Ordering::Relaxed)
+    }
+
+    /// One lock acquisition, no clone: member threads that produce an
+    /// output meanwhile wait for the visit to end.
+    fn visit_outputs(&self, f: &mut dyn FnMut(Time, ProcessId, &E)) {
+        for (time, proc, event) in self.shared.trace.lock().expect("trace lock").iter() {
+            f(*time, *proc, event);
         }
     }
 
-    /// Liveness flags, one per member.
-    pub(crate) fn alive_flags(&self) -> Vec<bool> {
+    /// Traffic metrics as of the last run call — between runs the snapshot
+    /// lags the member threads by design (`&self` cannot lock a fresh copy
+    /// into a reference).
+    fn metrics(&self) -> &Metrics {
+        &self.metrics_cache
+    }
+
+    /// Inbox messages dispatched group-wide.
+    fn events_executed(&self) -> u64 {
+        self.shared.events.load(Ordering::Relaxed)
+    }
+
+    fn alive_flags(&self) -> Vec<bool> {
         self.shared
             .dead
             .iter()
             .map(|d| !d.load(Ordering::Acquire))
             .collect()
     }
+}
 
-    /// Inbox messages dispatched group-wide.
-    pub(crate) fn events_executed(&self) -> u64 {
-        self.shared.events.load(Ordering::Relaxed)
-    }
-
-    /// Protocol outputs group-wide.
-    pub(crate) fn delivered_total(&self) -> u64 {
-        self.shared.delivered_total.load(Ordering::Relaxed)
-    }
-
-    /// Protocol outputs of one member.
-    pub(crate) fn delivered_of(&self, p: ProcessId) -> u64 {
-        self.shared.delivered_per[p.index()].load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the recorded output trace.
-    pub(crate) fn trace_snapshot(&self) -> Vec<(Time, ProcessId, E)> {
-        self.shared.trace.lock().expect("trace lock").clone()
-    }
-
-    /// A snapshot of the traffic metrics.
-    pub(crate) fn metrics_snapshot(&self) -> Metrics {
-        self.shared.metrics.lock().expect("metrics lock").clone()
-    }
-
-    /// Stops every thread and joins them. Idempotent; also runs on drop.
-    pub(crate) fn shutdown(&mut self) {
-        if self.stopped {
-            return;
-        }
-        self.stopped = true;
-        self.shared.wheel.shutdown();
-        for s in &self.router.senders {
-            let _ = s.send(Msg::Stop);
-        }
-        if let Some(tcp) = &self.shared.tcp {
-            for link in &tcp.reader_shutdown {
-                let _ = link.shutdown();
-            }
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+impl<E: Event + Send> LiveRuntime<E> {
+    fn refresh_metrics(&mut self) {
+        self.metrics_cache = self.shared.metrics.lock().expect("metrics lock").clone();
     }
 }
 
 impl<E: Event + Send> Drop for LiveRuntime<E> {
+    /// Stops every member, pump, and timer thread and joins them.
     fn drop(&mut self) {
-        // Same teardown as `shutdown`, but without the generic bound the
-        // inherent impl carries; duplicated senders/wheel logic lives there.
-        self.stopped = true;
         self.shared.wheel.shutdown();
         for s in &self.router.senders {
             let _ = s.send(Msg::Stop);
@@ -289,16 +311,15 @@ impl<E: Event + Send> Drop for LiveRuntime<E> {
     }
 }
 
-/// The life of one member: build the process, start it, then drain the
-/// inbox until crash or stop.
+/// The life of one member: start the process, then drain the inbox until
+/// crash or stop.
 fn member_loop<E: Event + Send>(
     me: ProcessId,
-    builder: BuildFn<E>,
+    mut process: Process<E>,
     rx: Receiver<Msg<E>>,
     router: Router<E>,
 ) {
     let shared = router.shared.clone();
-    let mut process = builder();
     let mut fx = Effects::new();
     process.start_into(shared.clock.now(), &mut fx);
     if apply_effects(me, &mut fx, &router) {

@@ -22,18 +22,27 @@
 //! * **Observability** — per-kind message/byte counters ([`Metrics`]) and a
 //!   full application-delivery [`Trace`] with property checkers used by the
 //!   integration tests (total order, agreement, …).
+//!
+//! It is also the lowest crate that sees everything a group harness needs
+//! ([`Schedule`], [`Metrics`], [`TraceMode`], the kernel) while being seen
+//! by every stack and by the live backend, so the one generic [`Harness`],
+//! its [`StackDriver`] × [`Runtime`] contract and the [`GroupTransport`]
+//! surface live here; `gcs-api` re-exports the surface.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 mod metrics;
 mod network;
 mod schedule;
 mod topology;
 mod trace;
+mod transport;
 mod wheel;
 mod world;
 
+pub use harness::{Harness, Op, Runtime, StackDriver};
 pub use metrics::{LatencyHistogram, Metrics};
 pub use network::{LinkModel, NetworkModel};
 pub use schedule::{Schedule, ScheduleAction};
@@ -41,6 +50,9 @@ pub use topology::{Assignment, Topology, TOPOLOGY_PRESETS};
 pub use trace::{
     check_agreement, check_no_duplicates, check_prefix_consistency, check_total_order,
     OrderViolation, Trace, TraceEntry, TraceMode,
+};
+pub use transport::{
+    Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,
 };
 pub use wheel::{TimingWheel, WheelItem};
 pub use world::{SimConfig, SimWorld};

@@ -6,13 +6,15 @@
 //! whole timeline is a value that can be named, merged, compared and
 //! replayed — the precondition for the determinism property tests.
 //!
-//! Simulator-level actions (crash, partition, link changes, delay spikes,
-//! loss bursts) are applied by [`SimWorld::apply_schedule`]
-//! (see [`SimWorld`](crate::SimWorld)); membership actions
-//! ([`Join`](ScheduleAction::Join) / [`Remove`](ScheduleAction::Remove)) are
-//! returned to the caller, because only a protocol harness (e.g.
-//! `gcs_core::GroupSim`) knows how to route them through its membership
-//! component.
+//! Runtime-level actions (crash, partition, link changes, delay spikes,
+//! loss bursts) are entered by the backend
+//! ([`Runtime::apply_schedule`](crate::Runtime::apply_schedule) —
+//! [`SimWorld`](crate::SimWorld) here, the live runtime in `gcs-live`);
+//! membership actions ([`Join`](ScheduleAction::Join) /
+//! [`Remove`](ScheduleAction::Remove)) are handed back, because only a
+//! protocol stack knows how to encode them — the
+//! [`Harness`](crate::Harness) asks its
+//! [`StackDriver`](crate::StackDriver) and injects the result.
 
 use gcs_kernel::{ProcessId, Time, TimeDelta};
 
@@ -87,7 +89,7 @@ impl ScheduleAction {
 /// A scripted scenario: `(time, action)` steps, in application order.
 ///
 /// Built with the chaining constructors and handed to
-/// `SimWorld::apply_schedule` / `GroupSim::apply_schedule`:
+/// `SimWorld::apply_schedule` / [`GroupTransport::apply_schedule`](crate::GroupTransport::apply_schedule):
 ///
 /// ```
 /// use gcs_sim::Schedule;

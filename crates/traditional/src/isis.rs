@@ -23,10 +23,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
 use gcs_kernel::{
-    Component, Context, Event, PayloadRef, Process, ProcessId, SharedArena, Time, TimeDelta,
-    TimerId,
+    Component, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process, ProcessId, Time,
+    TimeDelta, TimerId,
 };
-use gcs_sim::{Metrics, SimConfig, SimWorld, Topology, Trace};
+use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology, Trace};
 
 /// Message identity within the Isis stack.
 pub type IsisMsgId = (ProcessId, u64);
@@ -166,7 +166,7 @@ pub enum IsisEvent {
     Deliver {
         /// Message identity.
         id: IsisMsgId,
-        /// Payload handle (resolve via [`IsisSim::resolve`]).
+        /// Payload handle (resolve via the group's arena).
         payload: PayloadRef,
         /// View in which the delivery happened.
         vid: u64,
@@ -1099,245 +1099,110 @@ impl Component<IsisEvent> for IsisStack {
     }
 }
 
-/// Simulation harness for groups running the Isis-style stack; mirrors
-/// `gcs_core::GroupSim` so experiments can swap architectures.
-pub struct IsisSim {
-    world: SimWorld<IsisEvent>,
-    /// Payload arena: interned at injection, handles everywhere below.
-    arena: SharedArena,
-    n: usize,
-    /// Abcast operations accepted for injection (backpressure ledger).
-    offered: u64,
-    /// Optional bound on the injection-time backlog (`None` = unbounded).
-    queue_capacity: Option<usize>,
-    /// Highest backlog observed at an accepted injection.
-    queue_high_water: usize,
-}
+/// The Isis-style stack as a [`StackDriver`]: the whole stack is one
+/// component, so every operation enters at `"isis"`.
+pub struct IsisDriver;
 
-impl IsisSim {
-    /// Creates a group of `n` founding members on a loss-free LAN (the
-    /// substrate Isis assumed), mirroring `gcs_core::GroupSim::new`.
-    pub fn new(n: usize, config: IsisConfig, seed: u64) -> Self {
-        Self::with_sim(n, 0, config, SimConfig::lan(seed))
+impl StackDriver for IsisDriver {
+    type Event = IsisEvent;
+    type Config = IsisConfig;
+    const KIND: StackKind = StackKind::Isis;
+
+    fn build(id: ProcessId, config: &IsisConfig, founders: usize) -> Process<IsisEvent> {
+        let initial =
+            (id.index() < founders).then(|| (0..founders as u32).map(ProcessId::new).collect());
+        Process::builder(id)
+            .with(IsisStack::new(id, initial, *config))
+            .build()
     }
 
-    /// Creates `n` founding members plus `joiners` processes that start
-    /// outside the group (activate them with [`join_at`](Self::join_at)).
-    pub fn with_joiners(n: usize, joiners: usize, config: IsisConfig, seed: u64) -> Self {
-        Self::with_sim(n, joiners, config, SimConfig::lan(seed))
+    fn abcast(payload: PayloadRef) -> Op<IsisEvent> {
+        ("isis", IsisEvent::Abcast(payload))
     }
 
-    /// Full control over the simulation configuration (link model, trace
-    /// sink, seed). Note the stack assumes reliable FIFO links; lossy
-    /// topologies model conditions the original systems did not run on.
-    pub fn with_sim(n: usize, joiners: usize, config: IsisConfig, sim: SimConfig) -> Self {
-        let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let mut world = SimWorld::new(sim);
-        for _ in 0..n {
-            let m = members.clone();
-            world.add_node(|id| {
-                Process::builder(id)
-                    .with(IsisStack::new(id, Some(m), config))
-                    .build()
-            });
-        }
-        for _ in 0..joiners {
-            world.add_node(|id| {
-                Process::builder(id)
-                    .with(IsisStack::new(id, None, config))
-                    .build()
-            });
-        }
-        IsisSim {
-            world,
-            arena: SharedArena::new(),
-            n: n + joiners,
-            offered: 0,
-            queue_capacity: None,
-            queue_high_water: 0,
-        }
+    /// Isis routes the request to its coordinator itself.
+    fn join(_contact: ProcessId) -> Op<IsisEvent> {
+        ("isis", IsisEvent::Join)
     }
 
-    /// Bounds the injection-time backlog for `try_abcast`-style facade
-    /// calls; `None` removes the bound.
-    pub fn set_queue_capacity(&mut self, cap: Option<usize>) {
-        self.queue_capacity = cap;
-    }
-
-    /// The configured backlog bound, if any.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
-    /// The abcast backlog as seen from `p`: operations accepted minus trace
-    /// outputs observed at `p` (approximate: occasional view-change outputs
-    /// count as drained work). Meaningful for interleaved drivers.
-    pub fn queue_depth(&self, p: ProcessId) -> usize {
-        self.offered
-            .saturating_sub(self.world.trace().deliveries_of(p)) as usize
-    }
-
-    /// The highest [`queue_depth`](Self::queue_depth) observed at the
-    /// moment an injection was accepted.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// Number of processes (members + joiners).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if the group has no processes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Schedules an atomic broadcast (the payload is interned in the sim's
-    /// arena; the stack moves handles).
-    pub fn abcast_at(&mut self, t: Time, p: ProcessId, payload: impl Into<Bytes>) {
-        let payload = self.arena.intern(payload.into());
-        self.abcast_ref_at(t, p, payload);
-    }
-
-    /// Schedules an atomic broadcast of an already-interned payload handle.
-    pub fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        self.offered += 1;
-        let backlog = self
-            .offered
-            .saturating_sub(self.world.trace().deliveries_of(p)) as usize;
-        if backlog > self.queue_high_water {
-            self.queue_high_water = backlog;
-        }
-        self.world
-            .inject_at(t, p, "isis", IsisEvent::Abcast(payload));
-    }
-
-    /// The payload arena backing this sim's message plane.
-    pub fn arena(&self) -> &SharedArena {
-        &self.arena
-    }
-
-    /// Resolves a delivered payload handle to its bytes.
-    pub fn resolve(&self, payload: PayloadRef) -> Bytes {
-        self.arena.get(payload)
-    }
-
-    /// Schedules a join request by an outsider (or killed process).
-    pub fn join_at(&mut self, t: Time, p: ProcessId) {
-        self.world.inject_at(t, p, "isis", IsisEvent::Join);
-    }
-
-    /// Schedules member `by` to request the removal of `target`: the request
-    /// is routed to the coordinator, which expels the target through the
-    /// ordinary exclusion flush. The target is killed Isis-style but —
-    /// unlike a wrong suspicion — does not auto re-join.
+    /// The request is routed to the coordinator, which expels the target
+    /// through the ordinary exclusion flush. The target is killed
+    /// Isis-style but — unlike a wrong suspicion — does not auto re-join.
     ///
     /// A removal that would shrink the view below a majority of its current
     /// size (e.g. removing one of two members) is *deferred*, not executed:
     /// the primary-partition rule guards every view change, administrative
     /// ones included, so the request stays pending until the membership can
     /// absorb it.
-    pub fn remove_at(&mut self, t: Time, by: ProcessId, target: ProcessId) {
-        self.world
-            .inject_at(t, by, "isis", IsisEvent::Remove(target));
+    fn remove(target: ProcessId) -> Option<Op<IsisEvent>> {
+        Some(("isis", IsisEvent::Remove(target)))
     }
 
-    /// Crashes `p` at `t`.
-    pub fn crash_at(&mut self, t: Time, p: ProcessId) {
-        self.world.crash_at(t, p);
+    fn project(event: &IsisEvent) -> Observation<'_> {
+        match event {
+            IsisEvent::Deliver { id, payload, vid } => Observation::Deliver {
+                sender: id.0,
+                seq: id.1,
+                kind: DeliveryKind::Atomic,
+                class: MessageClass::ABCAST,
+                view: *vid,
+                payload: *payload,
+            },
+            IsisEvent::ViewInstalled { vid, members } => Observation::View { id: *vid, members },
+            // A killed process that re-joins comes back as a logically
+            // fresh member (its delivery state was wiped with it, §4.3):
+            // the kill is the incarnation boundary.
+            IsisEvent::Killed => Observation::Reset,
+            _ => Observation::Other,
+        }
     }
+}
 
-    /// Runs until virtual time `t`.
-    pub fn run_until(&mut self, t: Time) {
-        self.world.run_until(t);
-    }
+/// A simulated group running the Isis-style stack, on a loss-free LAN
+/// unless configured otherwise (the stack assumes reliable FIFO links;
+/// lossy topologies model conditions the original systems did not run on).
+/// Its surface is [`GroupTransport`](gcs_sim::GroupTransport).
+pub type IsisSim = Harness<IsisDriver, SimWorld<IsisEvent>>;
 
-    /// Runs until the event queue drains or `limit`; returns `true` only if
-    /// the system quiesced. A live Isis group re-arms its heartbeat timer
-    /// forever, so this returns `false` unless every process has crashed.
-    pub fn run_to_quiescence(&mut self, limit: Time) -> bool {
-        self.world.run_to_quiescence(limit)
-    }
-
-    /// Direct access to the underlying simulation world.
-    pub fn world(&self) -> &SimWorld<IsisEvent> {
-        &self.world
-    }
-
-    /// Underlying world (fault injection, metrics).
-    pub fn world_mut(&mut self) -> &mut SimWorld<IsisEvent> {
-        &mut self.world
-    }
-
-    /// Liveness flags per process.
-    pub fn alive_flags(&self) -> Vec<bool> {
-        self.world.alive_flags()
-    }
-
-    /// The delivery trace.
-    pub fn trace(&self) -> &Trace<IsisEvent> {
-        self.world.trace()
-    }
-
-    /// Simulation metrics.
-    pub fn metrics(&self) -> &Metrics {
-        self.world.metrics()
-    }
-
-    /// Per-process delivered payload sequences.
-    pub fn delivered_payloads(&self) -> Vec<Vec<Vec<u8>>> {
-        self.world.trace().per_proc(self.n, |e| match e {
-            IsisEvent::Deliver { payload, .. } => Some(self.arena.get(*payload).to_vec()),
-            _ => None,
-        })
-    }
-
-    /// Per-process installed views `(vid, members)`.
-    pub fn views(&self) -> Vec<Vec<(u64, Vec<ProcessId>)>> {
-        self.world.trace().per_proc(self.n, |e| match e {
-            IsisEvent::ViewInstalled { vid, members } => Some((*vid, members.clone())),
-            _ => None,
-        })
-    }
-
-    /// Send-blocking windows per process: `(start, end)` pairs (E4).
-    pub fn blocked_windows(&self, p: ProcessId) -> Vec<(Time, Time)> {
-        let mut windows = Vec::new();
-        let mut open: Option<Time> = None;
-        for e in self.world.trace().of_proc(p) {
-            match e.event {
-                IsisEvent::Blocked(true) => open = open.or(Some(e.time)),
-                IsisEvent::Blocked(false) => {
-                    if let Some(s) = open.take() {
-                        windows.push((s, e.time));
-                    }
+/// Send-blocking windows of `p`: `(start, end)` pairs (E4).
+pub fn blocked_windows(trace: &Trace<IsisEvent>, p: ProcessId) -> Vec<(Time, Time)> {
+    let mut windows = Vec::new();
+    let mut open: Option<Time> = None;
+    for e in trace.of_proc(p) {
+        match e.event {
+            IsisEvent::Blocked(true) => open = open.or(Some(e.time)),
+            IsisEvent::Blocked(false) => {
+                if let Some(s) = open.take() {
+                    windows.push((s, e.time));
                 }
-                _ => {}
             }
+            _ => {}
         }
-        windows
     }
+    windows
+}
 
-    /// Times at which each process was killed / rejoined (E3).
-    pub fn kill_and_rejoin_times(&self, p: ProcessId) -> (Option<Time>, Option<Time>) {
-        let mut killed = None;
-        let mut rejoined = None;
-        for e in self.world.trace().of_proc(p) {
-            match e.event {
-                IsisEvent::Killed if killed.is_none() => killed = Some(e.time),
-                IsisEvent::Rejoined if rejoined.is_none() => rejoined = Some(e.time),
-                _ => {}
-            }
+/// Times at which `p` was first killed / first rejoined (E3).
+pub fn kill_and_rejoin_times(
+    trace: &Trace<IsisEvent>,
+    p: ProcessId,
+) -> (Option<Time>, Option<Time>) {
+    let mut killed = None;
+    let mut rejoined = None;
+    for e in trace.of_proc(p) {
+        match e.event {
+            IsisEvent::Killed if killed.is_none() => killed = Some(e.time),
+            IsisEvent::Rejoined if rejoined.is_none() => rejoined = Some(e.time),
+            _ => {}
         }
-        (killed, rejoined)
     }
+    (killed, rejoined)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_sim::{check_no_duplicates, check_prefix_consistency};
+    use gcs_sim::{check_no_duplicates, check_prefix_consistency, GroupTransport};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -1350,7 +1215,7 @@ mod tests {
             sim.abcast_at(Time::from_millis(1 + i as u64), p(i % 3), vec![i as u8]);
         }
         sim.run_until(Time::from_secs(1));
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         for s in &seqs {
             assert_eq!(s.len(), 10);
         }
@@ -1368,11 +1233,11 @@ mod tests {
         let views = sim.views();
         // Survivors installed a view without p0; new sequencer is p1.
         for i in 1..3 {
-            let (vid, members) = views[i].last().expect("view change");
-            assert_eq!(*vid, 1);
-            assert_eq!(members, &vec![p(1), p(2)]);
+            let view = views[i].last().expect("view change");
+            assert_eq!(view.id, 1);
+            assert_eq!(view.members, vec![p(1), p(2)]);
         }
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         assert!(seqs[1].contains(&b"after".to_vec()));
         assert_eq!(seqs[1], seqs[2]);
     }
@@ -1380,28 +1245,28 @@ mod tests {
     #[test]
     fn flush_blocks_senders_sending_view_delivery() {
         let mut sim = IsisSim::with_joiners(3, 1, IsisConfig::default(), 3);
-        sim.join_at(Time::from_millis(10), p(3));
+        sim.join_at(Time::from_millis(10), p(3), p(0));
         sim.run_until(Time::from_secs(1));
         // The coordinator (p0) blocked during the flush.
-        let windows = sim.blocked_windows(p(0));
+        let windows = blocked_windows(sim.trace(), p(0));
         assert_eq!(windows.len(), 1, "one view change, one blocking window");
         let (s, e) = windows[0];
         assert!(e > s, "non-empty blocking window");
         // The joiner is in the final view everywhere.
         for i in 0..3 {
-            let (_, members) = sim.views()[i].last().expect("view").clone();
-            assert!(members.contains(&p(3)));
+            let view = sim.views()[i].last().expect("view").clone();
+            assert!(view.contains(p(3)));
         }
     }
 
     #[test]
     fn abcast_during_flush_is_queued_not_lost() {
         let mut sim = IsisSim::with_joiners(3, 1, IsisConfig::default(), 4);
-        sim.join_at(Time::from_millis(10), p(3));
+        sim.join_at(Time::from_millis(10), p(3), p(0));
         // Send while the flush is (likely) in progress.
         sim.abcast_at(Time::from_millis(12), p(1), b"queued".to_vec());
         sim.run_until(Time::from_secs(1));
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         for i in 0..3 {
             assert!(
                 seqs[i].contains(&b"queued".to_vec()),
@@ -1418,19 +1283,18 @@ mod tests {
         // p2 is unreachable for a while — alive, but suspected: the
         // traditional architecture excludes it (perfect-FD emulation), it is
         // killed, and must re-join with a full state transfer (§4.3).
-        sim.world_mut()
-            .partition_at(Time::from_millis(50), vec![vec![p(0), p(1)], vec![p(2)]]);
-        sim.world_mut().heal_at(Time::from_millis(400));
+        sim.partition_at(Time::from_millis(50), vec![vec![p(0), p(1)], vec![p(2)]]);
+        sim.heal_at(Time::from_millis(400));
         sim.run_until(Time::from_secs(3));
-        let (killed, rejoined) = sim.kill_and_rejoin_times(p(2));
+        let (killed, rejoined) = kill_and_rejoin_times(sim.trace(), p(2));
         let k = killed.expect("p2 was wrongly excluded and killed");
         let r = rejoined.expect("p2 re-joined after the heal");
         assert!(r > k);
         // State transfer cost was paid.
         assert!(sim.metrics().sent_of_kind("isis/state-transfer") >= 1);
         // And the final view contains all three processes again.
-        let (_, members) = sim.views()[0].last().expect("views installed").clone();
-        assert_eq!(members.len(), 3);
+        let view = sim.views()[0].last().expect("views installed").clone();
+        assert_eq!(view.len(), 3);
     }
 
     #[test]
@@ -1443,9 +1307,13 @@ mod tests {
         sim.abcast_at(Time::from_millis(300), p(1), b"post".to_vec());
         sim.run_until(Time::from_secs(2));
         for i in 0..3 {
-            let (vid, members) = sim.views()[i].last().expect("view change").clone();
-            assert!(vid >= 1);
-            assert_eq!(members, vec![p(0), p(1), p(2)], "p{i} sees p3 expelled");
+            let view = sim.views()[i].last().expect("view change").clone();
+            assert!(view.id >= 1);
+            assert_eq!(
+                view.members,
+                vec![p(0), p(1), p(2)],
+                "p{i} sees p3 expelled"
+            );
         }
         // The target was killed as Removed and stayed out (no auto re-join,
         // unlike a wrong suspicion).
@@ -1457,7 +1325,7 @@ mod tests {
             .of_proc(p(3))
             .any(|e| matches!(e.event, IsisEvent::Rejoined)));
         // The stream survives the removal at all three survivors.
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         for i in 0..3 {
             assert!(seqs[i].contains(&b"pre".to_vec()), "p{i}");
             assert!(seqs[i].contains(&b"post".to_vec()), "p{i}");
@@ -1485,7 +1353,7 @@ mod tests {
         let mut sim = IsisSim::new(3, IsisConfig::default(), 8);
         // Everyone is isolated from everyone: no majority exists, so no new
         // view may form (primary-partition rule).
-        sim.world_mut().partition_at(
+        sim.partition_at(
             Time::from_millis(50),
             vec![vec![p(0)], vec![p(1)], vec![p(2)]],
         );
@@ -1506,7 +1374,7 @@ mod tests {
                 sim.abcast_at(Time::from_millis(1 + i as u64), p(i % 3), vec![i as u8]);
             }
             sim.run_until(Time::from_secs(1));
-            (sim.delivered_payloads(), sim.metrics().total_sent())
+            (sim.adelivered_payloads(), sim.metrics().total_sent())
         };
         assert_eq!(run(9), run(9));
     }

@@ -17,8 +17,9 @@
 //! carries the global sequence; token loss triggers a ring reformation and
 //! recovery.
 //!
-//! Both stacks expose the same simulation harness shape as
-//! `gcs_core::GroupSim` so experiments can swap architectures.
+//! Each stack is a [`StackDriver`](gcs_sim::StackDriver) ([`IsisDriver`],
+//! [`TokenDriver`]) for the one generic [`Harness`](gcs_sim::Harness), so
+//! experiments swap architectures by swapping a type parameter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,5 +27,5 @@
 pub mod isis;
 pub mod token;
 
-pub use isis::{IsisConfig, IsisEvent, IsisSim, NewViewData};
-pub use token::{NewRingData, TokenConfig, TokenEvent, TokenSim};
+pub use isis::{IsisConfig, IsisDriver, IsisEvent, IsisSim, NewViewData};
+pub use token::{NewRingData, TokenConfig, TokenDriver, TokenEvent, TokenSim};

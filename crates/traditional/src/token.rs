@@ -19,12 +19,11 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use bytes::Bytes;
 use gcs_kernel::{
-    Component, Context, Event, PayloadRef, Process, ProcessId, SharedArena, Time, TimeDelta,
-    TimerId,
+    Component, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process, ProcessId, Time,
+    TimeDelta, TimerId,
 };
-use gcs_sim::{Metrics, SimConfig, SimWorld, Topology, Trace};
+use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology};
 
 /// Configuration of a token-ring process.
 #[derive(Clone, Copy, Debug)]
@@ -200,7 +199,7 @@ pub enum TokenEvent {
         seq: u64,
         /// Originating process.
         origin: ProcessId,
-        /// Payload handle (resolve via [`TokenSim::resolve`]).
+        /// Payload handle (resolve via the group's arena).
         payload: PayloadRef,
         /// Ring generation current at delivery (recovery deliveries of a
         /// reformation are tagged with the generation they were sent in).
@@ -907,204 +906,74 @@ impl Component<TokenEvent> for TokenStack {
     }
 }
 
-/// Simulation harness for token-ring groups.
-pub struct TokenSim {
-    world: SimWorld<TokenEvent>,
-    /// Payload arena: interned at injection, handles everywhere below.
-    arena: SharedArena,
-    n: usize,
-    /// Abcast operations accepted for injection (backpressure ledger).
-    offered: u64,
-    /// Optional bound on the injection-time backlog (`None` = unbounded).
-    queue_capacity: Option<usize>,
-    /// Highest backlog observed at an accepted injection.
-    queue_high_water: usize,
+/// The token-ring stack as a [`StackDriver`]: one component, `"token"`.
+pub struct TokenDriver;
+
+impl StackDriver for TokenDriver {
+    type Event = TokenEvent;
+    type Config = TokenConfig;
+    const KIND: StackKind = StackKind::Token;
+
+    fn build(id: ProcessId, config: &TokenConfig, founders: usize) -> Process<TokenEvent> {
+        let ring =
+            (id.index() < founders).then(|| (0..founders as u32).map(ProcessId::new).collect());
+        Process::builder(id)
+            .with(TokenStack::new(id, ring, *config))
+            .build()
+    }
+
+    fn abcast(payload: PayloadRef) -> Op<TokenEvent> {
+        ("token", TokenEvent::Abcast(payload))
+    }
+
+    /// RMP-style fault-free join: the ring sponsors the joiner itself.
+    fn join(_contact: ProcessId) -> Op<TokenEvent> {
+        ("token", TokenEvent::Join)
+    }
+
+    /// The leave rides the total order like a join, so every member shrinks
+    /// the ring at the same point of the stream. The target stays out.
+    fn remove(target: ProcessId) -> Option<Op<TokenEvent>> {
+        Some(("token", TokenEvent::Remove(target)))
+    }
+
+    fn project(event: &TokenEvent) -> Observation<'_> {
+        match event {
+            TokenEvent::Deliver {
+                seq,
+                origin,
+                payload,
+                vid,
+            } => Observation::Deliver {
+                sender: *origin,
+                seq: *seq,
+                kind: DeliveryKind::Atomic,
+                class: MessageClass::ABCAST,
+                view: *vid,
+                payload: *payload,
+            },
+            TokenEvent::RingInstalled { vid, ring } => Observation::View {
+                id: *vid,
+                members: ring,
+            },
+            // A member excluded by a reformation it missed stops delivering
+            // and re-enters later through the fault-free join: its stream
+            // resets at the exclusion.
+            TokenEvent::Excluded => Observation::Reset,
+            _ => Observation::Other,
+        }
+    }
 }
 
-impl TokenSim {
-    /// Creates a ring of `n` members on a loss-free LAN, mirroring
-    /// `gcs_core::GroupSim::new`.
-    pub fn new(n: usize, config: TokenConfig, seed: u64) -> Self {
-        Self::with_sim(n, 0, config, SimConfig::lan(seed))
-    }
-
-    /// Creates `n` ring members plus `joiners` processes that start outside
-    /// the ring (activate them with [`join_at`](Self::join_at)).
-    pub fn with_joiners(n: usize, joiners: usize, config: TokenConfig, seed: u64) -> Self {
-        Self::with_sim(n, joiners, config, SimConfig::lan(seed))
-    }
-
-    /// Full control over the simulation configuration (link model, trace
-    /// sink, seed).
-    pub fn with_sim(n: usize, joiners: usize, config: TokenConfig, sim: SimConfig) -> Self {
-        let ring: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let mut world = SimWorld::new(sim);
-        for _ in 0..n {
-            let r = ring.clone();
-            world.add_node(|id| {
-                Process::builder(id)
-                    .with(TokenStack::new(id, Some(r), config))
-                    .build()
-            });
-        }
-        for _ in 0..joiners {
-            world.add_node(|id| {
-                Process::builder(id)
-                    .with(TokenStack::new(id, None, config))
-                    .build()
-            });
-        }
-        TokenSim {
-            world,
-            arena: SharedArena::new(),
-            n: n + joiners,
-            offered: 0,
-            queue_capacity: None,
-            queue_high_water: 0,
-        }
-    }
-
-    /// Bounds the injection-time backlog for `try_abcast`-style facade
-    /// calls; `None` removes the bound.
-    pub fn set_queue_capacity(&mut self, cap: Option<usize>) {
-        self.queue_capacity = cap;
-    }
-
-    /// The configured backlog bound, if any.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
-    /// The abcast backlog as seen from `p`: operations accepted minus trace
-    /// outputs observed at `p` (approximate: occasional ring-management
-    /// outputs count as drained work). Meaningful for interleaved drivers.
-    pub fn queue_depth(&self, p: ProcessId) -> usize {
-        self.offered
-            .saturating_sub(self.world.trace().deliveries_of(p)) as usize
-    }
-
-    /// The highest [`queue_depth`](Self::queue_depth) observed at the
-    /// moment an injection was accepted.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// Number of processes (ring members + joiners).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if the group has no processes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Schedules an atomic broadcast (the payload is interned in the sim's
-    /// arena; the ring moves handles).
-    pub fn abcast_at(&mut self, t: Time, p: ProcessId, payload: impl Into<Bytes>) {
-        let payload = self.arena.intern(payload.into());
-        self.abcast_ref_at(t, p, payload);
-    }
-
-    /// Schedules an atomic broadcast of an already-interned payload handle.
-    pub fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {
-        self.offered += 1;
-        let backlog = self
-            .offered
-            .saturating_sub(self.world.trace().deliveries_of(p)) as usize;
-        if backlog > self.queue_high_water {
-            self.queue_high_water = backlog;
-        }
-        self.world
-            .inject_at(t, p, "token", TokenEvent::Abcast(payload));
-    }
-
-    /// The payload arena backing this sim's message plane.
-    pub fn arena(&self) -> &SharedArena {
-        &self.arena
-    }
-
-    /// Resolves a delivered payload handle to its bytes.
-    pub fn resolve(&self, payload: PayloadRef) -> Bytes {
-        self.arena.get(payload)
-    }
-
-    /// Schedules an RMP-style fault-free join.
-    pub fn join_at(&mut self, t: Time, p: ProcessId) {
-        self.world.inject_at(t, p, "token", TokenEvent::Join);
-    }
-
-    /// Schedules member `by` to request the removal of `target`: the leave
-    /// rides the total order like a join, so every member shrinks the ring
-    /// at the same point of the stream. The target stays out.
-    pub fn remove_at(&mut self, t: Time, by: ProcessId, target: ProcessId) {
-        self.world
-            .inject_at(t, by, "token", TokenEvent::Remove(target));
-    }
-
-    /// Crashes `p` at `t`.
-    pub fn crash_at(&mut self, t: Time, p: ProcessId) {
-        self.world.crash_at(t, p);
-    }
-
-    /// Runs until `t`.
-    pub fn run_until(&mut self, t: Time) {
-        self.world.run_until(t);
-    }
-
-    /// Runs until the event queue drains or `limit`; returns `true` only if
-    /// the system quiesced. A live ring re-arms its hold timer forever, so
-    /// this returns `false` unless every process has crashed.
-    pub fn run_to_quiescence(&mut self, limit: Time) -> bool {
-        self.world.run_to_quiescence(limit)
-    }
-
-    /// Direct access to the underlying simulation world.
-    pub fn world(&self) -> &SimWorld<TokenEvent> {
-        &self.world
-    }
-
-    /// Underlying world.
-    pub fn world_mut(&mut self) -> &mut SimWorld<TokenEvent> {
-        &mut self.world
-    }
-
-    /// Liveness flags per process.
-    pub fn alive_flags(&self) -> Vec<bool> {
-        self.world.alive_flags()
-    }
-
-    /// The delivery trace.
-    pub fn trace(&self) -> &Trace<TokenEvent> {
-        self.world.trace()
-    }
-
-    /// Simulation metrics.
-    pub fn metrics(&self) -> &Metrics {
-        self.world.metrics()
-    }
-
-    /// Per-process delivered payload sequences.
-    pub fn delivered_payloads(&self) -> Vec<Vec<Vec<u8>>> {
-        self.world.trace().per_proc(self.n, |e| match e {
-            TokenEvent::Deliver { payload, .. } => Some(self.arena.get(*payload).to_vec()),
-            _ => None,
-        })
-    }
-
-    /// Per-process installed rings.
-    pub fn rings(&self) -> Vec<Vec<(u64, Vec<ProcessId>)>> {
-        self.world.trace().per_proc(self.n, |e| match e {
-            TokenEvent::RingInstalled { vid, ring } => Some((*vid, ring.clone())),
-            _ => None,
-        })
-    }
-}
+/// A simulated token-ring group. Its surface is
+/// [`GroupTransport`](gcs_sim::GroupTransport); installed rings are its
+/// [`views`](gcs_sim::GroupTransport::views).
+pub type TokenSim = Harness<TokenDriver, SimWorld<TokenEvent>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_sim::{check_no_duplicates, check_prefix_consistency};
+    use gcs_sim::{check_no_duplicates, check_prefix_consistency, GroupTransport};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -1121,7 +990,7 @@ mod tests {
             );
         }
         sim.run_until(Time::from_secs(1));
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         for s in &seqs {
             assert_eq!(s.len(), 12, "everything delivered: {seqs:?}");
         }
@@ -1136,12 +1005,12 @@ mod tests {
         sim.crash_at(Time::from_millis(5), p(0));
         sim.abcast_at(Time::from_millis(200), p(2), b"post".to_vec());
         sim.run_until(Time::from_secs(2));
-        let rings = sim.rings();
+        let rings = sim.views();
         for i in 1..3 {
-            let (_, ring) = rings[i].last().expect("reformation happened");
+            let ring = &rings[i].last().expect("reformation happened").members;
             assert_eq!(ring, &vec![p(1), p(2)], "p{i} sees the reformed ring");
         }
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         assert!(
             seqs[1].contains(&b"post".to_vec()),
             "ordering resumed: {seqs:?}"
@@ -1152,16 +1021,16 @@ mod tests {
     #[test]
     fn rmp_join_rides_the_total_order() {
         let mut sim = TokenSim::with_joiners(3, 1, TokenConfig::default(), 3);
-        sim.join_at(Time::from_millis(5), p(3));
+        sim.join_at(Time::from_millis(5), p(3), p(0));
         sim.abcast_at(Time::from_millis(100), p(1), b"hello".to_vec());
         sim.run_until(Time::from_secs(1));
-        let rings = sim.rings();
+        let rings = sim.views();
         for i in 0..4 {
-            let (_, ring) = rings[i].last().expect("ring installed");
-            assert!(ring.contains(&p(3)), "p{i} sees the joiner");
+            let ring = rings[i].last().expect("ring installed");
+            assert!(ring.contains(p(3)), "p{i} sees the joiner");
         }
         // The joiner receives post-join traffic.
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         assert!(seqs[3].contains(&b"hello".to_vec()));
     }
 
@@ -1173,7 +1042,7 @@ mod tests {
                 sim.abcast_at(Time::from_millis(1), p(i % 3), vec![i as u8]);
             }
             sim.run_until(Time::from_millis(500));
-            (sim.delivered_payloads(), sim.metrics().total_sent())
+            (sim.adelivered_payloads(), sim.metrics().total_sent())
         };
         assert_eq!(run(4), run(4));
     }
@@ -1185,16 +1054,16 @@ mod tests {
         sim.remove_at(Time::from_millis(50), p(1), p(3));
         sim.abcast_at(Time::from_millis(300), p(1), b"post".to_vec());
         sim.run_until(Time::from_secs(2));
-        let rings = sim.rings();
+        let rings = sim.views();
         for i in 0..3 {
-            let (_, ring) = rings[i].last().expect("ring change").clone();
-            assert_eq!(ring, vec![p(0), p(1), p(2)], "p{i} sees p3 leave");
+            let ring = &rings[i].last().expect("ring change").members;
+            assert_eq!(ring, &vec![p(0), p(1), p(2)], "p{i} sees p3 leave");
         }
         // The target delivered its own leave (its last installed ring lacks
         // it) and stayed out.
-        let (_, last3) = rings[3].last().expect("target saw the leave").clone();
-        assert!(!last3.contains(&p(3)));
-        let seqs = sim.delivered_payloads();
+        let last3 = rings[3].last().expect("target saw the leave");
+        assert!(!last3.contains(p(3)));
+        let seqs = sim.adelivered_payloads();
         for i in 0..3 {
             assert!(seqs[i].contains(&b"pre".to_vec()), "p{i}");
             assert!(seqs[i].contains(&b"post".to_vec()), "p{i}");
@@ -1210,7 +1079,7 @@ mod tests {
     fn partitioned_minority_does_not_fork_the_sequence_space() {
         let mut sim = TokenSim::new(5, TokenConfig::default(), 11);
         sim.abcast_at(Time::from_millis(1), p(0), b"a".to_vec());
-        sim.world_mut().partition_at(
+        sim.partition_at(
             Time::from_millis(20),
             vec![vec![p(0), p(1), p(2)], vec![p(3), p(4)]],
         );
@@ -1218,9 +1087,9 @@ mod tests {
         // reformed ring may stamp.
         sim.abcast_at(Time::from_millis(200), p(1), b"maj".to_vec());
         sim.abcast_at(Time::from_millis(200), p(3), b"min".to_vec());
-        sim.world_mut().heal_at(Time::from_millis(600));
+        sim.heal_at(Time::from_millis(600));
         sim.run_until(Time::from_secs(4));
-        let seqs = sim.delivered_payloads();
+        let seqs = sim.adelivered_payloads();
         // Total order holds across every pair of processes.
         gcs_sim::check_total_order(&seqs).expect("no split-brain stamping");
         // The majority stream stayed live through the split.
@@ -1228,10 +1097,10 @@ mod tests {
             assert!(seqs[i].contains(&b"maj".to_vec()), "p{i}: {seqs:?}");
         }
         // After the heal the excluded members learn the ring and re-join.
-        let rings = sim.rings();
+        let rings = sim.views();
         for i in 3..5 {
-            let (_, ring) = rings[i].last().expect("rejoined").clone();
-            assert!(ring.contains(&p(i as u32)), "p{i} back in the ring");
+            let ring = rings[i].last().expect("rejoined");
+            assert!(ring.contains(p(i as u32)), "p{i} back in the ring");
         }
     }
 
@@ -1243,7 +1112,7 @@ mod tests {
                 sim.abcast_at(Time::from_millis(1), p(0), vec![i; 100]);
             }
             sim.run_until(Time::from_secs(2));
-            let seqs = sim.delivered_payloads();
+            let seqs = sim.adelivered_payloads();
             for s in &seqs {
                 assert_eq!(s.len(), 6, "the byte budget must not lose messages");
             }

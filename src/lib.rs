@@ -17,7 +17,9 @@
 //! * [`kernel`] — the protocol-composition framework (Appia/Cactus
 //!   counterpart): components, events, timers, linear stacks.
 //! * [`sim`] — deterministic discrete-event simulator: virtual time,
-//!   configurable network, fault injection, metrics, trace checking.
+//!   configurable network, fault injection, metrics, trace checking — and
+//!   the one generic group harness (`Harness<S: StackDriver, R: Runtime>`)
+//!   that every stack on either backend is an instance of.
 //! * [`net`] — the reliable channel (acks, retransmission, FIFO,
 //!   output-triggered suspicion).
 //! * [`fd`] — heartbeat failure detection with independent timeout classes.

@@ -59,10 +59,8 @@ fn phoenix_stack_fig2() {
     sim.partition_at(Time::from_millis(40), vec![vec![p(0), p(1)], vec![p(2)]]);
     sim.heal_at(Time::from_millis(400));
     sim.run_until(Time::from_secs(3));
-    let (killed, rejoined) = sim
-        .as_isis()
-        .expect("isis stack")
-        .kill_and_rejoin_times(p(2));
+    let isis = sim.as_isis().expect("isis stack");
+    let (killed, rejoined) = gcs::traditional::isis::kill_and_rejoin_times(isis.trace(), p(2));
     assert!(killed.is_some(), "p2 was excluded while unreachable");
     assert!(rejoined.is_some(), "process-level recovery: p2 re-admitted");
     let last = sim.views()[0].last().expect("views").clone();
@@ -260,7 +258,8 @@ fn new_stack_fig7() {
         );
     }
     g.run_until(Time::from_secs(3));
-    let ids = g.as_new_arch().expect("new arch").gdelivered_ids();
+    let sim = g.as_new_arch().expect("new arch");
+    let ids = gcs::core::gdelivered_ids(sim.trace(), sim.len());
     for s in &ids {
         assert_eq!(s.len(), 12);
     }

@@ -163,7 +163,8 @@ fn fifo_generic_broadcast_per_sender_order() {
             );
         }
         g.run_until(Time::from_secs(3));
-        let ids = g.as_new_arch().expect("new arch").gdelivered_ids();
+        let sim = g.as_new_arch().expect("new arch");
+        let ids = gcs::core::gdelivered_ids(sim.trace(), sim.len());
         for (i, seq) in ids.iter().enumerate() {
             assert_eq!(seq.len(), 10, "seed {seed}: p{i} delivered all");
             // Per-sender sequence numbers must be increasing.
