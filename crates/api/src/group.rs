@@ -198,9 +198,9 @@ impl GroupBuilder {
     }
 
     /// Relay fan-out of the new-architecture stack (ignored by the
-    /// baselines): when a process relays a message —
-    /// generic broadcast on every first copy, atomic broadcast and consensus
-    /// only while its origin is suspected —
+    /// baselines): when a process relays a message — atomic broadcast,
+    /// generic broadcast and consensus do only while its origin is
+    /// suspected —
     /// [`RelayFanout::All`](gcs_core::RelayFanout) re-sends it to the whole
     /// view, [`RelayFanout::Bounded`](gcs_core::RelayFanout) to `k` ring
     /// successors. When not set, the builder picks all-relay up to

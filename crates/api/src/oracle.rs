@@ -25,6 +25,10 @@
 //! * **Uniform agreement among survivors** — the final incarnations of the
 //!   surviving members end at the same point of the stream; a survivor whose
 //!   delivery sequence stops strictly short of another's missed messages.
+//!   Generic (non-atomic) deliveries have no stream to end, so there the
+//!   property is on the *set*: founding members that survive and were never
+//!   reset have g-delivered the same messages — a message one of them
+//!   fast-delivered and another never got is a uniformity hole.
 //! * **View synchrony** — no message is delivered in different views by two
 //!   processes that both installed both views (same-view delivery, §4.4).
 //!
@@ -49,7 +53,8 @@ use gcs_sim::{GroupTransport, Observation, TransportDelivery};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InvariantKind {
     /// A survivor's delivery sequence ends strictly short of another
-    /// survivor's (uniform agreement among survivors).
+    /// survivor's, or a survivor never g-delivered a generic message that
+    /// another did (uniform agreement among survivors).
     Agreement,
     /// Two incarnations delivered two atomic messages in opposite orders.
     TotalOrder,
@@ -457,6 +462,37 @@ impl InvariantChecker {
             }
         }
 
+        // Generic agreement: the founding survivors that were never reset
+        // g-delivered the same set (a joiner or a rejoined incarnation
+        // legitimately starts from a state transfer instead).
+        let generic: Vec<(usize, BTreeSet<Key>)> = incs
+            .iter()
+            .filter(|inc| {
+                inc.proc < self.founding
+                    && self.resets[inc.proc].is_empty()
+                    && survivors.contains(&inc.proc)
+            })
+            .map(|inc| {
+                let set = inc.seen.iter().filter(|(_, atomic)| !atomic);
+                (inc.proc, set.map(|&(k, _)| k).collect())
+            })
+            .collect();
+        let everything: BTreeSet<Key> = generic.iter().flat_map(|(_, set)| set).copied().collect();
+        for (p, mine) in &generic {
+            let mut missing = everything.difference(mine);
+            if let Some(&k) = missing.next() {
+                self.violate(
+                    InvariantKind::Agreement,
+                    format!(
+                        "survivor p{p} never g-delivered {} ({} of the generic messages other \
+                         survivors delivered are missing)",
+                        key_str(k),
+                        1 + missing.count(),
+                    ),
+                );
+            }
+        }
+
         // View synchrony: a message delivered under view v1 at p and v2 at q
         // spans a view change if both p and q installed both views.
         let mut tags: HashMap<Key, Vec<(usize, u64)>> = HashMap::new();
@@ -616,6 +652,44 @@ mod tests {
         c.observe_delivery(atomic(1, 1, 0, 0, 0));
         let r = c.finalize(&[true, false]);
         assert!(r.is_clean(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn missing_generic_delivery_fires_agreement() {
+        // Three founders g-deliver (0,0); p2 never gets (1,0) — say its copy
+        // died with the origin and nobody relayed it.
+        let feed = |c: &mut InvariantChecker| {
+            for proc in 0..3 {
+                c.observe_delivery(rbcast(1, proc, 0, 0));
+            }
+            c.observe_delivery(rbcast(2, 0, 1, 0));
+            c.observe_delivery(rbcast(2, 1, 1, 0));
+        };
+        let mut c = InvariantChecker::new(3, 3);
+        feed(&mut c);
+        let r = c.finalize(&[true, true, true]);
+        assert_eq!(kinds(&r), vec![InvariantKind::Agreement]);
+        let detail = &r.violations[0].detail;
+        assert!(
+            detail.contains("p2") && detail.contains("(1,0)"),
+            "{detail}"
+        );
+        // The order of generic deliveries is free: no violation for that.
+        let mut c = InvariantChecker::new(3, 3);
+        feed(&mut c);
+        c.observe_delivery(rbcast(0, 2, 1, 0));
+        assert!(c.finalize(&[true, true, true]).is_clean());
+        // A dead process, a joiner and a reset incarnation owe nothing.
+        let mut c = InvariantChecker::new(3, 3);
+        feed(&mut c);
+        assert!(c.finalize(&[true, true, false]).is_clean());
+        let mut c = InvariantChecker::new(2, 3);
+        feed(&mut c);
+        assert!(c.finalize(&[true, true, true]).is_clean());
+        let mut c = InvariantChecker::new(3, 3);
+        feed(&mut c);
+        c.observe_reset(p(2), Time::from_millis(1));
+        assert!(c.finalize(&[true, true, true]).is_clean());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! and — the PR-3 tracked metric — allocations per payload delivery.
 //!
 //! ```text
-//! allocs [abcast|isis|token|all] [--json]
+//! allocs [abcast|gbcast|isis|token|all] [--json]
 //! ```
 //!
 //! `--json` emits the machine-readable object the alloc-regression guard
@@ -18,10 +18,11 @@ static A: CountingAlloc = CountingAlloc;
 fn measure(which: &str) -> AllocMeasurement {
     match which {
         "abcast" => perf::measure_allocs("abcast_steady/5", perf::abcast_steady_5_stats),
+        "gbcast" => perf::measure_allocs("gbcast_steady/5", perf::gbcast_steady_5_stats),
         "isis" => perf::measure_allocs("isis_steady/5", perf::isis_steady_5_stats),
         "token" => perf::measure_allocs("token_steady/5", perf::token_steady_5_stats),
         other => {
-            eprintln!("allocs: unknown workload {other:?} (want abcast|isis|token|all)");
+            eprintln!("allocs: unknown workload {other:?} (want abcast|gbcast|isis|token|all)");
             std::process::exit(2);
         }
     }
@@ -36,7 +37,7 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all");
     let measurements: Vec<AllocMeasurement> = if which == "all" {
-        ["abcast", "isis", "token"]
+        ["abcast", "gbcast", "isis", "token"]
             .iter()
             .map(|w| measure(w))
             .collect()

@@ -820,7 +820,7 @@ fn run_scenario() {
         s.topology.name()
     );
     println!("| injected ops | {} |", r.injected);
-    println!("| atomic deliveries | {} |", r.deliveries);
+    println!("| deliveries | {} |", r.deliveries);
     println!("| mean latency (virtual ms) | {:.2} |", r.mean_latency_ms);
     println!("| p99 latency (virtual ms) | {:.2} |", r.p99_latency_ms);
     println!("| messages sent | {} |", r.msgs);

@@ -13,7 +13,7 @@ use gcs_kernel::{Time, TimeDelta};
 use gcs_sim::TraceMode;
 
 use crate::scenario;
-use crate::workload::{UniformWorkload, Workload};
+use crate::workload::{GenericWorkload, UniformWorkload, Workload};
 
 /// One measured workload.
 #[derive(Clone, Debug)]
@@ -63,6 +63,29 @@ pub fn abcast_steady_5_stats() -> RunStats {
     RunStats {
         events: g.events_executed(),
         deliveries: delivered.iter().map(|s| s.len() as u64).sum(),
+    }
+}
+
+/// The `gbcast_steady/5` workload: 200 conflict-free 64-byte g-broadcasts
+/// at 2,000 ops/s across 5 processes — the fast path and nothing else, in
+/// one epoch — with the g-delivery total (200 messages × 5 processes).
+pub fn gbcast_steady_5_stats() -> RunStats {
+    let mut cfg = StackConfig::default();
+    cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+    let mut g = Group::builder()
+        .members(5)
+        .stack_config(cfg)
+        .seed(1)
+        .build();
+    let mut stream = GenericWorkload::per_second(200, 2_000, 0);
+    stream.base.payload = 64;
+    stream.inject(5, &mut g);
+    g.run_until(Time::from_millis(300));
+    let deliveries = g.delivery_count();
+    assert_eq!(deliveries, 1000);
+    RunStats {
+        events: g.events_executed(),
+        deliveries,
     }
 }
 
@@ -374,6 +397,7 @@ mod tests {
         assert!(abcast_steady_5() > 100);
         assert!(isis_steady_5() > 100);
         assert!(token_steady_5() > 100);
+        assert!(gbcast_steady_5_stats().events > 1000);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! Implementations cover the scenario matrix: [`UniformWorkload`] (the old
 //! round-robin stream), [`SkewedWorkload`] (zipf-distributed senders),
 //! [`LargePayloadWorkload`] (bulk messages that pay serialization delay on
-//! bandwidth-limited links) and [`ChurnWorkload`] (a stream with membership
-//! churn riding on it).
+//! bandwidth-limited links), [`ChurnWorkload`] (a stream with membership
+//! churn riding on it) and [`GenericWorkload`] (the uniform stream through
+//! generic broadcast, in two conflict classes).
 
 use gcs_api::GroupTransport;
-use gcs_kernel::{ProcessId, Time, TimeDelta};
+use gcs_kernel::{MessageClass, ProcessId, Time, TimeDelta};
 use gcs_sim::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,6 +118,17 @@ impl UniformWorkload {
     }
 }
 
+impl UniformWorkload {
+    /// When op `i` is injected and by whom, in a group of `n`.
+    fn arrival(&self, i: u32, n: usize) -> (Time, ProcessId) {
+        let sender = match self.senders {
+            Senders::RoundRobin => ProcessId::new(i % n as u32),
+            Senders::One(p) => p,
+        };
+        (self.start + self.interval.saturating_mul(i as u64), sender)
+    }
+}
+
 impl Workload for UniformWorkload {
     fn name(&self) -> &'static str {
         "uniform"
@@ -125,11 +137,7 @@ impl Workload for UniformWorkload {
     fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
         let mut times = Vec::with_capacity(self.msgs as usize);
         for i in 0..self.msgs {
-            let t = self.start + self.interval.saturating_mul(i as u64);
-            let sender = match self.senders {
-                Senders::RoundRobin => ProcessId::new(i % n as u32),
-                Senders::One(p) => p,
-            };
+            let (t, sender) = self.arrival(i, n);
             target.abcast_build_at(t, sender, &mut |buf| {
                 write_payload(i as usize, self.payload, buf)
             });
@@ -308,6 +316,62 @@ impl Workload for LargePayloadWorkload {
     }
 }
 
+/// The uniform stream through **generic broadcast** (new architecture only)
+/// under the paper's §3.3 relation: ops are g-broadcast in
+/// [`MessageClass::RBCAST`], which conflicts with nothing of its own class
+/// and rides the fast path, except every `conflict_every`-th, which goes out
+/// in [`MessageClass::ABCAST`], conflicts with everything and forces an
+/// epoch closure through consensus.
+#[derive(Clone, Debug)]
+pub struct GenericWorkload {
+    /// The underlying stream timing/sizing.
+    pub base: UniformWorkload,
+    /// One op in this many is in the conflicting class; 0 means none.
+    pub conflict_every: u32,
+}
+
+impl GenericWorkload {
+    /// `msgs` g-broadcasts at `rate` per second starting at 1 ms, 2-byte
+    /// payloads, round-robin senders, one in `conflict_every` conflicting.
+    pub fn per_second(msgs: u32, rate: u64, conflict_every: u32) -> Self {
+        let mut base = UniformWorkload::steady(msgs, 0);
+        base.interval = TimeDelta::from_nanos(1_000_000_000 / rate.max(1));
+        GenericWorkload {
+            base,
+            conflict_every,
+        }
+    }
+
+    /// The class of op `i`.
+    pub fn class_of(&self, i: u32) -> MessageClass {
+        if self.conflict_every > 0 && i % self.conflict_every == self.conflict_every - 1 {
+            MessageClass::ABCAST
+        } else {
+            MessageClass::RBCAST
+        }
+    }
+}
+
+impl Workload for GenericWorkload {
+    fn name(&self) -> &'static str {
+        "generic"
+    }
+
+    fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
+        let base = &self.base;
+        let mut times = Vec::with_capacity(base.msgs as usize);
+        for i in 0..base.msgs {
+            let (t, sender) = base.arrival(i, n);
+            let payload = target
+                .arena()
+                .build(|buf| write_payload(i as usize, base.payload, buf));
+            target.gbcast_ref_at(t, sender, self.class_of(i), payload);
+            times.push(t);
+        }
+        times
+    }
+}
+
 /// A uniform stream with membership churn riding on it: the first joiner
 /// enters the group mid-stream and a founding member is removed shortly
 /// after — the join-under-load scenario of the paper's §4.4.
@@ -374,14 +438,17 @@ mod tests {
     use super::*;
 
     use gcs_api::{Capabilities, Observation, StackKind};
-    use gcs_kernel::{MessageClass, PayloadRef, SharedArena};
+    use gcs_kernel::{PayloadRef, SharedArena};
 
-    /// A transport stub that records the abcast stream instead of running a
-    /// simulation — the only surface workloads touch is the injection path.
+    /// A transport stub that records the broadcast stream instead of
+    /// running a simulation — the only surface workloads touch is the
+    /// injection path.
     #[derive(Default)]
     struct Recorder {
         arena: SharedArena,
         ops: Vec<(Time, ProcessId, Vec<u8>)>,
+        /// The class of each op that came in through `gbcast_ref_at`.
+        classes: Vec<MessageClass>,
     }
     impl GroupTransport for Recorder {
         fn stack(&self) -> StackKind {
@@ -401,8 +468,9 @@ mod tests {
         fn capabilities(&self) -> Capabilities {
             unimplemented!()
         }
-        fn gbcast_ref_at(&mut self, _: Time, _: ProcessId, _: MessageClass, _: PayloadRef) {
-            unimplemented!()
+        fn gbcast_ref_at(&mut self, t: Time, p: ProcessId, c: MessageClass, payload: PayloadRef) {
+            self.classes.push(c);
+            self.abcast_ref_at(t, p, payload);
         }
         fn rbcast_ref_at(&mut self, _: Time, _: ProcessId, _: PayloadRef) {
             unimplemented!()
@@ -532,6 +600,24 @@ mod tests {
         w.inject(4, &mut r);
         // Senders avoid the removal victim p3.
         assert!(r.ops.iter().all(|(_, s, _)| s.index() < 3));
+    }
+
+    #[test]
+    fn generic_stream_puts_every_kth_op_in_the_conflicting_class() {
+        let w = GenericWorkload::per_second(8, 2000, 4);
+        let mut r = Recorder::default();
+        let times = w.inject(5, &mut r);
+        assert_eq!(times[1], Time::from_micros(1500), "2,000 ops/s");
+        let conflicting: Vec<usize> = (0..8)
+            .filter(|&i| r.classes[i] == MessageClass::ABCAST)
+            .collect();
+        assert_eq!(conflicting, vec![3, 7]);
+        assert_eq!(decode_op_index(&r.ops[5].2), Some(5));
+        assert_eq!(r.ops[5].1, ProcessId::new(0), "round-robin over 5");
+        // conflict_every = 0: a conflict-free stream.
+        let mut r = Recorder::default();
+        GenericWorkload::per_second(8, 2000, 0).inject(5, &mut r);
+        assert!(r.classes.iter().all(|&c| c == MessageClass::RBCAST));
     }
 
     #[test]

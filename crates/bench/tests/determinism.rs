@@ -1,7 +1,7 @@
 //! Scenario determinism: the same seed + the same `Schedule`/`Topology`
 //! must yield bit-identical event counts and delivery orders across runs.
 //!
-//! The scenario report's fingerprint folds every atomic delivery
+//! The scenario report's fingerprint folds every delivery
 //! (virtual time, process, full payload) plus the executed-event count, so
 //! equal fingerprints mean equal delivery orders, not just equal totals.
 
@@ -121,6 +121,8 @@ const GOLDEN_SEED_7: &str = "\
 | flaky-churn | 7 | 120 | 538 | 9.33 | 39.43 | 15671 | 21314 | 0 | fd25d123ce1adc01 | 448444
 | rolling-restart-wan3 | 7 | 90 | 810 | 272.28 | 481.45 | 151160 | 168620 | 0 | cf0887492742ce28 | 4247022
 | partition-heal-wan3 | 7 | 100 | 900 | 429.79 | 672.32 | 123051 | 136208 | 0 | 64aeb41da3471d0b | 4754194
+| generic-lan | 7 | 2000 | 10000 | 1.76 | 5.16 | 49544 | 54524 | 0 | 31399a5797011e17 | 6459656
+| generic-lan-0 | 7 | 8000 | 40000 | 1.55 | 2.11 | 183057 | 198537 | 0 | 5af82542cd4de7da | 9161368
 | uniform-lan-isis | 7 | 200 | 1600 | 1.23 | 2.21 | 14000 | 15744 | 0 | cfec7a3ba7dc5608 | 271600
 | uniform-lan-token | 7 | 200 | 1608 | 3.43 | 7.00 | 2850 | 29713 | 0 | 788fc30113c58936 | 93600
 | churn-lan-isis | 7 | 150 | 679 | 1.46 | 19.32 | 6022 | 8162 | 0 | 01e4a989b54d1267 | 114296

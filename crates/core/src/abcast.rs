@@ -307,14 +307,7 @@ impl AbcastCore {
             return;
         }
         let targets = self.rb.relay_targets(origin, origin);
-        let of_origin = MsgId {
-            sender: origin,
-            seq: 0,
-        }..=MsgId {
-            sender: origin,
-            seq: u64::MAX,
-        };
-        for (_, message) in self.pending.range(of_origin) {
+        for (_, message) in self.pending.range(MsgId::all_of(origin)) {
             for &to in targets {
                 out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
             }

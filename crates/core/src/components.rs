@@ -14,7 +14,7 @@
 //!               │                ┌─▼───────┴──┐         ┌───┴───────────┐
 //!               │                │ consensus  │◀───────┐│ monitoring    │
 //!               │                └─┬──────────┘ suspect└┴───▲───────▲───┘
-//!               │                  │          (abcast too)    │       │
+//!               │                  │  (abcast, generic too)   │       │
 //!               │                  │                  Suspect│  Stuck│
 //!   ┌───────────▼──────────────────▼──────────┐   ┌──────────┴──┐    │
 //!   │ rc (reliable channel, §3.3.1)           │   │ fd (◇S)     │────┘
@@ -36,7 +36,8 @@ use crate::membership::{MbOut, MembershipCore};
 use crate::monitoring::{MonOut, MonitoringCore, MonitoringPolicy};
 use crate::rbcast::RelayFanout;
 use crate::types::{
-    AbMsg, Batch, Body, Ev, GbMsg, MbMsg, MessageClass, MonMsg, SnapshotData, View, WireMsg,
+    AbMsg, Batch, Body, Ev, GbMsg, MbMsg, Message, MessageClass, MonMsg, MsgId, SnapshotData, View,
+    WireMsg,
 };
 
 /// Component names (routing targets within a process).
@@ -205,15 +206,16 @@ impl FdComponent {
     }
 
     /// Consensus-class transitions drive round changes in consensus and the
-    /// on-suspicion relay in atomic broadcast; monitoring-class ones feed
-    /// the exclusion policy.
+    /// on-suspicion relay in atomic and generic broadcast; monitoring-class
+    /// ones feed the exclusion policy.
     fn route_suspicion(&self, class: MonitorClass, event: Ev, ctx: &mut Context<'_, Ev>) {
         if class == MonitorClass::CONSENSUS {
             ctx.emit(names::CONSENSUS, event.clone());
             if self.trace_suspicions {
                 ctx.output(event.clone());
             }
-            ctx.emit(names::ABCAST, event);
+            ctx.emit(names::ABCAST, event.clone());
+            ctx.emit(names::GENERIC, event);
         } else {
             ctx.emit(names::MONITORING, event);
         }
@@ -613,7 +615,18 @@ impl Component<Ev> for GenericComponent {
             }
             Ev::Net(from, WireMsg::Gb(msg)) => {
                 match msg {
-                    GbMsg::Data(m) => self.core.on_data_into(from, m, &mut outs),
+                    GbMsg::Data {
+                        sender,
+                        seq,
+                        class,
+                        body,
+                        origin_ack,
+                    } => {
+                        let id = MsgId { sender, seq };
+                        let message = Message { id, class, body };
+                        self.core
+                            .on_data_into(from, message, origin_ack.get(), &mut outs)
+                    }
                     GbMsg::Ack { epoch, id } => self.core.on_ack_into(from, epoch, id, &mut outs),
                 };
                 self.apply(outs.drain(..), ctx);
@@ -625,13 +638,23 @@ impl Component<Ev> for GenericComponent {
                     self.flush_deferred(ctx);
                 }
             }
+            Ev::Suspect(MonitorClass::CONSENSUS, p) => {
+                self.core.on_suspect_into(p, &mut outs);
+                self.apply(outs.drain(..), ctx);
+            }
+            Ev::Restore(MonitorClass::CONSENSUS, p) => self.core.on_restore(p),
             Ev::ViewChanged(v) => {
                 let outs2 = self.core.on_view_change(v);
                 self.apply(outs2, ctx);
             }
             Ev::InstallSnapshot(snap) => {
-                self.core
-                    .install_snapshot(&snap.view, snap.gb_epoch, &snap.gdelivered);
+                self.core.install_snapshot_into(
+                    &snap.view,
+                    snap.gb_epoch,
+                    &snap.gdelivered,
+                    &mut outs,
+                );
+                self.apply(outs.drain(..), ctx);
             }
             Ev::SnapFill { joiner, snap } => {
                 self.deferred.push((joiner, snap));

@@ -3,20 +3,24 @@
 //!
 //! Messages carry a [`MessageClass`]; a symmetric [`ConflictRelation`] over
 //! classes defines which pairs must be mutually ordered. Non-conflicting
-//! messages take a **fast path** that costs two communication steps plus an
-//! acknowledgement round and *never invokes consensus*; conflicting messages
-//! force an **escalation** through atomic broadcast — the thrifty property
-//! of Aguilera et al. \[1\] that the paper assumes (§3.2.1): *atomic
-//! broadcast is used only when conflicting messages are broadcast*.
+//! messages take a **fast path** that costs two communication steps — one
+//! diffusion, one acknowledgement round — and *never invokes consensus*;
+//! conflicting messages force an **escalation** through atomic broadcast —
+//! the thrifty property of Aguilera et al. \[1\] that the paper assumes
+//! (§3.2.1): *atomic broadcast is used only when conflicting messages are
+//! broadcast*.
 //!
 //! ## The algorithm (adapted quorum-ack generic broadcast)
 //!
 //! Time is divided into *epochs*. Within an epoch:
 //!
-//! * To g-broadcast `m`: diffuse it by reliable broadcast.
-//! * On first receipt of `m`: if `m` conflicts with **no** other undelivered
-//!   message known locally, send `ack(epoch, m)` to all members; a process
-//!   never acks two conflicting messages in one epoch.
+//! * To g-broadcast `m`: send it to every other member. If `m` conflicts
+//!   with nothing the origin knows, the origin acks it, and that ack *rides
+//!   the data* ([`GbMsg::Data`]'s `origin_ack`): no separate packet.
+//! * On first receipt of `m`: if `m` conflicts with **no** other message
+//!   known this epoch, send `ack(epoch, m)` to all members; a process never
+//!   acks two conflicting messages in one epoch. Nothing is relayed while
+//!   the origin is trusted (see *Uniformity* below).
 //! * `m` is **fast-delivered** once `⌈(2n+1)/3⌉` acks of the current epoch
 //!   arrive (and the payload is present).
 //! * On a conflict, a process **escalates**: it freezes (stops acking) and
@@ -26,7 +30,12 @@
 //!   every process — close the epoch: their union `M` is delivered, first
 //!   the messages supported by more than `T − 1` of the collected acked-sets
 //!   (any message that may have been fast-delivered is among them), then the
-//!   rest, both in id order; undelivered messages carry into the next epoch.
+//!   rest, both in id order; undelivered messages carry into the next epoch
+//!   and are acked again there, explicitly.
+//!
+//! A failure-free, conflict-free g-broadcast therefore costs exactly `n − 1`
+//! `gb/data` and `(n − 1)²` `gb/ack`. The `n(n − 1)` ack fan-out is inherent
+//! to delivering in two steps: every process must see the quorum itself.
 //!
 //! With `f_gb = ⌈n/3⌉ − 1` and `T = ⌈(2n+1)/3⌉ + (n − f_gb) − n`, quorum
 //! intersection gives: a fast-delivered message always clears `T` while any
@@ -35,8 +44,51 @@
 //! for quorum-ack generic broadcast); the escalation path inherits
 //! `f < n/2` from atomic broadcast. Correctness is exercised by the
 //! property tests in `tests/generic_broadcast.rs`.
+//!
+//! ## Uniformity: who relays what, and when
+//!
+//! The fast path delivers on acks alone, so a message one process has
+//! g-delivered must reach every correct member even if its origin crashed
+//! half-way through its sends. The diffusion is nevertheless *lazy*, as in
+//! atomic broadcast: a first copy is relayed only while the failure detector
+//! (◇S-complete; this component hears the consensus-class suspicions)
+//! suspects the message's origin, and when `Suspect(o)` arrives everything
+//! of `o` this process holds for the current epoch is relayed — `pending`
+//! **and** `acked`. Why that is enough:
+//!
+//! * *Who holds `m` when somebody fast-delivers it in epoch `e`:* a fast
+//!   quorum of processes acked `m` in `e`, and an acker keeps `m` in its
+//!   `acked` set until *it* closes `e` — also after it g-delivered `m`
+//!   itself. More than `f` of them are ackers, so one is correct; if the
+//!   origin is dead that acker eventually suspects it for good.
+//! * *Why `pending ∪ acked`:* unlike atomic broadcast, where only decisions
+//!   deliver and decisions carry full messages, a message this process has
+//!   already g-delivered may be missing at a correct peer whose copy died
+//!   with the origin. `acked` still has it (delivered or not); `pending` has
+//!   what was never acked here (received while frozen, or carried over from
+//!   an earlier epoch). Together they are everything held that a closure has
+//!   not yet taken care of.
+//! * *Why closed epochs need no relay:* if `m` was fast-delivered in `e`
+//!   and `e` closes anywhere, quorum intersection puts `m` in the union of
+//!   the closing `End`s, which atomic broadcast hands — payload included —
+//!   to every correct member.
+//! * *Why non-member origins relay eagerly:* the failure detector monitors
+//!   members only, so nobody would ever suspect a broadcaster outside the
+//!   view. Its first copies are relayed at once (the classic diffusion), and
+//!   when a view change drops a member, what is still pending of it is
+//!   relayed at that epoch boundary — no later suspicion could ask for it.
+//! * *Why a growing view needs the origin once more:* a message is sent to
+//!   the members its origin knew. If it is still pending at the origin when
+//!   an epoch boundary applies a view with new members, the origin sends
+//!   them a copy — else they could neither ack nor deliver it, and with one
+//!   crash on top the old members alone may fall short of the quorum. (If
+//!   the origin is dead instead, the holders' on-suspicion relay goes to
+//!   *their* view, new members included.)
+//!
+//! [`RelayFanout`] bounds the on-suspicion burst only.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use gcs_kernel::{FxHashSet, ProcessId};
 
@@ -58,6 +110,45 @@ pub enum GbOut {
     Deliver(Delivery),
 }
 
+/// Who acked one message this epoch: a bitset over the positions in
+/// `epoch_members`. Groups of up to 64 never touch the allocator.
+#[derive(Debug, Default)]
+struct AckSet {
+    count: usize,
+    low: u64,
+    /// Positions 64 and up, 64 per word; empty until one of them acks.
+    high: Vec<u64>,
+}
+
+impl AckSet {
+    fn insert(&mut self, position: usize) {
+        let bit = 1u64 << (position % 64);
+        let word = match position / 64 {
+            0 => &mut self.low,
+            w => {
+                if self.high.len() < w {
+                    self.high.resize(w, 0);
+                }
+                &mut self.high[w - 1]
+            }
+        };
+        if *word & bit == 0 {
+            *word |= bit;
+            self.count += 1;
+        }
+    }
+}
+
+/// Index of `class` in `GenericCore::known`: its own slot, or the shared
+/// last one for a class outside the relation.
+fn slot(relation: &ConflictRelation, class: MessageClass) -> usize {
+    (class.0 as usize).min(relation.classes())
+}
+
+fn data(message: &Message, origin_ack: Option<u64>) -> WireMsg {
+    WireMsg::Gb(GbMsg::data(message.clone(), origin_ack))
+}
+
 /// The thrifty generic-broadcast core (sans-I/O).
 #[derive(Debug)]
 pub struct GenericCore {
@@ -70,17 +161,27 @@ pub struct GenericCore {
     view_id: u64,
     active: bool,
     epoch: u64,
+    /// Processes the failure detector currently suspects: a message of such
+    /// an origin is relayed.
+    suspected: FxHashSet<ProcessId>,
     /// R-delivered, not yet g-delivered.
     pending: BTreeMap<MsgId, Message>,
     /// Messages acked by this process in the current epoch. Entries persist
     /// until the epoch closes **even after delivery**: the closure-ordering
     /// safety argument needs every collected `End` to still report the
-    /// fast-delivered messages its sender acked, and a process must never
-    /// ack two conflicting messages within one epoch, delivered or not.
+    /// fast-delivered messages its sender acked, a process must never ack
+    /// two conflicting messages within one epoch, delivered or not, and the
+    /// on-suspicion relay serves delivered messages from here.
     acked: BTreeMap<MsgId, Message>,
+    /// How many messages of each class are known this epoch (`pending ∪
+    /// acked`), indexed by class; the last slot counts the classes outside
+    /// the relation. The conflict check reads this, not the two maps, so it
+    /// costs the size of the relation however long the epoch has run.
+    known: Vec<u32>,
     /// Ack senders per message for the current epoch.
-    ack_senders: BTreeMap<MsgId, BTreeSet<ProcessId>>,
-    /// Acks that arrived for a future epoch (the sender closed earlier).
+    ack_senders: BTreeMap<MsgId, AckSet>,
+    /// Acks that arrived early: for a future epoch (the sender closed
+    /// earlier), or before a snapshot activated this process.
     future_acks: BTreeMap<u64, Vec<(ProcessId, MsgId)>>,
     /// G-delivered ids (never delivered twice).
     gdelivered: FxHashSet<MsgId>,
@@ -107,8 +208,8 @@ impl GenericCore {
         Self::with_relay(me, relation, initial_view, RelayFanout::All)
     }
 
-    /// Creates the core with an explicit reliable-broadcast relay policy
-    /// (see [`RelayFanout`]).
+    /// Creates the core with an explicit relay fan-out: how far a message
+    /// is re-forwarded once its origin is suspected (see [`RelayFanout`]).
     pub fn with_relay(
         me: ProcessId,
         relation: ConflictRelation,
@@ -125,12 +226,14 @@ impl GenericCore {
         };
         GenericCore {
             me,
+            known: vec![0; relation.classes() + 1],
             relation,
             rb,
             epoch_members: members,
             view_id,
             active,
             epoch: 0,
+            suspected: FxHashSet::default(),
             pending: BTreeMap::new(),
             acked: BTreeMap::new(),
             ack_senders: BTreeMap::new(),
@@ -204,11 +307,15 @@ impl GenericCore {
     pub fn gbcast_into(&mut self, class: MessageClass, body: Body, out: &mut Vec<GbOut>) {
         let id = self.rb.next_id();
         let message = Message { id, class, body };
+        // Admitted here first: whether this process acks its own message is
+        // what the data tells the others.
+        let origin_ack = self
+            .admit(message.clone(), false, out)
+            .then_some(self.epoch);
         // Shallow per-peer clones: payloads are arena handles.
         for &to in self.rb.broadcast(&message) {
-            out.push(GbOut::Wire(to, WireMsg::Gb(GbMsg::Data(message.clone()))));
+            out.push(GbOut::Wire(to, data(&message, origin_ack)));
         }
-        self.admit(message, out);
     }
 
     /// [`gbcast_into`](Self::gbcast_into) returning a fresh buffer.
@@ -218,61 +325,141 @@ impl GenericCore {
         out
     }
 
-    /// Handles a diffused message from the network.
-    pub fn on_data_into(&mut self, from: ProcessId, message: Message, out: &mut Vec<GbOut>) {
-        let receipt = self.rb.on_data(from, message);
-        if let Some(message) = receipt.deliver {
-            for &to in receipt.relay_to {
-                out.push(GbOut::Wire(to, WireMsg::Gb(GbMsg::Data(message.clone()))));
+    /// Handles a diffused message from the network. A first copy is
+    /// admitted — and relayed only if nobody else can be counted on to: its
+    /// origin is suspected right now, or is outside the view and so outside
+    /// the failure detector's watch. The origin's ack counts whether or not
+    /// the copy is a first one (a relayed copy may have come before it).
+    pub fn on_data_into(
+        &mut self,
+        from: ProcessId,
+        message: Message,
+        origin_ack: Option<u64>,
+        out: &mut Vec<GbOut>,
+    ) {
+        let id = message.id;
+        let origin = id.sender;
+        if self.rb.first_copy(id) {
+            if self.suspected.contains(&origin) || !self.epoch_members.contains(&origin) {
+                for &to in self.rb.relay_targets(origin, from) {
+                    out.push(GbOut::Wire(to, data(&message, origin_ack)));
+                }
             }
-            self.admit(message, out);
+            self.admit(message, true, out);
+        }
+        if let Some(epoch) = origin_ack {
+            self.on_ack_into(origin, epoch, id, out);
         }
     }
 
     /// [`on_data_into`](Self::on_data_into) returning a fresh buffer.
-    pub fn on_data(&mut self, from: ProcessId, message: Message) -> Vec<GbOut> {
+    pub fn on_data(
+        &mut self,
+        from: ProcessId,
+        message: Message,
+        origin_ack: Option<u64>,
+    ) -> Vec<GbOut> {
         let mut out = Vec::new();
-        self.on_data_into(from, message, &mut out);
+        self.on_data_into(from, message, origin_ack, &mut out);
         out
     }
 
-    /// First local receipt of a message: enter pending, maybe ack.
-    fn admit(&mut self, message: Message, out: &mut Vec<GbOut>) {
-        if self.gdelivered.contains(&message.id) {
+    /// The failure detector suspects `origin`: it may have crashed part-way
+    /// through a broadcast, so relay everything of it held for this epoch —
+    /// undelivered or acked, g-delivered here or not (see the module docs).
+    pub fn on_suspect_into(&mut self, origin: ProcessId, out: &mut Vec<GbOut>) {
+        if origin == self.me {
             return;
         }
-        let id = message.id;
-        self.pending.insert(id, message);
-        if self.active && !self.frozen {
-            self.consider_ack(id, out);
-            self.try_fast_deliver(id, out);
+        self.suspected.insert(origin);
+        if !self.active {
+            return;
+        }
+        let targets = self.rb.relay_targets(origin, origin);
+        let delivered_here = self
+            .acked
+            .range(MsgId::all_of(origin))
+            .filter(|(id, _)| !self.pending.contains_key(id));
+        for (_, message) in self
+            .pending
+            .range(MsgId::all_of(origin))
+            .chain(delivered_here)
+        {
+            for &to in targets {
+                out.push(GbOut::Wire(to, data(message, None)));
+            }
         }
     }
 
-    /// Acks `id` if it conflicts with no other message known this epoch
-    /// (pending *or* acked — even already delivered); escalates otherwise.
-    fn consider_ack(&mut self, id: MsgId, out: &mut Vec<GbOut>) {
-        let message = self.pending[&id].clone();
-        let class = message.class;
-        let conflicting = self
-            .pending
+    /// The suspicion of `origin` was withdrawn: stop relaying its messages.
+    pub fn on_restore(&mut self, origin: ProcessId) {
+        self.suspected.remove(&origin);
+    }
+
+    /// First local receipt of a message: enter pending, maybe ack (`announce`
+    /// says whether an ack is sent to the others or rides the caller's
+    /// data). Returns whether this process acked it just now.
+    fn admit(&mut self, message: Message, announce: bool, out: &mut Vec<GbOut>) -> bool {
+        if self.gdelivered.contains(&message.id) {
+            return false;
+        }
+        let (id, class) = (message.id, message.class);
+        if self.pending.insert(id, message).is_none() {
+            self.known[slot(&self.relation, class)] += 1;
+        }
+        if !self.active || self.frozen {
+            return false;
+        }
+        let acked = self.consider_ack(id, announce, out);
+        self.try_fast_deliver(id, out);
+        acked
+    }
+
+    /// Whether a message of `class` — itself among the known ones —
+    /// conflicts with another message known this epoch (pending *or* acked,
+    /// even already delivered).
+    fn conflicts_with_known(&self, class: MessageClass) -> bool {
+        let own = slot(&self.relation, class);
+        self.known.iter().enumerate().any(|(other, &count)| {
+            count > u32::from(other == own)
+                && self.relation.conflicts(MessageClass(other as u16), class)
+        })
+    }
+
+    /// The conflict check as a scan of both maps — what `known` replaces;
+    /// kept as the reference the counters are tested against.
+    #[cfg(test)]
+    fn conflicts_by_scan(&self, id: MsgId, class: MessageClass) -> bool {
+        self.pending
             .iter()
             .chain(self.acked.iter())
-            .any(|(&x, m)| x != id && self.relation.conflicts(m.class, class));
+            .any(|(&x, m)| x != id && self.relation.conflicts(m.class, class))
+    }
+
+    /// Acks pending message `id` if it conflicts with nothing else known
+    /// this epoch, escalates otherwise. Returns whether it acked.
+    fn consider_ack(&mut self, id: MsgId, announce: bool, out: &mut Vec<GbOut>) -> bool {
+        let class = self.pending[&id].class;
+        let conflicting = self.conflicts_with_known(class);
+        #[cfg(test)]
+        assert_eq!(conflicting, self.conflicts_by_scan(id, class), "{id:?}");
         if conflicting {
             self.escalate(out);
-        } else if let std::collections::btree_map::Entry::Vacant(e) = self.acked.entry(id) {
-            e.insert(message);
+            return false;
+        }
+        let Entry::Vacant(e) = self.acked.entry(id) else {
+            return false;
+        };
+        e.insert(self.pending[&id].clone());
+        // Count the local ack directly.
+        self.record_ack(self.me, id);
+        if announce {
             let epoch = self.epoch;
-            // Count the local ack directly; send to the other members.
-            self.ack_senders.entry(id).or_default().insert(self.me);
-            let me = self.me;
-            for &p in &self.epoch_members {
-                if p != me {
-                    out.push(GbOut::Wire(p, WireMsg::Gb(GbMsg::Ack { epoch, id })));
-                }
+            for &p in self.epoch_members.iter().filter(|&&p| p != self.me) {
+                out.push(GbOut::Wire(p, WireMsg::Gb(GbMsg::Ack { epoch, id })));
             }
         }
+        true
     }
 
     /// Freezes and a-broadcasts this process's `End` for the current epoch.
@@ -297,16 +484,23 @@ impl GenericCore {
         ))));
     }
 
-    /// Handles an ack from `from`.
+    /// Counts an ack of the current epoch; only members' acks count.
+    fn record_ack(&mut self, from: ProcessId, id: MsgId) {
+        if let Some(position) = self.epoch_members.iter().position(|&p| p == from) {
+            self.ack_senders.entry(id).or_default().insert(position);
+        }
+    }
+
+    /// Handles an ack from `from` (sent on its own, or riding the data).
     pub fn on_ack_into(&mut self, from: ProcessId, epoch: u64, id: MsgId, out: &mut Vec<GbOut>) {
-        if epoch > self.epoch {
+        if epoch > self.epoch || !self.active {
             self.future_acks.entry(epoch).or_default().push((from, id));
             return;
         }
         if epoch < self.epoch || self.gdelivered.contains(&id) {
             return; // stale
         }
-        self.ack_senders.entry(id).or_default().insert(from);
+        self.record_ack(from, id);
         self.try_fast_deliver(id, out);
     }
 
@@ -317,13 +511,29 @@ impl GenericCore {
         out
     }
 
+    /// Takes over the early acks of the epoch just entered, dropping older
+    /// ones.
+    fn adopt_future_acks(&mut self) {
+        self.future_acks = self.future_acks.split_off(&self.epoch);
+        for (from, id) in self.future_acks.remove(&self.epoch).unwrap_or_default() {
+            if !self.gdelivered.contains(&id) {
+                self.record_ack(from, id);
+            }
+        }
+    }
+
     fn try_fast_deliver(&mut self, id: MsgId, out: &mut Vec<GbOut>) {
         if self.frozen || !self.active {
             return;
         }
         let quorum = self.fast_quorum();
-        let supported = self.ack_senders.get(&id).is_some_and(|s| s.len() >= quorum);
+        let supported = self.ack_senders.get(&id).is_some_and(|s| s.count >= quorum);
         if supported && self.pending.contains_key(&id) {
+            // Whatever is pending at an active, unfrozen process was acked
+            // when it got there (on admission, or when the epoch was
+            // entered), so a fast-delivered message stays in `acked` — and
+            // among the known.
+            debug_assert!(self.acked.contains_key(&id));
             self.gdeliver(id, DeliveryKind::GenericFast, out);
         }
     }
@@ -427,8 +637,15 @@ impl GenericCore {
     }
 
     /// Activates a joining process at `epoch` with the given delivery
-    /// history.
-    pub fn install_snapshot(&mut self, view: &View, epoch: u64, gdelivered: &[MsgId]) {
+    /// history. What reached it before — messages, acks — is treated as on
+    /// entering any epoch: the acks count, the messages are acked.
+    pub fn install_snapshot_into(
+        &mut self,
+        view: &View,
+        epoch: u64,
+        gdelivered: &[MsgId],
+        out: &mut Vec<GbOut>,
+    ) {
         self.epoch_members = view.members.clone();
         self.view_id = view.id;
         self.rb.set_peers(&view.members);
@@ -436,12 +653,54 @@ impl GenericCore {
         self.epoch = epoch;
         self.gdelivered = gdelivered.iter().copied().collect();
         self.pending.retain(|id, _| !gdelivered.contains(id));
+        // A fresh member has acked and collected nothing (a process that
+        // was a member before must not bring leftovers of that time).
+        self.acked.clear();
+        self.ack_senders.clear();
+        self.ends.clear();
+        self.pending_view = None;
+        self.frozen = false;
         if self.fifo {
             // FIFO delivery makes each sender's delivered set prefix-closed,
             // so the cursor resumes one past the highest delivered sequence.
             for id in gdelivered {
                 let next = self.next_fifo.entry(id.sender).or_insert(0);
                 *next = (*next).max(id.seq + 1);
+            }
+        }
+        self.enter_epoch(out);
+    }
+
+    /// [`install_snapshot_into`](Self::install_snapshot_into) returning a
+    /// fresh buffer.
+    pub fn install_snapshot(
+        &mut self,
+        view: &View,
+        epoch: u64,
+        gdelivered: &[MsgId],
+    ) -> Vec<GbOut> {
+        let mut out = Vec::new();
+        self.install_snapshot_into(view, epoch, gdelivered, &mut out);
+        out
+    }
+
+    /// Start of an epoch (`acked` is empty): count what is known, take over
+    /// the acks that raced ahead, and process the messages already here in
+    /// id order — ack, or escalate at once.
+    fn enter_epoch(&mut self, out: &mut Vec<GbOut>) {
+        self.known.fill(0);
+        for m in self.pending.values() {
+            self.known[slot(&self.relation, m.class)] += 1;
+        }
+        self.adopt_future_acks();
+        let carried: Vec<MsgId> = self.pending.keys().copied().collect();
+        for id in carried {
+            if self.frozen {
+                break;
+            }
+            if self.pending.contains_key(&id) {
+                self.consider_ack(id, true, out);
+                self.try_fast_deliver(id, out);
             }
         }
     }
@@ -483,31 +742,33 @@ impl GenericCore {
         self.ack_senders.clear();
         self.frozen = false;
         if let Some(v) = self.pending_view.take() {
-            self.epoch_members = v.members.clone();
+            let joined: Vec<ProcessId> = v
+                .members
+                .iter()
+                .copied()
+                .filter(|p| !self.epoch_members.contains(p))
+                .collect();
+            self.epoch_members = v.members;
             self.view_id = v.id;
-            self.rb.set_peers(&v.members);
-        }
-        // Merge acks that raced ahead into the new epoch.
-        if let Some(acks) = self.future_acks.remove(&self.epoch) {
-            for (from, id) in acks {
-                if !self.gdelivered.contains(&id) {
-                    self.ack_senders.entry(id).or_default().insert(from);
+            self.rb.set_peers(&self.epoch_members);
+            for (id, message) in &self.pending {
+                if id.sender == self.me {
+                    // Our own diffusion went to the members of the old
+                    // view: the ones this view adds are owed a copy.
+                    for &to in &joined {
+                        out.push(GbOut::Wire(to, data(message, None)));
+                    }
+                } else if !self.epoch_members.contains(&id.sender) {
+                    // A member the view dropped is no longer monitored: no
+                    // suspicion will ever ask for what is still held of it,
+                    // so it goes out now.
+                    for &to in self.rb.relay_targets(id.sender, id.sender) {
+                        out.push(GbOut::Wire(to, data(message, None)));
+                    }
                 }
             }
         }
-        self.future_acks = self.future_acks.split_off(&self.epoch);
-        // Re-process carried-over messages in id order: re-ack or
-        // re-escalate immediately.
-        let carried: Vec<MsgId> = self.pending.keys().copied().collect();
-        for id in carried {
-            if self.frozen {
-                break;
-            }
-            if self.pending.contains_key(&id) {
-                self.consider_ack(id, out);
-                self.try_fast_deliver(id, out);
-            }
-        }
+        self.enter_epoch(out);
     }
 }
 
@@ -563,7 +824,7 @@ mod tests {
     #[test]
     fn non_conflicting_message_is_acked_to_all_members() {
         let mut c = core(0, 4, ConflictRelation::none(4));
-        let out = c.on_data(pid(1), app(1, 0, 0));
+        let out = c.on_data(pid(1), app(1, 0, 0), None);
         let acks = out
             .iter()
             .filter(|o| matches!(o, GbOut::Wire(_, WireMsg::Gb(GbMsg::Ack { .. }))))
@@ -577,7 +838,7 @@ mod tests {
         // n=4 → fast quorum 3 (self + two others).
         let mut c = core(0, 4, ConflictRelation::none(4));
         let m = app(1, 0, 0);
-        c.on_data(pid(1), m.clone());
+        c.on_data(pid(1), m.clone(), None);
         assert!(c.on_ack(pid(1), 0, m.id).is_empty());
         let out = c.on_ack(pid(2), 0, m.id);
         assert!(
@@ -592,14 +853,14 @@ mod tests {
     #[test]
     fn conflicting_messages_escalate() {
         let mut c = core(0, 4, ConflictRelation::all(4));
-        c.on_data(pid(1), app(1, 0, 0));
-        let out = c.on_data(pid(2), app(2, 0, 1));
+        c.on_data(pid(1), app(1, 0, 0), None);
+        let out = c.on_data(pid(2), app(2, 0, 1), None);
         assert!(out
             .iter()
             .any(|o| matches!(o, GbOut::Escalate(Body::GbEnd { .. }))));
         assert!(c.is_frozen());
         // Frozen: no acks for new arrivals.
-        let out = c.on_data(pid(3), app(3, 0, 2));
+        let out = c.on_data(pid(3), app(3, 0, 2), None);
         assert!(out
             .iter()
             .all(|o| !matches!(o, GbOut::Wire(_, WireMsg::Gb(GbMsg::Ack { .. })))));
@@ -610,8 +871,8 @@ mod tests {
         let mut c = core(0, 3, ConflictRelation::all(4));
         let m1 = app(1, 0, 0);
         let m2 = app(2, 0, 1);
-        c.on_data(pid(1), m1.clone());
-        let _ = c.on_data(pid(2), m2.clone()); // escalates (conflict)
+        c.on_data(pid(1), m1.clone(), None);
+        let _ = c.on_data(pid(2), m2.clone(), None); // escalates (conflict)
         assert!(c.is_frozen());
         // n=3 → end quorum 3: three Ends close the epoch.
         let mk_end = |_sender: u32| {
@@ -660,7 +921,7 @@ mod tests {
         assert_eq!(c.epoch(), 1);
         // Now the data + one more ack complete the n=3 fast quorum
         // (self + p1-buffered + p2).
-        c.on_data(pid(1), m.clone());
+        c.on_data(pid(1), m.clone(), None);
         let out = c.on_ack(pid(2), 1, m.id);
         assert!(
             out.iter().any(|o| matches!(o, GbOut::Deliver(_))),
@@ -708,8 +969,8 @@ mod tests {
         assert!(c.is_fifo());
         let m0 = app(1, 0, 0);
         let m1 = app(1, 1, 0);
-        c.on_data(pid(1), m0.clone());
-        c.on_data(pid(1), m1.clone());
+        c.on_data(pid(1), m0.clone(), None);
+        c.on_data(pid(1), m1.clone(), None);
         // m1 reaches the quorum (3 for n=4) first: self + p1 + p2.
         c.on_ack(pid(1), 0, m1.id);
         let out = c.on_ack(pid(2), 0, m1.id);
@@ -744,10 +1005,10 @@ mod tests {
                 seq: s,
             })
             .collect();
-        c.install_snapshot(&v, 4, &delivered);
+        let _ = c.install_snapshot(&v, 4, &delivered);
         // The next message from p1 (seq 3) is deliverable immediately.
         let m3 = app(1, 3, 0);
-        let mut out = c.on_data(pid(1), m3.clone());
+        let mut out = c.on_data(pid(1), m3.clone(), None);
         out.extend(c.on_ack(pid(0), 4, m3.id));
         out.extend(c.on_ack(pid(1), 4, m3.id));
         out.extend(c.on_ack(pid(2), 4, m3.id));
@@ -764,11 +1025,374 @@ mod tests {
         // still goes through the fast path at members.
         let mut c = core(0, 3, ConflictRelation::none(4));
         let m = app(9, 0, 0);
-        c.on_data(pid(9), m.clone());
+        c.on_data(pid(9), m.clone(), None);
         let out = c.on_ack(pid(1), 0, m.id);
         // n=3 → quorum 3; self + p1 = 2, one more needed.
         assert!(out.iter().all(|o| !matches!(o, GbOut::Deliver(_))));
         let out = c.on_ack(pid(2), 0, m.id);
         assert!(out.iter().any(|o| matches!(o, GbOut::Deliver(_))));
+    }
+
+    /// `(to, id, origin_ack)` of every `gb/data` in `out`.
+    fn data_wires(out: &[GbOut]) -> Vec<(ProcessId, MsgId, Option<u64>)> {
+        out.iter()
+            .filter_map(|o| match o {
+                GbOut::Wire(
+                    to,
+                    WireMsg::Gb(GbMsg::Data {
+                        sender,
+                        seq,
+                        origin_ack,
+                        ..
+                    }),
+                ) => {
+                    let id = MsgId {
+                        sender: *sender,
+                        seq: *seq,
+                    };
+                    Some((*to, id, origin_ack.get()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn ack_wires(out: &[GbOut]) -> usize {
+        out.iter()
+            .filter(|o| matches!(o, GbOut::Wire(_, WireMsg::Gb(GbMsg::Ack { .. }))))
+            .count()
+    }
+
+    fn delivered(out: &[GbOut]) -> Vec<MsgId> {
+        out.iter()
+            .filter_map(|o| match o {
+                GbOut::Deliver(d) => Some(d.id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn origin_ack_rides_the_data_and_no_separate_ack_is_sent() {
+        let mut c = core(0, 5, ConflictRelation::none(4));
+        let out = c.gbcast(MessageClass(0), Body::App(PayloadRef::EMPTY));
+        let id = MsgId {
+            sender: pid(0),
+            seq: 0,
+        };
+        assert_eq!(
+            data_wires(&out),
+            (1..5).map(|p| (pid(p), id, Some(0))).collect::<Vec<_>>(),
+            "n-1 gb/data, each stamped with the origin's ack epoch"
+        );
+        assert_eq!(ack_wires(&out), 0, "the origin's ack is on its data");
+        // The receiver counts the stamp as the origin's ack: n=4 → quorum 3
+        // = the origin (stamp) + itself + one more.
+        let mut r = core(1, 4, ConflictRelation::none(4));
+        let m = app(0, 0, 0);
+        let out = r.on_data(pid(0), m.clone(), Some(0));
+        assert_eq!(ack_wires(&out), 3, "the receiver's own ack, to everyone");
+        assert!(delivered(&out).is_empty());
+        assert_eq!(delivered(&r.on_ack(pid(2), 0, m.id)), vec![m.id]);
+    }
+
+    #[test]
+    fn an_origin_that_is_frozen_stamps_no_ack() {
+        let mut c = core(0, 4, ConflictRelation::all(4));
+        c.on_data(pid(1), app(1, 0, 0), None);
+        // A conflict: the origin escalates on its own message, acks nothing.
+        let out = c.gbcast(MessageClass(1), Body::App(PayloadRef::EMPTY));
+        assert!(c.is_frozen());
+        assert!(data_wires(&out).iter().all(|&(_, _, ack)| ack.is_none()));
+        // Frozen already: the next one is not even considered.
+        let out = c.gbcast(MessageClass(2), Body::App(PayloadRef::EMPTY));
+        assert_eq!(data_wires(&out).len(), 3);
+        assert!(data_wires(&out).iter().all(|&(_, _, ack)| ack.is_none()));
+        assert_eq!(ack_wires(&out), 0);
+    }
+
+    #[test]
+    fn a_duplicate_data_copy_still_delivers_the_origins_ack() {
+        // n=4 → quorum 3. A relayed copy (no stamp) comes first, then p2's
+        // ack; the origin's own copy is a duplicate, and its stamp is the
+        // third ack.
+        let mut c = core(0, 4, ConflictRelation::none(4));
+        let m = app(1, 0, 0);
+        c.on_data(pid(3), m.clone(), None);
+        assert!(c.on_ack(pid(2), 0, m.id).is_empty());
+        let out = c.on_data(pid(1), m.clone(), Some(0));
+        assert_eq!(delivered(&out), vec![m.id]);
+        assert!(data_wires(&out).is_empty() && ack_wires(&out) == 0);
+    }
+
+    #[test]
+    fn acks_count_once_per_member_and_only_for_members() {
+        let mut c = core(0, 4, ConflictRelation::none(4));
+        let m = app(1, 0, 0);
+        c.on_data(pid(1), m.clone(), Some(0));
+        // Quorum 3: self + p1 so far. Repeats and strangers do not add up.
+        assert!(c.on_ack(pid(1), 0, m.id).is_empty());
+        assert!(c.on_ack(pid(9), 0, m.id).is_empty());
+        assert_eq!(delivered(&c.on_ack(pid(3), 0, m.id)), vec![m.id]);
+        // Positions beyond the first word.
+        let mut set = AckSet::default();
+        for position in [0, 63, 64, 200, 64, 0] {
+            set.insert(position);
+        }
+        assert_eq!(set.count, 4);
+    }
+
+    #[test]
+    fn first_copy_is_not_relayed_while_its_origin_is_trusted() {
+        let mut c = core(2, 4, ConflictRelation::none(4));
+        let out = c.on_data(pid(1), app(1, 0, 0), Some(0));
+        assert!(
+            data_wires(&out).is_empty(),
+            "failure-free: n-1 gb/data, no relay"
+        );
+    }
+
+    #[test]
+    fn suspicion_relays_that_origins_messages_from_pending_and_acked_only() {
+        // n=4 → quorum 3. `a` is acked and fast-delivered here, `b` is acked
+        // and still pending, `c` arrived while frozen and was never acked.
+        let mut relation = ConflictRelation::none(4);
+        relation.set_conflict(MessageClass(1), MessageClass(1));
+        let mut core = core(2, 4, relation);
+        let (a, b, c) = (app(1, 0, 0), app(1, 1, 0), app(1, 2, 0));
+        let other = app(3, 0, 1);
+        core.on_data(pid(1), a.clone(), Some(0));
+        assert_eq!(delivered(&core.on_ack(pid(0), 0, a.id)), vec![a.id]);
+        core.on_data(pid(1), b.clone(), Some(0));
+        core.on_data(pid(3), other.clone(), Some(0));
+        // A second class-1 message conflicts: frozen from here on.
+        core.on_data(pid(0), app(0, 0, 1), Some(0));
+        assert!(core.is_frozen());
+        core.on_data(pid(1), c.clone(), None);
+        let mut out = Vec::new();
+        core.on_suspect_into(pid(1), &mut out);
+        let mut relayed = data_wires(&out);
+        relayed.sort();
+        let expected: Vec<_> = [pid(0), pid(3)]
+            .into_iter()
+            .flat_map(|to| [a.id, b.id, c.id].map(|id| (to, id, None)))
+            .collect();
+        assert_eq!(
+            relayed, expected,
+            "p1's three — delivered, acked, unacked — to everyone but p1 and \
+             self; nothing of p0 or p3"
+        );
+    }
+
+    #[test]
+    fn messages_of_a_closed_epoch_are_not_relayed() {
+        let mut c = core(2, 3, ConflictRelation::all(4));
+        let m = app(1, 0, 0);
+        c.on_data(pid(1), m.clone(), Some(0));
+        let end = std::sync::Arc::new(GbEndData {
+            epoch: 0,
+            acked: vec![m.clone()],
+            pending: vec![],
+        });
+        for p in 0..3 {
+            let _ = c.on_end_delivered(pid(p), end.clone());
+        }
+        assert_eq!(c.epoch(), 1, "the closure delivered m everywhere");
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(1), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn data_of_a_suspected_origin_is_relayed_on_receipt_until_restored() {
+        let mut c = core(2, 4, ConflictRelation::none(4));
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(1), &mut out);
+        assert!(out.is_empty(), "nothing of p1 held yet");
+        let out = c.on_data(pid(0), app(1, 0, 0), Some(0));
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(3), app(1, 0, 0).id, Some(0))],
+            "not back to the relayer p0, not to the origin; stamp passed on"
+        );
+        c.on_restore(pid(1));
+        let out = c.on_data(pid(1), app(1, 1, 0), Some(0));
+        assert!(data_wires(&out).is_empty(), "restore stops further relays");
+    }
+
+    #[test]
+    fn first_copy_from_a_non_member_origin_is_relayed_at_once() {
+        // Nobody monitors p9, so nobody would ever suspect it.
+        let mut c = core(2, 4, ConflictRelation::none(4));
+        let m = app(9, 0, 0);
+        let out = c.on_data(pid(9), m.clone(), None);
+        let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, ..)| to).collect();
+        assert_eq!(to, vec![pid(0), pid(1), pid(3)]);
+        assert!(data_wires(&c.on_data(pid(0), m, None)).is_empty(), "once");
+    }
+
+    #[test]
+    fn pending_of_a_member_the_view_drops_is_relayed_at_the_epoch_boundary() {
+        // p3's message arrives while this process is frozen by the view
+        // change that removes p3: it is not acked, not in this process's
+        // `End`, and after the change nobody monitors p3 any more.
+        let mut c = core(0, 4, ConflictRelation::none(4));
+        let v1 = View {
+            id: 1,
+            members: vec![pid(0), pid(1), pid(2)],
+        };
+        let _ = c.on_view_change(v1);
+        let m = app(3, 0, 0);
+        assert!(data_wires(&c.on_data(pid(3), m.clone(), Some(0))).is_empty());
+        let mut out = Vec::new();
+        for p in 0..3 {
+            out.extend(c.on_end_delivered(pid(p), empty_end(0)));
+        }
+        assert_eq!(c.epoch(), 1);
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(1), m.id, None), (pid(2), m.id, None)]
+        );
+    }
+
+    #[test]
+    fn own_pending_messages_are_sent_to_the_members_a_view_adds() {
+        // Frozen by the join, p0 g-broadcasts to the three members it knows.
+        // The message outlives the epoch: the joiner p4 is owed a copy.
+        let mut c = core(0, 4, ConflictRelation::none(4));
+        let _ = c.on_view_change(View {
+            id: 1,
+            members: members(5),
+        });
+        let out = c.gbcast(MessageClass(0), Body::App(PayloadRef::EMPTY));
+        assert_eq!(data_wires(&out).len(), 3);
+        let theirs = app(2, 0, 0);
+        c.on_data(pid(2), theirs, None);
+        let mut out = Vec::new();
+        for p in 0..3 {
+            out.extend(c.on_end_delivered(pid(p), empty_end(0)));
+        }
+        let mine = MsgId {
+            sender: pid(0),
+            seq: 0,
+        };
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(4), mine, None)],
+            "ours only: p2 tops up its own"
+        );
+        assert_eq!(ack_wires(&out), 2 * 4, "both re-acked, to all five");
+    }
+
+    #[test]
+    fn bounded_fanout_bounds_the_on_suspicion_burst() {
+        let mut c = GenericCore::with_relay(
+            pid(2),
+            ConflictRelation::none(4),
+            Some(View::initial(members(8))),
+            RelayFanout::Bounded(2),
+        );
+        c.on_data(pid(6), app(6, 0, 0), Some(0));
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(6), &mut out);
+        let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, ..)| to).collect();
+        assert_eq!(to, vec![pid(3), pid(4)], "two ring successors");
+    }
+
+    #[test]
+    fn acks_that_arrive_before_the_snapshot_count_after_it() {
+        let mut c = GenericCore::new(pid(3), ConflictRelation::all(4), None);
+        let m = app(1, 0, 0);
+        // Data (stamped) and an ack of epoch 2 reach the joiner early.
+        assert!(c.on_data(pid(1), m.clone(), Some(2)).is_empty());
+        assert!(c.on_ack(pid(0), 2, m.id).is_empty());
+        let v = View {
+            id: 1,
+            members: members(4),
+        };
+        // Activated, the joiner acks what it holds like a message carried
+        // into an epoch: quorum 3 = p1 (stamp) + p0 + itself.
+        let out = c.install_snapshot(&v, 2, &[]);
+        assert_eq!(ack_wires(&out), 3);
+        assert_eq!(delivered(&out), vec![m.id]);
+        // Acked here, `m` stays known this epoch, delivered or not.
+        let out = c.on_data(pid(2), app(2, 0, 0), None);
+        assert!(c.is_frozen() && ack_wires(&out) == 0);
+    }
+
+    mod counter_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// One core driven through random admissions, acks (and with
+            /// them fast deliveries), own broadcasts, `End`s, view changes
+            /// and snapshots over a random relation, classes outside it
+            /// included: after every step the per-class counters equal a
+            /// recount of `pending ∪ acked`, and every ack-or-escalate
+            /// verdict equals the scan's (`consider_ack` asserts that
+            /// itself under `cfg(test)`).
+            #[test]
+            fn counters_match_the_scan(
+                pairs in proptest::collection::vec((0u16..3, 0u16..3), 0..5),
+                joiner in any::<bool>(),
+                ops in proptest::collection::vec((0u8..8, 0u32..4, 0u64..4, 0u16..5), 1..120),
+            ) {
+                let mut relation = ConflictRelation::none(3);
+                for (a, b) in pairs {
+                    relation.set_conflict(MessageClass(a), MessageClass(b));
+                }
+                let view = View::initial(members(4));
+                let mut c = GenericCore::new(pid(0), relation, (!joiner).then(|| view.clone()));
+                for (op, p, seq, class) in ops {
+                    let id = MsgId { sender: pid(p), seq };
+                    match op {
+                        0..=2 if p != 0 => {
+                            let stamp = (op != 2).then_some(c.epoch());
+                            let _ = c.on_data(pid(p), app(p, seq, class), stamp);
+                        }
+                        0..=2 => {
+                            let _ = c.gbcast(MessageClass(class), Body::App(PayloadRef::EMPTY));
+                        }
+                        3 | 4 => {
+                            // `class` picks the acker here; one ack in five
+                            // is for the next epoch.
+                            let epoch = c.epoch() + u64::from(class == 4);
+                            let _ = c.on_ack(pid(u32::from(class) % 4), epoch, id);
+                        }
+                        5 => {
+                            // An `End` of the current epoch reporting some of
+                            // what this process knows, and one it may not.
+                            let known: Vec<Message> =
+                                c.pending.values().chain(c.acked.values()).cloned().collect();
+                            let end = GbEndData {
+                                epoch: c.epoch(),
+                                acked: known.iter().skip(seq as usize % 3).cloned().collect(),
+                                pending: vec![app(p, 40 + seq, class)],
+                            };
+                            let _ = c.on_end_delivered(pid(p), std::sync::Arc::new(end));
+                        }
+                        6 => {
+                            let next = View { id: c.view_id + 1, members: members(3 + p % 2) };
+                            let _ = c.on_view_change(next);
+                        }
+                        _ if !c.active => {
+                            let done: Vec<MsgId> =
+                                c.pending.keys().copied().filter(|id| id.seq < seq / 2).collect();
+                            let _ = c.install_snapshot(&view, seq % 2, &done);
+                        }
+                        _ => {}
+                    }
+                    let mut recount = vec![0u32; c.known.len()];
+                    let unacked = c.pending.iter().filter(|(id, _)| !c.acked.contains_key(id));
+                    for (_, m) in c.acked.iter().chain(unacked) {
+                        recount[slot(&c.relation, m.class)] += 1;
+                    }
+                    prop_assert_eq!(&c.known, &recount, "after op {:?}", (op, p, seq, class));
+                }
+            }
+        }
     }
 }

@@ -55,12 +55,12 @@ mod types;
 pub use abcast::BatchPolicy;
 pub use gcs_fd::FdMode;
 pub use monitoring::MonitoringPolicy;
-pub use rbcast::{RbReceipt, Rbcast, RelayFanout};
+pub use rbcast::{Rbcast, RelayFanout};
 pub use stack::{
     auto_fanout, build_process, gdelivered_ids, GroupSim, NewArchDriver, StackConfig,
     SCALE_THRESHOLD,
 };
 pub use types::{
-    AbMsg, Batch, Body, ConflictRelation, Delivery, DeliveryKind, Ev, GbMsg, MbMsg, Message,
-    MessageClass, MonMsg, MsgId, SnapshotData, View, WireMsg,
+    AbMsg, AckEpoch, Batch, Body, ConflictRelation, Delivery, DeliveryKind, Ev, GbMsg, MbMsg,
+    Message, MessageClass, MonMsg, MsgId, SnapshotData, View, WireMsg,
 };

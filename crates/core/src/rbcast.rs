@@ -2,25 +2,30 @@
 //! atomic broadcast and generic broadcast.
 //!
 //! The origin sends its message to every other group member over reliable
-//! channels; receivers relay first copies so that a crash of the origin
-//! part-way through its sends cannot leave some correct processes without
-//! the message. This module is the mechanism — duplicate suppression and the
-//! relay fan-out; *when* to relay is the caller's protocol:
+//! channels; receivers relay so that a crash of the origin part-way through
+//! its sends cannot leave some correct processes without the message. This
+//! module is the mechanism — duplicate suppression ([`Rbcast::first_copy`])
+//! and the relay fan-out ([`Rbcast::relay_targets`]); *when* to relay is the
+//! caller's protocol, and both callers relay lazily: a message is relayed
+//! only while the failure detector suspects its origin (the suspicion set
+//! and the buffer of messages to relay live in the caller's core). A
+//! failure-free broadcast then costs exactly n−1 messages. With a
+//! ◇S-complete detector a correct process that holds `m` from a crashed
+//! origin eventually suspects it and relays. What each caller must keep
+//! relayable differs:
 //!
-//! * **Generic broadcast** relays every first copy at once
-//!   ([`Rbcast::on_data`]). That is *uniform* reliable broadcast in the
-//!   crash-stop model: if any process delivers `m` — even one that crashes
-//!   immediately after — every correct process eventually delivers `m`. Its
-//!   fast path delivers on acks alone, so it needs that.
-//! * **Atomic broadcast** relays a message only while it suspects the
-//!   message's origin ([`Rbcast::first_copy`] + [`Rbcast::relay_targets`];
-//!   the suspicion set and the buffer of unordered messages live in the
-//!   abcast core). A failure-free broadcast then costs exactly n−1 messages.
-//!   This is (non-uniform) reliable broadcast with a ◇S-complete detector: a
-//!   correct process that has `m` from a crashed origin eventually suspects
-//!   it and relays. It is enough there because atomic broadcast delivers
-//!   nothing on receipt — only what consensus decides, and decisions carry
-//!   full messages.
+//! * **Atomic broadcast** delivers nothing on receipt — only what consensus
+//!   decides, and decisions carry full messages — so it relays its pool of
+//!   *unordered* messages and nothing else (non-uniform reliable broadcast is
+//!   enough there).
+//! * **Generic broadcast** delivers on acks alone, so it needs *uniform*
+//!   reliable broadcast: if any process delivers `m` — even one that crashes
+//!   immediately after — every correct process eventually delivers `m`. A
+//!   fast-delivered `m` is held by every process of the ack quorum until its
+//!   epoch closes, one of them is correct, and on suspicion it relays what it
+//!   holds for the epoch, *delivered or not* (`generic.rs` has the
+//!   argument). An origin outside the view is outside the detector's watch:
+//!   its first copies are relayed at once.
 
 use gcs_kernel::{FxHashSet, ProcessId};
 
@@ -44,16 +49,6 @@ pub enum RelayFanout {
     All,
     /// Relay to this many ring successors (O(n·k) messages per broadcast).
     Bounded(usize),
-}
-
-/// Outcome of feeding one received message to [`Rbcast::on_data`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RbReceipt<'a> {
-    /// `Some` when this is the first copy (deliver it); `None` on duplicates.
-    pub deliver: Option<Message>,
-    /// Relay targets for the first copy — a borrow of the module's reused
-    /// buffer; empty on duplicates.
-    pub relay_to: &'a [ProcessId],
 }
 
 /// Diffusion-based reliable broadcast over reliable point-to-point channels.
@@ -154,22 +149,6 @@ impl Rbcast {
         &self.targets
     }
 
-    /// Handles a received copy of `message` for a caller that relays every
-    /// first copy: a first copy is delivered with its
-    /// [`relay_targets`](Self::relay_targets), a duplicate is dropped.
-    pub fn on_data(&mut self, from: ProcessId, message: Message) -> RbReceipt<'_> {
-        if !self.first_copy(message.id) {
-            return RbReceipt {
-                deliver: None,
-                relay_to: &[],
-            };
-        }
-        RbReceipt {
-            relay_to: self.relay_targets(message.id.sender, from),
-            deliver: Some(message),
-        }
-    }
-
     /// Whether `id` has been seen (sent or received).
     pub fn seen(&self, id: MsgId) -> bool {
         self.seen.contains(&id)
@@ -211,21 +190,12 @@ mod tests {
     }
 
     #[test]
-    fn first_copy_delivers_and_relays_skipping_source() {
+    fn relay_to_all_skips_self_source_and_origin() {
         let mut rb = Rbcast::new(pid(2));
         rb.set_peers(&[pid(0), pid(1), pid(2), pid(3)]);
-        let id = MsgId {
-            sender: pid(0),
-            seq: 5,
-        };
-        let r = rb.on_data(pid(1), msg(id));
-        assert!(r.deliver.is_some());
-        // Relays to everyone except self, the relayer (p1) and origin (p0).
-        assert_eq!(r.relay_to, &[pid(3)]);
-        // Second copy: silence.
-        let r2 = rb.on_data(pid(3), msg(id));
-        assert!(r2.deliver.is_none());
-        assert!(r2.relay_to.is_empty());
+        // A message of p0 that came in from the relayer p1.
+        assert_eq!(rb.relay_targets(pid(0), pid(1)), &[pid(3)]);
+        assert_eq!(rb.relay_targets(pid(0), pid(0)), &[pid(1), pid(3)]);
     }
 
     #[test]

@@ -46,10 +46,11 @@ pub struct StackConfig {
     /// above it.
     pub fd_mode: Option<gcs_fd::FdMode>,
     /// Relay fan-out: how many ring successors a process re-forwards a
-    /// message to when it relays one. Generic broadcast relays every first
-    /// copy; atomic broadcast and consensus relay only while the message's
-    /// origin (the decision's sender) is suspected, so there the fan-out
-    /// bounds the on-suspicion burst. `None` derives from the group size:
+    /// message to when it relays one. Atomic broadcast, generic broadcast
+    /// and consensus relay only while the message's origin (the decision's
+    /// sender) is suspected, so the fan-out bounds the on-suspicion burst
+    /// (and generic broadcast's eager relay of a message whose origin is
+    /// outside the view). `None` derives from the group size:
     /// relay-to-all below [`SCALE_THRESHOLD`], ≈ log₂ n above (O(n·k)
     /// messages instead of O(n²)).
     pub relay_fanout: Option<RelayFanout>,
@@ -374,6 +375,34 @@ mod tests {
                 assert_eq!(sent(&g, kind), each, "n={n}: {kind}");
             }
             assert_eq!(sent(&g, "ct/estimate") + sent(&g, "ct/nack"), 0, "n={n}");
+        }
+    }
+
+    /// The failure-free cost of a conflict-free g-broadcast, by count: n−1
+    /// `gb/data` (the origin's ack rides them) and (n−1)² `gb/ack` — no
+    /// relayed copy, no ack from the origin, no consensus. (CI counts on
+    /// this test, as on the abcast one above.)
+    #[test]
+    fn failure_free_gbcast_costs_one_diffusion_and_one_ack_round() {
+        for n in [3usize, 5] {
+            let mut g = GroupSim::new(n, StackConfig::default(), 17);
+            let ops = 10u64;
+            for i in 0..ops {
+                g.gbcast_at(
+                    Time::from_millis(5 + 20 * i),
+                    p((i % n as u64) as u32),
+                    MessageClass::RBCAST,
+                    vec![i as u8],
+                );
+            }
+            g.run_until(Time::from_millis(400));
+            let ids = gdelivered_ids(g.trace(), g.len());
+            assert!(ids.iter().all(|s| s.len() == ops as usize), "n={n}");
+            let peers = n as u64 - 1;
+            assert_eq!(sent(&g, "gb/data"), peers * ops, "n={n}");
+            assert_eq!(sent(&g, "gb/ack"), peers * peers * ops, "n={n}");
+            let ordering = |k: &str| k.starts_with("ab/") || k.starts_with("ct/");
+            assert_eq!(g.metrics().sent_matching(ordering), 0, "n={n}");
         }
     }
 
