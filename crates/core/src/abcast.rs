@@ -43,8 +43,8 @@ use gcs_kernel::{FxHashSet, ProcessId, TimeDelta};
 
 use crate::rbcast::{Rbcast, RelayFanout};
 use crate::types::{
-    AbMsg, Batch, Body, Delivery, DeliveryKind, Message, MessageClass, MsgId, SnapshotData, View,
-    WireMsg,
+    AbMsg, Batch, Body, Delivery, DeliveryKind, IdRuns, Message, MessageClass, MsgId, SnapshotData,
+    View, WireMsg,
 };
 
 /// When a proposal batch closes: on a message-count cap, a byte cap, or a
@@ -124,9 +124,9 @@ pub struct AbcastCore {
     /// R-delivered messages not yet a-delivered (the proposal pool).
     pending: BTreeMap<MsgId, Message>,
     /// Ids in decided batches (never re-proposed).
-    committed: FxHashSet<MsgId>,
+    committed: IdRuns,
     /// Ids already a-delivered (never re-delivered).
-    adelivered: FxHashSet<MsgId>,
+    adelivered: IdRuns,
     /// Decided, not yet flushed batches.
     batches: BTreeMap<InstanceId, Batch>,
     /// Next batch/instance to flush — and the base of the proposal window.
@@ -205,8 +205,8 @@ impl AbcastCore {
             rb,
             suspected: FxHashSet::default(),
             pending: BTreeMap::new(),
-            committed: FxHashSet::default(),
-            adelivered: FxHashSet::default(),
+            committed: IdRuns::default(),
+            adelivered: IdRuns::default(),
             batches: BTreeMap::new(),
             cursor: 0,
             requested: BTreeSet::new(),
@@ -248,9 +248,18 @@ impl AbcastCore {
 
     /// Ids already a-delivered (for snapshots).
     pub fn adelivered(&self) -> Vec<MsgId> {
-        let mut v: Vec<MsgId> = self.adelivered.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.adelivered.to_vec()
+    }
+
+    /// Runs held by each id set the core never prunes — `seen`, `committed`,
+    /// `adelivered` — i.e. what their memory is proportional to.
+    #[cfg(test)]
+    fn id_set_runs(&self) -> [usize; 3] {
+        [
+            self.rb.seen_runs(),
+            self.committed.run_count(),
+            self.adelivered.run_count(),
+        ]
     }
 
     /// Atomically broadcasts a message built from `class` and `body`,
@@ -264,7 +273,7 @@ impl AbcastCore {
         for &to in self.rb.broadcast(&message) {
             out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
         }
-        if !self.adelivered.contains(&id) {
+        if !self.adelivered.contains(id) {
             self.pending.insert(id, message);
         }
         self.maybe_propose(out);
@@ -289,7 +298,7 @@ impl AbcastCore {
                 out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
             }
         }
-        if !self.adelivered.contains(&message.id) && !self.committed.contains(&message.id) {
+        if !self.adelivered.contains(message.id) && !self.committed.contains(message.id) {
             self.pending.insert(message.id, message);
         }
         self.maybe_propose(out);
@@ -400,7 +409,7 @@ impl AbcastCore {
         self.active = true;
         self.cursor = snap.next_instance;
         self.adelivered = snap.adelivered.iter().copied().collect();
-        self.pending.retain(|id, _| !snap.adelivered.contains(id));
+        self.pending.retain(|&id, _| !self.adelivered.contains(id));
         // A joiner has no outstanding proposals; start the window clean.
         self.proposed.clear();
         self.assigned.clear();
@@ -545,7 +554,6 @@ impl AbcastCore {
         if !self.adelivered.insert(m.id) {
             return;
         }
-        self.pending.remove(&m.id);
         match &m.body {
             Body::App(payload) => out.push(AbOut::App(Delivery {
                 kind: DeliveryKind::Atomic,
@@ -1053,5 +1061,37 @@ mod tests {
         let mut out2 = Vec::new();
         c.on_batch_deadline_into(&mut out2);
         assert_eq!(proposals(&out2), vec![]);
+    }
+
+    /// Bounded memory over a long run: 200,000 a-broadcasts of three
+    /// senders, diffused and decided in order, leave one run per sender in
+    /// each of the id sets the core keeps for good.
+    #[test]
+    fn id_sets_stay_one_run_per_sender_over_200_000_messages() {
+        let mut c = core(0, 4);
+        let mut out = Vec::new();
+        let mut delivered = 0;
+        for round in 0..66_667u64 {
+            let batch: Vec<Message> = (1..4)
+                .map(|sender| {
+                    app(MsgId {
+                        sender: pid(sender),
+                        seq: round,
+                    })
+                })
+                .collect();
+            for m in &batch {
+                c.on_data_into(m.id.sender, m.clone(), &mut out);
+            }
+            c.on_decide_into(round, batch.into(), &mut out);
+            delivered += out.iter().filter(|o| matches!(o, AbOut::App(_))).count();
+            out.clear();
+            if round % 10_000 == 0 {
+                assert!(c.id_set_runs().iter().all(|&runs| runs <= 3));
+            }
+        }
+        assert_eq!(delivered, 200_001);
+        assert_eq!(c.id_set_runs(), [3, 3, 3]);
+        assert!(c.pending.is_empty() && c.assigned.is_empty());
     }
 }

@@ -94,8 +94,8 @@ use gcs_kernel::{FxHashSet, ProcessId};
 
 use crate::rbcast::{Rbcast, RelayFanout};
 use crate::types::{
-    Body, ConflictRelation, Delivery, DeliveryKind, GbEndData, GbMsg, Message, MessageClass, MsgId,
-    View, WireMsg,
+    Body, ConflictRelation, Delivery, DeliveryKind, GbEndData, GbMsg, IdRuns, Message,
+    MessageClass, MsgId, View, WireMsg,
 };
 
 /// An instruction produced by the generic-broadcast core.
@@ -184,7 +184,7 @@ pub struct GenericCore {
     /// earlier), or before a snapshot activated this process.
     future_acks: BTreeMap<u64, Vec<(ProcessId, MsgId)>>,
     /// G-delivered ids (never delivered twice).
-    gdelivered: FxHashSet<MsgId>,
+    gdelivered: IdRuns,
     /// Frozen: stop acking / fast-delivering until the epoch closes.
     frozen: bool,
     /// `End` bodies collected for the current epoch, in a-delivery order
@@ -238,7 +238,7 @@ impl GenericCore {
             acked: BTreeMap::new(),
             ack_senders: BTreeMap::new(),
             future_acks: BTreeMap::new(),
-            gdelivered: FxHashSet::default(),
+            gdelivered: IdRuns::default(),
             frozen: false,
             ends: Vec::new(),
             pending_view: None,
@@ -273,9 +273,14 @@ impl GenericCore {
 
     /// G-delivered ids, sorted (for snapshots).
     pub fn gdelivered(&self) -> Vec<MsgId> {
-        let mut v: Vec<MsgId> = self.gdelivered.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.gdelivered.to_vec()
+    }
+
+    /// Runs held by the id sets the core never prunes — `seen` and
+    /// `gdelivered` — i.e. what their memory is proportional to.
+    #[cfg(test)]
+    fn id_set_runs(&self) -> [usize; 2] {
+        [self.rb.seen_runs(), self.gdelivered.run_count()]
     }
 
     fn n(&self) -> usize {
@@ -400,7 +405,7 @@ impl GenericCore {
     /// says whether an ack is sent to the others or rides the caller's
     /// data). Returns whether this process acked it just now.
     fn admit(&mut self, message: Message, announce: bool, out: &mut Vec<GbOut>) -> bool {
-        if self.gdelivered.contains(&message.id) {
+        if self.gdelivered.contains(message.id) {
             return false;
         }
         let (id, class) = (message.id, message.class);
@@ -497,7 +502,7 @@ impl GenericCore {
             self.future_acks.entry(epoch).or_default().push((from, id));
             return;
         }
-        if epoch < self.epoch || self.gdelivered.contains(&id) {
+        if epoch < self.epoch || self.gdelivered.contains(id) {
             return; // stale
         }
         self.record_ack(from, id);
@@ -516,7 +521,7 @@ impl GenericCore {
     fn adopt_future_acks(&mut self) {
         self.future_acks = self.future_acks.split_off(&self.epoch);
         for (from, id) in self.future_acks.remove(&self.epoch).unwrap_or_default() {
-            if !self.gdelivered.contains(&id) {
+            if !self.gdelivered.contains(id) {
                 self.record_ack(from, id);
             }
         }
@@ -652,7 +657,7 @@ impl GenericCore {
         self.active = true;
         self.epoch = epoch;
         self.gdelivered = gdelivered.iter().copied().collect();
-        self.pending.retain(|id, _| !gdelivered.contains(id));
+        self.pending.retain(|&id, _| !self.gdelivered.contains(id));
         // A fresh member has acked and collected nothing (a process that
         // was a member before must not bring leftovers of that time).
         self.acked.clear();
@@ -729,7 +734,7 @@ impl GenericCore {
             .partition(|m| support.get(&m.id).copied().unwrap_or(0) >= threshold);
         for m in first.into_iter().chain(second) {
             let id = m.id;
-            if self.gdelivered.contains(&id) {
+            if self.gdelivered.contains(id) {
                 continue;
             }
             self.pending.entry(id).or_insert_with(|| m.clone());
@@ -848,6 +853,34 @@ mod tests {
         );
         // Further acks for a delivered message are ignored.
         assert!(c.on_ack(pid(3), 0, m.id).is_empty());
+    }
+
+    /// Bounded memory of the sets that outlive the epochs: one long
+    /// conflict-free epoch of three senders' streams, every message
+    /// fast-delivered, leaves one run per sender in `seen` and `gdelivered`.
+    /// (6,000 messages, not the 200,000 of the abcast twin: under
+    /// `cfg(test)` every admission also pays the reference conflict scan of
+    /// the whole epoch.)
+    #[test]
+    fn id_sets_stay_one_run_per_sender_over_a_long_epoch() {
+        let mut c = core(0, 4, ConflictRelation::none(4));
+        let mut out = Vec::new();
+        for seq in 0..2_000 {
+            for sender in 1..4 {
+                let m = app(sender, seq, 0);
+                // Own ack + the origin's riding its data + one more: n=4's
+                // fast quorum.
+                c.on_data_into(pid(sender), m.clone(), Some(0), &mut out);
+                c.on_ack_into(pid(sender % 3 + 1), 0, m.id, &mut out);
+            }
+        }
+        let delivered = out
+            .iter()
+            .filter(|o| matches!(o, GbOut::Deliver(d) if d.kind == DeliveryKind::GenericFast))
+            .count();
+        assert_eq!(delivered, 6_000);
+        assert_eq!(c.epoch(), 0);
+        assert_eq!(c.id_set_runs(), [3, 3]);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   argument). An origin outside the view is outside the detector's watch:
 //!   its first copies are relayed at once.
 
-use gcs_kernel::{FxHashSet, ProcessId};
+use gcs_kernel::ProcessId;
 
-use crate::types::{Message, MsgId};
+use crate::types::{IdRuns, Message, MsgId};
 
 /// How far a relaying receiver re-forwards a diffused message.
 ///
@@ -66,7 +66,7 @@ pub struct Rbcast {
     /// Index into `ring` of `me`'s first ring successor (the insertion
     /// point of `me`) — precomputed for the bounded-relay hot path.
     ring_start: usize,
-    seen: FxHashSet<MsgId>,
+    seen: IdRuns,
     next_seq: u64,
 }
 
@@ -86,7 +86,7 @@ impl Rbcast {
             targets: Vec::new(),
             ring: Vec::new(),
             ring_start: 0,
-            seen: FxHashSet::default(),
+            seen: IdRuns::default(),
             next_seq: 0,
         }
     }
@@ -151,7 +151,13 @@ impl Rbcast {
 
     /// Whether `id` has been seen (sent or received).
     pub fn seen(&self, id: MsgId) -> bool {
-        self.seen.contains(&id)
+        self.seen.contains(id)
+    }
+
+    /// Runs the seen-set holds (see `IdRuns::run_count`).
+    #[cfg(test)]
+    pub(crate) fn seen_runs(&self) -> usize {
+        self.seen.run_count()
     }
 }
 

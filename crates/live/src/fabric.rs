@@ -1,28 +1,54 @@
 //! The shared fabric of a live group: inboxes, the timer wheel, and the
-//! network emulation layer every frame crosses.
+//! network emulation layer every burst of frames crosses.
 //!
-//! Each group member is an OS thread draining an `mpsc` inbox of [`Msg`]s.
-//! Anything that must happen *later* — a protocol timer, a frame held back
+//! Each group member is an OS thread working through an `mpsc` inbox of
+//! [`Msg`]s (see `runtime.rs` for the drain → group → flush cycle).
+//! Anything that must happen *later* — a protocol timer, frames held back
 //! by an emulated link delay, a scheduled fault — is an entry in the
 //! [`TimerWheel`], a `BinaryHeap` + `Condvar` serviced by one dedicated
 //! timer thread per group.
 //!
-//! The [`Router`] is the one gate between a sender and a receiver's inbox.
-//! It consults [`NetState`] (partitions, per-link overrides, loss bursts,
-//! delay spikes, token-bucket bandwidth) so that fault injection composes
-//! exactly as it does in the simulator, and accounts every frame in the
-//! same [`Metrics`] vocabulary.
+//! # Bursts
+//!
+//! The unit that crosses the fabric is not a frame but a **burst**: every
+//! frame one drain of a member's inbox produced for one destination, in
+//! emission order, as one [`Msg::Net`]. The member collects them in an
+//! [`Outbox`]; [`Router::flush`] is the one gate between a sender and a
+//! receiver's inbox and the only routing path. Per destination it decides
+//! **one network fate** from [`NetState`] — liveness, partition, one loss
+//! draw, one sampled delay, bandwidth charged for the summed bytes — and
+//! then makes one inbox send (one framed write in TCP mode) or one wheel
+//! entry. A member whose drain dispatched a single message that produced a
+//! single frame ships a burst of one.
+//!
+//! What one fate per burst means for fault emulation: a partition or a
+//! crashed destination drops all of a burst, as it would each frame; a
+//! link's `drop_prob` (and a loss burst) is the probability that a *burst*
+//! is lost, so under load loss comes in runs of consecutive frames of one
+//! link rather than independently per frame — the shape real links lose in
+//! — and a sampled delay moves the burst as a whole (its frames never
+//! overtake each other; two bursts of a jittery link may, as two frames
+//! could). The reliable channel and the baselines' repair paths see a lost
+//! burst as so many lost frames; `tests/transport_conformance.rs` is the
+//! check that they cope.
+//!
+//! The accounting stays per frame: [`Metrics`] counts every protocol
+//! message by kind and every delivery and drop once per frame contained in
+//! a burst, so `sent == delivered + dropped_*` holds as it does in the
+//! simulator — taken under one lock acquisition per flush.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 
-use gcs_kernel::{Event, ProcessId, Time, TimeDelta, TimerId};
+use gcs_kernel::{Effects, Event, ProcessId, SmallVec, Time, TimeDelta, TimerId};
 use gcs_net::{FrameHeader, Link, TcpLink};
 use gcs_sim::{LinkModel, Metrics, Topology, TraceMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::{LiveConfig, WallClock, WireMode};
 
 /// Emulated one-way delays below this floor are not worth a trip through
 /// the timer wheel: the real channel/TCP hop already costs tens of
@@ -35,17 +61,21 @@ pub(crate) const DELAY_FLOOR: TimeDelta = TimeDelta::from_micros(200);
 /// back in (mirrors the leaky-bucket shape of real shapers).
 const BUCKET_BURST: TimeDelta = TimeDelta::from_millis(5);
 
+/// The frames of one burst: `(destination component, event)` in emission
+/// order. A lone frame — all a lightly loaded member ever ships — stays
+/// inline.
+pub(crate) type Frames<E> = SmallVec<(&'static str, E), 1>;
+
 /// One message in a member's inbox.
 #[derive(Debug)]
 pub(crate) enum Msg<E> {
-    /// A protocol frame from another member (or a loopback self-send).
+    /// A burst of protocol frames from another member (or looped back from
+    /// this one): one or more, in the order the sender emitted them.
     Net {
         /// Sending process.
         from: ProcessId,
-        /// Destination component within the receiver.
-        component: &'static str,
-        /// The event carried by the frame.
-        event: E,
+        /// The frames, each dispatched as its own kernel event.
+        frames: Frames<E>,
     },
     /// A harness injection (client request, join/remove signal).
     Inject {
@@ -72,7 +102,7 @@ pub(crate) enum Due<E> {
         /// The timer to fire.
         id: TimerId,
     },
-    /// Deliver a delayed or future-scheduled inbox message.
+    /// Deliver a delayed burst or a future-scheduled inbox message.
     Frame {
         /// Destination process.
         to: ProcessId,
@@ -192,9 +222,10 @@ impl NetState {
         }
     }
 
-    /// The fate of one frame: `None` if the emulated link dropped it,
-    /// otherwise the artificial delay to add on top of the real wire.
-    fn frame_delay(
+    /// The fate of one burst of `bytes` in all: `None` if the emulated link
+    /// dropped it, otherwise the artificial delay to add on top of the real
+    /// wire.
+    fn burst_delay(
         &mut self,
         topology: &Topology,
         from: ProcessId,
@@ -295,14 +326,27 @@ impl<E> TimerWheel<E> {
     /// Parks `due` until `at` (the timer thread wakes early if this becomes
     /// the nearest deadline).
     pub(crate) fn schedule(&self, at: Time, due: Due<E>) {
+        self.schedule_all([(at, due)]);
+    }
+
+    /// Parks every entry under one lock acquisition (ties come due in
+    /// iteration order), waking the timer thread only if its nearest
+    /// deadline moved: it sleeps until that one whatever lies behind it.
+    pub(crate) fn schedule_all(&self, entries: impl IntoIterator<Item = (Time, Due<E>)>) {
         let mut inner = self.inner.lock().expect("wheel lock");
         if inner.shutdown {
             return;
         }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.heap.push(HeapEntry { at, seq, due });
-        self.cond.notify_one();
+        let nearest = |inner: &WheelInner<E>| inner.heap.peek().map(|top| top.at);
+        let before = nearest(&inner);
+        for (at, due) in entries {
+            let seq = inner.seq;
+            inner.seq += 1;
+            inner.heap.push(HeapEntry { at, seq, due });
+        }
+        if nearest(&inner) != before {
+            self.cond.notify_one();
+        }
     }
 
     /// Stops the timer thread (pending entries are abandoned).
@@ -340,7 +384,7 @@ impl<E> TimerWheel<E> {
 /// Everything live-group threads share by `Arc`.
 pub(crate) struct Shared<E> {
     /// The group's wall clock (epoch = runtime start).
-    pub clock: crate::WallClock,
+    pub clock: WallClock,
     /// Link emulation state.
     pub net: Mutex<NetState>,
     /// Baseline link models by region.
@@ -352,8 +396,14 @@ pub(crate) struct Shared<E> {
     pub delivered_total: AtomicU64,
     /// Per-process protocol output counts.
     pub delivered_per: Vec<AtomicU64>,
-    /// Dispatched kernel events (inbox messages processed) across the group.
+    /// Dispatched kernel events (frames, injections, timer fires) across
+    /// the group.
     pub events: AtomicU64,
+    /// [`Msg::Net`] inbox messages dispatched across the group…
+    pub bursts: AtomicU64,
+    /// …and the frames they carried: `frames / bursts` is how well the
+    /// group packs under its current load (1 when idle).
+    pub frames: AtomicU64,
     /// How much of the output stream to record.
     pub trace_mode: TraceMode,
     /// Recorded protocol outputs (empty unless `trace_mode` is `Full`).
@@ -362,7 +412,7 @@ pub(crate) struct Shared<E> {
     pub metrics: Mutex<Metrics>,
     /// Future work.
     pub wheel: TimerWheel<E>,
-    /// TCP wire state, when the group runs in [`crate::WireMode::Tcp`].
+    /// TCP wire state, when the group runs in [`WireMode::Tcp`].
     pub tcp: Option<TcpFabric<E>>,
 }
 
@@ -375,34 +425,42 @@ impl<E: Event + Send> Shared<E> {
         self.dead[p.index()].load(Ordering::Acquire)
     }
 
-    pub(crate) fn record_output(&self, now: Time, proc: ProcessId, event: &E) {
-        // Same sink semantics as the simulator's `Trace`: `Off` observes
-        // nothing, `CountsOnly` keeps the counters, `Full` keeps the events.
-        if matches!(self.trace_mode, TraceMode::Off) {
+    /// Records what one drain of `proc` handed to the application, each
+    /// output under the time it was produced at: one counter update and one
+    /// trace-lock acquisition for all of them.
+    fn record_outputs(&self, proc: ProcessId, outputs: &mut Vec<(Time, E)>) {
+        if outputs.is_empty() {
             return;
         }
-        self.delivered_total.fetch_add(1, Ordering::Relaxed);
-        self.delivered_per[proc.index()].fetch_add(1, Ordering::Relaxed);
-        if matches!(self.trace_mode, TraceMode::Full) {
-            self.trace
+        let count = outputs.len() as u64;
+        // Same sink semantics as the simulator's `Trace`: `Off` observes
+        // nothing, `CountsOnly` keeps the counters, `Full` keeps the events.
+        match self.trace_mode {
+            TraceMode::Off => return outputs.clear(),
+            TraceMode::CountsOnly => outputs.clear(),
+            TraceMode::Full => self
+                .trace
                 .lock()
                 .expect("trace lock")
-                .push((now, proc, event.clone()));
+                .extend(outputs.drain(..).map(|(at, event)| (at, proc, event))),
         }
+        self.delivered_total.fetch_add(count, Ordering::Relaxed);
+        self.delivered_per[proc.index()].fetch_add(count, Ordering::Relaxed);
     }
 }
 
 /// The TCP wire: one loopback stream per member, bodies carried as slab
 /// handles (see the `gcs_net::link` module docs — the wire exercises real
 /// framing, ordering and flow control; payload bytes stay in-process, the
-/// honest boundary of a reproduction without a serialization layer).
+/// honest boundary of a reproduction without a serialization layer). A
+/// burst is one slab entry and one framed write.
 pub(crate) struct TcpFabric<E> {
     /// Write halves, locked per destination (any thread may send).
     pub writers: Vec<Mutex<TcpLink>>,
     /// Shutdown handles (clones of the *reader* side, used to unblock pumps).
     pub reader_shutdown: Vec<TcpLink>,
-    /// In-flight frame bodies keyed by the u64 handle on the wire.
-    pub slab: Mutex<HashMap<u64, (ProcessId, &'static str, E)>>,
+    /// In-flight bursts keyed by the u64 handle on the wire.
+    pub slab: Mutex<HashMap<u64, (ProcessId, Frames<E>)>>,
     /// Next slab key.
     pub next_key: AtomicU64,
 }
@@ -410,12 +468,108 @@ pub(crate) struct TcpFabric<E> {
 /// Channel tag for protocol net frames on the TCP wire.
 pub(crate) const CHAN_NET: u8 = 0;
 
+/// Frame fates of one flush or one wheel delivery, tallied outside the
+/// metrics lock and applied to it in one go.
+#[derive(Default)]
+pub(crate) struct Tally {
+    delivered: usize,
+    dropped_loss: usize,
+    dropped_partition: usize,
+    dropped_crash: usize,
+}
+
+impl Tally {
+    /// `frames` frames either reached an inbox or died with their receiver.
+    pub(crate) fn arrived(&mut self, reached_inbox: bool, frames: usize) {
+        if reached_inbox {
+            self.delivered += frames;
+        } else {
+            self.dropped_crash += frames;
+        }
+    }
+
+    pub(crate) fn record(self, m: &mut Metrics) {
+        (0..self.delivered).for_each(|_| m.record_delivery());
+        (0..self.dropped_loss).for_each(|_| m.record_drop_loss());
+        (0..self.dropped_partition).for_each(|_| m.record_drop_partition());
+        (0..self.dropped_crash).for_each(|_| m.record_drop_crash());
+    }
+}
+
+/// What one drain of a member's inbox produced, grouped for one flush:
+/// frames per destination, timers as absolute deadlines, outputs with the
+/// time they were produced at. All buffers are reused from drain to drain.
+pub(crate) struct Outbox<E> {
+    /// Per destination (dense by process index): its burst so far, sends
+    /// and casts of successive dispatches interleaved as emitted.
+    frames: Vec<Frames<E>>,
+    /// Summed wire bytes of each destination's burst.
+    bytes: Vec<usize>,
+    /// `(kind, wire bytes)` of every frame above — the metrics are per
+    /// protocol message, whatever it travels in.
+    sent: Vec<(&'static str, usize)>,
+    /// Wheel entries owed: protocol timers now, parked bursts at flush.
+    parked: Vec<(Time, Due<E>)>,
+    outputs: Vec<(Time, E)>,
+}
+
+impl<E: Event + Send> Outbox<E> {
+    pub(crate) fn new(processes: usize) -> Self {
+        Outbox {
+            frames: (0..processes).map(|_| Frames::new()).collect(),
+            bytes: vec![0; processes],
+            sent: Vec::new(),
+            parked: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, to: ProcessId, component: &'static str, event: E) {
+        let bytes = event.wire_size();
+        self.sent.push((event.kind(), bytes));
+        self.bytes[to.index()] += bytes;
+        self.frames[to.index()].push((component, event));
+    }
+
+    /// Moves the effects of one dispatch of `me`, begun at `dispatched`, out
+    /// of `fx` (left empty for the next dispatch). Returns whether the
+    /// process halted in it.
+    pub(crate) fn absorb(
+        &mut self,
+        me: ProcessId,
+        dispatched: Time,
+        clock: &WallClock,
+        fx: &mut Effects<E>,
+    ) -> bool {
+        for env in fx.sends.drain() {
+            self.push(env.to, env.component, env.event);
+        }
+        for cast in fx.casts.drain() {
+            for &to in cast.to.iter() {
+                self.push(to, cast.component, cast.event.clone());
+            }
+        }
+        for t in fx.timers.drain() {
+            let due = Due::Fire { proc: me, id: t.id };
+            self.parked.push((dispatched.saturating_add(t.after), due));
+        }
+        if !fx.outputs.is_empty() {
+            // An output is stamped when the application would have it: once
+            // the dispatch that produced it is over.
+            let produced = clock.now();
+            self.outputs
+                .extend(fx.outputs.drain().map(|out| (produced, out)));
+        }
+        std::mem::take(&mut fx.halted)
+    }
+}
+
 /// One thread's handle for sending frames into the group.
 ///
 /// `mpsc::Sender` is `Send` but not `Sync`, so every thread owns its own
 /// clone of the full sender table rather than sharing one behind a lock.
 pub(crate) struct Router<E> {
-    pub shared: std::sync::Arc<Shared<E>>,
+    pub shared: Arc<Shared<E>>,
     pub senders: Vec<Sender<Msg<E>>>,
 }
 
@@ -428,106 +582,152 @@ impl<E: Event + Send> Clone for Router<E> {
     }
 }
 
+/// Builds the fabric of a group of `n` processes: the shared state, a
+/// router, and what the threads to be spawned will own — each member's
+/// inbox and, in TCP mode, the read half of each member's stream.
+pub(crate) fn open<E: Event + Send>(
+    config: LiveConfig,
+    n: usize,
+) -> (Router<E>, Vec<Receiver<Msg<E>>>, Vec<TcpLink>) {
+    let clock = WallClock::new();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+
+    // TCP wire (optional): one loopback stream per member; the write half
+    // is shared by all senders, the read half is pumped into the member's
+    // inbox by a dedicated reader thread.
+    let mut reader_links: Vec<TcpLink> = Vec::new();
+    let tcp = match config.wire {
+        WireMode::Channel => None,
+        WireMode::Tcp => {
+            let mut writers = Vec::with_capacity(n);
+            let mut reader_shutdown = Vec::with_capacity(n);
+            for _ in 0..n {
+                let (w, r) = TcpLink::pair().expect("loopback socket pair");
+                writers.push(Mutex::new(w));
+                reader_shutdown.push(r.try_clone().expect("clone reader handle"));
+                reader_links.push(r);
+            }
+            Some(TcpFabric {
+                writers,
+                reader_shutdown,
+                slab: Mutex::new(HashMap::new()),
+                next_key: AtomicU64::new(0),
+            })
+        }
+    };
+
+    let shared = Arc::new(Shared {
+        clock,
+        net: Mutex::new(NetState::new(config.seed)),
+        topology: config.topology,
+        dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        delivered_total: AtomicU64::new(0),
+        delivered_per: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        events: AtomicU64::new(0),
+        bursts: AtomicU64::new(0),
+        frames: AtomicU64::new(0),
+        trace_mode: config.trace,
+        trace: Mutex::new(Vec::new()),
+        metrics: Mutex::new(Metrics::default()),
+        wheel: TimerWheel::new(),
+        tcp,
+    });
+    (Router { shared, senders }, receivers, reader_links)
+}
+
 impl<E: Event + Send> Router<E> {
-    /// Routes one protocol frame, applying the emulated network: metrics,
-    /// crash/partition/loss drops, and artificial delay via the wheel.
-    pub(crate) fn route(
-        &self,
-        now: Time,
-        from: ProcessId,
-        to: ProcessId,
-        component: &'static str,
-        event: E,
-    ) {
-        let bytes = event.wire_size();
-        self.shared
-            .with_metrics(|m| m.record_send(event.kind(), bytes));
-        let msg = Msg::Net {
-            from,
-            component,
-            event,
-        };
-        // Loopback self-sends never traverse the network model.
-        if from == to {
-            self.deliver(to, msg);
-            return;
-        }
-        if self.shared.is_dead(to) {
-            self.shared.with_metrics(|m| m.record_drop_crash());
-            return;
-        }
-        let delay = {
-            let mut net = self.shared.net.lock().expect("net lock");
-            if net.blocked(from, to) {
-                drop(net);
-                self.shared.with_metrics(|m| m.record_drop_partition());
-                return;
-            }
-            match net.frame_delay(&self.shared.topology, from, to, bytes, now) {
-                None => {
-                    self.shared.with_metrics(|m| m.record_drop_loss());
-                    return;
+    /// Ships everything `out` holds for `from` and leaves it empty: per
+    /// destination one burst with one network fate (see the module docs),
+    /// then the timers and parked bursts to the wheel, every frame to the
+    /// metrics, the outputs to the trace — each shared structure locked
+    /// once.
+    pub(crate) fn flush(&self, from: ProcessId, out: &mut Outbox<E>) {
+        let shared = &self.shared;
+        if !out.sent.is_empty() {
+            let now = shared.clock.now();
+            let mut tally = Tally::default();
+            for (index, frames) in out.frames.iter_mut().enumerate() {
+                if frames.is_empty() {
+                    continue;
                 }
-                Some(d) => d,
+                let to = ProcessId::new(index as u32);
+                let count = frames.len();
+                let bytes = std::mem::take(&mut out.bytes[index]);
+                let msg = Msg::Net {
+                    from,
+                    frames: std::mem::take(frames),
+                };
+                // Loopback self-sends never traverse the network model.
+                if from == to {
+                    tally.arrived(self.deliver(to, msg), count);
+                    continue;
+                }
+                if shared.is_dead(to) {
+                    tally.dropped_crash += count;
+                    continue;
+                }
+                let delay = {
+                    let mut net = shared.net.lock().expect("net lock");
+                    if net.blocked(from, to) {
+                        tally.dropped_partition += count;
+                        continue;
+                    }
+                    net.burst_delay(&shared.topology, from, to, bytes, now)
+                };
+                match delay {
+                    None => tally.dropped_loss += count,
+                    Some(delay) if delay < DELAY_FLOOR => {
+                        tally.arrived(self.deliver(to, msg), count);
+                    }
+                    Some(delay) => out
+                        .parked
+                        .push((now.saturating_add(delay), Due::Frame { to, msg })),
+                }
             }
-        };
-        if delay < DELAY_FLOOR {
-            self.deliver(to, msg);
-        } else {
-            self.shared
-                .wheel
-                .schedule(now.saturating_add(delay), Due::Frame { to, msg });
+            shared.with_metrics(|m| {
+                for (kind, bytes) in out.sent.drain(..) {
+                    m.record_send(kind, bytes);
+                }
+                tally.record(m);
+            });
         }
+        if !out.parked.is_empty() {
+            shared.wheel.schedule_all(out.parked.drain(..));
+        }
+        shared.record_outputs(from, &mut out.outputs);
     }
 
-    /// Puts a message on `to`'s inbox — over the TCP wire for net frames
-    /// when the group runs in TCP mode, directly otherwise. A send to an
-    /// exited member counts as a crash drop (the frame died on the wire).
-    pub(crate) fn deliver(&self, to: ProcessId, msg: Msg<E>) {
-        if let (
-            Some(tcp),
-            Msg::Net {
-                from,
-                component,
-                event,
-            },
-        ) = (&self.shared.tcp, &msg)
-        {
-            let key = tcp.next_key.fetch_add(1, Ordering::Relaxed);
-            tcp.slab
-                .lock()
-                .expect("slab lock")
-                .insert(key, (*from, *component, event.clone()));
-            let header = FrameHeader {
-                channel: CHAN_NET,
-                from: from.raw(),
-                to: to.raw(),
-                len: 8,
-            };
-            let sent = tcp.writers[to.index()]
-                .lock()
-                .expect("writer lock")
-                .send(&header, &key.to_be_bytes())
-                .is_ok();
-            if sent {
-                self.shared.with_metrics(|m| m.record_delivery());
-            } else {
-                tcp.slab.lock().expect("slab lock").remove(&key);
-                self.shared.with_metrics(|m| m.record_drop_crash());
+    /// Puts a message on `to`'s inbox — a burst of net frames over the TCP
+    /// wire when the group runs in TCP mode, directly otherwise — and says
+    /// whether it got there: a send to an exited member fails, and for net
+    /// frames the caller counts that as so many crash drops (they died on
+    /// the wire; a timer fire or control message to an exited member is
+    /// simply moot).
+    pub(crate) fn deliver(&self, to: ProcessId, msg: Msg<E>) -> bool {
+        match (&self.shared.tcp, msg) {
+            (Some(tcp), Msg::Net { from, frames }) => {
+                let key = tcp.next_key.fetch_add(1, Ordering::Relaxed);
+                tcp.slab
+                    .lock()
+                    .expect("slab lock")
+                    .insert(key, (from, frames));
+                let header = FrameHeader {
+                    channel: CHAN_NET,
+                    from: from.raw(),
+                    to: to.raw(),
+                    len: 8,
+                };
+                let sent = tcp.writers[to.index()]
+                    .lock()
+                    .expect("writer lock")
+                    .send(&header, &key.to_be_bytes())
+                    .is_ok();
+                if !sent {
+                    tcp.slab.lock().expect("slab lock").remove(&key);
+                }
+                sent
             }
-            return;
-        }
-        let was_frame = matches!(msg, Msg::Net { .. });
-        if self.senders[to.index()].send(msg).is_ok() {
-            if was_frame {
-                self.shared.with_metrics(|m| m.record_delivery());
-            }
-        } else if was_frame {
-            // Receiver gone: the member crashed between our liveness check
-            // and the send. The frame is lost exactly as on a real wire.
-            // (Timer fires and control messages to an exited member are
-            // simply moot, not lost traffic.)
-            self.shared.with_metrics(|m| m.record_drop_crash());
+            (_, msg) => self.senders[to.index()].send(msg).is_ok(),
         }
     }
 }
@@ -571,7 +771,7 @@ mod tests {
         let mut net = NetState::new(2);
         let topo = Topology::lan();
         let d = net
-            .frame_delay(&topo, ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
+            .burst_delay(&topo, ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
             .expect("no loss on lan");
         // LAN delay_max (1.2 ms) is above the floor, so it IS emulated…
         assert!(d >= topo.link(ProcessId::new(0), ProcessId::new(1)).delay_min);
@@ -588,7 +788,7 @@ mod tests {
             },
         });
         let d = net
-            .frame_delay(&topo, ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
+            .burst_delay(&topo, ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
             .expect("no loss");
         assert_eq!(d, TimeDelta::ZERO);
     }

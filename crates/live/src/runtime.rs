@@ -3,31 +3,59 @@
 //!
 //! Each member thread owns its [`Process`] outright (the kernel process is
 //! deliberately not `Send`-shareable — it is built *inside* the thread from
-//! a shared `Send + Sync` constructor closure) and drains an `mpsc` inbox:
-//! protocol frames, harness injections, timer fires, crash and stop
-//! signals. Effects flow back out through the [`Router`], which applies the
-//! emulated network before the frame reaches the destination inbox —
-//! directly in channel mode, or over a loopback TCP stream per member in
-//! TCP mode.
+//! a shared `Send + Sync` constructor closure) and works through an `mpsc`
+//! inbox — bursts of protocol frames, harness injections, timer fires,
+//! crash and stop signals — in cycles of **drain → group → flush**:
+//!
+//! 1. **Drain.** Block for one inbox message, dispatch it, and keep
+//!    dispatching whatever else is *already* in the inbox (`try_recv`,
+//!    never a wait) until it is empty or [`DRAIN_BUDGET`] dispatches are
+//!    spent.
+//! 2. **Group.** After every dispatch its effects move into the member's
+//!    `Outbox`: sends and casts appended to their destination's list (so
+//!    each destination sees emission order across dispatches), timers as
+//!    absolute deadlines, outputs with their time.
+//! 3. **Flush.** Once per drain, `Router::flush` ships each destination's
+//!    list as one burst through the emulated network — directly into the
+//!    inbox in channel mode, as one framed write over a loopback TCP stream
+//!    in TCP mode, or onto the wheel when the link model delays it — and
+//!    takes each shared lock (metrics, wheel, trace) once.
+//!
+//! A member that wakes to an inbox of one message does exactly what a
+//! frame-at-a-time loop would; under load the cost of crossing the fabric
+//! is paid per burst instead of per frame, and the packing grows with the
+//! backlog on its own. A `Crash` or `Stop` met mid-drain ends the drain
+//! there: what the dispatches *before* it produced is flushed (the effects
+//! of a finished dispatch always leave the member), nothing behind it in
+//! the inbox is looked at.
 //!
 //! The timer thread services the group's [`TimerWheel`]: protocol timers,
-//! frames parked by emulated link delay, and scheduled fault actions all
+//! bursts parked by emulated link delay, and scheduled fault actions all
 //! come due there. Firing a timer on a process that already cancelled it is
 //! a kernel-level no-op, which is what makes a *global* wheel safe: the
 //! wheel may hold stale entries for crashed members or cancelled timers
 //! without corrupting anyone.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use gcs_kernel::{Effects, Event, Process, ProcessId, Time};
 use gcs_net::{Link, TcpLink};
 use gcs_sim::{Metrics, Runtime, Schedule, ScheduleAction};
 
-use crate::fabric::{Control, Due, Msg, NetState, Router, Shared, TcpFabric, TimerWheel};
-use crate::{LiveConfig, WallClock};
+use crate::fabric::{self, Control, Due, Msg, Outbox, Router, Shared, Tally};
+use crate::LiveConfig;
+
+/// Dispatches one drain may make before it must flush. A bound, not a
+/// tuning knob: it only matters to a member whose inbox refills as fast as
+/// it empties, and there it caps how long the member's own output — acks
+/// the others wait for, deliveries an observer polls for — can sit in the
+/// outbox. Large enough that a backlog packs well (the packing saturates
+/// long before), small enough that a flush is never more than a fraction of
+/// a millisecond of dispatching away.
+const DRAIN_BUDGET: usize = 256;
 
 /// How frames physically move between member threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,58 +94,8 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         build: impl Fn(ProcessId) -> Process<E> + Send + Sync + 'static,
     ) -> Self {
         let build = Arc::new(build);
-        let clock = WallClock::new();
-        let mut senders: Vec<Sender<Msg<E>>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<Msg<E>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        // TCP wire (optional): one loopback stream per member; the write
-        // half is shared by all senders, the read half is pumped into the
-        // member's inbox by a dedicated reader thread.
-        let mut reader_links: Vec<TcpLink> = Vec::new();
-        let tcp = match config.wire {
-            WireMode::Channel => None,
-            WireMode::Tcp => {
-                let mut writers = Vec::with_capacity(n);
-                let mut reader_shutdown = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (w, r) = TcpLink::pair().expect("loopback socket pair");
-                    writers.push(Mutex::new(w));
-                    reader_shutdown.push(r.try_clone().expect("clone reader handle"));
-                    reader_links.push(r);
-                }
-                Some(TcpFabric {
-                    writers,
-                    reader_shutdown,
-                    slab: Mutex::new(std::collections::HashMap::new()),
-                    next_key: AtomicU64::new(0),
-                })
-            }
-        };
-
-        let shared = Arc::new(Shared {
-            clock,
-            net: Mutex::new(NetState::new(config.seed)),
-            topology: config.topology,
-            dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            delivered_total: AtomicU64::new(0),
-            delivered_per: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            events: AtomicU64::new(0),
-            trace_mode: config.trace,
-            trace: Mutex::new(Vec::new()),
-            metrics: Mutex::new(Metrics::default()),
-            wheel: TimerWheel::new(),
-            tcp,
-        });
-
-        let router = Router {
-            shared: shared.clone(),
-            senders: senders.clone(),
-        };
+        let (router, receivers, reader_links) = fabric::open(config, n);
+        let shared = router.shared.clone();
 
         let mut handles = Vec::with_capacity(n + 1 + reader_links.len());
 
@@ -125,7 +103,7 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         // and feed the member inbox.
         for (i, link) in reader_links.into_iter().enumerate() {
             let shared = shared.clone();
-            let tx = senders[i].clone();
+            let tx = router.senders[i].clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("live-pump-{i}"))
@@ -273,7 +251,7 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         &self.metrics_cache
     }
 
-    /// Inbox messages dispatched group-wide.
+    /// Kernel events dispatched group-wide (every frame of a burst is one).
     fn events_executed(&self) -> u64 {
         self.shared.events.load(Ordering::Relaxed)
     }
@@ -311,8 +289,8 @@ impl<E: Event + Send> Drop for LiveRuntime<E> {
     }
 }
 
-/// The life of one member: start the process, then drain the inbox until
-/// crash or stop.
+/// The life of one member: start the process, then drain → group → flush
+/// (see the module docs) until crash, halt or stop.
 fn member_loop<E: Event + Send>(
     me: ProcessId,
     mut process: Process<E>,
@@ -321,71 +299,63 @@ fn member_loop<E: Event + Send>(
 ) {
     let shared = router.shared.clone();
     let mut fx = Effects::new();
-    process.start_into(shared.clock.now(), &mut fx);
-    if apply_effects(me, &mut fx, &router) {
-        shared.dead[me.index()].store(true, Ordering::Release);
-        return;
-    }
-    for msg in rx.iter() {
-        let now = shared.clock.now();
-        match msg {
-            Msg::Net {
-                from,
-                component,
-                event,
-            } => {
-                shared.events.fetch_add(1, Ordering::Relaxed);
-                process.deliver_net_into(from, component, event, now, &mut fx);
+    let mut out = Outbox::new(router.senders.len());
+    let started = shared.clock.now();
+    process.start_into(started, &mut fx);
+    let mut halted = out.absorb(me, started, &shared.clock, &mut fx);
+    router.flush(me, &mut out);
+
+    while !halted {
+        // All senders dropped: the runtime is tearing down.
+        let Ok(mut msg) = rx.recv() else { return };
+        let (mut events, mut bursts, mut frames) = (0, 0, 0);
+        let mut ending = false;
+        loop {
+            let now = shared.clock.now();
+            match msg {
+                Msg::Net {
+                    from,
+                    frames: burst,
+                } => {
+                    bursts += 1;
+                    frames += burst.len();
+                    for (component, event) in burst {
+                        events += 1;
+                        process.deliver_net_into(from, component, event, now, &mut fx);
+                    }
+                }
+                Msg::Inject { component, event } => {
+                    events += 1;
+                    process.deliver_into(component, event, now, &mut fx);
+                }
+                Msg::Fire(id) => {
+                    events += 1;
+                    process.fire_timer_into(id, now, &mut fx);
+                }
+                Msg::Crash => {
+                    shared.dead[me.index()].store(true, Ordering::Release);
+                    process.halt(); // the thread IS the process: crash-stop
+                    ending = true;
+                }
+                Msg::Stop => ending = true,
             }
-            Msg::Inject { component, event } => {
-                shared.events.fetch_add(1, Ordering::Relaxed);
-                process.deliver_into(component, event, now, &mut fx);
+            // The protocol may halt itself (e.g. excluded from the group).
+            halted = out.absorb(me, now, &shared.clock, &mut fx);
+            if ending || halted || events >= DRAIN_BUDGET {
+                break;
             }
-            Msg::Fire(id) => {
-                shared.events.fetch_add(1, Ordering::Relaxed);
-                process.fire_timer_into(id, now, &mut fx);
-            }
-            Msg::Crash => {
-                shared.dead[me.index()].store(true, Ordering::Release);
-                process.halt();
-                return; // the thread IS the process: crash-stop
-            }
-            Msg::Stop => return,
+            let Ok(next) = rx.try_recv() else { break };
+            msg = next;
         }
-        if apply_effects(me, &mut fx, &router) {
-            // The protocol halted itself (e.g. excluded from the group).
-            shared.dead[me.index()].store(true, Ordering::Release);
+        shared.events.fetch_add(events as u64, Ordering::Relaxed);
+        shared.bursts.fetch_add(bursts, Ordering::Relaxed);
+        shared.frames.fetch_add(frames as u64, Ordering::Relaxed);
+        router.flush(me, &mut out);
+        if ending {
             return;
         }
     }
-    // All senders dropped: the runtime is tearing down.
-}
-
-/// Pushes one dispatch's effects out: frames to the router, timers to the
-/// wheel, outputs to the trace. Returns whether the process halted.
-fn apply_effects<E: Event + Send>(me: ProcessId, fx: &mut Effects<E>, router: &Router<E>) -> bool {
-    let shared = &router.shared;
-    let now = shared.clock.now();
-    for env in fx.sends.drain() {
-        router.route(now, me, env.to, env.component, env.event);
-    }
-    for cast in fx.casts.drain() {
-        for &to in cast.to.iter() {
-            router.route(now, me, to, cast.component, cast.event.clone());
-        }
-    }
-    for t in fx.timers.drain() {
-        shared.wheel.schedule(
-            now.saturating_add(t.after),
-            Due::Fire { proc: me, id: t.id },
-        );
-    }
-    for out in fx.outputs.drain() {
-        shared.record_output(now, me, &out);
-    }
-    let halted = fx.halted;
-    fx.clear();
-    halted
+    shared.dead[me.index()].store(true, Ordering::Release);
 }
 
 /// The timer thread: pops due work off the wheel until shutdown.
@@ -398,14 +368,20 @@ fn timer_loop<E: Event + Send>(router: Router<E>) {
                     router.deliver(proc, Msg::Fire(id));
                 }
             }
-            Due::Frame { to, msg } => {
-                if matches!(msg, Msg::Net { .. }) && shared.is_dead(to) {
-                    // The member crashed while the frame was in flight.
-                    shared.with_metrics(|m| m.record_drop_crash());
-                } else {
-                    router.deliver(to, msg);
+            Due::Frame { to, msg } => match msg {
+                Msg::Net { ref frames, .. } => {
+                    let count = frames.len();
+                    // A burst whose receiver crashed while it was in flight
+                    // dies on the wire, frame by frame.
+                    let arrived = !shared.is_dead(to) && router.deliver(to, msg);
+                    let mut tally = Tally::default();
+                    tally.arrived(arrived, count);
+                    shared.with_metrics(|m| tally.record(m));
                 }
-            }
+                scheduled => {
+                    router.deliver(to, scheduled);
+                }
+            },
             Due::Control(action) => apply_control(&router, action),
         }
     }
@@ -426,8 +402,9 @@ fn apply_control<E: Event + Send>(router: &Router<E>, action: Control) {
     router.shared.net.lock().expect("net lock").apply(&action);
 }
 
-/// TCP-mode reader pump: decode wire frames for one member, resolve the
-/// body handle back to the event, and enqueue it on the member's inbox.
+/// TCP-mode reader pump: decode wire frames for one member, resolve each
+/// body handle back to the burst it stands for, and enqueue that — one
+/// framed write, one inbox message — on the member's inbox.
 fn pump_loop<E: Event + Send>(mut link: TcpLink, shared: Arc<Shared<E>>, tx: Sender<Msg<E>>) {
     let fabric = shared.tcp.as_ref().expect("tcp fabric in tcp mode");
     loop {
@@ -438,20 +415,399 @@ fn pump_loop<E: Event + Send>(mut link: TcpLink, shared: Arc<Shared<E>>, tx: Sen
                 }
                 let key = u64::from_be_bytes(body[..8].try_into().expect("8-byte handle"));
                 let entry = fabric.slab.lock().expect("slab lock").remove(&key);
-                if let Some((from, component, event)) = entry {
-                    if tx
-                        .send(Msg::Net {
-                            from,
-                            component,
-                            event,
-                        })
-                        .is_err()
-                    {
+                if let Some((from, frames)) = entry {
+                    if tx.send(Msg::Net { from, frames }).is_err() {
                         return; // member exited; stop pumping
                     }
                 }
             }
             Ok(None) | Err(_) => return, // stream shut down
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcs_kernel::{Component, Context, TimeDelta};
+    use gcs_sim::{LinkModel, Topology};
+    use std::time::Duration;
+
+    use crate::WireMode;
+
+    fn p(i: u32) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    enum T {
+        /// Injected at p0: send `Tag(n)` to p1, cast `Tag(100 + n)` to p1
+        /// and p2, output `Seen(n)`.
+        Go(u32),
+        Tag(u32),
+        Seen(u32),
+    }
+
+    impl Event for T {
+        fn kind(&self) -> &'static str {
+            match self {
+                T::Go(_) => "t/go",
+                T::Tag(_) => "t/tag",
+                T::Seen(_) => "t/seen",
+            }
+        }
+    }
+
+    struct Talker;
+
+    impl Component<T> for Talker {
+        fn name(&self) -> &'static str {
+            "talk"
+        }
+
+        fn on_event(&mut self, event: T, ctx: &mut Context<'_, T>) {
+            match event {
+                T::Go(n) => {
+                    ctx.send(p(1), "talk", T::Tag(n));
+                    ctx.send_to_all([p(1), p(2)], "talk", T::Tag(100 + n));
+                    ctx.output(T::Seen(n));
+                }
+                T::Tag(n) => ctx.output(T::Seen(n)),
+                T::Seen(_) => {}
+            }
+        }
+    }
+
+    /// A three-process fabric with no thread running: the test plays the
+    /// members itself. `direct` links are below the emulation floor, so a
+    /// burst goes straight to the inbox; otherwise (LAN) it is parked on
+    /// the wheel.
+    struct Bench {
+        router: Router<T>,
+        inboxes: Vec<Option<Receiver<Msg<T>>>>,
+        readers: Vec<TcpLink>,
+    }
+
+    impl Bench {
+        fn open(direct: bool, wire: WireMode) -> Self {
+            let instant = LinkModel {
+                delay_min: TimeDelta::ZERO,
+                delay_max: TimeDelta::ZERO,
+                drop_prob: 0.0,
+                dup_prob: 0.0,
+                bandwidth: 0,
+            };
+            let topology = if direct {
+                Topology::uniform("direct", instant)
+            } else {
+                Topology::lan()
+            };
+            let config = LiveConfig::new(3).with_topology(topology).with_wire(wire);
+            let (router, inboxes, readers) = fabric::open(config, 3);
+            Bench {
+                router,
+                inboxes: inboxes.into_iter().map(Some).collect(),
+                readers,
+            }
+        }
+
+        fn shared(&self) -> &Shared<T> {
+            &self.router.shared
+        }
+
+        /// Fills `who`'s inbox and runs its member loop on this thread until
+        /// it exits (the messages must end in, or contain, a `Stop`/`Crash`).
+        fn play(&mut self, who: u32, inbox: Vec<Msg<T>>) {
+            for msg in inbox {
+                self.router.senders[who as usize]
+                    .send(msg)
+                    .expect("inbox open");
+            }
+            let rx = self.inboxes[who as usize].take().expect("not played yet");
+            let process = Process::builder(p(who)).with(Talker).build();
+            member_loop(p(who), process, rx, self.router.clone());
+        }
+
+        /// The bursts waiting in `who`'s inbox, as the tags they carry.
+        fn bursts_at(&self, who: u32) -> Vec<Vec<u32>> {
+            let rx = self.inboxes[who as usize].as_ref().expect("not played yet");
+            rx.try_iter()
+                .map(|msg| match msg {
+                    Msg::Net { from, frames } => {
+                        assert_eq!(from, p(0));
+                        frames
+                            .into_iter()
+                            .map(|(component, event)| match event {
+                                T::Tag(n) if component == "talk" => n,
+                                other => panic!("unexpected frame {other:?}"),
+                            })
+                            .collect()
+                    }
+                    other => panic!("unexpected inbox message {other:?}"),
+                })
+                .collect()
+        }
+
+        fn seen(&self) -> Vec<(ProcessId, T)> {
+            let trace = self.shared().trace.lock().expect("trace lock");
+            trace.iter().map(|(_, who, e)| (*who, e.clone())).collect()
+        }
+
+        /// `(sent, delivered, dropped by loss, by partition, by crash)`.
+        fn accounts(&self) -> (u64, u64, u64, u64, u64) {
+            self.shared().with_metrics(|m| {
+                (
+                    m.total_sent(),
+                    m.delivered(),
+                    m.dropped_loss(),
+                    m.dropped_partition(),
+                    m.dropped_crash(),
+                )
+            })
+        }
+    }
+
+    fn go(n: u32) -> Msg<T> {
+        Msg::Inject {
+            component: "talk",
+            event: T::Go(n),
+        }
+    }
+
+    #[test]
+    fn one_drain_is_one_burst_per_destination_in_emission_order() {
+        let mut b = Bench::open(true, WireMode::Channel);
+        b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
+        // Sends and casts of successive dispatches, interleaved as emitted.
+        assert_eq!(b.bursts_at(1), vec![vec![1, 101, 2, 102, 3, 103]]);
+        assert_eq!(b.bursts_at(2), vec![vec![101, 102, 103]]);
+        let seen: Vec<T> = b.seen().into_iter().map(|(_, e)| e).collect();
+        assert_eq!(seen, vec![T::Seen(1), T::Seen(2), T::Seen(3)]);
+        assert_eq!(b.shared().delivered_total.load(Ordering::Relaxed), 3);
+        // Nine protocol messages, whatever they travelled in.
+        assert_eq!(b.accounts(), (9, 9, 0, 0, 0));
+        assert_eq!(b.shared().with_metrics(|m| m.sent_of_kind("t/tag")), 9);
+        assert_eq!(b.shared().events.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_dropped_burst_is_accounted_frame_by_frame() {
+        // Partition: p0 alone.
+        let mut b = Bench::open(true, WireMode::Channel);
+        apply_control(
+            &b.router,
+            Control::Partition(vec![vec![p(0)], vec![p(1), p(2)]]),
+        );
+        b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
+        assert_eq!(b.accounts(), (9, 0, 0, 9, 0));
+
+        // A loss burst that takes everything.
+        let mut b = Bench::open(true, WireMode::Channel);
+        apply_control(
+            &b.router,
+            Control::Burst {
+                until: Time::from_secs(3_600),
+                prob: 1.0,
+            },
+        );
+        b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
+        assert_eq!(b.accounts(), (9, 0, 9, 0, 0));
+
+        // A destination already dead when the burst is flushed…
+        let mut b = Bench::open(true, WireMode::Channel);
+        b.shared().dead[2].store(true, Ordering::Release);
+        b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
+        assert_eq!(b.accounts(), (9, 6, 0, 0, 3));
+
+        // …and one that dies while the burst is parked on the wheel (LAN
+        // delays are emulated): p1's six frames die, p2's three arrive.
+        let mut b = Bench::open(false, WireMode::Channel);
+        b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
+        assert_eq!(b.accounts(), (9, 0, 0, 0, 0), "both bursts in flight");
+        b.shared().dead[1].store(true, Ordering::Release);
+        let timer = {
+            let router = b.router.clone();
+            std::thread::spawn(move || timer_loop(router))
+        };
+        let arrived = b.inboxes[2]
+            .as_ref()
+            .expect("inbox")
+            .recv_timeout(Duration::from_secs(10))
+            .expect("p2's burst comes off the wheel");
+        assert!(matches!(arrived, Msg::Net { frames, .. } if frames.len() == 3));
+        // Both bursts were scheduled within LAN delay of each other; give
+        // the later one time to come due before the wheel stops.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while b.accounts().4 < 6 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        b.shared().wheel.shutdown();
+        timer.join().expect("timer thread");
+        assert_eq!(b.accounts(), (9, 3, 0, 0, 6));
+    }
+
+    #[test]
+    fn a_backlogged_member_flushes_once_per_budget() {
+        let mut b = Bench::open(true, WireMode::Channel);
+        let mut inbox: Vec<Msg<T>> = (0..3 * DRAIN_BUDGET as u32).map(go).collect();
+        inbox.push(Msg::Stop);
+        b.play(0, inbox);
+        let bursts = b.bursts_at(2);
+        assert_eq!(bursts.len(), 3, "one flush per spent budget");
+        assert!(bursts.iter().all(|burst| burst.len() == DRAIN_BUDGET));
+        let tags: Vec<u32> = bursts.into_iter().flatten().collect();
+        assert!(tags
+            .iter()
+            .copied()
+            .eq((0..3 * DRAIN_BUDGET as u32).map(|n| 100 + n)));
+        assert_eq!(b.accounts().1, 9 * DRAIN_BUDGET as u64);
+    }
+
+    #[test]
+    fn a_crash_mid_drain_ships_what_came_before_it_and_nothing_after() {
+        let mut b = Bench::open(true, WireMode::Channel);
+        b.play(0, vec![go(1), go(2), Msg::Crash, go(3), Msg::Stop]);
+        assert!(b.shared().is_dead(p(0)));
+        assert_eq!(b.bursts_at(1), vec![vec![1, 101, 2, 102]]);
+        assert_eq!(b.bursts_at(2), vec![vec![101, 102]]);
+        let seen: Vec<T> = b.seen().into_iter().map(|(_, e)| e).collect();
+        assert_eq!(seen, vec![T::Seen(1), T::Seen(2)]);
+        assert_eq!(b.accounts(), (6, 6, 0, 0, 0));
+    }
+
+    #[test]
+    fn a_lone_message_is_flushed_while_the_inbox_stays_open() {
+        let mut b = Bench::open(true, WireMode::Channel);
+        let wake = b.router.senders[0].clone();
+        let rx1 = b.inboxes[1].take().expect("inbox");
+        std::thread::scope(|scope| {
+            // p0 is given one message and no `Stop`: after dispatching it
+            // the member blocks on its inbox — with the burst already out.
+            let member = scope.spawn(|| b.play(0, vec![go(7)]));
+            let burst = rx1.recv_timeout(Duration::from_secs(10));
+            assert!(
+                matches!(&burst, Ok(Msg::Net { frames, .. }) if frames.len() == 2),
+                "{burst:?}"
+            );
+            wake.send(Msg::Stop).expect("p0 is waiting on its inbox");
+            member.join().expect("member thread");
+        });
+    }
+
+    #[test]
+    fn over_tcp_a_burst_is_one_framed_write_and_one_event_per_frame() {
+        let mut b = Bench::open(true, WireMode::Tcp);
+        b.play(0, vec![go(1), go(2), Msg::Stop]);
+        assert_eq!(b.accounts(), (6, 6, 0, 0, 0));
+        // Six frames crossed in two framed writes, one per destination.
+        let tcp = b.shared().tcp.as_ref().expect("tcp mode");
+        assert_eq!(tcp.next_key.load(Ordering::Relaxed), 2);
+        assert_eq!(tcp.slab.lock().expect("slab lock").len(), 2);
+
+        // p1's pump turns its write back into one inbox message…
+        let pump = {
+            let link = b.readers.remove(1);
+            let (shared, tx) = (b.router.shared.clone(), b.router.senders[1].clone());
+            std::thread::spawn(move || pump_loop(link, shared, tx))
+        };
+        let burst = b.inboxes[1]
+            .as_ref()
+            .expect("inbox")
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the burst comes off the stream");
+        assert!(matches!(&burst, Msg::Net { from, frames } if *from == p(0) && frames.len() == 4));
+        // …and p1 dispatches one event per frame of it, in order.
+        b.play(1, vec![burst, Msg::Stop]);
+        let at_p1: Vec<T> = b
+            .seen()
+            .into_iter()
+            .filter_map(|(who, e)| (who == p(1)).then_some(e))
+            .collect();
+        assert_eq!(
+            at_p1,
+            vec![T::Seen(1), T::Seen(101), T::Seen(2), T::Seen(102)]
+        );
+        assert_eq!(b.shared().events.load(Ordering::Relaxed), 2 + 4);
+        assert_eq!(b.shared().bursts.load(Ordering::Relaxed), 1);
+        assert_eq!(b.shared().frames.load(Ordering::Relaxed), 4);
+
+        let tcp = b.shared().tcp.as_ref().expect("tcp mode");
+        tcp.reader_shutdown[1]
+            .shutdown()
+            .expect("close p1's stream");
+        pump.join().expect("pump thread");
+    }
+
+    /// The live path guarded by count, not by wall clock: under a closed
+    /// loop the members' inboxes back up and frames travel packed; offered
+    /// one op every 2 ms next to nothing is — a burst of two is then two
+    /// frames one dispatch emitted for one peer, or two peers' messages that
+    /// arrived together, never a frame held back for company
+    /// (`a_lone_message_is_flushed_while_the_inbox_stays_open` pins that).
+    #[test]
+    fn frames_pack_under_load_and_never_wait_for_company() {
+        use gcs_core::{NewArchDriver, StackConfig};
+        use gcs_kernel::PayloadRef;
+        use gcs_sim::{StackDriver, TraceMode};
+
+        let n = 3;
+        let config = StackConfig::default();
+        let mut group = LiveRuntime::start(
+            LiveConfig::new(n).with_trace(TraceMode::CountsOnly),
+            n,
+            move |id| NewArchDriver::build(id, &config, n),
+        );
+        let packing = |group: &LiveRuntime<_>| {
+            let shared: &Shared<_> = &group.shared;
+            (
+                shared.bursts.load(Ordering::Relaxed),
+                shared.frames.load(Ordering::Relaxed),
+            )
+        };
+        let mut offered = 0u64;
+        let offer = |group: &mut LiveRuntime<_>, offered: &mut u64| {
+            let (component, event) = NewArchDriver::abcast(PayloadRef::EMPTY);
+            group.inject(Time::ZERO, p((*offered % 3) as u32), component, event);
+            *offered += 1;
+        };
+        let settle = |group: &LiveRuntime<_>, offered: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while group.outputs_total() < offered * n as u64 {
+                assert!(std::time::Instant::now() < deadline, "group stalled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        // Closed loop of 256 for 0.3 s.
+        let (bursts_before, frames_before) = packing(&group);
+        let until = std::time::Instant::now() + Duration::from_millis(300);
+        while std::time::Instant::now() < until {
+            if offered - group.outputs_of(p(0)) < 256 {
+                offer(&mut group, &mut offered);
+            } else {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        }
+        let (bursts, frames) = packing(&group);
+        let per_burst = (frames - frames_before) as f64 / (bursts - bursts_before) as f64;
+        assert!(
+            per_burst > 2.0,
+            "{per_burst:.2} frames per burst under load"
+        );
+        settle(&group, offered);
+
+        // One op per 2 ms.
+        let (bursts_before, frames_before) = packing(&group);
+        for _ in 0..50 {
+            offer(&mut group, &mut offered);
+            std::thread::sleep(Duration::from_millis(2));
+            settle(&group, offered);
+        }
+        let (bursts, frames) = packing(&group);
+        let per_burst = (frames - frames_before) as f64 / (bursts - bursts_before) as f64;
+        assert!(
+            per_burst < 1.25,
+            "{per_burst:.2} frames per burst when idle"
+        );
     }
 }
