@@ -600,13 +600,7 @@ mod tests {
 
     /// The `StackDriver` side of the harness contract (`gcs_sim::harness`
     /// module docs), checked the same way for every stack on the simulator.
-    /// `keeps_pre_join_ops` is the one thing the contract leaves to the
-    /// stack: whether an operation injected at a process that has not
-    /// joined yet is broadcast once it has.
-    fn driver_conformance<S: StackDriver>(
-        config: impl Fn() -> S::Config,
-        keeps_pre_join_ops: bool,
-    ) {
+    fn driver_conformance<S: StackDriver>(config: impl Fn() -> S::Config) {
         use gcs_kernel::Event;
         type Sim<S> = Harness<S, SimWorld<<S as StackDriver>::Event>>;
         let tag = S::KIND.name();
@@ -656,8 +650,9 @@ mod tests {
         );
 
         // Join-before-inject is the caller's business: an operation at a
-        // process outside the group is accepted (and counted), and nobody
-        // delivers it while its sender is outside.
+        // process outside the group is accepted (and counted), nobody
+        // delivers it while its sender is outside, and it is broadcast once
+        // the sender has joined.
         let mut g = Sim::<S>::with_joiners(3, 1, config(), 5);
         g.abcast_at(ms(5), p(3), b"early".to_vec());
         g.abcast_at(ms(6), p(0), b"m".to_vec());
@@ -673,17 +668,15 @@ mod tests {
         );
         for (i, seq) in g.adelivered_payloads().iter().enumerate() {
             let kept = seq.contains(&b"early".to_vec());
-            assert_eq!(kept, keeps_pre_join_ops, "{tag}: p{i} after the join");
+            assert!(kept, "{tag}: p{i} after the join");
         }
     }
 
     #[test]
     fn every_driver_honours_the_stack_driver_contract() {
-        // The new architecture's abcast drops what a non-member hands it;
-        // the monolithic baselines queue it behind their own join.
-        driver_conformance::<NewArchDriver>(StackConfig::default, false);
-        driver_conformance::<IsisDriver>(IsisConfig::default, true);
-        driver_conformance::<TokenDriver>(TokenConfig::default, true);
+        driver_conformance::<NewArchDriver>(StackConfig::default);
+        driver_conformance::<IsisDriver>(IsisConfig::default);
+        driver_conformance::<TokenDriver>(TokenConfig::default);
     }
 
     /// The ledger balances per primitive: deliveries of generic broadcasts

@@ -110,18 +110,18 @@ fn catalog_scenarios_reproduce_at_fixed_seed() {
 /// that changes behaviour re-records it by pasting the rows the failing
 /// test prints.
 const GOLDEN_SEED_7: &str = "\
-| uniform-lan | 7 | 200 | 1600 | 2.71 | 3.74 | 17748 | 20292 | 0 | 4345eefc6e3c547c | 579952
-| skewed-lan | 7 | 200 | 1600 | 2.62 | 3.75 | 17534 | 20078 | 0 | a1800466e861dd18 | 574816
-| large-payload-lan | 7 | 60 | 480 | 4.06 | 5.26 | 24498 | 29302 | 0 | f1feacbccf0b22fe | 83054672
-| uniform-wan2dc | 7 | 150 | 1200 | 92.11 | 143.56 | 37221 | 44356 | 0 | f2ce5b1f17061c5f | 869190
-| uniform-wan3 | 7 | 150 | 1350 | 150.52 | 271.94 | 77852 | 90793 | 0 | 9d33b6cf48d5e83f | 1968700
-| lossy-lan | 7 | 150 | 1200 | 11.07 | 46.74 | 38010 | 44552 | 0 | 3c99bb82f48180f3 | 821238
-| churn-lan | 7 | 150 | 661 | 2.57 | 4.38 | 9215 | 12348 | 0 | f0e9069c937e4f1f | 283498
-| churn-wan2dc | 7 | 100 | 438 | 84.98 | 211.89 | 15775 | 21802 | 0 | fcf130dd1cfe30e4 | 662064
-| flaky-churn | 7 | 120 | 538 | 9.33 | 39.43 | 15671 | 21314 | 0 | fd25d123ce1adc01 | 448444
-| rolling-restart-wan3 | 7 | 90 | 810 | 272.28 | 481.45 | 151160 | 168620 | 0 | cf0887492742ce28 | 4247022
-| partition-heal-wan3 | 7 | 100 | 900 | 429.79 | 672.32 | 123051 | 136208 | 0 | 64aeb41da3471d0b | 4754194
-| generic-lan | 7 | 2000 | 10000 | 1.76 | 5.16 | 49544 | 54524 | 0 | 31399a5797011e17 | 6459656
+| uniform-lan | 7 | 200 | 1600 | 2.73 | 3.76 | 15786 | 18434 | 0 | 0b3ed99a012a9ee3 | 491214
+| skewed-lan | 7 | 200 | 1600 | 2.54 | 3.69 | 15736 | 18353 | 0 | f5bd49b91679f139 | 488110
+| large-payload-lan | 7 | 60 | 480 | 4.06 | 5.30 | 23848 | 28712 | 0 | b0c6cef1cf37b931 | 58910048
+| uniform-wan2dc | 7 | 150 | 1200 | 96.82 | 152.97 | 37348 | 44631 | 0 | 092aa323e69721f7 | 882988
+| uniform-wan3 | 7 | 150 | 1350 | 150.03 | 267.87 | 77568 | 90648 | 0 | 4361cccfd92746a4 | 1909068
+| lossy-lan | 7 | 150 | 1200 | 10.14 | 44.02 | 36820 | 43503 | 0 | 0db372e40bd56488 | 768702
+| churn-lan | 7 | 150 | 661 | 2.51 | 4.06 | 8401 | 11576 | 0 | 0347baeaa73e4723 | 248332
+| churn-wan2dc | 7 | 100 | 436 | 88.07 | 209.31 | 14116 | 20212 | 0 | 78896df00a0fdd3f | 666236
+| flaky-churn | 7 | 120 | 537 | 9.76 | 48.10 | 14628 | 20369 | 0 | b674da9d27d77231 | 354444
+| rolling-restart-wan3 | 7 | 90 | 810 | 355.62 | 771.57 | 151280 | 168860 | 0 | 81390bae9901010e | 3922248
+| partition-heal-wan3 | 7 | 100 | 900 | 456.50 | 722.85 | 121401 | 135643 | 0 | 7ba859b2f364fe09 | 2755960
+| generic-lan | 7 | 2000 | 10000 | 1.74 | 4.92 | 49264 | 54344 | 0 | e2a49fa95e3398c3 | 5366318
 | generic-lan-0 | 7 | 8000 | 40000 | 1.55 | 2.11 | 183057 | 198537 | 0 | 5af82542cd4de7da | 9161368
 | uniform-lan-isis | 7 | 200 | 1600 | 1.23 | 2.21 | 14000 | 15744 | 0 | cfec7a3ba7dc5608 | 271600
 | uniform-lan-token | 7 | 200 | 1608 | 3.43 | 7.00 | 2850 | 29713 | 0 | 788fc30113c58936 | 93600

@@ -1,25 +1,48 @@
 //! Atomic broadcast as a sequence of consensus instances (Chandra-Toueg
 //! reduction) — the basic component of the new architecture (§3.1.1).
 //!
-//! To a-broadcast, a process sends its message to every member and keeps
-//! proposing its set of *unordered* messages to consensus instance
-//! `k = 0, 1, 2, …`; the decision of instance `k` is the `k`-th delivered
-//! batch, flushed in deterministic [`MsgId`] order. Unlike the traditional
-//! architectures of §2, this algorithm never blocks on failures as long as
-//! `f < n/2` of the current view's members are correct and the underlying
-//! failure detector is ◇S — **no membership change is needed to make
-//! progress past a crash** (the paper's first key feature).
+//! To a-broadcast, a process pools its message and sends it to **the one who
+//! orders it**: the *ordering target*, the first member of the current view,
+//! in view order, that the sender does not suspect — which is the
+//! coordinator of the round consensus will decide in while nobody is
+//! suspected (round 0), and of the next round when that one crashed. Every
+//! process keeps proposing its set of *unordered* messages to consensus
+//! instance `k = 0, 1, 2, …`; the decision of instance `k` is the `k`-th
+//! delivered batch, flushed in deterministic [`MsgId`] order. Unlike the
+//! traditional architectures of §2, this algorithm never blocks on failures
+//! as long as `f < n/2` of the current view's members are correct and the
+//! underlying failure detector is ◇S — **no membership change is needed to
+//! make progress past a crash** (the paper's first key feature).
 //!
-//! Batches carry full messages, so a decided message is always deliverable
-//! even if its sender crashed before its diffusion completed — which is why
-//! nothing is relayed while nobody is suspected: a failure-free a-broadcast
-//! is n−1 `ab/data` and one consensus instance (whose round-0 coordinator
-//! proposes what *it* received; the others send it nothing). Two things
-//! cover for a crash. **Diffusion:** the unordered pool (`pending`) is the
-//! buffer of unstable messages; when the failure detector suspects a process
-//! — this component hears the consensus-class suspicions too — every pooled
-//! message of that origin is relayed, and so is one that arrives while the
-//! suspicion lasts (to the [`RelayFanout`]'s targets). **Catch-up:** a process that opens an instance while it
+//! Proposals and decisions carry full messages, and delivery only ever
+//! follows a decision: whom the `ab/data` copy went to is a matter of
+//! liveness, never of safety. A failure-free a-broadcast is therefore one
+//! `ab/data` (none when the sender is the coordinator itself) and one
+//! consensus instance whose round-0 coordinator proposes what *it* holds.
+//! Three rules keep validity — a correct sender's message is eventually
+//! ordered — when the target is not what it seemed:
+//!
+//! 1. **Re-target.** Whenever the ordering target changes — a `Suspect`, a
+//!    `Restore`, an ordered join or removal, a snapshot install — every
+//!    *own* message still unordered is sent to the new target. A crashed
+//!    coordinator is eventually suspected (◇S completeness), and the member
+//!    the messages move to is the coordinator of the round that takes over.
+//! 2. **Safety net.** While own messages are unordered a one-shot timer of
+//!    one consensus-class failure-detector timeout is armed; an own message
+//!    that stayed unordered for a full period is diffused to **all** members
+//!    (once). That covers a target which is correct but falsely suspected by
+//!    the others, so its proposals keep losing: after the diffusion every
+//!    pool holds the message, as in the classic diffuse-then-order
+//!    reduction, and whichever coordinator wins proposes it.
+//! 3. **Receivers relay on suspicion.** The unordered pool (`pending`) is
+//!    the buffer of unstable messages: a first copy joins it, and when the
+//!    failure detector suspects a process — this component hears the
+//!    consensus-class suspicions too — every pooled message of that origin
+//!    is relayed, and so is one that arrives while the suspicion lasts (to
+//!    the [`RelayFanout`]'s targets). This covers a sender that crashed
+//!    part-way through a re-send or a diffusion.
+//!
+//! **Catch-up:** a process that opens an instance while it
 //! has evidence of being behind — it was just activated from a snapshot at
 //! that instance, or consensus traffic or a decision for a *later* instance
 //! is already here — flags the proposal, and the consensus component pulls
@@ -106,6 +129,11 @@ pub enum AbOut {
     /// (the adapter calls [`AbcastCore::on_batch_deadline_into`]). Never
     /// emitted under the default eager policy.
     ArmBatchTimer(TimeDelta),
+    /// Arm the one-shot safety-net timer (one consensus-class failure-
+    /// detector timeout; the adapter owns the period and calls
+    /// [`AbcastCore::on_safety_net_into`] when it fires). Emitted only while
+    /// own messages are unordered, never while one is already armed.
+    ArmSafetyNet,
 }
 
 /// The atomic-broadcast core (sans-I/O).
@@ -119,8 +147,19 @@ pub struct AbcastCore {
     active: bool,
     rb: Rbcast,
     /// Processes the failure detector currently suspects: a message of such
-    /// an origin is relayed.
+    /// an origin is relayed, and such a member is not the ordering target.
     suspected: FxHashSet<ProcessId>,
+    /// The ordering target own messages go to: the first member of the
+    /// view, in view order, not in `suspected` — this process itself
+    /// included, in which case nothing is sent. `None` while inactive.
+    target: Option<ProcessId>,
+    /// Own sequence numbers below this were diffused to every member by the
+    /// safety net (each message at most once).
+    diffused: u64,
+    /// Set while the safety-net timer is armed: own messages with a smaller
+    /// sequence number were broadcast before it was, so one still unordered
+    /// when it fires has been so for a full period.
+    net_mark: Option<u64>,
     /// R-delivered messages not yet a-delivered (the proposal pool).
     pending: BTreeMap<MsgId, Message>,
     /// Ids in decided batches (never re-proposed).
@@ -200,10 +239,13 @@ impl AbcastCore {
         AbcastCore {
             me,
             participants: view.members.as_slice().into(),
+            target: view.members.first().copied(),
             view,
             active,
             rb,
             suspected: FxHashSet::default(),
+            diffused: 0,
+            net_mark: None,
             pending: BTreeMap::new(),
             committed: IdRuns::default(),
             adelivered: IdRuns::default(),
@@ -267,16 +309,76 @@ impl AbcastCore {
     /// point: callers reuse one buffer across invocations).
     pub fn abcast_into(&mut self, class: MessageClass, body: Body, out: &mut Vec<AbOut>) {
         let id = self.rb.next_id();
+        self.rb.first_copy(id);
         let message = Message { id, class, body };
-        // Message clones are shallow (payloads are arena handles), so the
-        // per-peer diffusion fan-out is cheap.
-        for &to in self.rb.broadcast(&message) {
+        if let Some(to) = self.target.filter(|&to| to != self.me) {
             out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
         }
         if !self.adelivered.contains(id) {
             self.pending.insert(id, message);
         }
+        self.arm_safety_net(out);
         self.maybe_propose(out);
+    }
+
+    /// Recomputes the ordering target; when it moved, every own message
+    /// still unordered goes to the new one (rule 1 of the module docs).
+    fn retarget(&mut self, out: &mut Vec<AbOut>) {
+        let target = if self.active {
+            let unsuspected = |p: &&ProcessId| !self.suspected.contains(*p);
+            self.view.members.iter().find(unsuspected).copied()
+        } else {
+            None
+        };
+        if target == self.target {
+            return;
+        }
+        self.target = target;
+        if let Some(to) = target.filter(|&to| to != self.me) {
+            for message in self.pending.range(MsgId::all_of(self.me)).map(|(_, m)| m) {
+                out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
+            }
+        }
+    }
+
+    /// Own messages the safety net has not diffused yet and that are still
+    /// unordered, oldest first.
+    fn own_undiffused(&self) -> impl Iterator<Item = &Message> {
+        let from = MsgId {
+            sender: self.me,
+            seq: self.diffused,
+        };
+        let own = from..=*MsgId::all_of(self.me).end();
+        self.pending.range(own).map(|(_, message)| message)
+    }
+
+    /// Arms the safety-net timer if there is something for it to watch and
+    /// it is not armed already (rule 2).
+    fn arm_safety_net(&mut self, out: &mut Vec<AbOut>) {
+        if self.active && self.net_mark.is_none() && self.own_undiffused().next().is_some() {
+            self.net_mark = Some(self.rb.next_seq());
+            out.push(AbOut::ArmSafetyNet);
+        }
+    }
+
+    /// The safety-net timer fired: an own message broadcast before it was
+    /// armed and still unordered goes to every member — the classic
+    /// diffusion, once per message — and the timer is re-armed if younger
+    /// own messages are still unordered.
+    pub fn on_safety_net_into(&mut self, out: &mut Vec<AbOut>) {
+        let Some(mark) = self.net_mark.take() else {
+            return;
+        };
+        if !self.active {
+            return;
+        }
+        for message in self.own_undiffused().take_while(|m| m.id.seq < mark) {
+            for &to in self.rb.peers() {
+                out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
+            }
+        }
+        self.diffused = mark;
+        self.arm_safety_net(out);
     }
 
     /// [`abcast_into`](Self::abcast_into) returning a fresh buffer.
@@ -305,8 +407,9 @@ impl AbcastCore {
     }
 
     /// The failure detector suspects `origin`: it may have crashed part-way
-    /// through a broadcast, so relay every message of it still unordered
-    /// here (ordered ones travel in decisions).
+    /// through a send, so relay every message of it still unordered here
+    /// (ordered ones travel in decisions) — and it cannot be trusted to
+    /// order anything, so own unordered messages move to the next target.
     pub fn on_suspect_into(&mut self, origin: ProcessId, out: &mut Vec<AbOut>) {
         if origin == self.me {
             return;
@@ -321,11 +424,15 @@ impl AbcastCore {
                 out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
             }
         }
+        self.retarget(out);
     }
 
-    /// The suspicion of `origin` was withdrawn: stop relaying its messages.
-    pub fn on_restore(&mut self, origin: ProcessId) {
+    /// The suspicion of `origin` was withdrawn: stop relaying its messages,
+    /// and if that makes it the ordering target again, it gets what is
+    /// still unordered of ours.
+    pub fn on_restore_into(&mut self, origin: ProcessId, out: &mut Vec<AbOut>) {
         self.suspected.remove(&origin);
+        self.retarget(out);
     }
 
     /// [`on_data_into`](Self::on_data_into) returning a fresh buffer.
@@ -388,9 +495,10 @@ impl AbcastCore {
     /// (an ordered join or removal takes effect there), so in a running group this
     /// only ever confirms the view it is in; an announcement older than
     /// that is ignored.
-    pub fn set_view(&mut self, view: View) {
+    pub fn set_view_into(&mut self, view: View, out: &mut Vec<AbOut>) {
         if view.id > self.view.id {
             self.apply_view(view);
+            self.retarget(out);
         }
     }
 
@@ -415,6 +523,9 @@ impl AbcastCore {
         self.assigned.clear();
         self.by_instance.clear();
         self.activated_at = Some(self.cursor);
+        // What this process a-broadcast before it was a member goes out now.
+        self.retarget(out);
+        self.arm_safety_net(out);
         self.maybe_propose(out);
     }
 
@@ -576,6 +687,7 @@ impl AbcastCore {
                         self.view.with_remove(*p)
                     };
                     self.apply_view(next);
+                    self.retarget(out);
                 }
                 out.push(AbOut::Ctrl(m.clone()));
             }
@@ -608,14 +720,16 @@ mod tests {
     }
 
     #[test]
-    fn abcast_diffuses_and_proposes() {
-        let mut c = core(0, 3);
-        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        let wires = out.iter().filter(|o| matches!(o, AbOut::Wire(..))).count();
-        assert_eq!(wires, 2, "diffusion to both peers");
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, AbOut::Propose { instance: 0, batch, .. } if batch.len() == 1)));
+    fn abcast_goes_to_the_coordinator_only_and_proposes() {
+        for (me, sent_to) in [(0, vec![]), (1, vec![pid(0)]), (2, vec![pid(0)])] {
+            let mut c = core(me, 3);
+            let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+            let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, _)| to).collect();
+            assert_eq!(to, sent_to, "p{me}: one copy to p0, none from p0 itself");
+            assert!(out.iter().any(
+                |o| matches!(o, AbOut::Propose { instance: 0, batch, .. } if batch.len() == 1)
+            ));
+        }
     }
 
     #[test]
@@ -776,7 +890,7 @@ mod tests {
         )));
         // The membership component's announcement is a confirmation, and a
         // stale one cannot take the core back.
-        c.set_view(View::initial((0..3).map(pid).collect()));
+        c.set_view_into(View::initial((0..3).map(pid).collect()), &mut Vec::new());
         assert_eq!(c.view().members.len(), 4);
         // A duplicate join changes nothing.
         let again = Message {
@@ -794,10 +908,11 @@ mod tests {
     #[test]
     fn removed_member_deactivates_on_view_change() {
         let mut c = core(0, 3);
-        c.set_view(View {
+        let view = View {
             id: 1,
             members: vec![pid(1), pid(2)],
-        });
+        };
+        c.set_view_into(view, &mut Vec::new());
         assert!(!c.is_active());
     }
 
@@ -857,7 +972,7 @@ mod tests {
             vec![(pid(3), from_p(1, 0).id)],
             "not back to the relayer p0, not to the origin"
         );
-        c.on_restore(pid(1));
+        c.on_restore_into(pid(1), &mut Vec::new());
         let out = c.on_data(pid(1), from_p(1, 1));
         assert!(data_wires(&out).is_empty(), "restore stops further relays");
     }
@@ -875,6 +990,161 @@ mod tests {
         c.on_suspect_into(pid(6), &mut out);
         let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, _)| to).collect();
         assert_eq!(to, vec![pid(3), pid(4)], "two ring successors");
+    }
+
+    /// A-broadcasts an empty application message and returns its id.
+    fn own(c: &mut AbcastCore) -> MsgId {
+        let _ = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        MsgId {
+            sender: c.me,
+            seq: c.rb.next_seq() - 1,
+        }
+    }
+
+    fn arms(out: &[AbOut]) -> usize {
+        out.iter()
+            .filter(|o| matches!(o, AbOut::ArmSafetyNet))
+            .count()
+    }
+
+    #[test]
+    fn own_unordered_messages_follow_the_target_on_suspect_and_restore() {
+        // View order p0..p3, this is p2. Two own messages went to p0; one
+        // gets ordered. p0 suspected: the other moves to p1. p1 suspected
+        // too: p2 is the first unsuspected member itself, nothing to send.
+        // p0 restored: it is the target again and gets the message again
+        // (it may never have received the first copy).
+        let mut c = core(2, 4);
+        let (a, b) = (own(&mut c), own(&mut c));
+        let _ = c.on_data(pid(3), from_p(3, 0)); // not ours: never re-sent
+        let _ = c.on_decide(0, vec![app(a)].into());
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(0), &mut out);
+        assert_eq!(data_wires(&out), vec![(pid(1), b)]);
+        // A suspicion that does not move the target re-sends nothing of
+        // ours (what it relays is the suspect's).
+        out.clear();
+        c.on_suspect_into(pid(3), &mut out);
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(0), from_p(3, 0).id), (pid(1), from_p(3, 0).id)]
+        );
+        out.clear();
+        c.on_suspect_into(pid(1), &mut out);
+        assert!(data_wires(&out).is_empty(), "the target is p2 itself");
+        let fresh = own(&mut c);
+        c.on_restore_into(pid(0), &mut out);
+        assert_eq!(data_wires(&out), vec![(pid(0), b), (pid(0), fresh)]);
+    }
+
+    #[test]
+    fn own_unordered_messages_follow_the_target_across_a_view_change() {
+        let mut c = core(2, 3);
+        let mine = own(&mut c);
+        let ctrl = |seq, body| Message {
+            id: MsgId {
+                sender: pid(1),
+                seq,
+            },
+            class: MessageClass::ABCAST,
+            body,
+        };
+        // A join leaves p0 the first member: nothing moves.
+        let out = c.on_decide(0, vec![ctrl(0, Body::Join(pid(3)))].into());
+        assert!(data_wires(&out).is_empty());
+        // The ordered removal of p0 makes p1 the target, within the flush.
+        let out = c.on_decide(1, vec![ctrl(1, Body::Remove(pid(0)))].into());
+        assert_eq!(data_wires(&out), vec![(pid(1), mine)]);
+        // The membership component's announcement of the same view is a
+        // confirmation: nothing is sent twice.
+        let mut out = Vec::new();
+        c.set_view_into(c.view().clone(), &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn joiner_sends_on_activation_and_an_earlier_joiner_can_be_its_target() {
+        let mut c = AbcastCore::new(pid(4), None);
+        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        assert!(out.is_empty(), "inactive: pooled, nothing sent or armed");
+        let snap = SnapshotData {
+            view: View {
+                id: 3,
+                members: vec![pid(0), pid(3), pid(4)],
+            },
+            next_instance: 5,
+            adelivered: vec![],
+            gdelivered: vec![],
+            gb_epoch: 0,
+            app_state: Bytes::new(),
+        };
+        let mine = MsgId {
+            sender: pid(4),
+            seq: 0,
+        };
+        let out = c.install_snapshot(&snap);
+        assert_eq!(data_wires(&out), vec![(pid(0), mine)]);
+        assert_eq!(arms(&out), 1);
+        let mut out = Vec::new();
+        c.on_suspect_into(pid(0), &mut out);
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(3), mine)],
+            "p3 joined before us"
+        );
+    }
+
+    #[test]
+    fn safety_net_diffuses_a_stale_own_message_once_and_sleeps_when_idle() {
+        let mut c = core(1, 3);
+        // Foreign traffic never arms it.
+        let out = c.on_data(pid(2), from_p(2, 0));
+        assert_eq!(arms(&out), 0);
+        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        assert_eq!(arms(&out), 1);
+        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        assert_eq!(arms(&out), 0, "one timer, however many messages");
+        let (first, second) = (from_p(1, 0), from_p(1, 1));
+        // The timer was armed with `first`; `second` is younger than the
+        // period when it fires and waits for the next expiry.
+        let mut out = Vec::new();
+        c.on_safety_net_into(&mut out);
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(0), first.id), (pid(2), first.id)],
+            "to every member, as the classic diffusion"
+        );
+        assert_eq!(arms(&out), 1, "re-armed for the younger message");
+        out.clear();
+        c.on_safety_net_into(&mut out);
+        assert_eq!(
+            data_wires(&out),
+            vec![(pid(0), second.id), (pid(2), second.id)],
+            "`first` is not diffused a second time"
+        );
+        assert_eq!(arms(&out), 0, "nothing undiffused is left to watch");
+        // Everything ordered, then a new message: the timer starts over, and
+        // a message ordered within its period costs no diffusion.
+        let _ = c.on_decide(0, vec![first, second].into());
+        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        assert_eq!(arms(&out), 1);
+        let _ = c.on_decide(1, vec![from_p(1, 2)].into());
+        let mut out = Vec::new();
+        c.on_safety_net_into(&mut out);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn duplicate_copy_after_delivery_is_not_pooled_again() {
+        // The decision came first (this process never was the target), then
+        // the sender re-targets to us: the late copy must not be proposed.
+        let mut c = core(1, 3);
+        let m = from_p(2, 0);
+        let _ = c.on_decide(0, vec![m.clone()].into());
+        let out = c.on_data(pid(2), m.clone());
+        assert!(out.is_empty(), "{out:?}");
+        let out = c.on_data(pid(2), m);
+        assert!(out.is_empty() && c.pending.is_empty());
     }
 
     fn catch_up_flags(out: &[AbOut]) -> Vec<(InstanceId, bool)> {

@@ -22,6 +22,14 @@
 //!                       │ Packet                         │ Heartbeat
 //!                     unreliable transport (the simulator network)
 //! ```
+//!
+//! The `suspect` edge into abcast does two jobs: a suspected *origin*'s
+//! unordered messages are relayed, and a suspected *member* stops being the
+//! ordering target — an a-broadcast travels as one `ab/data` to the first
+//! unsuspected member of the view (the coordinator consensus will decide
+//! under), not to everyone. The abcast box owns two one-shot timers: the
+//! batch deadline, and the safety net that diffuses to all members an own
+//! message still unordered after one consensus-class timeout.
 
 use gcs_consensus::{ConsensusManager, CtMsg, InstanceId, ManagerOut};
 use gcs_fd::{FdMode, FdOut, HeartbeatFd, MonitorClass};
@@ -422,33 +430,35 @@ impl Component<Ev> for ConsensusComponent {
 /// Adapter around [`AbcastCore`] (Fig 9 "Atomic Broadcast").
 pub struct AbcastComponent {
     core: AbcastCore,
+    /// Period of the core's safety-net timer: the consensus-class
+    /// failure-detector timeout. A target that crashed is suspected within
+    /// it, so a message of ours still unordered after a full one is not
+    /// waiting for the detector.
+    safety_net_after: TimeDelta,
+    /// The armed safety-net timer, to tell its expiry from a batch
+    /// deadline's.
+    safety_net: Option<TimerId>,
     /// Reused core-output buffer.
     scratch: Vec<AbOut>,
 }
 
 impl AbcastComponent {
-    /// Creates the atomic-broadcast component.
-    pub fn new(me: ProcessId, initial_view: Option<View>) -> Self {
-        Self::with_relay(me, initial_view, RelayFanout::All)
-    }
-
-    /// Creates the component with an explicit on-suspicion relay fan-out
-    /// (see [`RelayFanout`]).
-    pub fn with_relay(me: ProcessId, initial_view: Option<View>, relay: RelayFanout) -> Self {
-        Self::with_policy(me, initial_view, relay, 1, BatchPolicy::default())
-    }
-
-    /// Creates the component with a consensus pipeline depth and batch
-    /// policy on top of the relay policy (see [`AbcastCore::with_policy`]).
-    pub fn with_policy(
+    /// Creates the atomic-broadcast component: relay policy, consensus
+    /// pipeline depth and batch policy as in [`AbcastCore::with_policy`],
+    /// and the consensus-class failure-detector timeout the safety-net
+    /// timer is derived from.
+    pub fn new(
         me: ProcessId,
         initial_view: Option<View>,
         relay: RelayFanout,
         depth: usize,
         policy: BatchPolicy,
+        consensus_timeout: TimeDelta,
     ) -> Self {
         AbcastComponent {
             core: AbcastCore::with_policy(me, initial_view, relay, depth, policy),
+            safety_net_after: consensus_timeout,
+            safety_net: None,
             scratch: Vec::new(),
         }
     }
@@ -478,6 +488,9 @@ impl AbcastComponent {
                 }
                 AbOut::ArmBatchTimer(after) => {
                     let _ = ctx.set_timer(after);
+                }
+                AbOut::ArmSafetyNet => {
+                    self.safety_net = Some(ctx.set_timer(self.safety_net_after));
                 }
             }
         }
@@ -512,8 +525,10 @@ impl Component<Ev> for AbcastComponent {
             Ev::Suspect(MonitorClass::CONSENSUS, p) => {
                 self.core.on_suspect_into(p, &mut outs);
             }
-            Ev::Restore(MonitorClass::CONSENSUS, p) => self.core.on_restore(p),
-            Ev::ViewChanged(v) => self.core.set_view(v),
+            Ev::Restore(MonitorClass::CONSENSUS, p) => {
+                self.core.on_restore_into(p, &mut outs);
+            }
+            Ev::ViewChanged(v) => self.core.set_view_into(v, &mut outs),
             Ev::InstallSnapshot(snap) => {
                 self.core.install_snapshot_into(&snap, &mut outs);
             }
@@ -535,13 +550,18 @@ impl Component<Ev> for AbcastComponent {
         self.scratch = outs;
     }
 
-    fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Ev>) {
-        // The batch-deadline timer (armed via [`AbOut::ArmBatchTimer`]):
-        // force-propose whatever the deadline caught. Never armed under the
-        // default eager batch policy.
+    fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, Ev>) {
         let mut outs = std::mem::take(&mut self.scratch);
         debug_assert!(outs.is_empty());
-        self.core.on_batch_deadline_into(&mut outs);
+        if self.safety_net == Some(timer) {
+            self.safety_net = None;
+            self.core.on_safety_net_into(&mut outs);
+        } else {
+            // The batch-deadline timer (armed via [`AbOut::ArmBatchTimer`]):
+            // force-propose whatever the deadline caught. Never armed under
+            // the default eager batch policy.
+            self.core.on_batch_deadline_into(&mut outs);
+        }
         self.apply(outs.drain(..), ctx);
         self.scratch = outs;
     }

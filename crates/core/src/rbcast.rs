@@ -17,7 +17,11 @@
 //! * **Atomic broadcast** delivers nothing on receipt — only what consensus
 //!   decides, and decisions carry full messages — so it relays its pool of
 //!   *unordered* messages and nothing else (non-uniform reliable broadcast is
-//!   enough there).
+//!   enough there). Nor does its origin need to reach everybody up front: it
+//!   sends to the member that will propose the message and falls back to the
+//!   full fan-out ([`Rbcast::peers`]) only for a message that stays unordered
+//!   (`abcast.rs` has the rules); this module supplies the ids, the
+//!   duplicate suppression and the target lists either way.
 //! * **Generic broadcast** delivers on acks alone, so it needs *uniform*
 //!   reliable broadcast: if any process delivers `m` — even one that crashes
 //!   immediately after — every correct process eventually delivers `m`. A
@@ -113,6 +117,12 @@ impl Rbcast {
         };
         self.next_seq += 1;
         id
+    }
+
+    /// The sequence number the next [`next_id`](Self::next_id) will carry:
+    /// every id this sender allocated so far is below it.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Broadcasts `message`: marks it seen locally (the caller delivers it

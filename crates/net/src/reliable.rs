@@ -7,6 +7,14 @@
 //! retransmissions to one peer are **coalesced** into a single batch
 //! packet. Relative to the classic ack-per-data scheme this roughly halves
 //! the packet count of a steady bidirectional exchange.
+//!
+//! Two rules bound what a peer that is gone can cost or do. A peer that has
+//! acknowledged nothing across [`PROBE_AFTER`] consecutive retransmission
+//! rounds is **probed** with the head of its backlog only, until it
+//! acknowledges again — a dead peer then costs one packet per round instead
+//! of its whole, growing backlog. And a peer that was
+//! [forgotten](ReliableChannel::forget_peer) is **refused**: its packets are
+//! dropped until this endpoint addresses it again.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -72,6 +80,14 @@ impl Default for RcConfig {
         }
     }
 }
+
+/// After this many consecutive retransmission rounds to a peer without an
+/// acknowledgement from it, only the head of its backlog is retransmitted
+/// (a probe) until it acknowledges again. Three rounds: a live peer behind a
+/// lossy link fails that many in a row with the cube of the loss rate, and a
+/// healed partition pays at most one probe round trip before the full
+/// backlog flows again.
+pub const PROBE_AFTER: u32 = 3;
 
 /// A packet on the wire between two reliable-channel endpoints.
 ///
@@ -151,6 +167,9 @@ struct PeerTx<M> {
     /// node-per-packet map.
     inflight: VecDeque<(u64, M, Time, Time)>,
     stuck_reported: bool,
+    /// Consecutive retransmission rounds since this peer last acknowledged
+    /// anything (see [`PROBE_AFTER`]).
+    silent_rounds: u32,
 }
 
 impl<M> Default for PeerTx<M> {
@@ -159,6 +178,7 @@ impl<M> Default for PeerTx<M> {
             next_seq: 0,
             inflight: VecDeque::new(),
             stuck_reported: false,
+            silent_rounds: 0,
         }
     }
 }
@@ -213,6 +233,11 @@ pub struct ReliableChannel<M> {
     active_tx: BTreeSet<ProcessId>,
     /// Peers owed a standalone ack — the only rx slots a tick must visit.
     owed_acks: BTreeSet<ProcessId>,
+    /// Forgotten peers this endpoint has not addressed since: their packets
+    /// are refused. Without this a forgotten peer's stream would be judged
+    /// by the fresh receive state its next packet creates — one that starts
+    /// at sequence 0 (the two never talked before) would be delivered.
+    refused: BTreeSet<ProcessId>,
 }
 
 impl<M: Clone> ReliableChannel<M> {
@@ -225,6 +250,7 @@ impl<M: Clone> ReliableChannel<M> {
             rx: PeerTable::new(),
             active_tx: BTreeSet::new(),
             owed_acks: BTreeSet::new(),
+            refused: BTreeSet::new(),
         }
     }
 
@@ -256,6 +282,7 @@ impl<M: Clone> ReliableChannel<M> {
             out.push(RcOut::Deliver { from: self.me, msg });
             return out;
         }
+        self.refused.remove(&to);
         let peer = self.tx.entry(to, PeerTx::default);
         let seq = peer.next_seq;
         peer.next_seq += 1;
@@ -274,6 +301,7 @@ impl<M: Clone> ReliableChannel<M> {
         if let Some(tx) = self.tx.get_mut(from) {
             while tx.inflight.front().is_some_and(|&(seq, ..)| seq < upto) {
                 tx.inflight.pop_front();
+                tx.silent_rounds = 0;
             }
             if tx.inflight.is_empty() {
                 if tx.stuck_reported {
@@ -328,6 +356,9 @@ impl<M: Clone> ReliableChannel<M> {
     pub fn on_packet(&mut self, from: ProcessId, packet: Packet<M>, now: Time) -> RcOuts<M> {
         let _ = now;
         let mut out = RcOuts::new();
+        if self.refused.contains(&from) {
+            return out;
+        }
         match packet {
             Packet::Data { seq, ack, msg } => {
                 self.on_ack_component(from, ack, &mut out);
@@ -372,12 +403,8 @@ impl<M: Clone> ReliableChannel<M> {
             let Some(tx) = self.tx.get_mut(p) else {
                 continue;
             };
-            let mut resend: Vec<(u64, M)> = Vec::new();
-            for &mut (seq, ref msg, first, ref mut last) in tx.inflight.iter_mut() {
-                if now.since(*last) >= self.config.retransmit_after {
-                    *last = now;
-                    resend.push((seq, msg.clone()));
-                }
+            // The head is the oldest packet: it alone decides `Stuck`.
+            if let Some(&(_, _, first, _)) = tx.inflight.front() {
                 if !tx.stuck_reported && now.since(first) >= self.config.stuck_after {
                     tx.stuck_reported = true;
                     out.push(RcOut::Stuck {
@@ -386,7 +413,22 @@ impl<M: Clone> ReliableChannel<M> {
                     });
                 }
             }
+            // A silent peer is probed with the head only — and the walk over
+            // its backlog is skipped with the clones.
+            let window = if tx.silent_rounds >= PROBE_AFTER {
+                1
+            } else {
+                tx.inflight.len()
+            };
+            let mut resend: Vec<(u64, M)> = Vec::new();
+            for &mut (seq, ref msg, _, ref mut last) in tx.inflight.iter_mut().take(window) {
+                if now.since(*last) >= self.config.retransmit_after {
+                    *last = now;
+                    resend.push((seq, msg.clone()));
+                }
+            }
             if !resend.is_empty() {
+                tx.silent_rounds = tx.silent_rounds.saturating_add(1);
                 resends.push((p, resend));
             }
         }
@@ -426,16 +468,22 @@ impl<M: Clone> ReliableChannel<M> {
         }
     }
 
-    /// Discards all state for `peer` — both directions.
+    /// Discards all state for `peer` — both directions — and refuses its
+    /// packets from now on, until this endpoint [`send`](Self::send)s to it
+    /// again (which opens a new conversation, both streams from sequence 0).
     ///
     /// Called when the membership excludes `peer`: once excluded there is no
     /// obligation to deliver to it, so buffered messages "can be safely
-    /// discarded" (paper §3.3.2).
+    /// discarded" (paper §3.3.2) — and none to listen to it: an excluded
+    /// process that still runs is outside the group.
     pub fn forget_peer(&mut self, peer: ProcessId) {
         self.tx.remove(peer);
         self.rx.remove(peer);
         self.active_tx.remove(&peer);
         self.owed_acks.remove(&peer);
+        if peer != self.me {
+            self.refused.insert(peer);
+        }
     }
 
     /// Number of unacknowledged messages queued for `peer`.
@@ -701,6 +749,55 @@ mod tests {
         a.forget_peer(B);
         assert_eq!(a.backlog(B), 0);
         assert!(a.on_tick(Time::from_secs(60)).is_empty());
+    }
+
+    #[test]
+    fn forgotten_peer_is_refused_until_addressed_again() {
+        // B was excluded and forgotten while it still runs. Its stream to A
+        // is a first contact — sequence 0, which a fresh receive state would
+        // deliver.
+        let mut a = rc(A);
+        a.forget_peer(B);
+        let hello = Packet::Data {
+            seq: 0,
+            ack: 0,
+            msg: "from outside",
+        };
+        let out = collect(a.on_packet(B, hello.clone(), Time::ZERO));
+        assert!(out.is_empty(), "{out:?}");
+        assert!(a.on_tick(Time::from_millis(10)).is_empty(), "no ack owed");
+        // A addresses B again (a new conversation): B is heard from then on.
+        a.send(B, "welcome back", Time::from_millis(10));
+        let out = collect(a.on_packet(B, hello, Time::from_millis(11)));
+        assert_eq!(delivered(&out), vec!["from outside"]);
+    }
+
+    #[test]
+    fn silent_peer_is_probed_with_the_head_until_it_acks() {
+        let mut a = rc(A);
+        let mut now = Time::ZERO;
+        for msg in ["a", "b", "c", "d"] {
+            a.send(B, msg, now);
+        }
+        // B acknowledges nothing: PROBE_AFTER full retransmission rounds…
+        for _ in 0..PROBE_AFTER {
+            now += TimeDelta::from_millis(20);
+            assert_eq!(data_of(&a.on_tick(now)).len(), 4);
+        }
+        // …then the head alone, whatever else piles up behind it.
+        a.send(B, "e", now);
+        for _ in 0..5 {
+            now += TimeDelta::from_millis(20);
+            assert_eq!(data_of(&a.on_tick(now)), vec![(0, "a")]);
+        }
+        // The first acknowledgement ends the probing: the whole backlog is
+        // due at the next tick.
+        a.on_packet(B, Packet::Ack { upto: 1 }, now);
+        now += TimeDelta::from_millis(10);
+        assert_eq!(
+            data_of(&a.on_tick(now)),
+            vec![(1, "b"), (2, "c"), (3, "d"), (4, "e")]
+        );
     }
 
     #[test]

@@ -33,10 +33,9 @@
 //!    at a process that has not joined yet is accepted, counted in the
 //!    ledger and handed to that process's stack like any other — the
 //!    harness neither refuses it nor holds it back. On every stack nobody
-//!    delivers it while its sender is outside the group; what happens to it
-//!    once the sender has joined is the stack's own behaviour (the
-//!    new architecture's abcast drops what a non-member hands it, the
-//!    monolithic baselines queue it behind their join).
+//!    delivers it while its sender is outside the group; every stack
+//!    queues it behind the join and broadcasts it once the sender is a
+//!    member.
 //! 3. *refuse-before-intern.* `try_abcast_build_at` consults the ledger
 //!    before it builds the payload: a refused offer leaves the arena
 //!    untouched.
