@@ -1,6 +1,7 @@
 //! Alloc-regression guard: steady-state allocations per adelivery (abcast)
 //! and per g-delivery (conflict-free generic broadcast) must stay under
-//! committed budgets.
+//! committed budgets, and a `gb/ack` packet — the most frequent wire message
+//! of the generic fast path — must cost none at all.
 //!
 //! This test binary installs the counting global allocator itself (a
 //! `#[global_allocator]` must live in the final crate, and integration
@@ -8,8 +9,13 @@
 //! its workloads one after the other: concurrent tests in the same binary
 //! would pollute the process-global counters.
 
-use gcs_bench::alloccount::CountingAlloc;
+use gcs_bench::alloccount::{snapshot, CountingAlloc};
 use gcs_bench::perf;
+use gcs_core::components::names;
+use gcs_core::{build_process, Body, Ev, GbMsg, Message, MessageClass, MsgId, StackConfig};
+use gcs_core::{View, WireMsg};
+use gcs_kernel::{Effects, PayloadRef, ProcessId, Time};
+use gcs_net::Packet;
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
@@ -27,13 +33,15 @@ static A: CountingAlloc = CountingAlloc;
 ///   copy now opens the instance when the proposal arrives (a buffered
 ///   consensus message and an empty batch), which costs about what pooling
 ///   the copy did
+/// * PR 24 (reliable-channel peer sets as bitsets — no tree node per peer
+///   with data in flight): **13.21**
 ///
 /// The budget is the last measurement plus 15 % headroom for toolchain
 /// noise; a breach means a change re-introduced per-delivery allocations
 /// on the abcast hot path (per-call output `Vec`s, batch copies, payload
 /// clones) — or messages: every wire message costs allocations, so an
 /// eager relay or the all-members diffusion coming back shows here too.
-const BUDGET_ALLOCS_PER_ADELIVERY: f64 = 15.5;
+const BUDGET_ALLOCS_PER_ADELIVERY: f64 = 15.2;
 
 /// The committed budget of the generic fast path (`allocs gbcast`: 200
 /// conflict-free 64 B g-broadcasts, n = 5). History:
@@ -41,11 +49,77 @@ const BUDGET_ALLOCS_PER_ADELIVERY: f64 = 15.5;
 /// * PR 16 and before (every first copy relayed, a separate ack from the
 ///   origin, a `BTreeSet` of ack senders per message): **2.54**
 /// * PR 17 (n−1 `gb/data` + (n−1)² `gb/ack` per op, ack senders as a bitset):
-///   **1.33**
+///   **1.33** (1.28 after PR 21's per-sender id runs)
+/// * PR 24 (one record per message in flight and a plain list of the acked
+///   instead of three maps' nodes, peer bitsets in the reliable channel):
+///   **1.09**
 ///
 /// Measured plus 15 %, as above; an eager relay or a per-message set coming
 /// back breaches it.
-const BUDGET_ALLOCS_PER_GDELIVERY: f64 = 1.53;
+const BUDGET_ALLOCS_PER_GDELIVERY: f64 = 1.25;
+
+/// Allocations of a warmed-up new-architecture process (p0 of n = 5) over
+/// 1,000 `gb/ack` packets, and the g-deliveries they triggered. The packets
+/// are the acks of p2, p3 and p4 for messages of p1 that p0 already holds:
+/// each crosses the reliable channel, the kernel cascade and the generic
+/// core, and every second of three completes a fast quorum.
+fn gb_ack_packets() -> (u64, usize) {
+    let members: Vec<ProcessId> = (0..5).map(ProcessId::new).collect();
+    let view = View::initial(members.clone());
+    let mut p0 = build_process(members[0], &StackConfig::default(), Some(view), 5);
+    let mut fx = Effects::new();
+    p0.start_into(Time::ZERO, &mut fx);
+
+    let mut rc_seq = [0u64; 5];
+    // Hands p0 one packet; returns how many g-deliveries it caused.
+    let mut receive = |from: usize, msg: GbMsg| -> usize {
+        let packet = Packet::Data {
+            seq: rc_seq[from],
+            ack: 0,
+            msg: WireMsg::Gb(msg),
+        };
+        rc_seq[from] += 1;
+        fx.clear();
+        p0.deliver_net_into(
+            members[from],
+            names::RC,
+            Ev::Packet(packet),
+            Time::ZERO,
+            &mut fx,
+        );
+        fx.outputs.len()
+    };
+    let id = |seq| MsgId {
+        sender: members[1],
+        seq,
+    };
+    let (warm_up, measured) = (66, 334);
+    for seq in 0..warm_up + measured {
+        let message = Message {
+            id: id(seq),
+            class: MessageClass::RBCAST,
+            body: Body::App(PayloadRef::EMPTY),
+        };
+        receive(1, GbMsg::data(message, Some(0)));
+    }
+    // The acks of p2, p3, p4 for each message in turn.
+    let acks = |seqs: std::ops::Range<u64>| {
+        let ack = |seq| GbMsg::Ack {
+            epoch: 0,
+            id: id(seq),
+        };
+        seqs.flat_map(move |seq| [2, 3, 4].map(|from| (from, ack(seq))))
+    };
+    for (from, ack) in acks(0..warm_up) {
+        receive(from, ack);
+    }
+    let before = snapshot();
+    let deliveries = acks(warm_up..warm_up + measured)
+        .take(1_000)
+        .map(|(from, ack)| receive(from, ack))
+        .sum();
+    (snapshot().since(before).allocs, deliveries)
+}
 
 #[test]
 fn steady_state_allocs_per_delivery_stay_under_budget() {
@@ -64,5 +138,13 @@ fn steady_state_allocs_per_delivery_stay_under_budget() {
         per_delivery <= BUDGET_ALLOCS_PER_GDELIVERY,
         "the generic fast path allocates {per_delivery:.2} per g-delivery \
          (budget {BUDGET_ALLOCS_PER_GDELIVERY}): {m:?}"
+    );
+
+    let (allocs, deliveries) = gb_ack_packets();
+    assert_eq!(deliveries, 333, "two acks in three are the quorum's last");
+    assert_eq!(
+        allocs, 0,
+        "1,000 gb/ack packets at a warmed-up process allocated {allocs} times: an output \
+         buffer is returned by value again, or a per-message set came back"
     );
 }

@@ -84,7 +84,9 @@ fn route_wire(wire: &WireMsg) -> &'static str {
 pub struct RcComponent {
     rc: ReliableChannel<WireMsg>,
     tick: TimeDelta,
-    /// Reused tick-output buffer (steady-state ticks allocate nothing).
+    /// Reused channel-output buffer: every entry point of the channel
+    /// appends here and [`flush`](Self::flush) drains it, so a steady-state
+    /// send, packet or tick allocates nothing and moves each message once.
     scratch: Vec<RcOut<WireMsg>>,
 }
 
@@ -99,8 +101,9 @@ impl RcComponent {
         }
     }
 
-    fn apply(&mut self, outs: impl IntoIterator<Item = RcOut<WireMsg>>, ctx: &mut Context<'_, Ev>) {
-        for o in outs {
+    /// Carries out what the channel left in `scratch`.
+    fn flush(&mut self, ctx: &mut Context<'_, Ev>) {
+        for o in self.scratch.drain(..) {
             match o {
                 RcOut::Transmit { to, packet } => ctx.send(to, names::RC, Ev::Packet(packet)),
                 RcOut::Deliver { from, msg } => {
@@ -127,8 +130,8 @@ impl Component<Ev> for RcComponent {
     fn on_event(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
         match event {
             Ev::RcSend(to, wire) => {
-                let outs = self.rc.send(to, wire, ctx.now());
-                self.apply(outs, ctx);
+                self.rc.send_into(to, wire, ctx.now(), &mut self.scratch);
+                self.flush(ctx);
             }
             Ev::Forget(p) => self.rc.forget_peer(p),
             _ => {}
@@ -137,16 +140,15 @@ impl Component<Ev> for RcComponent {
 
     fn on_message(&mut self, from: ProcessId, event: Ev, ctx: &mut Context<'_, Ev>) {
         if let Ev::Packet(packet) = event {
-            let outs = self.rc.on_packet(from, packet, ctx.now());
-            self.apply(outs, ctx);
+            self.rc
+                .on_packet_into(from, packet, ctx.now(), &mut self.scratch);
+            self.flush(ctx);
         }
     }
 
     fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Ev>) {
-        let mut outs = std::mem::take(&mut self.scratch);
-        self.rc.on_tick_into(ctx.now(), &mut outs);
-        self.apply(outs.drain(..), ctx);
-        self.scratch = outs;
+        self.rc.on_tick_into(ctx.now(), &mut self.scratch);
+        self.flush(ctx);
         ctx.set_timer(self.tick);
     }
 }

@@ -86,9 +86,36 @@
 //!   *their* view, new members included.)
 //!
 //! [`RelayFanout`] bounds the on-suspicion burst only.
+//!
+//! ## State layout
+//!
+//! Everything the core knows about one message **on its way to delivery** is
+//! one `Record` in one id-ordered map: the message itself (once a copy has
+//! arrived, which makes it *pending* — r-delivered, not yet g-delivered;
+//! acks may come first), whether this process *acked* it this epoch, and
+//! who else did (an `AckSet` bitset over the epoch's members). G-delivery
+//! removes the record, so the map holds the handful of messages under way,
+//! not the epoch's history, and a message's way from first copy to delivery
+//! is a handful of lookups of one key in a map of one or two nodes. What
+//! must outlast delivery — *that* this process acked the message in this
+//! epoch — is a plain list, `acked`: a copy of the message is appended when
+//! it is acked, and the list is read when an `End` is built or a suspicion
+//! asks for a relay, and emptied when the epoch closes. The algorithm's
+//! `pending` set is the records that hold a message. Epoch closure keeps
+//! those, unflagged and with no acks. Beside these two: per-class counters
+//! of the known messages (what the conflict check reads), the
+//! run-compressed `seen`/`gdelivered` id sets that outlive the epochs, the
+//! early acks of epochs to come, and the `End`s collected for the closure.
+//!
+//! A closure orders what the collected `End`s report by **merging** them:
+//! every reported message is gathered by reference, stably sorted by id
+//! (the lists come off the wire — they are not trusted to be sorted or free
+//! of duplicates), and one pass over the runs of equal ids yields each
+//! message once with its support count. Only what then actually enters the
+//! map — the few messages not yet g-delivered here and not held — is cloned.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gcs_kernel::{FxHashSet, ProcessId};
 
@@ -139,6 +166,37 @@ impl AckSet {
     }
 }
 
+/// What is known of one message on its way to g-delivery (see the module
+/// docs, *State layout*).
+#[derive(Debug, Default)]
+struct Record {
+    /// The message, once a copy has arrived: it is then *pending*
+    /// (r-delivered, not yet g-delivered). Acks may come first.
+    message: Option<Message>,
+    /// Acked by this process in the current epoch (a copy of the message is
+    /// then in `GenericCore::acked`).
+    acked: bool,
+    /// Members whose ack of the current epoch arrived (this process's own
+    /// included).
+    acks: AckSet,
+}
+
+impl Record {
+    /// Pending, with a fast quorum of acks: deliverable (unless frozen).
+    fn ready(&self, quorum: usize) -> bool {
+        self.message.is_some() && self.acks.count >= quorum
+    }
+
+    /// An epoch ends (or a snapshot starts one): a pending message goes on
+    /// into the next as one nobody has acked yet; acks without a message
+    /// are of no use any more. Returns whether to keep the record.
+    fn carry_over(&mut self) -> bool {
+        self.acked = false;
+        self.acks = AckSet::default();
+        self.message.is_some()
+    }
+}
+
 /// Index of `class` in `GenericCore::known`: its own slot, or the shared
 /// last one for a class outside the relation.
 fn slot(relation: &ConflictRelation, class: MessageClass) -> usize {
@@ -147,6 +205,55 @@ fn slot(relation: &ConflictRelation, class: MessageClass) -> usize {
 
 fn data(message: &Message, origin_ack: Option<u64>) -> WireMsg {
     WireMsg::Gb(GbMsg::data(message.clone(), origin_ack))
+}
+
+/// What the `End`s that close an epoch report, each message once, in the
+/// order the closure delivers: first the messages acked in at least
+/// `threshold` of the `End`s, then the rest, both in id order. Of several
+/// reports of one id the first counts (`End`s in a-delivery order, a sender's
+/// acked list before its pending list).
+fn closure_order(ends: &[(ProcessId, Arc<GbEndData>)], threshold: usize) -> Vec<&Message> {
+    let mut reports: Vec<(&Message, bool)> = Vec::new();
+    for (_, end) in ends {
+        reports.extend(end.acked.iter().map(|m| (m, true)));
+        reports.extend(end.pending.iter().map(|m| (m, false)));
+    }
+    // Stable, so the first report of an id stays the first of its run. The
+    // lists come off the wire: nothing is assumed of their order.
+    reports.sort_by_key(|(m, _)| m.id);
+    let (mut prioritized, mut rest) = (Vec::new(), Vec::new());
+    for run in reports.chunk_by(|a, b| a.0.id == b.0.id) {
+        let support = run.iter().filter(|(_, acked)| *acked).count();
+        if support >= threshold {
+            prioritized.push(run[0].0);
+        } else {
+            rest.push(run[0].0);
+        }
+    }
+    prioritized.append(&mut rest);
+    prioritized
+}
+
+/// [`closure_order`] as it was computed before: a map of the union and a
+/// map of the support counts, every report inserted and cloned. Kept as the
+/// reference the merge is tested against.
+#[cfg(test)]
+fn closure_order_by_maps(ends: &[(ProcessId, Arc<GbEndData>)], threshold: usize) -> Vec<Message> {
+    let mut union: BTreeMap<MsgId, Message> = BTreeMap::new();
+    let mut support: BTreeMap<MsgId, usize> = BTreeMap::new();
+    for (_, end) in ends {
+        for m in &end.acked {
+            *support.entry(m.id).or_insert(0) += 1;
+            union.entry(m.id).or_insert_with(|| m.clone());
+        }
+        for m in &end.pending {
+            union.entry(m.id).or_insert_with(|| m.clone());
+        }
+    }
+    let (first, second): (Vec<&Message>, Vec<&Message>) = union
+        .values()
+        .partition(|m| support.get(&m.id).copied().unwrap_or(0) >= threshold);
+    first.into_iter().chain(second).cloned().collect()
 }
 
 /// The thrifty generic-broadcast core (sans-I/O).
@@ -164,22 +271,23 @@ pub struct GenericCore {
     /// Processes the failure detector currently suspects: a message of such
     /// an origin is relayed.
     suspected: FxHashSet<ProcessId>,
-    /// R-delivered, not yet g-delivered.
-    pending: BTreeMap<MsgId, Message>,
-    /// Messages acked by this process in the current epoch. Entries persist
-    /// until the epoch closes **even after delivery**: the closure-ordering
-    /// safety argument needs every collected `End` to still report the
-    /// fast-delivered messages its sender acked, a process must never ack
-    /// two conflicting messages within one epoch, delivered or not, and the
-    /// on-suspicion relay serves delivered messages from here.
-    acked: BTreeMap<MsgId, Message>,
+    /// One record per message in flight: pending, or merely acked by others
+    /// so far. G-delivery removes it, so this map stays as small as the
+    /// number of messages under way however long the epoch has run.
+    records: BTreeMap<MsgId, Record>,
+    /// Messages acked by this process in the current epoch, in ack order.
+    /// Entries persist until the epoch closes **even after delivery**: the
+    /// closure-ordering safety argument needs every collected `End` to still
+    /// report the fast-delivered messages its sender acked, a process must
+    /// never ack two conflicting messages within one epoch, delivered or not
+    /// (they stay counted in `known`), and the on-suspicion relay serves
+    /// delivered messages from here.
+    acked: Vec<Message>,
     /// How many messages of each class are known this epoch (`pending ∪
     /// acked`), indexed by class; the last slot counts the classes outside
-    /// the relation. The conflict check reads this, not the two maps, so it
+    /// the relation. The conflict check reads this, not the records, so it
     /// costs the size of the relation however long the epoch has run.
     known: Vec<u32>,
-    /// Ack senders per message for the current epoch.
-    ack_senders: BTreeMap<MsgId, AckSet>,
     /// Acks that arrived early: for a future epoch (the sender closed
     /// earlier), or before a snapshot activated this process.
     future_acks: BTreeMap<u64, Vec<(ProcessId, MsgId)>>,
@@ -189,7 +297,7 @@ pub struct GenericCore {
     frozen: bool,
     /// `End` bodies collected for the current epoch, in a-delivery order
     /// (shared payloads — collecting an `End` does not copy its sets).
-    ends: Vec<(ProcessId, std::sync::Arc<GbEndData>)>,
+    ends: Vec<(ProcessId, Arc<GbEndData>)>,
     /// A view waiting to be applied at the next epoch boundary.
     pending_view: Option<View>,
     /// FIFO mode (paper footnote 9): deliveries of one sender's messages
@@ -234,9 +342,8 @@ impl GenericCore {
             active,
             epoch: 0,
             suspected: FxHashSet::default(),
-            pending: BTreeMap::new(),
-            acked: BTreeMap::new(),
-            ack_senders: BTreeMap::new(),
+            records: BTreeMap::new(),
+            acked: Vec::new(),
             future_acks: BTreeMap::new(),
             gdelivered: IdRuns::default(),
             frozen: false,
@@ -381,15 +488,13 @@ impl GenericCore {
             return;
         }
         let targets = self.rb.relay_targets(origin, origin);
-        let delivered_here = self
-            .acked
-            .range(MsgId::all_of(origin))
-            .filter(|(id, _)| !self.pending.contains_key(id));
-        for (_, message) in self
-            .pending
-            .range(MsgId::all_of(origin))
-            .chain(delivered_here)
-        {
+        let of_origin = self.records.range(MsgId::all_of(origin));
+        let undelivered = of_origin.filter_map(|(_, r)| r.message.as_ref());
+        let mut delivered_here: Vec<&Message> = (self.acked.iter())
+            .filter(|m| m.id.sender == origin && self.gdelivered.contains(m.id))
+            .collect();
+        delivered_here.sort_by_key(|m| m.id);
+        for message in undelivered.chain(delivered_here) {
             for &to in targets {
                 out.push(GbOut::Wire(to, data(message, None)));
             }
@@ -409,13 +514,14 @@ impl GenericCore {
             return false;
         }
         let (id, class) = (message.id, message.class);
-        if self.pending.insert(id, message).is_none() {
+        let record = self.records.entry(id).or_default();
+        if record.message.replace(message).is_none() {
             self.known[slot(&self.relation, class)] += 1;
         }
         if !self.active || self.frozen {
             return false;
         }
-        let acked = self.consider_ack(id, announce, out);
+        let acked = self.consider_ack(id, class, announce, out);
         self.try_fast_deliver(id, out);
         acked
     }
@@ -431,20 +537,25 @@ impl GenericCore {
         })
     }
 
-    /// The conflict check as a scan of both maps — what `known` replaces;
-    /// kept as the reference the counters are tested against.
+    /// The conflict check as a scan of every known message — what `known`
+    /// replaces; kept as the reference the counters are tested against.
     #[cfg(test)]
     fn conflicts_by_scan(&self, id: MsgId, class: MessageClass) -> bool {
-        self.pending
-            .iter()
-            .chain(self.acked.iter())
-            .any(|(&x, m)| x != id && self.relation.conflicts(m.class, class))
+        let pending = self.records.values().filter_map(|r| r.message.as_ref());
+        pending
+            .chain(&self.acked)
+            .any(|m| m.id != id && self.relation.conflicts(m.class, class))
     }
 
-    /// Acks pending message `id` if it conflicts with nothing else known
-    /// this epoch, escalates otherwise. Returns whether it acked.
-    fn consider_ack(&mut self, id: MsgId, announce: bool, out: &mut Vec<GbOut>) -> bool {
-        let class = self.pending[&id].class;
+    /// Acks pending message `id` (of `class`) if it conflicts with nothing
+    /// else known this epoch, escalates otherwise. Returns whether it acked.
+    fn consider_ack(
+        &mut self,
+        id: MsgId,
+        class: MessageClass,
+        announce: bool,
+        out: &mut Vec<GbOut>,
+    ) -> bool {
         let conflicting = self.conflicts_with_known(class);
         #[cfg(test)]
         assert_eq!(conflicting, self.conflicts_by_scan(id, class), "{id:?}");
@@ -452,12 +563,23 @@ impl GenericCore {
             self.escalate(out);
             return false;
         }
-        let Entry::Vacant(e) = self.acked.entry(id) else {
-            return false;
+        let own = self.position(self.me);
+        let Some(Record {
+            message: Some(message),
+            acked,
+            acks,
+        }) = self.records.get_mut(&id)
+        else {
+            unreachable!("only a pending message is considered");
         };
-        e.insert(self.pending[&id].clone());
+        if std::mem::replace(acked, true) {
+            return false;
+        }
+        self.acked.push(message.clone());
         // Count the local ack directly.
-        self.record_ack(self.me, id);
+        if let Some(position) = own {
+            acks.insert(position);
+        }
         if announce {
             let epoch = self.epoch;
             for &p in self.epoch_members.iter().filter(|&&p| p != self.me) {
@@ -473,27 +595,21 @@ impl GenericCore {
             return;
         }
         self.frozen = true;
-        let acked: Vec<Message> = self.acked.values().cloned().collect();
-        let pending: Vec<Message> = self
-            .pending
-            .iter()
-            .filter(|(id, _)| !self.acked.contains_key(id))
-            .map(|(_, m)| m.clone())
-            .collect();
-        out.push(GbOut::Escalate(Body::GbEnd(std::sync::Arc::new(
-            GbEndData {
-                epoch: self.epoch,
-                acked,
-                pending,
-            },
-        ))));
+        // Both lists in id order.
+        let mut acked = self.acked.clone();
+        acked.sort_by_key(|m| m.id);
+        let unacked = self.records.values().filter(|r| !r.acked);
+        out.push(GbOut::Escalate(Body::GbEnd(Arc::new(GbEndData {
+            epoch: self.epoch,
+            acked,
+            pending: unacked.filter_map(|r| r.message.clone()).collect(),
+        }))));
     }
 
-    /// Counts an ack of the current epoch; only members' acks count.
-    fn record_ack(&mut self, from: ProcessId, id: MsgId) {
-        if let Some(position) = self.epoch_members.iter().position(|&p| p == from) {
-            self.ack_senders.entry(id).or_default().insert(position);
-        }
+    /// Where `p` sits in the epoch's member list — its bit in an
+    /// [`AckSet`]; only members' acks count.
+    fn position(&self, p: ProcessId) -> Option<usize> {
+        self.epoch_members.iter().position(|&m| m == p)
     }
 
     /// Handles an ack from `from` (sent on its own, or riding the data).
@@ -505,8 +621,17 @@ impl GenericCore {
         if epoch < self.epoch || self.gdelivered.contains(id) {
             return; // stale
         }
-        self.record_ack(from, id);
-        self.try_fast_deliver(id, out);
+        let Some(position) = self.position(from) else {
+            return;
+        };
+        let quorum = self.fast_quorum();
+        let record = self.records.entry(id).or_default();
+        record.acks.insert(position);
+        // One more ack is the only thing that changed: nothing else can have
+        // become deliverable.
+        if record.ready(quorum) && !self.frozen {
+            self.gdeliver(id, DeliveryKind::GenericFast, out);
+        }
     }
 
     /// [`on_ack_into`](Self::on_ack_into) returning a fresh buffer.
@@ -521,8 +646,11 @@ impl GenericCore {
     fn adopt_future_acks(&mut self) {
         self.future_acks = self.future_acks.split_off(&self.epoch);
         for (from, id) in self.future_acks.remove(&self.epoch).unwrap_or_default() {
-            if !self.gdelivered.contains(id) {
-                self.record_ack(from, id);
+            if self.gdelivered.contains(id) {
+                continue;
+            }
+            if let Some(position) = self.position(from) {
+                self.records.entry(id).or_default().acks.insert(position);
             }
         }
     }
@@ -532,24 +660,27 @@ impl GenericCore {
             return;
         }
         let quorum = self.fast_quorum();
-        let supported = self.ack_senders.get(&id).is_some_and(|s| s.count >= quorum);
-        if supported && self.pending.contains_key(&id) {
-            // Whatever is pending at an active, unfrozen process was acked
-            // when it got there (on admission, or when the epoch was
-            // entered), so a fast-delivered message stays in `acked` — and
-            // among the known.
-            debug_assert!(self.acked.contains_key(&id));
+        if self.records.get(&id).is_some_and(|r| r.ready(quorum)) {
             self.gdeliver(id, DeliveryKind::GenericFast, out);
         }
     }
 
+    /// G-delivers message `id`, which the caller has seen to be pending: its
+    /// record goes (if this process acked it, the copy in `acked` stays
+    /// until the epoch closes).
     fn gdeliver(&mut self, id: MsgId, kind: DeliveryKind, out: &mut Vec<GbOut>) {
-        let Some(message) = self.pending.remove(&id) else {
+        let Some(Record {
+            message: Some(message),
+            acked,
+            ..
+        }) = self.records.remove(&id)
+        else {
             return;
         };
-        // Note: the id stays in `acked` until the epoch closes (safety of
-        // the closure ordering depends on it).
-        self.ack_senders.remove(&id);
+        // Whatever is pending at an active, unfrozen process was acked when
+        // it got there (on admission, or when the epoch was entered), so a
+        // fast-delivered message stays acked — and among the known.
+        debug_assert!(acked || kind != DeliveryKind::GenericFast);
         self.gdelivered.insert(id);
         if !self.fifo {
             self.emit_delivery(message, kind, out);
@@ -593,7 +724,7 @@ impl GenericCore {
     pub fn on_end_delivered_into(
         &mut self,
         end_sender: ProcessId,
-        end: std::sync::Arc<GbEndData>,
+        end: Arc<GbEndData>,
         out: &mut Vec<GbOut>,
     ) {
         if !self.active || end.epoch != self.epoch {
@@ -612,11 +743,7 @@ impl GenericCore {
 
     /// [`on_end_delivered_into`](Self::on_end_delivered_into) returning a
     /// fresh buffer.
-    pub fn on_end_delivered(
-        &mut self,
-        end_sender: ProcessId,
-        end: std::sync::Arc<GbEndData>,
-    ) -> Vec<GbOut> {
+    pub fn on_end_delivered(&mut self, end_sender: ProcessId, end: Arc<GbEndData>) -> Vec<GbOut> {
         let mut out = Vec::new();
         self.on_end_delivered_into(end_sender, end, &mut out);
         out
@@ -657,11 +784,12 @@ impl GenericCore {
         self.active = true;
         self.epoch = epoch;
         self.gdelivered = gdelivered.iter().copied().collect();
-        self.pending.retain(|&id, _| !self.gdelivered.contains(id));
         // A fresh member has acked and collected nothing (a process that
         // was a member before must not bring leftovers of that time).
+        let delivered = &self.gdelivered;
+        self.records
+            .retain(|&id, r| r.carry_over() && !delivered.contains(id));
         self.acked.clear();
-        self.ack_senders.clear();
         self.ends.clear();
         self.pending_view = None;
         self.frozen = false;
@@ -689,22 +817,24 @@ impl GenericCore {
         out
     }
 
-    /// Start of an epoch (`acked` is empty): count what is known, take over
-    /// the acks that raced ahead, and process the messages already here in
-    /// id order — ack, or escalate at once.
+    /// Start of an epoch (every record is a pending message, nothing is
+    /// acked): count what is known, take over the acks that raced ahead, and
+    /// process the messages already here in id order — ack, or escalate at
+    /// once.
     fn enter_epoch(&mut self, out: &mut Vec<GbOut>) {
+        let pending = self.records.values().filter_map(|r| r.message.as_ref());
+        let carried: Vec<(MsgId, MessageClass)> = pending.map(|m| (m.id, m.class)).collect();
         self.known.fill(0);
-        for m in self.pending.values() {
-            self.known[slot(&self.relation, m.class)] += 1;
+        for &(_, class) in &carried {
+            self.known[slot(&self.relation, class)] += 1;
         }
         self.adopt_future_acks();
-        let carried: Vec<MsgId> = self.pending.keys().copied().collect();
-        for id in carried {
+        for (id, class) in carried {
             if self.frozen {
                 break;
             }
-            if self.pending.contains_key(&id) {
-                self.consider_ack(id, true, out);
+            if self.records.get(&id).is_some_and(|r| r.message.is_some()) {
+                self.consider_ack(id, class, true, out);
                 self.try_fast_deliver(id, out);
             }
         }
@@ -714,37 +844,21 @@ impl GenericCore {
     /// prioritized (possibly-fast-delivered) messages first — and start the
     /// next epoch.
     fn close_epoch(&mut self, out: &mut Vec<GbOut>) {
-        let threshold = self.priority_threshold();
-        // Union of all reported messages, and per-id support counts over the
-        // *acked* components.
-        let mut union: BTreeMap<MsgId, Message> = BTreeMap::new();
-        let mut support: BTreeMap<MsgId, usize> = BTreeMap::new();
-        for (_, end) in std::mem::take(&mut self.ends) {
-            for m in &end.acked {
-                *support.entry(m.id).or_insert(0) += 1;
-                union.entry(m.id).or_insert_with(|| m.clone());
-            }
-            for m in &end.pending {
-                union.entry(m.id).or_insert_with(|| m.clone());
-            }
-        }
-        // Prioritized first (id order), then the rest (id order).
-        let (first, second): (Vec<&Message>, Vec<&Message>) = union
-            .values()
-            .partition(|m| support.get(&m.id).copied().unwrap_or(0) >= threshold);
-        for m in first.into_iter().chain(second) {
+        let ends = std::mem::take(&mut self.ends);
+        for m in closure_order(&ends, self.priority_threshold()) {
             let id = m.id;
             if self.gdelivered.contains(id) {
                 continue;
             }
-            self.pending.entry(id).or_insert_with(|| m.clone());
+            let record = self.records.entry(id).or_default();
+            record.message.get_or_insert_with(|| m.clone());
             self.gdeliver(id, DeliveryKind::GenericOrdered, out);
         }
 
         // Start the next epoch.
         self.epoch += 1;
+        self.records.retain(|_, r| r.carry_over());
         self.acked.clear();
-        self.ack_senders.clear();
         self.frozen = false;
         if let Some(v) = self.pending_view.take() {
             let joined: Vec<ProcessId> = v
@@ -756,7 +870,8 @@ impl GenericCore {
             self.epoch_members = v.members;
             self.view_id = v.id;
             self.rb.set_peers(&self.epoch_members);
-            for (id, message) in &self.pending {
+            for (id, record) in &self.records {
+                let message = record.message.as_ref().expect("carried over");
                 if id.sender == self.me {
                     // Our own diffusion went to the members of the old
                     // view: the ones this view adds are owed a copy.
@@ -794,8 +909,8 @@ mod tests {
         GenericCore::new(pid(i), relation, Some(View::initial(members(n))))
     }
 
-    fn empty_end(epoch: u64) -> std::sync::Arc<GbEndData> {
-        std::sync::Arc::new(GbEndData {
+    fn empty_end(epoch: u64) -> Arc<GbEndData> {
+        Arc::new(GbEndData {
             epoch,
             acked: vec![],
             pending: vec![],
@@ -909,7 +1024,7 @@ mod tests {
         assert!(c.is_frozen());
         // n=3 → end quorum 3: three Ends close the epoch.
         let mk_end = |_sender: u32| {
-            std::sync::Arc::new(GbEndData {
+            Arc::new(GbEndData {
                 epoch: 0,
                 acked: vec![m1.clone()],
                 pending: vec![m2.clone()],
@@ -1222,7 +1337,7 @@ mod tests {
         let mut c = core(2, 3, ConflictRelation::all(4));
         let m = app(1, 0, 0);
         c.on_data(pid(1), m.clone(), Some(0));
-        let end = std::sync::Arc::new(GbEndData {
+        let end = Arc::new(GbEndData {
             epoch: 0,
             acked: vec![m.clone()],
             pending: vec![],
@@ -1357,8 +1472,44 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// What an `End` may report, as `(sender, seq, class)`: few ids, so
+        /// that they recur within a list and across `End`s — under differing
+        /// classes, so that *which* report of an id is kept shows.
+        fn reports() -> impl Strategy<Value = Vec<(u32, u64, u16)>> {
+            proptest::collection::vec((0u32..3, 0u64..4, 0u16..3), 0..8)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Unsorted, duplicated, overlapping and disjoint `acked` and
+            /// `pending` lists in up to six `End`s, and every threshold from
+            /// "everything is prioritized" to "nothing can be": the merge
+            /// picks the same messages in the same order as the two maps.
+            #[test]
+            fn closure_by_merge_equals_the_map_union(
+                lists in proptest::collection::vec((reports(), reports()), 0..7),
+                threshold in 0usize..8,
+            ) {
+                let messages = |list: Vec<(u32, u64, u16)>| -> Vec<Message> {
+                    list.into_iter().map(|(sender, seq, class)| app(sender, seq, class)).collect()
+                };
+                let ends: Vec<(ProcessId, Arc<GbEndData>)> = lists
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (acked, pending))| {
+                        let end = GbEndData {
+                            epoch: 0,
+                            acked: messages(acked),
+                            pending: messages(pending),
+                        };
+                        (pid(i as u32), Arc::new(end))
+                    })
+                    .collect();
+                let merged: Vec<Message> =
+                    closure_order(&ends, threshold).into_iter().cloned().collect();
+                prop_assert_eq!(merged, closure_order_by_maps(&ends, threshold));
+            }
 
             /// One core driven through random admissions, acks (and with
             /// them fast deliveries), own broadcasts, `End`s, view changes
@@ -1398,29 +1549,31 @@ mod tests {
                         5 => {
                             // An `End` of the current epoch reporting some of
                             // what this process knows, and one it may not.
+                            let pending = c.records.values().filter_map(|r| r.message.clone());
                             let known: Vec<Message> =
-                                c.pending.values().chain(c.acked.values()).cloned().collect();
+                                pending.chain(c.acked.iter().cloned()).collect();
                             let end = GbEndData {
                                 epoch: c.epoch(),
                                 acked: known.iter().skip(seq as usize % 3).cloned().collect(),
                                 pending: vec![app(p, 40 + seq, class)],
                             };
-                            let _ = c.on_end_delivered(pid(p), std::sync::Arc::new(end));
+                            let _ = c.on_end_delivered(pid(p), Arc::new(end));
                         }
                         6 => {
                             let next = View { id: c.view_id + 1, members: members(3 + p % 2) };
                             let _ = c.on_view_change(next);
                         }
                         _ if !c.active => {
+                            let pending = c.records.iter().filter(|(_, r)| r.message.is_some());
                             let done: Vec<MsgId> =
-                                c.pending.keys().copied().filter(|id| id.seq < seq / 2).collect();
+                                pending.map(|(&id, _)| id).filter(|id| id.seq < seq / 2).collect();
                             let _ = c.install_snapshot(&view, seq % 2, &done);
                         }
                         _ => {}
                     }
                     let mut recount = vec![0u32; c.known.len()];
-                    let unacked = c.pending.iter().filter(|(id, _)| !c.acked.contains_key(id));
-                    for (_, m) in c.acked.iter().chain(unacked) {
+                    let unacked = c.records.values().filter(|r| !r.acked);
+                    for m in unacked.filter_map(|r| r.message.as_ref()).chain(&c.acked) {
                         recount[slot(&c.relation, m.class)] += 1;
                     }
                     prop_assert_eq!(&c.known, &recount, "after op {:?}", (op, p, seq, class));

@@ -1,89 +1,42 @@
 //! The [`Component`] trait and the [`Context`] through which components act.
+//!
+//! A `Context` **writes through**: it holds the hosting
+//! [`Process`](crate::Process)'s cascade queue, name index and timer table
+//! and the runtime's [`Effects`], and every method acts on them at once —
+//! `emit` resolves the name and queues the event, `send`/`send_to_all`/
+//! `output` append to the effects, `set_timer`/`cancel_timer` update the
+//! timer table, `halt` raises the effects' flag. An event is moved once, from
+//! the handler's hands to where it waits; nothing is collected and replayed
+//! after the handler returns. Each buffer sees a handler's calls in the order
+//! the handler made them, and the cascade queue is one FIFO for the whole
+//! dispatch step.
+
+use std::collections::VecDeque;
 
 use crate::event::Event;
 use crate::ids::{ProcessId, TimerId};
+use crate::process::{Effects, Envelope, Multicast, TimerRequest};
 use crate::time::{Time, TimeDelta};
-
-/// An action requested by a component during one dispatch step.
-///
-/// Actions are collected by the [`Context`] and either executed locally by
-/// the hosting [`Process`](crate::Process) (`Emit`) or surfaced to the
-/// runtime in [`Effects`](crate::Effects).
-#[derive(Debug)]
-pub enum Action<E> {
-    /// Route an event to the named component of the same process.
-    Emit {
-        /// Destination component name.
-        to: &'static str,
-        /// The event to route.
-        event: E,
-    },
-    /// Send an event over the network to a component of another process.
-    Send {
-        /// Destination process.
-        to: ProcessId,
-        /// Destination component name within that process.
-        component: &'static str,
-        /// The event to send.
-        event: E,
-    },
-    /// Send one event to the same component of many processes — the
-    /// broadcast envelope: the event is carried **once** and fanned out by
-    /// the runtime, instead of being cloned per destination here.
-    Multicast {
-        /// Destination processes (inline up to typical group sizes).
-        targets: crate::smallvec::SmallVec<ProcessId, 8>,
-        /// Destination component name within each target.
-        component: &'static str,
-        /// The event to send (shared across all targets).
-        event: E,
-    },
-    /// Request a one-shot timer.
-    SetTimer {
-        /// Id handed back to the requesting component on expiry.
-        id: TimerId,
-        /// Delay until expiry.
-        after: TimeDelta,
-    },
-    /// Cancel a pending timer owned by this component.
-    CancelTimer(TimerId),
-    /// Deliver an event to the application / trace observer.
-    Output(E),
-    /// Stop this process entirely (used e.g. by Isis-style membership to
-    /// kill a process that discovers it was wrongly excluded).
-    Halt,
-}
 
 /// Execution context handed to a component while it handles an event.
 ///
 /// All interaction with the outside world goes through the context; this is
-/// what keeps components sans-I/O and deterministic.
+/// what keeps components sans-I/O and deterministic. It is also the one place
+/// every event of a process passes on its way anywhere.
 #[derive(Debug)]
 pub struct Context<'a, E> {
-    now: Time,
-    me: ProcessId,
-    component: usize,
-    actions: &'a mut Vec<(usize, Action<E>)>,
-    next_timer: &'a mut u64,
+    pub(crate) now: Time,
+    pub(crate) me: ProcessId,
+    /// Index of the component being run: the owner of the timers it sets.
+    pub(crate) component: usize,
+    pub(crate) index: &'a [(&'static str, usize)],
+    pub(crate) pending: &'a mut VecDeque<(usize, E)>,
+    pub(crate) fx: &'a mut Effects<E>,
+    pub(crate) timer_owner: &'a mut Vec<(TimerId, usize)>,
+    pub(crate) next_timer: &'a mut u64,
 }
 
-impl<'a, E: Event> Context<'a, E> {
-    pub(crate) fn new(
-        now: Time,
-        me: ProcessId,
-        component: usize,
-        actions: &'a mut Vec<(usize, Action<E>)>,
-        next_timer: &'a mut u64,
-    ) -> Self {
-        Context {
-            now,
-            me,
-            component,
-            actions,
-            next_timer,
-        }
-    }
-
+impl<E: Event> Context<'_, E> {
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now
@@ -94,27 +47,27 @@ impl<'a, E: Event> Context<'a, E> {
         self.me
     }
 
-    /// Routes `event` to the component named `to` within this process.
+    /// Routes `event` to the component named `to` within this process: it
+    /// joins the back of the dispatch step's FIFO cascade.
     ///
     /// # Panics
     ///
-    /// The hosting process panics during dispatch if no component with that
-    /// name exists — a miswired graph is a programming error.
+    /// Panics if no component with that name exists — a miswired graph is a
+    /// programming error.
     pub fn emit(&mut self, to: &'static str, event: E) {
-        self.actions
-            .push((self.component, Action::Emit { to, event }));
+        let target = lookup(self.index, to)
+            .unwrap_or_else(|| panic!("{:?}: emit to unknown component {to:?}", self.me));
+        self.pending.push_back((target, event));
     }
 
     /// Sends `event` to component `component` of process `to`.
     pub fn send(&mut self, to: ProcessId, component: &'static str, event: E) {
-        self.actions.push((
-            self.component,
-            Action::Send {
-                to,
-                component,
-                event,
-            },
-        ));
+        self.fx.sends.push(Envelope {
+            from: self.me,
+            to,
+            component,
+            event,
+        });
     }
 
     /// Sends `event` to the same component of every process in `targets`
@@ -128,43 +81,58 @@ impl<'a, E: Event> Context<'a, E> {
     where
         I: IntoIterator<Item = ProcessId>,
     {
-        let targets: crate::smallvec::SmallVec<ProcessId, 8> = targets.into_iter().collect();
-        if targets.is_empty() {
+        let to: crate::smallvec::SmallVec<ProcessId, 8> = targets.into_iter().collect();
+        if to.is_empty() {
             return;
         }
-        self.actions.push((
-            self.component,
-            Action::Multicast {
-                targets,
-                component,
-                event,
-            },
-        ));
+        self.fx.casts.push(Multicast {
+            from: self.me,
+            to,
+            component,
+            event,
+        });
     }
 
     /// Requests a one-shot timer firing `after` from now; returns its id.
     pub fn set_timer(&mut self, after: TimeDelta) -> TimerId {
         let id = TimerId::new(*self.next_timer);
         *self.next_timer += 1;
-        self.actions
-            .push((self.component, Action::SetTimer { id, after }));
+        self.timer_owner.push((id, self.component));
+        self.fx.timers.push(TimerRequest { id, after });
         id
     }
 
     /// Cancels a pending timer. No-op if it already fired or was cancelled.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.actions.push((self.component, Action::CancelTimer(id)));
+        let _ = take_timer_owner(self.timer_owner, id);
     }
 
     /// Delivers `event` to the application observer (the simulator trace).
     pub fn output(&mut self, event: E) {
-        self.actions.push((self.component, Action::Output(event)));
+        self.fx.outputs.push(event);
     }
 
     /// Halts the entire process after this dispatch step completes.
     pub fn halt(&mut self) {
-        self.actions.push((self.component, Action::Halt));
+        self.fx.halted = true;
     }
+}
+
+/// Position of the component named `name` in a process's routing table. A
+/// process has a handful of components and names are `'static` literals, so
+/// a pointer-first linear scan beats hashing on every emit of the cascade.
+pub(crate) fn lookup(index: &[(&'static str, usize)], name: &str) -> Option<usize> {
+    index
+        .iter()
+        .find(|&&(n, _)| std::ptr::eq(n, name) || n == name)
+        .map(|&(_, i)| i)
+}
+
+/// Forgets live timer `id` and returns the component that set it. Live
+/// timers are few; linear scan + swap_remove beats a hash map.
+pub(crate) fn take_timer_owner(owners: &mut Vec<(TimerId, usize)>, id: TimerId) -> Option<usize> {
+    let pos = owners.iter().position(|&(t, _)| t == id)?;
+    Some(owners.swap_remove(pos).1)
 }
 
 /// A protocol module: one box of an architecture diagram.

@@ -15,15 +15,21 @@
 //! * [`View`], [`MessageClass`], [`DeliveryKind`] — the plain vocabulary in
 //!   which any stack talks to an application, shared here because the
 //!   stacks do not see each other,
-//! * [`Effects`] — the externally visible actions of a dispatch step
+//! * [`Effects`] — the externally visible results of a dispatch step
 //!   (network sends, timer requests, application outputs), which makes every
 //!   protocol sans-I/O and lets the same code run under the deterministic
 //!   simulator (`gcs-sim`) or any other scheduler.
 //!
 //! Dispatch within a process is synchronous and deterministic: an input event
 //! is routed to its target component; locally emitted events cascade in FIFO
-//! order until quiescence; everything destined outside the process is
-//! collected into [`Effects`].
+//! order until quiescence; everything destined outside the process ends up in
+//! the runtime's [`Effects`]. Dispatch **writes through**: the [`Context`] a
+//! handler runs in borrows the process's cascade queue and timer table and
+//! the runtime's `Effects`, and `emit`, `send`, `set_timer`, `output` put the
+//! event where it is to wait, at once — there is no record of requested
+//! actions to replay when the handler returns, and an event is moved once
+//! per hop. `Context` is thereby the one choke point every event of a
+//! process crosses.
 //!
 //! ```
 //! use gcs_kernel::{Component, Context, Event, Process, ProcessId, Time};
@@ -66,7 +72,7 @@ mod time;
 // Payloads enter the arena as `Bytes`; crates that only pass them through
 // name the type from here instead of depending on `bytes` themselves.
 pub use bytes::Bytes;
-pub use component::{Action, Component, Context};
+pub use component::{Component, Context};
 pub use event::Event;
 pub use group::{DeliveryKind, MessageClass, View};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

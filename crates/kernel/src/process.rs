@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::component::{Action, Component, Context};
+use crate::component::{lookup, take_timer_owner, Component, Context};
 use crate::event::Event;
 use crate::ids::{ProcessId, TimerId};
 use crate::smallvec::SmallVec;
@@ -49,12 +49,15 @@ pub struct TimerRequest {
 ///
 /// The hosting runtime (simulator or threaded runtime) is responsible for
 /// carrying these out: scheduling sends and timers and recording outputs.
+/// Components fill it in directly through their [`Context`] while they run:
+/// each buffer holds the step's `send`s, `send_to_all`s, `set_timer`s and
+/// `output`s in the order the handlers of the cascade made them.
 ///
 /// The buffers are [`SmallVec`]s: the common dispatch produces only a
 /// handful of effects, which then never touch the allocator. Runtimes on the
 /// hot path should keep one `Effects` alive and use the `*_into` entry
 /// points of [`Process`] ([`deliver_into`](Process::deliver_into) et al.),
-/// which reuse the buffers across dispatches.
+/// which append to whatever the buffers already hold.
 #[derive(Debug)]
 pub struct Effects<E> {
     /// Messages to transmit over the network.
@@ -154,8 +157,7 @@ impl<E: Event> ProcessBuilder<E> {
             next_timer: 0,
             timer_owner: Vec::new(),
             halted: false,
-            scratch_actions: Vec::new(),
-            scratch_pending: VecDeque::new(),
+            pending: VecDeque::new(),
         }
     }
 }
@@ -166,22 +168,26 @@ impl<E: Event> ProcessBuilder<E> {
 /// `Process` is runtime-agnostic: each entry point returns the [`Effects`]
 /// the runtime must apply. Once a process halts (crash injection or
 /// [`Context::halt`]) every entry point returns empty effects.
+///
+/// A dispatch step runs one handler — the input's — and then the cascade:
+/// events the handlers `emit` wait in one FIFO queue and are handled in
+/// that order until the queue is empty. There is no intermediate record of
+/// what a handler asked for: its [`Context`] borrows the queue, the routing
+/// table, the timer table and the caller's [`Effects`] and writes to them
+/// as the handler runs.
 #[derive(Debug)]
 pub struct Process<E: Event> {
     id: ProcessId,
     components: Vec<Box<dyn Component<E>>>,
-    // Component-name routing table. A process has a handful of components
-    // and names are `'static` literals, so a pointer-first linear scan beats
-    // hashing on every emit of the dispatch cascade.
+    /// Component-name routing table (see [`lookup`]).
     index: Vec<(&'static str, usize)>,
     next_timer: u64,
-    // Live timers are few; linear scan + swap_remove beats a hash map.
+    /// Live timers and the component that set each.
     timer_owner: Vec<(TimerId, usize)>,
     halted: bool,
-    // Dispatch scratch buffers, reused across steps so a steady-state event
-    // dispatch performs no allocation.
-    scratch_actions: Vec<(usize, Action<E>)>,
-    scratch_pending: VecDeque<(usize, E)>,
+    /// The cascade queue: empty between dispatch steps, and kept across
+    /// them so a steady-state dispatch performs no allocation.
+    pending: VecDeque<(usize, E)>,
 }
 
 impl<E: Event> Process<E> {
@@ -222,12 +228,14 @@ impl<E: Event> Process<E> {
 
     /// Like [`start`](Self::start), appending into a caller-owned buffer.
     pub fn start_into(&mut self, now: Time, fx: &mut Effects<E>) {
-        self.run(now, fx, |this, actions, next_timer| {
-            for i in 0..this.components.len() {
-                let mut ctx = Context::new(now, this.id, i, actions, next_timer);
-                this.components[i].on_start(&mut ctx);
-            }
-        })
+        if self.halted {
+            return;
+        }
+        for i in 0..self.components.len() {
+            let (component, mut ctx) = self.enter(i, now, fx);
+            component.on_start(&mut ctx);
+        }
+        self.cascade(now, fx);
     }
 
     /// Delivers a local event (application injection) to the named component
@@ -248,10 +256,12 @@ impl<E: Event> Process<E> {
     /// dispatches keeps the buffers allocation-free.
     pub fn deliver_into(&mut self, component: &str, event: E, now: Time, fx: &mut Effects<E>) {
         let target = self.lookup(component);
-        self.run(now, fx, |this, actions, next_timer| {
-            let mut ctx = Context::new(now, this.id, target, actions, next_timer);
-            this.components[target].on_event(event, &mut ctx);
-        })
+        if self.halted {
+            return;
+        }
+        let (component, mut ctx) = self.enter(target, now, fx);
+        component.on_event(event, &mut ctx);
+        self.cascade(now, fx);
     }
 
     /// Delivers a network message from `from` to the named component and
@@ -283,23 +293,17 @@ impl<E: Event> Process<E> {
         fx: &mut Effects<E>,
     ) {
         let target = self.lookup(component);
-        self.run(now, fx, |this, actions, next_timer| {
-            let mut ctx = Context::new(now, this.id, target, actions, next_timer);
-            this.components[target].on_message(from, event, &mut ctx);
-        })
+        if self.halted {
+            return;
+        }
+        let (component, mut ctx) = self.enter(target, now, fx);
+        component.on_message(from, event, &mut ctx);
+        self.cascade(now, fx);
     }
 
     fn lookup(&self, component: &str) -> usize {
-        self.index
-            .iter()
-            .find(|&&(n, _)| std::ptr::eq(n, component) || n == component)
-            .map(|&(_, i)| i)
+        lookup(&self.index, component)
             .unwrap_or_else(|| panic!("{:?}: no component named {component:?}", self.id))
-    }
-
-    fn take_timer_owner(&mut self, id: TimerId) -> Option<usize> {
-        let pos = self.timer_owner.iter().position(|&(t, _)| t == id)?;
-        Some(self.timer_owner.swap_remove(pos).1)
     }
 
     /// Fires a timer. Unknown (fired or cancelled) ids are ignored.
@@ -312,40 +316,44 @@ impl<E: Event> Process<E> {
     /// Like [`fire_timer`](Self::fire_timer), appending into a caller-owned
     /// buffer.
     pub fn fire_timer_into(&mut self, id: TimerId, now: Time, fx: &mut Effects<E>) {
-        let Some(owner) = self.take_timer_owner(id) else {
+        let Some(owner) = take_timer_owner(&mut self.timer_owner, id) else {
             return;
         };
-        self.run(now, fx, |this, actions, next_timer| {
-            let mut ctx = Context::new(now, this.id, owner, actions, next_timer);
-            this.components[owner].on_timer(id, &mut ctx);
-        })
-    }
-
-    /// Runs `seed` and then the cascade of locally emitted events until
-    /// quiescence, in FIFO order, collecting external effects into `fx`.
-    ///
-    /// The action and cascade queues are scratch buffers owned by the
-    /// process, so steady-state dispatch does not allocate.
-    fn run(
-        &mut self,
-        now: Time,
-        fx: &mut Effects<E>,
-        seed: impl FnOnce(&mut Self, &mut Vec<(usize, Action<E>)>, &mut u64),
-    ) {
         if self.halted {
             return;
         }
-        let mut pending = std::mem::take(&mut self.scratch_pending);
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        debug_assert!(pending.is_empty() && actions.is_empty());
-        let mut next_timer = self.next_timer;
+        let (component, mut ctx) = self.enter(owner, now, fx);
+        component.on_timer(id, &mut ctx);
+        self.cascade(now, fx);
+    }
 
-        seed(self, &mut actions, &mut next_timer);
-        self.drain_actions(&mut actions, &mut pending, fx);
+    /// Component `target` and the context it runs in: the two halves of a
+    /// handler call, borrowed from disjoint fields.
+    fn enter<'a>(
+        &'a mut self,
+        target: usize,
+        now: Time,
+        fx: &'a mut Effects<E>,
+    ) -> (&'a mut dyn Component<E>, Context<'a, E>) {
+        let ctx = Context {
+            now,
+            me: self.id,
+            component: target,
+            index: &self.index,
+            pending: &mut self.pending,
+            fx,
+            timer_owner: &mut self.timer_owner,
+            next_timer: &mut self.next_timer,
+        };
+        (&mut *self.components[target], ctx)
+    }
 
+    /// Handles the locally emitted events in FIFO order until none is left.
+    /// A halt ends the step: what is still queued then is dropped.
+    fn cascade(&mut self, now: Time, fx: &mut Effects<E>) {
         // A generous bound on cascade length catches accidental emit loops.
         let mut steps = 0usize;
-        while let Some((target, event)) = pending.pop_front() {
+        while let Some((target, event)) = self.pending.pop_front() {
             steps += 1;
             assert!(
                 steps < 1_000_000,
@@ -355,74 +363,12 @@ impl<E: Event> Process<E> {
             if fx.halted {
                 break;
             }
-            let mut ctx = Context::new(now, self.id, target, &mut actions, &mut next_timer);
-            self.components[target].on_event(event, &mut ctx);
-            self.drain_actions(&mut actions, &mut pending, fx);
+            let (component, mut ctx) = self.enter(target, now, fx);
+            component.on_event(event, &mut ctx);
         }
-
-        self.next_timer = next_timer;
         if fx.halted {
             self.halted = true;
-        }
-        pending.clear();
-        actions.clear();
-        self.scratch_pending = pending;
-        self.scratch_actions = actions;
-    }
-
-    fn drain_actions(
-        &mut self,
-        actions: &mut Vec<(usize, Action<E>)>,
-        pending: &mut VecDeque<(usize, E)>,
-        fx: &mut Effects<E>,
-    ) {
-        for (owner, action) in actions.drain(..) {
-            match action {
-                Action::Emit { to, event } => {
-                    let target = self
-                        .index
-                        .iter()
-                        .find(|&&(n, _)| std::ptr::eq(n, to) || n == to)
-                        .map(|&(_, i)| i)
-                        .unwrap_or_else(|| {
-                            panic!("{:?}: emit to unknown component {to:?}", self.id)
-                        });
-                    pending.push_back((target, event));
-                }
-                Action::Send {
-                    to,
-                    component,
-                    event,
-                } => {
-                    fx.sends.push(Envelope {
-                        from: self.id,
-                        to,
-                        component,
-                        event,
-                    });
-                }
-                Action::Multicast {
-                    targets,
-                    component,
-                    event,
-                } => {
-                    fx.casts.push(Multicast {
-                        from: self.id,
-                        to: targets,
-                        component,
-                        event,
-                    });
-                }
-                Action::SetTimer { id, after } => {
-                    self.timer_owner.push((id, owner));
-                    fx.timers.push(TimerRequest { id, after });
-                }
-                Action::CancelTimer(id) => {
-                    let _ = self.take_timer_owner(id);
-                }
-                Action::Output(event) => fx.outputs.push(event),
-                Action::Halt => fx.halted = true,
-            }
+            self.pending.clear();
         }
     }
 }
@@ -554,5 +500,541 @@ mod tests {
         let a = p.deliver("gateway", Ev::Ping(1), Time::ZERO).timers[0].id;
         let b = p.deliver("gateway", Ev::Ping(2), Time::ZERO).timers[0].id;
         assert_ne!(a, b);
+    }
+}
+
+/// The dispatch this crate had before [`Context`] wrote through — handlers
+/// record [`Action`](reference::Action)s, the process replays them when the
+/// handler returns — kept as a reference interpreter, and random component
+/// scripts run on both.
+#[cfg(test)]
+mod write_through_equivalence {
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    const NAMES: [&str; 3] = ["a", "b", "c"];
+    const KINDS: u8 = 3;
+    /// How many more hops a chain of emits started by an input may take.
+    const TTL: u8 = 4;
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Ev {
+        kind: u8,
+        ttl: u8,
+    }
+    impl Event for Ev {
+        fn kind(&self) -> &'static str {
+            "scripted"
+        }
+    }
+
+    /// What a handler may do — the methods of [`Context`], so that one
+    /// script plays against the real context and the reference's.
+    trait Sink {
+        fn emit(&mut self, to: &'static str, event: Ev);
+        fn send(&mut self, to: ProcessId, component: &'static str, event: Ev);
+        fn send_to_all(&mut self, targets: Vec<ProcessId>, component: &'static str, event: Ev);
+        fn set_timer(&mut self, after: TimeDelta) -> TimerId;
+        fn cancel_timer(&mut self, id: TimerId);
+        fn output(&mut self, event: Ev);
+        fn halt(&mut self);
+    }
+
+    impl Sink for Context<'_, Ev> {
+        fn emit(&mut self, to: &'static str, event: Ev) {
+            Context::emit(self, to, event)
+        }
+        fn send(&mut self, to: ProcessId, component: &'static str, event: Ev) {
+            Context::send(self, to, component, event)
+        }
+        fn send_to_all(&mut self, targets: Vec<ProcessId>, component: &'static str, event: Ev) {
+            Context::send_to_all(self, targets, component, event)
+        }
+        fn set_timer(&mut self, after: TimeDelta) -> TimerId {
+            Context::set_timer(self, after)
+        }
+        fn cancel_timer(&mut self, id: TimerId) {
+            Context::cancel_timer(self, id)
+        }
+        fn output(&mut self, event: Ev) {
+            Context::output(self, event)
+        }
+        fn halt(&mut self) {
+            Context::halt(self)
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Emit(usize, u8),
+        Send(u32, usize, u8),
+        Cast(Vec<u32>, usize, u8),
+        Output(u8),
+        SetTimer(u64),
+        /// Cancel the n-th most recent timer this component set (0: the one
+        /// it may have set a moment ago, in this very handler).
+        CancelOwn(usize),
+        /// Cancel a timer off the process-wide board: anybody's.
+        CancelAny(usize),
+        Halt,
+    }
+
+    /// A component whose every handler plays a fixed list of [`Op`]s.
+    #[derive(Clone)]
+    struct Scripted {
+        name: &'static str,
+        /// By trigger: start, event kinds, message kinds, timer.
+        scripts: Vec<Vec<Op>>,
+        own: Vec<TimerId>,
+        board: Rc<RefCell<Vec<TimerId>>>,
+    }
+
+    impl Scripted {
+        fn play(&mut self, trigger: usize, ttl: u8, sink: &mut dyn Sink) {
+            for op in self.scripts[trigger].clone() {
+                let ev = |kind| Ev {
+                    kind,
+                    ttl: ttl.saturating_sub(1),
+                };
+                match op {
+                    Op::Emit(to, kind) if ttl > 0 => sink.emit(NAMES[to], ev(kind)),
+                    Op::Emit(..) => {}
+                    Op::Send(to, c, kind) => sink.send(ProcessId::new(to), NAMES[c], ev(kind)),
+                    Op::Cast(to, c, kind) => {
+                        let to = to.into_iter().map(ProcessId::new).collect();
+                        sink.send_to_all(to, NAMES[c], ev(kind))
+                    }
+                    Op::Output(kind) => sink.output(ev(kind)),
+                    Op::SetTimer(ms) => {
+                        let id = sink.set_timer(TimeDelta::from_millis(ms));
+                        self.own.push(id);
+                        self.board.borrow_mut().push(id);
+                    }
+                    Op::CancelOwn(n) => {
+                        if let Some(&id) = self.own.iter().rev().nth(n) {
+                            sink.cancel_timer(id);
+                        }
+                    }
+                    Op::CancelAny(n) => {
+                        let board = self.board.borrow();
+                        if !board.is_empty() {
+                            sink.cancel_timer(board[n % board.len()]);
+                        }
+                    }
+                    Op::Halt => sink.halt(),
+                }
+            }
+        }
+    }
+
+    const ON_START: usize = 0;
+    const ON_TIMER: usize = 1 + 2 * KINDS as usize;
+    fn on_event(kind: u8) -> usize {
+        1 + kind as usize
+    }
+    fn on_message(kind: u8) -> usize {
+        1 + (KINDS + kind) as usize
+    }
+
+    impl Component<Ev> for Scripted {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
+            self.play(ON_START, TTL, ctx);
+        }
+        fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
+            self.play(on_event(ev.kind), ev.ttl, ctx);
+        }
+        fn on_message(&mut self, _from: ProcessId, ev: Ev, ctx: &mut Context<'_, Ev>) {
+            self.play(on_message(ev.kind), ev.ttl, ctx);
+        }
+        fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Ev>) {
+            self.play(ON_TIMER, TTL, ctx);
+        }
+    }
+
+    mod reference {
+        use super::*;
+
+        #[derive(Debug)]
+        pub enum Action {
+            Emit {
+                to: &'static str,
+                event: Ev,
+            },
+            Send {
+                to: ProcessId,
+                component: &'static str,
+                event: Ev,
+            },
+            Multicast {
+                targets: SmallVec<ProcessId, 8>,
+                component: &'static str,
+                event: Ev,
+            },
+            SetTimer {
+                id: TimerId,
+                after: TimeDelta,
+            },
+            CancelTimer(TimerId),
+            Output(Ev),
+            Halt,
+        }
+
+        /// Collects what a handler asks for, for the process to replay.
+        struct Collector<'a> {
+            component: usize,
+            actions: &'a mut Vec<(usize, Action)>,
+            next_timer: &'a mut u64,
+        }
+
+        impl Collector<'_> {
+            fn push(&mut self, action: Action) {
+                self.actions.push((self.component, action));
+            }
+        }
+
+        impl Sink for Collector<'_> {
+            fn emit(&mut self, to: &'static str, event: Ev) {
+                self.push(Action::Emit { to, event });
+            }
+            fn send(&mut self, to: ProcessId, component: &'static str, event: Ev) {
+                self.push(Action::Send {
+                    to,
+                    component,
+                    event,
+                });
+            }
+            fn send_to_all(&mut self, targets: Vec<ProcessId>, component: &'static str, event: Ev) {
+                let targets: SmallVec<ProcessId, 8> = targets.into_iter().collect();
+                if !targets.is_empty() {
+                    self.push(Action::Multicast {
+                        targets,
+                        component,
+                        event,
+                    });
+                }
+            }
+            fn set_timer(&mut self, after: TimeDelta) -> TimerId {
+                let id = TimerId::new(*self.next_timer);
+                *self.next_timer += 1;
+                self.push(Action::SetTimer { id, after });
+                id
+            }
+            fn cancel_timer(&mut self, id: TimerId) {
+                self.push(Action::CancelTimer(id));
+            }
+            fn output(&mut self, event: Ev) {
+                self.push(Action::Output(event));
+            }
+            fn halt(&mut self) {
+                self.push(Action::Halt);
+            }
+        }
+
+        /// Which of the situations the scripts are meant to reach the run
+        /// did reach.
+        #[derive(Debug, Default)]
+        pub struct Coverage {
+            pub emit_chains: usize,
+            pub emits_to_self: usize,
+            pub set_and_cancel_in_one_handler: usize,
+            pub cancels_of_anothers_timer: usize,
+            pub halts_mid_cascade: usize,
+            pub non_empty_incoming_effects: usize,
+        }
+
+        /// `Process` as it dispatched before: collect, then drain.
+        pub struct RefProcess {
+            pub id: ProcessId,
+            pub components: Vec<Scripted>,
+            pub next_timer: u64,
+            pub timer_owner: Vec<(TimerId, usize)>,
+            pub halted: bool,
+            pub seen: Coverage,
+        }
+
+        pub enum Input {
+            Start,
+            Event(usize, Ev),
+            Message(usize, Ev),
+            Timer(TimerId),
+        }
+
+        impl RefProcess {
+            pub fn dispatch(&mut self, input: Input, fx: &mut Effects<Ev>) {
+                let mut actions = Vec::new();
+                let mut next_timer = self.next_timer;
+                let mut seed: Vec<(usize, usize, u8)> = Vec::new();
+                match input {
+                    Input::Start => {
+                        seed.extend((0..self.components.len()).map(|i| (i, ON_START, TTL)))
+                    }
+                    Input::Event(c, ev) => seed.push((c, on_event(ev.kind), ev.ttl)),
+                    Input::Message(c, ev) => seed.push((c, on_message(ev.kind), ev.ttl)),
+                    Input::Timer(id) => {
+                        let Some(owner) = self.take_timer_owner(id) else {
+                            return;
+                        };
+                        seed.push((owner, ON_TIMER, TTL));
+                    }
+                }
+                if self.halted {
+                    return;
+                }
+                if !fx.is_empty() {
+                    self.seen.non_empty_incoming_effects += 1;
+                }
+                let mut pending = VecDeque::new();
+                for (c, trigger, ttl) in seed {
+                    self.play(c, trigger, ttl, &mut actions, &mut next_timer);
+                }
+                self.drain_actions(&mut actions, &mut pending, fx);
+                let mut steps = 0;
+                while let Some((target, event)) = pending.pop_front() {
+                    steps += 1;
+                    if fx.halted {
+                        self.seen.halts_mid_cascade += 1;
+                        break;
+                    }
+                    if steps == 2 {
+                        self.seen.emit_chains += 1;
+                    }
+                    let Ev { kind, ttl } = event;
+                    self.play(target, on_event(kind), ttl, &mut actions, &mut next_timer);
+                    self.drain_actions(&mut actions, &mut pending, fx);
+                }
+                self.next_timer = next_timer;
+                if fx.halted {
+                    self.halted = true;
+                }
+            }
+
+            /// Runs one handler, recording what it asks for.
+            fn play(
+                &mut self,
+                component: usize,
+                trigger: usize,
+                ttl: u8,
+                actions: &mut Vec<(usize, Action)>,
+                next_timer: &mut u64,
+            ) {
+                let mut collector = Collector {
+                    component,
+                    actions,
+                    next_timer,
+                };
+                self.components[component].play(trigger, ttl, &mut collector);
+            }
+
+            fn take_timer_owner(&mut self, id: TimerId) -> Option<usize> {
+                let pos = self.timer_owner.iter().position(|&(t, _)| t == id)?;
+                Some(self.timer_owner.swap_remove(pos).1)
+            }
+
+            fn drain_actions(
+                &mut self,
+                actions: &mut Vec<(usize, Action)>,
+                pending: &mut VecDeque<(usize, Ev)>,
+                fx: &mut Effects<Ev>,
+            ) {
+                let mut set_here = Vec::new();
+                for (owner, action) in actions.drain(..) {
+                    match action {
+                        Action::Emit { to, event } => {
+                            let target = NAMES.iter().position(|&n| n == to).expect("known");
+                            if target == owner {
+                                self.seen.emits_to_self += 1;
+                            }
+                            pending.push_back((target, event));
+                        }
+                        Action::Send {
+                            to,
+                            component,
+                            event,
+                        } => fx.sends.push(Envelope {
+                            from: self.id,
+                            to,
+                            component,
+                            event,
+                        }),
+                        Action::Multicast {
+                            targets,
+                            component,
+                            event,
+                        } => fx.casts.push(Multicast {
+                            from: self.id,
+                            to: targets,
+                            component,
+                            event,
+                        }),
+                        Action::SetTimer { id, after } => {
+                            set_here.push(id);
+                            self.timer_owner.push((id, owner));
+                            fx.timers.push(TimerRequest { id, after });
+                        }
+                        Action::CancelTimer(id) => match self.take_timer_owner(id) {
+                            Some(_) if set_here.contains(&id) => {
+                                self.seen.set_and_cancel_in_one_handler += 1
+                            }
+                            Some(o) if o != owner => self.seen.cancels_of_anothers_timer += 1,
+                            _ => {}
+                        },
+                        Action::Output(event) => fx.outputs.push(event),
+                        Action::Halt => fx.halted = true,
+                    }
+                }
+            }
+        }
+    }
+
+    use reference::{Input, RefProcess};
+
+    /// splitmix64.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    fn random_op(rng: &mut Rng) -> Op {
+        let kind = rng.below(KINDS as usize) as u8;
+        let c = rng.below(NAMES.len());
+        match rng.below(20) {
+            0..=6 => Op::Emit(c, kind),
+            7 | 8 => Op::Send(rng.below(4) as u32, c, kind),
+            9 => Op::Cast((0..rng.below(4) as u32).collect(), c, kind),
+            10 | 11 => Op::Output(kind),
+            12..=14 => Op::SetTimer(rng.below(50) as u64),
+            15 | 16 => Op::CancelOwn(rng.below(2)),
+            17 | 18 => Op::CancelAny(rng.below(8)),
+            _ => Op::Halt,
+        }
+    }
+
+    fn same(real: &Effects<Ev>, reference: &Effects<Ev>) -> bool {
+        real.sends == reference.sends
+            && real.casts == reference.casts
+            && real.timers == reference.timers
+            && real.outputs == reference.outputs
+            && real.halted == reference.halted
+    }
+
+    #[test]
+    fn write_through_dispatch_equals_collect_then_drain() {
+        let mut seen = reference::Coverage::default();
+        for seed in 0..400 {
+            let mut rng = Rng(seed);
+            let board = Rc::new(RefCell::new(Vec::new()));
+            let components: Vec<Scripted> = NAMES
+                .iter()
+                .map(|&name| Scripted {
+                    name,
+                    scripts: (0..=ON_TIMER)
+                        .map(|_| (0..rng.below(4)).map(|_| random_op(&mut rng)).collect())
+                        .collect(),
+                    own: Vec::new(),
+                    board: Rc::clone(&board),
+                })
+                .collect();
+            let ref_board = Rc::new(RefCell::new(Vec::new()));
+            let mut reference = RefProcess {
+                id: ProcessId::new(0),
+                components: components
+                    .iter()
+                    .cloned()
+                    .map(|c| Scripted {
+                        board: Rc::clone(&ref_board),
+                        ..c
+                    })
+                    .collect(),
+                next_timer: 0,
+                timer_owner: Vec::new(),
+                halted: false,
+                seen: Default::default(),
+            };
+            let mut real = components
+                .into_iter()
+                .fold(Process::builder(ProcessId::new(0)), |b, c| b.with(c))
+                .build();
+
+            let (mut fx, mut ref_fx) = (Effects::new(), Effects::new());
+            for step in 0..40 {
+                let now = Time::from_millis(step);
+                // One time in four the runtime has not emptied its buffers.
+                if rng.below(4) != 0 {
+                    fx.clear();
+                    ref_fx.clear();
+                }
+                let ev = Ev {
+                    kind: rng.below(KINDS as usize) as u8,
+                    ttl: TTL,
+                };
+                let c = rng.below(NAMES.len());
+                match rng.below(if step == 0 { 1 } else { 8 }) {
+                    0 => {
+                        real.start_into(now, &mut fx);
+                        reference.dispatch(Input::Start, &mut ref_fx);
+                    }
+                    1..=3 => {
+                        real.deliver_into(NAMES[c], ev.clone(), now, &mut fx);
+                        reference.dispatch(Input::Event(c, ev), &mut ref_fx);
+                    }
+                    4 | 5 => {
+                        real.deliver_net_into(
+                            ProcessId::new(1),
+                            NAMES[c],
+                            ev.clone(),
+                            now,
+                            &mut fx,
+                        );
+                        reference.dispatch(Input::Message(c, ev), &mut ref_fx);
+                    }
+                    _ => {
+                        // Any timer ever set: live, fired or cancelled.
+                        let id = TimerId::new(rng.next() % (reference.next_timer + 1));
+                        real.fire_timer_into(id, now, &mut fx);
+                        reference.dispatch(Input::Timer(id), &mut ref_fx);
+                    }
+                }
+                assert!(
+                    same(&fx, &ref_fx),
+                    "seed {seed} step {step}:\n{fx:?}\n{ref_fx:?}"
+                );
+                assert_eq!(
+                    real.is_halted(),
+                    reference.halted,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(*board.borrow(), *ref_board.borrow());
+            }
+            let s = &reference.seen;
+            seen.emit_chains += s.emit_chains;
+            seen.emits_to_self += s.emits_to_self;
+            seen.set_and_cancel_in_one_handler += s.set_and_cancel_in_one_handler;
+            seen.cancels_of_anothers_timer += s.cancels_of_anothers_timer;
+            seen.halts_mid_cascade += s.halts_mid_cascade;
+            seen.non_empty_incoming_effects += s.non_empty_incoming_effects;
+        }
+        println!("{seen:?}");
+        assert!(
+            seen.emit_chains > 100
+                && seen.emits_to_self > 100
+                && seen.set_and_cancel_in_one_handler > 20
+                && seen.cancels_of_anothers_timer > 20
+                && seen.halts_mid_cascade > 20
+                && seen.non_empty_incoming_effects > 100,
+            "{seen:?}"
+        );
     }
 }

@@ -132,31 +132,33 @@ impl<T, const N: usize> IntoIterator for SmallVec<T, N> {
     type IntoIter = IntoIter<T, N>;
     fn into_iter(self) -> IntoIter<T, N> {
         IntoIter {
-            inner: self.inline.into_iter().flatten().chain(self.spill),
+            filled: self.len.min(N),
+            inline: self.inline,
+            next: 0,
+            spill: self.spill.into_iter(),
         }
     }
 }
 
-/// Owning iterator over a [`SmallVec`].
+/// Owning iterator over a [`SmallVec`]: an index walk over the inline
+/// slots, then the spill. Dropping it drops what it has not yielded.
 pub struct IntoIter<T, const N: usize> {
-    inner: std::iter::Chain<
-        std::iter::Flatten<std::array::IntoIter<Option<T>, N>>,
-        std::vec::IntoIter<T>,
-    >,
+    inline: [Option<T>; N],
+    /// Inline slots in use; `next` is the first of them not yet yielded.
+    filled: usize,
+    next: usize,
+    spill: std::vec::IntoIter<T>,
 }
 
 impl<T, const N: usize> Iterator for IntoIter<T, N> {
     type Item = T;
     fn next(&mut self) -> Option<T> {
-        self.inner.next()
-    }
-}
-
-impl<'a, T, const N: usize> IntoIterator for &'a SmallVec<T, N> {
-    type Item = &'a T;
-    type IntoIter = Box<dyn Iterator<Item = &'a T> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+        if self.next < self.filled {
+            self.next += 1;
+            self.inline[self.next - 1].take()
+        } else {
+            self.spill.next()
+        }
     }
 }
 
@@ -247,13 +249,33 @@ mod tests {
     }
 
     #[test]
-    fn into_iter_owns() {
-        let mut v: SmallVec<u32, 2> = SmallVec::new();
-        v.push(7);
-        v.push(8);
+    fn into_iter_owns_in_order_inline_and_spilled() {
+        for len in 0..6u32 {
+            let v: SmallVec<u32, 2> = (0..len).collect();
+            let owned: Vec<u32> = v.into_iter().collect();
+            assert_eq!(owned, (0..len).collect::<Vec<_>>(), "len {len}");
+        }
+        // A vector that was drained keeps nothing of its former contents.
+        let mut v: SmallVec<u32, 2> = (0..5).collect();
+        v.drain();
         v.push(9);
-        let owned: Vec<u32> = v.into_iter().collect();
-        assert_eq!(owned, vec![7, 8, 9]);
+        assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![9]);
+    }
+
+    #[test]
+    fn partially_consumed_into_iter_drops_the_rest() {
+        use std::rc::Rc;
+        let probe = Rc::new(());
+        // Dropped after 0, 1 (inline left), 2 (spill left), … elements.
+        for taken in 0..=5 {
+            let v: SmallVec<Rc<()>, 2> = (0..5).map(|_| Rc::clone(&probe)).collect();
+            assert_eq!(Rc::strong_count(&probe), 6);
+            let mut it = v.into_iter();
+            let held: Vec<Rc<()>> = it.by_ref().take(taken).collect();
+            assert_eq!(held.len(), taken);
+            drop(it);
+            assert_eq!(Rc::strong_count(&probe), 1 + taken, "taken {taken}");
+        }
     }
 
     #[test]

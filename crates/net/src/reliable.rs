@@ -15,10 +15,29 @@
 //! of its whole, growing backlog. And a peer that was
 //! [forgotten](ReliableChannel::forget_peer) is **refused**: its packets are
 //! dropped until this endpoint addresses it again.
+//!
+//! ## State layout
+//!
+//! Process ids are small dense integers, so everything per peer is indexed,
+//! not searched: two [`PeerTable`]s hold the transmit half (next sequence
+//! number, the deque of unacknowledged packets, probe state) and the receive
+//! half (next sequence to deliver, the out-of-order buffer, the owed-ack
+//! flag) of each conversation, and three [`PeerSet`] bitsets say which slots
+//! matter — peers with data in flight, peers owed a standalone ack, peers
+//! refused. A send or a packet tests and sets bits; a tick walks the set
+//! bits in ascending id order, which is the order a scan of the whole table
+//! would emit in.
+//!
+//! Every entry point appends its instructions to a buffer of the caller's
+//! ([`send_into`](ReliableChannel::send_into),
+//! [`on_packet_into`](ReliableChannel::on_packet_into),
+//! [`on_tick_into`](ReliableChannel::on_tick_into)): the owner keeps one and
+//! drains it after each call, so a message is moved into the buffer once and
+//! out of it once.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use gcs_kernel::{ProcessId, SmallVec, Time, TimeDelta};
+use gcs_kernel::{ProcessId, Time, TimeDelta};
 
 /// Dense per-peer table: process ids are small dense integers in every
 /// runtime this channel targets, so peer state is indexed directly instead
@@ -51,6 +70,52 @@ impl<T> PeerTable<T> {
         if let Some(slot) = self.0.get_mut(p.index()) {
             *slot = None;
         }
+    }
+}
+
+/// A set of peers as a dense bitset, 64 ids per word, growing to the highest
+/// id inserted.
+#[derive(Debug, Default)]
+struct PeerSet(Vec<u64>);
+
+impl PeerSet {
+    fn insert(&mut self, p: ProcessId) {
+        let word = p.index() / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (p.index() % 64);
+    }
+
+    fn remove(&mut self, p: ProcessId) {
+        if let Some(word) = self.0.get_mut(p.index() / 64) {
+            *word &= !(1 << (p.index() % 64));
+        }
+    }
+
+    fn contains(&self, p: ProcessId) -> bool {
+        self.0
+            .get(p.index() / 64)
+            .is_some_and(|word| word & (1 << (p.index() % 64)) != 0)
+    }
+
+    /// Empties the set, keeping its words.
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    /// The members, in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.0.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    ProcessId::new(word as u32 * 64 + bit)
+                })
+            })
+        })
     }
 }
 
@@ -154,10 +219,6 @@ pub enum RcOut<M> {
     },
 }
 
-/// The small output buffer returned by the packet-grained entry points;
-/// inline capacity covers the common cases without allocating.
-pub type RcOuts<M> = SmallVec<RcOut<M>, 4>;
-
 #[derive(Debug)]
 struct PeerTx<M> {
     next_seq: u64,
@@ -208,12 +269,13 @@ impl<M> PeerRx<M> {
 ///
 /// One instance serves all peers of a process. The owner must:
 ///
-/// 1. call [`send`](Self::send) to transmit messages,
-/// 2. feed every received [`Packet`] to [`on_packet`](Self::on_packet),
-/// 3. call [`on_tick`](Self::on_tick) every
+/// 1. call [`send_into`](Self::send_into) to transmit messages,
+/// 2. feed every received [`Packet`] to
+///    [`on_packet_into`](Self::on_packet_into),
+/// 3. call [`on_tick_into`](Self::on_tick_into) every
 ///    [`RcConfig::tick_interval`] (this also flushes delayed acks),
 ///
-/// and carry out the returned [`RcOut`] instructions.
+/// and carry out the [`RcOut`] instructions each appends to its buffer.
 ///
 /// Guarantees (assuming the unreliable network delivers each retransmitted
 /// packet with non-zero probability): **no creation** (only sent messages
@@ -230,14 +292,14 @@ pub struct ReliableChannel<M> {
     /// deque drains), so an idle channel ticks in O(1) instead of O(peers).
     /// Ascending-id iteration keeps retransmission emission order identical
     /// to a full table scan.
-    active_tx: BTreeSet<ProcessId>,
+    active_tx: PeerSet,
     /// Peers owed a standalone ack — the only rx slots a tick must visit.
-    owed_acks: BTreeSet<ProcessId>,
+    owed_acks: PeerSet,
     /// Forgotten peers this endpoint has not addressed since: their packets
     /// are refused. Without this a forgotten peer's stream would be judged
     /// by the fresh receive state its next packet creates — one that starts
     /// at sequence 0 (the two never talked before) would be delivered.
-    refused: BTreeSet<ProcessId>,
+    refused: PeerSet,
 }
 
 impl<M: Clone> ReliableChannel<M> {
@@ -248,9 +310,9 @@ impl<M: Clone> ReliableChannel<M> {
             config,
             tx: PeerTable::new(),
             rx: PeerTable::new(),
-            active_tx: BTreeSet::new(),
-            owed_acks: BTreeSet::new(),
-            refused: BTreeSet::new(),
+            active_tx: PeerSet::default(),
+            owed_acks: PeerSet::default(),
+            refused: PeerSet::default(),
         }
     }
 
@@ -261,12 +323,14 @@ impl<M: Clone> ReliableChannel<M> {
 
     /// The cumulative ack to piggyback on a packet towards `to`, clearing
     /// any owed standalone ack (the data packet carries it).
-    fn piggyback_for(&mut self, to: ProcessId) -> u64 {
-        match self.rx.get_mut(to) {
+    /// (Takes the two fields it touches, not `self`: a tick calls it in the
+    /// middle of a walk over the transmit half.)
+    fn piggyback_for(rx: &mut PeerTable<PeerRx<M>>, owed_acks: &mut PeerSet, to: ProcessId) -> u64 {
+        match rx.get_mut(to) {
             Some(rx) => {
                 if rx.owe_ack {
                     rx.owe_ack = false;
-                    self.owed_acks.remove(&to);
+                    owed_acks.remove(to);
                 }
                 rx.next_deliver
             }
@@ -274,30 +338,29 @@ impl<M: Clone> ReliableChannel<M> {
         }
     }
 
-    /// Queues `msg` for reliable delivery to `to` and returns the initial
-    /// transmission. Sending to self delivers immediately (loopback).
-    pub fn send(&mut self, to: ProcessId, msg: M, now: Time) -> RcOuts<M> {
-        let mut out = RcOuts::new();
+    /// Queues `msg` for reliable delivery to `to` and appends the initial
+    /// transmission to `out`. Sending to self delivers immediately
+    /// (loopback).
+    pub fn send_into(&mut self, to: ProcessId, msg: M, now: Time, out: &mut Vec<RcOut<M>>) {
         if to == self.me {
             out.push(RcOut::Deliver { from: self.me, msg });
-            return out;
+            return;
         }
-        self.refused.remove(&to);
+        self.refused.remove(to);
         let peer = self.tx.entry(to, PeerTx::default);
         let seq = peer.next_seq;
         peer.next_seq += 1;
         peer.inflight.push_back((seq, msg.clone(), now, now));
         self.active_tx.insert(to);
-        let ack = self.piggyback_for(to);
+        let ack = Self::piggyback_for(&mut self.rx, &mut self.owed_acks, to);
         out.push(RcOut::Transmit {
             to,
             packet: Packet::Data { seq, ack, msg },
         });
-        out
     }
 
     /// Processes the cumulative-ack component of any received packet.
-    fn on_ack_component(&mut self, from: ProcessId, upto: u64, out: &mut RcOuts<M>) {
+    fn on_ack_component(&mut self, from: ProcessId, upto: u64, out: &mut Vec<RcOut<M>>) {
         if let Some(tx) = self.tx.get_mut(from) {
             while tx.inflight.front().is_some_and(|&(seq, ..)| seq < upto) {
                 tx.inflight.pop_front();
@@ -308,14 +371,14 @@ impl<M: Clone> ReliableChannel<M> {
                     tx.stuck_reported = false;
                     out.push(RcOut::Unstuck { peer: from });
                 }
-                self.active_tx.remove(&from);
+                self.active_tx.remove(from);
             }
         }
     }
 
     /// Processes one data component; acknowledgements are accumulated, not
     /// sent here.
-    fn on_data_component(&mut self, from: ProcessId, seq: u64, msg: M, out: &mut RcOuts<M>) {
+    fn on_data_component(&mut self, from: ProcessId, seq: u64, msg: M, out: &mut Vec<RcOut<M>>) {
         let rx = self.rx.entry(from, PeerRx::new);
         if seq == rx.next_deliver && rx.buffer.is_empty() {
             // Fast path: the expected packet, nothing buffered — deliver
@@ -338,11 +401,11 @@ impl<M: Clone> ReliableChannel<M> {
     }
 
     /// Emits the owed standalone ack to `from` immediately (classic mode).
-    fn emit_ack_now(&mut self, from: ProcessId, out: &mut RcOuts<M>) {
+    fn emit_ack_now(&mut self, from: ProcessId, out: &mut Vec<RcOut<M>>) {
         let rx = self.rx.entry(from, PeerRx::new);
         if rx.owe_ack {
             rx.owe_ack = false;
-            self.owed_acks.remove(&from);
+            self.owed_acks.remove(from);
         }
         out.push(RcOut::Transmit {
             to: from,
@@ -352,35 +415,40 @@ impl<M: Clone> ReliableChannel<M> {
         });
     }
 
-    /// Handles a packet received from `from`.
-    pub fn on_packet(&mut self, from: ProcessId, packet: Packet<M>, now: Time) -> RcOuts<M> {
+    /// Handles a packet received from `from`, appending what it delivers
+    /// and triggers to `out`.
+    pub fn on_packet_into(
+        &mut self,
+        from: ProcessId,
+        packet: Packet<M>,
+        now: Time,
+        out: &mut Vec<RcOut<M>>,
+    ) {
         let _ = now;
-        let mut out = RcOuts::new();
-        if self.refused.contains(&from) {
-            return out;
+        if self.refused.contains(from) {
+            return;
         }
         match packet {
             Packet::Data { seq, ack, msg } => {
-                self.on_ack_component(from, ack, &mut out);
-                self.on_data_component(from, seq, msg, &mut out);
+                self.on_ack_component(from, ack, out);
+                self.on_data_component(from, seq, msg, out);
                 if !self.config.piggyback_acks {
-                    self.emit_ack_now(from, &mut out);
+                    self.emit_ack_now(from, out);
                 }
             }
             Packet::Batch { ack, msgs } => {
-                self.on_ack_component(from, ack, &mut out);
+                self.on_ack_component(from, ack, out);
                 for (seq, msg) in msgs {
-                    self.on_data_component(from, seq, msg, &mut out);
+                    self.on_data_component(from, seq, msg, out);
                 }
                 if !self.config.piggyback_acks {
-                    self.emit_ack_now(from, &mut out);
+                    self.emit_ack_now(from, out);
                 }
             }
             Packet::Ack { upto } => {
-                self.on_ack_component(from, upto, &mut out);
+                self.on_ack_component(from, upto, out);
             }
         }
-        out
     }
 
     /// Periodic maintenance: coalesced retransmissions, stuck-peer
@@ -393,17 +461,17 @@ impl<M: Clone> ReliableChannel<M> {
 
     /// [`on_tick`](Self::on_tick), appending into a caller-owned buffer
     /// (the hot-path entry point: ticks fire every
-    /// [`RcConfig::tick_interval`] on every process).
+    /// [`RcConfig::tick_interval`] on every process). A tick with nothing
+    /// to batch allocates nothing.
     pub fn on_tick_into(&mut self, now: Time, out: &mut Vec<RcOut<M>>) {
-        // Expired retransmissions — only peers with in-flight data, in id
-        // order (deterministic; `active_tx` is exact, so this visits the
-        // same slots a full table scan would emit from).
-        let mut resends: Vec<(ProcessId, Vec<(u64, M)>)> = Vec::new();
-        for &p in &self.active_tx {
+        // Only peers with in-flight data are visited, in id order
+        // (deterministic; `active_tx` is exact, so this visits the same slots
+        // a full table scan would emit from). Stuck reports of all peers go
+        // first: the head is the oldest packet, it alone decides `Stuck`.
+        for p in self.active_tx.iter() {
             let Some(tx) = self.tx.get_mut(p) else {
                 continue;
             };
-            // The head is the oldest packet: it alone decides `Stuck`.
             if let Some(&(_, _, first, _)) = tx.inflight.front() {
                 if !tx.stuck_reported && now.since(first) >= self.config.stuck_after {
                     tx.stuck_reported = true;
@@ -413,6 +481,12 @@ impl<M: Clone> ReliableChannel<M> {
                     });
                 }
             }
+        }
+        // Expired retransmissions, one packet per peer.
+        for p in self.active_tx.iter() {
+            let Some(tx) = self.tx.get_mut(p) else {
+                continue;
+            };
             // A silent peer is probed with the head only — and the walk over
             // its backlog is skipped with the clones.
             let window = if tx.silent_rounds >= PROBE_AFTER {
@@ -420,40 +494,34 @@ impl<M: Clone> ReliableChannel<M> {
             } else {
                 tx.inflight.len()
             };
-            let mut resend: Vec<(u64, M)> = Vec::new();
-            for &mut (seq, ref msg, _, ref mut last) in tx.inflight.iter_mut().take(window) {
-                if now.since(*last) >= self.config.retransmit_after {
+            let retransmit_after = self.config.retransmit_after;
+            let mut expired = tx
+                .inflight
+                .iter_mut()
+                .take(window)
+                .filter(|(_, _, _, last)| now.since(*last) >= retransmit_after)
+                .map(|(seq, msg, _, last)| {
                     *last = now;
-                    resend.push((seq, msg.clone()));
-                }
-            }
-            if !resend.is_empty() {
-                tx.silent_rounds = tx.silent_rounds.saturating_add(1);
-                resends.push((p, resend));
-            }
-        }
-        for (p, mut resend) in resends {
-            if resend.len() == 1 {
-                // A single retransmission travels as a plain data packet.
-                let (seq, msg) = resend.pop().expect("one element");
-                let ack = self.piggyback_for(p);
-                out.push(RcOut::Transmit {
-                    to: p,
-                    packet: Packet::Data { seq, ack, msg },
+                    (*seq, msg.clone())
                 });
-            } else {
-                // Multiple expired packets coalesce into one batch.
-                let ack = self.piggyback_for(p);
-                out.push(RcOut::Transmit {
-                    to: p,
-                    packet: Packet::Batch { ack, msgs: resend },
-                });
-            }
+            let Some((seq, msg)) = expired.next() else {
+                continue;
+            };
+            // A single retransmission travels as a plain data packet;
+            // several coalesce into one batch.
+            let ack = Self::piggyback_for(&mut self.rx, &mut self.owed_acks, p);
+            let packet = match expired.next() {
+                None => Packet::Data { seq, ack, msg },
+                Some(second) => Packet::Batch {
+                    ack,
+                    msgs: [(seq, msg), second].into_iter().chain(expired).collect(),
+                },
+            };
+            tx.silent_rounds = tx.silent_rounds.saturating_add(1);
+            out.push(RcOut::Transmit { to: p, packet });
         }
-        // Flush owed acks that found no data packet to ride, in id order
-        // (entries already cleared by a piggyback above drop silently).
-        let owed = std::mem::take(&mut self.owed_acks);
-        for &p in &owed {
+        // Flush owed acks that found no data packet to ride, in id order.
+        for p in self.owed_acks.iter() {
             if let Some(rx) = self.rx.get_mut(p) {
                 if rx.owe_ack {
                     rx.owe_ack = false;
@@ -466,11 +534,12 @@ impl<M: Clone> ReliableChannel<M> {
                 }
             }
         }
+        self.owed_acks.clear();
     }
 
     /// Discards all state for `peer` — both directions — and refuses its
-    /// packets from now on, until this endpoint [`send`](Self::send)s to it
-    /// again (which opens a new conversation, both streams from sequence 0).
+    /// packets from now on, until this endpoint
+    /// [sends](Self::send_into) to it again (which opens a new conversation, both streams from sequence 0).
     ///
     /// Called when the membership excludes `peer`: once excluded there is no
     /// obligation to deliver to it, so buffered messages "can be safely
@@ -479,8 +548,8 @@ impl<M: Clone> ReliableChannel<M> {
     pub fn forget_peer(&mut self, peer: ProcessId) {
         self.tx.remove(peer);
         self.rx.remove(peer);
-        self.active_tx.remove(&peer);
-        self.owed_acks.remove(&peer);
+        self.active_tx.remove(peer);
+        self.owed_acks.remove(peer);
         if peer != self.me {
             self.refused.insert(peer);
         }
@@ -537,8 +606,19 @@ mod tests {
             .count()
     }
 
-    fn collect<M: Clone>(outs: impl IntoIterator<Item = RcOut<M>>) -> Vec<RcOut<M>> {
-        outs.into_iter().collect()
+    /// By-value forms of the `_into` entry points, for the tests' brevity.
+    impl<M: Clone> ReliableChannel<M> {
+        fn send(&mut self, to: ProcessId, msg: M, now: Time) -> Vec<RcOut<M>> {
+            let mut out = Vec::new();
+            self.send_into(to, msg, now, &mut out);
+            out
+        }
+
+        fn on_packet(&mut self, from: ProcessId, packet: Packet<M>, now: Time) -> Vec<RcOut<M>> {
+            let mut out = Vec::new();
+            self.on_packet_into(from, packet, now, &mut out);
+            out
+        }
     }
 
     #[test]
@@ -546,15 +626,15 @@ mod tests {
         let mut a = rc(A);
         let mut b = rc(B);
         let t = Time::ZERO;
-        let o1 = collect(a.send(B, "x", t));
-        let o2 = collect(a.send(B, "y", t));
+        let o1 = a.send(B, "x", t);
+        let o2 = a.send(B, "y", t);
         let mut got = Vec::new();
         for (seq, msg) in data_of(&o1).into_iter().chain(data_of(&o2)) {
-            got.extend(delivered(&collect(b.on_packet(
+            got.extend(delivered(&b.on_packet(
                 A,
                 Packet::Data { seq, ack: 0, msg },
                 t,
-            ))));
+            )));
         }
         assert_eq!(got, vec!["x", "y"]);
     }
@@ -563,7 +643,7 @@ mod tests {
     fn out_of_order_is_reordered() {
         let mut b = rc(B);
         let t = Time::ZERO;
-        let first = collect(b.on_packet(
+        let first = b.on_packet(
             A,
             Packet::Data {
                 seq: 1,
@@ -571,9 +651,9 @@ mod tests {
                 msg: "y",
             },
             t,
-        ));
+        );
         assert!(delivered(&first).is_empty());
-        let second = collect(b.on_packet(
+        let second = b.on_packet(
             A,
             Packet::Data {
                 seq: 0,
@@ -581,7 +661,7 @@ mod tests {
                 msg: "x",
             },
             t,
-        ));
+        );
         assert_eq!(delivered(&second), vec!["x", "y"]);
     }
 
@@ -589,7 +669,7 @@ mod tests {
     fn duplicates_are_suppressed_and_reacked_on_tick() {
         let mut b = rc(B);
         let t = Time::ZERO;
-        let one = collect(b.on_packet(
+        let one = b.on_packet(
             A,
             Packet::Data {
                 seq: 0,
@@ -597,11 +677,11 @@ mod tests {
                 msg: "x",
             },
             t,
-        ));
+        );
         assert_eq!(delivered(&one), vec!["x"]);
         // Piggyback mode: no immediate standalone ack...
         assert_eq!(transmits(&one), 0);
-        let two = collect(b.on_packet(
+        let two = b.on_packet(
             A,
             Packet::Data {
                 seq: 0,
@@ -609,7 +689,7 @@ mod tests {
                 msg: "x",
             },
             t,
-        ));
+        );
         assert!(delivered(&two).is_empty());
         // ...the (re-)ack flushes at the next tick, duplicates included.
         let tick = b.on_tick(t + TimeDelta::from_millis(10));
@@ -633,11 +713,11 @@ mod tests {
         let mut b = rc(B);
         let t = Time::ZERO;
         // A→B data delivered at B: B owes an ack.
-        let o = collect(a.send(B, "x", t));
+        let o = a.send(B, "x", t);
         let (seq, msg) = data_of(&o)[0];
         b.on_packet(A, Packet::Data { seq, ack: 0, msg }, t);
         // B now sends data back: the owed ack rides it.
-        let rev = collect(b.send(A, "reply", t));
+        let rev = b.send(A, "reply", t);
         match &rev[0] {
             RcOut::Transmit {
                 to,
@@ -710,7 +790,7 @@ mod tests {
             RcOut::Transmit { packet, .. } => packet.clone(),
             other => panic!("expected transmit, got {other:?}"),
         };
-        let got = collect(b.on_packet(A, batch, t0 + TimeDelta::from_millis(26)));
+        let got = b.on_packet(A, batch, t0 + TimeDelta::from_millis(26));
         assert_eq!(delivered(&got), vec!["x", "y", "z"]);
     }
 
@@ -728,7 +808,7 @@ mod tests {
             .on_tick(late + TimeDelta::from_secs(1))
             .iter()
             .any(|o| matches!(o, RcOut::Stuck { .. })));
-        let acked = collect(a.on_packet(B, Packet::Ack { upto: 1 }, late));
+        let acked = a.on_packet(B, Packet::Ack { upto: 1 }, late);
         assert!(acked
             .iter()
             .any(|o| matches!(o, RcOut::Unstuck { peer } if *peer == B)));
@@ -737,7 +817,7 @@ mod tests {
     #[test]
     fn loopback_delivers_immediately() {
         let mut a = rc(A);
-        let out = collect(a.send(A, "self", Time::ZERO));
+        let out = a.send(A, "self", Time::ZERO);
         assert_eq!(delivered(&out), vec!["self"]);
     }
 
@@ -763,12 +843,12 @@ mod tests {
             ack: 0,
             msg: "from outside",
         };
-        let out = collect(a.on_packet(B, hello.clone(), Time::ZERO));
+        let out = a.on_packet(B, hello.clone(), Time::ZERO);
         assert!(out.is_empty(), "{out:?}");
         assert!(a.on_tick(Time::from_millis(10)).is_empty(), "no ack owed");
         // A addresses B again (a new conversation): B is heard from then on.
         a.send(B, "welcome back", Time::from_millis(10));
-        let out = collect(a.on_packet(B, hello, Time::from_millis(11)));
+        let out = a.on_packet(B, hello, Time::from_millis(11));
         assert_eq!(delivered(&out), vec!["from outside"]);
     }
 
@@ -801,6 +881,70 @@ mod tests {
     }
 
     #[test]
+    fn peer_set_walks_its_members_in_ascending_id_order() {
+        let walk = |s: &PeerSet| -> Vec<u32> { s.iter().map(ProcessId::raw).collect() };
+        let mut s = PeerSet::default();
+        assert!(walk(&s).is_empty() && !s.contains(ProcessId::new(7)));
+        for id in [130, 0, 64, 63, 5, 64] {
+            s.insert(ProcessId::new(id));
+        }
+        assert_eq!(walk(&s), vec![0, 5, 63, 64, 130]);
+        assert!(s.contains(ProcessId::new(63)) && !s.contains(ProcessId::new(62)));
+        s.remove(ProcessId::new(63));
+        s.remove(ProcessId::new(9_999)); // beyond its words: nothing to do
+        assert_eq!(walk(&s), vec![0, 5, 64, 130]);
+        s.clear();
+        assert!(walk(&s).is_empty());
+        assert_eq!(s.0.len(), 3, "cleared, not shrunk");
+    }
+
+    #[test]
+    fn tick_reports_the_stuck_then_retransmits_then_acks_each_in_id_order() {
+        // Peers on both sides of a word boundary, addressed out of order.
+        let peers = [70, 3, 1].map(ProcessId::new);
+        let mut a = rc(A);
+        for p in peers {
+            a.send(p, "x", Time::ZERO);
+        }
+        // Two more owe A nothing but are owed an ack.
+        for p in [65, 2].map(ProcessId::new) {
+            let hello = Packet::Data {
+                seq: 0,
+                ack: 0,
+                msg: "y",
+            };
+            a.on_packet(p, hello, Time::ZERO);
+        }
+        let out = a.on_tick(Time::ZERO + TimeDelta::from_secs(31));
+        let line: Vec<(u8, u32)> = out
+            .iter()
+            .map(|o| match o {
+                RcOut::Stuck { peer, .. } => (0, peer.raw()),
+                RcOut::Transmit {
+                    to,
+                    packet: Packet::Data { .. },
+                } => (1, to.raw()),
+                RcOut::Transmit {
+                    to,
+                    packet: Packet::Ack { .. },
+                } => (2, to.raw()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let expected = [
+            (0, 1),
+            (0, 3),
+            (0, 70),
+            (1, 1),
+            (1, 3),
+            (1, 70),
+            (2, 2),
+            (2, 65),
+        ];
+        assert_eq!(line, expected);
+    }
+
+    #[test]
     fn cumulative_ack_clears_prefix_only() {
         let mut a = rc(A);
         let t = Time::ZERO;
@@ -818,7 +962,7 @@ mod tests {
             ..RcConfig::default()
         };
         let mut b: ReliableChannel<&'static str> = ReliableChannel::new(B, cfg);
-        let out = collect(b.on_packet(
+        let out = b.on_packet(
             A,
             Packet::Data {
                 seq: 0,
@@ -826,7 +970,7 @@ mod tests {
                 msg: "x",
             },
             Time::ZERO,
-        ));
+        );
         assert!(matches!(
             out.last(),
             Some(RcOut::Transmit {
@@ -868,16 +1012,16 @@ mod tests {
                 now += TimeDelta::from_millis(2);
                 // Request–response traffic: A sends, B replies to each
                 // *delivered request* exactly once.
-                let outs = a.send(B, i, now).into_iter().collect();
+                let outs = a.send(B, i, now);
                 push(A, outs, &mut wire, &mut packets);
                 while let Some((from, to, packet)) = wire.pop() {
                     let endpoint = if to == A { &mut a } else { &mut b };
-                    let outs: Vec<_> = endpoint.on_packet(from, packet, now).into_iter().collect();
+                    let outs: Vec<_> = endpoint.on_packet(from, packet, now);
                     let delivered_to_b =
                         to == B && outs.iter().any(|o| matches!(o, RcOut::Deliver { .. }));
                     push(to, outs, &mut wire, &mut packets);
                     if delivered_to_b {
-                        let outs: Vec<_> = b.send(A, 1000 + i, now).into_iter().collect();
+                        let outs: Vec<_> = b.send(A, 1000 + i, now);
                         push(B, outs, &mut wire, &mut packets);
                     }
                 }
@@ -889,8 +1033,7 @@ mod tests {
                     push(B, outs, &mut wire, &mut packets);
                     while let Some((from, to, packet)) = wire.pop() {
                         let endpoint = if to == A { &mut a } else { &mut b };
-                        let outs: Vec<_> =
-                            endpoint.on_packet(from, packet, now).into_iter().collect();
+                        let outs: Vec<_> = endpoint.on_packet(from, packet, now);
                         push(to, outs, &mut wire, &mut packets);
                     }
                 }
@@ -948,7 +1091,8 @@ mod proptests {
             };
 
             for i in 0..n {
-                let outs = a.send(B, i as u64, now).into_iter().collect();
+                let mut outs = Vec::new();
+                a.send_into(B, i as u64, now, &mut outs);
                 push(outs, &mut wire_ab, &mut wire_ba, &mut got);
             }
 
@@ -960,10 +1104,12 @@ mod proptests {
                     let pkt = wire_ab.swap_remove(k);
                     if !drop {
                         if dup {
-                            let outs = b.on_packet(A, pkt.clone(), now).into_iter().collect();
+                            let mut outs = Vec::new();
+                            b.on_packet_into(A, pkt.clone(), now, &mut outs);
                             push(outs, &mut wire_ab, &mut wire_ba, &mut got);
                         }
-                        let outs = b.on_packet(A, pkt, now).into_iter().collect();
+                        let mut outs = Vec::new();
+                        b.on_packet_into(A, pkt, now, &mut outs);
                         push(outs, &mut wire_ab, &mut wire_ba, &mut got);
                     }
                 }
@@ -972,7 +1118,8 @@ mod proptests {
                     let k = idx % wire_ba.len();
                     let pkt = wire_ba.swap_remove(k);
                     if !drop {
-                        let outs = a.on_packet(B, pkt, now).into_iter().collect();
+                        let mut outs = Vec::new();
+                        a.on_packet_into(B, pkt, now, &mut outs);
                         push(outs, &mut wire_ab, &mut wire_ba, &mut got);
                     }
                 }
@@ -992,12 +1139,14 @@ mod proptests {
                 push(outs, &mut wire_ab, &mut wire_ba, &mut got);
                 while !wire_ab.is_empty() {
                     let pkt = wire_ab.remove(0);
-                    let outs = b.on_packet(A, pkt, now).into_iter().collect();
+                    let mut outs = Vec::new();
+                    b.on_packet_into(A, pkt, now, &mut outs);
                     push(outs, &mut wire_ab, &mut wire_ba, &mut got);
                 }
                 while !wire_ba.is_empty() {
                     let pkt = wire_ba.remove(0);
-                    let outs = a.on_packet(B, pkt, now).into_iter().collect();
+                    let mut outs = Vec::new();
+                    a.on_packet_into(B, pkt, now, &mut outs);
                     push(outs, &mut wire_ab, &mut wire_ba, &mut got);
                 }
             }
