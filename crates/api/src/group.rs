@@ -197,20 +197,6 @@ impl GroupBuilder {
         self
     }
 
-    /// Relay fan-out of the new-architecture stack (ignored by the
-    /// baselines): when a process relays a message — atomic broadcast,
-    /// generic broadcast and consensus do only while its origin is
-    /// suspected —
-    /// [`RelayFanout::All`](gcs_core::RelayFanout) re-sends it to the whole
-    /// view, [`RelayFanout::Bounded`](gcs_core::RelayFanout) to `k` ring
-    /// successors. When not set, the builder picks all-relay up to
-    /// [`SCALE_THRESHOLD`](gcs_core::SCALE_THRESHOLD) members and a bounded
-    /// ≈ log₂ n fan-out above it.
-    pub fn relay_fanout(mut self, relay: gcs_core::RelayFanout) -> Self {
-        self.config.relay_fanout = Some(relay);
-        self
-    }
-
     /// Number of consensus instances the new-architecture stack keeps in
     /// flight concurrently (ignored by the baselines). The default (and
     /// `depth <= 1`) reproduces the sequential one-instance-at-a-time

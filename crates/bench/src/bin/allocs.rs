@@ -1,26 +1,30 @@
-//! Allocation profiler for the perf-trajectory workloads: installs the
-//! counting global allocator and reports allocations per simulated event
-//! and — the PR-3 tracked metric — allocations per payload delivery.
+//! Allocation profiler for the steady-state workloads of
+//! `gcs_bench::alloccount`: installs the counting global allocator and
+//! reports allocations per simulated event and — the tracked metric —
+//! allocations per payload delivery.
 //!
 //! ```text
 //! allocs [abcast|gbcast|isis|token|all] [--json]
 //! ```
 //!
-//! `--json` emits the machine-readable object the alloc-regression guard
-//! and `repro bench-pr3` consume.
+//! `--json` emits a machine-readable object; the budgets themselves are
+//! enforced by `tests/alloc_guard.rs`.
 
-use gcs_bench::alloccount::CountingAlloc;
-use gcs_bench::perf::{self, AllocMeasurement};
+use gcs_bench::alloccount::{self, AllocMeasurement, CountingAlloc};
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
 fn measure(which: &str) -> AllocMeasurement {
     match which {
-        "abcast" => perf::measure_allocs("abcast_steady/5", perf::abcast_steady_5_stats),
-        "gbcast" => perf::measure_allocs("gbcast_steady/5", perf::gbcast_steady_5_stats),
-        "isis" => perf::measure_allocs("isis_steady/5", perf::isis_steady_5_stats),
-        "token" => perf::measure_allocs("token_steady/5", perf::token_steady_5_stats),
+        "abcast" => {
+            alloccount::measure_allocs("abcast_steady/5", alloccount::abcast_steady_5_stats)
+        }
+        "gbcast" => {
+            alloccount::measure_allocs("gbcast_steady/5", alloccount::gbcast_steady_5_stats)
+        }
+        "isis" => alloccount::measure_allocs("isis_steady/5", alloccount::isis_steady_5_stats),
+        "token" => alloccount::measure_allocs("token_steady/5", alloccount::token_steady_5_stats),
         other => {
             eprintln!("allocs: unknown workload {other:?} (want abcast|gbcast|isis|token|all)");
             std::process::exit(2);
@@ -45,7 +49,7 @@ fn main() {
         vec![measure(which)]
     };
     if json {
-        println!("{}", perf::allocs_to_json(&measurements));
+        println!("{}", alloccount::allocs_to_json(&measurements));
         return;
     }
     for m in &measurements {

@@ -12,6 +12,9 @@
 //! ```text
 //! cargo run -p gcs-bench --release --bin repro -- all
 //! ```
+//!
+//! Wall-clock performance is not measured here: `bash benchmark/run.sh`
+//! (see `BENCHMARK.json`) is the one perf entry point.
 
 // `deny` instead of `forbid`: the allocation-counter module needs one
 // carefully scoped `unsafe impl GlobalAlloc` (see `alloccount`).
@@ -20,8 +23,5 @@
 
 pub mod alloccount;
 pub mod experiments;
-pub mod live;
-pub mod perf;
-pub mod saturate;
 pub mod scenario;
 pub mod workload;

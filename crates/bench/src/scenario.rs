@@ -3,9 +3,9 @@
 //!
 //! A [`Scenario`] bundles everything a run needs — the [`StackKind`] to
 //! drive, group size, a [`Topology`], a [`Workload`] and a [`Schedule`] —
-//! so `repro`, the criterion benches and the determinism tests all execute
-//! the *same* definition, through the [`GroupTransport`] façade. The
-//! built-in matrix lives in [`catalog`]; run one with [`Scenario::run`].
+//! so `repro` and the determinism tests execute the *same* definition,
+//! through the [`GroupTransport`] façade. The built-in matrix lives in
+//! [`catalog`]; run one with [`Scenario::run`].
 //!
 //! Every full-trace run passes through the
 //! [`InvariantChecker`]: the report carries the
@@ -900,7 +900,8 @@ mod tests {
         // satisfies the paper's properties on every run. The at-scale
         // points (n > 64) are excluded from this debug-mode loop: CI's
         // release smoke runs `repro scenario uniform-lan-256` (which exits
-        // nonzero on violations), and the 1024 point runs behind bench-pr7.
+        // nonzero on violations), and the 1024 point runs by hand
+        // (`repro scenario uniform-lan-1024`).
         for s in catalog() {
             if s.n > 64 {
                 eprintln!("skipping {} (n={}) in the debug oracle loop", s.name, s.n);

@@ -9,8 +9,7 @@
 //! its workloads one after the other: concurrent tests in the same binary
 //! would pollute the process-global counters.
 
-use gcs_bench::alloccount::{snapshot, CountingAlloc};
-use gcs_bench::perf;
+use gcs_bench::alloccount::{self, snapshot, CountingAlloc};
 use gcs_core::components::names;
 use gcs_core::{build_process, Body, Ev, GbMsg, Message, MessageClass, MsgId, StackConfig};
 use gcs_core::{View, WireMsg};
@@ -123,7 +122,7 @@ fn gb_ack_packets() -> (u64, usize) {
 
 #[test]
 fn steady_state_allocs_per_delivery_stay_under_budget() {
-    let m = perf::measure_allocs("abcast_steady/5", perf::abcast_steady_5_stats);
+    let m = alloccount::measure_allocs("abcast_steady/5", alloccount::abcast_steady_5_stats);
     assert!(m.deliveries >= 100, "workload delivered: {m:?}");
     let per_delivery = m.allocs_per_delivery();
     assert!(
@@ -132,7 +131,7 @@ fn steady_state_allocs_per_delivery_stay_under_budget() {
          (budget {BUDGET_ALLOCS_PER_ADELIVERY}); the zero-copy message plane regressed: {m:?}"
     );
 
-    let m = perf::measure_allocs("gbcast_steady/5", perf::gbcast_steady_5_stats);
+    let m = alloccount::measure_allocs("gbcast_steady/5", alloccount::gbcast_steady_5_stats);
     let per_delivery = m.allocs_per_delivery();
     assert!(
         per_delivery <= BUDGET_ALLOCS_PER_GDELIVERY,

@@ -90,7 +90,8 @@ fn catalog_scenarios_reproduce_at_fixed_seed() {
     for s in catalog() {
         // The at-scale points (n > 64) cost seconds per run even with the
         // counting sink; their reproducibility is pinned by the recorded
-        // fingerprints (release smoke + bench-pr7), not this debug loop.
+        // fingerprints (`repro scenario` in the release smoke), not this
+        // debug loop.
         if s.n > 64 {
             continue;
         }

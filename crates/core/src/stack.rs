@@ -45,15 +45,6 @@ pub struct StackConfig {
     /// to the pre-gossip stack), gossip with an auto fanout (≈ log₂ n)
     /// above it.
     pub fd_mode: Option<gcs_fd::FdMode>,
-    /// Relay fan-out: how many ring successors a process re-forwards a
-    /// message to when it relays one. Atomic broadcast, generic broadcast
-    /// and consensus relay only while the message's origin (the decision's
-    /// sender) is suspected, so the fan-out bounds the on-suspicion burst
-    /// (and generic broadcast's eager relay of a message whose origin is
-    /// outside the view). `None` derives from the group size:
-    /// relay-to-all below [`SCALE_THRESHOLD`], ≈ log₂ n above (O(n·k)
-    /// messages instead of O(n²)).
-    pub relay_fanout: Option<RelayFanout>,
     /// Emit consensus-class `Suspect`/`Restore` transitions as trace
     /// outputs (crash-detection latency measurement; off by default so
     /// existing run fingerprints and delivery counts are untouched).
@@ -72,8 +63,8 @@ pub struct StackConfig {
 
 /// Largest founding-group size that keeps the scale-neutral defaults:
 /// all-pairs failure detection and relay-to-all diffusion. Groups larger
-/// than this derive gossip monitoring and bounded relay unless the config
-/// pins a mode explicitly.
+/// than this derive bounded relay, and gossip monitoring unless the config
+/// pins an FD mode explicitly.
 pub const SCALE_THRESHOLD: usize = 16;
 
 /// The auto-derived gossip/relay fanout for a group of `n`: ⌈log₂(n+1)⌉,
@@ -92,12 +83,19 @@ impl StackConfig {
         }
     }
 
-    /// The concrete relay fan-out for a founding group of `n`.
+    /// The relay fan-out for a founding group of `n`: how many ring
+    /// successors a process re-forwards a message to when it relays one.
+    /// Atomic broadcast, generic broadcast and consensus relay only while
+    /// the message's origin (the decision's sender) is suspected, so the
+    /// fan-out bounds the on-suspicion burst (and generic broadcast's eager
+    /// relay of a message whose origin is outside the view): relay-to-all
+    /// up to [`SCALE_THRESHOLD`], ≈ log₂ n above (O(n·k) messages instead
+    /// of O(n²)).
     pub fn resolved_relay(&self, n: usize) -> RelayFanout {
-        match self.relay_fanout {
-            Some(relay) => relay,
-            None if n <= SCALE_THRESHOLD => RelayFanout::All,
-            None => RelayFanout::Bounded(auto_fanout(n)),
+        if n <= SCALE_THRESHOLD {
+            RelayFanout::All
+        } else {
+            RelayFanout::Bounded(auto_fanout(n))
         }
     }
 
@@ -126,7 +124,6 @@ impl Default for StackConfig {
             state_size: 0,
             fifo_generic: false,
             fd_mode: None,
-            relay_fanout: None,
             trace_suspicions: false,
             pipeline_depth: None,
             batch: None,

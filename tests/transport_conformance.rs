@@ -102,6 +102,11 @@ fn steady_state_agreement_on_every_stack() {
             check_prefix_consistency(&seqs)
                 .unwrap_or_else(|e| panic!("{tag}: order violation {e:?}"));
             check_no_duplicates(&seqs).unwrap_or_else(|e| panic!("{tag}: duplicate {e:?}"));
+            // Every injected op, not just twelve of something.
+            let mut ops = seqs[0].clone();
+            ops.sort();
+            let injected: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i]).collect();
+            assert_eq!(ops, injected, "{tag}: every op delivered");
             // The delivery trace carries consistent identities: every
             // record's (sender, seq) appears at every correct process.
             let delivered = g.delivered();
