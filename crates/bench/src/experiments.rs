@@ -436,7 +436,7 @@ pub fn a1_consensus_ablation() {
             let ct_msgs = {
                 let mut insts: Vec<CtConsensus<u32>> = ids
                     .iter()
-                    .map(|&q| CtConsensus::new(q, ids.clone()))
+                    .map(|&q| CtConsensus::new(q, ids.clone(), ids[0]))
                     .collect();
                 let mut queue: VecDeque<(ProcessId, ProcessId, CtMsg<u32>)> = VecDeque::new();
                 let mut crashed: HashSet<ProcessId> = HashSet::new();

@@ -34,13 +34,18 @@ static A: CountingAlloc = CountingAlloc;
 ///   the copy did
 /// * PR 24 (reliable-channel peer sets as bitsets — no tree node per peer
 ///   with data in flight): **13.21**
+/// * PR 26 (per consensus instance: the participant list shared instead of
+///   copied, running instances in a reused `Vec` instead of a map, the
+///   coordinated round and the acker and suspicion sets inline, abcast's
+///   outstanding proposals in a window ring holding the proposed batch):
+///   **10.45**
 ///
 /// The budget is the last measurement plus 15 % headroom for toolchain
 /// noise; a breach means a change re-introduced per-delivery allocations
 /// on the abcast hot path (per-call output `Vec`s, batch copies, payload
 /// clones) — or messages: every wire message costs allocations, so an
 /// eager relay or the all-members diffusion coming back shows here too.
-const BUDGET_ALLOCS_PER_ADELIVERY: f64 = 15.2;
+const BUDGET_ALLOCS_PER_ADELIVERY: f64 = 12.0;
 
 /// The committed budget of the generic fast path (`allocs gbcast`: 200
 /// conflict-free 64 B g-broadcasts, n = 5). History:

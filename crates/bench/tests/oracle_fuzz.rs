@@ -12,9 +12,10 @@
 //!
 //! A third property aims the faults at what the new architecture's
 //! failure-free fast path leans on: the round-0 coordinator (p0), its
-//! successor, lossy links, with and without pipelining. There the oracle
-//! must stay clean *and* every survivor must deliver every message of every
-//! surviving sender.
+//! successor, lossy links, with and without pipelining — and at the member
+//! the decisions name as round-0 coordinator once p0 is suspected. There
+//! the oracle must stay clean *and* every survivor must deliver every
+//! message of every surviving sender.
 //!
 //! New-architecture runs carry g-broadcasts of both classes beside the
 //! abcast stream ([`WithGenericTraffic`]), so the generic fast path — lazy
@@ -99,6 +100,182 @@ fn run_on(
         .map(|v| v.to_string())
         .collect();
     (g.adelivered_payloads(), violations)
+}
+
+/// Faults aimed at the round-0 coordinator a decision names for a later
+/// instance (see `gcs_core::abcast`): it moves off p0 once the survivors
+/// suspect p0, and it must be agreed by every process that opens an
+/// instance.
+#[derive(Clone, Copy, Debug)]
+enum Designated {
+    /// Five founders: p0 crashes, then p1 — the coordinator the survivors'
+    /// decisions named in p0's place. Abcast traffic only: two crashes of
+    /// five are past generic broadcast's `f < n/3`.
+    Cascade,
+    /// p0 is cut off long enough to be suspected, then the link heals: the
+    /// designation comes back to p0, so that ops long after the heal cost
+    /// exactly what failure-free ones do.
+    Heal,
+    /// p0 crashes, then p4 joins via p3 while the group is idle (sequential
+    /// core): nobody leaves a round around the join, and the joiner orders
+    /// with the others from then on. (The snapshot's designations are
+    /// pinned by `gcs_core`'s abcast unit tests: here generic broadcast
+    /// defers the snapshot to the end of the view change's epoch closure,
+    /// so the joiner's first instances are decided before it activates and
+    /// it reads the designation off those decisions.)
+    JoinAfterCrash,
+}
+
+/// Runs one [`Designated`] case: p0's fault at `at_ms`, the second fault
+/// `40 + extra_ms` later (`600 + extra_ms` for the join). Every case checks
+/// the oracle and that the survivors agree on one sequence holding every op
+/// of every sender that survived; `Heal` and `JoinAfterCrash` also count
+/// messages over a window, minus an equally long quiet one (the reliable
+/// channel probes a dead peer at a fixed period).
+fn designated_case(
+    case: Designated,
+    seed: u64,
+    at_ms: u64,
+    extra_ms: u64,
+    lossy: bool,
+    pipelined: bool,
+) -> Result<(), TestCaseError> {
+    let n: u32 = if matches!(case, Designated::Cascade) {
+        5
+    } else {
+        4
+    };
+    let joining = matches!(case, Designated::JoinAfterCrash);
+    let exact = !matches!(case, Designated::Cascade);
+    let ms = Time::from_millis;
+    let mut cfg = StackConfig::default();
+    cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+    cfg.pipeline_depth = (pipelined && !joining).then_some(4);
+    let second = at_ms + 40 + extra_ms;
+    let join_ms = 600 + extra_ms;
+    let (schedule, dead) = match case {
+        Designated::Cascade => (
+            Schedule::new()
+                .crash(ms(at_ms), p(0))
+                .crash(ms(second), p(1)),
+            vec![p(0), p(1)],
+        ),
+        Designated::Heal => {
+            let rest: Vec<ProcessId> = (1..4).map(p).collect();
+            let cut = Schedule::new().partition(ms(at_ms), vec![rest, vec![p(0)]]);
+            (cut.heal(ms(second)), vec![])
+        }
+        Designated::JoinAfterCrash => (
+            Schedule::new()
+                .crash(ms(at_ms), p(0))
+                .join(ms(join_ms), p(4), p(3)),
+            vec![p(0)],
+        ),
+    };
+    let topology = if lossy && !exact {
+        Topology::lossy()
+    } else {
+        Topology::lan()
+    };
+    let mut g = Group::builder()
+        .members(n as usize)
+        .joiners(usize::from(joining))
+        .stack(StackKind::NewArch)
+        .topology(topology)
+        .schedule(schedule)
+        .stack_config(cfg)
+        .seed(seed)
+        .build();
+    // Op `k` carries tag `k`: a stream through the faults, then (after the
+    // faults, the heal and the join) one op per 20 ms, the joiner included.
+    let mut senders = Vec::new();
+    let mut op = |g: &mut Group, t: Time, sender: ProcessId| {
+        let mut payload = (senders.len() as u16).to_le_bytes().to_vec();
+        payload.push(0xab);
+        g.abcast_at(t, sender, payload);
+        senders.push(sender);
+    };
+    for k in 0..60 {
+        op(&mut g, ms(1 + 5 * k), p(k as u32 % n));
+    }
+    let tail = 8u64;
+    let tail_at = 1_000;
+    let tail_sender = |j: u64| p(if joining { 1 + j % 4 } else { j % n as u64 } as u32);
+    if matches!(case, Designated::Heal) {
+        // Enough instances after the heal to carry the designation back
+        // through a pipeline window.
+        for j in 0..10 {
+            op(&mut g, ms(700 + 20 * j), p(j as u32 % n));
+        }
+    }
+    for j in 0..tail {
+        op(&mut g, ms(tail_at + 5 + 20 * j), tail_sender(j));
+    }
+    let windows = |g: &mut Group, start: u64, len: u64| {
+        g.run_until(ms(start));
+        let m0 = g.metrics().clone();
+        g.run_until(ms(start + len));
+        let m1 = g.metrics().clone();
+        g.run_until(ms(start + 2 * len));
+        (m1.delta_since(&m0), g.metrics().delta_since(&m1))
+    };
+    let what =
+        format!("{case:?}@{seed} at {at_ms} ms +{extra_ms}, lossy {lossy}, pipelined {pipelined}");
+    match case {
+        Designated::Heal => {
+            let (busy, quiet) = windows(&mut g, tail_at, 20 * tail);
+            let sent = |kind: &str| busy.sent_of_kind(kind) - quiet.sent_of_kind(kind);
+            let from_others = (0..tail).filter(|&j| tail_sender(j) != p(0)).count() as u64;
+            prop_assert_eq!(sent("ab/data"), from_others, "{}: ab/data", what);
+            for kind in ["ct/propose", "ct/ack", "ct/decide"] {
+                prop_assert_eq!(sent(kind), 3 * tail, "{}: {}", what, kind);
+            }
+            prop_assert_eq!(sent("ct/estimate") + sent("ct/nack"), 0, "{}", what);
+        }
+        Designated::JoinAfterCrash => {
+            let (quiet, busy) = windows(&mut g, join_ms - 200, 200);
+            prop_assert_eq!(
+                busy.sent_of_kind("ct/nack"),
+                quiet.sent_of_kind("ct/nack"),
+                "{}: somebody left a round around the join",
+                what
+            );
+        }
+        Designated::Cascade => {}
+    }
+    g.run_until(Time::from_secs(3));
+    let violations = InvariantChecker::check(&g, n as usize).violations;
+    prop_assert!(violations.is_empty(), "{}: {:#?}", what, violations);
+    let delivered = g.adelivered_payloads();
+    let survivors: Vec<usize> = (0..n)
+        .filter(|&i| !dead.contains(&p(i)))
+        .map(|i| i as usize)
+        .collect();
+    for &i in &survivors {
+        prop_assert_eq!(
+            &delivered[i],
+            &delivered[survivors[0]],
+            "{}: p{} disagrees",
+            what,
+            i
+        );
+    }
+    let have: std::collections::BTreeSet<usize> = delivered[survivors[0]]
+        .iter()
+        .filter_map(|payload| gcs_bench::workload::decode_op_index(payload))
+        .collect();
+    for (k, sender) in senders.iter().enumerate() {
+        if !dead.contains(sender) {
+            prop_assert!(
+                have.contains(&k),
+                "{}: op {} of {:?} never delivered",
+                what,
+                k,
+                sender
+            );
+        }
+    }
+    Ok(())
 }
 
 /// The abcast stream every stack gets and — where the stack has generic
@@ -275,7 +452,7 @@ proptest! {
 proptest! {
     // One stack, a 3-virtual-second run: two hundred timelines cost under a
     // second.
-    #![proptest_config(ProptestConfig::with_cases(200))]
+    #![proptest_config(ProptestConfig::with_cases(400))]
 
     /// Faults aimed at the coordinator: the failure-free path sends every
     /// abcast's data, proposal and decision along single links from and to
@@ -288,7 +465,9 @@ proptest! {
     /// the oracle stays clean, and the survivors agree on one sequence that
     /// holds every message of every sender that survived. A join may ride
     /// along (the oracle checks the joiner's suffix; the liveness claim is
-    /// for the founders).
+    /// for the founders). Half the cases instead aim at the round-0
+    /// coordinator the decisions name once p0 is suspected: one of the
+    /// three [`Designated`] shapes.
     #[test]
     fn coordinator_faults_are_invariant_clean_and_live(
         seed in any::<u64>(),
@@ -298,7 +477,13 @@ proptest! {
         join_ms in proptest::option::of(10u64..200),
         lossy in any::<bool>(),
         pipelined in any::<bool>(),
+        designated in (0usize..6, 5u64..60, 0u64..120),
     ) {
+        let (shape, at_ms, extra_ms) = designated;
+        let shapes = [Designated::Cascade, Designated::Heal, Designated::JoinAfterCrash];
+        if let Some(&case) = shapes.get(shape) {
+            return designated_case(case, seed, at_ms, extra_ms, lossy, pipelined);
+        }
         let mut schedule = Schedule::new();
         if let Some((victim, t)) = crash {
             schedule = schedule.crash(Time::from_millis(t), p(victim));

@@ -1,8 +1,25 @@
 //! One instance of Chandra-Toueg ◇S consensus.
 //!
-//! The algorithm proceeds in asynchronous rounds; round `r` is coordinated
-//! by `participants[r mod n]`. A failure-free instance costs one proposal,
-//! one ack and one decision per non-coordinator, and nothing else:
+//! The algorithm proceeds in asynchronous rounds. An instance is built with
+//! its round-0 coordinator `c₀`, and round `r` is coordinated by the `r`-th
+//! participant after `c₀` in the sorted participant order (wrapping around):
+//! the classic `participants[r mod n]` is `c₀ = participants[0]`.
+//!
+//! * **Any `c₀` is safe, if every participant builds the instance with the
+//!   same one.** The proof of uniform agreement never asks *who* coordinates
+//!   a round, only that each round has one coordinator all participants
+//!   agree on: then a round proposes at most one value, and a value decided
+//!   in round `r` is locked by the majority that adopted it, stamped `r + 1`,
+//!   which every later coordinator's majority of estimates intersects. A
+//!   caller that picks `c₀` from something all participants already agree
+//!   on (atomic broadcast takes it from an earlier decision) keeps that.
+//! * **Rotation keeps ◇S liveness.** Whatever `c₀` is, rounds `r … r+n−1`
+//!   are coordinated by each participant once, so the rounds still run
+//!   through the process ◇S eventually stops suspecting. A crashed `c₀`
+//!   costs this instance a suspicion and a round change, never agreement.
+//!
+//! A failure-free instance costs one proposal, one ack and one decision per
+//! non-coordinator, and nothing else:
 //!
 //! * **Round 0 has no estimate phase.** Every timestamp is 0 before the
 //!   first proposal, so any initial value is a legal pick: the round-0
@@ -16,7 +33,12 @@
 //!   the decision to every participant. A coordinator that itself adopted
 //!   the proposal of round `r − 1` skips the gathering, for round 0's
 //!   reason: its own estimate is stamped `r`, no estimate can be stamped
-//!   higher, and all stamped `r` carry the same value.
+//!   higher, and all stamped `r` carry the same value. A coordinator whose
+//!   majority holds only estimates stamped 0 knows that nothing was decided
+//!   or locked before its round — a decided value is adopted by a majority,
+//!   which its majority would intersect — so any value is safe to propose:
+//!   it proposes its pick as [`Value::claimed_by`] itself (atomic broadcast
+//!   names it there as a later instance's round-0 coordinator).
 //! * **A process that acked round `r` stays in `r`** until it decides. It
 //!   leaves for a later round only when it *suspects* `coord(r)` — whether or
 //!   not it already answered `r` — or when it *learns that somebody left*
@@ -45,8 +67,9 @@
 //! reliable links (FIFO is not required).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use gcs_kernel::{FxHashSet, ProcessId};
+use gcs_kernel::{FxHashSet, PositionSet, ProcessId, SmallVec};
 
 use crate::Value;
 
@@ -122,19 +145,25 @@ pub enum CtOut<V> {
     Decided(V),
 }
 
-/// A round this process coordinated: what it proposed and who acked.
+/// A round this process coordinated: what it proposed and who acked (by
+/// participant position).
 #[derive(Debug)]
 struct Coordinated<V> {
     round: u64,
     value: V,
-    ackers: FxHashSet<ProcessId>,
+    ackers: PositionSet,
 }
 
 /// One instance of Chandra-Toueg consensus.
 #[derive(Debug)]
 pub struct CtConsensus<V> {
     me: ProcessId,
-    participants: Vec<ProcessId>,
+    /// Sorted; shared with the caller when it passes them sorted already.
+    participants: Arc<[ProcessId]>,
+    /// This process's position in `participants`.
+    my_position: usize,
+    /// The round-0 coordinator's position in `participants`.
+    first: usize,
     majority: usize,
 
     started: bool,
@@ -153,30 +182,44 @@ pub struct CtConsensus<V> {
     /// Coordinator side: estimates gathered for `round` (ordered by sender
     /// for deterministic tie-breaking).
     estimates: BTreeMap<ProcessId, (V, u64)>,
-    /// Coordinator side: the rounds this process proposed in. Acks keep
-    /// counting after it moved on — a majority of adoptions decides.
-    coordinated: Vec<Coordinated<V>>,
-    /// Current failure-detector suspicion set.
-    suspected: FxHashSet<ProcessId>,
+    /// Coordinator side: the rounds this process proposed in (one, but
+    /// after a round change). Acks keep counting after it moved on — a
+    /// majority of adoptions decides.
+    coordinated: SmallVec<Coordinated<V>, 1>,
+    /// Current failure-detector suspicions among the participants, by
+    /// position.
+    suspected: PositionSet,
     /// After the decision: who it was learned from (`None`: decided here,
     /// as coordinator, and sent to every participant).
     learned_from: Option<ProcessId>,
 }
 
 impl<V: Value> CtConsensus<V> {
-    /// Creates an instance for `me` among `participants`.
+    /// Creates an instance for `me` among `participants`, with `first` as
+    /// the coordinator of round 0 (see the module docs: every participant
+    /// must pass the same one).
     ///
     /// # Panics
     ///
-    /// Panics if `participants` does not contain `me` or is empty.
-    pub fn new(me: ProcessId, mut participants: Vec<ProcessId>) -> Self {
-        participants.sort_unstable();
-        participants.dedup();
-        assert!(participants.contains(&me), "{me:?} not among participants");
+    /// Panics if `participants` does not contain `me` or `first`.
+    pub fn new(me: ProcessId, participants: impl Into<Arc<[ProcessId]>>, first: ProcessId) -> Self {
+        let mut participants = participants.into();
+        if !participants.windows(2).all(|w| w[0] < w[1]) {
+            let mut sorted = participants.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            participants = sorted.into();
+        }
+        let position = |p: ProcessId| participants.binary_search(&p).ok();
+        let my_position = position(me).unwrap_or_else(|| panic!("{me:?} not among participants"));
+        let first = position(first)
+            .unwrap_or_else(|| panic!("round-0 coordinator {first:?} not among participants"));
         let majority = participants.len() / 2 + 1;
         CtConsensus {
             me,
             participants,
+            my_position,
+            first,
             majority,
             started: false,
             estimate: None,
@@ -186,8 +229,8 @@ impl<V: Value> CtConsensus<V> {
             acked: false,
             held: None,
             estimates: BTreeMap::new(),
-            coordinated: Vec::new(),
-            suspected: FxHashSet::default(),
+            coordinated: SmallVec::new(),
+            suspected: PositionSet::default(),
             learned_from: None,
         }
     }
@@ -198,7 +241,7 @@ impl<V: Value> CtConsensus<V> {
     }
 
     /// Consumes the instance, keeping its (sorted) participant list.
-    pub fn into_participants(self) -> Vec<ProcessId> {
+    pub fn into_participants(self) -> Arc<[ProcessId]> {
         self.participants
     }
 
@@ -219,8 +262,25 @@ impl<V: Value> CtConsensus<V> {
         self.learned_from
     }
 
+    /// Position of `p` in the participant list, if it is a participant.
+    fn position(&self, p: ProcessId) -> Option<usize> {
+        self.participants.binary_search(&p).ok()
+    }
+
+    /// Position of the coordinator of `round`: the `round`-th participant
+    /// after the round-0 coordinator.
+    fn coordinator_position(&self, round: u64) -> usize {
+        let n = self.participants.len();
+        (self.first + (round % n as u64) as usize) % n
+    }
+
     fn coordinator(&self, round: u64) -> ProcessId {
-        self.participants[(round % self.participants.len() as u64) as usize]
+        self.participants[self.coordinator_position(round)]
+    }
+
+    /// Whether the coordinator of `round` is suspected.
+    fn coordinator_suspected(&self, round: u64) -> bool {
+        self.suspected.contains(self.coordinator_position(round))
     }
 
     /// Proposes an initial value and starts the instance. Idempotent: only
@@ -279,26 +339,36 @@ impl<V: Value> CtConsensus<V> {
 
     /// [`suspect`](Self::suspect), appending into a caller-owned buffer.
     pub fn suspect_into(&mut self, p: ProcessId, out: &mut Vec<CtOut<V>>) {
-        if p == self.me || !self.suspected.insert(p) {
+        // Only a participant can coordinate a round of this instance.
+        let Some(position) = self.position(p) else {
+            return;
+        };
+        if p == self.me || !self.suspected.insert(position) {
             return;
         }
-        if !self.decided && self.started && self.coordinator(self.round) == p {
+        if !self.decided && self.started && self.coordinator_position(self.round) == position {
             // Leave the round whether or not it was acked already.
             self.set_round(self.round + 1);
             self.begin_round(out);
         }
     }
 
-    /// Seeds the suspicion set of an instance that has not started yet.
+    /// Seeds the suspicion set of an instance that has not started yet with
+    /// the participants among `suspected`.
     pub fn seed_suspicions(&mut self, suspected: &FxHashSet<ProcessId>) {
         debug_assert!(!self.started);
-        self.suspected.clone_from(suspected);
-        self.suspected.remove(&self.me);
+        for (position, p) in self.participants.iter().enumerate() {
+            if *p != self.me && suspected.contains(p) {
+                self.suspected.insert(position);
+            }
+        }
     }
 
     /// Removes a suspicion.
     pub fn restore(&mut self, p: ProcessId) {
-        self.suspected.remove(&p);
+        if let Some(position) = self.position(p) {
+            self.suspected.remove(position);
+        }
     }
 
     /// Handles a protocol message from `from`.
@@ -349,13 +419,17 @@ impl<V: Value> CtConsensus<V> {
                     self.jump_to(round, out);
                 } else if self.started {
                     self.answer_held(out);
-                    if self.suspected.contains(&self.coordinator(round)) {
+                    if self.coordinator_suspected(round) {
                         self.set_round(round + 1);
                         self.begin_round(out);
                     }
                 }
             }
             CtMsg::Ack { round } => {
+                // Only a participant's adoption counts.
+                let Some(from) = self.position(from) else {
+                    return;
+                };
                 let majority = self.majority;
                 let Some(c) = self.coordinated.iter_mut().find(|c| c.round == round) else {
                     return;
@@ -384,7 +458,7 @@ impl<V: Value> CtConsensus<V> {
     }
 
     fn send_to_others(&self, msg: CtMsg<V>, out: &mut Vec<CtOut<V>>) {
-        for &to in &self.participants {
+        for &to in self.participants.iter() {
             if to != self.me {
                 out.push(CtOut::Send {
                     to,
@@ -455,7 +529,7 @@ impl<V: Value> CtConsensus<V> {
                     },
                 });
             }
-            if !self.suspected.contains(&coord) {
+            if !self.coordinator_suspected(r) {
                 return; // wait for the proposal, the decision, a suspicion or a jump
             }
             self.set_round(r + 1);
@@ -485,12 +559,19 @@ impl<V: Value> CtConsensus<V> {
         }
         // Greatest timestamp wins; ties break toward the smallest sender id
         // (the BTreeMap makes this deterministic).
-        let (est, _) = self
+        let (est, ts) = self
             .estimates
             .iter()
             .max_by(|(pa, (_, ta)), (pb, (_, tb))| ta.cmp(tb).then(pb.cmp(pa)))
             .map(|(_, v)| v.clone())
             .expect("majority reached, set non-empty");
+        // Nothing adopted anywhere in the majority: nothing is locked, and
+        // the pick is this coordinator's to claim (module docs).
+        let est = if ts == 0 {
+            est.claimed_by(self.me)
+        } else {
+            est
+        };
         self.coordinate(est, out);
     }
 
@@ -508,8 +589,8 @@ impl<V: Value> CtConsensus<V> {
         self.estimate = Some(value.clone());
         self.ts = round + 1;
         self.acked = true;
-        let mut ackers = FxHashSet::default();
-        ackers.insert(self.me);
+        let mut ackers = PositionSet::default();
+        ackers.insert(self.my_position);
         self.coordinated.push(Coordinated {
             round,
             value: value.clone(),
@@ -537,12 +618,10 @@ impl<V: Value> CtConsensus<V> {
                 // estimate for one not proposed in yet, waits for *this*
                 // process, which stops coordinating now. Under a correct,
                 // trusted coordinator nothing else would ever move them.
-                let mut waiting: Vec<ProcessId> = self
-                    .coordinated
-                    .iter()
-                    .flat_map(|c| c.ackers.iter())
-                    .chain(self.estimates.keys())
-                    .copied()
+                let ackers = self.coordinated.iter().flat_map(|c| c.ackers.iter());
+                let mut waiting: Vec<ProcessId> = ackers
+                    .map(|position| self.participants[position])
+                    .chain(self.estimates.keys().copied())
                     .filter(|&p| p != self.me && p != origin)
                     .collect();
                 waiting.sort_unstable();
@@ -598,11 +677,17 @@ mod tests {
 
     impl Net {
         fn new(n: u32) -> Self {
+            Self::with_first(n, pid(0))
+        }
+
+        /// A network whose instances all start with `first` as the round-0
+        /// coordinator.
+        fn with_first(n: u32, first: ProcessId) -> Self {
             let ids: Vec<ProcessId> = (0..n).map(pid).collect();
             Net {
                 instances: ids
                     .iter()
-                    .map(|&p| CtConsensus::new(p, ids.clone()))
+                    .map(|&p| CtConsensus::new(p, ids.clone(), first))
                     .collect(),
                 queue: Default::default(),
                 crashed: HashSet::new(),
@@ -721,6 +806,44 @@ mod tests {
                 [("ct/propose", each), ("ct/ack", each), ("ct/decide", each)].into();
             assert_eq!(net.sent, expect, "n={n}");
             assert!(net.instances.iter().all(|i| i.round() == 0), "n={n}");
+        }
+    }
+
+    /// Rounds rotate from the round-0 coordinator the instance was built
+    /// with: failure-free, its own value wins at the failure-free cost; with
+    /// it crashed, the next participant in sorted order (wrapping around)
+    /// coordinates round 1.
+    #[test]
+    fn rounds_rotate_from_the_round_0_coordinator() {
+        for first in 0..4u32 {
+            let mut net = Net::with_first(4, pid(first));
+            for i in 0..4 {
+                net.propose(pid(i), 10 + i);
+            }
+            net.run();
+            assert_eq!(net.check_agreement(), 10 + first);
+            let expect: BTreeMap<&'static str, usize> =
+                [("ct/propose", 3), ("ct/ack", 3), ("ct/decide", 3)].into();
+            assert_eq!(net.sent, expect, "first p{first}");
+
+            let mut net = Net::with_first(4, pid(first));
+            net.crash(pid(first));
+            for i in (0..4).filter(|&i| i != first) {
+                net.propose(pid(i), 10 + i);
+            }
+            net.suspect_everywhere(pid(first));
+            net.run();
+            net.assert_survivors_decided();
+            let next = pid((first + 1) % 4);
+            for i in (0..4).filter(|&i| i != first) {
+                let learned = net.instances[i as usize].learned_from();
+                let expect = (pid(i) != next).then_some(next);
+                assert_eq!(
+                    learned, expect,
+                    "first p{first}: p{i} learned from round 1's coordinator"
+                );
+            }
+            net.check_agreement();
         }
     }
 
@@ -983,7 +1106,7 @@ mod tests {
         let mut outs = net.instances[2].propose(3);
         assert!(outs.is_empty(), "round 0 is silent for a non-coordinator");
         net.decisions.remove(&pid(2));
-        net.instances[2] = CtConsensus::new(pid(2), (0..3).map(pid).collect());
+        net.instances[2] = CtConsensus::new(pid(2), (0..3).map(pid).collect::<Vec<_>>(), pid(0));
         let _ = net.instances[2].propose(3);
         net.instances[2].pull_into(&mut outs);
         assert!(matches!(
@@ -1048,7 +1171,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "not among participants")]
     fn must_be_participant() {
-        let _ = CtConsensus::<u32>::new(pid(9), vec![pid(0), pid(1)]);
+        let _ = CtConsensus::<u32>::new(pid(9), vec![pid(0), pid(1)], pid(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "round-0 coordinator")]
+    fn round_0_coordinator_must_be_participant() {
+        let _ = CtConsensus::<u32>::new(pid(0), vec![pid(0), pid(1)], pid(9));
     }
 }
 
@@ -1062,26 +1191,44 @@ mod proptests {
         ProcessId::new(i)
     }
 
-    /// Adversarial scheduler: random interleavings of message deliveries
+    /// A proposal and, once a coordinator of a round `≥ 1` claimed it, who
+    /// did: agreement must cover the claim too.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct Claimable(u32, Option<ProcessId>);
+
+    impl Value for Claimable {
+        fn claimed_by(self, coordinator: ProcessId) -> Self {
+            Claimable(self.0, Some(coordinator))
+        }
+    }
+
+    /// Adversarial scheduler, from a round-0 coordinator `first` drawn per
+    /// run: random interleavings of message deliveries
     /// (any order — the protocol does not lean on FIFO links), crashes (up
     /// to a minority), and false suspicions raised and withdrawn at random
     /// observers. Checks uniform agreement and validity on every schedule;
     /// checks termination once the failure detector stabilizes (every
     /// crashed process suspected by all, every correct one trusted).
-    fn run_adversarial(n: u32, crashes: Vec<u32>, schedule: Vec<u16>) -> Result<(), TestCaseError> {
+    fn run_adversarial(
+        n: u32,
+        first: u32,
+        crashes: Vec<u32>,
+        schedule: Vec<u16>,
+    ) -> Result<(), TestCaseError> {
         let ids: Vec<ProcessId> = (0..n).map(pid).collect();
-        let mut insts: Vec<CtConsensus<u32>> = ids
+        let mut insts: Vec<CtConsensus<Claimable>> = ids
             .iter()
-            .map(|&p| CtConsensus::new(p, ids.clone()))
+            .map(|&p| CtConsensus::new(p, ids.clone(), pid(first % n)))
             .collect();
-        let mut queue: Vec<(ProcessId, ProcessId, CtMsg<u32>)> = Vec::new();
+        type Wire = (ProcessId, ProcessId, CtMsg<Claimable>);
+        let mut queue: Vec<Wire> = Vec::new();
         let mut crashed: HashSet<ProcessId> = HashSet::new();
-        let mut decisions: HashMap<ProcessId, u32> = HashMap::new();
+        let mut decisions: HashMap<ProcessId, Claimable> = HashMap::new();
 
         let apply = |from: ProcessId,
-                     outs: Vec<CtOut<u32>>,
-                     queue: &mut Vec<(ProcessId, ProcessId, CtMsg<u32>)>,
-                     decisions: &mut HashMap<ProcessId, u32>| {
+                     outs: Vec<CtOut<Claimable>>,
+                     queue: &mut Vec<Wire>,
+                     decisions: &mut HashMap<ProcessId, Claimable>| {
             for o in outs {
                 match o {
                     CtOut::Send { to, msg } => queue.push((from, to, msg)),
@@ -1095,7 +1242,7 @@ mod proptests {
         };
 
         for (i, inst) in insts.iter_mut().enumerate() {
-            let outs = inst.propose(100 + i as u32);
+            let outs = inst.propose(Claimable(100 + i as u32, None));
             apply(pid(i as u32), outs, &mut queue, &mut decisions)?;
         }
 
@@ -1168,11 +1315,11 @@ mod proptests {
         }
 
         // Agreement (uniform: includes decisions by now-crashed processes).
-        let vals: HashSet<u32> = decisions.values().copied().collect();
+        let vals: HashSet<Claimable> = decisions.values().copied().collect();
         prop_assert!(vals.len() <= 1, "disagreement: {:?}", decisions);
         // Validity.
         for v in vals.iter() {
-            prop_assert!((100..100 + n).contains(v), "invalid decision {v}");
+            prop_assert!((100..100 + n).contains(&v.0), "invalid decision {v:?}");
         }
         // Termination: every correct process decided.
         for i in 0..n {
@@ -1193,23 +1340,26 @@ mod proptests {
 
         #[test]
         fn ct_safe_and_live_n3(schedule in proptest::collection::vec(any::<u16>(), 0..400),
+                               first in 0u32..3,
                                crash in proptest::option::of(0u32..3)) {
-            run_adversarial(3, crash.into_iter().collect(), schedule)?;
+            run_adversarial(3, first, crash.into_iter().collect(), schedule)?;
         }
 
         #[test]
         fn ct_safe_and_live_n4(schedule in proptest::collection::vec(any::<u16>(), 0..500),
+                               first in 0u32..4,
                                crash in proptest::option::of(0u32..4)) {
-            run_adversarial(4, crash.into_iter().collect(), schedule)?;
+            run_adversarial(4, first, crash.into_iter().collect(), schedule)?;
         }
 
         #[test]
         fn ct_safe_and_live_n5(schedule in proptest::collection::vec(any::<u16>(), 0..600),
+                               first in 0u32..5,
                                crashes in proptest::collection::vec(0u32..5, 0..3)) {
             let mut cs = crashes;
             cs.sort_unstable();
             cs.dedup();
-            run_adversarial(5, cs, schedule)?;
+            run_adversarial(5, first, cs, schedule)?;
         }
     }
 }

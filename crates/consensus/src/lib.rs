@@ -31,8 +31,19 @@ pub mod paxos;
 pub use chandra_toueg::{CtConsensus, CtMsg, CtOut};
 pub use manager::{ConsensusManager, InstanceId, ManagerOut};
 
+use gcs_kernel::ProcessId;
+
 /// The trait a consensus value must satisfy.
-///
-/// Blanket-implemented; exists to name the bound once.
-pub trait Value: Clone + Eq + std::fmt::Debug + 'static {}
-impl<T: Clone + Eq + std::fmt::Debug + 'static> Value for T {}
+pub trait Value: Clone + Eq + std::fmt::Debug + 'static {
+    /// What `coordinator` proposes in a round `≥ 1` after picking `self`
+    /// from a majority of estimates nobody had adopted (all stamped 0): no
+    /// value can have been decided yet, so any value is safe to propose
+    /// (see [`CtConsensus`]). The default proposes the pick unchanged;
+    /// atomic broadcast's proposal names the coordinator in it.
+    fn claimed_by(self, coordinator: ProcessId) -> Self {
+        let _ = coordinator;
+        self
+    }
+}
+
+impl Value for u32 {}

@@ -1,6 +1,7 @@
 //! Repeated consensus: the service atomic broadcast is built on.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gcs_kernel::{FxHashMap, FxHashSet, ProcessId};
 
@@ -53,7 +54,10 @@ struct Cached<V> {
 #[derive(Debug)]
 pub struct ConsensusManager<V> {
     me: ProcessId,
-    instances: BTreeMap<InstanceId, CtConsensus<V>>,
+    /// The running instances, in instance order: the pipeline window and
+    /// what lags behind it — a handful, so a sorted `Vec` that keeps its
+    /// capacity rather than a map that allocates a node per instance.
+    instances: Vec<(InstanceId, CtConsensus<V>)>,
     decisions: BTreeMap<InstanceId, Cached<V>>,
     suspected: FxHashSet<ProcessId>,
     /// Per peer, the newest decision learned from a `Decide` of that peer
@@ -63,7 +67,7 @@ pub struct ConsensusManager<V> {
     /// enough: the relayed decision tells whoever also missed older ones
     /// that it is behind; it then opens the instance at its cursor, where
     /// the instance's own rules get it the outcome.
-    unrelayed: FxHashMap<ProcessId, (InstanceId, Vec<ProcessId>)>,
+    unrelayed: FxHashMap<ProcessId, (InstanceId, Arc<[ProcessId]>)>,
     /// Decisions below this instance were pruned: messages for them are
     /// dropped (not buffered) — a peer that far behind recovers via state
     /// transfer, not per-instance catch-up.
@@ -88,7 +92,7 @@ impl<V: Value> ConsensusManager<V> {
     pub fn with_echo_fanout(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusManager {
             me,
-            instances: BTreeMap::new(),
+            instances: Vec::new(),
             decisions: BTreeMap::new(),
             suspected: FxHashSet::default(),
             unrelayed: FxHashMap::default(),
@@ -100,7 +104,12 @@ impl<V: Value> ConsensusManager<V> {
 
     /// Whether `instance` exists locally (running or decided).
     pub fn has_instance(&self, instance: InstanceId) -> bool {
-        self.instances.contains_key(&instance) || self.decisions.contains_key(&instance)
+        self.running(instance).is_ok() || self.decisions.contains_key(&instance)
+    }
+
+    /// Where `instance` is among the running ones, or where it would go.
+    fn running(&self, instance: InstanceId) -> Result<usize, usize> {
+        self.instances.binary_search_by_key(&instance, |(k, _)| *k)
     }
 
     /// The cached decision of `instance`, if it decided locally.
@@ -108,19 +117,22 @@ impl<V: Value> ConsensusManager<V> {
         self.decisions.get(&instance).map(|c| &c.value)
     }
 
-    /// Proposes `value` for `instance` among `participants`.
+    /// Proposes `value` for `instance` among `participants`, with `first`
+    /// as the round-0 coordinator (every participant must pass the same
+    /// one: see [`CtConsensus`]).
     ///
-    /// Creates the instance if needed (idempotent otherwise; the
-    /// participant slice is only copied on creation) and seeds it with the
-    /// current suspicion set.
+    /// Creates the instance if needed (idempotent otherwise; the instance
+    /// shares the participant list when it is sorted already) and seeds it
+    /// with the current suspicion set.
     pub fn propose(
         &mut self,
         instance: InstanceId,
         value: V,
-        participants: &[ProcessId],
+        participants: &Arc<[ProcessId]>,
+        first: ProcessId,
     ) -> Vec<ManagerOut<V>> {
         let mut out = Vec::new();
-        self.propose_into(instance, value, participants, &mut out);
+        self.propose_into(instance, value, participants, first, &mut out);
         out
     }
 
@@ -130,20 +142,21 @@ impl<V: Value> ConsensusManager<V> {
         &mut self,
         instance: InstanceId,
         value: V,
-        participants: &[ProcessId],
+        participants: &Arc<[ProcessId]>,
+        first: ProcessId,
         out: &mut Vec<ManagerOut<V>>,
     ) {
         if self.decisions.contains_key(&instance) {
             return;
         }
-        let (me, suspected) = (self.me, &self.suspected);
-        let inst = self.instances.entry(instance).or_insert_with(|| {
-            let mut c = CtConsensus::new(me, participants.to_vec());
-            c.seed_suspicions(suspected);
-            c
+        let at = self.running(instance).unwrap_or_else(|at| {
+            let mut c = CtConsensus::new(self.me, Arc::clone(participants), first);
+            c.seed_suspicions(&self.suspected);
+            self.instances.insert(at, (instance, c));
+            at
         });
         let mut scratch = std::mem::take(&mut self.ct_scratch);
-        inst.propose_into(value, &mut scratch);
+        self.instances[at].1.propose_into(value, &mut scratch);
         self.collect(instance, &mut scratch, out);
         self.ct_scratch = scratch;
     }
@@ -153,11 +166,11 @@ impl<V: Value> ConsensusManager<V> {
     /// [`CtConsensus::pull_into`]) — for a caller that has reason to think
     /// it is behind. No-op for an unknown or decided instance.
     pub fn pull_into(&mut self, instance: InstanceId, out: &mut Vec<ManagerOut<V>>) {
-        let Some(inst) = self.instances.get_mut(&instance) else {
+        let Ok(at) = self.running(instance) else {
             return;
         };
         let mut scratch = std::mem::take(&mut self.ct_scratch);
-        inst.pull_into(&mut scratch);
+        self.instances[at].1.pull_into(&mut scratch);
         self.collect(instance, &mut scratch, out);
         self.ct_scratch = scratch;
     }
@@ -212,11 +225,11 @@ impl<V: Value> ConsensusManager<V> {
             // window and recovers by state transfer.
             return None;
         }
-        let Some(inst) = self.instances.get_mut(&instance) else {
+        let Ok(at) = self.running(instance) else {
             return Some(msg);
         };
         let mut scratch = std::mem::take(&mut self.ct_scratch);
-        inst.on_msg_into(from, msg, &mut scratch);
+        self.instances[at].1.on_msg_into(from, msg, &mut scratch);
         self.collect(instance, &mut scratch, out);
         self.ct_scratch = scratch;
         None
@@ -234,13 +247,11 @@ impl<V: Value> ConsensusManager<V> {
     /// [`suspect`](Self::suspect), appending into a caller-owned buffer.
     pub fn suspect_into(&mut self, p: ProcessId, out: &mut Vec<ManagerOut<V>>) {
         self.suspected.insert(p);
-        let ids: Vec<InstanceId> = self.instances.keys().copied().collect();
+        let ids: Vec<InstanceId> = self.instances.iter().map(|(k, _)| *k).collect();
         let mut scratch = std::mem::take(&mut self.ct_scratch);
         for id in ids {
-            self.instances
-                .get_mut(&id)
-                .expect("listed")
-                .suspect_into(p, &mut scratch);
+            let at = self.running(id).expect("listed");
+            self.instances[at].1.suspect_into(p, &mut scratch);
             self.collect(id, &mut scratch, out);
         }
         self.ct_scratch = scratch;
@@ -283,7 +294,7 @@ impl<V: Value> ConsensusManager<V> {
     /// instances stop nacking its rounds).
     pub fn restore(&mut self, p: ProcessId) {
         self.suspected.remove(&p);
-        for inst in self.instances.values_mut() {
+        for (_, inst) in &mut self.instances {
             inst.restore(p);
         }
     }
@@ -318,7 +329,8 @@ impl<V: Value> ConsensusManager<V> {
             match o {
                 CtOut::Send { to, msg } => res.push(ManagerOut::Send { to, instance, msg }),
                 CtOut::Decided(v) => {
-                    let inst = self.instances.remove(&instance).expect("it just decided");
+                    let at = self.running(instance).expect("it just decided");
+                    let (_, inst) = self.instances.remove(at);
                     let learned_from = inst.learned_from();
                     if let Some(origin) = learned_from {
                         if self.suspected.contains(&origin) {
@@ -361,9 +373,11 @@ mod tests {
     /// order, crashed processes drop in- and out-bound traffic, and a
     /// process that receives traffic for an instance it has not opened
     /// opens it (as atomic broadcast does) and takes the message then.
+    /// Every instance starts with the same round-0 coordinator, `first`.
     struct Net {
         managers: Vec<ConsensusManager<u32>>,
-        ids: Vec<ProcessId>,
+        ids: Arc<[ProcessId]>,
+        first: ProcessId,
         queue: VecDeque<Wire>,
         crashed: HashSet<ProcessId>,
         decided: BTreeMap<(usize, InstanceId), u32>,
@@ -371,9 +385,14 @@ mod tests {
 
     impl Net {
         fn new(managers: Vec<ConsensusManager<u32>>) -> Self {
+            Self::with_first(managers, pid(0))
+        }
+
+        fn with_first(managers: Vec<ConsensusManager<u32>>, first: ProcessId) -> Self {
             Net {
                 ids: (0..managers.len() as u32).map(pid).collect(),
                 managers,
+                first,
                 queue: VecDeque::new(),
                 crashed: HashSet::new(),
                 decided: BTreeMap::new(),
@@ -395,7 +414,7 @@ mod tests {
         }
 
         fn propose(&mut self, p: ProcessId, instance: InstanceId, v: u32) {
-            let outs = self.managers[p.index()].propose(instance, v, &self.ids);
+            let outs = self.managers[p.index()].propose(instance, v, &self.ids, self.first);
             self.apply(p, outs);
         }
 
@@ -433,7 +452,15 @@ mod tests {
 
     /// Everyone proposes for instances 0 and 1; runs to quiescence.
     fn drive(managers: &mut Vec<ConsensusManager<u32>>) -> BTreeMap<(usize, InstanceId), u32> {
-        let mut net = Net::new(std::mem::take(managers));
+        drive_from(managers, pid(0))
+    }
+
+    /// [`drive`] with `first` as every instance's round-0 coordinator.
+    fn drive_from(
+        managers: &mut Vec<ConsensusManager<u32>>,
+        first: ProcessId,
+    ) -> BTreeMap<(usize, InstanceId), u32> {
+        let mut net = Net::with_first(std::mem::take(managers), first);
         for inst in 0..2 {
             for i in 0..net.ids.len() {
                 net.propose(pid(i as u32), inst, (10 * (inst + 1)) as u32 + i as u32);
@@ -446,20 +473,24 @@ mod tests {
 
     #[test]
     fn independent_instances_decide_independently() {
-        let mut managers: Vec<ConsensusManager<u32>> =
-            (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
-        let decided = drive(&mut managers);
-        // Every process decided both instances.
-        assert_eq!(decided.len(), 6);
-        for inst in 0..2u64 {
-            let vals: std::collections::HashSet<u32> = (0..3)
-                .map(|p| *decided.get(&(p, inst)).expect("decided"))
-                .collect();
-            assert_eq!(vals.len(), 1, "instance {inst} disagreement");
+        for first in 0..3 {
+            let mut managers: Vec<ConsensusManager<u32>> =
+                (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
+            let decided = drive_from(&mut managers, pid(first));
+            // Every process decided both instances, on the round-0
+            // coordinator's value.
+            assert_eq!(decided.len(), 6);
+            for inst in 0..2u64 {
+                let vals: std::collections::HashSet<u32> = (0..3)
+                    .map(|p| *decided.get(&(p, inst)).expect("decided"))
+                    .collect();
+                let own = 10 * (inst as u32 + 1) + first;
+                assert_eq!(vals, [own].into(), "instance {inst}, first p{first}");
+            }
+            // Decisions are cached.
+            assert!(managers[0].decision(0).is_some());
+            assert!(managers[0].has_instance(1));
         }
-        // Decisions are cached.
-        assert!(managers[0].decision(0).is_some());
-        assert!(managers[0].has_instance(1));
     }
 
     #[test]
@@ -517,14 +548,14 @@ mod tests {
 
     #[test]
     fn pull_for_a_decided_instance_is_answered_from_the_cache() {
-        let ids: Vec<ProcessId> = (0..3).map(pid).collect();
+        let ids: Arc<[ProcessId]> = (0..3).map(pid).collect();
         let mut managers: Vec<ConsensusManager<u32>> =
             (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
         drive(&mut managers);
         // A process that never saw instance 1 (a joiner, say) opens it and
         // pulls: one estimate to the round-0 coordinator.
         let mut late: ConsensusManager<u32> = ConsensusManager::new(pid(2));
-        let mut outs = late.propose(1, 99, &ids);
+        let mut outs = late.propose(1, 99, &ids, pid(0));
         assert!(outs.is_empty(), "round 0 is silent for a non-coordinator");
         late.pull_into(1, &mut outs);
         let [ManagerOut::Send {
@@ -671,14 +702,14 @@ mod tests {
 
     #[test]
     fn suspicion_applies_to_running_and_future_instances() {
-        let ids: Vec<ProcessId> = (0..3).map(pid).collect();
+        let ids: Arc<[ProcessId]> = (0..3).map(pid).collect();
         let mut m: ConsensusManager<u32> = ConsensusManager::new(pid(1));
         let _ = m.suspect(pid(0));
         // New instance: round 0's coordinator (p0) is pre-suspected, so the
         // propose immediately abandons round 0 — telling everyone — and
         // enters round 1, which p1 coordinates itself (no estimate on the
         // wire for its own value).
-        let outs = m.propose(0, 42, &ids);
+        let outs = m.propose(0, 42, &ids, pid(0));
         let told: Vec<ProcessId> = outs
             .iter()
             .map(|o| match o {
@@ -691,5 +722,70 @@ mod tests {
             })
             .collect();
         assert_eq!(told, vec![pid(0), pid(2)]);
+    }
+
+    /// Delivers the `pick`-th queued message (modulo the queue length).
+    fn step(net: &mut Net, pick: usize) {
+        if net.queue.is_empty() {
+            return;
+        }
+        let i = pick % net.queue.len();
+        let w = net.queue[i].clone();
+        net.run_where(move |q| *q == w);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Three instances among `n` managers, every one started with the
+        /// same round-0 coordinator `first` — drawn per run, and possibly
+        /// the process that crashes part-way through — under a random
+        /// delivery order: each instance decides one value everywhere, and
+        /// once every survivor suspects the crashed process, every survivor
+        /// decides every instance.
+        #[test]
+        fn instances_agree_whatever_their_round_0_coordinator(
+            n in 3u32..6,
+            first in 0u32..5,
+            crash in proptest::option::of((0u32..5, 0usize..200)),
+            picks in proptest::collection::vec(0usize..1_000, 0..200),
+        ) {
+            let managers = (0..n).map(|i| ConsensusManager::new(pid(i))).collect();
+            let mut net = Net::with_first(managers, pid(first % n));
+            for instance in 0..3 {
+                for i in 0..n {
+                    net.propose(pid(i), instance, 100 * instance as u32 + i);
+                }
+            }
+            let crash = crash.map(|(victim, at)| (pid(victim % n), at));
+            for (k, &pick) in picks.iter().enumerate() {
+                if let Some((victim, _)) = crash.filter(|&(_, at)| at == k) {
+                    net.crashed.insert(victim);
+                }
+                step(&mut net, pick);
+            }
+            if let Some((victim, _)) = crash {
+                net.crashed.insert(victim);
+                for i in (0..n).map(pid).filter(|&i| i != victim) {
+                    net.suspect(i, victim);
+                }
+            }
+            net.run();
+            for instance in 0..3 {
+                let values: HashSet<u32> = net
+                    .decided
+                    .iter()
+                    .filter(|((_, k), _)| *k == instance)
+                    .map(|(_, &v)| v)
+                    .collect();
+                proptest::prop_assert_eq!(values.len(), 1, "instance {}: {:?}", instance, values);
+                for i in (0..n).map(pid).filter(|p| !net.crashed.contains(p)) {
+                    proptest::prop_assert!(
+                        net.decided.contains_key(&(i.index(), instance)),
+                        "{:?} did not decide instance {}", i, instance
+                    );
+                }
+            }
+        }
     }
 }

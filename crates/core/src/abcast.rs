@@ -3,9 +3,7 @@
 //!
 //! To a-broadcast, a process pools its message and sends it to **the one who
 //! orders it**: the *ordering target*, the first member of the current view,
-//! in view order, that the sender does not suspect — which is the
-//! coordinator of the round consensus will decide in while nobody is
-//! suspected (round 0), and of the next round when that one crashed. Every
+//! in view order, that the sender does not suspect. Every
 //! process keeps proposing its set of *unordered* messages to consensus
 //! instance `k = 0, 1, 2, …`; the decision of instance `k` is the `k`-th
 //! delivered batch, flushed in deterministic [`MsgId`] order. Unlike the
@@ -13,6 +11,29 @@
 //! as long as `f < n/2` of the current view's members are correct and the
 //! underlying failure detector is ◇S — **no membership change is needed to
 //! make progress past a crash** (the paper's first key feature).
+//!
+//! **The ordering target is what the next decision names.** A proposal is
+//! the batch plus `next` ([`Proposal`]): the proposer's ordering target, or
+//! `None` when that is the view's first member. (A coordinator that gets a
+//! batch nobody had adopted through a round `≥ 1` names itself instead:
+//! [`claimed_by`](gcs_consensus::Value::claimed_by).) Decision `j` names
+//! the round-0 coordinator of instance `j + depth` (`depth` = the pipeline
+//! depth); below `depth`, for `None`, and when the named process is not a
+//! member of the view instance `j + depth` runs in, it is that view's first
+//! member. Every process reads the name off the same decision, and instance
+//! `j + depth` opens only once batch `j` is flushed (a joiner gets the names
+//! still pending in its snapshot), so all participants build an instance
+//! with the same round-0 coordinator — the one thing Chandra-Toueg needs of
+//! it ([`gcs_consensus::CtConsensus`]); its rounds still rotate through
+//! every participant, so agreement never depends on the choice. While the
+//! view's first member is trusted it coordinates round 0, as in the classic
+//! `participants[r mod n]`. Once it has crashed, the instance in flight
+//! decides in round 1, whose coordinator claims the batch, and every later
+//! proposal names a member its proposer trusts: an instance then costs what
+//! a failure-free one does, and only the instances opened before the crash
+//! was suspected pay for the failure detector and a round change (the
+//! stable leader of Multi-Paxos, inside ◇S rounds). Once the first member
+//! is trusted again, the proposals name it again.
 //!
 //! Proposals and decisions carry full messages, and delivery only ever
 //! follows a decision: whom the `ab/data` copy went to is a matter of
@@ -46,8 +67,8 @@
 //! has evidence of being behind — it was just activated from a snapshot at
 //! that instance, or consensus traffic or a decision for a *later* instance
 //! is already here — flags the proposal, and the consensus component pulls
-//! the outcome from the round-0 coordinator instead of waiting for a
-//! proposal that may have been sent before it could receive it.
+//! the outcome from the instance's round-0 coordinator instead of waiting
+//! for a proposal that may have been sent before it could receive it.
 //!
 //! Dynamic membership: a view change is itself an ordered (control) message;
 //! instance `k` is always run among the members of the view obtained after
@@ -66,8 +87,8 @@ use gcs_kernel::{FxHashSet, ProcessId, TimeDelta};
 
 use crate::rbcast::{Rbcast, RelayFanout};
 use crate::types::{
-    AbMsg, Batch, Body, Delivery, DeliveryKind, IdRuns, Message, MessageClass, MsgId, SnapshotData,
-    View, WireMsg,
+    AbMsg, Batch, Body, Delivery, DeliveryKind, IdRuns, Message, MessageClass, MsgId, Proposal,
+    SnapshotData, View, WireMsg,
 };
 
 /// When a proposal batch closes: on a message-count cap, a byte cap, or a
@@ -109,12 +130,15 @@ pub enum AbOut {
         /// The consensus instance to run.
         instance: InstanceId,
         /// The proposed batch (may be empty when joining an instance started
-        /// by another process).
-        batch: Batch,
+        /// by another process) and the round-0 coordinator it names.
+        value: Proposal,
         /// The members of the view current at this instance (shared: the
         /// same set is proposed for every instance of a view, so it is
         /// cached per view change instead of cloned per proposal).
         participants: Arc<[ProcessId]>,
+        /// The instance's round-0 coordinator, as decision
+        /// `instance − depth` named it (see the module docs).
+        first: ProcessId,
         /// This process has evidence of being behind on this instance (see
         /// the module docs): pull its outcome rather than only wait for it.
         catch_up: bool,
@@ -167,19 +191,25 @@ pub struct AbcastCore {
     /// Ids already a-delivered (never re-delivered).
     adelivered: IdRuns,
     /// Decided, not yet flushed batches.
-    batches: BTreeMap<InstanceId, Batch>,
+    batches: BTreeMap<InstanceId, Proposal>,
     /// Next batch/instance to flush — and the base of the proposal window.
     cursor: InstanceId,
+    /// The round-0 coordinators the last `depth` flushed decisions named,
+    /// for the instances of the window, by instance modulo `depth`
+    /// (`None`: the view's first member). Allocated only once a decision
+    /// names somebody: a failure-free run never does.
+    designated: Vec<Option<ProcessId>>,
     /// Instances reported to exist by the consensus component.
     requested: BTreeSet<InstanceId>,
-    /// Instances with an outstanding (undecided) proposal of ours.
-    proposed: BTreeSet<InstanceId>,
+    /// Our outstanding (undecided) proposals, for the instances of the
+    /// window by instance modulo `depth`: the batch each carries (shared
+    /// with the proposal), whose ids are released when its instance decides
+    /// (losing proposals return their leftovers to the pool). Sized at the
+    /// first proposal and reused from then on.
+    outstanding: Vec<Option<Batch>>,
     /// Ids currently riding in an outstanding proposal — excluded from later
     /// window instances so concurrent proposals stay disjoint locally.
     assigned: FxHashSet<MsgId>,
-    /// The ids each outstanding proposal carries, released when its instance
-    /// decides (losing proposals return their leftovers to the pool).
-    by_instance: BTreeMap<InstanceId, Vec<MsgId>>,
     /// How many consensus instances may be in flight at once. Depth 1 is the
     /// paper's one-instance-at-a-time cursor, bit-identical to the
     /// pre-pipelining core.
@@ -236,6 +266,7 @@ impl AbcastCore {
                 false,
             ),
         };
+        let depth = depth.max(1);
         AbcastCore {
             me,
             participants: view.members.as_slice().into(),
@@ -251,11 +282,11 @@ impl AbcastCore {
             adelivered: IdRuns::default(),
             batches: BTreeMap::new(),
             cursor: 0,
+            designated: Vec::new(),
             requested: BTreeSet::new(),
-            proposed: BTreeSet::new(),
+            outstanding: Vec::new(),
             assigned: FxHashSet::default(),
-            by_instance: BTreeMap::new(),
-            depth: depth.max(1),
+            depth,
             policy,
             hold_armed: false,
             activated_at: None,
@@ -291,6 +322,64 @@ impl AbcastCore {
     /// Ids already a-delivered (for snapshots).
     pub fn adelivered(&self) -> Vec<MsgId> {
         self.adelivered.to_vec()
+    }
+
+    /// The round-0 coordinators named for the instances from the cursor on,
+    /// one per pipeline slot (for snapshots; `None`: the view's first
+    /// member).
+    pub fn designated(&self) -> Vec<Option<ProcessId>> {
+        let window = self.cursor..self.cursor + self.depth as InstanceId;
+        window.map(|k| self.named(k)).collect()
+    }
+
+    /// The window ring slot of `instance` (`designated`, `outstanding`).
+    fn slot(&self, instance: InstanceId) -> usize {
+        (instance % self.depth as InstanceId) as usize
+    }
+
+    /// Whom a decision named as the round-0 coordinator of `instance`
+    /// (inside the pipeline window).
+    fn named(&self, instance: InstanceId) -> Option<ProcessId> {
+        self.designated.get(self.slot(instance)).copied().flatten()
+    }
+
+    /// Records `next` as the round-0 coordinator of `instance` (which takes
+    /// the slot of an instance already flushed).
+    fn name(&mut self, instance: InstanceId, next: Option<ProcessId>) {
+        if next.is_some() && self.designated.is_empty() {
+            self.designated = vec![None; self.depth];
+        }
+        let slot = self.slot(instance);
+        if let Some(named) = self.designated.get_mut(slot) {
+            *named = next;
+        }
+    }
+
+    /// The round-0 coordinator of `instance` (inside the pipeline window):
+    /// whom its decision named, if that is a member of the current view,
+    /// else the view's first member.
+    fn first_coordinator(&self, instance: InstanceId) -> ProcessId {
+        self.named(instance)
+            .filter(|&p| self.view.contains(p))
+            .or_else(|| self.view.primary())
+            .expect("an active process is in a non-empty view")
+    }
+
+    /// Our proposal slot for `instance`, if it is inside the window (and a
+    /// proposal was ever made).
+    fn outstanding_mut(&mut self, instance: InstanceId) -> Option<&mut Option<Batch>> {
+        let window = self.cursor..self.cursor + self.depth as InstanceId;
+        let slot = self.slot(instance);
+        window
+            .contains(&instance)
+            .then(|| self.outstanding.get_mut(slot))
+            .flatten()
+    }
+
+    /// What a proposal names for a later instance: the ordering target,
+    /// unless that is the view's first member.
+    fn next_designation(&self) -> Option<ProcessId> {
+        self.target.filter(|&t| Some(t) != self.view.primary())
     }
 
     /// Runs held by each id set the core never prunes — `seen`, `committed`,
@@ -443,32 +532,36 @@ impl AbcastCore {
     }
 
     /// Handles a consensus decision.
-    pub fn on_decide_into(&mut self, instance: InstanceId, batch: Batch, out: &mut Vec<AbOut>) {
+    pub fn on_decide_into(
+        &mut self,
+        instance: InstanceId,
+        decided: Proposal,
+        out: &mut Vec<AbOut>,
+    ) {
         if instance < self.cursor || self.batches.contains_key(&instance) {
             return; // duplicate decision report
         }
         // Our proposal for this instance (if any) is settled: whatever the
         // decision did not commit returns to the pool for a later window
         // instance.
-        self.proposed.remove(&instance);
-        if let Some(ids) = self.by_instance.remove(&instance) {
-            for id in ids {
-                self.assigned.remove(&id);
+        if let Some(batch) = self.outstanding_mut(instance).and_then(Option::take) {
+            for m in batch.iter() {
+                self.assigned.remove(&m.id);
             }
         }
-        for m in batch.iter() {
+        for m in decided.batch.iter() {
             self.committed.insert(m.id);
             self.pending.remove(&m.id);
         }
-        self.batches.insert(instance, batch);
+        self.batches.insert(instance, decided);
         self.flush(out);
         self.maybe_propose(out);
     }
 
     /// [`on_decide_into`](Self::on_decide_into) returning a fresh buffer.
-    pub fn on_decide(&mut self, instance: InstanceId, batch: Batch) -> Vec<AbOut> {
+    pub fn on_decide(&mut self, instance: InstanceId, decided: Proposal) -> Vec<AbOut> {
         let mut out = Vec::new();
-        self.on_decide_into(instance, batch, &mut out);
+        self.on_decide_into(instance, decided, &mut out);
         out
     }
 
@@ -516,12 +609,15 @@ impl AbcastCore {
         self.apply_view(snap.view.clone());
         self.active = true;
         self.cursor = snap.next_instance;
+        self.designated.clear();
+        for (k, &next) in (self.cursor..).zip(&snap.designated) {
+            self.name(k, next);
+        }
         self.adelivered = snap.adelivered.iter().copied().collect();
         self.pending.retain(|&id, _| !self.adelivered.contains(id));
         // A joiner has no outstanding proposals; start the window clean.
-        self.proposed.clear();
+        self.outstanding.clear();
         self.assigned.clear();
-        self.by_instance.clear();
         self.activated_at = Some(self.cursor);
         // What this process a-broadcast before it was a member goes out now.
         self.retarget(out);
@@ -560,7 +656,8 @@ impl AbcastCore {
         }
         let window_end = self.cursor + self.depth as InstanceId;
         for k in self.cursor..window_end {
-            if self.batches.contains_key(&k) || self.proposed.contains(&k) {
+            if self.batches.contains_key(&k) || self.outstanding_mut(k).is_some_and(|o| o.is_some())
+            {
                 continue;
             }
             // Gather the next chunk of unassigned pending messages, in id
@@ -617,19 +714,23 @@ impl AbcastCore {
                 }
                 return;
             }
-            if !self.scratch.is_empty() {
-                self.by_instance
-                    .insert(k, self.scratch.iter().map(|m| m.id).collect());
-                self.assigned.extend(self.scratch.iter().map(|m| m.id));
+            let batch = Batch::from(&self.scratch[..]);
+            self.assigned.extend(batch.iter().map(|m| m.id));
+            if self.outstanding.is_empty() {
+                self.outstanding.resize(self.depth, None);
             }
-            self.proposed.insert(k);
+            *self.outstanding_mut(k).expect("inside the window") = Some(batch.clone());
             if self.activated_at == Some(k) {
                 self.activated_at = None;
             }
             out.push(AbOut::Propose {
                 instance: k,
-                batch: Batch::from(&self.scratch[..]),
+                value: Proposal {
+                    batch,
+                    next: self.next_designation(),
+                },
                 participants: self.participants.clone(),
+                first: self.first_coordinator(k),
                 catch_up: behind,
             });
         }
@@ -637,7 +738,7 @@ impl AbcastCore {
 
     /// Delivers decided batches in instance order, messages in id order.
     fn flush(&mut self, out: &mut Vec<AbOut>) {
-        while let Some(batch) = self.batches.remove(&self.cursor) {
+        while let Some(Proposal { batch, next }) = self.batches.remove(&self.cursor) {
             // Proposals are assembled from an id-ordered map walk, so
             // decided batches arrive sorted: deliver straight off the shared
             // slice without the copy-and-sort detour. The unsorted fallback
@@ -653,9 +754,11 @@ impl AbcastCore {
                     self.deliver_one(m, out);
                 }
             }
+            // This decision names the round-0 coordinator of the instance
+            // that enters the window's far end as it leaves the window.
+            self.name(self.cursor + self.depth as InstanceId, next);
             self.cursor += 1;
             self.requested = self.requested.split_off(&self.cursor);
-            self.proposed = self.proposed.split_off(&self.cursor);
         }
     }
 
@@ -711,6 +814,14 @@ mod tests {
         AbcastCore::new(pid(i), Some(View::initial(members)))
     }
 
+    /// A decision ordering `batch` and naming no round-0 coordinator.
+    fn decided(batch: Vec<Message>) -> Proposal {
+        Proposal {
+            batch: batch.into(),
+            next: None,
+        }
+    }
+
     fn app(id: MsgId) -> Message {
         Message {
             id,
@@ -727,7 +838,7 @@ mod tests {
             let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, _)| to).collect();
             assert_eq!(to, sent_to, "p{me}: one copy to p0, none from p0 itself");
             assert!(out.iter().any(
-                |o| matches!(o, AbOut::Propose { instance: 0, batch, .. } if batch.len() == 1)
+                |o| matches!(o, AbOut::Propose { instance: 0, value, .. } if value.batch.len() == 1)
             ));
         }
     }
@@ -743,7 +854,7 @@ mod tests {
             sender: pid(1),
             seq: 0,
         });
-        let out = c.on_decide(0, vec![m1.clone(), m2.clone()].into());
+        let out = c.on_decide(0, decided(vec![m1.clone(), m2.clone()]));
         let delivered: Vec<MsgId> = out
             .iter()
             .filter_map(|o| match o {
@@ -766,12 +877,12 @@ mod tests {
             sender: pid(2),
             seq: 0,
         });
-        let out = c.on_decide(1, vec![m2.clone()].into());
+        let out = c.on_decide(1, decided(vec![m2.clone()]));
         assert!(
             out.iter().all(|o| !matches!(o, AbOut::App(_))),
             "batch 1 held back"
         );
-        let out = c.on_decide(0, vec![m1.clone()].into());
+        let out = c.on_decide(0, decided(vec![m1.clone()]));
         let delivered: Vec<MsgId> = out
             .iter()
             .filter_map(|o| match o {
@@ -790,9 +901,9 @@ mod tests {
             sender: pid(1),
             seq: 0,
         });
-        let out = c.on_decide(0, vec![m.clone()].into());
+        let out = c.on_decide(0, decided(vec![m.clone()]));
         assert_eq!(out.iter().filter(|o| matches!(o, AbOut::App(_))).count(), 1);
-        let out = c.on_decide(1, vec![m.clone()].into());
+        let out = c.on_decide(1, decided(vec![m.clone()]));
         assert_eq!(out.iter().filter(|o| matches!(o, AbOut::App(_))).count(), 0);
     }
 
@@ -805,7 +916,7 @@ mod tests {
         });
         let out = c.on_data(pid(1), m.clone());
         assert!(out.iter().any(
-            |o| matches!(o, AbOut::Propose { instance: 0, batch, .. } if batch[0].id == m.id)
+            |o| matches!(o, AbOut::Propose { instance: 0, value, .. } if value.batch[0].id == m.id)
         ));
         // Duplicate data: no second proposal.
         let out2 = c.on_data(pid(2), m);
@@ -816,9 +927,9 @@ mod tests {
     fn need_instance_triggers_empty_proposal() {
         let mut c = core(0, 3);
         let out = c.need_instance(0);
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, AbOut::Propose { instance: 0, batch, .. } if batch.is_empty())));
+        assert!(out.iter().any(
+            |o| matches!(o, AbOut::Propose { instance: 0, value, .. } if value.batch.is_empty())
+        ));
     }
 
     #[test]
@@ -832,7 +943,7 @@ mod tests {
             class: MessageClass::ABCAST,
             body: Body::Join(pid(3)),
         };
-        let out = c.on_decide(0, vec![m].into());
+        let out = c.on_decide(0, decided(vec![m]));
         assert!(out.iter().any(|o| matches!(o, AbOut::Ctrl(_))));
     }
 
@@ -851,6 +962,7 @@ mod tests {
             adelivered: vec![],
             gdelivered: vec![],
             gb_epoch: 0,
+            designated: vec![],
             app_state: Bytes::new(),
         };
         let _ = c.install_snapshot(&snap);
@@ -875,7 +987,7 @@ mod tests {
             class: MessageClass::ABCAST,
             body: Body::Join(pid(3)),
         };
-        let out = c.on_decide(0, vec![from_p(0, 0), join, from_p(2, 0)].into());
+        let out = c.on_decide(0, decided(vec![from_p(0, 0), join, from_p(2, 0)]));
         let views: Vec<u64> = out
             .iter()
             .filter_map(|o| match o {
@@ -901,7 +1013,7 @@ mod tests {
             class: MessageClass::ABCAST,
             body: Body::Join(pid(3)),
         };
-        let _ = c.on_decide(1, vec![again].into());
+        let _ = c.on_decide(1, decided(vec![again]));
         assert_eq!(c.view().id, 1);
     }
 
@@ -950,7 +1062,7 @@ mod tests {
             let _ = c.on_data(m.id.sender, m.clone());
         }
         // `a` gets ordered: it travels in the decision from now on.
-        let _ = c.on_decide(0, vec![a.clone()].into());
+        let _ = c.on_decide(0, decided(vec![a.clone()]));
         let mut out = Vec::new();
         c.on_suspect_into(pid(1), &mut out);
         assert_eq!(
@@ -1017,7 +1129,7 @@ mod tests {
         let mut c = core(2, 4);
         let (a, b) = (own(&mut c), own(&mut c));
         let _ = c.on_data(pid(3), from_p(3, 0)); // not ours: never re-sent
-        let _ = c.on_decide(0, vec![app(a)].into());
+        let _ = c.on_decide(0, decided(vec![app(a)]));
         let mut out = Vec::new();
         c.on_suspect_into(pid(0), &mut out);
         assert_eq!(data_wires(&out), vec![(pid(1), b)]);
@@ -1050,10 +1162,10 @@ mod tests {
             body,
         };
         // A join leaves p0 the first member: nothing moves.
-        let out = c.on_decide(0, vec![ctrl(0, Body::Join(pid(3)))].into());
+        let out = c.on_decide(0, decided(vec![ctrl(0, Body::Join(pid(3)))]));
         assert!(data_wires(&out).is_empty());
         // The ordered removal of p0 makes p1 the target, within the flush.
-        let out = c.on_decide(1, vec![ctrl(1, Body::Remove(pid(0)))].into());
+        let out = c.on_decide(1, decided(vec![ctrl(1, Body::Remove(pid(0)))]));
         assert_eq!(data_wires(&out), vec![(pid(1), mine)]);
         // The membership component's announcement of the same view is a
         // confirmation: nothing is sent twice.
@@ -1076,6 +1188,7 @@ mod tests {
             adelivered: vec![],
             gdelivered: vec![],
             gb_epoch: 0,
+            designated: vec![],
             app_state: Bytes::new(),
         };
         let mine = MsgId {
@@ -1125,10 +1238,10 @@ mod tests {
         assert_eq!(arms(&out), 0, "nothing undiffused is left to watch");
         // Everything ordered, then a new message: the timer starts over, and
         // a message ordered within its period costs no diffusion.
-        let _ = c.on_decide(0, vec![first, second].into());
+        let _ = c.on_decide(0, decided(vec![first, second]));
         let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
         assert_eq!(arms(&out), 1);
-        let _ = c.on_decide(1, vec![from_p(1, 2)].into());
+        let _ = c.on_decide(1, decided(vec![from_p(1, 2)]));
         let mut out = Vec::new();
         c.on_safety_net_into(&mut out);
         assert!(out.is_empty(), "{out:?}");
@@ -1140,7 +1253,7 @@ mod tests {
         // the sender re-targets to us: the late copy must not be proposed.
         let mut c = core(1, 3);
         let m = from_p(2, 0);
-        let _ = c.on_decide(0, vec![m.clone()].into());
+        let _ = c.on_decide(0, decided(vec![m.clone()]));
         let out = c.on_data(pid(2), m.clone());
         assert!(out.is_empty(), "{out:?}");
         let out = c.on_data(pid(2), m);
@@ -1165,7 +1278,7 @@ mod tests {
         assert_eq!(catch_up_flags(&out), vec![(0, false)]);
         let out = c.need_instance(0);
         assert!(catch_up_flags(&out).is_empty(), "already proposed");
-        let out = c.on_decide(0, vec![from_p(1, 0)].into());
+        let out = c.on_decide(0, decided(vec![from_p(1, 0)]));
         assert!(catch_up_flags(&out).is_empty());
         let out = c.need_instance(1);
         assert_eq!(catch_up_flags(&out), vec![(1, false)]);
@@ -1180,7 +1293,7 @@ mod tests {
         assert_eq!(catch_up_flags(&out), vec![(0, true)]);
         // Same when the later instance's decision is what arrived.
         let mut c = core(1, 3);
-        let out = c.on_decide(1, vec![from_p(0, 1)].into());
+        let out = c.on_decide(1, decided(vec![from_p(0, 1)]));
         assert_eq!(catch_up_flags(&out), vec![(0, true)]);
     }
 
@@ -1196,14 +1309,105 @@ mod tests {
             adelivered: vec![],
             gdelivered: vec![],
             gb_epoch: 0,
+            designated: vec![],
             app_state: Bytes::new(),
         };
         let out = c.install_snapshot(&snap);
         assert_eq!(catch_up_flags(&out), vec![(5, true)]);
-        let out = c.on_decide(5, vec![from_p(0, 9)].into());
+        let out = c.on_decide(5, decided(vec![from_p(0, 9)]));
         assert!(catch_up_flags(&out).is_empty());
         let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
         assert_eq!(catch_up_flags(&out), vec![(6, false)]);
+    }
+
+    /// `(instance, round-0 coordinator, named)` of every proposal in `out`.
+    fn firsts(out: &[AbOut]) -> Vec<(InstanceId, ProcessId, Option<ProcessId>)> {
+        out.iter()
+            .filter_map(|o| match o {
+                AbOut::Propose {
+                    instance,
+                    first,
+                    value,
+                    ..
+                } => Some((*instance, *first, value.next)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn proposals_name_the_ordering_target_unless_it_is_the_view_s_first_member() {
+        let mut c = core(2, 3);
+        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
+        assert_eq!(
+            firsts(&out),
+            vec![(0, pid(0), None)],
+            "failure-free: nothing extra"
+        );
+        // p0 suspected: the message, not ordered by instance 0, goes to p1
+        // and rides instance 1's proposal, which names p1.
+        c.on_suspect_into(pid(0), &mut Vec::new());
+        let out = c.on_decide(0, decided(vec![]));
+        assert_eq!(firsts(&out), vec![(1, pid(0), Some(pid(1)))]);
+    }
+
+    #[test]
+    fn a_decision_names_the_round_0_coordinator_depth_instances_on() {
+        let named = |batch, next| Proposal {
+            batch: Batch::from(batch),
+            next,
+        };
+        // Depth 1: decision j names instance j+1's; a non-member named falls
+        // back to the view's first member.
+        let mut c = core(2, 3);
+        let _ = c.on_decide(0, named(vec![from_p(1, 0)], Some(pid(1))));
+        assert_eq!(firsts(&c.need_instance(1)), vec![(1, pid(1), None)]);
+        let _ = c.on_decide(1, named(vec![from_p(1, 1)], Some(pid(7))));
+        assert_eq!(firsts(&c.need_instance(2)), vec![(2, pid(0), None)]);
+        // Depth 2: instances 0 and 1 start at the first member, decision 0
+        // names instance 2's.
+        let mut c = core_with(2, 3, 2, BatchPolicy::default());
+        let out = c.need_instance(1);
+        assert_eq!(
+            firsts(&out).iter().map(|f| f.1).collect::<Vec<_>>(),
+            [pid(0); 2]
+        );
+        let out = c.on_decide(0, named(vec![], Some(pid(2))));
+        assert_eq!(firsts(&out), vec![]);
+        assert_eq!(c.designated(), vec![None, Some(pid(2))]);
+        let _ = c.on_decide(1, named(vec![], None));
+        assert_eq!(firsts(&c.need_instance(2)), vec![(2, pid(2), None)]);
+    }
+
+    #[test]
+    fn a_snapshot_carries_the_named_round_0_coordinators_to_the_joiner() {
+        let mut sponsor = core(1, 3);
+        let _ = sponsor.on_decide(
+            0,
+            Proposal {
+                batch: Batch::from(vec![from_p(1, 0)]),
+                next: Some(pid(1)),
+            },
+        );
+        let snap = SnapshotData {
+            view: View {
+                id: 1,
+                members: vec![pid(0), pid(1), pid(2), pid(3)],
+            },
+            next_instance: sponsor.cursor(),
+            adelivered: sponsor.adelivered(),
+            gdelivered: vec![],
+            gb_epoch: 0,
+            designated: sponsor.designated(),
+            app_state: Bytes::new(),
+        };
+        let mut joiner = AbcastCore::new(pid(3), None);
+        let out = joiner.install_snapshot(&snap);
+        assert_eq!(
+            firsts(&out),
+            vec![(1, pid(1), None)],
+            "as the members agree"
+        );
     }
 
     fn core_with(i: u32, n: u32, depth: usize, policy: BatchPolicy) -> AbcastCore {
@@ -1221,8 +1425,8 @@ mod tests {
         out.iter()
             .filter_map(|o| match o {
                 AbOut::Propose {
-                    instance, batch, ..
-                } => Some((*instance, batch.len())),
+                    instance, value, ..
+                } => Some((*instance, value.batch.len())),
                 _ => None,
             })
             .collect()
@@ -1263,16 +1467,16 @@ mod tests {
             sender: pid(1),
             seq: 0,
         });
-        let out = c.on_decide(0, vec![other].into());
+        let out = c.on_decide(0, decided(vec![other]));
         assert!(
             proposals(&out)
                 .iter()
                 .any(|&(instance, len)| instance == 1 && len == 1),
             "leftover re-proposed for instance 1: {out:?}"
         );
-        let reproposed = out
-            .iter()
-            .any(|o| matches!(o, AbOut::Propose { instance: 1, batch, .. } if batch[0].id == mine));
+        let reproposed = out.iter().any(
+            |o| matches!(o, AbOut::Propose { instance: 1, value, .. } if value.batch[0].id == mine),
+        );
         assert!(reproposed);
     }
 
@@ -1353,7 +1557,7 @@ mod tests {
             for m in &batch {
                 c.on_data_into(m.id.sender, m.clone(), &mut out);
             }
-            c.on_decide_into(round, batch.into(), &mut out);
+            c.on_decide_into(round, decided(batch), &mut out);
             delivered += out.iter().filter(|o| matches!(o, AbOut::App(_))).count();
             out.clear();
             if round % 10_000 == 0 {

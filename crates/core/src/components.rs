@@ -44,8 +44,8 @@ use crate::membership::{MbOut, MembershipCore};
 use crate::monitoring::{MonOut, MonitoringCore, MonitoringPolicy};
 use crate::rbcast::RelayFanout;
 use crate::types::{
-    AbMsg, Batch, Body, Ev, GbMsg, MbMsg, Message, MessageClass, MonMsg, MsgId, SnapshotData, View,
-    WireMsg,
+    AbMsg, Body, Ev, GbMsg, MbMsg, Message, MessageClass, MonMsg, MsgId, Proposal, SnapshotData,
+    View, WireMsg,
 };
 
 /// Component names (routing targets within a process).
@@ -330,11 +330,11 @@ const DECISION_KEEP: InstanceId = 1024;
 
 /// Adapter around [`ConsensusManager`] (Fig 9 "Consensus").
 pub struct ConsensusComponent {
-    mgr: ConsensusManager<Batch>,
+    mgr: ConsensusManager<Proposal>,
     /// Messages for instances the atomic-broadcast layer has not started.
-    buffered: BTreeMap<InstanceId, Vec<(ProcessId, CtMsg<Batch>)>>,
+    buffered: BTreeMap<InstanceId, Vec<(ProcessId, CtMsg<Proposal>)>>,
     /// Reused manager-output buffer.
-    scratch: Vec<ManagerOut<Batch>>,
+    scratch: Vec<ManagerOut<Proposal>>,
 }
 
 impl ConsensusComponent {
@@ -355,7 +355,7 @@ impl ConsensusComponent {
 
     fn apply(
         &mut self,
-        outs: impl IntoIterator<Item = ManagerOut<Batch>>,
+        outs: impl IntoIterator<Item = ManagerOut<Proposal>>,
         ctx: &mut Context<'_, Ev>,
     ) {
         for o in outs {
@@ -380,9 +380,15 @@ impl Component<Ev> for ConsensusComponent {
         let mut outs = std::mem::take(&mut self.scratch);
         debug_assert!(outs.is_empty());
         match event {
-            Ev::Propose(instance, batch, participants, catch_up) => {
+            Ev::Propose {
+                instance,
+                value,
+                participants,
+                first,
+                catch_up,
+            } => {
                 self.mgr
-                    .propose_into(instance, batch, &participants, &mut outs);
+                    .propose_into(instance, value, &participants, first, &mut outs);
                 self.apply(outs.drain(..), ctx);
                 if let Some(buf) = self.buffered.remove(&instance) {
                     for (from, msg) in buf {
@@ -471,13 +477,20 @@ impl AbcastComponent {
                 AbOut::Wire(to, wire) => ctx.emit(names::RC, Ev::RcSend(to, wire)),
                 AbOut::Propose {
                     instance,
-                    batch,
+                    value,
                     participants,
+                    first,
                     catch_up,
                 } => {
                     ctx.emit(
                         names::CONSENSUS,
-                        Ev::Propose(instance, batch, participants, catch_up),
+                        Ev::Propose {
+                            instance,
+                            value,
+                            participants,
+                            first,
+                            catch_up,
+                        },
                     );
                 }
                 AbOut::App(d) => ctx.output(Ev::Deliver(d)),
@@ -518,8 +531,8 @@ impl Component<Ev> for AbcastComponent {
             Ev::Net(from, WireMsg::Ab(AbMsg::Data(m))) => {
                 self.core.on_data_into(from, m, &mut outs);
             }
-            Ev::Decide(instance, batch) => {
-                self.core.on_decide_into(instance, batch, &mut outs);
+            Ev::Decide(instance, decided) => {
+                self.core.on_decide_into(instance, decided, &mut outs);
             }
             Ev::NeedInstance(instance) => {
                 self.core.need_instance_into(instance, &mut outs);
@@ -536,11 +549,14 @@ impl Component<Ev> for AbcastComponent {
             }
             Ev::SnapFill { joiner, mut snap } => {
                 // One consistent cut of the ordered stream: the instance to
-                // resume at, what was delivered before it, and the view in
-                // force there (later than the sponsor's announcement if
-                // this flush already ordered another change).
+                // resume at, what was delivered before it, the round-0
+                // coordinators named for the instances from there on, and
+                // the view in force there (later than the sponsor's
+                // announcement if this flush already ordered another
+                // change).
                 snap.next_instance = self.core.cursor();
                 snap.adelivered = self.core.adelivered();
+                snap.designated = self.core.designated();
                 if self.core.view().id > snap.view.id {
                     snap.view = self.core.view().clone();
                 }

@@ -93,7 +93,7 @@
 //! one `Record` in one id-ordered map: the message itself (once a copy has
 //! arrived, which makes it *pending* — r-delivered, not yet g-delivered;
 //! acks may come first), whether this process *acked* it this epoch, and
-//! who else did (an `AckSet` bitset over the epoch's members). G-delivery
+//! who else did (a [`PositionSet`] over the epoch's members). G-delivery
 //! removes the record, so the map holds the handful of messages under way,
 //! not the epoch's history, and a message's way from first copy to delivery
 //! is a handful of lookups of one key in a map of one or two nodes. What
@@ -117,7 +117,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gcs_kernel::{FxHashSet, ProcessId};
+use gcs_kernel::{FxHashSet, PositionSet, ProcessId};
 
 use crate::rbcast::{Rbcast, RelayFanout};
 use crate::types::{
@@ -137,35 +137,6 @@ pub enum GbOut {
     Deliver(Delivery),
 }
 
-/// Who acked one message this epoch: a bitset over the positions in
-/// `epoch_members`. Groups of up to 64 never touch the allocator.
-#[derive(Debug, Default)]
-struct AckSet {
-    count: usize,
-    low: u64,
-    /// Positions 64 and up, 64 per word; empty until one of them acks.
-    high: Vec<u64>,
-}
-
-impl AckSet {
-    fn insert(&mut self, position: usize) {
-        let bit = 1u64 << (position % 64);
-        let word = match position / 64 {
-            0 => &mut self.low,
-            w => {
-                if self.high.len() < w {
-                    self.high.resize(w, 0);
-                }
-                &mut self.high[w - 1]
-            }
-        };
-        if *word & bit == 0 {
-            *word |= bit;
-            self.count += 1;
-        }
-    }
-}
-
 /// What is known of one message on its way to g-delivery (see the module
 /// docs, *State layout*).
 #[derive(Debug, Default)]
@@ -177,14 +148,14 @@ struct Record {
     /// then in `GenericCore::acked`).
     acked: bool,
     /// Members whose ack of the current epoch arrived (this process's own
-    /// included).
-    acks: AckSet,
+    /// included), by position in `GenericCore::epoch_members`.
+    acks: PositionSet,
 }
 
 impl Record {
     /// Pending, with a fast quorum of acks: deliverable (unless frozen).
     fn ready(&self, quorum: usize) -> bool {
-        self.message.is_some() && self.acks.count >= quorum
+        self.message.is_some() && self.acks.len() >= quorum
     }
 
     /// An epoch ends (or a snapshot starts one): a pending message goes on
@@ -192,7 +163,7 @@ impl Record {
     /// are of no use any more. Returns whether to keep the record.
     fn carry_over(&mut self) -> bool {
         self.acked = false;
-        self.acks = AckSet::default();
+        self.acks = PositionSet::default();
         self.message.is_some()
     }
 }
@@ -607,7 +578,7 @@ impl GenericCore {
     }
 
     /// Where `p` sits in the epoch's member list — its bit in an
-    /// [`AckSet`]; only members' acks count.
+    /// [`PositionSet`]; only members' acks count.
     fn position(&self, p: ProcessId) -> Option<usize> {
         self.epoch_members.iter().position(|&m| m == p)
     }
@@ -1282,12 +1253,6 @@ mod tests {
         assert!(c.on_ack(pid(1), 0, m.id).is_empty());
         assert!(c.on_ack(pid(9), 0, m.id).is_empty());
         assert_eq!(delivered(&c.on_ack(pid(3), 0, m.id)), vec![m.id]);
-        // Positions beyond the first word.
-        let mut set = AckSet::default();
-        for position in [0, 63, 64, 200, 64, 0] {
-            set.insert(position);
-        }
-        assert_eq!(set.count, 4);
     }
 
     #[test]

@@ -62,5 +62,5 @@ pub use stack::{
 };
 pub use types::{
     AbMsg, AckEpoch, Batch, Body, ConflictRelation, Delivery, DeliveryKind, Ev, GbMsg, MbMsg,
-    Message, MessageClass, MonMsg, MsgId, SnapshotData, View, WireMsg,
+    Message, MessageClass, MonMsg, MsgId, Proposal, SnapshotData, View, WireMsg,
 };

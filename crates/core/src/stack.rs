@@ -378,6 +378,76 @@ mod tests {
         }
     }
 
+    /// A crashed round-0 coordinator taxes the instance in flight when the
+    /// survivors suspect it, not every one after: that instance decides in
+    /// round 1, whose coordinator p1 claims the batch and so names itself the
+    /// round-0 coordinator of the next instance; from there on an abcast
+    /// costs what a failure-free one does — no estimate, no nack, no
+    /// `ab/data` from p1 (it orders what it sends), n−1 each of
+    /// `ct/propose`/`ct/decide` per instance (the copies to the dead p0
+    /// count as sent), and acks from the live participants only. Monitoring
+    /// is off, so p0 stays in the view for good.
+    ///
+    /// The reliable channel keeps probing p0 with the oldest message each
+    /// survivor sent it, under that message's kind, at a fixed period: the
+    /// counts are taken over the ops' window *minus* an equally long quiet
+    /// one after it. (CI counts on this test, as on the failure-free ones.)
+    #[test]
+    fn crashed_coordinator_taxes_only_the_instance_in_flight() {
+        for n in [3usize, 5] {
+            let mut cfg = StackConfig::default();
+            cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+            let mut g = GroupSim::new(n, cfg, 19);
+            let survivors = n as u64 - 1;
+            let sender = |i: u64| p(1 + (i % survivors) as u32);
+            // Ops 0 and 1 before the crash, op 2 in flight when the
+            // survivors suspect p0 (25 ms after its last heartbeat).
+            g.crash_at(Time::from_millis(30), p(0));
+            for i in 0..3 {
+                g.abcast_at(Time::from_millis(5 + 20 * i), sender(i), vec![i as u8]);
+            }
+            // Then one op per instance, every survivor in turn.
+            let ops = 4 * survivors;
+            let (start, len) = (200, 20 * ops);
+            for j in 0..ops {
+                let i = 3 + j;
+                g.abcast_at(
+                    Time::from_millis(start + 5 + 20 * j),
+                    sender(i),
+                    vec![i as u8],
+                );
+            }
+            let delivered = |g: &GroupSim| -> Vec<usize> {
+                g.adelivered_payloads()[1..].iter().map(Vec::len).collect()
+            };
+            g.run_until(Time::from_millis(start));
+            assert_eq!(
+                delivered(&g),
+                vec![3; n - 1],
+                "n={n}: the instance in flight"
+            );
+            let window = |g: &mut GroupSim| {
+                let before = g.metrics().clone();
+                g.run_until(g.now() + TimeDelta::from_millis(len));
+                g.metrics().delta_since(&before)
+            };
+            let (busy, quiet) = (window(&mut g), window(&mut g));
+            assert_eq!(delivered(&g), vec![3 + ops as usize; n - 1], "n={n}");
+            let sent = |kind: &str| busy.sent_of_kind(kind) - quiet.sent_of_kind(kind);
+            let from_others = (3..3 + ops).filter(|&i| sender(i) != p(1)).count() as u64;
+            assert_eq!(sent("ab/data"), from_others, "n={n}: none from p1");
+            assert_eq!(sent("ct/propose"), (n as u64 - 1) * ops, "n={n}");
+            assert_eq!(sent("ct/decide"), (n as u64 - 1) * ops, "n={n}");
+            assert_eq!(
+                sent("ct/ack"),
+                (n as u64 - 2) * ops,
+                "n={n}: live acks only"
+            );
+            assert_eq!(sent("ct/estimate") + sent("ct/nack"), 0, "n={n}");
+            assert!(g.views().iter().all(|v| v.is_empty()), "no view change");
+        }
+    }
+
     /// The failure-free cost of a conflict-free g-broadcast, by count: n−1
     /// `gb/data` (the origin's ack rides them) and (n−1)² `gb/ack` — no
     /// relayed copy, no ack from the origin, no consensus. (CI counts on

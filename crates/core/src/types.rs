@@ -415,6 +415,10 @@ pub struct SnapshotData {
     pub gdelivered: Vec<MsgId>,
     /// Current generic-broadcast epoch.
     pub gb_epoch: u64,
+    /// The round-0 coordinators the decisions before `next_instance` named
+    /// for the instances from `next_instance` on, one per pipeline slot
+    /// (`None`: the view's first member) — see [`Proposal::next`].
+    pub designated: Vec<Option<ProcessId>>,
     /// Opaque application state (for the replication layer), with its size
     /// modelling the paper's "costly state transfer" (§4.3).
     pub app_state: Bytes,
@@ -438,7 +442,7 @@ pub enum WireMsg {
         /// The consensus instance.
         instance: InstanceId,
         /// The Chandra-Toueg message.
-        msg: CtMsg<Batch>,
+        msg: CtMsg<Proposal>,
     },
     /// Atomic-broadcast traffic.
     Ab(AbMsg),
@@ -468,11 +472,10 @@ impl WireMsg {
     pub fn size_hint(&self) -> usize {
         match self {
             WireMsg::Ct { msg, .. } => {
-                let batch_size =
-                    |b: &Batch| b.iter().map(|m| 32 + m.body.size_hint()).sum::<usize>();
                 24 + match msg {
-                    CtMsg::Estimate { est, .. } | CtMsg::Propose { est, .. } => batch_size(est),
-                    CtMsg::Decide { est } => batch_size(est),
+                    CtMsg::Estimate { est, .. }
+                    | CtMsg::Propose { est, .. }
+                    | CtMsg::Decide { est } => est.size_hint(),
                     _ => 0,
                 }
             }
@@ -482,7 +485,9 @@ impl WireMsg {
             WireMsg::Gb(GbMsg::Ack { .. }) => 28,
             WireMsg::Mb(MbMsg::JoinRequest) => 16,
             WireMsg::Mb(MbMsg::Snapshot(s)) => {
-                64 + 12 * (s.adelivered.len() + s.gdelivered.len()) + s.app_state.len()
+                64 + 12 * (s.adelivered.len() + s.gdelivered.len())
+                    + 4 * s.designated.iter().flatten().count()
+                    + s.app_state.len()
             }
             WireMsg::Mon(_) => 20,
         }
@@ -500,6 +505,42 @@ impl WireMsg {
 /// decision to every participant: with a shared slice the per-destination
 /// clone is a reference-count bump instead of a deep copy of the batch.
 pub type Batch = Arc<[Message]>;
+
+/// What atomic broadcast proposes to — and consensus decides for — one
+/// instance: the batch, and the round-0 coordinator this decision names for
+/// a later instance (the one `pipeline_depth` instances on; see the
+/// [`abcast`](crate::abcast) module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Proposal {
+    /// The messages the instance orders.
+    pub batch: Batch,
+    /// The proposer's ordering target, when it is not the view's first
+    /// member, or the coordinator that claimed the batch in a round `≥ 1`;
+    /// `None` names the view's first member, so that a failure-free run
+    /// carries nothing extra.
+    pub next: Option<ProcessId>,
+}
+
+impl gcs_consensus::Value for Proposal {
+    /// A coordinator that gets a batch nobody had adopted through a round
+    /// `≥ 1` — the round-0 coordinator failed or was suspected — names
+    /// itself: it has just shown it can gather a majority.
+    fn claimed_by(self, coordinator: ProcessId) -> Self {
+        Proposal {
+            next: Some(coordinator),
+            ..self
+        }
+    }
+}
+
+impl Proposal {
+    /// Approximate wire size: the batch, and the designation when there is
+    /// one.
+    pub fn size_hint(&self) -> usize {
+        let batch: usize = self.batch.iter().map(|m| 32 + m.body.size_hint()).sum();
+        batch + if self.next.is_some() { 4 } else { 0 }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // The process-local event catalog (the arrows of Fig 9)
@@ -547,13 +588,24 @@ pub enum Ev {
     Suspect(gcs_fd::MonitorClass, ProcessId),
     /// Failure detector → the same components: suspicion withdrawn.
     Restore(gcs_fd::MonitorClass, ProcessId),
-    /// Atomic broadcast → consensus: `propose`/`run` for an instance. The
-    /// participant set is shared (cached per view by the abcast core). The
-    /// flag says the proposer has evidence of being behind on the instance:
-    /// pull its outcome instead of only waiting for it.
-    Propose(InstanceId, Batch, Arc<[ProcessId]>, bool),
+    /// Atomic broadcast → consensus: `propose`/`run` for an instance.
+    Propose {
+        /// The consensus instance to run.
+        instance: InstanceId,
+        /// The proposal.
+        value: Proposal,
+        /// The instance's participants (shared: cached per view by the
+        /// abcast core).
+        participants: Arc<[ProcessId]>,
+        /// The instance's round-0 coordinator, as an earlier decision named
+        /// it.
+        first: ProcessId,
+        /// The proposer has evidence of being behind on the instance: pull
+        /// its outcome instead of only waiting for it.
+        catch_up: bool,
+    },
     /// Consensus → atomic broadcast: `decide` for an instance.
-    Decide(InstanceId, Batch),
+    Decide(InstanceId, Proposal),
     /// Consensus → atomic broadcast: a message for an instance that does not
     /// exist yet — start it (with an empty proposal if need be).
     NeedInstance(InstanceId),
@@ -626,7 +678,7 @@ impl Event for Ev {
             Ev::RcUnstuck(_) => "int/rc-unstuck",
             Ev::Suspect(..) => "int/suspect",
             Ev::Restore(..) => "int/restore",
-            Ev::Propose(..) => "int/propose",
+            Ev::Propose { .. } => "int/propose",
             Ev::Decide(..) => "int/decide",
             Ev::NeedInstance(_) => "int/need-instance",
             Ev::ViewChanged(_) => "int/view-changed",

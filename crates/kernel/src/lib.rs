@@ -15,6 +15,8 @@
 //! * [`View`], [`MessageClass`], [`DeliveryKind`] — the plain vocabulary in
 //!   which any stack talks to an application, shared here because the
 //!   stacks do not see each other,
+//! * [`PositionSet`] — a bitset over the positions of a member list (who
+//!   acked, who is suspected), shared by consensus and generic broadcast,
 //! * [`Effects`] — the externally visible results of a dispatch step
 //!   (network sends, timer requests, application outputs), which makes every
 //!   protocol sans-I/O and lets the same code run under the deterministic
@@ -64,6 +66,7 @@ mod group;
 mod hash;
 mod ids;
 mod payload;
+mod positions;
 mod process;
 mod smallvec;
 mod stack;
@@ -78,6 +81,7 @@ pub use group::{DeliveryKind, MessageClass, View};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ProcessId, TimerId};
 pub use payload::{PayloadArena, PayloadRef, SharedArena};
+pub use positions::PositionSet;
 pub use process::{Effects, Envelope, Multicast, Process, ProcessBuilder, TimerRequest};
 pub use smallvec::SmallVec;
 pub use stack::{Direction, Layer, LayerContext, StackBuilder, StackComponent};

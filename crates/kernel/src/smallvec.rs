@@ -74,6 +74,14 @@ impl<T, const N: usize> SmallVec<T, N> {
             .chain(self.spill.iter())
     }
 
+    /// Iterates over the elements by mutable reference.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.inline[..self.len.min(N)]
+            .iter_mut()
+            .map(|s| s.as_mut().expect("slot below len is filled"))
+            .chain(self.spill.iter_mut())
+    }
+
     /// Removes and yields every element, leaving the vector empty (spill
     /// capacity is retained for reuse). Elements not consumed before the
     /// iterator is dropped are dropped with it, like `Vec::drain`.
