@@ -17,6 +17,11 @@
 //! the oracle must stay clean *and* every survivor must deliver every
 //! message of every surviving sender.
 //!
+//! A fourth property holds the same to three members, the one size where
+//! an acker decides the moment it adopts a proposal (its adoption and the
+//! coordinator's are a majority): one crash, cut-off member or cut link per
+//! case, abcast only — generic broadcast tolerates no fault among three.
+//!
 //! New-architecture runs carry g-broadcasts of both classes beside the
 //! abcast stream ([`WithGenericTraffic`]), so the generic fast path — lazy
 //! relay, the origin's ack on its data, epoch closures under faults — is
@@ -541,6 +546,83 @@ proptest! {
                  (schedule {schedule:?}, lossy {lossy}, depth {depth:?})",
                 op % 4
             );
+        }
+    }
+
+    /// Three members, where an acker's adoption and the coordinator's are
+    /// a majority, so ackers decide without the coordinator's `Decide`:
+    /// one fault per case — p0, p1 or p2 crashes; one member is cut off,
+    /// then healed; or one link is cut, then healed — on lossy links or
+    /// not, at pipeline depth 1 or 4. The oracle stays clean, and the
+    /// survivors agree on one sequence that holds every message of every
+    /// sender that survived. Abcast only: generic broadcast needs
+    /// `f < n/3`, which no fault meets among three.
+    #[test]
+    fn three_member_faults_are_invariant_clean_and_live(
+        seed in any::<u64>(),
+        fault in (0usize..3, 0u32..3, 1u32..3),
+        window in (5u64..260, 40u64..300),
+        lossy in any::<bool>(),
+        pipelined in any::<bool>(),
+    ) {
+        let ((kind, who, hop), (start, dur)) = (fault, window);
+        let ms = Time::from_millis;
+        let topology = if lossy { Topology::lossy() } else { Topology::lan() };
+        let (schedule, victim) = match kind {
+            0 => (Schedule::new().crash(ms(start), p(who)), Some(who)),
+            1 => {
+                let rest: Vec<ProcessId> = (0..3).map(p).filter(|&q| q != p(who)).collect();
+                let cut = Schedule::new().partition(ms(start), vec![rest, vec![p(who)]]);
+                (cut.heal(ms(start + dur)), None)
+            }
+            _ => {
+                let (a, b) = (p(who), p((who + hop) % 3));
+                let dead = LinkModel { drop_prob: 1.0, ..LinkModel::lan() };
+                let mut cut = Schedule::new();
+                for (from, to) in [(a, b), (b, a)] {
+                    cut = cut
+                        .set_link(ms(start), from, to, dead)
+                        .set_link(ms(start + dur), from, to, topology.link(from, to));
+                }
+                (cut, None)
+            }
+        };
+        let mut cfg = StackConfig::default();
+        cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+        cfg.pipeline_depth = Some(if pipelined { 4 } else { 1 });
+        if pipelined {
+            cfg.batch = Some(BatchPolicy {
+                max_msgs: 4,
+                max_bytes: 64,
+                max_delay: TimeDelta::from_millis(1),
+            });
+        }
+        let mut g = Group::builder()
+            .members(3)
+            .stack(StackKind::NewArch)
+            .topology(topology)
+            .schedule(schedule.clone())
+            .stack_config(cfg)
+            .seed(seed)
+            .build();
+        UniformWorkload::steady(40, 5).inject(3, &mut g);
+        g.run_until(Time::from_secs(3));
+        let what = format!("@{seed}: schedule {schedule:?}, lossy {lossy}, pipelined {pipelined}");
+        let violations = InvariantChecker::check(&g, 3).violations;
+        prop_assert!(violations.is_empty(), "{}: {:#?}", what, violations);
+        let delivered = g.adelivered_payloads();
+        let survivors: Vec<u32> = (0..3).filter(|&i| Some(i) != victim).collect();
+        let first = &delivered[survivors[0] as usize];
+        for &i in &survivors {
+            prop_assert_eq!(&delivered[i as usize], first, "{}: p{} disagrees", what, i);
+        }
+        // Op `k` was sent by p(k mod 3).
+        let have: std::collections::BTreeSet<usize> = first
+            .iter()
+            .filter_map(|payload| gcs_bench::workload::decode_op_index(payload))
+            .collect();
+        for op in (0..40).filter(|op| Some(*op as u32 % 3) != victim) {
+            prop_assert!(have.contains(&op), "{}: op {} never delivered", what, op);
         }
     }
 }

@@ -37,8 +37,11 @@ pub enum ManagerOut<V> {
 #[derive(Debug)]
 struct Cached<V> {
     value: V,
-    /// Whether this process sent the decision to every participant itself
-    /// (it decided as coordinator): late acks then need no answer.
+    /// Whether this process decided as coordinator: every participant then
+    /// has the decision from it, or decided on adopting its proposal (an
+    /// acker does among at most three participants), so late acks need no
+    /// answer. False for a decision learned from a `Decide`, or made as an
+    /// acker.
     sent_to_all: bool,
 }
 
@@ -50,7 +53,11 @@ struct Cached<V> {
 /// An instance on its own makes every participant that started it decide
 /// (see [`CtConsensus`]). The relay is for the participant that has no
 /// reason to start one: the coordinator crashed while sending a decision —
-/// or everything about the instance — and the message never reached it.
+/// or everything about the instance — and the message never reached it. An
+/// acker that decided on adopting a proposal (at most three participants)
+/// counts as having learned the decision from the proposal's coordinator:
+/// it relays it while that coordinator is suspected, exactly as if the
+/// coordinator's `Decide` had reached it.
 #[derive(Debug)]
 pub struct ConsensusManager<V> {
     me: ProcessId,
@@ -178,13 +185,12 @@ impl<V: Value> ConsensusManager<V> {
     /// Handles an instance-tagged message.
     ///
     /// Messages for decided instances are answered with the cached decision
-    /// (all but a `Decide`, and an `Ack` for a decision this process already
-    /// sent to everyone); messages for unknown instances must be buffered by
-    /// the caller until
-    /// it proposes for that instance (the caller — atomic broadcast — knows
-    /// the participant set, the manager does not). In that buffering case
-    /// the message is handed back, so the caller does not have to clone
-    /// defensively up front.
+    /// (all but a `Decide`, and an `Ack` for a decision this process made as
+    /// coordinator); messages for unknown instances must be buffered by the
+    /// caller until it proposes for that instance (the caller — atomic
+    /// broadcast — knows the participant set, the manager does not). In
+    /// that buffering case the message is handed back, so the caller does
+    /// not have to clone defensively up front.
     pub fn on_msg(
         &mut self,
         instance: InstanceId,

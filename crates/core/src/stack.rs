@@ -350,14 +350,16 @@ mod tests {
 
     /// The failure-free cost of an abcast, by count: one `ab/data` to the
     /// coordinator — none when the coordinator itself is the sender — and
-    /// per consensus instance n−1 each of `ct/propose`, `ct/ack`,
-    /// `ct/decide`: no estimate, no nack, no copy to anybody who does not
-    /// order it, and the safety-net timer never diffuses. (CI counts on this
-    /// test: a re-introduced diffusion, relay or echo fails it, not a
-    /// benchmark.)
+    /// per consensus instance n−1 each of `ct/propose` and `ct/ack`, and
+    /// one `ct/decide` per participant that cannot decide on its own: n−1
+    /// at n = 5, one at n = 3, where an acker decides on adopting. No
+    /// estimate, no nack, no copy to anybody who does not order it, and the
+    /// safety-net timer never diffuses. (CI counts on this test: a
+    /// re-introduced diffusion, relay or echo fails it, not a benchmark.)
     #[test]
     fn failure_free_abcast_costs_one_send_to_the_coordinator_one_proposal_one_ack_one_decision() {
         for n in [3usize, 5] {
+            let decides = if n == 3 { 1 } else { n as u64 - 1 };
             for sender in 0..n as u32 {
                 let mut g = GroupSim::new(n, StackConfig::default(), 17);
                 let ops = 10u64;
@@ -370,9 +372,10 @@ mod tests {
                 assert!(seqs.iter().all(|s| s.len() == ops as usize), "n={n}");
                 let data = if sender == 0 { 0 } else { ops };
                 assert_eq!(sent(&g, "ab/data"), data, "n={n}, from p{sender}");
-                for kind in ["ct/propose", "ct/ack", "ct/decide"] {
+                for kind in ["ct/propose", "ct/ack"] {
                     assert_eq!(sent(&g, kind), (n as u64 - 1) * ops, "n={n}: {kind}");
                 }
+                assert_eq!(sent(&g, "ct/decide"), decides * ops, "n={n}");
                 assert_eq!(sent(&g, "ct/estimate") + sent(&g, "ct/nack"), 0, "n={n}");
             }
         }
@@ -383,10 +386,12 @@ mod tests {
     /// round 1, whose coordinator p1 claims the batch and so names itself the
     /// round-0 coordinator of the next instance; from there on an abcast
     /// costs what a failure-free one does — no estimate, no nack, no
-    /// `ab/data` from p1 (it orders what it sends), n−1 each of
-    /// `ct/propose`/`ct/decide` per instance (the copies to the dead p0
-    /// count as sent), and acks from the live participants only. Monitoring
-    /// is off, so p0 stays in the view for good.
+    /// `ab/data` from p1 (it orders what it sends), n−1 `ct/propose` per
+    /// instance and acks from the live participants only. The copies to
+    /// the dead p0 count as sent: at n = 5 that makes n−1 `ct/decide` per
+    /// instance; at n = 3, where the live acker decided on adopting, n−2 —
+    /// the one `ct/decide` goes to p0. Monitoring is off, so p0 stays in
+    /// the view for good.
     ///
     /// The reliable channel keeps probing p0 with the oldest message each
     /// survivor sent it, under that message's kind, at a fixed period: the
@@ -437,7 +442,8 @@ mod tests {
             let from_others = (3..3 + ops).filter(|&i| sender(i) != p(1)).count() as u64;
             assert_eq!(sent("ab/data"), from_others, "n={n}: none from p1");
             assert_eq!(sent("ct/propose"), (n as u64 - 1) * ops, "n={n}");
-            assert_eq!(sent("ct/decide"), (n as u64 - 1) * ops, "n={n}");
+            let decides = if n == 3 { 1 } else { n as u64 - 1 };
+            assert_eq!(sent("ct/decide"), decides * ops, "n={n}");
             assert_eq!(
                 sent("ct/ack"),
                 (n as u64 - 2) * ops,
@@ -445,6 +451,54 @@ mod tests {
             );
             assert_eq!(sent("ct/estimate") + sent("ct/nack"), 0, "n={n}");
             assert!(g.views().iter().all(|v| v.is_empty()), "no view change");
+        }
+    }
+
+    /// Where an acker's adoption and the coordinator's are a majority, the
+    /// acker decides the moment it adopts: at n = 3 every non-coordinator
+    /// a-delivers each op strictly before the coordinator p0, which decides
+    /// one hop later, on the first ack. At n = 5 two adoptions are no
+    /// majority, so no process but p0 delivers before p0's `ct/decide` can
+    /// have reached it — one hop after p0's own delivery. Every link takes
+    /// exactly one hop, so "before" is exact. (CI counts on this test.)
+    #[test]
+    fn an_acker_decides_when_two_adoptions_are_a_majority() {
+        let hop = TimeDelta::from_micros(500);
+        let link = gcs_sim::LinkModel {
+            delay_min: hop,
+            delay_max: hop,
+            ..gcs_sim::LinkModel::lan()
+        };
+        for n in [3usize, 5] {
+            let sim = gcs_sim::SimConfig::lan(29).with_link(link);
+            let mut g = GroupSim::start(n, 0, StackConfig::default(), sim);
+            let ops = 10u64;
+            for i in 0..ops {
+                let sender = p(1 + (i % (n as u64 - 1)) as u32);
+                g.abcast_at(Time::from_millis(5 + 20 * i), sender, vec![i as u8]);
+            }
+            g.run_until(Time::from_millis(400));
+            let mut at = vec![vec![None; n]; ops as usize];
+            for d in g.delivery_trace() {
+                at[g.resolve(d.payload)[0] as usize][d.proc.index()] = Some(d.time);
+            }
+            for (op, at) in at.iter().enumerate() {
+                let at: Vec<Time> = at
+                    .iter()
+                    .map(|t| t.expect("delivered everywhere"))
+                    .collect();
+                for (i, &t) in at.iter().enumerate().skip(1) {
+                    if n == 3 {
+                        assert!(t < at[0], "op {op}: p{i} at {t:?}, p0 at {:?}", at[0]);
+                    } else {
+                        assert!(
+                            t >= at[0] + hop,
+                            "op {op}: p{i} at {t:?}, p0 at {:?}",
+                            at[0]
+                        );
+                    }
+                }
+            }
         }
     }
 

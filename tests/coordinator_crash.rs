@@ -1,6 +1,7 @@
 //! A crashed round-0 coordinator costs the new architecture one instance,
 //! not the rest of the run: on the benchmark's `sim-crash` shape, the ops
-//! due after p0 dies complete no slower than those due before.
+//! due after p0 dies complete no slower than the same ops do when nobody
+//! crashes.
 
 use gcs::core::StackConfig;
 use gcs::kernel::{ProcessId, Time, TimeDelta};
@@ -13,11 +14,17 @@ fn median(values: &mut [f64]) -> f64 {
 }
 
 /// The `sim-crash` shape: n = 3 on a LAN, 2,000 ops/s of 64 B from p1 and
-/// p2 (drawn per op), p0 crashed 0.6 s in, monitoring off (p0 is never
-/// excluded). Returns the median latency — due to delivered at both
-/// survivors — of the ops due in the 0.4 s before the crash and of those
-/// due in the 0.6 s after it.
-fn p50_before_and_after_the_crash(seed: u64) -> (f64, f64) {
+/// p2 (drawn per op), p0 crashed 0.6 s in if `crash`, monitoring off (p0
+/// is never excluded). Returns the median latency of the ops due in the
+/// 0.6 s from the crash on, from due to delivered at every member alive at
+/// the end: both survivors after a crash, all three members without one.
+///
+/// Both runs time an op to where its coordinator delivers it, one hop after
+/// the first ack. Without a crash that is p0; after one it is p1, which
+/// the decisions name in p0's place, while p2, the acker, decides on
+/// adopting. Timing the crash run against its own pre-crash ops would not
+/// do: those complete at the ackers p1 and p2, a hop before the dead p0.
+fn p50_of_the_ops_due_after_the_crash(seed: u64, crash: bool) -> f64 {
     let mut cfg = StackConfig::default();
     cfg.monitoring_timeout = TimeDelta::from_secs(3600);
     let mut g = Group::builder()
@@ -30,7 +37,7 @@ fn p50_before_and_after_the_crash(seed: u64) -> (f64, f64) {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut due = Vec::new();
     for op in 0..end_us / gap_us - 1 {
-        // xorshift64: which survivor sends the op.
+        // xorshift64: which of p1 and p2 sends the op.
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
@@ -41,43 +48,47 @@ fn p50_before_and_after_the_crash(seed: u64) -> (f64, f64) {
         g.abcast_at(Time::from_micros(t), sender, payload);
         due.push(t);
     }
-    g.crash_at(Time::from_micros(crash_us), ProcessId::new(0));
+    if crash {
+        g.crash_at(Time::from_micros(crash_us), ProcessId::new(0));
+    }
     g.run_until(Time::from_micros(end_us + 500_000));
 
+    let counted = |p: ProcessId| !crash || p.index() > 0;
+    let members = if crash { 2 } else { 3 };
     let mut last = vec![0u64; due.len()];
     let mut count = vec![0u8; due.len()];
-    for d in g.delivery_trace().iter().filter(|d| d.proc.index() > 0) {
+    for d in g.delivery_trace().iter().filter(|d| counted(d.proc)) {
         let payload = g.resolve(d.payload);
         let op = u32::from_le_bytes(payload[..4].try_into().expect("op id")) as usize;
         last[op] = last[op].max(us(d.time));
         count[op] += 1;
     }
-    let (mut before, mut after) = (Vec::new(), Vec::new());
+    let mut after = Vec::new();
     for (op, &t) in due.iter().enumerate() {
         assert_eq!(
-            count[op], 2,
-            "seed {seed}: op {op} not delivered at both survivors"
+            count[op], members,
+            "seed {seed}, crash {crash}: op {op} not delivered at every live member"
         );
-        let latency_ms = (last[op] - t) as f64 / 1e3;
-        match t {
-            t if t >= crash_us => after.push(latency_ms),
-            t if t >= crash_us - 400_000 => before.push(latency_ms),
-            _ => {}
+        if t >= crash_us {
+            after.push((last[op] - t) as f64 / 1e3);
         }
     }
-    (median(&mut before), median(&mut after))
+    median(&mut after)
 }
 
-/// Before PR 26 every instance after the crash started in a round whose
-/// coordinator was dead and paid nacks, an estimate and round 1: the
-/// post-crash median was ≈ 1.5× the pre-crash one.
+/// If the decisions did not name p0's successor as the next round-0
+/// coordinator, every instance after the crash would start in a round
+/// whose coordinator is dead and pay nacks, an estimate and round 1: the
+/// post-crash median would be ≈ 1.15× the failure-free one (seed 1: 3.05
+/// against 2.66 ms).
 #[test]
-fn ops_after_the_coordinator_crash_are_no_slower_than_before_it() {
+fn ops_after_the_coordinator_crash_are_no_slower_than_without_it() {
     for seed in 1..=3 {
-        let (before, after) = p50_before_and_after_the_crash(seed);
+        let crashed = p50_of_the_ops_due_after_the_crash(seed, true);
+        let failure_free = p50_of_the_ops_due_after_the_crash(seed, false);
         assert!(
-            after <= 1.05 * before,
-            "seed {seed}: p50 {after:.3} ms after the crash vs {before:.3} ms before"
+            crashed <= 1.05 * failure_free,
+            "seed {seed}: p50 {crashed:.3} ms after the crash vs {failure_free:.3} ms without it"
         );
     }
 }
