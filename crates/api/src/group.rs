@@ -4,12 +4,12 @@
 
 use std::any::Any;
 
-use gcs_core::{BatchPolicy, GroupSim, MessageClass, NewArchDriver, StackConfig};
+use gcs_core::{GroupSim, MessageClass, NewArchDriver, StackConfig};
 use gcs_kernel::{PayloadRef, ProcessId, SharedArena, Time};
 use gcs_live::{LiveConfig, WireMode};
 use gcs_sim::{
     Capabilities, GroupTransport, Harness, Metrics, Observation, Schedule, SimConfig, SimWorld,
-    StackDriver, StackKind, Topology, TraceMode,
+    StackDriver, StackKind, Topology,
 };
 use gcs_traditional::{IsisConfig, IsisDriver, IsisSim, TokenConfig, TokenDriver, TokenSim};
 
@@ -69,11 +69,16 @@ trait Erased: GroupTransport + Any {}
 impl<T: GroupTransport + Any> Erased for T {}
 
 /// Composes one group: member/joiner counts, stack and backend choice,
-/// topology, scripted schedule, trace sink, per-stack configuration, seed.
+/// topology, scripted schedule, per-stack configuration, seed.
 ///
 /// Every knob has a sensible default (3 members, no joiners, the new
-/// architecture, a flat LAN, empty schedule, full trace, seed 0), so the
-/// minimal group is `Group::builder().build()`.
+/// architecture on the simulator, channel wire, a flat LAN, empty schedule,
+/// [`StackConfig::default`], baseline timeouts derived from the topology,
+/// unbounded abcast queues, seed 0), so the minimal group is
+/// `Group::builder().build()`. Each knob is set in exactly one place: the
+/// new architecture's own options (pipelining, batching, failure-detection
+/// mode, …) are fields of the [`StackConfig`] passed to
+/// [`stack_config`](Self::stack_config).
 #[derive(Clone, Debug)]
 pub struct GroupBuilder {
     members: usize,
@@ -84,7 +89,6 @@ pub struct GroupBuilder {
     topology: Topology,
     schedule: Schedule,
     seed: u64,
-    trace: TraceMode,
     config: StackConfig,
     /// `None` = derive a timeout profile from the topology at build time.
     isis: Option<IsisConfig>,
@@ -105,7 +109,6 @@ impl Default for GroupBuilder {
             topology: Topology::lan(),
             schedule: Schedule::new(),
             seed: 0,
-            trace: TraceMode::Full,
             config: StackConfig::default(),
             isis: None,
             token: None,
@@ -171,50 +174,10 @@ impl GroupBuilder {
         self
     }
 
-    /// How deliveries are recorded (default [`TraceMode::Full`]; long
-    /// throughput runs should use [`TraceMode::CountsOnly`]).
-    pub fn trace(mut self, trace: TraceMode) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Per-process configuration of the new-architecture stack (ignored by
     /// the baselines).
     pub fn stack_config(mut self, config: StackConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Failure-detection mode of the new-architecture stack (ignored by the
-    /// baselines): [`FdMode::AllPairs`](gcs_core::FdMode::AllPairs) for exact
-    /// small-group monitoring, [`FdMode::Gossip`](gcs_core::FdMode::Gossip)
-    /// for O(n·k) ring-segment probing at scale (`fanout: 0` = auto,
-    /// ≈ log₂ n). When not set, the builder picks all-pairs up to
-    /// [`SCALE_THRESHOLD`](gcs_core::SCALE_THRESHOLD) members and gossip
-    /// above it.
-    pub fn fd_mode(mut self, mode: gcs_core::FdMode) -> Self {
-        self.config.fd_mode = Some(mode);
-        self
-    }
-
-    /// Number of consensus instances the new-architecture stack keeps in
-    /// flight concurrently (ignored by the baselines). The default (and
-    /// `depth <= 1`) reproduces the sequential one-instance-at-a-time
-    /// pipeline bit for bit; higher depths overlap instance latencies and
-    /// multiply sustainable throughput while delivery still flushes in
-    /// strict instance order.
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.config.pipeline_depth = Some(depth);
-        self
-    }
-
-    /// Batch-closing policy of the new-architecture stack (ignored by the
-    /// baselines): a batch proposes when it reaches `max_msgs` messages or
-    /// `max_bytes` payload bytes, or when `max_delay` has elapsed since the
-    /// batch could first have been proposed — whichever comes first. The
-    /// default closes on every poll exactly like the pre-policy code.
-    pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.config.batch = Some(policy);
         self
     }
 
@@ -280,9 +243,7 @@ impl GroupBuilder {
     fn build_with<S: StackDriver>(self, config: S::Config) -> Group {
         let inner: Box<dyn Erased> = match self.backend {
             Backend::Sim => {
-                let sim = SimConfig::lan(self.seed)
-                    .with_topology(self.topology)
-                    .with_trace(self.trace);
+                let sim = SimConfig::lan(self.seed).with_topology(self.topology);
                 Box::new(Harness::<S, SimWorld<S::Event>>::start(
                     self.members,
                     self.joiners,
@@ -295,7 +256,6 @@ impl GroupBuilder {
                     .with_joiners(self.joiners)
                     .with_seed(self.seed)
                     .with_topology(self.topology)
-                    .with_trace(self.trace)
                     .with_wire(self.wire);
                 Box::new(gcs_live::start::<S>(config, live))
             }
@@ -718,10 +678,13 @@ mod tests {
             let mut g = Group::builder()
                 .members(3)
                 .seed(8)
-                .pipeline_depth(depth)
-                .batch_policy(BatchPolicy {
-                    max_msgs: 2,
-                    ..BatchPolicy::default()
+                .stack_config(StackConfig {
+                    pipeline_depth: depth,
+                    batch: gcs_core::BatchPolicy {
+                        max_msgs: 2,
+                        ..Default::default()
+                    },
+                    ..StackConfig::default()
                 })
                 .build();
             for i in 0..12u32 {

@@ -86,10 +86,11 @@
 //! ## Saturation: pipelining, batching, backpressure
 //!
 //! Three knobs control behavior under load. On the new architecture,
-//! [`GroupBuilder::pipeline_depth`] keeps several consensus instances in
+//! `StackConfig::pipeline_depth` keeps several consensus instances in
 //! flight at once (depth 1, the default, is the paper's sequential abcast,
-//! bit for bit) and [`GroupBuilder::batch_policy`] closes proposal batches
-//! on a message count, a byte budget, or a deadline. On any stack,
+//! bit for bit) and `StackConfig::batch` closes proposal batches on a
+//! message count, a byte budget, or a deadline; both reach the group
+//! through [`GroupBuilder::stack_config`]. On any stack,
 //! [`GroupBuilder::abcast_capacity`] bounds each sender's pending queue so
 //! the `try_abcast_*` entry points refuse with [`Backpressure`] instead of
 //! queueing without limit.
@@ -105,15 +106,19 @@
 //!
 //! ```
 //! use gcs_api::{BatchPolicy, Group, GroupTransport};
+//! use gcs_core::StackConfig;
 //! use gcs_kernel::{ProcessId, Time, TimeDelta};
 //!
 //! let mut group = Group::builder()
 //!     .members(3)
-//!     .pipeline_depth(4)
-//!     .batch_policy(BatchPolicy {
-//!         max_msgs: 16,
-//!         max_bytes: 4096,
-//!         max_delay: TimeDelta::from_millis(2),
+//!     .stack_config(StackConfig {
+//!         pipeline_depth: 4,
+//!         batch: BatchPolicy {
+//!             max_msgs: 16,
+//!             max_bytes: 4096,
+//!             max_delay: TimeDelta::from_millis(2),
+//!         },
+//!         ..StackConfig::default()
 //!     })
 //!     .abcast_capacity(64)
 //!     .seed(7)

@@ -15,7 +15,6 @@
 use std::time::Instant;
 
 use gcs_bench::{experiments, scenario};
-use gcs_sim::TraceMode;
 
 /// The paper experiments: one `(CLI name, description)` row per command —
 /// the single source `usage()` and `list()` both render.
@@ -138,7 +137,7 @@ fn sweep() {
         .collect();
 
     let t0 = Instant::now();
-    let results = scenario::run_sweep(&tasks, threads, TraceMode::Full);
+    let results = scenario::run_sweep(&tasks, threads);
     let wall = t0.elapsed();
 
     println!(
@@ -257,7 +256,7 @@ fn run_scenario() {
     if let Some(n) = members {
         s.n = n;
     }
-    let r = s.run(seed, TraceMode::Full);
+    let r = s.run(seed);
     println!("## scenario {} (seed {seed})\n", s.name);
     println!("{}", s.about);
     println!();
@@ -284,15 +283,7 @@ fn run_scenario() {
         "| payload arena live / high-water | {} / {} |",
         r.arena_live, r.arena_high_water
     );
-    println!(
-        "| invariant violations | {}{} |",
-        r.violations.len(),
-        if r.oracle_ran {
-            ""
-        } else {
-            " (oracle skipped)"
-        }
-    );
+    println!("| invariant violations | {} |", r.violations.len());
     if !r.violations.is_empty() {
         println!("\n### invariant violations\n");
         for v in &r.violations {

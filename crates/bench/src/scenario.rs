@@ -7,8 +7,7 @@
 //! through the [`GroupTransport`] façade. The built-in matrix lives in
 //! [`catalog`]; run one with [`Scenario::run`].
 //!
-//! Every full-trace run passes through the
-//! [`InvariantChecker`]: the report carries the
+//! Every run passes through the [`InvariantChecker`]: the report carries the
 //! number (and rendering) of protocol-invariant violations, so the catalog
 //! is a *checked* matrix — fingerprints say a run changed, the oracle says
 //! whether it was correct.
@@ -16,7 +15,7 @@
 use gcs_api::{Group, GroupTransport, InvariantChecker, StackKind};
 use gcs_core::StackConfig;
 use gcs_kernel::{ProcessId, Time, TimeDelta};
-use gcs_sim::{Schedule, Topology, TraceMode};
+use gcs_sim::{Schedule, Topology};
 
 use crate::workload::{
     decode_op_index, ChurnWorkload, GenericWorkload, LargePayloadWorkload, SkewedWorkload,
@@ -68,10 +67,10 @@ pub struct ScenarioReport {
     /// `(kind, messages, bytes)` per message kind, in first-use order.
     pub by_kind: Vec<(&'static str, u64, u64)>,
     /// Mean injection → delivery latency over (op, replica) pairs, in
-    /// virtual milliseconds (NaN when the trace mode records no entries).
+    /// virtual milliseconds (NaN when nothing was delivered).
     pub mean_latency_ms: f64,
-    /// 99th-percentile latency, in virtual milliseconds (NaN without
-    /// entries).
+    /// 99th-percentile latency, in virtual milliseconds (NaN when nothing
+    /// was delivered).
     pub p99_latency_ms: f64,
     /// Order-sensitive digest of the run: folds every delivery (time,
     /// process, payload) and the event count, so two runs are bit-identical
@@ -81,15 +80,9 @@ pub struct ScenarioReport {
     /// topologies): the log2-histogram summaries of every pair that saw
     /// traffic.
     pub region_latency: Vec<RegionPairLatency>,
-    /// Protocol-invariant violations found by the
-    /// [`InvariantChecker`], rendered. Empty on a
-    /// correct run — and empty vacuously under counting-only trace modes,
-    /// where there is no delivery trace to check (see
-    /// [`oracle_ran`](Self::oracle_ran)).
+    /// Protocol-invariant violations found by the [`InvariantChecker`],
+    /// rendered. Empty on a correct run.
     pub violations: Vec<String>,
-    /// Whether the invariant oracle actually ran (it needs
-    /// [`TraceMode::Full`]).
-    pub oracle_ran: bool,
     /// Crash-detection latency in virtual milliseconds: time from the first
     /// scripted `Crash` step to the moment *every* correct process has a
     /// consensus-class suspicion of the crashed peer recorded in the trace.
@@ -150,10 +143,10 @@ impl Scenario {
             .merge(self.workload.schedule(self.n, self.joiners))
     }
 
-    /// Runs the scenario with the given network seed and trace sink,
-    /// returning the report. Deterministic: equal `(scenario, seed)` pairs
-    /// produce equal reports, including the fingerprint.
-    pub fn run(&self, seed: u64, trace: TraceMode) -> ScenarioReport {
+    /// Runs the scenario with the given network seed, returning the report.
+    /// Deterministic: equal `(scenario, seed)` pairs produce equal reports,
+    /// including the fingerprint.
+    pub fn run(&self, seed: u64) -> ScenarioReport {
         let mut cfg = StackConfig::default();
         // Exclusions are driven by the schedule, not wall-clock monitoring:
         // an FD-triggered exclusion racing the scripted membership steps
@@ -168,14 +161,13 @@ impl Scenario {
             .stack(self.stack)
             .topology(self.topology.clone())
             .schedule(self.full_schedule())
-            .trace(trace)
             .stack_config(cfg)
             .seed(seed)
             .build();
         let inject_times = self.workload.inject(self.n, &mut g);
         g.run_until(self.horizon);
 
-        // Latencies from tagged payloads (Full trace mode only).
+        // Latencies from tagged payloads.
         let mut latencies: Vec<f64> = Vec::new();
         let mut fingerprint: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
         let mut fnv = |byte: u8| {
@@ -230,18 +222,13 @@ impl Scenario {
             .collect();
 
         // The invariant oracle: machine-check agreement, total order, view
-        // synchrony, FIFO, gap-freedom and no-duplication on the run's full
-        // delivery trace (counting-only modes have nothing to check).
-        let oracle_ran = trace == TraceMode::Full;
-        let violations = if oracle_ran {
-            InvariantChecker::check(&g, self.n)
-                .violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // synchrony, FIFO, gap-freedom and no-duplication on the run's
+        // delivery trace.
+        let violations = InvariantChecker::check(&g, self.n)
+            .violations
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
 
         let crash_detect_ms = self.crash_detect_ms(&g);
 
@@ -259,7 +246,6 @@ impl Scenario {
             fingerprint,
             region_latency,
             violations,
-            oracle_ran,
             crash_detect_ms,
             arena_live: g.arena().live(),
             arena_high_water: g.arena().capacity(),
@@ -718,11 +704,7 @@ pub fn aggregate(reports: &[ScenarioReport]) -> Vec<SweepAggregate> {
 /// nothing is shared between runs and per-run determinism is untouched —
 /// this is the experiment-sweep parallelism the simulator's single-threaded
 /// design deliberately leaves to the harness.
-pub fn run_sweep(
-    tasks: &[(&'static str, u64)],
-    threads: usize,
-    trace: TraceMode,
-) -> Vec<ScenarioReport> {
+pub fn run_sweep(tasks: &[(&'static str, u64)], threads: usize) -> Vec<ScenarioReport> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -737,7 +719,7 @@ pub fn run_sweep(
                     break;
                 };
                 let s = by_name(name).unwrap_or_else(|| panic!("unknown scenario {name:?}"));
-                let report = s.run(seed, trace);
+                let report = s.run(seed);
                 results.lock().expect("sweep poisoned").push((i, report));
             });
         }
@@ -772,7 +754,7 @@ mod tests {
     #[test]
     fn uniform_lan_delivers_everything() {
         let s = by_name("uniform-lan").unwrap();
-        let r = s.run(1, TraceMode::Full);
+        let r = s.run(1);
         assert_eq!(r.injected, 200);
         // Every op delivered at every member.
         assert!(r.deliveries >= (r.injected * s.n) as u64, "{r:?}");
@@ -782,8 +764,8 @@ mod tests {
 
     #[test]
     fn wan_latency_exceeds_lan_latency() {
-        let lan = by_name("uniform-lan").unwrap().run(2, TraceMode::Full);
-        let wan = by_name("uniform-wan3").unwrap().run(2, TraceMode::Full);
+        let lan = by_name("uniform-lan").unwrap().run(2);
+        let wan = by_name("uniform-wan3").unwrap().run(2);
         assert!(
             wan.mean_latency_ms > lan.mean_latency_ms * 5.0,
             "wan {} vs lan {}",
@@ -795,7 +777,7 @@ mod tests {
     #[test]
     fn churn_scenario_stays_live() {
         let s = by_name("churn-lan").unwrap();
-        let r = s.run(3, TraceMode::Full);
+        let r = s.run(3);
         // All stream ops delivered at the surviving founding members.
         assert!(
             r.deliveries >= (r.injected * 3) as u64,
@@ -806,7 +788,7 @@ mod tests {
     #[test]
     fn flaky_churn_survives_loss_and_churn() {
         let s = by_name("flaky-churn").unwrap();
-        let r = s.run(5, TraceMode::Full);
+        let r = s.run(5);
         // The stream stays live at the three surviving founding members
         // despite 2% loss, a 25% loss burst, a join and a removal.
         assert!(
@@ -818,7 +800,7 @@ mod tests {
     #[test]
     fn rolling_restart_wan3_delivers_everywhere_after_heals() {
         let s = by_name("rolling-restart-wan3").unwrap();
-        let r = s.run(4, TraceMode::Full);
+        let r = s.run(4);
         // Every region outage heals, so all 9 members eventually deliver
         // the full stream (retransmissions catch the isolated region up).
         assert_eq!(r.injected, 90);
@@ -830,7 +812,7 @@ mod tests {
 
     #[test]
     fn wan_reports_carry_region_pair_latency() {
-        let wan = by_name("uniform-wan3").unwrap().run(2, TraceMode::Full);
+        let wan = by_name("uniform-wan3").unwrap().run(2);
         assert!(!wan.region_latency.is_empty());
         let get = |f: usize, t: usize| {
             wan.region_latency
@@ -843,7 +825,7 @@ mod tests {
         assert!(get(0, 2).mean_ms > get(0, 0).mean_ms * 5.0);
         assert!(get(2, 0).mean_ms > get(0, 2).mean_ms);
         // LAN runs record nothing.
-        let lan = by_name("uniform-lan").unwrap().run(2, TraceMode::Full);
+        let lan = by_name("uniform-lan").unwrap().run(2);
         assert!(lan.region_latency.is_empty());
     }
 
@@ -851,10 +833,10 @@ mod tests {
     fn sweep_across_threads_matches_serial_fingerprints() {
         let tasks: &[(&'static str, u64)] =
             &[("uniform-lan", 7), ("churn-lan", 7), ("uniform-lan", 8)];
-        let parallel = run_sweep(tasks, 3, TraceMode::Full);
+        let parallel = run_sweep(tasks, 3);
         let serial: Vec<ScenarioReport> = tasks
             .iter()
-            .map(|&(n, seed)| by_name(n).unwrap().run(seed, TraceMode::Full))
+            .map(|&(n, seed)| by_name(n).unwrap().run(seed))
             .collect();
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
@@ -872,8 +854,8 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_seeds() {
         let s = by_name("uniform-lan").unwrap();
-        let a = s.run(7, TraceMode::Full);
-        let b = s.run(8, TraceMode::Full);
+        let a = s.run(7);
+        let b = s.run(8);
         assert_ne!(a.fingerprint, b.fingerprint);
     }
 
@@ -883,7 +865,7 @@ mod tests {
         // every member of each architecture delivers the whole stream.
         for name in ["uniform-lan", "uniform-lan-isis", "uniform-lan-token"] {
             let s = by_name(name).unwrap();
-            let r = s.run(3, TraceMode::Full);
+            let r = s.run(3);
             assert_eq!(r.injected, 200, "{name}");
             assert!(
                 r.deliveries >= (r.injected * s.n) as u64,
@@ -907,8 +889,7 @@ mod tests {
                 eprintln!("skipping {} (n={}) in the debug oracle loop", s.name, s.n);
                 continue;
             }
-            let r = s.run(7, TraceMode::Full);
-            assert!(r.oracle_ran, "{}", s.name);
+            let r = s.run(7);
             assert!(
                 r.violations.is_empty(),
                 "{}: invariant violations: {:#?}",
@@ -922,7 +903,7 @@ mod tests {
     fn baseline_churn_scenarios_stay_live() {
         for name in ["churn-lan-isis", "churn-lan-token"] {
             let s = by_name(name).unwrap();
-            let r = s.run(3, TraceMode::Full);
+            let r = s.run(3);
             // The three surviving founding members deliver the whole stream
             // through the join and the removal.
             assert!(
@@ -937,7 +918,7 @@ mod tests {
     fn wan_baselines_converge_with_tuned_profiles() {
         for name in ["uniform-wan3-isis", "uniform-wan3-token"] {
             let s = by_name(name).unwrap();
-            let r = s.run(7, TraceMode::Full);
+            let r = s.run(7);
             assert_eq!(r.injected, 150, "{name}");
             // Every member delivers the whole stream: the tuned timeout
             // profiles prevent spurious exclusions and the repair paths
@@ -953,7 +934,7 @@ mod tests {
     #[test]
     fn partition_heal_isis_recovers_through_kill_and_rejoin() {
         let s = by_name("partition-heal-wan3-isis").unwrap();
-        let r = s.run(7, TraceMode::Full);
+        let r = s.run(7);
         // The majority (6 of 9) stays live through the outage; the expelled
         // region catches up after healing. Some messages injected by the
         // isolated minority during the outage may be lost with their
@@ -973,7 +954,7 @@ mod tests {
         // reclamation lands, `arena_live` drops below `arena_high_water`
         // and this pin moves.
         for name in ["uniform-lan", "uniform-lan-isis", "uniform-lan-token"] {
-            let r = by_name(name).unwrap().run(2, TraceMode::Full);
+            let r = by_name(name).unwrap().run(2);
             assert_eq!(r.arena_live, r.injected, "{name}: one slot per op");
             assert_eq!(
                 r.arena_high_water, r.arena_live,
@@ -985,8 +966,7 @@ mod tests {
     #[test]
     fn aggregate_summarizes_across_seeds() {
         let s = by_name("uniform-lan").unwrap();
-        let reports: Vec<ScenarioReport> =
-            (7..10).map(|seed| s.run(seed, TraceMode::Full)).collect();
+        let reports: Vec<ScenarioReport> = (7..10).map(|seed| s.run(seed)).collect();
         let aggs = aggregate(&reports);
         assert_eq!(aggs.len(), 1);
         let a = &aggs[0];

@@ -9,7 +9,7 @@ use gcs_api::StackKind;
 use gcs_bench::scenario::{catalog, Scenario};
 use gcs_bench::workload::UniformWorkload;
 use gcs_kernel::{ProcessId, Time};
-use gcs_sim::{Schedule, Topology, TraceMode, TOPOLOGY_PRESETS};
+use gcs_sim::{Schedule, Topology, TOPOLOGY_PRESETS};
 use proptest::prelude::*;
 
 proptest! {
@@ -46,8 +46,8 @@ proptest! {
             trace_suspicions: false,
             horizon: Time::from_secs(2),
         };
-        let a = scenario.run(seed, TraceMode::Full);
-        let b = scenario.run(seed, TraceMode::Full);
+        let a = scenario.run(seed);
+        let b = scenario.run(seed);
         prop_assert_eq!(a.fingerprint, b.fingerprint, "delivery orders differ");
         prop_assert_eq!(a.events, b.events, "event counts differ");
         prop_assert_eq!(a.deliveries, b.deliveries);
@@ -74,29 +74,32 @@ proptest! {
             trace_suspicions: false,
             horizon: Time::from_secs(2),
         };
-        let a = make().run(seed, TraceMode::Full);
-        let b = make().run(seed, TraceMode::Full);
+        let a = make().run(seed);
+        let b = make().run(seed);
         prop_assert_eq!(a.fingerprint, b.fingerprint);
         prop_assert_eq!(a.events, b.events);
     }
 }
 
 /// Every cataloged scenario is reproducible at a fixed seed (the cheap,
-/// non-randomized guard the CI smoke relies on). Uses the counts-only sink:
-/// the fingerprint then reduces to the event count, while `deliveries` and
-/// `msgs` still pin the outcome.
+/// non-randomized guard the CI smoke relies on): equal fingerprints — every
+/// delivery's time, process and payload — equal counts.
 #[test]
 fn catalog_scenarios_reproduce_at_fixed_seed() {
     for s in catalog() {
-        // The at-scale points (n > 64) cost seconds per run even with the
-        // counting sink; their reproducibility is pinned by the recorded
-        // fingerprints (`repro scenario` in the release smoke), not this
-        // debug loop.
+        // The at-scale points (n > 64) cost seconds per run; their
+        // reproducibility is pinned by the recorded fingerprints (`repro
+        // scenario` in the release smoke), not this debug loop.
         if s.n > 64 {
             continue;
         }
-        let a = s.run(11, TraceMode::CountsOnly);
-        let b = s.run(11, TraceMode::CountsOnly);
+        let a = s.run(11);
+        let b = s.run(11);
+        assert_eq!(
+            a.fingerprint, b.fingerprint,
+            "{}: delivery orders differ",
+            s.name
+        );
         assert_eq!(a.events, b.events, "{}: event counts differ", s.name);
         assert_eq!(a.deliveries, b.deliveries, "{}", s.name);
         assert_eq!(a.msgs, b.msgs, "{}", s.name);
@@ -105,7 +108,7 @@ fn catalog_scenarios_reproduce_at_fixed_seed() {
 }
 
 /// `repro sweep 1 7` at the commit the table was last recorded at, one row
-/// per catalog scenario with n ≤ 64 (`TraceMode::Full`), each followed by
+/// per catalog scenario with n ≤ 64, each followed by
 /// the run's wire-byte total (which the sweep does not print). A refactor
 /// that claims to change no protocol byte holds this table unchanged; a PR
 /// that changes behaviour re-records it by pasting the rows the failing
@@ -143,7 +146,7 @@ fn catalog_matches_the_golden_table_at_seed_7() {
         .iter()
         .filter(|s| s.n <= 64)
         .map(|s| {
-            let r = s.run(7, TraceMode::Full);
+            let r = s.run(7);
             format!("{} {}", r.sweep_row(), r.bytes)
         })
         .collect();

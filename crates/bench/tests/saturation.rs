@@ -23,12 +23,12 @@ const DRAIN_MS: u64 = 1_500;
 fn new_arch(depth: usize) -> GroupBuilder {
     let mut cfg = StackConfig::default();
     cfg.monitoring_timeout = TimeDelta::from_secs(3600);
-    cfg.pipeline_depth = Some(depth);
-    cfg.batch = Some(BatchPolicy {
+    cfg.pipeline_depth = depth;
+    cfg.batch = BatchPolicy {
         max_msgs: 16,
         max_bytes: 4096,
         max_delay: TimeDelta::from_micros(500),
-    });
+    };
     Group::builder().members(GROUP).stack_config(cfg).seed(7)
 }
 

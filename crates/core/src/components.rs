@@ -34,7 +34,7 @@
 use gcs_consensus::{ConsensusManager, CtMsg, InstanceId, ManagerOut};
 use gcs_fd::{FdMode, FdOut, HeartbeatFd, MonitorClass};
 use gcs_kernel::{Component, Context, ProcessId, Time, TimeDelta, TimerId};
-use gcs_net::{RcConfig, RcOut, ReliableChannel};
+use gcs_net::{RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -83,7 +83,6 @@ fn route_wire(wire: &WireMsg) -> &'static str {
 /// Adapter around [`ReliableChannel`] (Fig 9 "Reliable Channel").
 pub struct RcComponent {
     rc: ReliableChannel<WireMsg>,
-    tick: TimeDelta,
     /// Reused channel-output buffer: every entry point of the channel
     /// appends here and [`flush`](Self::flush) drains it, so a steady-state
     /// send, packet or tick allocates nothing and moves each message once.
@@ -93,10 +92,8 @@ pub struct RcComponent {
 impl RcComponent {
     /// Creates the reliable-channel component for `me`.
     pub fn new(me: ProcessId, config: RcConfig) -> Self {
-        let tick = config.tick_interval;
         RcComponent {
             rc: ReliableChannel::new(me, config),
-            tick,
             scratch: Vec::new(),
         }
     }
@@ -124,7 +121,7 @@ impl Component<Ev> for RcComponent {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
-        ctx.set_timer(self.tick);
+        ctx.set_timer(TICK_INTERVAL);
     }
 
     fn on_event(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
@@ -149,7 +146,7 @@ impl Component<Ev> for RcComponent {
     fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Ev>) {
         self.rc.on_tick_into(ctx.now(), &mut self.scratch);
         self.flush(ctx);
-        ctx.set_timer(self.tick);
+        ctx.set_timer(TICK_INTERVAL);
     }
 }
 

@@ -33,6 +33,12 @@
 //!   rest, both in id order; undelivered messages carry into the next epoch
 //!   and are acked again there, explicitly.
 //!
+//! Each sender's messages are g-delivered in the order it broadcast them
+//! (FIFO generic broadcast, paper footnote 9): a message whose turn comes
+//! before an earlier one of its sender is held back until that one is
+//! delivered. Closure order can otherwise overtake: it puts the
+//! possibly-fast-delivered messages first.
+//!
 //! A failure-free, conflict-free g-broadcast therefore costs exactly `n − 1`
 //! `gb/data` and `(n − 1)²` `gb/ack`. The `n(n − 1)` ack fan-out is inherent
 //! to delivering in two steps: every process must see the quorum itself.
@@ -178,6 +184,20 @@ fn data(message: &Message, origin_ack: Option<u64>) -> WireMsg {
     WireMsg::Gb(GbMsg::data(message.clone(), origin_ack))
 }
 
+/// Hands a g-delivered message to the application: payload-bearing bodies
+/// only.
+fn emit_delivery(message: &Message, kind: DeliveryKind, view: u64, out: &mut Vec<GbOut>) {
+    if let Body::App(payload) = &message.body {
+        out.push(GbOut::Deliver(Delivery {
+            kind,
+            id: message.id,
+            class: message.class,
+            payload: *payload,
+            view,
+        }));
+    }
+}
+
 /// What the `End`s that close an epoch report, each message once, in the
 /// order the closure delivers: first the messages acked in at least
 /// `threshold` of the `End`s, then the rest, both in id order. Of several
@@ -271,13 +291,12 @@ pub struct GenericCore {
     ends: Vec<(ProcessId, Arc<GbEndData>)>,
     /// A view waiting to be applied at the next epoch boundary.
     pending_view: Option<View>,
-    /// FIFO mode (paper footnote 9): deliveries of one sender's messages
-    /// follow the sender's broadcast order.
-    fifo: bool,
-    /// FIFO mode: next expected per-sender sequence number.
+    /// The sequence number of each sender's next g-delivery (FIFO, see the
+    /// module docs).
     next_fifo: BTreeMap<ProcessId, u64>,
-    /// FIFO mode: deliveries held back until their predecessors arrive.
-    holdback: BTreeMap<ProcessId, BTreeMap<u64, (Message, DeliveryKind)>>,
+    /// Deliveries held back until their sender's earlier messages are
+    /// delivered; empty whenever every sender's messages come in order.
+    holdback: BTreeMap<MsgId, (Message, DeliveryKind)>,
 }
 
 impl GenericCore {
@@ -320,23 +339,9 @@ impl GenericCore {
             frozen: false,
             ends: Vec::new(),
             pending_view: None,
-            fifo: false,
             next_fifo: BTreeMap::new(),
             holdback: BTreeMap::new(),
         }
-    }
-
-    /// Enables FIFO generic broadcast (paper footnote 9): each sender's
-    /// messages are g-delivered in the order that sender broadcast them, in
-    /// addition to the conflict-order guarantees.
-    pub fn with_fifo(mut self) -> Self {
-        self.fifo = true;
-        self
-    }
-
-    /// Whether FIFO mode is enabled.
-    pub fn is_fifo(&self) -> bool {
-        self.fifo
     }
 
     /// Current epoch number (diagnostics, snapshots).
@@ -653,40 +658,25 @@ impl GenericCore {
         // fast-delivered message stays acked — and among the known.
         debug_assert!(acked || kind != DeliveryKind::GenericFast);
         self.gdelivered.insert(id);
-        if !self.fifo {
-            self.emit_delivery(message, kind, out);
+        let next = self.next_fifo.entry(id.sender).or_insert(0);
+        if id.seq != *next {
+            // An earlier message of the sender is still under way.
+            self.holdback.insert(id, (message, kind));
             return;
         }
-        // FIFO hold-back: deliver only when every earlier message of the
-        // same sender has been delivered; release any unblocked successors.
-        let sender = id.sender;
-        self.holdback
-            .entry(sender)
-            .or_default()
-            .insert(id.seq, (message, kind));
-        loop {
-            let next = self.next_fifo.entry(sender).or_insert(0);
-            let Some((m, k)) = self
-                .holdback
-                .get_mut(&sender)
-                .and_then(|h| h.remove(&*next))
-            else {
-                break;
-            };
-            *next += 1;
-            self.emit_delivery(m, k, out);
+        *next += 1;
+        emit_delivery(&message, kind, self.view_id, out);
+        // The in-order case touches the hold-back map only when it holds
+        // something.
+        if self.holdback.is_empty() {
+            return;
         }
-    }
-
-    fn emit_delivery(&mut self, message: Message, kind: DeliveryKind, out: &mut Vec<GbOut>) {
-        if let Body::App(payload) = &message.body {
-            out.push(GbOut::Deliver(Delivery {
-                kind,
-                id: message.id,
-                class: message.class,
-                payload: *payload,
-                view: self.view_id,
-            }));
+        while let Some((m, k)) = self.holdback.remove(&MsgId {
+            sender: id.sender,
+            seq: *next,
+        }) {
+            *next += 1;
+            emit_delivery(&m, k, self.view_id, out);
         }
     }
 
@@ -764,13 +754,11 @@ impl GenericCore {
         self.ends.clear();
         self.pending_view = None;
         self.frozen = false;
-        if self.fifo {
-            // FIFO delivery makes each sender's delivered set prefix-closed,
-            // so the cursor resumes one past the highest delivered sequence.
-            for id in gdelivered {
-                let next = self.next_fifo.entry(id.sender).or_insert(0);
-                *next = (*next).max(id.seq + 1);
-            }
+        // FIFO delivery makes each sender's delivered set prefix-closed, so
+        // the cursor resumes one past the highest delivered sequence.
+        for id in gdelivered {
+            let next = self.next_fifo.entry(id.sender).or_insert(0);
+            *next = (*next).max(id.seq + 1);
         }
         self.enter_epoch(out);
     }
@@ -1084,8 +1072,7 @@ mod tests {
     fn fifo_holds_back_out_of_order_fast_deliveries() {
         // n=4, no conflicts: m0 and m1 from the same sender; m1's quorum
         // completes first, but FIFO holds it until m0 is delivered.
-        let mut c = core(0, 4, ConflictRelation::none(4)).with_fifo();
-        assert!(c.is_fifo());
+        let mut c = core(0, 4, ConflictRelation::none(4));
         let m0 = app(1, 0, 0);
         let m1 = app(1, 1, 0);
         c.on_data(pid(1), m0.clone(), None);
@@ -1112,7 +1099,7 @@ mod tests {
 
     #[test]
     fn fifo_snapshot_resumes_per_sender_cursor() {
-        let mut c = GenericCore::new(pid(3), ConflictRelation::none(4), None).with_fifo();
+        let mut c = GenericCore::new(pid(3), ConflictRelation::none(4), None);
         let v = View {
             id: 1,
             members: vec![pid(0), pid(1), pid(2), pid(3)],

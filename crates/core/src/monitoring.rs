@@ -24,11 +24,15 @@ use crate::types::{MonMsg, WireMsg};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MonitoringPolicy {
     /// Exclude a peer once this many distinct members (including self)
-    /// report it. `1` = any long-timeout suspicion excludes.
+    /// report it. `1` = any long-timeout suspicion excludes. The unit tests
+    /// below raise it to 2.
     pub threshold: usize,
     /// Count failure-detector (long-timeout class) suspicions.
+    /// `tests/full_stack.rs`'s output-triggered exclusion turns it off, so
+    /// that only the reliable channel can exclude.
     pub use_fd: bool,
-    /// Count reliable-channel output-triggered suspicions.
+    /// Count reliable-channel output-triggered suspicions. The unit tests
+    /// below turn it off.
     pub use_output_triggered: bool,
 }
 

@@ -17,48 +17,64 @@ use crate::rbcast::RelayFanout;
 use crate::types::{ConflictRelation, DeliveryKind, Ev, MessageClass, MsgId, View};
 
 /// Configuration of one new-architecture process stack.
+///
+/// Every field is here because a test, an experiment or a benchmark
+/// workload sets it to something other than its default; each doc comment
+/// names who.
 #[derive(Clone, Debug)]
 pub struct StackConfig {
-    /// Conflict relation used by generic broadcast.
+    /// Conflict relation used by generic broadcast. Set by the bank
+    /// example, passive replication (Fig 8), experiment E2's conflict modes
+    /// and `tests/generic_broadcast.rs`.
     pub conflict: ConflictRelation,
     /// Reliable-channel configuration (retransmission, output-triggered
-    /// suspicion threshold).
+    /// suspicion threshold, ack piggybacking); see [`RcConfig`] for who sets
+    /// each field.
     pub rc: RcConfig,
-    /// Failure-detector heartbeat period.
+    /// Failure-detector heartbeat period. The WAN tests
+    /// (`tests/adverse_network.rs`, `tests/churn_under_load.rs`) stretch it.
     pub heartbeat_interval: TimeDelta,
     /// Small timeout: consensus-class suspicions (order of the paper's
-    /// "seconds"; milliseconds at simulation scale).
+    /// "seconds"; milliseconds at simulation scale). Experiment E3 sweeps
+    /// it; the WAN tests stretch it.
     pub consensus_timeout: TimeDelta,
     /// Large timeout: monitoring-class suspicions (the paper's "minutes").
+    /// Every benchmark workload, the scenario engine and the experiments
+    /// raise it to an hour so that exclusions come from the script; E3b
+    /// and the membership tests shorten it.
     pub monitoring_timeout: TimeDelta,
-    /// Exclusion policy of the monitoring component.
+    /// Exclusion policy of the monitoring component; see
+    /// [`MonitoringPolicy`] for who sets each field.
     pub monitoring: MonitoringPolicy,
     /// Size of the application state transferred to joiners (models the
-    /// paper's state-transfer cost, §4.3).
+    /// paper's state-transfer cost, §4.3). Experiment E3b sweeps it; the
+    /// membership example and `tests/full_stack.rs` set it.
     pub state_size: usize,
-    /// FIFO generic broadcast (paper footnote 9): per-sender delivery order
-    /// follows the broadcast order.
-    pub fifo_generic: bool,
     /// Failure-detector monitoring mode. `None` derives from the group
     /// size: all-pairs heartbeats for founding groups of at most
     /// [`SCALE_THRESHOLD`] members (keeping small-group runs bit-identical
     /// to the pre-gossip stack), gossip with an auto fanout (≈ log₂ n)
-    /// above it.
+    /// above it. `tests/gossip_fd.rs` and the conformance battery's FD-mode
+    /// leg pin each mode explicitly.
     pub fd_mode: Option<gcs_fd::FdMode>,
     /// Emit consensus-class `Suspect`/`Restore` transitions as trace
     /// outputs (crash-detection latency measurement; off by default so
-    /// existing run fingerprints and delivery counts are untouched).
+    /// existing run fingerprints and delivery counts are untouched). The
+    /// crash scenarios of the scenario engine and `tests/gossip_fd.rs` set
+    /// it.
     pub trace_suspicions: bool,
-    /// How many abcast consensus instances may run concurrently. Unlike the
-    /// scale-derived policies above, the pipeline window is *order-visible*
-    /// (it changes which batch each instance agrees on), so `None` resolves
-    /// to depth 1 at **every** group size — recorded fingerprints stay
-    /// bit-identical unless a run opts in explicitly.
-    pub pipeline_depth: Option<usize>,
-    /// When abcast proposal batches close (count, bytes, or deadline).
-    /// `None` resolves to the eager unbounded default, which proposes
-    /// everything pending immediately — the pre-batching behavior.
-    pub batch: Option<BatchPolicy>,
+    /// How many abcast consensus instances may run concurrently (0 counts
+    /// as 1). Unlike the scale-derived policies above, the pipeline window
+    /// is *order-visible* (it changes which batch each instance agrees on),
+    /// so it is 1 at **every** group size unless a run opts in. The
+    /// saturation tests, `oracle_fuzz`'s depth sweeps and the `gcs-api`
+    /// saturation example set it.
+    pub pipeline_depth: usize,
+    /// When abcast proposal batches close (count, bytes, or deadline). The
+    /// default is eager and unbounded: everything pending is proposed at
+    /// once. Set alongside [`pipeline_depth`](Self::pipeline_depth), by the
+    /// same callers.
+    pub batch: BatchPolicy,
 }
 
 /// Largest founding-group size that keeps the scale-neutral defaults:
@@ -98,18 +114,6 @@ impl StackConfig {
             RelayFanout::Bounded(auto_fanout(n))
         }
     }
-
-    /// The concrete consensus pipeline depth (always ≥ 1). Depth is never
-    /// derived from the group size: deeper windows change the agreed batch
-    /// boundaries, so anything but 1 must be an explicit opt-in.
-    pub fn resolved_pipeline_depth(&self) -> usize {
-        self.pipeline_depth.unwrap_or(1).max(1)
-    }
-
-    /// The concrete abcast batch policy (eager and unbounded by default).
-    pub fn resolved_batch(&self) -> BatchPolicy {
-        self.batch.unwrap_or_default()
-    }
 }
 
 impl Default for StackConfig {
@@ -122,11 +126,10 @@ impl Default for StackConfig {
             monitoring_timeout: TimeDelta::from_millis(500),
             monitoring: MonitoringPolicy::default(),
             state_size: 0,
-            fifo_generic: false,
             fd_mode: None,
             trace_suspicions: false,
-            pipeline_depth: None,
-            batch: None,
+            pipeline_depth: 1,
+            batch: BatchPolicy::default(),
         }
     }
 }
@@ -170,23 +173,16 @@ pub fn build_process(
             id,
             initial_view.clone(),
             config.resolved_relay(scale_n),
-            config.resolved_pipeline_depth(),
-            config.resolved_batch(),
+            config.pipeline_depth,
+            config.batch,
             config.consensus_timeout,
         ))
-        .with(GenericComponent::new({
-            let core = GenericCore::with_relay(
-                id,
-                config.conflict.clone(),
-                initial_view.clone(),
-                config.resolved_relay(scale_n),
-            );
-            if config.fifo_generic {
-                core.with_fifo()
-            } else {
-                core
-            }
-        }))
+        .with(GenericComponent::new(GenericCore::with_relay(
+            id,
+            config.conflict.clone(),
+            initial_view.clone(),
+            config.resolved_relay(scale_n),
+        )))
         .with(MembershipComponent::new(MembershipCore::new(
             id,
             initial_view,

@@ -44,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use gcs_kernel::{Effects, Event, ProcessId, SmallVec, Time, TimeDelta, TimerId};
 use gcs_net::{FrameHeader, Link, TcpLink};
-use gcs_sim::{LinkModel, Metrics, Topology, TraceMode};
+use gcs_sim::{LinkModel, Metrics, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -404,9 +404,7 @@ pub(crate) struct Shared<E> {
     /// …and the frames they carried: `frames / bursts` is how well the
     /// group packs under its current load (1 when idle).
     pub frames: AtomicU64,
-    /// How much of the output stream to record.
-    pub trace_mode: TraceMode,
-    /// Recorded protocol outputs (empty unless `trace_mode` is `Full`).
+    /// Recorded protocol outputs.
     pub trace: Mutex<Vec<(Time, ProcessId, E)>>,
     /// Traffic accounting, same vocabulary as the simulator.
     pub metrics: Mutex<Metrics>,
@@ -433,17 +431,10 @@ impl<E: Event + Send> Shared<E> {
             return;
         }
         let count = outputs.len() as u64;
-        // Same sink semantics as the simulator's `Trace`: `Off` observes
-        // nothing, `CountsOnly` keeps the counters, `Full` keeps the events.
-        match self.trace_mode {
-            TraceMode::Off => return outputs.clear(),
-            TraceMode::CountsOnly => outputs.clear(),
-            TraceMode::Full => self
-                .trace
-                .lock()
-                .expect("trace lock")
-                .extend(outputs.drain(..).map(|(at, event)| (at, proc, event))),
-        }
+        self.trace
+            .lock()
+            .expect("trace lock")
+            .extend(outputs.drain(..).map(|(at, event)| (at, proc, event)));
         self.delivered_total.fetch_add(count, Ordering::Relaxed);
         self.delivered_per[proc.index()].fetch_add(count, Ordering::Relaxed);
     }
@@ -626,7 +617,6 @@ pub(crate) fn open<E: Event + Send>(
         events: AtomicU64::new(0),
         bursts: AtomicU64::new(0),
         frames: AtomicU64::new(0),
-        trace_mode: config.trace,
         trace: Mutex::new(Vec::new()),
         metrics: Mutex::new(Metrics::default()),
         wheel: TimerWheel::new(),

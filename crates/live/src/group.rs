@@ -13,39 +13,41 @@
 //! runs unchanged — the stacks' millisecond-scale timeouts make live runs
 //! take wall milliseconds, not minutes.
 
-use gcs_sim::{Harness, StackDriver, Topology, TraceMode};
+use gcs_sim::{Harness, StackDriver, Topology};
 
 use crate::runtime::LiveRuntime;
 use crate::WireMode;
 
-/// Group-level options independent of the protocol stack.
+/// Group-level options independent of the protocol stack. Every output is
+/// recorded, as on the simulator. `GroupBuilder` sets every field from its
+/// own knob of the same name.
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
     /// Founding members.
     pub members: usize,
-    /// Processes started outside the group (activate with `join_at`).
+    /// Processes started outside the group (activate with `join_at`). The
+    /// conformance battery's join legs set it.
     pub joiners: usize,
     /// Seed for the emulated network's randomness (loss, delay sampling).
     pub seed: u64,
     /// Baseline link models. Delays below the emulation floor ride the
     /// real wire; WAN presets and overrides are emulated by parking frames
-    /// on the timer wheel.
+    /// on the timer wheel. The runtime's hand-played fabric tests set a
+    /// zero-delay one, so that bursts skip the wheel.
     pub topology: Topology,
-    /// Output recording mode.
-    pub trace: TraceMode,
-    /// How frames physically move between member threads.
+    /// How frames physically move between member threads. The benchmark's
+    /// TCP workloads and the TCP wire tests set [`WireMode::Tcp`].
     pub wire: WireMode,
 }
 
 impl LiveConfig {
-    /// `members` founders on a LAN topology, full trace, channel wire.
+    /// `members` founders on a LAN topology, channel wire.
     pub fn new(members: usize) -> Self {
         LiveConfig {
             members,
             joiners: 0,
             seed: 42,
             topology: Topology::lan(),
-            trace: TraceMode::Full,
             wire: WireMode::Channel,
         }
     }
@@ -65,12 +67,6 @@ impl LiveConfig {
     /// Sets the baseline topology.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Sets the trace sink mode.
-    pub fn with_trace(mut self, trace: TraceMode) -> Self {
-        self.trace = trace;
         self
     }
 

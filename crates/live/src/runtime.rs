@@ -748,15 +748,13 @@ mod tests {
     fn frames_pack_under_load_and_never_wait_for_company() {
         use gcs_core::{NewArchDriver, StackConfig};
         use gcs_kernel::PayloadRef;
-        use gcs_sim::{StackDriver, TraceMode};
+        use gcs_sim::StackDriver;
 
         let n = 3;
         let config = StackConfig::default();
-        let mut group = LiveRuntime::start(
-            LiveConfig::new(n).with_trace(TraceMode::CountsOnly),
-            n,
-            move |id| NewArchDriver::build(id, &config, n),
-        );
+        let mut group = LiveRuntime::start(LiveConfig::new(n), n, move |id| {
+            NewArchDriver::build(id, &config, n)
+        });
         let packing = |group: &LiveRuntime<_>| {
             let shared: &Shared<_> = &group.shared;
             (

@@ -35,4 +35,4 @@ pub mod link;
 mod reliable;
 
 pub use link::{encode_frame, ChannelLink, FrameDecoder, FrameHeader, Link, TcpLink};
-pub use reliable::{Packet, RcConfig, RcOut, ReliableChannel};
+pub use reliable::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};

@@ -119,19 +119,23 @@ impl PeerSet {
     }
 }
 
-/// Configuration of a [`ReliableChannel`].
+/// Configuration of a [`ReliableChannel`]. Each field names the tests that
+/// set it to something other than its default.
 #[derive(Clone, Copy, Debug)]
 pub struct RcConfig {
-    /// Retransmit a data packet if unacknowledged for this long.
+    /// Retransmit a data packet if unacknowledged for this long. The WAN
+    /// tests (`tests/adverse_network.rs`, `tests/churn_under_load.rs`)
+    /// stretch it past the round trip.
     pub retransmit_after: TimeDelta,
     /// Raise [`RcOut::Stuck`] when the oldest unacknowledged message for a
     /// peer is older than this (output-triggered suspicion, paper §3.3.2).
+    /// `tests/full_stack.rs`'s output-triggered exclusion shortens it.
     pub stuck_after: TimeDelta,
-    /// How often the owner should call [`ReliableChannel::on_tick`].
-    pub tick_interval: TimeDelta,
     /// Piggyback cumulative acks on reverse-direction data packets and delay
-    /// standalone acks to the next tick. Disable to get the classic
-    /// ack-per-data behavior (used by packet-count comparisons).
+    /// standalone acks to the next tick. The packet-count reference tests
+    /// (`piggybacking_cuts_steady_state_packets_by_40_percent` here,
+    /// `ack_piggybacking_cuts_steady_state_packets` in `gcs-core`) switch
+    /// it off to get the classic ack-per-data behavior.
     pub piggyback_acks: bool,
 }
 
@@ -140,11 +144,14 @@ impl Default for RcConfig {
         RcConfig {
             retransmit_after: TimeDelta::from_millis(20),
             stuck_after: TimeDelta::from_secs(30),
-            tick_interval: TimeDelta::from_millis(10),
             piggyback_acks: true,
         }
     }
 }
+
+/// How often the owner calls [`ReliableChannel::on_tick`]: the period of
+/// retransmission checks and of delayed-ack flushes.
+pub const TICK_INTERVAL: TimeDelta = TimeDelta::from_millis(10);
 
 /// After this many consecutive retransmission rounds to a peer without an
 /// acknowledgement from it, only the head of its backlog is retransmitted
@@ -272,8 +279,8 @@ impl<M> PeerRx<M> {
 /// 1. call [`send_into`](Self::send_into) to transmit messages,
 /// 2. feed every received [`Packet`] to
 ///    [`on_packet_into`](Self::on_packet_into),
-/// 3. call [`on_tick_into`](Self::on_tick_into) every
-///    [`RcConfig::tick_interval`] (this also flushes delayed acks),
+/// 3. call [`on_tick_into`](Self::on_tick_into) every [`TICK_INTERVAL`]
+///    (this also flushes delayed acks),
 ///
 /// and carry out the [`RcOut`] instructions each appends to its buffer.
 ///
@@ -314,11 +321,6 @@ impl<M: Clone> ReliableChannel<M> {
             owed_acks: PeerSet::default(),
             refused: PeerSet::default(),
         }
-    }
-
-    /// The configured tick interval, for the owner's timer.
-    pub fn tick_interval(&self) -> TimeDelta {
-        self.config.tick_interval
     }
 
     /// The cumulative ack to piggyback on a packet towards `to`, clearing
@@ -460,8 +462,8 @@ impl<M: Clone> ReliableChannel<M> {
     }
 
     /// [`on_tick`](Self::on_tick), appending into a caller-owned buffer
-    /// (the hot-path entry point: ticks fire every
-    /// [`RcConfig::tick_interval`] on every process). A tick with nothing
+    /// (the hot-path entry point: ticks fire every [`TICK_INTERVAL`] on
+    /// every process). A tick with nothing
     /// to batch allocates nothing.
     pub fn on_tick_into(&mut self, now: Time, out: &mut Vec<RcOut<M>>) {
         // Only peers with in-flight data are visited, in id order

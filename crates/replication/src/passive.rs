@@ -72,7 +72,6 @@ impl PassiveGroup {
     /// FIFO requirement of the paper's footnote 9 are always enforced).
     pub fn with_config(n: usize, mut config: StackConfig, seed: u64) -> Self {
         config.conflict = passive_conflicts();
-        config.fifo_generic = true; // footnote 9: FIFO generic broadcast
         let group = Group::builder()
             .members(n)
             .stack_config(config)

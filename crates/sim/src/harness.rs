@@ -117,7 +117,7 @@ pub trait StackDriver: 'static {
 
 /// What differs per execution backend (see the [module docs](self)).
 pub trait Runtime<E: Event>: Sized {
-    /// Backend configuration (seed, topology, trace sink, …).
+    /// Backend configuration (seed, topology, …).
     type Config;
 
     /// Hosts processes `0..n`, each built by `build(id)` — on the caller's
@@ -147,7 +147,7 @@ pub trait Runtime<E: Event>: Sized {
     /// `limit` (`false`).
     fn run_to_quiescence(&mut self, limit: Time) -> bool;
 
-    /// Outputs recorded at `p` (kept in every trace mode but `Off`).
+    /// Outputs recorded at `p`.
     fn outputs_of(&self, p: ProcessId) -> u64;
 
     /// Outputs recorded group-wide.
@@ -206,7 +206,7 @@ impl<E: Event> Runtime<E> for SimWorld<E> {
     }
 
     fn outputs_total(&self) -> u64 {
-        self.trace().delivery_count()
+        self.trace().len() as u64
     }
 
     fn visit_outputs(&self, f: &mut dyn FnMut(Time, ProcessId, &E)) {

@@ -24,7 +24,7 @@
 //!   integration tests (total order, agreement, …).
 //!
 //! It is also the lowest crate that sees everything a group harness needs
-//! ([`Schedule`], [`Metrics`], [`TraceMode`], the kernel) while being seen
+//! ([`Schedule`], [`Metrics`], [`Trace`], the kernel) while being seen
 //! by every stack and by the live backend, so the one generic [`Harness`],
 //! its [`StackDriver`] × [`Runtime`] contract and the [`GroupTransport`]
 //! surface live here; `gcs-api` re-exports the surface.
@@ -49,7 +49,7 @@ pub use schedule::{Schedule, ScheduleAction};
 pub use topology::{Assignment, Topology, TOPOLOGY_PRESETS};
 pub use trace::{
     check_agreement, check_no_duplicates, check_prefix_consistency, check_total_order,
-    OrderViolation, Trace, TraceEntry, TraceMode,
+    OrderViolation, Trace, TraceEntry,
 };
 pub use transport::{
     Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,

@@ -23,105 +23,49 @@ pub struct TraceEntry<E> {
     pub event: E,
 }
 
-/// How the simulation records application deliveries.
-///
-/// Long throughput runs should use [`CountsOnly`](TraceMode::CountsOnly) or
-/// [`Off`](TraceMode::Off): the [`Full`](TraceMode::Full) sink accumulates an
-/// unbounded `Vec` of entries, which both costs memory and pollutes
-/// wall-clock measurements.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Record every delivery with its time, process, and event (default).
-    #[default]
-    Full,
-    /// Keep only per-process delivery counters; drop the events.
-    CountsOnly,
-    /// Record nothing.
-    Off,
-}
-
 /// The application-delivery trace of a run, in delivery order.
 #[derive(Clone, Debug, Default)]
 pub struct Trace<E> {
-    mode: TraceMode,
     entries: Vec<TraceEntry<E>>,
-    /// Deliveries per process (kept in every mode except [`TraceMode::Off`]).
+    /// Deliveries per process, so that [`deliveries_of`](Self::deliveries_of)
+    /// need not scan the entries.
     counts: Vec<u64>,
-    total: u64,
 }
 
 impl<E> Trace<E> {
-    /// Creates an empty trace with the [`TraceMode::Full`] sink.
+    /// Creates an empty trace.
     pub fn new() -> Self {
-        Self::with_mode(TraceMode::Full)
-    }
-
-    /// Creates an empty trace with the given sink mode.
-    pub fn with_mode(mode: TraceMode) -> Self {
         Trace {
-            mode,
             entries: Vec::new(),
             counts: Vec::new(),
-            total: 0,
         }
-    }
-
-    /// The sink mode this trace records with.
-    pub fn mode(&self) -> TraceMode {
-        self.mode
     }
 
     pub(crate) fn push(&mut self, time: Time, proc: ProcessId, event: E) {
-        match self.mode {
-            TraceMode::Off => {}
-            TraceMode::CountsOnly => {
-                self.total += 1;
-                let idx = proc.index();
-                if idx >= self.counts.len() {
-                    self.counts.resize(idx + 1, 0);
-                }
-                self.counts[idx] += 1;
-            }
-            TraceMode::Full => {
-                self.total += 1;
-                let idx = proc.index();
-                if idx >= self.counts.len() {
-                    self.counts.resize(idx + 1, 0);
-                }
-                self.counts[idx] += 1;
-                self.entries.push(TraceEntry { time, proc, event });
-            }
+        let idx = proc.index();
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
         }
+        self.counts[idx] += 1;
+        self.entries.push(TraceEntry { time, proc, event });
     }
 
-    /// All entries in global delivery order (empty unless the mode is
-    /// [`TraceMode::Full`]).
+    /// All entries in global delivery order.
     pub fn entries(&self) -> &[TraceEntry<E>] {
         &self.entries
     }
 
-    /// Number of recorded *entries* — zero in the counting-only modes even
-    /// when deliveries happened (use [`delivery_count`](Self::delivery_count)
-    /// for the mode-independent total).
+    /// Number of recorded deliveries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no delivery was *observed*. Unlike [`len`](Self::len) this
-    /// accounts for the [`TraceMode::CountsOnly`] sink; under
-    /// [`TraceMode::Off`] nothing is observed, so this stays `true`.
+    /// True when nothing was delivered.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.entries.is_empty()
     }
 
-    /// Total deliveries observed, in any mode except [`TraceMode::Off`]
-    /// (where it stays zero).
-    pub fn delivery_count(&self) -> u64 {
-        self.total
-    }
-
-    /// Deliveries observed at `proc` (zero when the mode is
-    /// [`TraceMode::Off`]).
+    /// Deliveries recorded at `proc`.
     pub fn deliveries_of(&self, proc: ProcessId) -> u64 {
         self.counts.get(proc.index()).copied().unwrap_or(0)
     }
@@ -321,28 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_only_mode_counts_without_storing() {
-        let mut t: Trace<u32> = Trace::with_mode(TraceMode::CountsOnly);
-        t.push(Time::from_millis(1), ProcessId::new(0), 10);
-        t.push(Time::from_millis(2), ProcessId::new(2), 20);
-        t.push(Time::from_millis(3), ProcessId::new(0), 30);
-        assert!(t.entries().is_empty());
-        assert_eq!(t.delivery_count(), 3);
-        assert_eq!(t.deliveries_of(ProcessId::new(0)), 2);
-        assert_eq!(t.deliveries_of(ProcessId::new(1)), 0);
-        assert_eq!(t.deliveries_of(ProcessId::new(2)), 1);
-    }
-
-    #[test]
-    fn off_mode_records_nothing() {
-        let mut t: Trace<u32> = Trace::with_mode(TraceMode::Off);
-        t.push(Time::from_millis(1), ProcessId::new(0), 10);
-        assert!(t.entries().is_empty());
-        assert_eq!(t.delivery_count(), 0);
-        assert_eq!(t.mode(), TraceMode::Off);
-    }
-
-    #[test]
     fn trace_projection_per_proc() {
         let mut t: Trace<u32> = Trace::new();
         t.push(Time::from_millis(1), ProcessId::new(0), 10);
@@ -351,6 +273,9 @@ mod tests {
         let seqs = t.per_proc(2, |e| Some(*e));
         assert_eq!(seqs, vec![vec![10, 30], vec![20]]);
         assert_eq!(t.of_proc(ProcessId::new(0)).count(), 2);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.deliveries_of(ProcessId::new(0)), 2);
+        assert_eq!(t.deliveries_of(ProcessId::new(2)), 0);
         let first = t.first_time(|e| (*e == 20).then_some(())).unwrap();
         assert_eq!(first.0, Time::from_millis(2));
     }

@@ -334,17 +334,16 @@ pub trait GroupTransport {
     /// Total protocol outputs observed across all processes: application
     /// deliveries plus view installations and whatever else the stack
     /// traces (suspicions when configured, Isis blocking markers, kill and
-    /// re-join notices) — the same on both backends. Mode-independent
-    /// (counted even under `TraceMode::CountsOnly`, unlike
-    /// [`delivery_trace`](Self::delivery_trace)); a cheap lower-bound gate
-    /// for "has everything arrived", not a delivery count to assert on.
+    /// re-join notices) — the same on both backends. A cheap lower-bound
+    /// gate for "has everything arrived", not a delivery count to assert
+    /// on.
     fn delivery_count(&self) -> u64;
 
     /// The one observation pass: calls `f` with every recorded protocol
     /// output in global observation order, projected into the neutral
     /// [`Observation`] vocabulary. Nothing is cloned; on the live backend
     /// the trace lock is held for the duration of the pass, so `f` should
-    /// be quick. Records nothing under the counting-only trace sinks.
+    /// be quick.
     ///
     /// Everything below that reads the trace ([`delivery_trace`],
     /// [`views`], [`resets`], [`suspicion_trace`], …) is written over this
@@ -494,8 +493,7 @@ pub trait GroupTransport {
         self.arena().get(payload)
     }
 
-    /// Every recorded application delivery, in global delivery order
-    /// (empty under the counting-only trace sinks).
+    /// Every recorded application delivery, in global delivery order.
     fn delivery_trace(&self) -> Vec<TransportDelivery> {
         let mut out = Vec::new();
         self.observe(&mut |time, proc, o| out.extend(o.delivery(time, proc)));

@@ -8,23 +8,23 @@ use crate::metrics::Metrics;
 use crate::network::{LinkModel, NetworkModel};
 use crate::schedule::{Schedule, ScheduleAction};
 use crate::topology::Topology;
-use crate::trace::{Trace, TraceMode};
+use crate::trace::Trace;
 use crate::wheel::{TimingWheel, WheelItem};
 
-/// Configuration of a simulation run.
+/// Configuration of a simulation run. Every application delivery is
+/// recorded in the run's [`Trace`].
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// PRNG seed; two runs with equal seed, topology and workload are
-    /// identical.
+    /// identical. Every seeded test, scenario and benchmark run sets it.
     pub seed: u64,
     /// Network topology resolving the link model of every process pair.
+    /// The WAN and lossy scenarios, experiments and tests set it.
     pub topology: Topology,
-    /// Fixed loopback delay for self-sends (never lost or partitioned).
-    pub loopback_delay: TimeDelta,
-    /// How application deliveries are recorded (see [`TraceMode`]); long
-    /// throughput runs should switch off the full sink.
-    pub trace: TraceMode,
 }
+
+/// Fixed delay of a self-send, which is never lost or partitioned.
+const LOOPBACK_DELAY: TimeDelta = TimeDelta::from_micros(10);
 
 impl SimConfig {
     /// A LAN-like configuration with the given seed.
@@ -32,8 +32,6 @@ impl SimConfig {
         SimConfig {
             seed,
             topology: Topology::lan(),
-            loopback_delay: TimeDelta::from_micros(10),
-            trace: TraceMode::Full,
         }
     }
 
@@ -45,12 +43,6 @@ impl SimConfig {
     /// Replaces the network topology.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Replaces the trace sink mode.
-    pub fn with_trace(mut self, trace: TraceMode) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -152,7 +144,6 @@ pub struct SimWorld<E: Event> {
     rng: StdRng,
     metrics: Metrics,
     trace: Trace<E>,
-    loopback_delay: TimeDelta,
     spike_extra: TimeDelta,
     spike_until: Time,
     burst_prob: f64,
@@ -179,8 +170,7 @@ impl<E: Event> SimWorld<E> {
             net: NetworkModel::with_topology(config.topology),
             rng: StdRng::seed_from_u64(config.seed),
             metrics,
-            trace: Trace::with_mode(config.trace),
-            loopback_delay: config.loopback_delay,
+            trace: Trace::new(),
             spike_extra: TimeDelta::ZERO,
             spike_until: Time::ZERO,
             burst_prob: 0.0,
@@ -501,7 +491,7 @@ impl<E: Event> SimWorld<E> {
         self.metrics.record_send(event.kind(), wire_size);
         if from == to {
             // Loopback: fixed small delay, never lost or partitioned.
-            let at = self.now + self.loopback_delay;
+            let at = self.now + LOOPBACK_DELAY;
             self.schedule(
                 at,
                 Pending::Net {
@@ -672,20 +662,6 @@ mod tests {
             _ => None,
         });
         assert_eq!(seqs[0], (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn counts_only_trace_still_counts_deliveries() {
-        let mut w: SimWorld<Ev> =
-            SimWorld::new(SimConfig::lan(1).with_trace(crate::trace::TraceMode::CountsOnly));
-        for _ in 0..3 {
-            w.add_node(|id| Process::builder(id).with(Echo { n: 3 }).build());
-        }
-        w.inject_at(Time::ZERO, ProcessId::new(0), "echo", Ev::Hello(1));
-        assert!(w.run_to_quiescence(Time::from_secs(1)));
-        assert!(w.trace().entries().is_empty(), "no entries stored");
-        assert_eq!(w.trace().delivery_count(), 3, "but deliveries counted");
-        assert_eq!(w.metrics().sent_of_kind("hello"), 3);
     }
 
     #[test]

@@ -31,22 +31,27 @@ use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topolo
 /// Message identity within the Isis stack.
 pub type IsisMsgId = (ProcessId, u64);
 
-/// Configuration of an Isis-style process.
+/// Configuration of an Isis-style process. A killed (wrongly excluded)
+/// process always re-joins; a scripted removal stays out.
 #[derive(Clone, Copy, Debug)]
 pub struct IsisConfig {
-    /// Heartbeat period.
+    /// Heartbeat period. [`for_topology`](Self::for_topology) stretches it
+    /// on WAN presets (`GroupBuilder` runs that profile unless given a
+    /// config).
     pub heartbeat_interval: TimeDelta,
     /// Failure-detection timeout — in the traditional architecture this is
-    /// also the *exclusion* timeout (suspicion ⇒ exclusion).
+    /// also the *exclusion* timeout (suspicion ⇒ exclusion). Experiment E3
+    /// sweeps it, the benchmark's `live-closed` workload raises it, and
+    /// [`for_topology`](Self::for_topology) stretches it on WAN presets.
     pub fd_timeout: TimeDelta,
     /// Application state transferred on (re-)join, in bytes (§4.3).
+    /// Experiment E3b sweeps it; the Isis state-transfer unit test sets it.
     pub state_size: usize,
-    /// Whether a killed (wrongly excluded) process automatically re-joins.
-    pub auto_rejoin: bool,
     /// Throttle for the loss-repair paths (re-pushing own unsequenced data
     /// to the sequencer, asking it to backfill missed orders). The original
     /// Isis assumed reliable FIFO links; on lossy/partitioned topologies the
     /// repair traffic stands in for that substrate.
+    /// [`for_topology`](Self::for_topology) stretches it on WAN presets.
     pub retrans_interval: TimeDelta,
 }
 
@@ -56,7 +61,6 @@ impl Default for IsisConfig {
             heartbeat_interval: TimeDelta::from_millis(5),
             fd_timeout: TimeDelta::from_millis(100),
             state_size: 0,
-            auto_rejoin: true,
             retrans_interval: TimeDelta::from_millis(10),
         }
     }
@@ -808,11 +812,9 @@ impl IsisStack {
                 ctx.output(IsisEvent::Removed);
             } else {
                 ctx.output(IsisEvent::Killed);
-                if self.config.auto_rejoin {
-                    if let Some(&coord) = members.first() {
-                        self.rejoin_target = Some(coord);
-                        ctx.send(coord, "isis", IsisEvent::JoinRequest);
-                    }
+                if let Some(&coord) = members.first() {
+                    self.rejoin_target = Some(coord);
+                    ctx.send(coord, "isis", IsisEvent::JoinRequest);
                 }
             }
             return;

@@ -25,43 +25,37 @@ use gcs_kernel::{
 };
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology};
 
-/// Configuration of a token-ring process.
+/// How long a holder keeps the token before passing it on.
+const HOLD: TimeDelta = TimeDelta::from_micros(300);
+
+/// Configuration of a token-ring process. A holder stamps its whole outbox
+/// per hold; a member excluded by a reformation it missed (wrong
+/// suspicion, healed partition) always re-joins through the fault-free
+/// membership path, while a scripted removal stays out.
 #[derive(Clone, Copy, Debug)]
 pub struct TokenConfig {
-    /// How long a holder keeps the token before passing it on.
-    pub hold: TimeDelta,
     /// Token-loss timeout: a member that has not seen the token for this
-    /// long starts a reformation.
+    /// long starts a reformation. The benchmark's `live-closed` workload
+    /// raises it, and [`for_topology`](Self::for_topology) stretches it on
+    /// WAN presets (`GroupBuilder` runs that profile unless given a config).
     pub token_timeout: TimeDelta,
     /// How long a reformer waits for reports before excluding silents.
+    /// [`for_topology`](Self::for_topology) stretches it on WAN presets.
     pub reform_timeout: TimeDelta,
     /// Scan period of the gap-repair path: a member whose delivery cursor is
     /// stuck behind sequenced messages it has seen asks the ring to re-send
     /// the missing ones (Totem carries the same request on the token's
-    /// retransmission list).
+    /// retransmission list). [`for_topology`](Self::for_topology) stretches
+    /// it on WAN presets.
     pub retrans_interval: TimeDelta,
-    /// Whether a member excluded by a reformation it missed (wrong
-    /// suspicion, healed partition) automatically re-joins through the
-    /// fault-free membership path. Scripted removals stay out regardless.
-    pub auto_rejoin: bool,
-    /// Payload-piggyback byte budget per token hold: a holder stops
-    /// stamping queued application payloads once this many bytes went out
-    /// (always at least one message, however fat) so one loaded sender
-    /// cannot starve the rotation. Membership changes are never budgeted.
-    /// The default (`usize::MAX`) drains the whole outbox per hold — the
-    /// pre-limit behavior, bit-identical on recorded runs.
-    pub max_hold_bytes: usize,
 }
 
 impl Default for TokenConfig {
     fn default() -> Self {
         TokenConfig {
-            hold: TimeDelta::from_micros(300),
             token_timeout: TimeDelta::from_millis(50),
             reform_timeout: TimeDelta::from_millis(20),
             retrans_interval: TimeDelta::from_millis(10),
-            auto_rejoin: true,
-            max_hold_bytes: usize::MAX,
         }
     }
 }
@@ -77,12 +71,11 @@ impl TokenConfig {
     pub fn for_topology(topology: &Topology, n: usize) -> Self {
         let d = topology.max_one_way_delay();
         let defaults = Self::default();
-        let rotation = (defaults.hold + d).saturating_mul(n.max(1) as u64);
+        let rotation = (HOLD + d).saturating_mul(n.max(1) as u64);
         TokenConfig {
             token_timeout: defaults.token_timeout.max(rotation.saturating_mul(3)),
             reform_timeout: defaults.reform_timeout.max(d.saturating_mul(4)),
             retrans_interval: defaults.retrans_interval.max(d.saturating_mul(3)),
-            ..defaults
         }
     }
 }
@@ -306,8 +299,8 @@ pub struct TokenStack {
     vid: u64,
     ring: Vec<ProcessId>,
     member: bool,
-    /// This process delivered its own scripted removal: stay out even if
-    /// `auto_rejoin` is set.
+    /// This process delivered its own scripted removal: stay out instead of
+    /// re-joining.
     removed: bool,
     /// Outbound queue, stamped when we hold the token.
     outbox: VecDeque<PayloadRef>,
@@ -411,18 +404,7 @@ impl TokenStack {
         self.expected_seq = self.expected_seq.max(next_seq);
         self.last_token_seen = ctx.now();
         self.holding_token = true;
-        // Payload piggyback budget: stop stamping once the hold has pushed
-        // `max_hold_bytes` of payload (checked before each pop, so at least
-        // one message always goes out and the default unlimited budget
-        // drains the queue exactly as before). Leftovers wait for the next
-        // rotation — the ring keeps rotating instead of serving one fat
-        // sender to exhaustion.
-        let mut stamped = 0usize;
-        while stamped < self.config.max_hold_bytes {
-            let Some(payload) = self.outbox.pop_front() else {
-                break;
-            };
-            stamped = stamped.saturating_add(payload.len().max(1));
+        while let Some(payload) = self.outbox.pop_front() {
             let m = SeqMsg {
                 seq: next_seq,
                 origin: self.me,
@@ -730,7 +712,7 @@ impl TokenStack {
                 // unless removed by request — re-join through the ordinary
                 // fault-free membership path.
                 ctx.output(TokenEvent::Excluded);
-                if self.config.auto_rejoin && !self.removed {
+                if !self.removed {
                     if let Some(&head) = ring.first() {
                         ctx.send(head, "token", TokenEvent::JoinRequest);
                     }
@@ -753,7 +735,7 @@ impl Component<TokenEvent> for TokenStack {
 
     fn on_start(&mut self, ctx: &mut Context<'_, TokenEvent>) {
         self.last_token_seen = ctx.now();
-        ctx.set_timer(self.config.hold);
+        ctx.set_timer(HOLD);
         if self.member && self.ring.first() == Some(&self.me) {
             // The lowest-id member creates the token.
             self.work_token(0, 0, ctx);
@@ -875,7 +857,7 @@ impl Component<TokenEvent> for TokenStack {
     }
 
     fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, TokenEvent>) {
-        ctx.set_timer(self.config.hold);
+        ctx.set_timer(HOLD);
         if !self.member {
             return;
         }
@@ -1102,42 +1084,6 @@ mod tests {
             let ring = rings[i].last().expect("rejoined");
             assert!(ring.contains(p(i as u32)), "p{i} back in the ring");
         }
-    }
-
-    #[test]
-    fn hold_byte_budget_spreads_fat_payloads_over_rotations() {
-        let run = |cfg: TokenConfig| {
-            let mut sim = TokenSim::new(3, cfg, 7);
-            for i in 0..6u8 {
-                sim.abcast_at(Time::from_millis(1), p(0), vec![i; 100]);
-            }
-            sim.run_until(Time::from_secs(2));
-            let seqs = sim.adelivered_payloads();
-            for s in &seqs {
-                assert_eq!(s.len(), 6, "the byte budget must not lose messages");
-            }
-            check_prefix_consistency(&seqs).expect("total order under byte cap");
-            // Distinct stamp times at the origin: one per token hold.
-            sim.trace()
-                .entries()
-                .iter()
-                .filter(|e| e.proc == p(0) && matches!(e.event, TokenEvent::Deliver { .. }))
-                .map(|e| e.time)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-        };
-        let unlimited = run(TokenConfig::default());
-        let capped = run(TokenConfig {
-            max_hold_bytes: 150,
-            ..TokenConfig::default()
-        });
-        // 100-byte payloads against a 150-byte budget stamp two per hold, so
-        // six messages need at least three rotations; unlimited drains in one.
-        assert!(capped >= 3, "capped run used {capped} holds");
-        assert!(
-            capped > unlimited,
-            "capped {capped} vs unlimited {unlimited}"
-        );
     }
 
     #[test]

@@ -48,12 +48,10 @@ fn isis_stack_fig1() {
 /// stack where a killed process is re-admitted rather than lost.
 #[test]
 fn phoenix_stack_fig2() {
-    let mut cfg = IsisConfig::default();
-    cfg.auto_rejoin = true;
     let mut sim = Group::builder()
         .members(3)
         .stack(StackKind::Isis)
-        .isis_config(cfg)
+        .isis_config(IsisConfig::default())
         .seed(102)
         .build();
     sim.partition_at(Time::from_millis(40), vec![vec![p(0), p(1)], vec![p(2)]]);

@@ -137,16 +137,15 @@ fn output_triggered_exclusion() {
     );
 }
 
-/// FIFO generic broadcast (paper footnote 9): with FIFO enabled, every
-/// member delivers each sender's messages in broadcast order, across seeds
-/// and regardless of acknowledgement races.
+/// FIFO generic broadcast (paper footnote 9): every member delivers each
+/// sender's messages in broadcast order, across seeds and regardless of
+/// acknowledgement races.
 #[test]
 fn fifo_generic_broadcast_per_sender_order() {
     for seed in 0..8u64 {
         let mut cfg = StackConfig::default();
-        cfg.fifo_generic = true;
-        // Nothing conflicts: without FIFO, ack races can invert a sender's
-        // messages; with FIFO they cannot.
+        // Nothing conflicts: ack races could invert a sender's messages, the
+        // FIFO hold-back must not let them.
         cfg.conflict = gcs::core::ConflictRelation::none(4);
         let mut g = Group::builder()
             .members(4)

@@ -113,10 +113,10 @@ fn explicit_fd_mode_override_preserves_agreement() {
     for mode in [FdMode::AllPairs, FdMode::Gossip { fanout: 0 }] {
         let mut cfg = StackConfig::default();
         cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+        cfg.fd_mode = Some(mode);
         let mut g = Group::builder()
             .members(24)
             .stack_config(cfg)
-            .fd_mode(mode)
             .seed(9)
             .build();
         for i in 0..10u32 {

@@ -169,10 +169,10 @@ fn both_fd_modes_pass_the_conformance_battery() {
         for mode in [FdMode::AllPairs, FdMode::Gossip { fanout: 0 }] {
             let mut cfg = StackConfig::default();
             cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+            cfg.fd_mode = Some(mode);
             let mut g = Group::builder()
                 .members(20)
                 .stack_config(cfg)
-                .fd_mode(mode)
                 .backend(backend)
                 .seed(33)
                 .build();
