@@ -116,19 +116,50 @@ fn catalog_scenarios_reproduce_at_fixed_seed() {
 /// `uniform-wan3` and `partition-heal-wan3` +16 B — four consensus messages
 /// name a round-0 coordinator other than p0 — and `rolling-restart-wan3`, whose
 /// instances after each restart no longer start at a dead coordinator.)
+///
+/// Later, every new-architecture row but two was re-recorded because the
+/// reliable channel now sends one packet per peer per dispatch step. The
+/// msgs column counts packets, and a coordinator's `Decide(k)` shares one
+/// with its `Propose(k+1)`. The proposal then arrives one delay earlier.
+/// So instances start earlier, batch fewer ops each, and every time,
+/// fingerprint and byte total after the first bundle shifts. Per row:
+/// - `uniform-lan`, `skewed-lan`, `uniform-wan2dc`, `uniform-wan3`,
+///   `lossy-lan`, `partition-heal-wan3`: fewer packets (−115 to −1,396).
+///   Each instance opened while the pool is non-empty saves n−1 of them.
+/// - `churn-lan`, `churn-wan2dc`: fewer packets, and `churn-wan2dc`
+///   delivers 428 rather than 436. When the joiner is admitted and the
+///   removed member leaves depends on consensus timing, and so does how
+///   many ops each of them delivers.
+/// - `flaky-churn`: +109 packets and one delivery more. The removed p3
+///   probes every peer it holds unacknowledged messages for, one packet a
+///   round, for the rest of the run. Its last `ct/ack` to p0 now crosses
+///   its removal, so p0 is probed too: 186 single-message retransmissions,
+///   each counted as a `ct/ack`.
+/// - `rolling-restart-wan3`: −550 packets, but mean and p99 rise (275 →
+///   287 ms, 506 → 639 ms). That is this seed. Over seeds 1–10 the mean is
+///   level (279.97 → 280.50 ms) and the p99 rises 549 → 588 ms.
+/// - `generic-lan`: −1,998 packets. Its conflicts are settled by
+///   consensus, and a process that then handles several messages in one
+///   step sends each peer its `gb/ack`s, and the decision, in one packet
+///   (runs of 4–7 `gb/ack`s). In `uniform-lan` every bundle is a
+///   `ct/decide` with the next `ct/propose`.
+///
+/// `large-payload-lan` (one op per 5 ms, every decision finds the pool
+/// empty), `generic-lan-0` (no consensus, and its `gb/ack`s go to distinct
+/// peers) and every Isis and token row are byte-identical to the parent.
 const GOLDEN_SEED_7: &str = "\
-| uniform-lan | 7 | 200 | 1600 | 2.73 | 3.76 | 15786 | 18434 | 0 | 0b3ed99a012a9ee3 | 491214
-| skewed-lan | 7 | 200 | 1600 | 2.54 | 3.69 | 15736 | 18353 | 0 | f5bd49b91679f139 | 488110
+| uniform-lan | 7 | 200 | 1600 | 2.71 | 3.84 | 15578 | 18226 | 0 | 8884b933d74b10a0 | 489358
+| skewed-lan | 7 | 200 | 1600 | 2.54 | 3.82 | 15359 | 17976 | 0 | 389d16d91d0d3d0a | 484326
 | large-payload-lan | 7 | 60 | 480 | 4.06 | 5.30 | 23848 | 28712 | 0 | b0c6cef1cf37b931 | 58910048
-| uniform-wan2dc | 7 | 150 | 1200 | 96.82 | 152.97 | 37348 | 44631 | 0 | 092aa323e69721f7 | 882988
-| uniform-wan3 | 7 | 150 | 1350 | 150.03 | 267.87 | 77568 | 90648 | 0 | 4361cccfd92746a4 | 1909084
-| lossy-lan | 7 | 150 | 1200 | 10.14 | 44.02 | 36820 | 43503 | 0 | 0db372e40bd56488 | 768702
-| churn-lan | 7 | 150 | 661 | 2.51 | 4.06 | 8401 | 11576 | 0 | 0347baeaa73e4723 | 248332
-| churn-wan2dc | 7 | 100 | 436 | 88.07 | 209.31 | 14116 | 20212 | 0 | 78896df00a0fdd3f | 666236
-| flaky-churn | 7 | 120 | 537 | 9.76 | 48.10 | 14628 | 20369 | 0 | b674da9d27d77231 | 354444
-| rolling-restart-wan3 | 7 | 90 | 810 | 275.46 | 506.39 | 150572 | 168466 | 0 | c8a0ae8262ce0254 | 3469278
-| partition-heal-wan3 | 7 | 100 | 900 | 456.50 | 722.85 | 121401 | 135643 | 0 | 7ba859b2f364fe09 | 2755976
-| generic-lan | 7 | 2000 | 10000 | 1.74 | 4.92 | 49264 | 54344 | 0 | e2a49fa95e3398c3 | 5366318
+| uniform-wan2dc | 7 | 150 | 1200 | 88.97 | 136.29 | 37233 | 44515 | 0 | 0cc63862db3d0e78 | 876796
+| uniform-wan3 | 7 | 150 | 1350 | 146.82 | 267.90 | 77328 | 90403 | 0 | ec8c4a17b08e05f1 | 1893678
+| lossy-lan | 7 | 150 | 1200 | 9.56 | 37.56 | 36364 | 43052 | 0 | ca8b270f52d741eb | 759806
+| churn-lan | 7 | 150 | 661 | 2.44 | 3.93 | 8317 | 11492 | 0 | c114a8bc649754fe | 251412
+| churn-wan2dc | 7 | 100 | 428 | 66.83 | 144.54 | 14029 | 20116 | 0 | 4dd17c41bda11899 | 569330
+| flaky-churn | 7 | 120 | 538 | 10.46 | 55.72 | 14737 | 20466 | 0 | 60fd8fc61c574b11 | 361318
+| rolling-restart-wan3 | 7 | 90 | 810 | 286.86 | 638.59 | 150022 | 168127 | 0 | 3809806c137c4aff | 3484246
+| partition-heal-wan3 | 7 | 100 | 900 | 425.34 | 711.40 | 120005 | 134858 | 0 | 7ca993f4e1dea358 | 2714124
+| generic-lan | 7 | 2000 | 10000 | 1.70 | 4.50 | 47266 | 52346 | 0 | 2b998ab79da6527d | 5325774
 | generic-lan-0 | 7 | 8000 | 40000 | 1.55 | 2.11 | 183057 | 198537 | 0 | 5af82542cd4de7da | 9161368
 | uniform-lan-isis | 7 | 200 | 1600 | 1.23 | 2.21 | 14000 | 15744 | 0 | cfec7a3ba7dc5608 | 271600
 | uniform-lan-token | 7 | 200 | 1608 | 3.43 | 7.00 | 2850 | 29713 | 0 | 788fc30113c58936 | 93600

@@ -19,9 +19,18 @@
 //!   ┌───────────▼──────────────────▼──────────┐   ┌──────────┴──┐    │
 //!   │ rc (reliable channel, §3.3.1)           │   │ fd (◇S)     │────┘
 //!   └───────────────────┬─────────────────────┘   └──────┬──────┘
-//!                       │ Packet                         │ Heartbeat
+//!                       │ Packet: one per peer per step  │ Heartbeat
 //!                     unreliable transport (the simulator network)
 //! ```
+//!
+//! The rc box sends at most one fresh packet per peer per dispatch step. It
+//! holds what the step's cascade sends and, once the cascade has drained
+//! ([`Context::at_step_end`]), sends each peer a plain data packet, or a
+//! bundle when the step sent it several messages. The step in which a
+//! coordinator decides instance k is the one in which atomic broadcast
+//! opens k+1, so each participant gets `Decide(k)` and `Propose(k+1)` in one
+//! packet, with one delay: the proposal no longer waits behind the decision
+//! on the FIFO channel. Retransmissions and acks leave as they are made.
 //!
 //! The `suspect` edge into abcast does two jobs: a suspected *origin*'s
 //! unordered messages are relayed, and a suspected *member* stops being the
@@ -34,7 +43,7 @@
 use gcs_consensus::{ConsensusManager, CtMsg, InstanceId, ManagerOut};
 use gcs_fd::{FdMode, FdOut, HeartbeatFd, MonitorClass};
 use gcs_kernel::{Component, Context, ProcessId, Time, TimeDelta, TimerId};
-use gcs_net::{RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
+use gcs_net::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -87,6 +96,12 @@ pub struct RcComponent {
     /// appends here and [`flush`](Self::flush) drains it, so a steady-state
     /// send, packet or tick allocates nothing and moves each message once.
     scratch: Vec<RcOut<WireMsg>>,
+    /// The step's first transmissions, one packet per peer in the order the
+    /// step first addressed each: sent when the step ends.
+    held: Vec<(ProcessId, Packet<WireMsg>)>,
+    /// Per peer, dense by index: one more than its packet's position in
+    /// `held`, 0 while the step has sent it nothing.
+    slot: Vec<u32>,
 }
 
 impl RcComponent {
@@ -95,13 +110,18 @@ impl RcComponent {
         RcComponent {
             rc: ReliableChannel::new(me, config),
             scratch: Vec::new(),
+            held: Vec::new(),
+            slot: Vec::new(),
         }
     }
 
-    /// Carries out what the channel left in `scratch`.
-    fn flush(&mut self, ctx: &mut Context<'_, Ev>) {
-        for o in self.scratch.drain(..) {
+    /// Carries out what the channel left in `scratch`, holding first
+    /// transmissions back for the end of the step if `hold`.
+    fn flush(&mut self, hold: bool, ctx: &mut Context<'_, Ev>) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for o in scratch.drain(..) {
             match o {
+                RcOut::Transmit { to, packet } if hold => self.hold(to, packet, ctx),
                 RcOut::Transmit { to, packet } => ctx.send(to, names::RC, Ev::Packet(packet)),
                 RcOut::Deliver { from, msg } => {
                     ctx.emit(route_wire(&msg), Ev::Net(from, msg));
@@ -111,6 +131,24 @@ impl RcComponent {
                 }
                 RcOut::Unstuck { peer } => ctx.emit(names::MONITORING, Ev::RcUnstuck(peer)),
             }
+        }
+        self.scratch = scratch;
+    }
+
+    /// Adds a first transmission to `to` to the step's packet for `to`.
+    fn hold(&mut self, to: ProcessId, packet: Packet<WireMsg>, ctx: &mut Context<'_, Ev>) {
+        if to.index() >= self.slot.len() {
+            self.slot.resize(to.index() + 1, 0);
+        }
+        match self.slot[to.index()] {
+            0 => {
+                if self.held.is_empty() {
+                    ctx.at_step_end();
+                }
+                self.held.push((to, packet));
+                self.slot[to.index()] = self.held.len() as u32;
+            }
+            k => self.held[k as usize - 1].1.bundle(packet),
         }
     }
 }
@@ -128,9 +166,16 @@ impl Component<Ev> for RcComponent {
         match event {
             Ev::RcSend(to, wire) => {
                 self.rc.send_into(to, wire, ctx.now(), &mut self.scratch);
-                self.flush(ctx);
+                self.flush(true, ctx);
             }
-            Ev::Forget(p) => self.rc.forget_peer(p),
+            Ev::Forget(p) => {
+                // What the step sent before leaves as sent; a new
+                // conversation opened later in the step gets its own packet.
+                if let Some(slot) = self.slot.get_mut(p.index()) {
+                    *slot = 0;
+                }
+                self.rc.forget_peer(p);
+            }
             _ => {}
         }
     }
@@ -139,14 +184,21 @@ impl Component<Ev> for RcComponent {
         if let Ev::Packet(packet) = event {
             self.rc
                 .on_packet_into(from, packet, ctx.now(), &mut self.scratch);
-            self.flush(ctx);
+            self.flush(false, ctx);
         }
     }
 
     fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Ev>) {
         self.rc.on_tick_into(ctx.now(), &mut self.scratch);
-        self.flush(ctx);
+        self.flush(false, ctx);
         ctx.set_timer(TICK_INTERVAL);
+    }
+
+    fn on_step_end(&mut self, ctx: &mut Context<'_, Ev>) {
+        for (to, packet) in self.held.drain(..) {
+            self.slot[to.index()] = 0;
+            ctx.send(to, names::RC, Ev::Packet(packet));
+        }
     }
 }
 

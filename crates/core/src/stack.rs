@@ -377,6 +377,56 @@ mod tests {
         }
     }
 
+    /// In a stream that keeps the pool non-empty, the step in which p0
+    /// decides instance k opens k+1, and each participant gets `Decide(k)`
+    /// and `Propose(k+1)` in one packet: per instance 8 packets carry
+    /// consensus at n = 5 (n−1 proposals-with-decisions, n−1 acks; 12
+    /// unbundled) and 4 at n = 3 (the one `ct/decide` rides a proposal; 5
+    /// unbundled), plus the last instance's decisions, alone. The per-kind
+    /// counts are those of the unbundled pattern. p0 sends every op, so
+    /// nothing but consensus travels through the reliable channel and every
+    /// other packet is a heartbeat or a standalone ack. Every link takes
+    /// exactly one hop, so no packet overtakes another: a participant that
+    /// got two at once would send two acks in one step, and they would
+    /// share a packet too. (CI counts on this test.)
+    #[test]
+    fn a_decision_rides_the_next_proposal_in_one_packet_per_participant() {
+        let hop = TimeDelta::from_micros(500);
+        let link = gcs_sim::LinkModel {
+            delay_min: hop,
+            delay_max: hop,
+            ..gcs_sim::LinkModel::lan()
+        };
+        for n in [3usize, 5] {
+            let peers = n as u64 - 1;
+            let (decides, packets) = if n == 3 { (1, 4) } else { (peers, 8) };
+            let sim = gcs_sim::SimConfig::lan(31).with_link(link);
+            let mut g = GroupSim::start(n, 0, StackConfig::default(), sim);
+            // One op every 100 µs: an instance takes two hops, so only the
+            // last decision finds the pool empty.
+            let ops = 400u64;
+            for i in 0..ops {
+                g.abcast_at(Time::from_micros(5_000 + 100 * i), p(0), vec![i as u8]);
+            }
+            g.run_until(Time::from_millis(400));
+            let seqs = g.adelivered_payloads();
+            assert!(seqs.iter().all(|s| s.len() == ops as usize), "n={n}");
+            let instances = sent(&g, "ct/propose") / peers;
+            assert!(instances > 20, "n={n}: {instances} instances batch the ops");
+            assert_eq!(sent(&g, "ct/propose"), peers * instances, "n={n}");
+            assert_eq!(sent(&g, "ct/ack"), peers * instances, "n={n}");
+            assert_eq!(sent(&g, "ct/decide"), decides * instances, "n={n}");
+            assert_eq!(sent(&g, "ct/estimate") + sent(&g, "ct/nack"), 0, "n={n}");
+            let m = g.metrics();
+            let consensus_packets = m.total_sent() - m.sent_matching(|k| !k.starts_with("ct/"));
+            assert_eq!(
+                consensus_packets,
+                packets * instances + decides,
+                "n={n}: {instances} instances"
+            );
+        }
+    }
+
     /// A crashed round-0 coordinator taxes the instance in flight when the
     /// survivors suspect it, not every one after: that instance decides in
     /// round 1, whose coordinator p1 claims the batch and so names itself the

@@ -663,7 +663,8 @@ impl Event for Ev {
     fn kind(&self) -> &'static str {
         match self {
             Ev::Packet(Packet::Data { msg, .. }) => msg.kind(),
-            Ev::Packet(Packet::Batch { .. }) => "rc/batch",
+            Ev::Packet(Packet::Batch { fresh: false, .. }) => "rc/batch",
+            Ev::Packet(Packet::Batch { fresh: true, .. }) => "rc/bundle",
             Ev::Packet(Packet::Ack { .. }) => "rc/ack",
             Ev::Heartbeat => "fd/heartbeat",
             Ev::FdGossip(_) => "fd/gossip",
@@ -709,6 +710,23 @@ impl Event for Ev {
             _ => 64,
         }
     }
+
+    /// A bundle carries its messages each under its own kind, the packet
+    /// header going with the first; a retransmission batch stays one
+    /// `rc/batch`, the reliable channel's own cost.
+    fn for_each_carried(&self, mut each: impl FnMut(&'static str, usize)) {
+        match self {
+            Ev::Packet(Packet::Batch {
+                msgs, fresh: true, ..
+            }) => {
+                let mut header = 24;
+                for (_, m) in msgs {
+                    each(m.kind(), std::mem::take(&mut header) + 8 + m.size_hint());
+                }
+            }
+            _ => each(self.kind(), self.wire_size()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -730,6 +748,35 @@ mod tests {
         assert!(!r.conflicts(MessageClass::RBCAST, MessageClass::RBCAST));
         assert!(r.conflicts(MessageClass::RBCAST, MessageClass::ABCAST));
         assert!(r.conflicts(MessageClass::ABCAST, MessageClass::ABCAST));
+    }
+
+    #[test]
+    fn a_bundle_reports_each_message_under_its_kind_and_a_batch_as_rc() {
+        let ack = WireMsg::Gb(GbMsg::Ack {
+            epoch: 0,
+            id: MsgId {
+                sender: ProcessId::new(1),
+                seq: 3,
+            },
+        });
+        let join = WireMsg::Mb(MbMsg::JoinRequest);
+        let carried = |fresh| {
+            let ev = Ev::Packet(Packet::Batch {
+                ack: 0,
+                msgs: vec![(0, ack.clone()), (1, join.clone())],
+                fresh,
+            });
+            let mut got = Vec::new();
+            ev.for_each_carried(|kind, bytes| got.push((kind, bytes)));
+            assert_eq!(
+                got.iter().map(|&(_, b)| b).sum::<usize>(),
+                ev.wire_size(),
+                "the bytes are the packet's"
+            );
+            got.into_iter().map(|(kind, _)| kind).collect::<Vec<_>>()
+        };
+        assert_eq!(carried(true), ["gb/ack", "mb/join-request"]);
+        assert_eq!(carried(false), ["rc/batch"]);
     }
 
     #[test]

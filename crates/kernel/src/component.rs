@@ -10,6 +10,13 @@
 //! after the handler returns. Each buffer sees a handler's calls in the order
 //! the handler made them, and the cascade queue is one FIFO for the whole
 //! dispatch step.
+//!
+//! A component that holds something back during a step — the reliable
+//! channel holds its fresh transmissions, to send one packet per peer — asks
+//! with [`Context::at_step_end`] to be called once more when the cascade has
+//! drained: [`Component::on_step_end`]. What it emits then cascades as usual.
+//! A step in which nobody asks is dispatched exactly as if the hook did not
+//! exist.
 
 use std::collections::VecDeque;
 
@@ -34,6 +41,9 @@ pub struct Context<'a, E> {
     pub(crate) fx: &'a mut Effects<E>,
     pub(crate) timer_owner: &'a mut Vec<(TimerId, usize)>,
     pub(crate) next_timer: &'a mut u64,
+    /// Components owed an [`on_step_end`](Component::on_step_end) call, in
+    /// the order they asked.
+    pub(crate) step_end: &'a mut Vec<usize>,
 }
 
 impl<E: Event> Context<'_, E> {
@@ -112,9 +122,22 @@ impl<E: Event> Context<'_, E> {
         self.fx.outputs.push(event);
     }
 
-    /// Halts the entire process after this dispatch step completes.
+    /// Halts the entire process after this dispatch step completes. The
+    /// cascade stops at once; the [step-end calls](Self::at_step_end)
+    /// already asked for still run, so what their components hold leaves,
+    /// but nothing they emit is handled.
     pub fn halt(&mut self) {
         self.fx.halted = true;
+    }
+
+    /// Asks for this component's [`on_step_end`](Component::on_step_end)
+    /// once the step's cascade has drained. Asking again before that call is
+    /// the same request; asking from the call itself, or from the cascade it
+    /// starts, gets one more call after that cascade drains.
+    pub fn at_step_end(&mut self) {
+        if !self.step_end.contains(&self.component) {
+            self.step_end.push(self.component);
+        }
     }
 }
 
@@ -164,4 +187,8 @@ pub trait Component<E: Event> {
 
     /// Handles expiry of a timer previously set by this component.
     fn on_timer(&mut self, _timer: TimerId, _ctx: &mut Context<'_, E>) {}
+
+    /// Called once the dispatch step's cascade has drained, if this component
+    /// asked with [`Context::at_step_end`] during the step.
+    fn on_step_end(&mut self, _ctx: &mut Context<'_, E>) {}
 }

@@ -24,6 +24,17 @@ pub trait Event: Clone + fmt::Debug + 'static {
     fn wire_size(&self) -> usize {
         64
     }
+
+    /// Calls `each(kind, bytes)` for every protocol message this event
+    /// carries over the network. The default reports the event itself:
+    /// its [`kind`](Event::kind) and [`wire_size`](Event::wire_size). An
+    /// event that bundles several messages into one packet reports each
+    /// under its own kind, the bytes summing to the packet's `wire_size`:
+    /// runtimes count the packet once in their totals and every message it
+    /// carries under its kind.
+    fn for_each_carried(&self, mut each: impl FnMut(&'static str, usize)) {
+        each(self.kind(), self.wire_size());
+    }
 }
 
 #[cfg(test)]
@@ -42,5 +53,8 @@ mod tests {
     fn default_wire_size_is_header_sized() {
         assert_eq!(Unit.wire_size(), 64);
         assert_eq!(Unit.kind(), "unit");
+        let mut carried = Vec::new();
+        Unit.for_each_carried(|kind, bytes| carried.push((kind, bytes)));
+        assert_eq!(carried, vec![("unit", 64)], "one message: the event itself");
     }
 }

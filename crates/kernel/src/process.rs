@@ -158,6 +158,7 @@ impl<E: Event> ProcessBuilder<E> {
             timer_owner: Vec::new(),
             halted: false,
             pending: VecDeque::new(),
+            step_end: Vec::new(),
         }
     }
 }
@@ -174,7 +175,10 @@ impl<E: Event> ProcessBuilder<E> {
 /// that order until the queue is empty. There is no intermediate record of
 /// what a handler asked for: its [`Context`] borrows the queue, the routing
 /// table, the timer table and the caller's [`Effects`] and writes to them
-/// as the handler runs.
+/// as the handler runs. When the queue is empty, the components that asked
+/// for it ([`Context::at_step_end`]) get their
+/// [`on_step_end`](Component::on_step_end) call, in the order they asked, and
+/// what those emit is handled in turn.
 #[derive(Debug)]
 pub struct Process<E: Event> {
     id: ProcessId,
@@ -188,6 +192,9 @@ pub struct Process<E: Event> {
     /// The cascade queue: empty between dispatch steps, and kept across
     /// them so a steady-state dispatch performs no allocation.
     pending: VecDeque<(usize, E)>,
+    /// Components owed a step-end call: empty between dispatch steps, and
+    /// kept across them like `pending`.
+    step_end: Vec<usize>,
 }
 
 impl<E: Event> Process<E> {
@@ -344,31 +351,60 @@ impl<E: Event> Process<E> {
             fx,
             timer_owner: &mut self.timer_owner,
             next_timer: &mut self.next_timer,
+            step_end: &mut self.step_end,
         };
         (&mut *self.components[target], ctx)
     }
 
-    /// Handles the locally emitted events in FIFO order until none is left.
-    /// A halt ends the step: what is still queued then is dropped.
+    /// Handles the locally emitted events in FIFO order until none is left,
+    /// then makes the step-end calls asked for and handles what they emit,
+    /// until neither is left. A halt ends the cascade: what is still queued
+    /// is dropped, but the step-end calls already asked for are still made,
+    /// so that nothing a component held back is lost.
     fn cascade(&mut self, now: Time, fx: &mut Effects<E>) {
         // A generous bound on cascade length catches accidental emit loops.
         let mut steps = 0usize;
-        while let Some((target, event)) = self.pending.pop_front() {
-            steps += 1;
-            assert!(
-                steps < 1_000_000,
-                "{:?}: runaway local event cascade",
-                self.id
-            );
+        loop {
+            while let Some((target, event)) = self.pending.pop_front() {
+                steps += 1;
+                assert!(
+                    steps < 1_000_000,
+                    "{:?}: runaway local event cascade",
+                    self.id
+                );
+                if fx.halted {
+                    break;
+                }
+                let (component, mut ctx) = self.enter(target, now, fx);
+                component.on_event(event, &mut ctx);
+            }
+            if self.step_end.is_empty() {
+                break;
+            }
+            steps += self.step_end.len();
+            self.end_step(now, fx);
             if fx.halted {
                 break;
             }
-            let (component, mut ctx) = self.enter(target, now, fx);
-            component.on_event(event, &mut ctx);
         }
         if fx.halted {
             self.halted = true;
             self.pending.clear();
+            self.step_end.clear();
+        }
+    }
+
+    /// Makes the step-end calls asked for so far, in the order asked; a call
+    /// asked for meanwhile waits for the next round.
+    fn end_step(&mut self, now: Time, fx: &mut Effects<E>) {
+        let mut due = std::mem::take(&mut self.step_end);
+        for &target in &due {
+            let (component, mut ctx) = self.enter(target, now, fx);
+            component.on_step_end(&mut ctx);
+        }
+        if self.step_end.is_empty() {
+            due.clear();
+            self.step_end = due;
         }
     }
 }
@@ -501,12 +537,124 @@ mod tests {
         let b = p.deliver("gateway", Ev::Ping(2), Time::ZERO).timers[0].id;
         assert_ne!(a, b);
     }
+
+    /// Holds the pings of a step and sends them, summed, when it ends; a
+    /// kick halts the process.
+    struct Holder {
+        held: Vec<u32>,
+        calls: std::rc::Rc<std::cell::Cell<u32>>,
+        /// How many more times the step-end call asks for itself again.
+        again: u32,
+    }
+    impl Component<Ev> for Holder {
+        fn name(&self) -> &'static str {
+            "holder"
+        }
+        fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
+            match ev {
+                Ev::Ping(n) => {
+                    self.held.push(n);
+                    ctx.at_step_end();
+                }
+                Ev::Kick => ctx.halt(),
+                Ev::Pong(_) => {}
+            }
+        }
+        fn on_step_end(&mut self, ctx: &mut Context<'_, Ev>) {
+            self.calls.set(self.calls.get() + 1);
+            let sum = self.held.drain(..).sum();
+            ctx.send(ProcessId::new(1), "holder", Ev::Ping(sum));
+            ctx.emit("gateway", Ev::Pong(sum));
+            if self.again > 0 {
+                self.again -= 1;
+                ctx.at_step_end();
+            }
+        }
+    }
+
+    /// Sends a ping to "holder" per ping, then pings it twice more.
+    struct Fanout;
+    impl Component<Ev> for Fanout {
+        fn name(&self) -> &'static str {
+            "fanout"
+        }
+        fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
+            match ev {
+                Ev::Ping(n) => {
+                    ctx.emit("holder", Ev::Ping(n));
+                    ctx.emit("holder", Ev::Ping(10 * n));
+                    ctx.emit("gateway", Ev::Pong(0));
+                }
+                Ev::Kick => {
+                    ctx.emit("holder", Ev::Ping(7));
+                    ctx.send(ProcessId::new(2), "fanout", Ev::Kick);
+                    ctx.emit("holder", Ev::Kick);
+                    ctx.emit("gateway", Ev::Pong(99));
+                }
+                Ev::Pong(_) => {}
+            }
+        }
+    }
+
+    fn holding(again: u32) -> (Process<Ev>, std::rc::Rc<std::cell::Cell<u32>>) {
+        let calls = std::rc::Rc::new(std::cell::Cell::new(0));
+        let holder = Holder {
+            held: Vec::new(),
+            calls: calls.clone(),
+            again,
+        };
+        let p = Process::builder(ProcessId::new(0))
+            .with(Gateway)
+            .with(holder)
+            .with(Fanout)
+            .build();
+        (p, calls)
+    }
+
+    #[test]
+    fn step_end_call_comes_once_after_the_cascade_and_its_emits_cascade() {
+        let (mut p, calls) = holding(0);
+        let fx = p.deliver("fanout", Ev::Ping(2), Time::ZERO);
+        assert_eq!(calls.get(), 1, "asked twice, called once");
+        // The cascade's own output first, then the step-end call's, handled
+        // by the gateway within the same step.
+        assert_eq!(fx.outputs, vec![Ev::Pong(0), Ev::Pong(22)]);
+        assert_eq!(fx.sends.len(), 1);
+        assert_eq!(fx.sends[0].event, Ev::Ping(22));
+        // The next step starts with nothing owed.
+        assert!(p.deliver("gateway", Ev::Kick, Time::ZERO).is_empty());
+        assert_eq!(calls.get(), 1);
+    }
+
+    #[test]
+    fn a_step_end_call_that_asks_again_is_called_again() {
+        let (mut p, calls) = holding(2);
+        let fx = p.deliver("fanout", Ev::Ping(1), Time::ZERO);
+        assert_eq!(calls.get(), 3);
+        let sent: Vec<&Ev> = fx.sends.iter().map(|e| &e.event).collect();
+        assert_eq!(sent, vec![&Ev::Ping(11), &Ev::Ping(0), &Ev::Ping(0)]);
+    }
+
+    #[test]
+    fn sends_made_before_a_halt_still_leave() {
+        let (mut p, calls) = holding(0);
+        let fx = p.deliver("fanout", Ev::Kick, Time::ZERO);
+        assert!(fx.halted && p.is_halted());
+        assert_eq!(calls.get(), 1, "the held ping is sent");
+        let sent: Vec<&Ev> = fx.sends.iter().map(|e| &e.event).collect();
+        assert_eq!(sent, vec![&Ev::Kick, &Ev::Ping(7)]);
+        // Nothing after the halt is handled: not the queued pong, not what
+        // the step-end call emitted.
+        assert!(fx.outputs.is_empty(), "{:?}", fx.outputs);
+        assert!(p.deliver("fanout", Ev::Ping(1), Time::ZERO).is_empty());
+    }
 }
 
 /// The dispatch this crate had before [`Context`] wrote through — handlers
 /// record [`Action`](reference::Action)s, the process replays them when the
 /// handler returns — kept as a reference interpreter, and random component
-/// scripts run on both.
+/// scripts run on both. The reference also makes the step-end calls the
+/// scripts ask for, as the rule in [`Process`]'s docs states it.
 #[cfg(test)]
 mod write_through_equivalence {
     use super::*;
@@ -539,6 +687,7 @@ mod write_through_equivalence {
         fn cancel_timer(&mut self, id: TimerId);
         fn output(&mut self, event: Ev);
         fn halt(&mut self);
+        fn at_step_end(&mut self);
     }
 
     impl Sink for Context<'_, Ev> {
@@ -563,6 +712,9 @@ mod write_through_equivalence {
         fn halt(&mut self) {
             Context::halt(self)
         }
+        fn at_step_end(&mut self) {
+            Context::at_step_end(self)
+        }
     }
 
     #[derive(Clone, Debug)]
@@ -578,16 +730,22 @@ mod write_through_equivalence {
         /// Cancel a timer off the process-wide board: anybody's.
         CancelAny(usize),
         Halt,
+        /// Ask for the step-end call.
+        AtStepEnd,
     }
 
     /// A component whose every handler plays a fixed list of [`Op`]s.
     #[derive(Clone)]
     struct Scripted {
         name: &'static str,
-        /// By trigger: start, event kinds, message kinds, timer.
+        /// By trigger: start, event kinds, message kinds, timer, step end.
         scripts: Vec<Vec<Op>>,
         own: Vec<TimerId>,
         board: Rc<RefCell<Vec<TimerId>>>,
+        /// What the step-end call asked for plays with: one less than the
+        /// most any request made this round carried, so that a call asking
+        /// for itself again ends like a chain of emits does.
+        step_end_ttl: Option<u8>,
     }
 
     impl Scripted {
@@ -623,13 +781,25 @@ mod write_through_equivalence {
                         }
                     }
                     Op::Halt => sink.halt(),
+                    Op::AtStepEnd if ttl > 0 => {
+                        let t = ttl - 1;
+                        self.step_end_ttl = Some(self.step_end_ttl.map_or(t, |s| s.max(t)));
+                        sink.at_step_end();
+                    }
+                    Op::AtStepEnd => {}
                 }
             }
+        }
+
+        fn step_end(&mut self, sink: &mut dyn Sink) {
+            let ttl = self.step_end_ttl.take().expect("asked for");
+            self.play(ON_STEP_END, ttl, sink);
         }
     }
 
     const ON_START: usize = 0;
     const ON_TIMER: usize = 1 + 2 * KINDS as usize;
+    const ON_STEP_END: usize = ON_TIMER + 1;
     fn on_event(kind: u8) -> usize {
         1 + kind as usize
     }
@@ -652,6 +822,9 @@ mod write_through_equivalence {
         }
         fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Ev>) {
             self.play(ON_TIMER, TTL, ctx);
+        }
+        fn on_step_end(&mut self, ctx: &mut Context<'_, Ev>) {
+            self.step_end(ctx);
         }
     }
 
@@ -681,6 +854,7 @@ mod write_through_equivalence {
             CancelTimer(TimerId),
             Output(Ev),
             Halt,
+            AtStepEnd,
         }
 
         /// Collects what a handler asks for, for the process to replay.
@@ -732,6 +906,9 @@ mod write_through_equivalence {
             fn halt(&mut self) {
                 self.push(Action::Halt);
             }
+            fn at_step_end(&mut self) {
+                self.push(Action::AtStepEnd);
+            }
         }
 
         /// Which of the situations the scripts are meant to reach the run
@@ -744,6 +921,12 @@ mod write_through_equivalence {
             pub cancels_of_anothers_timer: usize,
             pub halts_mid_cascade: usize,
             pub non_empty_incoming_effects: usize,
+            pub step_end_calls: usize,
+            /// Step-end calls whose emits were handled in the same step.
+            pub step_end_cascades: usize,
+            /// Step-end calls asked for again in the same step.
+            pub step_end_rounds: usize,
+            pub step_end_calls_after_a_halt: usize,
         }
 
         /// `Process` as it dispatched before: collect, then drain.
@@ -754,6 +937,8 @@ mod write_through_equivalence {
             pub timer_owner: Vec<(TimerId, usize)>,
             pub halted: bool,
             pub seen: Coverage,
+            /// Components owed a step-end call, in the order they asked.
+            pub step_end: Vec<usize>,
         }
 
         pub enum Input {
@@ -793,22 +978,52 @@ mod write_through_equivalence {
                 }
                 self.drain_actions(&mut actions, &mut pending, fx);
                 let mut steps = 0;
-                while let Some((target, event)) = pending.pop_front() {
-                    steps += 1;
-                    if fx.halted {
-                        self.seen.halts_mid_cascade += 1;
+                let mut rounds = 0;
+                loop {
+                    while let Some((target, event)) = pending.pop_front() {
+                        steps += 1;
+                        if fx.halted {
+                            self.seen.halts_mid_cascade += 1;
+                            break;
+                        }
+                        if steps == 2 {
+                            self.seen.emit_chains += 1;
+                        }
+                        if rounds > 0 {
+                            self.seen.step_end_cascades += 1;
+                        }
+                        let Ev { kind, ttl } = event;
+                        self.play(target, on_event(kind), ttl, &mut actions, &mut next_timer);
+                        self.drain_actions(&mut actions, &mut pending, fx);
+                    }
+                    if self.step_end.is_empty() {
                         break;
                     }
-                    if steps == 2 {
-                        self.seen.emit_chains += 1;
+                    rounds += 1;
+                    if rounds == 2 {
+                        self.seen.step_end_rounds += 1;
                     }
-                    let Ev { kind, ttl } = event;
-                    self.play(target, on_event(kind), ttl, &mut actions, &mut next_timer);
-                    self.drain_actions(&mut actions, &mut pending, fx);
+                    if fx.halted {
+                        self.seen.step_end_calls_after_a_halt += 1;
+                    }
+                    for c in std::mem::take(&mut self.step_end) {
+                        self.seen.step_end_calls += 1;
+                        let mut collector = Collector {
+                            component: c,
+                            actions: &mut actions,
+                            next_timer: &mut next_timer,
+                        };
+                        self.components[c].step_end(&mut collector);
+                        self.drain_actions(&mut actions, &mut pending, fx);
+                    }
+                    if fx.halted {
+                        break;
+                    }
                 }
                 self.next_timer = next_timer;
                 if fx.halted {
                     self.halted = true;
+                    self.step_end.clear();
                 }
             }
 
@@ -884,6 +1099,11 @@ mod write_through_equivalence {
                         },
                         Action::Output(event) => fx.outputs.push(event),
                         Action::Halt => fx.halted = true,
+                        Action::AtStepEnd => {
+                            if !self.step_end.contains(&owner) {
+                                self.step_end.push(owner);
+                            }
+                        }
                     }
                 }
             }
@@ -910,7 +1130,7 @@ mod write_through_equivalence {
     fn random_op(rng: &mut Rng) -> Op {
         let kind = rng.below(KINDS as usize) as u8;
         let c = rng.below(NAMES.len());
-        match rng.below(20) {
+        match rng.below(22) {
             0..=6 => Op::Emit(c, kind),
             7 | 8 => Op::Send(rng.below(4) as u32, c, kind),
             9 => Op::Cast((0..rng.below(4) as u32).collect(), c, kind),
@@ -918,6 +1138,7 @@ mod write_through_equivalence {
             12..=14 => Op::SetTimer(rng.below(50) as u64),
             15 | 16 => Op::CancelOwn(rng.below(2)),
             17 | 18 => Op::CancelAny(rng.below(8)),
+            19 | 20 => Op::AtStepEnd,
             _ => Op::Halt,
         }
     }
@@ -940,11 +1161,12 @@ mod write_through_equivalence {
                 .iter()
                 .map(|&name| Scripted {
                     name,
-                    scripts: (0..=ON_TIMER)
+                    scripts: (0..=ON_STEP_END)
                         .map(|_| (0..rng.below(4)).map(|_| random_op(&mut rng)).collect())
                         .collect(),
                     own: Vec::new(),
                     board: Rc::clone(&board),
+                    step_end_ttl: None,
                 })
                 .collect();
             let ref_board = Rc::new(RefCell::new(Vec::new()));
@@ -962,6 +1184,7 @@ mod write_through_equivalence {
                 timer_owner: Vec::new(),
                 halted: false,
                 seen: Default::default(),
+                step_end: Vec::new(),
             };
             let mut real = components
                 .into_iter()
@@ -1025,6 +1248,10 @@ mod write_through_equivalence {
             seen.cancels_of_anothers_timer += s.cancels_of_anothers_timer;
             seen.halts_mid_cascade += s.halts_mid_cascade;
             seen.non_empty_incoming_effects += s.non_empty_incoming_effects;
+            seen.step_end_calls += s.step_end_calls;
+            seen.step_end_cascades += s.step_end_cascades;
+            seen.step_end_rounds += s.step_end_rounds;
+            seen.step_end_calls_after_a_halt += s.step_end_calls_after_a_halt;
         }
         println!("{seen:?}");
         assert!(
@@ -1033,7 +1260,11 @@ mod write_through_equivalence {
                 && seen.set_and_cancel_in_one_handler > 20
                 && seen.cancels_of_anothers_timer > 20
                 && seen.halts_mid_cascade > 20
-                && seen.non_empty_incoming_effects > 100,
+                && seen.non_empty_incoming_effects > 100
+                && seen.step_end_calls > 100
+                && seen.step_end_cascades > 100
+                && seen.step_end_rounds > 20
+                && seen.step_end_calls_after_a_halt > 20,
             "{seen:?}"
         );
     }

@@ -496,9 +496,11 @@ pub(crate) struct Outbox<E> {
     frames: Vec<Frames<E>>,
     /// Summed wire bytes of each destination's burst.
     bytes: Vec<usize>,
-    /// `(kind, wire bytes)` of every frame above — the metrics are per
-    /// protocol message, whatever it travels in.
-    sent: Vec<(&'static str, usize)>,
+    /// `(kind, wire bytes, rides)` of every protocol message the frames
+    /// above carry, `rides` when it shares its frame with the one before
+    /// (see [`Event::for_each_carried`]) — the metrics count frames as
+    /// packets and protocol messages by kind, whatever burst they travel in.
+    sent: Vec<(&'static str, usize, bool)>,
     /// Wheel entries owed: protocol timers now, parked bursts at flush.
     parked: Vec<(Time, Due<E>)>,
     outputs: Vec<(Time, E)>,
@@ -516,8 +518,12 @@ impl<E: Event + Send> Outbox<E> {
     }
 
     fn push(&mut self, to: ProcessId, component: &'static str, event: E) {
-        let bytes = event.wire_size();
-        self.sent.push((event.kind(), bytes));
+        let (mut bytes, mut rides) = (0, false);
+        event.for_each_carried(|kind, b| {
+            self.sent
+                .push((kind, b, std::mem::replace(&mut rides, true)));
+            bytes += b;
+        });
         self.bytes[to.index()] += bytes;
         self.frames[to.index()].push((component, event));
     }
@@ -675,8 +681,12 @@ impl<E: Event + Send> Router<E> {
                 }
             }
             shared.with_metrics(|m| {
-                for (kind, bytes) in out.sent.drain(..) {
-                    m.record_send(kind, bytes);
+                for (kind, bytes, rides) in out.sent.drain(..) {
+                    if rides {
+                        m.record_carried(kind, bytes);
+                    } else {
+                        m.record_send(kind, bytes);
+                    }
                 }
                 tally.record(m);
             });

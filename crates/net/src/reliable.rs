@@ -6,7 +6,14 @@
 //! (and suppressed entirely when reverse data flows), and per-tick
 //! retransmissions to one peer are **coalesced** into a single batch
 //! packet. Relative to the classic ack-per-data scheme this roughly halves
-//! the packet count of a steady bidirectional exchange.
+//! the packet count of a steady bidirectional exchange. First transmissions
+//! can be **bundled** too: an owner that sends one peer several
+//! messages in one dispatch step folds them with [`Packet::bundle`] into one
+//! packet, a batch marked `fresh` — so a coordinator's decision for one
+//! consensus instance rides its proposal for the next. A bundle is only a
+//! way to travel: each message keeps its own sequence number and is
+//! acknowledged and retransmitted on its own, so a lost bundle comes back
+//! seq by seq.
 //!
 //! Two rules bound what a peer that is gone can cost or do. A peer that has
 //! acknowledged nothing across [`PROBE_AFTER`] consecutive retransmission
@@ -178,13 +185,18 @@ pub enum Packet<M> {
         /// The carried message.
         msg: M,
     },
-    /// Coalesced retransmission: several data packets for one peer in one
-    /// wire packet (produced by [`ReliableChannel::on_tick`]).
+    /// Several data packets for one peer in one wire packet: coalesced
+    /// retransmissions (produced by [`ReliableChannel::on_tick`]), or a
+    /// bundle of first transmissions (made by [`Packet::bundle`]). The
+    /// receiver treats both alike.
     Batch {
         /// Piggybacked cumulative ack (as in [`Data`](Packet::Data)).
         ack: u64,
-        /// The retransmitted `(seq, message)` pairs, in sequence order.
+        /// The carried `(seq, message)` pairs, in sequence order.
         msgs: Vec<(u64, M)>,
+        /// A bundle of first transmissions, not retransmissions: traffic
+        /// accounting counts each message under its own kind.
+        fresh: bool,
     },
     /// Standalone cumulative acknowledgement: every `seq < upto` was
     /// received.
@@ -192,6 +204,48 @@ pub enum Packet<M> {
         /// One past the highest contiguously received sequence number.
         upto: u64,
     },
+}
+
+impl<M> Packet<M> {
+    /// Folds `next` — the first transmission of a later message to the same
+    /// peer — into this packet, the first transmission of an earlier one or
+    /// a bundle of them, which becomes or stays a bundle: a fresh
+    /// [`Batch`](Packet::Batch) with the newer acknowledgement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either packet is not a first transmission.
+    pub fn bundle(&mut self, next: Packet<M>) {
+        let Packet::Data { seq, ack, msg } = next else {
+            panic!("only a first transmission joins a bundle");
+        };
+        match self {
+            Packet::Batch {
+                ack: held,
+                msgs,
+                fresh: true,
+            } => {
+                *held = ack;
+                msgs.push((seq, msg));
+            }
+            Packet::Data { .. } => {
+                let Packet::Data {
+                    seq: first,
+                    msg: held,
+                    ..
+                } = std::mem::replace(self, Packet::Ack { upto: 0 })
+                else {
+                    unreachable!()
+                };
+                *self = Packet::Batch {
+                    ack,
+                    msgs: vec![(first, held), (seq, msg)],
+                    fresh: true,
+                };
+            }
+            _ => panic!("only first transmissions form a bundle"),
+        }
+    }
 }
 
 /// An instruction produced by the reliable channel for its owner.
@@ -438,7 +492,7 @@ impl<M: Clone> ReliableChannel<M> {
                     self.emit_ack_now(from, out);
                 }
             }
-            Packet::Batch { ack, msgs } => {
+            Packet::Batch { ack, msgs, .. } => {
                 self.on_ack_component(from, ack, out);
                 for (seq, msg) in msgs {
                     self.on_data_component(from, seq, msg, out);
@@ -517,6 +571,7 @@ impl<M: Clone> ReliableChannel<M> {
                 Some(second) => Packet::Batch {
                     ack,
                     msgs: [(seq, msg), second].into_iter().chain(expired).collect(),
+                    fresh: false,
                 },
             };
             tx.silent_rounds = tx.silent_rounds.saturating_add(1);
@@ -796,6 +851,98 @@ mod tests {
         assert_eq!(delivered(&got), vec!["x", "y", "z"]);
     }
 
+    /// The first transmissions of `msgs` to B, bundled as an owner that
+    /// sends them in one step does.
+    fn bundled(
+        a: &mut ReliableChannel<&'static str>,
+        msgs: &[&'static str],
+        now: Time,
+    ) -> Packet<&'static str> {
+        let mut out = Vec::new();
+        for &msg in msgs {
+            a.send_into(B, msg, now, &mut out);
+        }
+        let mut packets = out.into_iter().map(|o| match o {
+            RcOut::Transmit { to: B, packet } => packet,
+            other => panic!("expected a transmit to B, got {other:?}"),
+        });
+        let mut bundle = packets.next().expect("one message at least");
+        packets.for_each(|p| bundle.bundle(p));
+        bundle
+    }
+
+    #[test]
+    fn a_bundle_carries_first_transmissions_in_order_with_the_newest_ack() {
+        let mut a = rc(A);
+        let mut b = rc(B);
+        let t = Time::ZERO;
+        // A owes B an ack for two messages by the time it sends.
+        for seq in 0..2 {
+            a.on_packet(
+                B,
+                Packet::Data {
+                    seq,
+                    ack: 0,
+                    msg: "b",
+                },
+                t,
+            );
+        }
+        let bundle = bundled(&mut a, &["x", "y", "z"], t);
+        assert_eq!(
+            bundle,
+            Packet::Batch {
+                ack: 2,
+                msgs: vec![(0, "x"), (1, "y"), (2, "z")],
+                fresh: true,
+            }
+        );
+        assert!(
+            a.on_tick(t + TimeDelta::from_millis(10)).is_empty(),
+            "the ack rode the bundle"
+        );
+        assert_eq!(delivered(&b.on_packet(A, bundle, t)), vec!["x", "y", "z"]);
+        // One message alone stays a plain data packet.
+        assert!(matches!(
+            bundled(&mut a, &["w"], t),
+            Packet::Data { seq: 3, .. }
+        ));
+    }
+
+    #[test]
+    fn a_lost_bundle_is_retransmitted_seq_by_seq() {
+        let mut a = rc(A);
+        let mut b = rc(B);
+        let mut now = Time::ZERO;
+        let first = bundled(&mut a, &["x"], now);
+        let _lost = bundled(&mut a, &["y", "z"], now);
+        let third = bundled(&mut a, &["w"], now);
+        // B gets the first and the third; its cumulative ack covers the
+        // first only, the third waits for the gap.
+        let mut got = delivered(&b.on_packet(A, first, now));
+        got.extend(delivered(&b.on_packet(A, third, now)));
+        assert_eq!(got, vec!["x"]);
+        a.on_packet(B, Packet::Ack { upto: 1 }, now);
+        // The retransmission is per sequence number, not per bundle: what
+        // is unacknowledged, the third's message included.
+        now += TimeDelta::from_millis(20);
+        let retransmitted = a.on_tick(now);
+        assert_eq!(data_of(&retransmitted), vec![(1, "y"), (2, "z"), (3, "w")]);
+        // A peer silent for PROBE_AFTER rounds is probed with the head
+        // alone: the lost bundle split.
+        for _ in 1..PROBE_AFTER {
+            now += TimeDelta::from_millis(20);
+            a.on_tick(now);
+        }
+        now += TimeDelta::from_millis(20);
+        let probe = a.on_tick(now);
+        assert_eq!(data_of(&probe), vec![(1, "y")]);
+        let RcOut::Transmit { packet, .. } = probe.into_iter().next().expect("probe") else {
+            panic!("expected a transmit");
+        };
+        assert_eq!(delivered(&b.on_packet(A, packet, now)), vec!["y"]);
+    }
+
     #[test]
     fn stuck_then_unstuck() {
         let mut a = rc(A);
@@ -1059,18 +1206,47 @@ mod proptests {
     const A: ProcessId = ProcessId::new(0);
     const B: ProcessId = ProcessId::new(1);
 
+    /// A's step of `k` more first transmissions to B, which leave as one
+    /// packet: a bundle when there are several.
+    fn send_step(
+        a: &mut ReliableChannel<u64>,
+        next: &mut u64,
+        k: usize,
+        now: Time,
+        wire_ab: &mut Vec<Packet<u64>>,
+    ) {
+        let mut outs = Vec::new();
+        for _ in 0..k {
+            a.send_into(B, *next, now, &mut outs);
+            *next += 1;
+        }
+        let mut step: Option<Packet<u64>> = None;
+        for o in outs {
+            let RcOut::Transmit { to: B, packet } = o else {
+                panic!("a send to B transmits to B");
+            };
+            match &mut step {
+                None => step = Some(packet),
+                Some(bundle) => bundle.bundle(packet),
+            }
+        }
+        wire_ab.extend(step);
+    }
+
     proptest! {
         /// Under arbitrary reordering, duplication and loss of individual
         /// transmissions — with on_tick retransmissions eventually getting
         /// everything through — the receiver delivers exactly the sent
-        /// sequence, in order.
+        /// sequence, in order, whatever bundles the first transmissions
+        /// left in.
         #[test]
         fn fifo_no_dup_no_creation(
             n in 1usize..30,
             piggyback in any::<bool>(),
-            // For each "round": which pending wire packets get delivered, and
-            // whether each is duplicated.
-            schedule in proptest::collection::vec((0usize..8, any::<bool>(), any::<bool>()), 0..200),
+            // For each "round": which pending wire packets get delivered,
+            // whether each is duplicated or lost, and how many more messages
+            // A sends in the round's step.
+            schedule in proptest::collection::vec((0usize..8, any::<bool>(), any::<bool>(), 0usize..4), 0..200),
         ) {
             let cfg = RcConfig { piggyback_acks: piggyback, ..RcConfig::default() };
             let mut a = ReliableChannel::new(A, cfg);
@@ -1092,14 +1268,11 @@ mod proptests {
                 }
             };
 
-            for i in 0..n {
-                let mut outs = Vec::new();
-                a.send_into(B, i as u64, now, &mut outs);
-                push(outs, &mut wire_ab, &mut wire_ba, &mut got);
-            }
-
-            for (idx, dup, drop) in schedule {
+            let mut next = 0u64;
+            for (idx, dup, drop, k) in schedule {
                 now += TimeDelta::from_millis(30);
+                let k = k.min(n - next as usize);
+                send_step(&mut a, &mut next, k, now, &mut wire_ab);
                 // Maybe deliver one packet from A→B (possibly out of order).
                 if !wire_ab.is_empty() {
                     let k = idx % wire_ab.len();
@@ -1129,6 +1302,12 @@ mod proptests {
                 push(outs, &mut wire_ab, &mut wire_ba, &mut got);
                 let outs = b.on_tick(now);
                 push(outs, &mut wire_ab, &mut wire_ba, &mut got);
+            }
+
+            // What the rounds left unsent goes in steps of three.
+            while (next as usize) < n {
+                let k = (n - next as usize).min(3);
+                send_step(&mut a, &mut next, k, now, &mut wire_ab);
             }
 
             // Drain: deliver everything still on the wire plus retransmissions

@@ -137,7 +137,10 @@ impl KindTable {
 ///
 /// Sends are attributed to the [`Event::kind`](gcs_kernel::Event::kind) of
 /// the event, so experiments can report per-protocol message complexity
-/// (e.g. how many messages a view change costs in each architecture).
+/// (e.g. how many messages a view change costs in each architecture). A
+/// packet that bundles several messages counts once in
+/// [`total_sent`](Self::total_sent) and each message it carries under its
+/// own kind.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     kinds: KindTable,
@@ -161,13 +164,38 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records a message handed to the network, attributed to its event
-    /// kind. Public so non-simulator runtimes (the live threaded backend)
+    /// Records a packet handed to the network, carrying one message of
+    /// `kind`. Public so non-simulator runtimes (the live threaded backend)
     /// can account traffic in the same vocabulary.
     pub fn record_send(&mut self, kind: &'static str, bytes: usize) {
         self.kinds.record(kind, bytes as u64);
         self.total_sent += 1;
         self.total_bytes += bytes as u64;
+    }
+
+    /// Records one more message riding in the packet last recorded with
+    /// [`record_send`](Self::record_send): counted under its kind and in the
+    /// bytes, not as a packet.
+    pub fn record_carried(&mut self, kind: &'static str, bytes: usize) {
+        self.kinds.record(kind, bytes as u64);
+        self.total_bytes += bytes as u64;
+    }
+
+    /// Records `event` handed to the network as one packet, each message it
+    /// carries under its own kind (see
+    /// [`Event::for_each_carried`](gcs_kernel::Event::for_each_carried)),
+    /// and returns its wire size.
+    pub fn record_packet<E: gcs_kernel::Event>(&mut self, event: &E) -> usize {
+        let (mut size, mut first) = (0, true);
+        event.for_each_carried(|kind, bytes| {
+            if std::mem::take(&mut first) {
+                self.record_send(kind, bytes);
+            } else {
+                self.record_carried(kind, bytes);
+            }
+            size += bytes;
+        });
+        size
     }
 
     /// Records a message delivered to its destination process.
@@ -228,7 +256,7 @@ impl Metrics {
             .map(move |(i, h)| (i / regions, i % regions, h))
     }
 
-    /// Total messages handed to the network.
+    /// Total packets handed to the network; a bundle counts once.
     pub fn total_sent(&self) -> u64 {
         self.total_sent
     }
@@ -342,6 +370,19 @@ mod tests {
         assert_eq!(m.sent_of_kind("none"), 0);
         assert_eq!(m.total_sent(), 3);
         assert_eq!(m.total_bytes(), 120);
+    }
+
+    #[test]
+    fn a_packet_counts_once_and_what_it_carries_by_kind() {
+        let mut m = Metrics::new();
+        m.record_send("ct/decide", 40);
+        m.record_carried("ct/propose", 30);
+        m.record_send("ct/ack", 20);
+        assert_eq!(m.total_sent(), 2);
+        assert_eq!(m.total_bytes(), 90);
+        for kind in ["ct/decide", "ct/propose", "ct/ack"] {
+            assert_eq!(m.sent_of_kind(kind), 1, "{kind}");
+        }
     }
 
     #[test]

@@ -487,8 +487,7 @@ impl<E: Event> SimWorld<E> {
     }
 
     fn route(&mut self, from: ProcessId, to: ProcessId, component: &'static str, event: E) {
-        let wire_size = event.wire_size();
-        self.metrics.record_send(event.kind(), wire_size);
+        let wire_size = self.metrics.record_packet(&event);
         if from == to {
             // Loopback: fixed small delay, never lost or partitioned.
             let at = self.now + LOOPBACK_DELAY;
