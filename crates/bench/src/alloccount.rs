@@ -1,5 +1,5 @@
-//! The instrumented global allocator behind the allocations-per-adelivery
-//! metric, and the steady-state workloads it measures.
+//! The instrumented global allocator behind the allocation metrics, and the
+//! steady-state workloads it measures.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every allocation
 //! (and its size) with relaxed atomics. Binaries that want the metric
@@ -11,11 +11,19 @@
 //!     gcs_bench::alloccount::CountingAlloc;
 //! ```
 //!
-//! and read deltas with [`snapshot`] or [`measure_allocs`]. In binaries that
-//! do *not* install it the counters simply stay at zero. The counters are
+//! and read deltas with [`snapshot`] or [`measure`]. In binaries that do
+//! *not* install it the counters simply stay at zero. The counters are
 //! process-global, so measurements must run the workload single-threaded
-//! (all four `*_steady_5_stats` workloads are deterministic single-threaded
-//! simulations).
+//! (every [`WORKLOADS`] entry is a deterministic single-threaded
+//! simulation).
+//!
+//! Every workload has the shape of the benchmark's `sim-steady`: a group on
+//! a loss-free LAN and a stream of 64-byte ops at 2,000 ops/s from
+//! round-robin senders, scheduled up front. A measurement builds the group,
+//! schedules the stream and runs a [`WARM_UP`], then counts a [`WINDOW`] of
+//! steady traffic: allocations per delivery in the window are the tracked
+//! metric. What building and warming up cost is paid once per group, not per
+//! op, and is reported on its own.
 
 #![allow(unsafe_code)]
 
@@ -26,7 +34,7 @@ use gcs_api::{Group, GroupTransport, StackKind};
 use gcs_core::StackConfig;
 use gcs_kernel::{Time, TimeDelta};
 
-use crate::workload::{GenericWorkload, UniformWorkload, Workload};
+use crate::workload::{GenericWorkload, Workload};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -76,126 +84,147 @@ pub fn snapshot() -> AllocSnapshot {
     }
 }
 
-/// What one steady-state workload run executed and delivered — the
-/// denominators of allocations per event and per delivery.
+/// Virtual time run before the counted window: the group is built, its
+/// first instances have run, and every per-process buffer has grown to the
+/// size the traffic needs.
+pub const WARM_UP: TimeDelta = TimeDelta::from_millis(100);
+
+/// Virtual time counted.
+pub const WINDOW: TimeDelta = TimeDelta::from_millis(250);
+
+/// One steady-state workload.
 #[derive(Clone, Copy, Debug)]
-pub struct RunStats {
-    /// Simulation events executed.
-    pub events: u64,
-    /// Total payload deliveries across all processes.
-    pub deliveries: u64,
+pub struct AllocWorkload {
+    /// Name in reports: what is broadcast, and the group size.
+    pub name: &'static str,
+    /// The stack measured.
+    pub stack: StackKind,
+    /// Group size.
+    pub members: usize,
+    /// Conflict-free generic broadcast instead of atomic broadcast (the new
+    /// architecture only).
+    pub generic: bool,
 }
 
-/// The `abcast_steady/5` workload: 20 abcasts across 5 processes on the new
-/// architecture, run for 300 simulated milliseconds, with the per-process
-/// delivery total (20 messages × 5 processes).
-pub fn abcast_steady_5_stats() -> RunStats {
-    let mut cfg = StackConfig::default();
-    cfg.monitoring_timeout = TimeDelta::from_secs(3600);
-    let mut g = Group::builder()
-        .members(5)
-        .stack_config(cfg)
-        .seed(1)
-        .build();
-    UniformWorkload::steady(20, 2).inject(5, &mut g);
-    g.run_until(Time::from_millis(300));
-    let delivered = g.adelivered_payloads();
-    assert_eq!(delivered[0].len(), 20);
-    RunStats {
-        events: g.events_executed(),
-        deliveries: delivered.iter().map(|s| s.len() as u64).sum(),
-    }
-}
+/// The measured workloads: atomic broadcast on the new architecture at
+/// n = 5 (the benchmark's `sim-steady`) and n = 3, its conflict-free
+/// generic broadcast, and the two baselines' atomic broadcast.
+pub const WORKLOADS: [AllocWorkload; 5] = [
+    AllocWorkload {
+        name: "abcast/5",
+        stack: StackKind::NewArch,
+        members: 5,
+        generic: false,
+    },
+    AllocWorkload {
+        name: "abcast/3",
+        stack: StackKind::NewArch,
+        members: 3,
+        generic: false,
+    },
+    AllocWorkload {
+        name: "gbcast/5",
+        stack: StackKind::NewArch,
+        members: 5,
+        generic: true,
+    },
+    AllocWorkload {
+        name: "isis/5",
+        stack: StackKind::Isis,
+        members: 5,
+        generic: false,
+    },
+    AllocWorkload {
+        name: "token/5",
+        stack: StackKind::Token,
+        members: 5,
+        generic: false,
+    },
+];
 
-/// The `gbcast_steady/5` workload: 200 conflict-free 64-byte g-broadcasts
-/// at 2,000 ops/s across 5 processes — the fast path and nothing else, in
-/// one epoch — with the g-delivery total (200 messages × 5 processes).
-pub fn gbcast_steady_5_stats() -> RunStats {
-    let mut cfg = StackConfig::default();
-    cfg.monitoring_timeout = TimeDelta::from_secs(3600);
-    let mut g = Group::builder()
-        .members(5)
-        .stack_config(cfg)
-        .seed(1)
-        .build();
-    let mut stream = GenericWorkload::per_second(200, 2_000, 0);
-    stream.base.payload = 64;
-    stream.inject(5, &mut g);
-    g.run_until(Time::from_millis(300));
-    let deliveries = g.delivery_count();
-    assert_eq!(deliveries, 1000);
-    RunStats {
-        events: g.events_executed(),
-        deliveries,
-    }
-}
-
-/// The `isis_steady/5` workload: the same 20-abcast steady state as
-/// [`abcast_steady_5_stats`] on the Isis-style baseline.
-pub fn isis_steady_5_stats() -> RunStats {
-    baseline_steady_5_stats(StackKind::Isis)
-}
-
-/// The `token_steady/5` workload on the token-ring baseline.
-pub fn token_steady_5_stats() -> RunStats {
-    baseline_steady_5_stats(StackKind::Token)
-}
-
-fn baseline_steady_5_stats(kind: StackKind) -> RunStats {
-    let mut sim = Group::builder().members(5).stack(kind).seed(1).build();
-    UniformWorkload::steady(20, 2).inject(5, &mut sim);
-    sim.run_until(Time::from_millis(300));
-    let delivered = sim.adelivered_payloads();
-    assert_eq!(delivered[0].len(), 20);
-    let deliveries = delivered.iter().map(|s| s.len() as u64).sum();
-    RunStats {
-        events: sim.events_executed(),
-        deliveries,
-    }
-}
-
-/// One steady-state allocation measurement (meaningful only in binaries
-/// that install [`CountingAlloc`] as the global allocator — elsewhere
-/// every counter reads zero).
+/// One allocation measurement (meaningful only in binaries that install
+/// [`CountingAlloc`] as the global allocator — elsewhere every allocation
+/// count reads zero).
 #[derive(Clone, Debug)]
 pub struct AllocMeasurement {
     /// Workload name.
     pub name: &'static str,
-    /// Allocations during the measured (post-warm-up) run.
+    /// Group size: the deliveries of one op.
+    pub members: usize,
+    /// Allocations building the group, scheduling its stream and running
+    /// the warm-up.
+    pub build_allocs: u64,
+    /// Allocations in the window.
     pub allocs: u64,
-    /// Bytes allocated during the measured run.
+    /// Bytes allocated in the window.
     pub bytes: u64,
-    /// Simulation events executed.
+    /// Simulation events executed in the window.
     pub events: u64,
-    /// Payload deliveries across all processes.
+    /// Deliveries in the window, across all processes.
     pub deliveries: u64,
 }
 
 impl AllocMeasurement {
-    /// Allocations per payload delivery — the tracked metric.
+    /// Allocations per delivery in the window — the tracked metric.
     pub fn allocs_per_delivery(&self) -> f64 {
         self.allocs as f64 / self.deliveries.max(1) as f64
     }
 
-    /// Allocations per simulated event.
+    /// Allocations per op in the window (an op is delivered once per
+    /// member).
+    pub fn allocs_per_op(&self) -> f64 {
+        self.allocs_per_delivery() * self.members as f64
+    }
+
+    /// Allocations per simulated event in the window.
     pub fn allocs_per_event(&self) -> f64 {
         self.allocs as f64 / self.events.max(1) as f64
     }
 }
 
-/// Measures `workload` under the instrumented allocator: one warm-up run
-/// (populating lazy statics and caches), then one counted run.
-pub fn measure_allocs(name: &'static str, workload: impl Fn() -> RunStats) -> AllocMeasurement {
-    let _ = workload(); // warm-up
-    let before = snapshot();
-    let stats = workload();
-    let delta = snapshot().since(before);
+/// The group of `w`, its stream scheduled.
+fn build(w: &AllocWorkload) -> Group {
+    let mut builder = Group::builder().members(w.members).stack(w.stack).seed(7);
+    if w.stack == StackKind::NewArch {
+        let mut cfg = StackConfig::default();
+        cfg.monitoring_timeout = TimeDelta::from_secs(3600);
+        builder = builder.stack_config(cfg);
+    }
+    let mut g = builder.build();
+    // 2,000 ops/s from 1 ms until past the window's end.
+    let ops = (2 * (WARM_UP + WINDOW).as_millis()) as u32;
+    let mut stream = GenericWorkload::per_second(ops, 2_000, 0);
+    stream.base.payload = 64;
+    if w.generic {
+        stream.inject(w.members, &mut g);
+    } else {
+        stream.base.inject(w.members, &mut g);
+    }
+    g
+}
+
+/// Measures `w` under the instrumented allocator: one run to populate lazy
+/// statics and thread-local pools, then one counted run. The window's
+/// deliveries are the group's outputs in it: a steady window installs no
+/// view and suspects nobody.
+pub fn measure(w: &AllocWorkload) -> AllocMeasurement {
+    build(w).run_until(Time::ZERO + WARM_UP + WINDOW);
+    let start = snapshot();
+    let mut g = build(w);
+    g.run_until(Time::ZERO + WARM_UP);
+    let built = snapshot().since(start);
+    let (events, deliveries) = (g.events_executed(), g.delivery_count());
+    let start = snapshot();
+    g.run_until(Time::ZERO + WARM_UP + WINDOW);
+    let window = snapshot().since(start);
     AllocMeasurement {
-        name,
-        allocs: delta.allocs,
-        bytes: delta.bytes,
-        events: stats.events,
-        deliveries: stats.deliveries,
+        name: w.name,
+        members: w.members,
+        build_allocs: built.allocs,
+        allocs: window.allocs,
+        bytes: window.bytes,
+        events: g.events_executed() - events,
+        deliveries: g.delivery_count() - deliveries,
     }
 }
 
@@ -204,14 +233,17 @@ pub fn allocs_to_json(measurements: &[AllocMeasurement]) -> String {
     let mut s = String::from("{\n");
     for (i, m) in measurements.iter().enumerate() {
         s.push_str(&format!(
-            "    \"{}\": {{\"allocs\": {}, \"bytes\": {}, \"events\": {}, \"deliveries\": {}, \
-\"allocs_per_delivery\": {:.3}, \"allocs_per_event\": {:.3}}}{}\n",
+            "    \"{}\": {{\"build_allocs\": {}, \"allocs\": {}, \"bytes\": {}, \"events\": {}, \
+\"deliveries\": {}, \"allocs_per_delivery\": {:.3}, \"allocs_per_op\": {:.3}, \
+\"allocs_per_event\": {:.3}}}{}\n",
             m.name,
+            m.build_allocs,
             m.allocs,
             m.bytes,
             m.events,
             m.deliveries,
             m.allocs_per_delivery(),
+            m.allocs_per_op(),
             m.allocs_per_event(),
             if i + 1 == measurements.len() { "" } else { "," }
         ));
@@ -225,10 +257,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workloads_run_and_count_events() {
-        assert!(abcast_steady_5_stats().events > 100);
-        assert!(isis_steady_5_stats().events > 100);
-        assert!(token_steady_5_stats().events > 100);
-        assert!(gbcast_steady_5_stats().events > 1000);
+    fn every_window_runs_events_and_delivers() {
+        for w in &WORKLOADS {
+            let m = measure(w);
+            // 2,000 ops/s for a quarter of a second, each delivered at
+            // every member.
+            let expected = 500 * w.members as u64;
+            assert!(
+                m.deliveries.abs_diff(expected) <= expected / 10,
+                "{}: {m:?}",
+                w.name
+            );
+            assert!(m.events > m.deliveries, "{}: {m:?}", w.name);
+        }
     }
 }

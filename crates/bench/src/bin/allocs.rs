@@ -1,36 +1,21 @@
 //! Allocation profiler for the steady-state workloads of
 //! `gcs_bench::alloccount`: installs the counting global allocator and
-//! reports allocations per simulated event and — the tracked metric —
-//! allocations per payload delivery.
+//! reports, per workload, what building the group and warming it up
+//! allocated, and — the tracked metric — allocations per delivery over a
+//! window of steady traffic after it.
 //!
 //! ```text
 //! allocs [abcast|gbcast|isis|token|all] [--json]
 //! ```
 //!
-//! `--json` emits a machine-readable object; the budgets themselves are
-//! enforced by `tests/alloc_guard.rs`.
+//! `abcast` measures the new architecture at n = 5 and n = 3. `--json`
+//! emits a machine-readable object; the budgets themselves are enforced by
+//! `tests/alloc_guard.rs`.
 
 use gcs_bench::alloccount::{self, AllocMeasurement, CountingAlloc};
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
-
-fn measure(which: &str) -> AllocMeasurement {
-    match which {
-        "abcast" => {
-            alloccount::measure_allocs("abcast_steady/5", alloccount::abcast_steady_5_stats)
-        }
-        "gbcast" => {
-            alloccount::measure_allocs("gbcast_steady/5", alloccount::gbcast_steady_5_stats)
-        }
-        "isis" => alloccount::measure_allocs("isis_steady/5", alloccount::isis_steady_5_stats),
-        "token" => alloccount::measure_allocs("token_steady/5", alloccount::token_steady_5_stats),
-        other => {
-            eprintln!("allocs: unknown workload {other:?} (want abcast|gbcast|isis|token|all)");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,27 +25,38 @@ fn main() {
         .find(|a| *a != "--json")
         .map(String::as_str)
         .unwrap_or("all");
-    let measurements: Vec<AllocMeasurement> = if which == "all" {
-        ["abcast", "gbcast", "isis", "token"]
-            .iter()
-            .map(|w| measure(w))
-            .collect()
-    } else {
-        vec![measure(which)]
-    };
+    let chosen: Vec<_> = alloccount::WORKLOADS
+        .iter()
+        .filter(|w| which == "all" || w.name.split('/').next() == Some(which))
+        .collect();
+    if chosen.is_empty() {
+        eprintln!("allocs: unknown workload {which:?} (want abcast|gbcast|isis|token|all)");
+        std::process::exit(2);
+    }
+    let measurements: Vec<AllocMeasurement> = chosen.into_iter().map(alloccount::measure).collect();
     if json {
         println!("{}", alloccount::allocs_to_json(&measurements));
         return;
     }
+    let (warm_up, window) = (
+        alloccount::WARM_UP.as_millis(),
+        alloccount::WINDOW.as_millis(),
+    );
     for m in &measurements {
         println!(
-            "{}: {} events, {} deliveries, {} allocs ({:.2}/event, {:.2}/delivery), {} bytes",
+            "{} build: {} allocs (group, stream, {warm_up} ms warm-up)",
+            m.name, m.build_allocs
+        );
+        println!(
+            "{} window: {window} ms, {} events, {} deliveries, {} allocs \
+             ({:.2}/event, {:.2}/delivery, {:.2}/op), {} bytes",
             m.name,
             m.events,
             m.deliveries,
             m.allocs,
             m.allocs_per_event(),
             m.allocs_per_delivery(),
+            m.allocs_per_op(),
             m.bytes
         );
     }

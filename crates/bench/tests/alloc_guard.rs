@@ -1,7 +1,9 @@
 //! Alloc-regression guard: steady-state allocations per adelivery (abcast)
 //! and per g-delivery (conflict-free generic broadcast) must stay under
-//! committed budgets, and a `gb/ack` packet — the most frequent wire message
-//! of the generic fast path — must cost none at all.
+//! committed budgets; a `gb/ack` packet — the most frequent wire message of
+//! the generic fast path — must cost none at all; and a warmed-up
+//! failure-free consensus instance must cost a non-coordinator nothing and
+//! its coordinator no more than the batch it proposes.
 //!
 //! This test binary installs the counting global allocator itself (a
 //! `#[global_allocator]` must live in the final crate, and integration
@@ -9,17 +11,20 @@
 //! its workloads one after the other: concurrent tests in the same binary
 //! would pollute the process-global counters.
 
+use std::collections::VecDeque;
+
 use gcs_bench::alloccount::{self, snapshot, CountingAlloc};
 use gcs_core::components::names;
 use gcs_core::{build_process, Body, Ev, GbMsg, Message, MessageClass, MsgId, StackConfig};
 use gcs_core::{View, WireMsg};
-use gcs_kernel::{Effects, PayloadRef, ProcessId, Time};
+use gcs_kernel::{Effects, Envelope, PayloadRef, Process, ProcessId, Time};
 use gcs_net::Packet;
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// The committed budget. History of the tracked metric:
+/// The committed budgets of atomic broadcast on the new architecture, per
+/// adelivery, at n = 5 and n = 3. History of the tracked metric:
 ///
 /// * pre-PR-3 baseline: **33.4** allocs/adelivery
 /// * PR 3 (arena-backed payload handles + scratch-buffer dispatch): **15.0**
@@ -40,15 +45,32 @@ static A: CountingAlloc = CountingAlloc;
 ///   outstanding proposals in a window ring holding the proposed batch):
 ///   **10.45**
 ///
-/// The budget is the last measurement plus 15 % headroom for toolchain
-/// noise; a breach means a change re-introduced per-delivery allocations
-/// on the abcast hot path (per-call output `Vec`s, batch copies, payload
-/// clones) — or messages: every wire message costs allocations, so an
-/// eager relay or the all-members diffusion coming back shows here too.
-const BUDGET_ALLOCS_PER_ADELIVERY: f64 = 12.0;
+/// Those figures divide a whole 20-op run, building the group and 300 ms
+/// of mostly idle time included, by its 100 deliveries. From here on the
+/// metric is a window: 250 ms of 2,000 ops/s after a 100 ms warm-up, the
+/// benchmark's `sim-steady` shape (`allocs abcast`). On that window the
+/// code of the last entry above reads **1.42** at n = 5 and **0.68** at
+/// n = 3 (7.10 and 2.03 per op), and then:
+///
+/// * the decision cache and the decided batches in instance rings, the
+///   requested instances as one watermark, early consensus traffic in one
+///   flat buffer, one shared empty batch, settled batches refilled in
+///   place, and bundle buffers that go round from receivers to bundlers:
+///   **0.121** at n = 5 and **0.196** at n = 3 (0.60 and 0.59 per op) —
+///   what is left is the coordinator's batch, one per instance, and the
+///   simulator's event wheel, delivery trace and decision cache growing
+///
+/// Each budget is the last measurement plus 15 % headroom for toolchain
+/// noise, rounded up to the hundredth; a breach means a change
+/// re-introduced per-instance or per-delivery allocations on the abcast
+/// hot path (per-call output `Vec`s, maps with a node per instance, batch
+/// copies, payload clones) — or messages: every wire message costs
+/// allocations, so an eager relay or the all-members diffusion coming back
+/// shows here too.
+const BUDGET_ALLOCS_PER_ADELIVERY: [(usize, f64); 2] = [(5, 0.14), (3, 0.23)];
 
-/// The committed budget of the generic fast path (`allocs gbcast`: 200
-/// conflict-free 64 B g-broadcasts, n = 5). History:
+/// The committed budget of the generic fast path (`allocs gbcast`:
+/// conflict-free 64 B g-broadcasts at 2,000 ops/s, n = 5). History:
 ///
 /// * PR 16 and before (every first copy relayed, a separate ack from the
 ///   origin, a `BTreeSet` of ack senders per message): **2.54**
@@ -57,10 +79,12 @@ const BUDGET_ALLOCS_PER_ADELIVERY: f64 = 12.0;
 /// * PR 24 (one record per message in flight and a plain list of the acked
 ///   instead of three maps' nodes, peer bitsets in the reliable channel):
 ///   **1.09**
+/// * the window measurement above instead of a whole 200-op run: **0.018**
+///   (the build and warm-up were most of the old figure)
 ///
-/// Measured plus 15 %, as above; an eager relay or a per-message set coming
-/// back breaches it.
-const BUDGET_ALLOCS_PER_GDELIVERY: f64 = 1.25;
+/// Measured plus 15 %, rounded up to the hundredth, as above; an eager
+/// relay or a per-message set coming back breaches it.
+const BUDGET_ALLOCS_PER_GDELIVERY: f64 = 0.03;
 
 /// Allocations of a warmed-up new-architecture process (p0 of n = 5) over
 /// 1,000 `gb/ack` packets, and the g-deliveries they triggered. The packets
@@ -125,24 +149,183 @@ fn gb_ack_packets() -> (u64, usize) {
     (snapshot().since(before).allocs, deliveries)
 }
 
+/// `n` new-architecture processes with no simulator in between: the test
+/// hands every message to its destination itself, in send order, and
+/// counts the allocations of each step.
+struct Lockstep {
+    procs: Vec<Process<Ev>>,
+    queue: VecDeque<Envelope<Ev>>,
+    fx: Effects<Ev>,
+}
+
+/// What a step cost: allocations, batches delivered, and whether it took a
+/// `[Decide(k), Propose(k+1)]` bundle.
+struct Step {
+    allocs: u64,
+    delivered: usize,
+    bundle: bool,
+}
+
+impl Lockstep {
+    fn new(n: usize) -> Self {
+        let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
+        let view = View::initial(members.clone());
+        let procs = members
+            .iter()
+            .map(|&p| build_process(p, &StackConfig::default(), Some(view.clone()), n))
+            .collect();
+        let mut net = Lockstep {
+            procs,
+            queue: VecDeque::new(),
+            fx: Effects::new(),
+        };
+        for p in 0..n {
+            net.step(p, |proc, fx| proc.start_into(Time::ZERO, fx));
+        }
+        net
+    }
+
+    /// Runs one step of process `p`; what it sends joins the queue.
+    fn step(&mut self, p: usize, run: impl FnOnce(&mut Process<Ev>, &mut Effects<Ev>)) -> Step {
+        self.fx.clear();
+        let before = snapshot();
+        run(&mut self.procs[p], &mut self.fx);
+        let allocs = snapshot().since(before).allocs;
+        let delivered = self
+            .fx
+            .outputs
+            .iter()
+            .filter(|e| matches!(e, Ev::Deliver(_)))
+            .count();
+        self.queue.extend(self.fx.sends.drain());
+        Step {
+            allocs,
+            delivered,
+            bundle: false,
+        }
+    }
+
+    /// p0 a-broadcasts an empty message.
+    fn abcast_at_p0(&mut self) -> Step {
+        self.step(0, |proc, fx| {
+            let op = Ev::Abcast(PayloadRef::EMPTY);
+            proc.deliver_into(names::ABCAST, op, Time::ZERO, fx);
+        })
+    }
+
+    /// Delivers everything queued now (not what that sends in turn).
+    fn deliver_queued(&mut self) -> Vec<(usize, Step)> {
+        let mut steps = Vec::new();
+        for _ in 0..self.queue.len() {
+            let e = self.queue.pop_front().expect("counted");
+            let bundle = matches!(
+                &e.event,
+                Ev::Packet(Packet::Batch { msgs, fresh: true, .. })
+                    if msgs.iter().map(|(_, m)| m.kind()).eq(["ct/decide", "ct/propose"])
+            );
+            let to = e.to.index();
+            let mut step = self.step(to, |proc, fx| {
+                proc.deliver_net_into(e.from, e.component, e.event, Time::ZERO, fx)
+            });
+            step.bundle = bundle;
+            steps.push((to, step));
+        }
+        steps
+    }
+}
+
+/// What a warmed-up failure-free instance costs, at n = `n`, over 1,000
+/// instances after 1,100 of warm-up (the decision cache fills its window of
+/// 1,024 instances there). p0 coordinates every instance and gets one op
+/// ahead of each: it a-broadcasts, then takes the acks of instance k, so it
+/// decides k and proposes k+1 in one step and every participant still owed
+/// the decision gets `[Decide(k), Propose(k+1)]` in one packet. The others
+/// have nothing of their own to order.
+///
+/// Returns p0's allocations per instance, and the allocations of every
+/// other process's steps, the bundles they took and the batches they
+/// delivered.
+fn warm_instances(n: usize) -> (f64, u64, usize, usize) {
+    let (warm_up, measured) = (1_100, 1_000);
+    let mut net = Lockstep::new(n);
+    net.abcast_at_p0();
+    net.deliver_queued();
+    let (mut coordinator, mut others, mut bundles, mut delivered) = (0, 0, 0, 0);
+    for instance in 0..warm_up + measured {
+        let mut steps = vec![(0, net.abcast_at_p0())];
+        steps.extend(net.deliver_queued()); // the acks, at p0
+        steps.extend(net.deliver_queued()); // its decision and next proposal
+        if instance < warm_up {
+            continue;
+        }
+        for (p, step) in steps {
+            if p == 0 {
+                coordinator += step.allocs;
+            } else {
+                others += step.allocs;
+                bundles += usize::from(step.bundle);
+                delivered += step.delivered;
+            }
+        }
+    }
+    (
+        coordinator as f64 / measured as f64,
+        others,
+        bundles,
+        delivered,
+    )
+}
+
 #[test]
 fn steady_state_allocs_per_delivery_stay_under_budget() {
-    let m = alloccount::measure_allocs("abcast_steady/5", alloccount::abcast_steady_5_stats);
-    assert!(m.deliveries >= 100, "workload delivered: {m:?}");
-    let per_delivery = m.allocs_per_delivery();
-    assert!(
-        per_delivery <= BUDGET_ALLOCS_PER_ADELIVERY,
-        "abcast steady state allocates {per_delivery:.2} per adelivery \
-         (budget {BUDGET_ALLOCS_PER_ADELIVERY}); the zero-copy message plane regressed: {m:?}"
-    );
+    for (members, budget) in BUDGET_ALLOCS_PER_ADELIVERY {
+        let w = alloccount::WORKLOADS
+            .iter()
+            .find(|w| !w.generic && w.members == members && w.name.starts_with("abcast"))
+            .expect("an abcast workload per budget");
+        let m = alloccount::measure(w);
+        assert!(m.deliveries >= 1_000, "workload delivered: {m:?}");
+        let per_delivery = m.allocs_per_delivery();
+        assert!(
+            per_delivery <= budget,
+            "abcast at n = {members} allocates {per_delivery:.3} per adelivery (budget {budget}); \
+             the zero-copy message plane or the per-instance bookkeeping regressed: {m:?}"
+        );
+    }
 
-    let m = alloccount::measure_allocs("gbcast_steady/5", alloccount::gbcast_steady_5_stats);
+    let gbcast = alloccount::WORKLOADS
+        .iter()
+        .find(|w| w.generic)
+        .expect("the generic workload");
+    let m = alloccount::measure(gbcast);
     let per_delivery = m.allocs_per_delivery();
     assert!(
         per_delivery <= BUDGET_ALLOCS_PER_GDELIVERY,
-        "the generic fast path allocates {per_delivery:.2} per g-delivery \
+        "the generic fast path allocates {per_delivery:.3} per g-delivery \
          (budget {BUDGET_ALLOCS_PER_GDELIVERY}): {m:?}"
     );
+
+    // At n = 3 the first acker decides on adopting, so only the second is
+    // owed a `Decide`, and a bundle.
+    for (n, owed_decide) in [(3, 1), (5, 4)] {
+        let (coordinator, others, bundles, delivered) = warm_instances(n);
+        assert_eq!(
+            (bundles, delivered),
+            (1_000 * owed_decide, 1_000 * (n - 1)),
+            "n = {n}: per instance, a [Decide(k), Propose(k+1)] bundle to each participant \
+             owed the decision and one batch delivered at each"
+        );
+        assert_eq!(
+            others, 0,
+            "n = {n}: 1,000 warm instances allocated {others} times at the non-coordinators: \
+             a map node, a buffered message or an empty batch per instance came back"
+        );
+        assert!(
+            coordinator <= 1.0,
+            "n = {n}: the coordinator allocates {coordinator:.2} times per instance, more than \
+             the batch it proposes (a bundle buffer, a decision-cache node?)"
+        );
+    }
 
     let (allocs, deliveries) = gb_ack_packets();
     assert_eq!(deliveries, 333, "two acks in three are the quorum's last");

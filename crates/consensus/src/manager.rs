@@ -1,12 +1,26 @@
 //! Repeated consensus: the service atomic broadcast is built on.
+//!
+//! **The decision cache is a ring.** Every consensus message looks the
+//! cache up first (a decided instance answers from it), and every decision
+//! goes into it, so it is an [`InstanceRing`] rather than a map: slot `i`
+//! holds the decision of instance `base + i`, for every instance from the
+//! lowest decision held to the newest. Pipelined instances decide out of
+//! order, which leaves an empty slot until the gap decides; an owner that
+//! prunes (atomic broadcast keeps the decisions of the 1,024 instances
+//! behind its newest proposal) pops the front, so the ring spans a bounded
+//! window and, once its capacity covers that window, a decision costs no
+//! allocation. Its answers are the map's: in test builds a manager can run
+//! on the `BTreeMap` the ring replaced, and a property test drives the two
+//! side by side.
 
+#[cfg(test)]
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gcs_kernel::{FxHashMap, FxHashSet, ProcessId};
 
 use crate::chandra_toueg::{answers_with_decision, CtConsensus, CtMsg, CtOut};
-use crate::Value;
+use crate::{InstanceRing, Value};
 
 /// Identifies one consensus instance (atomic broadcast runs instance
 /// `0, 1, 2, …` — one per delivered batch).
@@ -45,6 +59,45 @@ struct Cached<V> {
     sent_to_all: bool,
 }
 
+/// The decision cache (module docs).
+#[derive(Debug)]
+enum Decisions<V> {
+    Ring(InstanceRing<Cached<V>>),
+    /// The map the ring replaced: the reference it is tested against.
+    #[cfg(test)]
+    Map(BTreeMap<InstanceId, Cached<V>>),
+}
+
+impl<V> Decisions<V> {
+    fn get(&self, instance: InstanceId) -> Option<&Cached<V>> {
+        match self {
+            Decisions::Ring(ring) => ring.get(instance),
+            #[cfg(test)]
+            Decisions::Map(map) => map.get(&instance),
+        }
+    }
+
+    fn insert(&mut self, instance: InstanceId, cached: Cached<V>) {
+        match self {
+            Decisions::Ring(ring) => {
+                ring.insert(instance, cached);
+            }
+            #[cfg(test)]
+            Decisions::Map(map) => {
+                map.insert(instance, cached);
+            }
+        }
+    }
+
+    fn prune_below(&mut self, floor: InstanceId) {
+        match self {
+            Decisions::Ring(ring) => ring.prune_below(floor),
+            #[cfg(test)]
+            Decisions::Map(map) => *map = map.split_off(&floor),
+        }
+    }
+}
+
 /// Manages a sequence of consensus instances: creation on proposal,
 /// decision caching, catch-up replies for lagging peers, propagation of the
 /// failure-detector suspicion set to every live instance, and the relay of
@@ -65,7 +118,7 @@ pub struct ConsensusManager<V> {
     /// what lags behind it — a handful, so a sorted `Vec` that keeps its
     /// capacity rather than a map that allocates a node per instance.
     instances: Vec<(InstanceId, CtConsensus<V>)>,
-    decisions: BTreeMap<InstanceId, Cached<V>>,
+    decisions: Decisions<V>,
     suspected: FxHashSet<ProcessId>,
     /// Per peer, the newest decision learned from a `Decide` of that peer
     /// while it was trusted, with its instance's participants. Should the
@@ -100,7 +153,7 @@ impl<V: Value> ConsensusManager<V> {
         ConsensusManager {
             me,
             instances: Vec::new(),
-            decisions: BTreeMap::new(),
+            decisions: Decisions::Ring(InstanceRing::new()),
             suspected: FxHashSet::default(),
             unrelayed: FxHashMap::default(),
             pruned_below: 0,
@@ -109,9 +162,16 @@ impl<V: Value> ConsensusManager<V> {
         }
     }
 
+    /// The same manager on the map the decision ring replaced.
+    #[cfg(test)]
+    fn with_map_cache(mut self) -> Self {
+        self.decisions = Decisions::Map(BTreeMap::new());
+        self
+    }
+
     /// Whether `instance` exists locally (running or decided).
     pub fn has_instance(&self, instance: InstanceId) -> bool {
-        self.running(instance).is_ok() || self.decisions.contains_key(&instance)
+        self.running(instance).is_ok() || self.decisions.get(instance).is_some()
     }
 
     /// Where `instance` is among the running ones, or where it would go.
@@ -121,7 +181,7 @@ impl<V: Value> ConsensusManager<V> {
 
     /// The cached decision of `instance`, if it decided locally.
     pub fn decision(&self, instance: InstanceId) -> Option<&V> {
-        self.decisions.get(&instance).map(|c| &c.value)
+        self.decisions.get(instance).map(|c| &c.value)
     }
 
     /// Proposes `value` for `instance` among `participants`, with `first`
@@ -153,7 +213,7 @@ impl<V: Value> ConsensusManager<V> {
         first: ProcessId,
         out: &mut Vec<ManagerOut<V>>,
     ) {
-        if self.decisions.contains_key(&instance) {
+        if self.decisions.get(instance).is_some() {
             return;
         }
         let at = self.running(instance).unwrap_or_else(|at| {
@@ -212,7 +272,7 @@ impl<V: Value> ConsensusManager<V> {
         msg: CtMsg<V>,
         out: &mut Vec<ManagerOut<V>>,
     ) -> Option<CtMsg<V>> {
-        if let Some(c) = self.decisions.get(&instance) {
+        if let Some(c) = self.decisions.get(instance) {
             if answers_with_decision(&msg, c.sent_to_all) {
                 out.push(ManagerOut::Send {
                     to: from,
@@ -262,7 +322,7 @@ impl<V: Value> ConsensusManager<V> {
         }
         self.ct_scratch = scratch;
         if let Some((instance, participants)) = self.unrelayed.remove(&p) {
-            if let Some(c) = self.decisions.get(&instance) {
+            if let Some(c) = self.decisions.get(instance) {
                 self.relay(instance, &c.value, &participants, p, out);
             }
         }
@@ -315,7 +375,7 @@ impl<V: Value> ConsensusManager<V> {
             return;
         }
         self.pruned_below = floor;
-        self.decisions = self.decisions.split_off(&floor);
+        self.decisions.prune_below(floor);
     }
 
     /// The current prune floor (0 when nothing was ever pruned).
@@ -434,20 +494,26 @@ mod tests {
         fn run_where(&mut self, pick: impl Fn(&Wire) -> bool) {
             let mut steps = 0;
             while let Some(i) = self.queue.iter().position(&pick) {
-                let (from, to, instance, msg) = self.queue.remove(i).expect("index from position");
+                let wire = self.queue.remove(i).expect("index from position");
                 steps += 1;
                 assert!(steps < 100_000, "no quiescence");
-                if self.crashed.contains(&from) || self.crashed.contains(&to) {
-                    continue;
-                }
+                self.deliver(wire);
+            }
+        }
+
+        /// Hands one message to its destination, which opens the instance
+        /// first if it has to.
+        fn deliver(&mut self, (from, to, instance, msg): Wire) {
+            if self.crashed.contains(&from) || self.crashed.contains(&to) {
+                return;
+            }
+            let (outs, rejected) = self.managers[to.index()].on_msg(instance, from, msg);
+            self.apply(to, outs);
+            if let Some(msg) = rejected {
+                self.propose(to, instance, 900 + to.index() as u32);
                 let (outs, rejected) = self.managers[to.index()].on_msg(instance, from, msg);
+                assert!(rejected.is_none(), "the instance is open now");
                 self.apply(to, outs);
-                if let Some(msg) = rejected {
-                    self.propose(to, instance, 900 + to.index() as u32);
-                    let (outs, rejected) = self.managers[to.index()].on_msg(instance, from, msg);
-                    assert!(rejected.is_none(), "the instance is open now");
-                    self.apply(to, outs);
-                }
             }
         }
 
@@ -792,6 +858,78 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The decision ring against the map it replaced. A network of
+        /// ring-backed managers and one of map-backed ones run one script:
+        /// instances opened at random processes in random order (a pipeline
+        /// decides them out of order), deliveries in random order, prunes
+        /// at random floors, suspicions of the round-0 coordinator, and
+        /// replays of messages delivered before — late duplicates, some for
+        /// decided or pruned instances. After every step the two hold the
+        /// same messages in flight and the same decisions, and every
+        /// manager answers `decision`, `has_instance` and `pruned_below`
+        /// alike.
+        #[test]
+        fn the_decision_ring_answers_as_the_map_did(
+            n in 3u32..6,
+            script in proptest::collection::vec((0u8..8, 0usize..1_000, 0u64..10), 0..300),
+        ) {
+            let net = |map: bool| {
+                Net::new(
+                    (0..n)
+                        .map(|i| ConsensusManager::new(pid(i)))
+                        .map(|m| if map { m.with_map_cache() } else { m })
+                        .collect(),
+                )
+            };
+            let (mut ring, mut map) = (net(false), net(true));
+            let mut delivered: Vec<Wire> = Vec::new();
+            let compare = |ring: &Net, map: &Net| -> Result<(), proptest::TestCaseError> {
+                proptest::prop_assert_eq!(&ring.queue, &map.queue);
+                proptest::prop_assert_eq!(&ring.decided, &map.decided);
+                for (a, b) in ring.managers.iter().zip(&map.managers) {
+                    proptest::prop_assert_eq!(a.pruned_below(), b.pruned_below());
+                    for k in 0..12 {
+                        proptest::prop_assert_eq!(a.decision(k), b.decision(k));
+                        proptest::prop_assert_eq!(a.has_instance(k), b.has_instance(k));
+                    }
+                }
+                Ok(())
+            };
+            for (action, pick, instance) in script {
+                let p = pid(pick as u32 % n);
+                match action {
+                    0 | 1 => {
+                        let value = 100 * instance as u32 + p.index() as u32;
+                        ring.propose(p, instance, value);
+                        map.propose(p, instance, value);
+                    }
+                    2 => {
+                        ring.managers[p.index()].prune_below(instance);
+                        map.managers[p.index()].prune_below(instance);
+                    }
+                    3 if !delivered.is_empty() => {
+                        let late = delivered[pick % delivered.len()].clone();
+                        ring.deliver(late.clone());
+                        map.deliver(late);
+                    }
+                    4 if p != pid(0) => {
+                        ring.suspect(p, pid(0));
+                        map.suspect(p, pid(0));
+                    }
+                    _ if !ring.queue.is_empty() => {
+                        delivered.push(ring.queue[pick % ring.queue.len()].clone());
+                        step(&mut ring, pick);
+                        step(&mut map, pick);
+                    }
+                    _ => {}
+                }
+                compare(&ring, &map)?;
+            }
+            ring.run();
+            map.run();
+            compare(&ring, &map)?;
         }
     }
 }

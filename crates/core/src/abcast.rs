@@ -70,6 +70,31 @@
 //! the outcome from the instance's round-0 coordinator instead of waiting
 //! for a proposal that may have been sent before it could receive it.
 //!
+//! **Per-instance state is O(1) and reuses its memory.** A failure-free
+//! instance costs its messages, and the bookkeeping around them allocates
+//! nothing once warm:
+//!
+//! * *Decided batches* wait for the flush in an [`InstanceRing`]: slot `i`
+//!   is instance `base + i`, both end slots are filled, and every slot lies
+//!   at or past the cursor — the flush takes the front while it is the
+//!   cursor's, and a snapshot that moves the cursor prunes below it. In a
+//!   running stack a decision arrives only for an instance this process
+//!   proposed for, inside the window, so the ring spans at most `depth`
+//!   slots.
+//! * *Requested instances* are one watermark, the highest instance the
+//!   consensus component saw traffic for, since that is all a proposal
+//!   needs to know: one goes out for every window instance up to it — for
+//!   the watermark's own because a peer started it, for every one below
+//!   because a peer past it is evidence of being behind (which is also
+//!   the catch-up flag). A watermark below the cursor says nothing.
+//! * *Proposal batches*: every empty proposal shares one batch, and a
+//!   settled proposal's batch that nobody else holds — a non-coordinator's
+//!   losing proposal, whose messages come back the next instance — is kept
+//!   (the last few of them) and refilled in place by a later proposal of
+//!   as many messages. A coordinator's batch travels to every participant
+//!   and into their decision caches, so that batch is the one allocation
+//!   an instance costs.
+//!
 //! Dynamic membership: a view change is itself an ordered (control) message;
 //! instance `k` is always run among the members of the view obtained after
 //! flushing batches `0..k`, which is agreed state — so all processes use the
@@ -79,10 +104,10 @@
 //! membership component, which hears of it an event later, owns everything
 //! else about the change (announcement, state transfer, exclusion).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gcs_consensus::InstanceId;
+use gcs_consensus::{InstanceId, InstanceRing};
 use gcs_kernel::{FxHashSet, ProcessId, TimeDelta};
 
 use crate::rbcast::{Rbcast, RelayFanout};
@@ -90,6 +115,11 @@ use crate::types::{
     AbMsg, Batch, Body, Delivery, DeliveryKind, IdRuns, Message, MessageClass, MsgId, Proposal,
     SnapshotData, View, WireMsg,
 };
+
+/// The most settled proposal batches a process keeps for refilling (module
+/// docs): a non-coordinator's own pending messages vary in number from one
+/// instance to the next, so one spare would seldom have the length wanted.
+const SPARE_BATCHES: usize = 4;
 
 /// When a proposal batch closes: on a message-count cap, a byte cap, or a
 /// deadline — whichever trips first (§batching under overload).
@@ -190,8 +220,9 @@ pub struct AbcastCore {
     committed: IdRuns,
     /// Ids already a-delivered (never re-delivered).
     adelivered: IdRuns,
-    /// Decided, not yet flushed batches.
-    batches: BTreeMap<InstanceId, Proposal>,
+    /// Decided, not yet flushed batches: a ring from the cursor (or the
+    /// first decision past it) to the newest decision (module docs).
+    batches: InstanceRing<Proposal>,
     /// Next batch/instance to flush — and the base of the proposal window.
     cursor: InstanceId,
     /// The round-0 coordinators the last `depth` flushed decisions named,
@@ -199,14 +230,21 @@ pub struct AbcastCore {
     /// (`None`: the view's first member). Allocated only once a decision
     /// names somebody: a failure-free run never does.
     designated: Vec<Option<ProcessId>>,
-    /// Instances reported to exist by the consensus component.
-    requested: BTreeSet<InstanceId>,
+    /// The highest instance the consensus component reported traffic for
+    /// (module docs: one watermark stands for every instance requested).
+    requested: Option<InstanceId>,
     /// Our outstanding (undecided) proposals, for the instances of the
     /// window by instance modulo `depth`: the batch each carries (shared
     /// with the proposal), whose ids are released when its instance decides
     /// (losing proposals return their leftovers to the pool). Sized at the
     /// first proposal and reused from then on.
     outstanding: Vec<Option<Batch>>,
+    /// The batch of every proposal that carries nothing.
+    empty: Batch,
+    /// Batches of settled proposals that nobody else holds, at most
+    /// [`SPARE_BATCHES`]: each is refilled in place by a later proposal of
+    /// as many messages (module docs).
+    spares: Vec<Batch>,
     /// Ids currently riding in an outstanding proposal — excluded from later
     /// window instances so concurrent proposals stay disjoint locally.
     assigned: FxHashSet<MsgId>,
@@ -221,9 +259,8 @@ pub struct AbcastCore {
     /// The instance a state-transfer snapshot activated this process at:
     /// whatever the members sent for it may predate the activation.
     activated_at: Option<InstanceId>,
-    /// Reusable proposal-assembly buffer (clone-free gather: `Message`
-    /// clones are shallow arena handles, and the batch allocation is the
-    /// only per-proposal allocation).
+    /// Reusable proposal-assembly buffer (`Message` clones are shallow
+    /// arena handles).
     scratch: Vec<Message>,
 }
 
@@ -280,11 +317,13 @@ impl AbcastCore {
             pending: BTreeMap::new(),
             committed: IdRuns::default(),
             adelivered: IdRuns::default(),
-            batches: BTreeMap::new(),
+            batches: InstanceRing::new(),
             cursor: 0,
             designated: Vec::new(),
-            requested: BTreeSet::new(),
+            requested: None,
             outstanding: Vec::new(),
+            empty: Batch::from([]),
+            spares: Vec::new(),
             assigned: FxHashSet::default(),
             depth,
             policy,
@@ -538,15 +577,21 @@ impl AbcastCore {
         decided: Proposal,
         out: &mut Vec<AbOut>,
     ) {
-        if instance < self.cursor || self.batches.contains_key(&instance) {
+        if instance < self.cursor || self.batches.contains(instance) {
             return; // duplicate decision report
         }
         // Our proposal for this instance (if any) is settled: whatever the
         // decision did not commit returns to the pool for a later window
-        // instance.
-        if let Some(batch) = self.outstanding_mut(instance).and_then(Option::take) {
+        // instance, and a batch only we hold is kept for refilling.
+        if let Some(mut batch) = self.outstanding_mut(instance).and_then(Option::take) {
             for m in batch.iter() {
                 self.assigned.remove(&m.id);
+            }
+            if !batch.is_empty() && Arc::get_mut(&mut batch).is_some() {
+                if self.spares.len() == SPARE_BATCHES {
+                    self.spares.remove(0);
+                }
+                self.spares.push(batch);
             }
         }
         for m in decided.batch.iter() {
@@ -570,7 +615,7 @@ impl AbcastCore {
     /// the cursor reaches it.
     pub fn need_instance_into(&mut self, instance: InstanceId, out: &mut Vec<AbOut>) {
         if instance >= self.cursor {
-            self.requested.insert(instance);
+            self.requested = self.requested.max(Some(instance));
             self.maybe_propose(out);
         }
     }
@@ -609,6 +654,7 @@ impl AbcastCore {
         self.apply_view(snap.view.clone());
         self.active = true;
         self.cursor = snap.next_instance;
+        self.batches.prune_below(self.cursor);
         self.designated.clear();
         for (k, &next) in (self.cursor..).zip(&snap.designated) {
             self.name(k, next);
@@ -656,15 +702,12 @@ impl AbcastCore {
         }
         let window_end = self.cursor + self.depth as InstanceId;
         for k in self.cursor..window_end {
-            if self.batches.contains_key(&k) || self.outstanding_mut(k).is_some_and(|o| o.is_some())
-            {
+            if self.batches.contains(k) || self.outstanding_mut(k).is_some_and(|o| o.is_some()) {
                 continue;
             }
             // Gather the next chunk of unassigned pending messages, in id
             // order, up to the policy caps. `scratch` is reused across
-            // proposals and `Message` clones are shallow arena handles:
-            // the decided-batch allocation below is the only per-proposal
-            // allocation.
+            // proposals and `Message` clones are shallow arena handles.
             self.scratch.clear();
             let mut bytes = 0usize;
             let mut full = false;
@@ -689,12 +732,12 @@ impl AbcastCore {
             full = full
                 || self.scratch.len() >= self.policy.max_msgs
                 || bytes >= self.policy.max_bytes;
-            let requested = self.requested.contains(&k);
+            let requested = self.requested == Some(k);
             // Evidence of being behind on `k`: activated here from a
             // snapshot, or somebody is already past it.
             let behind = self.activated_at == Some(k)
-                || self.requested.last().is_some_and(|&r| r > k)
-                || self.batches.last_key_value().is_some_and(|(&b, _)| b > k);
+                || self.requested.is_some_and(|r| r > k)
+                || self.batches.last().is_some_and(|b| b > k);
             if self.scratch.is_empty() && !requested && !behind {
                 continue;
             }
@@ -714,7 +757,7 @@ impl AbcastCore {
                 }
                 return;
             }
-            let batch = Batch::from(&self.scratch[..]);
+            let batch = self.batch_of_scratch();
             self.assigned.extend(batch.iter().map(|m| m.id));
             if self.outstanding.is_empty() {
                 self.outstanding.resize(self.depth, None);
@@ -736,9 +779,29 @@ impl AbcastCore {
         }
     }
 
+    /// The batch of the messages gathered in `scratch`: the shared empty
+    /// batch, a spare of that length refilled in place, or a new one — the
+    /// only allocation a proposal can cost.
+    fn batch_of_scratch(&mut self) -> Batch {
+        if self.scratch.is_empty() {
+            return self.empty.clone();
+        }
+        let fits = self
+            .spares
+            .iter()
+            .position(|b| b.len() == self.scratch.len());
+        if let Some(mut spare) = fits.map(|at| self.spares.swap_remove(at)) {
+            Arc::get_mut(&mut spare)
+                .expect("a spare is held by nobody else")
+                .clone_from_slice(&self.scratch);
+            return spare;
+        }
+        Batch::from(&self.scratch[..])
+    }
+
     /// Delivers decided batches in instance order, messages in id order.
     fn flush(&mut self, out: &mut Vec<AbOut>) {
-        while let Some(Proposal { batch, next }) = self.batches.remove(&self.cursor) {
+        while let Some(Proposal { batch, next }) = self.batches.remove(self.cursor) {
             // Proposals are assembled from an id-ordered map walk, so
             // decided batches arrive sorted: deliver straight off the shared
             // slice without the copy-and-sort detour. The unsorted fallback
@@ -758,7 +821,6 @@ impl AbcastCore {
             // that enters the window's far end as it leaves the window.
             self.name(self.cursor + self.depth as InstanceId, next);
             self.cursor += 1;
-            self.requested = self.requested.split_off(&self.cursor);
         }
     }
 

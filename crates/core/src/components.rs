@@ -44,7 +44,7 @@ use gcs_consensus::{ConsensusManager, CtMsg, InstanceId, ManagerOut};
 use gcs_fd::{FdMode, FdOut, HeartbeatFd, MonitorClass};
 use gcs_kernel::{Component, Context, ProcessId, Time, TimeDelta, TimerId};
 use gcs_net::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::abcast::{AbOut, AbcastCore, BatchPolicy};
@@ -88,6 +88,25 @@ fn route_wire(wire: &WireMsg) -> &'static str {
 // ---------------------------------------------------------------------------
 // Reliable channel
 // ---------------------------------------------------------------------------
+
+/// The most emptied bundle buffers [`SPARE_BUNDLES`] keeps.
+const SPARE_BUNDLE_COUNT: usize = 64;
+
+/// The largest buffer [`SPARE_BUNDLES`] keeps, in messages: that of a long
+/// retransmission batch goes back to the allocator.
+const SPARE_BUNDLE_CAPACITY: usize = 8;
+
+thread_local! {
+    /// Emptied bundle buffers, for the next bundle made on this thread. A
+    /// bundle is made by one process and emptied by another — the
+    /// coordinator's `Decide(k)` and `Propose(k+1)` by each participant —
+    /// so a pool per process would only ever fill at the receivers. Every
+    /// process a thread runs shares this one instead: the whole group in
+    /// the simulator, where a bundle then costs no allocation, and one
+    /// member on the live backend, where a coordinator allocates its
+    /// bundles as before and the receivers keep [`SPARE_BUNDLE_COUNT`].
+    static SPARE_BUNDLES: RefCell<Vec<Vec<(u64, WireMsg)>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Adapter around [`ReliableChannel`] (Fig 9 "Reliable Channel").
 pub struct RcComponent {
@@ -148,7 +167,9 @@ impl RcComponent {
                 self.held.push((to, packet));
                 self.slot[to.index()] = self.held.len() as u32;
             }
-            k => self.held[k as usize - 1].1.bundle(packet),
+            k => self.held[k as usize - 1].1.bundle(packet, || {
+                SPARE_BUNDLES.with_borrow_mut(Vec::pop).unwrap_or_default()
+            }),
         }
     }
 }
@@ -182,8 +203,16 @@ impl Component<Ev> for RcComponent {
 
     fn on_message(&mut self, from: ProcessId, event: Ev, ctx: &mut Context<'_, Ev>) {
         if let Ev::Packet(packet) = event {
-            self.rc
+            let spent = self
+                .rc
                 .on_packet_into(from, packet, ctx.now(), &mut self.scratch);
+            if let Some(buffer) = spent.filter(|b| b.capacity() <= SPARE_BUNDLE_CAPACITY) {
+                SPARE_BUNDLES.with_borrow_mut(|spare| {
+                    if spare.len() < SPARE_BUNDLE_COUNT {
+                        spare.push(buffer);
+                    }
+                });
+            }
             self.flush(false, ctx);
         }
     }
@@ -380,8 +409,12 @@ const DECISION_KEEP: InstanceId = 1024;
 /// Adapter around [`ConsensusManager`] (Fig 9 "Consensus").
 pub struct ConsensusComponent {
     mgr: ConsensusManager<Proposal>,
-    /// Messages for instances the atomic-broadcast layer has not started.
-    buffered: BTreeMap<InstanceId, Vec<(ProcessId, CtMsg<Proposal>)>>,
+    /// Messages for instances the atomic-broadcast layer has not started,
+    /// in arrival order: one flat buffer, kept across instances. A
+    /// non-coordinator with nothing of its own to order parks the
+    /// coordinator's proposal here for every instance, until the
+    /// `NeedInstance` round trip opens it a moment later.
+    buffered: Vec<(InstanceId, ProcessId, CtMsg<Proposal>)>,
     /// Reused manager-output buffer.
     scratch: Vec<ManagerOut<Proposal>>,
 }
@@ -397,7 +430,7 @@ impl ConsensusComponent {
     pub fn with_echo_fanout(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusComponent {
             mgr: ConsensusManager::with_echo_fanout(me, echo_fanout),
-            buffered: BTreeMap::new(),
+            buffered: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -439,12 +472,12 @@ impl Component<Ev> for ConsensusComponent {
                 self.mgr
                     .propose_into(instance, value, &participants, first, &mut outs);
                 self.apply(outs.drain(..), ctx);
-                if let Some(buf) = self.buffered.remove(&instance) {
-                    for (from, msg) in buf {
-                        let _ = self.mgr.on_msg_into(instance, from, msg, &mut outs);
-                        self.apply(outs.drain(..), ctx);
-                    }
+                let mut buffered = std::mem::take(&mut self.buffered);
+                for (_, from, msg) in buffered.extract_if(.., |(k, ..)| *k == instance) {
+                    let _ = self.mgr.on_msg_into(instance, from, msg, &mut outs);
+                    self.apply(outs.drain(..), ctx);
                 }
+                self.buffered = buffered;
                 if catch_up {
                     // Whatever was buffered is in; if the instance still
                     // waits for its first proposal, ask for the outcome.
@@ -458,14 +491,14 @@ impl Component<Ev> for ConsensusComponent {
                 let floor = instance.saturating_sub(DECISION_KEEP);
                 if floor > 0 {
                     self.mgr.prune_below(floor);
-                    self.buffered = self.buffered.split_off(&floor);
+                    self.buffered.retain(|(k, ..)| *k >= floor);
                 }
             }
             Ev::Net(from, WireMsg::Ct { instance, msg }) => {
                 let rejected = self.mgr.on_msg_into(instance, from, msg, &mut outs);
                 self.apply(outs.drain(..), ctx);
                 if let Some(msg) = rejected {
-                    self.buffered.entry(instance).or_default().push((from, msg));
+                    self.buffered.push((instance, from, msg));
                     ctx.emit(names::ABCAST, Ev::NeedInstance(instance));
                 }
             }

@@ -382,6 +382,133 @@ mod tests {
         assert_eq!(dec.next_frame(), Err(FrameError::Oversized(u32::MAX)));
     }
 
+    /// One piece of a hostile stream, chosen by `kind`: a valid frame, one
+    /// with a byte overwritten, a well-formed header announcing `len` bytes
+    /// (none, the cap, one past it, the most a length field can say, or
+    /// anything) followed by `body`, or `body` as raw bytes.
+    fn hostile_piece(kind: u8, byte: u8, len: u32, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        match kind % 4 {
+            0 => encode_frame(&hdr(byte, 1, 2, body.len()), body, &mut out),
+            1 => {
+                encode_frame(&hdr(byte, 1, 2, body.len()), body, &mut out);
+                let at = len as usize % out.len();
+                out[at] = byte;
+            }
+            2 => {
+                let cap = MAX_FRAME_BODY as u32;
+                let len = [0, cap, cap + 1, u32::MAX, len][byte as usize % 5];
+                out.extend_from_slice(&FRAME_MAGIC);
+                out.push(FRAME_VERSION);
+                out.push(byte);
+                out.extend_from_slice(&1u32.to_be_bytes());
+                out.extend_from_slice(&2u32.to_be_bytes());
+                out.extend_from_slice(&len.to_be_bytes());
+                out.extend_from_slice(body);
+            }
+            _ => out.extend_from_slice(body),
+        }
+        out
+    }
+
+    /// The frames a stream decoded to, and the error that ended it.
+    type Decoded = (Vec<(FrameHeader, Vec<u8>)>, Option<FrameError>);
+
+    /// Feeds `stream` to a decoder in chunks of the sizes `chunks` cycles
+    /// through, draining every frame after each chunk. A corrupt stream's
+    /// error must be final (the links abandon the stream on it).
+    fn decode_in_chunks(
+        stream: &[u8],
+        chunks: &[usize],
+    ) -> Result<Decoded, proptest::TestCaseError> {
+        let mut dec = FrameDecoder::new();
+        let (mut frames, mut failed) = (Vec::new(), None);
+        let mut sizes = chunks.iter().cycle();
+        let mut at = 0;
+        while at < stream.len() {
+            let end = (at + sizes.next().expect("one size at least")).min(stream.len());
+            dec.push(&stream[at..end]);
+            at = end;
+            loop {
+                match dec.next_frame() {
+                    Ok(Some((h, body))) => {
+                        proptest::prop_assert!(failed.is_none(), "a frame after {failed:?}");
+                        proptest::prop_assert_eq!(body.len(), h.len as usize);
+                        proptest::prop_assert!(body.len() <= MAX_FRAME_BODY);
+                        frames.push((h, body));
+                    }
+                    Ok(None) => {
+                        proptest::prop_assert!(failed.is_none(), "{failed:?} went away");
+                        break;
+                    }
+                    Err(e) => {
+                        proptest::prop_assert!(failed.is_none_or(|f| f == e));
+                        failed = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        Ok((frames, failed))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Whatever bytes arrive, in whatever chunks, the decoder does not
+        /// panic: every call answers a complete frame whose body is within
+        /// the cap, "not yet", or a decoding error that stays.
+        #[test]
+        fn hostile_bytes_yield_frames_or_errors_never_a_panic(
+            pieces in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u8>(),
+                    proptest::prelude::any::<u8>(),
+                    proptest::prelude::any::<u32>(),
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+                ),
+                0..12,
+            ),
+            chunks in proptest::collection::vec(1usize..80, 1..30),
+        ) {
+            let stream: Vec<u8> = pieces
+                .iter()
+                .flat_map(|(kind, byte, len, body)| hostile_piece(*kind, *byte, *len, body))
+                .collect();
+            decode_in_chunks(&stream, &chunks)?;
+        }
+
+        /// Valid frames back to back, split at arbitrary boundaries — past
+        /// the decoder's 4 KiB compaction point too — decode intact and in
+        /// order, and leave nothing behind.
+        #[test]
+        fn valid_frames_split_anywhere_decode_intact(
+            frames in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u8>(),
+                    proptest::prelude::any::<u32>(),
+                    proptest::prelude::any::<u32>(),
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1_200),
+                ),
+                0..10,
+            ),
+            chunks in proptest::collection::vec(1usize..600, 1..20),
+        ) {
+            let mut stream = Vec::new();
+            let sent: Vec<(FrameHeader, Vec<u8>)> = frames
+                .into_iter()
+                .map(|(channel, from, to, body)| {
+                    let header = FrameHeader { channel, from, to, len: body.len() as u32 };
+                    encode_frame(&header, &body, &mut stream);
+                    (header, body)
+                })
+                .collect();
+            let (got, failed) = decode_in_chunks(&stream, &chunks)?;
+            proptest::prop_assert_eq!(failed, None);
+            proptest::prop_assert_eq!(got, sent);
+        }
+    }
+
     #[test]
     fn channel_link_carries_frames_in_order() {
         let (mut a, mut b) = ChannelLink::pair();

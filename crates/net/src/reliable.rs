@@ -13,7 +13,9 @@
 //! consensus instance rides its proposal for the next. A bundle is only a
 //! way to travel: each message keeps its own sequence number and is
 //! acknowledged and retransmitted on its own, so a lost bundle comes back
-//! seq by seq.
+//! seq by seq. The receiving endpoint hands a batch's emptied buffer back
+//! to its owner, so buffers can go round from receivers to bundlers instead
+//! of through the allocator.
 //!
 //! Two rules bound what a peer that is gone can cost or do. A peer that has
 //! acknowledged nothing across [`PROBE_AFTER`] consecutive retransmission
@@ -212,10 +214,15 @@ impl<M> Packet<M> {
     /// a bundle of them, which becomes or stays a bundle: a fresh
     /// [`Batch`](Packet::Batch) with the newer acknowledgement.
     ///
+    /// A packet that becomes a bundle keeps its messages in the empty buffer
+    /// `buffer` returns: an owner that keeps the buffers
+    /// [`on_packet_into`](ReliableChannel::on_packet_into) hands back passes
+    /// one of those, anybody else `Vec::new`.
+    ///
     /// # Panics
     ///
     /// Panics if either packet is not a first transmission.
-    pub fn bundle(&mut self, next: Packet<M>) {
+    pub fn bundle(&mut self, next: Packet<M>, buffer: impl FnOnce() -> Vec<(u64, M)>) {
         let Packet::Data { seq, ack, msg } = next else {
             panic!("only a first transmission joins a bundle");
         };
@@ -237,9 +244,11 @@ impl<M> Packet<M> {
                 else {
                     unreachable!()
                 };
+                let mut msgs = buffer();
+                msgs.extend([(first, held), (seq, msg)]);
                 *self = Packet::Batch {
                     ack,
-                    msgs: vec![(first, held), (seq, msg)],
+                    msgs,
                     fresh: true,
                 };
             }
@@ -472,39 +481,42 @@ impl<M: Clone> ReliableChannel<M> {
     }
 
     /// Handles a packet received from `from`, appending what it delivers
-    /// and triggers to `out`.
+    /// and triggers to `out`. Returns the emptied message buffer of a
+    /// [`Batch`](Packet::Batch), for an owner to make its next bundle in
+    /// ([`Packet::bundle`]).
     pub fn on_packet_into(
         &mut self,
         from: ProcessId,
         packet: Packet<M>,
         now: Time,
         out: &mut Vec<RcOut<M>>,
-    ) {
+    ) -> Option<Vec<(u64, M)>> {
         let _ = now;
         if self.refused.contains(from) {
-            return;
+            return None;
         }
-        match packet {
+        let spent = match packet {
             Packet::Data { seq, ack, msg } => {
                 self.on_ack_component(from, ack, out);
                 self.on_data_component(from, seq, msg, out);
-                if !self.config.piggyback_acks {
-                    self.emit_ack_now(from, out);
-                }
+                None
             }
-            Packet::Batch { ack, msgs, .. } => {
+            Packet::Batch { ack, mut msgs, .. } => {
                 self.on_ack_component(from, ack, out);
-                for (seq, msg) in msgs {
+                for (seq, msg) in msgs.drain(..) {
                     self.on_data_component(from, seq, msg, out);
                 }
-                if !self.config.piggyback_acks {
-                    self.emit_ack_now(from, out);
-                }
+                Some(msgs)
             }
             Packet::Ack { upto } => {
                 self.on_ack_component(from, upto, out);
+                return None;
             }
+        };
+        if !self.config.piggyback_acks {
+            self.emit_ack_now(from, out);
         }
+        spent
     }
 
     /// Periodic maintenance: coalesced retransmissions, stuck-peer
@@ -867,7 +879,7 @@ mod tests {
             other => panic!("expected a transmit to B, got {other:?}"),
         });
         let mut bundle = packets.next().expect("one message at least");
-        packets.for_each(|p| bundle.bundle(p));
+        packets.for_each(|p| bundle.bundle(p, Vec::new));
         bundle
     }
 
@@ -1227,7 +1239,7 @@ mod proptests {
             };
             match &mut step {
                 None => step = Some(packet),
-                Some(bundle) => bundle.bundle(packet),
+                Some(bundle) => bundle.bundle(packet, Vec::new),
             }
         }
         wire_ab.extend(step);
