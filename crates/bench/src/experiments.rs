@@ -3,7 +3,9 @@
 
 use gcs_api::{Group, GroupTransport, StackKind};
 use gcs_core::{ConflictRelation, StackConfig};
-use gcs_kernel::{Component, Context, Event, Process, ProcessId, Time, TimeDelta, TimerId};
+use gcs_kernel::{
+    Component, ComponentId, Context, Event, Process, ProcessId, Time, TimeDelta, TimerId,
+};
 use gcs_replication::bank::{bank_conflicts, BankOp, CLASS_DEPOSIT, CLASS_WITHDRAW};
 use gcs_sim::{LinkModel, SimConfig, SimWorld};
 use gcs_traditional::isis::{blocked_windows, kill_and_rejoin_times};
@@ -565,10 +567,10 @@ impl Event for ProbeEv {
     }
 }
 
+/// The probe's one component.
+const PROBE: ComponentId = ComponentId::new(0);
+
 impl Component<ProbeEv> for FdProbe {
-    fn name(&self) -> &'static str {
-        "fd"
-    }
     fn on_start(&mut self, ctx: &mut Context<'_, ProbeEv>) {
         ctx.set_timer(self.fd.interval());
     }
@@ -582,7 +584,7 @@ impl Component<ProbeEv> for FdProbe {
     fn on_timer(&mut self, _t: TimerId, ctx: &mut Context<'_, ProbeEv>) {
         for o in self.fd.on_tick(ctx.now()) {
             match o {
-                gcs_fd::FdOut::SendHeartbeat { to } => ctx.send(to, "fd", ProbeEv::Hb),
+                gcs_fd::FdOut::SendHeartbeat { to } => ctx.send(to, ProbeEv::Hb),
                 gcs_fd::FdOut::Suspect { peer, .. } => ctx.output(ProbeEv::Suspect(peer)),
                 gcs_fd::FdOut::Restore { peer, .. } => ctx.output(ProbeEv::Restore(peer)),
             }
@@ -615,7 +617,7 @@ pub fn a2_fd_quality() {
                     TimeDelta::from_millis(timeout_ms),
                 );
                 fd.set_peers((0..2).map(p).filter(|&q| q != id), Time::ZERO);
-                Process::builder(id).with(FdProbe { fd }).build()
+                Process::builder(id).with(PROBE, FdProbe { fd }).build()
             });
         }
         world.crash_at(Time::from_secs(5), p(1));

@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 
 use gcs_bench::alloccount::{self, snapshot, CountingAlloc};
-use gcs_core::components::names;
+use gcs_core::components::ids;
 use gcs_core::{build_process, Body, Ev, GbMsg, Message, MessageClass, MsgId, StackConfig};
 use gcs_core::{View, WireMsg};
 use gcs_kernel::{Effects, Envelope, PayloadRef, Process, ProcessId, Time};
@@ -110,7 +110,7 @@ fn gb_ack_packets() -> (u64, usize) {
         fx.clear();
         p0.deliver_net_into(
             members[from],
-            names::RC,
+            ids::RC,
             Ev::Packet(packet),
             Time::ZERO,
             &mut fx,
@@ -209,7 +209,7 @@ impl Lockstep {
     fn abcast_at_p0(&mut self) -> Step {
         self.step(0, |proc, fx| {
             let op = Ev::Abcast(PayloadRef::EMPTY);
-            proc.deliver_into(names::ABCAST, op, Time::ZERO, fx);
+            proc.deliver_into(ids::ABCAST, op, Time::ZERO, fx);
         })
     }
 

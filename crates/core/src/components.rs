@@ -23,6 +23,23 @@
 //!                     unreliable transport (the simulator network)
 //! ```
 //!
+//! Each box is one component, named by its id in [`ids`], in the order
+//! [`build_process`](crate::build_process) registers them:
+//!
+//! | id | box |
+//! |---|---|
+//! | [`ids::RC`] = 0 | reliable channel |
+//! | [`ids::FD`] = 1 | failure detector |
+//! | [`ids::CONSENSUS`] = 2 | consensus |
+//! | [`ids::ABCAST`] = 3 | atomic broadcast |
+//! | [`ids::GENERIC`] = 4 | generic broadcast |
+//! | [`ids::MEMBERSHIP`] = 5 | membership |
+//! | [`ids::MONITORING`] = 6 | monitoring |
+//!
+//! The arrows inside a process are emits to an id. Only rc and fd touch the
+//! network, each sending to itself on the peer; every other box's traffic
+//! rides rc.
+//!
 //! The rc box sends at most one fresh packet per peer per dispatch step. It
 //! holds what the step's cascade sends and, once the cascade has drained
 //! ([`Context::at_step_end`]), sends each peer a plain data packet, or a
@@ -42,7 +59,7 @@
 
 use gcs_consensus::{ConsensusManager, CtMsg, InstanceId, ManagerOut};
 use gcs_fd::{FdMode, FdOut, HeartbeatFd, MonitorClass};
-use gcs_kernel::{Component, Context, ProcessId, Time, TimeDelta, TimerId};
+use gcs_kernel::{Component, ComponentId, Context, ProcessId, Time, TimeDelta, TimerId};
 use gcs_net::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -57,31 +74,34 @@ use crate::types::{
     View, WireMsg,
 };
 
-/// Component names (routing targets within a process).
-pub mod names {
+/// Component ids: the routing targets within a process, in the order
+/// [`build_process`](crate::build_process) registers the components.
+pub mod ids {
+    use gcs_kernel::ComponentId;
+
     /// Reliable channel.
-    pub const RC: &str = "rc";
+    pub const RC: ComponentId = ComponentId::new(0);
     /// Failure detector.
-    pub const FD: &str = "fd";
+    pub const FD: ComponentId = ComponentId::new(1);
     /// Consensus.
-    pub const CONSENSUS: &str = "consensus";
+    pub const CONSENSUS: ComponentId = ComponentId::new(2);
     /// Atomic broadcast.
-    pub const ABCAST: &str = "abcast";
+    pub const ABCAST: ComponentId = ComponentId::new(3);
     /// Generic broadcast.
-    pub const GENERIC: &str = "generic";
+    pub const GENERIC: ComponentId = ComponentId::new(4);
     /// Group membership.
-    pub const MEMBERSHIP: &str = "membership";
+    pub const MEMBERSHIP: ComponentId = ComponentId::new(5);
     /// Monitoring.
-    pub const MONITORING: &str = "monitoring";
+    pub const MONITORING: ComponentId = ComponentId::new(6);
 }
 
-fn route_wire(wire: &WireMsg) -> &'static str {
+fn route_wire(wire: &WireMsg) -> ComponentId {
     match wire {
-        WireMsg::Ct { .. } => names::CONSENSUS,
-        WireMsg::Ab(_) => names::ABCAST,
-        WireMsg::Gb(_) => names::GENERIC,
-        WireMsg::Mb(_) => names::MEMBERSHIP,
-        WireMsg::Mon(_) => names::MONITORING,
+        WireMsg::Ct { .. } => ids::CONSENSUS,
+        WireMsg::Ab(_) => ids::ABCAST,
+        WireMsg::Gb(_) => ids::GENERIC,
+        WireMsg::Mb(_) => ids::MEMBERSHIP,
+        WireMsg::Mon(_) => ids::MONITORING,
     }
 }
 
@@ -141,14 +161,12 @@ impl RcComponent {
         for o in scratch.drain(..) {
             match o {
                 RcOut::Transmit { to, packet } if hold => self.hold(to, packet, ctx),
-                RcOut::Transmit { to, packet } => ctx.send(to, names::RC, Ev::Packet(packet)),
+                RcOut::Transmit { to, packet } => ctx.send(to, Ev::Packet(packet)),
                 RcOut::Deliver { from, msg } => {
                     ctx.emit(route_wire(&msg), Ev::Net(from, msg));
                 }
-                RcOut::Stuck { peer, since } => {
-                    ctx.emit(names::MONITORING, Ev::RcStuck(peer, since))
-                }
-                RcOut::Unstuck { peer } => ctx.emit(names::MONITORING, Ev::RcUnstuck(peer)),
+                RcOut::Stuck { peer, since } => ctx.emit(ids::MONITORING, Ev::RcStuck(peer, since)),
+                RcOut::Unstuck { peer } => ctx.emit(ids::MONITORING, Ev::RcUnstuck(peer)),
             }
         }
         self.scratch = scratch;
@@ -175,10 +193,6 @@ impl RcComponent {
 }
 
 impl Component<Ev> for RcComponent {
-    fn name(&self) -> &'static str {
-        names::RC
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
         ctx.set_timer(TICK_INTERVAL);
     }
@@ -226,7 +240,7 @@ impl Component<Ev> for RcComponent {
     fn on_step_end(&mut self, ctx: &mut Context<'_, Ev>) {
         for (to, packet) in self.held.drain(..) {
             self.slot[to.index()] = 0;
-            ctx.send(to, names::RC, Ev::Packet(packet));
+            ctx.send(to, Ev::Packet(packet));
         }
     }
 }
@@ -252,28 +266,10 @@ pub struct FdComponent {
 }
 
 impl FdComponent {
-    /// Creates the failure-detector component.
+    /// Creates the failure-detector component: heartbeats every
+    /// `heartbeat_interval` in monitoring mode `mode`, the two suspicion
+    /// classes' timeouts, and whether consensus-class transitions are traced.
     pub fn new(
-        me: ProcessId,
-        initial_peers: Vec<ProcessId>,
-        heartbeat_interval: TimeDelta,
-        consensus_timeout: TimeDelta,
-        monitoring_timeout: TimeDelta,
-    ) -> Self {
-        Self::with_mode(
-            me,
-            initial_peers,
-            heartbeat_interval,
-            consensus_timeout,
-            monitoring_timeout,
-            FdMode::AllPairs,
-            false,
-        )
-    }
-
-    /// [`FdComponent::new`] with an explicit monitoring mode and suspicion
-    /// tracing.
-    pub fn with_mode(
         me: ProcessId,
         initial_peers: Vec<ProcessId>,
         heartbeat_interval: TimeDelta,
@@ -298,14 +294,14 @@ impl FdComponent {
     /// ones feed the exclusion policy.
     fn route_suspicion(&self, class: MonitorClass, event: Ev, ctx: &mut Context<'_, Ev>) {
         if class == MonitorClass::CONSENSUS {
-            ctx.emit(names::CONSENSUS, event.clone());
+            ctx.emit(ids::CONSENSUS, event.clone());
             if self.trace_suspicions {
                 ctx.output(event.clone());
             }
-            ctx.emit(names::ABCAST, event.clone());
-            ctx.emit(names::GENERIC, event);
+            ctx.emit(ids::ABCAST, event.clone());
+            ctx.emit(ids::GENERIC, event);
         } else {
-            ctx.emit(names::MONITORING, event);
+            ctx.emit(ids::MONITORING, event);
         }
     }
 
@@ -329,17 +325,13 @@ impl FdComponent {
         if !heartbeat_to.is_empty() {
             match self.fd.mode() {
                 FdMode::AllPairs => {
-                    ctx.send_to_all(heartbeat_to.iter().copied(), names::FD, Ev::Heartbeat);
+                    ctx.send_to_all(heartbeat_to.iter().copied(), Ev::Heartbeat);
                 }
                 FdMode::Gossip { .. } => {
                     // One shared digest per tick: the fan-out clones an Arc,
                     // not the digest itself.
                     let digest: Arc<[(ProcessId, Time)]> = self.fd.digest().into();
-                    ctx.send_to_all(
-                        heartbeat_to.iter().copied(),
-                        names::FD,
-                        Ev::FdGossip(digest),
-                    );
+                    ctx.send_to_all(heartbeat_to.iter().copied(), Ev::FdGossip(digest));
                 }
             }
         }
@@ -348,10 +340,6 @@ impl FdComponent {
 }
 
 impl Component<Ev> for FdComponent {
-    fn name(&self) -> &'static str {
-        names::FD
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
         self.fd
             .register_class(MonitorClass::CONSENSUS, self.consensus_timeout);
@@ -420,14 +408,10 @@ pub struct ConsensusComponent {
 }
 
 impl ConsensusComponent {
-    /// Creates the consensus component for `me`.
-    pub fn new(me: ProcessId) -> Self {
-        Self::with_echo_fanout(me, None)
-    }
-
-    /// Creates the component with a bounded fan-out for decisions relayed
-    /// on suspicion of their sender (`None` = relay to every participant).
-    pub fn with_echo_fanout(me: ProcessId, echo_fanout: Option<usize>) -> Self {
+    /// Creates the consensus component for `me`, with a bounded fan-out for
+    /// decisions relayed on suspicion of their sender (`None` = relay to
+    /// every participant).
+    pub fn new(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusComponent {
             mgr: ConsensusManager::with_echo_fanout(me, echo_fanout),
             buffered: Vec::new(),
@@ -443,10 +427,10 @@ impl ConsensusComponent {
         for o in outs {
             match o {
                 ManagerOut::Send { to, instance, msg } => {
-                    ctx.emit(names::RC, Ev::RcSend(to, WireMsg::Ct { instance, msg }));
+                    ctx.emit(ids::RC, Ev::RcSend(to, WireMsg::Ct { instance, msg }));
                 }
                 ManagerOut::Decided { instance, value } => {
-                    ctx.emit(names::ABCAST, Ev::Decide(instance, value));
+                    ctx.emit(ids::ABCAST, Ev::Decide(instance, value));
                 }
             }
         }
@@ -454,10 +438,6 @@ impl ConsensusComponent {
 }
 
 impl Component<Ev> for ConsensusComponent {
-    fn name(&self) -> &'static str {
-        names::CONSENSUS
-    }
-
     fn on_event(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
         let mut outs = std::mem::take(&mut self.scratch);
         debug_assert!(outs.is_empty());
@@ -499,7 +479,7 @@ impl Component<Ev> for ConsensusComponent {
                 self.apply(outs.drain(..), ctx);
                 if let Some(msg) = rejected {
                     self.buffered.push((instance, from, msg));
-                    ctx.emit(names::ABCAST, Ev::NeedInstance(instance));
+                    ctx.emit(ids::ABCAST, Ev::NeedInstance(instance));
                 }
             }
             Ev::Suspect(MonitorClass::CONSENSUS, p) => {
@@ -556,7 +536,7 @@ impl AbcastComponent {
     fn apply(&mut self, outs: impl IntoIterator<Item = AbOut>, ctx: &mut Context<'_, Ev>) {
         for o in outs {
             match o {
-                AbOut::Wire(to, wire) => ctx.emit(names::RC, Ev::RcSend(to, wire)),
+                AbOut::Wire(to, wire) => ctx.emit(ids::RC, Ev::RcSend(to, wire)),
                 AbOut::Propose {
                     instance,
                     value,
@@ -565,7 +545,7 @@ impl AbcastComponent {
                     catch_up,
                 } => {
                     ctx.emit(
-                        names::CONSENSUS,
+                        ids::CONSENSUS,
                         Ev::Propose {
                             instance,
                             value,
@@ -578,8 +558,8 @@ impl AbcastComponent {
                 AbOut::App(d) => ctx.output(Ev::Deliver(d)),
                 AbOut::Ctrl(m) => {
                     let target = match &m.body {
-                        Body::GbEnd(_) => names::GENERIC,
-                        _ => names::MEMBERSHIP,
+                        Body::GbEnd(_) => ids::GENERIC,
+                        _ => ids::MEMBERSHIP,
                     };
                     ctx.emit(target, Ev::CtrlDelivered(m));
                 }
@@ -595,10 +575,6 @@ impl AbcastComponent {
 }
 
 impl Component<Ev> for AbcastComponent {
-    fn name(&self) -> &'static str {
-        names::ABCAST
-    }
-
     fn on_event(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
         let mut outs = std::mem::take(&mut self.scratch);
         debug_assert!(outs.is_empty());
@@ -642,7 +618,7 @@ impl Component<Ev> for AbcastComponent {
                 if self.core.view().id > snap.view.id {
                     snap.view = self.core.view().clone();
                 }
-                ctx.emit(names::GENERIC, Ev::SnapFill { joiner, snap });
+                ctx.emit(ids::GENERIC, Ev::SnapFill { joiner, snap });
             }
             _ => {}
         }
@@ -694,9 +670,9 @@ impl GenericComponent {
     fn apply(&mut self, outs: impl IntoIterator<Item = GbOut>, ctx: &mut Context<'_, Ev>) {
         for o in outs {
             match o {
-                GbOut::Wire(to, wire) => ctx.emit(names::RC, Ev::RcSend(to, wire)),
+                GbOut::Wire(to, wire) => ctx.emit(ids::RC, Ev::RcSend(to, wire)),
                 GbOut::Escalate(body) => {
-                    ctx.emit(names::ABCAST, Ev::AbcastCtrl(MessageClass::ABCAST, body));
+                    ctx.emit(ids::ABCAST, Ev::AbcastCtrl(MessageClass::ABCAST, body));
                 }
                 GbOut::Deliver(d) => ctx.output(Ev::Deliver(d)),
             }
@@ -710,16 +686,12 @@ impl GenericComponent {
         for (joiner, mut snap) in std::mem::take(&mut self.deferred) {
             snap.gb_epoch = self.core.epoch();
             snap.gdelivered = self.core.gdelivered();
-            ctx.emit(names::MEMBERSHIP, Ev::SnapReady { joiner, snap });
+            ctx.emit(ids::MEMBERSHIP, Ev::SnapReady { joiner, snap });
         }
     }
 }
 
 impl Component<Ev> for GenericComponent {
-    fn name(&self) -> &'static str {
-        names::GENERIC
-    }
-
     fn on_event(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
         let mut outs = std::mem::take(&mut self.scratch);
         debug_assert!(outs.is_empty());
@@ -806,30 +778,26 @@ impl MembershipComponent {
         for o in outs {
             match o {
                 MbOut::Abcast(body) => {
-                    ctx.emit(names::ABCAST, Ev::AbcastCtrl(MessageClass::ABCAST, body));
+                    ctx.emit(ids::ABCAST, Ev::AbcastCtrl(MessageClass::ABCAST, body));
                 }
-                MbOut::Wire(to, wire) => ctx.emit(names::RC, Ev::RcSend(to, wire)),
+                MbOut::Wire(to, wire) => ctx.emit(ids::RC, Ev::RcSend(to, wire)),
                 MbOut::ViewChanged(v) => {
-                    for target in [names::ABCAST, names::GENERIC, names::FD, names::MONITORING] {
+                    for target in [ids::ABCAST, ids::GENERIC, ids::FD, ids::MONITORING] {
                         ctx.emit(target, Ev::ViewChanged(v.clone()));
                     }
                     ctx.output(Ev::ViewInstalled(v));
                 }
                 MbOut::AssembleSnapshot { joiner, snap } => {
-                    ctx.emit(names::ABCAST, Ev::SnapFill { joiner, snap });
+                    ctx.emit(ids::ABCAST, Ev::SnapFill { joiner, snap });
                 }
                 MbOut::Excluded => ctx.output(Ev::Excluded),
-                MbOut::Forget(p) => ctx.emit(names::RC, Ev::Forget(p)),
+                MbOut::Forget(p) => ctx.emit(ids::RC, Ev::Forget(p)),
             }
         }
     }
 }
 
 impl Component<Ev> for MembershipComponent {
-    fn name(&self) -> &'static str {
-        names::MEMBERSHIP
-    }
-
     fn on_event(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
         match event {
             Ev::JoinVia(contact) => {
@@ -848,8 +816,8 @@ impl Component<Ev> for MembershipComponent {
                 MbMsg::Snapshot(snap) => {
                     let outs = self.core.on_snapshot(&snap);
                     // Install protocol state before announcing the view.
-                    ctx.emit(names::ABCAST, Ev::InstallSnapshot(snap.clone()));
-                    ctx.emit(names::GENERIC, Ev::InstallSnapshot(snap));
+                    ctx.emit(ids::ABCAST, Ev::InstallSnapshot(snap.clone()));
+                    ctx.emit(ids::GENERIC, Ev::InstallSnapshot(snap));
                     self.apply(outs, ctx);
                 }
             },
@@ -859,7 +827,7 @@ impl Component<Ev> for MembershipComponent {
             }
             Ev::SnapReady { joiner, snap } => {
                 ctx.emit(
-                    names::RC,
+                    ids::RC,
                     Ev::RcSend(joiner, WireMsg::Mb(MbMsg::Snapshot(snap))),
                 );
             }
@@ -888,18 +856,14 @@ impl MonitoringComponent {
     fn apply(&mut self, outs: Vec<MonOut>, ctx: &mut Context<'_, Ev>) {
         for o in outs {
             match o {
-                MonOut::Wire(to, wire) => ctx.emit(names::RC, Ev::RcSend(to, wire)),
-                MonOut::Exclude(p) => ctx.emit(names::MEMBERSHIP, Ev::Exclude(p)),
+                MonOut::Wire(to, wire) => ctx.emit(ids::RC, Ev::RcSend(to, wire)),
+                MonOut::Exclude(p) => ctx.emit(ids::MEMBERSHIP, Ev::Exclude(p)),
             }
         }
     }
 }
 
 impl Component<Ev> for MonitoringComponent {
-    fn name(&self) -> &'static str {
-        names::MONITORING
-    }
-
     fn on_event(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
         match event {
             Ev::Suspect(MonitorClass::MONITORING, p) => {

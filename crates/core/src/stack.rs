@@ -7,7 +7,7 @@ use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Trace}
 
 use crate::abcast::BatchPolicy;
 use crate::components::{
-    names, AbcastComponent, ConsensusComponent, FdComponent, GenericComponent, MembershipComponent,
+    ids, AbcastComponent, ConsensusComponent, FdComponent, GenericComponent, MembershipComponent,
     MonitoringComponent, RcComponent,
 };
 use crate::generic::GenericCore;
@@ -151,44 +151,41 @@ pub fn build_process(
         .as_ref()
         .map(|v| v.members.clone())
         .unwrap_or_default();
+    let relay = config.resolved_relay(scale_n);
+    let echo_fanout = match relay {
+        RelayFanout::All => None,
+        RelayFanout::Bounded(k) => Some(k),
+    };
+    let fd = FdComponent::new(
+        id,
+        fd_peers.clone(),
+        config.heartbeat_interval,
+        config.consensus_timeout,
+        config.monitoring_timeout,
+        config.resolved_fd_mode(scale_n),
+        config.trace_suspicions,
+    );
+    let abcast = AbcastComponent::new(
+        id,
+        initial_view.clone(),
+        relay,
+        config.pipeline_depth,
+        config.batch,
+        config.consensus_timeout,
+    );
+    let generic = GenericCore::with_relay(id, config.conflict.clone(), initial_view.clone(), relay);
+    let membership = MembershipCore::new(id, initial_view, config.state_size);
     Process::builder(id)
-        .with(RcComponent::new(id, config.rc))
-        .with(FdComponent::with_mode(
-            id,
-            fd_peers.clone(),
-            config.heartbeat_interval,
-            config.consensus_timeout,
-            config.monitoring_timeout,
-            config.resolved_fd_mode(scale_n),
-            config.trace_suspicions,
-        ))
-        .with(ConsensusComponent::with_echo_fanout(
-            id,
-            match config.resolved_relay(scale_n) {
-                RelayFanout::All => None,
-                RelayFanout::Bounded(k) => Some(k),
-            },
-        ))
-        .with(AbcastComponent::new(
-            id,
-            initial_view.clone(),
-            config.resolved_relay(scale_n),
-            config.pipeline_depth,
-            config.batch,
-            config.consensus_timeout,
-        ))
-        .with(GenericComponent::new(GenericCore::with_relay(
-            id,
-            config.conflict.clone(),
-            initial_view.clone(),
-            config.resolved_relay(scale_n),
-        )))
-        .with(MembershipComponent::new(MembershipCore::new(
-            id,
-            initial_view,
-            config.state_size,
-        )))
-        .with(MonitoringComponent::new(id, fd_peers, config.monitoring))
+        .with(ids::RC, RcComponent::new(id, config.rc))
+        .with(ids::FD, fd)
+        .with(ids::CONSENSUS, ConsensusComponent::new(id, echo_fanout))
+        .with(ids::ABCAST, abcast)
+        .with(ids::GENERIC, GenericComponent::new(generic))
+        .with(ids::MEMBERSHIP, MembershipComponent::new(membership))
+        .with(
+            ids::MONITORING,
+            MonitoringComponent::new(id, fd_peers, config.monitoring),
+        )
         .build()
 }
 
@@ -208,25 +205,25 @@ impl StackDriver for NewArchDriver {
     }
 
     fn abcast(payload: PayloadRef) -> Op<Ev> {
-        (names::ABCAST, Ev::Abcast(payload))
+        (ids::ABCAST, Ev::Abcast(payload))
     }
 
     fn gbcast(class: MessageClass, payload: PayloadRef) -> Option<Op<Ev>> {
-        Some((names::GENERIC, Ev::Gbcast(class, payload)))
+        Some((ids::GENERIC, Ev::Gbcast(class, payload)))
     }
 
     /// Reliable broadcast rides generic broadcast, class
     /// [`MessageClass::RBCAST`].
     fn rbcast(payload: PayloadRef) -> Option<Op<Ev>> {
-        Some((names::GENERIC, Ev::Rbcast(payload)))
+        Some((ids::GENERIC, Ev::Rbcast(payload)))
     }
 
     fn join(contact: ProcessId) -> Op<Ev> {
-        (names::MEMBERSHIP, Ev::JoinVia(contact))
+        (ids::MEMBERSHIP, Ev::JoinVia(contact))
     }
 
     fn remove(target: ProcessId) -> Option<Op<Ev>> {
-        Some((names::MEMBERSHIP, Ev::RemoveMember(target)))
+        Some((ids::MEMBERSHIP, Ev::RemoveMember(target)))
     }
 
     fn project(event: &Ev) -> Observation<'_> {

@@ -807,13 +807,14 @@ mod tests {
     fn event_enum_stays_small() {
         // The compile-time assert above holds the event to one cache line;
         // this test pins what is moved with it on the per-message path, so
-        // that growth is a visible diff: the envelope a send leaves in
-        // `Effects`, and the instruction the reliable channel hands its
-        // adapter.
+        // that growth is a visible diff: the envelope a send or a cast
+        // leaves in `Effects`, and the instruction the reliable channel
+        // hands its adapter.
         use std::mem::size_of;
         for (what, size, was) in [
             ("Ev", size_of::<Ev>(), 64),
-            ("Envelope<Ev>", size_of::<gcs_kernel::Envelope<Ev>>(), 88),
+            ("Envelope<Ev>", size_of::<gcs_kernel::Envelope<Ev>>(), 80),
+            ("Multicast<Ev>", size_of::<gcs_kernel::Multicast<Ev>>(), 168),
             ("RcOut<WireMsg>", size_of::<gcs_net::RcOut<WireMsg>>(), 72),
         ] {
             assert!(

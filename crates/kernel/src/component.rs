@@ -1,15 +1,23 @@
 //! The [`Component`] trait and the [`Context`] through which components act.
 //!
+//! A component is named by its [`ComponentId`], the position its stack
+//! registers it at, and nothing else. Within a process, [`Context::emit`]
+//! addresses a component by id, and the id is the component's slot: routing
+//! an event is an index. Across processes a component talks only to itself:
+//! [`Context::send`] and [`Context::send_to_all`] name the destination
+//! process, never a component, and the envelope carries the sender's own id,
+//! which names the same component on the peer (every process of a group
+//! registers the same components in the same order).
+//!
 //! A `Context` **writes through**: it holds the hosting
-//! [`Process`](crate::Process)'s cascade queue, name index and timer table
-//! and the runtime's [`Effects`], and every method acts on them at once —
-//! `emit` resolves the name and queues the event, `send`/`send_to_all`/
-//! `output` append to the effects, `set_timer`/`cancel_timer` update the
-//! timer table, `halt` raises the effects' flag. An event is moved once, from
-//! the handler's hands to where it waits; nothing is collected and replayed
-//! after the handler returns. Each buffer sees a handler's calls in the order
-//! the handler made them, and the cascade queue is one FIFO for the whole
-//! dispatch step.
+//! [`Process`](crate::Process)'s cascade queue and timer table and the
+//! runtime's [`Effects`], and every method acts on them at once — `emit`
+//! queues the event, `send`/`send_to_all`/`output` append to the effects,
+//! `set_timer`/`cancel_timer` update the timer table, `halt` raises the
+//! effects' flag. An event is moved once, from the handler's hands to where
+//! it waits; nothing is collected and replayed after the handler returns.
+//! Each buffer sees a handler's calls in the order the handler made them, and
+//! the cascade queue is one FIFO for the whole dispatch step.
 //!
 //! A component that holds something back during a step — the reliable
 //! channel holds its fresh transmissions, to send one packet per peer — asks
@@ -21,7 +29,7 @@
 use std::collections::VecDeque;
 
 use crate::event::Event;
-use crate::ids::{ProcessId, TimerId};
+use crate::ids::{ComponentId, ProcessId, TimerId};
 use crate::process::{Effects, Envelope, Multicast, TimerRequest};
 use crate::time::{Time, TimeDelta};
 
@@ -34,16 +42,16 @@ use crate::time::{Time, TimeDelta};
 pub struct Context<'a, E> {
     pub(crate) now: Time,
     pub(crate) me: ProcessId,
-    /// Index of the component being run: the owner of the timers it sets.
-    pub(crate) component: usize,
-    pub(crate) index: &'a [(&'static str, usize)],
-    pub(crate) pending: &'a mut VecDeque<(usize, E)>,
+    /// The component being run: the owner of the timers it sets, and the
+    /// sender and receiver of what it sends.
+    pub(crate) component: ComponentId,
+    pub(crate) pending: &'a mut VecDeque<(ComponentId, E)>,
     pub(crate) fx: &'a mut Effects<E>,
-    pub(crate) timer_owner: &'a mut Vec<(TimerId, usize)>,
+    pub(crate) timer_owner: &'a mut Vec<(TimerId, ComponentId)>,
     pub(crate) next_timer: &'a mut u64,
     /// Components owed an [`on_step_end`](Component::on_step_end) call, in
     /// the order they asked.
-    pub(crate) step_end: &'a mut Vec<usize>,
+    pub(crate) step_end: &'a mut Vec<ComponentId>,
 }
 
 impl<E: Event> Context<'_, E> {
@@ -57,37 +65,35 @@ impl<E: Event> Context<'_, E> {
         self.me
     }
 
-    /// Routes `event` to the component named `to` within this process: it
-    /// joins the back of the dispatch step's FIFO cascade.
+    /// Routes `event` to component `to` within this process: it joins the
+    /// back of the dispatch step's FIFO cascade.
     ///
     /// # Panics
     ///
-    /// Panics if no component with that name exists — a miswired graph is a
-    /// programming error.
-    pub fn emit(&mut self, to: &'static str, event: E) {
-        let target = lookup(self.index, to)
-            .unwrap_or_else(|| panic!("{:?}: emit to unknown component {to:?}", self.me));
-        self.pending.push_back((target, event));
+    /// The cascade panics when it reaches an event for an id no component is
+    /// registered under — a miswired graph is a programming error.
+    pub fn emit(&mut self, to: ComponentId, event: E) {
+        self.pending.push_back((to, event));
     }
 
-    /// Sends `event` to component `component` of process `to`.
-    pub fn send(&mut self, to: ProcessId, component: &'static str, event: E) {
+    /// Sends `event` to this component on process `to`.
+    pub fn send(&mut self, to: ProcessId, event: E) {
         self.fx.sends.push(Envelope {
             from: self.me,
             to,
-            component,
+            component: self.component,
             event,
         });
     }
 
-    /// Sends `event` to the same component of every process in `targets`
+    /// Sends `event` to this component on every process in `targets`
     /// (including `self` if listed; self-sends loop through the network like
     /// any other message).
     ///
     /// The event travels as a single broadcast envelope: it is **not**
     /// cloned per destination here — the hosting runtime expands the fan-out
     /// (cloning only where delivery demands it).
-    pub fn send_to_all<I>(&mut self, targets: I, component: &'static str, event: E)
+    pub fn send_to_all<I>(&mut self, targets: I, event: E)
     where
         I: IntoIterator<Item = ProcessId>,
     {
@@ -98,7 +104,7 @@ impl<E: Event> Context<'_, E> {
         self.fx.casts.push(Multicast {
             from: self.me,
             to,
-            component,
+            component: self.component,
             event,
         });
     }
@@ -141,32 +147,23 @@ impl<E: Event> Context<'_, E> {
     }
 }
 
-/// Position of the component named `name` in a process's routing table. A
-/// process has a handful of components and names are `'static` literals, so
-/// a pointer-first linear scan beats hashing on every emit of the cascade.
-pub(crate) fn lookup(index: &[(&'static str, usize)], name: &str) -> Option<usize> {
-    index
-        .iter()
-        .find(|&&(n, _)| std::ptr::eq(n, name) || n == name)
-        .map(|&(_, i)| i)
-}
-
 /// Forgets live timer `id` and returns the component that set it. Live
 /// timers are few; linear scan + swap_remove beats a hash map.
-pub(crate) fn take_timer_owner(owners: &mut Vec<(TimerId, usize)>, id: TimerId) -> Option<usize> {
+pub(crate) fn take_timer_owner(
+    owners: &mut Vec<(TimerId, ComponentId)>,
+    id: TimerId,
+) -> Option<ComponentId> {
     let pos = owners.iter().position(|&(t, _)| t == id)?;
     Some(owners.swap_remove(pos).1)
 }
 
 /// A protocol module: one box of an architecture diagram.
 ///
-/// Components are registered with a [`Process`](crate::Process) under their
-/// [`name`](Component::name) and receive the events other components `emit`
-/// or `send` to that name, plus the expiries of timers they set.
+/// Components are registered with a [`Process`](crate::Process) under a
+/// [`ComponentId`] and receive the events other components `emit` to that
+/// id, what the same component of another process sends, and the expiries of
+/// timers they set.
 pub trait Component<E: Event> {
-    /// Stable component name used for routing (e.g. `"consensus"`).
-    fn name(&self) -> &'static str;
-
     /// Called once when the hosting process starts.
     fn on_start(&mut self, _ctx: &mut Context<'_, E>) {}
 
@@ -174,7 +171,7 @@ pub trait Component<E: Event> {
     /// (another component's `emit`, or an application injection).
     fn on_event(&mut self, event: E, ctx: &mut Context<'_, E>);
 
-    /// Handles an event that arrived over the network from process `from`.
+    /// Handles an event that this component of process `from` sent.
     ///
     /// Defaults to [`on_event`](Component::on_event); components that care
     /// about the transport-level sender (or, like

@@ -39,6 +39,36 @@ impl fmt::Display for ProcessId {
     }
 }
 
+/// Identity of a component within its process: the position it is
+/// registered at, so routing to it is an index, not a lookup.
+///
+/// A stack declares the ids of its components as constants, dense from
+/// zero in registration order, and
+/// [`ProcessBuilder::with`](crate::ProcessBuilder::with) holds it to that
+/// order. Every process of a group registers the same components in the same
+/// order, so an id names the same component on every peer: a network send
+/// goes to the sender's own id there.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ComponentId(u16);
+
+impl ComponentId {
+    /// The component registered `index`-th (from zero).
+    pub const fn new(index: u16) -> Self {
+        ComponentId(index)
+    }
+
+    /// The registration position, for indexing dense tables.
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Debug for ComponentId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "c{}", self.0)
+    }
+}
+
 /// Handle to a pending timer, unique within one process for one run.
 ///
 /// Timers are one-shot: after [`crate::Process::fire_timer`] delivers the
@@ -73,6 +103,8 @@ mod tests {
         assert!(ProcessId::new(1) < ProcessId::new(2));
         assert_eq!(ProcessId::new(7).index(), 7);
         assert_eq!(format!("{}", ProcessId::new(3)), "p3");
+        assert_eq!(ComponentId::new(4).index(), 4);
+        assert_eq!(format!("{:?}", ComponentId::new(2)), "c2");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! It provides:
 //!
 //! * [`Component`] — an event-driven protocol module with timers,
-//! * [`Process`] — a named-component *graph* hosted by one process
-//!   (used for the paper's new architecture, Fig 9),
+//! * [`Process`] — a component *graph* hosted by one process (used for the
+//!   paper's new architecture, Fig 9), each component named by a
+//!   [`ComponentId`],
 //! * [`Layer`] / [`StackComponent`] — Ensemble-style *linear stacks* where
 //!   events travel up and down through ordered layers (Fig 5),
 //! * [`View`], [`MessageClass`], [`DeliveryKind`] — the plain vocabulary in
@@ -21,6 +22,14 @@
 //!   (network sends, timer requests, application outputs), which makes every
 //!   protocol sans-I/O and lets the same code run under the deterministic
 //!   simulator (`gcs-sim`) or any other scheduler.
+//!
+//! A component has one name: its [`ComponentId`], a dense index fixed when
+//! its stack builds the process. Each stack declares its ids as constants in
+//! registration order, [`ProcessBuilder::with`] holds it to that order, and
+//! every route — an input, an emit, a timer expiry — indexes the process's
+//! component table. Between processes a component talks only to itself: a
+//! send names the peer process, and the [`Envelope`] carries the sender's
+//! own id, which is the same component there.
 //!
 //! Dispatch within a process is synchronous and deterministic: an input event
 //! is routed to its target component; locally emitted events cascade in FIFO
@@ -34,7 +43,7 @@
 //! process crosses.
 //!
 //! ```
-//! use gcs_kernel::{Component, Context, Event, Process, ProcessId, Time};
+//! use gcs_kernel::{Component, ComponentId, Context, Event, Process, ProcessId, Time};
 //!
 //! #[derive(Clone, Debug)]
 //! enum Ping { Hello, World }
@@ -44,16 +53,17 @@
 //!     }
 //! }
 //!
+//! const ECHO: ComponentId = ComponentId::new(0);
+//!
 //! struct Echo;
 //! impl Component<Ping> for Echo {
-//!     fn name(&self) -> &'static str { "echo" }
 //!     fn on_event(&mut self, ev: Ping, ctx: &mut Context<'_, Ping>) {
 //!         if matches!(ev, Ping::Hello) { ctx.output(Ping::World); }
 //!     }
 //! }
 //!
-//! let mut p = Process::builder(ProcessId::new(0)).with(Echo).build();
-//! let fx = p.deliver("echo", Ping::Hello, Time::ZERO);
+//! let mut p = Process::builder(ProcessId::new(0)).with(ECHO, Echo).build();
+//! let fx = p.deliver(ECHO, Ping::Hello, Time::ZERO);
 //! assert_eq!(fx.outputs.len(), 1);
 //! ```
 
@@ -79,7 +89,7 @@ pub use component::{Component, Context};
 pub use event::Event;
 pub use group::{DeliveryKind, MessageClass, View};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ids::{ProcessId, TimerId};
+pub use ids::{ComponentId, ProcessId, TimerId};
 pub use payload::{PayloadArena, PayloadRef, SharedArena};
 pub use positions::PositionSet;
 pub use process::{Effects, Envelope, Multicast, Process, ProcessBuilder, TimerRequest};

@@ -1,10 +1,17 @@
 //! A process hosting a graph of components, with deterministic dispatch.
+//!
+//! A process holds its components in the order their stack declared their
+//! [`ComponentId`]s, so an id is a slot: an input from the runtime, an
+//! emit, a timer expiry and a step-end call each reach their component by
+//! index. A network message needs nothing more. A component sends only to
+//! itself on other processes, so an [`Envelope`] records the sender's id and
+//! the receiving process hands the message to the component in that slot.
 
 use std::collections::VecDeque;
 
-use crate::component::{lookup, take_timer_owner, Component, Context};
+use crate::component::{take_timer_owner, Component, Context};
 use crate::event::Event;
-use crate::ids::{ProcessId, TimerId};
+use crate::ids::{ComponentId, ProcessId, TimerId};
 use crate::smallvec::SmallVec;
 use crate::time::{Time, TimeDelta};
 
@@ -15,8 +22,8 @@ pub struct Envelope<E> {
     pub from: ProcessId,
     /// Destination process.
     pub to: ProcessId,
-    /// Destination component name within the destination process.
-    pub component: &'static str,
+    /// The sending component, which is also the receiving one at `to`.
+    pub component: ComponentId,
     /// The event carried by this message.
     pub event: E,
 }
@@ -30,8 +37,9 @@ pub struct Multicast<E> {
     pub from: ProcessId,
     /// Destination processes.
     pub to: SmallVec<ProcessId, 8>,
-    /// Destination component name within each destination process.
-    pub component: &'static str,
+    /// The sending component, which is also the receiving one at each
+    /// destination.
+    pub component: ComponentId,
     /// The event carried to every destination.
     pub event: E,
 }
@@ -118,42 +126,32 @@ pub struct ProcessBuilder<E: Event> {
 
 impl<E: Event> std::fmt::Debug for Box<dyn Component<E>> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Component({})", self.name())
+        f.write_str("Component")
     }
 }
 
 impl<E: Event> ProcessBuilder<E> {
-    /// Registers a component. Later lookups use [`Component::name`].
+    /// Registers `component` under `id`.
     ///
     /// # Panics
     ///
-    /// [`build`](Self::build) panics if two components share a name.
-    pub fn with<C: Component<E> + 'static>(mut self, component: C) -> Self {
+    /// Panics unless `id` is the next in the stack's declared order: ids are
+    /// dense from zero, registered in the order they are declared.
+    pub fn with<C: Component<E> + 'static>(mut self, id: ComponentId, component: C) -> Self {
+        assert_eq!(
+            id.index(),
+            self.components.len(),
+            "component {id:?} registered out of declared order"
+        );
         self.components.push(Box::new(component));
-        self
-    }
-
-    /// Registers an already boxed component.
-    pub fn with_boxed(mut self, component: Box<dyn Component<E>>) -> Self {
-        self.components.push(component);
         self
     }
 
     /// Finalizes the process graph.
     pub fn build(self) -> Process<E> {
-        let mut index: Vec<(&'static str, usize)> = Vec::new();
-        for (i, c) in self.components.iter().enumerate() {
-            assert!(
-                index.iter().all(|&(n, _)| n != c.name()),
-                "duplicate component name {:?}",
-                c.name()
-            );
-            index.push((c.name(), i));
-        }
         Process {
             id: self.id,
             components: self.components,
-            index,
             next_timer: 0,
             timer_owner: Vec::new(),
             halted: false,
@@ -163,8 +161,9 @@ impl<E: Event> ProcessBuilder<E> {
     }
 }
 
-/// One process of the distributed system: a named-component graph plus the
-/// deterministic dispatch loop that routes events between the components.
+/// One process of the distributed system: a component graph, indexed by
+/// [`ComponentId`], plus the deterministic dispatch loop that routes events
+/// between the components.
 ///
 /// `Process` is runtime-agnostic: each entry point returns the [`Effects`]
 /// the runtime must apply. Once a process halts (crash injection or
@@ -173,28 +172,27 @@ impl<E: Event> ProcessBuilder<E> {
 /// A dispatch step runs one handler — the input's — and then the cascade:
 /// events the handlers `emit` wait in one FIFO queue and are handled in
 /// that order until the queue is empty. There is no intermediate record of
-/// what a handler asked for: its [`Context`] borrows the queue, the routing
-/// table, the timer table and the caller's [`Effects`] and writes to them
-/// as the handler runs. When the queue is empty, the components that asked
+/// what a handler asked for: its [`Context`] borrows the queue, the timer
+/// table and the caller's [`Effects`] and writes to them as the handler
+/// runs. When the queue is empty, the components that asked
 /// for it ([`Context::at_step_end`]) get their
 /// [`on_step_end`](Component::on_step_end) call, in the order they asked, and
 /// what those emit is handled in turn.
 #[derive(Debug)]
 pub struct Process<E: Event> {
     id: ProcessId,
+    /// The components, each at the index of its id.
     components: Vec<Box<dyn Component<E>>>,
-    /// Component-name routing table (see [`lookup`]).
-    index: Vec<(&'static str, usize)>,
     next_timer: u64,
     /// Live timers and the component that set each.
-    timer_owner: Vec<(TimerId, usize)>,
+    timer_owner: Vec<(TimerId, ComponentId)>,
     halted: bool,
     /// The cascade queue: empty between dispatch steps, and kept across
     /// them so a steady-state dispatch performs no allocation.
-    pending: VecDeque<(usize, E)>,
+    pending: VecDeque<(ComponentId, E)>,
     /// Components owed a step-end call: empty between dispatch steps, and
     /// kept across them like `pending`.
-    step_end: Vec<usize>,
+    step_end: Vec<ComponentId>,
 }
 
 impl<E: Event> Process<E> {
@@ -216,11 +214,6 @@ impl<E: Event> Process<E> {
         self.halted
     }
 
-    /// Names of the registered components, in registration order.
-    pub fn component_names(&self) -> Vec<&'static str> {
-        self.components.iter().map(|c| c.name()).collect()
-    }
-
     /// Marks the process as crashed; all subsequent inputs are ignored.
     pub fn halt(&mut self) {
         self.halted = true;
@@ -239,20 +232,20 @@ impl<E: Event> Process<E> {
             return;
         }
         for i in 0..self.components.len() {
-            let (component, mut ctx) = self.enter(i, now, fx);
+            let (component, mut ctx) = self.enter(ComponentId::new(i as u16), now, fx);
             component.on_start(&mut ctx);
         }
         self.cascade(now, fx);
     }
 
-    /// Delivers a local event (application injection) to the named component
-    /// and runs the cascade.
+    /// Delivers a local event (application injection) to component
+    /// `component` and runs the cascade.
     ///
     /// # Panics
     ///
     /// Panics if no component is registered under `component` — a miswired
     /// graph is a programming error, not a runtime condition.
-    pub fn deliver(&mut self, component: &str, event: E, now: Time) -> Effects<E> {
+    pub fn deliver(&mut self, component: ComponentId, event: E, now: Time) -> Effects<E> {
         let mut fx = Effects::new();
         self.deliver_into(component, event, now, &mut fx);
         fx
@@ -261,18 +254,23 @@ impl<E: Event> Process<E> {
     /// Like [`deliver`](Self::deliver), appending into a caller-owned
     /// buffer — the hot-path entry point: reusing one `Effects` across
     /// dispatches keeps the buffers allocation-free.
-    pub fn deliver_into(&mut self, component: &str, event: E, now: Time, fx: &mut Effects<E>) {
-        let target = self.lookup(component);
+    pub fn deliver_into(
+        &mut self,
+        component: ComponentId,
+        event: E,
+        now: Time,
+        fx: &mut Effects<E>,
+    ) {
         if self.halted {
             return;
         }
-        let (component, mut ctx) = self.enter(target, now, fx);
+        let (component, mut ctx) = self.enter(component, now, fx);
         component.on_event(event, &mut ctx);
         self.cascade(now, fx);
     }
 
-    /// Delivers a network message from `from` to the named component and
-    /// runs the cascade.
+    /// Delivers a network message that component `component` of process
+    /// `from` sent to its counterpart here, and runs the cascade.
     ///
     /// # Panics
     ///
@@ -280,7 +278,7 @@ impl<E: Event> Process<E> {
     pub fn deliver_net(
         &mut self,
         from: ProcessId,
-        component: &str,
+        component: ComponentId,
         event: E,
         now: Time,
     ) -> Effects<E> {
@@ -294,23 +292,17 @@ impl<E: Event> Process<E> {
     pub fn deliver_net_into(
         &mut self,
         from: ProcessId,
-        component: &str,
+        component: ComponentId,
         event: E,
         now: Time,
         fx: &mut Effects<E>,
     ) {
-        let target = self.lookup(component);
         if self.halted {
             return;
         }
-        let (component, mut ctx) = self.enter(target, now, fx);
+        let (component, mut ctx) = self.enter(component, now, fx);
         component.on_message(from, event, &mut ctx);
         self.cascade(now, fx);
-    }
-
-    fn lookup(&self, component: &str) -> usize {
-        lookup(&self.index, component)
-            .unwrap_or_else(|| panic!("{:?}: no component named {component:?}", self.id))
     }
 
     /// Fires a timer. Unknown (fired or cancelled) ids are ignored.
@@ -338,7 +330,7 @@ impl<E: Event> Process<E> {
     /// handler call, borrowed from disjoint fields.
     fn enter<'a>(
         &'a mut self,
-        target: usize,
+        target: ComponentId,
         now: Time,
         fx: &'a mut Effects<E>,
     ) -> (&'a mut dyn Component<E>, Context<'a, E>) {
@@ -346,14 +338,13 @@ impl<E: Event> Process<E> {
             now,
             me: self.id,
             component: target,
-            index: &self.index,
             pending: &mut self.pending,
             fx,
             timer_owner: &mut self.timer_owner,
             next_timer: &mut self.next_timer,
             step_end: &mut self.step_end,
         };
-        (&mut *self.components[target], ctx)
+        (&mut *self.components[target.index()], ctx)
     }
 
     /// Handles the locally emitted events in FIFO order until none is left,
@@ -429,32 +420,35 @@ mod tests {
         }
     }
 
-    /// Forwards pings to "replier", outputs pongs.
+    // `proc()` registers the gateway and the replier, `holding()` the
+    // gateway, the holder and the fan-out.
+    const GATEWAY: ComponentId = ComponentId::new(0);
+    const REPLIER: ComponentId = ComponentId::new(1);
+    const HOLDER: ComponentId = ComponentId::new(1);
+    const FANOUT: ComponentId = ComponentId::new(2);
+
+    /// Forwards pings to the replier, outputs pongs.
     struct Gateway;
     impl Component<Ev> for Gateway {
-        fn name(&self) -> &'static str {
-            "gateway"
-        }
         fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
             match ev {
-                Ev::Ping(n) => ctx.emit("replier", Ev::Ping(n)),
+                Ev::Ping(n) => ctx.emit(REPLIER, Ev::Ping(n)),
                 Ev::Pong(n) => ctx.output(Ev::Pong(n)),
                 Ev::Kick => {}
             }
         }
     }
 
+    /// Answers a ping with a pong and a timer that sends a ping to p1; casts
+    /// a pong it is handed to p1 and p2.
     struct Replier {
         timer: Option<TimerId>,
     }
     impl Component<Ev> for Replier {
-        fn name(&self) -> &'static str {
-            "replier"
-        }
         fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
             match ev {
                 Ev::Ping(n) => {
-                    ctx.emit("gateway", Ev::Pong(n + 1));
+                    ctx.emit(GATEWAY, Ev::Pong(n + 1));
                     self.timer = Some(ctx.set_timer(TimeDelta::from_millis(10)));
                 }
                 Ev::Kick => {
@@ -462,25 +456,25 @@ mod tests {
                         ctx.cancel_timer(t);
                     }
                 }
-                Ev::Pong(_) => {}
+                Ev::Pong(n) => ctx.send_to_all([ProcessId::new(1), ProcessId::new(2)], Ev::Pong(n)),
             }
         }
         fn on_timer(&mut self, _t: TimerId, ctx: &mut Context<'_, Ev>) {
-            ctx.send(ProcessId::new(1), "gateway", Ev::Ping(0));
+            ctx.send(ProcessId::new(1), Ev::Ping(0));
         }
     }
 
     fn proc() -> Process<Ev> {
         Process::builder(ProcessId::new(0))
-            .with(Gateway)
-            .with(Replier { timer: None })
+            .with(GATEWAY, Gateway)
+            .with(REPLIER, Replier { timer: None })
             .build()
     }
 
     #[test]
     fn cascade_routes_between_components() {
         let mut p = proc();
-        let fx = p.deliver("gateway", Ev::Ping(1), Time::ZERO);
+        let fx = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO);
         assert_eq!(fx.outputs, vec![Ev::Pong(2)]);
         assert_eq!(fx.timers.len(), 1);
     }
@@ -488,11 +482,10 @@ mod tests {
     #[test]
     fn timer_fires_to_owner_and_only_once() {
         let mut p = proc();
-        let fx = p.deliver("gateway", Ev::Ping(1), Time::ZERO);
+        let fx = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO);
         let id = fx.timers[0].id;
         let fx2 = p.fire_timer(id, Time::from_millis(10));
         assert_eq!(fx2.sends.len(), 1);
-        assert_eq!(fx2.sends[0].component, "gateway");
         // Second fire of the same id is ignored.
         assert!(p.fire_timer(id, Time::from_millis(11)).is_empty());
     }
@@ -500,9 +493,9 @@ mod tests {
     #[test]
     fn cancelled_timer_does_not_fire() {
         let mut p = proc();
-        let fx = p.deliver("gateway", Ev::Ping(1), Time::ZERO);
+        let fx = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO);
         let id = fx.timers[0].id;
-        p.deliver("replier", Ev::Kick, Time::from_millis(1));
+        p.deliver(REPLIER, Ev::Kick, Time::from_millis(1));
         assert!(p.fire_timer(id, Time::from_millis(10)).is_empty());
     }
 
@@ -510,31 +503,49 @@ mod tests {
     fn halted_process_ignores_everything() {
         let mut p = proc();
         p.halt();
-        assert!(p.deliver("gateway", Ev::Ping(1), Time::ZERO).is_empty());
+        assert!(p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO).is_empty());
         assert!(p.is_halted());
     }
 
     #[test]
-    #[should_panic(expected = "no component named")]
-    fn unknown_component_panics() {
-        let mut p = proc();
-        let _ = p.deliver("nope", Ev::Kick, Time::ZERO);
+    #[should_panic(expected = "registered out of declared order")]
+    fn registration_out_of_declared_order_panics() {
+        let _ = Process::builder(ProcessId::new(0))
+            .with(REPLIER, Replier { timer: None })
+            .with(GATEWAY, Gateway)
+            .build();
     }
 
+    /// Whatever a component sends — from a timer, as a cast, from its
+    /// step-end call — goes to the same component on the peer: the envelope
+    /// carries the sender's id.
     #[test]
-    #[should_panic(expected = "duplicate component name")]
-    fn duplicate_names_panic() {
-        let _ = Process::builder(ProcessId::new(0))
-            .with(Gateway)
-            .with(Gateway)
-            .build();
+    fn a_send_reaches_the_senders_own_component_on_the_peer() {
+        let mut p = proc();
+        let id = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO).timers[0].id;
+        let sent = p.fire_timer(id, Time::from_millis(10)).sends;
+        assert_eq!(
+            (sent[0].to, sent[0].component),
+            (ProcessId::new(1), REPLIER)
+        );
+
+        let cast = p.deliver(REPLIER, Ev::Pong(3), Time::ZERO).casts;
+        assert_eq!(cast.len(), 1);
+        assert_eq!(cast[0].component, REPLIER);
+        let to: Vec<ProcessId> = cast[0].to.iter().copied().collect();
+        assert_eq!(to, vec![ProcessId::new(1), ProcessId::new(2)]);
+
+        let (mut p, _) = holding(0);
+        let sent = p.deliver(FANOUT, Ev::Ping(2), Time::ZERO).sends;
+        assert_eq!(sent.len(), 1, "the holder's step-end send");
+        assert_eq!(sent[0].component, HOLDER);
     }
 
     #[test]
     fn timer_ids_are_unique_across_steps() {
         let mut p = proc();
-        let a = p.deliver("gateway", Ev::Ping(1), Time::ZERO).timers[0].id;
-        let b = p.deliver("gateway", Ev::Ping(2), Time::ZERO).timers[0].id;
+        let a = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO).timers[0].id;
+        let b = p.deliver(GATEWAY, Ev::Ping(2), Time::ZERO).timers[0].id;
         assert_ne!(a, b);
     }
 
@@ -547,9 +558,6 @@ mod tests {
         again: u32,
     }
     impl Component<Ev> for Holder {
-        fn name(&self) -> &'static str {
-            "holder"
-        }
         fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
             match ev {
                 Ev::Ping(n) => {
@@ -563,8 +571,8 @@ mod tests {
         fn on_step_end(&mut self, ctx: &mut Context<'_, Ev>) {
             self.calls.set(self.calls.get() + 1);
             let sum = self.held.drain(..).sum();
-            ctx.send(ProcessId::new(1), "holder", Ev::Ping(sum));
-            ctx.emit("gateway", Ev::Pong(sum));
+            ctx.send(ProcessId::new(1), Ev::Ping(sum));
+            ctx.emit(GATEWAY, Ev::Pong(sum));
             if self.again > 0 {
                 self.again -= 1;
                 ctx.at_step_end();
@@ -572,24 +580,21 @@ mod tests {
         }
     }
 
-    /// Sends a ping to "holder" per ping, then pings it twice more.
+    /// Sends a ping to the holder per ping, then pings it twice more.
     struct Fanout;
     impl Component<Ev> for Fanout {
-        fn name(&self) -> &'static str {
-            "fanout"
-        }
         fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
             match ev {
                 Ev::Ping(n) => {
-                    ctx.emit("holder", Ev::Ping(n));
-                    ctx.emit("holder", Ev::Ping(10 * n));
-                    ctx.emit("gateway", Ev::Pong(0));
+                    ctx.emit(HOLDER, Ev::Ping(n));
+                    ctx.emit(HOLDER, Ev::Ping(10 * n));
+                    ctx.emit(GATEWAY, Ev::Pong(0));
                 }
                 Ev::Kick => {
-                    ctx.emit("holder", Ev::Ping(7));
-                    ctx.send(ProcessId::new(2), "fanout", Ev::Kick);
-                    ctx.emit("holder", Ev::Kick);
-                    ctx.emit("gateway", Ev::Pong(99));
+                    ctx.emit(HOLDER, Ev::Ping(7));
+                    ctx.send(ProcessId::new(2), Ev::Kick);
+                    ctx.emit(HOLDER, Ev::Kick);
+                    ctx.emit(GATEWAY, Ev::Pong(99));
                 }
                 Ev::Pong(_) => {}
             }
@@ -604,9 +609,9 @@ mod tests {
             again,
         };
         let p = Process::builder(ProcessId::new(0))
-            .with(Gateway)
-            .with(holder)
-            .with(Fanout)
+            .with(GATEWAY, Gateway)
+            .with(HOLDER, holder)
+            .with(FANOUT, Fanout)
             .build();
         (p, calls)
     }
@@ -614,7 +619,7 @@ mod tests {
     #[test]
     fn step_end_call_comes_once_after_the_cascade_and_its_emits_cascade() {
         let (mut p, calls) = holding(0);
-        let fx = p.deliver("fanout", Ev::Ping(2), Time::ZERO);
+        let fx = p.deliver(FANOUT, Ev::Ping(2), Time::ZERO);
         assert_eq!(calls.get(), 1, "asked twice, called once");
         // The cascade's own output first, then the step-end call's, handled
         // by the gateway within the same step.
@@ -622,14 +627,14 @@ mod tests {
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].event, Ev::Ping(22));
         // The next step starts with nothing owed.
-        assert!(p.deliver("gateway", Ev::Kick, Time::ZERO).is_empty());
+        assert!(p.deliver(GATEWAY, Ev::Kick, Time::ZERO).is_empty());
         assert_eq!(calls.get(), 1);
     }
 
     #[test]
     fn a_step_end_call_that_asks_again_is_called_again() {
         let (mut p, calls) = holding(2);
-        let fx = p.deliver("fanout", Ev::Ping(1), Time::ZERO);
+        let fx = p.deliver(FANOUT, Ev::Ping(1), Time::ZERO);
         assert_eq!(calls.get(), 3);
         let sent: Vec<&Ev> = fx.sends.iter().map(|e| &e.event).collect();
         assert_eq!(sent, vec![&Ev::Ping(11), &Ev::Ping(0), &Ev::Ping(0)]);
@@ -638,7 +643,7 @@ mod tests {
     #[test]
     fn sends_made_before_a_halt_still_leave() {
         let (mut p, calls) = holding(0);
-        let fx = p.deliver("fanout", Ev::Kick, Time::ZERO);
+        let fx = p.deliver(FANOUT, Ev::Kick, Time::ZERO);
         assert!(fx.halted && p.is_halted());
         assert_eq!(calls.get(), 1, "the held ping is sent");
         let sent: Vec<&Ev> = fx.sends.iter().map(|e| &e.event).collect();
@@ -646,7 +651,7 @@ mod tests {
         // Nothing after the halt is handled: not the queued pong, not what
         // the step-end call emitted.
         assert!(fx.outputs.is_empty(), "{:?}", fx.outputs);
-        assert!(p.deliver("fanout", Ev::Ping(1), Time::ZERO).is_empty());
+        assert!(p.deliver(FANOUT, Ev::Ping(1), Time::ZERO).is_empty());
     }
 }
 
@@ -661,7 +666,7 @@ mod write_through_equivalence {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    const NAMES: [&str; 3] = ["a", "b", "c"];
+    const COMPONENTS: usize = 3;
     const KINDS: u8 = 3;
     /// How many more hops a chain of emits started by an input may take.
     const TTL: u8 = 4;
@@ -680,9 +685,9 @@ mod write_through_equivalence {
     /// What a handler may do — the methods of [`Context`], so that one
     /// script plays against the real context and the reference's.
     trait Sink {
-        fn emit(&mut self, to: &'static str, event: Ev);
-        fn send(&mut self, to: ProcessId, component: &'static str, event: Ev);
-        fn send_to_all(&mut self, targets: Vec<ProcessId>, component: &'static str, event: Ev);
+        fn emit(&mut self, to: ComponentId, event: Ev);
+        fn send(&mut self, to: ProcessId, event: Ev);
+        fn send_to_all(&mut self, targets: Vec<ProcessId>, event: Ev);
         fn set_timer(&mut self, after: TimeDelta) -> TimerId;
         fn cancel_timer(&mut self, id: TimerId);
         fn output(&mut self, event: Ev);
@@ -691,14 +696,14 @@ mod write_through_equivalence {
     }
 
     impl Sink for Context<'_, Ev> {
-        fn emit(&mut self, to: &'static str, event: Ev) {
+        fn emit(&mut self, to: ComponentId, event: Ev) {
             Context::emit(self, to, event)
         }
-        fn send(&mut self, to: ProcessId, component: &'static str, event: Ev) {
-            Context::send(self, to, component, event)
+        fn send(&mut self, to: ProcessId, event: Ev) {
+            Context::send(self, to, event)
         }
-        fn send_to_all(&mut self, targets: Vec<ProcessId>, component: &'static str, event: Ev) {
-            Context::send_to_all(self, targets, component, event)
+        fn send_to_all(&mut self, targets: Vec<ProcessId>, event: Ev) {
+            Context::send_to_all(self, targets, event)
         }
         fn set_timer(&mut self, after: TimeDelta) -> TimerId {
             Context::set_timer(self, after)
@@ -719,9 +724,9 @@ mod write_through_equivalence {
 
     #[derive(Clone, Debug)]
     enum Op {
-        Emit(usize, u8),
-        Send(u32, usize, u8),
-        Cast(Vec<u32>, usize, u8),
+        Emit(u16, u8),
+        Send(u32, u8),
+        Cast(Vec<u32>, u8),
         Output(u8),
         SetTimer(u64),
         /// Cancel the n-th most recent timer this component set (0: the one
@@ -737,7 +742,6 @@ mod write_through_equivalence {
     /// A component whose every handler plays a fixed list of [`Op`]s.
     #[derive(Clone)]
     struct Scripted {
-        name: &'static str,
         /// By trigger: start, event kinds, message kinds, timer, step end.
         scripts: Vec<Vec<Op>>,
         own: Vec<TimerId>,
@@ -756,12 +760,12 @@ mod write_through_equivalence {
                     ttl: ttl.saturating_sub(1),
                 };
                 match op {
-                    Op::Emit(to, kind) if ttl > 0 => sink.emit(NAMES[to], ev(kind)),
+                    Op::Emit(to, kind) if ttl > 0 => sink.emit(ComponentId::new(to), ev(kind)),
                     Op::Emit(..) => {}
-                    Op::Send(to, c, kind) => sink.send(ProcessId::new(to), NAMES[c], ev(kind)),
-                    Op::Cast(to, c, kind) => {
+                    Op::Send(to, kind) => sink.send(ProcessId::new(to), ev(kind)),
+                    Op::Cast(to, kind) => {
                         let to = to.into_iter().map(ProcessId::new).collect();
-                        sink.send_to_all(to, NAMES[c], ev(kind))
+                        sink.send_to_all(to, ev(kind))
                     }
                     Op::Output(kind) => sink.output(ev(kind)),
                     Op::SetTimer(ms) => {
@@ -808,9 +812,6 @@ mod write_through_equivalence {
     }
 
     impl Component<Ev> for Scripted {
-        fn name(&self) -> &'static str {
-            self.name
-        }
         fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
             self.play(ON_START, TTL, ctx);
         }
@@ -834,17 +835,15 @@ mod write_through_equivalence {
         #[derive(Debug)]
         pub enum Action {
             Emit {
-                to: &'static str,
+                to: ComponentId,
                 event: Ev,
             },
             Send {
                 to: ProcessId,
-                component: &'static str,
                 event: Ev,
             },
             Multicast {
                 targets: SmallVec<ProcessId, 8>,
-                component: &'static str,
                 event: Ev,
             },
             SetTimer {
@@ -871,24 +870,16 @@ mod write_through_equivalence {
         }
 
         impl Sink for Collector<'_> {
-            fn emit(&mut self, to: &'static str, event: Ev) {
+            fn emit(&mut self, to: ComponentId, event: Ev) {
                 self.push(Action::Emit { to, event });
             }
-            fn send(&mut self, to: ProcessId, component: &'static str, event: Ev) {
-                self.push(Action::Send {
-                    to,
-                    component,
-                    event,
-                });
+            fn send(&mut self, to: ProcessId, event: Ev) {
+                self.push(Action::Send { to, event });
             }
-            fn send_to_all(&mut self, targets: Vec<ProcessId>, component: &'static str, event: Ev) {
+            fn send_to_all(&mut self, targets: Vec<ProcessId>, event: Ev) {
                 let targets: SmallVec<ProcessId, 8> = targets.into_iter().collect();
                 if !targets.is_empty() {
-                    self.push(Action::Multicast {
-                        targets,
-                        component,
-                        event,
-                    });
+                    self.push(Action::Multicast { targets, event });
                 }
             }
             fn set_timer(&mut self, after: TimeDelta) -> TimerId {
@@ -1057,29 +1048,21 @@ mod write_through_equivalence {
             ) {
                 let mut set_here = Vec::new();
                 for (owner, action) in actions.drain(..) {
+                    let component = ComponentId::new(owner as u16);
                     match action {
                         Action::Emit { to, event } => {
-                            let target = NAMES.iter().position(|&n| n == to).expect("known");
-                            if target == owner {
+                            if to == component {
                                 self.seen.emits_to_self += 1;
                             }
-                            pending.push_back((target, event));
+                            pending.push_back((to.index(), event));
                         }
-                        Action::Send {
-                            to,
-                            component,
-                            event,
-                        } => fx.sends.push(Envelope {
+                        Action::Send { to, event } => fx.sends.push(Envelope {
                             from: self.id,
                             to,
                             component,
                             event,
                         }),
-                        Action::Multicast {
-                            targets,
-                            component,
-                            event,
-                        } => fx.casts.push(Multicast {
+                        Action::Multicast { targets, event } => fx.casts.push(Multicast {
                             from: self.id,
                             to: targets,
                             component,
@@ -1129,11 +1112,11 @@ mod write_through_equivalence {
 
     fn random_op(rng: &mut Rng) -> Op {
         let kind = rng.below(KINDS as usize) as u8;
-        let c = rng.below(NAMES.len());
+        let c = rng.below(COMPONENTS) as u16;
         match rng.below(22) {
             0..=6 => Op::Emit(c, kind),
-            7 | 8 => Op::Send(rng.below(4) as u32, c, kind),
-            9 => Op::Cast((0..rng.below(4) as u32).collect(), c, kind),
+            7 | 8 => Op::Send(rng.below(4) as u32, kind),
+            9 => Op::Cast((0..rng.below(4) as u32).collect(), kind),
             10 | 11 => Op::Output(kind),
             12..=14 => Op::SetTimer(rng.below(50) as u64),
             15 | 16 => Op::CancelOwn(rng.below(2)),
@@ -1157,10 +1140,8 @@ mod write_through_equivalence {
         for seed in 0..400 {
             let mut rng = Rng(seed);
             let board = Rc::new(RefCell::new(Vec::new()));
-            let components: Vec<Scripted> = NAMES
-                .iter()
-                .map(|&name| Scripted {
-                    name,
+            let components: Vec<Scripted> = (0..COMPONENTS)
+                .map(|_| Scripted {
                     scripts: (0..=ON_STEP_END)
                         .map(|_| (0..rng.below(4)).map(|_| random_op(&mut rng)).collect())
                         .collect(),
@@ -1188,7 +1169,10 @@ mod write_through_equivalence {
             };
             let mut real = components
                 .into_iter()
-                .fold(Process::builder(ProcessId::new(0)), |b, c| b.with(c))
+                .enumerate()
+                .fold(Process::builder(ProcessId::new(0)), |b, (i, c)| {
+                    b.with(ComponentId::new(i as u16), c)
+                })
                 .build();
 
             let (mut fx, mut ref_fx) = (Effects::new(), Effects::new());
@@ -1203,24 +1187,19 @@ mod write_through_equivalence {
                     kind: rng.below(KINDS as usize) as u8,
                     ttl: TTL,
                 };
-                let c = rng.below(NAMES.len());
+                let c = rng.below(COMPONENTS);
+                let id = ComponentId::new(c as u16);
                 match rng.below(if step == 0 { 1 } else { 8 }) {
                     0 => {
                         real.start_into(now, &mut fx);
                         reference.dispatch(Input::Start, &mut ref_fx);
                     }
                     1..=3 => {
-                        real.deliver_into(NAMES[c], ev.clone(), now, &mut fx);
+                        real.deliver_into(id, ev.clone(), now, &mut fx);
                         reference.dispatch(Input::Event(c, ev), &mut ref_fx);
                     }
                     4 | 5 => {
-                        real.deliver_net_into(
-                            ProcessId::new(1),
-                            NAMES[c],
-                            ev.clone(),
-                            now,
-                            &mut fx,
-                        );
+                        real.deliver_net_into(ProcessId::new(1), id, ev.clone(), now, &mut fx);
                         reference.dispatch(Input::Message(c, ev), &mut ref_fx);
                     }
                     _ => {

@@ -147,15 +147,19 @@ impl<'a, 'b, E: Event> LayerContext<'a, 'b, E> {
 /// Builder for a [`StackComponent`]. Layers are added **top first**, matching
 /// the order in which architecture diagrams are usually read.
 pub struct StackBuilder<E: Event> {
-    name: &'static str,
     top_first: Vec<Box<dyn Layer<E>>>,
 }
 
+impl<E: Event> Default for StackBuilder<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<E: Event> StackBuilder<E> {
-    /// Starts a stack that will register under `name`.
-    pub fn new(name: &'static str) -> Self {
+    /// Starts an empty stack.
+    pub fn new() -> Self {
         StackBuilder {
-            name,
             top_first: Vec::new(),
         }
     }
@@ -179,7 +183,6 @@ impl<E: Event> StackBuilder<E> {
         let mut layers = self.top_first;
         layers.reverse(); // store bottom-first
         StackComponent {
-            name: self.name,
             layers,
             timer_owner: HashMap::new(),
             scratch_ops: Vec::new(),
@@ -191,10 +194,10 @@ impl<E: Event> StackBuilder<E> {
 
 /// A linear protocol stack packaged as a single [`Component`].
 ///
-/// Sends issued by any layer are addressed to the *same component name* on
-/// the destination process, so symmetric processes interoperate naturally.
+/// Sends issued by any layer go to the same component on the destination
+/// process, as every send does, so symmetric processes interoperate
+/// naturally.
 pub struct StackComponent<E: Event> {
-    name: &'static str,
     layers: Vec<Box<dyn Layer<E>>>, // index 0 = bottom
     timer_owner: HashMap<TimerId, usize>,
     // Per-dispatch op buffers, reused across dispatches so steady-state
@@ -226,11 +229,7 @@ impl<E: Event> StackComponent<E> {
         let mut steps = 0usize;
         while let Some((idx, dir, ev)) = queue.pop_front() {
             steps += 1;
-            assert!(
-                steps < 1_000_000,
-                "stack {:?}: runaway layer cascade",
-                self.name
-            );
+            assert!(steps < 1_000_000, "runaway layer cascade");
             {
                 let mut lctx = LayerContext {
                     now: ctx.now(),
@@ -275,15 +274,11 @@ impl<E: Event> StackComponent<E> {
                     }
                 }
                 LayerOp::Down(ev) => {
-                    assert!(
-                        idx > 0,
-                        "stack {:?}: bottom layer passed down; use send",
-                        self.name
-                    );
+                    assert!(idx > 0, "bottom layer passed down; use send");
                     queue.push_back((idx - 1, Direction::Down, ev));
                 }
-                LayerOp::Send { to, event } => ctx.send(to, self.name, event),
-                LayerOp::Multicast { targets, event } => ctx.send_to_all(targets, self.name, event),
+                LayerOp::Send { to, event } => ctx.send(to, event),
+                LayerOp::Multicast { targets, event } => ctx.send_to_all(targets, event),
                 LayerOp::Output(ev) => ctx.output(ev),
                 LayerOp::OwnTimer(id) => {
                     self.timer_owner.insert(id, idx);
@@ -299,10 +294,6 @@ impl<E: Event> StackComponent<E> {
 }
 
 impl<E: Event> Component<E> for StackComponent<E> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, E>) {
         let mut ops: Vec<LayerOp<E>> = Vec::new();
         let mut issued: Vec<TimerId> = Vec::new();
@@ -365,6 +356,7 @@ impl<E: Event> Component<E> for StackComponent<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ComponentId;
     use crate::process::Process;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -412,35 +404,39 @@ mod tests {
         }
     }
 
+    const STACK: ComponentId = ComponentId::new(0);
+
     fn stack_proc() -> Process<Tagged> {
-        let stack = StackBuilder::new("stack")
+        let stack = StackBuilder::new()
             .layer(Tag("a"))
             .layer(Tag("b"))
             .layer(Net)
             .build();
-        Process::builder(ProcessId::new(0)).with(stack).build()
+        Process::builder(ProcessId::new(0))
+            .with(STACK, stack)
+            .build()
     }
 
     #[test]
     fn downward_traversal_visits_top_to_bottom() {
         let mut p = stack_proc();
-        let fx = p.deliver("stack", Tagged(vec![]), Time::ZERO);
+        let fx = p.deliver(STACK, Tagged(vec![]), Time::ZERO);
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].event.0, vec!["a", "b", "net"]);
-        assert_eq!(fx.sends[0].component, "stack");
+        assert_eq!(fx.sends[0].component, STACK);
     }
 
     #[test]
     fn upward_traversal_visits_bottom_to_top_and_outputs() {
         let mut p = stack_proc();
-        let fx = p.deliver_net(ProcessId::new(9), "stack", Tagged(vec![]), Time::ZERO);
+        let fx = p.deliver_net(ProcessId::new(9), STACK, Tagged(vec![]), Time::ZERO);
         assert_eq!(fx.outputs.len(), 1);
         assert_eq!(fx.outputs[0].0, vec!["net", "b", "a"]);
     }
 
     #[test]
     fn layer_names_are_bottom_first() {
-        let stack = StackBuilder::<Tagged>::new("s")
+        let stack = StackBuilder::<Tagged>::new()
             .layer(Tag("top"))
             .layer(Tag("bottom"))
             .build();
@@ -451,6 +447,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one layer")]
     fn empty_stack_panics() {
-        let _ = StackBuilder::<Tagged>::new("s").build();
+        let _ = StackBuilder::<Tagged>::new().build();
     }
 }

@@ -42,9 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
-use gcs_kernel::{Effects, Event, ProcessId, SmallVec, Time, TimeDelta, TimerId};
+use gcs_kernel::{ComponentId, Effects, Event, ProcessId, SmallVec, Time, TimeDelta, TimerId};
 use gcs_net::{FrameHeader, Link, TcpLink};
-use gcs_sim::{LinkModel, Metrics, Topology};
+use gcs_sim::{Metrics, NetworkModel, ScheduleAction, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,10 +61,10 @@ pub(crate) const DELAY_FLOOR: TimeDelta = TimeDelta::from_micros(200);
 /// back in (mirrors the leaky-bucket shape of real shapers).
 const BUCKET_BURST: TimeDelta = TimeDelta::from_millis(5);
 
-/// The frames of one burst: `(destination component, event)` in emission
-/// order. A lone frame — all a lightly loaded member ever ships — stays
-/// inline.
-pub(crate) type Frames<E> = SmallVec<(&'static str, E), 1>;
+/// The frames of one burst: `(component, event)` in emission order, the
+/// component being the sender's and the receiver's. A lone frame — all a
+/// lightly loaded member ever ships — stays inline.
+pub(crate) type Frames<E> = SmallVec<(ComponentId, E), 1>;
 
 /// One message in a member's inbox.
 #[derive(Debug)]
@@ -80,7 +80,7 @@ pub(crate) enum Msg<E> {
     /// A harness injection (client request, join/remove signal).
     Inject {
         /// Destination component.
-        component: &'static str,
+        component: ComponentId,
         /// The injected event.
         event: E,
     },
@@ -109,43 +109,9 @@ pub(crate) enum Due<E> {
         /// The message to enqueue.
         msg: Msg<E>,
     },
-    /// Apply a scheduled fault / network control action.
-    Control(Control),
-}
-
-/// A network- or fault-control action, applied by the timer thread at its
-/// scheduled instant (or immediately when already due).
-#[derive(Debug)]
-pub(crate) enum Control {
-    /// Crash-stop a member (its thread exits; its inbox drains to nowhere).
-    Crash(ProcessId),
-    /// Install a partition: frames pass only within a group.
-    Partition(Vec<Vec<ProcessId>>),
-    /// Remove any partition.
-    Heal,
-    /// Override one directed link's model.
-    SetLink {
-        /// Sender side of the link.
-        from: ProcessId,
-        /// Receiver side of the link.
-        to: ProcessId,
-        /// The model to apply from now on.
-        link: LinkModel,
-    },
-    /// Add `extra` delay to every frame until `until`.
-    Spike {
-        /// Expiry instant.
-        until: Time,
-        /// Added one-way delay.
-        extra: TimeDelta,
-    },
-    /// Add `prob` loss to every frame until `until`.
-    Burst {
-        /// Expiry instant.
-        until: Time,
-        /// Added drop probability.
-        prob: f64,
-    },
+    /// Enter a fault step at the instant it was scheduled for, from which a
+    /// spike or burst lasts its duration.
+    Fault(Time, ScheduleAction),
 }
 
 /// Leaky-bucket pacing state for one directed link with finite bandwidth.
@@ -177,48 +143,22 @@ impl TokenBucket {
     }
 }
 
-/// Mutable network-emulation state, shared behind one mutex.
+/// Network-emulation state, shared behind one mutex: the [`NetworkModel`]
+/// both runtimes enter faults into (partition, links, spike, burst), and
+/// what only the live wire keeps — its own rng and the token buckets of
+/// finite-bandwidth links.
 pub(crate) struct NetState {
-    partition: Option<Vec<Vec<ProcessId>>>,
-    overrides: HashMap<(u32, u32), LinkModel>,
+    pub(crate) model: NetworkModel,
     buckets: HashMap<(u32, u32), TokenBucket>,
-    spike: Option<(Time, TimeDelta)>,
-    burst: Option<(Time, f64)>,
     rng: StdRng,
 }
 
 impl NetState {
-    pub(crate) fn new(seed: u64) -> Self {
+    pub(crate) fn new(topology: Topology, seed: u64) -> Self {
         NetState {
-            partition: None,
-            overrides: HashMap::new(),
+            model: NetworkModel::with_topology(topology),
             buckets: HashMap::new(),
-            spike: None,
-            burst: None,
             rng: StdRng::seed_from_u64(seed ^ 0x11fe_c0de),
-        }
-    }
-
-    pub(crate) fn apply(&mut self, action: &Control) {
-        match action {
-            Control::Partition(groups) => self.partition = Some(groups.clone()),
-            Control::Heal => self.partition = None,
-            Control::SetLink { from, to, link } => {
-                self.overrides.insert((from.raw(), to.raw()), *link);
-            }
-            Control::Spike { until, extra } => self.spike = Some((*until, *extra)),
-            Control::Burst { until, prob } => self.burst = Some((*until, *prob)),
-            // Crash is handled by the dispatcher (it owns the inboxes).
-            Control::Crash(_) => {}
-        }
-    }
-
-    /// Whether a partition currently blocks `from` → `to` (same rule as the
-    /// simulator: allowed only when some group contains both endpoints).
-    fn blocked(&self, from: ProcessId, to: ProcessId) -> bool {
-        match &self.partition {
-            None => false,
-            Some(groups) => !groups.iter().any(|g| g.contains(&from) && g.contains(&to)),
         }
     }
 
@@ -227,25 +167,13 @@ impl NetState {
     /// wire.
     fn burst_delay(
         &mut self,
-        topology: &Topology,
         from: ProcessId,
         to: ProcessId,
         bytes: usize,
         now: Time,
     ) -> Option<TimeDelta> {
-        let link = self
-            .overrides
-            .get(&(from.raw(), to.raw()))
-            .copied()
-            .unwrap_or_else(|| topology.link(from, to));
-        let mut drop_prob = link.drop_prob;
-        if let Some((until, prob)) = self.burst {
-            if now < until {
-                drop_prob += prob;
-            } else {
-                self.burst = None;
-            }
-        }
+        let link = self.model.link(from, to);
+        let drop_prob = self.model.drop_prob(&link, now);
         if drop_prob > 0.0 && self.rng.gen::<f64>() < drop_prob {
             return None;
         }
@@ -255,13 +183,7 @@ impl NetState {
         if link.delay_max >= DELAY_FLOOR {
             delay = delay + link.sample_delay(&mut self.rng);
         }
-        if let Some((until, extra)) = self.spike {
-            if now < until {
-                delay = delay + extra;
-            } else {
-                self.spike = None;
-            }
-        }
+        delay = delay + self.model.spike(now);
         if link.bandwidth > 0 {
             let bucket = self.buckets.entry((from.raw(), to.raw())).or_default();
             delay = delay + bucket.delay(now, bytes, link.bandwidth);
@@ -305,7 +227,7 @@ struct WheelInner<E> {
 }
 
 /// The group's single source of future work: protocol timers, delayed
-/// frames, and scheduled control actions, serviced by one timer thread.
+/// frames, and scheduled fault steps, serviced by one timer thread.
 pub(crate) struct TimerWheel<E> {
     inner: Mutex<WheelInner<E>>,
     cond: Condvar,
@@ -387,8 +309,6 @@ pub(crate) struct Shared<E> {
     pub clock: WallClock,
     /// Link emulation state.
     pub net: Mutex<NetState>,
-    /// Baseline link models by region.
-    pub topology: Topology,
     /// Crash flags, one per process; set before the member thread exits so
     /// routers drop frames to it immediately.
     pub dead: Vec<AtomicBool>,
@@ -517,7 +437,7 @@ impl<E: Event + Send> Outbox<E> {
         }
     }
 
-    fn push(&mut self, to: ProcessId, component: &'static str, event: E) {
+    fn push(&mut self, to: ProcessId, component: ComponentId, event: E) {
         let (mut bytes, mut rides) = (0, false);
         event.for_each_carried(|kind, b| {
             self.sent
@@ -615,8 +535,7 @@ pub(crate) fn open<E: Event + Send>(
 
     let shared = Arc::new(Shared {
         clock,
-        net: Mutex::new(NetState::new(config.seed)),
-        topology: config.topology,
+        net: Mutex::new(NetState::new(config.topology, config.seed)),
         dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
         delivered_total: AtomicU64::new(0),
         delivered_per: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -664,11 +583,11 @@ impl<E: Event + Send> Router<E> {
                 }
                 let delay = {
                     let mut net = shared.net.lock().expect("net lock");
-                    if net.blocked(from, to) {
+                    if net.model.blocked(from, to) {
                         tally.dropped_partition += count;
                         continue;
                     }
-                    net.burst_delay(&shared.topology, from, to, bytes, now)
+                    net.burst_delay(from, to, bytes, now)
                 };
                 match delay {
                     None => tally.dropped_loss += count,
@@ -701,7 +620,7 @@ impl<E: Event + Send> Router<E> {
     /// wire when the group runs in TCP mode, directly otherwise — and says
     /// whether it got there: a send to an exited member fails, and for net
     /// frames the caller counts that as so many crash drops (they died on
-    /// the wire; a timer fire or control message to an exited member is
+    /// the wire; a timer fire or an injection to an exited member is
     /// simply moot).
     pub(crate) fn deliver(&self, to: ProcessId, msg: Msg<E>) -> bool {
         match (&self.shared.tcp, msg) {
@@ -735,6 +654,7 @@ impl<E: Event + Send> Router<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcs_sim::LinkModel;
 
     #[test]
     fn token_bucket_paces_after_burst_credit() {
@@ -755,40 +675,28 @@ mod tests {
     }
 
     #[test]
-    fn partition_blocks_and_heals() {
-        let p = |n| ProcessId::new(n);
-        let mut net = NetState::new(1);
-        assert!(!net.blocked(p(0), p(2)));
-        net.apply(&Control::Partition(vec![vec![p(0), p(1)], vec![p(2)]]));
-        assert!(net.blocked(p(0), p(2)));
-        assert!(!net.blocked(p(0), p(1)));
-        net.apply(&Control::Heal);
-        assert!(!net.blocked(p(0), p(2)));
-    }
-
-    #[test]
     fn lan_links_fall_below_the_emulation_floor() {
-        let mut net = NetState::new(2);
         let topo = Topology::lan();
+        let lan_min = topo.link(ProcessId::new(0), ProcessId::new(1)).delay_min;
+        let mut net = NetState::new(topo, 2);
         let d = net
-            .burst_delay(&topo, ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
+            .burst_delay(ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
             .expect("no loss on lan");
         // LAN delay_max (1.2 ms) is above the floor, so it IS emulated…
-        assert!(d >= topo.link(ProcessId::new(0), ProcessId::new(1)).delay_min);
+        assert!(d >= lan_min);
         // …while a sub-floor override is not.
-        net.apply(&Control::SetLink {
-            from: ProcessId::new(0),
-            to: ProcessId::new(1),
-            link: LinkModel {
-                delay_min: TimeDelta::ZERO,
-                delay_max: TimeDelta::from_micros(50),
-                drop_prob: 0.0,
-                dup_prob: 0.0,
-                bandwidth: 0,
-            },
-        });
+        let link = LinkModel {
+            delay_min: TimeDelta::ZERO,
+            delay_max: TimeDelta::from_micros(50),
+            drop_prob: 0.0,
+            dup_prob: 0.0,
+            bandwidth: 0,
+        };
+        let (from, to) = (ProcessId::new(0), ProcessId::new(1));
+        let set = ScheduleAction::SetLink { from, to, link };
+        net.model.apply(Time::ZERO, set, 2);
         let d = net
-            .burst_delay(&topo, ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
+            .burst_delay(ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
             .expect("no loss");
         assert_eq!(d, TimeDelta::ZERO);
     }
@@ -804,7 +712,7 @@ mod tests {
             Due::Frame {
                 to: ProcessId::new(1),
                 msg: Msg::Inject {
-                    component: "x",
+                    component: ComponentId::new(0),
                     event: 2,
                 },
             },
@@ -814,7 +722,7 @@ mod tests {
             Due::Frame {
                 to: ProcessId::new(0),
                 msg: Msg::Inject {
-                    component: "x",
+                    component: ComponentId::new(0),
                     event: 1,
                 },
             },

@@ -41,11 +41,11 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use gcs_kernel::{Effects, Event, Process, ProcessId, Time};
+use gcs_kernel::{ComponentId, Effects, Event, Process, ProcessId, Time};
 use gcs_net::{Link, TcpLink};
 use gcs_sim::{Metrics, Runtime, Schedule, ScheduleAction};
 
-use crate::fabric::{self, Control, Due, Msg, Outbox, Router, Shared, Tally};
+use crate::fabric::{self, Due, Msg, Outbox, Router, Shared, Tally};
 use crate::LiveConfig;
 
 /// Dispatches one drain may make before it must flush. A bound, not a
@@ -155,7 +155,7 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         self.shared.clock.now()
     }
 
-    fn inject(&mut self, t: Time, p: ProcessId, component: &'static str, event: E) {
+    fn inject(&mut self, t: Time, p: ProcessId, component: ComponentId, event: E) {
         let msg = Msg::Inject { component, event };
         if t <= self.now() {
             // Direct inbox send — injections bypass the emulated network.
@@ -165,38 +165,18 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         }
     }
 
-    /// Fault steps become network controls, applied at once when already
-    /// due and parked on the timer wheel otherwise.
+    /// Fault steps are entered at once when already due and parked on the
+    /// timer wheel otherwise.
     fn apply_schedule(&mut self, schedule: &Schedule) -> Vec<(Time, ScheduleAction)> {
         let mut membership = Vec::new();
         for (t, action) in schedule.steps() {
-            let t = *t;
-            let control = match action.clone() {
-                ScheduleAction::Crash(p) => Control::Crash(p),
-                ScheduleAction::Partition(groups) => Control::Partition(groups),
-                ScheduleAction::PartitionRegions => {
-                    let n = self.shared.dead.len();
-                    Control::Partition(self.shared.topology.region_groups(n))
-                }
-                ScheduleAction::Heal => Control::Heal,
-                ScheduleAction::DelaySpike { duration, extra } => Control::Spike {
-                    until: t.saturating_add(duration),
-                    extra,
-                },
-                ScheduleAction::LossBurst { duration, prob } => Control::Burst {
-                    until: t.saturating_add(duration),
-                    prob,
-                },
-                ScheduleAction::SetLink { from, to, link } => Control::SetLink { from, to, link },
-                step @ (ScheduleAction::Join { .. } | ScheduleAction::Remove { .. }) => {
-                    membership.push((t, step));
-                    continue;
-                }
-            };
-            if t <= self.now() {
-                apply_control(&self.router, control);
+            let (t, action) = (*t, action.clone());
+            if !action.is_sim_level() {
+                membership.push((t, action));
+            } else if t <= self.now() {
+                apply_fault(&self.router, t, action);
             } else {
-                self.shared.wheel.schedule(t, Due::Control(control));
+                self.shared.wheel.schedule(t, Due::Fault(t, action));
             }
         }
         membership
@@ -382,15 +362,16 @@ fn timer_loop<E: Event + Send>(router: Router<E>) {
                     router.deliver(to, scheduled);
                 }
             },
-            Due::Control(action) => apply_control(&router, action),
+            Due::Fault(at, action) => apply_fault(&router, at, action),
         }
     }
 }
 
-/// Applies one control action now.
-fn apply_control<E: Event + Send>(router: &Router<E>, action: Control) {
-    if let Control::Crash(p) = action {
-        let shared = &router.shared;
+/// Enters fault step `action`, scheduled for `at`, now: a crash stops the
+/// member, anything else goes to the network model.
+fn apply_fault<E: Event + Send>(router: &Router<E>, at: Time, action: ScheduleAction) {
+    let shared = &router.shared;
+    if let ScheduleAction::Crash(p) = action {
         if !shared.is_dead(p) {
             // Mark first so routers drop frames immediately, then tell the
             // thread to exit.
@@ -399,7 +380,13 @@ fn apply_control<E: Event + Send>(router: &Router<E>, action: Control) {
         }
         return;
     }
-    router.shared.net.lock().expect("net lock").apply(&action);
+    let n = shared.dead.len();
+    shared
+        .net
+        .lock()
+        .expect("net lock")
+        .model
+        .apply(at, action, n);
 }
 
 /// TCP-mode reader pump: decode wire frames for one member, resolve each
@@ -458,18 +445,16 @@ mod tests {
         }
     }
 
+    const TALK: ComponentId = ComponentId::new(0);
+
     struct Talker;
 
     impl Component<T> for Talker {
-        fn name(&self) -> &'static str {
-            "talk"
-        }
-
         fn on_event(&mut self, event: T, ctx: &mut Context<'_, T>) {
             match event {
                 T::Go(n) => {
-                    ctx.send(p(1), "talk", T::Tag(n));
-                    ctx.send_to_all([p(1), p(2)], "talk", T::Tag(100 + n));
+                    ctx.send(p(1), T::Tag(n));
+                    ctx.send_to_all([p(1), p(2)], T::Tag(100 + n));
                     ctx.output(T::Seen(n));
                 }
                 T::Tag(n) => ctx.output(T::Seen(n)),
@@ -524,7 +509,7 @@ mod tests {
                     .expect("inbox open");
             }
             let rx = self.inboxes[who as usize].take().expect("not played yet");
-            let process = Process::builder(p(who)).with(Talker).build();
+            let process = Process::builder(p(who)).with(TALK, Talker).build();
             member_loop(p(who), process, rx, self.router.clone());
         }
 
@@ -538,7 +523,7 @@ mod tests {
                         frames
                             .into_iter()
                             .map(|(component, event)| match event {
-                                T::Tag(n) if component == "talk" => n,
+                                T::Tag(n) if component == TALK => n,
                                 other => panic!("unexpected frame {other:?}"),
                             })
                             .collect()
@@ -569,7 +554,7 @@ mod tests {
 
     fn go(n: u32) -> Msg<T> {
         Msg::Inject {
-            component: "talk",
+            component: TALK,
             event: T::Go(n),
         }
     }
@@ -594,22 +579,18 @@ mod tests {
     fn a_dropped_burst_is_accounted_frame_by_frame() {
         // Partition: p0 alone.
         let mut b = Bench::open(true, WireMode::Channel);
-        apply_control(
-            &b.router,
-            Control::Partition(vec![vec![p(0)], vec![p(1), p(2)]]),
-        );
+        let partition = ScheduleAction::Partition(vec![vec![p(0)], vec![p(1), p(2)]]);
+        apply_fault(&b.router, Time::ZERO, partition);
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 0, 0, 9, 0));
 
         // A loss burst that takes everything.
         let mut b = Bench::open(true, WireMode::Channel);
-        apply_control(
-            &b.router,
-            Control::Burst {
-                until: Time::from_secs(3_600),
-                prob: 1.0,
-            },
-        );
+        let burst = ScheduleAction::LossBurst {
+            duration: TimeDelta::from_secs(3_600),
+            prob: 1.0,
+        };
+        apply_fault(&b.router, Time::ZERO, burst);
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 0, 9, 0, 0));
 

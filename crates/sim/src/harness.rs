@@ -21,7 +21,7 @@
 //!
 //! | side | offers |
 //! |---|---|
-//! | [`StackDriver`] | its event and config types; [`build`](StackDriver::build) of one process (founding member or joiner); the *encoding* of each operation as a `(component, event)` pair — [`abcast`](StackDriver::abcast), [`join`](StackDriver::join), and optionally [`gbcast`](StackDriver::gbcast), [`rbcast`](StackDriver::rbcast), [`remove`](StackDriver::remove) (an absent encoder **is** the `supports_*` marker reading `false`); one [`project`](StackDriver::project) from a traced event to an [`Observation`] |
+//! | [`StackDriver`] | its event and config types; [`build`](StackDriver::build) of one process (founding member or joiner); the *encoding* of each operation as an [`Op`], a `(ComponentId, event)` pair — [`abcast`](StackDriver::abcast), [`join`](StackDriver::join), and optionally [`gbcast`](StackDriver::gbcast), [`rbcast`](StackDriver::rbcast), [`remove`](StackDriver::remove) (an absent encoder **is** the `supports_*` marker reading `false`); one [`project`](StackDriver::project) from a traced event to an [`Observation`] |
 //! | [`Runtime`] | [`start`](Runtime::start) of `n` processes with dense ids; a clock; [`inject`](Runtime::inject) at an instant; [`apply_schedule`](Runtime::apply_schedule) for every fault step, handing the membership steps back; run control; per-process and total output counts; a visit of the recorded outputs in observation order; metrics; executed-event count; liveness flags |
 //!
 //! **Ordering.** The harness enforces, and the conformance cases pin:
@@ -59,14 +59,16 @@
 
 use std::marker::PhantomData;
 
-use gcs_kernel::{Event, MessageClass, PayloadRef, Process, ProcessId, SharedArena, Time};
+use gcs_kernel::{
+    ComponentId, Event, MessageClass, PayloadRef, Process, ProcessId, SharedArena, Time,
+};
 
 use crate::transport::{Capabilities, GroupTransport, Observation, StackKind};
 use crate::{Metrics, Schedule, ScheduleAction, SimConfig, SimWorld, Trace};
 
 /// An operation encoded for a stack: the component it enters at and the
 /// event it enters as.
-pub type Op<E> = (&'static str, E);
+pub type Op<E> = (ComponentId, E);
 
 /// What differs per protocol stack (see the [module docs](self)).
 pub trait StackDriver: 'static {
@@ -131,9 +133,9 @@ pub trait Runtime<E: Event>: Sized {
     /// The current instant of the backend's clock.
     fn now(&self) -> Time;
 
-    /// Delivers `event` to `component` of process `p` at `t` (at once when
-    /// `t` has passed).
-    fn inject(&mut self, t: Time, p: ProcessId, component: &'static str, event: E);
+    /// Delivers `event` to component `component` of process `p` at `t` (at
+    /// once when `t` has passed).
+    fn inject(&mut self, t: Time, p: ProcessId, component: ComponentId, event: E);
 
     /// Enters every fault step of `schedule` (crashes, partitions, link
     /// changes, spikes, bursts) and returns the membership steps, which
@@ -185,7 +187,7 @@ impl<E: Event> Runtime<E> for SimWorld<E> {
         SimWorld::now(self)
     }
 
-    fn inject(&mut self, t: Time, p: ProcessId, component: &'static str, event: E) {
+    fn inject(&mut self, t: Time, p: ProcessId, component: ComponentId, event: E) {
         self.inject_at(t, p, component, event);
     }
 

@@ -1,8 +1,10 @@
-//! The network model: link characteristics and partitions.
+//! The network model: link characteristics, partitions, delay spikes and
+//! loss bursts.
 
-use gcs_kernel::{ProcessId, TimeDelta};
+use gcs_kernel::{ProcessId, Time, TimeDelta};
 use rand::Rng;
 
+use crate::schedule::ScheduleAction;
 use crate::topology::Topology;
 
 /// Delay/loss/duplication/bandwidth characteristics of one directed link.
@@ -87,8 +89,12 @@ impl Default for LinkModel {
     }
 }
 
-/// The global network model: a region [`Topology`], per-pair overrides, and
-/// the current partition (if any).
+/// The global network model: a region [`Topology`], per-pair overrides, the
+/// current partition (if any), and the last delay spike and loss burst.
+///
+/// Both runtimes enter their fault steps here
+/// ([`apply`](NetworkModel::apply)) and ask it what a message meets on its
+/// way; each keeps its own randomness.
 #[derive(Clone, Debug, Default)]
 pub struct NetworkModel {
     topology: Topology,
@@ -96,6 +102,12 @@ pub struct NetworkModel {
     /// Current partition: a process may communicate only with processes in
     /// its own group. Processes absent from every group are isolated.
     partition: Option<Vec<Vec<ProcessId>>>,
+    /// Extra one-way delay of every link, before `spike_until`.
+    spike_extra: TimeDelta,
+    spike_until: Time,
+    /// Extra drop probability of every link, before `burst_until`.
+    burst_prob: f64,
+    burst_until: Time,
 }
 
 impl NetworkModel {
@@ -109,8 +121,55 @@ impl NetworkModel {
     pub fn with_topology(topology: Topology) -> Self {
         NetworkModel {
             topology,
-            overrides: Vec::new(),
-            partition: None,
+            ..Self::default()
+        }
+    }
+
+    /// Enters fault step `action`, scheduled for `at`: a partition (for
+    /// [`ScheduleAction::PartitionRegions`], along the topology's regions of
+    /// `n` processes), a heal, a link override, or a delay spike or loss
+    /// burst that lasts until `at` plus its duration and replaces the last.
+    ///
+    /// # Panics
+    ///
+    /// On a crash or a membership step, which are not the network's: a
+    /// runtime crashes processes itself, and only a stack encodes membership.
+    pub fn apply(&mut self, at: Time, action: ScheduleAction, n: usize) {
+        match action {
+            ScheduleAction::Partition(groups) => self.set_partition(groups),
+            ScheduleAction::PartitionRegions => {
+                self.set_partition(self.topology.region_groups(n));
+            }
+            ScheduleAction::Heal => self.heal(),
+            ScheduleAction::DelaySpike { duration, extra } => {
+                self.spike_extra = extra;
+                self.spike_until = at.saturating_add(duration);
+            }
+            ScheduleAction::LossBurst { duration, prob } => {
+                self.burst_prob = prob;
+                self.burst_until = at.saturating_add(duration);
+            }
+            ScheduleAction::SetLink { from, to, link } => self.set_link(from, to, link),
+            other => panic!("{other:?} is not a network step"),
+        }
+    }
+
+    /// The probability that a message sent over `link` at `now` is lost: the
+    /// link's own, plus a loss burst's while it lasts.
+    pub fn drop_prob(&self, link: &LinkModel, now: Time) -> f64 {
+        if now < self.burst_until {
+            (link.drop_prob + self.burst_prob).min(1.0)
+        } else {
+            link.drop_prob
+        }
+    }
+
+    /// The delay a spike adds to every message sent at `now` while it lasts.
+    pub fn spike(&self, now: Time) -> TimeDelta {
+        if now < self.spike_until {
+            self.spike_extra
+        } else {
+            TimeDelta::ZERO
         }
     }
 
@@ -214,6 +273,30 @@ mod tests {
         assert_eq!(net.link(p(0), p(2)), LinkModel::lan());
         // Cross DC: the inter-region link.
         assert!(net.link(p(0), p(1)).delay_min >= TimeDelta::from_millis(10));
+    }
+
+    #[test]
+    fn spikes_and_bursts_last_their_duration_from_the_scheduled_instant() {
+        let mut net = NetworkModel::new(LinkModel::lossy_lan(0.25));
+        let link = net.link(ProcessId::new(0), ProcessId::new(1));
+        let (at, ms) = (Time::from_millis(10), TimeDelta::from_millis);
+        let faults = crate::Schedule::new()
+            .delay_spike(at, ms(5), ms(40))
+            .loss_burst(at, ms(5), 0.5)
+            .loss_burst(at + ms(10), ms(1), 0.9);
+        let [spike, burst, strong] = faults.steps() else {
+            unreachable!()
+        };
+        for (t, step) in [spike, burst] {
+            net.apply(*t, step.clone(), 2);
+        }
+        for (now, extra, drop) in [(10, 40, 0.75), (14, 40, 0.75), (15, 0, 0.25)] {
+            let now = Time::from_millis(now);
+            let seen = (net.spike(now), net.drop_prob(&link, now));
+            assert_eq!(seen, (ms(extra), drop), "at {now:?}");
+        }
+        net.apply(strong.0, strong.1.clone(), 2);
+        assert_eq!(net.drop_prob(&link, at + ms(10)), 1.0, "capped");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The simulation world: event queue, process hosting, fault injection.
 
-use gcs_kernel::{Effects, Event, Process, ProcessId, Time, TimeDelta, TimerId};
+use gcs_kernel::{ComponentId, Effects, Event, Process, ProcessId, Time, TimeDelta, TimerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,7 +58,7 @@ enum Pending<E> {
     Net {
         from: ProcessId,
         to: ProcessId,
-        component: &'static str,
+        component: ComponentId,
         event: E,
     },
     Timer {
@@ -67,29 +67,12 @@ enum Pending<E> {
     },
     Inject {
         proc: ProcessId,
-        component: &'static str,
+        component: ComponentId,
         event: E,
     },
-    Crash(ProcessId),
-    Partition(Vec<Vec<ProcessId>>),
-    /// Region-boundary partition, resolved against the topology and node
-    /// count when the step *fires* (processes may be added between
-    /// scheduling and firing).
-    PartitionRegions,
-    Heal,
-    DelaySpike {
-        extra: TimeDelta,
-        until: Time,
-    },
-    LossBurst {
-        prob: f64,
-        until: Time,
-    },
-    SetLink {
-        from: ProcessId,
-        to: ProcessId,
-        link: LinkModel,
-    },
+    /// A fault step of a [`Schedule`], entered when it fires: a region
+    /// partition resolves against the node count then.
+    Fault(ScheduleAction),
 }
 
 #[derive(Debug)]
@@ -144,10 +127,6 @@ pub struct SimWorld<E: Event> {
     rng: StdRng,
     metrics: Metrics,
     trace: Trace<E>,
-    spike_extra: TimeDelta,
-    spike_until: Time,
-    burst_prob: f64,
-    burst_until: Time,
     started: bool,
     /// Reused effects buffer: dispatches append into it and
     /// [`apply_effects`](Self::apply_effects) drains it, so the steady state
@@ -171,10 +150,6 @@ impl<E: Event> SimWorld<E> {
             rng: StdRng::seed_from_u64(config.seed),
             metrics,
             trace: Trace::new(),
-            spike_extra: TimeDelta::ZERO,
-            spike_until: Time::ZERO,
-            burst_prob: 0.0,
-            burst_until: Time::ZERO,
             started: false,
             fx: Some(Box::new(Effects::new())),
         }
@@ -255,8 +230,9 @@ impl<E: Event> SimWorld<E> {
         &mut self.net
     }
 
-    /// Schedules a local event for `proc`'s component at time `at`.
-    pub fn inject_at(&mut self, at: Time, proc: ProcessId, component: &'static str, event: E) {
+    /// Schedules a local event for `proc`'s component `component` at time
+    /// `at`.
+    pub fn inject_at(&mut self, at: Time, proc: ProcessId, component: ComponentId, event: E) {
         self.schedule(
             at,
             Pending::Inject {
@@ -269,46 +245,7 @@ impl<E: Event> SimWorld<E> {
 
     /// Crashes `proc` at time `at` (crash-stop).
     pub fn crash_at(&mut self, at: Time, proc: ProcessId) {
-        self.schedule(at, Pending::Crash(proc));
-    }
-
-    /// Installs a partition at time `at`.
-    pub fn partition_at(&mut self, at: Time, groups: Vec<Vec<ProcessId>>) {
-        self.schedule(at, Pending::Partition(groups));
-    }
-
-    /// Heals any partition at time `at`.
-    pub fn heal_at(&mut self, at: Time) {
-        self.schedule(at, Pending::Heal);
-    }
-
-    /// Adds `extra` delay to every link during `[at, at + duration)` —
-    /// the false-suspicion generator of experiment E3.
-    pub fn delay_spike_at(&mut self, at: Time, duration: TimeDelta, extra: TimeDelta) {
-        self.schedule(
-            at,
-            Pending::DelaySpike {
-                extra,
-                until: at + duration,
-            },
-        );
-    }
-
-    /// Drops messages with probability `prob` during `[at, at + duration)`.
-    pub fn loss_burst_at(&mut self, at: Time, duration: TimeDelta, prob: f64) {
-        self.schedule(
-            at,
-            Pending::LossBurst {
-                prob,
-                until: at + duration,
-            },
-        );
-    }
-
-    /// Replaces the directed link `from -> to` at time `at` (a per-pair
-    /// override on top of the topology).
-    pub fn set_link_at(&mut self, at: Time, from: ProcessId, to: ProcessId, link: LinkModel) {
-        self.schedule(at, Pending::SetLink { from, to, link });
+        self.schedule(at, Pending::Fault(ScheduleAction::Crash(proc)));
     }
 
     /// Applies every simulator-level step of `schedule` (crashes,
@@ -318,23 +255,10 @@ impl<E: Event> SimWorld<E> {
     pub fn apply_schedule(&mut self, schedule: &Schedule) -> Vec<(Time, ScheduleAction)> {
         let mut membership = Vec::new();
         for (t, action) in schedule.steps() {
-            match action {
-                ScheduleAction::Crash(p) => self.crash_at(*t, *p),
-                ScheduleAction::Partition(groups) => self.partition_at(*t, groups.clone()),
-                ScheduleAction::PartitionRegions => self.schedule(*t, Pending::PartitionRegions),
-                ScheduleAction::Heal => self.heal_at(*t),
-                ScheduleAction::DelaySpike { duration, extra } => {
-                    self.delay_spike_at(*t, *duration, *extra)
-                }
-                ScheduleAction::LossBurst { duration, prob } => {
-                    self.loss_burst_at(*t, *duration, *prob)
-                }
-                ScheduleAction::SetLink { from, to, link } => {
-                    self.set_link_at(*t, *from, *to, *link)
-                }
-                ScheduleAction::Join { .. } | ScheduleAction::Remove { .. } => {
-                    membership.push((*t, action.clone()));
-                }
+            if action.is_sim_level() {
+                self.schedule(*t, Pending::Fault(action.clone()));
+            } else {
+                membership.push((*t, action.clone()));
             }
         }
         membership
@@ -418,25 +342,11 @@ impl<E: Event> SimWorld<E> {
                     self.fx = Some(fx);
                 }
             }
-            Pending::Crash(p) => {
+            Pending::Fault(ScheduleAction::Crash(p)) => {
                 self.nodes[p.index()].alive = false;
                 self.nodes[p.index()].process.halt();
             }
-            Pending::Partition(groups) => self.net.set_partition(groups),
-            Pending::PartitionRegions => {
-                let groups = self.net.topology().region_groups(self.nodes.len());
-                self.net.set_partition(groups);
-            }
-            Pending::Heal => self.net.heal(),
-            Pending::DelaySpike { extra, until } => {
-                self.spike_extra = extra;
-                self.spike_until = until;
-            }
-            Pending::LossBurst { prob, until } => {
-                self.burst_prob = prob;
-                self.burst_until = until;
-            }
-            Pending::SetLink { from, to, link } => self.net.set_link(from, to, link),
+            Pending::Fault(action) => self.net.apply(self.now, action, self.nodes.len()),
         }
     }
 
@@ -486,7 +396,7 @@ impl<E: Event> SimWorld<E> {
         fx.clear();
     }
 
-    fn route(&mut self, from: ProcessId, to: ProcessId, component: &'static str, event: E) {
+    fn route(&mut self, from: ProcessId, to: ProcessId, component: ComponentId, event: E) {
         let wire_size = self.metrics.record_packet(&event);
         if from == to {
             // Loopback: fixed small delay, never lost or partitioned.
@@ -507,21 +417,14 @@ impl<E: Event> SimWorld<E> {
             return;
         }
         let link = self.net.link(from, to);
-        let mut drop_prob = link.drop_prob;
-        if self.now < self.burst_until {
-            drop_prob = (drop_prob + self.burst_prob).min(1.0);
-        }
+        let drop_prob = self.net.drop_prob(&link, self.now);
         if drop_prob > 0.0 && self.rng.gen_bool(drop_prob) {
             self.metrics.record_drop_loss();
             return;
         }
         // Every scheduled copy pays serialization and any active delay
         // spike, duplicates included — a spike must slow *all* traffic.
-        let spike = if self.now < self.spike_until {
-            self.spike_extra
-        } else {
-            TimeDelta::ZERO
-        };
+        let spike = self.net.spike(self.now);
         let serialization = link.serialization_delay(wire_size);
         let delay = link.sample_delay(&mut self.rng) + serialization + spike;
         // Region-pair observability: every scheduled copy records its
@@ -566,7 +469,7 @@ impl<E: Event> SimWorld<E> {
         &mut self,
         from: ProcessId,
         to: &gcs_kernel::SmallVec<ProcessId, 8>,
-        component: &'static str,
+        component: ComponentId,
         event: E,
     ) {
         let n = to.len();
@@ -584,6 +487,8 @@ impl<E: Event> SimWorld<E> {
 mod tests {
     use super::*;
     use gcs_kernel::{Component, Context};
+
+    const ECHO: ComponentId = ComponentId::new(0);
 
     #[derive(Clone, Debug, PartialEq)]
     enum Ev {
@@ -604,13 +509,10 @@ mod tests {
         n: u32,
     }
     impl Component<Ev> for Echo {
-        fn name(&self) -> &'static str {
-            "echo"
-        }
         fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
             if let Ev::Hello(v) = ev {
                 let targets: Vec<ProcessId> = (0..self.n).map(ProcessId::new).collect();
-                ctx.send_to_all(targets, "echo", Ev::Hello(v));
+                ctx.send_to_all(targets, Ev::Hello(v));
             }
         }
         fn on_message(&mut self, _from: ProcessId, ev: Ev, ctx: &mut Context<'_, Ev>) {
@@ -623,7 +525,7 @@ mod tests {
     fn world(n: u32, seed: u64) -> SimWorld<Ev> {
         let mut w = SimWorld::new(SimConfig::lan(seed));
         for _ in 0..n {
-            w.add_node(|id| Process::builder(id).with(Echo { n }).build());
+            w.add_node(|id| Process::builder(id).with(ECHO, Echo { n }).build());
         }
         w
     }
@@ -631,7 +533,7 @@ mod tests {
     #[test]
     fn broadcast_reaches_all_nodes() {
         let mut w = world(3, 1);
-        w.inject_at(Time::ZERO, ProcessId::new(0), "echo", Ev::Hello(42));
+        w.inject_at(Time::ZERO, ProcessId::new(0), ECHO, Ev::Hello(42));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         let seqs = w.trace().per_proc(3, |e| match e {
             Ev::Deliver(v) => Some(*v),
@@ -648,12 +550,7 @@ mod tests {
         // by (time, seq); the timing wheel must preserve that exactly.
         let mut w = world(1, 42);
         for i in 0..50u32 {
-            w.inject_at(
-                Time::from_millis(5),
-                ProcessId::new(0),
-                "echo",
-                Ev::Hello(i),
-            );
+            w.inject_at(Time::from_millis(5), ProcessId::new(0), ECHO, Ev::Hello(i));
         }
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         let seqs = w.trace().per_proc(1, |e| match e {
@@ -671,7 +568,7 @@ mod tests {
                 w.inject_at(
                     Time::from_millis(i),
                     ProcessId::new((i % 4) as u32),
-                    "echo",
+                    ECHO,
                     Ev::Hello(i as u32),
                 );
             }
@@ -690,12 +587,7 @@ mod tests {
     fn crashed_node_receives_nothing() {
         let mut w = world(3, 2);
         w.crash_at(Time::from_millis(1), ProcessId::new(2));
-        w.inject_at(
-            Time::from_millis(2),
-            ProcessId::new(0),
-            "echo",
-            Ev::Hello(1),
-        );
+        w.inject_at(Time::from_millis(2), ProcessId::new(0), ECHO, Ev::Hello(1));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         let seqs = w.trace().per_proc(3, |e| match e {
             Ev::Deliver(v) => Some(*v),
@@ -710,8 +602,10 @@ mod tests {
     fn partition_blocks_and_heals() {
         let p = |i| ProcessId::new(i);
         let mut w = world(3, 3);
-        w.partition_at(Time::ZERO, vec![vec![p(0)], vec![p(1), p(2)]]);
-        w.inject_at(Time::from_millis(1), p(1), "echo", Ev::Hello(5));
+        w.apply_schedule(
+            &Schedule::new().partition(Time::ZERO, vec![vec![p(0)], vec![p(1), p(2)]]),
+        );
+        w.inject_at(Time::from_millis(1), p(1), ECHO, Ev::Hello(5));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         let seqs = w.trace().per_proc(3, |e| match e {
             Ev::Deliver(v) => Some(*v),
@@ -725,13 +619,8 @@ mod tests {
     #[test]
     fn loss_burst_drops_messages() {
         let mut w = world(2, 4);
-        w.loss_burst_at(Time::ZERO, TimeDelta::from_secs(10), 1.0);
-        w.inject_at(
-            Time::from_millis(1),
-            ProcessId::new(0),
-            "echo",
-            Ev::Hello(9),
-        );
+        w.apply_schedule(&Schedule::new().loss_burst(Time::ZERO, TimeDelta::from_secs(10), 1.0));
+        w.inject_at(Time::from_millis(1), ProcessId::new(0), ECHO, Ev::Hello(9));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         // Self-send still arrives (loopback is never lost); peer send dropped.
         assert_eq!(w.metrics().dropped_loss(), 1);
@@ -748,13 +637,13 @@ mod tests {
         let measure = |spike: bool| {
             let mut w = world(2, 5);
             if spike {
-                w.delay_spike_at(
+                w.apply_schedule(&Schedule::new().delay_spike(
                     Time::ZERO,
                     TimeDelta::from_secs(1),
                     TimeDelta::from_millis(50),
-                );
+                ));
             }
-            w.inject_at(Time::ZERO, ProcessId::new(0), "echo", Ev::Hello(1));
+            w.inject_at(Time::ZERO, ProcessId::new(0), ECHO, Ev::Hello(1));
             assert!(w.run_to_quiescence(Time::from_secs(2)));
             w.trace()
                 .project(|e| matches!(e, Ev::Deliver(_)).then_some(()))
@@ -787,7 +676,7 @@ mod tests {
         let leftover = w.apply_schedule(&s);
         assert_eq!(leftover.len(), 2, "membership steps returned");
         assert!(leftover.iter().all(|(_, a)| !a.is_sim_level()));
-        w.inject_at(Time::from_millis(2), p(0), "echo", Ev::Hello(1));
+        w.inject_at(Time::from_millis(2), p(0), ECHO, Ev::Hello(1));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         assert!(!w.is_alive(p(2)), "scheduled crash applied");
         assert_eq!(w.metrics().dropped_crash(), 1);
@@ -799,11 +688,11 @@ mod tests {
         let cfg = SimConfig::lan(8).with_topology(crate::Topology::wan_2dc());
         let mut w: SimWorld<Ev> = SimWorld::new(cfg);
         for _ in 0..4 {
-            w.add_node(|id| Process::builder(id).with(Echo { n: 4 }).build());
+            w.add_node(|id| Process::builder(id).with(ECHO, Echo { n: 4 }).build());
         }
         let s = crate::Schedule::new().partition_regions(Time::ZERO);
         assert!(w.apply_schedule(&s).is_empty());
-        w.inject_at(Time::from_millis(1), p(0), "echo", Ev::Hello(3));
+        w.inject_at(Time::from_millis(1), p(0), ECHO, Ev::Hello(3));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         let seqs = w.trace().per_proc(4, |e| match e {
             Ev::Deliver(v) => Some(*v),
@@ -831,7 +720,7 @@ mod tests {
                 let s = crate::Schedule::new().set_link(Time::ZERO, p(0), p(1), slow);
                 w.apply_schedule(&s);
             }
-            w.inject_at(Time::from_millis(1), p(0), "echo", Ev::Hello(1));
+            w.inject_at(Time::from_millis(1), p(0), ECHO, Ev::Hello(1));
             assert!(w.run_to_quiescence(Time::from_secs(1)));
             w.trace()
                 .project(|e| matches!(e, Ev::Deliver(_)).then_some(()))
@@ -853,9 +742,9 @@ mod tests {
         let cfg = SimConfig::lan(10).with_link(LinkModel::lan().with_bandwidth(64));
         let mut w: SimWorld<Ev> = SimWorld::new(cfg);
         for _ in 0..2 {
-            w.add_node(|id| Process::builder(id).with(Echo { n: 2 }).build());
+            w.add_node(|id| Process::builder(id).with(ECHO, Echo { n: 2 }).build());
         }
-        w.inject_at(Time::ZERO, p(0), "echo", Ev::Hello(1));
+        w.inject_at(Time::ZERO, p(0), ECHO, Ev::Hello(1));
         assert!(w.run_to_quiescence(Time::from_secs(5)));
         let at = w
             .trace()
@@ -874,6 +763,8 @@ mod proptests {
     use gcs_kernel::{Component, Context};
     use proptest::prelude::*;
 
+    const FWD: ComponentId = ComponentId::new(0);
+
     #[derive(Clone, Debug, PartialEq)]
     struct Num(u32);
     impl Event for Num {
@@ -887,11 +778,8 @@ mod proptests {
         n: u32,
     }
     impl Component<Num> for Forwarder {
-        fn name(&self) -> &'static str {
-            "fwd"
-        }
         fn on_event(&mut self, ev: Num, ctx: &mut Context<'_, Num>) {
-            ctx.send(ProcessId::new(ev.0 % self.n), "fwd", Num(ev.0));
+            ctx.send(ProcessId::new(ev.0 % self.n), Num(ev.0));
         }
         fn on_message(&mut self, _from: ProcessId, ev: Num, ctx: &mut Context<'_, Num>) {
             ctx.output(ev);
@@ -910,11 +798,11 @@ mod proptests {
                 let mut w: SimWorld<Num> = SimWorld::new(SimConfig::lan(seed));
                 for _ in 0..4 {
                     w.add_node(|id| {
-                        gcs_kernel::Process::builder(id).with(Forwarder { n: 4 }).build()
+                        gcs_kernel::Process::builder(id).with(FWD, Forwarder { n: 4 }).build()
                     });
                 }
                 for (p, t, v) in &injections {
-                    w.inject_at(Time::from_millis(*t), ProcessId::new(*p), "fwd", Num(*v));
+                    w.inject_at(Time::from_millis(*t), ProcessId::new(*p), FWD, Num(*v));
                 }
                 prop_assert!(w.run_to_quiescence(Time::from_secs(60)));
                 Ok((
@@ -935,11 +823,11 @@ mod proptests {
             let mut w: SimWorld<Num> = SimWorld::new(SimConfig::lan(1));
             for _ in 0..3 {
                 w.add_node(|id| {
-                    gcs_kernel::Process::builder(id).with(Forwarder { n: 3 }).build()
+                    gcs_kernel::Process::builder(id).with(FWD, Forwarder { n: 3 }).build()
                 });
             }
             for (p, t, v) in &injections {
-                w.inject_at(Time::from_millis(*t), ProcessId::new(*p), "fwd", Num(*v));
+                w.inject_at(Time::from_millis(*t), ProcessId::new(*p), FWD, Num(*v));
             }
             prop_assert!(w.run_to_quiescence(Time::from_secs(60)));
             prop_assert_eq!(w.trace().len(), injections.len());

@@ -23,10 +23,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
 use gcs_kernel::{
-    Component, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process, ProcessId, Time,
-    TimeDelta, TimerId,
+    Component, ComponentId, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process,
+    ProcessId, Time, TimeDelta, TimerId,
 };
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology, Trace};
+
+/// The one component of the Isis-style stack: the whole stack is one.
+pub const ISIS: ComponentId = ComponentId::new(0);
 
 /// Message identity within the Isis stack.
 pub type IsisMsgId = (ProcessId, u64);
@@ -424,7 +427,7 @@ impl IsisStack {
 
     fn broadcast(&self, ev: IsisEvent, ctx: &mut Context<'_, IsisEvent>) {
         // One broadcast envelope instead of a per-peer clone loop.
-        ctx.send_to_all(self.others(), "isis", ev);
+        ctx.send_to_all(self.others(), ev);
     }
 
     fn do_abcast(&mut self, payload: PayloadRef, ctx: &mut Context<'_, IsisEvent>) {
@@ -525,7 +528,7 @@ impl IsisStack {
             // dedup on message id).
             for &id in own_now.iter().filter(|id| self.repair_own.contains(id)) {
                 if let Some(&payload) = self.unordered.get(&id) {
-                    ctx.send(seq, "isis", IsisEvent::Data { id, payload });
+                    ctx.send(seq, IsisEvent::Data { id, payload });
                 }
             }
             // Stuck across two consecutive scans: an Order (or its Data)
@@ -533,7 +536,6 @@ impl IsisStack {
             if stalled_now && self.repair_stalled && self.repair_cursor == self.next_deliver {
                 ctx.send(
                     seq,
-                    "isis",
                     IsisEvent::Repair {
                         vid: self.vid,
                         from: self.next_deliver,
@@ -559,14 +561,14 @@ impl IsisStack {
             return;
         }
         for (&seq, &id) in self.order_log.range(pos..).take(64) {
-            ctx.send(from, "isis", IsisEvent::Order { vid, seq, id });
+            ctx.send(from, IsisEvent::Order { vid, seq, id });
             let payload = self
                 .archive
                 .get(&id)
                 .or_else(|| self.unordered.get(&id))
                 .copied();
             if let Some(payload) = payload {
-                ctx.send(from, "isis", IsisEvent::Data { id, payload });
+                ctx.send(from, IsisEvent::Data { id, payload });
             }
         }
     }
@@ -645,7 +647,7 @@ impl IsisStack {
             vid,
             unstable: self.local_unstable(),
         };
-        ctx.send(from, "isis", report);
+        ctx.send(from, report);
     }
 
     fn on_flush_report(
@@ -661,7 +663,7 @@ impl IsisStack {
             // teach it the committed view, flush deliveries included.
             if self.mode == Mode::Steady && vid <= self.vid {
                 if let Some(nv) = self.last_commit.clone() {
-                    ctx.send(from, "isis", IsisEvent::NewView(Box::new(nv)));
+                    ctx.send(from, IsisEvent::NewView(Box::new(nv)));
                 }
             }
             return;
@@ -728,13 +730,12 @@ impl IsisStack {
             .copied()
             .collect();
         targets.remove(&self.me);
-        ctx.send_to_all(targets, "isis", new_view);
+        ctx.send_to_all(targets, new_view);
         // State transfer to joiners (the §4.3 cost).
         for &j in self.pending_joins.clone().iter() {
             if self.flush_members.contains(&j) {
                 ctx.send(
                     j,
-                    "isis",
                     IsisEvent::StateTransfer {
                         state: Bytes::from(vec![0u8; self.config.state_size]),
                     },
@@ -814,7 +815,7 @@ impl IsisStack {
                 ctx.output(IsisEvent::Killed);
                 if let Some(&coord) = members.first() {
                     self.rejoin_target = Some(coord);
-                    ctx.send(coord, "isis", IsisEvent::JoinRequest);
+                    ctx.send(coord, IsisEvent::JoinRequest);
                 }
             }
             return;
@@ -855,10 +856,6 @@ impl IsisStack {
 }
 
 impl Component<IsisEvent> for IsisStack {
-    fn name(&self) -> &'static str {
-        "isis"
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, IsisEvent>) {
         self.started_at = ctx.now();
         ctx.set_timer(self.config.heartbeat_interval);
@@ -877,9 +874,9 @@ impl Component<IsisEvent> for IsisStack {
             IsisEvent::Join => {
                 // Contact the lowest-id process we know of.
                 if let Some(&coord) = self.members.first().filter(|&&c| c != self.me) {
-                    ctx.send(coord, "isis", IsisEvent::JoinRequest);
+                    ctx.send(coord, IsisEvent::JoinRequest);
                 } else {
-                    ctx.send(ProcessId::new(0), "isis", IsisEvent::JoinRequest);
+                    ctx.send(ProcessId::new(0), IsisEvent::JoinRequest);
                 }
             }
             IsisEvent::Remove(target) => {
@@ -889,7 +886,7 @@ impl Component<IsisEvent> for IsisStack {
                 if self.coordinator(ctx.now()) == Some(self.me) {
                     self.note_removal(target, ctx);
                 } else if let Some(coord) = self.coordinator(ctx.now()) {
-                    ctx.send(coord, "isis", IsisEvent::RemoveRequest { target });
+                    ctx.send(coord, IsisEvent::RemoveRequest { target });
                 }
             }
             _ => {}
@@ -924,7 +921,6 @@ impl Component<IsisEvent> for IsisStack {
                 {
                     ctx.send(
                         from,
-                        "isis",
                         IsisEvent::NewView(Box::new(NewViewData {
                             vid: self.vid,
                             members: self.members.clone(),
@@ -985,7 +981,7 @@ impl Component<IsisEvent> for IsisStack {
             if let Some(coord) = self.rejoin_target {
                 if now.since(self.last_nudge) > self.config.retrans_interval {
                     self.last_nudge = now;
-                    ctx.send(coord, "isis", IsisEvent::JoinRequest);
+                    ctx.send(coord, IsisEvent::JoinRequest);
                 }
             }
             return;
@@ -1039,7 +1035,6 @@ impl Component<IsisEvent> for IsisStack {
                     for p in waiting {
                         ctx.send(
                             p,
-                            "isis",
                             IsisEvent::ViewProposal {
                                 vid: self.flush_vid,
                                 members: self.flush_members.clone(),
@@ -1065,7 +1060,6 @@ impl Component<IsisEvent> for IsisStack {
                 } else {
                     ctx.send(
                         coord,
-                        "isis",
                         IsisEvent::FlushReport {
                             vid,
                             unstable: self.local_unstable(),
@@ -1074,7 +1068,7 @@ impl Component<IsisEvent> for IsisStack {
                 }
             }
         }
-        ctx.send_to_all(self.others(), "isis", IsisEvent::Heartbeat);
+        ctx.send_to_all(self.others(), IsisEvent::Heartbeat);
         self.repair_tick(now, ctx);
         // The traditional coupling: suspicion IS exclusion. The coordinator
         // (lowest unsuspected member) reacts to any suspicion — or a pending
@@ -1102,7 +1096,7 @@ impl Component<IsisEvent> for IsisStack {
 }
 
 /// The Isis-style stack as a [`StackDriver`]: the whole stack is one
-/// component, so every operation enters at `"isis"`.
+/// component, so every operation enters at [`ISIS`].
 pub struct IsisDriver;
 
 impl StackDriver for IsisDriver {
@@ -1114,17 +1108,17 @@ impl StackDriver for IsisDriver {
         let initial =
             (id.index() < founders).then(|| (0..founders as u32).map(ProcessId::new).collect());
         Process::builder(id)
-            .with(IsisStack::new(id, initial, *config))
+            .with(ISIS, IsisStack::new(id, initial, *config))
             .build()
     }
 
     fn abcast(payload: PayloadRef) -> Op<IsisEvent> {
-        ("isis", IsisEvent::Abcast(payload))
+        (ISIS, IsisEvent::Abcast(payload))
     }
 
     /// Isis routes the request to its coordinator itself.
     fn join(_contact: ProcessId) -> Op<IsisEvent> {
-        ("isis", IsisEvent::Join)
+        (ISIS, IsisEvent::Join)
     }
 
     /// The request is routed to the coordinator, which expels the target
@@ -1137,7 +1131,7 @@ impl StackDriver for IsisDriver {
     /// ones included, so the request stays pending until the membership can
     /// absorb it.
     fn remove(target: ProcessId) -> Option<Op<IsisEvent>> {
-        Some(("isis", IsisEvent::Remove(target)))
+        Some((ISIS, IsisEvent::Remove(target)))
     }
 
     fn project(event: &IsisEvent) -> Observation<'_> {

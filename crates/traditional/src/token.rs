@@ -20,10 +20,13 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use gcs_kernel::{
-    Component, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process, ProcessId, Time,
-    TimeDelta, TimerId,
+    Component, ComponentId, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process,
+    ProcessId, Time, TimeDelta, TimerId,
 };
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology};
+
+/// The one component of the token-ring stack: the whole stack is one.
+pub const TOKEN: ComponentId = ComponentId::new(0);
 
 /// How long a holder keeps the token before passing it on.
 const HOLD: TimeDelta = TimeDelta::from_micros(300);
@@ -374,11 +377,7 @@ impl TokenStack {
 
     fn broadcast(&self, ev: TokenEvent, ctx: &mut Context<'_, TokenEvent>) {
         // One broadcast envelope instead of a per-peer clone loop.
-        ctx.send_to_all(
-            self.ring.iter().copied().filter(|&p| p != self.me),
-            "token",
-            ev,
-        );
+        ctx.send_to_all(self.ring.iter().copied().filter(|&p| p != self.me), ev);
     }
 
     /// Token in hand: stamp and broadcast everything queued, pass it on.
@@ -442,7 +441,6 @@ impl TokenStack {
             // change first, in sequence order) expects the new one.
             ctx.send(
                 next,
-                "token",
                 TokenEvent::Token {
                     vid: self.vid,
                     next_seq,
@@ -499,7 +497,6 @@ impl TokenStack {
                         if origin == self.me {
                             ctx.send(
                                 j,
-                                "token",
                                 TokenEvent::RingInfo {
                                     vid: self.vid,
                                     ring: self.ring.clone(),
@@ -573,7 +570,6 @@ impl TokenStack {
                 self.nack_round += 1;
                 ctx.send(
                     target,
-                    "token",
                     TokenEvent::Nack {
                         need: self.next_deliver,
                     },
@@ -589,7 +585,7 @@ impl TokenStack {
     /// cursor is still stuck).
     fn serve_nack(&mut self, from: ProcessId, need: u64, ctx: &mut Context<'_, TokenEvent>) {
         for (_, &m) in self.known.range(need..).take(64) {
-            ctx.send(from, "token", data_of(m));
+            ctx.send(from, data_of(m));
         }
     }
 
@@ -650,7 +646,7 @@ impl TokenStack {
             next_seq,
             reinject: true,
         }));
-        ctx.send_to_all(ring.iter().copied().filter(|&p| p != self.me), "token", ev);
+        ctx.send_to_all(ring.iter().copied().filter(|&p| p != self.me), ev);
         self.install_ring(vid, ring, recovery, next_seq, true, ctx);
     }
 
@@ -714,7 +710,7 @@ impl TokenStack {
                 ctx.output(TokenEvent::Excluded);
                 if !self.removed {
                     if let Some(&head) = ring.first() {
-                        ctx.send(head, "token", TokenEvent::JoinRequest);
+                        ctx.send(head, TokenEvent::JoinRequest);
                     }
                 }
             }
@@ -729,10 +725,6 @@ impl TokenStack {
 }
 
 impl Component<TokenEvent> for TokenStack {
-    fn name(&self) -> &'static str {
-        "token"
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, TokenEvent>) {
         self.last_token_seen = ctx.now();
         ctx.set_timer(HOLD);
@@ -752,7 +744,7 @@ impl Component<TokenEvent> for TokenStack {
         match event {
             TokenEvent::Abcast(payload) => self.outbox.push_back(payload),
             TokenEvent::Join if !self.member => {
-                ctx.send(ProcessId::new(0), "token", TokenEvent::JoinRequest);
+                ctx.send(ProcessId::new(0), TokenEvent::JoinRequest);
             }
             TokenEvent::Remove(target) if self.member => {
                 // A removal is an ordinary sequenced membership message:
@@ -794,7 +786,6 @@ impl Component<TokenEvent> for TokenStack {
             TokenEvent::Reform { vid } if vid > self.vid && self.member => {
                 ctx.send(
                     from,
-                    "token",
                     TokenEvent::ReformReport {
                         vid,
                         current: self.vid,
@@ -810,7 +801,6 @@ impl Component<TokenEvent> for TokenStack {
                 // teach never re-injects the token — ours is still live.
                 ctx.send(
                     from,
-                    "token",
                     TokenEvent::NewRing(Box::new(NewRingData {
                         vid: self.vid,
                         ring: self.ring.clone(),
@@ -888,7 +878,7 @@ impl Component<TokenEvent> for TokenStack {
     }
 }
 
-/// The token-ring stack as a [`StackDriver`]: one component, `"token"`.
+/// The token-ring stack as a [`StackDriver`]: one component, [`TOKEN`].
 pub struct TokenDriver;
 
 impl StackDriver for TokenDriver {
@@ -900,23 +890,23 @@ impl StackDriver for TokenDriver {
         let ring =
             (id.index() < founders).then(|| (0..founders as u32).map(ProcessId::new).collect());
         Process::builder(id)
-            .with(TokenStack::new(id, ring, *config))
+            .with(TOKEN, TokenStack::new(id, ring, *config))
             .build()
     }
 
     fn abcast(payload: PayloadRef) -> Op<TokenEvent> {
-        ("token", TokenEvent::Abcast(payload))
+        (TOKEN, TokenEvent::Abcast(payload))
     }
 
     /// RMP-style fault-free join: the ring sponsors the joiner itself.
     fn join(_contact: ProcessId) -> Op<TokenEvent> {
-        ("token", TokenEvent::Join)
+        (TOKEN, TokenEvent::Join)
     }
 
     /// The leave rides the total order like a join, so every member shrinks
     /// the ring at the same point of the stream. The target stays out.
     fn remove(target: ProcessId) -> Option<Op<TokenEvent>> {
-        Some(("token", TokenEvent::Remove(target)))
+        Some((TOKEN, TokenEvent::Remove(target)))
     }
 
     fn project(event: &TokenEvent) -> Observation<'_> {

@@ -128,7 +128,9 @@ fn totem_stack_fig4() {
 /// the composition kernel, with events travelling up and down.
 #[test]
 fn ensemble_stack_fig5() {
-    use gcs::kernel::{Direction, Event, Layer, LayerContext, Process, StackBuilder};
+    use gcs::kernel::{ComponentId, Direction, Event, Layer, LayerContext, Process, StackBuilder};
+
+    const ENSEMBLE: ComponentId = ComponentId::new(0);
 
     #[derive(Clone, Debug, PartialEq)]
     enum Ev {
@@ -175,19 +177,19 @@ fn ensemble_stack_fig5() {
     }
 
     let build = |id: ProcessId| {
-        let stack = StackBuilder::new("ensemble")
+        let stack = StackBuilder::new()
             .layer(Counter { up: 0, down: 0 }) // top (applic side)
             .layer(Counter { up: 0, down: 0 }) // middle
             .layer(Net) // bottom
             .build();
         assert_eq!(stack.depth(), 3);
         assert_eq!(stack.layer_names(), vec!["net", "stable", "stable"]);
-        Process::builder(id).with(stack).build()
+        Process::builder(id).with(ENSEMBLE, stack).build()
     };
     let mut sim: gcs::sim::SimWorld<Ev> = gcs::sim::SimWorld::new(gcs::sim::SimConfig::lan(105));
     sim.add_node(build);
     sim.add_node(build);
-    sim.inject_at(Time::from_millis(1), p(0), "ensemble", Ev::Send(9));
+    sim.inject_at(Time::from_millis(1), p(0), ENSEMBLE, Ev::Send(9));
     assert!(sim.run_to_quiescence(Time::from_secs(1)));
     // The event traversed p0's stack downwards and p1's stack upwards.
     let got: Vec<Ev> = sim
