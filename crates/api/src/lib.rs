@@ -83,17 +83,11 @@
 //! assert_eq!(group.delivery_count(), 3); // every member delivered m1
 //! ```
 //!
-//! ## Saturation: pipelining, batching, backpressure
+//! ## Backpressure
 //!
-//! Three knobs control behavior under load. On the new architecture,
-//! `StackConfig::pipeline_depth` keeps several consensus instances in
-//! flight at once (depth 1, the default, is the paper's sequential abcast,
-//! bit for bit) and `StackConfig::batch` closes proposal batches on a
-//! message count, a byte budget, or a deadline; both reach the group
-//! through [`GroupBuilder::stack_config`]. On any stack,
-//! [`GroupBuilder::abcast_capacity`] bounds each sender's pending queue so
-//! the `try_abcast_*` entry points refuse with [`Backpressure`] instead of
-//! queueing without limit.
+//! On any stack, [`GroupBuilder::abcast_capacity`] bounds each sender's
+//! pending queue so the `try_abcast_*` entry points refuse with
+//! [`Backpressure`] instead of queueing without limit.
 //!
 //! The refusal paths differ in cost, and the difference is a contract:
 //! [`GroupTransport::try_abcast_build_at`] checks capacity **before the
@@ -105,24 +99,10 @@
 //! build form. Example:
 //!
 //! ```
-//! use gcs_api::{BatchPolicy, Group, GroupTransport};
-//! use gcs_core::StackConfig;
-//! use gcs_kernel::{ProcessId, Time, TimeDelta};
+//! use gcs_api::{Group, GroupTransport};
+//! use gcs_kernel::{ProcessId, Time};
 //!
-//! let mut group = Group::builder()
-//!     .members(3)
-//!     .stack_config(StackConfig {
-//!         pipeline_depth: 4,
-//!         batch: BatchPolicy {
-//!             max_msgs: 16,
-//!             max_bytes: 4096,
-//!             max_delay: TimeDelta::from_millis(2),
-//!         },
-//!         ..StackConfig::default()
-//!     })
-//!     .abcast_capacity(64)
-//!     .seed(7)
-//!     .build();
+//! let mut group = Group::builder().members(3).abcast_capacity(64).seed(7).build();
 //! let mut accepted = 0u32;
 //! for i in 0..80u32 {
 //!     // An open-loop producer sheds load the group refuses.
@@ -145,7 +125,6 @@
 mod group;
 mod oracle;
 
-pub use gcs_core::BatchPolicy;
 pub use gcs_live::{LiveGroup, WireMode};
 pub use gcs_sim::{
     Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,

@@ -12,10 +12,10 @@
 //!
 //! A third property aims the faults at what the new architecture's
 //! failure-free fast path leans on: the round-0 coordinator (p0), its
-//! successor, lossy links, with and without pipelining — and at the member
-//! the decisions name as round-0 coordinator once p0 is suspected. There
-//! the oracle must stay clean *and* every survivor must deliver every
-//! message of every surviving sender.
+//! successor, lossy links — and at the member the decisions name as
+//! round-0 coordinator once p0 is suspected. There the oracle must stay
+//! clean *and* every survivor must deliver every message of every surviving
+//! sender.
 //!
 //! A fourth property holds the same to three members, the one size where
 //! an acker decides the moment it adopts a proposal (its adoption and the
@@ -28,7 +28,7 @@
 //! judged by the same oracle: no duplication, rbcast FIFO, and the same
 //! delivered set at every founder that survives.
 
-use gcs_api::{BatchPolicy, Group, GroupTransport, InvariantChecker, StackKind};
+use gcs_api::{Group, GroupTransport, InvariantChecker, StackKind};
 use gcs_bench::scenario::Scenario;
 use gcs_bench::workload::{GenericWorkload, UniformWorkload, Workload};
 use gcs_core::StackConfig;
@@ -40,28 +40,13 @@ fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-/// Runs a 4-member group of `stack` under `schedule` with the given
-/// pipeline depth (and, when `batched`, real batch caps so pipelining has
-/// batch boundaries to move), returning per-process a-delivered payloads and
-/// rendered invariant violations.
-fn run_at_depth(
-    stack: StackKind,
-    depth: usize,
-    batched: bool,
-    schedule: &Schedule,
-    seed: u64,
-) -> (Vec<Vec<Vec<u8>>>, Vec<String>) {
-    run_on(Topology::lan(), 0, stack, depth, batched, schedule, seed)
-}
-
-/// [`run_at_depth`] on an explicit topology, with `joiners` processes
-/// started outside the group.
+/// Runs a 4-member group of `stack` on `topology` under `schedule`, with
+/// `joiners` processes started outside the group, returning per-process
+/// a-delivered payloads and rendered invariant violations.
 fn run_on(
     topology: Topology,
     joiners: usize,
     stack: StackKind,
-    depth: usize,
-    batched: bool,
     schedule: &Schedule,
     seed: u64,
 ) -> (Vec<Vec<Vec<u8>>>, Vec<String>) {
@@ -69,14 +54,6 @@ fn run_on(
     // As in the scenario engine: exclusions come from the script, not from
     // wall-clock monitoring racing the timeline.
     cfg.monitoring_timeout = TimeDelta::from_secs(3600);
-    cfg.pipeline_depth = depth;
-    if batched {
-        cfg.batch = BatchPolicy {
-            max_msgs: 4,
-            max_bytes: 64,
-            max_delay: TimeDelta::from_millis(1),
-        };
-    }
     let mut g = Group::builder()
         .members(4)
         .joiners(joiners)
@@ -102,7 +79,7 @@ fn run_on(
     (g.adelivered_payloads(), violations)
 }
 
-/// Faults aimed at the round-0 coordinator a decision names for a later
+/// Faults aimed at the round-0 coordinator a decision names for the next
 /// instance (see `gcs_core::abcast`): it moves off p0 once the survivors
 /// suspect p0, and it must be agreed by every process that opens an
 /// instance.
@@ -116,13 +93,13 @@ enum Designated {
     /// designation comes back to p0, so that ops long after the heal cost
     /// exactly what failure-free ones do.
     Heal,
-    /// p0 crashes, then p4 joins via p3 while the group is idle (sequential
-    /// core): nobody leaves a round around the join, and the joiner orders
-    /// with the others from then on. (The snapshot's designations are
-    /// pinned by `gcs_core`'s abcast unit tests: here generic broadcast
-    /// defers the snapshot to the end of the view change's epoch closure,
-    /// so the joiner's first instances are decided before it activates and
-    /// it reads the designation off those decisions.)
+    /// p0 crashes, then p4 joins via p3 while the group is idle: nobody
+    /// leaves a round around the join, and the joiner orders with the
+    /// others from then on. (The snapshot's designation is pinned by
+    /// `gcs_core`'s abcast unit tests: here generic broadcast defers the
+    /// snapshot to the end of the view change's epoch closure, so the
+    /// joiner's first instances are decided before it activates and it
+    /// reads the designation off those decisions.)
     JoinAfterCrash,
 }
 
@@ -138,7 +115,6 @@ fn designated_case(
     at_ms: u64,
     extra_ms: u64,
     lossy: bool,
-    pipelined: bool,
 ) -> Result<(), TestCaseError> {
     let n: u32 = if matches!(case, Designated::Cascade) {
         5
@@ -150,7 +126,6 @@ fn designated_case(
     let ms = Time::from_millis;
     let mut cfg = StackConfig::default();
     cfg.monitoring_timeout = TimeDelta::from_secs(3600);
-    cfg.pipeline_depth = if pipelined && !joining { 4 } else { 1 };
     let second = at_ms + 40 + extra_ms;
     let join_ms = 600 + extra_ms;
     let (schedule, dead) = match case {
@@ -202,8 +177,7 @@ fn designated_case(
     let tail_at = 1_000;
     let tail_sender = |j: u64| p(if joining { 1 + j % 4 } else { j % n as u64 } as u32);
     if matches!(case, Designated::Heal) {
-        // Enough instances after the heal to carry the designation back
-        // through a pipeline window.
+        // Enough instances after the heal to carry the designation back.
         for j in 0..10 {
             op(&mut g, ms(700 + 20 * j), p(j as u32 % n));
         }
@@ -219,8 +193,7 @@ fn designated_case(
         g.run_until(ms(start + 2 * len));
         (m1.delta_since(&m0), g.metrics().delta_since(&m1))
     };
-    let what =
-        format!("{case:?}@{seed} at {at_ms} ms +{extra_ms}, lossy {lossy}, pipelined {pipelined}");
+    let what = format!("{case:?}@{seed} at {at_ms} ms +{extra_ms}, lossy {lossy}");
     match case {
         Designated::Heal => {
             let (busy, quiet) = windows(&mut g, tail_at, 20 * tail);
@@ -329,7 +302,7 @@ fn rbcast_stays_fifo_through_a_cut_link_and_a_healed_partition() {
             .set_link(ms(324), from, to, healthy);
     }
     let seed = 10_734_565_987_974_278_335;
-    let (_, violations) = run_on(topology, 1, StackKind::NewArch, 1, false, &schedule, seed);
+    let (_, violations) = run_on(topology, 1, StackKind::NewArch, &schedule, seed);
     assert!(violations.is_empty(), "{violations:#?}");
 }
 
@@ -395,78 +368,6 @@ proptest! {
             prop_assert!(r.deliveries > 0, "{}@{seed}: no deliveries", stack.name());
         }
     }
-
-    /// Consensus pipelining is order-safe under faults: at every depth the
-    /// oracle is clean and the survivors deliver the same message *set*
-    /// (batch boundaries shift with decide timing, so the cross-depth
-    /// interleaving may legitimately differ — the per-depth total order is
-    /// what the oracle enforces). The baselines ignore the knob and must
-    /// stay clean with it set.
-    #[test]
-    fn pipeline_depths_are_fault_equivalent(
-        seed in any::<u64>(),
-        crash_ms in proptest::option::of(150u64..200),
-        partition in proptest::option::of((250u64..350, 150u64..300)),
-    ) {
-        let mut schedule = Schedule::new();
-        if let Some(t) = crash_ms {
-            schedule = schedule.crash(Time::from_millis(t), p(2));
-        }
-        if let Some((start, dur)) = partition {
-            // p2 (possibly already crashed) isolated; {0,1,3} keep quorum.
-            schedule = schedule
-                .partition(
-                    Time::from_millis(start),
-                    vec![vec![p(0), p(1), p(3)], vec![p(2)]],
-                )
-                .heal(Time::from_millis(start + dur));
-        }
-
-        // Depth sweep under real batch caps: clean, live, same survivor set.
-        let mut reference: Option<Vec<Vec<Vec<u8>>>> = None;
-        for depth in [1usize, 2, 4, 8] {
-            let (delivered, violations) =
-                run_at_depth(StackKind::NewArch, depth, true, &schedule, seed);
-            prop_assert!(
-                violations.is_empty(),
-                "depth {depth}@{seed}: {violations:#?} (schedule {schedule:?})"
-            );
-            let survivors: Vec<Vec<Vec<u8>>> = [0usize, 1, 3]
-                .iter()
-                .map(|&i| {
-                    let mut set = delivered[i].clone();
-                    set.sort();
-                    set
-                })
-                .collect();
-            prop_assert!(
-                survivors.iter().all(|s| !s.is_empty()),
-                "depth {depth}@{seed}: a survivor delivered nothing"
-            );
-            match &reference {
-                None => reference = Some(survivors),
-                Some(r) => prop_assert_eq!(
-                    r,
-                    &survivors,
-                    "depth {} delivers a different set @{} (schedule {:?})",
-                    depth,
-                    seed,
-                    schedule
-                ),
-            }
-        }
-
-        // The baselines ignore the knob entirely.
-        for stack in [StackKind::Isis, StackKind::Token] {
-            let (delivered, violations) = run_at_depth(stack, 8, true, &schedule, seed);
-            prop_assert!(
-                violations.is_empty(),
-                "{}@{seed}: {violations:#?}",
-                stack.name()
-            );
-            prop_assert!(!delivered[0].is_empty(), "{}@{seed}: no deliveries", stack.name());
-        }
-    }
 }
 
 proptest! {
@@ -481,13 +382,12 @@ proptest! {
     /// cut any one member off for a while, cut a single link between two
     /// members (one then suspects the other while everybody else trusts
     /// both, and whatever the crash victim had sent down that link is lost
-    /// with it), lose packets, pipeline or not —
-    /// the oracle stays clean, and the survivors agree on one sequence that
-    /// holds every message of every sender that survived. A join may ride
-    /// along (the oracle checks the joiner's suffix; the liveness claim is
-    /// for the founders). Half the cases instead aim at the round-0
-    /// coordinator the decisions name once p0 is suspected: one of the
-    /// three [`Designated`] shapes.
+    /// with it), lose packets — the oracle stays clean, and the survivors
+    /// agree on one sequence that holds every message of every sender that
+    /// survived. A join may ride along (the oracle checks the joiner's
+    /// suffix; the liveness claim is for the founders). Half the cases
+    /// instead aim at the round-0 coordinator the decisions name once p0 is
+    /// suspected: one of the three [`Designated`] shapes.
     #[test]
     fn coordinator_faults_are_invariant_clean_and_live(
         seed in any::<u64>(),
@@ -496,23 +396,18 @@ proptest! {
         link in proptest::option::of((0u32..4, 1u32..4, 1u64..260, 40u64..300)),
         join_ms in proptest::option::of(10u64..200),
         lossy in any::<bool>(),
-        pipelined in any::<bool>(),
         designated in (0usize..6, 5u64..60, 0u64..120),
     ) {
         let (shape, at_ms, extra_ms) = designated;
         let shapes = [Designated::Cascade, Designated::Heal, Designated::JoinAfterCrash];
         if let Some(&case) = shapes.get(shape) {
-            return designated_case(case, seed, at_ms, extra_ms, lossy, pipelined);
+            return designated_case(case, seed, at_ms, extra_ms, lossy);
         }
         let mut schedule = Schedule::new();
         if let Some((victim, t)) = crash {
             schedule = schedule.crash(Time::from_millis(t), p(victim));
         }
-        // Known gap, older than this property (ROADMAP): with a pipeline
-        // window, an instance opened before a view change is flushed runs
-        // among the participants of whoever opened it, so processes can
-        // disagree on them. Joins ride along on the sequential core only.
-        if let Some(t) = join_ms.filter(|_| !pipelined) {
+        if let Some(t) = join_ms {
             // p4 joins via p3, the one founder that never crashes here.
             schedule = schedule.join(Time::from_millis(t), p(4), p(3));
         }
@@ -532,12 +427,10 @@ proptest! {
                     .set_link(Time::from_millis(start + dur), from, to, topology.link(from, to));
             }
         }
-        let depth = if pipelined { 4 } else { 1 };
-        let (delivered, violations) =
-            run_on(topology, 1, StackKind::NewArch, depth, pipelined, &schedule, seed);
+        let (delivered, violations) = run_on(topology, 1, StackKind::NewArch, &schedule, seed);
         prop_assert!(
             violations.is_empty(),
-            "@{seed}: {violations:#?} (schedule {schedule:?}, lossy {lossy}, depth {depth})"
+            "@{seed}: {violations:#?} (schedule {schedule:?}, lossy {lossy})"
         );
         let victim = crash.map(|(v, _)| v as usize);
         let survivors: Vec<usize> = (0..4).filter(|&i| Some(i) != victim).collect();
@@ -545,8 +438,8 @@ proptest! {
             prop_assert_eq!(
                 &delivered[i],
                 &delivered[survivors[0]],
-                "@{}: p{} and p{} disagree (schedule {:?}, lossy {}, depth {})",
-                seed, i, survivors[0], schedule, lossy, depth
+                "@{}: p{} and p{} disagree (schedule {:?}, lossy {})",
+                seed, i, survivors[0], schedule, lossy
             );
         }
         // Op `k` was sent by p(k mod 4).
@@ -558,7 +451,7 @@ proptest! {
             prop_assert!(
                 have.contains(&op),
                 "@{seed}: op {op} of surviving sender p{} was never delivered \
-                 (schedule {schedule:?}, lossy {lossy}, depth {depth})",
+                 (schedule {schedule:?}, lossy {lossy})",
                 op % 4
             );
         }
@@ -568,17 +461,15 @@ proptest! {
     /// a majority, so ackers decide without the coordinator's `Decide`:
     /// one fault per case — p0, p1 or p2 crashes; one member is cut off,
     /// then healed; or one link is cut, then healed — on lossy links or
-    /// not, at pipeline depth 1 or 4. The oracle stays clean, and the
-    /// survivors agree on one sequence that holds every message of every
-    /// sender that survived. Abcast only: generic broadcast needs
-    /// `f < n/3`, which no fault meets among three.
+    /// not. The oracle stays clean, and the survivors agree on one sequence
+    /// that holds every message of every sender that survived. Abcast only:
+    /// generic broadcast needs `f < n/3`, which no fault meets among three.
     #[test]
     fn three_member_faults_are_invariant_clean_and_live(
         seed in any::<u64>(),
         fault in (0usize..3, 0u32..3, 1u32..3),
         window in (5u64..260, 40u64..300),
         lossy in any::<bool>(),
-        pipelined in any::<bool>(),
     ) {
         let ((kind, who, hop), (start, dur)) = (fault, window);
         let ms = Time::from_millis;
@@ -604,14 +495,6 @@ proptest! {
         };
         let mut cfg = StackConfig::default();
         cfg.monitoring_timeout = TimeDelta::from_secs(3600);
-        cfg.pipeline_depth = if pipelined { 4 } else { 1 };
-        if pipelined {
-            cfg.batch = BatchPolicy {
-                max_msgs: 4,
-                max_bytes: 64,
-                max_delay: TimeDelta::from_millis(1),
-            };
-        }
         let mut g = Group::builder()
             .members(3)
             .stack(StackKind::NewArch)
@@ -622,7 +505,7 @@ proptest! {
             .build();
         UniformWorkload::steady(40, 5).inject(3, &mut g);
         g.run_until(Time::from_secs(3));
-        let what = format!("@{seed}: schedule {schedule:?}, lossy {lossy}, pipelined {pipelined}");
+        let what = format!("@{seed}: schedule {schedule:?}, lossy {lossy}");
         let violations = InvariantChecker::check(&g, 3).violations;
         prop_assert!(violations.is_empty(), "{}: {:#?}", what, violations);
         let delivered = g.adelivered_payloads();

@@ -17,14 +17,14 @@
 //! `None` when that is the view's first member. (A coordinator that gets a
 //! batch nobody had adopted through a round `≥ 1` names itself instead:
 //! [`claimed_by`](gcs_consensus::Value::claimed_by).) Decision `j` names
-//! the round-0 coordinator of instance `j + depth` (`depth` = the pipeline
-//! depth); below `depth`, for `None`, and when the named process is not a
-//! member of the view instance `j + depth` runs in, it is that view's first
-//! member. Every process reads the name off the same decision, and instance
-//! `j + depth` opens only once batch `j` is flushed (a joiner gets the names
-//! still pending in its snapshot), so all participants build an instance
-//! with the same round-0 coordinator — the one thing Chandra-Toueg needs of
-//! it ([`gcs_consensus::CtConsensus`]); its rounds still rotate through
+//! the round-0 coordinator of instance `j + 1`; for instance 0, for `None`,
+//! and when the named process is not a member of the view instance `j + 1`
+//! runs in, it is that view's first member. Every process reads the name
+//! off the same decision, and instance `j + 1` opens only once batch `j` is
+//! flushed (a joiner gets the name in its snapshot), so all participants
+//! build an instance with the same round-0 coordinator — the one thing
+//! Chandra-Toueg needs of it ([`gcs_consensus::CtConsensus`]); its rounds
+//! still rotate through
 //! every participant, so agreement never depends on the choice. While the
 //! view's first member is trusted it coordinates round 0, as in the classic
 //! `participants[r mod n]`. Once it has crashed, the instance in flight
@@ -74,18 +74,17 @@
 //! instance costs its messages, and the bookkeeping around them allocates
 //! nothing once warm:
 //!
-//! * *Decided batches* wait for the flush in an [`InstanceRing`]: slot `i`
-//!   is instance `base + i`, both end slots are filled, and every slot lies
-//!   at or past the cursor — the flush takes the front while it is the
+//! * *Decided batches* wait for the flush in an [`InstanceRing`] that holds
+//!   nothing below the cursor — the flush takes the front while it is the
 //!   cursor's, and a snapshot that moves the cursor prunes below it. In a
 //!   running stack a decision arrives only for an instance this process
-//!   proposed for, inside the window, so the ring spans at most `depth`
-//!   slots.
+//!   proposed for, and it proposes for the cursor's alone, so the ring
+//!   holds at most one decision, until the flush takes it.
 //! * *Requested instances* are one watermark, the highest instance the
 //!   consensus component saw traffic for, since that is all a proposal
-//!   needs to know: one goes out for every window instance up to it — for
-//!   the watermark's own because a peer started it, for every one below
-//!   because a peer past it is evidence of being behind (which is also
+//!   needs to know: one goes out for the cursor instance once the
+//!   watermark reaches it — at it because a peer started it, past it
+//!   because a peer further on is evidence of being behind (which is also
 //!   the catch-up flag). A watermark below the cursor says nothing.
 //! * *Proposal batches*: every empty proposal shares one batch, and a
 //!   settled proposal's batch that nobody else holds — a non-coordinator's
@@ -108,7 +107,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gcs_consensus::{InstanceId, InstanceRing};
-use gcs_kernel::{FxHashSet, ProcessId, TimeDelta};
+use gcs_kernel::{FxHashSet, ProcessId};
 
 use crate::rbcast::{Rbcast, RelayFanout};
 use crate::types::{
@@ -120,34 +119,6 @@ use crate::types::{
 /// docs): a non-coordinator's own pending messages vary in number from one
 /// instance to the next, so one spare would seldom have the length wanted.
 const SPARE_BATCHES: usize = 4;
-
-/// When a proposal batch closes: on a message-count cap, a byte cap, or a
-/// deadline — whichever trips first (§batching under overload).
-///
-/// The default (`max_msgs`/`max_bytes` unbounded, `max_delay` zero) proposes
-/// eagerly with everything pending, which is exactly the pre-batching
-/// behavior: recorded scenario fingerprints are bit-identical under it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum messages per proposed batch.
-    pub max_msgs: usize,
-    /// Maximum payload bytes per proposed batch (a batch always carries at
-    /// least one message, however large).
-    pub max_bytes: usize,
-    /// How long to hold a non-full batch open for more traffic before
-    /// proposing anyway. Zero disables holding: propose immediately.
-    pub max_delay: TimeDelta,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_msgs: usize::MAX,
-            max_bytes: usize::MAX,
-            max_delay: TimeDelta::ZERO,
-        }
-    }
-}
 
 /// An instruction produced by the atomic-broadcast core.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -166,8 +137,8 @@ pub enum AbOut {
         /// same set is proposed for every instance of a view, so it is
         /// cached per view change instead of cloned per proposal).
         participants: Arc<[ProcessId]>,
-        /// The instance's round-0 coordinator, as decision
-        /// `instance − depth` named it (see the module docs).
+        /// The instance's round-0 coordinator, as decision `instance − 1`
+        /// named it (see the module docs).
         first: ProcessId,
         /// This process has evidence of being behind on this instance (see
         /// the module docs): pull its outcome rather than only wait for it.
@@ -178,11 +149,6 @@ pub enum AbOut {
     /// Hand an ordered control message (view change, generic-broadcast epoch
     /// closure) to its owning component.
     Ctrl(Message),
-    /// Arm a one-shot timer for [`BatchPolicy::max_delay`]: a non-full batch
-    /// is being held open and must be force-proposed when the timer fires
-    /// (the adapter calls [`AbcastCore::on_batch_deadline_into`]). Never
-    /// emitted under the default eager policy.
-    ArmBatchTimer(TimeDelta),
     /// Arm the one-shot safety-net timer (one consensus-class failure-
     /// detector timeout; the adapter owns the period and calls
     /// [`AbcastCore::on_safety_net_into`] when it fires). Emitted only while
@@ -223,39 +189,24 @@ pub struct AbcastCore {
     /// Decided, not yet flushed batches: a ring from the cursor (or the
     /// first decision past it) to the newest decision (module docs).
     batches: InstanceRing<Proposal>,
-    /// Next batch/instance to flush — and the base of the proposal window.
+    /// Next batch/instance to flush — and the one instance proposed for.
     cursor: InstanceId,
-    /// The round-0 coordinators the last `depth` flushed decisions named,
-    /// for the instances of the window, by instance modulo `depth`
-    /// (`None`: the view's first member). Allocated only once a decision
-    /// names somebody: a failure-free run never does.
-    designated: Vec<Option<ProcessId>>,
+    /// The round-0 coordinator the last flushed decision named for the
+    /// cursor instance (`None`: the view's first member).
+    designated: Option<ProcessId>,
     /// The highest instance the consensus component reported traffic for
     /// (module docs: one watermark stands for every instance requested).
     requested: Option<InstanceId>,
-    /// Our outstanding (undecided) proposals, for the instances of the
-    /// window by instance modulo `depth`: the batch each carries (shared
-    /// with the proposal), whose ids are released when its instance decides
-    /// (losing proposals return their leftovers to the pool). Sized at the
-    /// first proposal and reused from then on.
-    outstanding: Vec<Option<Batch>>,
+    /// The batch of our undecided proposal for the cursor instance (shared
+    /// with the proposal). When the instance decides it is settled: what
+    /// the decision did not order stays pooled for the next proposal.
+    outstanding: Option<Batch>,
     /// The batch of every proposal that carries nothing.
     empty: Batch,
     /// Batches of settled proposals that nobody else holds, at most
     /// [`SPARE_BATCHES`]: each is refilled in place by a later proposal of
     /// as many messages (module docs).
     spares: Vec<Batch>,
-    /// Ids currently riding in an outstanding proposal — excluded from later
-    /// window instances so concurrent proposals stay disjoint locally.
-    assigned: FxHashSet<MsgId>,
-    /// How many consensus instances may be in flight at once. Depth 1 is the
-    /// paper's one-instance-at-a-time cursor, bit-identical to the
-    /// pre-pipelining core.
-    depth: usize,
-    /// When a proposal batch closes (count, bytes, or deadline).
-    policy: BatchPolicy,
-    /// Whether a batch-deadline timer is currently armed.
-    hold_armed: bool,
     /// The instance a state-transfer snapshot activated this process at:
     /// whatever the members sent for it may predate the activation.
     activated_at: Option<InstanceId>,
@@ -276,19 +227,6 @@ impl AbcastCore {
     /// is re-forwarded once its origin is suspected (see [`RelayFanout`];
     /// bounded relay keeps that burst at O(n·k) instead of O(n²)).
     pub fn with_relay(me: ProcessId, initial_view: Option<View>, relay: RelayFanout) -> Self {
-        Self::with_policy(me, initial_view, relay, 1, BatchPolicy::default())
-    }
-
-    /// Creates the core with a consensus pipeline depth and batch policy on
-    /// top of the relay policy. Depth 1 with the default policy is the
-    /// classic sequential core.
-    pub fn with_policy(
-        me: ProcessId,
-        initial_view: Option<View>,
-        relay: RelayFanout,
-        depth: usize,
-        policy: BatchPolicy,
-    ) -> Self {
         let mut rb = Rbcast::with_relay(me, relay);
         let (view, active) = match initial_view {
             Some(v) => {
@@ -303,7 +241,6 @@ impl AbcastCore {
                 false,
             ),
         };
-        let depth = depth.max(1);
         AbcastCore {
             me,
             participants: view.members.as_slice().into(),
@@ -319,28 +256,14 @@ impl AbcastCore {
             adelivered: IdRuns::default(),
             batches: InstanceRing::new(),
             cursor: 0,
-            designated: Vec::new(),
+            designated: None,
             requested: None,
-            outstanding: Vec::new(),
+            outstanding: None,
             empty: Batch::from([]),
             spares: Vec::new(),
-            assigned: FxHashSet::default(),
-            depth,
-            policy,
-            hold_armed: false,
             activated_at: None,
             scratch: Vec::new(),
         }
-    }
-
-    /// The configured pipeline depth (always ≥ 1).
-    pub fn pipeline_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The configured batch policy.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.policy
     }
 
     /// The view this core currently operates in.
@@ -363,56 +286,20 @@ impl AbcastCore {
         self.adelivered.to_vec()
     }
 
-    /// The round-0 coordinators named for the instances from the cursor on,
-    /// one per pipeline slot (for snapshots; `None`: the view's first
-    /// member).
-    pub fn designated(&self) -> Vec<Option<ProcessId>> {
-        let window = self.cursor..self.cursor + self.depth as InstanceId;
-        window.map(|k| self.named(k)).collect()
+    /// The round-0 coordinator named for the cursor instance (for snapshots;
+    /// `None`: the view's first member).
+    pub fn designated(&self) -> Option<ProcessId> {
+        self.designated
     }
 
-    /// The window ring slot of `instance` (`designated`, `outstanding`).
-    fn slot(&self, instance: InstanceId) -> usize {
-        (instance % self.depth as InstanceId) as usize
-    }
-
-    /// Whom a decision named as the round-0 coordinator of `instance`
-    /// (inside the pipeline window).
-    fn named(&self, instance: InstanceId) -> Option<ProcessId> {
-        self.designated.get(self.slot(instance)).copied().flatten()
-    }
-
-    /// Records `next` as the round-0 coordinator of `instance` (which takes
-    /// the slot of an instance already flushed).
-    fn name(&mut self, instance: InstanceId, next: Option<ProcessId>) {
-        if next.is_some() && self.designated.is_empty() {
-            self.designated = vec![None; self.depth];
-        }
-        let slot = self.slot(instance);
-        if let Some(named) = self.designated.get_mut(slot) {
-            *named = next;
-        }
-    }
-
-    /// The round-0 coordinator of `instance` (inside the pipeline window):
-    /// whom its decision named, if that is a member of the current view,
-    /// else the view's first member.
-    fn first_coordinator(&self, instance: InstanceId) -> ProcessId {
-        self.named(instance)
+    /// The round-0 coordinator of the cursor instance: whom the last
+    /// decision named, if that is a member of the current view, else the
+    /// view's first member.
+    fn first_coordinator(&self) -> ProcessId {
+        self.designated
             .filter(|&p| self.view.contains(p))
             .or_else(|| self.view.primary())
             .expect("an active process is in a non-empty view")
-    }
-
-    /// Our proposal slot for `instance`, if it is inside the window (and a
-    /// proposal was ever made).
-    fn outstanding_mut(&mut self, instance: InstanceId) -> Option<&mut Option<Batch>> {
-        let window = self.cursor..self.cursor + self.depth as InstanceId;
-        let slot = self.slot(instance);
-        window
-            .contains(&instance)
-            .then(|| self.outstanding.get_mut(slot))
-            .flatten()
     }
 
     /// What a proposal names for a later instance: the ordering target,
@@ -581,12 +468,14 @@ impl AbcastCore {
             return; // duplicate decision report
         }
         // Our proposal for this instance (if any) is settled: whatever the
-        // decision did not commit returns to the pool for a later window
-        // instance, and a batch only we hold is kept for refilling.
-        if let Some(mut batch) = self.outstanding_mut(instance).and_then(Option::take) {
-            for m in batch.iter() {
-                self.assigned.remove(&m.id);
-            }
+        // decision did not commit stays pooled for the next instance, and a
+        // batch only we hold is kept for refilling.
+        let settled = if instance == self.cursor {
+            self.outstanding.take()
+        } else {
+            None
+        };
+        if let Some(mut batch) = settled {
             if !batch.is_empty() && Arc::get_mut(&mut batch).is_some() {
                 if self.spares.len() == SPARE_BATCHES {
                     self.spares.remove(0);
@@ -655,15 +544,11 @@ impl AbcastCore {
         self.active = true;
         self.cursor = snap.next_instance;
         self.batches.prune_below(self.cursor);
-        self.designated.clear();
-        for (k, &next) in (self.cursor..).zip(&snap.designated) {
-            self.name(k, next);
-        }
+        self.designated = snap.designated;
         self.adelivered = snap.adelivered.iter().copied().collect();
         self.pending.retain(|&id, _| !self.adelivered.contains(id));
-        // A joiner has no outstanding proposals; start the window clean.
-        self.outstanding.clear();
-        self.assigned.clear();
+        // A joiner has no outstanding proposal.
+        self.outstanding = None;
         self.activated_at = Some(self.cursor);
         // What this process a-broadcast before it was a member goes out now.
         self.retarget(out);
@@ -679,104 +564,42 @@ impl AbcastCore {
         out
     }
 
-    /// The batch-deadline timer fired: propose whatever is being held, even
-    /// if the batch is not full.
-    pub fn on_batch_deadline_into(&mut self, out: &mut Vec<AbOut>) {
-        self.hold_armed = false;
-        self.propose_window(out, true);
-    }
-
-    /// Proposes for every open instance in the pipeline window
-    /// `[cursor, cursor + depth)` that has something to order (or that
-    /// another process already started). Each instance takes the next
-    /// policy-bounded chunk of unassigned pending messages, so concurrent
-    /// proposals are locally disjoint; delivery still flushes strictly in
-    /// instance order.
+    /// Proposes everything pending for the cursor instance, unless this
+    /// process already proposed for it or it is decided — when there is
+    /// something to order, or another process already started the instance.
     fn maybe_propose(&mut self, out: &mut Vec<AbOut>) {
-        self.propose_window(out, false);
-    }
-
-    fn propose_window(&mut self, out: &mut Vec<AbOut>, force: bool) {
-        if !self.active {
+        let k = self.cursor;
+        if !self.active || self.outstanding.is_some() || self.batches.contains(k) {
             return;
         }
-        let window_end = self.cursor + self.depth as InstanceId;
-        for k in self.cursor..window_end {
-            if self.batches.contains(k) || self.outstanding_mut(k).is_some_and(|o| o.is_some()) {
-                continue;
-            }
-            // Gather the next chunk of unassigned pending messages, in id
-            // order, up to the policy caps. `scratch` is reused across
-            // proposals and `Message` clones are shallow arena handles.
-            self.scratch.clear();
-            let mut bytes = 0usize;
-            let mut full = false;
-            for (id, m) in self.pending.iter() {
-                if self.assigned.contains(id) {
-                    continue;
-                }
-                if self.scratch.len() >= self.policy.max_msgs {
-                    full = true;
-                    break;
-                }
-                let sz = m.body.size_hint();
-                if !self.scratch.is_empty() && bytes.saturating_add(sz) > self.policy.max_bytes {
-                    full = true;
-                    break;
-                }
-                bytes = bytes.saturating_add(sz);
-                self.scratch.push(m.clone());
-            }
-            // A batch right at a cap is full even when nothing was left
-            // behind — the deadline hold is only for batches with headroom.
-            full = full
-                || self.scratch.len() >= self.policy.max_msgs
-                || bytes >= self.policy.max_bytes;
-            let requested = self.requested == Some(k);
-            // Evidence of being behind on `k`: activated here from a
-            // snapshot, or somebody is already past it.
-            let behind = self.activated_at == Some(k)
-                || self.requested.is_some_and(|r| r > k)
-                || self.batches.last().is_some_and(|b| b > k);
-            if self.scratch.is_empty() && !requested && !behind {
-                continue;
-            }
-            // Deadline batching: hold a non-full batch open for more
-            // traffic unless the deadline fired or a peer already started
-            // the instance (participating late would stall them).
-            if !force
-                && !full
-                && !requested
-                && !behind
-                && self.policy.max_delay > TimeDelta::ZERO
-                && !self.scratch.is_empty()
-            {
-                if !self.hold_armed {
-                    self.hold_armed = true;
-                    out.push(AbOut::ArmBatchTimer(self.policy.max_delay));
-                }
-                return;
-            }
-            let batch = self.batch_of_scratch();
-            self.assigned.extend(batch.iter().map(|m| m.id));
-            if self.outstanding.is_empty() {
-                self.outstanding.resize(self.depth, None);
-            }
-            *self.outstanding_mut(k).expect("inside the window") = Some(batch.clone());
-            if self.activated_at == Some(k) {
-                self.activated_at = None;
-            }
-            out.push(AbOut::Propose {
-                instance: k,
-                value: Proposal {
-                    batch,
-                    next: self.next_designation(),
-                },
-                participants: self.participants.clone(),
-                first: self.first_coordinator(k),
-                catch_up: behind,
-            });
+        let requested = self.requested == Some(k);
+        // Evidence of being behind on `k`: activated here from a snapshot,
+        // or somebody is already past it.
+        let behind = self.activated_at == Some(k)
+            || self.requested.is_some_and(|r| r > k)
+            || self.batches.last().is_some_and(|b| b > k);
+        if self.pending.is_empty() && !requested && !behind {
+            return;
         }
+        // `scratch` is reused across proposals and `Message` clones are
+        // shallow arena handles.
+        self.scratch.clear();
+        self.scratch.extend(self.pending.values().cloned());
+        let batch = self.batch_of_scratch();
+        self.outstanding = Some(batch.clone());
+        if self.activated_at == Some(k) {
+            self.activated_at = None;
+        }
+        out.push(AbOut::Propose {
+            instance: k,
+            value: Proposal {
+                batch,
+                next: self.next_designation(),
+            },
+            participants: self.participants.clone(),
+            first: self.first_coordinator(),
+            catch_up: behind,
+        });
     }
 
     /// The batch of the messages gathered in `scratch`: the shared empty
@@ -817,9 +640,8 @@ impl AbcastCore {
                     self.deliver_one(m, out);
                 }
             }
-            // This decision names the round-0 coordinator of the instance
-            // that enters the window's far end as it leaves the window.
-            self.name(self.cursor + self.depth as InstanceId, next);
+            // This decision names the round-0 coordinator of the next one.
+            self.designated = next;
             self.cursor += 1;
         }
     }
@@ -1024,7 +846,7 @@ mod tests {
             adelivered: vec![],
             gdelivered: vec![],
             gb_epoch: 0,
-            designated: vec![],
+            designated: None,
             app_state: Bytes::new(),
         };
         let _ = c.install_snapshot(&snap);
@@ -1250,7 +1072,7 @@ mod tests {
             adelivered: vec![],
             gdelivered: vec![],
             gb_epoch: 0,
-            designated: vec![],
+            designated: None,
             app_state: Bytes::new(),
         };
         let mine = MsgId {
@@ -1371,7 +1193,7 @@ mod tests {
             adelivered: vec![],
             gdelivered: vec![],
             gb_epoch: 0,
-            designated: vec![],
+            designated: None,
             app_state: Bytes::new(),
         };
         let out = c.install_snapshot(&snap);
@@ -1414,31 +1236,27 @@ mod tests {
     }
 
     #[test]
-    fn a_decision_names_the_round_0_coordinator_depth_instances_on() {
+    fn a_decision_names_the_round_0_coordinator_of_the_next_instance() {
         let named = |batch, next| Proposal {
             batch: Batch::from(batch),
             next,
         };
-        // Depth 1: decision j names instance j+1's; a non-member named falls
-        // back to the view's first member.
+        // Decision j names instance j+1's; a non-member named falls back to
+        // the view's first member.
         let mut c = core(2, 3);
         let _ = c.on_decide(0, named(vec![from_p(1, 0)], Some(pid(1))));
         assert_eq!(firsts(&c.need_instance(1)), vec![(1, pid(1), None)]);
         let _ = c.on_decide(1, named(vec![from_p(1, 1)], Some(pid(7))));
         assert_eq!(firsts(&c.need_instance(2)), vec![(2, pid(0), None)]);
-        // Depth 2: instances 0 and 1 start at the first member, decision 0
-        // names instance 2's.
-        let mut c = core_with(2, 3, 2, BatchPolicy::default());
-        let out = c.need_instance(1);
-        assert_eq!(
-            firsts(&out).iter().map(|f| f.1).collect::<Vec<_>>(),
-            [pid(0); 2]
-        );
-        let out = c.on_decide(0, named(vec![], Some(pid(2))));
+        let out = c.on_decide(2, named(vec![], Some(pid(2))));
         assert_eq!(firsts(&out), vec![]);
-        assert_eq!(c.designated(), vec![None, Some(pid(2))]);
-        let _ = c.on_decide(1, named(vec![], None));
-        assert_eq!(firsts(&c.need_instance(2)), vec![(2, pid(2), None)]);
+        assert_eq!(c.designated(), Some(pid(2)));
+        assert_eq!(firsts(&c.need_instance(3)), vec![(3, pid(2), None)]);
+        // A decision that names nobody hands the next instance back to the
+        // first member.
+        let _ = c.on_decide(3, named(vec![], None));
+        assert_eq!(c.designated(), None);
+        assert_eq!(firsts(&c.need_instance(4)), vec![(4, pid(0), None)]);
     }
 
     #[test]
@@ -1472,17 +1290,6 @@ mod tests {
         );
     }
 
-    fn core_with(i: u32, n: u32, depth: usize, policy: BatchPolicy) -> AbcastCore {
-        let members: Vec<ProcessId> = (0..n).map(pid).collect();
-        AbcastCore::with_policy(
-            pid(i),
-            Some(View::initial(members)),
-            RelayFanout::All,
-            depth,
-            policy,
-        )
-    }
-
     fn proposals(out: &[AbOut]) -> Vec<(InstanceId, usize)> {
         out.iter()
             .filter_map(|o| match o {
@@ -1495,26 +1302,8 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_window_runs_disjoint_instances_concurrently() {
-        let policy = BatchPolicy {
-            max_msgs: 1,
-            ..BatchPolicy::default()
-        };
-        let mut c = core_with(0, 3, 2, policy);
-        let out1 = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        assert_eq!(proposals(&out1), vec![(0, 1)]);
-        // A second message while instance 0 is undecided: the window opens
-        // instance 1 with the next (disjoint) chunk.
-        let out2 = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        assert_eq!(proposals(&out2), vec![(1, 1)]);
-        // Depth exhausted: a third message must wait for a decision.
-        let out3 = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        assert_eq!(proposals(&out3), vec![]);
-    }
-
-    #[test]
     fn losing_proposal_returns_messages_to_the_pool() {
-        let mut c = core_with(0, 3, 1, BatchPolicy::default());
+        let mut c = core(0, 3);
         let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
         let mine = match proposals(&out)[..] {
             [(0, 1)] => MsgId {
@@ -1542,65 +1331,6 @@ mod tests {
         assert!(reproposed);
     }
 
-    #[test]
-    fn byte_cap_closes_batches_but_never_starves_a_fat_message() {
-        let policy = BatchPolicy {
-            max_bytes: 1,
-            ..BatchPolicy::default()
-        };
-        let mut c = core_with(0, 3, 4, policy);
-        // Two fat (non-empty-body) messages: the join/remove bodies weigh 8
-        // bytes each, over the 1-byte cap — yet each batch still carries one.
-        let out1 = c.abcast(MessageClass::ABCAST, Body::Join(pid(7)));
-        let out2 = c.abcast(MessageClass::ABCAST, Body::Join(pid(8)));
-        assert_eq!(proposals(&out1), vec![(0, 1)]);
-        assert_eq!(proposals(&out2), vec![(1, 1)]);
-    }
-
-    #[test]
-    fn deadline_holds_a_non_full_batch_then_force_proposes() {
-        let policy = BatchPolicy {
-            max_msgs: 4,
-            max_delay: TimeDelta::from_millis(2),
-            ..BatchPolicy::default()
-        };
-        let mut c = core_with(0, 3, 1, policy);
-        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        assert_eq!(proposals(&out), vec![], "non-full batch held open");
-        assert!(
-            out.iter()
-                .any(|o| matches!(o, AbOut::ArmBatchTimer(d) if *d == TimeDelta::from_millis(2))),
-            "deadline armed: {out:?}"
-        );
-        // A second arm is not emitted while one is outstanding.
-        let out2 = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        assert!(out2
-            .iter()
-            .all(|o| !matches!(o, AbOut::ArmBatchTimer(_) | AbOut::Propose { .. })));
-        let mut out3 = Vec::new();
-        c.on_batch_deadline_into(&mut out3);
-        assert_eq!(proposals(&out3), vec![(0, 2)], "deadline flushes the hold");
-    }
-
-    #[test]
-    fn full_batch_proposes_without_waiting_for_the_deadline() {
-        let policy = BatchPolicy {
-            max_msgs: 2,
-            max_delay: TimeDelta::from_millis(2),
-            ..BatchPolicy::default()
-        };
-        let mut c = core_with(0, 3, 1, policy);
-        let _ = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        let out = c.abcast(MessageClass::ABCAST, Body::App(PayloadRef::EMPTY));
-        assert_eq!(proposals(&out), vec![(0, 2)], "count cap trips the batch");
-        // The stale deadline is a no-op once the batch went out.
-        let mut out2 = Vec::new();
-        c.on_batch_deadline_into(&mut out2);
-        assert_eq!(proposals(&out2), vec![]);
-    }
-
-    /// Bounded memory over a long run: 200,000 a-broadcasts of three
-    /// senders, diffused and decided in order, leave one run per sender in
     /// each of the id sets the core keeps for good.
     #[test]
     fn id_sets_stay_one_run_per_sender_over_200_000_messages() {
@@ -1628,6 +1358,6 @@ mod tests {
         }
         assert_eq!(delivered, 200_001);
         assert_eq!(c.id_set_runs(), [3, 3, 3]);
-        assert!(c.pending.is_empty() && c.assigned.is_empty());
+        assert!(c.pending.is_empty() && c.outstanding.is_none());
     }
 }

@@ -64,7 +64,7 @@ use gcs_net::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::abcast::{AbOut, AbcastCore, BatchPolicy};
+use crate::abcast::{AbOut, AbcastCore};
 use crate::generic::{GbOut, GenericCore};
 use crate::membership::{MbOut, MembershipCore};
 use crate::monitoring::{MonOut, MonitoringCore, MonitoringPolicy};
@@ -390,8 +390,8 @@ impl Component<Ev> for FdComponent {
 /// How many decided instances the consensus manager keeps cached behind the
 /// newest proposal for lagging-peer catch-up replies. Far larger than any
 /// catalog run's instance count (so recorded runs never prune and stay
-/// bit-identical), yet it bounds decision memory on long pipelined
-/// saturation runs instead of growing with the run.
+/// bit-identical), yet it bounds decision memory on long runs instead of
+/// growing with the run.
 const DECISION_KEEP: InstanceId = 1024;
 
 /// Adapter around [`ConsensusManager`] (Fig 9 "Consensus").
@@ -464,10 +464,10 @@ impl Component<Ev> for ConsensusComponent {
                     self.mgr.pull_into(instance, &mut outs);
                     self.apply(outs.drain(..), ctx);
                 }
-                // The proposal window only moves forward: decisions (and
-                // buffered foreign traffic) more than DECISION_KEEP
-                // instances behind it will never be asked for again by a
-                // peer inside the catch-up window.
+                // Proposals only move forward: decisions (and buffered
+                // foreign traffic) more than DECISION_KEEP instances behind
+                // this one will never be asked for again by a peer inside
+                // the catch-up window.
                 let floor = instance.saturating_sub(DECISION_KEEP);
                 if floor > 0 {
                     self.mgr.prune_below(floor);
@@ -505,30 +505,23 @@ pub struct AbcastComponent {
     /// it, so a message of ours still unordered after a full one is not
     /// waiting for the detector.
     safety_net_after: TimeDelta,
-    /// The armed safety-net timer, to tell its expiry from a batch
-    /// deadline's.
-    safety_net: Option<TimerId>,
     /// Reused core-output buffer.
     scratch: Vec<AbOut>,
 }
 
 impl AbcastComponent {
-    /// Creates the atomic-broadcast component: relay policy, consensus
-    /// pipeline depth and batch policy as in [`AbcastCore::with_policy`],
-    /// and the consensus-class failure-detector timeout the safety-net
-    /// timer is derived from.
+    /// Creates the atomic-broadcast component: relay policy as in
+    /// [`AbcastCore::with_relay`], and the consensus-class failure-detector
+    /// timeout the safety-net timer is derived from.
     pub fn new(
         me: ProcessId,
         initial_view: Option<View>,
         relay: RelayFanout,
-        depth: usize,
-        policy: BatchPolicy,
         consensus_timeout: TimeDelta,
     ) -> Self {
         AbcastComponent {
-            core: AbcastCore::with_policy(me, initial_view, relay, depth, policy),
+            core: AbcastCore::with_relay(me, initial_view, relay),
             safety_net_after: consensus_timeout,
-            safety_net: None,
             scratch: Vec::new(),
         }
     }
@@ -563,11 +556,8 @@ impl AbcastComponent {
                     };
                     ctx.emit(target, Ev::CtrlDelivered(m));
                 }
-                AbOut::ArmBatchTimer(after) => {
-                    let _ = ctx.set_timer(after);
-                }
                 AbOut::ArmSafetyNet => {
-                    self.safety_net = Some(ctx.set_timer(self.safety_net_after));
+                    let _ = ctx.set_timer(self.safety_net_after);
                 }
             }
         }
@@ -626,18 +616,11 @@ impl Component<Ev> for AbcastComponent {
         self.scratch = outs;
     }
 
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, Ev>) {
+    fn on_timer(&mut self, _: TimerId, ctx: &mut Context<'_, Ev>) {
         let mut outs = std::mem::take(&mut self.scratch);
         debug_assert!(outs.is_empty());
-        if self.safety_net == Some(timer) {
-            self.safety_net = None;
-            self.core.on_safety_net_into(&mut outs);
-        } else {
-            // The batch-deadline timer (armed via [`AbOut::ArmBatchTimer`]):
-            // force-propose whatever the deadline caught. Never armed under
-            // the default eager batch policy.
-            self.core.on_batch_deadline_into(&mut outs);
-        }
+        // The safety net is this component's only timer.
+        self.core.on_safety_net_into(&mut outs);
         self.apply(outs.drain(..), ctx);
         self.scratch = outs;
     }

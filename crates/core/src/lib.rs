@@ -52,7 +52,6 @@ mod rbcast;
 mod stack;
 mod types;
 
-pub use abcast::BatchPolicy;
 pub use gcs_fd::FdMode;
 pub use monitoring::MonitoringPolicy;
 pub use rbcast::{Rbcast, RelayFanout};

@@ -138,7 +138,7 @@ impl MembershipCore {
                             adelivered: Vec::new(),
                             gdelivered: Vec::new(),
                             gb_epoch: 0,
-                            designated: Vec::new(),
+                            designated: None,
                             app_state: Bytes::from(vec![0u8; self.state_size]),
                         }),
                     });
@@ -264,7 +264,7 @@ mod tests {
             adelivered: vec![],
             gdelivered: vec![],
             gb_epoch: 2,
-            designated: vec![],
+            designated: None,
             app_state: Bytes::new(),
         };
         let out = j.on_snapshot(&snap);

@@ -5,7 +5,6 @@ use gcs_kernel::{PayloadRef, Process, ProcessId, TimeDelta};
 use gcs_net::RcConfig;
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Trace};
 
-use crate::abcast::BatchPolicy;
 use crate::components::{
     ids, AbcastComponent, ConsensusComponent, FdComponent, GenericComponent, MembershipComponent,
     MonitoringComponent, RcComponent,
@@ -63,18 +62,6 @@ pub struct StackConfig {
     /// crash scenarios of the scenario engine and `tests/gossip_fd.rs` set
     /// it.
     pub trace_suspicions: bool,
-    /// How many abcast consensus instances may run concurrently (0 counts
-    /// as 1). Unlike the scale-derived policies above, the pipeline window
-    /// is *order-visible* (it changes which batch each instance agrees on),
-    /// so it is 1 at **every** group size unless a run opts in. The
-    /// saturation tests, `oracle_fuzz`'s depth sweeps and the `gcs-api`
-    /// saturation example set it.
-    pub pipeline_depth: usize,
-    /// When abcast proposal batches close (count, bytes, or deadline). The
-    /// default is eager and unbounded: everything pending is proposed at
-    /// once. Set alongside [`pipeline_depth`](Self::pipeline_depth), by the
-    /// same callers.
-    pub batch: BatchPolicy,
 }
 
 /// Largest founding-group size that keeps the scale-neutral defaults:
@@ -128,8 +115,6 @@ impl Default for StackConfig {
             state_size: 0,
             fd_mode: None,
             trace_suspicions: false,
-            pipeline_depth: 1,
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -165,14 +150,7 @@ pub fn build_process(
         config.resolved_fd_mode(scale_n),
         config.trace_suspicions,
     );
-    let abcast = AbcastComponent::new(
-        id,
-        initial_view.clone(),
-        relay,
-        config.pipeline_depth,
-        config.batch,
-        config.consensus_timeout,
-    );
+    let abcast = AbcastComponent::new(id, initial_view.clone(), relay, config.consensus_timeout);
     let generic = GenericCore::with_relay(id, config.conflict.clone(), initial_view.clone(), relay);
     let membership = MembershipCore::new(id, initial_view, config.state_size);
     Process::builder(id)

@@ -415,10 +415,9 @@ pub struct SnapshotData {
     pub gdelivered: Vec<MsgId>,
     /// Current generic-broadcast epoch.
     pub gb_epoch: u64,
-    /// The round-0 coordinators the decisions before `next_instance` named
-    /// for the instances from `next_instance` on, one per pipeline slot
-    /// (`None`: the view's first member) — see [`Proposal::next`].
-    pub designated: Vec<Option<ProcessId>>,
+    /// The round-0 coordinator the decision before `next_instance` named
+    /// for it (`None`: the view's first member) — see [`Proposal::next`].
+    pub designated: Option<ProcessId>,
     /// Opaque application state (for the replication layer), with its size
     /// modelling the paper's "costly state transfer" (§4.3).
     pub app_state: Bytes,
@@ -486,7 +485,7 @@ impl WireMsg {
             WireMsg::Mb(MbMsg::JoinRequest) => 16,
             WireMsg::Mb(MbMsg::Snapshot(s)) => {
                 64 + 12 * (s.adelivered.len() + s.gdelivered.len())
-                    + 4 * s.designated.iter().flatten().count()
+                    + 4 * s.designated.iter().count()
                     + s.app_state.len()
             }
             WireMsg::Mon(_) => 20,
@@ -508,8 +507,7 @@ pub type Batch = Arc<[Message]>;
 
 /// What atomic broadcast proposes to — and consensus decides for — one
 /// instance: the batch, and the round-0 coordinator this decision names for
-/// a later instance (the one `pipeline_depth` instances on; see the
-/// [`abcast`](crate::abcast) module docs).
+/// the next instance (see the [`abcast`](crate::abcast) module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proposal {
     /// The messages the instance orders.
