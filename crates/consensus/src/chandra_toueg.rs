@@ -270,11 +270,6 @@ impl<V: Value> CtConsensus<V> {
         self.participants
     }
 
-    /// Whether this instance has decided.
-    pub fn is_decided(&self) -> bool {
-        self.decided
-    }
-
     /// The current round (diagnostics).
     pub fn round(&self) -> u64 {
         self.round

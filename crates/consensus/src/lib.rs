@@ -9,12 +9,10 @@
 //! * [`CtConsensus`] — one instance of the Chandra-Toueg algorithm,
 //!   tolerating `f < n/2` crashes, sans-I/O;
 //! * [`ConsensusManager`] — the repeated-consensus service used by atomic
-//!   broadcast: instance creation, decision caching, catch-up replies for
-//!   processes that lag behind, and the relay of a learned decision while
-//!   its sender is suspected;
-//! * [`InstanceRing`] — per-instance state in a window of slots, which the
-//!   manager keeps its decisions in and atomic broadcast its decided
-//!   batches;
+//!   broadcast, one instance at a time: instance creation, decision
+//!   caching, catch-up replies for processes that lag behind, parking of
+//!   traffic for instances not opened yet, and the relay of a learned
+//!   decision while its sender is suspected;
 //! * [`paxos::PaxosConsensus`] — a single-decree Paxos with the same
 //!   interface, used by the ablation experiment A1 to show the architecture
 //!   is agnostic to the consensus algorithm beneath it. It stays because
@@ -34,11 +32,9 @@
 mod chandra_toueg;
 mod manager;
 pub mod paxos;
-mod ring;
 
 pub use chandra_toueg::{CtConsensus, CtMsg, CtOut};
 pub use manager::{ConsensusManager, InstanceId, ManagerOut};
-pub use ring::InstanceRing;
 
 use gcs_kernel::ProcessId;
 

@@ -1,30 +1,49 @@
 //! Repeated consensus: the service atomic broadcast is built on.
 //!
-//! **The decision cache is a ring.** Every consensus message looks the
-//! cache up first (a decided instance answers from it), and every decision
-//! goes into it, so it is an [`InstanceRing`] rather than a map: slot `i`
-//! holds the decision of instance `base + i`, for every instance from the
-//! lowest decision held to the newest. Pipelined instances decide out of
-//! order, which leaves an empty slot until the gap decides; an owner that
-//! prunes (atomic broadcast keeps the decisions of the 1,024 instances
-//! behind its newest proposal) pops the front, so the ring spans a bounded
-//! window and, once its capacity covers that window, a decision costs no
-//! allocation. Its answers are the map's: in test builds a manager can run
-//! on the `BTreeMap` the ring replaced, and a property test drives the two
-//! side by side.
+//! **One instance at a time.** Atomic broadcast opens instance `k + 1` only
+//! once it has delivered the decision of `k` (the Chandra-Toueg reduction),
+//! so the manager's state has three parts, one per position relative to
+//! the instance that runs:
+//!
+//! * *the running instance*, at most one;
+//! * *the decisions behind it*, which answer late traffic: a window from a
+//!   base instance, appended at the back as instances decide (in instance
+//!   order) and pruned at the front, [`DECISION_KEEP`] instances behind the
+//!   newest proposal, so it spans a bounded window and, once its capacity
+//!   covers that window, a decision costs no allocation (in test builds a
+//!   manager can run on a map instead, and a property test drives the two
+//!   side by side);
+//! * *the traffic ahead of it*: messages for an instance not opened yet,
+//!   parked in arrival order in one flat buffer kept across instances.
+//!   Parking asks the owner to open the instance
+//!   ([`ManagerOut::NeedInstance`]), since only the owner knows what to
+//!   propose and among whom; a non-coordinator with nothing of its own to
+//!   order parks the coordinator's proposal for every instance, until that
+//!   round trip opens it a moment later. When
+//!   [`propose_into`](ConsensusManager::propose_into) opens the instance
+//!   the parked messages are replayed, and below the prune floor they are
+//!   dropped.
 
 #[cfg(test)]
 use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gcs_kernel::{FxHashMap, FxHashSet, ProcessId};
 
 use crate::chandra_toueg::{answers_with_decision, CtConsensus, CtMsg, CtOut};
-use crate::{InstanceRing, Value};
+use crate::Value;
 
 /// Identifies one consensus instance (atomic broadcast runs instance
 /// `0, 1, 2, …` — one per delivered batch).
 pub type InstanceId = u64;
+
+/// How many decided instances the manager keeps behind the newest proposal
+/// for lagging-peer catch-up replies. Far larger than any catalog run's
+/// instance count (so recorded runs never prune and stay bit-identical),
+/// yet it bounds decision memory on long runs instead of growing with the
+/// run.
+const DECISION_KEEP: InstanceId = 1024;
 
 /// An instruction produced by the [`ConsensusManager`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,6 +64,9 @@ pub enum ManagerOut<V> {
         /// The decided value.
         value: V,
     },
+    /// Traffic for this instance arrived before it was opened and is parked
+    /// until [`ConsensusManager::propose_into`] opens it.
+    NeedInstance(InstanceId),
 }
 
 /// A cached decision.
@@ -59,11 +81,16 @@ struct Cached<V> {
     sent_to_all: bool,
 }
 
-/// The decision cache (module docs).
+/// The decisions behind the running instance (module docs).
 #[derive(Debug)]
 enum Decisions<V> {
-    Ring(InstanceRing<Cached<V>>),
-    /// The map the ring replaced: the reference it is tested against.
+    /// The decision of instance `base + i` at position `i`.
+    Window {
+        /// The instance of the front decision (meaningless while empty).
+        base: InstanceId,
+        values: VecDeque<Cached<V>>,
+    },
+    /// A map: the reference the window is tested against.
     #[cfg(test)]
     Map(BTreeMap<InstanceId, Cached<V>>),
 }
@@ -71,16 +98,27 @@ enum Decisions<V> {
 impl<V> Decisions<V> {
     fn get(&self, instance: InstanceId) -> Option<&Cached<V>> {
         match self {
-            Decisions::Ring(ring) => ring.get(instance),
+            Decisions::Window { base, values } => {
+                values.get(usize::try_from(instance.checked_sub(*base)?).ok()?)
+            }
             #[cfg(test)]
             Decisions::Map(map) => map.get(&instance),
         }
     }
 
-    fn insert(&mut self, instance: InstanceId, cached: Cached<V>) {
+    /// Appends the decision of `instance`, the one after the newest held.
+    fn push(&mut self, instance: InstanceId, cached: Cached<V>) {
         match self {
-            Decisions::Ring(ring) => {
-                ring.insert(instance, cached);
+            Decisions::Window { base, values } => {
+                if values.is_empty() {
+                    *base = instance;
+                }
+                debug_assert_eq!(
+                    instance,
+                    *base + values.len() as InstanceId,
+                    "decisions arrive in instance order"
+                );
+                values.push_back(cached);
             }
             #[cfg(test)]
             Decisions::Map(map) => {
@@ -91,17 +129,22 @@ impl<V> Decisions<V> {
 
     fn prune_below(&mut self, floor: InstanceId) {
         match self {
-            Decisions::Ring(ring) => ring.prune_below(floor),
+            Decisions::Window { base, values } => {
+                while *base < floor && values.pop_front().is_some() {
+                    *base += 1;
+                }
+            }
             #[cfg(test)]
             Decisions::Map(map) => *map = map.split_off(&floor),
         }
     }
 }
 
-/// Manages a sequence of consensus instances: creation on proposal,
-/// decision caching, catch-up replies for lagging peers, propagation of the
-/// failure-detector suspicion set to every live instance, and the relay of
-/// learned decisions while their sender is suspected.
+/// Manages a sequence of consensus instances, one at a time: creation on
+/// proposal, decision caching, catch-up replies for lagging peers, parking
+/// of traffic that is ahead, propagation of the failure-detector suspicion
+/// set to the running instance, and the relay of learned decisions while
+/// their sender is suspected.
 ///
 /// An instance on its own makes every participant that started it decide
 /// (see [`CtConsensus`]). The relay is for the participant that has no
@@ -114,11 +157,12 @@ impl<V> Decisions<V> {
 #[derive(Debug)]
 pub struct ConsensusManager<V> {
     me: ProcessId,
-    /// The running instances, in instance order: the pipeline window and
-    /// what lags behind it — a handful, so a sorted `Vec` that keeps its
-    /// capacity rather than a map that allocates a node per instance.
-    instances: Vec<(InstanceId, CtConsensus<V>)>,
+    /// The running instance: opened by a proposal, closed by its decision.
+    running: Option<(InstanceId, CtConsensus<V>)>,
     decisions: Decisions<V>,
+    /// Messages for instances not opened yet, in arrival order (module
+    /// docs).
+    parked: Vec<(InstanceId, ProcessId, CtMsg<V>)>,
     suspected: FxHashSet<ProcessId>,
     /// Per peer, the newest decision learned from a `Decide` of that peer
     /// while it was trusted, with its instance's participants. Should the
@@ -129,7 +173,7 @@ pub struct ConsensusManager<V> {
     /// the instance's own rules get it the outcome.
     unrelayed: FxHashMap<ProcessId, (InstanceId, Arc<[ProcessId]>)>,
     /// Decisions below this instance were pruned: messages for them are
-    /// dropped (not buffered) — a peer that far behind recovers via state
+    /// dropped (not parked) — a peer that far behind recovers via state
     /// transfer, not per-instance catch-up.
     pruned_below: InstanceId,
     /// Reused buffer for instance outputs: steady-state message handling
@@ -152,8 +196,12 @@ impl<V: Value> ConsensusManager<V> {
     pub fn with_echo_fanout(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusManager {
             me,
-            instances: Vec::new(),
-            decisions: Decisions::Ring(InstanceRing::new()),
+            running: None,
+            decisions: Decisions::Window {
+                base: 0,
+                values: VecDeque::new(),
+            },
+            parked: Vec::new(),
             suspected: FxHashSet::default(),
             unrelayed: FxHashMap::default(),
             pruned_below: 0,
@@ -162,7 +210,7 @@ impl<V: Value> ConsensusManager<V> {
         }
     }
 
-    /// The same manager on the map the decision ring replaced.
+    /// The same manager on a map of decisions instead of the window.
     #[cfg(test)]
     fn with_map_cache(mut self) -> Self {
         self.decisions = Decisions::Map(BTreeMap::new());
@@ -171,12 +219,11 @@ impl<V: Value> ConsensusManager<V> {
 
     /// Whether `instance` exists locally (running or decided).
     pub fn has_instance(&self, instance: InstanceId) -> bool {
-        self.running(instance).is_ok() || self.decisions.get(instance).is_some()
+        self.is_running(instance) || self.decisions.get(instance).is_some()
     }
 
-    /// Where `instance` is among the running ones, or where it would go.
-    fn running(&self, instance: InstanceId) -> Result<usize, usize> {
-        self.instances.binary_search_by_key(&instance, |(k, _)| *k)
+    fn is_running(&self, instance: InstanceId) -> bool {
+        self.running.as_ref().is_some_and(|(k, _)| *k == instance)
     }
 
     /// The cached decision of `instance`, if it decided locally.
@@ -187,91 +234,98 @@ impl<V: Value> ConsensusManager<V> {
     /// Proposes `value` for `instance` among `participants`, with `first`
     /// as the round-0 coordinator (every participant must pass the same
     /// one: see [`CtConsensus`]).
-    ///
-    /// Creates the instance if needed (idempotent otherwise; the instance
-    /// shares the participant list when it is sorted already) and seeds it
-    /// with the current suspicion set.
     pub fn propose(
         &mut self,
         instance: InstanceId,
         value: V,
         participants: &Arc<[ProcessId]>,
         first: ProcessId,
+        catch_up: bool,
     ) -> Vec<ManagerOut<V>> {
         let mut out = Vec::new();
-        self.propose_into(instance, value, participants, first, &mut out);
+        self.propose_into(instance, value, participants, first, catch_up, &mut out);
         out
     }
 
     /// [`propose`](Self::propose), appending into a caller-owned buffer
     /// (the hot-path entry point).
+    ///
+    /// Opens the instance if needed (idempotent otherwise; the instance
+    /// shares the participant list when it is sorted already) and seeds it
+    /// with the current suspicion set. It must be the only instance open:
+    /// the one before it has decided. The messages parked for it are then
+    /// replayed in arrival order, and with `catch_up` — the caller has
+    /// evidence of being behind — the instance pulls its outcome if it
+    /// still waits for its first proposal ([`CtConsensus::pull_into`]).
+    /// Decisions more than `DECISION_KEEP` (1,024) instances behind this
+    /// one are pruned: proposals only move forward, so no peer inside the
+    /// catch-up window asks for them again.
     pub fn propose_into(
         &mut self,
         instance: InstanceId,
         value: V,
         participants: &Arc<[ProcessId]>,
         first: ProcessId,
+        catch_up: bool,
         out: &mut Vec<ManagerOut<V>>,
     ) {
-        if self.decisions.get(instance).is_some() {
-            return;
+        if self.decisions.get(instance).is_none() {
+            if !self.is_running(instance) {
+                debug_assert!(self.running.is_none(), "one instance at a time");
+                let mut c = CtConsensus::new(self.me, Arc::clone(participants), first);
+                c.seed_suspicions(&self.suspected);
+                self.running = Some((instance, c));
+            }
+            self.drive(out, |c, scratch| c.propose_into(value, scratch));
         }
-        let at = self.running(instance).unwrap_or_else(|at| {
-            let mut c = CtConsensus::new(self.me, Arc::clone(participants), first);
-            c.seed_suspicions(&self.suspected);
-            self.instances.insert(at, (instance, c));
-            at
-        });
-        let mut scratch = std::mem::take(&mut self.ct_scratch);
-        self.instances[at].1.propose_into(value, &mut scratch);
-        self.collect(instance, &mut scratch, out);
-        self.ct_scratch = scratch;
+        let mut parked = std::mem::take(&mut self.parked);
+        for (_, from, msg) in parked.extract_if(.., |(k, ..)| *k == instance) {
+            self.on_msg_into(instance, from, msg, out);
+        }
+        self.parked = parked;
+        if catch_up {
+            self.pull_into(instance, out);
+        }
+        self.prune_below(instance.saturating_sub(DECISION_KEEP));
     }
 
     /// Pulls the outcome of `instance` from its round-0 coordinator if this
     /// process still waits there without a proposal (see
-    /// [`CtConsensus::pull_into`]) — for a caller that has reason to think
-    /// it is behind. No-op for an unknown or decided instance.
-    pub fn pull_into(&mut self, instance: InstanceId, out: &mut Vec<ManagerOut<V>>) {
-        let Ok(at) = self.running(instance) else {
-            return;
-        };
-        let mut scratch = std::mem::take(&mut self.ct_scratch);
-        self.instances[at].1.pull_into(&mut scratch);
-        self.collect(instance, &mut scratch, out);
-        self.ct_scratch = scratch;
+    /// [`CtConsensus::pull_into`]). No-op unless `instance` is the running
+    /// one.
+    fn pull_into(&mut self, instance: InstanceId, out: &mut Vec<ManagerOut<V>>) {
+        if self.is_running(instance) {
+            self.drive(out, CtConsensus::pull_into);
+        }
     }
 
     /// Handles an instance-tagged message.
     ///
     /// Messages for decided instances are answered with the cached decision
     /// (all but a `Decide`, and an `Ack` for a decision this process made as
-    /// coordinator); messages for unknown instances must be buffered by the
-    /// caller until it proposes for that instance (the caller — atomic
-    /// broadcast — knows the participant set, the manager does not). In
-    /// that buffering case the message is handed back, so the caller does
-    /// not have to clone defensively up front.
+    /// coordinator); messages for an instance not opened yet are parked, and
+    /// the owner is asked to open it ([`ManagerOut::NeedInstance`]: it knows
+    /// the participant set, the manager does not).
     pub fn on_msg(
         &mut self,
         instance: InstanceId,
         from: ProcessId,
         msg: CtMsg<V>,
-    ) -> (Vec<ManagerOut<V>>, Option<CtMsg<V>>) {
+    ) -> Vec<ManagerOut<V>> {
         let mut out = Vec::new();
-        let rejected = self.on_msg_into(instance, from, msg, &mut out);
-        (out, rejected)
+        self.on_msg_into(instance, from, msg, &mut out);
+        out
     }
 
     /// [`on_msg`](Self::on_msg), appending into a caller-owned buffer (the
-    /// hot-path entry point). Returns the message back when it must be
-    /// buffered by the caller.
+    /// hot-path entry point).
     pub fn on_msg_into(
         &mut self,
         instance: InstanceId,
         from: ProcessId,
         msg: CtMsg<V>,
         out: &mut Vec<ManagerOut<V>>,
-    ) -> Option<CtMsg<V>> {
+    ) {
         if let Some(c) = self.decisions.get(instance) {
             if answers_with_decision(&msg, c.sent_to_all) {
                 out.push(ManagerOut::Send {
@@ -282,26 +336,20 @@ impl<V: Value> ConsensusManager<V> {
                     },
                 });
             }
-            return None;
+        } else if instance < self.pruned_below {
+            // The decision existed once but was pruned: parking would leak
+            // forever (atomic broadcast never starts instances behind its
+            // cursor), so drop — the sender is beyond the catch-up window
+            // and recovers by state transfer.
+        } else if self.is_running(instance) {
+            self.drive(out, |c, scratch| c.on_msg_into(from, msg, scratch));
+        } else {
+            self.parked.push((instance, from, msg));
+            out.push(ManagerOut::NeedInstance(instance));
         }
-        if instance < self.pruned_below {
-            // The decision existed once but was pruned: buffering would
-            // leak forever (atomic broadcast never starts instances behind
-            // its cursor), so drop — the sender is beyond the catch-up
-            // window and recovers by state transfer.
-            return None;
-        }
-        let Ok(at) = self.running(instance) else {
-            return Some(msg);
-        };
-        let mut scratch = std::mem::take(&mut self.ct_scratch);
-        self.instances[at].1.on_msg_into(from, msg, &mut scratch);
-        self.collect(instance, &mut scratch, out);
-        self.ct_scratch = scratch;
-        None
     }
 
-    /// Records a suspicion, forwards it to every running instance, and
+    /// Records a suspicion, forwards it to the running instance, and
     /// relays the newest decision learned from `p` (it may have crashed
     /// while sending it).
     pub fn suspect(&mut self, p: ProcessId) -> Vec<ManagerOut<V>> {
@@ -313,14 +361,7 @@ impl<V: Value> ConsensusManager<V> {
     /// [`suspect`](Self::suspect), appending into a caller-owned buffer.
     pub fn suspect_into(&mut self, p: ProcessId, out: &mut Vec<ManagerOut<V>>) {
         self.suspected.insert(p);
-        let ids: Vec<InstanceId> = self.instances.iter().map(|(k, _)| *k).collect();
-        let mut scratch = std::mem::take(&mut self.ct_scratch);
-        for id in ids {
-            let at = self.running(id).expect("listed");
-            self.instances[at].1.suspect_into(p, &mut scratch);
-            self.collect(id, &mut scratch, out);
-        }
-        self.ct_scratch = scratch;
+        self.drive(out, |c, scratch| c.suspect_into(p, scratch));
         if let Some((instance, participants)) = self.unrelayed.remove(&p) {
             if let Some(c) = self.decisions.get(instance) {
                 self.relay(instance, &c.value, &participants, p, out);
@@ -356,26 +397,27 @@ impl<V: Value> ConsensusManager<V> {
         }
     }
 
-    /// Clears a suspicion (future instances start without it; running
-    /// instances stop nacking its rounds).
+    /// Clears a suspicion (future instances start without it; the running
+    /// instance stops nacking its rounds).
     pub fn restore(&mut self, p: ProcessId) {
         self.suspected.remove(&p);
-        for (_, inst) in &mut self.instances {
-            inst.restore(p);
+        if let Some((_, c)) = &mut self.running {
+            c.restore(p);
         }
     }
 
-    /// Drops state of decided instances below `floor` and records the floor
-    /// (monotonic): later messages for pruned instances are dropped rather
-    /// than handed back for buffering. The caller guarantees peers that far
-    /// behind recover some other way (state transfer), keeping decision
-    /// memory bounded on long pipelined runs.
+    /// Drops the decisions and the parked messages of instances below
+    /// `floor` and records the floor (monotonic): later messages for
+    /// pruned instances are dropped rather than parked. The caller
+    /// guarantees peers that far behind recover some other way (state
+    /// transfer), keeping memory bounded on long runs.
     pub fn prune_below(&mut self, floor: InstanceId) {
         if floor <= self.pruned_below {
             return;
         }
         self.pruned_below = floor;
         self.decisions.prune_below(floor);
+        self.parked.retain(|(k, ..)| *k >= floor);
     }
 
     /// The current prune floor (0 when nothing was ever pruned).
@@ -383,8 +425,26 @@ impl<V: Value> ConsensusManager<V> {
         self.pruned_below
     }
 
+    /// Runs `step` on the running instance (if any) and collects what it
+    /// outputs.
+    fn drive(
+        &mut self,
+        out: &mut Vec<ManagerOut<V>>,
+        step: impl FnOnce(&mut CtConsensus<V>, &mut Vec<CtOut<V>>),
+    ) {
+        let Some((instance, c)) = &mut self.running else {
+            return;
+        };
+        let instance = *instance;
+        let mut scratch = std::mem::take(&mut self.ct_scratch);
+        step(c, &mut scratch);
+        self.collect(instance, &mut scratch, out);
+        self.ct_scratch = scratch;
+    }
+
     /// Drains instance outputs (leaving `outs` empty for reuse) into
-    /// manager outputs, caching decisions.
+    /// manager outputs; a decision closes the running instance and joins
+    /// the window behind it.
     fn collect(
         &mut self,
         instance: InstanceId,
@@ -395,8 +455,7 @@ impl<V: Value> ConsensusManager<V> {
             match o {
                 CtOut::Send { to, msg } => res.push(ManagerOut::Send { to, instance, msg }),
                 CtOut::Decided(v) => {
-                    let at = self.running(instance).expect("it just decided");
-                    let (_, inst) = self.instances.remove(at);
+                    let (_, inst) = self.running.take().expect("it just decided");
                     let learned_from = inst.learned_from();
                     if let Some(origin) = learned_from {
                         if self.suspected.contains(&origin) {
@@ -410,7 +469,7 @@ impl<V: Value> ConsensusManager<V> {
                                 .insert(origin, (instance, inst.into_participants()));
                         }
                     }
-                    self.decisions.insert(
+                    self.decisions.push(
                         instance,
                         Cached {
                             value: v.clone(),
@@ -427,7 +486,7 @@ impl<V: Value> ConsensusManager<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::HashSet;
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -435,11 +494,26 @@ mod tests {
 
     type Wire = (ProcessId, ProcessId, InstanceId, CtMsg<u32>);
 
+    /// What process `i` proposes for `instance` when it has something of
+    /// its own to order.
+    fn own(instance: InstanceId, i: usize) -> u32 {
+        100 * instance as u32 + i as u32
+    }
+
+    /// What process `i` proposes for an instance it opens only because
+    /// traffic asked it to.
+    fn empty(i: usize) -> u32 {
+        900 + i as u32
+    }
+
     /// A lock-step network of managers: messages are delivered in FIFO
-    /// order, crashed processes drop in- and out-bound traffic, and a
-    /// process that receives traffic for an instance it has not opened
-    /// opens it (as atomic broadcast does) and takes the message then.
-    /// Every instance starts with the same round-0 coordinator, `first`.
+    /// order, crashed processes drop in- and out-bound traffic. Each process
+    /// opens instances one at a time, as atomic broadcast does: its cursor
+    /// instance once the one before has decided, when it has something of
+    /// its own to order there (`own[i]` instances from 0 on) or traffic
+    /// asked for it, with the catch-up flag when traffic for a later
+    /// instance was seen. Every instance starts with the same round-0
+    /// coordinator, `first`.
     struct Net {
         managers: Vec<ConsensusManager<u32>>,
         ids: Arc<[ProcessId]>,
@@ -447,6 +521,14 @@ mod tests {
         queue: VecDeque<Wire>,
         crashed: HashSet<ProcessId>,
         decided: BTreeMap<(usize, InstanceId), u32>,
+        /// Per process: how many instances it has something of its own for.
+        own: Vec<InstanceId>,
+        /// Per process: the instance it runs or opens next.
+        cursor: Vec<InstanceId>,
+        /// Per process: whether it has proposed for its cursor instance.
+        open: Vec<bool>,
+        /// Per process: the highest instance its manager asked it to open.
+        requested: Vec<Option<InstanceId>>,
     }
 
     impl Net {
@@ -455,32 +537,70 @@ mod tests {
         }
 
         fn with_first(managers: Vec<ConsensusManager<u32>>, first: ProcessId) -> Self {
+            let n = managers.len();
             Net {
-                ids: (0..managers.len() as u32).map(pid).collect(),
+                ids: (0..n as u32).map(pid).collect(),
                 managers,
                 first,
                 queue: VecDeque::new(),
                 crashed: HashSet::new(),
                 decided: BTreeMap::new(),
+                own: vec![0; n],
+                cursor: vec![0; n],
+                open: vec![false; n],
+                requested: vec![None; n],
             }
         }
 
         fn apply(&mut self, from: ProcessId, outs: Vec<ManagerOut<u32>>) {
+            let i = from.index();
             for o in outs {
                 match o {
                     ManagerOut::Send { to, instance, msg } => {
                         self.queue.push_back((from, to, instance, msg))
                     }
                     ManagerOut::Decided { instance, value } => {
-                        let prev = self.decided.insert((from.index(), instance), value);
+                        let prev = self.decided.insert((i, instance), value);
                         assert!(prev.is_none(), "{from:?} decided {instance} twice");
+                        assert_eq!(instance, self.cursor[i], "{from:?} decided out of order");
+                        self.cursor[i] += 1;
+                        self.open[i] = false;
+                        self.maybe_open(from);
+                    }
+                    ManagerOut::NeedInstance(instance) => {
+                        if instance >= self.cursor[i] {
+                            self.requested[i] = self.requested[i].max(Some(instance));
+                            self.maybe_open(from);
+                        }
                     }
                 }
             }
         }
 
-        fn propose(&mut self, p: ProcessId, instance: InstanceId, v: u32) {
-            let outs = self.managers[p.index()].propose(instance, v, &self.ids, self.first);
+        /// Gives `p` something of its own to order in `count` more
+        /// instances, opening its cursor instance if it waited for that.
+        fn give(&mut self, p: ProcessId, count: InstanceId) {
+            self.own[p.index()] += count;
+            self.maybe_open(p);
+        }
+
+        /// Opens `p`'s cursor instance if it has not yet and has a reason.
+        fn maybe_open(&mut self, p: ProcessId) {
+            let i = p.index();
+            let k = self.cursor[i];
+            if self.open[i] {
+                return;
+            }
+            let value = if k < self.own[i] {
+                own(k, i)
+            } else if self.requested[i] >= Some(k) {
+                empty(i)
+            } else {
+                return;
+            };
+            self.open[i] = true;
+            let behind = self.requested[i].is_some_and(|r| r > k);
+            let outs = self.managers[i].propose(k, value, &self.ids, self.first, behind);
             self.apply(p, outs);
         }
 
@@ -501,20 +621,13 @@ mod tests {
             }
         }
 
-        /// Hands one message to its destination, which opens the instance
-        /// first if it has to.
+        /// Hands one message to its destination.
         fn deliver(&mut self, (from, to, instance, msg): Wire) {
             if self.crashed.contains(&from) || self.crashed.contains(&to) {
                 return;
             }
-            let (outs, rejected) = self.managers[to.index()].on_msg(instance, from, msg);
+            let outs = self.managers[to.index()].on_msg(instance, from, msg);
             self.apply(to, outs);
-            if let Some(msg) = rejected {
-                self.propose(to, instance, 900 + to.index() as u32);
-                let (outs, rejected) = self.managers[to.index()].on_msg(instance, from, msg);
-                assert!(rejected.is_none(), "the instance is open now");
-                self.apply(to, outs);
-            }
         }
 
         fn run(&mut self) {
@@ -522,21 +635,11 @@ mod tests {
         }
     }
 
-    /// Everyone proposes for instances 0 and 1; runs to quiescence.
+    /// Everyone orders something in instances 0 and 1; runs to quiescence.
     fn drive(managers: &mut Vec<ConsensusManager<u32>>) -> BTreeMap<(usize, InstanceId), u32> {
-        drive_from(managers, pid(0))
-    }
-
-    /// [`drive`] with `first` as every instance's round-0 coordinator.
-    fn drive_from(
-        managers: &mut Vec<ConsensusManager<u32>>,
-        first: ProcessId,
-    ) -> BTreeMap<(usize, InstanceId), u32> {
-        let mut net = Net::with_first(std::mem::take(managers), first);
-        for inst in 0..2 {
-            for i in 0..net.ids.len() {
-                net.propose(pid(i as u32), inst, (10 * (inst + 1)) as u32 + i as u32);
-            }
+        let mut net = Net::new(std::mem::take(managers));
+        for i in 0..net.ids.len() {
+            net.give(pid(i as u32), 2);
         }
         net.run();
         *managers = net.managers;
@@ -544,41 +647,66 @@ mod tests {
     }
 
     #[test]
-    fn independent_instances_decide_independently() {
-        for first in 0..3 {
-            let mut managers: Vec<ConsensusManager<u32>> =
-                (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
-            let decided = drive_from(&mut managers, pid(first));
-            // Every process decided both instances, on the round-0
-            // coordinator's value.
-            assert_eq!(decided.len(), 6);
-            for inst in 0..2u64 {
-                let vals: std::collections::HashSet<u32> = (0..3)
-                    .map(|p| *decided.get(&(p, inst)).expect("decided"))
-                    .collect();
-                let own = 10 * (inst as u32 + 1) + first;
-                assert_eq!(vals, [own].into(), "instance {inst}, first p{first}");
-            }
-            // Decisions are cached.
-            assert!(managers[0].decision(0).is_some());
-            assert!(managers[0].has_instance(1));
+    fn traffic_ahead_is_replayed_in_arrival_order_and_dropped_once_pruned() {
+        let ids: Arc<[ProcessId]> = (0..3).map(pid).collect();
+        let mut m: ConsensusManager<u32> = ConsensusManager::new(pid(1));
+        // p1 runs instance 0 and waits for p0's proposal.
+        assert!(m.propose(0, 10, &ids, pid(0), false).is_empty());
+        // Instance 1 is ahead: p0's proposal for it and p2's leaving its
+        // round 0 arrive while 0 runs, and so does traffic for instance 2.
+        // Each is parked, and the owner is asked to open its instance.
+        let ahead = [
+            (1, pid(0), CtMsg::Propose { round: 0, est: 7 }),
+            (1, pid(2), CtMsg::Nack { round: 0 }),
+            (2, pid(0), CtMsg::Propose { round: 0, est: 8 }),
+        ];
+        for (k, from, msg) in ahead.iter().cloned() {
+            assert_eq!(m.on_msg(k, from, msg), [ManagerOut::NeedInstance(k)]);
         }
+        assert_eq!(m.parked, ahead);
+        let decided = |instance, value| ManagerOut::Decided { instance, value };
+        let outs = m.on_msg(0, pid(0), CtMsg::Decide { est: 5 });
+        assert_eq!(outs, [decided(0, 5)]);
+        // Opening 1 replays its traffic in arrival order: the proposal is
+        // acked and, at three participants, decided on adopting; the nack
+        // that came next is then answered with the decision.
+        let outs = m.propose(1, 11, &ids, pid(0), false);
+        let send = |to, msg| ManagerOut::Send {
+            to,
+            instance: 1,
+            msg,
+        };
+        assert_eq!(
+            outs,
+            [
+                send(pid(0), CtMsg::Ack { round: 0 }),
+                decided(1, 7),
+                send(pid(2), CtMsg::Decide { est: 7 }),
+            ]
+        );
+        assert_eq!(m.parked, [ahead[2].clone()]);
+        // Below the prune floor, parked traffic is dropped, and so is what
+        // arrives for those instances later.
+        m.prune_below(3);
+        assert!(m.parked.is_empty());
+        let (k, from, msg) = ahead[2].clone();
+        assert!(m.on_msg(k, from, msg).is_empty());
+        assert!(m.parked.is_empty());
     }
 
     #[test]
-    fn unknown_instance_requests_buffering() {
+    fn a_proposal_prunes_decisions_further_behind_than_the_window() {
+        let solo: Arc<[ProcessId]> = [pid(0)].into();
         let mut m: ConsensusManager<u32> = ConsensusManager::new(pid(0));
-        let (outs, rejected) = m.on_msg(
-            7,
-            pid(1),
-            CtMsg::Estimate {
-                round: 0,
-                est: 1,
-                ts: 0,
-            },
-        );
-        assert!(outs.is_empty());
-        assert!(matches!(rejected, Some(CtMsg::Estimate { .. })));
+        for k in 0..=DECISION_KEEP + 1 {
+            let _ = m.propose(k, 0, &solo, pid(0), false);
+            assert!(
+                m.decision(k).is_some(),
+                "a sole participant decides at once"
+            );
+            assert_eq!(m.pruned_below(), k.saturating_sub(DECISION_KEEP));
+        }
+        assert!(m.decision(0).is_none() && m.decision(1).is_some());
     }
 
     #[test]
@@ -586,7 +714,7 @@ mod tests {
         let mut managers: Vec<ConsensusManager<u32>> =
             (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
         drive(&mut managers);
-        let (outs, rejected) = managers[0].on_msg(
+        let outs = managers[0].on_msg(
             0,
             pid(2),
             CtMsg::Estimate {
@@ -595,7 +723,6 @@ mod tests {
                 ts: 0,
             },
         );
-        assert!(rejected.is_none());
         assert!(matches!(
             outs.as_slice(),
             [ManagerOut::Send { to, msg: CtMsg::Decide { .. }, .. }] if *to == pid(2)
@@ -610,11 +737,11 @@ mod tests {
         // p0 decided both instances as coordinator and sent the decision to
         // every participant: the ack that arrives after the majority is
         // not owed another copy.
-        let (outs, rejected) = managers[0].on_msg(0, pid(2), CtMsg::Ack { round: 0 });
-        assert!(outs.is_empty() && rejected.is_none());
+        let outs = managers[0].on_msg(0, pid(2), CtMsg::Ack { round: 0 });
+        assert!(outs.is_empty());
         // p1 only learned it: an ack addressed to p1 comes from a process
         // that waits for p1's decision.
-        let (outs, _) = managers[1].on_msg(0, pid(2), CtMsg::Ack { round: 1 });
+        let outs = managers[1].on_msg(0, pid(2), CtMsg::Ack { round: 1 });
         assert_eq!(outs.len(), 1);
     }
 
@@ -624,12 +751,14 @@ mod tests {
         let mut managers: Vec<ConsensusManager<u32>> =
             (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
         drive(&mut managers);
-        // A process that never saw instance 1 (a joiner, say) opens it and
-        // pulls: one estimate to the round-0 coordinator.
+        // Round 0 is silent for a non-coordinator that opens an instance...
+        let mut quiet: ConsensusManager<u32> = ConsensusManager::new(pid(2));
+        assert!(quiet.propose(1, 99, &ids, pid(0), false).is_empty());
+        // ...unless it opens it behind, as a process that never saw
+        // instance 1 (a joiner, say) does: one estimate to the round-0
+        // coordinator.
         let mut late: ConsensusManager<u32> = ConsensusManager::new(pid(2));
-        let mut outs = late.propose(1, 99, &ids, pid(0));
-        assert!(outs.is_empty(), "round 0 is silent for a non-coordinator");
-        late.pull_into(1, &mut outs);
+        let outs = late.propose(1, 99, &ids, pid(0), true);
         let [ManagerOut::Send {
             to,
             instance: 1,
@@ -640,7 +769,7 @@ mod tests {
         };
         assert_eq!(*to, pid(0));
         assert!(matches!(msg, CtMsg::Estimate { round: 0, .. }));
-        let (reply, _) = managers[0].on_msg(1, pid(2), msg.clone());
+        let reply = managers[0].on_msg(1, pid(2), msg.clone());
         let [ManagerOut::Send {
             msg: decide @ CtMsg::Decide { .. },
             ..
@@ -648,7 +777,7 @@ mod tests {
         else {
             panic!("expected the cached decision: {reply:?}");
         };
-        let (outs, _) = late.on_msg(1, pid(0), decide.clone());
+        let outs = late.on_msg(1, pid(0), decide.clone());
         assert!(matches!(
             outs.as_slice(),
             [ManagerOut::Decided { instance: 1, value }] if Some(value) == managers[0].decision(1)
@@ -684,7 +813,7 @@ mod tests {
     fn decision_learned_from_a_suspected_peer_is_relayed_on_receipt() {
         let mut net = Net::new((0..4).map(|i| ConsensusManager::new(pid(i))).collect());
         for i in 0..4 {
-            net.propose(pid(i), 0, i);
+            net.give(pid(i), 1);
         }
         net.run_where(|w| !matches!(w.3, CtMsg::Decide { .. }));
         assert_eq!(net.decided.len(), 1, "only p0 decided so far");
@@ -713,7 +842,7 @@ mod tests {
         let mut net = Net::new((0..5).map(|i| ConsensusManager::new(pid(i))).collect());
         net.suspect(pid(4), pid(0));
         for i in 0..5 {
-            net.propose(pid(i), 0, 60 + i);
+            net.give(pid(i), 1);
         }
         net.run_where(|w| !cut(w) && matches!(w.3, CtMsg::Propose { round: 0, .. }));
         net.run_where(|w| !cut(w) && !matches!(w.3, CtMsg::Ack { .. }));
@@ -721,21 +850,25 @@ mod tests {
         net.run_where(|w| matches!(w.3, CtMsg::Ack { round: 0 }));
         assert_eq!(net.decided.len(), 1, "p0 decided on round-0 acks");
         net.run_where(|w| !cut(w) && matches!(w.3, CtMsg::Decide { .. }));
-        assert_eq!(net.decided.get(&(4, 0)), Some(&60), "p1 told p4");
+        assert_eq!(net.decided.get(&(4, 0)), Some(&own(0, 0)), "p1 told p4");
         net.run_where(|w| !cut(w));
-        // Instance 1 among p0..p3 (p4 has nothing to propose): p0 decides.
+        // Instance 1 among p0..p3 (p4 has nothing to order): p0 decides.
         for i in 0..4 {
-            net.propose(pid(i), 1, 70 + i);
+            net.give(pid(i), 1);
         }
         net.run_where(|w| !cut(w));
-        assert_eq!(net.decided.get(&(3, 1)), Some(&70));
+        assert_eq!(net.decided.get(&(3, 1)), Some(&own(1, 0)));
         assert!(!net.decided.contains_key(&(4, 1)));
         net.crashed.insert(pid(0));
         for i in 1..5 {
             net.suspect(pid(i), pid(0));
         }
         net.run();
-        assert_eq!(net.decided.get(&(4, 1)), Some(&70), "relayed on suspicion");
+        assert_eq!(
+            net.decided.get(&(4, 1)),
+            Some(&own(1, 0)),
+            "relayed on suspicion"
+        );
         assert_eq!(net.decided.len(), 10);
     }
 
@@ -751,12 +884,12 @@ mod tests {
     }
 
     #[test]
-    fn messages_below_the_prune_floor_are_dropped_not_buffered() {
+    fn messages_below_the_prune_floor_are_dropped_not_parked() {
         let mut managers: Vec<ConsensusManager<u32>> =
             (0..3).map(|i| ConsensusManager::new(pid(i))).collect();
         drive(&mut managers);
         managers[0].prune_below(1);
-        let (outs, rejected) = managers[0].on_msg(
+        let outs = managers[0].on_msg(
             0,
             pid(2),
             CtMsg::Estimate {
@@ -766,7 +899,10 @@ mod tests {
             },
         );
         assert!(outs.is_empty(), "no catch-up reply for a pruned instance");
-        assert!(rejected.is_none(), "pruned-instance traffic is dropped");
+        assert!(
+            managers[0].parked.is_empty(),
+            "pruned-instance traffic is dropped"
+        );
         // The floor is monotonic: lowering it is a no-op.
         managers[0].prune_below(0);
         assert_eq!(managers[0].pruned_below(), 1);
@@ -781,7 +917,7 @@ mod tests {
         // propose immediately abandons round 0 — telling everyone — and
         // enters round 1, which p1 coordinates itself (no estimate on the
         // wire for its own value).
-        let outs = m.propose(0, 42, &ids, pid(0));
+        let outs = m.propose(0, 42, &ids, pid(0), false);
         let told: Vec<ProcessId> = outs
             .iter()
             .map(|o| match o {
@@ -812,7 +948,8 @@ mod tests {
         /// Three instances among `n` managers, every one started with the
         /// same round-0 coordinator `first` — drawn per run, and possibly
         /// the process that crashes part-way through — under a random
-        /// delivery order: each instance decides one value everywhere, and
+        /// delivery order, each process opening an instance once it decided
+        /// the one before: each instance decides one value everywhere, and
         /// once every survivor suspects the crashed process, every survivor
         /// decides every instance.
         #[test]
@@ -824,10 +961,8 @@ mod tests {
         ) {
             let managers = (0..n).map(|i| ConsensusManager::new(pid(i))).collect();
             let mut net = Net::with_first(managers, pid(first % n));
-            for instance in 0..3 {
-                for i in 0..n {
-                    net.propose(pid(i), instance, 100 * instance as u32 + i);
-                }
+            for i in 0..n {
+                net.give(pid(i), 3);
             }
             let crash = crash.map(|(victim, at)| (pid(victim % n), at));
             for (k, &pick) in picks.iter().enumerate() {
@@ -860,18 +995,18 @@ mod tests {
             }
         }
 
-        /// The decision ring against the map it replaced. A network of
-        /// ring-backed managers and one of map-backed ones run one script:
-        /// instances opened at random processes in random order (a pipeline
-        /// decides them out of order), deliveries in random order, prunes
-        /// at random floors, suspicions of the round-0 coordinator, and
+        /// The decision window against a map. A network of window-backed
+        /// managers and one of map-backed ones run one script: processes
+        /// given something to order at random (each opens its instances in
+        /// order, one at a time), deliveries in random order, prunes at
+        /// random floors, suspicions of the round-0 coordinator, and
         /// replays of messages delivered before — late duplicates, some for
         /// decided or pruned instances. After every step the two hold the
         /// same messages in flight and the same decisions, and every
         /// manager answers `decision`, `has_instance` and `pruned_below`
         /// alike.
         #[test]
-        fn the_decision_ring_answers_as_the_map_did(
+        fn the_decision_window_answers_as_the_map_did(
             n in 3u32..6,
             script in proptest::collection::vec((0u8..8, 0usize..1_000, 0u64..10), 0..300),
         ) {
@@ -883,12 +1018,12 @@ mod tests {
                         .collect(),
                 )
             };
-            let (mut ring, mut map) = (net(false), net(true));
+            let (mut window, mut map) = (net(false), net(true));
             let mut delivered: Vec<Wire> = Vec::new();
-            let compare = |ring: &Net, map: &Net| -> Result<(), proptest::TestCaseError> {
-                proptest::prop_assert_eq!(&ring.queue, &map.queue);
-                proptest::prop_assert_eq!(&ring.decided, &map.decided);
-                for (a, b) in ring.managers.iter().zip(&map.managers) {
+            let compare = |window: &Net, map: &Net| -> Result<(), proptest::TestCaseError> {
+                proptest::prop_assert_eq!(&window.queue, &map.queue);
+                proptest::prop_assert_eq!(&window.decided, &map.decided);
+                for (a, b) in window.managers.iter().zip(&map.managers) {
                     proptest::prop_assert_eq!(a.pruned_below(), b.pruned_below());
                     for k in 0..12 {
                         proptest::prop_assert_eq!(a.decision(k), b.decision(k));
@@ -901,35 +1036,34 @@ mod tests {
                 let p = pid(pick as u32 % n);
                 match action {
                     0 | 1 => {
-                        let value = 100 * instance as u32 + p.index() as u32;
-                        ring.propose(p, instance, value);
-                        map.propose(p, instance, value);
+                        window.give(p, 1);
+                        map.give(p, 1);
                     }
                     2 => {
-                        ring.managers[p.index()].prune_below(instance);
+                        window.managers[p.index()].prune_below(instance);
                         map.managers[p.index()].prune_below(instance);
                     }
                     3 if !delivered.is_empty() => {
                         let late = delivered[pick % delivered.len()].clone();
-                        ring.deliver(late.clone());
+                        window.deliver(late.clone());
                         map.deliver(late);
                     }
                     4 if p != pid(0) => {
-                        ring.suspect(p, pid(0));
+                        window.suspect(p, pid(0));
                         map.suspect(p, pid(0));
                     }
-                    _ if !ring.queue.is_empty() => {
-                        delivered.push(ring.queue[pick % ring.queue.len()].clone());
-                        step(&mut ring, pick);
+                    _ if !window.queue.is_empty() => {
+                        delivered.push(window.queue[pick % window.queue.len()].clone());
+                        step(&mut window, pick);
                         step(&mut map, pick);
                     }
                     _ => {}
                 }
-                compare(&ring, &map)?;
+                compare(&window, &map)?;
             }
-            ring.run();
+            window.run();
             map.run();
-            compare(&ring, &map)?;
+            compare(&window, &map)?;
         }
     }
 }

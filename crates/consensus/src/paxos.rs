@@ -138,11 +138,6 @@ impl<V: Value> PaxosConsensus<V> {
         }
     }
 
-    /// Whether this instance has decided.
-    pub fn is_decided(&self) -> bool {
-        self.decided
-    }
-
     fn proposer(&self, b: u64) -> ProcessId {
         self.participants[(b % self.participants.len() as u64) as usize]
     }

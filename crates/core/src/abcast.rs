@@ -63,23 +63,21 @@
 //!    the [`RelayFanout`]'s targets). This covers a sender that crashed
 //!    part-way through a re-send or a diffusion.
 //!
-//! **Catch-up:** a process that opens an instance while it
-//! has evidence of being behind — it was just activated from a snapshot at
-//! that instance, or consensus traffic or a decision for a *later* instance
-//! is already here — flags the proposal, and the consensus component pulls
-//! the outcome from the instance's round-0 coordinator instead of waiting
-//! for a proposal that may have been sent before it could receive it.
+//! **Catch-up:** a process that opens an instance while it has evidence of
+//! being behind — it was just activated from a snapshot at that instance,
+//! or consensus traffic for a *later* instance is already here — flags the
+//! proposal, and the consensus component pulls the outcome from the
+//! instance's round-0 coordinator instead of waiting for a proposal that
+//! may have been sent before it could receive it.
 //!
 //! **Per-instance state is O(1) and reuses its memory.** A failure-free
 //! instance costs its messages, and the bookkeeping around them allocates
 //! nothing once warm:
 //!
-//! * *Decided batches* wait for the flush in an [`InstanceRing`] that holds
-//!   nothing below the cursor — the flush takes the front while it is the
-//!   cursor's, and a snapshot that moves the cursor prunes below it. In a
-//!   running stack a decision arrives only for an instance this process
-//!   proposed for, and it proposes for the cursor's alone, so the ring
-//!   holds at most one decision, until the flush takes it.
+//! * *Decided batches* are flushed as they arrive. The consensus component
+//!   runs one instance at a time and decides only an instance this process
+//!   proposed for, which is the cursor's, so a decision is the cursor's or a
+//!   duplicate, and nothing decided waits here between calls.
 //! * *Requested instances* are one watermark, the highest instance the
 //!   consensus component saw traffic for, since that is all a proposal
 //!   needs to know: one goes out for the cursor instance once the
@@ -106,7 +104,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gcs_consensus::{InstanceId, InstanceRing};
+use gcs_consensus::InstanceId;
 use gcs_kernel::{FxHashSet, ProcessId};
 
 use crate::rbcast::{Rbcast, RelayFanout};
@@ -186,9 +184,6 @@ pub struct AbcastCore {
     committed: IdRuns,
     /// Ids already a-delivered (never re-delivered).
     adelivered: IdRuns,
-    /// Decided, not yet flushed batches: a ring from the cursor (or the
-    /// first decision past it) to the newest decision (module docs).
-    batches: InstanceRing<Proposal>,
     /// Next batch/instance to flush — and the one instance proposed for.
     cursor: InstanceId,
     /// The round-0 coordinator the last flushed decision named for the
@@ -254,7 +249,6 @@ impl AbcastCore {
             pending: BTreeMap::new(),
             committed: IdRuns::default(),
             adelivered: IdRuns::default(),
-            batches: InstanceRing::new(),
             cursor: 0,
             designated: None,
             requested: None,
@@ -457,25 +451,21 @@ impl AbcastCore {
         out
     }
 
-    /// Handles a consensus decision.
+    /// Handles a consensus decision: the cursor instance's is flushed at
+    /// once, and any other is a duplicate report (module docs).
     pub fn on_decide_into(
         &mut self,
         instance: InstanceId,
         decided: Proposal,
         out: &mut Vec<AbOut>,
     ) {
-        if instance < self.cursor || self.batches.contains(instance) {
+        if instance != self.cursor {
             return; // duplicate decision report
         }
         // Our proposal for this instance (if any) is settled: whatever the
         // decision did not commit stays pooled for the next instance, and a
         // batch only we hold is kept for refilling.
-        let settled = if instance == self.cursor {
-            self.outstanding.take()
-        } else {
-            None
-        };
-        if let Some(mut batch) = settled {
+        if let Some(mut batch) = self.outstanding.take() {
             if !batch.is_empty() && Arc::get_mut(&mut batch).is_some() {
                 if self.spares.len() == SPARE_BATCHES {
                     self.spares.remove(0);
@@ -487,8 +477,7 @@ impl AbcastCore {
             self.committed.insert(m.id);
             self.pending.remove(&m.id);
         }
-        self.batches.insert(instance, decided);
-        self.flush(out);
+        self.flush(decided, out);
         self.maybe_propose(out);
     }
 
@@ -543,7 +532,6 @@ impl AbcastCore {
         self.apply_view(snap.view.clone());
         self.active = true;
         self.cursor = snap.next_instance;
-        self.batches.prune_below(self.cursor);
         self.designated = snap.designated;
         self.adelivered = snap.adelivered.iter().copied().collect();
         self.pending.retain(|&id, _| !self.adelivered.contains(id));
@@ -565,19 +553,17 @@ impl AbcastCore {
     }
 
     /// Proposes everything pending for the cursor instance, unless this
-    /// process already proposed for it or it is decided — when there is
-    /// something to order, or another process already started the instance.
+    /// process already proposed for it — when there is something to order,
+    /// or another process already started the instance.
     fn maybe_propose(&mut self, out: &mut Vec<AbOut>) {
         let k = self.cursor;
-        if !self.active || self.outstanding.is_some() || self.batches.contains(k) {
+        if !self.active || self.outstanding.is_some() {
             return;
         }
         let requested = self.requested == Some(k);
         // Evidence of being behind on `k`: activated here from a snapshot,
         // or somebody is already past it.
-        let behind = self.activated_at == Some(k)
-            || self.requested.is_some_and(|r| r > k)
-            || self.batches.last().is_some_and(|b| b > k);
+        let behind = self.activated_at == Some(k) || self.requested.is_some_and(|r| r > k);
         if self.pending.is_empty() && !requested && !behind {
             return;
         }
@@ -622,28 +608,26 @@ impl AbcastCore {
         Batch::from(&self.scratch[..])
     }
 
-    /// Delivers decided batches in instance order, messages in id order.
-    fn flush(&mut self, out: &mut Vec<AbOut>) {
-        while let Some(Proposal { batch, next }) = self.batches.remove(self.cursor) {
-            // Proposals are assembled from an id-ordered map walk, so
-            // decided batches arrive sorted: deliver straight off the shared
-            // slice without the copy-and-sort detour. The unsorted fallback
-            // guards against foreign proposers with different assembly.
-            if batch.windows(2).all(|w| w[0].id <= w[1].id) {
-                for m in batch.iter() {
-                    self.deliver_one(m, out);
-                }
-            } else {
-                let mut sorted: Vec<&Message> = batch.iter().collect();
-                sorted.sort_by_key(|m| m.id);
-                for m in sorted {
-                    self.deliver_one(m, out);
-                }
+    /// Delivers the cursor's decided batch, messages in id order.
+    fn flush(&mut self, Proposal { batch, next }: Proposal, out: &mut Vec<AbOut>) {
+        // Proposals are assembled from an id-ordered map walk, so decided
+        // batches arrive sorted: deliver straight off the shared slice
+        // without the copy-and-sort detour. The unsorted fallback guards
+        // against foreign proposers with different assembly.
+        if batch.windows(2).all(|w| w[0].id <= w[1].id) {
+            for m in batch.iter() {
+                self.deliver_one(m, out);
             }
-            // This decision names the round-0 coordinator of the next one.
-            self.designated = next;
-            self.cursor += 1;
+        } else {
+            let mut sorted: Vec<&Message> = batch.iter().collect();
+            sorted.sort_by_key(|m| m.id);
+            for m in sorted {
+                self.deliver_one(m, out);
+            }
         }
+        // This decision names the round-0 coordinator of the next one.
+        self.designated = next;
+        self.cursor += 1;
     }
 
     /// Delivers one decided message (exactly once): application payloads as
@@ -748,34 +732,6 @@ mod tests {
             .collect();
         assert_eq!(delivered, vec![m2.id, m1.id], "sorted by id: p1 before p2");
         assert_eq!(c.cursor(), 1);
-    }
-
-    #[test]
-    fn out_of_order_decisions_wait_for_the_gap() {
-        let mut c = core(0, 3);
-        let m1 = app(MsgId {
-            sender: pid(1),
-            seq: 0,
-        });
-        let m2 = app(MsgId {
-            sender: pid(2),
-            seq: 0,
-        });
-        let out = c.on_decide(1, decided(vec![m2.clone()]));
-        assert!(
-            out.iter().all(|o| !matches!(o, AbOut::App(_))),
-            "batch 1 held back"
-        );
-        let out = c.on_decide(0, decided(vec![m1.clone()]));
-        let delivered: Vec<MsgId> = out
-            .iter()
-            .filter_map(|o| match o {
-                AbOut::App(d) => Some(d.id),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(delivered, vec![m1.id, m2.id]);
-        assert_eq!(c.cursor(), 2);
     }
 
     #[test]
@@ -1175,10 +1131,15 @@ mod tests {
         let mut c = core(1, 3);
         let out = c.need_instance(1);
         assert_eq!(catch_up_flags(&out), vec![(0, true)]);
-        // Same when the later instance's decision is what arrived.
-        let mut c = core(1, 3);
-        let out = c.on_decide(1, decided(vec![from_p(0, 1)]));
-        assert_eq!(catch_up_flags(&out), vec![(0, true)]);
+        // The consensus component decides only the instance it was asked
+        // to run, the cursor's: any other decision is a duplicate, and
+        // changes nothing.
+        assert!(c.on_decide(1, decided(vec![from_p(0, 1)])).is_empty());
+        assert_eq!(c.cursor(), 0);
+        let out = c.on_decide(0, decided(vec![from_p(0, 0)]));
+        assert!(out.iter().any(|o| matches!(o, AbOut::App(_))));
+        assert_eq!(c.cursor(), 1);
+        assert_eq!(catch_up_flags(&out), vec![(1, false)]);
     }
 
     #[test]

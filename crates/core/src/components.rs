@@ -53,11 +53,11 @@
 //! unordered messages are relayed, and a suspected *member* stops being the
 //! ordering target — an a-broadcast travels as one `ab/data` to the first
 //! unsuspected member of the view (the coordinator consensus will decide
-//! under), not to everyone. The abcast box owns two one-shot timers: the
-//! batch deadline, and the safety net that diffuses to all members an own
-//! message still unordered after one consensus-class timeout.
+//! under), not to everyone. The abcast box owns one one-shot timer: the
+//! safety net that diffuses to all members an own message still unordered
+//! after one consensus-class timeout.
 
-use gcs_consensus::{ConsensusManager, CtMsg, InstanceId, ManagerOut};
+use gcs_consensus::{ConsensusManager, ManagerOut};
 use gcs_fd::{FdMode, FdOut, HeartbeatFd, MonitorClass};
 use gcs_kernel::{Component, ComponentId, Context, ProcessId, Time, TimeDelta, TimerId};
 use gcs_net::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
@@ -387,22 +387,9 @@ impl Component<Ev> for FdComponent {
 // Consensus
 // ---------------------------------------------------------------------------
 
-/// How many decided instances the consensus manager keeps cached behind the
-/// newest proposal for lagging-peer catch-up replies. Far larger than any
-/// catalog run's instance count (so recorded runs never prune and stay
-/// bit-identical), yet it bounds decision memory on long runs instead of
-/// growing with the run.
-const DECISION_KEEP: InstanceId = 1024;
-
 /// Adapter around [`ConsensusManager`] (Fig 9 "Consensus").
 pub struct ConsensusComponent {
     mgr: ConsensusManager<Proposal>,
-    /// Messages for instances the atomic-broadcast layer has not started,
-    /// in arrival order: one flat buffer, kept across instances. A
-    /// non-coordinator with nothing of its own to order parks the
-    /// coordinator's proposal here for every instance, until the
-    /// `NeedInstance` round trip opens it a moment later.
-    buffered: Vec<(InstanceId, ProcessId, CtMsg<Proposal>)>,
     /// Reused manager-output buffer.
     scratch: Vec<ManagerOut<Proposal>>,
 }
@@ -414,7 +401,6 @@ impl ConsensusComponent {
     pub fn new(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusComponent {
             mgr: ConsensusManager::with_echo_fanout(me, echo_fanout),
-            buffered: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -431,6 +417,9 @@ impl ConsensusComponent {
                 }
                 ManagerOut::Decided { instance, value } => {
                     ctx.emit(ids::ABCAST, Ev::Decide(instance, value));
+                }
+                ManagerOut::NeedInstance(instance) => {
+                    ctx.emit(ids::ABCAST, Ev::NeedInstance(instance));
                 }
             }
         }
@@ -450,45 +439,16 @@ impl Component<Ev> for ConsensusComponent {
                 catch_up,
             } => {
                 self.mgr
-                    .propose_into(instance, value, &participants, first, &mut outs);
-                self.apply(outs.drain(..), ctx);
-                let mut buffered = std::mem::take(&mut self.buffered);
-                for (_, from, msg) in buffered.extract_if(.., |(k, ..)| *k == instance) {
-                    let _ = self.mgr.on_msg_into(instance, from, msg, &mut outs);
-                    self.apply(outs.drain(..), ctx);
-                }
-                self.buffered = buffered;
-                if catch_up {
-                    // Whatever was buffered is in; if the instance still
-                    // waits for its first proposal, ask for the outcome.
-                    self.mgr.pull_into(instance, &mut outs);
-                    self.apply(outs.drain(..), ctx);
-                }
-                // Proposals only move forward: decisions (and buffered
-                // foreign traffic) more than DECISION_KEEP instances behind
-                // this one will never be asked for again by a peer inside
-                // the catch-up window.
-                let floor = instance.saturating_sub(DECISION_KEEP);
-                if floor > 0 {
-                    self.mgr.prune_below(floor);
-                    self.buffered.retain(|(k, ..)| *k >= floor);
-                }
+                    .propose_into(instance, value, &participants, first, catch_up, &mut outs);
             }
             Ev::Net(from, WireMsg::Ct { instance, msg }) => {
-                let rejected = self.mgr.on_msg_into(instance, from, msg, &mut outs);
-                self.apply(outs.drain(..), ctx);
-                if let Some(msg) = rejected {
-                    self.buffered.push((instance, from, msg));
-                    ctx.emit(ids::ABCAST, Ev::NeedInstance(instance));
-                }
+                self.mgr.on_msg_into(instance, from, msg, &mut outs);
             }
-            Ev::Suspect(MonitorClass::CONSENSUS, p) => {
-                self.mgr.suspect_into(p, &mut outs);
-                self.apply(outs.drain(..), ctx);
-            }
+            Ev::Suspect(MonitorClass::CONSENSUS, p) => self.mgr.suspect_into(p, &mut outs),
             Ev::Restore(MonitorClass::CONSENSUS, p) => self.mgr.restore(p),
             _ => {}
         }
+        self.apply(outs.drain(..), ctx);
         self.scratch = outs;
     }
 }

@@ -604,8 +604,9 @@ pub enum Ev {
     },
     /// Consensus → atomic broadcast: `decide` for an instance.
     Decide(InstanceId, Proposal),
-    /// Consensus → atomic broadcast: a message for an instance that does not
-    /// exist yet — start it (with an empty proposal if need be).
+    /// Consensus → atomic broadcast: a message for an instance that is not
+    /// open yet arrived and is parked — start it (with an empty proposal if
+    /// need be) once the cursor reaches it.
     NeedInstance(InstanceId),
     /// Membership → everyone: a new view was installed (`new_view`).
     ViewChanged(View),

@@ -146,11 +146,6 @@ impl<S: StateMachine, T: GroupTransport> ActiveGroup<S, T> {
         &self.group
     }
 
-    /// Mutable access to the underlying transport (fault injection).
-    pub fn group_mut(&mut self) -> &mut T {
-        &mut self.group
-    }
-
     /// Replays the delivery order of every replica through a fresh state
     /// machine; entry `i` is replica `i`'s final state.
     pub fn replica_states(&self) -> Vec<S> {

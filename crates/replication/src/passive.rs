@@ -119,11 +119,6 @@ impl PassiveGroup {
         &self.group
     }
 
-    /// Mutable access to the underlying group.
-    pub fn group_mut(&mut self) -> &mut Group {
-        &mut self.group
-    }
-
     /// Replays every replica's g-delivery sequence through the passive
     /// replication logic.
     pub fn outcomes(&self) -> Vec<PassiveOutcome> {

@@ -152,11 +152,6 @@ impl Topology {
         self.links[self.region_of(from) * self.regions + self.region_of(to)]
     }
 
-    /// The model of the directed region link `from -> to`.
-    pub fn region_link(&self, from: usize, to: usize) -> LinkModel {
-        self.links[from * self.regions + to]
-    }
-
     /// Sets the directed region link `from -> to` (asymmetry: set the two
     /// directions independently).
     pub fn set_region_link(&mut self, from: usize, to: usize, link: LinkModel) {

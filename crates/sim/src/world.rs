@@ -186,11 +186,6 @@ impl<E: Event> SimWorld<E> {
         self.nodes.is_empty()
     }
 
-    /// All process ids, without allocating.
-    pub fn process_ids(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        (0..self.nodes.len() as u32).map(ProcessId::new)
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now
@@ -223,11 +218,6 @@ impl<E: Event> SimWorld<E> {
     /// The application-delivery trace.
     pub fn trace(&self) -> &Trace<E> {
         &self.trace
-    }
-
-    /// Mutable access to the network model (link overrides).
-    pub fn network_mut(&mut self) -> &mut NetworkModel {
-        &mut self.net
     }
 
     /// Schedules a local event for `proc`'s component `component` at time
