@@ -76,8 +76,8 @@ impl<T: GroupTransport + Any> Erased for T {}
 /// [`StackConfig::default`], baseline timeouts derived from the topology,
 /// unbounded abcast queues, seed 0), so the minimal group is
 /// `Group::builder().build()`. Each knob is set in exactly one place: the
-/// new architecture's own options (failure-detection mode, timeouts, the
-/// conflict relation, …) are fields of the [`StackConfig`] passed to
+/// new architecture's own options (timeouts, the conflict relation, …) are
+/// fields of the [`StackConfig`] passed to
 /// [`stack_config`](Self::stack_config).
 #[derive(Clone, Debug)]
 pub struct GroupBuilder {

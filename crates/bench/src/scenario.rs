@@ -15,7 +15,7 @@
 use gcs_api::{Group, GroupTransport, InvariantChecker, StackKind};
 use gcs_core::StackConfig;
 use gcs_kernel::{ProcessId, Time, TimeDelta};
-use gcs_sim::{Schedule, Topology};
+use gcs_sim::{Schedule, ScheduleAction, Topology};
 
 use crate::workload::{
     decode_op_index, ChurnWorkload, GenericWorkload, LargePayloadWorkload, SkewedWorkload,
@@ -39,10 +39,9 @@ pub struct Scenario {
     /// The broadcast stream.
     pub workload: Box<dyn Workload>,
     /// Scenario-level fault steps (merged with the workload's own schedule).
+    /// A `Crash` step turns on the tracing of consensus-class suspicions,
+    /// which [`ScenarioReport::crash_detect_ms`] is measured from.
     pub schedule: Schedule,
-    /// Record consensus-class suspicion transitions in the trace (the
-    /// crash-detection-latency scenarios turn this on).
-    pub trace_suspicions: bool,
     /// Virtual-time horizon the run executes to.
     pub horizon: Time,
 }
@@ -86,8 +85,8 @@ pub struct ScenarioReport {
     /// Crash-detection latency in virtual milliseconds: time from the first
     /// scripted `Crash` step to the moment *every* correct process has a
     /// consensus-class suspicion of the crashed peer recorded in the trace.
-    /// `None` when the scenario crashes nobody, suspicions are not traced,
-    /// or some correct process never suspected within the horizon.
+    /// `None` when the scenario crashes nobody, or some correct process
+    /// never suspected within the horizon.
     pub crash_detect_ms: Option<f64>,
     /// Payloads live in the group's arena at the end of the run.
     pub arena_live: usize,
@@ -154,13 +153,17 @@ impl Scenario {
         // scenario. (Only the new architecture reads this config; the
         // baselines keep their stack defaults.)
         cfg.monitoring_timeout = TimeDelta::from_secs(3600);
-        cfg.trace_suspicions = self.trace_suspicions;
+        let schedule = self.full_schedule();
+        cfg.trace_suspicions = schedule
+            .steps()
+            .iter()
+            .any(|(_, a)| matches!(a, ScheduleAction::Crash(_)));
         let mut g = Group::builder()
             .members(self.n)
             .joiners(self.joiners)
             .stack(self.stack)
             .topology(self.topology.clone())
-            .schedule(self.full_schedule())
+            .schedule(schedule)
             .stack_config(cfg)
             .seed(seed)
             .build();
@@ -262,7 +265,7 @@ impl Scenario {
                 .steps()
                 .iter()
                 .find_map(|(t, a)| match a {
-                    gcs_sim::ScheduleAction::Crash(p) => Some((*t, *p)),
+                    ScheduleAction::Crash(p) => Some((*t, *p)),
                     _ => None,
                 })?;
         let suspicions = g.suspicion_trace();
@@ -301,7 +304,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(UniformWorkload::steady(200, 2)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(1),
         },
         Scenario {
@@ -313,7 +315,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(SkewedWorkload::steady(200, 2)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(1),
         },
         Scenario {
@@ -328,7 +329,6 @@ pub fn catalog() -> Vec<Scenario> {
             ),
             workload: Box::new(LargePayloadWorkload::steady(60, 5, 64 * 1024)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(2),
         },
         Scenario {
@@ -340,7 +340,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::wan_2dc(),
             workload: Box::new(UniformWorkload::steady(150, 4)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(3),
         },
         Scenario {
@@ -352,7 +351,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::wan_3region(),
             workload: Box::new(UniformWorkload::steady(150, 4)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(5),
         },
         Scenario {
@@ -364,7 +362,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lossy(),
             workload: Box::new(UniformWorkload::steady(150, 3)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(3),
         },
         Scenario {
@@ -376,7 +373,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(ChurnWorkload::steady(150, 2, 100, 200)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(2),
         },
         Scenario {
@@ -388,7 +384,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::wan_2dc(),
             workload: Box::new(ChurnWorkload::steady(100, 5, 150, 300)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(4),
         },
         Scenario {
@@ -404,7 +399,6 @@ pub fn catalog() -> Vec<Scenario> {
                 TimeDelta::from_millis(150),
                 0.25,
             ),
-            trace_suspicions: false,
             horizon: Time::from_secs(4),
         },
         Scenario {
@@ -436,7 +430,6 @@ pub fn catalog() -> Vec<Scenario> {
                 }
                 s
             },
-            trace_suspicions: false,
             horizon: Time::from_secs(10),
         },
         Scenario {
@@ -450,7 +443,6 @@ pub fn catalog() -> Vec<Scenario> {
             schedule: Schedule::new()
                 .partition_regions(Time::from_millis(200))
                 .heal(Time::from_millis(600)),
-            trace_suspicions: false,
             horizon: Time::from_secs(8),
         },
         // Generic broadcast, the paper's headline service (§3.2): the same
@@ -465,7 +457,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(GenericWorkload::per_second(2_000, 2_000, 100)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(2),
         },
         Scenario {
@@ -480,7 +471,6 @@ pub fn catalog() -> Vec<Scenario> {
             // — per-op work must not grow with it.
             workload: Box::new(GenericWorkload::per_second(8_000, 2_000, 0)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(5),
         },
         // Cross-stack comparison points: the same uniform stream on the
@@ -495,7 +485,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(UniformWorkload::steady(200, 2)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(1),
         },
         Scenario {
@@ -507,7 +496,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(UniformWorkload::steady(200, 2)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(1),
         },
         // Scripted churn on the baselines: both traditional stacks now
@@ -523,7 +511,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(ChurnWorkload::steady(150, 2, 100, 200)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(2),
         },
         Scenario {
@@ -535,7 +522,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(ChurnWorkload::steady(150, 2, 100, 200)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(2),
         },
         // WAN baselines: the topology-derived timeout profiles keep the
@@ -551,7 +537,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::wan_3region(),
             workload: Box::new(UniformWorkload::steady(150, 4)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(5),
         },
         Scenario {
@@ -563,7 +548,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::wan_3region(),
             workload: Box::new(UniformWorkload::steady(150, 4)),
             schedule: Schedule::new(),
-            trace_suspicions: false,
             horizon: Time::from_secs(8),
         },
         Scenario {
@@ -590,7 +574,6 @@ pub fn catalog() -> Vec<Scenario> {
                     .partition(Time::from_millis(200), vec![isolated, rest])
                     .heal(Time::from_millis(2_500))
             },
-            trace_suspicions: false,
             horizon: Time::from_secs(10),
         },
         Scenario {
@@ -601,12 +584,11 @@ pub fn catalog() -> Vec<Scenario> {
             joiners: 0,
             topology: Topology::lan(),
             workload: Box::new(UniformWorkload::steady(50, 4)),
-            // A non-sender crashes mid-stream; trace_suspicions records the
+            // A non-sender crashes mid-stream; the run traces the
             // consensus-class suspicion wavefront, and the report's
             // crash_detect_ms must come in under the gossip-mode suspicion
             // bound (timeout + rotation cycle + interval + LAN delay).
             schedule: Schedule::new().crash(Time::from_millis(150), ProcessId::new(200)),
-            trace_suspicions: true,
             horizon: Time::from_secs(1),
         },
         Scenario {
@@ -618,7 +600,6 @@ pub fn catalog() -> Vec<Scenario> {
             topology: Topology::lan(),
             workload: Box::new(UniformWorkload::steady(50, 4)),
             schedule: Schedule::new().crash(Time::from_millis(150), ProcessId::new(800)),
-            trace_suspicions: true,
             horizon: Time::from_secs(1),
         },
     ]

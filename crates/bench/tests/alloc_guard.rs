@@ -94,7 +94,7 @@ const BUDGET_ALLOCS_PER_GDELIVERY: f64 = 0.03;
 fn gb_ack_packets() -> (u64, usize) {
     let members: Vec<ProcessId> = (0..5).map(ProcessId::new).collect();
     let view = View::initial(members.clone());
-    let mut p0 = build_process(members[0], &StackConfig::default(), Some(view), 5);
+    let mut p0 = build_process(members[0], &StackConfig::default(), Some(view));
     let mut fx = Effects::new();
     p0.start_into(Time::ZERO, &mut fx);
 
@@ -172,7 +172,7 @@ impl Lockstep {
         let view = View::initial(members.clone());
         let procs = members
             .iter()
-            .map(|&p| build_process(p, &StackConfig::default(), Some(view.clone()), n))
+            .map(|&p| build_process(p, &StackConfig::default(), Some(view.clone())))
             .collect();
         let mut net = Lockstep {
             procs,

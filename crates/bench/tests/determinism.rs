@@ -43,7 +43,6 @@ proptest! {
             topology,
             workload: Box::new(UniformWorkload::steady(30, 3)),
             schedule,
-            trace_suspicions: false,
             horizon: Time::from_secs(2),
         };
         let a = scenario.run(seed);
@@ -71,7 +70,6 @@ proptest! {
             schedule: Schedule::new()
                 .join(Time::from_millis(30), ProcessId::new(4), ProcessId::new(1))
                 .remove(Time::from_millis(60), ProcessId::new(0), ProcessId::new(3)),
-            trace_suspicions: false,
             horizon: Time::from_secs(2),
         };
         let a = make().run(seed);

@@ -353,7 +353,6 @@ fn run_timeline(stack: StackKind, schedule: &Schedule, seed: u64) -> ScenarioRep
         topology: Topology::lan(),
         workload: Box::new(WithGenericTraffic),
         schedule: schedule.clone(),
-        trace_suspicions: false,
         horizon: Time::from_secs(3),
     };
     scenario.run(seed)

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gcs_kernel::{FxHashMap, FxHashSet, ProcessId};
+use gcs_kernel::{fanout, ring_successors, FxHashMap, FxHashSet, ProcessId};
 
 use crate::chandra_toueg::{answers_with_decision, CtConsensus, CtMsg, CtOut};
 use crate::Value;
@@ -179,21 +179,11 @@ pub struct ConsensusManager<V> {
     /// Reused buffer for instance outputs: steady-state message handling
     /// allocates no per-call `Vec`.
     ct_scratch: Vec<CtOut<V>>,
-    /// Fan-out of a relayed decision: `None` re-sends to every participant,
-    /// `Some(k)` to the `k` ring successors in participant order. Whoever a
-    /// bounded relay misses is no worse off than before it.
-    echo_fanout: Option<usize>,
 }
 
 impl<V: Value> ConsensusManager<V> {
     /// Creates a manager for process `me`.
     pub fn new(me: ProcessId) -> Self {
-        Self::with_echo_fanout(me, None)
-    }
-
-    /// Creates a manager that relays a learned decision, while its sender
-    /// is suspected, with the given fan-out (`None` = to every participant).
-    pub fn with_echo_fanout(me: ProcessId, echo_fanout: Option<usize>) -> Self {
         ConsensusManager {
             me,
             running: None,
@@ -206,7 +196,6 @@ impl<V: Value> ConsensusManager<V> {
             unrelayed: FxHashMap::default(),
             pruned_below: 0,
             ct_scratch: Vec::new(),
-            echo_fanout,
         }
     }
 
@@ -370,9 +359,10 @@ impl<V: Value> ConsensusManager<V> {
     }
 
     /// Re-sends the decision of `instance`, learned from the suspected
-    /// `origin` (which has it and is skipped): to every other participant,
-    /// or with a bounded fan-out to the `k` ring successors of this process
-    /// in the (sorted) participant order.
+    /// `origin` (which has it and is skipped), to the ring successors of
+    /// this process in the (sorted) participant order: every other
+    /// participant in a small group, [`fanout`] of them in a large one.
+    /// Whoever a bounded relay misses is no worse off than before it.
     fn relay(
         &self,
         instance: InstanceId,
@@ -382,11 +372,7 @@ impl<V: Value> ConsensusManager<V> {
         out: &mut Vec<ManagerOut<V>>,
     ) {
         let m = participants.len();
-        // This process is a participant, so its partition point is its own
-        // index; successors start one past it.
-        let start = participants.partition_point(|&p| p < self.me);
-        let reach = self.echo_fanout.unwrap_or(m).min(m.saturating_sub(1));
-        for to in (1..=reach).map(|j| participants[(start + j) % m]) {
+        for to in ring_successors(participants, self.me).take(fanout(m, m)) {
             if to != origin {
                 out.push(ManagerOut::Send {
                     to,
@@ -791,18 +777,25 @@ mod tests {
 
     #[test]
     fn newest_decision_learned_from_a_peer_is_relayed_once_it_is_suspected() {
-        let mut managers: Vec<ConsensusManager<u32>> = (0..3)
-            .map(|i| ConsensusManager::with_echo_fanout(pid(i), Some(1)))
-            .collect();
+        let mut managers: Vec<ConsensusManager<u32>> =
+            (0..20).map(|i| ConsensusManager::new(pid(i))).collect();
         drive(&mut managers);
         // p1 learned instances 0 and 1 from p0's `Decide`s. p0 may have
-        // crashed while sending the last one: relay that one — to one ring
-        // successor, the configured fan-out — and only once.
+        // crashed while sending the last one: relay that one — to the
+        // ⌈log₂ 21⌉ = 5 ring successors of a group of 20 — and only once.
         let outs = managers[1].suspect(pid(0));
-        assert!(matches!(
-            outs.as_slice(),
-            [ManagerOut::Send { to, instance: 1, msg: CtMsg::Decide { .. } }] if *to == pid(2)
-        ));
+        let to: Vec<ProcessId> = outs
+            .iter()
+            .map(|o| match o {
+                ManagerOut::Send {
+                    to,
+                    instance: 1,
+                    msg: CtMsg::Decide { .. },
+                } => *to,
+                _ => panic!("expected decisions of instance 1: {outs:?}"),
+            })
+            .collect();
+        assert_eq!(to, (2..7).map(pid).collect::<Vec<_>>());
         managers[1].restore(pid(0));
         assert!(managers[1].suspect(pid(0)).is_empty());
         // p0 learned nothing from anybody.

@@ -60,7 +60,7 @@
 //!    failure detector suspects a process — this component hears the
 //!    consensus-class suspicions too — every pooled message of that origin
 //!    is relayed, and so is one that arrives while the suspicion lasts (to
-//!    the [`RelayFanout`]'s targets). This covers a sender that crashed
+//!    [`Rbcast::relay_targets`]). This covers a sender that crashed
 //!    part-way through a re-send or a diffusion.
 //!
 //! **Catch-up:** a process that opens an instance while it has evidence of
@@ -107,7 +107,7 @@ use std::sync::Arc;
 use gcs_consensus::InstanceId;
 use gcs_kernel::{FxHashSet, ProcessId};
 
-use crate::rbcast::{Rbcast, RelayFanout};
+use crate::rbcast::Rbcast;
 use crate::types::{
     AbMsg, Batch, Body, Delivery, DeliveryKind, IdRuns, Message, MessageClass, MsgId, Proposal,
     SnapshotData, View, WireMsg,
@@ -215,14 +215,7 @@ impl AbcastCore {
     /// `None` for processes that will join later (inactive until
     /// [`install_snapshot`](Self::install_snapshot)).
     pub fn new(me: ProcessId, initial_view: Option<View>) -> Self {
-        Self::with_relay(me, initial_view, RelayFanout::All)
-    }
-
-    /// Creates the core with an explicit relay fan-out: how far a message
-    /// is re-forwarded once its origin is suspected (see [`RelayFanout`];
-    /// bounded relay keeps that burst at O(n·k) instead of O(n²)).
-    pub fn with_relay(me: ProcessId, initial_view: Option<View>, relay: RelayFanout) -> Self {
-        let mut rb = Rbcast::with_relay(me, relay);
+        let mut rb = Rbcast::new(me);
         let (view, active) = match initial_view {
             Some(v) => {
                 rb.set_peers(&v.members);
@@ -931,17 +924,17 @@ mod tests {
 
     #[test]
     fn bounded_fanout_bounds_the_on_suspicion_relay() {
-        let members: Vec<ProcessId> = (0..8).map(pid).collect();
-        let mut c = AbcastCore::with_relay(
-            pid(2),
-            Some(View::initial(members)),
-            RelayFanout::Bounded(2),
-        );
+        let members: Vec<ProcessId> = (0..20).map(pid).collect();
+        let mut c = AbcastCore::new(pid(2), Some(View::initial(members)));
         let _ = c.on_data(pid(6), from_p(6, 0));
         let mut out = Vec::new();
         c.on_suspect_into(pid(6), &mut out);
         let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, _)| to).collect();
-        assert_eq!(to, vec![pid(3), pid(4)], "two ring successors");
+        assert_eq!(
+            to,
+            [3, 4, 5, 7].map(pid),
+            "five ring successors at n = 20, minus the origin"
+        );
     }
 
     /// A-broadcasts an empty application message and returns its id.

@@ -58,17 +58,15 @@
 //! after one consensus-class timeout.
 
 use gcs_consensus::{ConsensusManager, ManagerOut};
-use gcs_fd::{FdMode, FdOut, HeartbeatFd, MonitorClass};
-use gcs_kernel::{Component, ComponentId, Context, ProcessId, Time, TimeDelta, TimerId};
+use gcs_fd::{FdOut, HeartbeatFd, MonitorClass};
+use gcs_kernel::{Component, ComponentId, Context, ProcessId, TimeDelta, TimerId};
 use gcs_net::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use crate::abcast::{AbOut, AbcastCore};
 use crate::generic::{GbOut, GenericCore};
 use crate::membership::{MbOut, MembershipCore};
 use crate::monitoring::{MonOut, MonitoringCore, MonitoringPolicy};
-use crate::rbcast::RelayFanout;
 use crate::types::{
     AbMsg, Body, Ev, GbMsg, MbMsg, Message, MessageClass, MonMsg, MsgId, Proposal, SnapshotData,
     View, WireMsg,
@@ -267,19 +265,18 @@ pub struct FdComponent {
 
 impl FdComponent {
     /// Creates the failure-detector component: heartbeats every
-    /// `heartbeat_interval` in monitoring mode `mode`, the two suspicion
-    /// classes' timeouts, and whether consensus-class transitions are traced.
+    /// `heartbeat_interval`, the two suspicion classes' timeouts, and
+    /// whether consensus-class transitions are traced.
     pub fn new(
         me: ProcessId,
         initial_peers: Vec<ProcessId>,
         heartbeat_interval: TimeDelta,
         consensus_timeout: TimeDelta,
         monitoring_timeout: TimeDelta,
-        mode: FdMode,
         trace_suspicions: bool,
     ) -> Self {
         FdComponent {
-            fd: HeartbeatFd::with_mode(me, heartbeat_interval, mode),
+            fd: HeartbeatFd::new(me, heartbeat_interval),
             initial_peers,
             consensus_timeout,
             monitoring_timeout,
@@ -323,17 +320,15 @@ impl FdComponent {
             }
         }
         if !heartbeat_to.is_empty() {
-            match self.fd.mode() {
-                FdMode::AllPairs => {
-                    ctx.send_to_all(heartbeat_to.iter().copied(), Ev::Heartbeat);
-                }
-                FdMode::Gossip { .. } => {
-                    // One shared digest per tick: the fan-out clones an Arc,
-                    // not the digest itself.
-                    let digest: Arc<[(ProcessId, Time)]> = self.fd.digest().into();
-                    ctx.send_to_all(heartbeat_to.iter().copied(), Ev::FdGossip(digest));
-                }
-            }
+            // A tick that probes every peer sends a plain heartbeat; one that
+            // probes a segment carries one shared digest, so the fan-out
+            // clones an Arc, not the digest itself.
+            let heartbeat = if self.fd.gossips() {
+                Ev::FdGossip(self.fd.digest().into())
+            } else {
+                Ev::Heartbeat
+            };
+            ctx.send_to_all(heartbeat_to.iter().copied(), heartbeat);
         }
         self.heartbeat_to = heartbeat_to;
     }
@@ -395,12 +390,10 @@ pub struct ConsensusComponent {
 }
 
 impl ConsensusComponent {
-    /// Creates the consensus component for `me`, with a bounded fan-out for
-    /// decisions relayed on suspicion of their sender (`None` = relay to
-    /// every participant).
-    pub fn new(me: ProcessId, echo_fanout: Option<usize>) -> Self {
+    /// Creates the consensus component for `me`.
+    pub fn new(me: ProcessId) -> Self {
         ConsensusComponent {
-            mgr: ConsensusManager::with_echo_fanout(me, echo_fanout),
+            mgr: ConsensusManager::new(me),
             scratch: Vec::new(),
         }
     }
@@ -470,17 +463,11 @@ pub struct AbcastComponent {
 }
 
 impl AbcastComponent {
-    /// Creates the atomic-broadcast component: relay policy as in
-    /// [`AbcastCore::with_relay`], and the consensus-class failure-detector
-    /// timeout the safety-net timer is derived from.
-    pub fn new(
-        me: ProcessId,
-        initial_view: Option<View>,
-        relay: RelayFanout,
-        consensus_timeout: TimeDelta,
-    ) -> Self {
+    /// Creates the atomic-broadcast component, with the consensus-class
+    /// failure-detector timeout the safety-net timer is derived from.
+    pub fn new(me: ProcessId, initial_view: Option<View>, consensus_timeout: TimeDelta) -> Self {
         AbcastComponent {
-            core: AbcastCore::with_relay(me, initial_view, relay),
+            core: AbcastCore::new(me, initial_view),
             safety_net_after: consensus_timeout,
             scratch: Vec::new(),
         }

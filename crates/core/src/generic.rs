@@ -91,7 +91,8 @@
 //!   the origin is dead instead, the holders' on-suspicion relay goes to
 //!   *their* view, new members included.)
 //!
-//! [`RelayFanout`] bounds the on-suspicion burst only.
+//! A large group bounds the on-suspicion burst only (see
+//! [`Rbcast::relay_targets`]).
 //!
 //! ## State layout
 //!
@@ -125,7 +126,7 @@ use std::sync::Arc;
 
 use gcs_kernel::{FxHashSet, PositionSet, ProcessId};
 
-use crate::rbcast::{Rbcast, RelayFanout};
+use crate::rbcast::Rbcast;
 use crate::types::{
     Body, ConflictRelation, Delivery, DeliveryKind, GbEndData, GbMsg, IdRuns, Message,
     MessageClass, MsgId, View, WireMsg,
@@ -303,18 +304,7 @@ impl GenericCore {
     /// Creates the core for `me` with the given conflict relation.
     /// `initial_view` is `None` for processes that join later.
     pub fn new(me: ProcessId, relation: ConflictRelation, initial_view: Option<View>) -> Self {
-        Self::with_relay(me, relation, initial_view, RelayFanout::All)
-    }
-
-    /// Creates the core with an explicit relay fan-out: how far a message
-    /// is re-forwarded once its origin is suspected (see [`RelayFanout`]).
-    pub fn with_relay(
-        me: ProcessId,
-        relation: ConflictRelation,
-        initial_view: Option<View>,
-        relay: RelayFanout,
-    ) -> Self {
-        let mut rb = Rbcast::with_relay(me, relay);
+        let mut rb = Rbcast::new(me);
         let (members, view_id, active) = match initial_view {
             Some(v) => {
                 rb.set_peers(&v.members);
@@ -1386,17 +1376,20 @@ mod tests {
 
     #[test]
     fn bounded_fanout_bounds_the_on_suspicion_burst() {
-        let mut c = GenericCore::with_relay(
+        let mut c = GenericCore::new(
             pid(2),
             ConflictRelation::none(4),
-            Some(View::initial(members(8))),
-            RelayFanout::Bounded(2),
+            Some(View::initial(members(20))),
         );
         c.on_data(pid(6), app(6, 0, 0), Some(0));
         let mut out = Vec::new();
         c.on_suspect_into(pid(6), &mut out);
         let to: Vec<ProcessId> = data_wires(&out).into_iter().map(|(to, ..)| to).collect();
-        assert_eq!(to, vec![pid(3), pid(4)], "two ring successors");
+        assert_eq!(
+            to,
+            [3, 4, 5, 7].map(pid),
+            "five ring successors at n = 20, minus the origin"
+        );
     }
 
     #[test]

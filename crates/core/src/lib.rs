@@ -52,13 +52,9 @@ mod rbcast;
 mod stack;
 mod types;
 
-pub use gcs_fd::FdMode;
 pub use monitoring::MonitoringPolicy;
-pub use rbcast::{Rbcast, RelayFanout};
-pub use stack::{
-    auto_fanout, build_process, gdelivered_ids, GroupSim, NewArchDriver, StackConfig,
-    SCALE_THRESHOLD,
-};
+pub use rbcast::Rbcast;
+pub use stack::{build_process, gdelivered_ids, GroupSim, NewArchDriver, StackConfig};
 pub use types::{
     AbMsg, AckEpoch, Batch, Body, ConflictRelation, Delivery, DeliveryKind, Ev, GbMsg, MbMsg,
     Message, MessageClass, MonMsg, MsgId, Proposal, SnapshotData, View, WireMsg,

@@ -30,78 +30,63 @@
 //!   holds for the epoch, *delivered or not* (`generic.rs` has the
 //!   argument). An origin outside the view is outside the detector's watch:
 //!   its first copies are relayed at once.
+//!
+//! **How far a relay reaches.** Classic diffusion relays to *every* peer:
+//! n−1 receivers each re-sending n−2 copies makes one broadcast cost O(n²)
+//! messages — the redundancy that tolerates an origin crashing mid-send,
+//! bought at a price that collapses large groups. Above
+//! [`gcs_kernel::SCALE_THRESHOLD`] members a relaying receiver re-forwards
+//! to only its k = [`fanout`] *ring successors* (in sorted process order,
+//! wrapping) instead, while the origin keeps its full fan-out. Coverage
+//! survives an origin crash: the partial direct fan-out seeds contiguous
+//! ring segments, and first-copy relays extend each segment by k until the
+//! ring closes — any crash pattern short of k consecutive failed processes
+//! still reaches everyone (`bounded_relay_reaches_every_correct_member`
+//! checks it).
 
-use gcs_kernel::ProcessId;
+use gcs_kernel::{fanout, ring_successors, ProcessId};
 
 use crate::types::{IdRuns, Message, MsgId};
-
-/// How far a relaying receiver re-forwards a diffused message.
-///
-/// Classic diffusion relays to *every* peer: n−1 receivers each re-sending
-/// n−2 copies makes one broadcast cost O(n²) messages — the redundancy that
-/// tolerates an origin crashing mid-send, bought at a price that collapses
-/// large groups. Bounded relay keeps the origin's full fan-out but has each
-/// first-copy receiver re-forward to only its `k` *ring successors* (in
-/// sorted process order, wrapping). Coverage survives origin crash: the
-/// partial direct fan-out seeds contiguous ring segments, and first-copy
-/// relays extend each segment by `k` until the ring closes — any crash
-/// pattern short of `k` consecutive failed processes still reaches everyone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RelayFanout {
-    /// Relay to all peers (classic diffusion, O(n²) messages per
-    /// broadcast).
-    All,
-    /// Relay to this many ring successors (O(n·k) messages per broadcast).
-    Bounded(usize),
-}
 
 /// Diffusion-based reliable broadcast over reliable point-to-point channels.
 #[derive(Debug)]
 pub struct Rbcast {
     me: ProcessId,
     peers: Vec<ProcessId>,
-    relay: RelayFanout,
+    /// Peers a relay reaches: [`fanout`] of the member count.
+    relay_fanout: usize,
     /// Reused relay-target buffer: relaying allocates nothing.
     targets: Vec<ProcessId>,
-    /// The peers in sorted order — the ring bounded relay walks. (View
+    /// The peers in sorted order — the ring a bounded relay walks. (View
     /// member order is the agreed primary order, not id order, so the ring
     /// is materialized separately at `set_peers`.)
     ring: Vec<ProcessId>,
-    /// Index into `ring` of `me`'s first ring successor (the insertion
-    /// point of `me`) — precomputed for the bounded-relay hot path.
-    ring_start: usize,
     seen: IdRuns,
     next_seq: u64,
 }
 
 impl Rbcast {
-    /// Creates a broadcast module for `me` with relay-to-all diffusion;
-    /// peers come from the view.
+    /// Creates a broadcast module for `me`; peers come from the view.
     pub fn new(me: ProcessId) -> Self {
-        Self::with_relay(me, RelayFanout::All)
-    }
-
-    /// Creates a broadcast module with an explicit relay fan-out.
-    pub fn with_relay(me: ProcessId, relay: RelayFanout) -> Self {
         Rbcast {
             me,
             peers: Vec::new(),
-            relay,
+            relay_fanout: usize::MAX,
             targets: Vec::new(),
             ring: Vec::new(),
-            ring_start: 0,
             seen: IdRuns::default(),
             next_seq: 0,
         }
     }
 
-    /// Updates the destination set (driven by view changes). `me` is kept
-    /// out of the peer list; local delivery is immediate at broadcast time.
+    /// Updates the destination set (driven by view changes) and, from the
+    /// member count, the relay fan-out. `me` is kept out of the peer list;
+    /// local delivery is immediate at broadcast time.
     pub fn set_peers(&mut self, members: &[ProcessId]) {
         self.peers = members.iter().copied().filter(|&p| p != self.me).collect();
         self.ring = self.peers.clone();
         self.ring.sort_unstable();
-        self.ring_start = self.ring.partition_point(|&p| p < self.me);
+        self.relay_fanout = fanout(members.len(), members.len());
     }
 
     /// The current relay/broadcast peer set.
@@ -138,23 +123,23 @@ impl Rbcast {
         self.seen.insert(id)
     }
 
-    /// Whom to relay a message of `origin` received from `from` to: the
-    /// configured [`RelayFanout`] minus the transport-level sender and the
-    /// origin (both already have the message). A borrow of the module's
-    /// reused buffer: relaying allocates nothing.
+    /// Whom to relay a message of `origin` received from `from` to: every
+    /// peer, in view order, or in a large group the first [`fanout`] ring
+    /// successors — minus the transport-level sender and the origin (both
+    /// already have the message). A borrow of the module's reused buffer:
+    /// relaying allocates nothing.
     pub fn relay_targets(&mut self, origin: ProcessId, from: ProcessId) -> &[ProcessId] {
         self.targets.clear();
         let wanted = |p: &ProcessId| *p != from && *p != origin;
-        match self.relay {
-            RelayFanout::All => self
-                .targets
-                .extend(self.peers.iter().copied().filter(wanted)),
-            RelayFanout::Bounded(k) => {
-                let m = self.ring.len();
-                let (ring, start) = (&self.ring, self.ring_start);
-                self.targets
-                    .extend((0..k.min(m)).map(|j| ring[(start + j) % m]).filter(wanted));
-            }
+        if self.relay_fanout >= self.peers.len() {
+            self.targets
+                .extend(self.peers.iter().copied().filter(wanted));
+        } else {
+            self.targets.extend(
+                ring_successors(&self.ring, self.me)
+                    .take(self.relay_fanout)
+                    .filter(wanted),
+            );
         }
         &self.targets
     }
@@ -216,8 +201,8 @@ mod tests {
 
     #[test]
     fn first_copy_and_relay_targets_serve_a_caller_that_relays_selectively() {
-        let mut rb = Rbcast::with_relay(pid(1), RelayFanout::Bounded(2));
-        rb.set_peers(&(0..8).map(pid).collect::<Vec<_>>());
+        let mut rb = Rbcast::new(pid(1));
+        rb.set_peers(&(0..20).map(pid).collect::<Vec<_>>());
         let id = MsgId {
             sender: pid(6),
             seq: 0,
@@ -225,10 +210,12 @@ mod tests {
         assert!(rb.first_copy(id));
         assert!(!rb.first_copy(id), "second copy");
         assert!(rb.seen(id));
-        // Ring successors p2, p3 — minus origin and transport-level sender.
-        assert_eq!(rb.relay_targets(pid(6), pid(6)), &[pid(2), pid(3)]);
-        assert_eq!(rb.relay_targets(pid(3), pid(3)), &[pid(2)]);
-        assert_eq!(rb.relay_targets(pid(6), pid(2)), &[pid(3)]);
+        // A group of 20 relays to ⌈log₂ 21⌉ = 5 ring successors, p2..p6 —
+        // minus origin and transport-level sender.
+        let ids = |ids: &[u32]| ids.iter().map(|&i| pid(i)).collect::<Vec<_>>();
+        assert_eq!(rb.relay_targets(pid(6), pid(6)), ids(&[2, 3, 4, 5]));
+        assert_eq!(rb.relay_targets(pid(3), pid(3)), ids(&[2, 4, 5, 6]));
+        assert_eq!(rb.relay_targets(pid(6), pid(2)), ids(&[3, 4, 5]));
     }
 
     #[test]
@@ -236,5 +223,97 @@ mod tests {
         let mut rb = Rbcast::new(pid(1));
         assert_eq!(rb.next_id().seq, 0);
         assert_eq!(rb.next_id().seq, 1);
+    }
+
+    /// Marks `crashed` so that no k consecutive ring neighbours (wrapping)
+    /// are crashed, keeping `origin` crashed: each run is cut by restoring
+    /// the member that would make it k long.
+    fn cut_runs_below(crashed: &mut [bool], origin: usize, k: usize) {
+        let n = crashed.len();
+        let mut run = 0;
+        for j in 0..n {
+            let p = (origin + j) % n;
+            if !crashed[p] {
+                run = 0;
+            } else if run + 1 == k && p != origin {
+                crashed[p] = false;
+                run = 0;
+            } else {
+                run += 1;
+            }
+        }
+        // The run that ends just before the origin continues through it.
+        let head = (0..n).take_while(|&j| crashed[(origin + j) % n]).count();
+        if run > 0 && run + head >= k {
+            crashed[(origin + n - 1) % n] = false;
+        }
+    }
+
+    mod coverage {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The module docs' claim about bounded relay, checked: a
+            /// crashed origin's direct sends reached some correct members,
+            /// any other crash pattern leaves no k consecutive ring
+            /// neighbours crashed, and the first-copy relays of the correct
+            /// members reach every correct member.
+            #[test]
+            fn bounded_relay_reaches_every_correct_member(
+                n in 17usize..97,
+                origin in any::<usize>(),
+                crash_pct in 0u8..70,
+                crash_draws in proptest::collection::vec(0u8..100, 96..97),
+                reach_draws in proptest::collection::vec(any::<bool>(), 96..97),
+            ) {
+                let k = fanout(n, n);
+                let origin = origin % n;
+                let mut crashed: Vec<bool> =
+                    crash_draws[..n].iter().map(|&d| d < crash_pct).collect();
+                crashed[origin] = true;
+                cut_runs_below(&mut crashed, origin, k);
+                let longest_run = (0..n)
+                    .map(|s| (0..n).take_while(|&j| crashed[(s + j) % n]).count())
+                    .max();
+                prop_assert!(longest_run < Some(k), "{crashed:?}");
+                let correct: Vec<usize> = (0..n).filter(|&p| !crashed[p]).collect();
+                let mut reached: Vec<usize> =
+                    correct.iter().copied().filter(|&p| reach_draws[p]).collect();
+                if reached.is_empty() {
+                    reached.push(correct[0]);
+                }
+
+                let members: Vec<ProcessId> = (0..n as u32).map(pid).collect();
+                let mut rbs: Vec<Rbcast> = members
+                    .iter()
+                    .map(|&p| {
+                        let mut rb = Rbcast::new(p);
+                        rb.set_peers(&members);
+                        rb
+                    })
+                    .collect();
+                let id = MsgId { sender: pid(origin as u32), seq: 0 };
+                let mut in_flight: Vec<(usize, ProcessId)> =
+                    reached.iter().map(|&p| (p, id.sender)).collect();
+                while let Some((to, from)) = in_flight.pop() {
+                    if crashed[to] || !rbs[to].first_copy(id) {
+                        continue;
+                    }
+                    let targets = rbs[to].relay_targets(id.sender, from);
+                    prop_assert!(targets.len() <= k);
+                    in_flight.extend(targets.iter().map(|t| (t.index(), pid(to as u32))));
+                }
+                for &p in &correct {
+                    prop_assert!(
+                        rbs[p].seen(id),
+                        "p{p} missed p{origin}'s message (n = {n}, k = {k}, crashed: {:?})",
+                        (0..n).filter(|&q| crashed[q]).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 }

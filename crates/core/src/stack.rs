@@ -12,7 +12,6 @@ use crate::components::{
 use crate::generic::GenericCore;
 use crate::membership::MembershipCore;
 use crate::monitoring::MonitoringPolicy;
-use crate::rbcast::RelayFanout;
 use crate::types::{ConflictRelation, DeliveryKind, Ev, MessageClass, MsgId, View};
 
 /// Configuration of one new-architecture process stack.
@@ -49,58 +48,12 @@ pub struct StackConfig {
     /// paper's state-transfer cost, §4.3). Experiment E3b sweeps it; the
     /// membership example and `tests/full_stack.rs` set it.
     pub state_size: usize,
-    /// Failure-detector monitoring mode. `None` derives from the group
-    /// size: all-pairs heartbeats for founding groups of at most
-    /// [`SCALE_THRESHOLD`] members (keeping small-group runs bit-identical
-    /// to the pre-gossip stack), gossip with an auto fanout (≈ log₂ n)
-    /// above it. `tests/gossip_fd.rs` and the conformance battery's FD-mode
-    /// leg pin each mode explicitly.
-    pub fd_mode: Option<gcs_fd::FdMode>,
     /// Emit consensus-class `Suspect`/`Restore` transitions as trace
     /// outputs (crash-detection latency measurement; off by default so
     /// existing run fingerprints and delivery counts are untouched). The
     /// crash scenarios of the scenario engine and `tests/gossip_fd.rs` set
     /// it.
     pub trace_suspicions: bool,
-}
-
-/// Largest founding-group size that keeps the scale-neutral defaults:
-/// all-pairs failure detection and relay-to-all diffusion. Groups larger
-/// than this derive bounded relay, and gossip monitoring unless the config
-/// pins an FD mode explicitly.
-pub const SCALE_THRESHOLD: usize = 16;
-
-/// The auto-derived gossip/relay fanout for a group of `n`: ⌈log₂(n+1)⌉,
-/// at least 2.
-pub fn auto_fanout(n: usize) -> usize {
-    ((usize::BITS - n.leading_zeros()) as usize).clamp(2, n.max(2))
-}
-
-impl StackConfig {
-    /// The concrete failure-detector mode for a founding group of `n`.
-    pub fn resolved_fd_mode(&self, n: usize) -> gcs_fd::FdMode {
-        match self.fd_mode {
-            Some(mode) => mode,
-            None if n <= SCALE_THRESHOLD => gcs_fd::FdMode::AllPairs,
-            None => gcs_fd::FdMode::Gossip { fanout: 0 },
-        }
-    }
-
-    /// The relay fan-out for a founding group of `n`: how many ring
-    /// successors a process re-forwards a message to when it relays one.
-    /// Atomic broadcast, generic broadcast and consensus relay only while
-    /// the message's origin (the decision's sender) is suspected, so the
-    /// fan-out bounds the on-suspicion burst (and generic broadcast's eager
-    /// relay of a message whose origin is outside the view): relay-to-all
-    /// up to [`SCALE_THRESHOLD`], ≈ log₂ n above (O(n·k) messages instead
-    /// of O(n²)).
-    pub fn resolved_relay(&self, n: usize) -> RelayFanout {
-        if n <= SCALE_THRESHOLD {
-            RelayFanout::All
-        } else {
-            RelayFanout::Bounded(auto_fanout(n))
-        }
-    }
 }
 
 impl Default for StackConfig {
@@ -113,7 +66,6 @@ impl Default for StackConfig {
             monitoring_timeout: TimeDelta::from_millis(500),
             monitoring: MonitoringPolicy::default(),
             state_size: 0,
-            fd_mode: None,
             trace_suspicions: false,
         }
     }
@@ -122,41 +74,34 @@ impl Default for StackConfig {
 /// Builds the full Fig 9 component graph for one process.
 ///
 /// `initial_view` is `Some` for founding members, `None` for processes that
-/// will join later (a schedule `Join` step). `scale_n` is the founding
-/// group size the scale-dependent defaults (failure-detection mode, relay
-/// fan-out) resolve against — joiners pass it too, so every process of one
-/// group runs the same policies.
+/// will join later (a schedule `Join` step). Nothing here depends on the
+/// group's size: the failure detector, relay and decision echo each derive
+/// their fan-out from the current view where they use it
+/// ([`gcs_kernel::fanout`]).
 pub fn build_process(
     id: ProcessId,
     config: &StackConfig,
     initial_view: Option<View>,
-    scale_n: usize,
 ) -> Process<Ev> {
     let fd_peers = initial_view
         .as_ref()
         .map(|v| v.members.clone())
         .unwrap_or_default();
-    let relay = config.resolved_relay(scale_n);
-    let echo_fanout = match relay {
-        RelayFanout::All => None,
-        RelayFanout::Bounded(k) => Some(k),
-    };
     let fd = FdComponent::new(
         id,
         fd_peers.clone(),
         config.heartbeat_interval,
         config.consensus_timeout,
         config.monitoring_timeout,
-        config.resolved_fd_mode(scale_n),
         config.trace_suspicions,
     );
-    let abcast = AbcastComponent::new(id, initial_view.clone(), relay, config.consensus_timeout);
-    let generic = GenericCore::with_relay(id, config.conflict.clone(), initial_view.clone(), relay);
+    let abcast = AbcastComponent::new(id, initial_view.clone(), config.consensus_timeout);
+    let generic = GenericCore::new(id, config.conflict.clone(), initial_view.clone());
     let membership = MembershipCore::new(id, initial_view, config.state_size);
     Process::builder(id)
         .with(ids::RC, RcComponent::new(id, config.rc))
         .with(ids::FD, fd)
-        .with(ids::CONSENSUS, ConsensusComponent::new(id, echo_fanout))
+        .with(ids::CONSENSUS, ConsensusComponent::new(id))
         .with(ids::ABCAST, abcast)
         .with(ids::GENERIC, GenericComponent::new(generic))
         .with(ids::MEMBERSHIP, MembershipComponent::new(membership))
@@ -179,7 +124,7 @@ impl StackDriver for NewArchDriver {
     fn build(id: ProcessId, config: &StackConfig, founders: usize) -> Process<Ev> {
         let view = (id.index() < founders)
             .then(|| View::initial((0..founders as u32).map(ProcessId::new).collect()));
-        build_process(id, config, view, founders)
+        build_process(id, config, view)
     }
 
     fn abcast(payload: PayloadRef) -> Op<Ev> {

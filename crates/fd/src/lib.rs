@@ -20,60 +20,25 @@
 //! The detector is sans-I/O, like every protocol in this repository: the
 //! owner drives [`HeartbeatFd::on_tick`] and feeds received heartbeats in,
 //! and carries out the returned [`FdOut`] instructions.
+//!
+//! Each tick probes the next segment of the ring of monitored peers, as
+//! many as [`gcs_kernel::fanout`] allows for the group's current size. Up
+//! to [`gcs_kernel::SCALE_THRESHOLD`] processes that is every peer, every
+//! interval: the classic all-pairs heartbeat, n·(n−1) messages per period,
+//! which is what collapses simulation throughput beyond a few dozen
+//! processes. Above it a tick probes k ≈ log₂ n peers, and the rotation
+//! covers everyone once per ⌈(n−1)/k⌉ ticks: gossip-style failure
+//! detection (van Renesse, Minsky and Hayden, Middleware 1998). Its
+//! heartbeats carry a small digest of the freshest last-heard times
+//! ([`HeartbeatFd::digest`]), so monitoring traffic is O(n·k) per period.
+//! The price is detection latency: a peer is directly probed once per
+//! rotation cycle, so class timeouts are extended by one cycle (see
+//! [`HeartbeatFd::suspicion_bound`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gcs_kernel::{ProcessId, Time, TimeDelta};
-
-/// How the detector spreads aliveness information across the group.
-///
-/// All-pairs monitoring sends one heartbeat to every peer each interval —
-/// n·(n−1) messages per period, which is what collapses simulation
-/// throughput beyond a few dozen processes. Gossip monitoring sends to a
-/// k-sized rotating ring segment instead (k ≈ log₂ n), piggybacking a small
-/// digest of freshest last-heard times, so monitoring traffic is O(n·k) per
-/// period. The price is detection latency: a peer is directly probed once
-/// per rotation cycle, so class timeouts are extended by one cycle (see
-/// [`HeartbeatFd::suspicion_bound`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FdMode {
-    /// Heartbeat every peer each interval (classic ◇S heartbeat detector).
-    #[default]
-    AllPairs,
-    /// Heartbeat a rotating ring segment of `fanout` peers each interval,
-    /// carrying an alive digest. `fanout == 0` means "derive from the group
-    /// size": ⌈log₂(n+1)⌉, at least 2.
-    Gossip {
-        /// Peers probed per interval (0 = auto, ≈ log₂ n).
-        fanout: usize,
-    },
-}
-
-impl FdMode {
-    /// The concrete per-tick fanout for a group with `peers` monitored
-    /// peers. All-pairs probes everyone; gossip resolves `fanout == 0` to
-    /// ⌈log₂(peers+1)⌉ clamped to at least 2.
-    pub fn fanout_for(&self, peers: usize) -> usize {
-        match *self {
-            FdMode::AllPairs => peers,
-            FdMode::Gossip { fanout: 0 } => {
-                let k = (usize::BITS - peers.leading_zeros()) as usize; // ⌈log2(peers+1)⌉
-                k.clamp(2, peers.max(2))
-            }
-            FdMode::Gossip { fanout } => fanout.clamp(1, peers.max(1)),
-        }
-    }
-
-    /// Ticks to cover every peer once: ⌈peers / fanout⌉ (1 for all-pairs).
-    pub fn cycle_ticks(&self, peers: usize) -> u64 {
-        if peers == 0 {
-            return 1;
-        }
-        let k = self.fanout_for(peers);
-        peers.div_ceil(k.max(1)) as u64
-    }
-}
+use gcs_kernel::{fanout, ProcessId, Time, TimeDelta};
 
 /// Identifies one registered suspicion client (timeout class).
 ///
@@ -92,9 +57,9 @@ impl MonitorClass {
 /// An instruction produced by the failure detector for its owner.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FdOut {
-    /// Send a heartbeat to `to` over the unreliable transport. In gossip
-    /// mode the owner should attach the current [`HeartbeatFd::digest`] to
-    /// the heartbeats of one tick.
+    /// Send a heartbeat to `to` over the unreliable transport. While the
+    /// detector [gossips](HeartbeatFd::gossips) the owner should attach the
+    /// current [`HeartbeatFd::digest`] to the heartbeats of one tick.
     SendHeartbeat {
         /// Destination peer.
         to: ProcessId,
@@ -129,7 +94,6 @@ struct ClassState {
 pub struct HeartbeatFd {
     me: ProcessId,
     interval: TimeDelta,
-    mode: FdMode,
     peers: Vec<ProcessId>,
     /// Registered classes, sorted by class id.
     classes: Vec<(MonitorClass, ClassState)>,
@@ -147,7 +111,7 @@ pub struct HeartbeatFd {
     /// push deadlines later, so a stale value is merely conservative (an
     /// early sweep that finds nothing), never late.
     next_scan: Option<Time>,
-    /// Gossip tick counter driving ring-segment rotation.
+    /// Tick counter driving ring-segment rotation.
     round: u64,
     /// Ring offset of the segment probed on the most recent tick — the
     /// digest window [`Self::digest`] reports.
@@ -156,18 +120,12 @@ pub struct HeartbeatFd {
 }
 
 impl HeartbeatFd {
-    /// Creates an all-pairs detector for process `me` that emits heartbeats
-    /// every `interval`.
+    /// Creates a detector for process `me` that emits heartbeats every
+    /// `interval`.
     pub fn new(me: ProcessId, interval: TimeDelta) -> Self {
-        Self::with_mode(me, interval, FdMode::AllPairs)
-    }
-
-    /// Creates a detector with an explicit monitoring [`FdMode`].
-    pub fn with_mode(me: ProcessId, interval: TimeDelta, mode: FdMode) -> Self {
         HeartbeatFd {
             me,
             interval,
-            mode,
             peers: Vec::new(),
             classes: Vec::new(),
             last_heard: Vec::new(),
@@ -185,25 +143,34 @@ impl HeartbeatFd {
         self.interval
     }
 
-    /// The monitoring mode this detector runs in.
-    pub fn mode(&self) -> FdMode {
-        self.mode
+    /// Peers probed per tick: every one of them in a group of up to
+    /// [`gcs_kernel::SCALE_THRESHOLD`] processes, ⌈log₂(peers + 1)⌉ above.
+    fn probes_per_tick(&self) -> usize {
+        let m = self.peers.len();
+        fanout(m + 1, m).min(m)
     }
 
-    /// The extra last-heard staleness budget gossip rotation introduces:
-    /// one full rotation cycle (every correct peer heartbeats us once per
-    /// cycle). Zero in all-pairs mode, where every interval probes everyone.
+    /// Whether a tick probes only a segment of the peers (the group has
+    /// more than [`gcs_kernel::SCALE_THRESHOLD`] processes): its heartbeats
+    /// then carry the [`digest`](Self::digest), and timeouts have one
+    /// rotation cycle of slack.
+    pub fn gossips(&self) -> bool {
+        self.probes_per_tick() < self.peers.len()
+    }
+
+    /// The extra last-heard staleness budget rotation introduces: one full
+    /// cycle, ⌈peers / probes per tick⌉ ticks (every correct peer
+    /// heartbeats us once per cycle). Zero when every tick probes everyone.
     fn rotation_slack(&self) -> TimeDelta {
-        match self.mode {
-            FdMode::AllPairs => TimeDelta::ZERO,
-            FdMode::Gossip { .. } => self
-                .interval
-                .saturating_mul(self.mode.cycle_ticks(self.peers.len())),
+        if !self.gossips() {
+            return TimeDelta::ZERO;
         }
+        let cycle = self.peers.len().div_ceil(self.probes_per_tick());
+        self.interval.saturating_mul(cycle as u64)
     }
 
-    /// The effective timeout of `class` under the current mode and group
-    /// size: the registered timeout plus the rotation slack.
+    /// The effective timeout of `class` at the current group size: the
+    /// registered timeout plus the rotation slack.
     fn effective_timeout(&self, state: ClassState) -> TimeDelta {
         state.timeout + self.rotation_slack()
     }
@@ -353,17 +320,17 @@ impl HeartbeatFd {
         }
     }
 
-    /// The alive digest to piggyback on this tick's gossip heartbeats: the
-    /// last-heard times of the ring segment currently being probed (the
-    /// rotation covers every peer once per cycle). Entries are `(peer,
-    /// last-heard)`; receivers merge them with [`Self::on_gossip`].
+    /// The alive digest to piggyback on this tick's heartbeats while the
+    /// detector [gossips](Self::gossips): the last-heard times of the ring
+    /// segment currently being probed (the rotation covers every peer once
+    /// per cycle). Entries are `(peer, last-heard)`; receivers merge them
+    /// with [`Self::on_gossip`].
     pub fn digest(&self) -> Vec<(ProcessId, Time)> {
         let m = self.peers.len();
         if m == 0 {
             return Vec::new();
         }
-        let k = self.mode.fanout_for(m).min(m);
-        (0..k)
+        (0..self.probes_per_tick())
             .map(|j| {
                 let p = self.peers[(self.last_base + j) % m];
                 (p, self.last_heard_of(p))
@@ -432,23 +399,17 @@ impl HeartbeatFd {
 
     /// [`on_tick`](Self::on_tick), appending into a caller-owned buffer.
     pub fn on_tick_into(&mut self, now: Time, out: &mut Vec<FdOut>) {
+        // Probe the next ring segment: k consecutive peers at an offset
+        // advancing by k each tick, so every peer is probed exactly once per
+        // ⌈m/k⌉-tick cycle. With k = m that is every peer, in order.
         let m = self.peers.len();
-        match self.mode {
-            FdMode::AllPairs => {
-                out.extend(self.peers.iter().map(|&to| FdOut::SendHeartbeat { to }));
-            }
-            FdMode::Gossip { .. } if m > 0 => {
-                // Probe the next ring segment: k consecutive peers at an
-                // offset advancing by k each tick, so every peer is probed
-                // exactly once per ⌈m/k⌉-tick cycle.
-                let k = self.mode.fanout_for(m).min(m);
-                self.last_base = ((self.round * k as u64) % m as u64) as usize;
-                self.round += 1;
-                out.extend((0..k).map(|j| FdOut::SendHeartbeat {
-                    to: self.peers[(self.last_base + j) % m],
-                }));
-            }
-            FdMode::Gossip { .. } => {}
+        if m > 0 {
+            let k = self.probes_per_tick();
+            self.last_base = ((self.round * k as u64) % m as u64) as usize;
+            self.round += 1;
+            out.extend((0..k).map(|j| FdOut::SendHeartbeat {
+                to: self.peers[(self.last_base + j) % m],
+            }));
         }
         // The timeout sweep is O(peers · classes); while nothing is
         // suspected it only needs to run once a (peer, class) deadline can
@@ -673,81 +634,95 @@ mod tests {
         assert_eq!(fd.peers(), &[P1]);
     }
 
-    /// A gossip detector over `peers` peers with a consensus class.
-    fn gossip_fd(peers: u32, fanout: usize) -> HeartbeatFd {
-        let mut fd =
-            HeartbeatFd::with_mode(ME, TimeDelta::from_millis(10), FdMode::Gossip { fanout });
+    /// A detector over `peers` peers with a consensus class.
+    fn fd_over(peers: u32) -> HeartbeatFd {
+        let mut fd = HeartbeatFd::new(ME, TimeDelta::from_millis(10));
         fd.register_class(MonitorClass::CONSENSUS, TimeDelta::from_millis(50));
         fd.set_peers((1..=peers).map(ProcessId::new), Time::ZERO);
         fd
     }
 
+    fn probed(out: &[FdOut]) -> Vec<ProcessId> {
+        out.iter()
+            .filter_map(|o| match o {
+                FdOut::SendHeartbeat { to } => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn auto_fanout_is_logarithmic() {
-        assert_eq!(FdMode::Gossip { fanout: 0 }.fanout_for(15), 4);
-        assert_eq!(FdMode::Gossip { fanout: 0 }.fanout_for(255), 8);
-        assert_eq!(FdMode::Gossip { fanout: 0 }.fanout_for(1023), 10);
-        // Tiny groups still probe at least two peers per tick.
-        assert_eq!(FdMode::Gossip { fanout: 0 }.fanout_for(2), 2);
-        assert_eq!(FdMode::AllPairs.fanout_for(9), 9);
+    fn every_peer_is_probed_up_to_the_threshold_and_a_logarithm_above() {
+        // A group of 16 (15 peers) is all-pairs: every peer, every tick.
+        let mut fd = fd_over(15);
+        assert!(!fd.gossips());
+        for tick in 0..3u64 {
+            let out = fd.on_tick(Time::from_millis(10 * tick));
+            assert_eq!(
+                probed(&out),
+                (1..=15).map(ProcessId::new).collect::<Vec<_>>()
+            );
+        }
+        // 17 processes (16 peers): ⌈log₂ 17⌉ = 5 a tick.
+        let mut fd = fd_over(16);
+        assert!(fd.gossips());
+        assert_eq!(probed(&fd.on_tick(Time::ZERO)).len(), 5);
+        // Without the rotation slack of a gossiping detector.
+        assert_eq!(
+            fd_over(15).suspicion_bound(MonitorClass::CONSENSUS),
+            Some(TimeDelta::from_millis(50 + 10))
+        );
     }
 
     #[test]
     fn gossip_probes_a_rotating_segment_covering_every_peer() {
-        let mut fd = gossip_fd(9, 3);
-        let mut probed = std::collections::BTreeSet::new();
-        for tick in 0..3u64 {
-            let out = fd.on_tick(Time::from_millis(10 * tick));
-            let hbs: Vec<ProcessId> = out
-                .iter()
-                .filter_map(|o| match o {
-                    FdOut::SendHeartbeat { to } => Some(*to),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(hbs.len(), 3, "fanout-sized segment each tick");
-            probed.extend(hbs);
+        // 20 peers: 5 a tick, a 4-tick cycle.
+        let mut fd = fd_over(20);
+        let mut probed_once = std::collections::BTreeSet::new();
+        for tick in 0..4u64 {
+            let hbs = probed(&fd.on_tick(Time::from_millis(10 * tick)));
+            assert_eq!(hbs.len(), 5, "fanout-sized segment each tick");
+            probed_once.extend(hbs);
         }
-        // One cycle (⌈9/3⌉ = 3 ticks) probes every peer exactly once.
-        assert_eq!(probed.len(), 9);
-        assert_eq!(FdMode::Gossip { fanout: 3 }.cycle_ticks(9), 3);
+        // One cycle (⌈20/5⌉ = 4 ticks) probes every peer exactly once.
+        assert_eq!(probed_once.len(), 20);
     }
 
     #[test]
     fn gossip_timeout_is_extended_by_the_rotation_cycle() {
-        let mut fd = gossip_fd(9, 3);
-        for p in 1..=9 {
+        let mut fd = fd_over(20);
+        for p in 1..=20 {
             fd.on_heartbeat(ProcessId::new(p), Time::ZERO);
         }
         // The all-pairs deadline (50 ms) passes without suspicion: the
-        // effective gossip timeout is 50 + 3·10 (cycle) = 80 ms.
-        let out = fd.on_tick(Time::from_millis(70));
+        // effective gossip timeout is 50 + 4·10 (cycle) = 90 ms.
+        let out = fd.on_tick(Time::from_millis(80));
         assert!(
             !out.iter().any(|o| matches!(o, FdOut::Suspect { .. })),
             "{out:?}"
         );
-        let out = fd.on_tick(Time::from_millis(90));
+        let out = fd.on_tick(Time::from_millis(100));
         assert!(out.contains(&FdOut::Suspect {
             class: MonitorClass::CONSENSUS,
             peer: P1
         }));
         assert_eq!(
             fd.suspicion_bound(MonitorClass::CONSENSUS),
-            Some(TimeDelta::from_millis(50 + 30 + 10))
+            Some(TimeDelta::from_millis(50 + 40 + 10))
         );
     }
 
     #[test]
     fn digest_entries_restore_an_indirectly_heard_peer() {
-        let mut fd = gossip_fd(9, 3);
-        for p in 1..=9 {
+        let mut fd = fd_over(20);
+        for p in 1..=20 {
             fd.on_heartbeat(ProcessId::new(p), Time::ZERO);
         }
-        fd.on_tick(Time::from_millis(90));
+        fd.on_tick(Time::from_millis(100));
         assert!(fd.is_suspected(MonitorClass::CONSENSUS, P1));
         // P2's gossip vouches it heard P1 recently — the suspicion lifts
         // without a direct heartbeat from P1.
-        let out = fd.on_gossip(P2, &[(P1, Time::from_millis(85))], Time::from_millis(91));
+        let out = fd.on_gossip(P2, &[(P1, Time::from_millis(95))], Time::from_millis(101));
         assert!(out.contains(&FdOut::Restore {
             class: MonitorClass::CONSENSUS,
             peer: P1
@@ -757,8 +732,8 @@ mod tests {
 
     #[test]
     fn stale_digest_entries_cannot_mask_a_crash() {
-        let mut fd = gossip_fd(9, 3);
-        for p in 1..=9 {
+        let mut fd = fd_over(20);
+        for p in 1..=20 {
             fd.on_heartbeat(ProcessId::new(p), Time::from_millis(100));
         }
         fd.on_tick(Time::from_millis(200));
@@ -775,10 +750,10 @@ mod tests {
 
     #[test]
     fn digest_covers_the_probed_segment() {
-        let mut fd = gossip_fd(9, 3);
+        let mut fd = fd_over(20);
         fd.on_tick(Time::ZERO);
         let digest = fd.digest();
-        assert_eq!(digest.len(), 3, "digest mirrors the probed segment");
+        assert_eq!(digest.len(), 5, "digest mirrors the probed segment");
         for (p, _) in digest {
             assert!(fd.peers().contains(&p));
         }

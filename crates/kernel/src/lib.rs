@@ -18,6 +18,10 @@
 //!   stacks do not see each other,
 //! * [`PositionSet`] — a bitset over the positions of a member list (who
 //!   acked, who is suspected), shared by consensus and generic broadcast,
+//! * [`fanout`] and [`ring_successors`] — how many peers, and which, a
+//!   process contacts per round in a group of a given size: every peer up
+//!   to [`SCALE_THRESHOLD`], about log₂ n above, for the failure detector,
+//!   relay and decision echo alike,
 //! * [`Effects`] — the externally visible results of a dispatch step
 //!   (network sends, timer requests, application outputs), which makes every
 //!   protocol sans-I/O and lets the same code run under the deterministic
@@ -72,6 +76,7 @@
 
 mod component;
 mod event;
+mod fanout;
 mod group;
 mod hash;
 mod ids;
@@ -87,6 +92,7 @@ mod time;
 pub use bytes::Bytes;
 pub use component::{Component, Context};
 pub use event::Event;
+pub use fanout::{fanout, ring_successors, SCALE_THRESHOLD};
 pub use group::{DeliveryKind, MessageClass, View};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ComponentId, ProcessId, TimerId};
