@@ -23,7 +23,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("e2", "generic vs atomic broadcast (§4.2)"),
     ("e3", "failover latency + false-suspicion cost (§4.3)"),
     ("e4", "view-change blocking (§4.4)"),
-    ("a1", "consensus ablation (Chandra-Toueg vs Paxos)"),
+    ("a1", "consensus cost (Chandra-Toueg messages per decision)"),
     ("a2", "failure-detector quality"),
 ];
 
@@ -279,10 +279,7 @@ fn run_scenario() {
     if let Some(ms) = r.crash_detect_ms {
         println!("| crash detected by all correct (virtual ms) | {ms:.2} |");
     }
-    println!(
-        "| payload arena live / high-water | {} / {} |",
-        r.arena_live, r.arena_high_water
-    );
+    println!("| payload arena live | {} |", r.arena_live);
     println!("| invariant violations | {} |", r.violations.len());
     if !r.violations.is_empty() {
         println!("\n### invariant violations\n");
@@ -329,7 +326,7 @@ fn main() {
             experiments::e3_false_suspicion_cost();
         }
         "e4" => experiments::e4_view_change_blocking(),
-        "a1" => experiments::a1_consensus_ablation(),
+        "a1" => experiments::a1_consensus_cost(),
         "a2" => experiments::a2_fd_quality(),
         "all" => experiments::run_all(),
         "list" => list(),

@@ -416,125 +416,72 @@ pub fn e4_view_change_blocking() {
 }
 
 // ---------------------------------------------------------------------------
-// A1 — consensus ablation: Chandra-Toueg vs Paxos
+// A1 — consensus cost: wire messages per Chandra-Toueg decision
 // ---------------------------------------------------------------------------
 
-/// A1: wire messages per decision (a process's messages to itself are
-/// not counted), failure-free and with a crashed first coordinator/proposer.
-pub fn a1_consensus_ablation() {
-    use gcs_consensus::paxos::{PaxosConsensus, PaxosMsg, PaxosOut};
+/// Wire messages one Chandra-Toueg decision costs among `n` processes (a
+/// process's messages to itself are not counted): every process proposes,
+/// then messages are delivered in FIFO order until the instance is quiet.
+/// With `crash_first`, the round-0 coordinator p0 is crashed from the start
+/// and every other process suspects it, so the decision takes a round change.
+pub fn a1_wire_messages(n: u32, crash_first: bool) -> u64 {
     use gcs_consensus::{CtConsensus, CtMsg, CtOut};
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::VecDeque;
 
-    println!("## A1 — consensus ablation: wire messages per decision\n");
-    println!("| n | scenario | Chandra-Toueg | Paxos |");
-    println!("|---|---|---|---|");
+    let ids: Vec<ProcessId> = (0..n).map(p).collect();
+    let mut insts: Vec<CtConsensus<u32>> = ids
+        .iter()
+        .map(|&q| CtConsensus::new(q, ids.clone(), ids[0]))
+        .collect();
+    let crashed = |q: ProcessId| crash_first && q == p(0);
+    let mut queue: VecDeque<(ProcessId, ProcessId, CtMsg<u32>)> = VecDeque::new();
+    let mut sent = 0u64;
+    let mut apply = |from: ProcessId,
+                     outs: Vec<CtOut<u32>>,
+                     queue: &mut VecDeque<(ProcessId, ProcessId, CtMsg<u32>)>| {
+        for o in outs {
+            if let CtOut::Send { to, msg } = o {
+                sent += u64::from(to != from);
+                queue.push_back((from, to, msg));
+            }
+        }
+    };
+    for (i, inst) in insts.iter_mut().enumerate() {
+        if !crashed(ids[i]) {
+            apply(ids[i], inst.propose(i as u32), &mut queue);
+        }
+    }
+    if crash_first {
+        for (i, inst) in insts.iter_mut().enumerate().skip(1) {
+            apply(ids[i], inst.suspect(p(0)), &mut queue);
+        }
+    }
+    while let Some((from, to, msg)) = queue.pop_front() {
+        if crashed(from) || crashed(to) {
+            continue;
+        }
+        let outs = insts[to.index()].on_msg(from, msg);
+        apply(to, outs, &mut queue);
+    }
+    sent
+}
 
+/// A1: wire messages per Chandra-Toueg decision, failure-free and with a
+/// crashed round-0 coordinator ([`a1_wire_messages`]).
+pub fn a1_consensus_cost() {
+    println!("## A1 — consensus cost: wire messages per decision\n");
+    println!("| n | scenario | Chandra-Toueg |");
+    println!("|---|---|---|");
     for n in [3u32, 5, 7] {
-        for crash0 in [false, true] {
-            let ids: Vec<ProcessId> = (0..n).map(p).collect();
-
-            // Chandra-Toueg.
-            let ct_msgs = {
-                let mut insts: Vec<CtConsensus<u32>> = ids
-                    .iter()
-                    .map(|&q| CtConsensus::new(q, ids.clone(), ids[0]))
-                    .collect();
-                let mut queue: VecDeque<(ProcessId, ProcessId, CtMsg<u32>)> = VecDeque::new();
-                let mut crashed: HashSet<ProcessId> = HashSet::new();
-                if crash0 {
-                    crashed.insert(p(0));
-                }
-                let mut sent = 0u64;
-                let apply = |from: ProcessId,
-                             outs: Vec<CtOut<u32>>,
-                             queue: &mut VecDeque<(ProcessId, ProcessId, CtMsg<u32>)>,
-                             sent: &mut u64| {
-                    for o in outs {
-                        if let CtOut::Send { to, msg } = o {
-                            *sent += u64::from(to != from);
-                            queue.push_back((from, to, msg));
-                        }
-                    }
-                };
-                for (i, inst) in insts.iter_mut().enumerate() {
-                    if !crashed.contains(&p(i as u32)) {
-                        let outs = inst.propose(i as u32);
-                        apply(p(i as u32), outs, &mut queue, &mut sent);
-                    }
-                }
-                if crash0 {
-                    for (i, inst) in insts.iter_mut().enumerate() {
-                        if !crashed.contains(&p(i as u32)) {
-                            let outs = inst.suspect(p(0));
-                            apply(p(i as u32), outs, &mut queue, &mut sent);
-                        }
-                    }
-                }
-                while let Some((from, to, msg)) = queue.pop_front() {
-                    if crashed.contains(&from) || crashed.contains(&to) {
-                        continue;
-                    }
-                    let outs = insts[to.index()].on_msg(from, msg);
-                    apply(to, outs, &mut queue, &mut sent);
-                }
-                sent
-            };
-
-            // Paxos.
-            let paxos_msgs = {
-                let mut insts: Vec<PaxosConsensus<u32>> = ids
-                    .iter()
-                    .map(|&q| PaxosConsensus::new(q, ids.clone()))
-                    .collect();
-                let mut queue: VecDeque<(ProcessId, ProcessId, PaxosMsg<u32>)> = VecDeque::new();
-                let mut crashed: HashSet<ProcessId> = HashSet::new();
-                if crash0 {
-                    crashed.insert(p(0));
-                }
-                let mut sent = 0u64;
-                let apply = |from: ProcessId,
-                             outs: Vec<PaxosOut<u32>>,
-                             queue: &mut VecDeque<(ProcessId, ProcessId, PaxosMsg<u32>)>,
-                             sent: &mut u64| {
-                    for o in outs {
-                        if let PaxosOut::Send { to, msg } = o {
-                            *sent += u64::from(to != from);
-                            queue.push_back((from, to, msg));
-                        }
-                    }
-                };
-                for (i, inst) in insts.iter_mut().enumerate() {
-                    if !crashed.contains(&p(i as u32)) {
-                        let outs = inst.propose(i as u32);
-                        apply(p(i as u32), outs, &mut queue, &mut sent);
-                    }
-                }
-                if crash0 {
-                    for (i, inst) in insts.iter_mut().enumerate() {
-                        if !crashed.contains(&p(i as u32)) {
-                            let outs = inst.suspect(p(0));
-                            apply(p(i as u32), outs, &mut queue, &mut sent);
-                        }
-                    }
-                }
-                while let Some((from, to, msg)) = queue.pop_front() {
-                    if crashed.contains(&from) || crashed.contains(&to) {
-                        continue;
-                    }
-                    let outs = insts[to.index()].on_msg(from, msg);
-                    apply(to, outs, &mut queue, &mut sent);
-                }
-                sent
-            };
-
+        for crash_first in [false, true] {
             println!(
-                "| {n} | {} | {ct_msgs} | {paxos_msgs} |",
-                if crash0 {
+                "| {n} | {} | {} |",
+                if crash_first {
                     "coordinator crash"
                 } else {
                     "failure-free"
-                }
+                },
+                a1_wire_messages(n, crash_first)
             );
         }
     }
@@ -659,7 +606,7 @@ pub fn run_all() {
     e3_failover_latency();
     e3_false_suspicion_cost();
     e4_view_change_blocking();
-    a1_consensus_ablation();
+    a1_consensus_cost();
     a2_fd_quality();
 }
 
@@ -673,5 +620,20 @@ mod tests {
         let (m, n) = mean_latency(&injects, &deliveries);
         assert_eq!(n, 2);
         assert!((m - 5.0).abs() < 1e-9);
+    }
+
+    /// A1's six cells. Failure-free, a decision is n−1 proposals and n−1
+    /// acks plus a `Decide` to each process that could not decide on
+    /// adopting (one at n = 3, n−1 above). Past a crashed coordinator it
+    /// is a round change instead: (n−1)² `ct/nack`s (every survivor leaves
+    /// round 0 and tells every other participant), then round 1's n−2
+    /// estimates, n−1 proposals, n−2 acks and its decisions.
+    #[test]
+    fn a1_cells_are_pinned() {
+        use super::a1_wire_messages;
+        for (n, failure_free, coordinator_crash) in [(3, 5, 9), (5, 12, 30), (7, 18, 58)] {
+            assert_eq!(a1_wire_messages(n, false), failure_free, "n={n}");
+            assert_eq!(a1_wire_messages(n, true), coordinator_crash, "n={n} crash");
+        }
     }
 }

@@ -88,11 +88,9 @@ pub struct ScenarioReport {
     /// `None` when the scenario crashes nobody, or some correct process
     /// never suspected within the horizon.
     pub crash_detect_ms: Option<f64>,
-    /// Payloads live in the group's arena at the end of the run.
+    /// Payloads live in the group's arena at the end of the run (the
+    /// arena reclaims nothing, so this is every payload it interned).
     pub arena_live: usize,
-    /// Arena slot high-water mark (the slab grows with the run until
-    /// reclamation lands; this metric is the groundwork for it).
-    pub arena_high_water: usize,
 }
 
 impl ScenarioReport {
@@ -251,7 +249,6 @@ impl Scenario {
             violations,
             crash_detect_ms,
             arena_live: g.arena().live(),
-            arena_high_water: g.arena().capacity(),
         }
     }
 
@@ -949,18 +946,11 @@ mod tests {
 
     #[test]
     fn arena_occupancy_is_reported_and_pinned() {
-        // Groundwork for payload reclamation (ROADMAP): every injected
-        // payload is interned exactly once and stays live to the end of the
-        // run — the slab's high-water mark equals its live count. When
-        // reclamation lands, `arena_live` drops below `arena_high_water`
-        // and this pin moves.
+        // Every injected payload is interned exactly once and, with no
+        // reclamation, stays live to the end of the run.
         for name in ["uniform-lan", "uniform-lan-isis", "uniform-lan-token"] {
             let r = by_name(name).unwrap().run(2);
             assert_eq!(r.arena_live, r.injected, "{name}: one slot per op");
-            assert_eq!(
-                r.arena_high_water, r.arena_live,
-                "{name}: no reclamation yet — slab grows with the run"
-            );
         }
     }
 

@@ -12,14 +12,16 @@
 //!   broadcast, one instance at a time: instance creation, decision
 //!   caching, catch-up replies for processes that lag behind, parking of
 //!   traffic for instances not opened yet, and the relay of a learned
-//!   decision while its sender is suspected;
-//! * [`paxos::PaxosConsensus`] — a single-decree Paxos with the same
-//!   interface, used by the ablation experiment A1 to show the architecture
-//!   is agnostic to the consensus algorithm beneath it. It stays because
-//!   A1 still separates the two: failure-free, a Chandra-Toueg decision
-//!   costs 5 wire messages against Paxos's 15 at n = 3, and 12 against 38
-//!   at n = 5 (`repro a1`); after a coordinator crash they cost about the
-//!   same.
+//!   decision while its sender is suspected.
+//!
+//! The contract between the stack and this crate is Chandra-Toueg's own:
+//! the manager opens each instance with a designated round-0 coordinator,
+//! asks it for catch-up pulls, the echo relay and seeded suspicions, and
+//! builds its `Decide` itself; the core's wire event carries [`CtMsg`]; and
+//! [`Value::claimed_by`] is Chandra-Toueg's round-≥1 rule. Another
+//! algorithm would need every one of those hooks, so there is no consensus
+//! trait. `repro a1` prints what a decision costs here, failure-free and
+//! past a crashed coordinator.
 //!
 //! Messages must be exchanged over reliable FIFO channels
 //! (`gcs-net`'s [`ReliableChannel`](../gcs_net/struct.ReliableChannel.html)
@@ -31,7 +33,6 @@
 
 mod chandra_toueg;
 mod manager;
-pub mod paxos;
 
 pub use chandra_toueg::{CtConsensus, CtMsg, CtOut};
 pub use manager::{ConsensusManager, InstanceId, ManagerOut};

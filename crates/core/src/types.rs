@@ -237,7 +237,7 @@ impl ConflictRelation {
 /// byte containers: the bytes live once in the simulation's
 /// [`SharedArena`](gcs_kernel::SharedArena) and every layer the message
 /// crosses (batch assembly, consensus proposal, decision fan-out, wire
-/// packet, delivery) moves a 12-byte `Copy` handle.
+/// packet, delivery) moves an 8-byte `Copy` handle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Body {
     /// Opaque application payload (interned in the simulation's arena).

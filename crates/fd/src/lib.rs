@@ -200,14 +200,6 @@ impl HeartbeatFd {
         self.next_scan = None;
     }
 
-    /// Removes a suspicion class. (`stop_monitor` in Fig 9.)
-    pub fn unregister_class(&mut self, class: MonitorClass) {
-        self.classes.retain(|&(c, _)| c != class);
-        self.suspected.retain(|(c, _)| *c != class);
-        self.recount_suspected();
-        self.next_scan = None;
-    }
-
     /// Recomputes `suspect_count` from the flag tables (rare paths only).
     fn recount_suspected(&mut self) {
         self.suspect_count = self
@@ -612,18 +604,6 @@ mod tests {
         assert!(!fd.is_suspected(MonitorClass::CONSENSUS, P1));
         assert!(fd.on_heartbeat(P1, Time::from_millis(101)).is_empty());
         assert_eq!(fd.peers(), &[P2]);
-    }
-
-    #[test]
-    fn unregister_class_stops_its_suspicions() {
-        let mut fd = fd();
-        fd.on_tick(Time::from_millis(100));
-        fd.unregister_class(MonitorClass::CONSENSUS);
-        assert!(!fd.is_suspected(MonitorClass::CONSENSUS, P1));
-        let out = fd.on_tick(Time::from_millis(200));
-        assert!(!out.iter().any(
-            |o| matches!(o, FdOut::Suspect { class, .. } if *class == MonitorClass::CONSENSUS)
-        ));
     }
 
     #[test]

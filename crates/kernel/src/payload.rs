@@ -1,18 +1,18 @@
 //! The zero-copy message plane: an arena of interned payloads addressed by
-//! generation-checked [`PayloadRef`] handles.
+//! [`PayloadRef`] handles.
 //!
 //! A broadcast payload crosses every layer of the stack — batch assembly,
 //! consensus proposal, decision fan-out, wire packet, simulated delivery —
 //! and each boundary used to hand over an owned byte container. The arena
 //! replaces all of that with one interned allocation per *logical* payload:
-//! every layer moves a 12-byte `Copy` handle, and only the edges (workload
+//! every layer moves an 8-byte `Copy` handle, and only the edges (workload
 //! injection, trace observation) ever touch the bytes.
 //!
-//! * [`PayloadArena`] — a slab of [`Bytes`] slots with a free list. Slots
-//!   are recycled on [`release`](PayloadArena::release); each reuse bumps
-//!   the slot's generation so stale handles are detected, not misread.
-//! * [`PayloadRef`] — `Copy` handle `(slot, generation, length)`. The length
-//!   rides in the handle so wire-size accounting never needs the arena.
+//! * [`PayloadArena`] — an append-only slab of [`Bytes`] slots. A slot lives
+//!   as long as its arena: nothing is reclaimed, so a handle never goes
+//!   stale.
+//! * [`PayloadRef`] — `Copy` handle `(slot, length)`. The length rides in
+//!   the handle so wire-size accounting never needs the arena.
 //! * [`SharedArena`] — the cheaply cloneable owner handed to a simulation
 //!   harness and its observers (`Arc<Mutex<_>>`; the simulator itself is
 //!   single-threaded, the lock is for the multi-threaded experiment sweeps
@@ -29,14 +29,12 @@ use bytes::Bytes;
 
 /// A `Copy` handle to a payload interned in a [`PayloadArena`].
 ///
-/// Handles are meaningful only against the arena that issued them; resolving
-/// a handle after its slot was [released](PayloadArena::release) and reused
-/// fails the generation check instead of silently yielding another payload's
-/// bytes.
+/// Handles are meaningful only against the arena that issued them; a
+/// handle from another arena is rejected when its slot is out of range or
+/// holds a payload of another length.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PayloadRef {
     slot: u32,
-    gen: u32,
     len: u32,
 }
 
@@ -45,7 +43,6 @@ impl PayloadRef {
     /// without occupying a slot.
     pub const EMPTY: PayloadRef = PayloadRef {
         slot: u32::MAX,
-        gen: 0,
         len: 0,
     };
 
@@ -68,23 +65,16 @@ impl std::fmt::Debug for PayloadRef {
         if *self == PayloadRef::EMPTY {
             write!(f, "payload:empty")
         } else {
-            write!(f, "payload:{}.{}({}B)", self.slot, self.gen, self.len)
+            write!(f, "payload:{}({}B)", self.slot, self.len)
         }
     }
 }
 
-#[derive(Debug)]
-struct Slot {
-    gen: u32,
-    data: Bytes,
-}
-
-/// A slab of interned payloads with generation-checked handles and a scratch
-/// pool for envelope construction.
+/// An append-only slab of interned payloads and a scratch pool for envelope
+/// construction.
 #[derive(Debug, Default)]
 pub struct PayloadArena {
-    slots: Vec<Slot>,
-    free: Vec<u32>,
+    slots: Vec<Bytes>,
     scratch: Vec<Vec<u8>>,
 }
 
@@ -94,13 +84,8 @@ impl PayloadArena {
         Self::default()
     }
 
-    /// Number of live (interned, unreleased) payloads.
+    /// Number of interned payloads (every one stays live with the arena).
     pub fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Total slots ever created (high-water mark of simultaneous payloads).
-    pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
@@ -111,23 +96,10 @@ impl PayloadArena {
             return PayloadRef::EMPTY;
         }
         let len = u32::try_from(data.len()).expect("payload exceeds u32::MAX bytes");
-        match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.data = data;
-                PayloadRef {
-                    slot,
-                    gen: s.gen,
-                    len,
-                }
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("arena slot overflow");
-                assert!(slot != u32::MAX, "arena slot overflow");
-                self.slots.push(Slot { gen: 0, data });
-                PayloadRef { slot, gen: 0, len }
-            }
-        }
+        let slot = u32::try_from(self.slots.len()).expect("arena slot overflow");
+        assert!(slot != u32::MAX, "arena slot overflow");
+        self.slots.push(data);
+        PayloadRef { slot, len }
     }
 
     /// Builds a payload through a pooled scratch buffer: `fill` writes into
@@ -152,41 +124,20 @@ impl PayloadArena {
     }
 
     /// Resolves a handle to its payload (an O(1) shared-pointer clone), or
-    /// `None` if the handle is stale (its slot was released/reused) or from
-    /// another arena.
+    /// `None` if the handle is from another arena (its slot is out of range
+    /// or holds a payload of another length).
     pub fn resolve(&self, r: PayloadRef) -> Option<Bytes> {
         if r == PayloadRef::EMPTY {
             return Some(Bytes::new());
         }
-        let s = self.slots.get(r.slot as usize)?;
-        (s.gen == r.gen && s.data.len() == r.len as usize).then(|| s.data.clone())
+        let data = self.slots.get(r.slot as usize)?;
+        (data.len() == r.len as usize).then(|| data.clone())
     }
 
-    /// Like [`resolve`](Self::resolve), panicking on a stale handle — for
-    /// observers that own the arena and know the handle is live.
+    /// Like [`resolve`](Self::resolve), panicking on a foreign handle — for
+    /// observers that own the arena and know the handle is its own.
     pub fn get(&self, r: PayloadRef) -> Bytes {
-        self.resolve(r)
-            .unwrap_or_else(|| panic!("stale or foreign {r:?}"))
-    }
-
-    /// Releases a slot back to the free list, bumping its generation so
-    /// outstanding copies of the handle turn stale. Returns `false` if the
-    /// handle was already stale. Releasing [`PayloadRef::EMPTY`] is a no-op
-    /// (returns `true`).
-    pub fn release(&mut self, r: PayloadRef) -> bool {
-        if r == PayloadRef::EMPTY {
-            return true;
-        }
-        let Some(s) = self.slots.get_mut(r.slot as usize) else {
-            return false;
-        };
-        if s.gen != r.gen {
-            return false;
-        }
-        s.gen = s.gen.wrapping_add(1);
-        s.data = Bytes::new();
-        self.free.push(r.slot);
-        true
+        self.resolve(r).unwrap_or_else(|| panic!("foreign {r:?}"))
     }
 }
 
@@ -219,29 +170,19 @@ impl SharedArena {
         self.lock().build(fill)
     }
 
-    /// Resolves a handle; `None` when stale. See [`PayloadArena::resolve`].
+    /// Resolves a handle; `None` when foreign. See [`PayloadArena::resolve`].
     pub fn resolve(&self, r: PayloadRef) -> Option<Bytes> {
         self.lock().resolve(r)
     }
 
-    /// Resolves a handle, panicking when stale. See [`PayloadArena::get`].
+    /// Resolves a handle, panicking when foreign. See [`PayloadArena::get`].
     pub fn get(&self, r: PayloadRef) -> Bytes {
         self.lock().get(r)
     }
 
-    /// Releases a slot for reuse. See [`PayloadArena::release`].
-    pub fn release(&self, r: PayloadRef) -> bool {
-        self.lock().release(r)
-    }
-
-    /// Number of live payloads.
+    /// Number of interned payloads.
     pub fn live(&self) -> usize {
         self.lock().live()
-    }
-
-    /// Slot high-water mark.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PayloadArena> {
@@ -250,8 +191,8 @@ impl SharedArena {
 }
 
 const _: () = assert!(
-    std::mem::size_of::<PayloadRef>() == 12,
-    "PayloadRef must stay a 12-byte Copy handle"
+    std::mem::size_of::<PayloadRef>() == 8,
+    "PayloadRef must stay an 8-byte Copy handle"
 );
 
 #[cfg(test)]
@@ -275,33 +216,18 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(a.live(), 0);
         assert_eq!(a.resolve(r).unwrap().len(), 0);
-        assert!(a.release(r), "releasing EMPTY is a harmless no-op");
     }
 
     #[test]
-    fn release_recycles_slot_and_stales_old_handles() {
+    #[should_panic(expected = "foreign")]
+    fn get_panics_on_foreign_handle() {
         let mut a = PayloadArena::new();
-        let r1 = a.intern_slice(b"first");
-        assert!(a.release(r1));
-        assert_eq!(a.live(), 0);
-        // The slot is recycled under a new generation.
-        let r2 = a.intern_slice(b"second");
-        assert_eq!(a.capacity(), 1, "slot reused, not grown");
-        assert_ne!(r1, r2);
-        // The stale handle fails the generation check.
-        assert_eq!(a.resolve(r1), None);
-        assert!(!a.release(r1), "double release detected");
-        assert_eq!(a.get(r2), b"second"[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale or foreign")]
-    fn get_panics_on_stale_handle() {
-        let mut a = PayloadArena::new();
-        let r = a.intern_slice(b"x");
-        a.release(r);
-        let _ = a.intern_slice(b"y");
-        let _ = a.get(r);
+        let _ = a.intern_slice(b"x");
+        let r = a.intern_slice(b"y");
+        // `r` names slot 1, which a one-payload arena does not have.
+        let mut other = PayloadArena::new();
+        let _ = other.intern_slice(b"z");
+        let _ = other.get(r);
     }
 
     #[test]

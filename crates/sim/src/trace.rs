@@ -98,13 +98,6 @@ impl<E> Trace<E> {
             .filter_map(|e| f(&e.event).map(|k| (e.time, e.proc, k)))
             .collect()
     }
-
-    /// First delivery time of the first event for which `f` returns `Some`.
-    pub fn first_time<K>(&self, f: impl Fn(&E) -> Option<K>) -> Option<(Time, ProcessId, K)> {
-        self.entries
-            .iter()
-            .find_map(|e| f(&e.event).map(|k| (e.time, e.proc, k)))
-    }
 }
 
 /// A violation of pairwise order consistency found by [`check_total_order`].
@@ -276,7 +269,5 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.deliveries_of(ProcessId::new(0)), 2);
         assert_eq!(t.deliveries_of(ProcessId::new(2)), 0);
-        let first = t.first_time(|e| (*e == 20).then_some(())).unwrap();
-        assert_eq!(first.0, Time::from_millis(2));
     }
 }

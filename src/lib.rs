@@ -23,7 +23,7 @@
 //! * [`net`] — the reliable channel (acks, retransmission, FIFO,
 //!   output-triggered suspicion).
 //! * [`fd`] — heartbeat failure detection with independent timeout classes.
-//! * [`consensus`] — Chandra-Toueg ◇S consensus (+ Paxos ablation).
+//! * [`consensus`] — Chandra-Toueg ◇S consensus.
 //! * [`core`] — the new architecture itself: atomic broadcast over
 //!   consensus, thrifty generic broadcast, membership above abcast,
 //!   monitoring-driven exclusion.
