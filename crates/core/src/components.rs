@@ -66,7 +66,7 @@ use std::cell::RefCell;
 use crate::abcast::{AbOut, AbcastCore};
 use crate::generic::{GbOut, GenericCore};
 use crate::membership::{MbOut, MembershipCore};
-use crate::monitoring::{MonOut, MonitoringCore, MonitoringPolicy};
+use crate::monitoring::{MonOut, MonitoringCore};
 use crate::types::{
     AbMsg, Body, Ev, GbMsg, MbMsg, Message, MessageClass, MonMsg, MsgId, Proposal, SnapshotData,
     View, WireMsg,
@@ -164,7 +164,8 @@ impl RcComponent {
                     ctx.emit(route_wire(&msg), Ev::Net(from, msg));
                 }
                 RcOut::Stuck { peer, since } => ctx.emit(ids::MONITORING, Ev::RcStuck(peer, since)),
-                RcOut::Unstuck { peer } => ctx.emit(ids::MONITORING, Ev::RcUnstuck(peer)),
+                // The first report excluded the peer: nothing to withdraw.
+                RcOut::Unstuck { .. } => {}
             }
         }
         self.scratch = scratch;
@@ -777,9 +778,9 @@ pub struct MonitoringComponent {
 
 impl MonitoringComponent {
     /// Creates the monitoring component.
-    pub fn new(me: ProcessId, members: Vec<ProcessId>, policy: MonitoringPolicy) -> Self {
+    pub fn new(me: ProcessId, members: Vec<ProcessId>) -> Self {
         MonitoringComponent {
-            core: MonitoringCore::new(me, members, policy),
+            core: MonitoringCore::new(me, members),
         }
     }
 
@@ -800,14 +801,12 @@ impl Component<Ev> for MonitoringComponent {
                 let outs = self.core.on_fd_suspect(p);
                 self.apply(outs, ctx);
             }
-            Ev::Restore(MonitorClass::MONITORING, p) => self.core.on_fd_restore(p),
             Ev::RcStuck(p, _) => {
                 let outs = self.core.on_stuck(p);
                 self.apply(outs, ctx);
             }
-            Ev::RcUnstuck(p) => self.core.on_unstuck(p),
-            Ev::Net(from, WireMsg::Mon(MonMsg::Report { peer })) => {
-                let outs = self.core.on_report(from, peer);
+            Ev::Net(_, WireMsg::Mon(MonMsg::Report { peer })) => {
+                let outs = self.core.on_report(peer);
                 self.apply(outs, ctx);
             }
             Ev::ViewChanged(v) => self.core.set_members(v.members),

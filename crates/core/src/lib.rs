@@ -52,7 +52,6 @@ mod rbcast;
 mod stack;
 mod types;
 
-pub use monitoring::MonitoringPolicy;
 pub use rbcast::Rbcast;
 pub use stack::{build_process, gdelivered_ids, GroupSim, NewArchDriver, StackConfig};
 pub use types::{

@@ -11,7 +11,6 @@ use crate::components::{
 };
 use crate::generic::GenericCore;
 use crate::membership::MembershipCore;
-use crate::monitoring::MonitoringPolicy;
 use crate::types::{ConflictRelation, DeliveryKind, Ev, MessageClass, MsgId, View};
 
 /// Configuration of one new-architecture process stack.
@@ -37,13 +36,13 @@ pub struct StackConfig {
     /// it; the WAN tests stretch it.
     pub consensus_timeout: TimeDelta,
     /// Large timeout: monitoring-class suspicions (the paper's "minutes").
-    /// Every benchmark workload, the scenario engine and the experiments
-    /// raise it to an hour so that exclusions come from the script; E3b
+    /// The first such suspicion excludes the peer, as does the reliable
+    /// channel's output-triggered one. Every benchmark workload, the
+    /// scenario engine and the experiments raise it to an hour so that
+    /// exclusions come from the script, and `tests/full_stack.rs`'s
+    /// output-triggered exclusion so that only the channel excludes; E3b
     /// and the membership tests shorten it.
     pub monitoring_timeout: TimeDelta,
-    /// Exclusion policy of the monitoring component; see
-    /// [`MonitoringPolicy`] for who sets each field.
-    pub monitoring: MonitoringPolicy,
     /// Size of the application state transferred to joiners (models the
     /// paper's state-transfer cost, §4.3). Experiment E3b sweeps it; the
     /// membership example and `tests/full_stack.rs` set it.
@@ -64,7 +63,6 @@ impl Default for StackConfig {
             heartbeat_interval: TimeDelta::from_millis(5),
             consensus_timeout: TimeDelta::from_millis(25),
             monitoring_timeout: TimeDelta::from_millis(500),
-            monitoring: MonitoringPolicy::default(),
             state_size: 0,
             trace_suspicions: false,
         }
@@ -105,10 +103,7 @@ pub fn build_process(
         .with(ids::ABCAST, abcast)
         .with(ids::GENERIC, GenericComponent::new(generic))
         .with(ids::MEMBERSHIP, MembershipComponent::new(membership))
-        .with(
-            ids::MONITORING,
-            MonitoringComponent::new(id, fd_peers, config.monitoring),
-        )
+        .with(ids::MONITORING, MonitoringComponent::new(id, fd_peers))
         .build()
 }
 

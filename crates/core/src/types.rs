@@ -579,8 +579,6 @@ pub enum Ev {
     Net(ProcessId, WireMsg),
     /// Reliable channel → monitoring: output-triggered suspicion (§3.3.2).
     RcStuck(ProcessId, Time),
-    /// Reliable channel → monitoring: the peer acked again.
-    RcUnstuck(ProcessId),
     /// Failure detector → consensus + atomic and generic broadcast
     /// (consensus class) or monitoring (monitoring class): `suspect` (Fig 9).
     Suspect(gcs_fd::MonitorClass, ProcessId),
@@ -675,7 +673,6 @@ impl Event for Ev {
             Ev::RcSend(..) => "int/rc-send",
             Ev::Net(..) => "int/net",
             Ev::RcStuck(..) => "int/rc-stuck",
-            Ev::RcUnstuck(_) => "int/rc-unstuck",
             Ev::Suspect(..) => "int/suspect",
             Ev::Restore(..) => "int/restore",
             Ev::Propose { .. } => "int/propose",

@@ -174,9 +174,7 @@ pub trait Component<E: Event> {
     /// Handles an event that this component of process `from` sent.
     ///
     /// Defaults to [`on_event`](Component::on_event); components that care
-    /// about the transport-level sender (or, like
-    /// [`StackComponent`](crate::StackComponent), about the entry direction)
-    /// override this.
+    /// about the transport-level sender override this.
     fn on_message(&mut self, from: ProcessId, event: E, ctx: &mut Context<'_, E>) {
         let _ = from;
         self.on_event(event, ctx);

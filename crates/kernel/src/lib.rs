@@ -8,11 +8,9 @@
 //! It provides:
 //!
 //! * [`Component`] — an event-driven protocol module with timers,
-//! * [`Process`] — a component *graph* hosted by one process (used for the
-//!   paper's new architecture, Fig 9), each component named by a
+//! * [`Process`] — a component *graph* hosted by one process (the paper's
+//!   Fig 9, and every stack here runs on one), each component named by a
 //!   [`ComponentId`],
-//! * [`Layer`] / [`StackComponent`] — Ensemble-style *linear stacks* where
-//!   events travel up and down through ordered layers (Fig 5),
 //! * [`View`], [`MessageClass`], [`DeliveryKind`] — the plain vocabulary in
 //!   which any stack talks to an application, shared here because the
 //!   stacks do not see each other,
@@ -45,6 +43,13 @@
 //! actions to replay when the handler returns, and an event is moved once
 //! per hop. `Context` is thereby the one choke point every event of a
 //! process crosses.
+//!
+//! The graph is the only composition model. A linear stack in the style of
+//! Ensemble or Appia (the paper's Fig 5) is a special case of it: a chain of
+//! components, each built knowing the ids of the layers above and below it,
+//! passing an event down with `ctx.emit(below, …)` and up with
+//! `ctx.emit(above, …)`; the bottom layer sends to itself on the peer and
+//! the top layer outputs (`tests/architectures.rs`, F5).
 //!
 //! ```
 //! use gcs_kernel::{Component, ComponentId, Context, Event, Process, ProcessId, Time};
@@ -84,7 +89,6 @@ mod payload;
 mod positions;
 mod process;
 mod smallvec;
-mod stack;
 mod time;
 
 // Payloads enter the arena as `Bytes`; crates that only pass them through
@@ -100,5 +104,4 @@ pub use payload::{PayloadArena, PayloadRef, SharedArena};
 pub use positions::PositionSet;
 pub use process::{Effects, Envelope, Multicast, Process, ProcessBuilder, TimerRequest};
 pub use smallvec::SmallVec;
-pub use stack::{Direction, Layer, LayerContext, StackBuilder, StackComponent};
-pub use time::{ManualClock, Time, TimeDelta, TimeSource};
+pub use time::{Time, TimeDelta};

@@ -1,7 +1,8 @@
 //! Virtual time used by the whole protocol suite.
 //!
-//! The simulator advances a [`Time`] in nanoseconds; protocols only ever see
-//! these opaque instants and [`TimeDelta`] durations, which keeps them
+//! The simulator advances a [`Time`] in nanoseconds, and the live backend
+//! reads one off the wall clock (`gcs_live::WallClock`); protocols only ever
+//! see these opaque instants and [`TimeDelta`] durations, which keeps them
 //! runtime-agnostic.
 
 use std::fmt;
@@ -178,74 +179,9 @@ impl fmt::Display for TimeDelta {
     }
 }
 
-/// A source of the suite's [`Time`] — the seam between protocol code (which
-/// only ever consumes instants and deltas) and the runtime that produces
-/// them.
-///
-/// Two runtimes implement it today: the discrete-event simulator advances a
-/// virtual clock under its own control, and the live backend
-/// (`gcs-live::WallClock`) maps `Time` onto real wall-clock nanoseconds
-/// since an epoch `Instant`. Because every protocol entry point takes `now`
-/// as an argument, components never call a clock directly; the trait exists
-/// for *runtimes* and harness edges (workload pacing, deadline computation)
-/// that must ask "what time is it" without knowing which backend is
-/// underneath.
-pub trait TimeSource: Send + Sync {
-    /// The current instant.
-    fn now(&self) -> Time;
-}
-
-/// A manually advanced [`TimeSource`] (an atomic nanosecond counter):
-/// deterministic tests and single-threaded drivers set it explicitly.
-#[derive(Debug, Default)]
-pub struct ManualClock(std::sync::atomic::AtomicU64);
-
-impl ManualClock {
-    /// A clock starting at [`Time::ZERO`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a clock already advanced to `t`.
-    pub fn at(t: Time) -> Self {
-        ManualClock(std::sync::atomic::AtomicU64::new(t.as_nanos()))
-    }
-
-    /// Sets the clock to `t`. Monotonicity is the caller's contract — the
-    /// clock itself accepts any value.
-    pub fn set(&self, t: Time) {
-        self.0
-            .store(t.as_nanos(), std::sync::atomic::Ordering::Release);
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&self, d: TimeDelta) {
-        self.0
-            .fetch_add(d.as_nanos(), std::sync::atomic::Ordering::AcqRel);
-    }
-}
-
-impl TimeSource for ManualClock {
-    fn now(&self) -> Time {
-        Time::from_nanos(self.0.load(std::sync::atomic::Ordering::Acquire))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_advances() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), Time::ZERO);
-        c.advance(TimeDelta::from_millis(5));
-        assert_eq!(c.now(), Time::from_millis(5));
-        c.set(Time::from_secs(1));
-        assert_eq!(c.now(), Time::from_secs(1));
-        let boxed: Box<dyn TimeSource> = Box::new(ManualClock::at(Time::from_millis(7)));
-        assert_eq!(boxed.now(), Time::from_millis(7));
-    }
 
     #[test]
     fn conversions_round_trip() {

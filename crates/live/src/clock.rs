@@ -2,9 +2,9 @@
 
 use std::time::{Duration, Instant};
 
-use gcs_kernel::{Time, TimeSource};
+use gcs_kernel::Time;
 
-/// The live backend's [`TimeSource`]: [`Time`] is real nanoseconds elapsed
+/// The live backend's clock: [`Time`] is real nanoseconds elapsed
 /// since the clock's epoch (the moment the runtime started).
 ///
 /// This is the whole virtual-time ↔ wall-clock mapping: an injection "at
@@ -45,12 +45,6 @@ impl Default for WallClock {
     }
 }
 
-impl TimeSource for WallClock {
-    fn now(&self) -> Time {
-        WallClock::now(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,7 +63,6 @@ mod tests {
         );
         // Sleeping to the past returns immediately.
         c.sleep_until(Time::ZERO);
-        let source: &dyn TimeSource = &c;
-        assert!(source.now() >= b);
+        assert!(c.now() >= b);
     }
 }

@@ -316,6 +316,8 @@ impl Link for TcpLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, ProptestConfig, Strategy};
 
     fn hdr(channel: u8, from: u32, to: u32, len: usize) -> FrameHeader {
         FrameHeader {
@@ -452,30 +454,70 @@ mod tests {
         Ok((frames, failed))
     }
 
+    /// Up to twelve [`hostile_piece`] arguments.
+    fn hostile_pieces() -> impl Strategy<Value = Vec<(u8, u8, u32, Vec<u8>)>> {
+        vec(
+            (
+                any::<u8>(),
+                any::<u8>(),
+                any::<u32>(),
+                vec(any::<u8>(), 0..48),
+            ),
+            0..12,
+        )
+    }
+
+    fn hostile_stream(pieces: &[(u8, u8, u32, Vec<u8>)]) -> Vec<u8> {
+        pieces
+            .iter()
+            .flat_map(|(kind, byte, len, body)| hostile_piece(*kind, *byte, *len, body))
+            .collect()
+    }
+
+    /// Up to ten frames (channel, from, to, body) of up to 1,200 bytes each.
+    fn valid_frames() -> impl Strategy<Value = Vec<(u8, u32, u32, Vec<u8>)>> {
+        vec(
+            (
+                any::<u8>(),
+                any::<u32>(),
+                any::<u32>(),
+                vec(any::<u8>(), 0..1_200),
+            ),
+            0..10,
+        )
+    }
+
+    /// Encodes `frames` back to back: the stream, and the frames as sent.
+    fn encode_all(frames: Vec<(u8, u32, u32, Vec<u8>)>) -> (Vec<u8>, Vec<(FrameHeader, Vec<u8>)>) {
+        let mut stream = Vec::new();
+        let sent = frames
+            .into_iter()
+            .map(|(channel, from, to, body)| {
+                let header = FrameHeader {
+                    channel,
+                    from,
+                    to,
+                    len: body.len() as u32,
+                };
+                encode_frame(&header, &body, &mut stream);
+                (header, body)
+            })
+            .collect();
+        (stream, sent)
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Whatever bytes arrive, in whatever chunks, the decoder does not
         /// panic: every call answers a complete frame whose body is within
         /// the cap, "not yet", or a decoding error that stays.
         #[test]
         fn hostile_bytes_yield_frames_or_errors_never_a_panic(
-            pieces in proptest::collection::vec(
-                (
-                    proptest::prelude::any::<u8>(),
-                    proptest::prelude::any::<u8>(),
-                    proptest::prelude::any::<u32>(),
-                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
-                ),
-                0..12,
-            ),
-            chunks in proptest::collection::vec(1usize..80, 1..30),
+            pieces in hostile_pieces(),
+            chunks in vec(1usize..80, 1..30),
         ) {
-            let stream: Vec<u8> = pieces
-                .iter()
-                .flat_map(|(kind, byte, len, body)| hostile_piece(*kind, *byte, *len, body))
-                .collect();
-            decode_in_chunks(&stream, &chunks)?;
+            decode_in_chunks(&hostile_stream(&pieces), &chunks)?;
         }
 
         /// Valid frames back to back, split at arbitrary boundaries — past
@@ -483,29 +525,99 @@ mod tests {
         /// order, and leave nothing behind.
         #[test]
         fn valid_frames_split_anywhere_decode_intact(
-            frames in proptest::collection::vec(
-                (
-                    proptest::prelude::any::<u8>(),
-                    proptest::prelude::any::<u32>(),
-                    proptest::prelude::any::<u32>(),
-                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1_200),
-                ),
-                0..10,
-            ),
-            chunks in proptest::collection::vec(1usize..600, 1..20),
+            frames in valid_frames(),
+            chunks in vec(1usize..600, 1..20),
         ) {
-            let mut stream = Vec::new();
-            let sent: Vec<(FrameHeader, Vec<u8>)> = frames
-                .into_iter()
-                .map(|(channel, from, to, body)| {
-                    let header = FrameHeader { channel, from, to, len: body.len() as u32 };
-                    encode_frame(&header, &body, &mut stream);
-                    (header, body)
-                })
-                .collect();
+            let (stream, sent) = encode_all(frames);
             let (got, failed) = decode_in_chunks(&stream, &chunks)?;
-            proptest::prop_assert_eq!(failed, None);
-            proptest::prop_assert_eq!(got, sent);
+            prop_assert_eq!(failed, None);
+            prop_assert_eq!(got, sent);
+        }
+    }
+
+    /// Writes `stream` through `writer`'s raw socket in chunks of the sizes
+    /// `chunks` cycles through, then closes the writing half. The streams
+    /// here stay far below a socket buffer, so no write waits on the reader.
+    fn write_raw_in_chunks(writer: &TcpLink, stream: &[u8], chunks: &[usize]) -> io::Result<()> {
+        let mut socket = &writer.stream;
+        let mut sizes = chunks.iter().cycle();
+        let mut at = 0;
+        while at < stream.len() {
+            let end = (at + sizes.next().expect("one size at least")).min(stream.len());
+            socket.write_all(&stream[at..end])?;
+            at = end;
+        }
+        writer.stream.shutdown(std::net::Shutdown::Write)
+    }
+
+    /// Receives on `reader` until the link ends: the frames, and the error
+    /// that ended it (`None` for a clean hangup). A read timeout turns a
+    /// blocked `recv` into an error of its own kind.
+    fn recv_to_end(reader: &mut TcpLink) -> (Vec<(FrameHeader, Vec<u8>)>, Option<io::Error>) {
+        reader
+            .stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut frames = Vec::new();
+        loop {
+            match reader.recv() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => return (frames, None),
+                Err(e) => return (frames, Some(e)),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The hostile streams above, written through a real loopback TCP
+        /// socket in arbitrary chunks: the reader yields the frames an
+        /// in-process decoder finds in the same bytes, each within the cap,
+        /// then ends as the bytes do — a clean hangup, `InvalidData` (a
+        /// corrupt stream) or `UnexpectedEof` (a frame cut short). It never
+        /// panics and never blocks.
+        #[test]
+        fn hostile_bytes_over_loopback_tcp_never_panic_or_hang(
+            pieces in hostile_pieces(),
+            chunks in vec(1usize..80, 1..30),
+        ) {
+            let stream = hostile_stream(&pieces);
+            let mut dec = FrameDecoder::new();
+            dec.push(&stream);
+            let mut expected = Vec::new();
+            let expected_end = loop {
+                match dec.next_frame() {
+                    Ok(Some(frame)) => expected.push(frame),
+                    Ok(None) if dec.pending() == 0 => break None,
+                    Ok(None) => break Some(io::ErrorKind::UnexpectedEof),
+                    Err(_) => break Some(io::ErrorKind::InvalidData),
+                }
+            };
+            let (writer, mut reader) = TcpLink::pair().expect("loopback pair");
+            write_raw_in_chunks(&writer, &stream, &chunks).expect("raw write");
+            let (got, end) = recv_to_end(&mut reader);
+            for (h, body) in &got {
+                prop_assert_eq!(body.len(), h.len as usize);
+                prop_assert!(body.len() <= MAX_FRAME_BODY);
+            }
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(end.map(|e| e.kind()), expected_end);
+        }
+
+        /// Valid frames written through a real loopback TCP socket in
+        /// arbitrary chunks arrive intact and in order, then the hangup.
+        #[test]
+        fn valid_frames_over_loopback_tcp_arrive_intact(
+            frames in valid_frames(),
+            chunks in vec(1usize..600, 1..20),
+        ) {
+            let (stream, sent) = encode_all(frames);
+            let (writer, mut reader) = TcpLink::pair().expect("loopback pair");
+            write_raw_in_chunks(&writer, &stream, &chunks).expect("raw write");
+            let (got, end) = recv_to_end(&mut reader);
+            prop_assert!(end.is_none(), "{end:?}");
+            prop_assert_eq!(got, sent);
         }
     }
 

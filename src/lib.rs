@@ -15,7 +15,8 @@
 //!   and the [`Group`]/[`GroupBuilder`] entry point composing stack choice
 //!   × topology × schedule × seed. Start here.
 //! * [`kernel`] — the protocol-composition framework (Appia/Cactus
-//!   counterpart): components, events, timers, linear stacks.
+//!   counterpart): components, events, timers, and the process graph they
+//!   compose into (a linear stack is a chain of components).
 //! * [`sim`] — deterministic discrete-event simulator: virtual time,
 //!   configurable network, fault injection, metrics, trace checking — and
 //!   the one generic group harness (`Harness<S: StackDriver, R: Runtime>`)

@@ -124,18 +124,24 @@ fn totem_stack_fig4() {
     }
 }
 
-/// F5 — Fig 5 (Ensemble): a *modular* linear stack assembled from layers by
-/// the composition kernel, with events travelling up and down.
+/// F5 — Fig 5 (Ensemble): a *modular* linear stack. In a component graph a
+/// linear stack is a chain of ordinary components on one process: each layer
+/// knows the ids of the layers above and below it, "down" is an emit to the
+/// one below and "up" an emit to the one above; the bottom layer sends to
+/// itself on the peer and the top layer outputs to the application.
 #[test]
 fn ensemble_stack_fig5() {
-    use gcs::kernel::{ComponentId, Direction, Event, Layer, LayerContext, Process, StackBuilder};
+    use gcs::kernel::{Component, ComponentId, Context, Event, Process};
 
-    const ENSEMBLE: ComponentId = ComponentId::new(0);
+    const TOP: ComponentId = ComponentId::new(0);
+    const MID: ComponentId = ComponentId::new(1);
+    const NET: ComponentId = ComponentId::new(2);
 
+    /// An event on its way down or up, carrying the layers it passed.
     #[derive(Clone, Debug, PartialEq)]
     enum Ev {
-        Send(u32),
-        Recv(u32),
+        Down(Vec<&'static str>),
+        Up(Vec<&'static str>),
     }
     impl Event for Ev {
         fn kind(&self) -> &'static str {
@@ -143,62 +149,56 @@ fn ensemble_stack_fig5() {
         }
     }
 
-    /// "stable"-like bookkeeping layer: counts what passes through.
-    struct Counter {
-        up: u32,
-        down: u32,
+    /// One layer: records itself on the event and passes it on in the
+    /// direction it travels.
+    struct Layer {
+        name: &'static str,
+        above: Option<ComponentId>,
+        below: Option<ComponentId>,
     }
-    impl Layer<Ev> for Counter {
-        fn name(&self) -> &'static str {
-            "stable"
-        }
-        fn on_event(&mut self, ev: Ev, dir: Direction, ctx: &mut LayerContext<'_, '_, Ev>) {
-            match dir {
-                Direction::Up => self.up += 1,
-                Direction::Down => self.down += 1,
-            }
-            ctx.pass(dir, ev);
-        }
-    }
-
-    /// Bottom "network" layer.
-    struct Net;
-    impl Layer<Ev> for Net {
-        fn name(&self) -> &'static str {
-            "net"
-        }
-        fn on_event(&mut self, ev: Ev, dir: Direction, ctx: &mut LayerContext<'_, '_, Ev>) {
-            match (dir, ev) {
-                (Direction::Down, Ev::Send(n)) => ctx.send(ProcessId::new(1), Ev::Recv(n)),
-                (Direction::Up, ev) => ctx.up(ev),
-                _ => {}
+    impl Component<Ev> for Layer {
+        fn on_event(&mut self, ev: Ev, ctx: &mut Context<'_, Ev>) {
+            match ev {
+                Ev::Down(mut path) => {
+                    path.push(self.name);
+                    match self.below {
+                        Some(below) => ctx.emit(below, Ev::Down(path)),
+                        None => ctx.send(p(1), Ev::Up(path)),
+                    }
+                }
+                Ev::Up(mut path) => {
+                    path.push(self.name);
+                    match self.above {
+                        Some(above) => ctx.emit(above, Ev::Up(path)),
+                        None => ctx.output(Ev::Up(path)),
+                    }
+                }
             }
         }
     }
 
+    let layer = |name, above, below| Layer { name, above, below };
     let build = |id: ProcessId| {
-        let stack = StackBuilder::new()
-            .layer(Counter { up: 0, down: 0 }) // top (applic side)
-            .layer(Counter { up: 0, down: 0 }) // middle
-            .layer(Net) // bottom
-            .build();
-        assert_eq!(stack.depth(), 3);
-        assert_eq!(stack.layer_names(), vec!["net", "stable", "stable"]);
-        Process::builder(id).with(ENSEMBLE, stack).build()
+        Process::builder(id)
+            .with(TOP, layer("top", None, Some(MID)))
+            .with(MID, layer("mid", Some(TOP), Some(NET)))
+            .with(NET, layer("net", Some(MID), None))
+            .build()
     };
     let mut sim: gcs::sim::SimWorld<Ev> = gcs::sim::SimWorld::new(gcs::sim::SimConfig::lan(105));
     sim.add_node(build);
     sim.add_node(build);
-    sim.inject_at(Time::from_millis(1), p(0), ENSEMBLE, Ev::Send(9));
+    sim.inject_at(Time::from_millis(1), p(0), TOP, Ev::Down(Vec::new()));
     assert!(sim.run_to_quiescence(Time::from_secs(1)));
-    // The event traversed p0's stack downwards and p1's stack upwards.
-    let got: Vec<Ev> = sim
+    // The event went top to bottom at p0, then bottom to top at p1.
+    let got: Vec<(ProcessId, Ev)> = sim
         .trace()
         .entries()
         .iter()
-        .map(|e| e.event.clone())
+        .map(|e| (e.proc, e.event.clone()))
         .collect();
-    assert_eq!(got, vec![Ev::Recv(9)]);
+    let path = vec!["top", "mid", "net", "net", "mid", "top"];
+    assert_eq!(got, vec![(p(1), Ev::Up(path))]);
 }
 
 /// F6 — Fig 6 (new architecture, overview): consensus+FD at the bottom,

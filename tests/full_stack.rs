@@ -2,7 +2,7 @@
 //! exclusion through the monitoring component, output-triggered suspicion,
 //! and group communication properties across many seeds.
 
-use gcs::core::{DeliveryKind, Ev, MonitoringPolicy, StackConfig};
+use gcs::core::{DeliveryKind, Ev, StackConfig};
 use gcs::kernel::{ProcessId, Time, TimeDelta};
 use gcs::sim::{check_agreement, check_no_duplicates, check_prefix_consistency};
 use gcs::{Group, GroupTransport};
@@ -107,16 +107,11 @@ fn properties_across_seeds() {
 }
 
 /// Output-triggered suspicion (§3.3.2): with the FD's monitoring class
-/// disabled, a crashed peer is still excluded because the reliable channel
-/// reports it stuck.
+/// silent for an hour, a crashed peer is still excluded because the
+/// reliable channel reports it stuck.
 #[test]
 fn output_triggered_exclusion() {
     let mut cfg = StackConfig::default();
-    cfg.monitoring = MonitoringPolicy {
-        threshold: 1,
-        use_fd: false,
-        use_output_triggered: true,
-    };
     cfg.monitoring_timeout = TimeDelta::from_secs(3600); // FD class never fires
     cfg.rc.stuck_after = TimeDelta::from_millis(200);
     let mut g = Group::builder()
