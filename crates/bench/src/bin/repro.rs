@@ -8,9 +8,11 @@
 //! repro sweep [seeds] [base]           whole catalog × seeds across threads
 //! ```
 //!
-//! Output is markdown; EXPERIMENTS.md records a run of `repro all`. Every
-//! figure is virtual time, so it reproduces exactly on any machine;
-//! wall-clock performance is `bash benchmark/run.sh`'s business.
+//! Output is markdown; `tests/golden/repro_all.md` records `repro all`.
+//! Every figure is virtual time, so it reproduces exactly on any machine;
+//! wall-clock performance is `bash benchmark/run.sh`'s business. Every run
+//! behind E1–E4 and every scenario passes through the invariant oracle: a
+//! violation is printed to stderr and the command exits with status 1.
 
 use std::time::Instant;
 
@@ -318,22 +320,32 @@ fn run_scenario() {
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    let mut violations = Vec::new();
     match arg.as_str() {
-        "e1" => experiments::e1_ordering_complexity(),
-        "e2" => experiments::e2_generic_vs_atomic(),
+        "e1" => experiments::e1_ordering_complexity(&mut violations),
+        "e2" => experiments::e2_generic_vs_atomic(&mut violations),
         "e3" => {
-            experiments::e3_failover_latency();
-            experiments::e3_false_suspicion_cost();
+            experiments::e3_failover_latency(&mut violations);
+            experiments::e3_false_suspicion_cost(&mut violations);
         }
-        "e4" => experiments::e4_view_change_blocking(),
+        "e4" => experiments::e4_view_change_blocking(&mut violations),
         "a1" => experiments::a1_consensus_cost(),
         "a2" => experiments::a2_fd_quality(),
-        "all" => experiments::run_all(),
+        "all" => experiments::run_all(&mut violations),
         "list" => list(),
         "scenario" => run_scenario(),
         "sweep" => sweep(),
         "help" | "--help" | "-h" => println!("{}", usage()),
         other => usage_error(&format!("unknown command {other:?}")),
+    }
+    // As with `scenario`, a run that violates the paper's invariants fails
+    // the command; the tables stay on stdout, the violations go to stderr.
+    if !violations.is_empty() {
+        eprintln!("{} invariant violations:", violations.len());
+        for v in &violations {
+            eprintln!("- {v}");
+        }
+        std::process::exit(1);
     }
 }
 

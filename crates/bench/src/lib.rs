@@ -4,8 +4,9 @@
 //! of four qualitative claims. This crate quantifies each claim by running
 //! the **new architecture** (`gcs-core`) and the **traditional baselines**
 //! (`gcs-traditional`) on identical simulated workloads and reporting
-//! virtual-time latencies and message counts. See DESIGN.md §3 for the full
-//! experiment index and EXPERIMENTS.md for recorded results.
+//! virtual-time latencies and message counts. EXPERIMENTS.md explains each
+//! experiment; `tests/golden/repro_all.md` is the recorded output of
+//! `repro all`, which the `repro_golden` test holds byte for byte.
 //!
 //! Run everything with:
 //!

@@ -12,7 +12,7 @@
 //! is a *checked* matrix — fingerprints say a run changed, the oracle says
 //! whether it was correct.
 
-use gcs_api::{Group, GroupTransport, InvariantChecker, StackKind};
+use gcs_api::{Group, GroupBuilder, GroupTransport, InvariantChecker, StackKind};
 use gcs_core::StackConfig;
 use gcs_kernel::{ProcessId, Time, TimeDelta};
 use gcs_sim::{Schedule, ScheduleAction, Topology};
@@ -140,10 +140,13 @@ impl Scenario {
             .merge(self.workload.schedule(self.n, self.joiners))
     }
 
-    /// Runs the scenario with the given network seed, returning the report.
-    /// Deterministic: equal `(scenario, seed)` pairs produce equal reports,
-    /// including the fingerprint.
-    pub fn run(&self, seed: u64) -> ScenarioReport {
+    /// The group [`run`](Self::run) builds: the scenario's stack, size,
+    /// joiners, topology and full schedule at `seed`, with the new
+    /// architecture's [`StackConfig`] set for scenario runs. An experiment
+    /// that needs another per-stack configuration sets it on the returned
+    /// builder ([`stack_config`](GroupBuilder::stack_config),
+    /// [`isis_config`](GroupBuilder::isis_config)).
+    pub fn group(&self, seed: u64) -> GroupBuilder {
         let mut cfg = StackConfig::default();
         // Exclusions are driven by the schedule, not wall-clock monitoring:
         // an FD-triggered exclusion racing the scripted membership steps
@@ -156,7 +159,7 @@ impl Scenario {
             .steps()
             .iter()
             .any(|(_, a)| matches!(a, ScheduleAction::Crash(_)));
-        let mut g = Group::builder()
+        Group::builder()
             .members(self.n)
             .joiners(self.joiners)
             .stack(self.stack)
@@ -164,10 +167,30 @@ impl Scenario {
             .schedule(schedule)
             .stack_config(cfg)
             .seed(seed)
-            .build();
+    }
+
+    /// Builds the group from `builder`, injects the workload and runs to the
+    /// horizon; returns the group and the injection time of each op. The
+    /// caller may drive the group further before [`report`](Self::report).
+    pub fn start(&self, builder: GroupBuilder) -> (Group, Vec<Time>) {
+        let mut g = builder.build();
         let inject_times = self.workload.inject(self.n, &mut g);
         g.run_until(self.horizon);
+        (g, inject_times)
+    }
 
+    /// Runs the scenario with the given network seed, returning the report.
+    /// Deterministic: equal `(scenario, seed)` pairs produce equal reports,
+    /// including the fingerprint.
+    pub fn run(&self, seed: u64) -> ScenarioReport {
+        let (g, inject_times) = self.start(self.group(seed));
+        self.report(seed, &g, &inject_times)
+    }
+
+    /// The report of a run [`start`](Self::start)ed at `seed`: fingerprint,
+    /// message counts, latencies of the tagged ops injected at
+    /// `inject_times`, and the invariant oracle's verdict on the whole trace.
+    pub fn report(&self, seed: u64, g: &Group, inject_times: &[Time]) -> ScenarioReport {
         // Latencies from tagged payloads.
         let mut latencies: Vec<f64> = Vec::new();
         let mut fingerprint: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
@@ -225,13 +248,13 @@ impl Scenario {
         // The invariant oracle: machine-check agreement, total order, view
         // synchrony, FIFO, gap-freedom and no-duplication on the run's
         // delivery trace.
-        let violations = InvariantChecker::check(&g, self.n)
+        let violations = InvariantChecker::check(g, self.n)
             .violations
             .iter()
             .map(|v| v.to_string())
             .collect();
 
-        let crash_detect_ms = self.crash_detect_ms(&g);
+        let crash_detect_ms = self.crash_detect_ms(g);
 
         ScenarioReport {
             name: self.name,

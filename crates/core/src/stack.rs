@@ -37,9 +37,10 @@ pub struct StackConfig {
     pub consensus_timeout: TimeDelta,
     /// Large timeout: monitoring-class suspicions (the paper's "minutes").
     /// The first such suspicion excludes the peer, as does the reliable
-    /// channel's output-triggered one. Every benchmark workload, the
-    /// scenario engine and the experiments raise it to an hour so that
-    /// exclusions come from the script, and `tests/full_stack.rs`'s
+    /// channel's output-triggered one. Every benchmark workload and the
+    /// scenario engine raise it to an hour so that exclusions come from the
+    /// script (experiments E1 and E4 run on the engine's config, E3a sets
+    /// the hour itself, E2 keeps the default), and `tests/full_stack.rs`'s
     /// output-triggered exclusion so that only the channel excludes; E3b
     /// and the membership tests shorten it.
     pub monitoring_timeout: TimeDelta,
@@ -50,8 +51,9 @@ pub struct StackConfig {
     /// Emit consensus-class `Suspect`/`Restore` transitions as trace
     /// outputs (crash-detection latency measurement; off by default so
     /// existing run fingerprints and delivery counts are untouched). The
-    /// crash scenarios of the scenario engine and `tests/gossip_fd.rs` set
-    /// it.
+    /// scenario engine sets it when the schedule has a crash, unless the
+    /// run replaces the engine's config (experiment E3a does);
+    /// `tests/gossip_fd.rs` sets it too.
     pub trace_suspicions: bool,
 }
 
