@@ -55,8 +55,8 @@ pub enum Backend {
 /// A `Group` is a thin handle over one [`Harness`] with the stack and
 /// backend types erased. The typed harness — and through its
 /// [`trace`](Harness::trace) the stack-specific observers
-/// (`gcs_traditional::isis::blocked_windows`, `gcs_core::gdelivered_ids`,
-/// …) — stays reachable for simulated groups through
+/// (`gcs_traditional::isis::{blocked_windows, kill_and_rejoin_times}`) —
+/// stays reachable for simulated groups through
 /// [`as_new_arch`](Self::as_new_arch) / [`as_isis`](Self::as_isis) /
 /// [`as_token`](Self::as_token).
 pub struct Group {
@@ -321,6 +321,10 @@ impl GroupTransport for Group {
 
     fn capabilities(&self) -> Capabilities {
         self.inner.capabilities()
+    }
+
+    fn conflicts(&self, a: MessageClass, b: MessageClass) -> bool {
+        self.inner.conflicts(a, b)
     }
 
     fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {

@@ -12,13 +12,17 @@
 //!
 //! * [`GroupTransport`] (re-exported from `gcs-sim`, where its single
 //!   implementation lives) — the workload, membership, control and
-//!   observation surface, a required core of 20 methods with everything
+//!   observation surface, a required core of 21 methods with everything
 //!   else provided over it;
 //! * [`Group`] / [`GroupBuilder`] — compose stack choice × backend ×
 //!   topology × schedule × seed in one place and get back a handle with the
 //!   stack and backend types erased;
-//! * [`InvariantChecker`] — the protocol-invariant oracle, fed from one
-//!   [observation pass](GroupTransport::observe).
+//! * [`InvariantChecker`] (re-exported from `gcs-sim`, beside the types it
+//!   reads, so the stacks' own unit tests reach it too) — the
+//!   protocol-invariant oracle and the workspace's one property checker,
+//!   fed from one [observation pass](GroupTransport::observe) and judging
+//!   generic deliveries by the group's own
+//!   [conflict relation](GroupTransport::conflicts).
 //!
 //! ```
 //! use gcs_api::{Group, GroupTransport, StackKind};
@@ -49,8 +53,8 @@
 //! stack's driver has no encoder for the operation, so marker and behaviour
 //! cannot disagree.
 //!
-//! Stack-specific observation (Isis blocking windows, generic-delivery ids,
-//! the raw typed trace) is a set of plain functions over the typed trace of
+//! Stack-specific observation (Isis blocking windows and kill/re-join
+//! times, the raw typed trace) is a set of plain functions over the typed trace of
 //! a simulated harness, reached through [`Group::as_isis`] and friends:
 //! `gcs_traditional::isis::blocked_windows(group.as_isis()?.trace(), p)`.
 //!
@@ -123,11 +127,10 @@
 #![warn(missing_docs)]
 
 mod group;
-mod oracle;
 
 pub use gcs_live::{LiveGroup, WireMode};
 pub use gcs_sim::{
-    Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,
+    Backpressure, Capabilities, GroupTransport, InvariantChecker, InvariantKind, Observation,
+    OracleReport, StackKind, TransportDelivery, Violation, MAX_VIOLATIONS,
 };
 pub use group::{Backend, Group, GroupBuilder};
-pub use oracle::{InvariantChecker, InvariantKind, OracleReport, Violation, MAX_VIOLATIONS};

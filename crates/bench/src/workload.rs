@@ -468,6 +468,9 @@ mod tests {
         fn capabilities(&self) -> Capabilities {
             unimplemented!()
         }
+        fn conflicts(&self, _: MessageClass, _: MessageClass) -> bool {
+            unimplemented!()
+        }
         fn gbcast_ref_at(&mut self, t: Time, p: ProcessId, c: MessageClass, payload: PayloadRef) {
             self.classes.push(c);
             self.abcast_ref_at(t, p, payload);

@@ -813,7 +813,8 @@ mod tests {
             self.run_where(|_| true);
         }
 
-        fn check_agreement(&self) -> u32 {
+        /// The one value every decider decided (asserts that there is one).
+        fn agreed_value(&self) -> u32 {
             let vals: HashSet<u32> = self.decisions.values().copied().collect();
             assert_eq!(vals.len(), 1, "disagreement: {:?}", self.decisions);
             *vals.iter().next().expect("one value")
@@ -837,7 +838,7 @@ mod tests {
         net.run();
         assert_eq!(net.decisions.len(), 3);
         // Round 0 has no estimate phase: the coordinator's own value wins.
-        assert_eq!(net.check_agreement(), 10);
+        assert_eq!(net.agreed_value(), 10);
     }
 
     /// Obligation (d): a failure-free instance is n−1 proposals, n−1 acks,
@@ -856,7 +857,7 @@ mod tests {
             }
             net.run();
             assert_eq!(net.decisions.len(), n as usize);
-            assert_eq!(net.check_agreement(), 0);
+            assert_eq!(net.agreed_value(), 0);
             let each = n as usize - 1;
             let expect: BTreeMap<&'static str, usize> = [
                 ("ct/propose", each),
@@ -881,7 +882,7 @@ mod tests {
                 net.propose(pid(i), 10 + i);
             }
             net.run();
-            assert_eq!(net.check_agreement(), 10 + first);
+            assert_eq!(net.agreed_value(), 10 + first);
             let expect: BTreeMap<&'static str, usize> =
                 [("ct/propose", 3), ("ct/ack", 3), ("ct/decide", 3)].into();
             assert_eq!(net.sent, expect, "first p{first}");
@@ -903,7 +904,7 @@ mod tests {
                     "first p{first}: p{i} learned from round 1's coordinator"
                 );
             }
-            net.check_agreement();
+            net.agreed_value();
         }
     }
 
@@ -920,7 +921,7 @@ mod tests {
         net.suspect_everywhere(pid(0));
         net.run();
         assert_eq!(net.decisions.len(), 2);
-        let v = net.check_agreement();
+        let v = net.agreed_value();
         assert!(v == 7 || v == 9);
     }
 
@@ -943,7 +944,7 @@ mod tests {
         net.suspect_everywhere(pid(0));
         net.run();
         net.assert_survivors_decided();
-        assert_eq!(net.check_agreement(), 20, "p0's adopted proposal is locked");
+        assert_eq!(net.agreed_value(), 20, "p0's adopted proposal is locked");
     }
 
     #[test]
@@ -965,7 +966,7 @@ mod tests {
         net.suspect_everywhere(pid(0));
         net.run();
         net.assert_survivors_decided();
-        assert_eq!(net.check_agreement(), 20, "p0's adopted proposal");
+        assert_eq!(net.agreed_value(), 20, "p0's adopted proposal");
         let round_change = ["ct/nack", "ct/estimate"].map(|k| net.sent.get(k).copied());
         assert_eq!(round_change, [None, None], "{:?}", net.sent);
     }
@@ -988,7 +989,7 @@ mod tests {
         net.suspect_everywhere(pid(0));
         net.run();
         assert_eq!(net.decisions[&pid(4)], 30);
-        net.check_agreement();
+        net.agreed_value();
     }
 
     #[test]
@@ -1012,7 +1013,7 @@ mod tests {
         net.run();
         assert_eq!(net.decisions[&pid(2)], 30);
         assert_eq!(net.instances[2].learned_from(), Some(pid(1)));
-        net.check_agreement();
+        net.agreed_value();
     }
 
     #[test]
@@ -1043,7 +1044,7 @@ mod tests {
         net.crash(pid(0));
         net.run();
         net.assert_survivors_decided();
-        assert_eq!(net.check_agreement(), 60);
+        assert_eq!(net.agreed_value(), 60);
     }
 
     #[test]
@@ -1068,7 +1069,7 @@ mod tests {
         net.suspect_everywhere(pid(1));
         net.run();
         assert!(net.decisions.contains_key(&pid(0)));
-        net.check_agreement();
+        net.agreed_value();
     }
 
     #[test]
@@ -1095,7 +1096,7 @@ mod tests {
         net.apply(pid(1), outs);
         net.run();
         net.assert_survivors_decided();
-        assert_eq!(net.check_agreement(), 90);
+        assert_eq!(net.agreed_value(), 90);
         // A coordinator that adopted nothing gathers a majority first.
         let mut net = Net::new(5);
         net.crash(pid(0));
@@ -1136,7 +1137,7 @@ mod tests {
         net.suspect(pid(2), pid(0));
         net.run();
         net.assert_survivors_decided();
-        assert_eq!(net.check_agreement(), 90);
+        assert_eq!(net.agreed_value(), 90);
         assert_eq!(net.sent["ct/propose"], 2, "round 0's proposals only");
     }
 
@@ -1159,7 +1160,7 @@ mod tests {
             }
             net.run();
             net.assert_survivors_decided();
-            let v = net.check_agreement();
+            let v = net.agreed_value();
             assert!((40..40 + n).contains(&v), "n={n}: validity");
             assert!(net.sent["ct/nack"] > 0 && net.sent["ct/estimate"] > 0);
         }
@@ -1183,7 +1184,7 @@ mod tests {
         net.suspect_everywhere(pid(3));
         net.run();
         net.assert_survivors_decided();
-        net.check_agreement();
+        net.agreed_value();
     }
 
     #[test]
@@ -1202,7 +1203,7 @@ mod tests {
             3,
             "wrongly suspected process still decides"
         );
-        net.check_agreement();
+        net.agreed_value();
     }
 
     #[test]
@@ -1214,7 +1215,7 @@ mod tests {
         // p2 never proposed, but the coordinator addresses every
         // participant: p2 learns the outcome all the same.
         assert_eq!(net.decisions.len(), 3);
-        assert_eq!(net.check_agreement(), 5);
+        assert_eq!(net.agreed_value(), 5);
         // Proposing after having learned the decision is a no-op.
         let outs = net.instances[2].propose(6);
         assert!(outs.is_empty());
@@ -1229,7 +1230,7 @@ mod tests {
         net.propose(pid(2), 9); // acks the held proposal
         net.run_where(|(_, to, _)| *to != pid(1));
         assert_eq!(net.decisions.len(), 2, "p0 and p2 are a majority");
-        assert_eq!(net.check_agreement(), 8);
+        assert_eq!(net.agreed_value(), 8);
     }
 
     #[test]
@@ -1302,7 +1303,7 @@ mod tests {
         net.suspect_everywhere(pid(1));
         net.run();
         assert_eq!(net.decisions.len(), 3);
-        net.check_agreement();
+        net.agreed_value();
     }
 
     #[test]

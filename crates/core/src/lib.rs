@@ -53,7 +53,7 @@ mod stack;
 mod types;
 
 pub use rbcast::Rbcast;
-pub use stack::{build_process, gdelivered_ids, GroupSim, NewArchDriver, StackConfig};
+pub use stack::{build_process, GroupSim, NewArchDriver, StackConfig};
 pub use types::{
     AbMsg, AckEpoch, Batch, Body, ConflictRelation, Delivery, DeliveryKind, Ev, GbMsg, MbMsg,
     Message, MessageClass, MonMsg, MsgId, Proposal, SnapshotData, View, WireMsg,

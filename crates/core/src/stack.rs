@@ -3,7 +3,7 @@
 
 use gcs_kernel::{PayloadRef, Process, ProcessId, TimeDelta};
 use gcs_net::RcConfig;
-use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Trace};
+use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind};
 
 use crate::components::{
     ids, AbcastComponent, ConsensusComponent, FdComponent, GenericComponent, MembershipComponent,
@@ -11,7 +11,7 @@ use crate::components::{
 };
 use crate::generic::GenericCore;
 use crate::membership::MembershipCore;
-use crate::types::{ConflictRelation, DeliveryKind, Ev, MessageClass, MsgId, View};
+use crate::types::{ConflictRelation, Ev, MessageClass, View};
 
 /// Configuration of one new-architecture process stack.
 ///
@@ -132,6 +132,10 @@ impl StackDriver for NewArchDriver {
         Some((ids::GENERIC, Ev::Gbcast(class, payload)))
     }
 
+    fn conflicts(config: &StackConfig, a: MessageClass, b: MessageClass) -> bool {
+        config.conflict.conflicts(a, b)
+    }
+
     /// Reliable broadcast rides generic broadcast, class
     /// [`MessageClass::RBCAST`].
     fn rbcast(payload: PayloadRef) -> Option<Op<Ev>> {
@@ -189,22 +193,11 @@ impl StackDriver for NewArchDriver {
 /// ```
 pub type GroupSim = Harness<NewArchDriver, SimWorld<Ev>>;
 
-/// Per-process sequences of generically delivered message ids, over a
-/// group of `n` processes.
-pub fn gdelivered_ids(trace: &Trace<Ev>, n: usize) -> Vec<Vec<MsgId>> {
-    trace.per_proc(n, |e| match e {
-        Ev::Deliver(d) if d.kind != DeliveryKind::Atomic => Some(d.id),
-        _ => None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gcs_kernel::Time;
-    use gcs_sim::{
-        check_no_duplicates, check_prefix_consistency, check_total_order, GroupTransport, Schedule,
-    };
+    use gcs_sim::{GroupTransport, InvariantChecker, Schedule};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -234,8 +227,8 @@ mod tests {
         for s in &seqs {
             assert_eq!(s.len(), 20, "all messages delivered everywhere");
         }
-        check_prefix_consistency(&seqs).expect("prefix-consistent total order");
-        check_no_duplicates(&seqs).expect("no duplicates");
+        let report = InvariantChecker::check(&g, 5);
+        assert!(report.is_clean(), "{:#?}", report.violations);
     }
 
     #[test]
@@ -483,8 +476,8 @@ mod tests {
                 );
             }
             g.run_until(Time::from_millis(400));
-            let ids = gdelivered_ids(g.trace(), g.len());
-            assert!(ids.iter().all(|s| s.len() == ops as usize), "n={n}");
+            let delivered = g.delivered();
+            assert!(delivered.iter().all(|s| s.len() == ops as usize), "n={n}");
             let peers = n as u64 - 1;
             assert_eq!(sent(&g, "gb/data"), peers * ops, "n={n}");
             assert_eq!(sent(&g, "gb/ack"), peers * peers * ops, "n={n}");
@@ -622,8 +615,7 @@ mod tests {
             );
         }
         g.run_until(Time::from_secs(2));
-        let ids = gdelivered_ids(g.trace(), g.len());
-        for s in &ids {
+        for s in &g.delivered() {
             assert_eq!(s.len(), 10);
         }
         // Thrifty: no consensus traffic at all.
@@ -644,11 +636,12 @@ mod tests {
             );
         }
         g.run_until(Time::from_secs(3));
-        let ids = gdelivered_ids(g.trace(), g.len());
-        for s in &ids {
-            assert_eq!(s.len(), 6, "everything delivered: {ids:?}");
+        let delivered = g.delivered();
+        for s in &delivered {
+            assert_eq!(s.len(), 6, "everything delivered: {delivered:?}");
         }
-        check_total_order(&ids).expect("conflicting messages consistently ordered");
+        let report = InvariantChecker::check(&g, 4);
+        assert!(report.is_clean(), "{:#?}", report.violations);
         // Consensus was used (escalation happened).
         assert!(g.metrics().sent_matching(|k| k.starts_with("ct/")) > 0);
     }

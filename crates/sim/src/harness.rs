@@ -21,7 +21,7 @@
 //!
 //! | side | offers |
 //! |---|---|
-//! | [`StackDriver`] | its event and config types; [`build`](StackDriver::build) of one process (founding member or joiner); the *encoding* of each operation as an [`Op`], a `(ComponentId, event)` pair — [`abcast`](StackDriver::abcast), [`join`](StackDriver::join), and optionally [`gbcast`](StackDriver::gbcast), [`rbcast`](StackDriver::rbcast), [`remove`](StackDriver::remove) (an absent encoder **is** the `supports_*` marker reading `false`); one [`project`](StackDriver::project) from a traced event to an [`Observation`] |
+//! | [`StackDriver`] | its event and config types; [`build`](StackDriver::build) of one process (founding member or joiner); the [conflict relation](StackDriver::conflicts) its config sets; the *encoding* of each operation as an [`Op`], a `(ComponentId, event)` pair — [`abcast`](StackDriver::abcast), [`join`](StackDriver::join), and optionally [`gbcast`](StackDriver::gbcast), [`rbcast`](StackDriver::rbcast), [`remove`](StackDriver::remove) (an absent encoder **is** the `supports_*` marker reading `false`); one [`project`](StackDriver::project) from a traced event to an [`Observation`] |
 //! | [`Runtime`] | [`start`](Runtime::start) of `n` processes with dense ids; a clock; [`inject`](Runtime::inject) at an instant; [`apply_schedule`](Runtime::apply_schedule) for every fault step, handing the membership steps back; run control; per-process and total output counts; a visit of the recorded outputs in observation order; metrics; executed-event count; liveness flags |
 //!
 //! **Ordering.** The harness enforces, and the conformance cases pin:
@@ -58,6 +58,7 @@
 //! and in which order one process produces them.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use gcs_kernel::{
     ComponentId, Event, MessageClass, PayloadRef, Process, ProcessId, SharedArena, Time,
@@ -93,6 +94,13 @@ pub trait StackDriver: 'static {
     fn gbcast(class: MessageClass, payload: PayloadRef) -> Option<Op<Self::Event>> {
         let _ = (class, payload);
         None
+    }
+
+    /// Whether classes `a` and `b` conflict under `config`; every pair
+    /// does on a stack that delivers only atomically.
+    fn conflicts(config: &Self::Config, a: MessageClass, b: MessageClass) -> bool {
+        let _ = (config, a, b);
+        true
     }
 
     /// A reliable broadcast of `payload`; `None` when the stack has none.
@@ -237,6 +245,9 @@ impl<E: Event> Runtime<E> for SimWorld<E> {
 /// and `gcs_live::LiveGroup` are aliases of this type.
 pub struct Harness<S: StackDriver, R> {
     runtime: R,
+    /// The configuration every process was built with, shared with the
+    /// runtime's build closure; it answers [`GroupTransport::conflicts`].
+    config: Arc<S::Config>,
     /// The zero-copy message plane: payloads are interned here at injection
     /// and every layer below moves [`PayloadRef`] handles.
     arena: SharedArena,
@@ -255,8 +266,11 @@ impl<S: StackDriver, R: Runtime<S::Event>> Harness<S, R> {
     /// on a runtime configured by `runtime`.
     pub fn start(members: usize, joiners: usize, config: S::Config, runtime: R::Config) -> Self {
         let total = members + joiners;
+        let config = Arc::new(config);
+        let shared = Arc::clone(&config);
         Harness {
-            runtime: R::start(runtime, total, move |id| S::build(id, &config, members)),
+            runtime: R::start(runtime, total, move |id| S::build(id, &shared, members)),
+            config,
             arena: SharedArena::new(),
             total,
             offered: 0,
@@ -319,6 +333,10 @@ impl<S: StackDriver, R: Runtime<S::Event>> GroupTransport for Harness<S, R> {
             rbcast: S::rbcast(PayloadRef::EMPTY).is_some(),
             removal: S::remove(ProcessId::new(0)).is_some(),
         }
+    }
+
+    fn conflicts(&self, a: MessageClass, b: MessageClass) -> bool {
+        S::conflicts(&self.config, a, b)
     }
 
     fn abcast_ref_at(&mut self, t: Time, p: ProcessId, payload: PayloadRef) {

@@ -19,9 +19,10 @@
 //! * **Fault injection** — scripted [`Schedule`]s of crashes, partitions,
 //!   link changes and membership churn; crashed processes silently stop,
 //!   exactly the crash-stop model of the paper.
-//! * **Observability** — per-kind message/byte counters ([`Metrics`]) and a
-//!   full application-delivery [`Trace`] with property checkers used by the
-//!   integration tests (total order, agreement, …).
+//! * **Observability** — per-kind message/byte counters ([`Metrics`]), a
+//!   full application-delivery [`Trace`], and the protocol-invariant oracle
+//!   ([`InvariantChecker`]) that judges every run from one observation pass
+//!   (total order, conflict order, agreement, view synchrony, …).
 //!
 //! It is also the lowest crate that sees everything a group harness needs
 //! ([`Schedule`], [`Metrics`], [`Trace`], the kernel) while being seen
@@ -35,6 +36,7 @@
 pub mod harness;
 mod metrics;
 mod network;
+mod oracle;
 mod schedule;
 mod topology;
 mod trace;
@@ -45,12 +47,10 @@ mod world;
 pub use harness::{Harness, Op, Runtime, StackDriver};
 pub use metrics::{LatencyHistogram, Metrics};
 pub use network::{LinkModel, NetworkModel};
+pub use oracle::{InvariantChecker, InvariantKind, OracleReport, Violation, MAX_VIOLATIONS};
 pub use schedule::{Schedule, ScheduleAction};
 pub use topology::{Assignment, Topology, TOPOLOGY_PRESETS};
-pub use trace::{
-    check_agreement, check_no_duplicates, check_prefix_consistency, check_total_order,
-    OrderViolation, Trace, TraceEntry,
-};
+pub use trace::{Trace, TraceEntry};
 pub use transport::{
     Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,
 };

@@ -1,5 +1,6 @@
-//! The protocol-invariant oracle: an online trace observer that machine-
-//! checks the paper's group-communication properties on every run.
+//! The protocol-invariant oracle, the repository's one property checker: an
+//! online trace observer that machine-checks the paper's group-communication
+//! properties on every run.
 //!
 //! The paper's central claim is that the modular new architecture provides
 //! the *same* guarantees — agreement, total order, view synchrony — as the
@@ -14,10 +15,14 @@
 //!
 //! * **No duplication** — no incarnation of a process delivers the same
 //!   message twice.
-//! * **FIFO per sender (rbcast)** — reliable-broadcast deliveries from one
-//!   sender arrive in send order at every process.
+//! * **FIFO per sender (generic)** — generic deliveries from one sender
+//!   arrive in send order at every process, whatever their class (generic
+//!   broadcast is FIFO, paper footnote 9).
 //! * **Total order (abcast)** — no two incarnations deliver two atomic
 //!   messages in opposite relative orders.
+//! * **Conflict order (generic)** — no two incarnations g-deliver two
+//!   messages whose classes conflict, by the group's own
+//!   [relation](GroupTransport::conflicts), in opposite relative orders.
 //! * **Gap-freedom** — no incarnation skips a message *inside* its delivery
 //!   window: if some witness delivered `a … m … b` and this incarnation
 //!   delivered `a` directly followed by `b` without ever delivering `m`, a
@@ -25,9 +30,11 @@
 //! * **Uniform agreement among survivors** — the final incarnations of the
 //!   surviving members end at the same point of the stream; a survivor whose
 //!   delivery sequence stops strictly short of another's missed messages.
-//!   Generic (non-atomic) deliveries have no stream to end, so there the
-//!   property is on the *set*: founding members that survive and were never
-//!   reset have g-delivered the same messages — a message one of them
+//!   The founding survivors that were never reset also *begin* at the same
+//!   point: with total order, gap-freedom and the common end, their atomic
+//!   streams are equal. Generic (non-atomic) deliveries have no stream to
+//!   end, so there the property is on the *set*: the same founding
+//!   survivors have g-delivered the same messages — a message one of them
 //!   fast-delivered and another never got is a uniformity hole.
 //! * **View synchrony** — no message is delivered in different views by two
 //!   processes that both installed both views (same-view delivery, §4.4).
@@ -41,28 +48,33 @@
 //! checker therefore splits each process's stream at its
 //! [`resets`](GroupTransport::resets) and compares *incarnations*: each one
 //! must individually honor the properties, and only the final incarnation of
-//! a surviving member owes tail agreement.
+//! a surviving member owes tail agreement. Joiners and rejoined
+//! incarnations start mid-stream and owe no common head.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use gcs_kernel::{DeliveryKind, MessageClass, ProcessId, Time, View};
-use gcs_sim::{GroupTransport, Observation, TransportDelivery};
+
+use crate::{GroupTransport, Observation, TransportDelivery};
 
 /// Which protocol property a [`Violation`] breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InvariantKind {
     /// A survivor's delivery sequence ends strictly short of another
-    /// survivor's, or a survivor never g-delivered a generic message that
-    /// another did (uniform agreement among survivors).
+    /// survivor's, two founding survivors that were never reset begin their
+    /// atomic streams at different messages, or a survivor never
+    /// g-delivered a generic message that another did (uniform agreement
+    /// among survivors).
     Agreement,
-    /// Two incarnations delivered two atomic messages in opposite orders.
+    /// Two incarnations delivered two atomic messages, or g-delivered two
+    /// messages of conflicting classes, in opposite orders.
     TotalOrder,
     /// A message was delivered in different views by two processes that both
     /// installed both views.
     ViewSynchrony,
-    /// Reliable-broadcast deliveries from one sender arrived out of send
-    /// order.
+    /// Generic deliveries from one sender arrived out of send order (any
+    /// class: generic broadcast is FIFO per sender).
     FifoOrder,
     /// An incarnation skipped a message inside its delivery window.
     GapFreedom,
@@ -133,6 +145,11 @@ fn key_str(k: Key) -> String {
     format!("({},{})", k.0.index(), k.1)
 }
 
+/// Where each message of a delivery stream stands in it.
+fn positions(stream: impl Iterator<Item = Key>) -> HashMap<Key, usize> {
+    stream.enumerate().map(|(i, k)| (k, i)).collect()
+}
+
 /// One incarnation's projected delivery streams.
 #[derive(Default)]
 struct Incarnation {
@@ -144,15 +161,17 @@ struct Incarnation {
     atomic: Vec<Key>,
     /// View tag of each atomic delivery (first delivery wins).
     atomic_view: HashMap<Key, u64>,
-    /// Rbcast deliveries per sender, in delivery order.
-    rbcast: HashMap<ProcessId, Vec<u64>>,
+    /// Generic deliveries with their classes, in delivery order.
+    generic: Vec<(Key, MessageClass)>,
+    /// The last generic sequence number delivered from each sender.
+    last_generic: HashMap<ProcessId, u64>,
     /// Every key delivered (any kind), for duplication checking.
     seen: HashSet<(Key, bool)>,
 }
 
 /// The online invariant oracle. Feed it deliveries, view installations and
 /// incarnation resets (in any order), then [`finalize`](Self::finalize) with
-/// the liveness flags.
+/// the liveness flags and the conflict relation.
 pub struct InvariantChecker {
     founding: usize,
     deliveries: Vec<TransportDelivery>,
@@ -177,8 +196,9 @@ impl InvariantChecker {
 
     /// Runs the whole pipeline against a transport: feed the checker from
     /// one [observation pass](GroupTransport::observe) over its trace, and
-    /// finalize with its liveness flags. `founding` is the number of
-    /// founding members (process ids `0..founding`).
+    /// finalize with its liveness flags and its
+    /// [conflict relation](GroupTransport::conflicts). `founding` is the
+    /// number of founding members (process ids `0..founding`).
     pub fn check(transport: &dyn GroupTransport, founding: usize) -> OracleReport {
         let mut c = InvariantChecker::new(founding, transport.process_count());
         transport.observe(&mut |time, proc, o| match o {
@@ -192,7 +212,7 @@ impl InvariantChecker {
             Observation::Reset => c.observe_reset(proc, time),
             o => c.deliveries.extend(o.delivery(time, proc)),
         });
-        c.finalize(&transport.alive_flags())
+        c.finalize(&transport.alive_flags(), |a, b| transport.conflicts(a, b))
     }
 
     /// Feeds one delivery record (call in global delivery order).
@@ -223,7 +243,7 @@ impl InvariantChecker {
     }
 
     /// Splits the observed deliveries into per-incarnation streams, checking
-    /// the online properties (duplication, rbcast FIFO) along the way.
+    /// the online properties (duplication, generic FIFO) along the way.
     fn build_incarnations(&mut self) -> Vec<Incarnation> {
         let nprocs = self.views.len();
         let mut resets = self.resets.clone();
@@ -264,20 +284,20 @@ impl InvariantChecker {
             if atomic {
                 inc.atomic.push(key);
                 inc.atomic_view.entry(key).or_insert(d.view);
-            } else if d.class == MessageClass::RBCAST {
-                let seqs = inc.rbcast.entry(d.sender).or_default();
-                if seqs.last().is_some_and(|&last| d.seq <= last) {
-                    self.violate(
-                        InvariantKind::FifoOrder,
-                        format!(
-                            "p{p}(life {life}) delivered rbcast seq {} from p{} after seq {}",
-                            d.seq,
-                            d.sender.index(),
-                            seqs.last().copied().unwrap_or(0),
-                        ),
-                    );
+            } else {
+                if let Some(last) = inc.last_generic.insert(d.sender, d.seq) {
+                    if d.seq <= last {
+                        self.violate(
+                            InvariantKind::FifoOrder,
+                            format!(
+                                "p{p}(life {life}) g-delivered seq {} from p{} after seq {last}",
+                                d.seq,
+                                d.sender.index(),
+                            ),
+                        );
+                    }
                 }
-                seqs.push(d.seq);
+                inc.generic.push((key, d.class));
             }
         }
         self.deliveries = deliveries;
@@ -322,21 +342,22 @@ impl InvariantChecker {
             .collect()
     }
 
-    /// Consumes the checker and reports every violation found.
-    pub fn finalize(mut self, alive: &[bool]) -> OracleReport {
+    /// Consumes the checker and reports every violation found. `alive`
+    /// holds the liveness flags, one per process; `conflicts` is the
+    /// group's conflict relation over message classes, which orders generic
+    /// deliveries.
+    pub fn finalize(
+        mut self,
+        alive: &[bool],
+        conflicts: impl Fn(MessageClass, MessageClass) -> bool,
+    ) -> OracleReport {
         let incs = self.build_incarnations();
         let n_incs = incs.len();
 
         // Position maps, shared by the order/gap/agreement passes.
-        let pos: Vec<HashMap<Key, usize>> = incs
+        let pos: Vec<_> = incs
             .iter()
-            .map(|inc| {
-                inc.atomic
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &k)| (k, i))
-                    .collect()
-            })
+            .map(|inc| positions(inc.atomic.iter().copied()))
             .collect();
 
         // Total order: for every pair, the common messages appear in the
@@ -367,6 +388,58 @@ impl InvariantChecker {
                         }
                     }
                     last = Some((i, k));
+                }
+            }
+        }
+
+        // Conflict order: walking a's generic stream, `furthest[c]` is the
+        // latest position in b of a message of class c that a delivered
+        // earlier. A message that b delivered before such a message of a
+        // conflicting class was ordered the other way round at b.
+        let classes: BTreeSet<MessageClass> = incs
+            .iter()
+            .flat_map(|inc| inc.generic.iter().map(|&(_, c)| c))
+            .collect();
+        let classes: Vec<MessageClass> = classes.into_iter().collect();
+        let relation: Vec<Vec<bool>> = classes
+            .iter()
+            .map(|&a| classes.iter().map(|&b| conflicts(a, b)).collect())
+            .collect();
+        let gpos: Vec<_> = incs
+            .iter()
+            .map(|inc| positions(inc.generic.iter().map(|&(k, _)| k)))
+            .collect();
+        for a in 0..n_incs {
+            if incs[a].generic.is_empty() {
+                continue;
+            }
+            for b in (a + 1)..n_incs {
+                let mut furthest: Vec<Option<(usize, Key)>> = vec![None; classes.len()];
+                'walk: for &(k, c) in &incs[a].generic {
+                    let Some(&j) = gpos[b].get(&k) else { continue };
+                    let ci = classes.binary_search(&c).expect("a class of the trace");
+                    for (&conflicting, f) in relation[ci].iter().zip(&furthest) {
+                        let Some((fj, fk)) = *f else { continue };
+                        if conflicting && fj > j {
+                            self.violate(
+                                InvariantKind::TotalOrder,
+                                format!(
+                                    "p{}(life {}) and p{}(life {}) g-deliver conflicting {} and {} \
+                                     in opposite orders",
+                                    incs[a].proc,
+                                    incs[a].life,
+                                    incs[b].proc,
+                                    incs[b].life,
+                                    key_str(fk),
+                                    key_str(k),
+                                ),
+                            );
+                            break 'walk;
+                        }
+                    }
+                    if furthest[ci].is_none_or(|(fj, _)| j > fj) {
+                        furthest[ci] = Some((j, k));
+                    }
                 }
             }
         }
@@ -462,20 +535,36 @@ impl InvariantChecker {
             }
         }
 
-        // Generic agreement: the founding survivors that were never reset
-        // g-delivered the same set (a joiner or a rejoined incarnation
-        // legitimately starts from a state transfer instead).
-        let generic: Vec<(usize, BTreeSet<Key>)> = incs
+        // The founding survivors that were never reset (a joiner or a
+        // rejoined incarnation legitimately starts from a state transfer
+        // instead) begin their atomic streams at the same message and
+        // g-delivered the same set.
+        let founders: Vec<&Incarnation> = incs
             .iter()
             .filter(|inc| {
                 inc.proc < self.founding
                     && self.resets[inc.proc].is_empty()
                     && survivors.contains(&inc.proc)
             })
-            .map(|inc| {
-                let set = inc.seen.iter().filter(|(_, atomic)| !atomic);
-                (inc.proc, set.map(|&(k, _)| k).collect())
-            })
+            .collect();
+        let mut heads = founders
+            .iter()
+            .filter_map(|inc| Some((inc.proc, *inc.atomic.first()?)));
+        if let Some((first, head)) = heads.next() {
+            for (p, k) in heads.filter(|&(_, k)| k != head) {
+                self.violate(
+                    InvariantKind::Agreement,
+                    format!(
+                        "survivors p{first} and p{p} begin their atomic streams at {} vs {}",
+                        key_str(head),
+                        key_str(k),
+                    ),
+                );
+            }
+        }
+        let generic: Vec<(usize, BTreeSet<Key>)> = founders
+            .iter()
+            .map(|inc| (inc.proc, inc.generic.iter().map(|&(k, _)| k).collect()))
             .collect();
         let everything: BTreeSet<Key> = generic.iter().flat_map(|(_, set)| set).copied().collect();
         for (p, mine) in &generic {
@@ -567,12 +656,25 @@ mod tests {
         }
     }
 
+    fn gdeliver(proc: u32, sender: u32, seq: u64, class: MessageClass) -> TransportDelivery {
+        TransportDelivery {
+            kind: DeliveryKind::GenericOrdered,
+            class,
+            ..atomic(1, proc, sender, seq, 0)
+        }
+    }
+
     fn rbcast(t: u64, proc: u32, sender: u32, seq: u64) -> TransportDelivery {
         TransportDelivery {
             kind: DeliveryKind::GenericFast,
             class: MessageClass::RBCAST,
             ..atomic(t, proc, sender, seq, 0)
         }
+    }
+
+    /// The conflict relation where everything conflicts.
+    fn every(_: MessageClass, _: MessageClass) -> bool {
+        true
     }
 
     fn kinds(r: &OracleReport) -> Vec<InvariantKind> {
@@ -590,7 +692,7 @@ mod tests {
             c.observe_delivery(atomic(3 + proc as u64, proc, 1, 0, 0));
             c.observe_delivery(atomic(5 + proc as u64, proc, 0, 1, 0));
         }
-        let r = c.finalize(&[true, true]);
+        let r = c.finalize(&[true, true], every);
         assert!(r.is_clean(), "{:?}", r.violations);
         assert_eq!(r.atomic_messages, 3);
         assert_eq!(r.incarnations, 2);
@@ -604,7 +706,7 @@ mod tests {
         c.observe_delivery(atomic(2, 0, 1, 0, 0));
         c.observe_delivery(atomic(1, 1, 1, 0, 0));
         c.observe_delivery(atomic(2, 1, 0, 0, 0));
-        let r = c.finalize(&[true, true]);
+        let r = c.finalize(&[true, true], every);
         assert!(
             kinds(&r).contains(&InvariantKind::TotalOrder),
             "{:?}",
@@ -621,7 +723,7 @@ mod tests {
         }
         c.observe_delivery(atomic(1, 1, 0, 0, 0));
         c.observe_delivery(atomic(3, 1, 0, 2, 0));
-        let r = c.finalize(&[true, true]);
+        let r = c.finalize(&[true, true], every);
         assert!(
             kinds(&r).contains(&InvariantKind::GapFreedom),
             "{:?}",
@@ -638,7 +740,7 @@ mod tests {
         }
         c.observe_delivery(atomic(1, 1, 0, 0, 0));
         c.observe_delivery(atomic(2, 1, 0, 1, 0));
-        let r = c.finalize(&[true, true]);
+        let r = c.finalize(&[true, true], every);
         assert!(
             kinds(&r).contains(&InvariantKind::Agreement),
             "{:?}",
@@ -650,7 +752,7 @@ mod tests {
             c.observe_delivery(atomic(t, 0, 0, seq, 0));
         }
         c.observe_delivery(atomic(1, 1, 0, 0, 0));
-        let r = c.finalize(&[true, false]);
+        let r = c.finalize(&[true, false], every);
         assert!(r.is_clean(), "{:?}", r.violations);
     }
 
@@ -667,29 +769,29 @@ mod tests {
         };
         let mut c = InvariantChecker::new(3, 3);
         feed(&mut c);
-        let r = c.finalize(&[true, true, true]);
+        let r = c.finalize(&[true, true, true], every);
         assert_eq!(kinds(&r), vec![InvariantKind::Agreement]);
         let detail = &r.violations[0].detail;
         assert!(
             detail.contains("p2") && detail.contains("(1,0)"),
             "{detail}"
         );
-        // The order of generic deliveries is free: no violation for that.
+        // Once p2 has it too, the run is clean.
         let mut c = InvariantChecker::new(3, 3);
         feed(&mut c);
         c.observe_delivery(rbcast(0, 2, 1, 0));
-        assert!(c.finalize(&[true, true, true]).is_clean());
+        assert!(c.finalize(&[true, true, true], every).is_clean());
         // A dead process, a joiner and a reset incarnation owe nothing.
         let mut c = InvariantChecker::new(3, 3);
         feed(&mut c);
-        assert!(c.finalize(&[true, true, false]).is_clean());
+        assert!(c.finalize(&[true, true, false], every).is_clean());
         let mut c = InvariantChecker::new(2, 3);
         feed(&mut c);
-        assert!(c.finalize(&[true, true, true]).is_clean());
+        assert!(c.finalize(&[true, true, true], every).is_clean());
         let mut c = InvariantChecker::new(3, 3);
         feed(&mut c);
         c.observe_reset(p(2), Time::from_millis(1));
-        assert!(c.finalize(&[true, true, true]).is_clean());
+        assert!(c.finalize(&[true, true, true], every).is_clean());
     }
 
     #[test]
@@ -708,7 +810,7 @@ mod tests {
                 },
             );
         }
-        let r = c.finalize(&[true, true]);
+        let r = c.finalize(&[true, true], every);
         assert!(
             kinds(&r).contains(&InvariantKind::ViewSynchrony),
             "{:?}",
@@ -726,7 +828,7 @@ mod tests {
                 members: vec![p(0), p(1)],
             },
         );
-        let r = c.finalize(&[true, true]);
+        let r = c.finalize(&[true, true], every);
         assert!(
             !kinds(&r).contains(&InvariantKind::ViewSynchrony),
             "{:?}",
@@ -739,24 +841,27 @@ mod tests {
         let mut c = InvariantChecker::new(1, 1);
         c.observe_delivery(atomic(1, 0, 0, 0, 0));
         c.observe_delivery(atomic(2, 0, 0, 0, 0));
-        let r = c.finalize(&[true]);
+        let r = c.finalize(&[true], every);
         assert_eq!(kinds(&r), vec![InvariantKind::Duplication]);
     }
 
     #[test]
-    fn rbcast_out_of_order_fires_fifo() {
-        let mut c = InvariantChecker::new(1, 1);
-        c.observe_delivery(rbcast(1, 0, 0, 1));
-        c.observe_delivery(rbcast(2, 0, 0, 0));
-        let r = c.finalize(&[true]);
-        assert_eq!(kinds(&r), vec![InvariantKind::FifoOrder]);
+    fn generic_out_of_order_fires_fifo_in_every_class() {
+        for class in [MessageClass::RBCAST, MessageClass(MessageClass::USER_BASE)] {
+            let mut c = InvariantChecker::new(1, 1);
+            c.observe_delivery(gdeliver(0, 0, 1, class));
+            c.observe_delivery(gdeliver(0, 0, 0, class));
+            let r = c.finalize(&[true], every);
+            assert_eq!(kinds(&r), vec![InvariantKind::FifoOrder], "{class:?}");
+        }
     }
 
     #[test]
     fn incarnation_reset_absolves_the_rejoined_stream() {
         // p1 is killed after one delivery and rejoins at the group's
         // current position: without the reset this is a gap + an agreement
-        // mismatch; with it, both incarnations are individually clean.
+        // mismatch; with it, both incarnations are individually clean, and
+        // the second, which starts mid-stream, owes no common head.
         let mut c = InvariantChecker::new(2, 2);
         for (seq, t) in [(0u64, 1u64), (1, 2), (2, 3), (3, 4)] {
             c.observe_delivery(atomic(t, 0, 0, seq, 0));
@@ -771,7 +876,7 @@ mod tests {
             for (seq, t) in [(0u64, 1u64), (1, 2), (2, 3), (3, 4)] {
                 c2.observe_delivery(atomic(t, 0, 0, seq, 0));
             }
-            c2.finalize(&[true, true])
+            c2.finalize(&[true, true], every)
         };
         assert!(
             kinds(&no_reset).contains(&InvariantKind::GapFreedom),
@@ -779,7 +884,7 @@ mod tests {
             no_reset.violations
         );
         c.observe_reset(p(1), Time::from_millis(2));
-        let r = c.finalize(&[true, true]);
+        let r = c.finalize(&[true, true], every);
         assert!(r.is_clean(), "{:?}", r.violations);
         assert_eq!(r.incarnations, 3);
     }
@@ -791,7 +896,8 @@ mod tests {
             c.observe_delivery(atomic(t, 0, 0, seq, 0));
             c.observe_delivery(atomic(t, 1, 0, seq, 0));
         }
-        // The joiner p2 delivers only the suffix, from its join on.
+        // The joiner p2 delivers only the suffix, from its join on: it owes
+        // no common head.
         c.observe_delivery(atomic(3, 2, 0, 2, 1));
         for proc in 0..3u32 {
             c.observe_view(
@@ -802,7 +908,46 @@ mod tests {
                 },
             );
         }
-        let r = c.finalize(&[true, true, true]);
+        let r = c.finalize(&[true, true, true], every);
         assert!(r.is_clean(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn survivor_missing_the_stream_head_fires_agreement() {
+        // p1 delivers everything p0 does but the first message: no gap
+        // inside its window, the same tail — only the head is missing.
+        let mut c = InvariantChecker::new(2, 2);
+        for (seq, t) in [(0u64, 1u64), (1, 2), (2, 3)] {
+            c.observe_delivery(atomic(t, 0, 0, seq, 0));
+            if seq > 0 {
+                c.observe_delivery(atomic(t, 1, 0, seq, 0));
+            }
+        }
+        let r = c.finalize(&[true, true], every);
+        assert_eq!(kinds(&r), vec![InvariantKind::Agreement]);
+        assert!(
+            r.violations[0].detail.contains("begin"),
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn only_conflicting_inversions_are_flagged() {
+        // p0 g-delivers b1 b2 a1 a2, p1 b2 b1 a2 a1: both pairs are
+        // inverted, but only class `a` conflicts with itself. Ignoring the
+        // relation would report the b pair, which comes first.
+        let (a, b) = (MessageClass(MessageClass::USER_BASE), MessageClass(9));
+        let mut c = InvariantChecker::new(2, 2);
+        for (proc, order) in [(0, [2, 3, 0, 1]), (1, [3, 2, 1, 0])] {
+            for sender in order {
+                let class = if sender < 2 { a } else { b };
+                c.observe_delivery(gdeliver(proc, sender, 0, class));
+            }
+        }
+        let r = c.finalize(&[true, true], |x, y| x == a && y == a);
+        assert_eq!(kinds(&r), vec![InvariantKind::TotalOrder]);
+        let detail = &r.violations[0].detail;
+        assert!(detail.contains("(0,0) and (1,0)"), "{detail}");
     }
 }

@@ -237,6 +237,12 @@ pub trait GroupTransport {
     /// Which optional services the stack provides.
     fn capabilities(&self) -> Capabilities;
 
+    /// Whether messages of classes `a` and `b` must be delivered in one
+    /// order everywhere: the group's conflict relation, which the oracle
+    /// judges generic deliveries by. Stacks without generic broadcast order
+    /// everything, so there every pair conflicts.
+    fn conflicts(&self, a: MessageClass, b: MessageClass) -> bool;
+
     // -- workload ----------------------------------------------------------
 
     /// Schedules an atomic broadcast of an already-interned payload handle

@@ -1198,7 +1198,7 @@ pub fn kill_and_rejoin_times(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_sim::{check_no_duplicates, check_prefix_consistency, GroupTransport};
+    use gcs_sim::{GroupTransport, InvariantChecker};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -1215,8 +1215,8 @@ mod tests {
         for s in &seqs {
             assert_eq!(s.len(), 10);
         }
-        check_prefix_consistency(&seqs).expect("sequencer total order");
-        check_no_duplicates(&seqs).expect("no duplicates");
+        let report = InvariantChecker::check(&sim, 3);
+        assert!(report.is_clean(), "{:#?}", report.violations);
     }
 
     #[test]

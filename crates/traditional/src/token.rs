@@ -945,7 +945,7 @@ pub type TokenSim = Harness<TokenDriver, SimWorld<TokenEvent>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_sim::{check_no_duplicates, check_prefix_consistency, GroupTransport};
+    use gcs_sim::{GroupTransport, InvariantChecker};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -966,8 +966,8 @@ mod tests {
         for s in &seqs {
             assert_eq!(s.len(), 12, "everything delivered: {seqs:?}");
         }
-        check_prefix_consistency(&seqs).expect("token total order");
-        check_no_duplicates(&seqs).expect("no duplicates");
+        let report = InvariantChecker::check(&sim, 3);
+        assert!(report.is_clean(), "{:#?}", report.violations);
     }
 
     #[test]
@@ -1061,9 +1061,11 @@ mod tests {
         sim.abcast_at(Time::from_millis(200), p(3), b"min".to_vec());
         sim.heal_at(Time::from_millis(600));
         sim.run_until(Time::from_secs(4));
+        // Total order holds across every pair of processes: no split-brain
+        // stamping.
+        let report = InvariantChecker::check(&sim, 5);
+        assert!(report.is_clean(), "{:#?}", report.violations);
         let seqs = sim.adelivered_payloads();
-        // Total order holds across every pair of processes.
-        gcs_sim::check_total_order(&seqs).expect("no split-brain stamping");
         // The majority stream stayed live through the split.
         for i in 0..3 {
             assert!(seqs[i].contains(&b"maj".to_vec()), "p{i}: {seqs:?}");

@@ -4,8 +4,8 @@
 
 use gcs::core::StackConfig;
 use gcs::kernel::{ProcessId, Time, TimeDelta};
-use gcs::sim::{check_no_duplicates, check_prefix_consistency, LinkModel, Topology};
-use gcs::{Group, GroupTransport};
+use gcs::sim::{LinkModel, Topology};
+use gcs::{Group, GroupTransport, InvariantChecker};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -38,8 +38,8 @@ fn total_order_over_lossy_duplicating_links() {
         for (i, s) in seqs.iter().enumerate() {
             assert_eq!(s.len(), 12, "seed {seed}: p{i} delivered {} of 12", s.len());
         }
-        check_prefix_consistency(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
-        check_no_duplicates(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        let report = InvariantChecker::check(&g, 3);
+        assert!(report.is_clean(), "seed {seed}: {:#?}", report.violations);
     }
 }
 
@@ -69,7 +69,8 @@ fn total_order_on_wan_latencies() {
     for s in &seqs {
         assert_eq!(s.len(), 6);
     }
-    check_prefix_consistency(&seqs).expect("order on WAN");
+    let report = InvariantChecker::check(&g, 3);
+    assert!(report.is_clean(), "{:#?}", report.violations);
 }
 
 #[test]
@@ -98,7 +99,8 @@ fn transient_partition_heals_without_membership_change() {
     for (i, s) in seqs.iter().enumerate() {
         assert_eq!(s.len(), 10, "p{i} delivered {} of 10", s.len());
     }
-    check_prefix_consistency(&seqs).expect("consistent across the heal");
+    let report = InvariantChecker::check(&g, 3);
+    assert!(report.is_clean(), "{:#?}", report.violations);
     assert!(
         g.views().iter().all(|v| v.is_empty()),
         "no exclusion for a transient outage"

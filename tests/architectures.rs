@@ -6,9 +6,8 @@
 
 use gcs::core::{ConflictRelation, MessageClass, StackConfig};
 use gcs::kernel::{ProcessId, Time, TimeDelta};
-use gcs::sim::{check_no_duplicates, check_prefix_consistency, check_total_order};
 use gcs::traditional::IsisConfig;
-use gcs::{Group, GroupTransport, StackKind};
+use gcs::{Group, GroupTransport, InvariantChecker, StackKind};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -31,9 +30,9 @@ fn isis_stack_fig1() {
     sim.abcast_at(Time::from_millis(400), p(2), b"post".to_vec());
     sim.run_until(Time::from_secs(2));
 
+    let report = InvariantChecker::check(&sim, 4);
+    assert!(report.is_clean(), "{:#?}", report.violations);
     let seqs = sim.adelivered_payloads();
-    check_prefix_consistency(&seqs[1..]).expect("survivors agree on the order");
-    check_no_duplicates(&seqs).expect("no duplicates");
     // The crash forced a membership change (the traditional coupling).
     let last = sim.views()[1]
         .last()
@@ -111,12 +110,8 @@ fn totem_stack_fig4() {
     }
     sim.crash_at(Time::from_millis(30), p(2));
     sim.run_until(Time::from_secs(2));
-    let seqs = sim.adelivered_payloads();
-    let survivors: Vec<Vec<Vec<u8>>> = (0..5)
-        .filter(|&i| i != 2)
-        .map(|i| seqs[i].clone())
-        .collect();
-    check_prefix_consistency(&survivors).expect("recovered order agrees");
+    let report = InvariantChecker::check(&sim, 5);
+    assert!(report.is_clean(), "{:#?}", report.violations);
     // Reformation excluded the crashed member.
     for i in [0usize, 1, 3, 4] {
         let ring = sim.views()[i].last().expect("reformed").clone();
@@ -227,7 +222,8 @@ fn new_stack_fig6() {
     for i in 1..4 {
         assert_eq!(seqs[i].len(), 10, "p{i} delivered all despite f=2 crashes");
     }
-    check_prefix_consistency(&seqs[1..4]).expect("total order");
+    let report = InvariantChecker::check(&g, 5);
+    assert!(report.is_clean(), "{:#?}", report.violations);
     assert!(
         g.views().iter().all(|v| v.is_empty()),
         "no membership change needed"
@@ -258,11 +254,9 @@ fn new_stack_fig7() {
         );
     }
     g.run_until(Time::from_secs(3));
-    let sim = g.as_new_arch().expect("new arch");
-    let ids = gcs::core::gdelivered_ids(sim.trace(), sim.len());
-    for s in &ids {
+    for s in &g.delivered() {
         assert_eq!(s.len(), 12);
     }
-    check_total_order(&ids).expect("conflicting pairs ordered consistently");
-    check_no_duplicates(&ids).expect("no duplicates");
+    let report = InvariantChecker::check(&g, 4);
+    assert!(report.is_clean(), "{:#?}", report.violations);
 }

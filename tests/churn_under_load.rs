@@ -5,8 +5,8 @@
 
 use gcs::core::StackConfig;
 use gcs::kernel::{ProcessId, Time, TimeDelta};
-use gcs::sim::{check_agreement, check_no_duplicates, check_total_order, Schedule};
-use gcs::{Group, GroupTransport};
+use gcs::sim::Schedule;
+use gcs::{Group, GroupTransport, InvariantChecker};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -57,14 +57,8 @@ fn abcast_stream_stays_live_through_join_and_removal() {
         );
 
         // Agreement + order across everyone who is still a member.
-        let member_seqs: Vec<Vec<Vec<u8>>> =
-            [0usize, 1, 2, 4].iter().map(|&i| seqs[i].clone()).collect();
-        check_total_order(&member_seqs)
-            .unwrap_or_else(|e| panic!("seed {seed}: order violation {e}"));
-        check_no_duplicates(&seqs)
-            .unwrap_or_else(|(i, m)| panic!("seed {seed}: duplicate {m:?} at p{i}"));
-        check_agreement(&member_seqs[..3], &[true, true, true])
-            .unwrap_or_else(|(a, b, _)| panic!("seed {seed}: agreement violation p{a}/p{b}"));
+        let report = InvariantChecker::check(&g, 4);
+        assert!(report.is_clean(), "seed {seed}: {:#?}", report.violations);
         // The joiner's deliveries are a contiguous suffix of the agreed
         // total order (same view delivery: it missed only the pre-join
         // prefix covered by its state-transfer snapshot).

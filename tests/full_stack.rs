@@ -4,8 +4,7 @@
 
 use gcs::core::{DeliveryKind, Ev, StackConfig};
 use gcs::kernel::{ProcessId, Time, TimeDelta};
-use gcs::sim::{check_agreement, check_no_duplicates, check_prefix_consistency};
-use gcs::{Group, GroupTransport};
+use gcs::{Group, GroupTransport, InvariantChecker};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -60,8 +59,8 @@ fn join_crash_exclude_lifecycle() {
         "all stream messages delivered: {:?}",
         seqs[0].len()
     );
-    check_prefix_consistency(&[seqs[0].clone(), seqs[1].clone()]).expect("total order");
-    check_no_duplicates(&seqs).expect("no duplicates");
+    let report = InvariantChecker::check(&g, 3);
+    assert!(report.is_clean(), "{:#?}", report.violations);
 }
 
 /// Group communication properties hold across seeds and fault schedules
@@ -89,20 +88,8 @@ fn properties_across_seeds() {
             }
         }
         g.run_until(Time::from_secs(4));
-        let seqs = g.adelivered_payloads();
-        check_prefix_consistency(
-            &seqs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| p(*i as u32) != crash_victim)
-                .map(|(_, s)| s.clone())
-                .collect::<Vec<_>>(),
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: order violation {e:?}"));
-        check_no_duplicates(&seqs)
-            .unwrap_or_else(|(i, m)| panic!("seed {seed}: dup {m:?} at p{i}"));
-        check_agreement(&seqs, &g.alive_flags())
-            .unwrap_or_else(|(a, b, _)| panic!("seed {seed}: agreement violation p{a}/p{b}"));
+        let report = InvariantChecker::check(&g, 5);
+        assert!(report.is_clean(), "seed {seed}: {:#?}", report.violations);
     }
 }
 
@@ -157,18 +144,13 @@ fn fifo_generic_broadcast_per_sender_order() {
             );
         }
         g.run_until(Time::from_secs(3));
-        let sim = g.as_new_arch().expect("new arch");
-        let ids = gcs::core::gdelivered_ids(sim.trace(), sim.len());
-        for (i, seq) in ids.iter().enumerate() {
+        for (i, seq) in g.delivered().iter().enumerate() {
             assert_eq!(seq.len(), 10, "seed {seed}: p{i} delivered all");
-            // Per-sender sequence numbers must be increasing.
-            let mut last: std::collections::HashMap<ProcessId, u64> = Default::default();
-            for id in seq {
-                if let Some(prev) = last.insert(id.sender, id.seq) {
-                    assert!(id.seq > prev, "seed {seed}: FIFO violated at p{i}: {seq:?}");
-                }
-            }
         }
+        // Per-sender sequence numbers must be increasing: the oracle's
+        // FIFO check covers every generic class.
+        let report = InvariantChecker::check(&g, 4);
+        assert!(report.is_clean(), "seed {seed}: {:#?}", report.violations);
     }
 }
 

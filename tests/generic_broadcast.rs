@@ -5,90 +5,33 @@
 
 use gcs::core::{ConflictRelation, DeliveryKind, MessageClass, StackConfig};
 use gcs::kernel::{ProcessId, Time, TimeDelta};
-use gcs::sim::{check_no_duplicates, LinkModel, Schedule};
-use gcs::{Group, GroupTransport};
+use gcs::sim::{LinkModel, Schedule};
+use gcs::{Group, GroupTransport, InvariantChecker};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-/// Message identity in the neutral transport vocabulary: `(sender, seq)`.
-type Id = (ProcessId, u64);
-
-/// Checks pairwise order consistency **restricted to conflicting pairs**
-/// (non-conflicting messages may legally be delivered in different orders —
-/// that is the whole point of generic broadcast).
-fn check_conflict_order(
-    seqs: &[Vec<(Id, MessageClass)>],
-    relation: &ConflictRelation,
-) -> Result<(), String> {
-    for a in 0..seqs.len() {
-        for b in (a + 1)..seqs.len() {
-            for (i1, (m1, c1)) in seqs[a].iter().enumerate() {
-                for (m2, c2) in seqs[a][i1 + 1..].iter() {
-                    if !relation.conflicts(*c1, *c2) {
-                        continue;
-                    }
-                    // m1 before m2 at a; check b agrees where both present.
-                    let pos1 = seqs[b].iter().position(|(m, _)| m == m1);
-                    let pos2 = seqs[b].iter().position(|(m, _)| m == m2);
-                    if let (Some(p1), Some(p2)) = (pos1, pos2) {
-                        if p2 < p1 {
-                            return Err(format!(
-                                "conflicting {m1:?} and {m2:?} ordered differently at {a} and {b}"
-                            ));
-                        }
-                    }
-                }
-            }
+/// What the survivors of a run owe: each delivers every message of every
+/// sender that survived. The oracle judges the rest — no duplicates, one
+/// delivered set (a message of the victim reaches all of them or none:
+/// uniform agreement), and every conflicting pair, by the group's own
+/// relation, in one order.
+fn check_survivors(g: &Group, victim: Option<u32>, live_ops: usize) -> Result<(), String> {
+    let report = InvariantChecker::check(g, g.process_count());
+    if !report.is_clean() {
+        return Err(format!("{:#?}", report.violations));
+    }
+    let live = |s: ProcessId| Some(s.index() as u32) != victim;
+    for (i, got) in g.delivered().iter().enumerate() {
+        if live(p(i as u32)) && got.iter().filter(|d| live(d.sender)).count() != live_ops {
+            return Err(format!(
+                "survivor p{i} delivered {got:?}: not all {live_ops} live messages"
+            ));
         }
     }
     Ok(())
-}
-
-/// What the survivors of a run owe: each delivers every message of every
-/// sender that survived, without duplicates; all deliver the same *set* (a
-/// message of the victim reaches all of them or none — uniform agreement);
-/// and conflicting pairs are ordered consistently.
-fn check_survivors(
-    g: &Group,
-    victim: Option<u32>,
-    live_ops: usize,
-    relation: &ConflictRelation,
-) -> Result<(), String> {
-    let delivered = g.delivered();
-    let seqs: Vec<Vec<(Id, MessageClass)>> = (0..delivered.len() as u32)
-        .filter(|&i| Some(i) != victim)
-        .map(|i| {
-            delivered[i as usize]
-                .iter()
-                .map(|d| ((d.sender, d.seq), d.class))
-                .collect()
-        })
-        .collect();
-    let ids: Vec<Vec<Id>> = seqs
-        .iter()
-        .map(|s| s.iter().map(|(m, _)| *m).collect())
-        .collect();
-    check_no_duplicates(&ids).map_err(|e| format!("{e:?}"))?;
-    let sets: Vec<BTreeSet<Id>> = ids.iter().map(|s| s.iter().copied().collect()).collect();
-    for (i, set) in sets.iter().enumerate() {
-        let of_live = set.iter().filter(|(s, _)| Some(s.index() as u32) != victim);
-        if of_live.count() != live_ops {
-            return Err(format!(
-                "survivor #{i} delivered {set:?}: not all {live_ops} live messages"
-            ));
-        }
-        if set != &sets[0] {
-            return Err(format!(
-                "survivors #0 and #{i} delivered different sets: {:?} vs {set:?}",
-                sets[0]
-            ));
-        }
-    }
-    check_conflict_order(&seqs, relation)
 }
 
 /// A link that drops everything.
@@ -138,7 +81,7 @@ proptest! {
             relation.set_conflict(MessageClass(a), MessageClass(b));
         }
         let mut cfg = StackConfig::default();
-        cfg.conflict = relation.clone();
+        cfg.conflict = relation;
         cfg.monitoring_timeout = TimeDelta::from_secs(3600);
         let mut g = Group::builder().members(4).stack_config(cfg).seed(seed).build();
         if let Some((victim, at_us, deaf)) = crash {
@@ -155,7 +98,7 @@ proptest! {
         g.run_until(Time::from_secs(8));
         let victim = crash.map(|(v, ..)| v);
         let live_ops = ops.iter().filter(|(s, ..)| Some(*s) != victim).count();
-        if let Err(e) = check_survivors(&g, victim, live_ops, &relation) {
+        if let Err(e) = check_survivors(&g, victim, live_ops) {
             return Err(TestCaseError::fail(e));
         }
     }
@@ -175,7 +118,7 @@ proptest! {
         relation.set_conflict(MessageClass(1), MessageClass(1));
         relation.set_conflict(MessageClass(0), MessageClass(1));
         let mut cfg = StackConfig::default();
-        cfg.conflict = relation.clone();
+        cfg.conflict = relation;
         cfg.monitoring_timeout = TimeDelta::from_secs(3600);
         let mut g = Group::builder().members(4).stack_config(cfg).seed(seed).build();
         g.apply_schedule(&crash_mid_send(victim, crash_us, deaf));
@@ -191,7 +134,7 @@ proptest! {
         // Senders that crash may or may not get their message out; only
         // live senders count for the termination check.
         let live_ops = ops.iter().filter(|(s, ..)| *s != victim).count();
-        if let Err(e) = check_survivors(&g, Some(victim), live_ops, &relation) {
+        if let Err(e) = check_survivors(&g, Some(victim), live_ops) {
             return Err(TestCaseError::fail(e));
         }
     }
@@ -207,7 +150,6 @@ proptest! {
 /// relay it, and every survivor fast-delivers it without any consensus.
 #[test]
 fn message_of_an_origin_that_crashes_mid_diffusion_reaches_every_survivor() {
-    let relation = ConflictRelation::rbcast_abcast();
     let dead = dead_link();
     for cut_off in [&[3u32, 4][..], &[4]] {
         let mut cfg = StackConfig::default();
@@ -261,7 +203,7 @@ fn message_of_an_origin_that_crashes_mid_diffusion_reaches_every_survivor() {
             );
         }
         g.run_until(Time::from_secs(3));
-        check_survivors(&g, Some(0), 4, &relation).unwrap();
+        check_survivors(&g, Some(0), 4).unwrap();
         assert!(g.views().iter().all(|v| v.is_empty()), "no view change");
     }
 }

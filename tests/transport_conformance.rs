@@ -19,7 +19,6 @@
 //! on both backends; only *when* things happen is left open.
 
 use gcs::kernel::{ProcessId, Time, TimeDelta};
-use gcs::sim::{check_no_duplicates, check_prefix_consistency};
 use gcs::{Backend, Group, GroupTransport, InvariantChecker, StackKind};
 
 fn p(i: u32) -> ProcessId {
@@ -98,10 +97,9 @@ fn steady_state_agreement_on_every_stack() {
             }
             let mut d = Driver::new();
             d.expect(&mut g, Time::from_secs(20), &tag, all_delivered(12));
+            let report = InvariantChecker::check(&g, 4);
+            assert!(report.is_clean(), "{tag}: {:#?}", report.violations);
             let seqs = g.adelivered_payloads();
-            check_prefix_consistency(&seqs)
-                .unwrap_or_else(|e| panic!("{tag}: order violation {e:?}"));
-            check_no_duplicates(&seqs).unwrap_or_else(|e| panic!("{tag}: duplicate {e:?}"));
             // Every injected op, not just twelve of something.
             let mut ops = seqs[0].clone();
             ops.sort();
@@ -148,10 +146,8 @@ fn crash_mid_stream_keeps_survivors_consistent() {
 
             let alive = g.alive_flags();
             assert!(alive[..3].iter().all(|&a| a), "{tag}: survivors alive");
-            let seqs = g.adelivered_payloads();
-            check_prefix_consistency(&seqs[..3])
-                .unwrap_or_else(|e| panic!("{tag}: order violation {e:?}"));
-            check_no_duplicates(&seqs).unwrap_or_else(|e| panic!("{tag}: duplicate {e:?}"));
+            let report = InvariantChecker::check(&g, 4);
+            assert!(report.is_clean(), "{tag}: {:#?}", report.violations);
         }
     }
 }
@@ -194,10 +190,6 @@ fn gossip_fd_passes_the_conformance_battery() {
         d.expect(&mut g, Time::from_secs(30), &tag, first_delivered(19, 16));
         d.expect(&mut g, Time::from_secs(30), &tag, |g| !g.alive_flags()[19]);
         assert!(g.alive_flags()[..19].iter().all(|&a| a), "{tag}");
-        let seqs = g.adelivered_payloads();
-        check_prefix_consistency(&seqs[..19])
-            .unwrap_or_else(|e| panic!("{tag}: order violation {e:?}"));
-        check_no_duplicates(&seqs).unwrap_or_else(|e| panic!("{tag}: duplicate {e:?}"));
         let report = InvariantChecker::check(&g, 20);
         assert!(report.is_clean(), "{tag}: {:#?}", report.violations);
     }
@@ -335,8 +327,6 @@ fn removal_mid_stream_on_every_stack() {
             d.expect(&mut g, Time::from_secs(20), &tag, first_delivered(3, 12));
 
             let seqs = g.adelivered_payloads();
-            check_prefix_consistency(&seqs[..3])
-                .unwrap_or_else(|e| panic!("{tag}: order violation {e:?}"));
             // The removed member misses the post-removal suffix, and if it
             // saw the change its last installed view excludes it.
             assert!(
@@ -389,10 +379,6 @@ fn partition_heal_on_every_stack() {
             let mut d = Driver::new();
             d.expect(&mut g, Time::from_secs(30), &tag, first_delivered(3, 12));
 
-            let seqs = g.adelivered_payloads();
-            check_prefix_consistency(&seqs[..3])
-                .unwrap_or_else(|e| panic!("{tag}: order violation {e:?}"));
-            check_no_duplicates(&seqs).unwrap_or_else(|e| panic!("{tag}: duplicate {e:?}"));
             let report = InvariantChecker::check(&g, 5);
             assert!(report.is_clean(), "{tag}: {:#?}", report.violations);
         }
