@@ -15,7 +15,7 @@ use gcs_kernel::{
     TimerId,
 };
 use gcs_replication::bank::{bank_conflicts, CLASS_DEPOSIT, CLASS_WITHDRAW};
-use gcs_sim::{LinkModel, Metrics, Schedule, SimConfig, SimWorld, Topology};
+use gcs_sim::{LinkModel, Metrics, Runtime, Schedule, SimConfig, SimWorld, Topology};
 use gcs_traditional::isis::{blocked_windows, kill_and_rejoin_times};
 use gcs_traditional::IsisConfig;
 use StackKind::{Isis, NewArch, Token};
@@ -172,10 +172,6 @@ fn e2_class(i: u32, withdraw_pct: u32) -> MessageClass {
 struct BankStream(u32, E2Mode);
 
 impl Workload for BankStream {
-    fn name(&self) -> &'static str {
-        "bank"
-    }
-
     fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
         let BankStream(withdraw_pct, mode) = *self;
         let times: Vec<Time> = (0..40).map(|i| Time::from_millis(5 + 3 * i)).collect();
@@ -514,19 +510,16 @@ pub fn a2_fd_quality() {
             dup_prob: 0.0,
             bandwidth: 0,
         });
-        let mut world: SimWorld<ProbeEv> = SimWorld::new(sim);
-        for _ in 0..2 {
-            world.add_node(|id| {
-                let mut fd = gcs_fd::HeartbeatFd::new(id, TimeDelta::from_millis(10));
-                fd.register_class(
-                    gcs_fd::MonitorClass::CONSENSUS,
-                    TimeDelta::from_millis(timeout_ms),
-                );
-                fd.set_peers((0..2).map(p).filter(|&q| q != id), Time::ZERO);
-                Process::builder(id).with(PROBE, FdProbe { fd }).build()
-            });
-        }
-        world.crash_at(Time::from_secs(5), p(1));
+        let mut world: SimWorld<ProbeEv> = SimWorld::start(sim, 2, move |id| {
+            let mut fd = gcs_fd::HeartbeatFd::new(id, TimeDelta::from_millis(10));
+            fd.register_class(
+                gcs_fd::MonitorClass::CONSENSUS,
+                TimeDelta::from_millis(timeout_ms),
+            );
+            fd.set_peers((0..2).map(p).filter(|&q| q != id), Time::ZERO);
+            Process::builder(id).with(PROBE, FdProbe { fd }).build()
+        });
+        world.apply_schedule(&Schedule::new().crash(Time::from_secs(5), p(1)));
         world.run_until(Time::from_secs(15));
         // Wrong suspicions: suspicions of p1 at p0 before the crash.
         let wrong = world

@@ -18,8 +18,7 @@ use gcs_kernel::{ProcessId, Time, TimeDelta};
 use gcs_sim::{Schedule, ScheduleAction, Topology};
 
 use crate::workload::{
-    decode_op_index, ChurnWorkload, GenericWorkload, LargePayloadWorkload, SkewedWorkload,
-    UniformWorkload, Workload,
+    decode_op_index, ChurnWorkload, GenericWorkload, SkewedWorkload, UniformWorkload, Workload,
 };
 
 /// One named experiment scenario over one of the three stacks.
@@ -347,7 +346,10 @@ pub fn catalog() -> Vec<Scenario> {
                 "lan-125MBps",
                 gcs_sim::LinkModel::lan().with_bandwidth(125_000_000),
             ),
-            workload: Box::new(LargePayloadWorkload::steady(60, 5, 64 * 1024)),
+            workload: Box::new(UniformWorkload {
+                payload: 64 * 1024,
+                ..UniformWorkload::steady(60, 5)
+            }),
             schedule: Schedule::new(),
             horizon: Time::from_secs(2),
         },

@@ -12,11 +12,12 @@
 //! interned payload itself), with no intermediate `Vec` per op.
 //!
 //! Implementations cover the scenario matrix: [`UniformWorkload`] (the old
-//! round-robin stream), [`SkewedWorkload`] (zipf-distributed senders),
-//! [`LargePayloadWorkload`] (bulk messages that pay serialization delay on
-//! bandwidth-limited links), [`ChurnWorkload`] (a stream with membership
+//! round-robin stream, at any payload size — bulk messages pay
+//! serialization delay on bandwidth-limited links), [`SkewedWorkload`]
+//! (zipf-distributed senders), [`ChurnWorkload`] (a stream with membership
 //! churn riding on it) and [`GenericWorkload`] (the uniform stream through
-//! generic broadcast, in two conflict classes).
+//! generic broadcast, in two conflict classes). [`OpenLoopWorkload`] is the
+//! arrival clock of saturation runs, which inject it themselves.
 
 use gcs_api::GroupTransport;
 use gcs_kernel::{MessageClass, ProcessId, Time, TimeDelta};
@@ -66,9 +67,6 @@ pub fn decode_op_index(payload: &[u8]) -> Option<usize> {
 
 /// A timed atomic-broadcast stream over a group of `n` processes.
 pub trait Workload {
-    /// Stable name (used by scenario catalogs and reports).
-    fn name(&self) -> &'static str;
-
     /// Schedules the whole stream into `target` (a group of `n` founding
     /// members); returns the injection time of each op, indexed by the op
     /// tag embedded in its payload (see [`payload_for`]).
@@ -130,10 +128,6 @@ impl UniformWorkload {
 }
 
 impl Workload for UniformWorkload {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-
     fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
         let mut times = Vec::with_capacity(self.msgs as usize);
         for i in 0..self.msgs {
@@ -153,12 +147,6 @@ impl Workload for UniformWorkload {
 /// protocol sustains. Arrivals are evenly spaced (arrival `i` lands at
 /// `start + i/rate`), so a run is deterministic and independent of the
 /// group's progress.
-///
-/// [`inject`](Workload::inject) schedules the whole stream up front like
-/// every other workload. Saturation drivers that need to *shed* load
-/// through `try_abcast_*` instead iterate [`arrivals`](Self::arrivals) and
-/// interleave injection with `run_until` — same clock, caller-owned refusal
-/// handling.
 #[derive(Clone, Debug)]
 pub struct OpenLoopWorkload {
     /// Offered load in messages per second (> 0).
@@ -210,22 +198,6 @@ impl OpenLoopWorkload {
     }
 }
 
-impl Workload for OpenLoopWorkload {
-    fn name(&self) -> &'static str {
-        "open-loop"
-    }
-
-    fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
-        let arrivals = self.arrivals(n);
-        let mut times = Vec::with_capacity(arrivals.len());
-        for (i, (t, sender)) in arrivals.into_iter().enumerate() {
-            target.abcast_build_at(t, sender, &mut |buf| write_payload(i, self.payload, buf));
-            times.push(t);
-        }
-        times
-    }
-}
-
 /// A zipf-skewed-sender stream: sender ranks follow a zipf distribution with
 /// exponent `s` (rank 0 = process 0 hottest), sampled from a dedicated
 /// deterministic PRNG — the shape real group-communication deployments show
@@ -268,10 +240,6 @@ impl SkewedWorkload {
 }
 
 impl Workload for SkewedWorkload {
-    fn name(&self) -> &'static str {
-        "skewed"
-    }
-
     fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
         let cdf = self.cdf(n);
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -286,33 +254,6 @@ impl Workload for SkewedWorkload {
             times.push(t);
         }
         times
-    }
-}
-
-/// A bulk stream: few messages, large payloads — on bandwidth-limited
-/// topologies each message pays real serialization delay.
-#[derive(Clone, Debug)]
-pub struct LargePayloadWorkload {
-    /// The underlying stream timing (its `payload` field is the bulk size).
-    pub base: UniformWorkload,
-}
-
-impl LargePayloadWorkload {
-    /// `msgs` broadcasts of `payload_bytes` each, every `interval_ms` ms.
-    pub fn steady(msgs: u32, interval_ms: u64, payload_bytes: usize) -> Self {
-        let mut base = UniformWorkload::steady(msgs, interval_ms);
-        base.payload = payload_bytes;
-        LargePayloadWorkload { base }
-    }
-}
-
-impl Workload for LargePayloadWorkload {
-    fn name(&self) -> &'static str {
-        "large-payload"
-    }
-
-    fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
-        self.base.inject(n, target)
     }
 }
 
@@ -353,10 +294,6 @@ impl GenericWorkload {
 }
 
 impl Workload for GenericWorkload {
-    fn name(&self) -> &'static str {
-        "generic"
-    }
-
     fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
         let base = &self.base;
         let mut times = Vec::with_capacity(base.msgs as usize);
@@ -398,10 +335,6 @@ impl ChurnWorkload {
 }
 
 impl Workload for ChurnWorkload {
-    fn name(&self) -> &'static str {
-        "churn"
-    }
-
     fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
         // The stream is the uniform one restricted to the survivors:
         // round-robin senders skip the removal victim (the last founding
@@ -567,11 +500,6 @@ mod tests {
         // 1000 msgs/s = one arrival per ms.
         assert_eq!(arrivals[10].0, Time::from_millis(11));
         assert_eq!(arrivals[10].1, ProcessId::new(2));
-        // inject() follows the same clock with matching op tags.
-        let mut r = Recorder::default();
-        let times = w.inject(4, &mut r);
-        assert_eq!(times, arrivals.iter().map(|&(t, _)| t).collect::<Vec<_>>());
-        assert_eq!(decode_op_index(&r.ops[10].2), Some(10));
     }
 
     #[test]
@@ -625,7 +553,10 @@ mod tests {
 
     #[test]
     fn large_payload_size_is_respected() {
-        let w = LargePayloadWorkload::steady(2, 5, 4096);
+        let w = UniformWorkload {
+            payload: 4096,
+            ..UniformWorkload::steady(2, 5)
+        };
         let mut r = Recorder::default();
         w.inject(3, &mut r);
         assert_eq!(r.ops[0].2.len(), 4096);

@@ -17,7 +17,7 @@ use gcs_bench::alloccount::{self, snapshot, CountingAlloc};
 use gcs_core::components::ids;
 use gcs_core::{build_process, Body, Ev, GbMsg, Message, MessageClass, MsgId, StackConfig};
 use gcs_core::{View, WireMsg};
-use gcs_kernel::{Effects, Envelope, PayloadRef, Process, ProcessId, Time};
+use gcs_kernel::{Effects, Envelope, Input, PayloadRef, Process, ProcessId, Time};
 use gcs_net::Packet;
 
 #[global_allocator]
@@ -108,13 +108,12 @@ fn gb_ack_packets() -> (u64, usize) {
         };
         rc_seq[from] += 1;
         fx.clear();
-        p0.deliver_net_into(
-            members[from],
-            ids::RC,
-            Ev::Packet(packet),
-            Time::ZERO,
-            &mut fx,
-        );
+        let input = Input::Net {
+            from: members[from],
+            component: ids::RC,
+            event: Ev::Packet(packet),
+        };
+        p0.step_into(input, Time::ZERO, &mut fx);
         fx.outputs.len()
     };
     let id = |seq| MsgId {
@@ -208,8 +207,11 @@ impl Lockstep {
     /// p0 a-broadcasts an empty message.
     fn abcast_at_p0(&mut self) -> Step {
         self.step(0, |proc, fx| {
-            let op = Ev::Abcast(PayloadRef::EMPTY);
-            proc.deliver_into(ids::ABCAST, op, Time::ZERO, fx);
+            let op = Input::Inject {
+                component: ids::ABCAST,
+                event: Ev::Abcast(PayloadRef::EMPTY),
+            };
+            proc.step_into(op, Time::ZERO, fx);
         })
     }
 
@@ -224,9 +226,12 @@ impl Lockstep {
                     if msgs.iter().map(|(_, m)| m.kind()).eq(["ct/decide", "ct/propose"])
             );
             let to = e.to.index();
-            let mut step = self.step(to, |proc, fx| {
-                proc.deliver_net_into(e.from, e.component, e.event, Time::ZERO, fx)
-            });
+            let input = Input::Net {
+                from: e.from,
+                component: e.component,
+                event: e.event,
+            };
+            let mut step = self.step(to, |proc, fx| proc.step_into(input, Time::ZERO, fx));
             step.bundle = bundle;
             steps.push((to, step));
         }

@@ -261,10 +261,6 @@ fn designated_case(
 struct WithGenericTraffic;
 
 impl Workload for WithGenericTraffic {
-    fn name(&self) -> &'static str {
-        "uniform+generic"
-    }
-
     fn inject(&self, n: usize, target: &mut dyn GroupTransport) -> Vec<Time> {
         let mut times = UniformWorkload::steady(40, 5).inject(n, target);
         if target.supports_gbcast() {

@@ -180,9 +180,8 @@ pub struct AbcastCore {
     net_mark: Option<u64>,
     /// R-delivered messages not yet a-delivered (the proposal pool).
     pending: BTreeMap<MsgId, Message>,
-    /// Ids in decided batches (never re-proposed).
-    committed: IdRuns,
-    /// Ids already a-delivered (never re-delivered).
+    /// Ids already a-delivered (never re-delivered, never re-proposed):
+    /// every id of a decided batch joins it in the flush of that decision.
     adelivered: IdRuns,
     /// Next batch/instance to flush — and the one instance proposed for.
     cursor: InstanceId,
@@ -240,7 +239,6 @@ impl AbcastCore {
             diffused: 0,
             net_mark: None,
             pending: BTreeMap::new(),
-            committed: IdRuns::default(),
             adelivered: IdRuns::default(),
             cursor: 0,
             designated: None,
@@ -295,15 +293,11 @@ impl AbcastCore {
         self.target.filter(|&t| Some(t) != self.view.primary())
     }
 
-    /// Runs held by each id set the core never prunes — `seen`, `committed`,
+    /// Runs held by each id set the core never prunes — `seen` and
     /// `adelivered` — i.e. what their memory is proportional to.
     #[cfg(test)]
-    fn id_set_runs(&self) -> [usize; 3] {
-        [
-            self.rb.seen_runs(),
-            self.committed.run_count(),
-            self.adelivered.run_count(),
-        ]
+    fn id_set_runs(&self) -> [usize; 2] {
+        [self.rb.seen_runs(), self.adelivered.run_count()]
     }
 
     /// Atomically broadcasts a message built from `class` and `body`,
@@ -402,7 +396,7 @@ impl AbcastCore {
                 out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
             }
         }
-        if !self.adelivered.contains(message.id) && !self.committed.contains(message.id) {
+        if !self.adelivered.contains(message.id) {
             self.pending.insert(message.id, message);
         }
         self.maybe_propose(out);
@@ -467,7 +461,6 @@ impl AbcastCore {
             }
         }
         for m in decided.batch.iter() {
-            self.committed.insert(m.id);
             self.pending.remove(&m.id);
         }
         self.flush(decided, out);
@@ -1311,7 +1304,7 @@ mod tests {
             }
         }
         assert_eq!(delivered, 200_001);
-        assert_eq!(c.id_set_runs(), [3, 3, 3]);
+        assert_eq!(c.id_set_runs(), [3, 3]);
         assert!(c.pending.is_empty() && c.outstanding.is_none());
     }
 }

@@ -71,7 +71,7 @@ impl fmt::Debug for ComponentId {
 
 /// Handle to a pending timer, unique within one process for one run.
 ///
-/// Timers are one-shot: after [`crate::Process::fire_timer`] delivers the
+/// Timers are one-shot: after an [`Input::Fire`](crate::Input::Fire) step delivers the
 /// expiry to the owning component, the id is dead. Cancelling a timer that
 /// already fired is a no-op.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -20,6 +20,8 @@
 //!   process contacts per round in a group of a given size: every peer up
 //!   to [`SCALE_THRESHOLD`], about log₂ n above, for the failure detector,
 //!   relay and decision echo alike,
+//! * [`Input`] — what drives one dispatch step: a local request, a message
+//!   from the same component on a peer, or a timer coming due,
 //! * [`Effects`] — the externally visible results of a dispatch step
 //!   (network sends, timer requests, application outputs), which makes every
 //!   protocol sans-I/O and lets the same code run under the deterministic
@@ -33,8 +35,14 @@
 //! send names the peer process, and the [`Envelope`] carries the sender's
 //! own id, which is the same component there.
 //!
-//! Dispatch within a process is synchronous and deterministic: an input event
-//! is routed to its target component; locally emitted events cascade in FIFO
+//! A process is driven through two entry points: [`Process::start_into`]
+//! once, then [`Process::step_into`] with one [`Input`] per step. *What*
+//! drives a step is named here, once, by `Input`; a runtime decides only
+//! *when* each input is handed over (the simulator by its `(time, seq)`
+//! event queue, the live backend by a member thread's inbox).
+//!
+//! Dispatch within a process is synchronous and deterministic: an input is
+//! routed to its target component; locally emitted events cascade in FIFO
 //! order until quiescence; everything destined outside the process ends up in
 //! the runtime's [`Effects`]. Dispatch **writes through**: the [`Context`] a
 //! handler runs in borrows the process's cascade queue and timer table and
@@ -52,7 +60,7 @@
 //! the top layer outputs (`tests/architectures.rs`, F5).
 //!
 //! ```
-//! use gcs_kernel::{Component, ComponentId, Context, Event, Process, ProcessId, Time};
+//! use gcs_kernel::{Component, ComponentId, Context, Effects, Event, Input, Process, ProcessId, Time};
 //!
 //! #[derive(Clone, Debug)]
 //! enum Ping { Hello, World }
@@ -72,7 +80,8 @@
 //! }
 //!
 //! let mut p = Process::builder(ProcessId::new(0)).with(ECHO, Echo).build();
-//! let fx = p.deliver(ECHO, Ping::Hello, Time::ZERO);
+//! let mut fx = Effects::new();
+//! p.step_into(Input::Inject { component: ECHO, event: Ping::Hello }, Time::ZERO, &mut fx);
 //! assert_eq!(fx.outputs.len(), 1);
 //! ```
 
@@ -102,6 +111,6 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ComponentId, ProcessId, TimerId};
 pub use payload::{PayloadArena, PayloadRef, SharedArena};
 pub use positions::PositionSet;
-pub use process::{Effects, Envelope, Multicast, Process, ProcessBuilder, TimerRequest};
+pub use process::{Effects, Envelope, Input, Multicast, Process, ProcessBuilder, TimerRequest};
 pub use smallvec::SmallVec;
 pub use time::{Time, TimeDelta};

@@ -53,6 +53,34 @@ pub struct TimerRequest {
     pub after: TimeDelta,
 }
 
+/// What drives one dispatch step of a [`Process`]: a local request, a
+/// message from the same component on a peer, or a timer coming due — the
+/// three things a component reacts to. A runtime decides only *when* each
+/// input is handed to [`Process::step_into`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Input<E> {
+    /// A local request (an application operation, a membership signal) for
+    /// component `component`.
+    Inject {
+        /// Destination component.
+        component: ComponentId,
+        /// The injected event.
+        event: E,
+    },
+    /// A network message that component `component` of process `from` sent
+    /// to its counterpart here.
+    Net {
+        /// Sending process.
+        from: ProcessId,
+        /// The sending component, which is also the receiving one here.
+        component: ComponentId,
+        /// The event carried by the message.
+        event: E,
+    },
+    /// A timer this process set came due.
+    Fire(TimerId),
+}
+
 /// Externally visible results of one dispatch step of a [`Process`].
 ///
 /// The hosting runtime (simulator or threaded runtime) is responsible for
@@ -62,10 +90,10 @@ pub struct TimerRequest {
 /// `output`s in the order the handlers of the cascade made them.
 ///
 /// The buffers are [`SmallVec`]s: the common dispatch produces only a
-/// handful of effects, which then never touch the allocator. Runtimes on the
-/// hot path should keep one `Effects` alive and use the `*_into` entry
-/// points of [`Process`] ([`deliver_into`](Process::deliver_into) et al.),
-/// which append to whatever the buffers already hold.
+/// handful of effects, which then never touch the allocator. Both entry
+/// points of [`Process`] ([`start_into`](Process::start_into) and
+/// [`step_into`](Process::step_into)) append to whatever the buffers already
+/// hold, so a runtime keeps one `Effects` alive across steps.
 #[derive(Debug)]
 pub struct Effects<E> {
     /// Messages to transmit over the network.
@@ -165,9 +193,11 @@ impl<E: Event> ProcessBuilder<E> {
 /// [`ComponentId`], plus the deterministic dispatch loop that routes events
 /// between the components.
 ///
-/// `Process` is runtime-agnostic: each entry point returns the [`Effects`]
-/// the runtime must apply. Once a process halts (crash injection or
-/// [`Context::halt`]) every entry point returns empty effects.
+/// `Process` is runtime-agnostic: it is driven by one [`Input`] per
+/// [`step_into`](Self::step_into) call (after one
+/// [`start_into`](Self::start_into)), and each step appends to the caller's
+/// [`Effects`] what the runtime must apply. Once a process halts (crash
+/// injection or [`Context::halt`]) no step produces any effect.
 ///
 /// A dispatch step runs one handler — the input's — and then the cascade:
 /// events the handlers `emit` wait in one FIFO queue and are handled in
@@ -219,14 +249,8 @@ impl<E: Event> Process<E> {
         self.halted = true;
     }
 
-    /// Invokes `on_start` on every component, in registration order.
-    pub fn start(&mut self, now: Time) -> Effects<E> {
-        let mut fx = Effects::new();
-        self.start_into(now, &mut fx);
-        fx
-    }
-
-    /// Like [`start`](Self::start), appending into a caller-owned buffer.
+    /// Invokes `on_start` on every component, in registration order, and
+    /// runs the cascade, appending the effects to `fx`.
     pub fn start_into(&mut self, now: Time, fx: &mut Effects<E>) {
         if self.halted {
             return;
@@ -238,91 +262,35 @@ impl<E: Event> Process<E> {
         self.cascade(now, fx);
     }
 
-    /// Delivers a local event (application injection) to component
-    /// `component` and runs the cascade.
+    /// Runs one dispatch step: hands `input` to its component and runs the
+    /// cascade, appending the effects to `fx` — the hot-path shape: reusing
+    /// one `Effects` across steps keeps the buffers allocation-free.
+    ///
+    /// A halted process ignores every input, but an [`Input::Fire`] still
+    /// consumes its timer id; an unknown (fired or cancelled) id is ignored.
     ///
     /// # Panics
     ///
-    /// Panics if no component is registered under `component` — a miswired
-    /// graph is a programming error, not a runtime condition.
-    pub fn deliver(&mut self, component: ComponentId, event: E, now: Time) -> Effects<E> {
-        let mut fx = Effects::new();
-        self.deliver_into(component, event, now, &mut fx);
-        fx
-    }
-
-    /// Like [`deliver`](Self::deliver), appending into a caller-owned
-    /// buffer — the hot-path entry point: reusing one `Effects` across
-    /// dispatches keeps the buffers allocation-free.
-    pub fn deliver_into(
-        &mut self,
-        component: ComponentId,
-        event: E,
-        now: Time,
-        fx: &mut Effects<E>,
-    ) {
-        if self.halted {
-            return;
-        }
-        let (component, mut ctx) = self.enter(component, now, fx);
-        component.on_event(event, &mut ctx);
-        self.cascade(now, fx);
-    }
-
-    /// Delivers a network message that component `component` of process
-    /// `from` sent to its counterpart here, and runs the cascade.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no component is registered under `component`.
-    pub fn deliver_net(
-        &mut self,
-        from: ProcessId,
-        component: ComponentId,
-        event: E,
-        now: Time,
-    ) -> Effects<E> {
-        let mut fx = Effects::new();
-        self.deliver_net_into(from, component, event, now, &mut fx);
-        fx
-    }
-
-    /// Like [`deliver_net`](Self::deliver_net), appending into a
-    /// caller-owned buffer.
-    pub fn deliver_net_into(
-        &mut self,
-        from: ProcessId,
-        component: ComponentId,
-        event: E,
-        now: Time,
-        fx: &mut Effects<E>,
-    ) {
-        if self.halted {
-            return;
-        }
-        let (component, mut ctx) = self.enter(component, now, fx);
-        component.on_message(from, event, &mut ctx);
-        self.cascade(now, fx);
-    }
-
-    /// Fires a timer. Unknown (fired or cancelled) ids are ignored.
-    pub fn fire_timer(&mut self, id: TimerId, now: Time) -> Effects<E> {
-        let mut fx = Effects::new();
-        self.fire_timer_into(id, now, &mut fx);
-        fx
-    }
-
-    /// Like [`fire_timer`](Self::fire_timer), appending into a caller-owned
-    /// buffer.
-    pub fn fire_timer_into(&mut self, id: TimerId, now: Time, fx: &mut Effects<E>) {
-        let Some(owner) = take_timer_owner(&mut self.timer_owner, id) else {
-            return;
+    /// Panics if no component is registered under an `Inject` or `Net`
+    /// input's `component` — a miswired graph is a programming error, not a
+    /// runtime condition.
+    pub fn step_into(&mut self, input: Input<E>, now: Time, fx: &mut Effects<E>) {
+        let target = match input {
+            Input::Inject { component, .. } | Input::Net { component, .. } => component,
+            Input::Fire(id) => match take_timer_owner(&mut self.timer_owner, id) {
+                Some(owner) => owner,
+                None => return,
+            },
         };
         if self.halted {
             return;
         }
-        let (component, mut ctx) = self.enter(owner, now, fx);
-        component.on_timer(id, &mut ctx);
+        let (component, mut ctx) = self.enter(target, now, fx);
+        match input {
+            Input::Inject { event, .. } => component.on_event(event, &mut ctx),
+            Input::Net { from, event, .. } => component.on_message(from, event, &mut ctx),
+            Input::Fire(id) => component.on_timer(id, &mut ctx),
+        }
         self.cascade(now, fx);
     }
 
@@ -464,6 +432,17 @@ mod tests {
         }
     }
 
+    /// One step of `p` on `input`, with a fresh effects buffer.
+    fn step(p: &mut Process<Ev>, input: Input<Ev>, now: Time) -> Effects<Ev> {
+        let mut fx = Effects::new();
+        p.step_into(input, now, &mut fx);
+        fx
+    }
+
+    fn inject(component: ComponentId, event: Ev) -> Input<Ev> {
+        Input::Inject { component, event }
+    }
+
     fn proc() -> Process<Ev> {
         Process::builder(ProcessId::new(0))
             .with(GATEWAY, Gateway)
@@ -474,7 +453,7 @@ mod tests {
     #[test]
     fn cascade_routes_between_components() {
         let mut p = proc();
-        let fx = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO);
+        let fx = step(&mut p, inject(GATEWAY, Ev::Ping(1)), Time::ZERO);
         assert_eq!(fx.outputs, vec![Ev::Pong(2)]);
         assert_eq!(fx.timers.len(), 1);
     }
@@ -482,28 +461,28 @@ mod tests {
     #[test]
     fn timer_fires_to_owner_and_only_once() {
         let mut p = proc();
-        let fx = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO);
+        let fx = step(&mut p, inject(GATEWAY, Ev::Ping(1)), Time::ZERO);
         let id = fx.timers[0].id;
-        let fx2 = p.fire_timer(id, Time::from_millis(10));
+        let fx2 = step(&mut p, Input::Fire(id), Time::from_millis(10));
         assert_eq!(fx2.sends.len(), 1);
         // Second fire of the same id is ignored.
-        assert!(p.fire_timer(id, Time::from_millis(11)).is_empty());
+        assert!(step(&mut p, Input::Fire(id), Time::from_millis(11)).is_empty());
     }
 
     #[test]
     fn cancelled_timer_does_not_fire() {
         let mut p = proc();
-        let fx = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO);
+        let fx = step(&mut p, inject(GATEWAY, Ev::Ping(1)), Time::ZERO);
         let id = fx.timers[0].id;
-        p.deliver(REPLIER, Ev::Kick, Time::from_millis(1));
-        assert!(p.fire_timer(id, Time::from_millis(10)).is_empty());
+        step(&mut p, inject(REPLIER, Ev::Kick), Time::from_millis(1));
+        assert!(step(&mut p, Input::Fire(id), Time::from_millis(10)).is_empty());
     }
 
     #[test]
     fn halted_process_ignores_everything() {
         let mut p = proc();
         p.halt();
-        assert!(p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO).is_empty());
+        assert!(step(&mut p, inject(GATEWAY, Ev::Ping(1)), Time::ZERO).is_empty());
         assert!(p.is_halted());
     }
 
@@ -522,21 +501,21 @@ mod tests {
     #[test]
     fn a_send_reaches_the_senders_own_component_on_the_peer() {
         let mut p = proc();
-        let id = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO).timers[0].id;
-        let sent = p.fire_timer(id, Time::from_millis(10)).sends;
+        let id = step(&mut p, inject(GATEWAY, Ev::Ping(1)), Time::ZERO).timers[0].id;
+        let sent = step(&mut p, Input::Fire(id), Time::from_millis(10)).sends;
         assert_eq!(
             (sent[0].to, sent[0].component),
             (ProcessId::new(1), REPLIER)
         );
 
-        let cast = p.deliver(REPLIER, Ev::Pong(3), Time::ZERO).casts;
+        let cast = step(&mut p, inject(REPLIER, Ev::Pong(3)), Time::ZERO).casts;
         assert_eq!(cast.len(), 1);
         assert_eq!(cast[0].component, REPLIER);
         let to: Vec<ProcessId> = cast[0].to.iter().copied().collect();
         assert_eq!(to, vec![ProcessId::new(1), ProcessId::new(2)]);
 
         let (mut p, _) = holding(0);
-        let sent = p.deliver(FANOUT, Ev::Ping(2), Time::ZERO).sends;
+        let sent = step(&mut p, inject(FANOUT, Ev::Ping(2)), Time::ZERO).sends;
         assert_eq!(sent.len(), 1, "the holder's step-end send");
         assert_eq!(sent[0].component, HOLDER);
     }
@@ -544,8 +523,8 @@ mod tests {
     #[test]
     fn timer_ids_are_unique_across_steps() {
         let mut p = proc();
-        let a = p.deliver(GATEWAY, Ev::Ping(1), Time::ZERO).timers[0].id;
-        let b = p.deliver(GATEWAY, Ev::Ping(2), Time::ZERO).timers[0].id;
+        let a = step(&mut p, inject(GATEWAY, Ev::Ping(1)), Time::ZERO).timers[0].id;
+        let b = step(&mut p, inject(GATEWAY, Ev::Ping(2)), Time::ZERO).timers[0].id;
         assert_ne!(a, b);
     }
 
@@ -619,7 +598,7 @@ mod tests {
     #[test]
     fn step_end_call_comes_once_after_the_cascade_and_its_emits_cascade() {
         let (mut p, calls) = holding(0);
-        let fx = p.deliver(FANOUT, Ev::Ping(2), Time::ZERO);
+        let fx = step(&mut p, inject(FANOUT, Ev::Ping(2)), Time::ZERO);
         assert_eq!(calls.get(), 1, "asked twice, called once");
         // The cascade's own output first, then the step-end call's, handled
         // by the gateway within the same step.
@@ -627,14 +606,14 @@ mod tests {
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].event, Ev::Ping(22));
         // The next step starts with nothing owed.
-        assert!(p.deliver(GATEWAY, Ev::Kick, Time::ZERO).is_empty());
+        assert!(step(&mut p, inject(GATEWAY, Ev::Kick), Time::ZERO).is_empty());
         assert_eq!(calls.get(), 1);
     }
 
     #[test]
     fn a_step_end_call_that_asks_again_is_called_again() {
         let (mut p, calls) = holding(2);
-        let fx = p.deliver(FANOUT, Ev::Ping(1), Time::ZERO);
+        let fx = step(&mut p, inject(FANOUT, Ev::Ping(1)), Time::ZERO);
         assert_eq!(calls.get(), 3);
         let sent: Vec<&Ev> = fx.sends.iter().map(|e| &e.event).collect();
         assert_eq!(sent, vec![&Ev::Ping(11), &Ev::Ping(0), &Ev::Ping(0)]);
@@ -643,7 +622,7 @@ mod tests {
     #[test]
     fn sends_made_before_a_halt_still_leave() {
         let (mut p, calls) = holding(0);
-        let fx = p.deliver(FANOUT, Ev::Kick, Time::ZERO);
+        let fx = step(&mut p, inject(FANOUT, Ev::Kick), Time::ZERO);
         assert!(fx.halted && p.is_halted());
         assert_eq!(calls.get(), 1, "the held ping is sent");
         let sent: Vec<&Ev> = fx.sends.iter().map(|e| &e.event).collect();
@@ -651,7 +630,7 @@ mod tests {
         // Nothing after the halt is handled: not the queued pong, not what
         // the step-end call emitted.
         assert!(fx.outputs.is_empty(), "{:?}", fx.outputs);
-        assert!(p.deliver(FANOUT, Ev::Ping(1), Time::ZERO).is_empty());
+        assert!(step(&mut p, inject(FANOUT, Ev::Ping(1)), Time::ZERO).is_empty());
     }
 }
 
@@ -932,7 +911,7 @@ mod write_through_equivalence {
             pub step_end: Vec<usize>,
         }
 
-        pub enum Input {
+        pub enum RefInput {
             Start,
             Event(usize, Ev),
             Message(usize, Ev),
@@ -940,17 +919,17 @@ mod write_through_equivalence {
         }
 
         impl RefProcess {
-            pub fn dispatch(&mut self, input: Input, fx: &mut Effects<Ev>) {
+            pub fn dispatch(&mut self, input: RefInput, fx: &mut Effects<Ev>) {
                 let mut actions = Vec::new();
                 let mut next_timer = self.next_timer;
                 let mut seed: Vec<(usize, usize, u8)> = Vec::new();
                 match input {
-                    Input::Start => {
+                    RefInput::Start => {
                         seed.extend((0..self.components.len()).map(|i| (i, ON_START, TTL)))
                     }
-                    Input::Event(c, ev) => seed.push((c, on_event(ev.kind), ev.ttl)),
-                    Input::Message(c, ev) => seed.push((c, on_message(ev.kind), ev.ttl)),
-                    Input::Timer(id) => {
+                    RefInput::Event(c, ev) => seed.push((c, on_event(ev.kind), ev.ttl)),
+                    RefInput::Message(c, ev) => seed.push((c, on_message(ev.kind), ev.ttl)),
+                    RefInput::Timer(id) => {
                         let Some(owner) = self.take_timer_owner(id) else {
                             return;
                         };
@@ -1093,7 +1072,7 @@ mod write_through_equivalence {
         }
     }
 
-    use reference::{Input, RefProcess};
+    use reference::{RefInput, RefProcess};
 
     /// splitmix64.
     struct Rng(u64);
@@ -1192,21 +1171,30 @@ mod write_through_equivalence {
                 match rng.below(if step == 0 { 1 } else { 8 }) {
                     0 => {
                         real.start_into(now, &mut fx);
-                        reference.dispatch(Input::Start, &mut ref_fx);
+                        reference.dispatch(RefInput::Start, &mut ref_fx);
                     }
                     1..=3 => {
-                        real.deliver_into(id, ev.clone(), now, &mut fx);
-                        reference.dispatch(Input::Event(c, ev), &mut ref_fx);
+                        let input = Input::Inject {
+                            component: id,
+                            event: ev.clone(),
+                        };
+                        real.step_into(input, now, &mut fx);
+                        reference.dispatch(RefInput::Event(c, ev), &mut ref_fx);
                     }
                     4 | 5 => {
-                        real.deliver_net_into(ProcessId::new(1), id, ev.clone(), now, &mut fx);
-                        reference.dispatch(Input::Message(c, ev), &mut ref_fx);
+                        let input = Input::Net {
+                            from: ProcessId::new(1),
+                            component: id,
+                            event: ev.clone(),
+                        };
+                        real.step_into(input, now, &mut fx);
+                        reference.dispatch(RefInput::Message(c, ev), &mut ref_fx);
                     }
                     _ => {
                         // Any timer ever set: live, fired or cancelled.
                         let id = TimerId::new(rng.next() % (reference.next_timer + 1));
-                        real.fire_timer_into(id, now, &mut fx);
-                        reference.dispatch(Input::Timer(id), &mut ref_fx);
+                        real.step_into(Input::Fire(id), now, &mut fx);
+                        reference.dispatch(RefInput::Timer(id), &mut ref_fx);
                     }
                 }
                 assert!(

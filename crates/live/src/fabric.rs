@@ -42,8 +42,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
-use gcs_kernel::{ComponentId, Effects, Event, ProcessId, SmallVec, Time, TimeDelta, TimerId};
-use gcs_net::{FrameHeader, Link, TcpLink};
+use gcs_kernel::{ComponentId, Effects, Event, Input, ProcessId, SmallVec, Time, TimeDelta};
+use gcs_net::{FrameHeader, TcpLink};
 use gcs_sim::{Metrics, NetworkModel, ScheduleAction, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,15 +77,9 @@ pub(crate) enum Msg<E> {
         /// The frames, each dispatched as its own kernel event.
         frames: Frames<E>,
     },
-    /// A harness injection (client request, join/remove signal).
-    Inject {
-        /// Destination component.
-        component: ComponentId,
-        /// The injected event.
-        event: E,
-    },
-    /// A protocol timer came due.
-    Fire(TimerId),
+    /// One input for one dispatch step: a harness injection (client
+    /// request, join/remove signal) or a protocol timer that came due.
+    Step(Input<E>),
     /// Kill this member: mark it crashed and exit the thread.
     Crash,
     /// Orderly runtime shutdown (no crash accounting).
@@ -95,14 +89,8 @@ pub(crate) enum Msg<E> {
 /// Work owed to the future, parked in the timer wheel.
 #[derive(Debug)]
 pub(crate) enum Due<E> {
-    /// Fire protocol timer `id` on `proc`.
-    Fire {
-        /// Owning process.
-        proc: ProcessId,
-        /// The timer to fire.
-        id: TimerId,
-    },
-    /// Deliver a delayed burst or a future-scheduled inbox message.
+    /// Deliver a delayed burst, a protocol timer's expiry or a
+    /// future-scheduled injection.
     Frame {
         /// Destination process.
         to: ProcessId,
@@ -316,8 +304,8 @@ pub(crate) struct Shared<E> {
     pub delivered_total: AtomicU64,
     /// Per-process protocol output counts.
     pub delivered_per: Vec<AtomicU64>,
-    /// Dispatched kernel events (frames, injections, timer fires) across
-    /// the group.
+    /// Dispatch steps across the group: one per frame of a burst, one per
+    /// [`Msg::Step`].
     pub events: AtomicU64,
     /// [`Msg::Net`] inbox messages dispatched across the group…
     pub bursts: AtomicU64,
@@ -467,7 +455,8 @@ impl<E: Event + Send> Outbox<E> {
             }
         }
         for t in fx.timers.drain() {
-            let due = Due::Fire { proc: me, id: t.id };
+            let msg = Msg::Step(Input::Fire(t.id));
+            let due = Due::Frame { to: me, msg };
             self.parked.push((dispatched.saturating_add(t.after), due));
         }
         if !fx.outputs.is_empty() {
@@ -620,8 +609,8 @@ impl<E: Event + Send> Router<E> {
     /// wire when the group runs in TCP mode, directly otherwise — and says
     /// whether it got there: a send to an exited member fails, and for net
     /// frames the caller counts that as so many crash drops (they died on
-    /// the wire; a timer fire or an injection to an exited member is
-    /// simply moot).
+    /// the wire; a step for an exited member, a timer fire or an injection,
+    /// is simply moot).
     pub(crate) fn deliver(&self, to: ProcessId, msg: Msg<E>) -> bool {
         match (&self.shared.tcp, msg) {
             (Some(tcp), Msg::Net { from, frames }) => {
@@ -711,20 +700,20 @@ mod tests {
             soon,
             Due::Frame {
                 to: ProcessId::new(1),
-                msg: Msg::Inject {
+                msg: Msg::Step(Input::Inject {
                     component: ComponentId::new(0),
                     event: 2,
-                },
+                }),
             },
         );
         wheel.schedule(
             sooner,
             Due::Frame {
                 to: ProcessId::new(0),
-                msg: Msg::Inject {
+                msg: Msg::Step(Input::Inject {
                     component: ComponentId::new(0),
                     event: 1,
-                },
+                }),
             },
         );
         let first = wheel.next_due(&clock).expect("entry");

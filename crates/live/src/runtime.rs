@@ -4,8 +4,10 @@
 //! Each member thread owns its [`Process`] outright (the kernel process is
 //! deliberately not `Send`-shareable — it is built *inside* the thread from
 //! a shared `Send + Sync` constructor closure) and works through an `mpsc`
-//! inbox — bursts of protocol frames, harness injections, timer fires,
-//! crash and stop signals — in cycles of **drain → group → flush**:
+//! inbox — bursts of protocol frames, single [`Input`]s (harness
+//! injections, timer fires), crash and stop signals — in cycles of
+//! **drain → group → flush**. Every frame of a burst and every single input
+//! is one [`Process::step_into`]:
 //!
 //! 1. **Drain.** Block for one inbox message, dispatch it, and keep
 //!    dispatching whatever else is *already* in the inbox (`try_recv`,
@@ -32,17 +34,18 @@
 //! The timer thread services the group's [`TimerWheel`]: protocol timers,
 //! bursts parked by emulated link delay, and scheduled fault actions all
 //! come due there. Firing a timer on a process that already cancelled it is
-//! a kernel-level no-op, which is what makes a *global* wheel safe: the
-//! wheel may hold stale entries for crashed members or cancelled timers
-//! without corrupting anyone.
+//! a kernel-level no-op, and a fire for a member that exited fails at its
+//! closed inbox like an injection does, which is what makes a *global* wheel
+//! safe: the wheel may hold stale entries for crashed members or cancelled
+//! timers without corrupting anyone.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use gcs_kernel::{ComponentId, Effects, Event, Process, ProcessId, Time};
-use gcs_net::{Link, TcpLink};
+use gcs_kernel::{ComponentId, Effects, Event, Input, Process, ProcessId, Time};
+use gcs_net::TcpLink;
 use gcs_sim::{Metrics, Runtime, Schedule, ScheduleAction};
 
 use crate::fabric::{self, Due, Msg, Outbox, Router, Shared, Tally};
@@ -156,7 +159,7 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
     }
 
     fn inject(&mut self, t: Time, p: ProcessId, component: ComponentId, event: E) {
-        let msg = Msg::Inject { component, event };
+        let msg = Msg::Step(Input::Inject { component, event });
         if t <= self.now() {
             // Direct inbox send — injections bypass the emulated network.
             let _ = self.router.senders[p.index()].send(msg);
@@ -301,16 +304,17 @@ fn member_loop<E: Event + Send>(
                     frames += burst.len();
                     for (component, event) in burst {
                         events += 1;
-                        process.deliver_net_into(from, component, event, now, &mut fx);
+                        let input = Input::Net {
+                            from,
+                            component,
+                            event,
+                        };
+                        process.step_into(input, now, &mut fx);
                     }
                 }
-                Msg::Inject { component, event } => {
+                Msg::Step(input) => {
                     events += 1;
-                    process.deliver_into(component, event, now, &mut fx);
-                }
-                Msg::Fire(id) => {
-                    events += 1;
-                    process.fire_timer_into(id, now, &mut fx);
+                    process.step_into(input, now, &mut fx);
                 }
                 Msg::Crash => {
                     shared.dead[me.index()].store(true, Ordering::Release);
@@ -343,11 +347,6 @@ fn timer_loop<E: Event + Send>(router: Router<E>) {
     let shared = router.shared.clone();
     while let Some(due) = shared.wheel.next_due(&shared.clock) {
         match due {
-            Due::Fire { proc, id } => {
-                if !shared.is_dead(proc) {
-                    router.deliver(proc, Msg::Fire(id));
-                }
-            }
             Due::Frame { to, msg } => match msg {
                 Msg::Net { ref frames, .. } => {
                     let count = frames.len();
@@ -358,8 +357,9 @@ fn timer_loop<E: Event + Send>(router: Router<E>) {
                     tally.arrived(arrived, count);
                     shared.with_metrics(|m| tally.record(m));
                 }
-                scheduled => {
-                    router.deliver(to, scheduled);
+                // A step for an exited member is moot.
+                step => {
+                    router.deliver(to, step);
                 }
             },
             Due::Fault(at, action) => apply_fault(&router, at, action),
@@ -553,10 +553,10 @@ mod tests {
     }
 
     fn go(n: u32) -> Msg<T> {
-        Msg::Inject {
+        Msg::Step(Input::Inject {
             component: TALK,
             event: T::Go(n),
-        }
+        })
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //! and clock ticks; it returns the packets to transmit and the messages to
 //! deliver. Protocol suites wrap it in a thin kernel component adapter.
 //!
-//! The [`link`] module adds the **live-backend wire**: a length-prefixed
-//! frame codec and the [`Link`] trait over which `gcs-live` moves frames
-//! between real OS threads — in-process channels ([`ChannelLink`]) and
-//! loopback TCP ([`TcpLink`]) behind one interface.
+//! The [`link`] module adds the live backend's **TCP wire**: a
+//! length-prefixed frame codec and [`TcpLink`], over which `gcs-live` in
+//! TCP mode moves frames between real OS threads through loopback sockets.
+//! (Its default channel mode moves bursts of events between member inboxes
+//! directly and frames nothing.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +35,5 @@
 pub mod link;
 mod reliable;
 
-pub use link::{encode_frame, ChannelLink, FrameDecoder, FrameHeader, Link, TcpLink};
+pub use link::{encode_frame, FrameDecoder, FrameHeader, TcpLink};
 pub use reliable::{Packet, RcConfig, RcOut, ReliableChannel, TICK_INTERVAL};

@@ -1,12 +1,11 @@
 //! Point-to-point frame links and the wire codec of the live backend.
 //!
 //! The simulator moves typed events between processes directly; the live
-//! backend (`gcs-live`) moves **frames**. A frame is a fixed 16-byte header
-//! plus an opaque body, and a [`Link`] is any bidirectional transport that
-//! carries frames intact and in order: the in-process [`ChannelLink`]
-//! (byte stream over an `mpsc` channel) and the loopback-TCP [`TcpLink`]
-//! both sit behind the same trait, so the runtime above cannot tell which
-//! wire it is on.
+//! backend (`gcs-live`) moves **frames** when it runs on its TCP wire. A
+//! frame is a fixed 16-byte header plus an opaque body, and a [`TcpLink`]
+//! carries frames intact and in order over a loopback TCP stream. (The live
+//! backend's default channel wire moves bursts of events between member
+//! inboxes and never frames them.)
 //!
 //! # Frame format
 //!
@@ -33,7 +32,6 @@
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Length of the fixed frame header.
 pub const FRAME_HEADER_LEN: usize = 16;
@@ -166,74 +164,10 @@ impl FrameDecoder {
     }
 }
 
-/// A bidirectional, ordered, reliable frame transport.
-///
-/// `recv` blocks until a frame arrives and returns `None` when the peer
-/// hung up. Implementations must deliver frames intact and in send order —
-/// the contract TCP gives for free and [`ChannelLink`] reproduces over an
-/// in-process byte channel.
-pub trait Link: Send {
-    /// Sends one frame (blocking until the transport accepted the bytes).
-    fn send(&mut self, header: &FrameHeader, body: &[u8]) -> io::Result<()>;
-
-    /// Receives the next frame, blocking; `None` means the peer closed.
-    fn recv(&mut self) -> io::Result<Option<(FrameHeader, Vec<u8>)>>;
-}
-
-/// An in-process [`Link`]: encoded frame bytes travel over an `mpsc`
-/// channel. The codec runs for real (frames are serialized and re-parsed),
-/// so channel mode and TCP mode exercise the same wire path.
-pub struct ChannelLink {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    decoder: FrameDecoder,
-    scratch: Vec<u8>,
-}
-
-impl ChannelLink {
-    /// Creates a connected pair of channel links.
-    pub fn pair() -> (ChannelLink, ChannelLink) {
-        let (atx, arx) = channel();
-        let (btx, brx) = channel();
-        let mk = |tx, rx| ChannelLink {
-            tx,
-            rx,
-            decoder: FrameDecoder::new(),
-            scratch: Vec::new(),
-        };
-        (mk(atx, brx), mk(btx, arx))
-    }
-}
-
-impl Link for ChannelLink {
-    fn send(&mut self, header: &FrameHeader, body: &[u8]) -> io::Result<()> {
-        self.scratch.clear();
-        encode_frame(header, body, &mut self.scratch);
-        self.tx
-            .send(self.scratch.clone())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))
-    }
-
-    fn recv(&mut self) -> io::Result<Option<(FrameHeader, Vec<u8>)>> {
-        loop {
-            if let Some(frame) = self
-                .decoder
-                .next_frame()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            {
-                return Ok(Some(frame));
-            }
-            match self.rx.recv() {
-                Ok(chunk) => self.decoder.push(&chunk),
-                Err(_) => return Ok(None),
-            }
-        }
-    }
-}
-
-/// A [`Link`] over a TCP stream (the live backend connects pairs over
-/// 127.0.0.1). `TCP_NODELAY` is set: protocol frames are latency-bound,
-/// not throughput-bound.
+/// A bidirectional frame link over a TCP stream (the live backend connects
+/// pairs over 127.0.0.1): frames arrive intact and in send order, the
+/// contract TCP gives for free. `TCP_NODELAY` is set: protocol frames are
+/// latency-bound, not throughput-bound.
 pub struct TcpLink {
     stream: TcpStream,
     decoder: FrameDecoder,
@@ -263,7 +197,7 @@ impl TcpLink {
     }
 
     /// Shuts the underlying stream down in both directions, unblocking any
-    /// thread parked in [`Link::recv`] on a clone of this link (it observes
+    /// thread parked in [`recv`](Self::recv) on a clone of this link (it observes
     /// EOF). Used by the live runtime to tear reader threads down.
     pub fn shutdown(&self) -> io::Result<()> {
         self.stream.shutdown(std::net::Shutdown::Both)
@@ -279,16 +213,16 @@ impl TcpLink {
             read_buf: [0; 8192],
         })
     }
-}
 
-impl Link for TcpLink {
-    fn send(&mut self, header: &FrameHeader, body: &[u8]) -> io::Result<()> {
+    /// Sends one frame (blocking until the stream accepted the bytes).
+    pub fn send(&mut self, header: &FrameHeader, body: &[u8]) -> io::Result<()> {
         self.scratch.clear();
         encode_frame(header, body, &mut self.scratch);
         self.stream.write_all(&self.scratch)
     }
 
-    fn recv(&mut self) -> io::Result<Option<(FrameHeader, Vec<u8>)>> {
+    /// Receives the next frame, blocking; `None` means the peer closed.
+    pub fn recv(&mut self) -> io::Result<Option<(FrameHeader, Vec<u8>)>> {
         loop {
             if let Some(frame) = self
                 .decoder
@@ -619,21 +553,6 @@ mod tests {
             prop_assert!(end.is_none(), "{end:?}");
             prop_assert_eq!(got, sent);
         }
-    }
-
-    #[test]
-    fn channel_link_carries_frames_in_order() {
-        let (mut a, mut b) = ChannelLink::pair();
-        for i in 0..10u32 {
-            a.send(&hdr(0, 0, 1, 4), &i.to_be_bytes()).unwrap();
-        }
-        for i in 0..10u32 {
-            let (h, body) = b.recv().unwrap().expect("frame");
-            assert_eq!(h.to, 1);
-            assert_eq!(body, i.to_be_bytes());
-        }
-        drop(a);
-        assert!(b.recv().unwrap().is_none(), "hangup surfaces as None");
     }
 
     #[test]

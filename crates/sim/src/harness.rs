@@ -22,7 +22,7 @@
 //! | side | offers |
 //! |---|---|
 //! | [`StackDriver`] | its event and config types; [`build`](StackDriver::build) of one process (founding member or joiner); the [conflict relation](StackDriver::conflicts) its config sets; the *encoding* of each operation as an [`Op`], a `(ComponentId, event)` pair — [`abcast`](StackDriver::abcast), [`join`](StackDriver::join), and optionally [`gbcast`](StackDriver::gbcast), [`rbcast`](StackDriver::rbcast), [`remove`](StackDriver::remove) (an absent encoder **is** the `supports_*` marker reading `false`); one [`project`](StackDriver::project) from a traced event to an [`Observation`] |
-//! | [`Runtime`] | [`start`](Runtime::start) of `n` processes with dense ids; a clock; [`inject`](Runtime::inject) at an instant; [`apply_schedule`](Runtime::apply_schedule) for every fault step, handing the membership steps back; run control; per-process and total output counts; a visit of the recorded outputs in observation order; metrics; executed-event count; liveness flags |
+//! | [`Runtime`] | [`start`](Runtime::start) of `n` processes with dense ids; a clock; one dispatch path that hands each process one [`Input`](gcs_kernel::Input) per [`step_into`](Process::step_into) — an injection, a message arrival or a timer — and decides only *when*; [`inject`](Runtime::inject) at an instant; [`apply_schedule`](Runtime::apply_schedule) for every fault step, handing the membership steps back; run control; per-process and total output counts; a visit of the recorded outputs in observation order; metrics; executed-event count; liveness flags |
 //!
 //! **Ordering.** The harness enforces, and the conformance cases pin:
 //!
@@ -174,68 +174,6 @@ pub trait Runtime<E: Event>: Sized {
 
     /// Liveness flags, one per process.
     fn alive_flags(&self) -> Vec<bool>;
-}
-
-impl<E: Event> Runtime<E> for SimWorld<E> {
-    type Config = SimConfig;
-
-    fn start(
-        config: SimConfig,
-        n: usize,
-        build: impl Fn(ProcessId) -> Process<E> + Send + Sync + 'static,
-    ) -> Self {
-        let mut world = SimWorld::new(config);
-        for _ in 0..n {
-            world.add_node(&build);
-        }
-        world
-    }
-
-    fn now(&self) -> Time {
-        SimWorld::now(self)
-    }
-
-    fn inject(&mut self, t: Time, p: ProcessId, component: ComponentId, event: E) {
-        self.inject_at(t, p, component, event);
-    }
-
-    fn apply_schedule(&mut self, schedule: &Schedule) -> Vec<(Time, ScheduleAction)> {
-        SimWorld::apply_schedule(self, schedule)
-    }
-
-    fn run_until(&mut self, t: Time) {
-        SimWorld::run_until(self, t);
-    }
-
-    fn run_to_quiescence(&mut self, limit: Time) -> bool {
-        SimWorld::run_to_quiescence(self, limit)
-    }
-
-    fn outputs_of(&self, p: ProcessId) -> u64 {
-        self.trace().deliveries_of(p)
-    }
-
-    fn outputs_total(&self) -> u64 {
-        self.trace().len() as u64
-    }
-
-    fn visit_outputs(&self, f: &mut dyn FnMut(Time, ProcessId, &E)) {
-        for e in self.trace().entries() {
-            f(e.time, e.proc, &e.event);
-        }
-    }
-
-    fn metrics(&self) -> &Metrics {
-        SimWorld::metrics(self)
-    }
-
-    fn events_executed(&self) -> u64 {
-        SimWorld::events_executed(self)
-    }
-
-    fn alive_flags(&self) -> Vec<bool> {
-        SimWorld::alive_flags(self)
-    }
 }
 
 /// A group of processes running stack `S` on runtime `R`: the payload

@@ -70,30 +70,6 @@ impl<E> Trace<E> {
     pub fn of_proc(&self, proc: ProcessId) -> impl Iterator<Item = &TraceEntry<E>> {
         self.entries.iter().filter(move |e| e.proc == proc)
     }
-
-    /// Projects the trace into a per-process sequence of keys: entry `i` of
-    /// the result is the sequence of `f(event)` values (where `f` returned
-    /// `Some`) delivered at process `i`, in order.
-    pub fn per_proc<K>(&self, n: usize, f: impl Fn(&E) -> Option<K>) -> Vec<Vec<K>> {
-        let mut out: Vec<Vec<K>> = (0..n).map(|_| Vec::new()).collect();
-        for e in &self.entries {
-            if let Some(k) = f(&e.event) {
-                let idx = e.proc.index();
-                if idx < n {
-                    out[idx].push(k);
-                }
-            }
-        }
-        out
-    }
-
-    /// Projects the trace into `(time, proc, key)` triples.
-    pub fn project<K>(&self, f: impl Fn(&E) -> Option<K>) -> Vec<(Time, ProcessId, K)> {
-        self.entries
-            .iter()
-            .filter_map(|e| f(&e.event).map(|k| (e.time, e.proc, k)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +82,9 @@ mod tests {
         t.push(Time::from_millis(1), ProcessId::new(0), 10);
         t.push(Time::from_millis(2), ProcessId::new(1), 20);
         t.push(Time::from_millis(3), ProcessId::new(0), 30);
-        let seqs = t.per_proc(2, |e| Some(*e));
-        assert_eq!(seqs, vec![vec![10, 30], vec![20]]);
         assert_eq!(t.of_proc(ProcessId::new(0)).count(), 2);
+        let at_p0: Vec<u32> = t.of_proc(ProcessId::new(0)).map(|e| e.event).collect();
+        assert_eq!(at_p0, [10, 30]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.deliveries_of(ProcessId::new(0)), 2);
         assert_eq!(t.deliveries_of(ProcessId::new(2)), 0);

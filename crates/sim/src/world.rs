@@ -1,9 +1,10 @@
 //! The simulation world: event queue, process hosting, fault injection.
 
-use gcs_kernel::{ComponentId, Effects, Event, Process, ProcessId, Time, TimeDelta, TimerId};
+use gcs_kernel::{ComponentId, Effects, Event, Input, Process, ProcessId, Time, TimeDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::harness::Runtime;
 use crate::metrics::Metrics;
 use crate::network::{LinkModel, NetworkModel};
 use crate::schedule::{Schedule, ScheduleAction};
@@ -55,21 +56,8 @@ impl Default for SimConfig {
 
 #[derive(Debug)]
 enum Pending<E> {
-    Net {
-        from: ProcessId,
-        to: ProcessId,
-        component: ComponentId,
-        event: E,
-    },
-    Timer {
-        proc: ProcessId,
-        id: TimerId,
-    },
-    Inject {
-        proc: ProcessId,
-        component: ComponentId,
-        event: E,
-    },
+    /// One input to one process: the dispatch step it drives.
+    Step { proc: ProcessId, input: Input<E> },
     /// A fault step of a [`Schedule`], entered when it fires: a region
     /// partition resolves against the node count then.
     Fault(ScheduleAction),
@@ -109,14 +97,16 @@ struct Node<E: Event> {
     alive: bool,
 }
 
-/// The discrete-event simulation world.
+/// The discrete-event simulation world: the simulator's [`Runtime`].
 ///
-/// Build one with [`SimWorld::new`], add processes with
-/// [`add_node`](SimWorld::add_node), schedule workload with
-/// [`inject_at`](SimWorld::inject_at) and faults with
-/// [`crash_at`](SimWorld::crash_at) et al., then drive it with
-/// [`run_until`](SimWorld::run_until) or
-/// [`run_to_quiescence`](SimWorld::run_to_quiescence).
+/// Start one with [`Runtime::start`], schedule workload with
+/// [`inject`](Runtime::inject) and faults with
+/// [`apply_schedule`](Runtime::apply_schedule), then drive it with
+/// [`run_until`](Runtime::run_until) or
+/// [`run_to_quiescence`](Runtime::run_to_quiescence). Every input — an
+/// injection, a message arrival, a timer — waits in one queue as one
+/// [`Input`] to one process, and the queue runs in `(time, seq)` order:
+/// equal instants in the order they were scheduled, whatever their kind.
 pub struct SimWorld<E: Event> {
     now: Time,
     seq: u64,
@@ -135,17 +125,39 @@ pub struct SimWorld<E: Event> {
     fx: Option<Box<Effects<E>>>,
 }
 
-impl<E: Event> SimWorld<E> {
-    /// Creates an empty world.
-    pub fn new(config: SimConfig) -> Self {
+impl<E: Event> Runtime<E> for SimWorld<E> {
+    type Config = SimConfig;
+
+    /// Builds processes `0..n` on the caller's thread; they start when the
+    /// world first runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `build` makes a process with another id than it was given.
+    fn start(
+        config: SimConfig,
+        n: usize,
+        build: impl Fn(ProcessId) -> Process<E> + Send + Sync + 'static,
+    ) -> Self {
         let mut metrics = Metrics::new();
         metrics.set_regions(config.topology.regions());
+        let nodes = (0..n as u32)
+            .map(ProcessId::new)
+            .map(|id| {
+                let process = build(id);
+                assert_eq!(process.id(), id, "process built with wrong id");
+                Node {
+                    process,
+                    alive: true,
+                }
+            })
+            .collect();
         SimWorld {
             now: Time::ZERO,
             seq: 0,
             executed: 0,
             queue: TimingWheel::new(),
-            nodes: Vec::new(),
+            nodes,
             net: NetworkModel::with_topology(config.topology),
             rng: StdRng::seed_from_u64(config.seed),
             metrics,
@@ -155,94 +167,17 @@ impl<E: Event> SimWorld<E> {
         }
     }
 
-    /// Adds a process built by `f`, which receives the assigned id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the world started running, or if `f` builds a
-    /// process with a different id.
-    pub fn add_node(&mut self, f: impl FnOnce(ProcessId) -> Process<E>) -> ProcessId {
-        assert!(
-            !self.started,
-            "processes must be added before the world starts"
-        );
-        let id = ProcessId::new(self.nodes.len() as u32);
-        let process = f(id);
-        assert_eq!(process.id(), id, "process built with wrong id");
-        self.nodes.push(Node {
-            process,
-            alive: true,
-        });
-        id
-    }
-
-    /// Number of processes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no processes were added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Time {
+    fn now(&self) -> Time {
         self.now
     }
 
-    /// Number of simulation events executed so far (for events/sec
-    /// throughput measurements).
-    pub fn events_executed(&self) -> u64 {
-        self.executed
+    fn inject(&mut self, t: Time, p: ProcessId, component: ComponentId, event: E) {
+        self.step_at(t, p, Input::Inject { component, event });
     }
 
-    /// Whether a process is still running (not crashed / halted).
-    pub fn is_alive(&self, p: ProcessId) -> bool {
-        self.nodes[p.index()].alive && !self.nodes[p.index()].process.is_halted()
-    }
-
-    /// Liveness flags indexed by process, for trace checkers.
-    pub fn alive_flags(&self) -> Vec<bool> {
-        self.nodes
-            .iter()
-            .map(|n| n.alive && !n.process.is_halted())
-            .collect()
-    }
-
-    /// The collected metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The application-delivery trace.
-    pub fn trace(&self) -> &Trace<E> {
-        &self.trace
-    }
-
-    /// Schedules a local event for `proc`'s component `component` at time
-    /// `at`.
-    pub fn inject_at(&mut self, at: Time, proc: ProcessId, component: ComponentId, event: E) {
-        self.schedule(
-            at,
-            Pending::Inject {
-                proc,
-                component,
-                event,
-            },
-        );
-    }
-
-    /// Crashes `proc` at time `at` (crash-stop).
-    pub fn crash_at(&mut self, at: Time, proc: ProcessId) {
-        self.schedule(at, Pending::Fault(ScheduleAction::Crash(proc)));
-    }
-
-    /// Applies every simulator-level step of `schedule` (crashes,
-    /// partitions, link changes, spikes, bursts) and returns the membership
-    /// steps ([`ScheduleAction::Join`] / [`ScheduleAction::Remove`]) the
-    /// caller's protocol harness must route itself.
-    pub fn apply_schedule(&mut self, schedule: &Schedule) -> Vec<(Time, ScheduleAction)> {
+    /// Schedules every simulator-level step of `schedule` (crashes,
+    /// partitions, link changes, spikes, bursts).
+    fn apply_schedule(&mut self, schedule: &Schedule) -> Vec<(Time, ScheduleAction)> {
         let mut membership = Vec::new();
         for (t, action) in schedule.steps() {
             if action.is_sim_level() {
@@ -254,10 +189,77 @@ impl<E: Event> SimWorld<E> {
         membership
     }
 
+    /// Runs until virtual time `t` (inclusive of events at `t`); afterwards
+    /// `now() == t` even if the queue drained earlier.
+    fn run_until(&mut self, t: Time) {
+        self.ensure_started();
+        while let Some(next) = self.queue.pop_if(|head| head.at <= t) {
+            self.execute(next);
+        }
+        self.now = self.now.max(t);
+    }
+
+    /// Runs until the event queue drains or virtual time would exceed
+    /// `limit`; returns `true` if the system quiesced within the limit.
+    fn run_to_quiescence(&mut self, limit: Time) -> bool {
+        self.ensure_started();
+        loop {
+            if self.queue.is_empty() {
+                return true;
+            }
+            match self.queue.pop_if(|head| head.at <= limit) {
+                Some(next) => self.execute(next),
+                None => return false,
+            }
+        }
+    }
+
+    fn outputs_of(&self, p: ProcessId) -> u64 {
+        self.trace.deliveries_of(p)
+    }
+
+    fn outputs_total(&self) -> u64 {
+        self.trace.len() as u64
+    }
+
+    fn visit_outputs(&self, f: &mut dyn FnMut(Time, ProcessId, &E)) {
+        for e in self.trace.entries() {
+            f(e.time, e.proc, &e.event);
+        }
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Simulation events executed so far (for events/sec throughput
+    /// measurements).
+    fn events_executed(&self) -> u64 {
+        self.executed
+    }
+
+    fn alive_flags(&self) -> Vec<bool> {
+        self.nodes
+            .iter()
+            .map(|n| n.alive && !n.process.is_halted())
+            .collect()
+    }
+}
+
+impl<E: Event> SimWorld<E> {
+    /// The application-delivery trace.
+    pub fn trace(&self) -> &Trace<E> {
+        &self.trace
+    }
+
     fn schedule(&mut self, at: Time, pending: Pending<E>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Scheduled { at, seq, pending });
+    }
+
+    fn step_at(&mut self, at: Time, proc: ProcessId, input: Input<E>) {
+        self.schedule(at, Pending::Step { proc, input });
     }
 
     fn ensure_started(&mut self) {
@@ -273,95 +275,37 @@ impl<E: Event> SimWorld<E> {
         }
     }
 
-    /// Executes the next scheduled event; returns `false` when the queue is
-    /// empty.
-    pub fn step(&mut self) -> bool {
-        self.ensure_started();
-        let Some(next) = self.queue.pop() else {
-            return false;
-        };
-        self.execute(next);
-        true
-    }
-
-    /// Executes one already-popped scheduled entry.
+    /// Executes one already-popped scheduled entry. A message arrival
+    /// counts as a delivery, or as a crash drop at a dead receiver; a timer
+    /// or an injection at a dead process is silently moot.
     fn execute(&mut self, next: Scheduled<E>) {
         debug_assert!(next.at >= self.now, "time went backwards");
         self.now = next.at;
         self.executed += 1;
         match next.pending {
-            Pending::Net {
-                from,
-                to,
-                component,
-                event,
-            } => {
-                if self.nodes[to.index()].alive {
+            Pending::Step { proc, input } => {
+                let net = matches!(input, Input::Net { .. });
+                if !self.nodes[proc.index()].alive {
+                    if net {
+                        self.metrics.record_drop_crash();
+                    }
+                    return;
+                }
+                if net {
                     self.metrics.record_delivery();
-                    let mut fx = self.fx.take().unwrap_or_default();
-                    self.nodes[to.index()]
-                        .process
-                        .deliver_net_into(from, component, event, self.now, &mut fx);
-                    self.apply_effects(to, &mut fx);
-                    self.fx = Some(fx);
-                } else {
-                    self.metrics.record_drop_crash();
                 }
-            }
-            Pending::Timer { proc, id } => {
-                if self.nodes[proc.index()].alive {
-                    let mut fx = self.fx.take().unwrap_or_default();
-                    self.nodes[proc.index()]
-                        .process
-                        .fire_timer_into(id, self.now, &mut fx);
-                    self.apply_effects(proc, &mut fx);
-                    self.fx = Some(fx);
-                }
-            }
-            Pending::Inject {
-                proc,
-                component,
-                event,
-            } => {
-                if self.nodes[proc.index()].alive {
-                    let mut fx = self.fx.take().unwrap_or_default();
-                    self.nodes[proc.index()]
-                        .process
-                        .deliver_into(component, event, self.now, &mut fx);
-                    self.apply_effects(proc, &mut fx);
-                    self.fx = Some(fx);
-                }
+                let mut fx = self.fx.take().unwrap_or_default();
+                self.nodes[proc.index()]
+                    .process
+                    .step_into(input, self.now, &mut fx);
+                self.apply_effects(proc, &mut fx);
+                self.fx = Some(fx);
             }
             Pending::Fault(ScheduleAction::Crash(p)) => {
                 self.nodes[p.index()].alive = false;
                 self.nodes[p.index()].process.halt();
             }
             Pending::Fault(action) => self.net.apply(self.now, action, self.nodes.len()),
-        }
-    }
-
-    /// Runs until virtual time `t` (inclusive of events at `t`); afterwards
-    /// `now() == t` even if the queue drained earlier.
-    pub fn run_until(&mut self, t: Time) {
-        self.ensure_started();
-        while let Some(next) = self.queue.pop_if(|head| head.at <= t) {
-            self.execute(next);
-        }
-        self.now = self.now.max(t);
-    }
-
-    /// Runs until the event queue drains or virtual time would exceed
-    /// `limit`; returns `true` if the system quiesced within the limit.
-    pub fn run_to_quiescence(&mut self, limit: Time) -> bool {
-        self.ensure_started();
-        loop {
-            if self.queue.is_empty() {
-                return true;
-            }
-            match self.queue.pop_if(|head| head.at <= limit) {
-                Some(next) => self.execute(next),
-                None => return false,
-            }
         }
     }
 
@@ -372,7 +316,7 @@ impl<E: Event> SimWorld<E> {
             self.trace.push(self.now, proc, out);
         }
         for t in fx.timers.drain() {
-            self.schedule(self.now + t.after, Pending::Timer { proc, id: t.id });
+            self.step_at(self.now + t.after, proc, Input::Fire(t.id));
         }
         for env in fx.sends.drain() {
             self.route(env.from, env.to, env.component, env.event);
@@ -391,15 +335,7 @@ impl<E: Event> SimWorld<E> {
         if from == to {
             // Loopback: fixed small delay, never lost or partitioned.
             let at = self.now + LOOPBACK_DELAY;
-            self.schedule(
-                at,
-                Pending::Net {
-                    from,
-                    to,
-                    component,
-                    event,
-                },
-            );
+            self.arrive_at(at, from, to, component, event);
             return;
         }
         if self.net.blocked(from, to) {
@@ -426,27 +362,28 @@ impl<E: Event> SimWorld<E> {
             let delay2 = link.sample_delay(&mut self.rng) + serialization + spike;
             self.metrics
                 .record_link_latency(from_region, to_region, delay2);
-            self.schedule(
-                self.now + delay2,
-                Pending::Net {
-                    from,
-                    to,
-                    component,
-                    event: event.clone(),
-                },
-            );
+            self.arrive_at(self.now + delay2, from, to, component, event.clone());
         }
         self.metrics
             .record_link_latency(from_region, to_region, delay);
-        self.schedule(
-            self.now + delay,
-            Pending::Net {
-                from,
-                to,
-                component,
-                event,
-            },
-        );
+        self.arrive_at(self.now + delay, from, to, component, event);
+    }
+
+    /// Schedules the arrival at `to` of what `from`'s `component` sent.
+    fn arrive_at(
+        &mut self,
+        at: Time,
+        from: ProcessId,
+        to: ProcessId,
+        component: ComponentId,
+        event: E,
+    ) {
+        let input = Input::Net {
+            from,
+            component,
+            event,
+        };
+        self.step_at(at, to, input);
     }
 
     /// Expands a broadcast envelope: the wire-size/kind metrics are recorded
@@ -476,7 +413,7 @@ impl<E: Event> SimWorld<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_kernel::{Component, Context};
+    use gcs_kernel::{Component, Context, TimerId};
 
     const ECHO: ComponentId = ComponentId::new(0);
 
@@ -513,24 +450,77 @@ mod tests {
     }
 
     fn world(n: u32, seed: u64) -> SimWorld<Ev> {
-        let mut w = SimWorld::new(SimConfig::lan(seed));
-        for _ in 0..n {
-            w.add_node(|id| Process::builder(id).with(ECHO, Echo { n }).build());
+        world_on(SimConfig::lan(seed), n)
+    }
+
+    fn world_on(config: SimConfig, n: u32) -> SimWorld<Ev> {
+        SimWorld::start(config, n as usize, move |id| {
+            Process::builder(id).with(ECHO, Echo { n }).build()
+        })
+    }
+
+    /// The values delivered at each of processes `0..n`, in order.
+    fn delivered(w: &SimWorld<Ev>, n: usize) -> Vec<Vec<u32>> {
+        let mut seqs = vec![Vec::new(); n];
+        for e in w.trace().entries() {
+            if let Ev::Deliver(v) = e.event {
+                seqs[e.proc.index()].push(v);
+            }
         }
-        w
+        seqs
+    }
+
+    /// When `p` delivered first (`Echo` outputs nothing but deliveries).
+    fn first_delivery_at(w: &SimWorld<Ev>, p: ProcessId) -> Time {
+        w.trace().of_proc(p).next().expect("a delivery").time
     }
 
     #[test]
     fn broadcast_reaches_all_nodes() {
         let mut w = world(3, 1);
-        w.inject_at(Time::ZERO, ProcessId::new(0), ECHO, Ev::Hello(42));
+        w.inject(Time::ZERO, ProcessId::new(0), ECHO, Ev::Hello(42));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
-        let seqs = w.trace().per_proc(3, |e| match e {
-            Ev::Deliver(v) => Some(*v),
-            _ => None,
-        });
-        assert_eq!(seqs, vec![vec![42], vec![42], vec![42]]);
+        assert_eq!(delivered(&w, 3), vec![vec![42], vec![42], vec![42]]);
         assert_eq!(w.metrics().sent_of_kind("hello"), 3);
+    }
+
+    /// What the order test's component is handed, and what it reports.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Order {
+        /// Set a timer due in this many µs.
+        Arm(u64),
+        /// Send to self: the loopback arrives [`LOOPBACK_DELAY`] later.
+        Loop,
+        /// Report an injection.
+        Mark,
+        /// Which kind of input ran.
+        Ran(&'static str),
+    }
+    impl Event for Order {
+        fn kind(&self) -> &'static str {
+            "order"
+        }
+    }
+
+    /// Reports every injected `Mark`, message arrival and timer expiry.
+    struct Reporter;
+    impl Component<Order> for Reporter {
+        fn on_event(&mut self, ev: Order, ctx: &mut Context<'_, Order>) {
+            match ev {
+                Order::Arm(us) => {
+                    ctx.set_timer(TimeDelta::from_micros(us));
+                }
+                Order::Loop => ctx.send(ctx.me(), Order::Loop),
+                Order::Mark => ctx.output(Order::Ran("inject")),
+                Order::Ran(_) => {}
+            }
+        }
+        fn on_message(&mut self, _from: ProcessId, _ev: Order, ctx: &mut Context<'_, Order>) {
+            ctx.output(Order::Ran("net"));
+        }
+        fn on_timer(&mut self, _t: TimerId, ctx: &mut Context<'_, Order>) {
+            ctx.output(Order::Ran("fire"));
+        }
     }
 
     #[test]
@@ -540,14 +530,53 @@ mod tests {
         // by (time, seq); the timing wheel must preserve that exactly.
         let mut w = world(1, 42);
         for i in 0..50u32 {
-            w.inject_at(Time::from_millis(5), ProcessId::new(0), ECHO, Ev::Hello(i));
+            w.inject(Time::from_millis(5), ProcessId::new(0), ECHO, Ev::Hello(i));
         }
         assert!(w.run_to_quiescence(Time::from_secs(1)));
-        let seqs = w.trace().per_proc(1, |e| match e {
-            Ev::Deliver(v) => Some(*v),
-            _ => None,
-        });
-        assert_eq!(seqs[0], (0..50).collect::<Vec<u32>>());
+        assert_eq!(delivered(&w, 1)[0], (0..50).collect::<Vec<u32>>());
+
+        // The same holds across input kinds: an injection, a message
+        // arrival and a timer due at one instant run in the order they were
+        // scheduled, not in an order of their kind. Two runs schedule them
+        // in opposite orders, which no ranking by kind satisfies both of.
+        let p0 = ProcessId::new(0);
+        let at = Time::from_millis(1);
+        let before = |us| Time::from_nanos(at.as_nanos() - us * 1_000);
+        let ran = |w: &SimWorld<Order>| -> Vec<&'static str> {
+            let entries = w.trace().entries().iter();
+            entries
+                .map(|e| match e.event {
+                    Order::Ran(kind) => kind,
+                    ref other => panic!("unexpected output {other:?}"),
+                })
+                .collect()
+        };
+        let loopback_us = LOOPBACK_DELAY.as_nanos() / 1_000;
+        let reporter = |id| Process::builder(id).with(ECHO, Reporter).build();
+
+        // Injection first (scheduled up front), then the timer and the
+        // loopback one step sets and sends, in that order.
+        let mut w = SimWorld::start(SimConfig::lan(42), 1, reporter);
+        w.inject(at, p0, ECHO, Order::Mark);
+        w.inject(before(loopback_us), p0, ECHO, Order::Arm(loopback_us));
+        w.inject(before(loopback_us), p0, ECHO, Order::Loop);
+        assert!(w.run_to_quiescence(Time::from_secs(1)));
+        assert_eq!(ran(&w), ["inject", "fire", "net"]);
+
+        // The loopback first, then a timer set later for the same instant,
+        // then an injection scheduled once both wait.
+        let mut w = SimWorld::start(SimConfig::lan(42), 1, reporter);
+        w.inject(before(loopback_us), p0, ECHO, Order::Loop);
+        w.inject(
+            before(loopback_us / 2),
+            p0,
+            ECHO,
+            Order::Arm(loopback_us / 2),
+        );
+        w.run_until(before(1));
+        w.inject(at, p0, ECHO, Order::Mark);
+        assert!(w.run_to_quiescence(Time::from_secs(1)));
+        assert_eq!(ran(&w), ["net", "fire", "inject"]);
     }
 
     #[test]
@@ -555,7 +584,7 @@ mod tests {
         let run = |seed| {
             let mut w = world(4, seed);
             for i in 0..10 {
-                w.inject_at(
+                w.inject(
                     Time::from_millis(i),
                     ProcessId::new((i % 4) as u32),
                     ECHO,
@@ -576,15 +605,11 @@ mod tests {
     #[test]
     fn crashed_node_receives_nothing() {
         let mut w = world(3, 2);
-        w.crash_at(Time::from_millis(1), ProcessId::new(2));
-        w.inject_at(Time::from_millis(2), ProcessId::new(0), ECHO, Ev::Hello(1));
+        w.apply_schedule(&Schedule::new().crash(Time::from_millis(1), ProcessId::new(2)));
+        w.inject(Time::from_millis(2), ProcessId::new(0), ECHO, Ev::Hello(1));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
-        let seqs = w.trace().per_proc(3, |e| match e {
-            Ev::Deliver(v) => Some(*v),
-            _ => None,
-        });
-        assert_eq!(seqs[2], Vec::<u32>::new());
-        assert!(!w.is_alive(ProcessId::new(2)));
+        assert_eq!(delivered(&w, 3)[2], Vec::<u32>::new());
+        assert!(!w.alive_flags()[2]);
         assert_eq!(w.metrics().dropped_crash(), 1);
     }
 
@@ -595,12 +620,9 @@ mod tests {
         w.apply_schedule(
             &Schedule::new().partition(Time::ZERO, vec![vec![p(0)], vec![p(1), p(2)]]),
         );
-        w.inject_at(Time::from_millis(1), p(1), ECHO, Ev::Hello(5));
+        w.inject(Time::from_millis(1), p(1), ECHO, Ev::Hello(5));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
-        let seqs = w.trace().per_proc(3, |e| match e {
-            Ev::Deliver(v) => Some(*v),
-            _ => None,
-        });
+        let seqs = delivered(&w, 3);
         assert_eq!(seqs[0], Vec::<u32>::new());
         assert_eq!(seqs[1], vec![5]);
         assert_eq!(w.metrics().dropped_partition(), 1);
@@ -610,14 +632,11 @@ mod tests {
     fn loss_burst_drops_messages() {
         let mut w = world(2, 4);
         w.apply_schedule(&Schedule::new().loss_burst(Time::ZERO, TimeDelta::from_secs(10), 1.0));
-        w.inject_at(Time::from_millis(1), ProcessId::new(0), ECHO, Ev::Hello(9));
+        w.inject(Time::from_millis(1), ProcessId::new(0), ECHO, Ev::Hello(9));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
         // Self-send still arrives (loopback is never lost); peer send dropped.
         assert_eq!(w.metrics().dropped_loss(), 1);
-        let seqs = w.trace().per_proc(2, |e| match e {
-            Ev::Deliver(v) => Some(*v),
-            _ => None,
-        });
+        let seqs = delivered(&w, 2);
         assert_eq!(seqs[1], Vec::<u32>::new());
         assert_eq!(seqs[0], vec![9]);
     }
@@ -633,15 +652,9 @@ mod tests {
                     TimeDelta::from_millis(50),
                 ));
             }
-            w.inject_at(Time::ZERO, ProcessId::new(0), ECHO, Ev::Hello(1));
+            w.inject(Time::ZERO, ProcessId::new(0), ECHO, Ev::Hello(1));
             assert!(w.run_to_quiescence(Time::from_secs(2)));
-            w.trace()
-                .project(|e| matches!(e, Ev::Deliver(_)).then_some(()))
-                .iter()
-                .filter(|(_, p, _)| *p == ProcessId::new(1))
-                .map(|(t, _, _)| *t)
-                .next()
-                .unwrap()
+            first_delivery_at(&w, ProcessId::new(1))
         };
         let base = measure(false);
         let spiked = measure(true);
@@ -666,9 +679,9 @@ mod tests {
         let leftover = w.apply_schedule(&s);
         assert_eq!(leftover.len(), 2, "membership steps returned");
         assert!(leftover.iter().all(|(_, a)| !a.is_sim_level()));
-        w.inject_at(Time::from_millis(2), p(0), ECHO, Ev::Hello(1));
+        w.inject(Time::from_millis(2), p(0), ECHO, Ev::Hello(1));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
-        assert!(!w.is_alive(p(2)), "scheduled crash applied");
+        assert!(!w.alive_flags()[2], "scheduled crash applied");
         assert_eq!(w.metrics().dropped_crash(), 1);
     }
 
@@ -676,18 +689,12 @@ mod tests {
     fn region_partition_splits_along_topology() {
         let p = |i| ProcessId::new(i);
         let cfg = SimConfig::lan(8).with_topology(crate::Topology::wan_2dc());
-        let mut w: SimWorld<Ev> = SimWorld::new(cfg);
-        for _ in 0..4 {
-            w.add_node(|id| Process::builder(id).with(ECHO, Echo { n: 4 }).build());
-        }
+        let mut w = world_on(cfg, 4);
         let s = crate::Schedule::new().partition_regions(Time::ZERO);
         assert!(w.apply_schedule(&s).is_empty());
-        w.inject_at(Time::from_millis(1), p(0), ECHO, Ev::Hello(3));
+        w.inject(Time::from_millis(1), p(0), ECHO, Ev::Hello(3));
         assert!(w.run_to_quiescence(Time::from_secs(1)));
-        let seqs = w.trace().per_proc(4, |e| match e {
-            Ev::Deliver(v) => Some(*v),
-            _ => None,
-        });
+        let seqs = delivered(&w, 4);
         // Round-robin regions: p0/p2 in one DC, p1/p3 in the other.
         assert_eq!(seqs[0], vec![3]);
         assert_eq!(seqs[2], vec![3]);
@@ -710,14 +717,9 @@ mod tests {
                 let s = crate::Schedule::new().set_link(Time::ZERO, p(0), p(1), slow);
                 w.apply_schedule(&s);
             }
-            w.inject_at(Time::from_millis(1), p(0), ECHO, Ev::Hello(1));
+            w.inject(Time::from_millis(1), p(0), ECHO, Ev::Hello(1));
             assert!(w.run_to_quiescence(Time::from_secs(1)));
-            w.trace()
-                .project(|e| matches!(e, Ev::Deliver(_)).then_some(()))
-                .iter()
-                .find(|(_, q, _)| *q == p(1))
-                .map(|(t, _, _)| *t)
-                .unwrap()
+            first_delivery_at(&w, p(1))
         };
         let base = measure(false);
         let degraded = measure(true);
@@ -730,19 +732,10 @@ mod tests {
         // therefore adds a full second of serialization delay.
         let p = |i| ProcessId::new(i);
         let cfg = SimConfig::lan(10).with_link(LinkModel::lan().with_bandwidth(64));
-        let mut w: SimWorld<Ev> = SimWorld::new(cfg);
-        for _ in 0..2 {
-            w.add_node(|id| Process::builder(id).with(ECHO, Echo { n: 2 }).build());
-        }
-        w.inject_at(Time::ZERO, p(0), ECHO, Ev::Hello(1));
+        let mut w = world_on(cfg, 2);
+        w.inject(Time::ZERO, p(0), ECHO, Ev::Hello(1));
         assert!(w.run_to_quiescence(Time::from_secs(5)));
-        let at = w
-            .trace()
-            .project(|e| matches!(e, Ev::Deliver(_)).then_some(()))
-            .iter()
-            .find(|(_, q, _)| *q == p(1))
-            .map(|(t, _, _)| *t)
-            .unwrap();
+        let at = first_delivery_at(&w, p(1));
         assert!(at >= Time::from_secs(1), "serialization delay paid: {at:?}");
     }
 }
@@ -776,6 +769,14 @@ mod proptests {
         }
     }
 
+    fn forwarders(config: SimConfig, n: u32) -> SimWorld<Num> {
+        SimWorld::start(config, n as usize, move |id| {
+            gcs_kernel::Process::builder(id)
+                .with(FWD, Forwarder { n })
+                .build()
+        })
+    }
+
     proptest! {
         /// Determinism: identical seeds and workloads produce identical
         /// traces and metrics, for arbitrary workloads.
@@ -785,14 +786,9 @@ mod proptests {
             injections in proptest::collection::vec((0u32..4, 0u64..50, any::<u32>()), 0..40),
         ) {
             let run = || {
-                let mut w: SimWorld<Num> = SimWorld::new(SimConfig::lan(seed));
-                for _ in 0..4 {
-                    w.add_node(|id| {
-                        gcs_kernel::Process::builder(id).with(FWD, Forwarder { n: 4 }).build()
-                    });
-                }
+                let mut w = forwarders(SimConfig::lan(seed), 4);
                 for (p, t, v) in &injections {
-                    w.inject_at(Time::from_millis(*t), ProcessId::new(*p), FWD, Num(*v));
+                    w.inject(Time::from_millis(*t), ProcessId::new(*p), FWD, Num(*v));
                 }
                 prop_assert!(w.run_to_quiescence(Time::from_secs(60)));
                 Ok((
@@ -810,14 +806,9 @@ mod proptests {
         fn conservation_and_monotonic_time(
             injections in proptest::collection::vec((0u32..3, 0u64..30, any::<u32>()), 1..30),
         ) {
-            let mut w: SimWorld<Num> = SimWorld::new(SimConfig::lan(1));
-            for _ in 0..3 {
-                w.add_node(|id| {
-                    gcs_kernel::Process::builder(id).with(FWD, Forwarder { n: 3 }).build()
-                });
-            }
+            let mut w = forwarders(SimConfig::lan(1), 3);
             for (p, t, v) in &injections {
-                w.inject_at(Time::from_millis(*t), ProcessId::new(*p), FWD, Num(*v));
+                w.inject(Time::from_millis(*t), ProcessId::new(*p), FWD, Num(*v));
             }
             prop_assert!(w.run_to_quiescence(Time::from_secs(60)));
             prop_assert_eq!(w.trace().len(), injections.len());

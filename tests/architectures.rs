@@ -127,6 +127,7 @@ fn totem_stack_fig4() {
 #[test]
 fn ensemble_stack_fig5() {
     use gcs::kernel::{Component, ComponentId, Context, Event, Process};
+    use gcs::sim::{Runtime, SimConfig, SimWorld};
 
     const TOP: ComponentId = ComponentId::new(0);
     const MID: ComponentId = ComponentId::new(1);
@@ -173,17 +174,15 @@ fn ensemble_stack_fig5() {
     }
 
     let layer = |name, above, below| Layer { name, above, below };
-    let build = |id: ProcessId| {
+    let build = move |id: ProcessId| {
         Process::builder(id)
             .with(TOP, layer("top", None, Some(MID)))
             .with(MID, layer("mid", Some(TOP), Some(NET)))
             .with(NET, layer("net", Some(MID), None))
             .build()
     };
-    let mut sim: gcs::sim::SimWorld<Ev> = gcs::sim::SimWorld::new(gcs::sim::SimConfig::lan(105));
-    sim.add_node(build);
-    sim.add_node(build);
-    sim.inject_at(Time::from_millis(1), p(0), TOP, Ev::Down(Vec::new()));
+    let mut sim: SimWorld<Ev> = SimWorld::start(SimConfig::lan(105), 2, build);
+    sim.inject(Time::from_millis(1), p(0), TOP, Ev::Down(Vec::new()));
     assert!(sim.run_to_quiescence(Time::from_secs(1)));
     // The event went top to bottom at p0, then bottom to top at p1.
     let got: Vec<(ProcessId, Ev)> = sim
