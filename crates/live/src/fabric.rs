@@ -13,7 +13,7 @@
 //! The unit that crosses the fabric is not a frame but a **burst**: every
 //! frame one drain of a member's inbox produced for one destination, in
 //! emission order, as one [`Msg::Net`]. The member collects them in an
-//! [`Outbox`]; [`Router::flush`] is the one gate between a sender and a
+//! [`Outbox`]; [`Shared::flush`] is the one gate between a sender and a
 //! receiver's inbox and the only routing path. Per destination it decides
 //! **one network fate** from [`NetState`] — liveness, partition, one loss
 //! draw, one sampled delay, bandwidth charged for the summed bytes — and
@@ -35,12 +35,13 @@
 //! The accounting stays per frame: [`Metrics`] counts every protocol
 //! message by kind and every delivery and drop once per frame contained in
 //! a burst, so `sent == delivered + dropped_*` holds as it does in the
-//! simulator — taken under one lock acquisition per flush.
+//! simulator. The counts are the sender's, in its [`Ledger`]: a flush locks
+//! it once, and the timer thread locks it for the fate of a parked burst.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use gcs_kernel::{ComponentId, Effects, Event, Input, ProcessId, SmallVec, Time, TimeDelta};
 use gcs_net::{FrameHeader, TcpLink};
@@ -233,12 +234,6 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Parks `due` until `at` (the timer thread wakes early if this becomes
-    /// the nearest deadline).
-    pub(crate) fn schedule(&self, at: Time, due: Due<E>) {
-        self.schedule_all([(at, due)]);
-    }
-
     /// Parks every entry under one lock acquisition (ties come due in
     /// iteration order), waking the timer thread only if its nearest
     /// deadline moved: it sleeps until that one whatever lies behind it.
@@ -297,25 +292,13 @@ pub(crate) struct Shared<E> {
     pub clock: WallClock,
     /// Link emulation state.
     pub net: Mutex<NetState>,
-    /// Crash flags, one per process; set before the member thread exits so
-    /// routers drop frames to it immediately.
+    /// Crash flags, one per process, each set by its member's thread alone
+    /// (see `runtime::member_thread`); frames to a dead member are dropped.
     pub dead: Vec<AtomicBool>,
-    /// Total protocol outputs across the group.
-    pub delivered_total: AtomicU64,
-    /// Per-process protocol output counts.
-    pub delivered_per: Vec<AtomicU64>,
-    /// Dispatch steps across the group: one per frame of a burst, one per
-    /// [`Msg::Step`].
-    pub events: AtomicU64,
-    /// [`Msg::Net`] inbox messages dispatched across the group…
-    pub bursts: AtomicU64,
-    /// …and the frames they carried: `frames / bursts` is how well the
-    /// group packs under its current load (1 when idle).
-    pub frames: AtomicU64,
-    /// Recorded protocol outputs.
-    pub trace: Mutex<Vec<(Time, ProcessId, E)>>,
-    /// Traffic accounting, same vocabulary as the simulator.
-    pub metrics: Mutex<Metrics>,
+    /// Every member's inbox; any thread may send.
+    pub senders: Vec<Sender<Msg<E>>>,
+    /// One ledger per process, indexed like `dead`.
+    pub ledgers: Vec<Ledger<E>>,
     /// Future work.
     pub wheel: TimerWheel<E>,
     /// TCP wire state, when the group runs in [`WireMode::Tcp`].
@@ -323,28 +306,64 @@ pub(crate) struct Shared<E> {
 }
 
 impl<E: Event + Send> Shared<E> {
-    pub(crate) fn with_metrics<T>(&self, f: impl FnOnce(&mut Metrics) -> T) -> T {
-        f(&mut self.metrics.lock().expect("metrics lock"))
-    }
-
     pub(crate) fn is_dead(&self, p: ProcessId) -> bool {
         self.dead[p.index()].load(Ordering::Acquire)
     }
 
-    /// Records what one drain of `proc` handed to the application, each
-    /// output under the time it was produced at: one counter update and one
-    /// trace-lock acquisition for all of them.
-    fn record_outputs(&self, proc: ProcessId, outputs: &mut Vec<(Time, E)>) {
-        if outputs.is_empty() {
-            return;
+    /// The members' metrics, merged.
+    pub(crate) fn metrics(&self) -> Metrics {
+        let mut merged = Metrics::default();
+        for ledger in &self.ledgers {
+            merged.merge(&ledger.lock().metrics);
         }
-        let count = outputs.len() as u64;
-        self.trace
-            .lock()
-            .expect("trace lock")
-            .extend(outputs.drain(..).map(|(at, event)| (at, proc, event)));
-        self.delivered_total.fetch_add(count, Ordering::Relaxed);
-        self.delivered_per[proc.index()].fetch_add(count, Ordering::Relaxed);
+        merged
+    }
+}
+
+/// What one member produced. Its lock is taken by the member's own thread
+/// once per flush, by the timer thread for one burst the member parked,
+/// and by readers; never during a step.
+pub(crate) struct Ledger<E> {
+    /// `log.trace.len()`, readable without the lock: stored (Release) under
+    /// the lock after the append, loaded (Acquire) by the counts' readers.
+    pub outputs: AtomicU64,
+    pub log: Mutex<Log<E>>,
+}
+
+/// The contents of a [`Ledger`].
+pub(crate) struct Log<E> {
+    /// Protocol outputs, each with the time it was produced at.
+    pub trace: Vec<(Time, E)>,
+    /// The member's traffic: what it sent and every frame's fate.
+    pub metrics: Metrics,
+    /// Dispatch steps: one per frame of a burst, one per [`Msg::Step`].
+    pub events: u64,
+    /// [`Msg::Net`] inbox messages dispatched…
+    pub bursts: u64,
+    /// …and the frames they carried: `frames / bursts` is how well the
+    /// member's inbox packs under its current load (1 when idle).
+    pub frames: u64,
+    /// The text of the panic that ended the member's thread.
+    pub panic: Option<String>,
+}
+
+impl<E> Ledger<E> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Log<E>> {
+        self.log.lock().expect("ledger lock")
+    }
+
+    fn new() -> Self {
+        Ledger {
+            outputs: AtomicU64::new(0),
+            log: Mutex::new(Log {
+                trace: Vec::new(),
+                metrics: Metrics::default(),
+                events: 0,
+                bursts: 0,
+                frames: 0,
+                panic: None,
+            }),
+        }
     }
 }
 
@@ -367,48 +386,32 @@ pub(crate) struct TcpFabric<E> {
 /// Channel tag for protocol net frames on the TCP wire.
 pub(crate) const CHAN_NET: u8 = 0;
 
-/// Frame fates of one flush or one wheel delivery, tallied outside the
-/// metrics lock and applied to it in one go.
-#[derive(Default)]
-pub(crate) struct Tally {
-    delivered: usize,
-    dropped_loss: usize,
-    dropped_partition: usize,
-    dropped_crash: usize,
+/// Records `frames` frames that either reached an inbox or died with their
+/// receiver.
+pub(crate) fn record_arrival(m: &mut Metrics, reached_inbox: bool, frames: usize) {
+    let fate = if reached_inbox {
+        Metrics::record_delivery
+    } else {
+        Metrics::record_drop_crash
+    };
+    record_fate(m, frames, fate);
 }
 
-impl Tally {
-    /// `frames` frames either reached an inbox or died with their receiver.
-    pub(crate) fn arrived(&mut self, reached_inbox: bool, frames: usize) {
-        if reached_inbox {
-            self.delivered += frames;
-        } else {
-            self.dropped_crash += frames;
-        }
-    }
-
-    pub(crate) fn record(self, m: &mut Metrics) {
-        (0..self.delivered).for_each(|_| m.record_delivery());
-        (0..self.dropped_loss).for_each(|_| m.record_drop_loss());
-        (0..self.dropped_partition).for_each(|_| m.record_drop_partition());
-        (0..self.dropped_crash).for_each(|_| m.record_drop_crash());
-    }
+fn record_fate(m: &mut Metrics, frames: usize, fate: fn(&mut Metrics)) {
+    (0..frames).for_each(|_| fate(m));
 }
 
-/// What one drain of a member's inbox produced, grouped for one flush:
-/// frames per destination, timers as absolute deadlines, outputs with the
-/// time they were produced at. All buffers are reused from drain to drain.
+/// What one drain of a member's inbox took and produced, for one flush: its
+/// step counts, frames per destination, timers as absolute deadlines,
+/// outputs with their time. All buffers are reused from drain to drain.
 pub(crate) struct Outbox<E> {
+    /// Counted as the ledger counts them (see [`Log`]).
+    pub events: u64,
+    pub bursts: u64,
+    pub frames_in: u64,
     /// Per destination (dense by process index): its burst so far, sends
     /// and casts of successive dispatches interleaved as emitted.
     frames: Vec<Frames<E>>,
-    /// Summed wire bytes of each destination's burst.
-    bytes: Vec<usize>,
-    /// `(kind, wire bytes, rides)` of every protocol message the frames
-    /// above carry, `rides` when it shares its frame with the one before
-    /// (see [`Event::for_each_carried`]) — the metrics count frames as
-    /// packets and protocol messages by kind, whatever burst they travel in.
-    sent: Vec<(&'static str, usize, bool)>,
     /// Wheel entries owed: protocol timers now, parked bursts at flush.
     parked: Vec<(Time, Due<E>)>,
     outputs: Vec<(Time, E)>,
@@ -417,23 +420,13 @@ pub(crate) struct Outbox<E> {
 impl<E: Event + Send> Outbox<E> {
     pub(crate) fn new(processes: usize) -> Self {
         Outbox {
+            events: 0,
+            bursts: 0,
+            frames_in: 0,
             frames: (0..processes).map(|_| Frames::new()).collect(),
-            bytes: vec![0; processes],
-            sent: Vec::new(),
             parked: Vec::new(),
             outputs: Vec::new(),
         }
-    }
-
-    fn push(&mut self, to: ProcessId, component: ComponentId, event: E) {
-        let (mut bytes, mut rides) = (0, false);
-        event.for_each_carried(|kind, b| {
-            self.sent
-                .push((kind, b, std::mem::replace(&mut rides, true)));
-            bytes += b;
-        });
-        self.bytes[to.index()] += bytes;
-        self.frames[to.index()].push((component, event));
     }
 
     /// Moves the effects of one dispatch of `me`, begun at `dispatched`, out
@@ -447,11 +440,17 @@ impl<E: Event + Send> Outbox<E> {
         fx: &mut Effects<E>,
     ) -> bool {
         for env in fx.sends.drain() {
-            self.push(env.to, env.component, env.event);
+            self.frames[env.to.index()].push((env.component, env.event));
         }
         for cast in fx.casts.drain() {
-            for &to in cast.to.iter() {
-                self.push(to, cast.component, cast.event.clone());
+            // The last destination gets the original, the others a clone.
+            let n = cast.to.len();
+            for i in 0..n.saturating_sub(1) {
+                let to = cast.to[i].index();
+                self.frames[to].push((cast.component, cast.event.clone()));
+            }
+            if n > 0 {
+                self.frames[cast.to[n - 1].index()].push((cast.component, cast.event));
             }
         }
         for t in fx.timers.drain() {
@@ -470,31 +469,13 @@ impl<E: Event + Send> Outbox<E> {
     }
 }
 
-/// One thread's handle for sending frames into the group.
-///
-/// `mpsc::Sender` is `Send` but not `Sync`, so every thread owns its own
-/// clone of the full sender table rather than sharing one behind a lock.
-pub(crate) struct Router<E> {
-    pub shared: Arc<Shared<E>>,
-    pub senders: Vec<Sender<Msg<E>>>,
-}
-
-impl<E: Event + Send> Clone for Router<E> {
-    fn clone(&self) -> Self {
-        Router {
-            shared: self.shared.clone(),
-            senders: self.senders.clone(),
-        }
-    }
-}
-
-/// Builds the fabric of a group of `n` processes: the shared state, a
-/// router, and what the threads to be spawned will own — each member's
-/// inbox and, in TCP mode, the read half of each member's stream.
+/// Builds the fabric of a group of `n` processes: the shared state and
+/// what the threads to be spawned will own — each member's inbox and, in
+/// TCP mode, the read half of each member's stream.
 pub(crate) fn open<E: Event + Send>(
     config: LiveConfig,
     n: usize,
-) -> (Router<E>, Vec<Receiver<Msg<E>>>, Vec<TcpLink>) {
+) -> (Shared<E>, Vec<Receiver<Msg<E>>>, Vec<TcpLink>) {
     let clock = WallClock::new();
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
 
@@ -522,87 +503,80 @@ pub(crate) fn open<E: Event + Send>(
         }
     };
 
-    let shared = Arc::new(Shared {
+    let shared = Shared {
         clock,
         net: Mutex::new(NetState::new(config.topology, config.seed)),
         dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        delivered_total: AtomicU64::new(0),
-        delivered_per: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        events: AtomicU64::new(0),
-        bursts: AtomicU64::new(0),
-        frames: AtomicU64::new(0),
-        trace: Mutex::new(Vec::new()),
-        metrics: Mutex::new(Metrics::default()),
+        senders,
+        ledgers: (0..n).map(|_| Ledger::new()).collect(),
         wheel: TimerWheel::new(),
         tcp,
-    });
-    (Router { shared, senders }, receivers, reader_links)
+    };
+    (shared, receivers, reader_links)
 }
 
-impl<E: Event + Send> Router<E> {
+impl<E: Event + Send> Shared<E> {
     /// Ships everything `out` holds for `from` and leaves it empty: per
     /// destination one burst with one network fate (see the module docs),
-    /// then the timers and parked bursts to the wheel, every frame to the
-    /// metrics, the outputs to the trace — each shared structure locked
-    /// once.
+    /// then the timers and parked bursts to the wheel. What the drain took
+    /// and produced — its steps, every frame's fate, its outputs — goes to
+    /// `from`'s own ledger, locked once.
     pub(crate) fn flush(&self, from: ProcessId, out: &mut Outbox<E>) {
-        let shared = &self.shared;
-        if !out.sent.is_empty() {
-            let now = shared.clock.now();
-            let mut tally = Tally::default();
-            for (index, frames) in out.frames.iter_mut().enumerate() {
-                if frames.is_empty() {
-                    continue;
-                }
-                let to = ProcessId::new(index as u32);
-                let count = frames.len();
-                let bytes = std::mem::take(&mut out.bytes[index]);
-                let msg = Msg::Net {
-                    from,
-                    frames: std::mem::take(frames),
-                };
-                // Loopback self-sends never traverse the network model.
-                if from == to {
-                    tally.arrived(self.deliver(to, msg), count);
-                    continue;
-                }
-                if shared.is_dead(to) {
-                    tally.dropped_crash += count;
-                    continue;
-                }
-                let delay = {
-                    let mut net = shared.net.lock().expect("net lock");
-                    if net.model.blocked(from, to) {
-                        tally.dropped_partition += count;
-                        continue;
-                    }
-                    net.burst_delay(from, to, bytes, now)
-                };
-                match delay {
-                    None => tally.dropped_loss += count,
-                    Some(delay) if delay < DELAY_FLOOR => {
-                        tally.arrived(self.deliver(to, msg), count);
-                    }
-                    Some(delay) => out
-                        .parked
-                        .push((now.saturating_add(delay), Due::Frame { to, msg })),
-                }
+        let mut log = self.ledgers[from.index()].lock();
+        let log = &mut *log;
+        let m = &mut log.metrics;
+        let now = self.clock.now();
+        for (index, frames) in out.frames.iter_mut().enumerate() {
+            if frames.is_empty() {
+                continue;
             }
-            shared.with_metrics(|m| {
-                for (kind, bytes, rides) in out.sent.drain(..) {
-                    if rides {
-                        m.record_carried(kind, bytes);
-                    } else {
-                        m.record_send(kind, bytes);
-                    }
+            // Every frame is one packet, whatever its fate, and every
+            // message it carries counts under its own kind.
+            let bytes = frames.iter().map(|(_, e)| m.record_packet(e)).sum();
+            let to = ProcessId::new(index as u32);
+            let count = frames.len();
+            let msg = Msg::Net {
+                from,
+                frames: std::mem::take(frames),
+            };
+            // Loopback self-sends never traverse the network model.
+            if from == to {
+                record_arrival(m, self.deliver(to, msg), count);
+                continue;
+            }
+            if self.is_dead(to) {
+                record_fate(m, count, Metrics::record_drop_crash);
+                continue;
+            }
+            let delay = {
+                let mut net = self.net.lock().expect("net lock");
+                if net.model.blocked(from, to) {
+                    record_fate(m, count, Metrics::record_drop_partition);
+                    continue;
                 }
-                tally.record(m);
-            });
+                net.burst_delay(from, to, bytes, now)
+            };
+            match delay {
+                None => record_fate(m, count, Metrics::record_drop_loss),
+                Some(delay) if delay < DELAY_FLOOR => {
+                    record_arrival(m, self.deliver(to, msg), count);
+                }
+                Some(delay) => out
+                    .parked
+                    .push((now.saturating_add(delay), Due::Frame { to, msg })),
+            }
         }
+        log.events += std::mem::take(&mut out.events);
+        log.bursts += std::mem::take(&mut out.bursts);
+        log.frames += std::mem::take(&mut out.frames_in);
+        log.trace.append(&mut out.outputs);
+        let outputs = log.trace.len() as u64;
+        self.ledgers[from.index()]
+            .outputs
+            .store(outputs, Ordering::Release);
         if !out.parked.is_empty() {
-            shared.wheel.schedule_all(out.parked.drain(..));
+            self.wheel.schedule_all(out.parked.drain(..));
         }
-        shared.record_outputs(from, &mut out.outputs);
     }
 
     /// Puts a message on `to`'s inbox — a burst of net frames over the TCP
@@ -612,7 +586,7 @@ impl<E: Event + Send> Router<E> {
     /// the wire; a step for an exited member, a timer fire or an injection,
     /// is simply moot).
     pub(crate) fn deliver(&self, to: ProcessId, msg: Msg<E>) -> bool {
-        match (&self.shared.tcp, msg) {
+        match (&self.tcp, msg) {
             (Some(tcp), Msg::Net { from, frames }) => {
                 let key = tcp.next_key.fetch_add(1, Ordering::Relaxed);
                 tcp.slab
@@ -696,7 +670,7 @@ mod tests {
         let clock = crate::WallClock::new();
         let soon = clock.now().saturating_add(TimeDelta::from_millis(2));
         let sooner = clock.now().saturating_add(TimeDelta::from_millis(1));
-        wheel.schedule(
+        wheel.schedule_all([(
             soon,
             Due::Frame {
                 to: ProcessId::new(1),
@@ -705,8 +679,8 @@ mod tests {
                     event: 2,
                 }),
             },
-        );
-        wheel.schedule(
+        )]);
+        wheel.schedule_all([(
             sooner,
             Due::Frame {
                 to: ProcessId::new(0),
@@ -715,7 +689,7 @@ mod tests {
                     event: 1,
                 }),
             },
-        );
+        )]);
         let first = wheel.next_due(&clock).expect("entry");
         match first {
             Due::Frame { to, .. } => assert_eq!(to, ProcessId::new(0)),

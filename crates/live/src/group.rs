@@ -80,7 +80,8 @@ impl LiveConfig {
 /// A group of real processes running stack `S`: every member is an OS
 /// thread, timers are wall-clock deadlines, frames cross channels or
 /// loopback TCP. Its surface is [`GroupTransport`](gcs_sim::GroupTransport);
-/// dropping it stops and joins every thread.
+/// dropping it stops and joins every thread, then raises again a panic that
+/// ended a member's thread (a panic is that member's crash meanwhile).
 ///
 /// ```
 /// use gcs_core::{NewArchDriver, StackConfig};
@@ -110,9 +111,10 @@ pub fn start<S: StackDriver>(config: S::Config, live: LiveConfig) -> LiveGroup<S
 mod tests {
     use super::*;
     use gcs_core::{NewArchDriver, StackConfig};
-    use gcs_kernel::{ProcessId, Time, TimeDelta};
-    use gcs_sim::GroupTransport;
+    use gcs_kernel::{ComponentId, PayloadRef, Process, ProcessId, Time, TimeDelta};
+    use gcs_sim::{GroupTransport, InvariantChecker, Observation, Op, StackKind};
     use gcs_traditional::{IsisConfig, IsisDriver, TokenConfig, TokenDriver};
+    use std::marker::PhantomData;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -241,5 +243,74 @@ mod tests {
             }),
             "after heal the group delivers again"
         );
+    }
+
+    /// Stack `S` whose reliable broadcast is an atomic broadcast sent to a
+    /// component no process registers, which `Process::step_into` answers
+    /// with a panic: a member-thread panic on demand.
+    struct Faulty<S>(PhantomData<S>);
+
+    impl<S: StackDriver> StackDriver for Faulty<S> {
+        type Event = S::Event;
+        type Config = S::Config;
+        const KIND: StackKind = S::KIND;
+
+        fn build(id: ProcessId, config: &S::Config, founders: usize) -> Process<S::Event> {
+            S::build(id, config, founders)
+        }
+
+        fn abcast(payload: PayloadRef) -> Op<S::Event> {
+            S::abcast(payload)
+        }
+
+        fn rbcast(payload: PayloadRef) -> Option<Op<S::Event>> {
+            Some((ComponentId::new(99), S::abcast(payload).1))
+        }
+
+        fn join(contact: ProcessId) -> Op<S::Event> {
+            S::join(contact)
+        }
+
+        fn project(event: &S::Event) -> Observation<'_> {
+            S::project(event)
+        }
+    }
+
+    /// A panic in p2's thread is p2's crash: p2 reads dead once the step
+    /// that panicked is over, the survivors go on and stay consistent, and
+    /// dropping the group re-raises the panic with p2 named.
+    fn a_member_panic_on<S: StackDriver>(config: S::Config) {
+        let name = S::KIND.name();
+        let mut g = start::<Faulty<S>>(config, LiveConfig::new(3).with_seed(13));
+        g.rbcast_at(g.now(), p(2), b"boom".to_vec());
+        assert!(
+            eventually(&g, TimeDelta::from_secs(5), || !g.alive_flags()[2]),
+            "{name}: the panicked member reads dead"
+        );
+        assert_eq!(g.alive_flags(), [true, true, false], "{name}");
+        g.abcast_at(g.now(), p(0), b"after-panic".to_vec());
+        assert!(
+            eventually(&g, TimeDelta::from_secs(20), || {
+                let seqs = payload_seqs(&g);
+                seqs[0].len() == 1 && seqs[1].len() == 1
+            }),
+            "{name}: the survivors deliver"
+        );
+        let report = InvariantChecker::check(&g, 3);
+        assert!(report.is_clean(), "{name}: {:#?}", report.violations);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(g)))
+            .expect_err("the drop re-raises the member's panic");
+        let text = raised.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            text.starts_with("live member p2 panicked: "),
+            "{name}: {text}"
+        );
+    }
+
+    #[test]
+    fn a_member_panic_is_a_crash_and_surfaces_at_drop() {
+        a_member_panic_on::<NewArchDriver>(StackConfig::default());
+        a_member_panic_on::<IsisDriver>(IsisConfig::default());
+        a_member_panic_on::<TokenDriver>(TokenConfig::default());
     }
 }

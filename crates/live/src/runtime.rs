@@ -17,11 +17,12 @@
 //!    `Outbox`: sends and casts appended to their destination's list (so
 //!    each destination sees emission order across dispatches), timers as
 //!    absolute deadlines, outputs with their time.
-//! 3. **Flush.** Once per drain, `Router::flush` ships each destination's
+//! 3. **Flush.** Once per drain, `Shared::flush` ships each destination's
 //!    list as one burst through the emulated network — directly into the
 //!    inbox in channel mode, as one framed write over a loopback TCP stream
 //!    in TCP mode, or onto the wheel when the link model delays it — and
-//!    takes each shared lock (metrics, wheel, trace) once.
+//!    records the drain's steps, frame fates and outputs in the member's
+//!    own ledger, locked once. No lock is held while a step runs.
 //!
 //! A member that wakes to an inbox of one message does exactly what a
 //! frame-at-a-time loop would; under load the cost of crossing the fabric
@@ -31,6 +32,11 @@
 //! of a finished dispatch always leave the member), nothing behind it in
 //! the inbox is looked at.
 //!
+//! **Each fact has one writer.** A crash is a place in the inbox: a fault
+//! step only queues `Msg::Crash`, and the member marks itself dead on
+//! taking it. A panic is a crash too, raised again when the runtime drops.
+//! What a member produces is in its own ledger; readers combine them.
+//!
 //! The timer thread services the group's [`TimerWheel`]: protocol timers,
 //! bursts parked by emulated link delay, and scheduled fault actions all
 //! come due there. Firing a timer on a process that already cancelled it is
@@ -39,8 +45,9 @@
 //! safe: the wheel may hold stale entries for crashed members or cancelled
 //! timers without corrupting anyone.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -48,7 +55,7 @@ use gcs_kernel::{ComponentId, Effects, Event, Input, Process, ProcessId, Time};
 use gcs_net::TcpLink;
 use gcs_sim::{Metrics, Runtime, Schedule, ScheduleAction};
 
-use crate::fabric::{self, Due, Msg, Outbox, Router, Shared, Tally};
+use crate::fabric::{self, record_arrival, Due, Msg, Outbox, Shared};
 use crate::LiveConfig;
 
 /// Dispatches one drain may make before it must flush. A bound, not a
@@ -74,12 +81,12 @@ pub enum WireMode {
 }
 
 /// A running group of member threads plus their timer thread: the live
-/// [`Runtime`]. Dropping it stops and joins every thread.
+/// [`Runtime`]. Dropping it stops and joins every thread, then raises a
+/// member's panic again.
 pub struct LiveRuntime<E: Event + Send> {
     shared: Arc<Shared<E>>,
-    router: Router<E>,
     handles: Vec<JoinHandle<()>>,
-    /// Snapshot of the shared metrics, refreshed by the run methods so
+    /// The members' metrics merged, refreshed by the run methods so
     /// `metrics()` can hand out a reference like the simulator does.
     metrics_cache: Metrics,
 }
@@ -97,8 +104,8 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         build: impl Fn(ProcessId) -> Process<E> + Send + Sync + 'static,
     ) -> Self {
         let build = Arc::new(build);
-        let (router, receivers, reader_links) = fabric::open(config, n);
-        let shared = router.shared.clone();
+        let (shared, receivers, reader_links) = fabric::open(config, n);
+        let shared = Arc::new(shared);
 
         let mut handles = Vec::with_capacity(n + 1 + reader_links.len());
 
@@ -106,49 +113,28 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         // and feed the member inbox.
         for (i, link) in reader_links.into_iter().enumerate() {
             let shared = shared.clone();
-            let tx = router.senders[i].clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("live-pump-{i}"))
-                    .spawn(move || pump_loop(link, shared, tx))
-                    .expect("spawn pump thread"),
-            );
+            handles.push(spawn(format!("live-pump-{i}"), move || {
+                pump_loop(link, &shared, i)
+            }));
         }
 
         // Member threads.
         for (i, rx) in receivers.into_iter().enumerate() {
             let me = ProcessId::new(i as u32);
-            let router = router.clone();
-            let build = build.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("live-member-{i}"))
-                    .spawn(move || {
-                        // Built here, on the thread that will own it; the
-                        // shared builder (and the config it captured) is
-                        // released once the last member exists.
-                        let process = build(me);
-                        drop(build);
-                        member_loop(me, process, rx, router)
-                    })
-                    .expect("spawn member thread"),
-            );
+            let (shared, build) = (shared.clone(), build.clone());
+            // Built on the thread that will own it; the shared builder (and
+            // the config it captured) is released once the last member exists.
+            let build = move || build(me);
+            handles.push(spawn(format!("live-member-{i}"), move || {
+                member_thread(me, build, rx, &shared)
+            }));
         }
 
-        // Timer thread.
-        {
-            let router = router.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("live-timer".to_string())
-                    .spawn(move || timer_loop(router))
-                    .expect("spawn timer thread"),
-            );
-        }
+        let timer = shared.clone();
+        handles.push(spawn("live-timer".to_string(), move || timer_loop(&timer)));
 
         LiveRuntime {
             shared,
-            router,
             handles,
             metrics_cache: Metrics::default(),
         }
@@ -162,9 +148,10 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         let msg = Msg::Step(Input::Inject { component, event });
         if t <= self.now() {
             // Direct inbox send — injections bypass the emulated network.
-            let _ = self.router.senders[p.index()].send(msg);
+            let _ = self.shared.senders[p.index()].send(msg);
         } else {
-            self.shared.wheel.schedule(t, Due::Frame { to: p, msg });
+            let due = Due::Frame { to: p, msg };
+            self.shared.wheel.schedule_all([(t, due)]);
         }
     }
 
@@ -177,9 +164,9 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
             if !action.is_sim_level() {
                 membership.push((t, action));
             } else if t <= self.now() {
-                apply_fault(&self.router, t, action);
+                apply_fault(&self.shared, t, action);
             } else {
-                self.shared.wheel.schedule(t, Due::Fault(t, action));
+                self.shared.wheel.schedule_all([(t, Due::Fault(t, action))]);
             }
         }
         membership
@@ -189,7 +176,7 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
     /// running the whole time.
     fn run_until(&mut self, t: Time) {
         self.shared.clock.sleep_until(t);
-        self.refresh_metrics();
+        self.metrics_cache = self.shared.metrics();
     }
 
     /// Waits until every member has crashed (true) or the clock passes
@@ -207,23 +194,37 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         };
-        self.refresh_metrics();
+        self.metrics_cache = self.shared.metrics();
         quiet
     }
 
     fn outputs_of(&self, p: ProcessId) -> u64 {
-        self.shared.delivered_per[p.index()].load(Ordering::Relaxed)
+        self.shared.ledgers[p.index()]
+            .outputs
+            .load(Ordering::Acquire)
     }
 
     fn outputs_total(&self) -> u64 {
-        self.shared.delivered_total.load(Ordering::Relaxed)
+        let ledgers = &self.shared.ledgers;
+        ledgers
+            .iter()
+            .map(|l| l.outputs.load(Ordering::Acquire))
+            .sum()
     }
 
-    /// One lock acquisition, no clone: member threads that produce an
-    /// output meanwhile wait for the visit to end.
+    /// Every ledger locked in index order, for a consistent cut, and no
+    /// clone: member threads that flush meanwhile wait for the visit to
+    /// end. The members' outputs are merged by time, ties by process index.
     fn visit_outputs(&self, f: &mut dyn FnMut(Time, ProcessId, &E)) {
-        for (time, proc, event) in self.shared.trace.lock().expect("trace lock").iter() {
-            f(*time, *proc, event);
+        let logs: Vec<_> = self.shared.ledgers.iter().map(|l| l.lock()).collect();
+        let mut next = vec![0; logs.len()];
+        loop {
+            let head = |i: usize| logs[i].trace.get(next[i]).map(|(t, _)| (*t, i));
+            let Some((time, i)) = (0..logs.len()).filter_map(head).min() else {
+                return;
+            };
+            f(time, ProcessId::new(i as u32), &logs[i].trace[next[i]].1);
+            next[i] += 1;
         }
     }
 
@@ -236,7 +237,7 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
 
     /// Kernel events dispatched group-wide (every frame of a burst is one).
     fn events_executed(&self) -> u64 {
-        self.shared.events.load(Ordering::Relaxed)
+        self.shared.ledgers.iter().map(|l| l.lock().events).sum()
     }
 
     fn alive_flags(&self) -> Vec<bool> {
@@ -248,17 +249,19 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
     }
 }
 
-impl<E: Event + Send> LiveRuntime<E> {
-    fn refresh_metrics(&mut self) {
-        self.metrics_cache = self.shared.metrics.lock().expect("metrics lock").clone();
-    }
+/// Spawns one of the runtime's named threads.
+fn spawn(name: String, run: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let thread = std::thread::Builder::new().name(name);
+    thread.spawn(run).expect("spawn a live thread")
 }
 
 impl<E: Event + Send> Drop for LiveRuntime<E> {
-    /// Stops every member, pump, and timer thread and joins them.
+    /// Stops every member, pump, and timer thread and joins them; then
+    /// raises the first member panic, naming the member, or else re-raises
+    /// any other thread's panic, unless this thread is already unwinding.
     fn drop(&mut self) {
         self.shared.wheel.shutdown();
-        for s in &self.router.senders {
+        for s in &self.shared.senders {
             let _ = s.send(Msg::Stop);
         }
         if let Some(tcp) = &self.shared.tcp {
@@ -266,44 +269,69 @@ impl<E: Event + Send> Drop for LiveRuntime<E> {
                 let _ = link.shutdown();
             }
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        let joined: Vec<_> = self.handles.drain(..).map(JoinHandle::join).collect();
+        if std::thread::panicking() {
+            return;
+        }
+        for (i, ledger) in self.shared.ledgers.iter().enumerate() {
+            if let Some(text) = ledger.lock().panic.take() {
+                panic!("live member {} panicked: {text}", ProcessId::new(i as u32));
+            }
+        }
+        if let Some(Err(panic)) = joined.into_iter().find(Result::is_err) {
+            std::panic::resume_unwind(panic);
         }
     }
 }
 
+/// A member's thread: builds its process and runs [`member_loop`]. A
+/// crash, a halt or a panic marks the member dead here, on its own thread
+/// and nowhere else; a panic's text stays in its ledger.
+fn member_thread<E: Event + Send>(
+    me: ProcessId,
+    build: impl FnOnce() -> Process<E>,
+    rx: Receiver<Msg<E>>,
+    shared: &Shared<E>,
+) {
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| member_loop(me, build(), rx, shared)));
+    let crashed = run.unwrap_or_else(|panic| {
+        let text = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .or_else(|| panic.downcast_ref::<String>().cloned());
+        shared.ledgers[me.index()].lock().panic = Some(text.unwrap_or_default());
+        true
+    });
+    if crashed {
+        shared.dead[me.index()].store(true, Ordering::Release);
+    }
+}
+
 /// The life of one member: start the process, then drain → group → flush
-/// (see the module docs) until crash, halt or stop.
+/// (see the module docs) until crash, halt or stop. Returns whether the
+/// member ended crashed: by `Msg::Crash` or halted by its protocol.
 fn member_loop<E: Event + Send>(
     me: ProcessId,
     mut process: Process<E>,
     rx: Receiver<Msg<E>>,
-    router: Router<E>,
-) {
-    let shared = router.shared.clone();
+    shared: &Shared<E>,
+) -> bool {
     let mut fx = Effects::new();
-    let mut out = Outbox::new(router.senders.len());
+    let mut out = Outbox::new(shared.senders.len());
     let started = shared.clock.now();
     process.start_into(started, &mut fx);
     let mut halted = out.absorb(me, started, &shared.clock, &mut fx);
-    router.flush(me, &mut out);
+    shared.flush(me, &mut out);
 
     while !halted {
-        // All senders dropped: the runtime is tearing down.
-        let Ok(mut msg) = rx.recv() else { return };
-        let (mut events, mut bursts, mut frames) = (0, 0, 0);
-        let mut ending = false;
+        let mut msg = rx.recv().expect("`shared` holds the inbox's sender");
+        let mut ending = None;
         loop {
             let now = shared.clock.now();
             match msg {
-                Msg::Net {
-                    from,
-                    frames: burst,
-                } => {
-                    bursts += 1;
-                    frames += burst.len();
-                    for (component, event) in burst {
-                        events += 1;
+                Msg::Net { from, frames } => {
+                    out.bursts += 1;
+                    out.frames_in += frames.len() as u64;
+                    for (component, event) in frames {
+                        out.events += 1;
                         let input = Input::Net {
                             from,
                             component,
@@ -313,97 +341,78 @@ fn member_loop<E: Event + Send>(
                     }
                 }
                 Msg::Step(input) => {
-                    events += 1;
+                    out.events += 1;
                     process.step_into(input, now, &mut fx);
                 }
                 Msg::Crash => {
-                    shared.dead[me.index()].store(true, Ordering::Release);
                     process.halt(); // the thread IS the process: crash-stop
-                    ending = true;
+                    ending = Some(true);
                 }
-                Msg::Stop => ending = true,
+                Msg::Stop => ending = Some(false),
             }
             // The protocol may halt itself (e.g. excluded from the group).
             halted = out.absorb(me, now, &shared.clock, &mut fx);
-            if ending || halted || events >= DRAIN_BUDGET {
+            if ending.is_some() || halted || out.events >= DRAIN_BUDGET as u64 {
                 break;
             }
             let Ok(next) = rx.try_recv() else { break };
             msg = next;
         }
-        shared.events.fetch_add(events as u64, Ordering::Relaxed);
-        shared.bursts.fetch_add(bursts, Ordering::Relaxed);
-        shared.frames.fetch_add(frames as u64, Ordering::Relaxed);
-        router.flush(me, &mut out);
-        if ending {
-            return;
+        shared.flush(me, &mut out);
+        if let Some(crashed) = ending {
+            return crashed;
         }
     }
-    shared.dead[me.index()].store(true, Ordering::Release);
+    true
 }
 
 /// The timer thread: pops due work off the wheel until shutdown.
-fn timer_loop<E: Event + Send>(router: Router<E>) {
-    let shared = router.shared.clone();
+fn timer_loop<E: Event + Send>(shared: &Shared<E>) {
     while let Some(due) = shared.wheel.next_due(&shared.clock) {
         match due {
             Due::Frame { to, msg } => match msg {
-                Msg::Net { ref frames, .. } => {
+                Msg::Net { from, ref frames } => {
                     let count = frames.len();
                     // A burst whose receiver crashed while it was in flight
                     // dies on the wire, frame by frame.
-                    let arrived = !shared.is_dead(to) && router.deliver(to, msg);
-                    let mut tally = Tally::default();
-                    tally.arrived(arrived, count);
-                    shared.with_metrics(|m| tally.record(m));
+                    let arrived = !shared.is_dead(to) && shared.deliver(to, msg);
+                    let mut log = shared.ledgers[from.index()].lock();
+                    record_arrival(&mut log.metrics, arrived, count);
                 }
                 // A step for an exited member is moot.
-                step => {
-                    router.deliver(to, step);
-                }
+                step => _ = shared.deliver(to, step),
             },
-            Due::Fault(at, action) => apply_fault(&router, at, action),
+            Due::Fault(at, action) => apply_fault(shared, at, action),
         }
     }
 }
 
-/// Enters fault step `action`, scheduled for `at`, now: a crash stops the
-/// member, anything else goes to the network model.
-fn apply_fault<E: Event + Send>(router: &Router<E>, at: Time, action: ScheduleAction) {
-    let shared = &router.shared;
+/// Enters fault step `action`, scheduled for `at`, now: a crash takes its
+/// place in the member's inbox, anything else goes to the network model.
+fn apply_fault<E: Event + Send>(shared: &Shared<E>, at: Time, action: ScheduleAction) {
     if let ScheduleAction::Crash(p) = action {
-        if !shared.is_dead(p) {
-            // Mark first so routers drop frames immediately, then tell the
-            // thread to exit.
-            shared.dead[p.index()].store(true, Ordering::Release);
-            let _ = router.senders[p.index()].send(Msg::Crash);
-        }
+        // A member that already exited has nothing left to crash.
+        let _ = shared.senders[p.index()].send(Msg::Crash);
         return;
     }
-    let n = shared.dead.len();
-    shared
-        .net
-        .lock()
-        .expect("net lock")
-        .model
-        .apply(at, action, n);
+    let mut net = shared.net.lock().expect("net lock");
+    net.model.apply(at, action, shared.dead.len());
 }
 
-/// TCP-mode reader pump: decode wire frames for one member, resolve each
+/// TCP-mode reader pump: decode wire frames for member `to`, resolve each
 /// body handle back to the burst it stands for, and enqueue that — one
 /// framed write, one inbox message — on the member's inbox.
-fn pump_loop<E: Event + Send>(mut link: TcpLink, shared: Arc<Shared<E>>, tx: Sender<Msg<E>>) {
+fn pump_loop<E: Event + Send>(mut link: TcpLink, shared: &Shared<E>, to: usize) {
     let fabric = shared.tcp.as_ref().expect("tcp fabric in tcp mode");
     loop {
         match link.recv() {
             Ok(Some((_header, body))) => {
-                if body.len() != 8 {
+                let Ok(key) = body[..].try_into().map(u64::from_be_bytes) else {
                     continue; // not a handle frame; ignore
-                }
-                let key = u64::from_be_bytes(body[..8].try_into().expect("8-byte handle"));
+                };
                 let entry = fabric.slab.lock().expect("slab lock").remove(&key);
                 if let Some((from, frames)) = entry {
-                    if tx.send(Msg::Net { from, frames }).is_err() {
+                    if shared.senders[to].send(Msg::Net { from, frames }).is_err() {
                         return; // member exited; stop pumping
                     }
                 }
@@ -416,7 +425,7 @@ fn pump_loop<E: Event + Send>(mut link: TcpLink, shared: Arc<Shared<E>>, tx: Sen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_kernel::{Component, Context, TimeDelta};
+    use gcs_kernel::{Component, Context, TimeDelta, TimerId};
     use gcs_sim::{LinkModel, Topology};
     use std::time::Duration;
 
@@ -426,6 +435,11 @@ mod tests {
         ProcessId::new(i)
     }
 
+    /// `count` summed over the members' ledgers.
+    fn sum<E>(shared: &Shared<E>, count: impl Fn(&fabric::Log<E>) -> u64) -> u64 {
+        shared.ledgers.iter().map(|l| count(&l.lock())).sum()
+    }
+
     #[derive(Clone, Debug, PartialEq)]
     enum T {
         /// Injected at p0: send `Tag(n)` to p1, cast `Tag(100 + n)` to p1
@@ -433,6 +447,8 @@ mod tests {
         Go(u32),
         Tag(u32),
         Seen(u32),
+        /// Set a timer due at once; its fire outputs `Seen(0)`.
+        Arm,
     }
 
     impl Event for T {
@@ -441,6 +457,7 @@ mod tests {
                 T::Go(_) => "t/go",
                 T::Tag(_) => "t/tag",
                 T::Seen(_) => "t/seen",
+                T::Arm => "t/arm",
             }
         }
     }
@@ -459,7 +476,14 @@ mod tests {
                 }
                 T::Tag(n) => ctx.output(T::Seen(n)),
                 T::Seen(_) => {}
+                T::Arm => {
+                    ctx.set_timer(TimeDelta::ZERO);
+                }
             }
+        }
+
+        fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, T>) {
+            ctx.output(T::Seen(0));
         }
     }
 
@@ -468,7 +492,7 @@ mod tests {
     /// burst goes straight to the inbox; otherwise (LAN) it is parked on
     /// the wheel.
     struct Bench {
-        router: Router<T>,
+        shared: Arc<Shared<T>>,
         inboxes: Vec<Option<Receiver<Msg<T>>>>,
         readers: Vec<TcpLink>,
     }
@@ -488,29 +512,29 @@ mod tests {
                 Topology::lan()
             };
             let config = LiveConfig::new(3).with_topology(topology).with_wire(wire);
-            let (router, inboxes, readers) = fabric::open(config, 3);
+            let (shared, inboxes, readers) = fabric::open(config, 3);
             Bench {
-                router,
+                shared: Arc::new(shared),
                 inboxes: inboxes.into_iter().map(Some).collect(),
                 readers,
             }
         }
 
         fn shared(&self) -> &Shared<T> {
-            &self.router.shared
+            &self.shared
         }
 
         /// Fills `who`'s inbox and runs its member loop on this thread until
         /// it exits (the messages must end in, or contain, a `Stop`/`Crash`).
         fn play(&mut self, who: u32, inbox: Vec<Msg<T>>) {
             for msg in inbox {
-                self.router.senders[who as usize]
+                self.shared.senders[who as usize]
                     .send(msg)
                     .expect("inbox open");
             }
             let rx = self.inboxes[who as usize].take().expect("not played yet");
-            let process = Process::builder(p(who)).with(TALK, Talker).build();
-            member_loop(p(who), process, rx, self.router.clone());
+            let build = || Process::builder(p(who)).with(TALK, Talker).build();
+            member_thread(p(who), build, rx, &self.shared);
         }
 
         /// The bursts waiting in `who`'s inbox, as the tags they carry.
@@ -533,30 +557,38 @@ mod tests {
                 .collect()
         }
 
+        /// Every member's outputs, member by member.
         fn seen(&self) -> Vec<(ProcessId, T)> {
-            let trace = self.shared().trace.lock().expect("trace lock");
-            trace.iter().map(|(_, who, e)| (*who, e.clone())).collect()
+            let ledgers = self.shared().ledgers.iter().enumerate();
+            let log = |(i, ledger): (usize, &fabric::Ledger<T>)| {
+                let trace = ledger.lock().trace.clone();
+                trace.into_iter().map(move |(_, e)| (p(i as u32), e))
+            };
+            ledgers.flat_map(log).collect()
         }
 
         /// `(sent, delivered, dropped by loss, by partition, by crash)`.
         fn accounts(&self) -> (u64, u64, u64, u64, u64) {
-            self.shared().with_metrics(|m| {
-                (
-                    m.total_sent(),
-                    m.delivered(),
-                    m.dropped_loss(),
-                    m.dropped_partition(),
-                    m.dropped_crash(),
-                )
-            })
+            let m = self.shared().metrics();
+            (
+                m.total_sent(),
+                m.delivered(),
+                m.dropped_loss(),
+                m.dropped_partition(),
+                m.dropped_crash(),
+            )
+        }
+    }
+
+    fn inject(event: T) -> Input<T> {
+        Input::Inject {
+            component: TALK,
+            event,
         }
     }
 
     fn go(n: u32) -> Msg<T> {
-        Msg::Step(Input::Inject {
-            component: TALK,
-            event: T::Go(n),
-        })
+        Msg::Step(inject(T::Go(n)))
     }
 
     #[test]
@@ -568,11 +600,11 @@ mod tests {
         assert_eq!(b.bursts_at(2), vec![vec![101, 102, 103]]);
         let seen: Vec<T> = b.seen().into_iter().map(|(_, e)| e).collect();
         assert_eq!(seen, vec![T::Seen(1), T::Seen(2), T::Seen(3)]);
-        assert_eq!(b.shared().delivered_total.load(Ordering::Relaxed), 3);
+        assert_eq!(b.shared().ledgers[0].outputs.load(Ordering::Relaxed), 3);
         // Nine protocol messages, whatever they travelled in.
         assert_eq!(b.accounts(), (9, 9, 0, 0, 0));
-        assert_eq!(b.shared().with_metrics(|m| m.sent_of_kind("t/tag")), 9);
-        assert_eq!(b.shared().events.load(Ordering::Relaxed), 3);
+        assert_eq!(b.shared().metrics().sent_of_kind("t/tag"), 9);
+        assert_eq!(sum(b.shared(), |log| log.events), 3);
     }
 
     #[test]
@@ -580,7 +612,7 @@ mod tests {
         // Partition: p0 alone.
         let mut b = Bench::open(true, WireMode::Channel);
         let partition = ScheduleAction::Partition(vec![vec![p(0)], vec![p(1), p(2)]]);
-        apply_fault(&b.router, Time::ZERO, partition);
+        apply_fault(&b.shared, Time::ZERO, partition);
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 0, 0, 9, 0));
 
@@ -590,7 +622,7 @@ mod tests {
             duration: TimeDelta::from_secs(3_600),
             prob: 1.0,
         };
-        apply_fault(&b.router, Time::ZERO, burst);
+        apply_fault(&b.shared, Time::ZERO, burst);
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 0, 9, 0, 0));
 
@@ -607,8 +639,8 @@ mod tests {
         assert_eq!(b.accounts(), (9, 0, 0, 0, 0), "both bursts in flight");
         b.shared().dead[1].store(true, Ordering::Release);
         let timer = {
-            let router = b.router.clone();
-            std::thread::spawn(move || timer_loop(router))
+            let shared = b.shared.clone();
+            std::thread::spawn(move || timer_loop(&shared))
         };
         let arrived = b.inboxes[2]
             .as_ref()
@@ -656,10 +688,52 @@ mod tests {
         assert_eq!(b.accounts(), (6, 6, 0, 0, 0));
     }
 
+    /// A crash is a place in the inbox. Queued at one instant with a timer
+    /// fire, in either order, it lets the member dispatch what was queued
+    /// before it and nothing after it, and the member's flag — what
+    /// `alive_flags` reads — turns only once the member has taken it.
+    #[test]
+    fn a_crash_and_a_timer_fire_at_one_instant_keep_their_inbox_order() {
+        // Timer ids count from zero in every process: a fresh talker's
+        // first timer is the one the played member's `Arm` sets.
+        let mut fx = Effects::new();
+        let mut probe = Process::builder(p(0)).with(TALK, Talker).build();
+        probe.step_into(inject(T::Arm), Time::ZERO, &mut fx);
+        let timer = fx.timers.drain().next().expect("Arm sets a timer").id;
+
+        for fire_first in [true, false] {
+            let mut b = Bench::open(true, WireMode::Channel);
+            let now = b.shared().clock.now();
+            let crash = |b: &Bench| apply_fault(&b.shared, now, ScheduleAction::Crash(p(0)));
+            // The timer thread's way in.
+            let fire = |b: &Bench| assert!(b.shared.deliver(p(0), Msg::Step(Input::Fire(timer))));
+            b.shared.senders[0]
+                .send(Msg::Step(inject(T::Arm)))
+                .expect("inbox open");
+            if fire_first {
+                fire(&b);
+                crash(&b);
+            } else {
+                crash(&b);
+                fire(&b);
+            }
+            assert!(!b.shared().is_dead(p(0)), "a queued crash is not taken yet");
+            b.play(0, Vec::new());
+            assert!(b.shared().is_dead(p(0)));
+            let seen: Vec<T> = b.seen().into_iter().map(|(_, e)| e).collect();
+            let events = sum(b.shared(), |log| log.events);
+            if fire_first {
+                assert_eq!((seen, events), (vec![T::Seen(0)], 2));
+            } else {
+                assert_eq!((seen, events), (vec![], 1), "nothing after the crash");
+            }
+        }
+    }
+
     #[test]
     fn a_lone_message_is_flushed_while_the_inbox_stays_open() {
         let mut b = Bench::open(true, WireMode::Channel);
-        let wake = b.router.senders[0].clone();
+        let wake = b.shared.senders[0].clone();
         let rx1 = b.inboxes[1].take().expect("inbox");
         std::thread::scope(|scope| {
             // p0 is given one message and no `Stop`: after dispatching it
@@ -688,8 +762,8 @@ mod tests {
         // p1's pump turns its write back into one inbox message…
         let pump = {
             let link = b.readers.remove(1);
-            let (shared, tx) = (b.router.shared.clone(), b.router.senders[1].clone());
-            std::thread::spawn(move || pump_loop(link, shared, tx))
+            let shared = b.shared.clone();
+            std::thread::spawn(move || pump_loop(link, &shared, 1))
         };
         let burst = b.inboxes[1]
             .as_ref()
@@ -708,9 +782,9 @@ mod tests {
             at_p1,
             vec![T::Seen(1), T::Seen(101), T::Seen(2), T::Seen(102)]
         );
-        assert_eq!(b.shared().events.load(Ordering::Relaxed), 2 + 4);
-        assert_eq!(b.shared().bursts.load(Ordering::Relaxed), 1);
-        assert_eq!(b.shared().frames.load(Ordering::Relaxed), 4);
+        assert_eq!(sum(b.shared(), |log| log.events), 2 + 4);
+        assert_eq!(sum(b.shared(), |log| log.bursts), 1);
+        assert_eq!(sum(b.shared(), |log| log.frames), 4);
 
         let tcp = b.shared().tcp.as_ref().expect("tcp mode");
         tcp.reader_shutdown[1]
@@ -738,10 +812,7 @@ mod tests {
         });
         let packing = |group: &LiveRuntime<_>| {
             let shared: &Shared<_> = &group.shared;
-            (
-                shared.bursts.load(Ordering::Relaxed),
-                shared.frames.load(Ordering::Relaxed),
-            )
+            (sum(shared, |log| log.bursts), sum(shared, |log| log.frames))
         };
         let mut offered = 0u64;
         let offer = |group: &mut LiveRuntime<_>, offered: &mut u64| {

@@ -41,8 +41,8 @@
 //!    untouched.
 //! 4. *observe-after-run.* An observation pass sees every output of the
 //!    events executed so far and nothing else; on the simulator that is
-//!    exact, on the live backend it is a consistent prefix (the pass holds
-//!    the trace lock).
+//!    exact, on the live backend it is a consistent prefix (the pass locks
+//!    every member's record of its outputs at once).
 //!
 //! **The ledger.** `offered` counts every accepted broadcast (atomic,
 //! generic, reliable); the backlog seen from `p` is `offered` minus the

@@ -90,7 +90,7 @@ impl LatencyHistogram {
 /// Per-kind counters: a short linear table instead of a map. A run touches
 /// a dozen-odd distinct kinds, and consecutive sends overwhelmingly repeat
 /// the previous kind (heartbeat fan-out, ack trains), so a last-hit cache
-/// plus pointer-first comparison beats any map on the `record_send` hot
+/// plus pointer-first comparison beats any map on the `record_packet` hot
 /// path.
 #[derive(Clone, Debug, Default)]
 struct KindTable {
@@ -99,24 +99,24 @@ struct KindTable {
 }
 
 impl KindTable {
-    fn record(&mut self, kind: &'static str, bytes: u64) {
+    fn add(&mut self, kind: &'static str, msgs: u64, bytes: u64) {
         if let Some(row) = self.rows.get_mut(self.last) {
             if std::ptr::eq(row.0, kind) || row.0 == kind {
-                row.1 += 1;
+                row.1 += msgs;
                 row.2 += bytes;
                 return;
             }
         }
         for (i, row) in self.rows.iter_mut().enumerate() {
             if std::ptr::eq(row.0, kind) || row.0 == kind {
-                row.1 += 1;
+                row.1 += msgs;
                 row.2 += bytes;
                 self.last = i;
                 return;
             }
         }
         self.last = self.rows.len();
-        self.rows.push((kind, 1, bytes));
+        self.rows.push((kind, msgs, bytes));
     }
 
     fn get(&self, kind: &str) -> Option<(u64, u64)> {
@@ -164,37 +164,19 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records a packet handed to the network, carrying one message of
-    /// `kind`. Public so non-simulator runtimes (the live threaded backend)
-    /// can account traffic in the same vocabulary.
-    pub fn record_send(&mut self, kind: &'static str, bytes: usize) {
-        self.kinds.record(kind, bytes as u64);
-        self.total_sent += 1;
-        self.total_bytes += bytes as u64;
-    }
-
-    /// Records one more message riding in the packet last recorded with
-    /// [`record_send`](Self::record_send): counted under its kind and in the
-    /// bytes, not as a packet.
-    pub fn record_carried(&mut self, kind: &'static str, bytes: usize) {
-        self.kinds.record(kind, bytes as u64);
-        self.total_bytes += bytes as u64;
-    }
-
     /// Records `event` handed to the network as one packet, each message it
     /// carries under its own kind (see
     /// [`Event::for_each_carried`](gcs_kernel::Event::for_each_carried)),
-    /// and returns its wire size.
+    /// and returns its wire size. Public so the live backend accounts
+    /// traffic in the same vocabulary.
     pub fn record_packet<E: gcs_kernel::Event>(&mut self, event: &E) -> usize {
-        let (mut size, mut first) = (0, true);
+        let mut size = 0;
         event.for_each_carried(|kind, bytes| {
-            if std::mem::take(&mut first) {
-                self.record_send(kind, bytes);
-            } else {
-                self.record_carried(kind, bytes);
-            }
+            self.kinds.add(kind, 1, bytes as u64);
             size += bytes;
         });
+        self.total_sent += 1;
+        self.total_bytes += size as u64;
         size
     }
 
@@ -306,6 +288,33 @@ impl Metrics {
             .sum()
     }
 
+    /// Adds `other` to this, counter by counter (for counts kept in parts,
+    /// such as one per live member: merge the parts, then read the sum).
+    pub fn merge(&mut self, other: &Metrics) {
+        for &(kind, msgs, bytes) in &other.kinds.rows {
+            self.kinds.add(kind, msgs, bytes);
+        }
+        self.total_sent += other.total_sent;
+        self.total_bytes += other.total_bytes;
+        self.delivered += other.delivered;
+        self.dropped_loss += other.dropped_loss;
+        self.dropped_partition += other.dropped_partition;
+        self.dropped_crash += other.dropped_crash;
+        if self.region_hist.is_empty() {
+            self.regions = other.regions;
+            self.region_hist = other.region_hist.clone();
+            return;
+        }
+        for (mine, theirs) in self.region_hist.iter_mut().zip(&other.region_hist) {
+            mine.buckets
+                .iter_mut()
+                .zip(&theirs.buckets)
+                .for_each(|(a, b)| *a += b);
+            mine.count += theirs.count;
+            mine.total_ns += theirs.total_ns;
+        }
+    }
+
     /// Difference `self - earlier`, counter by counter (for windowed
     /// measurements: snapshot, run a phase, subtract).
     pub fn delta_since(&self, earlier: &Metrics) -> Metrics {
@@ -359,12 +368,30 @@ impl fmt::Display for Metrics {
 mod tests {
     use super::*;
 
+    /// A packet of `(kind, bytes)` messages, the first one its own.
+    #[derive(Clone, Debug)]
+    struct Packet(Vec<(&'static str, usize)>);
+
+    impl gcs_kernel::Event for Packet {
+        fn kind(&self) -> &'static str {
+            self.0[0].0
+        }
+
+        fn for_each_carried(&self, mut each: impl FnMut(&'static str, usize)) {
+            self.0.iter().for_each(|&(kind, bytes)| each(kind, bytes));
+        }
+    }
+
+    fn send(m: &mut Metrics, messages: &[(&'static str, usize)]) {
+        m.record_packet(&Packet(messages.to_vec()));
+    }
+
     #[test]
     fn counters_accumulate_per_kind() {
         let mut m = Metrics::new();
-        m.record_send("ack", 10);
-        m.record_send("ack", 10);
-        m.record_send("data", 100);
+        send(&mut m, &[("ack", 10)]);
+        send(&mut m, &[("ack", 10)]);
+        send(&mut m, &[("data", 100)]);
         assert_eq!(m.sent_of_kind("ack"), 2);
         assert_eq!(m.sent_of_kind("data"), 1);
         assert_eq!(m.sent_of_kind("none"), 0);
@@ -375,9 +402,8 @@ mod tests {
     #[test]
     fn a_packet_counts_once_and_what_it_carries_by_kind() {
         let mut m = Metrics::new();
-        m.record_send("ct/decide", 40);
-        m.record_carried("ct/propose", 30);
-        m.record_send("ct/ack", 20);
+        send(&mut m, &[("ct/decide", 40), ("ct/propose", 30)]);
+        send(&mut m, &[("ct/ack", 20)]);
         assert_eq!(m.total_sent(), 2);
         assert_eq!(m.total_bytes(), 90);
         for kind in ["ct/decide", "ct/propose", "ct/ack"] {
@@ -388,10 +414,10 @@ mod tests {
     #[test]
     fn delta_since_subtracts() {
         let mut m = Metrics::new();
-        m.record_send("a", 1);
+        send(&mut m, &[("a", 1)]);
         let snapshot = m.clone();
-        m.record_send("a", 1);
-        m.record_send("b", 2);
+        send(&mut m, &[("a", 1)]);
+        send(&mut m, &[("b", 2)]);
         let d = m.delta_since(&snapshot);
         assert_eq!(d.sent_of_kind("a"), 1);
         assert_eq!(d.sent_of_kind("b"), 1);
@@ -399,9 +425,54 @@ mod tests {
     }
 
     #[test]
+    fn merge_then_delta_since_gives_back_what_was_merged_in() {
+        let mut m = Metrics::new();
+        m.set_regions(2);
+        send(&mut m, &[("a", 1)]);
+        m.record_delivery();
+        m.record_link_latency(0, 1, TimeDelta::from_millis(20));
+        let before = m.clone();
+        let mut part = Metrics::new();
+        part.set_regions(2);
+        send(&mut part, &[("b", 2), ("a", 3)]);
+        send(&mut part, &[("a", 4)]);
+        part.record_delivery();
+        part.record_drop_loss();
+        part.record_drop_partition();
+        part.record_drop_crash();
+        part.record_link_latency(1, 0, TimeDelta::from_millis(30));
+        m.merge(&part);
+        let d = m.delta_since(&before);
+        let rows = |m: &Metrics| m.by_kind().collect::<Vec<_>>();
+        assert_eq!(rows(&d), rows(&part));
+        let totals = |m: &Metrics| {
+            (
+                m.total_sent(),
+                m.total_bytes(),
+                m.delivered(),
+                m.dropped_loss(),
+                m.dropped_partition(),
+                m.dropped_crash(),
+            )
+        };
+        assert_eq!(totals(&d), totals(&part));
+        let pairs = |m: &Metrics| {
+            m.region_pairs()
+                .map(|(f, t, h)| (f, t, h.buckets().to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pairs(&d), pairs(&part));
+        // Merged into empty metrics, a part reads as itself.
+        let mut empty = Metrics::new();
+        empty.merge(&part);
+        assert_eq!(totals(&empty), totals(&part));
+        assert_eq!(pairs(&empty), pairs(&part));
+    }
+
+    #[test]
     fn display_lists_kinds() {
         let mut m = Metrics::new();
-        m.record_send("xyz", 7);
+        send(&mut m, &[("xyz", 7)]);
         let s = format!("{m}");
         assert!(s.contains("xyz"));
         assert!(s.contains("sent=1"));
@@ -453,9 +524,9 @@ mod tests {
     #[test]
     fn sent_matching_filters() {
         let mut m = Metrics::new();
-        m.record_send("fd/heartbeat", 1);
-        m.record_send("ct/propose", 1);
-        m.record_send("ct/ack", 1);
+        send(&mut m, &[("fd/heartbeat", 1)]);
+        send(&mut m, &[("ct/propose", 1)]);
+        send(&mut m, &[("ct/ack", 1)]);
         assert_eq!(m.sent_matching(|k| k.starts_with("ct/")), 2);
     }
 }

@@ -348,8 +348,8 @@ pub trait GroupTransport {
     /// The one observation pass: calls `f` with every recorded protocol
     /// output in global observation order, projected into the neutral
     /// [`Observation`] vocabulary. Nothing is cloned; on the live backend
-    /// the trace lock is held for the duration of the pass, so `f` should
-    /// be quick.
+    /// every member's record of its outputs stays locked for the duration
+    /// of the pass, so `f` should be quick.
     ///
     /// Everything below that reads the trace ([`delivery_trace`],
     /// [`views`], [`resets`], [`suspicion_trace`], …) is written over this
