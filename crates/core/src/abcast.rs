@@ -105,11 +105,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gcs_consensus::InstanceId;
-use gcs_kernel::{FxHashSet, ProcessId};
+use gcs_kernel::{FxHashSet, IdRuns, ProcessId};
 
 use crate::rbcast::Rbcast;
 use crate::types::{
-    AbMsg, Batch, Body, Delivery, DeliveryKind, IdRuns, Message, MessageClass, MsgId, Proposal,
+    AbMsg, Batch, Body, Delivery, DeliveryKind, Message, MessageClass, MsgId, Proposal,
     SnapshotData, View, WireMsg,
 };
 
@@ -268,7 +268,7 @@ impl AbcastCore {
 
     /// Ids already a-delivered (for snapshots).
     pub fn adelivered(&self) -> Vec<MsgId> {
-        self.adelivered.to_vec()
+        self.adelivered.iter().map(MsgId::from).collect()
     }
 
     /// The round-0 coordinator named for the cursor instance (for snapshots;

@@ -124,12 +124,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gcs_kernel::{FxHashSet, PositionSet, ProcessId};
+use gcs_kernel::{FxHashSet, IdRuns, PositionSet, ProcessId};
 
 use crate::rbcast::Rbcast;
 use crate::types::{
-    Body, ConflictRelation, Delivery, DeliveryKind, GbEndData, GbMsg, IdRuns, Message,
-    MessageClass, MsgId, View, WireMsg,
+    Body, ConflictRelation, Delivery, DeliveryKind, GbEndData, GbMsg, Message, MessageClass, MsgId,
+    View, WireMsg,
 };
 
 /// An instruction produced by the generic-broadcast core.
@@ -346,7 +346,7 @@ impl GenericCore {
 
     /// G-delivered ids, sorted (for snapshots).
     pub fn gdelivered(&self) -> Vec<MsgId> {
-        self.gdelivered.to_vec()
+        self.gdelivered.iter().map(MsgId::from).collect()
     }
 
     /// Runs held by the id sets the core never prunes — `seen` and

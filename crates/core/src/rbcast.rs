@@ -44,9 +44,9 @@
 //! still reaches everyone (`bounded_relay_reaches_every_correct_member`
 //! checks it).
 
-use gcs_kernel::{fanout, ring_successors, ProcessId};
+use gcs_kernel::{fanout, ring_successors, IdRuns, ProcessId};
 
-use crate::types::{IdRuns, Message, MsgId};
+use crate::types::{Message, MsgId};
 
 /// Diffusion-based reliable broadcast over reliable point-to-point channels.
 #[derive(Debug)]

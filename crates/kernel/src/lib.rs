@@ -16,6 +16,8 @@
 //!   stacks do not see each other,
 //! * [`PositionSet`] — a bitset over the positions of a member list (who
 //!   acked, who is suspected), shared by consensus and generic broadcast,
+//! * [`IdRuns`] — a set of `(sender, seq)` message ids kept as per-sender
+//!   runs, the seen and delivered sets of all three stacks,
 //! * [`fanout`] and [`ring_successors`] — how many peers, and which, a
 //!   process contacts per round in a group of a given size: every peer up
 //!   to [`SCALE_THRESHOLD`], about log₂ n above, for the failure detector,
@@ -93,6 +95,7 @@ mod event;
 mod fanout;
 mod group;
 mod hash;
+mod id_runs;
 mod ids;
 mod payload;
 mod positions;
@@ -108,6 +111,7 @@ pub use event::Event;
 pub use fanout::{fanout, ring_successors, SCALE_THRESHOLD};
 pub use group::{DeliveryKind, MessageClass, View};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use id_runs::IdRuns;
 pub use ids::{ComponentId, ProcessId, TimerId};
 pub use payload::{PayloadArena, PayloadRef, SharedArena};
 pub use positions::PositionSet;

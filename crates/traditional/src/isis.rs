@@ -19,14 +19,16 @@
 //! paper-era systems ran on such a substrate); traditional-baseline
 //! experiments therefore run on a loss-free simulated LAN.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use gcs_kernel::{
-    Component, ComponentId, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process,
-    ProcessId, Time, TimeDelta, TimerId,
+    Component, ComponentId, Context, DeliveryKind, Event, IdRuns, MessageClass, PayloadRef,
+    Process, ProcessId, Time, TimeDelta, TimerId,
 };
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology, Trace};
+
+use crate::position_log::PositionLog;
 
 /// The one component of the Isis-style stack: the whole stack is one.
 pub const ISIS: ComponentId = ComponentId::new(0);
@@ -297,19 +299,18 @@ pub struct IsisStack {
     next_msg: u64,
     /// Sequencer side: next order number in this view.
     next_order: u64,
-    /// Receiver side: messages awaiting their order, and orders awaiting
-    /// their message.
+    /// Receiver side: messages awaiting their order.
     unordered: BTreeMap<IsisMsgId, PayloadRef>,
-    orders: BTreeMap<u64, IsisMsgId>,
+    /// Every ordering decision of the current view, by position. Positions
+    /// below `next_deliver` are delivered and their slot holds the payload
+    /// too (a handle; the bytes live once in the arena): the log is not
+    /// drained on delivery, so the sequencer can re-serve decisions — and
+    /// the data they refer to — that a lossy link swallowed. Positions from
+    /// `next_deliver` on are orders awaiting their message.
+    order_log: PositionLog<(IsisMsgId, Option<PayloadRef>)>,
     next_deliver: u64,
-    delivered: HashSet<IsisMsgId>,
-    /// Payloads of delivered messages, kept to serve [`IsisEvent::Repair`]
-    /// backfills (handles are 12 bytes; the bytes live once in the arena).
-    archive: HashMap<IsisMsgId, PayloadRef>,
-    /// Every ordering decision of the current view, by position — unlike
-    /// [`orders`](Self::orders) this log is not drained on delivery, so the
-    /// sequencer can re-serve decisions a lossy link swallowed.
-    order_log: BTreeMap<u64, IsisMsgId>,
+    /// Every message delivered, across views (per-sender runs).
+    delivered: IdRuns,
     /// Scan timestamp of the loss-repair paths.
     last_repair: Time,
     /// Own unsequenced messages as of the previous repair scan.
@@ -367,11 +368,9 @@ impl IsisStack {
             next_msg: 0,
             next_order: 0,
             unordered: BTreeMap::new(),
-            orders: BTreeMap::new(),
+            order_log: PositionLog::default(),
             next_deliver: 0,
-            delivered: HashSet::new(),
-            archive: HashMap::new(),
-            order_log: BTreeMap::new(),
+            delivered: IdRuns::default(),
             last_repair: Time::ZERO,
             repair_own: Vec::new(),
             repair_cursor: 0,
@@ -444,7 +443,7 @@ impl IsisStack {
         payload: PayloadRef,
         ctx: &mut Context<'_, IsisEvent>,
     ) {
-        if self.delivered.contains(&id) || self.unordered.contains_key(&id) {
+        if self.delivered.contains(id) || self.unordered.contains_key(&id) {
             return;
         }
         self.unordered.insert(id, payload);
@@ -467,8 +466,15 @@ impl IsisStack {
         if vid != self.vid {
             return; // stale view: the flush re-orders in-flight messages
         }
-        self.orders.insert(seq, id);
-        self.order_log.insert(seq, id);
+        // A later order for a position overrides an undelivered one; a
+        // delivered position keeps the message delivered there.
+        match self.order_log.get_mut(seq) {
+            Some((held, None)) => *held = id,
+            Some(_) => {}
+            None => {
+                self.order_log.insert(seq, (id, None));
+            }
+        }
         self.try_deliver(ctx);
     }
 
@@ -476,14 +482,14 @@ impl IsisStack {
         if !self.member || self.mode == Mode::Dead {
             return;
         }
-        while let Some(&id) = self.orders.get(&self.next_deliver) {
+        while let Some((id, slot)) = self.order_log.get_mut(self.next_deliver) {
+            let id = *id;
             let Some(payload) = self.unordered.remove(&id) else {
                 break; // order known, data still in flight
             };
-            self.orders.remove(&self.next_deliver);
+            *slot = Some(payload);
             self.next_deliver += 1;
             self.delivered.insert(id);
-            self.archive.insert(id, payload);
             ctx.output(IsisEvent::Deliver {
                 id,
                 payload,
@@ -518,9 +524,8 @@ impl IsisStack {
         // alone is silently deduplicated by the sequencer).
         let stalled_now = self
             .order_log
-            .keys()
-            .next_back()
-            .is_some_and(|&last| last >= self.next_deliver)
+            .last()
+            .is_some_and(|last| last >= self.next_deliver)
             || !self.unordered.is_empty();
         if let Some(seq) = self.sequencer().filter(|&s| s != self.me) {
             // Own messages unsequenced since the previous scan: the Data may
@@ -560,13 +565,9 @@ impl IsisStack {
         if vid != self.vid || !self.member || self.mode != Mode::Steady {
             return;
         }
-        for (&seq, &id) in self.order_log.range(pos..).take(64) {
+        for (seq, &(id, delivered)) in self.order_log.iter_from(pos).take(64) {
             ctx.send(from, IsisEvent::Order { vid, seq, id });
-            let payload = self
-                .archive
-                .get(&id)
-                .or_else(|| self.unordered.get(&id))
-                .copied();
+            let payload = delivered.or_else(|| self.unordered.get(&id).copied());
             if let Some(payload) = payload {
                 ctx.send(from, IsisEvent::Data { id, payload });
             }
@@ -615,16 +616,33 @@ impl IsisStack {
     }
 
     fn local_unstable(&self) -> Vec<(IsisMsgId, PayloadRef, Option<u64>)> {
-        // Positions come from the *undrained* order log: a reporter that
-        // already saw the sequencer's decision for an undelivered message
-        // must carry it into the flush, or the agreed order could
-        // contradict deliveries other members already made from it.
-        let seq_of: HashMap<IsisMsgId, u64> =
-            self.order_log.iter().map(|(&s, &id)| (id, s)).collect();
+        // Positions come from the order log: a reporter that already saw the
+        // sequencer's decision for an undelivered message must carry it into
+        // the flush, or the agreed order could contradict deliveries other
+        // members already made from it. An undelivered message can only sit
+        // at an undelivered position, so the log is read from the cursor.
+        let ids: Vec<IsisMsgId> = self.unordered.keys().copied().collect();
+        let positions = self.positions_of(&ids, self.next_deliver);
         self.unordered
             .iter()
-            .map(|(&id, &p)| (id, p, seq_of.get(&id).copied()))
+            .zip(positions)
+            .map(|((&id, &p), seq)| (id, p, seq))
             .collect()
+    }
+
+    /// The order-log position of each of `ids` (sorted), in one pass over
+    /// the log from position `from`; the highest if an id is at several.
+    fn positions_of(&self, ids: &[IsisMsgId], from: u64) -> Vec<Option<u64>> {
+        let mut positions = vec![None; ids.len()];
+        if ids.is_empty() {
+            return positions;
+        }
+        for (seq, (id, _)) in self.order_log.iter_from(from) {
+            if let Ok(i) = ids.binary_search(id) {
+                positions[i] = Some(seq);
+            }
+        }
+        positions
     }
 
     fn on_view_proposal(
@@ -694,13 +712,25 @@ impl IsisStack {
         // consult our own order log before treating anything as
         // unsequenced, or the flush would re-order messages that members
         // already delivered at their sequenced positions.
-        let own_seq: HashMap<IsisMsgId, u64> =
-            self.order_log.iter().map(|(&s, &id)| (id, s)).collect();
+        let mut unplaced: Vec<IsisMsgId> = self
+            .flush_reports
+            .values()
+            .flatten()
+            .filter(|(_, _, seq)| seq.is_none())
+            .map(|&(id, _, _)| id)
+            .collect();
+        unplaced.sort_unstable();
+        unplaced.dedup();
+        let own_seq = self.positions_of(&unplaced, 0);
+        let own_seq_of = |id: &IsisMsgId| {
+            let i = unplaced.binary_search(id).ok()?;
+            own_seq[i]
+        };
         let mut sequenced: BTreeMap<u64, (IsisMsgId, PayloadRef)> = BTreeMap::new();
         let mut unsequenced: BTreeMap<IsisMsgId, PayloadRef> = BTreeMap::new();
         for report in self.flush_reports.values() {
             for &(id, payload, seq) in report {
-                match seq.or_else(|| own_seq.get(&id).copied()) {
+                match seq.or_else(|| own_seq_of(&id)) {
                     Some(s) => {
                         sequenced.insert(s, (id, payload));
                     }
@@ -789,7 +819,6 @@ impl IsisStack {
         for &(id, payload) in &deliver_first {
             if self.delivered.insert(id) {
                 self.unordered.remove(&id);
-                self.archive.insert(id, payload);
                 ctx.output(IsisEvent::Deliver {
                     id,
                     payload,
@@ -832,12 +861,9 @@ impl IsisStack {
             removed,
         });
         self.unordered.clear();
-        self.orders.clear();
+        // The order log is per view: what earlier views ordered can never
+        // be asked for again (bounds it per view instead of per run).
         self.order_log.clear();
-        // The repair archive only serves the current view's order log:
-        // entries from earlier views can never be looked up again, so drop
-        // them with it (bounds the map per view instead of per run).
-        self.archive.clear();
         self.next_order = 0;
         self.next_deliver = 0;
         // Fresh FD horizon for the new view.

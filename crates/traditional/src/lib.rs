@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod isis;
+mod position_log;
 pub mod token;
 
 pub use isis::{IsisConfig, IsisDriver, IsisEvent, IsisSim, NewViewData};

@@ -17,13 +17,15 @@
 //!   ordinary sequenced messages, handled without the fault-tolerant
 //!   reformation path.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use gcs_kernel::{
     Component, ComponentId, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process,
     ProcessId, Time, TimeDelta, TimerId,
 };
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology};
+
+use crate::position_log::PositionLog;
 
 /// The one component of the token-ring stack: the whole stack is one.
 pub const TOKEN: ComponentId = ComponentId::new(0);
@@ -307,8 +309,10 @@ pub struct TokenStack {
     removed: bool,
     /// Outbound queue, stamped when we hold the token.
     outbox: VecDeque<PayloadRef>,
-    /// Sequenced messages by seq (delivered or buffered).
-    known: BTreeMap<u64, SeqMsg>,
+    /// Sequenced messages by seq (delivered or buffered). A joiner's log
+    /// starts at the ring's position when it joined; a reformation's
+    /// recovery set can fill in below that.
+    known: PositionLog<SeqMsg>,
     next_deliver: u64,
     last_token_seen: Time,
     /// Reformer state.
@@ -354,7 +358,7 @@ impl TokenStack {
             member,
             removed: false,
             outbox: VecDeque::new(),
-            known: BTreeMap::new(),
+            known: PositionLog::default(),
             next_deliver: 0,
             last_token_seen: Time::ZERO,
             reforming: None,
@@ -450,7 +454,7 @@ impl TokenStack {
     }
 
     fn accept_data(&mut self, m: SeqMsg, ctx: &mut Context<'_, TokenEvent>) {
-        self.known.entry(m.seq).or_insert(m);
+        self.known.insert(m.seq, m);
         self.try_deliver(ctx);
         // A parked ahead-of-generation token becomes workable once the
         // membership change it waited on has been delivered. Never while
@@ -475,7 +479,7 @@ impl TokenStack {
                 change,
                 vid: stamp_vid,
                 ..
-            }) = self.known.get(&self.next_deliver)
+            }) = self.known.get(self.next_deliver)
             else {
                 break;
             };
@@ -548,12 +552,11 @@ impl TokenStack {
         // Gap evidence: a higher sequence is already known, or a token has
         // shown a `next_seq` above our cursor (the latter catches a lost
         // Data at the very tail, where no higher-seq message exists yet).
-        let stalled_now = !self.known.contains_key(&self.next_deliver)
+        let stalled_now = !self.known.contains(self.next_deliver)
             && (self
                 .known
-                .keys()
-                .next_back()
-                .is_some_and(|&last| last >= self.next_deliver)
+                .last()
+                .is_some_and(|last| last >= self.next_deliver)
                 || self.next_deliver < self.expected_seq);
         if stalled_now && self.nack_stalled && self.nack_cursor == self.next_deliver {
             // One responder suffices (every member holds the full sequenced
@@ -584,7 +587,7 @@ impl TokenStack {
     /// from `need` on (bounded per request; the requester asks again if its
     /// cursor is still stuck).
     fn serve_nack(&mut self, from: ProcessId, need: u64, ctx: &mut Context<'_, TokenEvent>) {
-        for (_, &m) in self.known.range(need..).take(64) {
+        for (_, &m) in self.known.iter_from(need).take(64) {
             ctx.send(from, data_of(m));
         }
     }
@@ -598,7 +601,7 @@ impl TokenStack {
     }
 
     fn known_list(&self) -> Vec<SeqMsg> {
-        self.known.values().copied().collect()
+        self.known.iter_from(0).map(|(_, &m)| m).collect()
     }
 
     fn finish_reformation(&mut self, ctx: &mut Context<'_, TokenEvent>) {
@@ -660,7 +663,7 @@ impl TokenStack {
         ctx: &mut Context<'_, TokenEvent>,
     ) {
         for m in recovery {
-            self.known.entry(m.seq).or_insert(m);
+            self.known.insert(m.seq, m);
         }
         let was_member = self.member;
         // Gaps left by crashed holders are skipped: delivery resumes at the
@@ -672,11 +675,15 @@ impl TokenStack {
         // so skipping there would jump over messages the Nack repair path
         // could still fill.
         if reinject {
-            let resume = self.known.keys().copied().find(|&s| s >= self.next_deliver);
+            let resume = self
+                .known
+                .iter_from(self.next_deliver)
+                .next()
+                .map(|(s, _)| s);
             if let Some(r) = resume {
                 self.next_deliver = self.next_deliver.max(r.min(next_seq));
                 // Skip unfillable gaps (sequence numbers nobody reported).
-                while !self.known.contains_key(&self.next_deliver) && self.next_deliver < next_seq {
+                while !self.known.contains(self.next_deliver) && self.next_deliver < next_seq {
                     self.next_deliver += 1;
                 }
             } else {
@@ -818,8 +825,8 @@ impl Component<TokenEvent> for TokenStack {
                 if let Some((rvid, _)) = self.reforming {
                     if vid == rvid {
                         self.reports.insert(from, (current, known));
-                        let everyone: HashSet<ProcessId> = self.ring.iter().copied().collect();
-                        if self.reports.len() == everyone.len() {
+                        // The ring holds no duplicates.
+                        if self.reports.len() == self.ring.len() {
                             self.finish_reformation(ctx);
                         }
                     }
