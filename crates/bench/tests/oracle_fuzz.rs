@@ -356,10 +356,11 @@ fn run_timeline(stack: StackKind, schedule: &Schedule, seed: u64) -> ScenarioRep
 
 /// Case 644 of [`random_fault_timelines_are_invariant_clean`], on Isis: p4
 /// joins at 48 ms, p3 is removed at 119 ms, p2 crashes at 185 ms, and the
-/// partition lasts from 269 to 443 ms. The oracle reports that p4 delivered
-/// (3,5) then (1,6) but skipped (0,6), with p0, p1 and p2 as witnesses.
+/// partition lasts from 269 to 443 ms. While the coordinator's stale-view
+/// notice to a heartbeating non-member named no removals, the oracle
+/// reported that p4 delivered (3,5) then (1,6) but skipped (0,6), with p0,
+/// p1 and p2 as witnesses.
 #[test]
-#[ignore = "known Isis gap-freedom violation: ROADMAP baseline item"]
 fn isis_is_gap_free_through_join_removal_crash_and_partition() {
     let schedule = fault_timeline(Some(48), Some(119), Some(185), Some((269, 174)));
     let r = run_timeline(StackKind::Isis, &schedule, 17_243_777_574_595_551_529);

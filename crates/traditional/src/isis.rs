@@ -940,18 +940,25 @@ impl Component<IsisEvent> for IsisStack {
                 // A heartbeat from a process outside our view means it holds
                 // a stale view (it was excluded while unreachable): notify it
                 // so it learns its exclusion (and gets killed, Isis-style).
+                // The notice names the view's removals: it can overtake the
+                // flush's own `NewView`, and a member removed by request
+                // must not take it for a wrong exclusion and re-join.
                 if self.member
                     && !self.members.contains(&from)
                     && !self.pending_joins.contains(&from)
                     && self.coordinator(ctx.now()) == Some(self.me)
                 {
+                    let removed = self
+                        .last_commit
+                        .as_ref()
+                        .map_or_else(Vec::new, |nv| nv.removed.clone());
                     ctx.send(
                         from,
                         IsisEvent::NewView(Box::new(NewViewData {
                             vid: self.vid,
                             members: self.members.clone(),
                             deliver_first: Vec::new(),
-                            removed: Vec::new(),
+                            removed,
                         })),
                     );
                 }
@@ -1224,6 +1231,7 @@ pub fn kill_and_rejoin_times(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcs_kernel::{Effects, Envelope, Input};
     use gcs_sim::{GroupTransport, InvariantChecker};
 
     fn p(i: u32) -> ProcessId {
@@ -1354,6 +1362,146 @@ mod tests {
         }
         assert_eq!(seqs[0], seqs[1]);
         assert_eq!(seqs[1], seqs[2]);
+    }
+
+    /// Four founding members driven by hand, with no network in between:
+    /// the test decides which message arrives when.
+    struct HandNet {
+        procs: Vec<Process<IsisEvent>>,
+        /// Messages sent and not yet handed over, in send order.
+        queue: VecDeque<Envelope<IsisEvent>>,
+        outputs: Vec<Vec<IsisEvent>>,
+        fx: Effects<IsisEvent>,
+    }
+
+    impl HandNet {
+        const NOW: Time = Time::from_millis(1);
+
+        fn new(n: usize) -> Self {
+            let mut net = HandNet {
+                procs: (0..n as u32)
+                    .map(|i| IsisDriver::build(p(i), &IsisConfig::default(), n))
+                    .collect(),
+                queue: VecDeque::new(),
+                outputs: vec![Vec::new(); n],
+                fx: Effects::new(),
+            };
+            for i in 0..n {
+                net.fx.clear();
+                net.procs[i].start_into(Time::ZERO, &mut net.fx);
+                net.collect(i);
+            }
+            net
+        }
+
+        fn collect(&mut self, at: usize) {
+            self.queue.extend(self.fx.sends.drain());
+            for cast in self.fx.casts.drain() {
+                for &to in cast.to.iter() {
+                    self.queue.push_back(Envelope {
+                        from: cast.from,
+                        to,
+                        component: cast.component,
+                        event: cast.event.clone(),
+                    });
+                }
+            }
+            self.outputs[at].extend(self.fx.outputs.drain());
+        }
+
+        fn step(&mut self, at: ProcessId, input: Input<IsisEvent>) {
+            self.fx.clear();
+            self.procs[at.index()].step_into(input, Self::NOW, &mut self.fx);
+            self.collect(at.index());
+        }
+
+        fn hand_over(&mut self, e: Envelope<IsisEvent>) {
+            let input = Input::Net {
+                from: e.from,
+                component: e.component,
+                event: e.event,
+            };
+            self.step(e.to, input);
+        }
+
+        /// Takes the first queued message that `wanted` picks.
+        fn take(&mut self, wanted: impl Fn(&Envelope<IsisEvent>) -> bool) -> Envelope<IsisEvent> {
+            let at = self
+                .queue
+                .iter()
+                .position(wanted)
+                .expect("such a message is queued");
+            self.queue.remove(at).expect("queued")
+        }
+
+        /// Hands over every queued message, and what they send in turn.
+        fn settle(&mut self) {
+            while let Some(e) = self.queue.pop_front() {
+                self.hand_over(e);
+            }
+        }
+    }
+
+    /// A member removed by request that heartbeats the coordinator before
+    /// the flush's `NewView` reaches it gets the coordinator's stale-view
+    /// notice first. The notice must name it as removed, or the member
+    /// takes it for a wrong exclusion: it is killed, asks to re-join and is
+    /// re-admitted.
+    #[test]
+    fn a_stale_view_notice_ahead_of_the_commit_keeps_a_removal_a_removal() {
+        let mut net = HandNet::new(4);
+        let removal = Input::Inject {
+            component: ISIS,
+            event: IsisEvent::Remove(p(3)),
+        };
+        net.step(p(0), removal);
+        // The flush runs; its commit to p3 is held back.
+        let is_commit_to_p3 =
+            |e: &Envelope<IsisEvent>| e.to == p(3) && matches!(e.event, IsisEvent::NewView(_));
+        while !net.queue.iter().any(is_commit_to_p3) {
+            let e = net.queue.pop_front().expect("the flush commits");
+            net.hand_over(e);
+        }
+        let commit = net.take(is_commit_to_p3);
+        // p3, still in view 0, heartbeats p0, which answers with the notice.
+        let heartbeat = Input::Net {
+            from: p(3),
+            component: ISIS,
+            event: IsisEvent::Heartbeat,
+        };
+        net.step(p(0), heartbeat);
+        let notice = net.take(is_commit_to_p3);
+        net.hand_over(notice);
+        net.hand_over(commit);
+        net.settle();
+
+        let fate: Vec<&IsisEvent> = net.outputs[3]
+            .iter()
+            .filter(|e| matches!(e, IsisEvent::Removed | IsisEvent::Killed))
+            .collect();
+        assert!(
+            matches!(fate[..], [IsisEvent::Removed]),
+            "p3 must end removed, once: {fate:?}"
+        );
+        for (i, outputs) in net.outputs.iter().enumerate() {
+            for e in outputs {
+                if let IsisEvent::ViewInstalled { vid, members } = e {
+                    assert!(
+                        *vid == 0 || !members.contains(&p(3)),
+                        "p{i} re-admitted p3 in view {vid}"
+                    );
+                }
+            }
+        }
+        let last = |i: usize| {
+            net.outputs[i].iter().rev().find_map(|e| match e {
+                IsisEvent::ViewInstalled { vid, members } => Some((*vid, members.clone())),
+                _ => None,
+            })
+        };
+        for i in 0..3 {
+            assert_eq!(last(i), Some((1, vec![p(0), p(1), p(2)])), "p{i}");
+        }
     }
 
     #[test]
