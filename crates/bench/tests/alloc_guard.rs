@@ -1,6 +1,6 @@
-//! Alloc-regression guard: steady-state allocations per adelivery (abcast)
-//! and per g-delivery (conflict-free generic broadcast) must stay under
-//! committed budgets; a `gb/ack` packet — the most frequent wire message of
+//! Alloc-regression guard: steady-state allocations per adelivery (abcast),
+//! per g-delivery (conflict-free generic broadcast) and per delivery of the
+//! Isis and token-ring baselines must stay under committed budgets; a `gb/ack` packet — the most frequent wire message of
 //! the generic fast path — must cost none at all; and a warmed-up
 //! failure-free consensus instance must cost a non-coordinator nothing and
 //! its coordinator no more than the batch it proposes.
@@ -85,6 +85,23 @@ const BUDGET_ALLOCS_PER_ADELIVERY: [(usize, f64); 2] = [(5, 0.14), (3, 0.23)];
 /// Measured plus 15 %, rounded up to the hundredth, as above; an eager
 /// relay or a per-message set coming back breaches it.
 const BUDGET_ALLOCS_PER_GDELIVERY: f64 = 0.03;
+
+/// The committed budgets of the two baselines' atomic broadcast (`allocs
+/// isis`, `allocs token`: the window above at n = 5), per delivery.
+/// History:
+///
+/// * before the guard covered them (ordering state in trees and SipHash
+///   sets: Isis's order queue and log, repair archive and delivered set,
+///   the token ring's sequenced messages): **0.256** for Isis and
+///   **0.178** for token (1.28 and 0.89 per op)
+/// * ordered streams as logs indexed by position and the delivered set as
+///   per-sender id runs: **0.086** and **0.015** (0.43 and 0.08 per op) —
+///   what is left is mostly the simulator's wheel and delivery trace, and
+///   for Isis the id-ordered map of messages awaiting their order
+///
+/// Measured plus 15 %, rounded up to the hundredth, as above; a map or set
+/// with a node per message coming back on either delivery path breaches it.
+const BUDGET_BASELINE_ALLOCS_PER_DELIVERY: [(&str, f64); 2] = [("isis/5", 0.10), ("token/5", 0.02)];
 
 /// Allocations of a warmed-up new-architecture process (p0 of n = 5) over
 /// 1,000 `gb/ack` packets, and the g-deliveries they triggered. The packets
@@ -309,6 +326,21 @@ fn steady_state_allocs_per_delivery_stay_under_budget() {
         "the generic fast path allocates {per_delivery:.3} per g-delivery \
          (budget {BUDGET_ALLOCS_PER_GDELIVERY}): {m:?}"
     );
+
+    for (name, budget) in BUDGET_BASELINE_ALLOCS_PER_DELIVERY {
+        let w = alloccount::WORKLOADS
+            .iter()
+            .find(|w| w.name == name)
+            .expect("a workload per baseline budget");
+        let m = alloccount::measure(w);
+        assert!(m.deliveries >= 1_000, "workload delivered: {m:?}");
+        let per_delivery = m.allocs_per_delivery();
+        assert!(
+            per_delivery <= budget,
+            "{name} allocates {per_delivery:.3} per delivery (budget {budget}); \
+             a per-message map or set came back on its ordering path: {m:?}"
+        );
+    }
 
     // At n = 3 the first acker decides on adopting, so only the second is
     // owed a `Decide`, and a bundle.

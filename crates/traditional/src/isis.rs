@@ -1364,8 +1364,8 @@ mod tests {
         assert_eq!(seqs[1], seqs[2]);
     }
 
-    /// Four founding members driven by hand, with no network in between:
-    /// the test decides which message arrives when.
+    /// A group of founding members driven by hand, with no network in
+    /// between: the test decides which message arrives when.
     struct HandNet {
         procs: Vec<Process<IsisEvent>>,
         /// Messages sent and not yet handed over, in send order.
