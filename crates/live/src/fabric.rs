@@ -1,12 +1,17 @@
-//! The shared fabric of a live group: inboxes, the timer wheel, and the
-//! network emulation layer every burst of frames crosses.
+//! The fabric of a live group: inboxes, each member's queue of what comes
+//! due later, and the network emulation every burst of frames crosses.
 //!
 //! Each group member is an OS thread working through an `mpsc` inbox of
-//! [`Msg`]s (see `runtime.rs` for the drain → group → flush cycle).
-//! Anything that must happen *later* — a protocol timer, frames held back
-//! by an emulated link delay, a scheduled fault — is an entry in the
-//! [`TimerWheel`], a `BinaryHeap` + `Condvar` serviced by one dedicated
-//! timer thread per group.
+//! [`Letter`]s: a [`Msg`] stamped with the instant it comes due (see
+//! `runtime.rs` for the drain → group → flush cycle). The member takes every
+//! letter into its own [`Queue`] and dispatches in `(due, arrival)` order, as
+//! the simulator runs its queue. Anything that must happen *later* — a
+//! protocol timer, a burst held back by an emulated link delay, a future
+//! injection or fault step — waits in the queue of the member that will take
+//! it: a timer never leaves its own thread, and everything else is sent
+//! straight to its member, stamped. Members share their inboxes, their end
+//! flags, the readers' view of their ledgers and, in TCP mode, the streams
+//! and the slab; nothing else.
 //!
 //! # Bursts
 //!
@@ -15,11 +20,12 @@
 //! emission order, as one [`Msg::Net`]. The member collects them in an
 //! [`Outbox`]; [`Shared::flush`] is the one gate between a sender and a
 //! receiver's inbox and the only routing path. Per destination it decides
-//! **one network fate** from [`NetState`] — liveness, partition, one loss
-//! draw, one sampled delay, bandwidth charged for the summed bytes — and
-//! then makes one inbox send (one framed write in TCP mode) or one wheel
-//! entry. A member whose drain dispatched a single message that produced a
-//! single frame ships a burst of one.
+//! **one network fate** from the sender's own [`NetState`] — liveness,
+//! partition, one loss draw, one sampled delay, bandwidth charged for the
+//! summed bytes — and then makes one inbox send (one framed write in TCP
+//! mode), due at once or when the delay has passed. A member whose drain
+//! dispatched a single message that produced a single frame ships a burst of
+//! one.
 //!
 //! What one fate per burst means for fault emulation: a partition or a
 //! crashed destination drops all of a burst, as it would each frame; a
@@ -32,29 +38,40 @@
 //! burst as so many lost frames; `tests/transport_conformance.rs` is the
 //! check that they cope.
 //!
+//! # Faults
+//!
+//! Every member owns the [`NetState`] of its outgoing links. A network fault
+//! step is a letter at every member, entered when it comes due there, so it
+//! is a place in each sender's inbox: what a member flushed before taking it
+//! crossed the links as they were. A crash is a letter at its victim only.
+//!
 //! The accounting stays per frame: [`Metrics`] counts every protocol
 //! message by kind and every delivery and drop once per frame contained in
 //! a burst, so `sent == delivered + dropped_*` holds as it does in the
-//! simulator. The counts are the sender's, in its [`Ledger`]: a flush locks
-//! it once, and the timer thread locks it for the fate of a parked burst.
+//! simulator. Each count is in one member's [`Ledger`], written by that
+//! member's thread alone. The sender counts what it sends and every fate
+//! decided at its flush, including the delivery of a burst it hands over due
+//! at once; a delayed burst is the receiver's to count when it comes due —
+//! delivered, or dropped by a crash if the receiver ended first.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use gcs_kernel::{ComponentId, Effects, Event, Input, ProcessId, SmallVec, Time, TimeDelta};
 use gcs_net::{FrameHeader, TcpLink};
-use gcs_sim::{Metrics, NetworkModel, ScheduleAction, Topology};
+use gcs_sim::{Metrics, NetworkModel, ScheduleAction, Scheduled, TimingWheel, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{LiveConfig, WallClock, WireMode};
 
-/// Emulated one-way delays below this floor are not worth a trip through
-/// the timer wheel: the real channel/TCP hop already costs tens of
-/// microseconds, so sub-200µs link models deliver directly and let the
-/// wire's own latency stand in for the model's.
+/// Emulated one-way delays below this floor are not worth a wait in the
+/// receiver's queue: the real channel/TCP hop already costs tens of
+/// microseconds, so a burst whose sampled delay falls below it is due at
+/// once and the wire's own latency stands in for the model's. Every preset
+/// link reaches it (the LAN samples 0.2–1.2 ms), so every preset burst waits.
 pub(crate) const DELAY_FLOOR: TimeDelta = TimeDelta::from_micros(200);
 
 /// Burst credit a token-bucket link accrues while idle: a sender that
@@ -67,7 +84,7 @@ const BUCKET_BURST: TimeDelta = TimeDelta::from_millis(5);
 /// lightly loaded member ever ships — stays inline.
 pub(crate) type Frames<E> = SmallVec<(ComponentId, E), 1>;
 
-/// One message in a member's inbox.
+/// One message for a member, in its inbox or its queue.
 #[derive(Debug)]
 pub(crate) enum Msg<E> {
     /// A burst of protocol frames from another member (or looped back from
@@ -77,30 +94,56 @@ pub(crate) enum Msg<E> {
         from: ProcessId,
         /// The frames, each dispatched as its own kernel event.
         frames: Frames<E>,
+        /// The link model delayed it, so its fate is the receiver's to
+        /// count; otherwise the sender counted it delivered on sending it.
+        delayed: bool,
     },
     /// One input for one dispatch step: a harness injection (client
     /// request, join/remove signal) or a protocol timer that came due.
     Step(Input<E>),
-    /// Kill this member: mark it crashed and exit the thread.
+    /// A network fault step, for this member's outgoing links.
+    Fault(ScheduleAction),
+    /// Kill this member: mark it crashed and end its loop.
     Crash,
-    /// Orderly runtime shutdown (no crash accounting).
+    /// End this member's loop (the runtime's first stop) or, due at
+    /// `Time::MAX`, its retirement (the last).
     Stop,
 }
 
-/// Work owed to the future, parked in the timer wheel.
-#[derive(Debug)]
-pub(crate) enum Due<E> {
-    /// Deliver a delayed burst, a protocol timer's expiry or a
-    /// future-scheduled injection.
-    Frame {
-        /// Destination process.
-        to: ProcessId,
-        /// The message to enqueue.
-        msg: Msg<E>,
-    },
-    /// Enter a fault step at the instant it was scheduled for, from which a
-    /// spike or burst lasts its duration.
-    Fault(Time, ScheduleAction),
+/// A [`Msg`] with the instant it comes due: what an inbox carries.
+pub(crate) type Letter<E> = (Time, Msg<E>);
+
+/// A member's future: every letter it took in and its own timers, in
+/// `(due, arrival)` order on the simulator's [`TimingWheel`].
+pub(crate) struct Queue<E> {
+    wheel: TimingWheel<Scheduled<Msg<E>>>,
+    seq: u64,
+}
+
+impl<E> Queue<E> {
+    pub(crate) fn new() -> Self {
+        Queue {
+            wheel: TimingWheel::new(),
+            seq: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, (at, item): Letter<E>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.wheel.push(Scheduled { at, seq, item });
+    }
+
+    /// When the head comes due, if anything is queued.
+    pub(crate) fn next_due(&mut self) -> Option<Time> {
+        self.wheel.peek().map(|head| head.at)
+    }
+
+    /// The head, if it is due by `now` (by `Time::MAX`: whatever its due).
+    pub(crate) fn pop_due(&mut self, now: Time) -> Option<Letter<E>> {
+        let head = self.wheel.pop_if(|head| head.at <= now)?;
+        Some((head.at, head.item))
+    }
 }
 
 /// Leaky-bucket pacing state for one directed link with finite bandwidth.
@@ -132,10 +175,10 @@ impl TokenBucket {
     }
 }
 
-/// Network-emulation state, shared behind one mutex: the [`NetworkModel`]
-/// both runtimes enter faults into (partition, links, spike, burst), and
-/// what only the live wire keeps — its own rng and the token buckets of
-/// finite-bandwidth links.
+/// One member's network emulation for its outgoing links: the
+/// [`NetworkModel`] both runtimes enter faults into (partition, links,
+/// spike, burst), and what only the live wire keeps — its own rng and the
+/// token buckets of finite-bandwidth links.
 pub(crate) struct NetState {
     pub(crate) model: NetworkModel,
     buckets: HashMap<(u32, u32), TokenBucket>,
@@ -167,8 +210,8 @@ impl NetState {
             return None;
         }
         let mut delay = TimeDelta::ZERO;
-        // LAN-scale models fall below the floor entirely; WAN presets and
-        // `set-link` overrides are emulated by parking the frame.
+        // Sub-floor models ride the real wire; everything else is emulated
+        // by a wait in the receiver's queue.
         if link.delay_max >= DELAY_FLOOR {
             delay = delay + link.sample_delay(&mut self.rng);
         }
@@ -181,126 +224,18 @@ impl NetState {
     }
 }
 
-/// Min-ordered heap entry (`BinaryHeap` is a max-heap, so ordering is
-/// reversed; `seq` breaks ties FIFO).
-struct HeapEntry<E> {
-    at: Time,
-    seq: u64,
-    due: Due<E>,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct WheelInner<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    seq: u64,
-    shutdown: bool,
-}
-
-/// The group's single source of future work: protocol timers, delayed
-/// frames, and scheduled fault steps, serviced by one timer thread.
-pub(crate) struct TimerWheel<E> {
-    inner: Mutex<WheelInner<E>>,
-    cond: Condvar,
-}
-
-impl<E> TimerWheel<E> {
-    pub(crate) fn new() -> Self {
-        TimerWheel {
-            inner: Mutex::new(WheelInner {
-                heap: BinaryHeap::new(),
-                seq: 0,
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Parks every entry under one lock acquisition (ties come due in
-    /// iteration order), waking the timer thread only if its nearest
-    /// deadline moved: it sleeps until that one whatever lies behind it.
-    pub(crate) fn schedule_all(&self, entries: impl IntoIterator<Item = (Time, Due<E>)>) {
-        let mut inner = self.inner.lock().expect("wheel lock");
-        if inner.shutdown {
-            return;
-        }
-        let nearest = |inner: &WheelInner<E>| inner.heap.peek().map(|top| top.at);
-        let before = nearest(&inner);
-        for (at, due) in entries {
-            let seq = inner.seq;
-            inner.seq += 1;
-            inner.heap.push(HeapEntry { at, seq, due });
-        }
-        if nearest(&inner) != before {
-            self.cond.notify_one();
-        }
-    }
-
-    /// Stops the timer thread (pending entries are abandoned).
-    pub(crate) fn shutdown(&self) {
-        self.inner.lock().expect("wheel lock").shutdown = true;
-        self.cond.notify_all();
-    }
-
-    /// Blocks until an entry is due or shutdown; `now` is re-read through
-    /// `clock` on every wakeup. Returns `None` on shutdown.
-    pub(crate) fn next_due(&self, clock: &crate::WallClock) -> Option<Due<E>> {
-        let mut inner = self.inner.lock().expect("wheel lock");
-        loop {
-            if inner.shutdown {
-                return None;
-            }
-            let now = clock.now();
-            match inner.heap.peek() {
-                None => {
-                    inner = self.cond.wait(inner).expect("wheel lock");
-                }
-                Some(top) if top.at <= now => {
-                    return Some(inner.heap.pop().expect("peeked entry").due);
-                }
-                Some(top) => {
-                    let wait = std::time::Duration::from_nanos(top.at.since(now).as_nanos());
-                    let (guard, _) = self.cond.wait_timeout(inner, wait).expect("wheel lock");
-                    inner = guard;
-                }
-            }
-        }
-    }
-}
-
 /// Everything live-group threads share by `Arc`.
 pub(crate) struct Shared<E> {
     /// The group's wall clock (epoch = runtime start).
     pub clock: WallClock,
-    /// Link emulation state.
-    pub net: Mutex<NetState>,
-    /// Crash flags, one per process, each set by its member's thread alone
-    /// (see `runtime::member_thread`); frames to a dead member are dropped.
+    /// End flags, one per process, each set by its member's thread alone
+    /// once the member ended (see `runtime::member_thread`): crashed,
+    /// halted, panicked or stopped. Frames to a dead member are dropped.
     pub dead: Vec<AtomicBool>,
     /// Every member's inbox; any thread may send.
-    pub senders: Vec<Sender<Msg<E>>>,
+    pub senders: Vec<Sender<Letter<E>>>,
     /// One ledger per process, indexed like `dead`.
     pub ledgers: Vec<Ledger<E>>,
-    /// Future work.
-    pub wheel: TimerWheel<E>,
     /// TCP wire state, when the group runs in [`WireMode::Tcp`].
     pub tcp: Option<TcpFabric<E>>,
 }
@@ -320,9 +255,9 @@ impl<E: Event + Send> Shared<E> {
     }
 }
 
-/// What one member produced. Its lock is taken by the member's own thread
-/// once per flush, by the timer thread for one burst the member parked,
-/// and by readers; never during a step.
+/// What one member produced. Only the member's own thread writes it — once
+/// per flush, and once for each burst that reaches it after it ended;
+/// readers lock it too, never during a step.
 pub(crate) struct Ledger<E> {
     /// `log.trace.len()`, readable without the lock: stored (Release) under
     /// the lock after the append, loaded (Acquire) by the counts' readers.
@@ -378,7 +313,7 @@ pub(crate) struct TcpFabric<E> {
     /// Shutdown handles (clones of the *reader* side, used to unblock pumps).
     pub reader_shutdown: Vec<TcpLink>,
     /// In-flight bursts keyed by the u64 handle on the wire.
-    pub slab: Mutex<HashMap<u64, (ProcessId, Frames<E>)>>,
+    pub slab: Mutex<HashMap<u64, Letter<E>>>,
     /// Next slab key.
     pub next_key: AtomicU64,
 }
@@ -386,34 +321,24 @@ pub(crate) struct TcpFabric<E> {
 /// Channel tag for protocol net frames on the TCP wire.
 pub(crate) const CHAN_NET: u8 = 0;
 
-/// Records `frames` frames that either reached an inbox or died with their
-/// receiver.
-pub(crate) fn record_arrival(m: &mut Metrics, reached_inbox: bool, frames: usize) {
-    let fate = if reached_inbox {
-        Metrics::record_delivery
-    } else {
-        Metrics::record_drop_crash
-    };
-    record_fate(m, frames, fate);
-}
-
-fn record_fate(m: &mut Metrics, frames: usize, fate: fn(&mut Metrics)) {
+/// Records `frames` frames of one fate.
+pub(crate) fn record_fate(m: &mut Metrics, frames: usize, fate: fn(&mut Metrics)) {
     (0..frames).for_each(|_| fate(m));
 }
 
 /// What one drain of a member's inbox took and produced, for one flush: its
-/// step counts, frames per destination, timers as absolute deadlines,
-/// outputs with their time. All buffers are reused from drain to drain.
+/// step counts, frames per destination, outputs with their time. All
+/// buffers are reused from drain to drain.
 pub(crate) struct Outbox<E> {
     /// Counted as the ledger counts them (see [`Log`]).
     pub events: u64,
     pub bursts: u64,
     pub frames_in: u64,
+    /// Frames of delayed bursts dispatched: deliveries this member counts.
+    pub arrivals: usize,
     /// Per destination (dense by process index): its burst so far, sends
     /// and casts of successive dispatches interleaved as emitted.
     frames: Vec<Frames<E>>,
-    /// Wheel entries owed: protocol timers now, parked bursts at flush.
-    parked: Vec<(Time, Due<E>)>,
     outputs: Vec<(Time, E)>,
 }
 
@@ -423,21 +348,22 @@ impl<E: Event + Send> Outbox<E> {
             events: 0,
             bursts: 0,
             frames_in: 0,
+            arrivals: 0,
             frames: (0..processes).map(|_| Frames::new()).collect(),
-            parked: Vec::new(),
             outputs: Vec::new(),
         }
     }
 
-    /// Moves the effects of one dispatch of `me`, begun at `dispatched`, out
-    /// of `fx` (left empty for the next dispatch). Returns whether the
+    /// Moves the effects of one dispatch, begun at `dispatched`, out of `fx`
+    /// (left empty for the next dispatch): timers into `queue` as absolute
+    /// deadlines, everything else into the outbox. Returns whether the
     /// process halted in it.
     pub(crate) fn absorb(
         &mut self,
-        me: ProcessId,
         dispatched: Time,
         clock: &WallClock,
         fx: &mut Effects<E>,
+        queue: &mut Queue<E>,
     ) -> bool {
         for env in fx.sends.drain() {
             self.frames[env.to.index()].push((env.component, env.event));
@@ -454,9 +380,8 @@ impl<E: Event + Send> Outbox<E> {
             }
         }
         for t in fx.timers.drain() {
-            let msg = Msg::Step(Input::Fire(t.id));
-            let due = Due::Frame { to: me, msg };
-            self.parked.push((dispatched.saturating_add(t.after), due));
+            let due = dispatched.saturating_add(t.after);
+            queue.push((due, Msg::Step(Input::Fire(t.id))));
         }
         if !fx.outputs.is_empty() {
             // An output is stamped when the application would have it: once
@@ -469,15 +394,25 @@ impl<E: Event + Send> Outbox<E> {
     }
 }
 
+/// What a member's thread owns from its start: its inbox and the emulation
+/// of its outgoing links.
+pub(crate) type Member<E> = (Receiver<Letter<E>>, NetState);
+
 /// Builds the fabric of a group of `n` processes: the shared state and
-/// what the threads to be spawned will own — each member's inbox and, in
-/// TCP mode, the read half of each member's stream.
+/// what the threads to be spawned will own — each [`Member`]'s share and,
+/// in TCP mode, the read half of each member's stream.
 pub(crate) fn open<E: Event + Send>(
     config: LiveConfig,
     n: usize,
-) -> (Shared<E>, Vec<Receiver<Msg<E>>>, Vec<TcpLink>) {
+) -> (Shared<E>, Vec<Member<E>>, Vec<TcpLink>) {
     let clock = WallClock::new();
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+    let members = (receivers.into_iter().enumerate())
+        .map(|(i, rx)| {
+            let seed = config.seed.wrapping_add(i as u64);
+            (rx, NetState::new(config.topology.clone(), seed))
+        })
+        .collect();
 
     // TCP wire (optional): one loopback stream per member; the write half
     // is shared by all senders, the read half is pumped into the member's
@@ -505,27 +440,27 @@ pub(crate) fn open<E: Event + Send>(
 
     let shared = Shared {
         clock,
-        net: Mutex::new(NetState::new(config.topology, config.seed)),
         dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
         senders,
         ledgers: (0..n).map(|_| Ledger::new()).collect(),
-        wheel: TimerWheel::new(),
         tcp,
     };
-    (shared, receivers, reader_links)
+    (shared, members, reader_links)
 }
 
 impl<E: Event + Send> Shared<E> {
     /// Ships everything `out` holds for `from` and leaves it empty: per
-    /// destination one burst with one network fate (see the module docs),
-    /// then the timers and parked bursts to the wheel. What the drain took
-    /// and produced — its steps, every frame's fate, its outputs — goes to
-    /// `from`'s own ledger, locked once.
-    pub(crate) fn flush(&self, from: ProcessId, out: &mut Outbox<E>) {
+    /// destination one burst with one network fate from `from`'s own links
+    /// (see the module docs). What the drain took and produced — its steps,
+    /// the delayed frames it took delivery of, every frame's fate decided
+    /// here, its outputs — goes to `from`'s own ledger, locked once.
+    pub(crate) fn flush(&self, from: ProcessId, out: &mut Outbox<E>, net: &mut NetState) {
         let mut log = self.ledgers[from.index()].lock();
         let log = &mut *log;
         let m = &mut log.metrics;
         let now = self.clock.now();
+        let arrivals = std::mem::take(&mut out.arrivals);
+        record_fate(m, arrivals, Metrics::record_delivery);
         for (index, frames) in out.frames.iter_mut().enumerate() {
             if frames.is_empty() {
                 continue;
@@ -535,35 +470,34 @@ impl<E: Event + Send> Shared<E> {
             let bytes = frames.iter().map(|(_, e)| m.record_packet(e)).sum();
             let to = ProcessId::new(index as u32);
             let count = frames.len();
-            let msg = Msg::Net {
-                from,
-                frames: std::mem::take(frames),
-            };
-            // Loopback self-sends never traverse the network model.
-            if from == to {
-                record_arrival(m, self.deliver(to, msg), count);
-                continue;
-            }
-            if self.is_dead(to) {
+            let frames = std::mem::take(frames);
+            let delay = if from == to {
+                // Loopback self-sends never traverse the network model.
+                Some(TimeDelta::ZERO)
+            } else if self.is_dead(to) {
                 record_fate(m, count, Metrics::record_drop_crash);
                 continue;
-            }
-            let delay = {
-                let mut net = self.net.lock().expect("net lock");
-                if net.model.blocked(from, to) {
-                    record_fate(m, count, Metrics::record_drop_partition);
-                    continue;
-                }
+            } else if net.model.blocked(from, to) {
+                record_fate(m, count, Metrics::record_drop_partition);
+                continue;
+            } else {
                 net.burst_delay(from, to, bytes, now)
             };
-            match delay {
-                None => record_fate(m, count, Metrics::record_drop_loss),
-                Some(delay) if delay < DELAY_FLOOR => {
-                    record_arrival(m, self.deliver(to, msg), count);
-                }
-                Some(delay) => out
-                    .parked
-                    .push((now.saturating_add(delay), Due::Frame { to, msg })),
+            let Some(delay) = delay else {
+                record_fate(m, count, Metrics::record_drop_loss);
+                continue;
+            };
+            let delayed = delay >= DELAY_FLOOR;
+            let due = now.saturating_add(if delayed { delay } else { TimeDelta::ZERO });
+            let msg = Msg::Net {
+                from,
+                frames,
+                delayed,
+            };
+            match (self.deliver(from, to, (due, msg)), delayed) {
+                (false, _) => record_fate(m, count, Metrics::record_drop_crash),
+                (true, false) => record_fate(m, count, Metrics::record_delivery),
+                (true, true) => {} // the receiver counts it when it comes due
             }
         }
         log.events += std::mem::take(&mut out.events);
@@ -574,43 +508,33 @@ impl<E: Event + Send> Shared<E> {
         self.ledgers[from.index()]
             .outputs
             .store(outputs, Ordering::Release);
-        if !out.parked.is_empty() {
-            self.wheel.schedule_all(out.parked.drain(..));
-        }
     }
 
-    /// Puts a message on `to`'s inbox — a burst of net frames over the TCP
-    /// wire when the group runs in TCP mode, directly otherwise — and says
-    /// whether it got there: a send to an exited member fails, and for net
-    /// frames the caller counts that as so many crash drops (they died on
-    /// the wire; a step for an exited member, a timer fire or an injection,
-    /// is simply moot).
-    pub(crate) fn deliver(&self, to: ProcessId, msg: Msg<E>) -> bool {
-        match (&self.tcp, msg) {
-            (Some(tcp), Msg::Net { from, frames }) => {
-                let key = tcp.next_key.fetch_add(1, Ordering::Relaxed);
-                tcp.slab
-                    .lock()
-                    .expect("slab lock")
-                    .insert(key, (from, frames));
-                let header = FrameHeader {
-                    channel: CHAN_NET,
-                    from: from.raw(),
-                    to: to.raw(),
-                    len: 8,
-                };
-                let sent = tcp.writers[to.index()]
-                    .lock()
-                    .expect("writer lock")
-                    .send(&header, &key.to_be_bytes())
-                    .is_ok();
-                if !sent {
-                    tcp.slab.lock().expect("slab lock").remove(&key);
-                }
-                sent
-            }
-            (_, msg) => self.senders[to.index()].send(msg).is_ok(),
+    /// Puts `from`'s burst on `to`'s inbox — over the TCP wire when the
+    /// group runs in TCP mode, directly otherwise — and says whether it got
+    /// there: a send to a member whose thread has exited fails, and the
+    /// caller counts that as so many crash drops (they died on the wire).
+    pub(crate) fn deliver(&self, from: ProcessId, to: ProcessId, letter: Letter<E>) -> bool {
+        let Some(tcp) = &self.tcp else {
+            return self.senders[to.index()].send(letter).is_ok();
+        };
+        let key = tcp.next_key.fetch_add(1, Ordering::Relaxed);
+        tcp.slab.lock().expect("slab lock").insert(key, letter);
+        let header = FrameHeader {
+            channel: CHAN_NET,
+            from: from.raw(),
+            to: to.raw(),
+            len: 8,
+        };
+        let sent = tcp.writers[to.index()]
+            .lock()
+            .expect("writer lock")
+            .send(&header, &key.to_be_bytes())
+            .is_ok();
+        if !sent {
+            tcp.slab.lock().expect("slab lock").remove(&key);
         }
+        sent
     }
 }
 
@@ -662,45 +586,5 @@ mod tests {
             .burst_delay(ProcessId::new(0), ProcessId::new(1), 64, Time::ZERO)
             .expect("no loss");
         assert_eq!(d, TimeDelta::ZERO);
-    }
-
-    #[test]
-    fn wheel_orders_by_deadline_and_shuts_down() {
-        let wheel: TimerWheel<u32> = TimerWheel::new();
-        let clock = crate::WallClock::new();
-        let soon = clock.now().saturating_add(TimeDelta::from_millis(2));
-        let sooner = clock.now().saturating_add(TimeDelta::from_millis(1));
-        wheel.schedule_all([(
-            soon,
-            Due::Frame {
-                to: ProcessId::new(1),
-                msg: Msg::Step(Input::Inject {
-                    component: ComponentId::new(0),
-                    event: 2,
-                }),
-            },
-        )]);
-        wheel.schedule_all([(
-            sooner,
-            Due::Frame {
-                to: ProcessId::new(0),
-                msg: Msg::Step(Input::Inject {
-                    component: ComponentId::new(0),
-                    event: 1,
-                }),
-            },
-        )]);
-        let first = wheel.next_due(&clock).expect("entry");
-        match first {
-            Due::Frame { to, .. } => assert_eq!(to, ProcessId::new(0)),
-            other => panic!("unexpected {other:?}"),
-        }
-        let second = wheel.next_due(&clock).expect("entry");
-        match second {
-            Due::Frame { to, .. } => assert_eq!(to, ProcessId::new(1)),
-            other => panic!("unexpected {other:?}"),
-        }
-        wheel.shutdown();
-        assert!(wheel.next_due(&clock).is_none());
     }
 }

@@ -30,10 +30,12 @@ pub struct LiveConfig {
     pub joiners: usize,
     /// Seed for the emulated network's randomness (loss, delay sampling).
     pub seed: u64,
-    /// Baseline link models. Delays below the emulation floor ride the
-    /// real wire; WAN presets and overrides are emulated by parking frames
-    /// on the timer wheel. The runtime's hand-played fabric tests set a
-    /// zero-delay one, so that bursts skip the wheel.
+    /// Baseline link models. A burst whose sampled delay reaches the
+    /// emulation floor (200 µs) waits it out in its receiver's queue; below
+    /// the floor the real wire's latency stands in for the model's. Every
+    /// preset reaches it, the LAN included (0.2–1.2 ms), so every preset
+    /// burst is emulated. The runtime's hand-played fabric tests set a
+    /// zero-delay one, so that bursts are due at once.
     pub topology: Topology,
     /// How frames physically move between member threads. The benchmark's
     /// TCP workloads and the TCP wire tests set [`WireMode::Tcp`].

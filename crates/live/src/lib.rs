@@ -6,9 +6,10 @@
 //!
 //! * every group member is an **OS thread** running the kernel dispatch
 //!   loop over an inbox;
-//! * **timers are wall-clock deadlines** — a per-group timer thread parks
-//!   on a deadline heap and wakes members when protocol timeouts actually
-//!   elapse;
+//! * **timers are wall-clock deadlines** — each member keeps its own queue
+//!   of what comes due later (its timers, bursts an emulated link delays,
+//!   future injections and fault steps) and blocks on its inbox until the
+//!   next of them is due;
 //! * **frames cross a real wire** — in-process channels by default
 //!   ([`WireMode::Channel`]), or one loopback-TCP stream per member
 //!   ([`WireMode::Tcp`]) running the `gcs_net::link` frame codec;

@@ -1,62 +1,61 @@
-//! The live runtime: one OS thread per group member, one timer thread per
-//! group, real wall-clock deadlines.
+//! The live runtime: one OS thread per group member, each with its own
+//! queue of wall-clock deadlines.
 //!
 //! Each member thread owns its [`Process`] outright (the kernel process is
 //! deliberately not `Send`-shareable — it is built *inside* the thread from
-//! a shared `Send + Sync` constructor closure) and works through an `mpsc`
-//! inbox — bursts of protocol frames, single [`Input`]s (harness
-//! injections, timer fires), crash and stop signals — in cycles of
-//! **drain → group → flush**. Every frame of a burst and every single input
-//! is one [`Process::step_into`]:
+//! a shared `Send + Sync` constructor closure), the emulation of its
+//! outgoing links, and its queue: every letter of its `mpsc` inbox — bursts
+//! of protocol frames, harness injections, fault steps, crash and stop
+//! signals, each stamped with the instant it comes due — and its own timers,
+//! in `(due, arrival)` order. It blocks on the inbox until the head of its
+//! queue comes due, then works in cycles of **drain → group → flush**. Every
+//! frame of a burst and every single input is one [`Process::step_into`]:
 //!
-//! 1. **Drain.** Block for one inbox message, dispatch it, and keep
-//!    dispatching whatever else is *already* in the inbox (`try_recv`,
-//!    never a wait) until it is empty or [`DRAIN_BUDGET`] dispatches are
-//!    spent.
-//! 2. **Group.** After every dispatch its effects move into the member's
-//!    `Outbox`: sends and casts appended to their destination's list (so
-//!    each destination sees emission order across dispatches), timers as
-//!    absolute deadlines, outputs with their time.
+//! 1. **Drain.** Dispatch the queue's head while it is due, taking in
+//!    whatever has reached the inbox before each dispatch (`try_recv`, never
+//!    a wait), until nothing is due or [`DRAIN_BUDGET`] dispatches are spent.
+//! 2. **Group.** After every dispatch its effects move out: timers into the
+//!    queue as absolute deadlines, and into the member's `Outbox` sends and
+//!    casts appended to their destination's list (so each destination sees
+//!    emission order across dispatches) and outputs with their time.
 //! 3. **Flush.** Once per drain, `Shared::flush` ships each destination's
-//!    list as one burst through the emulated network — directly into the
-//!    inbox in channel mode, as one framed write over a loopback TCP stream
-//!    in TCP mode, or onto the wheel when the link model delays it — and
-//!    records the drain's steps, frame fates and outputs in the member's
-//!    own ledger, locked once. No lock is held while a step runs.
+//!    list as one burst through the emulated network — into the inbox in
+//!    channel mode, as one framed write over a loopback TCP stream in TCP
+//!    mode, due at once or when its link delay has passed — and records the
+//!    drain's steps, frame fates and outputs in the member's own ledger,
+//!    locked once. No lock is held while a step runs.
 //!
-//! A member that wakes to an inbox of one message does exactly what a
+//! A member that wakes to one due message does exactly what a
 //! frame-at-a-time loop would; under load the cost of crossing the fabric
 //! is paid per burst instead of per frame, and the packing grows with the
 //! backlog on its own. A `Crash` or `Stop` met mid-drain ends the drain
 //! there: what the dispatches *before* it produced is flushed (the effects
 //! of a finished dispatch always leave the member), nothing behind it in
-//! the inbox is looked at.
+//! the queue is dispatched. A network fault step flushes what came before
+//! it, then changes the member's links.
 //!
-//! **Each fact has one writer.** A crash is a place in the inbox: a fault
-//! step only queues `Msg::Crash`, and the member marks itself dead on
-//! taking it. A panic is a crash too, raised again when the runtime drops.
-//! What a member produces is in its own ledger; readers combine them.
-//!
-//! The timer thread services the group's [`TimerWheel`]: protocol timers,
-//! bursts parked by emulated link delay, and scheduled fault actions all
-//! come due there. Firing a timer on a process that already cancelled it is
-//! a kernel-level no-op, and a fire for a member that exited fails at its
-//! closed inbox like an injection does, which is what makes a *global* wheel
-//! safe: the wheel may hold stale entries for crashed members or cancelled
-//! timers without corrupting anyone.
+//! **Each fact has one writer.** A crash is a place in the victim's queue:
+//! a fault step only sends it `Msg::Crash`, and the member marks itself dead
+//! on taking it. A panic is a crash too, raised again when the runtime
+//! drops. What a member produces is in its own ledger; readers combine
+//! them. An ended member takes in its inbox until the runtime's last
+//! `Stop`, sent once every member has ended, and every delayed burst it
+//! still holds or is sent dies with it, counted in its own ledger: once a
+//! group is stopped, every frame sent has exactly one fate.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use gcs_kernel::{ComponentId, Effects, Event, Input, Process, ProcessId, Time};
 use gcs_net::TcpLink;
 use gcs_sim::{Metrics, Runtime, Schedule, ScheduleAction};
 
-use crate::fabric::{self, record_arrival, Due, Msg, Outbox, Shared};
-use crate::LiveConfig;
+use crate::fabric::{self, record_fate, Letter, Member, Msg, NetState, Outbox, Queue, Shared};
+use crate::{LiveConfig, WallClock};
 
 /// Dispatches one drain may make before it must flush. A bound, not a
 /// tuning knob: it only matters to a member whose inbox refills as fast as
@@ -80,9 +79,9 @@ pub enum WireMode {
     Tcp,
 }
 
-/// A running group of member threads plus their timer thread: the live
-/// [`Runtime`]. Dropping it stops and joins every thread, then raises a
-/// member's panic again.
+/// A running group of member threads (and, over TCP, one reader pump per
+/// member): the live [`Runtime`]. Dropping it stops and joins every thread,
+/// then raises a member's panic again.
 pub struct LiveRuntime<E: Event + Send> {
     shared: Arc<Shared<E>>,
     handles: Vec<JoinHandle<()>>,
@@ -94,20 +93,32 @@ pub struct LiveRuntime<E: Event + Send> {
 impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
     type Config = LiveConfig;
 
-    /// Spawns one thread per process (ids dense from zero) and the timer
-    /// thread, starting every process at its thread's first instant. The
-    /// clock starts here. `config.members`/`joiners` are the caller's
-    /// business (see [`start`](crate::start)); the runtime hosts `n`.
+    /// Spawns one thread per process (ids dense from zero), starting every
+    /// process at its thread's first instant. The clock starts here.
+    /// `config.members`/`joiners` are the caller's business (see
+    /// [`start`](crate::start)); the runtime hosts `n`.
     fn start(
         config: LiveConfig,
         n: usize,
         build: impl Fn(ProcessId) -> Process<E> + Send + Sync + 'static,
     ) -> Self {
         let build = Arc::new(build);
-        let (shared, receivers, reader_links) = fabric::open(config, n);
+        let (shared, members, reader_links) = fabric::open(config, n);
         let shared = Arc::new(shared);
 
-        let mut handles = Vec::with_capacity(n + 1 + reader_links.len());
+        let mut handles = Vec::with_capacity(n + reader_links.len());
+
+        // Member threads.
+        for (i, member) in members.into_iter().enumerate() {
+            let me = ProcessId::new(i as u32);
+            let (shared, build) = (shared.clone(), build.clone());
+            // Built on the thread that will own it; the shared builder (and
+            // the config it captured) is released once the last member exists.
+            let build = move || build(me);
+            handles.push(spawn(format!("live-member-{i}"), move || {
+                member_thread(me, build, member, &shared)
+            }));
+        }
 
         // Reader pumps (TCP mode only): resolve wire handles back to events
         // and feed the member inbox.
@@ -117,21 +128,6 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
                 pump_loop(link, &shared, i)
             }));
         }
-
-        // Member threads.
-        for (i, rx) in receivers.into_iter().enumerate() {
-            let me = ProcessId::new(i as u32);
-            let (shared, build) = (shared.clone(), build.clone());
-            // Built on the thread that will own it; the shared builder (and
-            // the config it captured) is released once the last member exists.
-            let build = move || build(me);
-            handles.push(spawn(format!("live-member-{i}"), move || {
-                member_thread(me, build, rx, &shared)
-            }));
-        }
-
-        let timer = shared.clone();
-        handles.push(spawn("live-timer".to_string(), move || timer_loop(&timer)));
 
         LiveRuntime {
             shared,
@@ -144,29 +140,21 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
         self.shared.clock.now()
     }
 
+    /// A direct inbox send — injections bypass the emulated network — due
+    /// at `t`.
     fn inject(&mut self, t: Time, p: ProcessId, component: ComponentId, event: E) {
         let msg = Msg::Step(Input::Inject { component, event });
-        if t <= self.now() {
-            // Direct inbox send — injections bypass the emulated network.
-            let _ = self.shared.senders[p.index()].send(msg);
-        } else {
-            let due = Due::Frame { to: p, msg };
-            self.shared.wheel.schedule_all([(t, due)]);
-        }
+        let _ = self.shared.senders[p.index()].send((t, msg));
     }
 
-    /// Fault steps are entered at once when already due and parked on the
-    /// timer wheel otherwise.
+    /// Fault steps go to the members they act on, due at their instant.
     fn apply_schedule(&mut self, schedule: &Schedule) -> Vec<(Time, ScheduleAction)> {
         let mut membership = Vec::new();
         for (t, action) in schedule.steps() {
-            let (t, action) = (*t, action.clone());
-            if !action.is_sim_level() {
-                membership.push((t, action));
-            } else if t <= self.now() {
-                apply_fault(&self.shared, t, action);
+            if action.is_sim_level() {
+                post_fault(&self.shared, *t, action.clone());
             } else {
-                self.shared.wheel.schedule_all([(t, Due::Fault(t, action))]);
+                membership.push((*t, action.clone()));
             }
         }
         membership
@@ -185,14 +173,12 @@ impl<E: Event + Send + 'static> Runtime<E> for LiveRuntime<E> {
     fn run_to_quiescence(&mut self, limit: Time) -> bool {
         let quiet = loop {
             if self.shared.dead.iter().all(|d| d.load(Ordering::Acquire)) {
-                // Grace for in-flight wheel entries to drain to nowhere.
-                std::thread::sleep(std::time::Duration::from_millis(2));
                 break true;
             }
             if self.now() >= limit {
                 break false;
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         };
         self.metrics_cache = self.shared.metrics();
         quiet
@@ -256,20 +242,37 @@ fn spawn(name: String, run: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
 }
 
 impl<E: Event + Send> Drop for LiveRuntime<E> {
-    /// Stops every member, pump, and timer thread and joins them; then
-    /// raises the first member panic, naming the member, or else re-raises
-    /// any other thread's panic, unless this thread is already unwinding.
+    /// Stops every member and pump thread and joins them; then raises the
+    /// first member panic, naming the member, or else re-raises any other
+    /// thread's panic, unless this thread is already unwinding.
     fn drop(&mut self) {
-        self.shared.wheel.shutdown();
-        for s in &self.shared.senders {
-            let _ = s.send(Msg::Stop);
+        let shared = &self.shared;
+        // A stop goes the way bursts go, so it comes behind every one sent
+        // to its member before it (directly if the stream broke).
+        let stop_all = |due| {
+            for (i, inbox) in shared.senders.iter().enumerate() {
+                let p = ProcessId::new(i as u32);
+                if !shared.deliver(p, p, (due, Msg::Stop)) {
+                    let _ = inbox.send((due, Msg::Stop));
+                }
+            }
+        };
+        // The first ends every member's loop at once. Once all have ended
+        // nothing more is sent, and the last, due at the end of time, ends
+        // each member's retirement with its ledger complete.
+        stop_all(Time::ZERO);
+        while !shared.dead.iter().all(|d| d.load(Ordering::Acquire)) {
+            std::thread::sleep(Duration::from_micros(100));
         }
-        if let Some(tcp) = &self.shared.tcp {
+        stop_all(Time::MAX);
+        let pumps = self.handles.split_off(shared.senders.len());
+        let mut joined: Vec<_> = self.handles.drain(..).map(JoinHandle::join).collect();
+        if let Some(tcp) = &shared.tcp {
             for link in &tcp.reader_shutdown {
                 let _ = link.shutdown();
             }
         }
-        let joined: Vec<_> = self.handles.drain(..).map(JoinHandle::join).collect();
+        joined.extend(pumps.into_iter().map(JoinHandle::join));
         if std::thread::panicking() {
             return;
         }
@@ -284,52 +287,82 @@ impl<E: Event + Send> Drop for LiveRuntime<E> {
     }
 }
 
-/// A member's thread: builds its process and runs [`member_loop`]. A
-/// crash, a halt or a panic marks the member dead here, on its own thread
-/// and nowhere else; a panic's text stays in its ledger.
-fn member_thread<E: Event + Send>(
-    me: ProcessId,
-    build: impl FnOnce() -> Process<E>,
-    rx: Receiver<Msg<E>>,
-    shared: &Shared<E>,
-) {
-    let run = std::panic::catch_unwind(AssertUnwindSafe(|| member_loop(me, build(), rx, shared)));
-    let crashed = run.unwrap_or_else(|panic| {
-        let text = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .or_else(|| panic.downcast_ref::<String>().cloned());
-        shared.ledgers[me.index()].lock().panic = Some(text.unwrap_or_default());
-        true
-    });
-    if crashed {
-        shared.dead[me.index()].store(true, Ordering::Release);
+/// Queues fault step `action`, scheduled for `at`, at the members it acts
+/// on: a crash at its victim, any other step at every member, for its own
+/// outgoing links. A member that already ended ignores it.
+fn post_fault<E: Event + Send>(shared: &Shared<E>, at: Time, action: ScheduleAction) {
+    if let ScheduleAction::Crash(p) = action {
+        let _ = shared.senders[p.index()].send((at, Msg::Crash));
+        return;
+    }
+    for inbox in &shared.senders {
+        let _ = inbox.send((at, Msg::Fault(action.clone())));
     }
 }
 
-/// The life of one member: start the process, then drain → group → flush
-/// (see the module docs) until crash, halt or stop. Returns whether the
-/// member ended crashed: by `Msg::Crash` or halted by its protocol.
+/// A member's thread: builds its process and runs [`member_loop`], then
+/// [`retire`]s. However the member ended — a crash, a halt, a panic or the
+/// runtime's stop — it is marked dead here, on its own thread and nowhere
+/// else; a panic's text stays in its ledger.
+fn member_thread<E: Event + Send>(
+    me: ProcessId,
+    build: impl FnOnce() -> Process<E>,
+    (rx, net): Member<E>,
+    shared: &Shared<E>,
+) {
+    let mut queue = Queue::new();
+    let mut out = Outbox::new(shared.senders.len());
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        member_loop(me, build(), &rx, &mut queue, &mut out, net, shared)
+    }));
+    if let Err(panic) = run {
+        let text = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .or_else(|| panic.downcast_ref::<String>().cloned());
+        let mut log = shared.ledgers[me.index()].lock();
+        log.panic = Some(text.unwrap_or_default());
+        // The delayed bursts the panicked drain took were delivered.
+        record_fate(&mut log.metrics, out.arrivals, Metrics::record_delivery);
+    }
+    shared.dead[me.index()].store(true, Ordering::Release);
+    retire(me, &rx, queue, shared);
+}
+
+/// The life of one member: start the process, then wait → drain → group →
+/// flush (see the module docs) until a crash, a halt or a stop ends it.
 fn member_loop<E: Event + Send>(
     me: ProcessId,
     mut process: Process<E>,
-    rx: Receiver<Msg<E>>,
+    rx: &Receiver<Letter<E>>,
+    queue: &mut Queue<E>,
+    out: &mut Outbox<E>,
+    mut net: NetState,
     shared: &Shared<E>,
-) -> bool {
+) {
     let mut fx = Effects::new();
-    let mut out = Outbox::new(shared.senders.len());
     let started = shared.clock.now();
     process.start_into(started, &mut fx);
-    let mut halted = out.absorb(me, started, &shared.clock, &mut fx);
-    shared.flush(me, &mut out);
+    let mut ended = out.absorb(started, &shared.clock, &mut fx, queue);
+    shared.flush(me, out, &mut net);
 
-    while !halted {
-        let mut msg = rx.recv().expect("`shared` holds the inbox's sender");
-        let mut ending = None;
+    while !ended {
+        wait_for_due(queue, rx, &shared.clock);
         loop {
+            rx.try_iter().for_each(|letter| queue.push(letter));
             let now = shared.clock.now();
+            let Some((due, msg)) = queue.pop_due(now) else {
+                break;
+            };
             match msg {
-                Msg::Net { from, frames } => {
+                Msg::Net {
+                    from,
+                    frames,
+                    delayed,
+                } => {
                     out.bursts += 1;
                     out.frames_in += frames.len() as u64;
+                    if delayed {
+                        out.arrivals += frames.len();
+                    }
                     for (component, event) in frames {
                         out.events += 1;
                         let input = Input::Net {
@@ -344,64 +377,73 @@ fn member_loop<E: Event + Send>(
                     out.events += 1;
                     process.step_into(input, now, &mut fx);
                 }
+                Msg::Fault(action) => {
+                    // What came before the fault leaves under the old links.
+                    shared.flush(me, out, &mut net);
+                    net.model.apply(due, action, shared.senders.len());
+                }
                 Msg::Crash => {
                     process.halt(); // the thread IS the process: crash-stop
-                    ending = Some(true);
+                    ended = true;
                 }
-                Msg::Stop => ending = Some(false),
+                Msg::Stop => ended = true,
             }
             // The protocol may halt itself (e.g. excluded from the group).
-            halted = out.absorb(me, now, &shared.clock, &mut fx);
-            if ending.is_some() || halted || out.events >= DRAIN_BUDGET as u64 {
+            ended |= out.absorb(now, &shared.clock, &mut fx, queue);
+            if ended || out.events >= DRAIN_BUDGET as u64 {
                 break;
             }
-            let Ok(next) = rx.try_recv() else { break };
-            msg = next;
         }
-        shared.flush(me, &mut out);
-        if let Some(crashed) = ending {
-            return crashed;
-        }
+        shared.flush(me, out, &mut net);
     }
-    true
 }
 
-/// The timer thread: pops due work off the wheel until shutdown.
-fn timer_loop<E: Event + Send>(shared: &Shared<E>) {
-    while let Some(due) = shared.wheel.next_due(&shared.clock) {
-        match due {
-            Due::Frame { to, msg } => match msg {
-                Msg::Net { from, ref frames } => {
-                    let count = frames.len();
-                    // A burst whose receiver crashed while it was in flight
-                    // dies on the wire, frame by frame.
-                    let arrived = !shared.is_dead(to) && shared.deliver(to, msg);
-                    let mut log = shared.ledgers[from.index()].lock();
-                    record_arrival(&mut log.metrics, arrived, count);
-                }
-                // A step for an exited member is moot.
-                step => _ = shared.deliver(to, step),
+/// Blocks until the head of `queue` is due, taking into it whatever reaches
+/// the inbox meanwhile.
+fn wait_for_due<E>(queue: &mut Queue<E>, rx: &Receiver<Letter<E>>, clock: &WallClock) {
+    loop {
+        let now = clock.now();
+        let letter = match queue.next_due() {
+            Some(due) if due <= now => return,
+            Some(due) => match rx.recv_timeout(Duration::from_nanos(due.since(now).as_nanos())) {
+                Ok(letter) => letter,
+                Err(_) => return, // the head came due
             },
-            Due::Fault(at, action) => apply_fault(shared, at, action),
-        }
+            None => rx.recv().expect("`shared` holds the inbox's sender"),
+        };
+        queue.push(letter);
     }
 }
 
-/// Enters fault step `action`, scheduled for `at`, now: a crash takes its
-/// place in the member's inbox, anything else goes to the network model.
-fn apply_fault<E: Event + Send>(shared: &Shared<E>, at: Time, action: ScheduleAction) {
-    if let ScheduleAction::Crash(p) = action {
-        // A member that already exited has nothing left to crash.
-        let _ = shared.senders[p.index()].send(Msg::Crash);
-        return;
+/// An ended member takes in its queue and then its inbox until the
+/// runtime's last `Stop`, due at `Time::MAX`, which comes behind every burst
+/// sent to it: a delayed burst in flight to it dies with it, a crash drop in
+/// its own ledger.
+fn retire<E: Event + Send>(
+    me: ProcessId,
+    rx: &Receiver<Letter<E>>,
+    mut queue: Queue<E>,
+    shared: &Shared<E>,
+) {
+    for (due, msg) in std::iter::from_fn(|| queue.pop_due(Time::MAX)).chain(rx.iter()) {
+        match msg {
+            Msg::Net {
+                frames,
+                delayed: true,
+                ..
+            } => {
+                let mut log = shared.ledgers[me.index()].lock();
+                record_fate(&mut log.metrics, frames.len(), Metrics::record_drop_crash);
+            }
+            Msg::Stop if due == Time::MAX => return,
+            _ => {}
+        }
     }
-    let mut net = shared.net.lock().expect("net lock");
-    net.model.apply(at, action, shared.dead.len());
 }
 
 /// TCP-mode reader pump: decode wire frames for member `to`, resolve each
 /// body handle back to the burst it stands for, and enqueue that — one
-/// framed write, one inbox message — on the member's inbox.
+/// framed write, one letter — on the member's inbox.
 fn pump_loop<E: Event + Send>(mut link: TcpLink, shared: &Shared<E>, to: usize) {
     let fabric = shared.tcp.as_ref().expect("tcp fabric in tcp mode");
     loop {
@@ -411,8 +453,8 @@ fn pump_loop<E: Event + Send>(mut link: TcpLink, shared: &Shared<E>, to: usize) 
                     continue; // not a handle frame; ignore
                 };
                 let entry = fabric.slab.lock().expect("slab lock").remove(&key);
-                if let Some((from, frames)) = entry {
-                    if shared.senders[to].send(Msg::Net { from, frames }).is_err() {
+                if let Some(letter) = entry {
+                    if shared.senders[to].send(letter).is_err() {
                         return; // member exited; stop pumping
                     }
                 }
@@ -427,7 +469,7 @@ mod tests {
     use super::*;
     use gcs_kernel::{Component, Context, TimeDelta, TimerId};
     use gcs_sim::{LinkModel, Topology};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use crate::WireMode;
 
@@ -449,6 +491,8 @@ mod tests {
         Seen(u32),
         /// Set a timer due at once; its fire outputs `Seen(0)`.
         Arm,
+        /// Set a timer due at the given instant, or at once if it is past.
+        ArmAt(Time),
     }
 
     impl Event for T {
@@ -457,7 +501,7 @@ mod tests {
                 T::Go(_) => "t/go",
                 T::Tag(_) => "t/tag",
                 T::Seen(_) => "t/seen",
-                T::Arm => "t/arm",
+                T::Arm | T::ArmAt(_) => "t/arm",
             }
         }
     }
@@ -479,6 +523,9 @@ mod tests {
                 T::Arm => {
                     ctx.set_timer(TimeDelta::ZERO);
                 }
+                T::ArmAt(at) => {
+                    ctx.set_timer(at.since(ctx.now()));
+                }
             }
         }
 
@@ -489,11 +536,11 @@ mod tests {
 
     /// A three-process fabric with no thread running: the test plays the
     /// members itself. `direct` links are below the emulation floor, so a
-    /// burst goes straight to the inbox; otherwise (LAN) it is parked on
-    /// the wheel.
+    /// burst is due at once; otherwise (LAN) it waits in the receiver's
+    /// queue.
     struct Bench {
         shared: Arc<Shared<T>>,
-        inboxes: Vec<Option<Receiver<Msg<T>>>>,
+        inboxes: Vec<Option<Member<T>>>,
         readers: Vec<TcpLink>,
     }
 
@@ -524,25 +571,32 @@ mod tests {
             &self.shared
         }
 
-        /// Fills `who`'s inbox and runs its member loop on this thread until
-        /// it exits (the messages must end in, or contain, a `Stop`/`Crash`).
+        /// Puts `msg` in `who`'s inbox, due at `due`.
+        fn post(&self, who: u32, due: Time, msg: Msg<T>) {
+            let inbox = &self.shared.senders[who as usize];
+            inbox.send((due, msg)).expect("inbox open");
+        }
+
+        /// Fills `who`'s inbox with `inbox`, all due at once, and runs its
+        /// member thread on this thread until it ends by a `Stop` or `Crash`
+        /// queued there and retires. Behind them goes the runtime's last
+        /// `Stop`, due at `Time::MAX`, which ends the retirement.
         fn play(&mut self, who: u32, inbox: Vec<Msg<T>>) {
             for msg in inbox {
-                self.shared.senders[who as usize]
-                    .send(msg)
-                    .expect("inbox open");
+                self.post(who, Time::ZERO, msg);
             }
-            let rx = self.inboxes[who as usize].take().expect("not played yet");
+            self.post(who, Time::MAX, Msg::Stop);
+            let member = self.inboxes[who as usize].take().expect("not played yet");
             let build = || Process::builder(p(who)).with(TALK, Talker).build();
-            member_thread(p(who), build, rx, &self.shared);
+            member_thread(p(who), build, member, &self.shared);
         }
 
         /// The bursts waiting in `who`'s inbox, as the tags they carry.
         fn bursts_at(&self, who: u32) -> Vec<Vec<u32>> {
-            let rx = self.inboxes[who as usize].as_ref().expect("not played yet");
+            let (rx, _) = self.inboxes[who as usize].as_ref().expect("not played yet");
             rx.try_iter()
-                .map(|msg| match msg {
-                    Msg::Net { from, frames } => {
+                .map(|(_, msg)| match msg {
+                    Msg::Net { from, frames, .. } => {
                         assert_eq!(from, p(0));
                         frames
                             .into_iter()
@@ -612,7 +666,7 @@ mod tests {
         // Partition: p0 alone.
         let mut b = Bench::open(true, WireMode::Channel);
         let partition = ScheduleAction::Partition(vec![vec![p(0)], vec![p(1), p(2)]]);
-        apply_fault(&b.shared, Time::ZERO, partition);
+        post_fault(&b.shared, Time::ZERO, partition);
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 0, 0, 9, 0));
 
@@ -622,7 +676,7 @@ mod tests {
             duration: TimeDelta::from_secs(3_600),
             prob: 1.0,
         };
-        apply_fault(&b.shared, Time::ZERO, burst);
+        post_fault(&b.shared, Time::ZERO, burst);
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 0, 9, 0, 0));
 
@@ -632,31 +686,39 @@ mod tests {
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 6, 0, 0, 3));
 
-        // …and one that dies while the burst is parked on the wheel (LAN
-        // delays are emulated): p1's six frames die, p2's three arrive.
+        // …and one that dies while the burst waits in its queue (LAN delays
+        // are emulated): p1's six frames die, p2's three arrive.
         let mut b = Bench::open(false, WireMode::Channel);
         b.play(0, vec![go(1), go(2), go(3), Msg::Stop]);
         assert_eq!(b.accounts(), (9, 0, 0, 0, 0), "both bursts in flight");
-        b.shared().dead[1].store(true, Ordering::Release);
-        let timer = {
-            let shared = b.shared.clone();
-            std::thread::spawn(move || timer_loop(&shared))
-        };
-        let arrived = b.inboxes[2]
-            .as_ref()
-            .expect("inbox")
-            .recv_timeout(Duration::from_secs(10))
-            .expect("p2's burst comes off the wheel");
-        assert!(matches!(arrived, Msg::Net { frames, .. } if frames.len() == 3));
-        // Both bursts were scheduled within LAN delay of each other; give
-        // the later one time to come due before the wheel stops.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while b.accounts().4 < 6 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        b.shared().wheel.shutdown();
-        timer.join().expect("timer thread");
+        // p1's crash is due before its burst; p2 stops once its burst is.
+        b.play(1, vec![Msg::Crash]);
+        let lan_max = Topology::lan().link(p(0), p(2)).delay_max;
+        b.post(2, b.shared().clock.now().saturating_add(lan_max), Msg::Stop);
+        b.play(2, Vec::new());
         assert_eq!(b.accounts(), (9, 3, 0, 0, 6));
+    }
+
+    /// A fault is a place in each member's inbox: what p0 flushed before it
+    /// took a partition crossed the cut, and what it sends after is dropped
+    /// there, though both were dispatched after the partition's instant.
+    #[test]
+    fn a_partition_cuts_a_member_where_it_takes_the_fault() {
+        let mut b = Bench::open(true, WireMode::Channel);
+        let cut = b.shared().clock.now();
+        b.post(0, Time::ZERO, go(1));
+        let partition = ScheduleAction::Partition(vec![vec![p(0)], vec![p(1), p(2)]]);
+        post_fault(&b.shared, cut, partition);
+        b.post(0, cut, go(2));
+        b.post(0, cut, Msg::Stop);
+        b.play(0, Vec::new());
+        assert_eq!(b.accounts(), (6, 3, 0, 3, 0));
+        // The fault is queued at every member, for its own links.
+        for who in [1, 2] {
+            let (rx, _) = b.inboxes[who].as_ref().expect("not played");
+            let faults = rx.try_iter().filter(|(_, m)| matches!(m, Msg::Fault(_)));
+            assert_eq!(faults.count(), 1, "p{who}");
+        }
     }
 
     #[test]
@@ -704,12 +766,11 @@ mod tests {
         for fire_first in [true, false] {
             let mut b = Bench::open(true, WireMode::Channel);
             let now = b.shared().clock.now();
-            let crash = |b: &Bench| apply_fault(&b.shared, now, ScheduleAction::Crash(p(0)));
-            // The timer thread's way in.
-            let fire = |b: &Bench| assert!(b.shared.deliver(p(0), Msg::Step(Input::Fire(timer))));
-            b.shared.senders[0]
-                .send(Msg::Step(inject(T::Arm)))
-                .expect("inbox open");
+            let crash = |b: &Bench| post_fault(&b.shared, now, ScheduleAction::Crash(p(0)));
+            // The entry the member's queue holds for its timer, due at the
+            // crash's instant (its own arming is due after it).
+            let fire = |b: &Bench| b.post(0, now, Msg::Step(Input::Fire(timer)));
+            b.post(0, now, Msg::Step(inject(T::Arm)));
             if fire_first {
                 fire(&b);
                 crash(&b);
@@ -730,21 +791,81 @@ mod tests {
         }
     }
 
+    /// A timer never leaves its member's thread: with no other thread
+    /// running, a member that arms one fires it when it comes due.
+    #[test]
+    fn a_member_fires_its_own_timer_with_no_other_thread() {
+        let mut b = Bench::open(true, WireMode::Channel);
+        let (shared, wake) = (b.shared.clone(), b.shared.senders[0].clone());
+        std::thread::scope(|scope| {
+            let member = scope.spawn(|| b.play(0, vec![Msg::Step(inject(T::Arm))]));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while shared.ledgers[0].outputs.load(Ordering::Acquire) == 0
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let stop = (Time::ZERO, Msg::Stop);
+            wake.send(stop).expect("p0 is waiting on its inbox");
+            member.join().expect("member thread");
+        });
+        let seen: Vec<T> = b.seen().into_iter().map(|(_, e)| e).collect();
+        assert_eq!(seen, vec![T::Seen(0)]);
+        assert_eq!(
+            sum(b.shared(), |log| log.events),
+            2,
+            "the arming and the fire"
+        );
+    }
+
+    /// A member's queue runs in `(due, arrival)` order, whatever the entry:
+    /// delayed bursts, the member's own timer and a queued crash, due at
+    /// overlapping instants, are dispatched as the simulator would, and the
+    /// burst queued behind the crash dies with the member, counted by it.
+    #[test]
+    fn a_delayed_burst_a_timer_and_a_crash_are_dispatched_in_due_order() {
+        let mut b = Bench::open(true, WireMode::Channel);
+        // Far enough ahead that p1 has armed its timer before any is due.
+        let t = b
+            .shared()
+            .clock
+            .now()
+            .saturating_add(TimeDelta::from_millis(100));
+        let at = |us| t.saturating_add(TimeDelta::from_micros(us));
+        let burst = |n| Msg::Net {
+            from: p(0),
+            frames: [(TALK, T::Tag(n))].into_iter().collect(),
+            delayed: true,
+        };
+        b.post(1, at(2), Msg::Crash);
+        b.post(1, at(1), burst(11)); // ties with the timer, taken in first
+        b.post(1, at(2), burst(12)); // ties with the crash, taken in after it
+        b.post(1, at(0), burst(10));
+        b.play(1, vec![Msg::Step(inject(T::ArmAt(at(1))))]);
+        assert!(b.shared().is_dead(p(1)));
+        let seen: Vec<T> = b.seen().into_iter().map(|(_, e)| e).collect();
+        assert_eq!(seen, vec![T::Seen(10), T::Seen(11), T::Seen(0)]);
+        assert_eq!(sum(b.shared(), |log| log.events), 4);
+        // No one sent these bursts; p1 counts their fates.
+        assert_eq!(b.accounts(), (0, 2, 0, 0, 1));
+    }
+
     #[test]
     fn a_lone_message_is_flushed_while_the_inbox_stays_open() {
         let mut b = Bench::open(true, WireMode::Channel);
         let wake = b.shared.senders[0].clone();
-        let rx1 = b.inboxes[1].take().expect("inbox");
+        let (rx1, _) = b.inboxes[1].take().expect("inbox");
         std::thread::scope(|scope| {
             // p0 is given one message and no `Stop`: after dispatching it
             // the member blocks on its inbox — with the burst already out.
             let member = scope.spawn(|| b.play(0, vec![go(7)]));
             let burst = rx1.recv_timeout(Duration::from_secs(10));
             assert!(
-                matches!(&burst, Ok(Msg::Net { frames, .. }) if frames.len() == 2),
+                matches!(&burst, Ok((_, Msg::Net { frames, .. })) if frames.len() == 2),
                 "{burst:?}"
             );
-            wake.send(Msg::Stop).expect("p0 is waiting on its inbox");
+            let stop = (Time::ZERO, Msg::Stop);
+            wake.send(stop).expect("p0 is waiting on its inbox");
             member.join().expect("member thread");
         });
     }
@@ -765,12 +886,12 @@ mod tests {
             let shared = b.shared.clone();
             std::thread::spawn(move || pump_loop(link, &shared, 1))
         };
-        let burst = b.inboxes[1]
-            .as_ref()
-            .expect("inbox")
+        let (_, burst) = (b.inboxes[1].as_ref().expect("inbox").0)
             .recv_timeout(Duration::from_secs(10))
             .expect("the burst comes off the stream");
-        assert!(matches!(&burst, Msg::Net { from, frames } if *from == p(0) && frames.len() == 4));
+        assert!(
+            matches!(&burst, Msg::Net { from, frames, .. } if *from == p(0) && frames.len() == 4)
+        );
         // …and p1 dispatches one event per frame of it, in order.
         b.play(1, vec![burst, Msg::Stop]);
         let at_p1: Vec<T> = b
@@ -791,6 +912,44 @@ mod tests {
             .shutdown()
             .expect("close p1's stream");
         pump.join().expect("pump thread");
+    }
+
+    /// Every frame has one fate once the group is stopped, however the stop
+    /// caught it: with a member crashed mid-stream and bursts in flight
+    /// between the others at the stop, over either wire, `sent` equals
+    /// `delivered` plus the drops.
+    #[test]
+    fn the_ledgers_balance_once_the_group_is_stopped() {
+        use gcs_core::{NewArchDriver, StackConfig};
+        use gcs_kernel::PayloadRef;
+        use gcs_sim::StackDriver;
+
+        for wire in [WireMode::Channel, WireMode::Tcp] {
+            let n = 3;
+            let config = StackConfig::default();
+            let live = LiveConfig::new(n).with_wire(wire);
+            let mut group =
+                LiveRuntime::start(live, n, move |id| NewArchDriver::build(id, &config, n));
+            let crash_at = group.now().saturating_add(TimeDelta::from_millis(30));
+            group.apply_schedule(&Schedule::new().crash(crash_at, p(2)));
+            let (mut offered, until) = (0u64, Instant::now() + Duration::from_millis(60));
+            while Instant::now() < until {
+                if offered - group.outputs_of(p(0)) < 64 {
+                    let (component, event) = NewArchDriver::abcast(PayloadRef::EMPTY);
+                    group.inject(Time::ZERO, p((offered % 2) as u32), component, event);
+                    offered += 1;
+                } else {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+            let shared = group.shared.clone();
+            drop(group);
+            let m = shared.metrics();
+            let fates =
+                m.delivered() + m.dropped_loss() + m.dropped_partition() + m.dropped_crash();
+            assert_eq!(m.total_sent(), fates, "{wire:?}");
+            assert!(m.dropped_crash() > 0, "{wire:?}: p2's crash cost frames");
+        }
     }
 
     /// The live path guarded by count, not by wall clock: under a closed

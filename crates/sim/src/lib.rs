@@ -54,5 +54,5 @@ pub use trace::{Trace, TraceEntry};
 pub use transport::{
     Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,
 };
-pub use wheel::{TimingWheel, WheelItem};
+pub use wheel::{Scheduled, TimingWheel, WheelItem};
 pub use world::{SimConfig, SimWorld};

@@ -27,6 +27,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use gcs_kernel::Time;
+
 /// Log2 of the slot width in nanoseconds: 2^19 ns ≈ 524 µs per slot — a
 /// little above the typical LAN one-way delay, so a burst of sends lands in
 /// one or two slots and the per-slot ordering heap stays small.
@@ -44,6 +46,41 @@ const SLOTS: usize = 128;
 pub trait WheelItem: Ord {
     /// Absolute due time in nanoseconds.
     fn at_nanos(&self) -> u64;
+}
+
+/// A queue entry: `item`, due at `at`. Entries due at one instant are
+/// ordered by `seq`, the order they were scheduled in, whatever they hold —
+/// the simulator's queue and each live member's queue alike.
+#[derive(Debug)]
+pub struct Scheduled<T> {
+    /// Due time.
+    pub at: Time,
+    /// Scheduling order, unique within one queue.
+    pub seq: u64,
+    /// What comes due.
+    pub item: T,
+}
+
+impl<T> PartialEq for Scheduled<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<T> Eq for Scheduled<T> {}
+impl<T> PartialOrd for Scheduled<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Scheduled<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+impl<T> WheelItem for Scheduled<T> {
+    fn at_nanos(&self) -> u64 {
+        self.at.as_nanos()
+    }
 }
 
 /// A timing-wheel priority queue with a heap overflow tier.

@@ -10,7 +10,7 @@ use crate::network::{LinkModel, NetworkModel};
 use crate::schedule::{Schedule, ScheduleAction};
 use crate::topology::Topology;
 use crate::trace::Trace;
-use crate::wheel::{TimingWheel, WheelItem};
+use crate::wheel::{Scheduled, TimingWheel};
 
 /// Configuration of a simulation run. Every application delivery is
 /// recorded in the run's [`Trace`].
@@ -63,35 +63,6 @@ enum Pending<E> {
     Fault(ScheduleAction),
 }
 
-#[derive(Debug)]
-struct Scheduled<E> {
-    at: Time,
-    seq: u64,
-    pending: Pending<E>,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-impl<E> WheelItem for Scheduled<E> {
-    fn at_nanos(&self) -> u64 {
-        self.at.as_nanos()
-    }
-}
-
 struct Node<E: Event> {
     process: Process<E>,
     alive: bool,
@@ -111,7 +82,7 @@ pub struct SimWorld<E: Event> {
     now: Time,
     seq: u64,
     executed: u64,
-    queue: TimingWheel<Scheduled<E>>,
+    queue: TimingWheel<Scheduled<Pending<E>>>,
     nodes: Vec<Node<E>>,
     net: NetworkModel,
     rng: StdRng,
@@ -255,7 +226,11 @@ impl<E: Event> SimWorld<E> {
     fn schedule(&mut self, at: Time, pending: Pending<E>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, pending });
+        self.queue.push(Scheduled {
+            at,
+            seq,
+            item: pending,
+        });
     }
 
     fn step_at(&mut self, at: Time, proc: ProcessId, input: Input<E>) {
@@ -278,11 +253,11 @@ impl<E: Event> SimWorld<E> {
     /// Executes one already-popped scheduled entry. A message arrival
     /// counts as a delivery, or as a crash drop at a dead receiver; a timer
     /// or an injection at a dead process is silently moot.
-    fn execute(&mut self, next: Scheduled<E>) {
+    fn execute(&mut self, next: Scheduled<Pending<E>>) {
         debug_assert!(next.at >= self.now, "time went backwards");
         self.now = next.at;
         self.executed += 1;
-        match next.pending {
+        match next.item {
             Pending::Step { proc, input } => {
                 let net = matches!(input, Input::Net { .. });
                 if !self.nodes[proc.index()].alive {
