@@ -61,7 +61,14 @@
 //!    consensus-class suspicions too — every pooled message of that origin
 //!    is relayed, and so is one that arrives while the suspicion lasts (to
 //!    [`Rbcast::relay_targets`]). This covers a sender that crashed
-//!    part-way through a re-send or a diffusion.
+//!    part-way through a re-send or a diffusion. The pool is a
+//!    [`gcs_kernel::IdMap`]: per sender, a window of slots by sequence
+//!    number that moves up as the sender's stream is ordered, so joining,
+//!    leaving and one origin's messages (a relay, a re-target, the safety
+//!    net's own undiffused ones) are an index or a slice of its lane, and
+//!    a proposal is one walk in id order. A `seq` far from the rest of its
+//!    sender's — a peer's corrupt one near `u64::MAX` — is one entry on its
+//!    own, never a pool sized to it.
 //!
 //! **Catch-up:** a process that opens an instance while it has evidence of
 //! being behind — it was just activated from a snapshot at that instance,
@@ -101,11 +108,10 @@
 //! membership component, which hears of it an event later, owns everything
 //! else about the change (announcement, state transfer, exclusion).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gcs_consensus::InstanceId;
-use gcs_kernel::{FxHashSet, IdRuns, ProcessId};
+use gcs_kernel::{FxHashSet, IdMap, IdRuns, ProcessId};
 
 use crate::rbcast::Rbcast;
 use crate::types::{
@@ -178,8 +184,10 @@ pub struct AbcastCore {
     /// sequence number were broadcast before it was, so one still unordered
     /// when it fires has been so for a full period.
     net_mark: Option<u64>,
-    /// R-delivered messages not yet a-delivered (the proposal pool).
-    pending: BTreeMap<MsgId, Message>,
+    /// R-delivered messages not yet a-delivered (the proposal pool), by id:
+    /// per sender a window of slots that moves up as the sender's stream
+    /// is ordered (`gcs_kernel::IdMap`), walked in id order by a proposal.
+    pending: IdMap<Message>,
     /// Ids already a-delivered (never re-delivered, never re-proposed):
     /// every id of a decided batch joins it in the flush of that decision.
     adelivered: IdRuns,
@@ -238,7 +246,7 @@ impl AbcastCore {
             suspected: FxHashSet::default(),
             diffused: 0,
             net_mark: None,
-            pending: BTreeMap::new(),
+            pending: IdMap::default(),
             adelivered: IdRuns::default(),
             cursor: 0,
             designated: None,
@@ -331,7 +339,7 @@ impl AbcastCore {
         }
         self.target = target;
         if let Some(to) = target.filter(|&to| to != self.me) {
-            for message in self.pending.range(MsgId::all_of(self.me)).map(|(_, m)| m) {
+            for (_, message) in self.pending.sender_from(self.me, 0) {
                 out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
             }
         }
@@ -340,12 +348,8 @@ impl AbcastCore {
     /// Own messages the safety net has not diffused yet and that are still
     /// unordered, oldest first.
     fn own_undiffused(&self) -> impl Iterator<Item = &Message> {
-        let from = MsgId {
-            sender: self.me,
-            seq: self.diffused,
-        };
-        let own = from..=*MsgId::all_of(self.me).end();
-        self.pending.range(own).map(|(_, message)| message)
+        let own = self.pending.sender_from(self.me, self.diffused);
+        own.map(|(_, message)| message)
     }
 
     /// Arms the safety-net timer if there is something for it to watch and
@@ -415,7 +419,7 @@ impl AbcastCore {
             return;
         }
         let targets = self.rb.relay_targets(origin, origin);
-        for (_, message) in self.pending.range(MsgId::all_of(origin)) {
+        for (_, message) in self.pending.sender_from(origin, 0) {
             for &to in targets {
                 out.push(AbOut::Wire(to, WireMsg::Ab(AbMsg::Data(message.clone()))));
             }
@@ -461,7 +465,7 @@ impl AbcastCore {
             }
         }
         for m in decided.batch.iter() {
-            self.pending.remove(&m.id);
+            self.pending.remove(m.id);
         }
         self.flush(decided, out);
         self.maybe_propose(out);
@@ -520,7 +524,7 @@ impl AbcastCore {
         self.cursor = snap.next_instance;
         self.designated = snap.designated;
         self.adelivered = snap.adelivered.iter().copied().collect();
-        self.pending.retain(|&id, _| !self.adelivered.contains(id));
+        self.pending.retain(|id, _| !self.adelivered.contains(id));
         // A joiner has no outstanding proposal.
         self.outstanding = None;
         self.activated_at = Some(self.cursor);
@@ -596,10 +600,12 @@ impl AbcastCore {
 
     /// Delivers the cursor's decided batch, messages in id order.
     fn flush(&mut self, Proposal { batch, next }: Proposal, out: &mut Vec<AbOut>) {
-        // Proposals are assembled from an id-ordered map walk, so decided
-        // batches arrive sorted: deliver straight off the shared slice
-        // without the copy-and-sort detour. The unsorted fallback guards
-        // against foreign proposers with different assembly.
+        // Proposals are assembled from one walk of the pool, which an
+        // `IdMap` yields in id order (sender, then seq — far entries
+        // included), so decided batches arrive sorted: deliver straight off
+        // the shared slice without the copy-and-sort detour. The unsorted
+        // fallback guards against foreign proposers with different
+        // assembly.
         if batch.windows(2).all(|w| w[0].id <= w[1].id) {
             for m in batch.iter() {
                 self.deliver_one(m, out);
@@ -1276,6 +1282,53 @@ mod tests {
             |o| matches!(o, AbOut::Propose { instance: 1, value, .. } if value.batch[0].id == mine),
         );
         assert!(reproposed);
+    }
+
+    /// Bounded memory where a peer controls the value: an `ab/data` whose
+    /// `seq` is near `u64::MAX` is one far entry of the pool, not a pool
+    /// sized to it. It is proposed after the dense ones, in id order,
+    /// and once its decision is flushed the pool keeps nothing.
+    #[test]
+    fn a_wire_seq_cannot_size_the_pool() {
+        let mut c = core(0, 3);
+        let id = |sender, seq| MsgId {
+            sender: pid(sender),
+            seq,
+        };
+        let out = c.on_data(pid(1), app(id(1, 0)));
+        assert_eq!(proposals(&out), [(0, 1)]);
+        for m in [id(1, u64::MAX - 1), id(1, 1), id(2, 0)] {
+            assert!(
+                c.on_data(m.sender, app(m)).is_empty(),
+                "instance 0 is in flight"
+            );
+        }
+        assert_eq!(c.pending.len(), 4);
+        assert!(
+            c.pending.slot_count() <= 4,
+            "{} slots",
+            c.pending.slot_count()
+        );
+        let out = c.on_decide(0, decided(vec![app(id(1, 0))]));
+        let batch = out.iter().find_map(|o| match o {
+            AbOut::Propose {
+                instance: 1, value, ..
+            } => Some(value.batch.clone()),
+            _ => None,
+        });
+        let batch = batch.expect("the rest of the pool is proposed for instance 1");
+        let ids: Vec<MsgId> = batch.iter().map(|m| m.id).collect();
+        assert_eq!(ids, [id(1, 1), id(1, u64::MAX - 1), id(2, 0)]);
+        let out = c.on_decide(1, decided(batch.to_vec()));
+        let delivered: Vec<MsgId> = out
+            .iter()
+            .filter_map(|o| match o {
+                AbOut::App(d) => Some(d.id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, ids);
+        assert!(c.pending.is_empty() && c.pending.slot_count() == 0);
     }
 
     /// each of the id sets the core keeps for good.

@@ -100,14 +100,18 @@
 //! one `Record` in one id-ordered map: the message itself (once a copy has
 //! arrived, which makes it *pending* — r-delivered, not yet g-delivered;
 //! acks may come first), whether this process *acked* it this epoch, and
-//! who else did (a [`PositionSet`] over the epoch's members). G-delivery
-//! removes the record, so the map holds the handful of messages under way,
-//! not the epoch's history, and a message's way from first copy to delivery
-//! is a handful of lookups of one key in a map of one or two nodes. What
-//! must outlast delivery — *that* this process acked the message in this
-//! epoch — is a plain list, `acked`: a copy of the message is appended when
-//! it is acked, and the list is read when an `End` is built or a suspicion
-//! asks for a relay, and emptied when the epoch closes. The algorithm's
+//! who else did (a [`PositionSet`] over the epoch's members). The map is a
+//! [`gcs_kernel::IdMap`] — per sender a window of slots by sequence number
+//! — and g-delivery removes the record, which trims the window: the map
+//! holds the handful of messages under way, not the epoch's history, and a
+//! message's way from first copy to delivery is a handful of indexed
+//! lookups in its sender's window. Deliveries held back for FIFO order
+//! wait in an `IdMap` of their own, empty whenever every sender's messages
+//! come in order. What must outlast delivery — *that* this process acked
+//! the message in this epoch — is a plain list, `acked`: a copy of the
+//! message is appended when it is acked, and the list is read when an
+//! `End` is built or a suspicion asks for a relay, and emptied when the
+//! epoch closes. The algorithm's
 //! `pending` set is the records that hold a message. Epoch closure keeps
 //! those, unflagged and with no acks. Beside these two: per-class counters
 //! of the known messages (what the conflict check reads), the
@@ -124,7 +128,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gcs_kernel::{FxHashSet, IdRuns, PositionSet, ProcessId};
+use gcs_kernel::{FxHashSet, IdMap, IdRuns, PositionSet, ProcessId};
 
 use crate::rbcast::Rbcast;
 use crate::types::{
@@ -265,8 +269,9 @@ pub struct GenericCore {
     suspected: FxHashSet<ProcessId>,
     /// One record per message in flight: pending, or merely acked by others
     /// so far. G-delivery removes it, so this map stays as small as the
-    /// number of messages under way however long the epoch has run.
-    records: BTreeMap<MsgId, Record>,
+    /// number of messages under way however long the epoch has run (per
+    /// sender, a window of slots that moves up with the stream).
+    records: IdMap<Record>,
     /// Messages acked by this process in the current epoch, in ack order.
     /// Entries persist until the epoch closes **even after delivery**: the
     /// closure-ordering safety argument needs every collected `End` to still
@@ -297,7 +302,7 @@ pub struct GenericCore {
     next_fifo: BTreeMap<ProcessId, u64>,
     /// Deliveries held back until their sender's earlier messages are
     /// delivered; empty whenever every sender's messages come in order.
-    holdback: BTreeMap<MsgId, (Message, DeliveryKind)>,
+    holdback: IdMap<(Message, DeliveryKind)>,
 }
 
 impl GenericCore {
@@ -322,7 +327,7 @@ impl GenericCore {
             active,
             epoch: 0,
             suspected: FxHashSet::default(),
-            records: BTreeMap::new(),
+            records: IdMap::default(),
             acked: Vec::new(),
             future_acks: BTreeMap::new(),
             gdelivered: IdRuns::default(),
@@ -330,7 +335,7 @@ impl GenericCore {
             ends: Vec::new(),
             pending_view: None,
             next_fifo: BTreeMap::new(),
-            holdback: BTreeMap::new(),
+            holdback: IdMap::default(),
         }
     }
 
@@ -454,7 +459,7 @@ impl GenericCore {
             return;
         }
         let targets = self.rb.relay_targets(origin, origin);
-        let of_origin = self.records.range(MsgId::all_of(origin));
+        let of_origin = self.records.sender_from(origin, 0);
         let undelivered = of_origin.filter_map(|(_, r)| r.message.as_ref());
         let mut delivered_here: Vec<&Message> = (self.acked.iter())
             .filter(|m| m.id.sender == origin && self.gdelivered.contains(m.id))
@@ -480,7 +485,7 @@ impl GenericCore {
             return false;
         }
         let (id, class) = (message.id, message.class);
-        let record = self.records.entry(id).or_default();
+        let record = self.records.get_or_insert_with(id, Record::default);
         if record.message.replace(message).is_none() {
             self.known[slot(&self.relation, class)] += 1;
         }
@@ -534,7 +539,7 @@ impl GenericCore {
             message: Some(message),
             acked,
             acks,
-        }) = self.records.get_mut(&id)
+        }) = self.records.get_mut(id)
         else {
             unreachable!("only a pending message is considered");
         };
@@ -591,7 +596,7 @@ impl GenericCore {
             return;
         };
         let quorum = self.fast_quorum();
-        let record = self.records.entry(id).or_default();
+        let record = self.records.get_or_insert_with(id, Record::default);
         record.acks.insert(position);
         // One more ack is the only thing that changed: nothing else can have
         // become deliverable.
@@ -616,7 +621,8 @@ impl GenericCore {
                 continue;
             }
             if let Some(position) = self.position(from) {
-                self.records.entry(id).or_default().acks.insert(position);
+                let record = self.records.get_or_insert_with(id, Record::default);
+                record.acks.insert(position);
             }
         }
     }
@@ -626,7 +632,7 @@ impl GenericCore {
             return;
         }
         let quorum = self.fast_quorum();
-        if self.records.get(&id).is_some_and(|r| r.ready(quorum)) {
+        if self.records.get(id).is_some_and(|r| r.ready(quorum)) {
             self.gdeliver(id, DeliveryKind::GenericFast, out);
         }
     }
@@ -639,7 +645,7 @@ impl GenericCore {
             message: Some(message),
             acked,
             ..
-        }) = self.records.remove(&id)
+        }) = self.records.remove(id)
         else {
             return;
         };
@@ -661,10 +667,7 @@ impl GenericCore {
         if self.holdback.is_empty() {
             return;
         }
-        while let Some((m, k)) = self.holdback.remove(&MsgId {
-            sender: id.sender,
-            seq: *next,
-        }) {
+        while let Some((m, k)) = self.holdback.remove((id.sender, *next)) {
             *next += 1;
             emit_delivery(&m, k, self.view_id, out);
         }
@@ -739,7 +742,7 @@ impl GenericCore {
         // was a member before must not bring leftovers of that time).
         let delivered = &self.gdelivered;
         self.records
-            .retain(|&id, r| r.carry_over() && !delivered.contains(id));
+            .retain(|id, r| r.carry_over() && !delivered.contains(id));
         self.acked.clear();
         self.ends.clear();
         self.pending_view = None;
@@ -782,7 +785,7 @@ impl GenericCore {
             if self.frozen {
                 break;
             }
-            if self.records.get(&id).is_some_and(|r| r.message.is_some()) {
+            if self.records.get(id).is_some_and(|r| r.message.is_some()) {
                 self.consider_ack(id, class, true, out);
                 self.try_fast_deliver(id, out);
             }
@@ -799,7 +802,7 @@ impl GenericCore {
             if self.gdelivered.contains(id) {
                 continue;
             }
-            let record = self.records.entry(id).or_default();
+            let record = self.records.get_or_insert_with(id, Record::default);
             record.message.get_or_insert_with(|| m.clone());
             self.gdeliver(id, DeliveryKind::GenericOrdered, out);
         }
@@ -819,19 +822,20 @@ impl GenericCore {
             self.epoch_members = v.members;
             self.view_id = v.id;
             self.rb.set_peers(&self.epoch_members);
-            for (id, record) in &self.records {
+            for record in self.records.values() {
                 let message = record.message.as_ref().expect("carried over");
-                if id.sender == self.me {
+                let sender = message.id.sender;
+                if sender == self.me {
                     // Our own diffusion went to the members of the old
                     // view: the ones this view adds are owed a copy.
                     for &to in &joined {
                         out.push(GbOut::Wire(to, data(message, None)));
                     }
-                } else if !self.epoch_members.contains(&id.sender) {
+                } else if !self.epoch_members.contains(&sender) {
                     // A member the view dropped is no longer monitored: no
                     // suspicion will ever ask for what is still held of it,
                     // so it goes out now.
-                    for &to in self.rb.relay_targets(id.sender, id.sender) {
+                    for &to in self.rb.relay_targets(sender, sender) {
                         out.push(GbOut::Wire(to, data(message, None)));
                     }
                 }
@@ -1511,7 +1515,7 @@ mod tests {
                         _ if !c.active => {
                             let pending = c.records.iter().filter(|(_, r)| r.message.is_some());
                             let done: Vec<MsgId> =
-                                pending.map(|(&id, _)| id).filter(|id| id.seq < seq / 2).collect();
+                                pending.map(|(id, _)| MsgId::from(id)).filter(|id| id.seq < seq / 2).collect();
                             let _ = c.install_snapshot(&view, seq % 2, &done);
                         }
                         _ => {}

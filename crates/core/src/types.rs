@@ -22,16 +22,6 @@ pub struct MsgId {
     pub seq: u64,
 }
 
-impl MsgId {
-    /// Every id of one sender, as a key range of an id-ordered map.
-    pub fn all_of(sender: ProcessId) -> std::ops::RangeInclusive<MsgId> {
-        MsgId { sender, seq: 0 }..=MsgId {
-            sender,
-            seq: u64::MAX,
-        }
-    }
-}
-
 impl fmt::Debug for MsgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}#{}", self.sender, self.seq)

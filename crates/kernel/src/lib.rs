@@ -18,6 +18,11 @@
 //!   acked, who is suspected), shared by consensus and generic broadcast,
 //! * [`IdRuns`] — a set of `(sender, seq)` message ids kept as per-sender
 //!   runs, the seen and delivered sets of all three stacks,
+//! * [`IdMap`] — values by `(sender, seq)` message id, one [`PositionLog`]
+//!   per sender, the unordered pools of all three stacks (abcast's proposal
+//!   pool, generic broadcast's records and hold-back, Isis's messages
+//!   awaiting their order); [`PositionLog`] on its own is the baselines'
+//!   ordered streams,
 //! * [`fanout`] and [`ring_successors`] — how many peers, and which, a
 //!   process contacts per round in a group of a given size: every peer up
 //!   to [`SCALE_THRESHOLD`], about log₂ n above, for the failure detector,
@@ -95,9 +100,11 @@ mod event;
 mod fanout;
 mod group;
 mod hash;
+mod id_map;
 mod id_runs;
 mod ids;
 mod payload;
+mod position_log;
 mod positions;
 mod process;
 mod smallvec;
@@ -111,9 +118,11 @@ pub use event::Event;
 pub use fanout::{fanout, ring_successors, SCALE_THRESHOLD};
 pub use group::{DeliveryKind, MessageClass, View};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use id_map::IdMap;
 pub use id_runs::IdRuns;
 pub use ids::{ComponentId, ProcessId, TimerId};
 pub use payload::{PayloadArena, PayloadRef, SharedArena};
+pub use position_log::PositionLog;
 pub use positions::PositionSet;
 pub use process::{Effects, Envelope, Input, Multicast, Process, ProcessBuilder, TimerRequest};
 pub use smallvec::SmallVec;

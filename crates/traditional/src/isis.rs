@@ -23,12 +23,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use gcs_kernel::{
-    Component, ComponentId, Context, DeliveryKind, Event, IdRuns, MessageClass, PayloadRef,
-    Process, ProcessId, Time, TimeDelta, TimerId,
+    Component, ComponentId, Context, DeliveryKind, Event, IdMap, IdRuns, MessageClass, PayloadRef,
+    PositionLog, Process, ProcessId, Time, TimeDelta, TimerId,
 };
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology, Trace};
-
-use crate::position_log::PositionLog;
 
 /// The one component of the Isis-style stack: the whole stack is one.
 pub const ISIS: ComponentId = ComponentId::new(0);
@@ -299,8 +297,10 @@ pub struct IsisStack {
     next_msg: u64,
     /// Sequencer side: next order number in this view.
     next_order: u64,
-    /// Receiver side: messages awaiting their order.
-    unordered: BTreeMap<IsisMsgId, PayloadRef>,
+    /// Receiver side: messages awaiting their order, by id — per sender a
+    /// window of slots that moves up as the sequencer orders the stream
+    /// (`gcs_kernel::IdMap`), walked in id order by a flush report.
+    unordered: IdMap<PayloadRef>,
     /// Every ordering decision of the current view, by position. Positions
     /// below `next_deliver` are delivered and their slot holds the payload
     /// too (a handle; the bytes live once in the arena): the log is not
@@ -367,7 +367,7 @@ impl IsisStack {
             last_heard: Vec::new(),
             next_msg: 0,
             next_order: 0,
-            unordered: BTreeMap::new(),
+            unordered: IdMap::default(),
             order_log: PositionLog::default(),
             next_deliver: 0,
             delivered: IdRuns::default(),
@@ -443,7 +443,7 @@ impl IsisStack {
         payload: PayloadRef,
         ctx: &mut Context<'_, IsisEvent>,
     ) {
-        if self.delivered.contains(id) || self.unordered.contains_key(&id) {
+        if self.delivered.contains(id) || self.unordered.contains(id) {
             return;
         }
         self.unordered.insert(id, payload);
@@ -484,7 +484,7 @@ impl IsisStack {
         }
         while let Some((id, slot)) = self.order_log.get_mut(self.next_deliver) {
             let id = *id;
-            let Some(payload) = self.unordered.remove(&id) else {
+            let Some(payload) = self.unordered.remove(id) else {
                 break; // order known, data still in flight
             };
             *slot = Some(payload);
@@ -511,11 +511,9 @@ impl IsisStack {
             return;
         }
         self.last_repair = now;
-        let own_now: Vec<IsisMsgId> = self
-            .unordered
-            .keys()
-            .copied()
-            .filter(|id| id.0 == self.me)
+        let me = self.me;
+        let own_now: Vec<IsisMsgId> = (self.unordered.sender_from(me, 0))
+            .map(|(seq, _)| (me, seq))
             .collect();
         // Stall evidence: either the order stream visibly moved past our
         // cursor, or we hold *any* undelivered data at an unmoving cursor —
@@ -532,7 +530,7 @@ impl IsisStack {
             // never have reached the sequencer — push it again (receivers
             // dedup on message id).
             for &id in own_now.iter().filter(|id| self.repair_own.contains(id)) {
-                if let Some(&payload) = self.unordered.get(&id) {
+                if let Some(&payload) = self.unordered.get(id) {
                     ctx.send(seq, IsisEvent::Data { id, payload });
                 }
             }
@@ -567,7 +565,7 @@ impl IsisStack {
         }
         for (seq, &(id, delivered)) in self.order_log.iter_from(pos).take(64) {
             ctx.send(from, IsisEvent::Order { vid, seq, id });
-            let payload = delivered.or_else(|| self.unordered.get(&id).copied());
+            let payload = delivered.or_else(|| self.unordered.get(id).copied());
             if let Some(payload) = payload {
                 ctx.send(from, IsisEvent::Data { id, payload });
             }
@@ -621,13 +619,17 @@ impl IsisStack {
         // the flush, or the agreed order could contradict deliveries other
         // members already made from it. An undelivered message can only sit
         // at an undelivered position, so the log is read from the cursor.
-        let ids: Vec<IsisMsgId> = self.unordered.keys().copied().collect();
-        let positions = self.positions_of(&ids, self.next_deliver);
-        self.unordered
-            .iter()
-            .zip(positions)
-            .map(|((&id, &p), seq)| (id, p, seq))
-            .collect()
+        let mut report: Vec<_> = (self.unordered.iter())
+            .map(|(id, &payload)| (id, payload, None))
+            .collect();
+        if !report.is_empty() {
+            for (seq, (id, _)) in self.order_log.iter_from(self.next_deliver) {
+                if let Ok(i) = report.binary_search_by_key(id, |&(id, _, _)| id) {
+                    report[i].2 = Some(seq);
+                }
+            }
+        }
+        report
     }
 
     /// The order-log position of each of `ids` (sorted), in one pass over
@@ -818,7 +820,7 @@ impl IsisStack {
         // Deliver the flush set (view synchrony), skipping what we delivered.
         for &(id, payload) in &deliver_first {
             if self.delivered.insert(id) {
-                self.unordered.remove(&id);
+                self.unordered.remove(id);
                 ctx.output(IsisEvent::Deliver {
                     id,
                     payload,

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod isis;
-mod position_log;
 pub mod token;
 
 pub use isis::{IsisConfig, IsisDriver, IsisEvent, IsisSim, NewViewData};

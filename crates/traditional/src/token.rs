@@ -20,12 +20,10 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gcs_kernel::{
-    Component, ComponentId, Context, DeliveryKind, Event, MessageClass, PayloadRef, Process,
-    ProcessId, Time, TimeDelta, TimerId,
+    Component, ComponentId, Context, DeliveryKind, Event, MessageClass, PayloadRef, PositionLog,
+    Process, ProcessId, Time, TimeDelta, TimerId,
 };
 use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology};
-
-use crate::position_log::PositionLog;
 
 /// The one component of the token-ring stack: the whole stack is one.
 pub const TOKEN: ComponentId = ComponentId::new(0);
