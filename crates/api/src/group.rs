@@ -2,16 +2,14 @@
 //! composing stack choice × backend × topology × schedule × seed into one
 //! [`Harness`] behind a type-erased handle.
 
-use std::any::Any;
-
-use gcs_core::{GroupSim, MessageClass, NewArchDriver, StackConfig};
+use gcs_core::{MessageClass, NewArchDriver, StackConfig};
 use gcs_kernel::{PayloadRef, ProcessId, SharedArena, Time};
 use gcs_live::{LiveConfig, WireMode};
 use gcs_sim::{
     Capabilities, GroupTransport, Harness, Metrics, Observation, Schedule, SimConfig, SimWorld,
     StackDriver, StackKind, Topology,
 };
-use gcs_traditional::{IsisConfig, IsisDriver, IsisSim, TokenConfig, TokenDriver, TokenSim};
+use gcs_traditional::{IsisConfig, IsisDriver, TokenConfig, TokenDriver};
 
 /// Which execution backend hosts a group.
 ///
@@ -53,20 +51,12 @@ pub enum Backend {
 /// ```
 ///
 /// A `Group` is a thin handle over one [`Harness`] with the stack and
-/// backend types erased. The typed harness — and through its
-/// [`trace`](Harness::trace) the stack-specific observers
-/// (`gcs_traditional::isis::{blocked_windows, kill_and_rejoin_times}`) —
-/// stays reachable for simulated groups through
-/// [`as_new_arch`](Self::as_new_arch) / [`as_isis`](Self::as_isis) /
-/// [`as_token`](Self::as_token).
+/// backend types erased: everything it offers, on either backend, is the
+/// [`GroupTransport`] surface, and every output of the run is read through
+/// its one [observation pass](GroupTransport::observe).
 pub struct Group {
-    inner: Box<dyn Erased>,
-    backend: Backend,
+    inner: Box<dyn GroupTransport>,
 }
-
-/// A harness of any stack on any backend, downcastable to its type.
-trait Erased: GroupTransport + Any {}
-impl<T: GroupTransport + Any> Erased for T {}
 
 /// Composes one group: member/joiner counts, stack and backend choice,
 /// topology, scripted schedule, per-stack configuration, seed.
@@ -241,7 +231,7 @@ impl GroupBuilder {
     }
 
     fn build_with<S: StackDriver>(self, config: S::Config) -> Group {
-        let inner: Box<dyn Erased> = match self.backend {
+        let inner: Box<dyn GroupTransport> = match self.backend {
             Backend::Sim => {
                 let sim = SimConfig::lan(self.seed).with_topology(self.topology);
                 Box::new(Harness::<S, SimWorld<S::Event>>::start(
@@ -260,10 +250,7 @@ impl GroupBuilder {
                 Box::new(gcs_live::start::<S>(config, live))
             }
         };
-        let mut group = Group {
-            inner,
-            backend: self.backend,
-        };
+        let mut group = Group { inner };
         if self.capacity.is_some() {
             group.set_abcast_capacity(self.capacity);
         }
@@ -278,33 +265,6 @@ impl Group {
     /// Starts composing a group (see [`GroupBuilder`]).
     pub fn builder() -> GroupBuilder {
         GroupBuilder::default()
-    }
-
-    fn downcast<T: Any>(&self) -> Option<&T> {
-        let any: &dyn Any = &*self.inner;
-        any.downcast_ref()
-    }
-
-    /// The simulated new-architecture harness, when this group is one.
-    pub fn as_new_arch(&self) -> Option<&GroupSim> {
-        self.downcast()
-    }
-
-    /// The simulated Isis harness, when this group is one.
-    pub fn as_isis(&self) -> Option<&IsisSim> {
-        self.downcast()
-    }
-
-    /// The simulated token-ring harness, when this group is one.
-    pub fn as_token(&self) -> Option<&TokenSim> {
-        self.downcast()
-    }
-
-    /// The group itself, when it runs on [`Backend::Live`] (whatever its
-    /// stack): a marker for code that must only run against real threads
-    /// and a wall clock.
-    pub fn as_live(&self) -> Option<&dyn GroupTransport> {
-        (self.backend == Backend::Live).then_some(&*self.inner as &dyn GroupTransport)
     }
 }
 
@@ -399,6 +359,7 @@ impl GroupTransport for Group {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcs_core::GroupSim;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -551,7 +512,6 @@ mod tests {
     /// The `StackDriver` side of the harness contract (`gcs_sim::harness`
     /// module docs), checked the same way for every stack on the simulator.
     fn driver_conformance<S: StackDriver>(config: impl Fn() -> S::Config) {
-        use gcs_kernel::Event;
         type Sim<S> = Harness<S, SimWorld<<S as StackDriver>::Event>>;
         let tag = S::KIND.name();
         let ms = Time::from_millis;
@@ -568,20 +528,19 @@ mod tests {
         assert_eq!(g.supports_rbcast(), S::rbcast(probe).is_some(), "{tag}");
         assert_eq!(g.supports_removal(), S::remove(p(0)).is_some(), "{tag}");
 
-        // Every delivery-shaped output of a 3-member 10-op run projects to
-        // exactly one `Observation::Deliver`.
+        // Every output of a 3-member 10-op run is observed once, and its
+        // deliveries project to exactly 30 `Observation::Deliver`s.
         let mut g = Sim::<S>::new(3, config(), 2);
         for i in 0..10u32 {
             g.abcast_at(ms(1 + i as u64), p(i % 3), vec![i as u8]);
         }
         g.run_until(Time::from_secs(2));
-        let shaped = g.trace().entries().iter();
-        let shaped = shaped.filter(|e| e.event.kind() == "out/deliver").count();
-        let mut projected = 0;
+        let (mut observed, mut projected) = (0u64, 0);
         g.observe(&mut |_, _, o| {
+            observed += 1;
             projected += usize::from(matches!(o, Observation::Deliver { .. }))
         });
-        assert_eq!((shaped, projected), (30, 30), "{tag}");
+        assert_eq!((observed, projected), (g.delivery_count(), 30), "{tag}");
         assert_eq!(g.delivery_trace().len(), 30, "{tag}");
 
         // Refuse-before-intern: the capacity check runs before the payload
@@ -688,6 +647,6 @@ mod tests {
         let views = GroupTransport::views(&g);
         let last = views[1].last().expect("reformation ring");
         assert_eq!(last.members, vec![p(1), p(2)]);
-        assert!(g.as_token().is_some() && g.as_isis().is_none());
+        assert_eq!(g.stack(), StackKind::Token);
     }
 }

@@ -53,10 +53,12 @@
 //! stack's driver has no encoder for the operation, so marker and behaviour
 //! cannot disagree.
 //!
-//! Stack-specific observation (Isis blocking windows and kill/re-join
-//! times, the raw typed trace) is a set of plain functions over the typed trace of
-//! a simulated harness, reached through [`Group::as_isis`] and friends:
-//! `gcs_traditional::isis::blocked_windows(group.as_isis()?.trace(), p)`.
+//! Every output of a run is read the same way on every stack and backend:
+//! through the one [observation pass](GroupTransport::observe), in the
+//! neutral [`Observation`] vocabulary. What only some stacks produce has a
+//! neutral name too, and reads empty elsewhere: Isis's send-blocking
+//! windows ([`GroupTransport::blocked_windows`]) and its kills and
+//! re-joins ([`GroupTransport::resets`], [`GroupTransport::rejoins`]).
 //!
 //! ## Backends: simulated and live
 //!

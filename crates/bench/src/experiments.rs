@@ -16,7 +16,6 @@ use gcs_kernel::{
 };
 use gcs_replication::bank::{bank_conflicts, CLASS_DEPOSIT, CLASS_WITHDRAW};
 use gcs_sim::{LinkModel, Metrics, Runtime, Schedule, SimConfig, SimWorld, Topology};
-use gcs_traditional::isis::{blocked_windows, kill_and_rejoin_times};
 use gcs_traditional::IsisConfig;
 use StackKind::{Isis, NewArch, Token};
 
@@ -277,9 +276,10 @@ pub fn e3_failover_latency(violations: &mut Vec<String>) {
 /// E3b on `stack` (n = 3, seed 9, FD timeout 100 ms) with `state` bytes of
 /// state: p2 is cut off from 50 to 350 ms. Returns the ms from the cut
 /// until p2 is back (NaN if never), whether any view was installed, and the
-/// messages and bytes the run sent. p2 is back on the new architecture,
-/// whose 800 ms monitoring timeout outlasts the cut, when a probe it
-/// abcasts at 360 ms is first delivered; on Isis, when it re-joins.
+/// messages and bytes the run sent. p2 is back when it re-joins (Isis
+/// kills it), or else when a probe it abcasts at 360 ms is first delivered
+/// (the new architecture, whose 800 ms monitoring timeout outlasts the
+/// cut; Isis gets no probe).
 fn e3b_cell(stack: StackKind, state: usize, out: &mut Vec<String>) -> (f64, bool, u64, u64) {
     let cut = Time::from_millis(50);
     let outage = Schedule::new()
@@ -290,10 +290,8 @@ fn e3b_cell(stack: StackKind, state: usize, out: &mut Vec<String>) -> (f64, bool
     let run = s.start(e3_group(&s, 9, 100, 800, state));
     let r = report(&s, 9, &run, &format!("{} state={state}", stack.name()), out);
     let g = &run.0;
-    let back = match g.as_isis() {
-        Some(isis) => kill_and_rejoin_times(isis.trace(), p(2)).1,
-        None => first_delivery(g, 0),
-    };
+    let rejoined = g.rejoins()[2].first().copied();
+    let back = rejoined.or_else(|| first_delivery(g, 0));
     let disrupted = back.map_or(f64::NAN, |t| t.since(cut).as_millis_f64());
     let views = g.views().iter().any(|v| !v.is_empty());
     (disrupted, views, r.msgs, r.bytes)
@@ -339,8 +337,8 @@ fn e4_cell(stack: StackKind, out: &mut Vec<String>) -> (Option<f64>, f64, u64) {
     let run = s.start(s.group(4));
     report(&s, 4, &run, stack.name(), out);
     let g = &run.0;
-    let blocked = g.as_isis().map(|isis| {
-        let windows = blocked_windows(isis.trace(), p(0)).into_iter();
+    let blocked = (g.stack() == Isis).then(|| {
+        let windows = g.blocked_windows(p(0)).into_iter();
         windows.map(|(s, e)| e.since(s).as_millis_f64()).sum()
     });
     let at_p1 = g.delivery_trace().into_iter().filter(|d| d.proc == p(1));
@@ -519,29 +517,18 @@ pub fn a2_fd_quality() {
             fd.set_peers((0..2).map(p).filter(|&q| q != id), Time::ZERO);
             Process::builder(id).with(PROBE, FdProbe { fd }).build()
         });
-        world.apply_schedule(&Schedule::new().crash(Time::from_secs(5), p(1)));
+        let crash = Time::from_secs(5);
+        world.apply_schedule(&Schedule::new().crash(crash, p(1)));
         world.run_until(Time::from_secs(15));
-        // Wrong suspicions: suspicions of p1 at p0 before the crash.
-        let wrong = world
-            .trace()
-            .entries()
-            .iter()
-            .filter(|e| {
-                e.proc == p(0)
-                    && e.time < Time::from_secs(5)
-                    && matches!(e.event, ProbeEv::Suspect(q) if q == p(1))
-            })
-            .count();
-        let detection = world
-            .trace()
-            .entries()
-            .iter()
-            .find(|e| {
-                e.proc == p(0)
-                    && e.time >= Time::from_secs(5)
-                    && matches!(e.event, ProbeEv::Suspect(q) if q == p(1))
-            })
-            .map(|e| e.time.since(Time::from_secs(5)).as_millis_f64());
+        // Suspicions of p1 at p0: before the crash they are wrong, the
+        // first after it is the detection.
+        let (mut wrong, mut detection) = (0, None);
+        world.visit_outputs(&mut |t, at, e| match e {
+            ProbeEv::Suspect(q) if at != p(0) || *q != p(1) => {}
+            ProbeEv::Suspect(_) if t < crash => wrong += 1,
+            ProbeEv::Suspect(_) => detection = detection.or(Some(t.since(crash).as_millis_f64())),
+            _ => {}
+        });
         println!(
             "| {timeout_ms} | {} | {} |",
             detection.map_or("—".into(), |d| format!("{d:.1}")),

@@ -21,8 +21,8 @@
 //!
 //! | side | offers |
 //! |---|---|
-//! | [`StackDriver`] | its event and config types; [`build`](StackDriver::build) of one process (founding member or joiner); the [conflict relation](StackDriver::conflicts) its config sets; the *encoding* of each operation as an [`Op`], a `(ComponentId, event)` pair — [`abcast`](StackDriver::abcast), [`join`](StackDriver::join), and optionally [`gbcast`](StackDriver::gbcast), [`rbcast`](StackDriver::rbcast), [`remove`](StackDriver::remove) (an absent encoder **is** the `supports_*` marker reading `false`); one [`project`](StackDriver::project) from a traced event to an [`Observation`] |
-//! | [`Runtime`] | [`start`](Runtime::start) of `n` processes with dense ids; a clock; one dispatch path that hands each process one [`Input`](gcs_kernel::Input) per [`step_into`](Process::step_into) — an injection, a message arrival or a timer — and decides only *when*; [`inject`](Runtime::inject) at an instant; [`apply_schedule`](Runtime::apply_schedule) for every fault step, handing the membership steps back; run control; per-process and total output counts; a visit of the recorded outputs in observation order; metrics; executed-event count; liveness flags |
+//! | [`StackDriver`] | its event and config types; [`build`](StackDriver::build) of one process (founding member or joiner); the [conflict relation](StackDriver::conflicts) its config sets; the *encoding* of each operation as an [`Op`], a `(ComponentId, event)` pair — [`abcast`](StackDriver::abcast), [`join`](StackDriver::join), and optionally [`gbcast`](StackDriver::gbcast), [`rbcast`](StackDriver::rbcast), [`remove`](StackDriver::remove) (an absent encoder **is** the `supports_*` marker reading `false`); one [`project`](StackDriver::project) from a recorded output to an [`Observation`], the only form in which a reader of the harness sees it |
+//! | [`Runtime`] | [`start`](Runtime::start) of `n` processes with dense ids; a clock; one dispatch path that hands each process one [`Input`](gcs_kernel::Input) per [`step_into`](Process::step_into) — an injection, a message arrival or a timer — and decides only *when*; [`inject`](Runtime::inject) at an instant; [`apply_schedule`](Runtime::apply_schedule) for every fault step, handing the membership steps back; run control; per-process and total output counts; a [visit](Runtime::visit_outputs) of the recorded outputs in observation order, which the harness's [`observe`](GroupTransport::observe) projects (no runtime offers a typed trace of its own; code that drives a bare runtime reads the visit); metrics; executed-event count; liveness flags |
 //!
 //! **Ordering.** The harness enforces, and the conformance cases pin:
 //!
@@ -65,7 +65,7 @@ use gcs_kernel::{
 };
 
 use crate::transport::{Capabilities, GroupTransport, Observation, StackKind};
-use crate::{Metrics, Schedule, ScheduleAction, SimConfig, SimWorld, Trace};
+use crate::{Metrics, Schedule, ScheduleAction, SimConfig, SimWorld};
 
 /// An operation encoded for a stack: the component it enters at and the
 /// event it enters as.
@@ -247,12 +247,6 @@ impl<S: StackDriver> Harness<S, SimWorld<S::Event>> {
     /// [`join_at`](GroupTransport::join_at)).
     pub fn with_joiners(n: usize, joiners: usize, config: S::Config, seed: u64) -> Self {
         Self::start(n, joiners, config, SimConfig::lan(seed))
-    }
-
-    /// The typed output trace — what the stack-specific observers
-    /// (`gcs_traditional::isis::blocked_windows`, …) read.
-    pub fn trace(&self) -> &Trace<S::Event> {
-        self.runtime.trace()
     }
 }
 

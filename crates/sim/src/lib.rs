@@ -19,13 +19,15 @@
 //! * **Fault injection** — scripted [`Schedule`]s of crashes, partitions,
 //!   link changes and membership churn; crashed processes silently stop,
 //!   exactly the crash-stop model of the paper.
-//! * **Observability** — per-kind message/byte counters ([`Metrics`]), a
-//!   full application-delivery [`Trace`], and the protocol-invariant oracle
-//!   ([`InvariantChecker`]) that judges every run from one observation pass
-//!   (total order, conflict order, agreement, view synchrony, …).
+//! * **Observability** — per-kind message/byte counters ([`Metrics`]),
+//!   every protocol output of a run seen through one observation pass
+//!   ([`GroupTransport::observe`], the same on both backends), and the
+//!   protocol-invariant oracle ([`InvariantChecker`]) that judges every run
+//!   from that pass (total order, conflict order, agreement, view
+//!   synchrony, …).
 //!
 //! It is also the lowest crate that sees everything a group harness needs
-//! ([`Schedule`], [`Metrics`], [`Trace`], the kernel) while being seen
+//! ([`Schedule`], [`Metrics`], the kernel) while being seen
 //! by every stack and by the live backend, so the one generic [`Harness`],
 //! its [`StackDriver`] × [`Runtime`] contract and the [`GroupTransport`]
 //! surface live here; `gcs-api` re-exports the surface.
@@ -39,7 +41,6 @@ mod network;
 mod oracle;
 mod schedule;
 mod topology;
-mod trace;
 mod transport;
 mod wheel;
 mod world;
@@ -50,7 +51,6 @@ pub use network::{LinkModel, NetworkModel};
 pub use oracle::{InvariantChecker, InvariantKind, OracleReport, Violation, MAX_VIOLATIONS};
 pub use schedule::{Schedule, ScheduleAction};
 pub use topology::{Assignment, Topology, TOPOLOGY_PRESETS};
-pub use trace::{Trace, TraceEntry};
 pub use transport::{
     Backpressure, Capabilities, GroupTransport, Observation, StackKind, TransportDelivery,
 };

@@ -99,7 +99,16 @@ pub enum Observation<'a> {
     /// A consensus-class suspicion of the given peer (recorded only when
     /// the stack is configured to trace suspicions).
     Suspect(ProcessId),
-    /// Any other traced output (blocking markers, re-join notices, …).
+    /// Isis's sending view delivery (§4.4): `true` when a view change's
+    /// flush blocks the process's senders, `false` when the new view
+    /// unblocks them.
+    Blocked(bool),
+    /// A killed process was re-admitted with a state transfer (Isis,
+    /// §4.3); its kill was a [`Reset`](Observation::Reset).
+    Rejoined,
+    /// Any other traced output: Isis's removal notice, the new
+    /// architecture's exclusion notice and its suspicions of classes other
+    /// than consensus. No stack-neutral reader needs them.
     Other,
 }
 
@@ -207,6 +216,19 @@ fn admit<T: GroupTransport + ?Sized>(t: &T, p: ProcessId) -> Result<(), Backpres
         }
     }
     Ok(())
+}
+
+/// Per-process times of every `wanted` observation, in order.
+fn times_of<T: GroupTransport + ?Sized>(t: &T, wanted: Observation<'_>) -> Vec<Vec<Time>> {
+    let mut out = vec![Vec::new(); t.process_count()];
+    t.observe(&mut |time, proc, o| {
+        if o == wanted {
+            if let Some(times) = out.get_mut(proc.index()) {
+                times.push(time);
+            }
+        }
+    });
+    out
 }
 
 /// The unified surface of a group on either backend, implemented once by
@@ -351,14 +373,17 @@ pub trait GroupTransport {
     /// every member's record of its outputs stays locked for the duration
     /// of the pass, so `f` should be quick.
     ///
-    /// Everything below that reads the trace ([`delivery_trace`],
-    /// [`views`], [`resets`], [`suspicion_trace`], …) is written over this
-    /// method; a consumer that needs several of them should make one pass
-    /// itself.
+    /// It is the one way to read a run's outputs, on either backend.
+    /// Everything below that reads them ([`delivery_trace`], [`views`],
+    /// [`resets`], [`rejoins`], [`blocked_windows`], [`suspicion_trace`],
+    /// …) is written over this method; a consumer that needs several of
+    /// them should make one pass itself.
     ///
     /// [`delivery_trace`]: Self::delivery_trace
     /// [`views`]: Self::views
     /// [`resets`]: Self::resets
+    /// [`rejoins`]: Self::rejoins
+    /// [`blocked_windows`]: Self::blocked_windows
     /// [`suspicion_trace`]: Self::suspicion_trace
     fn observe(&self, f: &mut dyn FnMut(Time, ProcessId, Observation<'_>));
 
@@ -564,6 +589,22 @@ pub trait GroupTransport {
         out
     }
 
+    /// Send-blocking windows of `p`, as `(start, end)` pairs in order: from
+    /// a [`Blocked(true)`](Observation::Blocked) until the next
+    /// `Blocked(false)`. A window still open is left out. Only Isis blocks
+    /// its senders (§4.4); every other stack returns an empty list.
+    fn blocked_windows(&self, p: ProcessId) -> Vec<(Time, Time)> {
+        let mut windows = Vec::new();
+        let mut open = None;
+        self.observe(&mut |time, proc, o| match o {
+            _ if proc != p => {}
+            Observation::Blocked(true) => open = open.or(Some(time)),
+            Observation::Blocked(false) => windows.extend(open.take().map(|s| (s, time))),
+            _ => {}
+        });
+        windows
+    }
+
     /// Per-process times at which the process's delivery stream *reset* —
     /// it was killed/excluded and later re-admitted as a logically fresh
     /// member (Isis kills wrongly suspected processes, §4.3; the token ring
@@ -572,15 +613,14 @@ pub trait GroupTransport {
     /// not raw process indices, across such boundaries. Stacks whose members
     /// never resurrect return an empty list per process.
     fn resets(&self) -> Vec<Vec<Time>> {
-        let mut out = vec![Vec::new(); self.process_count()];
-        self.observe(&mut |time, proc, o| {
-            if o == Observation::Reset {
-                if let Some(r) = out.get_mut(proc.index()) {
-                    r.push(time);
-                }
-            }
-        });
-        out
+        times_of(self, Observation::Reset)
+    }
+
+    /// Per-process times at which a killed process was re-admitted with a
+    /// state transfer (Isis, §4.3); its kill is the [`resets`](Self::resets)
+    /// entry before. Every other stack returns an empty list per process.
+    fn rejoins(&self) -> Vec<Vec<Time>> {
+        times_of(self, Observation::Rejoined)
     }
 
     // -- provided: `impl Into<Bytes>` conveniences -------------------------

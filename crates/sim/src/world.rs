@@ -9,11 +9,9 @@ use crate::metrics::Metrics;
 use crate::network::{LinkModel, NetworkModel};
 use crate::schedule::{Schedule, ScheduleAction};
 use crate::topology::Topology;
-use crate::trace::Trace;
 use crate::wheel::{Scheduled, TimingWheel};
 
-/// Configuration of a simulation run. Every application delivery is
-/// recorded in the run's [`Trace`].
+/// Configuration of a simulation run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// PRNG seed; two runs with equal seed, topology and workload are
@@ -63,11 +61,6 @@ enum Pending<E> {
     Fault(ScheduleAction),
 }
 
-struct Node<E: Event> {
-    process: Process<E>,
-    alive: bool,
-}
-
 /// The discrete-event simulation world: the simulator's [`Runtime`].
 ///
 /// Start one with [`Runtime::start`], schedule workload with
@@ -83,11 +76,19 @@ pub struct SimWorld<E: Event> {
     seq: u64,
     executed: u64,
     queue: TimingWheel<Scheduled<Pending<E>>>,
-    nodes: Vec<Node<E>>,
+    /// The processes; a crashed or self-halted one reads
+    /// [`is_halted`](Process::is_halted).
+    nodes: Vec<Process<E>>,
     net: NetworkModel,
     rng: StdRng,
     metrics: Metrics,
-    trace: Trace<E>,
+    /// Every output, with the instant and process that produced it, in
+    /// the order produced: what [`visit_outputs`](Runtime::visit_outputs)
+    /// walks.
+    outputs: Vec<(Time, ProcessId, E)>,
+    /// Outputs per process, so [`outputs_of`](Runtime::outputs_of) need
+    /// not scan `outputs`.
+    output_counts: Vec<u64>,
     started: bool,
     /// Reused effects buffer: dispatches append into it and
     /// [`apply_effects`](Self::apply_effects) drains it, so the steady state
@@ -117,10 +118,7 @@ impl<E: Event> Runtime<E> for SimWorld<E> {
             .map(|id| {
                 let process = build(id);
                 assert_eq!(process.id(), id, "process built with wrong id");
-                Node {
-                    process,
-                    alive: true,
-                }
+                process
             })
             .collect();
         SimWorld {
@@ -132,7 +130,8 @@ impl<E: Event> Runtime<E> for SimWorld<E> {
             net: NetworkModel::with_topology(config.topology),
             rng: StdRng::seed_from_u64(config.seed),
             metrics,
-            trace: Trace::new(),
+            outputs: Vec::new(),
+            output_counts: Vec::new(),
             started: false,
             fx: Some(Box::new(Effects::new())),
         }
@@ -186,16 +185,16 @@ impl<E: Event> Runtime<E> for SimWorld<E> {
     }
 
     fn outputs_of(&self, p: ProcessId) -> u64 {
-        self.trace.deliveries_of(p)
+        self.output_counts.get(p.index()).copied().unwrap_or(0)
     }
 
     fn outputs_total(&self) -> u64 {
-        self.trace.len() as u64
+        self.outputs.len() as u64
     }
 
     fn visit_outputs(&self, f: &mut dyn FnMut(Time, ProcessId, &E)) {
-        for e in self.trace.entries() {
-            f(e.time, e.proc, &e.event);
+        for (time, proc, event) in &self.outputs {
+            f(*time, *proc, event);
         }
     }
 
@@ -210,19 +209,11 @@ impl<E: Event> Runtime<E> for SimWorld<E> {
     }
 
     fn alive_flags(&self) -> Vec<bool> {
-        self.nodes
-            .iter()
-            .map(|n| n.alive && !n.process.is_halted())
-            .collect()
+        self.nodes.iter().map(|n| !n.is_halted()).collect()
     }
 }
 
 impl<E: Event> SimWorld<E> {
-    /// The application-delivery trace.
-    pub fn trace(&self) -> &Trace<E> {
-        &self.trace
-    }
-
     fn schedule(&mut self, at: Time, pending: Pending<E>) {
         let seq = self.seq;
         self.seq += 1;
@@ -244,7 +235,7 @@ impl<E: Event> SimWorld<E> {
         self.started = true;
         for i in 0..self.nodes.len() {
             let mut fx = self.fx.take().unwrap_or_default();
-            self.nodes[i].process.start_into(self.now, &mut fx);
+            self.nodes[i].start_into(self.now, &mut fx);
             self.apply_effects(ProcessId::new(i as u32), &mut fx);
             self.fx = Some(fx);
         }
@@ -260,7 +251,7 @@ impl<E: Event> SimWorld<E> {
         match next.item {
             Pending::Step { proc, input } => {
                 let net = matches!(input, Input::Net { .. });
-                if !self.nodes[proc.index()].alive {
+                if self.nodes[proc.index()].is_halted() {
                     if net {
                         self.metrics.record_drop_crash();
                     }
@@ -270,25 +261,26 @@ impl<E: Event> SimWorld<E> {
                     self.metrics.record_delivery();
                 }
                 let mut fx = self.fx.take().unwrap_or_default();
-                self.nodes[proc.index()]
-                    .process
-                    .step_into(input, self.now, &mut fx);
+                self.nodes[proc.index()].step_into(input, self.now, &mut fx);
                 self.apply_effects(proc, &mut fx);
                 self.fx = Some(fx);
             }
-            Pending::Fault(ScheduleAction::Crash(p)) => {
-                self.nodes[p.index()].alive = false;
-                self.nodes[p.index()].process.halt();
-            }
+            Pending::Fault(ScheduleAction::Crash(p)) => self.nodes[p.index()].halt(),
             Pending::Fault(action) => self.net.apply(self.now, action, self.nodes.len()),
         }
     }
 
-    /// Drains a dispatch's effects into the queue/trace, leaving `fx` empty
-    /// and ready for reuse.
+    /// Drains a dispatch's effects into the queue and the outputs, leaving
+    /// `fx` empty and ready for reuse. A halt in `fx` has already halted
+    /// the process.
     fn apply_effects(&mut self, proc: ProcessId, fx: &mut Effects<E>) {
         for out in fx.outputs.drain() {
-            self.trace.push(self.now, proc, out);
+            let idx = proc.index();
+            if idx >= self.output_counts.len() {
+                self.output_counts.resize(idx + 1, 0);
+            }
+            self.output_counts[idx] += 1;
+            self.outputs.push((self.now, proc, out));
         }
         for t in fx.timers.drain() {
             self.step_at(self.now + t.after, proc, Input::Fire(t.id));
@@ -298,9 +290,6 @@ impl<E: Event> SimWorld<E> {
         }
         for cast in fx.casts.drain() {
             self.route_multicast(cast.from, &cast.to, cast.component, cast.event);
-        }
-        if fx.halted {
-            self.nodes[proc.index()].alive = false;
         }
         fx.clear();
     }
@@ -434,12 +423,19 @@ mod tests {
         })
     }
 
+    /// Every output of `w`, in the order [`Runtime::visit_outputs`] walks.
+    pub(super) fn outputs<E: Event>(w: &SimWorld<E>) -> Vec<(Time, ProcessId, E)> {
+        let mut out = Vec::new();
+        w.visit_outputs(&mut |t, p, e| out.push((t, p, e.clone())));
+        out
+    }
+
     /// The values delivered at each of processes `0..n`, in order.
     fn delivered(w: &SimWorld<Ev>, n: usize) -> Vec<Vec<u32>> {
         let mut seqs = vec![Vec::new(); n];
-        for e in w.trace().entries() {
-            if let Ev::Deliver(v) = e.event {
-                seqs[e.proc.index()].push(v);
+        for (_, proc, e) in outputs(w) {
+            if let Ev::Deliver(v) = e {
+                seqs[proc.index()].push(v);
             }
         }
         seqs
@@ -447,7 +443,8 @@ mod tests {
 
     /// When `p` delivered first (`Echo` outputs nothing but deliveries).
     fn first_delivery_at(w: &SimWorld<Ev>, p: ProcessId) -> Time {
-        w.trace().of_proc(p).next().expect("a delivery").time
+        let mut at_p = outputs(w).into_iter().filter(|(_, q, _)| *q == p);
+        at_p.next().expect("a delivery").0
     }
 
     #[test]
@@ -518,11 +515,11 @@ mod tests {
         let at = Time::from_millis(1);
         let before = |us| Time::from_nanos(at.as_nanos() - us * 1_000);
         let ran = |w: &SimWorld<Order>| -> Vec<&'static str> {
-            let entries = w.trace().entries().iter();
-            entries
-                .map(|e| match e.event {
+            let outputs = outputs(w).into_iter();
+            outputs
+                .map(|(_, _, e)| match e {
                     Order::Ran(kind) => kind,
-                    ref other => panic!("unexpected output {other:?}"),
+                    other => panic!("unexpected output {other:?}"),
                 })
                 .collect()
         };
@@ -567,11 +564,7 @@ mod tests {
                 );
             }
             assert!(w.run_to_quiescence(Time::from_secs(1)));
-            w.trace()
-                .entries()
-                .iter()
-                .map(|e| (e.time, e.proc, e.event.clone()))
-                .collect::<Vec<_>>()
+            outputs(&w)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8)); // different seed ⇒ different delays
@@ -767,7 +760,7 @@ mod proptests {
                 }
                 prop_assert!(w.run_to_quiescence(Time::from_secs(60)));
                 Ok((
-                    w.trace().entries().iter().map(|e| (e.time, e.proc, e.event.clone())).collect::<Vec<_>>(),
+                    super::tests::outputs(&w),
                     w.metrics().total_sent(),
                 ))
             };
@@ -786,11 +779,12 @@ mod proptests {
                 w.inject(Time::from_millis(*t), ProcessId::new(*p), FWD, Num(*v));
             }
             prop_assert!(w.run_to_quiescence(Time::from_secs(60)));
-            prop_assert_eq!(w.trace().len(), injections.len());
+            let outputs = super::tests::outputs(&w);
+            prop_assert_eq!(outputs.len(), injections.len());
             let mut last = Time::ZERO;
-            for e in w.trace().entries() {
-                prop_assert!(e.time >= last, "time went backwards");
-                last = e.time;
+            for (time, _, _) in outputs {
+                prop_assert!(time >= last, "time went backwards");
+                last = time;
             }
         }
     }

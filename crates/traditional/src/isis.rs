@@ -6,11 +6,13 @@
 //!
 //! * **Perfect-failure-detector emulation**: any suspicion leads to
 //!   exclusion; a wrongly excluded process is *killed* and must re-join with
-//!   a full state transfer (§4.3).
+//!   a full state transfer (§4.3). The kill is observed as an
+//!   [`Observation::Reset`], the re-join as an [`Observation::Rejoined`].
 //! * **Sending view delivery**: during a view change, senders are blocked
 //!   from the flush start until the new view is installed (§4.4); the stack
-//!   emits [`IsisEvent::Blocked`] markers so experiments can measure the
-//!   window.
+//!   emits [`IsisEvent::Blocked`] markers, observed as
+//!   [`Observation::Blocked`], so experiments can measure the window
+//!   ([`GroupTransport::blocked_windows`](gcs_sim::GroupTransport::blocked_windows)).
 //! * **Two ordering protocols**: the sequencer orders application messages
 //!   in the steady state, and the flush protocol re-solves ordering for
 //!   in-flight messages at every view change (§4.1).
@@ -26,7 +28,7 @@ use gcs_kernel::{
     Component, ComponentId, Context, DeliveryKind, Event, IdMap, IdRuns, MessageClass, PayloadRef,
     PositionLog, Process, ProcessId, Time, TimeDelta, TimerId,
 };
-use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology, Trace};
+use gcs_sim::{Harness, Observation, Op, SimWorld, StackDriver, StackKind, Topology};
 
 /// The one component of the Isis-style stack: the whole stack is one.
 pub const ISIS: ComponentId = ComponentId::new(0);
@@ -1184,6 +1186,8 @@ impl StackDriver for IsisDriver {
             // fresh member (its delivery state was wiped with it, §4.3):
             // the kill is the incarnation boundary.
             IsisEvent::Killed => Observation::Reset,
+            IsisEvent::Blocked(blocked) => Observation::Blocked(*blocked),
+            IsisEvent::Rejoined => Observation::Rejoined,
             _ => Observation::Other,
         }
     }
@@ -1194,41 +1198,6 @@ impl StackDriver for IsisDriver {
 /// lossy topologies model conditions the original systems did not run on).
 /// Its surface is [`GroupTransport`](gcs_sim::GroupTransport).
 pub type IsisSim = Harness<IsisDriver, SimWorld<IsisEvent>>;
-
-/// Send-blocking windows of `p`: `(start, end)` pairs (E4).
-pub fn blocked_windows(trace: &Trace<IsisEvent>, p: ProcessId) -> Vec<(Time, Time)> {
-    let mut windows = Vec::new();
-    let mut open: Option<Time> = None;
-    for e in trace.of_proc(p) {
-        match e.event {
-            IsisEvent::Blocked(true) => open = open.or(Some(e.time)),
-            IsisEvent::Blocked(false) => {
-                if let Some(s) = open.take() {
-                    windows.push((s, e.time));
-                }
-            }
-            _ => {}
-        }
-    }
-    windows
-}
-
-/// Times at which `p` was first killed / first rejoined (E3).
-pub fn kill_and_rejoin_times(
-    trace: &Trace<IsisEvent>,
-    p: ProcessId,
-) -> (Option<Time>, Option<Time>) {
-    let mut killed = None;
-    let mut rejoined = None;
-    for e in trace.of_proc(p) {
-        match e.event {
-            IsisEvent::Killed if killed.is_none() => killed = Some(e.time),
-            IsisEvent::Rejoined if rejoined.is_none() => rejoined = Some(e.time),
-            _ => {}
-        }
-    }
-    (killed, rejoined)
-}
 
 #[cfg(test)]
 mod tests {
@@ -1280,7 +1249,7 @@ mod tests {
         sim.join_at(Time::from_millis(10), p(3), p(0));
         sim.run_until(Time::from_secs(1));
         // The coordinator (p0) blocked during the flush.
-        let windows = blocked_windows(sim.trace(), p(0));
+        let windows = sim.blocked_windows(p(0));
         assert_eq!(windows.len(), 1, "one view change, one blocking window");
         let (s, e) = windows[0];
         assert!(e > s, "non-empty blocking window");
@@ -1318,9 +1287,10 @@ mod tests {
         sim.partition_at(Time::from_millis(50), vec![vec![p(0), p(1)], vec![p(2)]]);
         sim.heal_at(Time::from_millis(400));
         sim.run_until(Time::from_secs(3));
-        let (killed, rejoined) = kill_and_rejoin_times(sim.trace(), p(2));
-        let k = killed.expect("p2 was wrongly excluded and killed");
-        let r = rejoined.expect("p2 re-joined after the heal");
+        let k = sim.resets()[2].first().copied();
+        let k = k.expect("p2 was wrongly excluded and killed");
+        let r = sim.rejoins()[2].first().copied();
+        let r = r.expect("p2 re-joined after the heal");
         assert!(r > k);
         // State transfer cost was paid.
         assert!(sim.metrics().sent_of_kind("isis/state-transfer") >= 1);
@@ -1347,15 +1317,10 @@ mod tests {
                 "p{i} sees p3 expelled"
             );
         }
-        // The target was killed as Removed and stayed out (no auto re-join,
-        // unlike a wrong suspicion).
-        let trace = sim.trace();
-        assert!(trace
-            .of_proc(p(3))
-            .any(|e| matches!(e.event, IsisEvent::Removed)));
-        assert!(!trace
-            .of_proc(p(3))
-            .any(|e| matches!(e.event, IsisEvent::Rejoined)));
+        // The target was removed, not killed as wrongly suspected, and
+        // stayed out (no auto re-join, unlike a wrong suspicion).
+        assert_eq!(sim.resets()[3], [], "p3 was not killed");
+        assert_eq!(sim.rejoins()[3], [], "p3 did not re-join");
         // The stream survives the removal at all three survivors.
         let seqs = sim.adelivered_payloads();
         for i in 0..3 {

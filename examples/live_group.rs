@@ -73,10 +73,9 @@ fn main() {
     assert_eq!(delivered[1].len(), 4, "all four messages delivered");
     assert!(group.views()[1].is_empty(), "no view change was needed");
 
-    let live = group.as_live().expect("built with Backend::Live");
     println!(
         "\ntotal order held across a real thread crash in {:.1} ms of wall time.",
-        live.now().since(Time::ZERO).as_millis_f64()
+        group.now().since(Time::ZERO).as_millis_f64()
     );
     println!("\nmessage accounting:\n{}", group.metrics());
 }

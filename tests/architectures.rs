@@ -56,10 +56,10 @@ fn phoenix_stack_fig2() {
     sim.partition_at(Time::from_millis(40), vec![vec![p(0), p(1)], vec![p(2)]]);
     sim.heal_at(Time::from_millis(400));
     sim.run_until(Time::from_secs(3));
-    let isis = sim.as_isis().expect("isis stack");
-    let (killed, rejoined) = gcs::traditional::isis::kill_and_rejoin_times(isis.trace(), p(2));
-    assert!(killed.is_some(), "p2 was excluded while unreachable");
-    assert!(rejoined.is_some(), "process-level recovery: p2 re-admitted");
+    let killed = !sim.resets()[2].is_empty();
+    let rejoined = !sim.rejoins()[2].is_empty();
+    assert!(killed, "p2 was excluded while unreachable");
+    assert!(rejoined, "process-level recovery: p2 re-admitted");
     let last = sim.views()[0].last().expect("views").clone();
     assert_eq!(last.members.len(), 3, "full membership restored");
 }
@@ -185,12 +185,8 @@ fn ensemble_stack_fig5() {
     sim.inject(Time::from_millis(1), p(0), TOP, Ev::Down(Vec::new()));
     assert!(sim.run_to_quiescence(Time::from_secs(1)));
     // The event went top to bottom at p0, then bottom to top at p1.
-    let got: Vec<(ProcessId, Ev)> = sim
-        .trace()
-        .entries()
-        .iter()
-        .map(|e| (e.proc, e.event.clone()))
-        .collect();
+    let mut got: Vec<(ProcessId, Ev)> = Vec::new();
+    sim.visit_outputs(&mut |_, proc, e| got.push((proc, e.clone())));
     let path = vec!["top", "mid", "net", "net", "mid", "top"];
     assert_eq!(got, vec![(p(1), Ev::Up(path))]);
 }

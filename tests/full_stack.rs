@@ -2,7 +2,8 @@
 //! exclusion through the monitoring component, output-triggered suspicion,
 //! and group communication properties across many seeds.
 
-use gcs::core::{DeliveryKind, Ev, StackConfig};
+use gcs::api::Observation;
+use gcs::core::{DeliveryKind, StackConfig};
 use gcs::kernel::{ProcessId, Time, TimeDelta};
 use gcs::{Group, GroupTransport, InvariantChecker};
 
@@ -172,15 +173,18 @@ fn same_view_delivery_tagging() {
     g.run_until(Time::from_secs(3));
     // At p0: reconstruct (view at delivery time) and check tags.
     let mut current_view = 0u64;
-    for e in g.as_new_arch().expect("new arch").trace().of_proc(p(0)) {
-        match &e.event {
-            Ev::ViewInstalled(v) => current_view = v.id,
-            Ev::Deliver(d) if d.kind == DeliveryKind::Atomic => {
-                assert_eq!(d.view, current_view, "delivery tagged with its view");
-            }
-            _ => {}
+    g.observe(&mut |_, proc, o| match o {
+        _ if proc != p(0) => {}
+        Observation::View { id, .. } => current_view = id,
+        Observation::Deliver {
+            kind: DeliveryKind::Atomic,
+            view,
+            ..
+        } => {
+            assert_eq!(view, current_view, "delivery tagged with its view");
         }
-    }
+        _ => {}
+    });
     // And a view change did happen.
     assert!(g.views()[0].last().is_some());
 }

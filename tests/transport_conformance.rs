@@ -217,7 +217,8 @@ fn gossip_fd_passes_the_conformance_battery() {
 }
 
 /// A joiner started outside the group enters through the unified `join_at`
-/// and participates in post-join traffic on every stack and backend.
+/// and participates in post-join traffic on every stack and backend; Isis's
+/// founders are send-blocked for the join's flush, seen through `observe`.
 #[test]
 fn join_through_the_unified_entry_point() {
     for backend in BACKENDS {
@@ -230,6 +231,13 @@ fn join_through_the_unified_entry_point() {
             d.expect(&mut g, Time::from_secs(20), &tag, |g| {
                 let views = g.views();
                 (0..3).all(|i| views[i].last().is_some_and(|v| v.contains(p(3))))
+            });
+            // Isis blocks every founder's senders while the join's flush
+            // runs (§4.4): each founder's window opens and closes. No other
+            // stack blocks.
+            let isis = kind == StackKind::Isis;
+            d.expect(&mut g, Time::from_secs(20), &tag, |g| {
+                (0..3).all(|i| g.blocked_windows(p(i)).is_empty() != isis)
             });
             // Post-join traffic reaches the joiner. The injection is placed
             // past the settle cursor so it is never scheduled in the past.
@@ -370,7 +378,8 @@ fn removal_mid_stream_on_every_stack() {
 /// (or recovers) the stream, nothing splits the sequence space, and the
 /// run is invariant-clean — the traditional stacks resolve the healed
 /// minority through kill/exclusion + re-join, which the oracle absorbs as
-/// an incarnation reset.
+/// an incarnation reset. On Isis each minority member's kill and re-join
+/// are seen through `observe`.
 #[test]
 fn partition_heal_on_every_stack() {
     for backend in BACKENDS {
@@ -399,6 +408,18 @@ fn partition_heal_on_every_stack() {
             }
             let mut d = Driver::new();
             d.expect(&mut g, Time::from_secs(30), &tag, tail_delivered(3, 12));
+            if kind == StackKind::Isis {
+                // Isis kills the wrongly suspected minority, p3 and p4 (a
+                // reset), and re-admits each with a state transfer after
+                // its kill (§4.3).
+                d.expect(&mut g, Time::from_secs(30), &tag, |g| {
+                    let (resets, rejoins) = (g.resets(), g.rejoins());
+                    [3, 4].into_iter().all(|i| {
+                        let kill = resets[i].first();
+                        kill.is_some_and(|k| rejoins[i].iter().any(|r| r > k))
+                    })
+                });
+            }
 
             let report = InvariantChecker::check(&g, 5);
             assert!(report.is_clean(), "{tag}: {:#?}", report.violations);
