@@ -688,7 +688,7 @@ mod tests {
     /// 504 (both measured when the channel still had that mode); any other
     /// count means the channel's ack scheme changed.
     #[test]
-    fn ack_piggybacking_cuts_steady_state_packets() {
+    fn twenty_abcasts_send_280_packets() {
         let mut cfg = StackConfig::default();
         cfg.monitoring_timeout = TimeDelta::from_secs(3600);
         let mut g = GroupSim::new(5, cfg, 1);

@@ -1097,7 +1097,7 @@ mod tests {
     /// means the ack scheme changed. (The full-stack counterpart lives in
     /// gcs-core's tests.)
     #[test]
-    fn piggybacking_cuts_steady_state_packets_by_40_percent() {
+    fn steady_exchange_sends_220_packets() {
         let run = || -> usize {
             let cfg = RcConfig::default();
             let mut a: ReliableChannel<u64> = ReliableChannel::new(A, cfg);

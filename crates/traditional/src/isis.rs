@@ -1317,8 +1317,15 @@ mod tests {
                 "p{i} sees p3 expelled"
             );
         }
-        // The target was removed, not killed as wrongly suspected, and
-        // stayed out (no auto re-join, unlike a wrong suspicion).
+        // The target learned of its own removal: `Removed` is the only Isis
+        // output that projects to `Other`.
+        let mut others = 0;
+        sim.observe(&mut |_, proc, o| {
+            others += usize::from(proc == p(3) && o == Observation::Other);
+        });
+        assert_eq!(others, 1, "p3 output its removal notice once");
+        // It was removed, not killed as wrongly suspected, and stayed out
+        // (no auto re-join, unlike a wrong suspicion).
         assert_eq!(sim.resets()[3], [], "p3 was not killed");
         assert_eq!(sim.rejoins()[3], [], "p3 did not re-join");
         // The stream survives the removal at all three survivors.
